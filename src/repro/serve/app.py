@@ -18,8 +18,10 @@ the published :class:`ServingState`.  The request flow:
   a mix.
 
 The HTTP layer is ``http.server.ThreadingHTTPServer`` with non-daemon
-request threads, so ``shutdown()`` (the SIGTERM path) drains in-flight
-requests before ``server_close()`` returns — graceful by construction.
+request threads: ``server_close()`` (the SIGTERM epilogue) hangs up the
+keep-alive connections parked between requests and joins the threads
+still answering one, so in-flight requests get their reply and an idle
+client cannot hold the daemon open.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -428,19 +431,106 @@ class ServeHTTPServer(ThreadingHTTPServer):
     """Threading server that drains request threads on close.
 
     ``daemon_threads = False`` (unlike stock ``ThreadingHTTPServer``)
-    makes ``server_close()`` join every in-flight request — the "drain"
-    half of graceful shutdown.  Nagle is disabled on accepted sockets:
-    responses flush in two writes (headers, body), and a latency
-    daemon should not trade sub-millisecond probes for coalescing.
+    makes ``server_close()`` join every request thread — the "drain"
+    half of graceful shutdown.  A keep-alive connection's thread lives
+    as long as the connection, so the server tracks the connections
+    parked between requests and ``server_close()`` shuts down their
+    read side: those threads see EOF and exit, while a thread
+    mid-request finishes, replies, and then meets the same EOF.  (A
+    request is "mid" once its headers are parsed; one whose first line
+    lands in the instant before is still answered from the bytes that
+    had arrived.)
     """
 
     daemon_threads = False
     allow_reuse_address = True
-    disable_nagle_algorithm = True
+    #: Accept backlog.  The ``socketserver`` default of 5 overflows under
+    #: a burst of connection-per-request clients (``curl``, the CLI),
+    #: and an overflowed SYN is only retried a second later.
+    request_queue_size = 128
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # Set first: a failed bind makes the base __init__ call
+        # server_close().
+        self._idle_lock = threading.Lock()
+        #: Accepted sockets with no request being read or answered.
+        self._idle: set[socket.socket] = set()
+        self._draining = False
+        super().__init__(*args, **kwargs)
+
+    def park(self, connection: socket.socket) -> None:
+        """``connection`` waits for its next request (or, draining, EOF)."""
+        with self._idle_lock:
+            if self._draining:
+                _hang_up(connection)
+            else:
+                self._idle.add(connection)
+
+    def unpark(self, connection: socket.socket) -> None:
+        """A request arrived on ``connection``, or it is finished with."""
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        # Runs on the connection's own thread, for the connection's life.
+        self.park(request)
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            self.unpark(request)
+
+    def server_close(self) -> None:
+        with self._idle_lock:
+            self._draining = True
+            for connection in self._idle:
+                _hang_up(connection)
+            self._idle.clear()
+        super().server_close()
+
+
+def _hang_up(connection: socket.socket) -> None:
+    """End a connection's request stream; a reply in flight still leaves.
+
+    Shutting down the read side wakes the thread blocked reading the
+    next request line with EOF, which is how it learns to exit.
+    """
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the client closed it first
+
+
+class _ResponseWriter:
+    """The handler's ``wfile``: one ``sendall`` per response.
+
+    The stdlib writes a response in pieces (header block, then body);
+    sent as written, the second piece waits on the client's delayed ACK
+    of the first.  This holds the pieces and ``flush()`` — which
+    ``handle_one_request`` calls once per response — sends them as one
+    buffer.
+    """
+
+    def __init__(self, connection: socket.socket) -> None:
+        self._connection = connection
+        self._pieces: list[bytes] = []
+        self.closed = False
+
+    def write(self, data: bytes) -> int:
+        self._pieces.append(data)
+        return len(data)
+
+    def flush(self) -> None:
+        if self._pieces:
+            data = b"".join(self._pieces)
+            self._pieces.clear()
+            self._connection.sendall(data)
+
+    def close(self) -> None:
+        self.closed = True
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes requests into the daemon; one instance per request."""
+    """Routes requests into the daemon; one instance per connection."""
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
@@ -448,6 +538,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
     #: Request body cap: a delta batch measured in tens of MiB is a
     #: bulk load, which belongs in the batch CLI, not an HTTP POST.
     max_body_bytes = 64 * 1024 * 1024
+    #: ``TCP_NODELAY`` on every accepted socket (``setup`` reads this
+    #: from the handler class, not the server): a reply is one segment
+    #: and must never wait for the ACK of the one before it.
+    disable_nagle_algorithm = True
+
+    # ------------------------------------------------------------------
+    # Connection lifecycle
+    # ------------------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()  # flushes the reply
+        self.server.park(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The interim response is the one write that cannot wait for the
+        # final flush: the client holds its body back until it arrives.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     # ------------------------------------------------------------------
     # Entry points
@@ -459,6 +571,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._handle("POST")
 
     def _handle(self, method: str) -> None:
+        self.server.unpark(self.connection)
         daemon = self.daemon
         metrics = daemon.telemetry.metrics
         endpoint = "unrouted"
@@ -613,17 +726,26 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _send_error(self, status: int, message: str) -> None:
         self.daemon.telemetry.metrics.counter("serve.errors").inc()
         body = json.dumps({"error": message, "status": status}).encode("utf-8")
-        self._send_bytes(status, body, "application/json")
+        # An error can precede reading the request body (bad route, bad
+        # or oversized Content-Length); left on a kept-alive connection
+        # it would be parsed as the next request.
+        self._send_bytes(status, body, "application/json", close=True)
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_bytes(
+        self, status: int, body: bytes, content_type: str, close: bool = False
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the loop
         self.end_headers()
         self.wfile.write(body)
 
     def log_message(self, format: str, *args: Any) -> None:
-        log.debug("%s - %s", self.address_string(), format % args)
+        # Called for every request; formatting is only worth it if kept.
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s - %s", self.address_string(), format % args)
 
 
 def build_server(
@@ -674,9 +796,10 @@ def run(daemon: ResolutionDaemon, server: ServeHTTPServer) -> None:
     """Serve until shutdown, then drain in-flight requests and save.
 
     The epilogue order is the graceful-SIGTERM contract: stop accepting
-    (``serve_forever`` returned), join every request thread
-    (``server_close`` — non-daemon threads), then write the final
-    auto-snapshot if unsaved deltas remain.
+    (``serve_forever`` returned), hang up idle keep-alive connections
+    and join every request thread (``server_close`` — non-daemon
+    threads), then write the final auto-snapshot if unsaved deltas
+    remain.
     """
     host, port = server.server_address[:2]
     log.info("serving on http://%s:%d (generation %d)",

@@ -15,23 +15,36 @@ job; equally usable interactively::
     client.snapshot()
 
 Entity URIs are percent-quoted into the path (``quote(uri, safe="")``),
-matching the daemon's routing.  Every failure mode raises
-:class:`ServeClientError`: non-2xx responses carry the HTTP status and
-the decoded ``error`` message, while connection-level failures — DNS,
-refused connections, and read/connect timeouts — carry status ``0``
-(no urllib or socket exception ever escapes).  Each request method
-accepts a ``timeout=`` override for that one call; the constructor's
-timeout is the default.
+matching the daemon's routing.  A client holds **one** persistent
+keep-alive connection (opened on first use; ``http.client`` sets
+``TCP_NODELAY`` on it), so a call costs what its handler costs rather
+than a TCP handshake; it carries one request at a time — give each
+thread its own client, and ``close()`` it (or use it as a context
+manager) when done.
+
+Every failure mode raises :class:`ServeClientError`: non-2xx responses
+carry the HTTP status and the decoded ``error`` message, while
+connection-level failures — DNS, refused connections, and read/connect
+timeouts — carry status ``0`` (no ``http.client`` or socket exception
+ever escapes).  A reused connection the daemon has since closed is
+re-opened once, transparently, for read requests (every ``GET``,
+``/resolve``, ``/resolve_batch``); ``/delta``, ``/snapshot`` and
+``/reload`` are never resent — the daemon may have applied them — and
+surface as status ``0``.  Each request method accepts a ``timeout=``
+override for that one call; the constructor's timeout is the default.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Any
-from urllib.error import HTTPError, URLError
-from urllib.parse import quote, urlencode
-from urllib.request import Request, urlopen
+from urllib.parse import quote, urlencode, urlsplit
+
+#: POST endpoints that only read daemon state, so resending one after a
+#: stale connection cannot apply anything twice.
+_READ_ONLY_POSTS = frozenset({"/resolve", "/resolve_batch"})
 
 
 class ServeClientError(RuntimeError):
@@ -52,6 +65,23 @@ class ServeClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// daemon URL: {base_url!r}")
+        self._path_prefix = url.path
+        self._conn = http.client.HTTPConnection(url.hostname, url.port or 80)
+        self._lock = threading.Lock()  # one request on the wire at a time
+
+    def close(self) -> None:
+        """Close the connection (the next call would open a new one)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -68,45 +98,72 @@ class ServeClient:
         if payload is not None:
             body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
         if timeout is None:
             timeout = self.timeout
-        # Exception taxonomy, most to least specific: HTTPError is a
-        # daemon answer (keep its status); URLError wraps most
-        # connect-phase failures; but a timeout *mid-read* surfaces as a
-        # bare TimeoutError/socket.timeout, a torn response as
-        # http.client.HTTPException, and stray socket errors as OSError
-        # (URLError's base class, so it must be caught after it).
-        try:
-            with urlopen(request, timeout=timeout) as response:
-                return (
-                    response.status,
-                    response.read().decode("utf-8"),
-                    response.headers.get("Content-Type", ""),
-                )
-        except HTTPError as error:
-            raw = error.read().decode("utf-8", errors="replace")
+        exchange = (method, self._path_prefix + path, body, headers, timeout)
+        with self._lock:
+            # A reused connection may have been closed by the daemon
+            # while it sat idle; only a request that applies nothing may
+            # be sent a second time to find out.
+            resend = self._conn.sock is not None and (
+                method == "GET" or path in _READ_ONLY_POSTS
+            )
             try:
-                message = json.loads(raw).get("error", raw)
+                try:
+                    status, raw, content_type = self._exchange(*exchange)
+                except ConnectionError:
+                    # Reset, broken pipe, or EOF before a status line.
+                    if not resend:
+                        raise
+                    self._conn.close()
+                    status, raw, content_type = self._exchange(*exchange)
+            except (OSError, http.client.HTTPException) as error:
+                self._conn.close()
+                # Most to least specific: a mid-read timeout is a bare
+                # TimeoutError, a torn response an HTTPException, the
+                # rest stray socket errors.
+                if isinstance(error, TimeoutError):
+                    message = f"request timed out after {timeout}s: {error}"
+                elif isinstance(error, http.client.HTTPException):
+                    message = f"malformed daemon response: {error!r}"
+                else:
+                    message = f"connection failed: {error}"
+                raise ServeClientError(0, message) from None
+        text = raw.decode("utf-8", errors="replace")
+        if not 200 <= status < 300:
+            try:
+                message = json.loads(text).get("error", text)
             except (json.JSONDecodeError, AttributeError):
-                message = raw
-            raise ServeClientError(error.code, message) from None
-        except URLError as error:
-            raise ServeClientError(0, f"daemon unreachable: {error.reason}")
-        except TimeoutError as error:
-            raise ServeClientError(
-                0, f"request timed out after {timeout}s: {error}"
-            ) from None
-        except http.client.HTTPException as error:
-            raise ServeClientError(
-                0, f"malformed daemon response: {error!r}"
-            ) from None
-        except OSError as error:
-            raise ServeClientError(
-                0, f"connection failed: {error}"
-            ) from None
+                message = text
+            raise ServeClientError(status, message)
+        return status, text, content_type
+
+    def _exchange(
+        self,
+        method: str,
+        url: str,
+        body: bytes | None,
+        headers: dict[str, str],
+        timeout: float,
+    ) -> tuple[int, bytes, str]:
+        """One request and its whole reply on the persistent connection."""
+        conn = self._conn
+        if conn.sock is None:
+            conn.timeout = timeout  # applied by connect()
+            try:
+                conn.connect()  # sets TCP_NODELAY
+            except OSError as error:
+                raise ServeClientError(
+                    0, f"daemon unreachable: {error}"
+                ) from None
+        conn.sock.settimeout(timeout)
+        conn.request(method, url, body, headers)
+        response = conn.getresponse()
+        return (
+            response.status,
+            response.read(),
+            response.headers.get("Content-Type", ""),
+        )
 
     def _json(
         self,

@@ -7,8 +7,16 @@ parity between the serve→delta→snapshot cycle and the CLI
 ``--apply-delta --save-session`` path.
 """
 
+import http.client
 import json
+import os
+import signal
+import socket
+import statistics
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -26,6 +34,7 @@ from repro.serve import (
     build_server,
     parse_delta,
 )
+from repro.serve import handlers as serve_handlers
 from repro.serve.handlers import RequestError, parse_k, route
 from repro.serve.json_codec import (
     entity_from_dict,
@@ -443,6 +452,341 @@ class TestRequestHardening:
             assert server.RequestHandlerClass.max_body_bytes == 128
         finally:
             server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Wire path: Nagle off, one send per response, keep-alive, drain
+# ----------------------------------------------------------------------
+class _CountingSocket:
+    """An accepted socket that records the size of every send."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+
+    def send(self, data, *flags):
+        self.sends.append(len(data))
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self.sends.append(len(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.005)
+
+
+@pytest.fixture()
+def wire(snapshot_dir):
+    """A live server that records (and wraps) every accepted socket."""
+    daemon = ResolutionDaemon.from_snapshot(snapshot_dir)
+    server = build_server(daemon, port=0)
+    accepted = []
+    get_request = server.get_request
+
+    def recording_get_request():
+        sock, address = get_request()
+        accepted.append(_CountingSocket(sock))
+        return accepted[-1], address
+
+    server.get_request = recording_get_request
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield daemon, server, accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def raw_connection(server):
+    return http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=10
+    )
+
+
+def raw_post(conn, path, payload):
+    conn.request(
+        "POST",
+        path,
+        body=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    return response, response.read()
+
+
+def hang_up_server_side(accepted):
+    """Close the newest accepted connection from the daemon's end."""
+    sock = accepted[-1]
+    sock.shutdown(socket.SHUT_RDWR)
+    wait_until(lambda: sock.fileno() == -1)  # its thread closed it
+
+
+class TestWirePath:
+    #: A never-seen record sharing value tokens with b1 and b2.
+    RECORD = {
+        "uri": "urn:q:wire",
+        "pairs": [
+            ["name", {"lit": "first label"}],
+            ["info", {"lit": "zanzibar festival shared"}],
+        ],
+    }
+
+    def test_accepted_connection_has_nagle_off(self, wire):
+        _, server, accepted = wire
+        conn = raw_connection(server)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            assert accepted[0].getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ) == 1
+        finally:
+            conn.close()
+        assert not hasattr(type(server), "disable_nagle_algorithm")
+
+    def test_each_response_is_one_send(self, wire):
+        _, server, accepted = wire
+        conn = raw_connection(server)
+        try:
+            response, body = raw_post(
+                conn, "/resolve", {"record": self.RECORD}
+            )
+            assert response.status == 200
+            (sock,) = accepted
+            assert len(sock.sends) == 1 and sock.sends[0] > len(body)
+
+            records = [
+                dict(self.RECORD, uri=f"urn:q:wire:{index}")
+                for index in range(500)
+            ]
+            response, body = raw_post(
+                conn, "/resolve_batch", {"records": records}
+            )
+            assert response.status == 200 and len(body) > 100_000
+            assert len(sock.sends) == 2 and sock.sends[1] > len(body)
+
+            # An error reply and a stdlib-generated one, too.
+            conn.request("GET", "/nothing")
+            assert conn.getresponse().read()
+            assert len(sock.sends) == 3
+        finally:
+            conn.close()
+        conn = raw_connection(server)
+        try:
+            conn.request("PUT", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 501 and response.read()
+            assert len(accepted[-1].sends) == 1
+        finally:
+            conn.close()
+
+    def test_response_head_is_the_stdlib_one(self, wire):
+        _, server, _ = wire
+        conn = raw_connection(server)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            body = response.read()
+            assert (response.version, response.status, response.reason) == (
+                11, 200, "OK",
+            )
+            assert [name for name, _ in response.getheaders()] == [
+                "Server", "Date", "Content-Type", "Content-Length",
+            ]
+            assert response.getheader("Content-Length") == str(len(body))
+            assert json.loads(body) == {"status": "ok", "generation": 1}
+        finally:
+            conn.close()
+
+    def test_keep_alive_requests_do_not_wait_on_delayed_ack(self, wire):
+        """The defect was bimodal: 0.2 ms, or >= 40 ms on every request."""
+        _, server, _ = wire
+        conn = raw_connection(server)
+        try:
+            conn.connect()
+            # http.client turns Nagle off; the server must not rely on it.
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 0)
+            seconds = []
+            for _ in range(50):
+                began = time.perf_counter()
+                conn.request("GET", "/healthz")
+                conn.getresponse().read()
+                seconds.append(time.perf_counter() - began)
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.010
+
+    def test_unread_body_never_becomes_the_next_request(self, wire):
+        _, server, accepted = wire
+        conn = raw_connection(server)
+        try:
+            response, _ = raw_post(conn, "/nothing", {"ops": []})
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            conn.request("GET", "/healthz")  # http.client reconnects
+            assert conn.getresponse().status == 200
+            assert len(accepted) == 2
+        finally:
+            conn.close()
+
+    def test_expect_100_continue_is_answered_before_the_body(self, wire):
+        _, server, _ = wire
+        body = json.dumps({"record": self.RECORD}).encode("utf-8")
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /resolve HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+            assert reply.startswith(b"HTTP/1.1 200 OK")
+
+
+class TestDrain:
+    def test_close_hangs_up_idle_connections_and_finishes_requests(
+        self, snapshot_dir, monkeypatch
+    ):
+        entered = threading.Event()
+        handle_stats = serve_handlers.handle_stats
+
+        def slow_stats(state):
+            entered.set()
+            time.sleep(0.5)
+            return handle_stats(state)
+
+        monkeypatch.setattr(serve_handlers, "handle_stats", slow_stats)
+        daemon = ResolutionDaemon.from_snapshot(snapshot_dir)
+        server = build_server(daemon, port=0)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        idle = raw_connection(server)
+        busy = raw_connection(server)
+        replies = []
+
+        def in_flight():
+            busy.request("GET", "/stats")
+            response = busy.getresponse()
+            replies.append((response.status, response.read()))
+
+        def close():
+            server.shutdown()
+            server.server_close()
+
+        requester = threading.Thread(target=in_flight)
+        closer = threading.Thread(target=close, daemon=True)
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()  # idle, and kept alive
+            requester.start()
+            assert entered.wait(5)
+            began = time.monotonic()
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive(), "an idle connection held the drain"
+            assert time.monotonic() - began < 3
+            requester.join(timeout=5)
+            assert not requester.is_alive()
+            ((status, body),) = replies
+            assert status == 200 and json.loads(body)["generation"] == 1
+            # The drained daemon hung up; nothing answers on either now.
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                idle.request("GET", "/healthz")
+                idle.getresponse()
+        finally:
+            idle.close()
+            busy.close()
+            serving.join(timeout=5)
+
+    def test_sigterm_with_idle_connection_exits_promptly(
+        self, snapshot_dir
+    ):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve",
+             "--snapshot", str(snapshot_dir), "--port", "0"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        try:
+            for line in process.stdout:
+                if "serving on http://127.0.0.1:" in line:
+                    break
+            port = int(line.split("http://127.0.0.1:")[1].split()[0])
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                idle.request("GET", "/healthz")
+                assert idle.getresponse().read()
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=5) == 0
+            finally:
+                idle.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+            process.stdout.close()
+
+
+class TestServeClientConnection:
+    def test_calls_share_one_connection(self, wire):
+        _, server, accepted = wire
+        with ServeClient(
+            f"http://127.0.0.1:{server.server_address[1]}"
+        ) as client:
+            for _ in range(5):
+                assert client.healthz()["status"] == "ok"
+            client.stats()
+            client.resolve(TestWirePath.RECORD)
+            assert len(accepted) == 1
+        wait_until(lambda: accepted[0].fileno() == -1)  # close() hung up
+        assert client.healthz()["status"] == "ok"  # and it reopens on use
+        assert len(accepted) == 2
+        client.close()
+
+    def test_stale_connection_reopened_for_reads_only(self, wire):
+        daemon, server, accepted = wire
+        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            client.healthz()
+            hang_up_server_side(accepted)
+            assert client.healthz()["status"] == "ok"
+            assert len(accepted) == 2
+
+            hang_up_server_side(accepted)
+            assert client.resolve(TestWirePath.RECORD)["known"] is False
+            assert len(accepted) == 3
+
+            hang_up_server_side(accepted)
+            with pytest.raises(ServeClientError) as stale:
+                client.apply_delta(
+                    {"ops": [{"op": "remove", "kb": "kb1", "uris": ["a0"]}]}
+                )
+            assert stale.value.status == 0
+            # Not resent: no fourth connection, nothing applied.
+            assert len(accepted) == 3
+            assert daemon.state().generation == 1
+            counters = daemon.telemetry.metrics.counters()
+            assert "serve.requests.delta" not in counters
+            # The next call starts from a clean connection.
+            assert client.healthz()["generation"] == 1
+        finally:
+            client.close()
+
+    def test_rejects_non_http_url(self):
+        with pytest.raises(ValueError, match="http://"):
+            ServeClient("ftp://127.0.0.1:1")
 
 
 # ----------------------------------------------------------------------
