@@ -456,7 +456,8 @@ def _run_deltas(matcher, parsed: list[tuple[str, str, str]], engine: str):
     }
     log.info(
         "incremental match: %d pairs in %.2fs "
-        "(stages recomputed by deltas: %s, delta-updated: %s)",
+        "(rebuilt through the batch kernels: %s, delta-updated from "
+        "maintained placements: %s)",
         len(final.matches),
         final.seconds,
         recomputed,

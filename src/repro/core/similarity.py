@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 from ..blocking.base import BlockCollection
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
@@ -36,69 +35,6 @@ from ..ids.arrays import numpy_enabled, numpy_module, ranked_csr
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
 Pair = tuple[str, str]
-
-RankedLists = dict[str, list[tuple[str, float]]]
-
-
-def apply_pair_updates(
-    sims: dict[Pair, float],
-    by_entity1: RankedLists,
-    by_entity2: RankedLists,
-    updates: Mapping[Pair, float | None],
-) -> int:
-    """Patch a string-keyed pair-similarity map and re-rank affected entities.
-
-    The reference (pre-interning) form of the update rule: ``updates``
-    maps each pair to its new similarity, or ``None`` to delete it, and
-    only the ranked candidate lists of entities appearing in an
-    effective update are rebuilt — sorted by ``(-similarity, uri)``, a
-    total order per entity, so the rebuilt lists are exactly what a cold
-    construction over the patched map produces.  The live indices apply
-    the same rule over packed keys
-    (:meth:`ValueSimilarityIndex.apply_pair_updates`); this function is
-    kept as the executable specification the parity tests compare
-    against.  Returns the number of pairs whose stored value changed.
-    """
-    per_entity1: dict[str, set[str]] = {}
-    per_entity2: dict[str, set[str]] = {}
-    changed = 0
-    for (uri1, uri2), value in updates.items():
-        old = sims.get((uri1, uri2))
-        if value is None:
-            if old is None:
-                continue
-            del sims[(uri1, uri2)]
-        else:
-            if old == value:
-                continue
-            sims[(uri1, uri2)] = value
-        changed += 1
-        per_entity1.setdefault(uri1, set()).add(uri2)
-        per_entity2.setdefault(uri2, set()).add(uri1)
-
-    for ranked, touched, flip in (
-        (by_entity1, per_entity1, False),
-        (by_entity2, per_entity2, True),
-    ):
-        for uri, counterparts in touched.items():
-            partners = {other for other, _ in ranked.get(uri, ())}
-            for other in counterparts:
-                pair = (other, uri) if flip else (uri, other)
-                if pair in sims:
-                    partners.add(other)
-                else:
-                    partners.discard(other)
-            if not partners:
-                ranked.pop(uri, None)
-                continue
-            rebuilt = [
-                (other, sims[(other, uri) if flip else (uri, other)])
-                for other in partners
-            ]
-            rebuilt.sort(key=lambda item: (-item[1], item[0]))
-            ranked[uri] = rebuilt
-    return changed
-
 
 @lru_cache(maxsize=WEIGHT_CACHE_SHAPES)
 def block_token_weight(n_entities1: int, n_entities2: int) -> float:
@@ -125,13 +61,12 @@ class PackedSimilarityIndex:
     - per side, a CSR layout of the ranked candidate lists:
       ``_starts`` (one offset per entity id, length ``n+1``), ``_cols``
       (counterpart ids) and ``_sims`` (their similarities), rows ordered
-      best-first with the counterpart URI breaking ties;
-    - per side, an override map ``entity id -> decoded ranked row`` for
-      the (rare) rows patched after construction by
-      :meth:`apply_pair_updates` — the CSR arrays stay immutable.
+      best-first with the counterpart URI breaking ties.
 
     Subclasses populate ``_packed`` (block accumulation / neighbor
-    propagation) and then call :meth:`_build_ranked_rows` once.
+    propagation) and then call :meth:`_build_ranked_rows` once; an index
+    is never mutated afterwards — a delta builds a new one — so whoever
+    holds a reference (a published serving generation) has a frozen view.
     """
 
     _interner1: EntityInterner
@@ -151,8 +86,6 @@ class PackedSimilarityIndex:
         self._starts2 = array("q", (0,))
         self._cols2 = array("i")
         self._sims2 = array("d")
-        self._patched1: dict[int, list[tuple[str, float]]] = {}
-        self._patched2: dict[int, list[tuple[str, float]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -206,8 +139,8 @@ class PackedSimilarityIndex:
         tie-break, so the rows equal the old per-entity
         ``sort(key=(-sim, uri))`` lists.  Vectorized
         (:func:`~repro.ids.arrays.ranked_csr`) when NumPy is available;
-        unsorted interners (an index grown by deltas, then rebuilt)
-        fall back to decoded-URI sort keys.
+        unsorted interners (restored from a snapshot an earlier build
+        wrote after in-place deltas) fall back to decoded-URI sort keys.
         """
         sortable = self._interner1.is_sorted and self._interner2.is_sorted
         if sortable and self._packed and numpy_enabled():
@@ -286,64 +219,32 @@ class PackedSimilarityIndex:
         self, side: int, uri: str, k: int | None
     ) -> list[tuple[str, float]]:
         if side == 1:
-            interner, patched = self._interner1, self._patched1
+            interner = self._interner1
             starts, cols, sims = self._starts1, self._cols1, self._sims1
             decode = self._interner2.uris()
         else:
-            interner, patched = self._interner2, self._patched2
+            interner = self._interner2
             starts, cols, sims = self._starts2, self._cols2, self._sims2
             decode = self._interner1.uris()
         entity_id = interner.get(uri)
         if entity_id is None:
-            return []
-        row = patched.get(entity_id)
-        if row is not None:
-            return row if k is None else row[:k]
-        if entity_id + 1 >= len(starts):  # interned after the CSR build
             return []
         start, stop = starts[entity_id], starts[entity_id + 1]
         if k is not None:
             stop = min(stop, start + k)
         return [(decode[cols[j]], sims[j]) for j in range(start, stop)]
 
-    def _partner_ids(self, side: int, entity_id: int) -> Iterable[int]:
-        """Current counterpart ids of one row (patched or CSR)."""
-        if side == 1:
-            patched, starts, cols = self._patched1, self._starts1, self._cols1
-            other = self._interner2
-        else:
-            patched, starts, cols = self._patched2, self._starts2, self._cols2
-            other = self._interner1
-        row = patched.get(entity_id)
-        if row is not None:
-            return [other.id_of(uri) for uri, _ in row]
-        if entity_id + 1 >= len(starts):
-            return []
-        return cols[starts[entity_id] : starts[entity_id + 1]]
-
-    def csr_row_ids(self, side: int, uri: str) -> array | None:
+    def csr_row_ids(self, side: int, uri: str) -> array:
         """One row's full ranked counterpart-id column, undecoded.
 
         The packed form of ``candidates_of_entity{side}(uri)`` for bulk
         consumers (the H3 candidate gather ships these slices to workers
         instead of the whole index): counterpart ids in ranked order, in
-        the *other* side's interner space.  Returns an empty column for
-        URIs the index never saw, and ``None`` when the row was patched
-        after construction (or lies beyond the CSR build) — callers must
-        fall back to the decoded row for those.
+        the *other* side's interner space.  Empty for URIs the index
+        never saw.
         """
-        if side == 1:
-            interner, patched = self._interner1, self._patched1
-            starts, cols = self._starts1, self._cols1
-        else:
-            interner, patched = self._interner2, self._patched2
-            starts, cols = self._starts2, self._cols2
-        entity_id = interner.get(uri)
-        if entity_id is None:
-            return array("i")
-        if entity_id in patched or entity_id + 1 >= len(starts):
-            return None
-        return cols[starts[entity_id] : starts[entity_id + 1]]
+        start, stop = self.csr_row_span(side, uri)
+        return self.csr_columns(side)[1][start:stop]
 
     def csr_columns(self, side: int) -> tuple[array, array]:
         """One side's immutable CSR ``(starts, cols)`` columns.
@@ -351,36 +252,22 @@ class PackedSimilarityIndex:
         The buffer-level counterpart of :meth:`csr_row_ids` for
         publish-once consumers (the shared-memory H3 gather maps the
         whole ``cols`` column into a segment and ships row *spans*
-        instead of row copies).  The arrays are rebuilt only by full
-        reconstructions — never mutated in place — so views over their
-        buffers stay coherent; patched rows are not represented here and
-        must come from :meth:`csr_row_ids`/:meth:`_row`.
+        instead of row copies).
         """
         if side == 1:
             return self._starts1, self._cols1
         return self._starts2, self._cols2
 
-    def csr_row_span(self, side: int, uri: str) -> tuple[int, int] | None:
-        """One row's ``[start, stop)`` range inside ``csr_columns(side)``.
-
-        ``(0, 0)`` for URIs the index never saw (an empty row), ``None``
-        when the row was patched after construction or lies beyond the
-        CSR build — callers must fall back to :meth:`csr_row_ids`'s
-        decoded path for those, exactly as with row copies.
-        """
+    def csr_row_span(self, side: int, uri: str) -> tuple[int, int]:
+        """One row's ``[start, stop)`` range inside ``csr_columns(side)``
+        (``(0, 0)``, an empty row, for URIs the index never saw)."""
         if side == 1:
-            interner, patched, starts = (
-                self._interner1, self._patched1, self._starts1,
-            )
+            interner, starts = self._interner1, self._starts1
         else:
-            interner, patched, starts = (
-                self._interner2, self._patched2, self._starts2,
-            )
+            interner, starts = self._interner2, self._starts2
         entity_id = interner.get(uri)
         if entity_id is None:
             return (0, 0)
-        if entity_id in patched or entity_id + 1 >= len(starts):
-            return None
         return starts[entity_id], starts[entity_id + 1]
 
     def ranked_ids(self, side: int, uri: str) -> list[tuple[int, float]]:
@@ -388,27 +275,14 @@ class PackedSimilarityIndex:
 
         The id-space twin of ``candidates_of_entity{side}``: identical
         order (best first, counterpart URI breaking ties), no URI
-        decode.  Patched rows are re-encoded through the counterpart
-        interner, so the online resolver can always consume ids.
+        decode.
         """
+        start, stop = self.csr_row_span(side, uri)
         if side == 1:
-            interner, patched = self._interner1, self._patched1
-            starts, cols, sims = self._starts1, self._cols1, self._sims1
-            other = self._interner2
+            cols, sims = self._cols1, self._sims1
         else:
-            interner, patched = self._interner2, self._patched2
-            starts, cols, sims = self._starts2, self._cols2, self._sims2
-            other = self._interner1
-        entity_id = interner.get(uri)
-        if entity_id is None:
-            return []
-        row = patched.get(entity_id)
-        if row is not None:
-            return [(other.id_of(counterpart), sim) for counterpart, sim in row]
-        if entity_id + 1 >= len(starts):
-            return []
-        start, stop = starts[entity_id], starts[entity_id + 1]
-        return [(cols[j], sims[j]) for j in range(start, stop)]
+            cols, sims = self._cols2, self._sims2
+        return list(zip(cols[start:stop], sims[start:stop]))
 
     # ------------------------------------------------------------------
     # Queries
@@ -426,9 +300,8 @@ class PackedSimilarityIndex:
     def pairs(self) -> dict[Pair, float]:
         """The sparse URI-pair-to-similarity map (read-only by convention).
 
-        A decoded snapshot of the packed map, cached until the next
-        :meth:`apply_pair_updates`; consumers that only need sizes
-        should use ``len(index)`` instead of decoding.
+        A decoded snapshot of the packed map, cached; consumers that
+        only need sizes should use ``len(index)`` instead of decoding.
         """
         if self._pairs_cache is None:
             uris1 = self._interner1.uris()
@@ -462,25 +335,13 @@ class PackedSimilarityIndex:
 
     def partners_of_entity1(self, uri1: str) -> set[str]:
         """The counterpart URIs of ``uri1`` as a set (no scores decoded)."""
-        id1 = self._interner1.get(uri1)
-        if id1 is None:
-            return set()
-        row = self._patched1.get(id1)
-        if row is not None:
-            return {uri for uri, _ in row}
         decode = self._interner2.uris()
-        return {decode[col] for col in self._partner_ids(1, id1)}
+        return {decode[col] for col in self.csr_row_ids(1, uri1)}
 
     def partners_of_entity2(self, uri2: str) -> set[str]:
         """The counterpart URIs of ``uri2`` as a set (no scores decoded)."""
-        id2 = self._interner2.get(uri2)
-        if id2 is None:
-            return set()
-        row = self._patched2.get(id2)
-        if row is not None:
-            return {uri for uri, _ in row}
         decode = self._interner1.uris()
-        return {decode[col] for col in self._partner_ids(2, id2)}
+        return {decode[col] for col in self.csr_row_ids(2, uri2)}
 
     def best_candidate(
         self, uri1: str, exclude: frozenset[str] | set[str] = frozenset()
@@ -493,15 +354,7 @@ class PackedSimilarityIndex:
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
-        row = self._patched1.get(id1)
-        if row is not None:
-            for uri2, sim in row:
-                if uri2 not in exclude:
-                    return uri2, sim
-            return None
         starts = self._starts1
-        if id1 + 1 >= len(starts):
-            return None
         decode = self._interner2.uris()
         cols, sims = self._cols1, self._sims1
         for j in range(starts[id1], starts[id1 + 1]):
@@ -509,116 +362,6 @@ class PackedSimilarityIndex:
             if uri2 not in exclude:
                 return uri2, sims[j]
         return None
-
-    # ------------------------------------------------------------------
-    # In-place updates (the incremental subsystem's patch primitive)
-    # ------------------------------------------------------------------
-    def apply_pair_updates(
-        self, updates: Mapping[Pair, float | None]
-    ) -> int:
-        """Patch pair similarities in place (``None`` deletes a pair).
-
-        The packed equivalent of the reference
-        :func:`apply_pair_updates`: URIs new to the index are interned
-        on the fly, the packed map is patched, and only the ranked rows
-        of entities appearing in an effective update are rebuilt — into
-        the override maps, sorted by ``(-similarity, uri)`` exactly as a
-        cold construction would.  Returns the number of pairs whose
-        stored value actually changed.
-        """
-        interner1, interner2 = self._interner1, self._interner2
-        packed = self._packed
-        touched1: dict[int, set[int]] = {}
-        touched2: dict[int, set[int]] = {}
-        changed = 0
-        for (uri1, uri2), value in updates.items():
-            if value is None:
-                id1 = interner1.get(uri1)
-                id2 = interner2.get(uri2)
-                if id1 is None or id2 is None:
-                    continue
-                key = (id1 << PAIR_ID_BITS) | id2
-                if key not in packed:
-                    continue
-                del packed[key]
-            else:
-                id1 = interner1.intern(uri1)
-                id2 = interner2.intern(uri2)
-                key = (id1 << PAIR_ID_BITS) | id2
-                if packed.get(key) == value:
-                    continue
-                packed[key] = value
-            changed += 1
-            touched1.setdefault(id1, set()).add(id2)
-            touched2.setdefault(id2, set()).add(id1)
-        if changed:
-            self._pairs_cache = None
-            self._rebuild_patched_rows(1, touched1)
-            self._rebuild_patched_rows(2, touched2)
-        return changed
-
-    def _rebuild_patched_rows(
-        self, side: int, touched: dict[int, set[int]]
-    ) -> None:
-        packed = self._packed
-        if side == 1:
-            patched, decode = self._patched1, self._interner2.uris()
-
-            def key_of(own: int, other: int) -> int:
-                return (own << PAIR_ID_BITS) | other
-        else:
-            patched, decode = self._patched2, self._interner1.uris()
-
-            def key_of(own: int, other: int) -> int:
-                return (other << PAIR_ID_BITS) | own
-
-        for entity_id, counterparts in touched.items():
-            partners = set(self._partner_ids(side, entity_id))
-            for other in counterparts:
-                if key_of(entity_id, other) in packed:
-                    partners.add(other)
-                else:
-                    partners.discard(other)
-            rebuilt = [
-                (decode[other], packed[key_of(entity_id, other)])
-                for other in partners
-            ]
-            rebuilt.sort(key=lambda item: (-item[1], item[0]))
-            # An emptied row must shadow the stale CSR slice too, so the
-            # override stays even when empty.
-            patched[entity_id] = rebuilt
-
-    # ------------------------------------------------------------------
-    # Copy-on-write (the serving layer's swap-on-publish primitive)
-    # ------------------------------------------------------------------
-    def detached_copy(self) -> "PackedSimilarityIndex":
-        """A same-class copy whose in-place updates leave this index frozen.
-
-        The immutable bulk — the CSR offset/column/similarity arrays,
-        rebuilt only by full reconstructions — is shared by reference;
-        everything :meth:`apply_pair_updates` mutates (the packed pair
-        map, the patched-row overrides, the two interners) is copied, so
-        after ``writer = index.detached_copy()`` any sequence of updates
-        applied to ``writer`` is invisible to readers still holding
-        ``index``.  This is what lets the resolution daemon publish an
-        immutable read state and keep applying deltas: the writer works
-        on detached copies, readers keep the frozen originals, and one
-        atomic reference swap moves them to the new state.
-        """
-        clone = type(self).__new__(type(self))
-        clone._interner1 = self._interner1.clone()
-        clone._interner2 = self._interner2.clone()
-        clone._packed = dict(self._packed)
-        clone._pairs_cache = None
-        clone._starts1, clone._cols1, clone._sims1 = (
-            self._starts1, self._cols1, self._sims1,
-        )
-        clone._starts2, clone._cols2, clone._sims2 = (
-            self._starts2, self._cols2, self._sims2,
-        )
-        clone._patched1 = dict(self._patched1)
-        clone._patched2 = dict(self._patched2)
-        return clone
 
     def __len__(self) -> int:
         return len(self._packed)

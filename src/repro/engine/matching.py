@@ -21,9 +21,8 @@ the co-occurrence test — to the workers, which trim/filter on bare ids.
 The driver decodes the surviving ids back to URIs and preloads the
 candidate cache.  This replaces the previous protocol of pickling the
 whole candidate index (both full indices) into every process-executor
-chunk.  Rows patched by the incremental subsystem after the CSR build
-fall back to the decoded per-entity path in the driver; candidate lists
-are pure per-entity functions, so the split cannot change any list.
+chunk.  Candidate lists are pure per-entity functions, so the split
+cannot change any list.
 
 H2 has no phase worth distributing — its per-entity "work" is a lookup
 into ranked lists the value index already holds — so the engine entry
@@ -176,16 +175,15 @@ def _preload_candidate_lists(
     # worker count; chunking only schedules, it cannot change any
     # gathered list.
     built: list[list[tuple[int, list[int], list[int]]]] = []
-    fallback: list[str] = []
     if arena is not None:
-        spans: list[tuple[int, int, int, int, int]] = []
-        for position, uri in enumerate(uris):
-            value_span = value_index.csr_row_span(1, uri)
-            neighbor_span = neighbor_index.csr_row_span(1, uri)
-            if value_span is None or neighbor_span is None:
-                fallback.append(uri)  # patched row: decoded path, driver-side
-            else:
-                spans.append((position, *value_span, *neighbor_span))
+        spans = [
+            (
+                position,
+                *value_index.csr_row_span(1, uri),
+                *neighbor_index.csr_row_span(1, uri),
+            )
+            for position, uri in enumerate(uris)
+        ]
         if spans:
             with arena.publish(
                 [
@@ -207,14 +205,14 @@ def _preload_candidate_lists(
                     chunk_evenly(spans, n_chunks),
                 )
     else:
-        rows: list[tuple[int, array, array]] = []
-        for position, uri in enumerate(uris):
-            value_cols = value_index.csr_row_ids(1, uri)
-            neighbor_cols = neighbor_index.csr_row_ids(1, uri)
-            if value_cols is None or neighbor_cols is None:
-                fallback.append(uri)  # patched row: decoded path, driver-side
-            else:
-                rows.append((position, value_cols, neighbor_cols))
+        rows = [
+            (
+                position,
+                value_index.csr_row_ids(1, uri),
+                neighbor_index.csr_row_ids(1, uri),
+            )
+            for position, uri in enumerate(uris)
+        ]
         if rows:
             n_chunks = min(partition_count(len(rows)), engine.workers)
             built = engine.map_partitions(
@@ -238,8 +236,6 @@ def _preload_candidate_lists(
             for chunk in built
             for position, value_ids, neighbor_ids in chunk
         )
-    for uri in fallback:
-        candidate_index.of_entity1(uri)  # computes and caches
 
 
 def h3_rank_aggregation_matches_engine(

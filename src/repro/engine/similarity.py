@@ -9,10 +9,9 @@ Determinism: blocks and value pairs are both sharded by a *stable hash*
 of their key (block key / value-pair key), scanned within a shard in
 sorted key order, and the partials merge left-to-right.  The resulting
 floating-point sums are therefore bit-identical across executors and
-worker counts — and, because a contribution's shard is a function of its
-key alone (never of its position), the incremental subsystem can replay
-the exact accumulation order of any single pair with
-:func:`shard_merged_sum` instead of rebuilding the whole index.
+worker counts, and a function of the *content* being indexed alone —
+which is what lets the incremental subsystem call these same builders
+on a post-delta state and land on the floats of a cold run.
 
 **Packed hot path.**  The builders run entirely on interned ids: blocks
 are encoded once into sorted ``array('i')`` id columns, shard partials
@@ -21,16 +20,14 @@ accumulate under packed ``int64`` pair keys and return flat
 boundaries, not string-keyed dicts), and value pairs are sharded by
 :class:`~repro.engine.partitioner.PackedPairHasher` — which reproduces
 the string-stable :func:`value_pair_key` shard assignment bit-for-bit.
-The string-keyed forms (:func:`_value_partial`, :func:`merge_pair_sums`,
-:func:`shard_merged_sum`) remain as the executable specification the
-parity tests and the incremental replay primitive build on.
+The string-keyed forms (:func:`_value_partial`, :func:`merge_pair_sums`)
+remain as the executable specification the parity tests build on.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import Iterable
 
 from ..blocking.base import Block, BlockCollection
 from ..blocking.packed import PackedBlockCollection
@@ -69,61 +66,6 @@ _PAIR_KEY_SEPARATOR = "\x1f"
 def value_pair_key(pair: Pair) -> str:
     """The shard key of one value pair (stable across runs/processes)."""
     return pair[0] + _PAIR_KEY_SEPARATOR + pair[1]
-
-
-def packed_pair_hasher(
-    interner1: EntityInterner, interner2: EntityInterner
-) -> PackedPairHasher:
-    """A hasher whose hash of a packed key equals
-    ``stable_hash(value_pair_key(decoded pair))`` — the string-stable
-    shard assignment, computed without building key strings."""
-    return PackedPairHasher(interner1, interner2, _PAIR_KEY_SEPARATOR)
-
-
-def shard_merged_sum(
-    contributions: Iterable[tuple[str, float]], n_shards: int
-) -> float:
-    """Replay the engine's shard-then-merge accumulation for one pair.
-
-    ``contributions`` are ``(shard key, weight)`` terms **in the batch
-    scan order** (sorted by the stage's sort domain: block key for
-    valueSim, value pair for neighborNSim).  Grouping by
-    ``stable_hash(key) % n_shards``, subtotalling within each shard in
-    scan order, and adding subtotals in ascending shard order reproduces
-    bit-for-bit the float the partitioned builders compute for that pair
-    — the primitive the incremental subsystem uses to patch single pairs
-    without rebuilding an index.
-    """
-    subtotals: dict[int, float] = {}
-    for key, weight in contributions:
-        shard = stable_hash(key) % n_shards
-        subtotals[shard] = subtotals.get(shard, 0.0) + weight
-    total = 0.0
-    for shard in sorted(subtotals):
-        total += subtotals[shard]
-    return total
-
-
-def shard_merged_sum_packed(
-    contributions: Iterable[tuple[int, float]],
-    n_shards: int,
-    hasher: PackedPairHasher,
-) -> float:
-    """:func:`shard_merged_sum` over packed value-pair keys.
-
-    ``hasher`` must come from :func:`packed_pair_hasher` over the value
-    index's interners, so each packed key lands in the shard its
-    :func:`value_pair_key` string would have — making the replayed float
-    identical to the string-keyed replay, without decoding a single URI.
-    """
-    subtotals: dict[int, float] = {}
-    for key, weight in contributions:
-        shard = hasher(key) % n_shards
-        subtotals[shard] = subtotals.get(shard, 0.0) + weight
-    total = 0.0
-    for shard in sorted(subtotals):
-        total += subtotals[shard]
-    return total
 
 
 def merge_pair_sums(accumulated: PairSums, partial_sums: PairSums) -> PairSums:
@@ -645,11 +587,10 @@ def build_neighbor_index(
     ascending ``(uri1, uri2)`` while the interners are sort-stable),
     then sharded by the stable hash of each pair's *string* key via
     :class:`~repro.engine.partitioner.PackedPairHasher` (not by
-    position, so a pair's shard survives insertions elsewhere — the
-    property delta updates rely on); every shard propagates its pairs up
-    to the entities listing them as top neighbors, against read-only
-    id-level reverse indices.  Vectorized when NumPy is available; both
-    paths are bit-identical.
+    position, so a pair's shard is a function of the pair alone); every
+    shard propagates its pairs up to the entities listing them as top
+    neighbors, against read-only id-level reverse indices.  Vectorized
+    when NumPy is available; both paths are bit-identical.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()
@@ -658,11 +599,12 @@ def build_neighbor_index(
     packed = value_index.packed_items()
     n_partitions = partition_count(len(packed))
     sort_stable = value1.is_sorted and value2.is_sorted
+    # Hashes a packed key to ``stable_hash(value_pair_key(decoded pair))``
+    # — the string-stable shard assignment, without building key strings.
+    hasher = PackedPairHasher(value1, value2, _PAIR_KEY_SEPARATOR)
     arena = getattr(engine, "shared_arena", None)
     if numpy_enabled() and sort_stable:
-        shards = _vectorized_value_shards(
-            packed, n_partitions, packed_pair_hasher(value1, value2)
-        )
+        shards = _vectorized_value_shards(packed, n_partitions, hasher)
         reverse1 = _dense_reverse_columns(top_neighbors1, parents1, value1)
         reverse2 = _dense_reverse_columns(top_neighbors2, parents2, value2)
         if arena is not None and shards:
@@ -720,7 +662,7 @@ def build_neighbor_index(
         ordered_keys,
         (packed[key] for key in ordered_keys),
         n_partitions,
-        packed_pair_hasher(value1, value2),
+        hasher,
     )
     if arena is not None and shards:
         with arena.publish(

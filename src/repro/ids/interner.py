@@ -10,11 +10,12 @@ buys two properties the array-backed similarity core leans on:
   sorts and integer tie-breaks reproduce exactly the string sorts and
   string tie-breaks of the old dict-backed code.
 
-URIs interned *after* construction (the incremental subsystem adds
-entities to live indices) get the next free id, which may break the
-id-order == URI-order coincidence; :attr:`is_sorted` tracks whether it
-still holds so consumers can keep the integer fast path or fall back to
-decoded-URI ordering.
+URIs interned *after* construction get the next free id, which may
+break the id-order == URI-order coincidence; :attr:`is_sorted` tracks
+whether it still holds so consumers can keep the integer fast path or
+fall back to decoded-URI ordering.  The pipeline itself never grows an
+interner (a delta builds new indices over freshly sorted interners);
+appended ids reach it only through snapshots written by earlier builds.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class EntityInterner:
         return self._ids
 
     # ------------------------------------------------------------------
-    # Growth (incremental deltas only)
+    # Growth
     # ------------------------------------------------------------------
     def intern(self, uri: str) -> int:
         """The id of ``uri``, interning it at the next free id if new.
@@ -124,24 +125,6 @@ class EntityInterner:
     def is_sorted(self) -> bool:
         """True while ascending id order still equals ascending URI order."""
         return self._sorted
-
-    # ------------------------------------------------------------------
-    # Copy-on-write support
-    # ------------------------------------------------------------------
-    def clone(self) -> "EntityInterner":
-        """An independent interner with identical id assignments.
-
-        Growing the clone (:meth:`intern`) leaves this interner — and
-        every decode table previously handed out by :meth:`uris` /
-        :meth:`ids_by_uri` — untouched.  The serving layer relies on
-        this: a published read state keeps the interner an index was
-        built with, while the delta writer appends to a private copy.
-        """
-        clone = EntityInterner.__new__(EntityInterner)
-        clone._uris = list(self._uris)
-        clone._ids = dict(self._ids)
-        clone._sorted = self._sorted
-        return clone
 
     # ------------------------------------------------------------------
     # Dunder plumbing

@@ -4,12 +4,9 @@ A :class:`DeltaBlockIndex` holds, per KB side, the ``key -> {uris}``
 placements a blocking scheme would compute, plus the inverse ``uri ->
 {keys}`` view, and keeps both consistent under entity insertions and
 removals — re-deriving keys only for the entities a delta touches.  It
-tracks which keys changed (with a snapshot of their pre-delta
-membership, so the matcher can enumerate exactly the entity pairs whose
-evidence moved) and can materialize a
-:class:`~repro.blocking.base.BlockCollection` equal to what the batch
-builders produce on the same data: two-sided keys only, blocks inserted
-in sorted key order, membership sets copied.
+can materialize a :class:`~repro.blocking.base.BlockCollection` equal
+to what the batch builders produce on the same data: two-sided keys
+only, blocks inserted in sorted key order, membership sets copied.
 """
 
 from __future__ import annotations
@@ -17,9 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..blocking.base import Block, BlockCollection
-
-#: Immutable membership snapshot: (side-1 uris, side-2 uris), sorted.
-Members = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 class DeltaBlockIndex:
@@ -34,20 +28,10 @@ class DeltaBlockIndex:
         self._entity_keys: tuple[
             dict[str, frozenset[str]], dict[str, frozenset[str]]
         ] = ({}, {})
-        # key -> pre-delta membership, captured on first touch since the
-        # last collect_dirty(); keys touched but never snapshotted here
-        # were created by the delta itself.
-        self._old_members: dict[str, Members] = {}
-        self._dirty: set[str] = set()
 
     # ------------------------------------------------------------------
     # Delta application
     # ------------------------------------------------------------------
-    def _snapshot(self, key: str) -> None:
-        if key not in self._old_members:
-            self._old_members[key] = self.members(key)
-        self._dirty.add(key)
-
     def add_entity(self, side: int, uri: str, keys: Iterable[str]) -> None:
         """Place ``uri`` (side 1 or 2) into the blocks for ``keys``.
 
@@ -64,7 +48,6 @@ class DeltaBlockIndex:
         key_set = frozenset(keys)
         self._entity_keys[side - 1][uri] = key_set
         for key in key_set:
-            self._snapshot(key)
             placements.setdefault(key, set()).add(uri)
 
     def remove_entity(self, side: int, uri: str) -> None:
@@ -72,7 +55,6 @@ class DeltaBlockIndex:
         placements = self._placements[side - 1]
         key_set = self._entity_keys[side - 1].pop(uri, frozenset())
         for key in key_set:
-            self._snapshot(key)
             members = placements.get(key)
             if members is None:
                 continue
@@ -83,11 +65,7 @@ class DeltaBlockIndex:
     def load_side(
         self, side: int, entity_keys: Iterable[tuple[str, frozenset[str]]]
     ) -> None:
-        """Replace one side wholesale (bootstrap, or a scheme change).
-
-        Does not touch dirty tracking: a wholesale reload means the
-        caller is recomputing everything derived from this index anyway.
-        """
+        """Replace one side wholesale (bootstrap, or a scheme change)."""
         placements: dict[str, set[str]] = {}
         keys_of: dict[str, frozenset[str]] = {}
         for uri, keys in entity_keys:
@@ -105,35 +83,12 @@ class DeltaBlockIndex:
             else (self._entity_keys[0], keys_of)
         )
 
-    def collect_dirty(self) -> dict[str, Members]:
-        """Keys touched since the last collect, with pre-delta membership.
-
-        Clears the tracker: the caller owns propagating the changes.
-        """
-        dirty = {key: self._old_members[key] for key in self._dirty}
-        self._old_members.clear()
-        self._dirty.clear()
-        return dirty
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def entity_keys(self, side: int, uri: str) -> frozenset[str]:
         """The block keys of ``uri`` on ``side`` (empty when absent)."""
         return self._entity_keys[side - 1].get(uri, frozenset())
-
-    def members(self, key: str) -> Members:
-        """Current sorted membership of ``key`` on both sides."""
-        return (
-            tuple(sorted(self._placements[0].get(key, ()))),
-            tuple(sorted(self._placements[1].get(key, ()))),
-        )
-
-    def side_sizes(self, key: str) -> tuple[int, int]:
-        return (
-            len(self._placements[0].get(key, ())),
-            len(self._placements[1].get(key, ())),
-        )
 
     def shared_counts(self) -> dict[str, tuple[int, int]]:
         """Side sizes of every two-sided key (the keys that form blocks)."""

@@ -2,35 +2,44 @@
 
 An :class:`IncrementalMatcher` wraps a :class:`~repro.pipeline.session.
 MatchSession` and accepts entity deltas — ``add_entities`` /
-``remove_entities`` on either KB — updating the blocking placements,
-purging threshold, value/neighbor similarity indices and candidate
-evidence *in place* instead of recomputing the pipeline from scratch.
+``remove_entities`` on either KB.  A delta keeps what is O(delta) and
+exact by construction *maintained*, and *rebuilds* the rest through the
+batch kernels:
+
+- **maintained** — tokenizing / name-keying only the added entities,
+  the per-side block placements (:class:`DeltaBlockIndex`), the purging
+  decision (taken from maintained side sizes), the name blocks, the
+  top-relation check and the top-neighbor sets of the entities a delta
+  touches.  All discrete (set/integer) state, so incremental upkeep
+  equals a cold computation.
+- **rebuilt** — the value and neighbor similarity indices, by the very
+  :func:`~repro.engine.similarity.build_value_index` /
+  :func:`~repro.engine.similarity.build_neighbor_index` calls a cold
+  run makes, over the maintained blocks and top-neighbor sets.  The
+  paper's ``valueSim`` weighs a shared token by its block's side sizes,
+  so one added or removed entity re-weights every pair of each of its
+  token blocks and ``neighborNSim`` fans that out again: on the
+  benchmark profiles a 2-entity delta moves 30–60 % of all pairs, and
+  replaying those one by one lost to the vectorized builders on every
+  delta measured (``docs/PERFORMANCE.md``).
 
 **The parity contract.**  After any sequence of deltas, ``match()``
 returns exactly what a cold batch ``match()`` on the final KB state
 returns — bit-identical matches, scores, block collections and index
-floats.  Three properties of the batch engine make this achievable:
+floats.  For the indices this holds by construction (same code path,
+same inputs); the matching heuristics are deterministic functions of
+the prepared artifacts and the KB iteration order, which the mutable
+:class:`~repro.kb.knowledge_base.KnowledgeBase` preserves under deltas
+(removals keep relative order, re-adds append).
 
-- block membership, placements and purging thresholds are discrete
-  (set/integer) computations, so maintaining them incrementally is
-  exact by construction;
-- both similarity indices accumulate floats in an order determined
-  entirely by *keys* (blocks sorted by key and sharded by stable hash;
-  value pairs likewise), never by position — so the accumulation order
-  of one pair can be replayed in isolation with
-  :func:`~repro.engine.similarity.shard_merged_sum`;
-- the matching heuristics are deterministic functions of the prepared
-  artifacts and the KB iteration order, which the mutable
-  :class:`~repro.kb.knowledge_base.KnowledgeBase` preserves under
-  deltas (removals keep relative order, re-adds append).
-
-When a delta invalidates a *global* decision — the discovered name
-attributes, the top relations, or a partition layout (shard counts
-follow data size) — the affected stage falls back to a full recompute
-through the identical batch code path, so parity is never at risk; the
-fallback is counted in :attr:`stage_recomputes` and the common case in
-:attr:`delta_updates`.  Delta work (re-keying added entities) dispatches
-through the same partitioned execution engine as the batch stages.
+A refresh never mutates a published artifact: every delta overlays
+*new* block collections and index objects, so whoever holds the
+previous ones (a serving generation, a saved context) keeps a frozen
+view.  Rebuilt stages count in :attr:`stage_recomputes`, maintained
+ones in :attr:`delta_updates`; when a delta moves the discovered name
+attributes that side's name keys are re-extracted wholesale (counted
+as a recompute).  Delta work dispatches through the same partitioned
+execution engine as the batch stages.
 """
 
 from __future__ import annotations
@@ -39,20 +48,13 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from ..blocking.name_blocking import names_from_attributes, normalize_name
+from ..blocking.packed import PackedBlockCollection
 from ..blocking.purging import PurgingReport, purge_decision_from_sizes
-from ..core.similarity import Pair, block_token_weight
 from ..core.statistics import top_name_attributes, top_relations
 from ..core.neighbors import top_neighbors
 from ..engine.executor import create_executor
 from ..engine.partitioner import hash_partitions, partition_count
-from ..engine.similarity import (
-    build_neighbor_index,
-    build_value_index,
-    packed_pair_hasher,
-    shard_merged_sum,
-    shard_merged_sum_packed,
-)
-from ..ids import PAIR_ID_BITS
+from ..engine.similarity import build_neighbor_index, build_value_index
 from ..kb.graph import inverse
 from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
@@ -168,7 +170,8 @@ class IncrementalMatcher:
         #: cold run); the parity harness asserts delta refreshes stay
         #: strictly below a cold run's stage count.
         self.stage_recomputes: dict[str, int] = {}
-        #: In-place artifact patches, by stage name.
+        #: Artifacts brought up to date from maintained state, without
+        #: re-deriving any untouched entity's keys, by stage name.
         self.delta_updates: dict[str, int] = {}
         #: Applied deltas, oldest first: (op, kb side, uris).
         self.delta_log: list[tuple[str, int, tuple[str, ...]]] = []
@@ -183,18 +186,13 @@ class IncrementalMatcher:
         self._name_attrs: list[list[str]] = [[], []]
         self._top_rels: list[list[str]] = [[], []]
         self._top_nbrs: list[dict[str, set[str]]] = [{}, {}]
-        self._rev: list[dict[str, set[str]]] = [{}, {}]
         self._refs: list[dict[str, set[str]]] = [{}, {}]
         self._tn_dirty: list[set[str]] = [set(), set()]
-        self._purged_keys: set[str] = set()
         self._pending = False
         self._stage_seconds: dict[str, tuple[float, bool]] = {}
         #: Optional pinned telemetry (see :class:`MatchSession`): when
         #: set, every bootstrap/refresh/match runs under it.
         self.telemetry: "Telemetry | None" = None
-        #: (interners + sizes, hasher) cache — rebuilding the packed
-        #: pair hasher costs O(value-index URIs), far too much per delta.
-        self._hasher_cache: tuple | None = None
 
     # ------------------------------------------------------------------
     # Warm restart (snapshot store)
@@ -293,18 +291,11 @@ class IncrementalMatcher:
             dict(state.top_neighbors[1]),
         ]
         for side in (1, 2):
-            self._rebuild_reverse(side)
-            refs = self._refs[side - 1]
-            for entity in self.kbs[side - 1]:
-                for _, target in entity.relation_pairs():
-                    refs.setdefault(target, set()).add(entity.uri)
-        self._purged_keys = set(state.kept_keys)
+            self._index_references(side)
         self._purging_report = state.artifacts["purging_report"]
         self._token_blocks = state.artifacts["token_blocks"]
         self._value_index = state.artifacts["value_index"]
         self._neighbor_index = state.artifacts["neighbor_index"]
-        self._value_shards = partition_count(len(self._purged_keys))
-        self._neighbor_shards = partition_count(len(self._value_index))
         base = PipelineContext(self.kbs[0], self.kbs[1], self.config)
         self._publish_artifacts(base, producer="snapshot")
         self._base_ctx = base
@@ -366,25 +357,16 @@ class IncrementalMatcher:
                     self._top_rels[side - 1],
                     config.include_incoming_edges,
                 )
-                self._rebuild_reverse(side)
-                refs = self._refs[side - 1]
-                for entity in kb:
-                    for _, target in entity.relation_pairs():
-                        refs.setdefault(target, set()).add(entity.uri)
-            self._tokens.collect_dirty()  # load_side touches nothing, but be safe
-            self._names.collect_dirty()
+                self._index_references(side)
 
-            self._purged_keys, self._purging_report = self._purge_decision()
-            self._token_blocks = self._tokens.assemble(keep=self._purged_keys)
+            self._assemble_token_blocks()
             self._value_index = build_value_index(self._token_blocks, engine)
-            self._value_shards = partition_count(len(self._purged_keys))
             self._neighbor_index = build_neighbor_index(
                 self._value_index,
                 self._top_nbrs[0],
                 self._top_nbrs[1],
                 engine,
             )
-            self._neighbor_shards = partition_count(len(self._value_index))
             if self._has_names:
                 self._name_blocks = self._names.assemble()
                 self._count(self.stage_recomputes, "name_blocking")
@@ -395,12 +377,27 @@ class IncrementalMatcher:
         self._publish_artifacts(base, producer="bootstrap")
         self._base_ctx = base
 
-    def _rebuild_reverse(self, side: int) -> None:
-        reverse: dict[str, set[str]] = {}
-        for uri, neighbor_set in self._top_nbrs[side - 1].items():
-            for neighbor in neighbor_set:
-                reverse.setdefault(neighbor, set()).add(uri)
-        self._rev[side - 1] = reverse
+    def _index_references(self, side: int) -> None:
+        """(Re)build one side's ``target -> {subjects}`` reference index
+        (the incoming direction of per-entity top-neighbor upkeep)."""
+        refs: dict[str, set[str]] = {}
+        for entity in self.kbs[side - 1]:
+            for _, target in entity.relation_pairs():
+                refs.setdefault(target, set()).add(entity.uri)
+        self._refs[side - 1] = refs
+
+    def _assemble_token_blocks(self) -> None:
+        """Purge decision + the kept token blocks, from maintained sizes.
+
+        Assembled once, in the columnar form the cold token-blocking
+        stage produces: the value-index builder reads its CSR rows and
+        member interners directly, and the online resolver's tables
+        (built at every publish) need no re-encoding of a string view.
+        """
+        kept, self._purging_report = self._purge_decision()
+        self._token_blocks = PackedBlockCollection.from_collection(
+            self._tokens.assemble(keep=kept)
+        )
 
     def _publish_artifacts(self, ctx: PipelineContext, producer: str) -> None:
         if self._has_names:
@@ -413,31 +410,6 @@ class IncrementalMatcher:
         ctx.put("neighbor_index", self._neighbor_index, producer=producer)
         ctx.put("top_relations1", list(self._top_rels[0]), producer=producer)
         ctx.put("top_relations2", list(self._top_rels[1]), producer=producer)
-
-    # ------------------------------------------------------------------
-    # Copy-on-write epochs (serving layer)
-    # ------------------------------------------------------------------
-    def detach_shared_artifacts(self) -> None:
-        """Stop mutating the currently published similarity indices.
-
-        Delta refreshes patch the value/neighbor indices **in place**
-        (:meth:`~repro.core.similarity.PackedSimilarityIndex.apply_pair_updates`).
-        A reader holding a reference across that refresh — the resolution
-        daemon's published :class:`~repro.serve.state.ServingState` —
-        would observe a half-applied patch.  Calling this before a delta
-        epoch swaps both indices for
-        :meth:`~repro.core.similarity.PackedSimilarityIndex.detached_copy`
-        clones: the immutable CSR columns stay shared, while the
-        patch-bearing maps (packed sums, patched rows, interners) are
-        copied, so every previously handed-out index is frozen forever
-        and subsequent refreshes mutate only the private clones.  The
-        pair-hasher cache is dropped with the interners it was keyed on.
-        Cheap relative to a refresh: O(patched rows + interned URIs),
-        no CSR rebuild.
-        """
-        self._value_index = self._value_index.detached_copy()
-        self._neighbor_index = self._neighbor_index.detached_copy()
-        self._hasher_cache = None
 
     # ------------------------------------------------------------------
     # Deltas
@@ -565,31 +537,6 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
     # Refresh: propagate pending deltas through the evidence
     # ------------------------------------------------------------------
-    def _pair_hasher(self):
-        """The packed pair hasher of the current value index, cached.
-
-        A hasher's per-id CRC tables are only valid while the value
-        interners keep their ids, so the cache keys on the interner
-        *objects* (a rebuilt index starts over with fresh interners)
-        and their sizes (ids are append-only within one interner).
-        """
-        value1, value2 = self._value_index.interners()
-        cached = self._hasher_cache
-        if (
-            cached is None
-            or cached[0] is not value1
-            or cached[1] is not value2
-            or cached[2] != (len(value1), len(value2))
-        ):
-            cached = (
-                value1,
-                value2,
-                (len(value1), len(value2)),
-                packed_pair_hasher(value1, value2),
-            )
-            self._hasher_cache = cached
-        return cached[3]
-
     def _purge_decision(self) -> tuple[set[str], PurgingReport | None]:
         """The surviving token keys (and report) for the current state.
 
@@ -606,13 +553,19 @@ class IncrementalMatcher:
             max_cardinality=config.purging_max_cardinality,
         )
 
-    def _timed(self, stage: str, seconds: float, ran: bool) -> None:
-        """Accumulate one refresh section's span-derived wall seconds."""
-        previous = self._stage_seconds.get(stage, (0.0, False))
-        self._stage_seconds[stage] = (
-            previous[0] + seconds,
-            previous[1] or ran,
+    @staticmethod
+    def _delta_span(stage: str):
+        return current_telemetry().tracer.span(
+            stage, category="stage", args={"delta": True}
         )
+
+    def _refreshed(self, stage: str, seconds: float, recomputed: bool) -> None:
+        """Book one refreshed stage: its counter (rebuilt vs maintained)
+        and the span-derived wall seconds :meth:`match` reports."""
+        self._count(
+            self.stage_recomputes if recomputed else self.delta_updates, stage
+        )
+        self._stage_seconds[stage] = (seconds, recomputed)
 
     def refresh(self, engine=None) -> bool:
         """Propagate pending deltas through every maintained artifact.
@@ -629,291 +582,86 @@ class IncrementalMatcher:
             with self._engine() as owned:
                 return self.refresh(owned)
         with activate(self.telemetry):
-            self._refresh_names(engine)
-            value_changes = self._refresh_values(engine)
-            self._refresh_neighbors(engine, value_changes)
+            if self._has_names:
+                with self._delta_span("name_blocking") as span:
+                    rekeyed = self._refresh_names(engine)
+                self._refreshed("name_blocking", span.seconds, rekeyed)
+            with self._delta_span("token_blocking") as span:
+                self._assemble_token_blocks()
+            self._refreshed("token_blocking", span.seconds, False)
+            # Both indices go through the batch builders — the code path
+            # of a cold run, so parity needs no argument (module docstring).
+            with self._delta_span("value_index") as span:
+                self._value_index = build_value_index(self._token_blocks, engine)
+            self._refreshed("value_index", span.seconds, True)
+            with self._delta_span("neighbor_index") as span:
+                self._refresh_top_neighbors()
+                self._neighbor_index = build_neighbor_index(
+                    self._value_index,
+                    self._top_nbrs[0],
+                    self._top_nbrs[1],
+                    engine,
+                )
+            self._refreshed("neighbor_index", span.seconds, True)
         self._pending = False
         self._tn_dirty = [set(), set()]
         return True
 
-    def _refresh_names(self, engine) -> None:
-        if not self._has_names:
-            return
-        rebuilt = False
-        with current_telemetry().tracer.span(
-            "name_blocking", category="stage", args={"delta": True}
-        ) as span:
-            for side in (1, 2):
-                kb = self.kbs[side - 1]
-                attrs = top_name_attributes(kb, self.config.name_attributes)
-                if attrs == self._name_attrs[side - 1]:
-                    continue
-                # The discovered name attributes moved: every name key of
-                # this side is suspect, so re-extract the whole side.
-                self._name_attrs[side - 1] = attrs
-                self._names.load_side(
-                    side,
-                    self._keys_via_engine(
-                        kb,
-                        partial(
-                            _name_key_rows,
-                            extractor=names_from_attributes(attrs),
-                        ),
-                        engine,
+    def _refresh_names(self, engine) -> bool:
+        """Reassemble the name blocks; returns whether a side had to be
+        re-keyed wholesale because its discovered name attributes moved."""
+        rekeyed = False
+        for side in (1, 2):
+            kb = self.kbs[side - 1]
+            attrs = top_name_attributes(kb, self.config.name_attributes)
+            if attrs == self._name_attrs[side - 1]:
+                continue
+            # The discovered name attributes moved: every name key of
+            # this side is suspect, so re-extract the whole side.
+            self._name_attrs[side - 1] = attrs
+            self._names.load_side(
+                side,
+                self._keys_via_engine(
+                    kb,
+                    partial(
+                        _name_key_rows,
+                        extractor=names_from_attributes(attrs),
                     ),
-                )
-                rebuilt = True
-            self._names.collect_dirty()
-            self._name_blocks = self._names.assemble()
-        self._count(
-            self.stage_recomputes if rebuilt else self.delta_updates,
-            "name_blocking",
-        )
-        self._timed("name_blocking", span.seconds, rebuilt)
-
-    def _refresh_values(self, engine) -> dict[Pair, float | None]:
-        """Update purging + the value index; returns the effective
-        pair-level changes (new value, or None for a deleted pair)."""
-        tracer = current_telemetry().tracer
-        with tracer.span(
-            "token_blocking", category="stage", args={"delta": True}
-        ) as span:
-            previous_purged = self._purged_keys
-            dirty = self._tokens.collect_dirty()
-            self._purged_keys, self._purging_report = self._purge_decision()
-            self._token_blocks = self._tokens.assemble(keep=self._purged_keys)
-        self._count(self.delta_updates, "token_blocking")
-        self._timed("token_blocking", span.seconds, False)
-
-        with tracer.span(
-            "value_index", category="stage", args={"delta": True}
-        ) as span:
-            changes, recomputed = self._refresh_value_index(
-                engine, previous_purged, dirty
+                    engine,
+                ),
             )
-        self._count(
-            self.stage_recomputes if recomputed else self.delta_updates,
-            "value_index",
-        )
-        self._timed("value_index", span.seconds, recomputed)
-        return changes
+            rekeyed = True
+        self._name_blocks = self._names.assemble()
+        return rekeyed
 
-    def _refresh_value_index(
-        self, engine, previous_purged: set[str], dirty: dict
-    ) -> tuple[dict[Pair, float | None], bool]:
-        """The value-index section of :meth:`_refresh_values`; returns
-        (pair-level changes, whether a full recompute was required)."""
-        n_shards = partition_count(len(self._purged_keys))
-        if n_shards != self._value_shards:
-            # The shard layout moved with the block count: per-pair
-            # accumulation grouping changed globally, so only a full
-            # rebuild reproduces the batch floats.
-            retained = dict(self._value_index.pairs())
-            self._value_index = build_value_index(self._token_blocks, engine)
-            self._value_shards = n_shards
-            new_sims = self._value_index.pairs()
-            changes: dict[Pair, float | None] = {
-                pair: new_sims.get(pair)
-                for pair in retained.keys() | new_sims.keys()
-                if retained.get(pair) != new_sims.get(pair)
-            }
-            return changes, True
+    def _refresh_top_neighbors(self) -> None:
+        """Bring both sides' top-neighbor sets up to date.
 
-        # Delta path: look affected pairs up in the packed map directly
-        # (missing interner id == missing pair == None) — decoding the
-        # whole map via pairs() would cost O(total pairs) per delta.
-        value1, value2 = self._value_index.interners()
-        packed_sims = self._value_index.packed_items()
-
-        def current_sim(uri1: str, uri2: str) -> float | None:
-            id1 = value1.get(uri1)
-            if id1 is None:
-                return None
-            id2 = value2.get(uri2)
-            if id2 is None:
-                return None
-            return packed_sims.get((id1 << PAIR_ID_BITS) | id2)
-
-        affected: set[Pair] = set()
-        for key, (old1, old2) in dirty.items():
-            if key in previous_purged:
-                affected.update(
-                    (uri1, uri2) for uri1 in old1 for uri2 in old2
-                )
-            if key in self._purged_keys:
-                new1, new2 = self._tokens.members(key)
-                affected.update(
-                    (uri1, uri2) for uri1 in new1 for uri2 in new2
-                )
-        for key in (previous_purged ^ self._purged_keys) - dirty.keys():
-            members1, members2 = self._tokens.members(key)
-            affected.update(
-                (uri1, uri2) for uri1 in members1 for uri2 in members2
-            )
-
-        updates: dict[Pair, float | None] = {}
-        for uri1, uri2 in affected:
-            common = (
-                self._tokens.entity_keys(1, uri1)
-                & self._tokens.entity_keys(2, uri2)
-                & self._purged_keys
-            )
-            if common:
-                contributions = [
-                    (key, block_token_weight(*self._tokens.side_sizes(key)))
-                    for key in sorted(common)
-                ]
-                updates[(uri1, uri2)] = shard_merged_sum(
-                    contributions, n_shards
-                )
-            else:
-                updates[(uri1, uri2)] = None
-        changes = {
-            pair: value
-            for pair, value in updates.items()
-            if current_sim(*pair) != value
-        }
-        self._value_index.apply_pair_updates(changes)
-        return changes, False
-
-    def _refresh_neighbors(
-        self, engine, value_changes: dict[Pair, float | None]
-    ) -> None:
-        with current_telemetry().tracer.span(
-            "neighbor_index", category="stage", args={"delta": True}
-        ) as span:
-            recomputed = self._refresh_neighbor_index(engine, value_changes)
-        self._count(
-            self.stage_recomputes if recomputed else self.delta_updates,
-            "neighbor_index",
-        )
-        self._timed("neighbor_index", span.seconds, recomputed)
-
-    def _refresh_neighbor_index(
-        self, engine, value_changes: dict[Pair, float | None]
-    ) -> bool:
-        """The neighbor-index section of :meth:`_refresh_neighbors`;
-        returns whether a full recompute was required."""
+        Only the entities a delta touched (``_tn_dirty``: the added or
+        removed entity, its relation targets and its referrers) are
+        re-derived — unless the relation importance ranking moved, in
+        which case every set of that side is suspect and the side is
+        recomputed wholesale.
+        """
         config = self.config
-        rebuild = False
-        changed_entities: list[set[str]] = [set(), set()]
         for side in (1, 2):
             kb = self.kbs[side - 1]
             rels = top_relations(
                 kb, config.top_n_relations, config.include_incoming_edges
             )
             if rels != self._top_rels[side - 1]:
-                # The relation importance ranking moved: every top-
-                # neighbor set of this side is suspect.
                 self._top_rels[side - 1] = rels
                 self._top_nbrs[side - 1] = top_neighbors(
                     kb, rels, config.include_incoming_edges
                 )
-                self._rebuild_reverse(side)
-                rebuild = True
                 continue
             neighbors = self._top_nbrs[side - 1]
-            reverse = self._rev[side - 1]
             for uri in sorted(self._tn_dirty[side - 1]):
-                old = neighbors.get(uri, set())
-                new = self._entity_top_neighbors(side, uri)
-                if new == old:
-                    continue
-                changed_entities[side - 1].add(uri)
-                for gone in old - new:
-                    holders = reverse.get(gone)
-                    if holders is not None:
-                        holders.discard(uri)
-                        if not holders:
-                            del reverse[gone]
-                for came in new - old:
-                    reverse.setdefault(came, set()).add(uri)
-                if new:
-                    neighbors[uri] = new
+                found = self._entity_top_neighbors(side, uri)
+                if found:
+                    neighbors[uri] = found
                 else:
                     neighbors.pop(uri, None)
-
-        n_shards = partition_count(len(self._value_index))
-        if rebuild or n_shards != self._neighbor_shards:
-            self._neighbor_index = build_neighbor_index(
-                self._value_index,
-                self._top_nbrs[0],
-                self._top_nbrs[1],
-                engine,
-            )
-            self._neighbor_shards = n_shards
-            return True
-
-        affected: set[Pair] = set()
-        rev1, rev2 = self._rev
-        for neighbor1, neighbor2 in value_changes:
-            parents1 = rev1.get(neighbor1)
-            if not parents1:
-                continue
-            parents2 = rev2.get(neighbor2)
-            if not parents2:
-                continue
-            affected.update(
-                (entity1, entity2)
-                for entity1 in parents1
-                for entity2 in parents2
-            )
-        for entity1 in changed_entities[0]:
-            partners = {
-                uri2
-                for uri2, _ in self._neighbor_index.candidates_of_entity1(
-                    entity1
-                )
-            }
-            for neighbor1 in self._top_nbrs[0].get(entity1, ()):
-                for neighbor2, _ in self._value_index.candidates_of_entity1(
-                    neighbor1
-                ):
-                    partners.update(rev2.get(neighbor2, ()))
-            affected.update((entity1, uri2) for uri2 in partners)
-        for entity2 in changed_entities[1]:
-            partners = {
-                uri1
-                for uri1, _ in self._neighbor_index.candidates_of_entity2(
-                    entity2
-                )
-            }
-            for neighbor2 in self._top_nbrs[1].get(entity2, ()):
-                for neighbor1, _ in self._value_index.candidates_of_entity2(
-                    neighbor2
-                ):
-                    partners.update(rev1.get(neighbor1, ()))
-            affected.update((uri1, entity2) for uri1 in partners)
-
-        # Replay affected pairs over packed keys: the hasher reproduces
-        # the string-stable value_pair_key shard assignment, so the
-        # replayed floats equal the string-keyed replay's bit-for-bit —
-        # without decoding the value map or building key strings.
-        value_sims = self._value_index.packed_items()
-        value1, value2 = self._value_index.interners()
-        hasher = self._pair_hasher() if affected else None
-        updates: dict[Pair, float | None] = {}
-        for entity1, entity2 in affected:
-            contributions = []
-            for neighbor1 in sorted(self._top_nbrs[0].get(entity1, ())):
-                neighbor_id1 = value1.get(neighbor1)
-                if neighbor_id1 is None:  # never co-occurs: no value pair
-                    continue
-                base = neighbor_id1 << PAIR_ID_BITS
-                for neighbor2 in sorted(self._top_nbrs[1].get(entity2, ())):
-                    neighbor_id2 = value2.get(neighbor2)
-                    if neighbor_id2 is None:
-                        continue
-                    sim = value_sims.get(base | neighbor_id2)
-                    if sim is not None:
-                        contributions.append((base | neighbor_id2, sim))
-            updates[(entity1, entity2)] = (
-                shard_merged_sum_packed(contributions, n_shards, hasher)
-                if contributions
-                else None
-            )
-        self._neighbor_index.apply_pair_updates(updates)
-        return False
 
     def _entity_top_neighbors(self, side: int, uri: str) -> set[str]:
         """The top-neighbor set of one entity under the current rankings.
@@ -947,11 +695,11 @@ class IncrementalMatcher:
     def match(self) -> "MatchResult":
         """Matches for the current KB state (bit-identical to a cold run).
 
-        Refreshes pending deltas, overlays the patched artifacts on the
+        Refreshes pending deltas, overlays the refreshed artifacts on the
         bootstrap context through a :class:`DeltaContext`, and re-runs
-        only the decision stages (candidates + matching) — the only
-        default stages without a sound in-place patch, since H1-H3 are
-        order-dependent greedy passes.  Custom stages that declared the
+        the decision stages (candidates + matching) — H1-H3 are
+        order-dependent greedy passes over the whole KB, so they have no
+        delta form.  Custom stages that declared the
         delta hook (:meth:`~repro.pipeline.stage.Stage.apply_delta`)
         are re-run too, in graph order — the fallback contract that
         keeps their artifacts consistent without a patch strategy.

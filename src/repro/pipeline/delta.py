@@ -12,7 +12,7 @@ without ever touching the batch run's results.
 The overlay stores *artifact references*: rolling back forgets which
 values were overlaid, it does not deep-restore objects a stage mutated
 in place.  The incremental subsystem therefore always overlays freshly
-materialized artifacts (new block collections, patched index objects)
+materialized artifacts (new block collections, rebuilt index objects)
 rather than mutating base artifacts.
 """
 

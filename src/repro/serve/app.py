@@ -9,13 +9,11 @@ the published :class:`ServingState`.  The request flow:
   published state with one atomic reference load and answer entirely
   from it — no lock, no matcher.
 - **Writes** (``/delta``) and **admin** (``/snapshot``, ``/reload``)
-  serialize on the writer lock.  A delta first detaches the matcher
-  from the published state's indices
-  (:meth:`IncrementalMatcher.detach_shared_artifacts` — copy-on-write,
-  CSR columns stay shared), applies the batch, re-matches, and
-  publishes the next generation.  Readers mid-request keep the old
-  state; readers arriving after the swap see the new one; nobody sees
-  a mix.
+  serialize on the writer lock.  A delta applies the batch, re-matches
+  — the matcher builds *new* index objects and never mutates the ones a
+  published state holds — and publishes the next generation.  Readers
+  mid-request keep the old state; readers arriving after the swap see
+  the new one; nobody sees a mix.
 
 The HTTP layer is ``http.server.ThreadingHTTPServer`` with non-daemon
 request threads: ``server_close()`` (the SIGTERM epilogue) hangs up the
@@ -84,9 +82,36 @@ class ResolutionDaemon:
         if matcher.last_context is None:
             with self._span("bootstrap_match", category="run"):
                 matcher.match()
-        self._box = StateBox(
-            ServingState.from_matcher(matcher, generation=1, delta_count=0)
+        #: The write-ahead delta log, when durability is enabled via
+        #: ``wal_dir``.  Opening it recovers any batches the previous
+        #: process acknowledged (or had in flight) after its last
+        #: snapshot — see :mod:`repro.serve.wal`; they are replayed at
+        #: the end of construction.
+        self.wal: WriteAheadLog | None = None
+        if wal_dir is not None:
+            self.wal = WriteAheadLog(Path(wal_dir) / WAL_NAME)
+        # Boot at the generation the log starts from (1 without a log,
+        # or the snapshotted generation after a live ``POST /snapshot``),
+        # so each record's absolute ``expected_generation`` lines up.
+        boot_state = ServingState.from_matcher(
+            matcher,
+            generation=self.wal.base_generation if self.wal else 1,
+            delta_count=0,
         )
+        if (
+            self.wal is not None
+            and self.wal.base_digest is not None
+            and self.wal.base_digest != boot_state.matches_digest
+        ):
+            self.wal.close()
+            raise WalError(
+                f"{self.wal.path}: the log continues generation "
+                f"{self.wal.base_generation} of another state (matches "
+                f"digest {self.wal.base_digest[:12]}…, booted "
+                f"{boot_state.matches_digest[:12]}…); boot from the "
+                "snapshot that reset it"
+            )
+        self._box = StateBox(boot_state)
         self._writer_lock = threading.RLock()
         self.snapshot_source = (
             Path(snapshot_source) if snapshot_source is not None else None
@@ -108,13 +133,7 @@ class ResolutionDaemon:
         #: Whether published state is newer than the last snapshot.
         self.dirty = False
         self.last_snapshot_path: Path | None = None
-        #: The write-ahead delta log, when durability is enabled via
-        #: ``wal_dir``.  Opening it replays any batches the previous
-        #: process acknowledged (or had in flight) after its last
-        #: snapshot — see :mod:`repro.serve.wal`.
-        self.wal: WriteAheadLog | None = None
-        if wal_dir is not None:
-            self.wal = WriteAheadLog(Path(wal_dir) / WAL_NAME)
+        if self.wal is not None:
             self._replay_wal()
 
     # ------------------------------------------------------------------
@@ -230,9 +249,6 @@ class ResolutionDaemon:
         auto-snapshot, so replay can never re-log what it is replaying.
         Caller holds the writer lock and passes the pinned state.
         """
-        # Copy-on-write epoch: the published state's indices must
-        # never see the in-place patches the refresh applies.
-        self._matcher.detach_shared_artifacts()
         added = removed = 0
         for op in ops:
             if op.op == "add":
@@ -348,7 +364,7 @@ class ResolutionDaemon:
             self.last_snapshot_path = Path(target)
             if self.wal is not None:
                 # The snapshot now owns everything the log held.
-                self.wal.reset()
+                self.wal.reset(state.generation, state.matches_digest)
             self.telemetry.metrics.counter("serve.snapshots_saved").inc()
             log.info("snapshot saved to %s", target)
             return Path(target)
@@ -388,7 +404,9 @@ class ResolutionDaemon:
             if self.wal is not None:
                 # Logged batches predate the reloaded snapshot; replaying
                 # them against it would be wrong, so the log restarts.
-                self.wal.reset()
+                self.wal.reset(
+                    new_state.generation, new_state.matches_digest
+                )
             self.telemetry.metrics.counter("serve.reloads").inc()
             log.info("reloaded from %s (generation %d)", path, new_state.generation)
             return {

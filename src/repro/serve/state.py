@@ -14,10 +14,10 @@ The daemon's isolation model in two classes:
   anywhere on the read path.
 
 The writer's obligation is that published objects are never mutated
-afterwards: before applying a delta it calls
-:meth:`~repro.incremental.IncrementalMatcher.detach_shared_artifacts`,
-so in-place index patches land on private clones while the published
-state keeps the frozen originals.
+afterwards.  :class:`~repro.incremental.IncrementalMatcher` meets it by
+construction: a delta refresh builds new block collections and index
+objects instead of patching the ones it handed out, so the published
+state keeps frozen originals without any copy-on-write step.
 """
 
 from __future__ import annotations

@@ -9,13 +9,20 @@ boot replays them against the snapshot deterministically.
 
 File format — line-oriented, append-only, human-inspectable::
 
-    {"schema": "repro-wal/1"}
+    {"schema": "repro-wal/1", "base_generation": 3, "base_digest": "..."}
     8f3a2c01\t{"expected_generation":2,"ops":[...],"type":"delta"}
     1b77e0d4\t{"generation":2,"matches_digest":"...","type":"commit"}
 
-The first line is the header.  Each record line is the CRC-32 of the
-payload bytes (8 hex digits), a tab, the compact sorted-key JSON
-payload, a newline.  Two record types:
+The first line is the header.  ``base_generation`` is the generation of
+the state the log's first record applies to — 1 (omitted) for a log
+created at first boot, the snapshotted generation after a
+:meth:`~WriteAheadLog.reset` — and ``base_digest`` that state's
+``matches_digest``; a daemon boots *at* ``base_generation`` so the
+absolute ``expected_generation`` of every record still lines up after
+a live snapshot.  Both are optional (absent: generation 1, digest
+unchecked), so logs written before the fields existed still open.
+Each record line is the CRC-32 of the payload bytes (8 hex digits), a
+tab, the compact sorted-key JSON payload, a newline.  Two record types:
 
 ``delta``
     One validated op batch in the wire grammar of
@@ -38,7 +45,8 @@ it is exactly the at-least-once semantics the digest check verifies.
 
 Truncation (:meth:`WriteAheadLog.reset`) happens after a successful
 snapshot — the snapshot now owns the state, so the log restarts empty
-via an atomic header-file swap.
+via an atomic header-file swap that also records which generation (and
+matches digest) the snapshot holds.
 
 ``REPRO_NO_FSYNC=1`` (see :mod:`repro.store.snapshot`) downgrades the
 fsync barrier to a flush for benchmarking the fsync cost.
@@ -103,8 +111,12 @@ class WriteAheadLog:
         self.recovered: list[dict] = []
         #: Torn-tail records dropped (and truncated) at open: 0 or 1.
         self.torn_dropped = 0
+        #: Generation (and matches digest, when recorded) of the state
+        #: the first record applies to — from the header.
+        self.base_generation = 1
+        self.base_digest: str | None = None
         if not self.path.exists():
-            self._write_fresh(self.path)
+            self._write_fresh(1, None)
         self._recover()
         self._handle = open(self.path, "ab")
 
@@ -126,6 +138,16 @@ class WriteAheadLog:
                 f"{self.path}: schema {schema!r} is not supported; this "
                 f"build reads {WAL_SCHEMA!r}"
             )
+        base_generation = header.get("base_generation", 1)
+        base_digest = header.get("base_digest")
+        if (
+            type(base_generation) is not int
+            or base_generation < 1
+            or not isinstance(base_digest, (str, type(None)))
+        ):
+            raise WalError(f"{self.path}: malformed header {header!r}")
+        self.base_generation = base_generation
+        self.base_digest = base_digest
         body = raw[newline + 1:]
         offset = newline + 1  # byte offset of the clean prefix's end
         lines = body.split(b"\n")
@@ -186,23 +208,37 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _write_fresh(self, target: Path) -> None:
-        """Write a header-only log file durably at ``target``."""
-        staging = target.parent / (target.name + ".tmp")
+    def _write_fresh(
+        self, base_generation: int, base_digest: str | None
+    ) -> None:
+        """Durably replace the log with a header-only file."""
+        header: dict[str, Any] = {"schema": WAL_SCHEMA}
+        if base_generation != 1:
+            header["base_generation"] = base_generation
+        if base_digest is not None:
+            header["base_digest"] = base_digest
+        staging = self.path.parent / (self.path.name + ".tmp")
         with open(staging, "wb") as handle:
-            handle.write(
-                json.dumps({"schema": WAL_SCHEMA}).encode("utf-8") + b"\n"
-            )
+            handle.write(json.dumps(header).encode("utf-8") + b"\n")
             handle.flush()
             if fsync_enabled():
                 os.fsync(handle.fileno())
-        os.replace(staging, target)
-        fsync_dir(target.parent)
+        os.replace(staging, self.path)
+        fsync_dir(self.path.parent)
 
-    def reset(self) -> None:
-        """Truncate to an empty log (after a successful snapshot)."""
+    def reset(
+        self, base_generation: int = 1, base_digest: str | None = None
+    ) -> None:
+        """Truncate to an empty log (after a successful snapshot).
+
+        ``base_generation`` / ``base_digest`` describe the snapshotted
+        state: the header keeps them so a restart from that snapshot
+        boots at the generation the next record was logged against.
+        """
         self._handle.close()
-        self._write_fresh(self.path)
+        self._write_fresh(base_generation, base_digest)
+        self.base_generation = base_generation
+        self.base_digest = base_digest
         self.recovered = []
         self.torn_dropped = 0
         self._handle = open(self.path, "ab")

@@ -337,8 +337,6 @@ class RestoredState:
     #: Delta-maintainable blocking placements (full, pre-purge).
     tokens: DeltaBlockIndex
     names: DeltaBlockIndex | None
-    #: Token keys that survived purging (the kept set).
-    kept_keys: set[str]
     #: Per-side top-neighbor sets.
     top_neighbors: tuple[dict[str, set[str]], dict[str, set[str]]]
     #: The save-time ``context_digests`` (the bit-identity witness).
@@ -451,7 +449,6 @@ def load_state(
         artifacts=artifacts,
         tokens=tokens,
         names=names,
-        kept_keys=kept_keys,
         top_neighbors=top_nbrs,
         digests=dict(snapshot.json("digests")),
         has_names=has_names,

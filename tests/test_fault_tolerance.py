@@ -257,3 +257,101 @@ class TestDaemonKill9:
             == reference.state().matches_digest
         )
         assert recovered.robustness_stats()["wal_replayed"] == 2
+
+
+# ----------------------------------------------------------------------
+# Daemon SIGKILLed after a live snapshot: the log must continue from it
+# ----------------------------------------------------------------------
+DELTA_3 = {"ops": [{"op": "remove", "kb": "kb1", "uris": ["a1"]}]}
+
+POST_SNAPSHOT_CHILD = """
+import json, os, signal, sys
+from repro.serve import ResolutionDaemon, parse_delta
+
+snapshot, wal_dir, snapshot_dir = sys.argv[1:4]
+before, after = json.loads(sys.argv[4])
+daemon = ResolutionDaemon.from_snapshot(
+    snapshot, wal_dir=wal_dir, snapshot_dir=snapshot_dir
+)
+for payload in before:
+    daemon.apply_delta(parse_delta(payload), raw_ops=payload["ops"])
+saved = daemon.save_snapshot()  # what POST /snapshot runs
+for payload in after:
+    daemon.apply_delta(parse_delta(payload), raw_ops=payload["ops"])
+state = daemon.state()
+print(json.dumps({
+    "snapshot": str(saved),
+    "generation": state.generation,
+    "matches_digest": state.matches_digest,
+}), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestKill9AfterLiveSnapshot:
+    def test_reboot_from_live_snapshot_replays_the_later_delta(
+        self, snapshot_dir, tmp_path  # noqa: F811
+    ):
+        import json as json_module
+
+        from repro.serve import WalError
+
+        wal_dir = tmp_path / "wal"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parent.parent / "src"
+        )
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                POST_SNAPSHOT_CHILD,
+                str(snapshot_dir),
+                str(wal_dir),
+                str(tmp_path / "snaps"),
+                json_module.dumps([[DELTA_1, DELTA_2], [DELTA_3]]),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        killed = json_module.loads(child.stdout.strip().splitlines()[-1])
+        assert killed["generation"] == 4
+        assert Path(killed["snapshot"]).name.startswith("snap-g3-")
+
+        # The log was reset at generation 3 and holds one later batch
+        # logged against generation 4: the reboot must start at 3.
+        recovered = ResolutionDaemon.from_snapshot(
+            killed["snapshot"], wal_dir=wal_dir
+        )
+        try:
+            state = recovered.state()
+            assert state.generation == killed["generation"]
+            assert state.matches_digest == killed["matches_digest"]
+            assert recovered.robustness_stats()["wal_replayed"] == 1
+        finally:
+            recovered.wal.close()
+
+        # The same log over the snapshot it does NOT continue is refused
+        # (its header pins the digest of the state it was reset at).
+        with pytest.raises(WalError, match="another state"):
+            ResolutionDaemon.from_snapshot(snapshot_dir, wal_dir=wal_dir)
+
+    def test_reset_header_round_trips_and_rejects_garbage(self, tmp_path):
+        from repro.serve import WalError, WriteAheadLog
+
+        path = tmp_path / "delta.wal"
+        with WriteAheadLog(path) as wal:
+            assert (wal.base_generation, wal.base_digest) == (1, None)
+            wal.reset(7, "d" * 64)
+            wal.log_delta(DELTA_1["ops"], 8)
+        with WriteAheadLog(path) as wal:
+            assert (wal.base_generation, wal.base_digest) == (7, "d" * 64)
+            assert len(wal.recovered) == 1
+        for bad in (b'"base_generation": 0', b'"base_generation": "7"',
+                    b'"base_generation": true', b'"base_digest": 5'):
+            path.write_bytes(b'{"schema": "repro-wal/1", ' + bad + b"}\n")
+            with pytest.raises(WalError, match="malformed header"):
+                WriteAheadLog(path)

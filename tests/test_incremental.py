@@ -2,8 +2,8 @@
 
 The end-to-end parity contract lives in ``test_incremental_parity.py``;
 here each piece is exercised in isolation: the delta block index, the
-pair-update patching of the similarity indices, the shard-merge replay,
-the DeltaContext overlay (snapshot/rollback/provenance), stale-session
+shard-then-merge float order of the batch index builders, the
+DeltaContext overlay (snapshot/rollback/provenance), stale-session
 detection with the explicit ``invalidate`` API, and the matcher's delta
 validation and bookkeeping.
 """
@@ -11,9 +11,7 @@ validation and bookkeeping.
 import pytest
 
 from repro.core import MinoanER, MinoanERConfig
-from repro.core.similarity import ValueSimilarityIndex
-from repro.engine import build_value_index
-from repro.engine.similarity import shard_merged_sum, value_pair_key
+from repro.engine.similarity import value_pair_key
 from repro.incremental import DeltaBlockIndex, IncrementalMatcher
 from repro.kb import KnowledgeBase
 from repro.kb.entity import EntityDescription
@@ -26,10 +24,10 @@ from repro.pipeline import (
     DeltaContext,
     MatchSession,
     StaleSessionError,
-    artifact_digest,
 )
 from repro.pipeline.context import PipelineContext
 
+from oracles import shard_merged_sum
 from test_pipeline import make_pair
 
 
@@ -81,18 +79,6 @@ class TestDeltaBlockIndex:
         index.remove_entity(1, "a2")
         assert index.assemble().keys() == ["y"]
 
-    def test_dirty_tracking_snapshots_pre_delta_members(self):
-        index = DeltaBlockIndex("BT")
-        index.load_side(1, [("a1", frozenset({"x"}))])
-        index.load_side(2, [("b1", frozenset({"x"}))])
-        index.collect_dirty()
-        index.add_entity(1, "a2", {"x"})
-        index.remove_entity(2, "b1")
-        dirty = index.collect_dirty()
-        assert dirty == {"x": (("a1",), ("b1",))}
-        # collected — the tracker resets
-        assert index.collect_dirty() == {}
-
     def test_re_adding_placed_entity_rejected(self):
         index = DeltaBlockIndex("BT")
         index.add_entity(1, "a1", {"x"})
@@ -109,48 +95,9 @@ class TestDeltaBlockIndex:
 
 
 # ----------------------------------------------------------------------
-# Pair updates + shard-merge replay
+# Shard-then-merge accumulation order of the batch builders
 # ----------------------------------------------------------------------
-class TestPairUpdates:
-    def make_index(self):
-        blocks = BlockCollection("BT")
-        blocks.add(Block("t1", {"a1"}, {"b1"}))
-        blocks.add(Block("t2", {"a1", "a2"}, {"b1", "b2"}))
-        return build_value_index(blocks)
-
-    def test_update_and_delete_rerank_affected_entities(self):
-        index = self.make_index()
-        index.apply_pair_updates({("a1", "b1"): 5.0, ("a2", "b2"): None})
-        assert index.similarity("a1", "b1") == 5.0
-        assert index.similarity("a2", "b2") == 0.0
-        assert index.candidates_of_entity1("a2") == [
-            ("b1", index.similarity("a2", "b1"))
-        ]
-        assert index.best_candidate("a1") == ("b1", 5.0)
-
-    def test_patched_index_equals_cold_construction(self):
-        blocks = BlockCollection("BT")
-        blocks.add(Block("t1", {"a1"}, {"b1"}))
-        blocks.add(Block("t2", {"a1", "a2"}, {"b1", "b2"}))
-        index = build_value_index(blocks)
-        # grow block t1 and replay the affected pair sums
-        blocks2 = BlockCollection("BT")
-        blocks2.add(Block("t1", {"a1", "a3"}, {"b1"}))
-        blocks2.add(Block("t2", {"a1", "a2"}, {"b1", "b2"}))
-        cold = build_value_index(blocks2)
-        updates = {
-            pair: cold.pairs().get(pair)
-            for pair in set(index.pairs()) | set(cold.pairs())
-            if index.pairs().get(pair) != cold.pairs().get(pair)
-        }
-        index.apply_pair_updates(updates)
-        assert artifact_digest(index) == artifact_digest(cold)
-
-    def test_noop_update_reports_zero_changes(self):
-        index = self.make_index()
-        current = dict(index.pairs())
-        assert index.apply_pair_updates(current) == 0
-
+class TestShardMergeOrder:
     def test_shard_merged_sum_replays_engine_accumulation(self):
         from repro.engine.partitioner import partition_blocks
         from repro.engine.similarity import _value_partial, merge_pair_sums

@@ -174,21 +174,3 @@ def test_gathered_lists_equal_decoded_build(kbs, evidence, restrict, k):
     )
     for uri in kb1.uris():
         assert gathered.of_entity1(uri) == fresh.of_entity1(uri), uri
-
-
-def test_gather_falls_back_for_patched_rows(kbs, evidence):
-    kb1, _ = kbs
-    value_index, neighbor_index = evidence
-    patched_uri = next(uri1 for uri1, _ in value_index.pairs())
-    partner = value_index.candidates_of_entity1(patched_uri)[0][0]
-    value_index.apply_pair_updates({(patched_uri, partner): 123.0})
-    assert value_index.csr_row_ids(1, patched_uri) is None  # forces fallback
-    assert value_index.csr_row_ids(1, "urn:absent") is not None  # empty row
-
-    gathered = CandidateIndex(value_index, neighbor_index, k=15)
-    with SerialExecutor() as engine:
-        _preload_candidate_lists(kb1.uris(), gathered, engine)
-    fresh = CandidateIndex(value_index, neighbor_index, k=15)
-    for uri in kb1.uris():
-        assert gathered.of_entity1(uri) == fresh.of_entity1(uri), uri
-    assert gathered.of_entity1(patched_uri).value[0] == partner
