@@ -54,25 +54,14 @@ class NeighborSimilarityIndex(PackedSimilarityIndex):
         top_neighbors1: dict[str, set[str]],
         top_neighbors2: dict[str, set[str]],
     ) -> None:
-        self._init_store(
-            EntityInterner(top_neighbors1),
-            EntityInterner(top_neighbors2),
-        )
-        self._propagate(value_index, top_neighbors1, top_neighbors2)
-        self._build_ranked_rows()
-
-    def _propagate(
-        self,
-        value_index: ValueSimilarityIndex,
-        top_neighbors1: dict[str, set[str]],
-        top_neighbors2: dict[str, set[str]],
-    ) -> None:
         # Mirrored by repro.engine.similarity._neighbor_partial_packed
         # (per-chunk propagation); change the placement rule in both.
         # Reverse indices: value-pair neighbor id -> parent entity ids.
+        interner1 = EntityInterner(top_neighbors1)
+        interner2 = EntityInterner(top_neighbors2)
         value1, value2 = value_index.interners()
-        own1 = self._interner1.ids_by_uri()
-        own2 = self._interner2.ids_by_uri()
+        own1 = interner1.ids_by_uri()
+        own2 = interner2.ids_by_uri()
         reverse1: dict[int, list[int]] = {}
         for uri, neighbor_set in top_neighbors1.items():
             parent = own1[uri]
@@ -88,7 +77,7 @@ class NeighborSimilarityIndex(PackedSimilarityIndex):
                 if neighbor_id is not None:
                     reverse2.setdefault(neighbor_id, []).append(parent)
 
-        sims = self._packed
+        sims: dict[int, float] = {}
         shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
         for key, sim in value_index.packed_items().items():
             parents1 = reverse1.get(key >> shift)
@@ -102,6 +91,7 @@ class NeighborSimilarityIndex(PackedSimilarityIndex):
                 for entity2 in parents2:
                     pair = base | entity2
                     sims[pair] = sims.get(pair, 0.0) + sim
+        self._adopt_sums(sims, interner1, interner2)
 
     def __repr__(self) -> str:
-        return f"NeighborSimilarityIndex({len(self._packed)} pairs)"
+        return f"NeighborSimilarityIndex({len(self)} pairs)"

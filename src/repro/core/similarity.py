@@ -12,26 +12,31 @@ each block's token weight to every pair it suggests.  This yields the exact
 valueSim restricted to tokens that survived purging, for precisely the
 pairs co-occurring in some block — all other pairs have similarity zero.
 
-**Representation.**  Since PR 4 the index is array-backed: both KBs' URIs
-are interned to dense ``int32`` ids (:class:`~repro.ids.EntityInterner`,
-sorted so id order equals URI order), every pair lives under one packed
-``int64`` key (``id1 << 32 | id2``) in a flat ``packed key -> float``
-map, and the per-entity ranked candidate lists are CSR-style
-offset+column arrays built by a single argsort-equivalent pass.  All
-URI-facing queries (``similarity``, ``pairs``, ``candidates_of_*``) are
-thin decode layers over the ids, so accumulation order — and with it
-every floating-point sum — is bit-identical to the previous string-dict
-construction.  See ``docs/PERFORMANCE.md``.
+**Representation.**  Both KBs' URIs are interned to dense ``int32`` ids
+(:class:`~repro.ids.EntityInterner`, sorted so id order equals URI
+order) and every pair lives under one packed ``int64`` key
+(``id1 << 32 | id2``).  The pair map is **two parallel columns** — keys
+strictly ascending, ``float64`` similarities — the very buffers the
+vectorized kernels emit, the snapshot store writes and maps back, and
+the shared-memory arena publishes; there is no ``dict`` behind them.
+Point lookups bisect the key column, the per-entity ranked candidate
+lists are CSR-style offset+column arrays built from the columns in one
+pass, and ``packed_items()`` / ``pairs()`` are lazily built dict *views*
+for the reference constructors and tests.  The floats never depend on
+the container: every sum's addition order is fixed where it is folded
+(:func:`~repro.ids.arrays.sequential_unique_sums` or the stdlib dict
+accumulation).  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 
 from ..blocking.base import BlockCollection
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..ids.arrays import numpy_enabled, numpy_module, ranked_csr
+from ..ids.arrays import array_copy, numpy_enabled, numpy_module, ranked_csr
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
 Pair = tuple[str, str]
@@ -56,40 +61,49 @@ class PackedSimilarityIndex:
     State:
 
     - two :class:`~repro.ids.EntityInterner` maps (one per KB side);
-    - ``_packed``: the sparse ``packed int64 key -> float`` pair map —
-      the single source of truth for similarities;
+    - ``_keys`` / ``_values``: the sparse pair map as two parallel
+      columns — packed ``int64`` keys strictly ascending, ``float64``
+      similarities — the single source of truth.  They are whatever
+      buffer the producer emitted: the kernels' NumPy arrays, the
+      stdlib builders' ``array('q')`` / ``array('d')``, or the
+      ``memoryview`` s of an mmap-loaded snapshot;
     - per side, a CSR layout of the ranked candidate lists:
       ``_starts`` (one offset per entity id, length ``n+1``), ``_cols``
       (counterpart ids) and ``_sims`` (their similarities), rows ordered
       best-first with the counterpart URI breaking ties.
 
-    Subclasses populate ``_packed`` (block accumulation / neighbor
-    propagation) and then call :meth:`_build_ranked_rows` once; an index
-    is never mutated afterwards — a delta builds a new one — so whoever
-    holds a reference (a published serving generation) has a frozen view.
+    Every constructor ends in :meth:`_adopt_columns`; an index is never
+    mutated afterwards — a delta builds a new one — so whoever holds a
+    reference (a published serving generation) has a frozen view.
+    :meth:`packed_items` and :meth:`pairs` are lazily built dict *views*
+    for the reference constructors and tests; no production path
+    materialises them.
     """
 
     _interner1: EntityInterner
     _interner2: EntityInterner
-    _packed: dict[int, float]
-
-    def _init_store(
-        self, interner1: EntityInterner, interner2: EntityInterner
-    ) -> None:
-        self._interner1 = interner1
-        self._interner2 = interner2
-        self._packed = {}
-        self._pairs_cache: dict[Pair, float] | None = None
-        self._starts1 = array("q", (0,))
-        self._cols1 = array("i")
-        self._sims1 = array("d")
-        self._starts2 = array("q", (0,))
-        self._cols2 = array("i")
-        self._sims2 = array("d")
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_packed_columns(
+        cls,
+        keys,
+        sims,
+        interner1: EntityInterner,
+        interner2: EntityInterner,
+    ) -> "PackedSimilarityIndex":
+        """An index over finished ``(packed keys, similarities)`` columns.
+
+        ``keys`` must be strictly ascending and ``sims`` parallel to it;
+        both are adopted as they are (no copy, any buffer-protocol
+        sequence) and only the ranked rows are built.
+        """
+        index = cls.__new__(cls)
+        index._adopt_columns(keys, sims, interner1, interner2)
+        return index
+
     @classmethod
     def from_packed_sums(
         cls,
@@ -97,100 +111,91 @@ class PackedSimilarityIndex:
         interner1: EntityInterner,
         interner2: EntityInterner,
     ) -> "PackedSimilarityIndex":
-        """An index over externally accumulated packed pair sums.
-
-        The parallel engine accumulates per-shard ``array`` columns and
-        merges them associatively; this constructor takes ownership of
-        the merged map (no copy) and only builds the ranked rows.
-        """
+        """An index over an externally accumulated ``packed key -> sum``
+        dict (the stdlib builders' form)."""
         index = cls.__new__(cls)
-        index._init_store(interner1, interner2)
-        index._packed = packed
-        index._build_ranked_rows()
+        index._adopt_sums(packed, interner1, interner2)
         return index
 
     @classmethod
-    def from_pair_sums(
-        cls, sims: dict[Pair, float]
-    ) -> "PackedSimilarityIndex":
-        """An index over an externally accumulated URI-keyed pair map.
-
-        Interns the URIs appearing in ``sims`` and re-keys the map to
-        packed ids, preserving the given accumulation (insertion) order.
-        """
-        index = cls.__new__(cls)
-        index._init_store(
-            EntityInterner(uri1 for uri1, _ in sims),
-            EntityInterner(uri2 for _, uri2 in sims),
+    def from_pair_sums(cls, sims: dict[Pair, float]) -> "PackedSimilarityIndex":
+        """An index over an externally accumulated URI-keyed pair map."""
+        interner1 = EntityInterner(uri1 for uri1, _ in sims)
+        interner2 = EntityInterner(uri2 for _, uri2 in sims)
+        ids1 = interner1.ids_by_uri()
+        ids2 = interner2.ids_by_uri()
+        return cls.from_packed_sums(
+            {
+                (ids1[uri1] << PAIR_ID_BITS) | ids2[uri2]: value
+                for (uri1, uri2), value in sims.items()
+            },
+            interner1,
+            interner2,
         )
-        ids1 = index._interner1.ids_by_uri()
-        ids2 = index._interner2.ids_by_uri()
-        packed = index._packed
-        for (uri1, uri2), value in sims.items():
-            packed[(ids1[uri1] << PAIR_ID_BITS) | ids2[uri2]] = value
-        index._build_ranked_rows()
-        return index
 
-    def _build_ranked_rows(self) -> None:
-        """One argsort-equivalent pass per side over the packed map.
+    def _adopt_sums(
+        self,
+        packed: dict[int, float],
+        interner1: EntityInterner,
+        interner2: EntityInterner,
+    ) -> None:
+        """Sort a dict accumulation once into the canonical columns."""
+        keys = array("q", sorted(packed))
+        self._adopt_columns(
+            keys, array("d", map(packed.__getitem__, keys)), interner1, interner2
+        )
+
+    def _adopt_columns(
+        self, keys, sims, interner1: EntityInterner, interner2: EntityInterner
+    ) -> None:
+        """Take the pair columns as state and build both sides' rows.
 
         Each side's rows sort by ``(entity id, -similarity, counterpart
         id)``; with sorted interners the id tie-break IS the URI
-        tie-break, so the rows equal the old per-entity
-        ``sort(key=(-sim, uri))`` lists.  Vectorized
-        (:func:`~repro.ids.arrays.ranked_csr`) when NumPy is available;
-        unsorted interners (restored from a snapshot an earlier build
-        wrote after in-place deltas) fall back to decoded-URI sort keys.
+        tie-break, so the rows equal per-entity ``sort(key=(-sim, uri))``
+        lists.  Vectorized (:func:`~repro.ids.arrays.ranked_csr`) when
+        NumPy is available; unsorted interners (a snapshot written after
+        in-place deltas) fall back to decoded-URI sort keys.
         """
-        sortable = self._interner1.is_sorted and self._interner2.is_sorted
-        if sortable and self._packed and numpy_enabled():
+        self._interner1 = interner1
+        self._interner2 = interner2
+        self._keys = keys
+        self._values = sims
+        self._packed_view: dict[int, float] | None = None
+        self._pairs_cache: dict[Pair, float] | None = None
+        sortable = interner1.is_sorted and interner2.is_sorted
+        if sortable and len(keys) and numpy_enabled():
             numpy = numpy_module()
-            count = len(self._packed)
-            starts1, cols1, sims1, starts2, cols2, sims2 = ranked_csr(
-                numpy.fromiter(self._packed.keys(), numpy.int64, count),
-                numpy.fromiter(self._packed.values(), numpy.float64, count),
-                len(self._interner1),
-                len(self._interner2),
+            rows = ranked_csr(
+                numpy.asarray(keys), numpy.asarray(sims),
+                len(interner1), len(interner2),
             )
-            self._starts1 = array("q")
-            self._starts1.frombytes(starts1.tobytes())
-            self._cols1 = array("i")
-            self._cols1.frombytes(cols1.tobytes())
-            self._sims1 = array("d")
-            self._sims1.frombytes(sims1.tobytes())
-            self._starts2 = array("q")
-            self._starts2.frombytes(starts2.tobytes())
-            self._cols2 = array("i")
-            self._cols2.frombytes(cols2.tobytes())
-            self._sims2 = array("d")
-            self._sims2.frombytes(sims2.tobytes())
+            (
+                self._starts1, self._cols1, self._sims1,
+                self._starts2, self._cols2, self._sims2,
+            ) = map(array_copy, "qidqid", rows)
             return
-        packed = self._packed
-        keys = array("q", packed.keys())
-        sims = array("d", packed.values())
+        # Plain ints/floats out of any column type, without a copy.
+        keys, sims = memoryview(keys), memoryview(sims)
         shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
-        if sortable:
-            def key1(i: int):
-                return (keys[i] >> shift, -sims[i], keys[i] & mask)
+        # Counterpart tie-break: the id itself, or its URI where id
+        # order is not URI order.
+        tie1 = range(len(interner2)) if sortable else interner2.uris()
+        tie2 = range(len(interner1)) if sortable else interner1.uris()
 
-            def key2(i: int):
-                return (keys[i] & mask, -sims[i], keys[i] >> shift)
-        else:  # pragma: no cover - defensive; builders pass sorted interners
-            uris1, uris2 = self._interner1.uris(), self._interner2.uris()
+        def key1(i: int):
+            return (keys[i] >> shift, -sims[i], tie1[keys[i] & mask])
 
-            def key1(i: int):
-                return (keys[i] >> shift, -sims[i], uris2[keys[i] & mask])
-
-            def key2(i: int):
-                return (keys[i] & mask, -sims[i], uris1[keys[i] >> shift])
+        def key2(i: int):
+            return (keys[i] & mask, -sims[i], tie2[keys[i] >> shift])
 
         self._starts1, self._cols1, self._sims1 = self._csr_side(
             keys, sims, sorted(range(len(keys)), key=key1),
-            len(self._interner1), own_shift=shift, other_shift=0,
+            len(interner1), own_shift=shift, other_shift=0,
         )
         self._starts2, self._cols2, self._sims2 = self._csr_side(
             keys, sims, sorted(range(len(keys)), key=key2),
-            len(self._interner2), own_shift=0, other_shift=shift,
+            len(interner2), own_shift=0, other_shift=shift,
         )
 
     @staticmethod
@@ -295,13 +300,36 @@ class PackedSimilarityIndex:
         id2 = self._interner2.get(uri2)
         if id2 is None:
             return 0.0
-        return self._packed.get((id1 << PAIR_ID_BITS) | id2, 0.0)
+        key = (id1 << PAIR_ID_BITS) | id2
+        at = bisect_left(self._keys, key)
+        if at == len(self._keys) or self._keys[at] != key:
+            return 0.0
+        return float(self._values[at])
+
+    def packed_columns(self):
+        """The live ``(packed keys ascending, similarities)`` columns.
+
+        Read-only buffer-protocol sequences (NumPy arrays, ``array`` s or
+        mmap ``memoryview`` s — see the class docstring); the form the
+        builders, the snapshot store and the digests consume.
+        """
+        return self._keys, self._values
+
+    def packed_items(self) -> dict[int, float]:
+        """A ``packed key -> similarity`` dict view of the columns, in
+        ascending key order (built on first use, cached; do not mutate).
+        For the reference constructors and tests only."""
+        if self._packed_view is None:
+            self._packed_view = dict(
+                zip(self._keys.tolist(), self._values.tolist())
+            )
+        return self._packed_view
 
     def pairs(self) -> dict[Pair, float]:
         """The sparse URI-pair-to-similarity map (read-only by convention).
 
-        A decoded snapshot of the packed map, cached; consumers that
-        only need sizes should use ``len(index)`` instead of decoding.
+        A decoded view of the columns, cached; consumers that only need
+        sizes should use ``len(index)`` instead of decoding.
         """
         if self._pairs_cache is None:
             uris1 = self._interner1.uris()
@@ -309,13 +337,11 @@ class PackedSimilarityIndex:
             shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
             self._pairs_cache = {
                 (uris1[key >> shift], uris2[key & mask]): value
-                for key, value in self._packed.items()
+                for key, value in zip(
+                    self._keys.tolist(), self._values.tolist()
+                )
             }
         return self._pairs_cache
-
-    def packed_items(self) -> dict[int, float]:
-        """The live packed ``int64 key -> similarity`` map (do not mutate)."""
-        return self._packed
 
     def interners(self) -> tuple[EntityInterner, EntityInterner]:
         """The two id maps (side 1, side 2) pairs are packed with."""
@@ -364,31 +390,25 @@ class PackedSimilarityIndex:
         return None
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self._keys)
 
 
 class ValueSimilarityIndex(PackedSimilarityIndex):
     """Sparse valueSim over all pairs co-occurring in the token blocks."""
 
     def __init__(self, token_blocks: BlockCollection) -> None:
-        self._init_store(
-            EntityInterner(
-                uri for block in token_blocks for uri in block.entities1
-            ),
-            EntityInterner(
-                uri for block in token_blocks for uri in block.entities2
-            ),
-        )
-        self._accumulate(token_blocks)
-        self._build_ranked_rows()
-
-    def _accumulate(self, token_blocks: BlockCollection) -> None:
         # Mirrored by repro.engine.similarity._value_partial_packed
         # (per-shard accumulation); change the weighting or pair
         # placement in both.
-        sims = self._packed
-        ids1 = self._interner1.ids_by_uri()
-        ids2 = self._interner2.ids_by_uri()
+        interner1 = EntityInterner(
+            uri for block in token_blocks for uri in block.entities1
+        )
+        interner2 = EntityInterner(
+            uri for block in token_blocks for uri in block.entities2
+        )
+        sims: dict[int, float] = {}
+        ids1 = interner1.ids_by_uri()
+        ids2 = interner2.ids_by_uri()
         for block in token_blocks:
             weight = block_token_weight(
                 len(block.entities1), len(block.entities2)
@@ -398,6 +418,7 @@ class ValueSimilarityIndex(PackedSimilarityIndex):
                 for uri2 in block.entities2:
                     key = base | ids2[uri2]
                     sims[key] = sims.get(key, 0.0) + weight
+        self._adopt_sums(sims, interner1, interner2)
 
     def __repr__(self) -> str:
-        return f"ValueSimilarityIndex({len(self._packed)} co-occurring pairs)"
+        return f"ValueSimilarityIndex({len(self)} co-occurring pairs)"

@@ -15,13 +15,17 @@ on a post-delta state and land on the floats of a cold run.
 
 **Packed hot path.**  The builders run entirely on interned ids: blocks
 are encoded once into sorted ``array('i')`` id columns, shard partials
-accumulate under packed ``int64`` pair keys and return flat
-``array('q')``/``array('d')`` columns (raw buffers across process
-boundaries, not string-keyed dicts), and value pairs are sharded by
-:class:`~repro.engine.partitioner.PackedPairHasher` — which reproduces
-the string-stable :func:`value_pair_key` shard assignment bit-for-bit.
-The string-keyed forms (:func:`_value_partial`, :func:`merge_pair_sums`)
-remain as the executable specification the parity tests build on.
+accumulate under packed ``int64`` pair keys and return flat key/sum
+columns (raw buffers across process boundaries), and value pairs are
+sharded by :class:`~repro.engine.partitioner.PackedPairHasher` — which
+reproduces the string-stable :func:`value_pair_key` shard assignment
+bit-for-bit.  On NumPy the merged ``(keys ascending, totals)`` columns
+*are* the finished index (``from_packed_columns`` adopts them,
+``build_neighbor_index`` reads them back through ``packed_columns()``);
+the stdlib arms fold into a dict that ``from_packed_sums`` sorts once
+into the same columns.  The string-keyed forms (:func:`_value_partial`,
+:func:`merge_pair_sums`) remain as the executable specification the
+parity tests build on.
 """
 
 from __future__ import annotations
@@ -314,20 +318,20 @@ def _value_partial_vectorized_shm(shard) -> tuple:
     return result
 
 
-def _merge_partial_columns(partials) -> PackedSums:
+def _merge_partial_columns(partials) -> tuple:
     """Merge per-shard ``(keys, subtotals)`` NumPy columns, in shard order.
 
     Concatenating the shard columns in shard order and summing
-    duplicates unbuffered adds each pair's subtotals left-to-right in
-    shard order — the identical float fold :func:`merge_packed_columns`
-    computes.
+    duplicates in element order adds each pair's subtotals
+    left-to-right in shard order — the identical float fold
+    :func:`merge_packed_columns` computes.  Returns the finished
+    ``(keys ascending, totals)`` columns: the index's own state.
     """
     numpy = numpy_module()
-    keys, totals = sequential_unique_sums(
+    return sequential_unique_sums(
         numpy.concatenate([partial[0] for partial in partials]),
         numpy.concatenate([partial[1] for partial in partials]),
     )
-    return dict(zip(keys.tolist(), totals.tolist()))
 
 
 def build_value_index(
@@ -360,54 +364,49 @@ def build_value_index(
             token_blocks, interner1, interner2, n_partitions
         )
     arena = getattr(engine, "shared_arena", None)
-    if numpy_enabled():
-        columns = _encoded_block_columns(encoded)
-        if arena is not None and columns:
-            with arena.publish(
-                [
-                    (typecode, column)
-                    for shard in columns
-                    for typecode, column in zip(
-                        _VALUE_SHARD_TYPECODES, shard
-                    )
-                ]
-            ) as segment:
-                partials = engine.map_partitions(
-                    _value_partial_vectorized_shm,
-                    [
-                        tuple(segment.slices[5 * i : 5 * i + 5])
-                        for i in range(len(columns))
-                    ],
-                )
-        else:
-            partials = engine.map_partitions(_value_partial_vectorized, columns)
-        merged = _merge_partial_columns(partials)
+    vectorized = numpy_enabled()
+    if vectorized:
+        shards = published = _encoded_block_columns(encoded)
+        typecodes = _VALUE_SHARD_TYPECODES
+        worker = _value_partial_vectorized
+        shm_worker = _value_partial_vectorized_shm
     else:
-        if arena is not None and encoded:
-            flattened = _flattened_block_columns(encoded)
-            with arena.publish(
+        shards = encoded
+        published = [] if arena is None else _flattened_block_columns(encoded)
+        typecodes = _VALUE_SHARD_TYPECODES_PACKED
+        worker = _value_partial_packed
+        shm_worker = _value_partial_packed_shm
+    if arena is not None and published:
+        with arena.publish(
+            [
+                (typecode, column)
+                for shard in published
+                for typecode, column in zip(typecodes, shard)
+            ]
+        ) as segment:
+            partials = engine.map_partitions(
+                shm_worker,
                 [
-                    (typecode, column)
-                    for shard in flattened
-                    for typecode, column in zip(
-                        _VALUE_SHARD_TYPECODES_PACKED, shard
-                    )
-                ]
-            ) as segment:
-                partials = engine.map_partitions(
-                    _value_partial_packed_shm,
-                    [
-                        tuple(segment.slices[5 * i : 5 * i + 5])
-                        for i in range(len(flattened))
-                    ],
-                )
-        else:
-            partials = engine.map_partitions(_value_partial_packed, encoded)
-        merged = engine.reduce(merge_packed_columns, partials, {})
+                    tuple(segment.slices[5 * i : 5 * i + 5])
+                    for i in range(len(published))
+                ],
+            )
+    else:
+        partials = engine.map_partitions(worker, shards)
+    if vectorized:
+        index = ValueSimilarityIndex.from_packed_columns(
+            *_merge_partial_columns(partials), interner1, interner2
+        )
+    else:
+        index = ValueSimilarityIndex.from_packed_sums(
+            engine.reduce(merge_packed_columns, partials, {}),
+            interner1,
+            interner2,
+        )
     _telemetry_current().metrics.counter(
         "similarity.value_pairs_scored"
-    ).inc(len(merged))
-    return ValueSimilarityIndex.from_packed_sums(merged, interner1, interner2)
+    ).inc(len(index))
+    return index
 
 
 def _packed_reverse_index(
@@ -545,22 +544,15 @@ def _neighbor_partial_vectorized(columns, reverse1, reverse2) -> tuple:
 
 
 def _vectorized_value_shards(
-    packed: PackedSums, n_partitions: int, hasher: PackedPairHasher
+    keys, sims, n_partitions: int, hasher: PackedPairHasher
 ) -> list[tuple]:
-    """Sorted value pairs grouped into shards, as NumPy column pairs.
+    """The ascending value-pair columns grouped into shards.
 
-    Keys sort ascending (the scan order), hash via the vectorized
-    zlib-compatible CRC, and group stably — each shard keeps its keys
-    in ascending order, exactly as :func:`hash_partitions_packed` over
-    the sorted sequence would.
+    Keys hash via the vectorized zlib-compatible CRC and group stably —
+    each shard keeps its keys in ascending (scan) order, exactly as
+    :func:`hash_partitions_packed` over the sorted sequence would.
     """
     numpy = numpy_module()
-    count = len(packed)
-    keys = numpy.fromiter(packed.keys(), numpy.int64, count)
-    sims = numpy.fromiter(packed.values(), numpy.float64, count)
-    order = numpy.argsort(keys)
-    keys = keys[order]
-    sims = sims[order]
     shard_ids = hasher.hash_many(keys).astype(numpy.int64) % n_partitions
     grouping = numpy.argsort(shard_ids, kind="stable")
     keys = keys[grouping]
@@ -583,10 +575,10 @@ def build_neighbor_index(
 ) -> NeighborSimilarityIndex:
     """The :class:`NeighborSimilarityIndex`, propagated shard by shard.
 
-    The packed value-pair map is sorted (ascending packed key — which is
-    ascending ``(uri1, uri2)`` while the interners are sort-stable),
-    then sharded by the stable hash of each pair's *string* key via
-    :class:`~repro.engine.partitioner.PackedPairHasher` (not by
+    The value index's pair columns are scanned in ascending packed-key
+    order (ascending ``(uri1, uri2)`` while the interners are
+    sort-stable) and sharded by the stable hash of each pair's *string*
+    key via :class:`~repro.engine.partitioner.PackedPairHasher` (not by
     position, so a pair's shard is a function of the pair alone); every
     shard propagates its pairs up to the entities listing them as top
     neighbors, against read-only id-level reverse indices.  Vectorized
@@ -596,104 +588,75 @@ def build_neighbor_index(
     value1, value2 = value_index.interners()
     parents1 = EntityInterner(top_neighbors1)
     parents2 = EntityInterner(top_neighbors2)
-    packed = value_index.packed_items()
-    n_partitions = partition_count(len(packed))
+    keys, sims = value_index.packed_columns()
+    n_partitions = partition_count(len(keys))
     sort_stable = value1.is_sorted and value2.is_sorted
     # Hashes a packed key to ``stable_hash(value_pair_key(decoded pair))``
     # — the string-stable shard assignment, without building key strings.
     hasher = PackedPairHasher(value1, value2, _PAIR_KEY_SEPARATOR)
-    arena = getattr(engine, "shared_arena", None)
-    if numpy_enabled() and sort_stable:
-        shards = _vectorized_value_shards(packed, n_partitions, hasher)
-        reverse1 = _dense_reverse_columns(top_neighbors1, parents1, value1)
-        reverse2 = _dense_reverse_columns(top_neighbors2, parents2, value2)
-        if arena is not None and shards:
-            with arena.publish(
-                [
-                    (typecode, column)
-                    for keys, sims in shards
-                    for typecode, column in (("q", keys), ("d", sims))
-                ]
-            ) as segment:
-                partials = engine.map_partitions(
-                    partial(
-                        _neighbor_partial_vectorized_shm,
-                        reverse1=reverse1,
-                        reverse2=reverse2,
-                    ),
-                    [
-                        (segment.slices[2 * i], segment.slices[2 * i + 1])
-                        for i in range(len(shards))
-                    ],
-                )
-        else:
-            partials = engine.map_partitions(
-                partial(
-                    _neighbor_partial_vectorized,
-                    reverse1=reverse1,
-                    reverse2=reverse2,
-                ),
-                shards,
-            )
-        merged = _merge_partial_columns(partials)
-        _telemetry_current().metrics.counter(
-            "similarity.neighbor_pairs_scored"
-        ).inc(len(merged))
-        return NeighborSimilarityIndex.from_packed_sums(
-            merged, parents1, parents2
+    vectorized = numpy_enabled() and sort_stable
+    if vectorized:
+        numpy = numpy_module()
+        shards = _vectorized_value_shards(
+            numpy.asarray(keys), numpy.asarray(sims), n_partitions, hasher
         )
-    if sort_stable:
-        ordered_keys = sorted(packed)
+        reverse_index = _dense_reverse_columns
+        worker = _neighbor_partial_vectorized
+        shm_worker = _neighbor_partial_vectorized_shm
     else:
-        # ids appended by deltas broke the id-order == URI-order
-        # coincidence: sort by decoded URIs to keep the scan order the
-        # string-keyed path used.
-        uris1, uris2 = value1.uris(), value2.uris()
-        ordered_keys = sorted(
-            packed,
-            key=lambda key: (
-                uris1[key >> PAIR_ID_BITS],
-                uris2[key & PAIR_ID_MASK],
-            ),
-        )
-    reverse1 = _packed_reverse_index(top_neighbors1, parents1, value1)
-    reverse2 = _packed_reverse_index(top_neighbors2, parents2, value2)
-    shards = hash_partitions_packed(
-        ordered_keys,
-        (packed[key] for key in ordered_keys),
-        n_partitions,
-        hasher,
-    )
+        # Plain ints/floats out of any column type, without a copy.
+        keys, sims = memoryview(keys), memoryview(sims)
+        if not sort_stable:
+            # ids appended by deltas broke the id-order == URI-order
+            # coincidence: scan by decoded URIs, the order the
+            # string-keyed path used.
+            uris1, uris2 = value1.uris(), value2.uris()
+            order = sorted(
+                range(len(keys)),
+                key=lambda i: (
+                    uris1[keys[i] >> PAIR_ID_BITS],
+                    uris2[keys[i] & PAIR_ID_MASK],
+                ),
+            )
+            keys = [keys[i] for i in order]
+            sims = [sims[i] for i in order]
+        shards = hash_partitions_packed(keys, sims, n_partitions, hasher)
+        reverse_index = _packed_reverse_index
+        worker = _neighbor_partial_packed
+        shm_worker = _neighbor_partial_packed_shm
+    reverse = {
+        "reverse1": reverse_index(top_neighbors1, parents1, value1),
+        "reverse2": reverse_index(top_neighbors2, parents2, value2),
+    }
+    arena = getattr(engine, "shared_arena", None)
     if arena is not None and shards:
         with arena.publish(
             [
                 (typecode, column)
-                for keys, sims in shards
-                for typecode, column in (("q", keys), ("d", sims))
+                for shard in shards
+                for typecode, column in zip("qd", shard)
             ]
         ) as segment:
             partials = engine.map_partitions(
-                partial(
-                    _neighbor_partial_packed_shm,
-                    reverse1=reverse1,
-                    reverse2=reverse2,
-                ),
+                partial(shm_worker, **reverse),
                 [
                     (segment.slices[2 * i], segment.slices[2 * i + 1])
                     for i in range(len(shards))
                 ],
             )
     else:
-        partials = engine.map_partitions(
-            partial(
-                _neighbor_partial_packed,
-                reverse1=reverse1,
-                reverse2=reverse2,
-            ),
-            shards,
+        partials = engine.map_partitions(partial(worker, **reverse), shards)
+    if vectorized:
+        index = NeighborSimilarityIndex.from_packed_columns(
+            *_merge_partial_columns(partials), parents1, parents2
         )
-    merged = engine.reduce(merge_packed_columns, partials, {})
+    else:
+        index = NeighborSimilarityIndex.from_packed_sums(
+            engine.reduce(merge_packed_columns, partials, {}),
+            parents1,
+            parents2,
+        )
     _telemetry_current().metrics.counter(
         "similarity.neighbor_pairs_scored"
-    ).inc(len(merged))
-    return NeighborSimilarityIndex.from_packed_sums(merged, parents1, parents2)
+    ).inc(len(index))
+    return index

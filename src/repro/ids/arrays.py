@@ -5,8 +5,8 @@ hot bulk operations — ragged cross-product expansion, order-preserving
 duplicate-key summation, and the CSR ranked-row argsort — run
 vectorized instead.  **Both paths are bit-identical**: every kernel
 here reproduces the exact floating-point accumulation order of its
-pure-Python counterpart (`np.add.at` is unbuffered and applies
-repeated-index additions in element order, which *is* the scan order),
+pure-Python counterpart (`np.bincount` adds weights one element at a
+time, front to back, which *is* the scan order),
 so golden digests do not depend on whether NumPy is present.
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the stdlib fallback (the parity
@@ -16,6 +16,7 @@ tests run both paths and assert equality).
 from __future__ import annotations
 
 import os
+from array import array
 
 try:  # pragma: no cover - exercised implicitly by every test run
     import numpy as _np
@@ -34,18 +35,51 @@ def numpy_module():
     return _np
 
 
+def array_copy(typecode: str, column) -> array:
+    """An ``array`` copy of any buffer-protocol column (NumPy array,
+    ``memoryview`` or ``array``) holding that element type."""
+    out = array(typecode)
+    out.frombytes(memoryview(column).cast("B"))
+    return out
+
+
+def packed_keys_valid(keys, n_entities1: int, n_entities2: int) -> bool:
+    """Whether a packed pair-key column is strictly ascending with every
+    id inside its interner — the invariant bisect lookups and the
+    ranked-row build rest on.  One vectorized pass (one Python pass
+    without NumPy)."""
+    if len(keys) == 0:
+        return True
+    if numpy_enabled():
+        column = _np.asarray(keys)
+        return bool(
+            column[0] >= 0
+            and (column[-1] >> 32) < n_entities1
+            and (column[1:] > column[:-1]).all()
+            and ((column & 0xFFFFFFFF) < n_entities2).all()
+        )
+    previous = -1
+    for key in keys:
+        if key <= previous or (key & 0xFFFFFFFF) >= n_entities2:
+            return False
+        previous = key
+    return (previous >> 32) < n_entities1
+
+
 def sequential_unique_sums(keys, weights):
     """Per-key totals of a contribution column, in element order.
 
     Returns ``(unique keys ascending, per-key sums)``.  Equivalent to
     ``for k, w in zip(keys, weights): sums[k] = sums.get(k, 0.0) + w``
-    — including the float addition order per key, because ``np.add.at``
-    is unbuffered and applies repeated indices sequentially.
+    — including the float addition order per key: ``np.bincount`` walks
+    the column once, front to back, adding each weight to its key's
+    slot, so repeated keys accumulate in element order whatever order
+    the sort behind ``np.unique`` visited them in.
     """
     unique, inverse = _np.unique(keys, return_inverse=True)
-    sums = _np.zeros(len(unique), dtype=_np.float64)
-    _np.add.at(sums, inverse, weights)
-    return unique, sums
+    sums = _np.bincount(inverse, weights=weights)
+    # bincount types the sums of an *empty* column int64
+    return unique, sums.astype(_np.float64, copy=False)
 
 
 def ragged_cross_products(
@@ -79,20 +113,27 @@ def ragged_cross_products(
 
 
 def ranked_csr(keys, sims, n_entities1, n_entities2):
-    """Both sides' CSR ranked rows in one argsort-equivalent pass each.
+    """Both sides' CSR ranked rows of an **ascending** packed pair column.
 
-    ``keys``/``sims`` are the packed pair column.  Returns
-    ``(starts1, cols1, sims1, starts2, cols2, sims2)`` as NumPy arrays,
-    where side 1 rows sort by ``(id1, -sim, id2)`` and side 2 rows by
-    ``(id2, -sim, id1)`` — identical to the per-entity
+    Returns ``(starts1, cols1, sims1, starts2, cols2, sims2)`` as NumPy
+    arrays, where side 1 rows sort by ``(id1, -sim, id2)`` and side 2
+    rows by ``(id2, -sim, id1)`` — identical to the per-entity
     ``sort(key=(-sim, uri))`` of the dict-backed construction whenever
     id order equals URI order (sorted interners).
+
+    The counterpart-id tie-break is never sorted on: in a column
+    ascending by ``(id1, id2)`` two pairs sharing an entity on either
+    side already stand in counterpart-id order, so one *stable* sort by
+    ``-sim`` ranks every pair by ``(-sim, position)``, and each side is
+    then one integer sort of the unique keys ``id << 32 | rank``.
     """
     id1 = keys >> 32
     id2 = keys & 0xFFFFFFFF
-    neg = -sims
-    order1 = _np.lexsort((id2, neg, id1))
-    order2 = _np.lexsort((id1, neg, id2))
+    by_sim = _np.argsort(-sims, kind="stable")
+    rank = _np.empty(len(keys), dtype=_np.int64)
+    rank[by_sim] = _np.arange(len(keys), dtype=_np.int64)
+    order1 = by_sim[_np.sort((id1 << 32) | rank) & 0xFFFFFFFF]
+    order2 = by_sim[_np.sort((id2 << 32) | rank) & 0xFFFFFFFF]
     starts1 = _np.zeros(n_entities1 + 1, dtype=_np.int64)
     _np.cumsum(_np.bincount(id1, minlength=n_entities1), out=starts1[1:])
     starts2 = _np.zeros(n_entities2 + 1, dtype=_np.int64)

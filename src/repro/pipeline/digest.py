@@ -20,6 +20,7 @@ from ..blocking.base import BlockCollection
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
+from ..ids import PAIR_ID_BITS, PAIR_ID_MASK
 from .context import PipelineContext
 
 #: Context artifacts digests are computed for, in pipeline order.  The
@@ -42,6 +43,29 @@ DIGESTED_ARTIFACTS = (
 )
 
 
+def _index_rows(index) -> list[list]:
+    """``[uri1, uri2, sim]`` rows of a similarity index, sorted by URIs.
+
+    With sorted interners id order is URI order, so the ascending key
+    column already stands in ``sorted(pairs().items())`` order: the rows
+    decode straight off the columns.  Unsorted interners (an index
+    restored from a snapshot written after in-place deltas) sort the
+    decoded view instead.
+    """
+    interner1, interner2 = index.interners()
+    if not (interner1.is_sorted and interner2.is_sorted):
+        return [
+            [uri1, uri2, sim]
+            for (uri1, uri2), sim in sorted(index.pairs().items())
+        ]
+    uris1, uris2 = interner1.uris(), interner2.uris()
+    keys, sims = index.packed_columns()
+    return [
+        [uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK], sim]
+        for key, sim in zip(keys.tolist(), sims.tolist())
+    ]
+
+
 def canonical_value(value: Any) -> Any:
     """A JSON-serializable canonical form of one artifact value."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -52,10 +76,7 @@ def canonical_value(value: Any) -> Any:
             for block in sorted(value, key=lambda b: b.key)
         ]
     if isinstance(value, (ValueSimilarityIndex, NeighborSimilarityIndex)):
-        return [
-            [uri1, uri2, sim]
-            for (uri1, uri2), sim in sorted(value.pairs().items())
-        ]
+        return _index_rows(value)
     if isinstance(value, Match):
         return [value.uri1, value.uri2, value.heuristic, value.score]
     if is_dataclass(value) and not isinstance(value, type):

@@ -11,11 +11,11 @@ uses:
   one sorted key column) — *full* meaning purged and one-sided keys
   included, which is what delta maintenance needs — plus the surviving
   (kept) key ids and the purging report;
-- both **similarity indices** as interner URI columns plus flat
-  ``int64`` packed-key / ``float64`` similarity columns, written in
-  ascending key order (the packed map's iteration order is never
-  load-bearing; the ranked CSR rows are rebuilt deterministically on
-  load);
+- both **similarity indices** as interner URI columns plus their two
+  in-memory pair columns as they are (``int64`` packed keys strictly
+  ascending, ``float64`` similarities); a load wraps the restored
+  columns — mapped pages under ``mode="mmap"`` — without boxing them,
+  and rebuilds the ranked CSR rows deterministically;
 - **top-neighbor sets** per side as CSR over the KB URI columns, the
   discovered name attributes and top relations;
 - the **decision artifacts** (matches, pre-H4 matches, H4 discards) and
@@ -24,7 +24,7 @@ uses:
   bit-identical to the cold run that wrote them.
 
 Loading reconstructs every artifact through the same constructors the
-batch pipeline uses (``from_packed_sums``, ``DeltaBlockIndex.assemble``),
+batch pipeline uses (``from_packed_columns``, ``DeltaBlockIndex.assemble``),
 so a restored session's artifacts digest-equal the saved ones.
 """
 
@@ -42,6 +42,7 @@ from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
 from ..ids import EntityInterner
+from ..ids.arrays import array_copy, packed_keys_valid
 from ..incremental.blocks import DeltaBlockIndex
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
@@ -123,19 +124,30 @@ def _pack_index(writer: SnapshotWriter, tag: str, index) -> None:
     interner1, interner2 = index.interners()
     writer.add_strings(f"{tag}_uris1", interner1.uris())
     writer.add_strings(f"{tag}_uris2", interner2.uris())
-    packed = index.packed_items()
-    keys = array("q", sorted(packed))
-    writer.add_array(f"{tag}_keys", keys)
-    writer.add_array(f"{tag}_sims", array("d", (packed[key] for key in keys)))
+    keys, sims = index.packed_columns()
+    writer.add_array(f"{tag}_keys", array_copy("q", keys))
+    writer.add_array(f"{tag}_sims", array_copy("d", sims))
 
 
 def _unpack_index(snapshot: Snapshot, tag: str, index_cls):
+    """Wrap the snapshot's pair columns as an index, as they are.
+
+    Lookups bisect the key column, so a column a dict load would have
+    tolerated (unsorted, ragged, ids beyond the URI tables) is refused.
+    """
     interner1 = EntityInterner.from_uri_list(snapshot.strings(f"{tag}_uris1"))
     interner2 = EntityInterner.from_uri_list(snapshot.strings(f"{tag}_uris2"))
-    packed = dict(
-        zip(snapshot.array(f"{tag}_keys"), snapshot.array(f"{tag}_sims"))
-    )
-    return index_cls.from_packed_sums(packed, interner1, interner2)
+    keys = snapshot.array(f"{tag}_keys")
+    sims = snapshot.array(f"{tag}_sims")
+    if len(sims) != len(keys):
+        raise SnapshotError(
+            f"{tag}: {len(keys)} pair keys but {len(sims)} similarities"
+        )
+    if not packed_keys_valid(keys, len(interner1), len(interner2)):
+        raise SnapshotError(
+            f"{tag}: pair keys are not strictly ascending ids of the URI columns"
+        )
+    return index_cls.from_packed_columns(keys, sims, interner1, interner2)
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +372,13 @@ def load_state(
     count drops any stored worker count (serial rejects one).
 
     ``mode="mmap"`` maps column files instead of copying them (see
-    :meth:`Snapshot.load`); every restored artifact is materialized
-    before this returns, so the maps are released on exit and per-byte
-    digest verification of array columns is skipped — the decode-level
-    ``context_digests`` check still guards bit-identity on replay.
+    :meth:`Snapshot.load`).  The two indices keep their pair columns as
+    views of the mapped pages (which pin those maps for as long as the
+    index lives); every other artifact is materialized before this
+    returns and its map released.  Per-byte digest verification of
+    array columns is skipped — the structural checks of
+    :func:`_unpack_index` and the decode-level ``context_digests`` check
+    still guard a replay.
     """
     from ..pipeline.builder import PipelineBuilder
 
@@ -443,7 +458,7 @@ def load_state(
 
     session = MatchSession(kb1, kb2, config, graph=graph)
     session.seed_cache(artifacts)
-    snapshot.close()  # everything is materialized; release any maps
+    snapshot.close()  # releases every map no index column still views
     return RestoredState(
         session=session,
         artifacts=artifacts,

@@ -1,0 +1,512 @@
+"""One in-memory form of the similarity indices: sorted pair columns.
+
+``PackedSimilarityIndex`` state is an ascending packed-key column plus a
+parallel similarity column — whichever buffers the producer emitted —
+and everything else (ranked CSR rows, ``similarity()``, the ``pairs()``
+/ ``packed_items()`` dict views, the canonical digest form) derives
+from them.  These suites pin that:
+
+- every constructor lands on the same index, for arbitrary sparse pair
+  sets (ties, ``0.0``, subnormal and huge sums, empty sides), on NumPy
+  and under ``REPRO_DISABLE_NUMPY=1``;
+- the two kernels that changed (``sequential_unique_sums``,
+  ``ranked_csr``) equal the pure-Python fold / 3-key sort they replace,
+  float for float;
+- the canonical digest rendering is byte-identical to the old
+  ``sorted(pairs().items())`` form;
+- no production path — match, save, load, resolve, deltas, digests —
+  ever materialises the dict views, and the memory they cost stays gone.
+"""
+
+import json
+import tracemalloc
+from array import array
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.blocking.base import Block, BlockCollection
+from repro.core import MinoanER, MinoanERConfig
+from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
+from repro.core.similarity import PackedSimilarityIndex, ValueSimilarityIndex
+from repro.core.statistics import top_relations
+from repro.datasets import generate_benchmark, query_stream
+from repro.engine import build_neighbor_index, build_value_index
+from repro.ids import EntityInterner, PAIR_ID_BITS
+from repro.ids.arrays import numpy_enabled
+from repro.incremental import IncrementalMatcher
+from repro.kb.io_ntriples import read_ntriples
+from repro.pipeline import MatchSession, context_digests
+from repro.pipeline.digest import canonical_value
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_RELAXED = settings(
+    suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_enabled(), reason="exercises the NumPy kernels"
+)
+
+
+def numpy_modes():
+    modes = [pytest.param(True, id="stdlib")]
+    if numpy_enabled():
+        modes.append(pytest.param(False, id="numpy"))
+    return modes
+
+
+@pytest.fixture(params=numpy_modes())
+def toggled_numpy(request, monkeypatch):
+    if request.param:
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+    return request.param
+
+
+# ----------------------------------------------------------------------
+# Strategies
+# ----------------------------------------------------------------------
+#: Sums an index must carry unchanged: exact ties, zero, the smallest
+#: subnormal and normal doubles, and sums at the top of the range.
+SPECIAL_SIMS = [
+    0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    0.1,
+    0.5,
+    1.0,
+    1.0000000000000002,
+    3.0,
+    1e308,
+    1.7976931348623157e308,
+]
+
+sims_values = st.one_of(
+    st.sampled_from(SPECIAL_SIMS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+#: Sparse pair maps over small id ranges (so rows share entities and
+#: similarities collide), the empty map included.
+pair_maps = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    sims_values,
+    max_size=24,
+)
+
+
+def uri(side: int, position: int) -> str:
+    return f"urn:kb{side}:e{position}"
+
+
+def as_uri_map(id_pairs: dict) -> dict:
+    return {
+        (uri(1, id1), uri(2, id2)): sim for (id1, id2), sim in id_pairs.items()
+    }
+
+
+def columns_of(sims: dict, interner1, interner2) -> tuple[array, array]:
+    """The ascending ``(keys, sims)`` columns of a URI-keyed pair map."""
+    packed = {
+        (interner1.id_of(uri1) << PAIR_ID_BITS) | interner2.id_of(uri2): sim
+        for (uri1, uri2), sim in sims.items()
+    }
+    keys = array("q", sorted(packed))
+    return keys, array("d", (packed[key] for key in keys))
+
+
+def ranked_rows(sims: dict) -> tuple[dict, dict]:
+    """Per-entity candidate lists, best first, URI breaking ties."""
+    rows1: dict = {}
+    rows2: dict = {}
+    for (uri1, uri2), sim in sims.items():
+        rows1.setdefault(uri1, []).append((uri2, sim))
+        rows2.setdefault(uri2, []).append((uri1, sim))
+    for rows in (rows1, rows2):
+        for ranked in rows.values():
+            ranked.sort(key=lambda item: (-item[1], item[0]))
+    return rows1, rows2
+
+
+def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
+    """Every URI-facing query of ``index`` equals the plain-dict answer."""
+    rows1, rows2 = ranked_rows(sims)
+    assert len(index) == len(sims)
+    assert index.pairs() == sims  # float ==, not approx
+    decode1, decode2 = (interner.uris() for interner in index.interners())
+    for uri1, ranked in rows1.items():
+        assert index.candidates_of_entity1(uri1) == ranked
+        assert index.candidates_of_entity1(uri1, 2) == ranked[:2]
+        assert [
+            (decode2[col], sim) for col, sim in index.ranked_ids(1, uri1)
+        ] == ranked
+        assert index.best_candidate(uri1) == ranked[0]
+        runner_up = ranked[1] if len(ranked) > 1 else None
+        assert index.best_candidate(uri1, exclude={ranked[0][0]}) == runner_up
+        assert index.partners_of_entity1(uri1) == {u for u, _ in ranked}
+    for uri2, ranked in rows2.items():
+        assert index.candidates_of_entity2(uri2) == ranked
+        assert [
+            (decode1[col], sim) for col, sim in index.ranked_ids(2, uri2)
+        ] == ranked
+    for (uri1, uri2), sim in sims.items():
+        found = index.similarity(uri1, uri2)
+        assert type(found) is float and found == sim
+    for uri1 in [uri(1, i) for i in range(9)]:
+        for uri2 in [uri(2, j) for j in range(9)]:
+            if (uri1, uri2) not in sims:
+                assert index.similarity(uri1, uri2) == 0.0
+    assert index.similarity("urn:absent", uri(2, 0)) == 0.0
+    assert index.similarity(uri(1, 0), "urn:absent") == 0.0
+    assert index.candidates_of_entity1("urn:absent") == []
+    assert index.best_candidate("urn:absent") is None
+
+
+def csr_state(index: PackedSimilarityIndex) -> list:
+    return [
+        [list(column) for column in index.csr_columns(side)] for side in (1, 2)
+    ]
+
+
+# ----------------------------------------------------------------------
+# Every constructor, one form
+# ----------------------------------------------------------------------
+@_RELAXED
+@given(id_pairs=pair_maps)
+def test_adopting_constructors_agree(toggled_numpy, id_pairs):
+    sims = as_uri_map(id_pairs)
+    interner1 = EntityInterner(uri1 for uri1, _ in sims)
+    interner2 = EntityInterner(uri2 for _, uri2 in sims)
+    keys, values = columns_of(sims, interner1, interner2)
+    packed = dict(zip(keys, values))
+    built = [
+        PackedSimilarityIndex.from_packed_columns(
+            keys, values, interner1, interner2
+        ),
+        # the mmap form: read-only typed views over foreign bytes
+        PackedSimilarityIndex.from_packed_columns(
+            memoryview(keys.tobytes()).cast("q"),
+            memoryview(values.tobytes()).cast("d"),
+            interner1,
+            interner2,
+        ),
+        PackedSimilarityIndex.from_packed_sums(
+            dict(reversed(packed.items())), interner1, interner2
+        ),
+        PackedSimilarityIndex.from_pair_sums(sims),
+    ]
+    if numpy_enabled():
+        import numpy
+
+        built.append(
+            PackedSimilarityIndex.from_packed_columns(
+                numpy.array(keys, dtype=numpy.int64),
+                numpy.array(values, dtype=numpy.float64),
+                interner1,
+                interner2,
+            )
+        )
+    for index in built:
+        assert_answers(index, sims)
+        assert index.packed_items() == packed
+        assert list(index.packed_items()) == list(keys)  # ascending view
+        assert csr_state(index) == csr_state(built[0])
+        stored_keys, stored_values = index.packed_columns()
+        assert list(stored_keys) == list(keys)
+        assert list(stored_values) == list(values)
+
+
+@_RELAXED
+@given(id_pairs=pair_maps, data=st.data())
+def test_unsorted_interners_rank_by_uri(toggled_numpy, id_pairs, data):
+    """Ids appended out of URI order (old post-delta snapshots): the
+    columns stay ascending *by key*, the rows still rank by URI."""
+    sims = as_uri_map(id_pairs)
+    uris1 = data.draw(st.permutations(sorted({u for u, _ in sims})))
+    uris2 = data.draw(st.permutations(sorted({u for _, u in sims})))
+    interner1 = EntityInterner.from_uri_list(uris1)
+    interner2 = EntityInterner.from_uri_list(uris2)
+    index = PackedSimilarityIndex.from_packed_columns(
+        *columns_of(sims, interner1, interner2), interner1, interner2
+    )
+    assert_answers(index, sims)
+
+
+@_RELAXED
+@given(id_pairs=pair_maps, data=st.data())
+def test_neighbor_build_scans_unsorted_interners_by_uri(
+    toggled_numpy, id_pairs, data
+):
+    """``build_neighbor_index`` over a value index whose ids are not in
+    URI order lands on the floats of the sorted-interner build."""
+    sims = as_uri_map(id_pairs)
+    uris1 = sorted({u for u, _ in sims})
+    uris2 = sorted({u for _, u in sims})
+    neighbors1 = {f"urn:p1:{i}": set(uris1[i::2]) for i in range(3)}
+    neighbors2 = {f"urn:p2:{j}": set(uris2[j::2]) for j in range(3)}
+    built = []
+    for order1, order2 in (
+        (uris1, uris2),
+        (
+            data.draw(st.permutations(uris1)),
+            data.draw(st.permutations(uris2)),
+        ),
+    ):
+        interner1 = EntityInterner.from_uri_list(order1)
+        interner2 = EntityInterner.from_uri_list(order2)
+        value_index = ValueSimilarityIndex.from_packed_columns(
+            *columns_of(sims, interner1, interner2), interner1, interner2
+        )
+        built.append(build_neighbor_index(value_index, neighbors1, neighbors2))
+    assert built[1].pairs() == built[0].pairs()
+    assert_answers(built[1], dict(built[0].pairs()))
+
+
+blocks_strategy = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, 5), min_size=1, max_size=4),
+        st.sets(st.integers(0, 5), min_size=1, max_size=4),
+    ),
+    max_size=8,
+)
+
+
+@_RELAXED
+@given(raw_blocks=blocks_strategy)
+def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
+    """``ValueSimilarityIndex(blocks)`` (dict accumulation, sorted once)
+    and the engine builder (kernel columns adopted as they are) answer
+    identically to an index adopted from the reference's own pair map —
+    the empty collection included."""
+    blocks = BlockCollection("BT")
+    for position, (side1, side2) in enumerate(raw_blocks):
+        blocks.add(
+            Block(
+                f"t{position}",
+                {uri(1, i) for i in side1},
+                {uri(2, j) for j in side2},
+            )
+        )
+    reference = ValueSimilarityIndex(blocks)
+    sims = dict(reference.pairs())
+    assert_answers(reference, sims)
+    assert_answers(ValueSimilarityIndex.from_pair_sums(sims), sims)
+    # The engine shards its float additions differently from the plain
+    # scan (as before the column form), hence approx for this one pair.
+    engine_built = build_value_index(blocks)
+    assert set(engine_built.pairs()) == set(sims)
+    for pair, sim in sims.items():
+        assert engine_built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+    neighbors = {uri(1, i): {uri(1, (i + 1) % 6)} for i in range(6)}
+    neighbors2 = {uri(2, j): {uri(2, (j + 1) % 6)} for j in range(6)}
+    propagated = NeighborSimilarityIndex(reference, neighbors, neighbors2)
+    assert_answers(propagated, dict(propagated.pairs()))
+
+
+# ----------------------------------------------------------------------
+# The two kernels, against what they replace
+# ----------------------------------------------------------------------
+@needs_numpy
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 12), sims_values),
+        max_size=120,
+    )
+)
+def test_sequential_unique_sums_equals_dict_fold(contributions):
+    import numpy
+
+    from repro.ids.arrays import sequential_unique_sums
+
+    reference: dict[int, float] = {}
+    for key, weight in contributions:
+        reference[key] = reference.get(key, 0.0) + weight
+    unique, sums = sequential_unique_sums(
+        numpy.array([k for k, _ in contributions], dtype=numpy.int64),
+        numpy.array([w for _, w in contributions], dtype=numpy.float64),
+    )
+    assert sums.dtype == numpy.float64
+    assert unique.tolist() == sorted(reference)
+    assert sums.tolist() == [reference[key] for key in sorted(reference)]
+
+
+@needs_numpy
+@given(id_pairs=pair_maps)
+def test_ranked_csr_equals_three_key_sort(id_pairs):
+    """The rank-by-stability build equals the explicit 3-key ``lexsort``
+    it replaces (and with it the per-entity ``(-sim, uri)`` sorts)."""
+    import numpy
+
+    from repro.ids.arrays import ranked_csr
+
+    packed = {
+        (id1 << PAIR_ID_BITS) | id2: sim for (id1, id2), sim in id_pairs.items()
+    }
+    keys = numpy.array(sorted(packed), dtype=numpy.int64)
+    sims = numpy.array([packed[key] for key in sorted(packed)], numpy.float64)
+    id1, id2, neg = keys >> 32, keys & 0xFFFFFFFF, -sims
+    order1 = numpy.lexsort((id2, neg, id1))
+    order2 = numpy.lexsort((id1, neg, id2))
+    starts1, cols1, sims1, starts2, cols2, sims2 = ranked_csr(keys, sims, 8, 8)
+    assert cols1.tolist() == id2[order1].tolist()
+    assert sims1.tolist() == sims[order1].tolist()
+    assert cols2.tolist() == id1[order2].tolist()
+    assert sims2.tolist() == sims[order2].tolist()
+    assert starts1.tolist() == [int((id1 < i).sum()) for i in range(9)]
+    assert starts2.tolist() == [int((id2 < i).sum()) for i in range(9)]
+
+
+# ----------------------------------------------------------------------
+# Digest: same bytes, straight off the columns
+# ----------------------------------------------------------------------
+def rendered(value) -> str:
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+def old_canonical_form(index) -> list:
+    return [
+        [uri1, uri2, sim]
+        for (uri1, uri2), sim in sorted(index.pairs().items())
+    ]
+
+
+@_RELAXED
+@given(id_pairs=pair_maps, data=st.data())
+def test_canonical_form_is_byte_identical(toggled_numpy, id_pairs, data):
+    sims = as_uri_map(id_pairs)
+    uris1 = sorted({u for u, _ in sims})
+    uris2 = sorted({u for _, u in sims})
+    if data.draw(st.booleans()):  # unsorted interners take the fallback
+        uris1 = data.draw(st.permutations(uris1))
+        uris2 = data.draw(st.permutations(uris2))
+    interner1 = EntityInterner.from_uri_list(uris1)
+    interner2 = EntityInterner.from_uri_list(uris2)
+    index = ValueSimilarityIndex.from_packed_columns(
+        *columns_of(sims, interner1, interner2), interner1, interner2
+    )
+    sortable = interner1.is_sorted and interner2.is_sorted
+    assert rendered(canonical_value(index)) == rendered(
+        old_canonical_form(index)
+    )
+    if sortable:
+        # the column walk never needed the decoded view
+        fresh = ValueSimilarityIndex.from_packed_columns(
+            *index.packed_columns(), interner1, interner2
+        )
+        canonical_value(fresh)
+        assert fresh._pairs_cache is None and fresh._packed_view is None
+
+
+def test_canonical_form_on_golden_fixture(toggled_numpy):
+    kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
+    kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
+    session = MatchSession(kb1, kb2)
+    session.match()
+    ctx = session.run_context()
+    expected = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
+    digests = context_digests(ctx)
+    for name in ("value_index", "neighbor_index"):
+        index = ctx.get(name)
+        assert rendered(canonical_value(index)) == rendered(
+            old_canonical_form(index)
+        )
+        assert digests[name] == expected[name]
+
+
+# ----------------------------------------------------------------------
+# The dict is never built on a production path
+# ----------------------------------------------------------------------
+def views_untouched(*contexts) -> bool:
+    return all(
+        ctx.get(name)._packed_view is None and ctx.get(name)._pairs_cache is None
+        for ctx in contexts
+        for name in ("value_index", "neighbor_index")
+    )
+
+
+def test_production_paths_never_materialise_the_dict_views(
+    tmp_path, toggled_numpy
+):
+    data = generate_benchmark("restaurant", 1.0, 5)
+    session = MatchSession(data.kb1, data.kb2)
+    cold = session.match()
+    cold_ctx = session.run_context()
+    cold_digests = context_digests(cold_ctx)
+    snapshot_dir = session.save(tmp_path / "snap")
+    records = [q.record for q in query_stream(data, n=6, dirtiness=0.3, seed=2)]
+    known = data.kb1.get(sorted(data.kb1.uris())[0])
+    contexts = [cold_ctx]
+    for mode in ("copy", "mmap"):
+        loaded = MatchSession.load(snapshot_dir, mode=mode)
+        assert loaded.match().matches == cold.matches
+        singles = [loaded.resolve(record, 3) for record in records]
+        assert loaded.resolve_batch(records, 3) == singles
+        assert loaded.resolve(known, 3) is not None
+        loaded_ctx = loaded.run_context()
+        assert context_digests(loaded_ctx) == cold_digests
+        contexts.append(loaded_ctx)
+
+        matcher = IncrementalMatcher.from_snapshot(snapshot_dir, mode=mode)
+        victim = sorted(data.kb2.uris())[-1]
+        removed = matcher.kbs[1].get(victim)
+        matcher.remove_entities("kb2", [victim])
+        matcher.match()
+        contexts.append(matcher.last_context)
+        matcher.add_entities("kb2", [removed])
+        matcher.match()
+        contexts.append(matcher.last_context)
+        assert context_digests(matcher.last_context) == cold_digests
+        matcher.save(tmp_path / f"after-{mode}")
+    assert views_untouched(*contexts)
+    # ... and the probe itself is live: a view call does flip it.
+    cold_ctx.get("value_index").pairs()
+    assert not views_untouched(cold_ctx)
+
+
+# ----------------------------------------------------------------------
+# Memory guard
+# ----------------------------------------------------------------------
+@needs_numpy
+def test_neighbor_build_memory_stays_unboxed():
+    """``build_neighbor_index`` on ``rexa_dblp`` 0.2 (82 k value pairs ->
+    104 k neighbor pairs), traced with ``tracemalloc``.
+
+    Bases, measured at the parent commit (dict-backed index, NumPy
+    2.4): **13.7 MB retained** by the finished index and a **24.9 MB
+    peak**.  Of the retained bytes ~11 MB were the boxed
+    ``dict[int, float]`` (~110 B per pair); on columns the index keeps
+    4.4 MB (two 0.8 MB pair columns + the CSR rows), so the guard is
+    0.6x the parent's retained bytes.  The *peak* at this scale is the
+    merge kernel's sort temporaries, not boxing (20.9 MB here, 0.84x),
+    so it is only required not to exceed the parent's.
+    """
+    data = generate_benchmark("rexa_dblp", 0.2, 13)
+    config = MinoanERConfig()
+    blocks, _ = MinoanER().build_token_blocks(data.kb1, data.kb2)
+    neighbors = [
+        top_neighbors(
+            kb,
+            top_relations(
+                kb, config.top_n_relations, config.include_incoming_edges
+            ),
+            config.include_incoming_edges,
+        )
+        for kb in (data.kb1, data.kb2)
+    ]
+    value_index = build_value_index(blocks)
+    build_neighbor_index(value_index, *neighbors)  # warm caches, untraced
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        index = build_neighbor_index(value_index, *neighbors)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) > 100_000
+    assert after - before < 0.6 * 13.7e6
+    assert peak - before < 24.9e6

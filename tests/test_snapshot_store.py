@@ -237,6 +237,91 @@ def test_tampered_manifest_count_rejected(saved_snapshot):
         load_state(saved_snapshot)
 
 
+def _rewrite_array_column(snapshot_dir, name, values):
+    """Replace one array column *consistently* (file, count, digest), so
+    only the structural load-time checks stand between it and an index."""
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    entry = write_array_column(snapshot_dir / f"{name}.bin", values)
+    manifest["columns"][name].update(entry)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _unsorted_keys(keys, sims):
+    keys[0], keys[1] = keys[1], keys[0]
+    return "value_keys", keys
+
+
+def _duplicate_key(keys, sims):
+    keys[1] = keys[0]
+    return "value_keys", keys
+
+
+def _ragged_sims(keys, sims):
+    return "value_sims", sims[:-1]
+
+
+def _id1_beyond_uri_table(keys, sims):
+    keys[-1] = (1 << 40) | (keys[-1] & 0xFFFFFFFF)
+    return "value_keys", keys
+
+
+def _id2_beyond_uri_table(keys, sims):
+    keys[0] |= 0x7FFFFFFF
+    return "value_keys", keys
+
+
+def _negative_key(keys, sims):
+    keys[0] = -1
+    return "value_keys", keys
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _unsorted_keys,
+        _duplicate_key,
+        _ragged_sims,
+        _id1_beyond_uri_table,
+        _id2_beyond_uri_table,
+        _negative_key,
+    ],
+)
+def test_malformed_pair_columns_rejected(
+    saved_snapshot, toggled_numpy, corrupt, mode
+):
+    """Index lookups bisect the key column: a snapshot whose pair
+    columns are well-formed *bytes* (digests and counts agree) but not
+    strictly ascending, ragged, or pointing outside the URI tables must
+    fail the load — never come back as an index that answers wrongly."""
+    with Snapshot.load(saved_snapshot) as snapshot:
+        keys = snapshot.array("value_keys")
+        sims = snapshot.array("value_sims")
+    assert len(keys) > 2
+    _rewrite_array_column(saved_snapshot, *corrupt(keys, sims))
+    with pytest.raises(SnapshotError, match="value: "):
+        load_state(saved_snapshot, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+def test_loaded_indices_wrap_the_snapshot_columns(saved_snapshot, mode):
+    """A load adopts the pair columns as they are — ``array`` copies or
+    views of the mapped pages — and a re-save writes the same bytes."""
+    state = load_state(saved_snapshot, mode=mode)
+    expected = array if mode == "copy" else memoryview
+    for tag in ("value", "neighbor"):
+        keys, sims = state.artifacts[f"{tag}_index"].packed_columns()
+        assert isinstance(keys, expected) and isinstance(sims, expected)
+        assert keys.tobytes() == (saved_snapshot / f"{tag}_keys.bin").read_bytes()
+        assert sims.tobytes() == (saved_snapshot / f"{tag}_sims.bin").read_bytes()
+    resaved = state.session.save(saved_snapshot.parent / "again")
+    for name in ("value_keys", "value_sims", "neighbor_keys", "neighbor_sims"):
+        assert (resaved / f"{name}.bin").read_bytes() == (
+            saved_snapshot / f"{name}.bin"
+        ).read_bytes()
+
+
 def test_custom_heuristic_sequence_not_snapshotable(tmp_path):
     kb1, kb2 = golden_kbs()
     session = MinoanER.builder().with_heuristics("h1", "h2").session(kb1, kb2)
