@@ -4,13 +4,19 @@ Each entity carries up to ``K`` value-based candidates and up to ``K``
 neighbor-based candidates.  These lists feed H3 (rank aggregation over the
 two orders) and H4 (reciprocity: a match must appear in the other side's
 lists too).
+
+The lists are cut on **bare ids** (:func:`kept_neighbor_offsets` over
+the two undecoded CSR rows) and only the ≤ 2·``K`` survivors are decoded
+to URIs; the engine's H3 gather workers and the online resolver's H4
+bars call the same function.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .neighbors import NeighborSimilarityIndex
 from .similarity import ValueSimilarityIndex
@@ -152,6 +158,51 @@ def probe_rows(
     )
 
 
+def counterpart_translation(
+    value_index: ValueSimilarityIndex,
+    neighbor_index: NeighborSimilarityIndex,
+    side: int,
+) -> array:
+    """Neighbor-row counterpart id -> value-row counterpart id.
+
+    Rows of ``side`` hold ids of the *other* side, each index in its own
+    interner space; ``-1`` marks a candidate the value index never saw
+    (no value row contains it).  Only membership is translated, so
+    unsorted interners need no special case.
+    """
+    value_ids = value_index.interners()[2 - side].ids_by_uri()
+    neighbor_uris = neighbor_index.interners()[2 - side].uris()
+    return array("i", (value_ids.get(uri, -1) for uri in neighbor_uris))
+
+
+def kept_neighbor_offsets(
+    value_ids: Sequence[int],
+    neighbor_ids: Sequence[int],
+    translation: Sequence[int],
+    k: int,
+    restrict: bool,
+) -> Sequence[int]:
+    """Offsets, into one ranked neighbor-id row, of its top-``k`` list.
+
+    ``value_ids`` / ``neighbor_ids`` are an entity's full CSR rows, best
+    first, in any integer-sequence form (``array``, ``ndarray``, mmap
+    ``memoryview``).  Restricted, a neighbor candidate counts only if
+    its :func:`counterpart_translation` is in the value row — the
+    co-occurrence test on bare ids — and the scan stops at the ``k``-th
+    keeper.  (The value list needs no function: ``value_ids[:k]``.)
+    """
+    if not restrict:
+        return range(min(k, len(neighbor_ids)))
+    cooccurring = set(value_ids)
+    kept: list[int] = []
+    for offset, neighbor_id in enumerate(neighbor_ids):
+        if translation[neighbor_id] in cooccurring:
+            kept.append(offset)
+            if len(kept) == k:
+                break
+    return kept
+
+
 @dataclass(frozen=True)
 class CandidateLists:
     """Top-K value and neighbor candidates of one entity (URIs, best first)."""
@@ -198,6 +249,7 @@ class CandidateIndex:
         self._restrict = restrict_neighbors_to_cooccurring
         self._cache1: dict[str, CandidateLists] = {}
         self._cache2: dict[str, CandidateLists] = {}
+        self._translations: dict[int, array] = {}
 
     # ------------------------------------------------------------------
     # Read-only structure (the engine's packed gather reads these)
@@ -236,26 +288,30 @@ class CandidateIndex:
             self._cache2[uri2] = cached
         return cached
 
+    def translation(self, side: int) -> array:
+        """:func:`counterpart_translation` of ``side``'s rows, built once."""
+        column = self._translations.get(side)
+        if column is None:
+            column = self._translations[side] = counterpart_translation(
+                self._value_index, self._neighbor_index, side
+            )
+        return column
+
     def _build(self, uri: str, side: int) -> CandidateLists:
-        if side == 1:
-            value_ranked = self._value_index.candidates_of_entity1(uri, self.k)
-            neighbor_ranked = self._neighbor_index.candidates_of_entity1(uri)
-        else:
-            value_ranked = self._value_index.candidates_of_entity2(uri, self.k)
-            neighbor_ranked = self._neighbor_index.candidates_of_entity2(uri)
-
-        if self._restrict:
-            cooccurring = self._cooccurring(uri, side)
-            neighbor_ranked = [
-                (candidate, sim)
-                for candidate, sim in neighbor_ranked
-                if candidate in cooccurring
-            ]
-        neighbor_ranked = neighbor_ranked[: self.k]
-
+        value_ids = self._value_index.csr_row_ids(side, uri)
+        neighbor_ids = self._neighbor_index.csr_row_ids(side, uri)
+        kept = kept_neighbor_offsets(
+            value_ids,
+            neighbor_ids,
+            self.translation(side),
+            self.k,
+            self._restrict,
+        )
+        value_decode = self._value_index.interners()[2 - side].uris()
+        neighbor_decode = self._neighbor_index.interners()[2 - side].uris()
         return CandidateLists(
-            value=tuple(candidate for candidate, _ in value_ranked),
-            neighbor=tuple(candidate for candidate, _ in neighbor_ranked),
+            value=tuple(value_decode[i] for i in value_ids[: self.k]),
+            neighbor=tuple(neighbor_decode[neighbor_ids[j]] for j in kept),
         )
 
     def preload_entity1(
@@ -264,16 +320,9 @@ class CandidateIndex:
         """Seed the E1 cache with lists built elsewhere (parallel engine).
 
         The lists must be what :meth:`of_entity1` would have produced —
-        the engine guarantees that by calling it in worker processes.
+        the engine's workers run the same :func:`kept_neighbor_offsets`.
         """
         self._cache1.update(built)
-
-    def _cooccurring(self, uri: str, side: int) -> set[str]:
-        # The packed value index decodes a bare partner set without
-        # materializing the (uri, score) ranked row.
-        if side == 1:
-            return self._value_index.partners_of_entity1(uri)
-        return self._value_index.partners_of_entity2(uri)
 
     # ------------------------------------------------------------------
     # Reciprocity helper

@@ -76,7 +76,11 @@ from ..ids.arrays import (
     numpy_module,
 )
 from ..kb.tokenizer import Tokenizer
-from .candidates import probe_rows
+from .candidates import (
+    counterpart_translation,
+    kept_neighbor_offsets,
+    probe_rows,
+)
 from .heuristics import Match
 from .neighbors import top_neighbors
 from .rank_aggregation import top_aggregate_candidate
@@ -206,6 +210,9 @@ class _ResolverTables:
     #: dict walk.
     rev_starts: Any
     rev_parents: Any
+    #: Neighbor-index side-1 id -> value-index side-1 id (H4's
+    #: co-occurrence test on a KB2 entity's rows).
+    translation2: Sequence[int]
 
 
 class OnlineResolver:
@@ -412,6 +419,9 @@ class OnlineResolver:
             parent_uris=parent_uris,
             rev_starts=rev_starts,
             rev_parents=rev_parents,
+            translation2=counterpart_translation(
+                self._value_index, self._neighbor_index, 2
+            ),
         )
 
     @staticmethod
@@ -942,16 +952,17 @@ class OnlineResolver:
         memo = self._h4_memo
         entry = memo.get(key)
         if entry is None:
-            row = self._value_index.candidates_of_entity2(uri2, k)
-            value_bar = row[-1][1] if len(row) >= k else None
-            nbr_row = self._neighbor_index.candidates_of_entity2(uri2)
-            if self._config.restrict_h3_to_cooccurring:
-                partners = self._value_index.partners_of_entity2(uri2)
-                nbr_row = [
-                    (uri1, sim) for uri1, sim in nbr_row if uri1 in partners
-                ]
-            nbr_row = nbr_row[:k]
-            neighbor_bar = nbr_row[-1][1] if len(nbr_row) >= k else None
+            value_ids, value_sims = self._value_index.csr_row(2, uri2)
+            neighbor_ids, neighbor_sims = self._neighbor_index.csr_row(2, uri2)
+            value_bar = value_sims[k - 1] if len(value_sims) >= k else None
+            kept = kept_neighbor_offsets(
+                value_ids,
+                neighbor_ids,
+                self._ensure_tables().translation2,
+                k,
+                self._config.restrict_h3_to_cooccurring,
+            )
+            neighbor_bar = neighbor_sims[kept[-1]] if len(kept) >= k else None
             entry = (value_bar, neighbor_bar)
             if len(memo) < _NEIGHBOR_MEMO_LIMIT:
                 memo[key] = entry

@@ -275,6 +275,15 @@ class PackedSimilarityIndex:
             return (0, 0)
         return starts[entity_id], starts[entity_id + 1]
 
+    def csr_row(self, side: int, uri: str) -> tuple[array, array]:
+        """One row's ranked ``(counterpart ids, similarities)`` slices,
+        undecoded — for readers that want a similarity at a known rank
+        (the online H4 bars) without boxing the row."""
+        start, stop = self.csr_row_span(side, uri)
+        if side == 1:
+            return self._cols1[start:stop], self._sims1[start:stop]
+        return self._cols2[start:stop], self._sims2[start:stop]
+
     def ranked_ids(self, side: int, uri: str) -> list[tuple[int, float]]:
         """One row as ``(counterpart id, similarity)`` pairs, ranked.
 
@@ -282,12 +291,7 @@ class PackedSimilarityIndex:
         order (best first, counterpart URI breaking ties), no URI
         decode.
         """
-        start, stop = self.csr_row_span(side, uri)
-        if side == 1:
-            cols, sims = self._cols1, self._sims1
-        else:
-            cols, sims = self._cols2, self._sims2
-        return list(zip(cols[start:stop], sims[start:stop]))
+        return list(zip(*self.csr_row(side, uri)))
 
     # ------------------------------------------------------------------
     # Queries

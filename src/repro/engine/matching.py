@@ -16,12 +16,12 @@ identical to a fully serial run, match-for-match.
 **Packed gather.**  Workers never see the similarity indices.  The
 driver slices, per entity, the two CSR ranked-row id columns (value and
 neighbor candidates, already in ranked order) and ships only those
-slices — plus one small neighbor-id -> value-id translation column for
-the co-occurrence test — to the workers, which trim/filter on bare ids.
-The driver decodes the surviving ids back to URIs and preloads the
-candidate cache.  This replaces the previous protocol of pickling the
-whole candidate index (both full indices) into every process-executor
-chunk.  Candidate lists are pure per-entity functions, so the split
+slices — plus the candidate index's neighbor-id -> value-id translation
+column for the co-occurrence test — to the workers, which run the
+candidate index's own id-level trim
+(:func:`~repro.core.candidates.kept_neighbor_offsets`).  The driver
+decodes the surviving ids back to URIs and preloads the candidate
+cache.  Candidate lists are pure per-entity functions, so the split
 cannot change any list.
 
 H2 has no phase worth distributing — its per-entity "work" is a lookup
@@ -36,7 +36,11 @@ from array import array
 from functools import partial
 from typing import Any, Iterable, Sequence
 
-from ..core.candidates import CandidateIndex, CandidateLists
+from ..core.candidates import (
+    CandidateIndex,
+    CandidateLists,
+    kept_neighbor_offsets,
+)
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
@@ -67,18 +71,6 @@ def h2_value_matches_engine(
     return h2_value_matches(entity1_uris, value_index, registry)
 
 
-def _built_candidate_lists(
-    uris: Sequence[str], candidate_index: CandidateIndex
-) -> list[tuple[str, CandidateLists]]:
-    """(uri, top-K candidate lists) for one entity chunk.
-
-    The pre-packed gather protocol (ships the whole index per chunk);
-    kept as the executable reference the parity tests compare the
-    packed row protocol against.
-    """
-    return [(uri, candidate_index.of_entity1(uri)) for uri in uris]
-
-
 def _candidate_id_rows(
     rows: Sequence[tuple[int, array, array]],
     neighbor_to_value2: array,
@@ -89,26 +81,23 @@ def _candidate_id_rows(
 
     Each row is ``(position, full value-candidate ids, full
     neighbor-candidate ids)``, both columns in ranked order.  The value
-    list is the first ``k`` ids; the neighbor list keeps, in rank order,
-    the first ``k`` ids whose translation into the value-id space lands
-    in the entity's value row (H4-restricted mode) — exactly the
-    membership test :class:`~repro.core.candidates.CandidateIndex`
-    performs on URIs, run on ids (ids untranslatable to a value id map
-    to ``-1``, which never occurs in a value row).
+    list is the first ``k`` ids; the neighbor list is whatever
+    :func:`~repro.core.candidates.kept_neighbor_offsets` keeps — the
+    same trim :class:`~repro.core.candidates.CandidateIndex` runs for
+    the entities nobody preloaded, so the two cannot disagree.
     """
     out = []
     for position, value_cols, neighbor_cols in rows:
-        if restrict:
-            cooccurring = set(value_cols)
-            kept: list[int] = []
-            for neighbor_id in neighbor_cols:
-                if neighbor_to_value2[neighbor_id] in cooccurring:
-                    kept.append(neighbor_id)
-                    if len(kept) == k:
-                        break
-        else:
-            kept = list(neighbor_cols[:k])
-        out.append((position, list(value_cols[:k]), kept))
+        kept = kept_neighbor_offsets(
+            value_cols, neighbor_cols, neighbor_to_value2, k, restrict
+        )
+        out.append(
+            (
+                position,
+                list(value_cols[:k]),
+                [neighbor_cols[offset] for offset in kept],
+            )
+        )
     return out
 
 
@@ -162,12 +151,8 @@ def _preload_candidate_lists(
     value_index = candidate_index.value_index
     neighbor_index = candidate_index.neighbor_index
     value_decode = value_index.interners()[1].uris()
-    neighbor_interner2 = neighbor_index.interners()[1]
-    neighbor_decode = neighbor_interner2.uris()
-    value2_ids = value_index.interners()[1].ids_by_uri()
-    translation = array(
-        "i", (value2_ids.get(uri, -1) for uri in neighbor_decode)
-    )
+    neighbor_decode = neighbor_index.interners()[1].uris()
+    translation = candidate_index.translation(1)
     arena = getattr(engine, "shared_arena", None)
 
     # Candidate lists are a pure function of the uri, so — unlike the

@@ -4,8 +4,10 @@ Two layouts cover every parallel stage:
 
 - **hash partitioning** assigns each item to a shard by a *stable* hash
   of its key (CRC32, never Python's salted ``hash``) — used for entities
-  during blocking (hash-by-entity) and for blocks during similarity
-  aggregation (hash-by-block-key);
+  during blocking (hash-by-entity), for blocks during similarity
+  aggregation (hash-by-block-key) and for value pairs during neighbor
+  propagation (:class:`PackedPairHasher`: the CRC32 of the pair's
+  *string* key, combined from cached per-id CRCs);
 - **even chunking** splits a sequence into contiguous runs, preserving
   order — used for entity scans whose results must be consumed in the
   original iteration order (H2/H3).
@@ -90,7 +92,11 @@ class PackedPairHasher:
     CRC32 streams: ``crc32(a + b) == crc32(b, crc32(a))``.  The hasher
     precomputes, per side-1 id, the CRC of ``uri1 + separator`` and, per
     side-2 id, the encoded URI bytes; hashing one pair is then a single
-    C-level ``crc32`` call over cached bytes.
+    C-level ``crc32`` call over cached bytes.  A whole column
+    (:meth:`hash_many`) reads no bytes at all: it *combines* the cached
+    prefix CRC with the suffix's own CRC through the linear map that
+    appending ``len(suffix)`` bytes applies — the same function of the
+    same bytes, so no shard assignment can move.
     """
 
     __slots__ = ("_prefix_crcs", "_suffix_bytes", "_bulk_tables")
@@ -120,27 +126,37 @@ class PackedPairHasher:
         )
 
     def hash_many(self, keys):
-        """Hashes of a NumPy column of packed keys (vectorized CRC32).
+        """Hashes of a NumPy column of packed keys, as ``uint32``.
 
-        Bit-identical to calling the hasher per key — the vectorized
-        CRC (:func:`~repro.ids.arrays.crc32_rows`) is zlib-compatible.
-        Caller must hold the NumPy gate
+        Equal to calling the hasher per key
+        (:func:`~repro.ids.arrays.crc32_combined` is ``zlib.crc32`` of
+        the concatenated bytes).  Caller must hold the NumPy gate
         (:func:`~repro.ids.arrays.numpy_enabled`).
         """
-        from ..ids.arrays import byte_table, crc32_rows, numpy_module
+        from ..ids.arrays import (
+            crc32_combined,
+            crc32_shift_tables,
+            numpy_module,
+        )
 
         numpy = numpy_module()
         if self._bulk_tables is None:
-            matrix, lengths = byte_table(self._suffix_bytes)
+            suffixes = self._suffix_bytes
+            tables, rows = crc32_shift_tables(list(map(len, suffixes)))
             self._bulk_tables = (
-                numpy.frombuffer(self._prefix_crcs, dtype=numpy.uint64),
-                matrix,
-                lengths,
+                numpy.array(self._prefix_crcs, dtype=numpy.uint32),
+                numpy.fromiter(
+                    map(zlib.crc32, suffixes), numpy.uint32, len(suffixes)
+                ),
+                rows,
+                tables,
             )
-        prefixes, matrix, lengths = self._bulk_tables
+        prefix_crcs, suffix_crcs, rows, tables = self._bulk_tables
         id1 = keys >> PAIR_ID_BITS
         id2 = keys & PAIR_ID_MASK
-        return crc32_rows(prefixes[id1], matrix[id2], lengths[id2])
+        return crc32_combined(
+            prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables
+        )
 
 
 def hash_partitions_packed(

@@ -19,9 +19,12 @@ accumulate under packed ``int64`` pair keys and return flat key/sum
 columns (raw buffers across process boundaries), and value pairs are
 sharded by :class:`~repro.engine.partitioner.PackedPairHasher` — which
 reproduces the string-stable :func:`value_pair_key` shard assignment
-bit-for-bit.  On NumPy the merged ``(keys ascending, totals)`` columns
-*are* the finished index (``from_packed_columns`` adopts them,
-``build_neighbor_index`` reads them back through ``packed_columns()``);
+bit-for-bit.  On NumPy the shard partials merge through
+:func:`~repro.ids.arrays.merged_run_sums` (one value sort of the key
+columns, then one scatter-add per shard, in shard order) and the merged
+``(keys ascending, totals)`` columns *are* the finished index
+(``from_packed_columns`` adopts them, ``build_neighbor_index`` reads
+them back through ``packed_columns()``);
 the stdlib arms fold into a dict that ``from_packed_sums`` sorts once
 into the same columns.  The string-keyed forms (:func:`_value_partial`,
 :func:`merge_pair_sums`) remain as the executable specification the
@@ -39,6 +42,7 @@ from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import Pair, ValueSimilarityIndex, block_token_weight
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import (
+    merged_run_sums,
     numpy_enabled,
     numpy_module,
     ragged_cross_products,
@@ -318,22 +322,6 @@ def _value_partial_vectorized_shm(shard) -> tuple:
     return result
 
 
-def _merge_partial_columns(partials) -> tuple:
-    """Merge per-shard ``(keys, subtotals)`` NumPy columns, in shard order.
-
-    Concatenating the shard columns in shard order and summing
-    duplicates in element order adds each pair's subtotals
-    left-to-right in shard order — the identical float fold
-    :func:`merge_packed_columns` computes.  Returns the finished
-    ``(keys ascending, totals)`` columns: the index's own state.
-    """
-    numpy = numpy_module()
-    return sequential_unique_sums(
-        numpy.concatenate([partial[0] for partial in partials]),
-        numpy.concatenate([partial[1] for partial in partials]),
-    )
-
-
 def build_value_index(
     token_blocks: BlockCollection, engine: Executor | None = None
 ) -> ValueSimilarityIndex:
@@ -394,8 +382,10 @@ def build_value_index(
     else:
         partials = engine.map_partitions(worker, shards)
     if vectorized:
+        columns = merged_run_sums(partials)
+        del partials  # see build_neighbor_index
         index = ValueSimilarityIndex.from_packed_columns(
-            *_merge_partial_columns(partials), interner1, interner2
+            *columns, interner1, interner2
         )
     else:
         index = ValueSimilarityIndex.from_packed_sums(
@@ -553,7 +543,9 @@ def _vectorized_value_shards(
     :func:`hash_partitions_packed` over the sorted sequence would.
     """
     numpy = numpy_module()
-    shard_ids = hasher.hash_many(keys).astype(numpy.int64) % n_partitions
+    # int16 shard ids: NumPy's stable sort is a radix sort at that width
+    # (same permutation, a tenth of the time of the int64 merge sort).
+    shard_ids = (hasher.hash_many(keys) % n_partitions).astype(numpy.int16)
     grouping = numpy.argsort(shard_ids, kind="stable")
     keys = keys[grouping]
     sims = sims[grouping]
@@ -647,8 +639,14 @@ def build_neighbor_index(
     else:
         partials = engine.map_partitions(partial(worker, **reverse), shards)
     if vectorized:
+        columns = merged_run_sums(partials)
+        # Bytes are seconds (docs/PERFORMANCE.md): the partials and the
+        # value shards are ~20 B per pair of pages already touched;
+        # released here, the ranked-row build reuses them instead of
+        # faulting in fresh ones.
+        del partials, shards
         index = NeighborSimilarityIndex.from_packed_columns(
-            *_merge_partial_columns(partials), parents1, parents2
+            *columns, parents1, parents2
         )
     else:
         index = NeighborSimilarityIndex.from_packed_sums(

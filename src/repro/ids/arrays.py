@@ -2,8 +2,9 @@
 
 The packed similarity core is pure stdlib; when NumPy is importable the
 hot bulk operations — ragged cross-product expansion, order-preserving
-duplicate-key summation, and the CSR ranked-row argsort — run
-vectorized instead.  **Both paths are bit-identical**: every kernel
+duplicate-key summation, the sort-once merge of per-shard partials, the
+CSR ranked-row argsort and CRC32 by combination — run vectorized
+instead.  **Both paths are bit-identical**: every kernel
 here reproduces the exact floating-point accumulation order of its
 pure-Python counterpart (`np.bincount` adds weights one element at a
 time, front to back, which *is* the scan order),
@@ -16,6 +17,7 @@ tests run both paths and assert equality).
 from __future__ import annotations
 
 import os
+import zlib
 from array import array
 
 try:  # pragma: no cover - exercised implicitly by every test run
@@ -80,6 +82,33 @@ def sequential_unique_sums(keys, weights):
     sums = _np.bincount(inverse, weights=weights)
     # bincount types the sums of an *empty* column int64
     return unique, sums.astype(_np.float64, copy=False)
+
+
+def merged_run_sums(runs):
+    """Per-key totals over ``(keys, sums)`` runs whose keys are unique
+    *within* each run, folded in run order.
+
+    Returns ``(unique keys ascending, totals)`` — float for float what
+    :func:`sequential_unique_sums` yields over the concatenated runs: a
+    key occurs at most once per run, so adding run after run into its
+    slot is the same left fold from ``0.0`` (``0.0 + x == x``).  With no
+    duplicate to locate *inside* a run, one value sort of the key
+    columns replaces the index sort, the inverse and the concatenated
+    sums.
+    """
+    runs = [
+        (_np.asarray(keys, _np.int64), _np.asarray(sums, _np.float64))
+        for keys, sums in runs
+    ]
+    merged = _np.concatenate([keys for keys, _ in runs])
+    merged.sort()
+    first = _np.ones(len(merged), dtype=bool)
+    _np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    unique = merged[first]
+    totals = _np.zeros(len(unique), dtype=_np.float64)
+    for keys, sums in runs:
+        totals[_np.searchsorted(unique, keys)] += sums
+    return unique, totals
 
 
 def ragged_cross_products(
@@ -190,57 +219,46 @@ def gathered_candidate_sums(
 
 
 # ----------------------------------------------------------------------
-# Vectorized CRC32 (zlib-compatible) over per-row byte strings
+# Vectorized CRC32 (zlib-compatible) by combination of cached CRCs
 # ----------------------------------------------------------------------
-_CRC_TABLE = None
+def crc32_shift_tables(lengths):
+    """Per distinct byte length ``L``, the lookup table of ``Z_L``.
 
-
-def _crc_table():
-    global _CRC_TABLE
-    if _CRC_TABLE is None:
-        table = _np.empty(256, dtype=_np.uint32)
-        for index in range(256):
-            crc = _np.uint32(index)
-            for _ in range(8):
-                crc = (crc >> _np.uint32(1)) ^ (
-                    _np.uint32(0xEDB88320) if crc & _np.uint32(1) else _np.uint32(0)
-                )
-            table[index] = crc
-        _CRC_TABLE = table
-    return _CRC_TABLE
-
-
-def byte_table(encoded: list[bytes]):
-    """A zero-padded ``(n, maxlen) uint8`` matrix plus row lengths.
-
-    The bulk-gatherable form of a list of byte strings, for
-    :func:`crc32_rows`.
+    ``zlib.crc32(a + b) == Z_L(zlib.crc32(a)) ^ zlib.crc32(b)`` with
+    ``L = len(b)``: running a CRC over ``L`` more bytes is affine in its
+    start value and ``Z_L`` is the linear part — what ``L`` zero bytes
+    do to each start bit, so 32 ``zlib.crc32`` calls per length span it.
+    Returns a flat ``uint32`` column of ``(4, 256)`` blocks (``Z_L`` of
+    every value of each start byte) and, per input length, the offset
+    of its block.
     """
-    lengths = _np.fromiter(
-        (len(row) for row in encoded), dtype=_np.int64, count=len(encoded)
+    distinct, rows = _np.unique(
+        _np.asarray(lengths, dtype=_np.int64), return_inverse=True
     )
-    width = max(1, int(lengths.max()) if len(encoded) else 1)
-    matrix = _np.frombuffer(
-        _np.array(encoded, dtype=f"S{width}").tobytes(), dtype=_np.uint8
-    ).reshape(len(encoded), width)
-    return matrix, lengths
+    byte_values = _np.arange(256, dtype=_np.uint32)
+    tables = _np.zeros((len(distinct), 4, 256), dtype=_np.uint32)
+    for table, length in zip(tables, distinct.tolist()):
+        zeros = bytes(length)
+        origin = zlib.crc32(zeros, 0)
+        for bit in range(32):
+            image = _np.uint32(zlib.crc32(zeros, 1 << bit) ^ origin)
+            table[bit >> 3] ^= ((byte_values >> (bit & 7)) & 1) * image
+    return tables.reshape(-1), rows.astype(_np.int64) * 1024
 
 
-def crc32_rows(prefix_crcs, suffix_bytes, suffix_lengths):
-    """``zlib.crc32(suffix, prefix)`` for every row, vectorized.
+def crc32_combined(prefix_crcs, suffix_crcs, suffix_rows, tables):
+    """``zlib.crc32(prefix + suffix)`` per row from the parts' own CRCs.
 
-    ``prefix_crcs`` are zlib-style running CRCs (already final-XORed,
-    as :func:`zlib.crc32` returns them); ``suffix_bytes`` is a
-    zero-padded byte matrix with true row lengths in
-    ``suffix_lengths``.  Matches :func:`zlib.crc32` bit-for-bit (the
-    test suite asserts so exhaustively on random strings).
+    ``prefix_crcs`` / ``suffix_crcs`` are ``uint32`` columns of
+    ``zlib.crc32(prefix)`` / ``zlib.crc32(suffix)``; ``tables`` and
+    ``suffix_rows`` come from :func:`crc32_shift_tables` over the suffix
+    lengths.  Four gathers and four XORs per row, no byte is read — and
+    the result *is* the zlib CRC of the concatenation, by identity.
     """
-    table = _crc_table()
-    state = prefix_crcs.astype(_np.uint32) ^ _np.uint32(0xFFFFFFFF)
-    for position in range(suffix_bytes.shape[1]):
-        active = position < suffix_lengths
-        advanced = table[
-            (state ^ suffix_bytes[:, position]) & _np.uint32(0xFF)
-        ] ^ (state >> _np.uint32(8))
-        state = _np.where(active, advanced, state)
-    return state ^ _np.uint32(0xFFFFFFFF)
+    return (
+        tables[suffix_rows + (prefix_crcs & 0xFF)]
+        ^ tables[suffix_rows + 256 + ((prefix_crcs >> 8) & 0xFF)]
+        ^ tables[suffix_rows + 512 + ((prefix_crcs >> 16) & 0xFF)]
+        ^ tables[suffix_rows + 768 + (prefix_crcs >> 24)]
+        ^ suffix_crcs
+    )

@@ -7,6 +7,7 @@ can state *what* float a kernel must produce without calling the kernel.
 
 from typing import Iterable
 
+from repro.core.candidates import CandidateLists
 from repro.engine.partitioner import stable_hash
 
 
@@ -32,3 +33,59 @@ def shard_merged_sum(
     for shard in sorted(subtotals):
         total += subtotals[shard]
     return total
+
+
+def candidate_lists_by_uri(
+    value_index, neighbor_index, uri: str, side: int, k: int, restrict: bool
+) -> CandidateLists:
+    """One entity's top-``k`` candidate lists, decided on decoded URIs.
+
+    ``CandidateIndex._build`` as it stood before the id-level trim: the
+    whole ranked neighbor row and the whole value partner set are
+    decoded, filtered by URI membership, then cut to ``k``.
+    """
+    if side == 1:
+        value_ranked = value_index.candidates_of_entity1(uri, k)
+        neighbor_ranked = neighbor_index.candidates_of_entity1(uri)
+    else:
+        value_ranked = value_index.candidates_of_entity2(uri, k)
+        neighbor_ranked = neighbor_index.candidates_of_entity2(uri)
+
+    if restrict:
+        cooccurring = (
+            value_index.partners_of_entity1(uri)
+            if side == 1
+            else value_index.partners_of_entity2(uri)
+        )
+        neighbor_ranked = [
+            (candidate, sim)
+            for candidate, sim in neighbor_ranked
+            if candidate in cooccurring
+        ]
+    neighbor_ranked = neighbor_ranked[:k]
+
+    return CandidateLists(
+        value=tuple(candidate for candidate, _ in value_ranked),
+        neighbor=tuple(candidate for candidate, _ in neighbor_ranked),
+    )
+
+
+def h4_bars_by_uri(
+    value_index, neighbor_index, uri2: str, k: int, restrict: bool
+) -> tuple[float | None, float | None]:
+    """A KB2 entity's online-H4 entry bars, decided on decoded rows.
+
+    ``OnlineResolver._h4_bars`` as it stood before it read the CSR
+    ``sims`` column at the positions the id-level trim keeps: the k-th
+    value score and the k-th (co-occurrence-restricted) neighbor score,
+    ``None`` where the list is shorter than ``k``.
+    """
+    row = value_index.candidates_of_entity2(uri2, k)
+    value_bar = row[-1][1] if len(row) >= k else None
+    nbr_row = neighbor_index.candidates_of_entity2(uri2)
+    if restrict:
+        partners = value_index.partners_of_entity2(uri2)
+        nbr_row = [(uri1, sim) for uri1, sim in nbr_row if uri1 in partners]
+    nbr_row = nbr_row[:k]
+    neighbor_bar = nbr_row[-1][1] if len(nbr_row) >= k else None
+    return value_bar, neighbor_bar

@@ -1,7 +1,12 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import candidate_lists_by_uri, h4_bars_by_uri
 from repro.blocking import token_blocking
 from repro.core import (
     CandidateIndex,
@@ -9,7 +14,14 @@ from repro.core import (
     NeighborSimilarityIndex,
     ValueSimilarityIndex,
 )
+from repro.core import MinoanERConfig
+from repro.core.candidates import counterpart_translation, kept_neighbor_offsets
+from repro.datasets import generate_benchmark
+from repro.engine.matching import _candidate_id_rows
+from repro.ids import EntityInterner, PAIR_ID_BITS
+from repro.ids.arrays import numpy_enabled
 from repro.kb import KnowledgeBase
+from repro.pipeline import MatchSession
 
 
 def kb_from_texts(name, texts, prefix):
@@ -89,3 +101,167 @@ class TestCandidateIndex:
     def test_caching_returns_same_object(self):
         index = build(["red"], ["red"])
         assert index.of_entity1("a0") is index.of_entity1("a0")
+
+
+# ----------------------------------------------------------------------
+# The id-level trim against the URI-level implementation it replaced
+# ----------------------------------------------------------------------
+@pytest.fixture(
+    params=[pytest.param(True, id="stdlib")]
+    + ([pytest.param(False, id="numpy")] if numpy_enabled() else [])
+)
+def toggled_numpy(request, monkeypatch):
+    if request.param:
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+    return request.param
+
+
+#: Few distinct scores, so ranked rows are full of ties.
+_sims = st.sampled_from([0.25, 0.5, 0.5000000000000001, 1.0, 2.0])
+#: The value index sees entities 0..5 of each KB, the neighbor index
+#: 2..8: some neighbor candidates translate to no value id (``-1``) and
+#: some entities have a row in one index only.
+_value_pairs = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), _sims, max_size=20
+)
+_neighbor_pairs = st.dictionaries(
+    st.tuples(st.integers(2, 8), st.integers(2, 8)), _sims, max_size=30
+)
+
+
+def _uri(side: int, position: int) -> str:
+    return f"urn:kb{side}:e{position}"
+
+
+def _index_of(cls, id_pairs: dict, shuffle_with=None, mapped: bool = False):
+    """``cls`` over ``id_pairs``; optionally with ids out of URI order
+    (an old post-delta snapshot; ``shuffle_with`` is the hypothesis
+    ``data`` to draw the orders from) and/or as read-only views over
+    foreign bytes (what an mmap load adopts)."""
+    uris1 = sorted({_uri(1, id1) for id1, _ in id_pairs})
+    uris2 = sorted({_uri(2, id2) for _, id2 in id_pairs})
+    if shuffle_with is not None:
+        uris1 = shuffle_with.draw(st.permutations(uris1))
+        uris2 = shuffle_with.draw(st.permutations(uris2))
+    interner1 = EntityInterner.from_uri_list(uris1)
+    interner2 = EntityInterner.from_uri_list(uris2)
+    packed = {
+        (interner1.id_of(_uri(1, id1)) << PAIR_ID_BITS)
+        | interner2.id_of(_uri(2, id2)): sim
+        for (id1, id2), sim in id_pairs.items()
+    }
+    keys = array("q", sorted(packed))
+    sims = array("d", (packed[key] for key in keys))
+    if mapped:
+        keys = memoryview(keys.tobytes()).cast("q")
+        sims = memoryview(sims.tobytes()).cast("d")
+    return cls.from_packed_columns(keys, sims, interner1, interner2)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    value_pairs=_value_pairs,
+    neighbor_pairs=_neighbor_pairs,
+    shuffle=st.booleans(),
+    mapped=st.booleans(),
+    data=st.data(),
+)
+def test_id_level_lists_equal_uri_level_lists(
+    toggled_numpy, value_pairs, neighbor_pairs, shuffle, mapped, data
+):
+    shuffle_with = data if shuffle else None
+    value_index = _index_of(
+        ValueSimilarityIndex, value_pairs, shuffle_with, mapped
+    )
+    neighbor_index = _index_of(
+        NeighborSimilarityIndex, neighbor_pairs, shuffle_with, mapped
+    )
+    for restrict in (True, False):
+        for k in (1, 2, 15):
+            index = CandidateIndex(
+                value_index,
+                neighbor_index,
+                k=k,
+                restrict_neighbors_to_cooccurring=restrict,
+            )
+            for side, of_entity in ((1, index.of_entity1), (2, index.of_entity2)):
+                for position in range(10):  # 9 is in neither index
+                    uri = _uri(side, position)
+                    assert of_entity(uri) == candidate_lists_by_uri(
+                        value_index, neighbor_index, uri, side, k, restrict
+                    )
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    value_pairs=_value_pairs,
+    neighbor_pairs=_neighbor_pairs,
+    k=st.sampled_from([1, 2, 15]),
+    restrict=st.booleans(),
+)
+def test_trim_reads_any_integer_column(
+    toggled_numpy, value_pairs, neighbor_pairs, k, restrict
+):
+    """The H3 worker's rows arrive as ``array`` copies, shared-memory
+    ``memoryview`` s or NumPy slices; every form keeps the same ids."""
+    value_index = _index_of(ValueSimilarityIndex, value_pairs)
+    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs)
+    translation = counterpart_translation(value_index, neighbor_index, 1)
+    forms = [lambda column: column, lambda column: memoryview(column)]
+    if numpy_enabled():
+        import numpy
+
+        forms.append(lambda column: numpy.frombuffer(column, dtype=numpy.int32))
+    for position in range(10):
+        uri = _uri(1, position)
+        value_ids = value_index.csr_row_ids(1, uri)
+        neighbor_ids = neighbor_index.csr_row_ids(1, uri)
+        expected = candidate_lists_by_uri(
+            value_index, neighbor_index, uri, 1, k, restrict
+        )
+        decode_value = value_index.interners()[1].uris()
+        decode_neighbor = neighbor_index.interners()[1].uris()
+        for form in forms:
+            kept = kept_neighbor_offsets(
+                form(value_ids), form(neighbor_ids), form(translation), k, restrict
+            )
+            assert (
+                tuple(decode_neighbor[neighbor_ids[j]] for j in kept)
+                == expected.neighbor
+            )
+            [(_, value_kept, neighbor_kept)] = _candidate_id_rows(
+                [(0, form(value_ids), form(neighbor_ids))],
+                form(translation),
+                k,
+                restrict,
+            )
+            assert tuple(decode_value[i] for i in value_kept) == expected.value
+            assert (
+                tuple(decode_neighbor[i] for i in neighbor_kept)
+                == expected.neighbor
+            )
+
+
+@pytest.mark.parametrize("restrict", [True, False])
+def test_online_h4_bars_equal_decoded_rows(toggled_numpy, restrict):
+    """``OnlineResolver._h4_bars`` reads the k-th similarities at the
+    positions the trim keeps; float ``==`` to cutting decoded rows."""
+    data = generate_benchmark("restaurant", 1.0, 5)
+    session = MatchSession(
+        data.kb1,
+        data.kb2,
+        MinoanERConfig(restrict_h3_to_cooccurring=restrict),
+    )
+    session.match()
+    resolver = session._ensure_resolver()
+    value_index = session.run_context().get("value_index")
+    neighbor_index = session.run_context().get("neighbor_index")
+    bars = 0
+    for uri2 in sorted(data.kb2.uris()) + ["urn:absent"]:
+        for k in (1, 2, 15):
+            expected = h4_bars_by_uri(
+                value_index, neighbor_index, uri2, k, restrict
+            )
+            assert resolver._h4_bars(uri2, k) == expected
+            bars += sum(bar is not None for bar in expected)
+    assert bars  # the dataset does fill some lists to k

@@ -8,7 +8,7 @@ kernels' contracts (zlib-compatible CRC, order-preserving summation).
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.ids import (
@@ -112,19 +112,78 @@ class TestVectorizedKernels:
             max_size=30,
         )
     )
+    @example([(b"", 0), (b"", 0xFFFFFFFF), (b"\x00", 1), (b"a\x00b\x00\x00", 7)])
+    @example([(bytes(length), 0xDEADBEEF) for length in range(48)])
     def test_crc32_rows_matches_zlib(self, rows):
+        """The combination kernel continues any running CRC over any
+        suffix exactly as zlib does — empty suffixes, embedded and
+        trailing NULs, 48 distinct lengths in one call."""
         import numpy
 
-        from repro.ids.arrays import byte_table, crc32_rows
+        from repro.ids.arrays import crc32_combined, crc32_shift_tables
 
         suffixes = [suffix for suffix, _ in rows]
-        prefixes = numpy.array(
-            [prefix for _, prefix in rows], dtype=numpy.uint32
+        tables, table_rows = crc32_shift_tables([len(s) for s in suffixes])
+        hashes = crc32_combined(
+            numpy.array([prefix for _, prefix in rows], dtype=numpy.uint32),
+            numpy.array([zlib.crc32(s) for s in suffixes], dtype=numpy.uint32),
+            table_rows,
+            tables,
         )
-        matrix, lengths = byte_table(suffixes)
-        hashes = crc32_rows(prefixes, matrix, lengths)
+        assert hashes.dtype == numpy.uint32
         for position, (suffix, prefix) in enumerate(rows):
             assert int(hashes[position]) == zlib.crc32(suffix, prefix)
+
+    @given(
+        st.lists(st.text(max_size=12), min_size=1, max_size=12, unique=True),
+        st.lists(st.text(max_size=12), min_size=1, max_size=12, unique=True),
+        st.data(),
+    )
+    def test_hash_many_equals_the_scalar_hasher(self, uris1, uris2, data):
+        self.assert_hashes_agree(
+            uris1,
+            uris2,
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(uris1) - 1),
+                        st.integers(0, len(uris2) - 1),
+                    ),
+                    max_size=40,
+                )
+            ),
+        )
+
+    def test_hash_many_over_many_lengths_and_encodings(self):
+        """≥ 40 distinct suffix byte lengths in one column, the empty
+        URI, embedded / trailing NULs and 2–4-byte UTF-8 sequences."""
+        uris2 = ["", "\x00", "a\x00b", "tail\x00\x00", "é", "日本語", "🙂x"]
+        uris2 += ["http://kb2/é" + "x" * n for n in range(45)]
+        uris1 = ["", "urn:\x00:1", "ü" * 9] + [f"http://kb1/e{n}" for n in range(5)]
+        assert len({len(uri.encode()) for uri in uris2}) >= 40
+        self.assert_hashes_agree(
+            uris1,
+            uris2,
+            [(i, j) for i in range(len(uris1)) for j in range(len(uris2))],
+        )
+
+    @staticmethod
+    def assert_hashes_agree(uris1, uris2, id_pairs):
+        import numpy
+
+        from repro.engine.partitioner import PackedPairHasher
+
+        separator = "\x1f"
+        interner1 = EntityInterner.from_uri_list(uris1)
+        interner2 = EntityInterner.from_uri_list(uris2)
+        hasher = PackedPairHasher(interner1, interner2, separator)
+        keys = [pack_pair(id1, id2) for id1, id2 in id_pairs]
+        hashes = hasher.hash_many(numpy.array(keys, dtype=numpy.int64))
+        assert hashes.tolist() == [hasher(key) for key in keys]
+        assert hashes.tolist() == [
+            zlib.crc32((uris1[id1] + separator + uris2[id2]).encode())
+            for id1, id2 in id_pairs
+        ]
 
     @given(
         st.lists(
@@ -151,3 +210,57 @@ class TestVectorizedKernels:
         )
         unique, sums = sequential_unique_sums(keys, weights)
         assert {int(k): float(v) for k, v in zip(unique, sums)} == reference
+
+    #: One shard's partial: keys unique within it, sums from subnormal
+    #: to 1e300 (so an addition order that differed would show).
+    _run = st.dictionaries(
+        st.integers(0, 12),
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e300]),
+            st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+        ),
+        max_size=10,
+    )
+
+    @given(st.lists(_run, min_size=1, max_size=16), st.booleans())
+    @example([{}], False)
+    @example([{}, {}, {}], True)
+    @example([{7: 0.1 * (shard + 1)} for shard in range(16)], False)
+    @example([{shard: 1e300} for shard in range(12)], True)
+    @example([{1: 1e300, 2: 5e-324}, {}, {2: 5e-324, 1: 0.1}, {1: 1e300}], True)
+    def test_merged_run_sums_equals_the_concatenated_fold(self, runs, as_arrays):
+        """The sort-once merge vs the index-sort fold it replaces, float
+        ``==``: empty shards, all-empty input (dtypes kept), a key in
+        every shard, keys in exactly one shard, and partials handed over
+        as ``array`` columns (what the process engine returns)."""
+        from array import array
+
+        import numpy
+
+        from repro.ids.arrays import merged_run_sums, sequential_unique_sums
+
+        columns = [
+            (
+                numpy.array(list(run), dtype=numpy.int64),
+                numpy.array(list(run.values()), dtype=numpy.float64),
+            )
+            for run in runs
+        ]
+        expected_keys, expected_sums = sequential_unique_sums(
+            numpy.concatenate([keys for keys, _ in columns]),
+            numpy.concatenate([sums for _, sums in columns]),
+        )
+        if as_arrays:
+            columns = [
+                (array("q", keys.tolist()), array("d", sums.tolist()))
+                for keys, sums in columns
+            ]
+        keys, sums = merged_run_sums(columns)
+        assert keys.dtype == numpy.int64 and sums.dtype == numpy.float64
+        assert keys.tolist() == expected_keys.tolist()
+        assert sums.tolist() == expected_sums.tolist()  # float ==
+        folded: dict[int, float] = {}
+        for run in runs:
+            for key, value in run.items():
+                folded[key] = folded.get(key, 0.0) + value
+        assert dict(zip(keys.tolist(), sums.tolist())) == folded
