@@ -54,7 +54,7 @@ class NeighborSimilarityIndex(PackedSimilarityIndex):
         top_neighbors1: dict[str, set[str]],
         top_neighbors2: dict[str, set[str]],
     ) -> None:
-        # Mirrored by repro.engine.similarity._neighbor_partial_packed
+        # Mirrored by repro.engine.similarity._neighbor_shard_sums
         # (per-chunk propagation); change the placement rule in both.
         # Reverse indices: value-pair neighbor id -> parent entity ids.
         interner1 = EntityInterner(top_neighbors1)

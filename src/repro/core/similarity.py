@@ -401,7 +401,7 @@ class ValueSimilarityIndex(PackedSimilarityIndex):
     """Sparse valueSim over all pairs co-occurring in the token blocks."""
 
     def __init__(self, token_blocks: BlockCollection) -> None:
-        # Mirrored by repro.engine.similarity._value_partial_packed
+        # Mirrored by repro.engine.similarity._value_shard_sums
         # (per-shard accumulation); change the weighting or pair
         # placement in both.
         interner1 = EntityInterner(

@@ -32,6 +32,10 @@ partition order and re-parents the worker spans under the dispatch span,
 so the merged telemetry of a run is exact and executor-independent.
 Subclasses implement :meth:`_map`; the base class owns the
 instrumentation, and disabled mode short-circuits straight to ``_map``.
+
+Transport: stages whose partitions are flat columns dispatch through
+:meth:`Executor.map_columns`, the one place that decides whether columns
+reach a kernel as they are or through :mod:`repro.engine.shm`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from ..obs.runtime import Telemetry, current, run_traced_partition
 from ..testing.failpoints import failpoint
+from .shm import SharedArena, ensure_resource_tracker, opened, shm_available
 
 P = TypeVar("P")
 R = TypeVar("R")
@@ -99,10 +104,29 @@ def _fn_label(fn: Callable) -> str:
     return getattr(target, "__name__", type(target).__name__)
 
 
+def _on_columns(shard: tuple, fn: Callable[..., R], shared: tuple) -> R:
+    """One ``map_columns`` task over the buffers themselves."""
+    return fn(*shard, *shared)
+
+
+def _on_handles(shard: tuple, fn: Callable[..., R], shared: tuple) -> R:
+    """One ``map_columns`` task over shared-memory handles.
+
+    ``fn`` runs as a callee so that every view it derives from the
+    columns is dead when the attachment closes.
+    """
+    with opened(shard + shared) as columns:
+        return fn(*columns)
+
+
 class Executor(ABC):
     """Runs a function over partitions and merges the results in order."""
 
     name: str = "abstract"
+
+    #: The shared-memory arena ``map_columns`` publishes into (``None``:
+    #: columns travel as buffers).  Only the process executor has one.
+    shared_arena: SharedArena | None = None
 
     def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
@@ -122,18 +146,68 @@ class Executor(ABC):
         partition's worker-local telemetry is merged back exactly (see
         the module docstring); otherwise this is ``_map`` directly.
         """
+        return self._dispatch(fn, partitions, _fn_label(fn))
+
+    def map_columns(
+        self,
+        fn: Callable[..., R],
+        shards: Sequence[Sequence[Any]],
+        typecodes: str,
+        shared: Sequence[Any] = (),
+        shared_typecodes: str = "",
+    ) -> list[R]:
+        """``fn(*shard columns, *shared columns)`` per shard, in order.
+
+        Every shard is a tuple of flat columns (any buffer: ``array``,
+        NumPy array, ``memoryview``) with the element ``typecodes``
+        given; ``shared`` columns are read by every task.  With a
+        :attr:`shared_arena` all of them are published into one segment
+        for the length of the dispatch and tasks receive handles, which
+        the task wrapper reopens as typed ``memoryview`` s; without one
+        the buffers themselves are the task.  ``fn`` cannot tell the
+        difference and must not return (or keep) a view of its inputs.
+        """
+        shared = tuple(shared)
+        label = _fn_label(fn)
+        arena = self.shared_arena
+        if arena is None:
+            task = partial(_on_columns, fn=fn, shared=shared)
+            return self._dispatch(task, shards, label)
+        columns = [
+            (typecode, column)
+            for shard in shards
+            for typecode, column in zip(typecodes, shard)
+        ]
+        columns.extend(zip(shared_typecodes, shared))
+        width = len(typecodes)
+        with arena.publish(columns) as segment:
+            handles = segment.slices
+            split = width * len(shards)
+            task = partial(_on_handles, fn=fn, shared=tuple(handles[split:]))
+            return self._dispatch(
+                task,
+                [
+                    tuple(handles[at : at + width])
+                    for at in range(0, split, width)
+                ],
+                label,
+            )
+
+    def _dispatch(
+        self, fn: Callable[[P], R], partitions: Sequence[P], label: str
+    ) -> list[R]:
         telemetry = current()
         if not telemetry.enabled:
             return self._map(fn, partitions)
-        return self._map_instrumented(fn, partitions, telemetry)
+        return self._map_instrumented(fn, partitions, telemetry, label)
 
     def _map_instrumented(
         self,
         fn: Callable[[P], R],
         partitions: Sequence[P],
         telemetry: Telemetry,
+        label: str,
     ) -> list[R]:
-        label = _fn_label(fn)
         metrics = telemetry.metrics
         tracer = telemetry.tracer
         with tracer.span(
@@ -273,11 +347,12 @@ _BACKOFF_CAP_SECONDS = 1.0
 class ProcessExecutor(_PooledExecutor):
     """A process pool; partition functions and data must be picklable.
 
-    Exposes a lazily created :class:`~repro.engine.shm.SharedArena` so
-    stages can publish a dispatch's columns into shared memory once and
-    ship workers tiny :class:`~repro.engine.shm.SharedSlice` handles
-    instead of pickled data (see :mod:`repro.engine.shm`).  ``close()``
-    unlinks any segment still live.
+    Owns a lazily created :class:`~repro.engine.shm.SharedArena`, so
+    :meth:`map_columns` publishes a dispatch's columns into shared
+    memory once and ships workers tiny
+    :class:`~repro.engine.shm.SharedSlice` handles instead of pickled
+    data (see :mod:`repro.engine.shm`).  ``close()`` unlinks any segment
+    still live.
 
     Dispatches are fault-tolerant.  A crashed worker (``SIGKILL``, OOM
     kill — surfacing as :class:`BrokenProcessPool`) or a dispatch
@@ -291,7 +366,7 @@ class ProcessExecutor(_PooledExecutor):
     and are never retried.  Shared-memory segments published for the
     dispatch stay alive across pool rebuilds — retried and degraded
     partitions re-attach to (or read in-process) the same segment, which
-    the owning stage unlinks when the dispatch ends, success or failure.
+    ``map_columns`` unlinks when the dispatch ends, success or failure.
 
     Knobs (constructor arguments override the environment):
 
@@ -432,22 +507,14 @@ class ProcessExecutor(_PooledExecutor):
         # attach registrations land in the same registry the driver's
         # unlink clears — a per-worker tracker would warn about (and
         # try to re-unlink) segments the driver already removed.
-        from .shm import ensure_resource_tracker
-
         ensure_resource_tracker()
         return ProcessPoolExecutor(max_workers=self.workers)
 
     @property
     def shared_arena(self):
-        """The executor's shared-memory arena (``None`` if unavailable).
-
-        Stages check ``getattr(engine, "shared_arena", None)`` — serial
-        and thread executors have no such attribute, and this returns
-        ``None`` when the platform lacks POSIX shared memory or
-        ``REPRO_DISABLE_SHM=1`` disables the layer.
-        """
-        from .shm import SharedArena, shm_available
-
+        """The executor's shared-memory arena (``None`` if unavailable:
+        the platform lacks POSIX shared memory, or ``REPRO_DISABLE_SHM=1``
+        disables the layer)."""
         if not shm_available():
             return None
         if self._arena is None:

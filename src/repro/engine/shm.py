@@ -6,8 +6,17 @@ module deletes them.  The driver packs a dispatch's columns into **one**
 :mod:`multiprocessing.shared_memory` segment (one copy, 8-byte aligned)
 and ships each worker only :class:`SharedSlice` handles — a segment
 name plus byte ranges.  Workers attach by name and read the columns in
-place as typed :class:`memoryview`/NumPy views; nothing but the handles
-and the results crosses the pickle boundary.
+place as typed :class:`memoryview` s; nothing but the handles and the
+results crosses the pickle boundary.
+
+Who does what: :meth:`Executor.map_columns
+<repro.engine.executor.Executor.map_columns>` is the only publisher and
+its task wrapper the only caller of :func:`opened`; kernels receive the
+views as ordinary buffer arguments and never see a handle.  A view (or a
+NumPy array wrapped around one) pins the mapping, so every one must be
+dead before the segment closes — which is why the kernel runs as a
+*callee* of the frame that holds the attachment: its locals die when it
+returns, and the frames of a kernel that raised are cleared first.
 
 Lifetime rules (the no-leak contract):
 
@@ -24,17 +33,19 @@ Lifetime rules (the no-leak contract):
   or SIGKILL of the whole tree, so ``/dev/shm`` cannot accumulate
   segments even when no cleanup code ran.
 
-``REPRO_DISABLE_SHM=1`` disables the layer (stages fall back to pickled
-partitions); platforms without POSIX shared memory disable it
-automatically.
+``REPRO_DISABLE_SHM=1`` disables the layer (the executor passes the
+buffers themselves, pickled by a process pool); platforms without POSIX
+shared memory disable it automatically.
 """
 
 from __future__ import annotations
 
 import os
+import traceback
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import shared_memory as _shared_memory
@@ -43,9 +54,6 @@ except ImportError:  # pragma: no cover - exotic builds
 
 #: Supported column typecodes and their element sizes.
 ITEM_SIZES = {"i": 4, "q": 8, "d": 8}
-
-#: NumPy dtype names per typecode (resolved lazily by workers).
-_DTYPE_NAMES = {"i": "int32", "q": "int64", "d": "float64"}
 
 _ALIGNMENT = 8
 
@@ -116,20 +124,6 @@ class SegmentReader:
         self._views.append(view)
         return view
 
-    def numpy(self, sl: SharedSlice):
-        """The slice as a read-only NumPy array over the shared buffer."""
-        from ..ids.arrays import numpy_module
-
-        numpy = numpy_module()
-        dtype = numpy.dtype(_DTYPE_NAMES[sl.typecode])
-        if sl.nbytes == 0:
-            return numpy.empty(0, dtype=dtype)
-        out = numpy.frombuffer(
-            self._shm.buf, dtype=dtype, count=sl.count, offset=sl.start
-        )
-        out.flags.writeable = False
-        return out
-
     def release(self) -> None:
         views, self._views = self._views, []
         for view in views:
@@ -148,11 +142,16 @@ class _Attachment:
         self._reader = SegmentReader(self._shm)
         return self._reader
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if tb is not None:
+            # The frames of whatever raised inside the block still hold
+            # their views (and arrays over them); drop those locals, or
+            # the mapping could not close while the exception travels.
+            traceback.clear_frames(tb)
         self._reader.release()
         try:
             self._shm.close()
-        except BufferError:  # pragma: no cover - an escaped NumPy view
+        except BufferError:  # pragma: no cover - an escaped view
             # keeps the map alive until collected; the name is still
             # unlinked by the driver, so nothing leaks past the worker.
             pass
@@ -165,6 +164,18 @@ def attach(name: str) -> _Attachment:
     the fork-shared resource tracker deduplicates the registrations.
     """
     return _Attachment(name)
+
+
+@contextmanager
+def opened(handles: Sequence[SharedSlice]) -> Iterator[list[memoryview]]:
+    """The columns behind ``handles`` (one segment), as typed views.
+
+    The views are valid inside the block only.  Pass them to a function
+    and let it return — do not keep one, or an array over one, in the
+    calling frame (see the module docstring).
+    """
+    with attach(handles[0].segment) as reader:
+        yield [reader.view(handle) for handle in handles]
 
 
 class PublishedSegment:

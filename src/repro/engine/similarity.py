@@ -13,33 +13,35 @@ worker counts, and a function of the *content* being indexed alone —
 which is what lets the incremental subsystem call these same builders
 on a post-delta state and land on the floats of a cold run.
 
-**Packed hot path.**  The builders run entirely on interned ids: blocks
-are encoded once into sorted ``array('i')`` id columns, shard partials
-accumulate under packed ``int64`` pair keys and return flat key/sum
-columns (raw buffers across process boundaries), and value pairs are
-sharded by :class:`~repro.engine.partitioner.PackedPairHasher` — which
-reproduces the string-stable :func:`value_pair_key` shard assignment
-bit-for-bit.  On NumPy the shard partials merge through
-:func:`~repro.ids.arrays.merged_run_sums` (one value sort of the key
-columns, then one scatter-add per shard, in shard order) and the merged
-``(keys ascending, totals)`` columns *are* the finished index
-(``from_packed_columns`` adopts them, ``build_neighbor_index`` reads
-them back through ``packed_columns()``);
-the stdlib arms fold into a dict that ``from_packed_sums`` sorts once
-into the same columns.  The string-keyed forms (:func:`_value_partial`,
-:func:`merge_pair_sums`) remain as the executable specification the
-parity tests build on.
+**One worker per index, over plain columns.**  A builder shards *row
+numbers*, not rows: a value shard is ``(token weights, block rows)`` into
+the block collection's own CSR columns, a neighbor shard is a run of the
+value index's ``(packed keys, sims)`` columns, and the CSR columns the
+rows point into — block members, reverse top-neighbor index — travel
+once, as shared columns of
+:meth:`Executor.map_columns <repro.engine.executor.Executor.map_columns>`.
+The worker (:func:`_value_shard_sums`, :func:`_neighbor_shard_sums`)
+receives buffers and nothing else; whether they were pickled, passed by
+reference or mapped from shared memory is the executor's business.
+Inside, the NumPy arm (ragged expansion, then
+:func:`~repro.ids.arrays.sequential_unique_sums`) and the stdlib arm (the
+nested loops it vectorizes) add the same floats in the same order.  The
+partials merge through :func:`~repro.ids.arrays.merged_run_sums`, and
+the merged ``(keys ascending, totals)`` columns *are* the finished index
+(``from_packed_columns`` adopts them).  Value pairs are sharded by
+:class:`~repro.engine.partitioner.PackedPairHasher`, which reproduces
+``stable_hash(uri1 + separator + uri2)`` bit-for-bit; the string-keyed
+scan that defines these orders lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial
 
-from ..blocking.base import Block, BlockCollection
+from ..blocking.base import BlockCollection
 from ..blocking.packed import PackedBlockCollection
 from ..core.neighbors import NeighborSimilarityIndex
-from ..core.similarity import Pair, ValueSimilarityIndex, block_token_weight
+from ..core.similarity import ValueSimilarityIndex, block_token_weight
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import (
     merged_run_sums,
@@ -56,270 +58,67 @@ from .partitioner import (
     partition_count,
     stable_hash,
 )
-from .shm import attach
-
-PairSums = dict[Pair, float]
-
-#: A shard partial / merged total over packed ``int64`` pair keys.
-PackedSums = dict[int, float]
-
-#: Flat per-shard output columns: parallel (packed keys, partial sums).
-PackedColumns = tuple[array, array]
 
 #: Separator of the two URIs inside a value-pair shard key.  Any fixed
 #: byte works: the key only feeds CRC32, never an ordering comparison.
 _PAIR_KEY_SEPARATOR = "\x1f"
 
 
-def value_pair_key(pair: Pair) -> str:
-    """The shard key of one value pair (stable across runs/processes)."""
-    return pair[0] + _PAIR_KEY_SEPARATOR + pair[1]
+def _value_shard_sums(weights, rows, starts1, ids1, starts2, ids2) -> tuple:
+    """valueSim contributions of one shard of block rows (engine worker).
 
-
-def merge_pair_sums(accumulated: PairSums, partial_sums: PairSums) -> PairSums:
-    """Fold one shard's partial sums into the running total (associative)."""
-    for pair, value in partial_sums.items():
-        accumulated[pair] = accumulated.get(pair, 0.0) + value
-    return accumulated
-
-
-def merge_packed_columns(
-    accumulated: PackedSums, columns: PackedColumns
-) -> PackedSums:
-    """Fold one shard's packed partial columns into the running total.
-
-    The packed analogue of :func:`merge_pair_sums`: per pair, each
-    shard's subtotal is added in shard order, so the final float of
-    every pair is the identical left-to-right sum.
+    ``rows`` index the CSR block columns ``(starts, member ids)`` of both
+    sides, ``weights`` are the rows' token weights.  Member ids ascend
+    within a row and id order is URI order, so walking a row's
+    ``ids1 × ids2`` reproduces the sorted-URI scan of the string-keyed
+    specification: same first-seen pair order, same per-pair addition
+    order.  The ragged expansion emits exactly that nested-loop order
+    and the unbuffered per-key summation adds in it, so both arms yield
+    the same subtotals.  Returns parallel ``(packed keys, subtotals)``
+    columns, keys unique.
     """
-    keys, values = columns
-    for key, value in zip(keys, values):
-        accumulated[key] = accumulated.get(key, 0.0) + value
-    return accumulated
-
-
-def _value_partial(blocks: list[Block]) -> PairSums:
-    """valueSim contributions of one block shard (string-keyed reference).
-
-    Entities are scanned in sorted order so the shard's output — dict
-    order included — does not depend on the interpreter's set-hash seed.
-    Kept as the executable specification of the per-shard scan order;
-    the live builder runs :func:`_value_partial_packed`.
-    """
-    sums: PairSums = {}
-    for block in blocks:
-        weight = block_token_weight(len(block.entities1), len(block.entities2))
-        for uri1 in sorted(block.entities1):
-            for uri2 in sorted(block.entities2):
-                pair = (uri1, uri2)
-                sums[pair] = sums.get(pair, 0.0) + weight
-    return sums
-
-
-def _value_partial_packed(
-    blocks: list[tuple[float, array, array]]
-) -> PackedColumns:
-    """valueSim contributions of one encoded block shard.
-
-    Each block arrives as ``(token weight, sorted id1s, sorted id2s)``;
-    because ids are assigned in sorted-URI order, scanning the id
-    columns ascending reproduces :func:`_value_partial`'s sorted-URI
-    scan — same first-seen pair order, same per-pair accumulation order.
-    """
-    sums: PackedSums = {}
-    for weight, ids1, ids2 in blocks:
-        for id1 in ids1:
+    if numpy_enabled():
+        numpy = numpy_module()
+        weights, rows, starts1, ids1, starts2, ids2 = map(
+            numpy.asarray, (weights, rows, starts1, ids1, starts2, ids2)
+        )
+        keys, values = ragged_cross_products(
+            ids1,
+            starts1[rows],
+            starts1[rows + 1] - starts1[rows],
+            ids2,
+            starts2[rows],
+            starts2[rows + 1] - starts2[rows],
+            weights,
+        )
+        return sequential_unique_sums(keys, values)
+    sums: dict[int, float] = {}
+    for weight, row in zip(weights, rows):
+        row_ids2 = ids2[starts2[row] : starts2[row + 1]]
+        for id1 in ids1[starts1[row] : starts1[row + 1]]:
             base = id1 << PAIR_ID_BITS
-            for id2 in ids2:
+            for id2 in row_ids2:
                 key = base | id2
                 sums[key] = sums.get(key, 0.0) + weight
-    return array("q", sums.keys()), array("d", sums.values())
+    return array("q", sums), array("d", sums.values())
 
 
-def _encoded_block_shards(
-    token_blocks: BlockCollection,
-    interner1: EntityInterner,
-    interner2: EntityInterner,
-    n_partitions: int,
-) -> list[list[tuple[float, array, array]]]:
-    """Hash-by-block-key shards of id-encoded blocks.
+def _block_row_shards(
+    blocks: PackedBlockCollection, n_partitions: int
+) -> list[tuple[array, array]]:
+    """Hash-by-block-key shards ``(token weights, block rows)``.
 
-    The same layout as :func:`~repro.engine.partitioner.partition_blocks`
-    — blocks sorted by key, sharded by ``stable_hash(block key)`` — with
-    each block encoded once into its token weight plus two sorted
-    ``array('i')`` id columns, so workers receive compact buffers
-    instead of URI-string sets.
+    The layout of :func:`~repro.engine.partitioner.partition_blocks` —
+    blocks in key order (the collection's row order), sharded by
+    ``stable_hash(block key)`` — naming each block by its row instead of
+    copying its members.
     """
-    ids1 = interner1.ids_by_uri()
-    ids2 = interner2.ids_by_uri()
-    shards: list[list[tuple[float, array, array]]] = [
-        [] for _ in range(n_partitions)
-    ]
-    for block in sorted(token_blocks, key=lambda block: block.key):
-        shards[stable_hash(block.key) % n_partitions].append(
-            (
-                block_token_weight(len(block.entities1), len(block.entities2)),
-                array("i", sorted(ids1[uri] for uri in block.entities1)),
-                array("i", sorted(ids2[uri] for uri in block.entities2)),
-            )
-        )
+    shards = [(array("d"), array("q")) for _ in range(n_partitions)]
+    for row, key in enumerate(blocks.block_keys):
+        weights, rows = shards[stable_hash(key) % n_partitions]
+        weights.append(block_token_weight(*blocks.row_sizes(row)))
+        rows.append(row)
     return shards
-
-
-def _packed_collection_shards(
-    packed_blocks: PackedBlockCollection, n_partitions: int
-) -> list[list[tuple[float, array, array]]]:
-    """:func:`_encoded_block_shards` read straight off the CSR columns.
-
-    A :class:`~repro.blocking.packed.PackedBlockCollection` already
-    holds its keys sorted and each row's member ids sorted ascending in
-    the member-interner space, so the shards come out identical to
-    re-encoding the string view — without touching a URI string.
-    """
-    shards: list[list[tuple[float, array, array]]] = [
-        [] for _ in range(n_partitions)
-    ]
-    for row, key in enumerate(packed_blocks.block_keys):
-        ids1 = packed_blocks.row_ids(row, 1)
-        ids2 = packed_blocks.row_ids(row, 2)
-        shards[stable_hash(key) % n_partitions].append(
-            (block_token_weight(len(ids1), len(ids2)), ids1, ids2)
-        )
-    return shards
-
-
-def _cumulative_starts(counts):
-    """Exclusive prefix sums of a NumPy count column (CSR starts)."""
-    numpy = numpy_module()
-    starts = numpy.zeros(len(counts), dtype=numpy.int64)
-    if len(counts) > 1:
-        numpy.cumsum(counts[:-1], out=starts[1:])
-    return starts
-
-
-def _value_partial_vectorized(shard) -> tuple:
-    """:func:`_value_partial_packed` vectorized over flat id columns.
-
-    ``shard`` is ``(weights, ids1 flat, ids1 counts, ids2 flat, ids2
-    counts)``; the ragged expansion emits pairs in exactly the sorted
-    nested-loop scan order and the unbuffered per-key summation adds
-    them in that order, so the per-shard subtotals are bit-identical.
-    Returns ``(unique packed keys ascending, subtotals)``.
-    """
-    weights, ids1_flat, ids1_counts, ids2_flat, ids2_counts = shard
-    keys, values = ragged_cross_products(
-        ids1_flat,
-        _cumulative_starts(ids1_counts),
-        ids1_counts,
-        ids2_flat,
-        _cumulative_starts(ids2_counts),
-        ids2_counts,
-        weights,
-    )
-    return sequential_unique_sums(keys, values)
-
-
-def _encoded_block_columns(
-    encoded_shards: list[list[tuple[float, array, array]]],
-) -> list[tuple]:
-    """Per-shard flat NumPy columns of the id-encoded blocks.
-
-    A pure layout change over the :func:`_encoded_block_shards` /
-    :func:`_packed_collection_shards` output — the homes of the
-    sort/shard/encode placement rule — flattening each shard into
-    parallel ``(weights, ids1 flat, ids1 counts, ids2 flat, ids2
-    counts)`` columns for the vectorized worker.
-    """
-    numpy = numpy_module()
-
-    def _flat(shard: list[tuple[float, array, array]], side: int):
-        if not shard:
-            return numpy.empty(0, dtype=numpy.int32)
-        return numpy.concatenate(
-            [numpy.frombuffer(block[side], dtype=numpy.int32) for block in shard]
-        )
-
-    return [
-        (
-            numpy.asarray([weight for weight, _, _ in shard], numpy.float64),
-            _flat(shard, 1),
-            numpy.asarray([len(ids1) for _, ids1, _ in shard], numpy.int64),
-            _flat(shard, 2),
-            numpy.asarray([len(ids2) for _, _, ids2 in shard], numpy.int64),
-        )
-        for shard in encoded_shards
-    ]
-
-
-#: Column typecodes of one vectorized encoded-block shard
-#: ``(weights, ids1 flat, ids1 counts, ids2 flat, ids2 counts)``.
-_VALUE_SHARD_TYPECODES = ("d", "i", "q", "i", "q")
-
-#: Column typecodes of one flattened stdlib encoded-block shard
-#: ``(weights, counts1, ids1 flat, counts2, ids2 flat)``.
-_VALUE_SHARD_TYPECODES_PACKED = ("d", "q", "i", "q", "i")
-
-
-def _flattened_block_columns(
-    encoded_shards: list[list[tuple[float, array, array]]],
-) -> list[tuple[array, array, array, array, array]]:
-    """Per-shard flat ``array`` columns of the id-encoded blocks.
-
-    The stdlib analogue of :func:`_encoded_block_columns`, laid out for
-    shared-memory publication: ``(weights, counts1, ids1 flat, counts2,
-    ids2 flat)`` per shard, blocks in shard order — the information of
-    the per-block tuples with no per-block objects to pickle.
-    """
-    out = []
-    for shard in encoded_shards:
-        weights = array("d")
-        counts1 = array("q")
-        ids1 = array("i")
-        counts2 = array("q")
-        ids2 = array("i")
-        for weight, block_ids1, block_ids2 in shard:
-            weights.append(weight)
-            counts1.append(len(block_ids1))
-            ids1.extend(block_ids1)
-            counts2.append(len(block_ids2))
-            ids2.extend(block_ids2)
-        out.append((weights, counts1, ids1, counts2, ids2))
-    return out
-
-
-def _value_partial_packed_shm(shard) -> PackedColumns:
-    """:func:`_value_partial_packed` over shared-memory block columns.
-
-    ``shard`` is five :class:`~repro.engine.shm.SharedSlice` handles in
-    :data:`_VALUE_SHARD_TYPECODES_PACKED` order; the blocks are
-    reassembled as zero-copy views and scanned in the identical
-    block/id order, so the partial columns are bit-identical.
-    """
-    with attach(shard[0].segment) as reader:
-        weights, counts1, ids1, counts2, ids2 = (
-            reader.view(handle) for handle in shard
-        )
-        blocks: list[tuple[float, array, array]] = []
-        at1 = at2 = 0
-        for i in range(len(weights)):
-            n1, n2 = counts1[i], counts2[i]
-            blocks.append(
-                (weights[i], ids1[at1 : at1 + n1], ids2[at2 : at2 + n2])
-            )
-            at1 += n1
-            at2 += n2
-        result = _value_partial_packed(blocks)
-        blocks.clear()
-    return result
-
-
-def _value_partial_vectorized_shm(shard) -> tuple:
-    """:func:`_value_partial_vectorized` over shared-memory columns."""
-    with attach(shard[0].segment) as reader:
-        result = _value_partial_vectorized(
-            tuple(reader.numpy(handle) for handle in shard)
-        )
-    return result
 
 
 def build_value_index(
@@ -327,87 +126,49 @@ def build_value_index(
 ) -> ValueSimilarityIndex:
     """The :class:`ValueSimilarityIndex` of ``token_blocks``, partitioned.
 
-    Interns both sides' URIs, shards the id-encoded blocks by key
-    (hash-by-block-key), accumulates per-shard packed pair columns,
-    merges them in shard order.  Vectorized when NumPy is available;
-    both paths are bit-identical.
+    Shards the block rows by key (hash-by-block-key), accumulates
+    per-shard packed pair columns against the collection's CSR member
+    columns, merges them in shard order.
     """
     engine = engine or SerialExecutor()
+    # Taken from the collection as handed in: the shard count fixes the
+    # float fold, and packing drops one-sided blocks.
     n_partitions = partition_count(len(token_blocks))
-    if isinstance(token_blocks, PackedBlockCollection):
-        # The collection's member interners are exactly the interners
-        # this builder would construct (sorted member URIs per side),
-        # and its CSR rows are already sorted ids — reuse both instead
-        # of re-interning and re-encoding every block.
-        interner1, interner2 = token_blocks.interners()
-        encoded = _packed_collection_shards(token_blocks, n_partitions)
-    else:
-        interner1 = EntityInterner(
-            uri for block in token_blocks for uri in block.entities1
+    if not isinstance(token_blocks, PackedBlockCollection):
+        token_blocks = PackedBlockCollection.from_collection(
+            token_blocks.drop_empty()
         )
-        interner2 = EntityInterner(
-            uri for block in token_blocks for uri in block.entities2
-        )
-        encoded = _encoded_block_shards(
-            token_blocks, interner1, interner2, n_partitions
-        )
-    arena = getattr(engine, "shared_arena", None)
-    vectorized = numpy_enabled()
-    if vectorized:
-        shards = published = _encoded_block_columns(encoded)
-        typecodes = _VALUE_SHARD_TYPECODES
-        worker = _value_partial_vectorized
-        shm_worker = _value_partial_vectorized_shm
-    else:
-        shards = encoded
-        published = [] if arena is None else _flattened_block_columns(encoded)
-        typecodes = _VALUE_SHARD_TYPECODES_PACKED
-        worker = _value_partial_packed
-        shm_worker = _value_partial_packed_shm
-    if arena is not None and published:
-        with arena.publish(
-            [
-                (typecode, column)
-                for shard in published
-                for typecode, column in zip(typecodes, shard)
-            ]
-        ) as segment:
-            partials = engine.map_partitions(
-                shm_worker,
-                [
-                    tuple(segment.slices[5 * i : 5 * i + 5])
-                    for i in range(len(published))
-                ],
-            )
-    else:
-        partials = engine.map_partitions(worker, shards)
-    if vectorized:
-        columns = merged_run_sums(partials)
-        del partials  # see build_neighbor_index
-        index = ValueSimilarityIndex.from_packed_columns(
-            *columns, interner1, interner2
-        )
-    else:
-        index = ValueSimilarityIndex.from_packed_sums(
-            engine.reduce(merge_packed_columns, partials, {}),
-            interner1,
-            interner2,
-        )
+    shards = _block_row_shards(token_blocks, n_partitions)
+    partials = engine.map_columns(
+        _value_shard_sums,
+        shards,
+        "dq",
+        (*token_blocks.csr(1), *token_blocks.csr(2)),
+        "qiqi",
+    )
+    del shards
+    columns = merged_run_sums(partials)
+    del partials  # see build_neighbor_index
+    # The member interners are exactly the sorted member URIs per side.
+    index = ValueSimilarityIndex.from_packed_columns(
+        *columns, *token_blocks.interners()
+    )
     _telemetry_current().metrics.counter(
         "similarity.value_pairs_scored"
     ).inc(len(index))
     return index
 
 
-def _packed_reverse_index(
+def _reverse_csr(
     top_neighbors: dict[str, set[str]],
     parents: EntityInterner,
     value_entities: EntityInterner,
-) -> dict[int, array]:
-    """value-pair neighbor id -> sorted parent ids having it as top neighbor.
+) -> tuple[array, array]:
+    """CSR ``(starts, parent ids)``: per value id, the ascending ids of
+    the entities listing it as a top neighbor.
 
     Neighbors absent from the value index can never receive a value-pair
-    contribution, so they are dropped here — exactly the pairs the
+    contribution, so they are dropped here — exactly the pairs a
     string-keyed reverse index would have missed on lookup.
     """
     ids = parents.ids_by_uri()
@@ -415,122 +176,65 @@ def _packed_reverse_index(
     for uri, neighbor_set in top_neighbors.items():
         parent = ids[uri]
         for neighbor in neighbor_set:
-            neighbor_id = value_entities.get(neighbor)
-            if neighbor_id is not None:
-                reverse.setdefault(neighbor_id, []).append(parent)
-    return {
-        neighbor_id: array("i", sorted(parent_ids))
-        for neighbor_id, parent_ids in reverse.items()
-    }
+            value_id = value_entities.get(neighbor)
+            if value_id is not None:
+                reverse.setdefault(value_id, []).append(parent)
+    starts, flat = array("q", (0,)), array("i")
+    for value_id in range(len(value_entities)):
+        flat.extend(sorted(reverse.get(value_id, ())))
+        starts.append(len(flat))
+    return starts, flat
 
 
-def _neighbor_partial_packed(
-    columns: PackedColumns,
-    reverse1: dict[int, array],
-    reverse2: dict[int, array],
-) -> PackedColumns:
-    """neighborNSim contributions of one shard of packed value pairs.
+def _neighbor_shard_sums(
+    value_keys, value_sims, starts1, parents1, starts2, parents2
+) -> tuple:
+    """neighborNSim contributions of one shard of value pairs (engine
+    worker).
 
-    Parent ids are pre-sorted (and sorted parent-id order is sorted
-    parent-URI order), so per output pair the contribution order equals
-    the string-keyed propagation's.
+    ``value_keys`` / ``value_sims`` are the shard's packed pairs in scan
+    order; the two :func:`_reverse_csr` indices give, per value id, the
+    parents to propagate to.  Parent ids are pre-sorted (and sorted
+    parent-id order is sorted parent-URI order), so per output pair the
+    contribution order equals the string-keyed propagation's, and — as
+    in :func:`_value_shard_sums` — the ragged expansion plus unbuffered
+    summation matches the dict accumulation float for float.  Returns
+    parallel ``(packed keys, subtotals)`` columns, keys unique.
     """
-    value_keys, value_sims = columns
-    sums: PackedSums = {}
+    if numpy_enabled():
+        numpy = numpy_module()
+        value_keys, value_sims, starts1, parents1, starts2, parents2 = map(
+            numpy.asarray,
+            (value_keys, value_sims, starts1, parents1, starts2, parents2),
+        )
+        vids1 = value_keys >> PAIR_ID_BITS
+        vids2 = value_keys & PAIR_ID_MASK
+        fan1 = starts1[vids1 + 1] - starts1[vids1]
+        fan2 = starts2[vids2 + 1] - starts2[vids2]
+        keep = (fan1 > 0) & (fan2 > 0)
+        keys, values = ragged_cross_products(
+            parents1,
+            starts1[vids1[keep]],
+            fan1[keep],
+            parents2,
+            starts2[vids2[keep]],
+            fan2[keep],
+            value_sims[keep],
+        )
+        return sequential_unique_sums(keys, values)
+    sums: dict[int, float] = {}
     shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
     for key, sim in zip(value_keys, value_sims):
-        parents1 = reverse1.get(key >> shift)
-        if not parents1:
+        vid1, vid2 = key >> shift, key & mask
+        row2 = parents2[starts2[vid2] : starts2[vid2 + 1]]
+        if not len(row2):
             continue
-        parents2 = reverse2.get(key & mask)
-        if not parents2:
-            continue
-        for entity1 in parents1:
+        for entity1 in parents1[starts1[vid1] : starts1[vid1 + 1]]:
             base = entity1 << shift
-            for entity2 in parents2:
+            for entity2 in row2:
                 pair = base | entity2
                 sums[pair] = sums.get(pair, 0.0) + sim
-    return array("q", sums.keys()), array("d", sums.values())
-
-
-def _neighbor_partial_packed_shm(
-    shard,
-    reverse1: dict[int, array],
-    reverse2: dict[int, array],
-) -> PackedColumns:
-    """:func:`_neighbor_partial_packed` over shared-memory value columns."""
-    with attach(shard[0].segment) as reader:
-        result = _neighbor_partial_packed(
-            (reader.view(shard[0]), reader.view(shard[1])),
-            reverse1,
-            reverse2,
-        )
-    return result
-
-
-def _neighbor_partial_vectorized_shm(shard, reverse1, reverse2) -> tuple:
-    """:func:`_neighbor_partial_vectorized` over shared-memory columns."""
-    with attach(shard[0].segment) as reader:
-        result = _neighbor_partial_vectorized(
-            (reader.numpy(shard[0]), reader.numpy(shard[1])),
-            reverse1,
-            reverse2,
-        )
-    return result
-
-
-def _dense_reverse_columns(
-    top_neighbors: dict[str, set[str]],
-    parents: EntityInterner,
-    value_entities: EntityInterner,
-) -> tuple:
-    """:func:`_packed_reverse_index` as dense CSR NumPy columns.
-
-    ``(starts, counts, flat sorted parent ids)`` indexed by value id —
-    O(1) gatherable by the vectorized worker.
-    """
-    numpy = numpy_module()
-    reverse = _packed_reverse_index(top_neighbors, parents, value_entities)
-    n_value_ids = len(value_entities)
-    counts = numpy.zeros(n_value_ids, dtype=numpy.int64)
-    for value_id, parent_ids in reverse.items():
-        counts[value_id] = len(parent_ids)
-    starts = _cumulative_starts(counts)
-    flat = numpy.zeros(int(counts.sum()), dtype=numpy.int64)
-    for value_id, parent_ids in reverse.items():
-        start = starts[value_id]
-        flat[start : start + len(parent_ids)] = parent_ids
-    return starts, counts, flat
-
-
-def _neighbor_partial_vectorized(columns, reverse1, reverse2) -> tuple:
-    """:func:`_neighbor_partial_packed` vectorized over one shard.
-
-    ``columns`` are the shard's ``(packed value keys, sims)`` NumPy
-    columns in scan order; ``reverse1``/``reverse2`` the dense CSR
-    reverse indices.  The ragged expansion emits, per value pair, the
-    sorted parents1 × parents2 products in nested-loop order; the
-    unbuffered summation then matches the dict accumulation float for
-    float.  Returns ``(unique packed keys ascending, subtotals)``.
-    """
-    value_keys, value_sims = columns
-    starts1, counts1, flat1 = reverse1
-    starts2, counts2, flat2 = reverse2
-    vids1 = value_keys >> PAIR_ID_BITS
-    vids2 = value_keys & PAIR_ID_MASK
-    fan1 = counts1[vids1]
-    fan2 = counts2[vids2]
-    keep = (fan1 > 0) & (fan2 > 0)
-    keys, values = ragged_cross_products(
-        flat1,
-        starts1[vids1[keep]],
-        fan1[keep],
-        flat2,
-        starts2[vids2[keep]],
-        fan2[keep],
-        value_sims[keep],
-    )
-    return sequential_unique_sums(keys, values)
+    return array("q", sums), array("d", sums.values())
 
 
 def _vectorized_value_shards(
@@ -573,8 +277,7 @@ def build_neighbor_index(
     key via :class:`~repro.engine.partitioner.PackedPairHasher` (not by
     position, so a pair's shard is a function of the pair alone); every
     shard propagates its pairs up to the entities listing them as top
-    neighbors, against read-only id-level reverse indices.  Vectorized
-    when NumPy is available; both paths are bit-identical.
+    neighbors, against the read-only reverse indices.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()
@@ -583,18 +286,14 @@ def build_neighbor_index(
     keys, sims = value_index.packed_columns()
     n_partitions = partition_count(len(keys))
     sort_stable = value1.is_sorted and value2.is_sorted
-    # Hashes a packed key to ``stable_hash(value_pair_key(decoded pair))``
-    # — the string-stable shard assignment, without building key strings.
+    # Hashes a packed key to ``stable_hash(uri1 + separator + uri2)`` —
+    # the string-stable shard assignment, without building key strings.
     hasher = PackedPairHasher(value1, value2, _PAIR_KEY_SEPARATOR)
-    vectorized = numpy_enabled() and sort_stable
-    if vectorized:
+    if numpy_enabled() and sort_stable:
         numpy = numpy_module()
         shards = _vectorized_value_shards(
             numpy.asarray(keys), numpy.asarray(sims), n_partitions, hasher
         )
-        reverse_index = _dense_reverse_columns
-        worker = _neighbor_partial_vectorized
-        shm_worker = _neighbor_partial_vectorized_shm
     else:
         # Plain ints/floats out of any column type, without a copy.
         keys, sims = memoryview(keys), memoryview(sims)
@@ -613,47 +312,26 @@ def build_neighbor_index(
             keys = [keys[i] for i in order]
             sims = [sims[i] for i in order]
         shards = hash_partitions_packed(keys, sims, n_partitions, hasher)
-        reverse_index = _packed_reverse_index
-        worker = _neighbor_partial_packed
-        shm_worker = _neighbor_partial_packed_shm
-    reverse = {
-        "reverse1": reverse_index(top_neighbors1, parents1, value1),
-        "reverse2": reverse_index(top_neighbors2, parents2, value2),
-    }
-    arena = getattr(engine, "shared_arena", None)
-    if arena is not None and shards:
-        with arena.publish(
-            [
-                (typecode, column)
-                for shard in shards
-                for typecode, column in zip("qd", shard)
-            ]
-        ) as segment:
-            partials = engine.map_partitions(
-                partial(shm_worker, **reverse),
-                [
-                    (segment.slices[2 * i], segment.slices[2 * i + 1])
-                    for i in range(len(shards))
-                ],
-            )
-    else:
-        partials = engine.map_partitions(partial(worker, **reverse), shards)
-    if vectorized:
-        columns = merged_run_sums(partials)
-        # Bytes are seconds (docs/PERFORMANCE.md): the partials and the
-        # value shards are ~20 B per pair of pages already touched;
-        # released here, the ranked-row build reuses them instead of
-        # faulting in fresh ones.
-        del partials, shards
-        index = NeighborSimilarityIndex.from_packed_columns(
-            *columns, parents1, parents2
-        )
-    else:
-        index = NeighborSimilarityIndex.from_packed_sums(
-            engine.reduce(merge_packed_columns, partials, {}),
-            parents1,
-            parents2,
-        )
+    partials = engine.map_columns(
+        _neighbor_shard_sums,
+        shards,
+        "qd",
+        (
+            *_reverse_csr(top_neighbors1, parents1, value1),
+            *_reverse_csr(top_neighbors2, parents2, value2),
+        ),
+        "qiqi",
+    )
+    # Bytes are seconds (docs/PERFORMANCE.md): the partials and the
+    # value shards are ~20 B per pair of pages already touched; released
+    # before the ranked-row build, it reuses them instead of faulting in
+    # fresh ones.
+    del shards
+    columns = merged_run_sums(partials)
+    del partials
+    index = NeighborSimilarityIndex.from_packed_columns(
+        *columns, parents1, parents2
+    )
     _telemetry_current().metrics.counter(
         "similarity.neighbor_pairs_scored"
     ).inc(len(index))

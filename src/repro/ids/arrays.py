@@ -94,8 +94,16 @@ def merged_run_sums(runs):
     slot is the same left fold from ``0.0`` (``0.0 + x == x``).  With no
     duplicate to locate *inside* a run, one value sort of the key
     columns replaces the index sort, the inverse and the concatenated
-    sums.
+    sums.  Without NumPy the same fold runs through a dict and is sorted
+    once into ``array`` columns.
     """
+    if not numpy_enabled():
+        totals: dict[int, float] = {}
+        for keys, sums in runs:
+            for key, value in zip(memoryview(keys), memoryview(sums)):
+                totals[key] = totals.get(key, 0.0) + value
+        unique = array("q", sorted(totals))
+        return unique, array("d", map(totals.__getitem__, unique))
     runs = [
         (_np.asarray(keys, _np.int64), _np.asarray(sums, _np.float64))
         for keys, sums in runs

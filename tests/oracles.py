@@ -7,8 +7,43 @@ can state *what* float a kernel must produce without calling the kernel.
 
 from typing import Iterable
 
+from repro.blocking.base import Block
 from repro.core.candidates import CandidateLists
+from repro.core.similarity import Pair, block_token_weight
 from repro.engine.partitioner import stable_hash
+from repro.engine.similarity import _PAIR_KEY_SEPARATOR
+
+PairSums = dict[Pair, float]
+
+
+def value_pair_key(pair: Pair) -> str:
+    """The shard key of one value pair (stable across runs/processes)."""
+    return pair[0] + _PAIR_KEY_SEPARATOR + pair[1]
+
+
+def merge_pair_sums(accumulated: PairSums, partial_sums: PairSums) -> PairSums:
+    """Fold one shard's partial sums into the running total (associative)."""
+    for pair, value in partial_sums.items():
+        accumulated[pair] = accumulated.get(pair, 0.0) + value
+    return accumulated
+
+
+def _value_partial(blocks: list[Block]) -> PairSums:
+    """valueSim contributions of one block shard (string-keyed reference).
+
+    Entities are scanned in sorted order so the shard's output — dict
+    order included — does not depend on the interpreter's set-hash seed.
+    Kept as the executable specification of the per-shard scan order;
+    the live builder runs ``repro.engine.similarity._value_shard_sums``.
+    """
+    sums: PairSums = {}
+    for block in blocks:
+        weight = block_token_weight(len(block.entities1), len(block.entities2))
+        for uri1 in sorted(block.entities1):
+            for uri2 in sorted(block.entities2):
+                pair = (uri1, uri2)
+                sums[pair] = sums.get(pair, 0.0) + weight
+    return sums
 
 
 def shard_merged_sum(

@@ -29,13 +29,10 @@ from repro.engine import (
     partition_blocks,
     partition_count,
 )
-from repro.engine.similarity import (
-    _value_partial,
-    merge_pair_sums,
-    value_pair_key,
-)
 from repro.ids.arrays import numpy_enabled
 from repro.kb.io_ntriples import read_ntriples
+
+from oracles import _value_partial, merge_pair_sums, value_pair_key
 
 GOLDEN = Path(__file__).parent / "golden"
 

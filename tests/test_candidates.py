@@ -202,8 +202,9 @@ def test_id_level_lists_equal_uri_level_lists(
 def test_trim_reads_any_integer_column(
     toggled_numpy, value_pairs, neighbor_pairs, k, restrict
 ):
-    """The H3 worker's rows arrive as ``array`` copies, shared-memory
-    ``memoryview`` s or NumPy slices; every form keeps the same ids."""
+    """The H3 worker's columns arrive as ``array`` s, shared-memory
+    ``memoryview`` s or NumPy arrays; every form keeps the same ids —
+    one row at a time and as whole CSR columns addressed by spans."""
     value_index = _index_of(ValueSimilarityIndex, value_pairs)
     neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs)
     translation = counterpart_translation(value_index, neighbor_index, 1)
@@ -211,35 +212,68 @@ def test_trim_reads_any_integer_column(
     if numpy_enabled():
         import numpy
 
-        forms.append(lambda column: numpy.frombuffer(column, dtype=numpy.int32))
-    for position in range(10):
-        uri = _uri(1, position)
+        forms.append(
+            lambda column: numpy.frombuffer(
+                column, dtype={"i": numpy.int32, "q": numpy.int64}[column.typecode]
+            )
+        )
+    decode_value = value_index.interners()[1].uris()
+    decode_neighbor = neighbor_index.interners()[1].uris()
+    uris = [_uri(1, position) for position in range(10)]
+    expected = [
+        candidate_lists_by_uri(value_index, neighbor_index, uri, 1, k, restrict)
+        for uri in uris
+    ]
+    for uri, lists in zip(uris, expected):
         value_ids = value_index.csr_row_ids(1, uri)
         neighbor_ids = neighbor_index.csr_row_ids(1, uri)
-        expected = candidate_lists_by_uri(
-            value_index, neighbor_index, uri, 1, k, restrict
-        )
-        decode_value = value_index.interners()[1].uris()
-        decode_neighbor = neighbor_index.interners()[1].uris()
         for form in forms:
             kept = kept_neighbor_offsets(
                 form(value_ids), form(neighbor_ids), form(translation), k, restrict
             )
             assert (
                 tuple(decode_neighbor[neighbor_ids[j]] for j in kept)
-                == expected.neighbor
+                == lists.neighbor
             )
-            [(_, value_kept, neighbor_kept)] = _candidate_id_rows(
-                [(0, form(value_ids), form(neighbor_ids))],
+            # the row alone, as a one-entity chunk spanning its columns
+            [(value_kept, neighbor_kept)] = _candidate_id_rows(
+                form(array("q", [0])),
+                form(array("q", [len(value_ids)])),
+                form(array("q", [0])),
+                form(array("q", [len(neighbor_ids)])),
+                form(value_ids),
+                form(neighbor_ids),
                 form(translation),
                 k,
                 restrict,
             )
-            assert tuple(decode_value[i] for i in value_kept) == expected.value
+            assert tuple(decode_value[i] for i in value_kept) == lists.value
             assert (
                 tuple(decode_neighbor[i] for i in neighbor_kept)
-                == expected.neighbor
+                == lists.neighbor
             )
+    # every entity at once, spans into the whole CSR id columns (what
+    # ``_preload_candidate_lists`` ships), absent URIs as empty spans
+    spans = [
+        (*value_index.csr_row_span(1, uri), *neighbor_index.csr_row_span(1, uri))
+        for uri in uris
+    ]
+    for form in forms:
+        rows = _candidate_id_rows(
+            *(form(array("q", column)) for column in zip(*spans)),
+            form(value_index.csr_columns(1)[1]),
+            form(neighbor_index.csr_columns(1)[1]),
+            form(translation),
+            k,
+            restrict,
+        )
+        assert [
+            (
+                tuple(decode_value[i] for i in value_kept),
+                tuple(decode_neighbor[i] for i in neighbor_kept),
+            )
+            for value_kept, neighbor_kept in rows
+        ] == [(lists.value, lists.neighbor) for lists in expected]
 
 
 @pytest.mark.parametrize("restrict", [True, False])

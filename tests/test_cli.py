@@ -1,7 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -463,3 +468,14 @@ class TestVerbosityFlags:
     def test_verbose_and_quiet_conflict(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--verbose", "--quiet", "match", "a", "b"])
+
+
+def test_setup_py_names_the_distribution():
+    """``python setup.py develop`` installs a *named* distribution: the
+    metadata lives in ``setup.py`` itself (there is no pyproject.toml)."""
+    root = Path(__file__).resolve().parent.parent
+    printed = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=root, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert printed == ["repro", repro.__version__]

@@ -66,6 +66,10 @@ class TestPipelineParity:
         threaded = run_match(dataset, "thread", workers=4)
         assert signature(threaded) == signature(serial)
 
+    # an escaped view of a shared-memory column must fail, not warn
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
     def test_process_four_workers_matches_serial(self, dataset):
         serial = run_match(dataset, "serial")
         processed = run_match(dataset, "process", workers=4)
@@ -163,6 +167,63 @@ class TestIndexParity:
         assert set(engine_built.pairs()) == set(serial.pairs())
         for pair, sim in serial.pairs().items():
             assert engine_built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+
+
+    def test_plain_collection_with_one_sided_blocks(self):
+        """``build_value_index`` packs a plain collection itself and
+        drops its one-sided blocks — but the shard count, which fixes
+        the float fold, is the count of the collection *as handed in*."""
+        from oracles import shard_merged_sum
+        from repro.blocking import PackedBlockCollection
+        from repro.blocking.base import Block, BlockCollection
+        from repro.core.similarity import (
+            ValueSimilarityIndex,
+            block_token_weight,
+        )
+        from repro.engine import build_value_index, partition_count
+
+        def collection(n_one_sided):
+            blocks = BlockCollection("BT")
+            for i in range(192):
+                # ("a0", "b0") is in every block, under 12 distinct
+                # inexact weights: its sum feels every regrouping
+                side1 = {"a0"} | {f"a{j}" for j in range(1, 1 + i % 4)}
+                side2 = {"b0"} | {f"b{j}" for j in range(1, 1 + i % 3)}
+                blocks.add(Block(f"t{i:03d}", side1, side2))
+            for i in range(n_one_sided):
+                blocks.add(Block(f"u{i:03d}", {f"a{i % 5}"}, set()))
+            return blocks
+
+        def oracle(blocks, n_shards):
+            return shard_merged_sum(
+                sorted(
+                    (b.key, block_token_weight(len(b.entities1), len(b.entities2)))
+                    for b in blocks.drop_empty()
+                ),
+                n_shards,
+            )
+
+        # 8 one-sided blocks leave the count at 3 shards: the plain
+        # build, the packed-input build and the oracle agree float ==
+        blocks = collection(8)
+        two_sided = blocks.drop_empty()
+        assert partition_count(len(blocks)) == partition_count(len(two_sided)) == 3
+        built = build_value_index(blocks)
+        packed = build_value_index(PackedBlockCollection.from_collection(two_sided))
+        assert built.pairs() == packed.pairs()
+        assert built.similarity("a0", "b0") == oracle(blocks, 3)
+        reference = ValueSimilarityIndex(two_sided)  # one scan, no shards
+        assert set(built.pairs()) == set(reference.pairs())
+        for pair, sim in reference.pairs().items():
+            assert built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+
+        # 70 more move it to 4: the float follows the handed-in count
+        blocks = collection(70)
+        assert partition_count(len(blocks)) == 4
+        built = build_value_index(blocks)
+        assert built.similarity("a0", "b0") == oracle(blocks, 4)
+        assert oracle(blocks, 4) != oracle(blocks, 3)  # the fold is felt
+        assert set(built.pairs()) == set(reference.pairs())
 
 
 class TestStageTimings:

@@ -5,7 +5,9 @@ the packed-pair encode/decode, plus exact checks of the vectorized
 kernels' contracts (zlib-compatible CRC, order-preserving summation).
 """
 
+import os
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -264,3 +266,9 @@ class TestVectorizedKernels:
             for key, value in run.items():
                 folded[key] = folded.get(key, 0.0) + value
         assert dict(zip(keys.tolist(), sums.tolist())) == folded
+        # the stdlib arm: same columns in, sorted ``array`` columns out
+        with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": "1"}):
+            stdlib_keys, stdlib_sums = merged_run_sums(columns)
+        assert (stdlib_keys.typecode, stdlib_sums.typecode) == ("q", "d")
+        assert stdlib_keys.tolist() == expected_keys.tolist()
+        assert stdlib_sums.tolist() == expected_sums.tolist()  # float ==

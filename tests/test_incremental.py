@@ -11,7 +11,6 @@ validation and bookkeeping.
 import pytest
 
 from repro.core import MinoanER, MinoanERConfig
-from repro.engine.similarity import value_pair_key
 from repro.incremental import DeltaBlockIndex, IncrementalMatcher
 from repro.kb import KnowledgeBase
 from repro.kb.entity import EntityDescription
@@ -27,7 +26,12 @@ from repro.pipeline import (
 )
 from repro.pipeline.context import PipelineContext
 
-from oracles import shard_merged_sum
+from oracles import (
+    _value_partial,
+    merge_pair_sums,
+    shard_merged_sum,
+    value_pair_key,
+)
 from test_pipeline import make_pair
 
 
@@ -100,7 +104,6 @@ class TestDeltaBlockIndex:
 class TestShardMergeOrder:
     def test_shard_merged_sum_replays_engine_accumulation(self):
         from repro.engine.partitioner import partition_blocks
-        from repro.engine.similarity import _value_partial, merge_pair_sums
 
         blocks = BlockCollection("BT")
         # one shared pair across many singleton blocks, each contributing

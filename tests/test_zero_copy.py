@@ -20,13 +20,21 @@ import os
 import pickle
 import weakref
 from array import array
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import MinoanERConfig
 from repro.engine import shm_available
-from repro.engine.executor import ProcessExecutor, _pickled_size
+from repro.engine.executor import (
+    ProcessExecutor,
+    SerialExecutor,
+    _pickled_size,
+)
+from repro.ids.arrays import numpy_enabled, numpy_module
 from repro.engine.shm import SharedArena, attach
 from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
@@ -148,6 +156,9 @@ def test_mmap_loaded_matcher_replays_bit_identically(saved_snapshot):
 # ----------------------------------------------------------------------
 # Shared-memory dispatch
 # ----------------------------------------------------------------------
+# An escaped view of a shared segment surfaces when the segment's
+# ``SharedMemory.__del__`` fails to close it: make that an error.
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 @pytest.mark.skipif(not shm_available(), reason="no shared memory")
 def test_shm_dispatch_digests_match_serial_and_pickled(monkeypatch):
     before = shm_segments()
@@ -255,6 +266,94 @@ def test_disable_flag_turns_arena_off(monkeypatch):
     executor = ProcessExecutor(2)
     assert executor.shared_arena is None
     executor.close()
+
+
+# ----------------------------------------------------------------------
+# Executor.map_columns: one kernel, whatever carried the columns
+# ----------------------------------------------------------------------
+def _echo_columns(*columns, fail=False):
+    """A column kernel that reports exactly what it was handed."""
+    seen = [(memoryview(c).format, memoryview(c).tolist()) for c in columns]
+    if fail:
+        # die holding views of every column, as a real kernel would
+        held = [memoryview(c)[:] for c in columns]
+        if numpy_enabled():
+            held += [numpy_module().asarray(c) for c in columns]
+        raise RuntimeError(f"kernel failed holding {len(held)} views")
+    return seen
+
+
+_VALUES = {
+    "i": st.integers(-(2**31), 2**31 - 1),
+    "q": st.integers(-(2**63), 2**63 - 1),
+    "d": st.floats(allow_nan=False),
+}
+
+
+@st.composite
+def _column_dispatches(draw):
+    def columns(typecodes):
+        return tuple(
+            array(t, draw(st.lists(_VALUES[t], max_size=5))) for t in typecodes
+        )
+
+    typecodes = draw(st.text("iqd", min_size=1, max_size=3))
+    shared_typecodes = draw(st.text("iqd", max_size=3))
+    shards = [columns(typecodes) for _ in range(draw(st.integers(0, 4)))]
+    return typecodes, shards, shared_typecodes, columns(shared_typecodes)
+
+
+@pytest.fixture(scope="module")
+def process_engine():
+    with ProcessExecutor(2) as engine:
+        yield engine
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+@given(dispatch=_column_dispatches())
+def test_map_columns_handles_equal_buffers(process_engine, dispatch):
+    """Published-and-reopened columns reach the kernel exactly as the
+    buffers themselves do: same typecodes, same values, in shard order —
+    for empty shard lists, zero-length columns and no shared columns —
+    and no segment outlives the dispatch."""
+    typecodes, shards, shared_typecodes, shared = dispatch
+    before = shm_segments()
+    expected = [
+        [(t, c.tolist()) for t, c in zip(typecodes + shared_typecodes, s + shared)]
+        for s in shards
+    ]
+    for engine in (SerialExecutor(), process_engine):
+        assert (
+            engine.map_columns(
+                _echo_columns, shards, typecodes, shared, shared_typecodes
+            )
+            == expected
+        )
+    assert process_engine.shared_arena.live_segments == 0
+    assert shm_segments() <= before
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.skipif(not shm_available(), reason="no shared memory")
+@pytest.mark.parametrize("n_shards", [1, 3])  # inline in the driver | pooled
+def test_map_columns_kernel_failure_detaches_cleanly(process_engine, n_shards):
+    """A kernel that raises while holding views must not pin the
+    segment: the error propagates, the worker detaches without an
+    unraisable ``BufferError``, and the driver unlinks the segment."""
+    before = shm_segments()
+    shards = [(array("q", [shard, 2]), array("d", [0.5])) for shard in range(n_shards)]
+    with pytest.raises(RuntimeError, match="kernel failed holding"):
+        process_engine.map_columns(
+            partial(_echo_columns, fail=True), shards, "qd", (array("i", [7]),), "i"
+        )
+    gc.collect()  # a pinned mapping would fail in SharedMemory.__del__ here
+    assert process_engine.shared_arena.live_segments == 0
+    assert shm_segments() <= before
+    # the engine (and its pool) is still usable after the failure
+    assert process_engine.map_columns(_echo_columns, shards, "qd") == [
+        [("q", [shard, 2]), ("d", [0.5])] for shard in range(n_shards)
+    ]
 
 
 # ----------------------------------------------------------------------
