@@ -3,9 +3,9 @@
 The packed similarity core is pure stdlib; when NumPy is importable the
 hot bulk operations — ragged cross-product expansion, order-preserving
 duplicate-key summation, the sort-once merge of per-shard partials, the
-CSR ranked-row argsort and CRC32 by combination — run vectorized
-instead.  **Both paths are bit-identical**: every kernel
-here reproduces the exact floating-point accumulation order of its
+CSR ranked-row argsort, CRC32 by combination and the digest's canonical
+columns — run vectorized instead.  **Both paths are bit-identical**:
+every kernel here reproduces the floating-point accumulation order of its
 pure-Python counterpart (`np.bincount` adds weights one element at a
 time, front to back, which *is* the scan order),
 so golden digests do not depend on whether NumPy is present.
@@ -16,7 +16,9 @@ tests run both paths and assert equality).
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import zlib
 from array import array
 
@@ -66,6 +68,67 @@ def packed_keys_valid(keys, n_entities1: int, n_entities2: int) -> bool:
             return False
         previous = key
     return (previous >> 32) < n_entities1
+
+
+def _uri_ranks(ids, interner) -> tuple[list[str], array]:
+    """Of the entity ids occurring in ``ids``: their URIs ascending, and
+    the ``id -> rank among them`` table (0 for an id that never occurs)."""
+    uris = interner.uris()
+    if numpy_enabled():
+        used = _np.zeros(len(uris), dtype=bool)
+        used[ids] = True
+        referenced = _np.flatnonzero(used).tolist()
+    else:
+        referenced = sorted(set(ids))
+    if not interner.is_sorted:
+        referenced.sort(key=uris.__getitem__)
+    ranks = array("q", bytes(8 * len(uris)))
+    for rank, entity_id in enumerate(referenced):
+        ranks[entity_id] = rank
+    return [uris[entity_id] for entity_id in referenced], ranks
+
+
+def canonical_pair_columns(keys, sims, interner1, interner2):
+    """An ascending packed pair column, re-expressed free of its interners.
+
+    Returns ``(uris1, uris2, keys, sims)``: per side the URIs *occurring
+    in a pair*, ascending; the keys re-packed over each URI's rank in
+    its list, ascending, as little-endian ``int64``; the similarities
+    beside them as little-endian ``float64`` — a function of the
+    ``{(uri1, uri2): sim}`` map alone, with NumPy or without.  Raises
+    ``ValueError`` on a non-finite similarity.
+    """
+    vectorized = numpy_enabled()
+    if vectorized:
+        keys = _np.asarray(keys, dtype=_np.int64)
+        sims = _np.asarray(sims, dtype=_np.float64)
+        finite = _np.isfinite(sims).all()
+        ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
+    else:
+        keys, sims = memoryview(keys), memoryview(sims)
+        finite = all(map(math.isfinite, sims))
+        ids1 = array("q", (key >> 32 for key in keys))
+        ids2 = array("q", (key & 0xFFFFFFFF for key in keys))
+    if not finite:
+        raise ValueError("similarity column holds a non-finite value")
+    uris1, ranks1 = _uri_ranks(ids1, interner1)
+    uris2, ranks2 = _uri_ranks(ids2, interner2)
+    if vectorized:
+        keys = (_np.asarray(ranks1)[ids1] << 32) | _np.asarray(ranks2)[ids2]
+    else:
+        keys = array(
+            "q", ((ranks1[a] << 32) | ranks2[b] for a, b in zip(ids1, ids2))
+        )
+    if not (interner1.is_sorted and interner2.is_sorted):
+        # ids an earlier build's snapshot appended out of URI order
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = array("q", map(keys.__getitem__, order))
+        sims = array("d", map(sims.__getitem__, order))
+    if sys.byteorder == "big":
+        keys, sims = array_copy("q", keys), array_copy("d", sims)
+        keys.byteswap()
+        sims.byteswap()
+    return uris1, uris2, keys, sims
 
 
 def sequential_unique_sums(keys, weights):

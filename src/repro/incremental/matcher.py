@@ -235,7 +235,6 @@ class IncrementalMatcher:
         a later :meth:`from_snapshot` + batch run on the same KBs is
         bit-identical.  Returns the snapshot directory path.
         """
-        from ..pipeline.digest import context_digests
         from ..store import validate_snapshotable_graph, write_session_snapshot
 
         validate_snapshotable_graph(self.graph)
@@ -253,20 +252,16 @@ class IncrementalMatcher:
                 [(uri, self._names.entity_keys(side, uri)) for uri in kb.uris()]
                 for side, kb in ((1, kb1), (2, kb2))
             )
-        artifacts = {
-            key: ctx.get(key) for key in ctx.keys() if key not in ("kb1", "kb2")
-        }
         return write_session_snapshot(
             path,
             kb1=kb1,
             kb2=kb2,
             config=self.config,
             graph_names=list(self.graph.names()),
-            artifacts=artifacts,
+            ctx=ctx,
             token_rows=token_rows,
             name_rows=name_rows,
             top_neighbors=(self._top_nbrs[0], self._top_nbrs[1]),
-            digests=context_digests(ctx),
         )
 
     def _restore(self, state) -> None:

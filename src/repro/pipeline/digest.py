@@ -1,12 +1,13 @@
 """Stable content digests of pipeline artifacts.
 
-Every digest is the SHA-256 of a canonical JSON rendering of the
-artifact: keys sorted, set-valued members sorted into lists, floats in
-their shortest round-trip form (``json`` uses ``repr``, which has been
-exact since Python 3.1).  Two artifacts digest equally iff they are
-value-identical — floating-point scores included — which is exactly the
-equality the golden-regression fixtures and the batch-vs-incremental
-parity harness assert.
+A digest is the SHA-256 of an artifact's canonical form — for the two
+similarity indices their canonical columns (``repro-digest/2``, laid out
+in ``docs/PERSISTENCE.md``), for everything else a JSON rendering: keys
+sorted, sets as sorted lists, floats in shortest round-trip form
+(``json`` uses ``repr``, exact since Python 3.1).  Two artifacts digest
+equally iff they are value-identical — floating-point scores included —
+which is exactly the equality the golden-regression fixtures and the
+batch-vs-incremental parity harness assert.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
 from ..ids import PAIR_ID_BITS, PAIR_ID_MASK
+from ..ids.arrays import canonical_pair_columns
 from .context import PipelineContext
+
+#: ``digest_schema`` of a manifest whose index digests are column digests.
+DIGEST_SCHEMA = 2
 
 #: Context artifacts digests are computed for, in pipeline order.  The
 #: seeded KBs (inputs, not products) and the candidate index (a lazy
@@ -43,27 +48,24 @@ DIGESTED_ARTIFACTS = (
 )
 
 
-def _index_rows(index) -> list[list]:
-    """``[uri1, uri2, sim]`` rows of a similarity index, sorted by URIs.
-
-    With sorted interners id order is URI order, so the ascending key
-    column already stands in ``sorted(pairs().items())`` order: the rows
-    decode straight off the columns.  Unsorted interners (an index
-    restored from a snapshot written after in-place deltas) sort the
-    decoded view instead.
-    """
+def rows_digest(index) -> str:
+    """SHA-256 of a similarity index's ``[uri1, uri2, sim]`` JSON rows in
+    URI order: what a manifest without ``digest_schema`` holds, and the
+    tests' oracle that no float moved.  With sorted interners id order is
+    URI order and the rows decode straight off the ascending key column."""
     interner1, interner2 = index.interners()
     if not (interner1.is_sorted and interner2.is_sorted):
-        return [
-            [uri1, uri2, sim]
-            for (uri1, uri2), sim in sorted(index.pairs().items())
-        ]
+        return _json_digest(
+            [[*pair, sim] for pair, sim in sorted(index.pairs().items())]
+        )
     uris1, uris2 = interner1.uris(), interner2.uris()
     keys, sims = index.packed_columns()
-    return [
-        [uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK], sim]
-        for key, sim in zip(keys.tolist(), sims.tolist())
-    ]
+    return _json_digest(
+        [
+            [uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK], sim]
+            for key, sim in zip(keys.tolist(), sims.tolist())
+        ]
+    )
 
 
 def canonical_value(value: Any) -> Any:
@@ -75,8 +77,6 @@ def canonical_value(value: Any) -> Any:
             [block.key, sorted(block.entities1), sorted(block.entities2)]
             for block in sorted(value, key=lambda b: b.key)
         ]
-    if isinstance(value, (ValueSimilarityIndex, NeighborSimilarityIndex)):
-        return _index_rows(value)
     if isinstance(value, Match):
         return [value.uri1, value.uri2, value.heuristic, value.score]
     if is_dataclass(value) and not isinstance(value, type):
@@ -98,16 +98,33 @@ def canonical_value(value: Any) -> Any:
     )
 
 
-def artifact_digest(value: Any) -> str:
-    """The SHA-256 hex digest of an artifact's canonical JSON form."""
+def _json_digest(canonical: Any) -> str:
     rendered = json.dumps(
-        canonical_value(value),
+        canonical,
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=True,
         allow_nan=False,
     )
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def artifact_digest(value: Any) -> str:
+    """The SHA-256 hex digest of an artifact's canonical form."""
+    if not isinstance(value, (ValueSimilarityIndex, NeighborSimilarityIndex)):
+        return _json_digest(canonical_value(value))
+    uris1, uris2, keys, sims = canonical_pair_columns(
+        *value.packed_columns(), *value.interners()
+    )
+    hasher = hashlib.sha256(b"repro-digest/%d" % DIGEST_SCHEMA)
+    for uris in (uris1, uris2):
+        hasher.update(len(uris).to_bytes(8, "little"))
+        for encoded in map(str.encode, uris):
+            hasher.update(len(encoded).to_bytes(8, "little") + encoded)
+    hasher.update(len(keys).to_bytes(8, "little"))
+    hasher.update(keys)
+    hasher.update(sims)
+    return hasher.hexdigest()
 
 
 def context_digests(ctx: PipelineContext) -> dict[str, str]:

@@ -399,7 +399,6 @@ class MatchSession:
         from ..core.neighbors import top_neighbors
         from ..kb.tokenizer import Tokenizer
         from ..store import validate_snapshotable_graph, write_session_snapshot
-        from .digest import context_digests
 
         has_names = validate_snapshotable_graph(self.graph)
         ctx = self.run_context()
@@ -443,18 +442,16 @@ class MatchSession:
             )
             for kb, side in ((self.kb1, 1), (self.kb2, 2))
         )
-        artifacts = {key: ctx.get(key) for key in ctx.keys() if key not in ("kb1", "kb2")}
         return write_session_snapshot(
             path,
             kb1=self.kb1,
             kb2=self.kb2,
             config=config,
             graph_names=list(self.graph.names()),
-            artifacts=artifacts,
+            ctx=ctx,
             token_rows=token_rows,
             name_rows=name_rows,
             top_neighbors=top_nbrs,
-            digests=context_digests(ctx),
         )
 
     @classmethod

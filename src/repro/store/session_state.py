@@ -46,7 +46,15 @@ from ..ids.arrays import array_copy, packed_keys_valid
 from ..incremental.blocks import DeltaBlockIndex
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
-from ..pipeline.digest import DIGESTED_ARTIFACTS, artifact_digest
+from ..obs.runtime import current as current_telemetry
+from ..pipeline.context import PipelineContext
+from ..pipeline.digest import (
+    DIGEST_SCHEMA,
+    DIGESTED_ARTIFACTS,
+    artifact_digest,
+    context_digests,
+    rows_digest,
+)
 from .snapshot import Snapshot, SnapshotError, SnapshotWriter
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -277,11 +285,10 @@ def write_session_snapshot(
     kb2: KnowledgeBase,
     config: MinoanERConfig,
     graph_names: list[str],
-    artifacts: dict[str, Any],
+    ctx: PipelineContext,
     token_rows: tuple[KeyRows, KeyRows],
     name_rows: tuple[KeyRows, KeyRows] | None,
     top_neighbors: tuple[dict[str, set[str]], dict[str, set[str]]],
-    digests: dict[str, str],
 ) -> Path:
     """Serialize one bootstrapped pipeline state (see module docstring).
 
@@ -289,51 +296,57 @@ def write_session_snapshot(
     error at any point aborts the staging directory, leaving whatever
     snapshot already lived at ``path`` untouched and loadable.
     """
-    writer = SnapshotWriter(path)
-    try:
-        _pack_kb(writer, "kb1", kb1)
-        _pack_kb(writer, "kb2", kb2)
+    tracer = current_telemetry().tracer
+    with tracer.span("store.save", category="store"):
+        with tracer.span("store.digest", category="store"):
+            digests = context_digests(ctx)
+        writer = SnapshotWriter(path)
+        try:
+            with tracer.span("store.write", category="store"):
+                _pack_kb(writer, "kb1", kb1)
+                _pack_kb(writer, "kb2", kb2)
 
-        token_key_ids = _pack_placements(writer, "tokens", token_rows)
-        kept = artifacts["token_blocks"].keys()
-        writer.add_array(
-            "tokens_kept",
-            array("i", sorted(token_key_ids[key] for key in kept)),
-        )
-        if name_rows is not None:
-            _pack_placements(writer, "names", name_rows)
+                token_key_ids = _pack_placements(writer, "tokens", token_rows)
+                kept = ctx.get("token_blocks").keys()
+                writer.add_array(
+                    "tokens_kept",
+                    array("i", sorted(token_key_ids[key] for key in kept)),
+                )
+                if name_rows is not None:
+                    _pack_placements(writer, "names", name_rows)
 
-        _pack_index(writer, "value", artifacts["value_index"])
-        _pack_index(writer, "neighbor", artifacts["neighbor_index"])
-        _pack_top_neighbors(
-            writer, "topnbr_side1", top_neighbors[0], kb1.uris()
-        )
-        _pack_top_neighbors(
-            writer, "topnbr_side2", top_neighbors[1], kb2.uris()
-        )
+                _pack_index(writer, "value", ctx.get("value_index"))
+                _pack_index(writer, "neighbor", ctx.get("neighbor_index"))
+                _pack_top_neighbors(
+                    writer, "topnbr_side1", top_neighbors[0], kb1.uris()
+                )
+                _pack_top_neighbors(
+                    writer, "topnbr_side2", top_neighbors[1], kb2.uris()
+                )
 
-        writer.add_json("config", asdict(config))
-        writer.add_json("graph_stages", list(graph_names))
-        writer.add_json("has_names", name_rows is not None)
-        report = artifacts.get("purging_report")
-        writer.add_json(
-            "purging_report", None if report is None else asdict(report)
-        )
-        for key in (
-            "name_attributes1",
-            "name_attributes2",
-            "top_relations1",
-            "top_relations2",
-        ):
-            if key in artifacts:
-                writer.add_json(key, list(artifacts[key]))
-        for key in ("matches", "pre_h4_matches", "discarded_by_h4"):
-            writer.add_json(key, _matches_json(artifacts[key]))
-        writer.add_json("digests", dict(digests))
-        return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
+                writer.add_json("config", asdict(config))
+                writer.add_json("graph_stages", list(graph_names))
+                writer.add_json("has_names", name_rows is not None)
+                report = ctx.get_or("purging_report")
+                writer.add_json(
+                    "purging_report", None if report is None else asdict(report)
+                )
+                for key in (
+                    "name_attributes1",
+                    "name_attributes2",
+                    "top_relations1",
+                    "top_relations2",
+                ):
+                    if ctx.has(key):
+                        writer.add_json(key, list(ctx.get(key)))
+                for key in ("matches", "pre_h4_matches", "discarded_by_h4"):
+                    writer.add_json(key, _matches_json(ctx.get(key)))
+                writer.add_json("digests", digests)
+                writer.add_json("digest_schema", DIGEST_SCHEMA)
+                return writer.commit()
+        except BaseException:
+            writer.abort()
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +393,15 @@ def load_state(
     :func:`_unpack_index` and the decode-level ``context_digests`` check
     still guard a replay.
     """
+    with current_telemetry().tracer.span("store.load", category="store"):
+        return _restore(Snapshot.load(path, mode=mode), engine, workers)
+
+
+def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
+    """:func:`load_state` of an open snapshot, which it closes."""
     from ..pipeline.builder import PipelineBuilder
 
-    snapshot = Snapshot.load(path, mode=mode)
+    tracer = current_telemetry().tracer
     config = MinoanERConfig(**snapshot.json("config"))
     if engine is not None or workers is not None:
         new_engine = engine if engine is not None else config.engine
@@ -393,8 +412,9 @@ def load_state(
         else:
             new_workers = config.workers
         config = replace(config, engine=new_engine, workers=new_workers)
-    kb1 = _unpack_kb(snapshot, "kb1")
-    kb2 = _unpack_kb(snapshot, "kb2")
+    with tracer.span("store.load.kb", category="store"):
+        kb1 = _unpack_kb(snapshot, "kb1")
+        kb2 = _unpack_kb(snapshot, "kb2")
 
     stored_stages = snapshot.json("graph_stages")
     has_names = bool(snapshot.json("has_names"))
@@ -409,22 +429,24 @@ def load_state(
         )
 
     uris_pair = (kb1.uris(), kb2.uris())
-    _, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
-    tokens = DeltaBlockIndex("BT")
-    tokens.load_side(1, token_rows[0])
-    tokens.load_side(2, token_rows[1])
-    token_keys = snapshot.strings("tokens_keys")
-    kept_keys = {token_keys[i] for i in snapshot.array("tokens_kept")}
+    with tracer.span("store.load.placements", category="store"):
+        _, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
+        tokens = DeltaBlockIndex("BT")
+        tokens.load_side(1, token_rows[0])
+        tokens.load_side(2, token_rows[1])
+        token_keys = snapshot.strings("tokens_keys")
+        kept_keys = {token_keys[i] for i in snapshot.array("tokens_kept")}
 
-    names = None
-    if has_names:
-        _, name_rows = _unpack_placements(snapshot, "names", uris_pair)
-        names = DeltaBlockIndex("BN")
-        names.load_side(1, name_rows[0])
-        names.load_side(2, name_rows[1])
+        names = None
+        if has_names:
+            _, name_rows = _unpack_placements(snapshot, "names", uris_pair)
+            names = DeltaBlockIndex("BN")
+            names.load_side(1, name_rows[0])
+            names.load_side(2, name_rows[1])
 
-    value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
-    neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
+    with tracer.span("store.load.indices", category="store"):
+        value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
+        neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
     top_nbrs = (
         _unpack_top_neighbors(snapshot, "topnbr_side1", uris_pair[0]),
         _unpack_top_neighbors(snapshot, "topnbr_side2", uris_pair[1]),
@@ -491,15 +513,19 @@ def verify_snapshot(path: str | Path, mode: str = "copy") -> dict[str, str]:
     the per-column SHA-256 verification every copy-mode load performs
     (mmap mode verifies columns separately, hashing the maps in place).
     """
-    if mode == "mmap":
-        with Snapshot.load(path, mode="mmap") as snapshot:
+    with Snapshot.load(path, mode=mode) as snapshot:
+        if mode == "mmap":
             snapshot.verify_columns()
-    state = load_state(path, mode=mode)
+        state = _restore(snapshot)
     recomputed = {
         key: artifact_digest(state.artifacts[key])
         for key in DIGESTED_ARTIFACTS
         if key in state.artifacts
     }
+    if "digest_schema" not in snapshot.manifest["json"]:
+        # written before DIGEST_SCHEMA 2: the indices carry row digests
+        for key in ("value_index", "neighbor_index"):
+            recomputed[key] = rows_digest(state.artifacts[key])
     for key, digest in recomputed.items():
         expected = state.digests.get(key)
         if expected != digest:

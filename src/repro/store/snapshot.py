@@ -84,6 +84,14 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _restore_retired(path: Path) -> None:
+    """Undo a commit killed between its two renames: with nothing at
+    ``path``, the snapshot retired beside it is still the current one."""
+    aside = path.with_name(path.name + ".old")
+    if aside.exists() and not path.exists():
+        os.rename(aside, path)
+
+
 class SnapshotWriter:
     """Accumulates columns and JSON values, then commits a manifest.
 
@@ -93,10 +101,11 @@ class SnapshotWriter:
     directory into place — the rename is the commit point, so a crash at
     any instant leaves either the previous snapshot (or nothing) at
     ``path``, never a partial directory.  An existing snapshot at the
-    target is moved aside and removed only after the new directory has
-    landed.  :meth:`abort` discards the staging directory; a crash
-    before commit leaves only ``<path>.tmp`` debris, which the next
-    writer to the same path clears.
+    target is moved aside (``<path>.old``) and removed only after the new
+    directory has landed; the next writer or loader of ``path`` moves it
+    back if a crash fell between the two renames.  :meth:`abort` discards
+    the staging directory; a crash before commit leaves only
+    ``<path>.tmp`` debris, which the next writer to the same path clears.
 
     Set ``REPRO_NO_FSYNC=1`` to skip the fsync barriers (atomicity is
     kept; durability against power loss is not) — used by benchmarks to
@@ -106,6 +115,7 @@ class SnapshotWriter:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        _restore_retired(self.path)
         self.staging = self.path.parent / (self.path.name + ".tmp")
         if self.staging.exists():
             shutil.rmtree(self.staging)
@@ -147,6 +157,7 @@ class SnapshotWriter:
             return
         if self.staging.exists():
             shutil.rmtree(self.staging)
+        _restore_retired(self.path)
 
     def commit(self) -> Path:
         """Durably publish the staged snapshot at ``path``.
@@ -184,6 +195,7 @@ class SnapshotWriter:
             if aside.exists():
                 shutil.rmtree(aside)
             os.rename(self.path, aside)
+            failpoint("store.commit_swap")
             os.rename(self.staging, self.path)
             shutil.rmtree(aside)
         else:
@@ -235,6 +247,7 @@ class Snapshot:
         read in ``copy`` mode, on :meth:`verify_columns` in ``mmap``
         mode)."""
         root = Path(path)
+        _restore_retired(root)
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.is_file():
             raise SnapshotError(f"no {MANIFEST_NAME} in {root} (not a snapshot)")
@@ -323,25 +336,9 @@ class Snapshot:
         :class:`SnapshotError` naming the first corrupt column.
         """
         total = 0
-        for name in self.manifest["columns"]:
-            entry = self.manifest["columns"][name]
-            path = self.path / entry["file"]
-            if not path.is_file():
-                raise SnapshotError(
-                    f"column file {entry['file']!r} is missing"
-                )
-            if self.mode == "mmap":
-                raw: bytes | memoryview = self._mapped_view(name, path, entry)
-            else:
-                raw = path.read_bytes()
-            actual = bytes_sha256(raw)
-            if actual != entry["sha256"]:
-                raise SnapshotError(
-                    f"column {name!r} failed digest verification "
-                    f"({entry['file']}: expected {entry['sha256'][:12]}..., "
-                    f"found {actual[:12]}...)"
-                )
-            total += len(raw)
+        for name, entry in self.manifest["columns"].items():
+            path, _ = self._entry(name, (entry.get("kind"),))
+            total += len(self._verified(name, path, entry))
         return total
 
     # ------------------------------------------------------------------
@@ -361,12 +358,18 @@ class Snapshot:
             raise SnapshotError(f"column file {entry['file']!r} is missing")
         return path, entry
 
-    def _verified_bytes(self, name: str, path: Path, entry: dict) -> bytes:
-        """The column file's bytes, read once and digest-checked."""
-        raw = path.read_bytes()
-        _telemetry_current().metrics.counter("snapshot.bytes_read").inc(
-            len(raw)
-        )
+    def _verified(
+        self, name: str, path: Path, entry: dict
+    ) -> "bytes | memoryview":
+        """The column's bytes — the map in ``mmap`` mode, else read once
+        — checked against the manifest's SHA-256."""
+        if self.mode == "mmap":
+            raw: bytes | memoryview = self._mapped_view(name, path, entry)
+        else:
+            raw = path.read_bytes()
+            _telemetry_current().metrics.counter("snapshot.bytes_read").inc(
+                len(raw)
+            )
         actual = bytes_sha256(raw)
         if actual != entry["sha256"]:
             raise SnapshotError(
@@ -390,7 +393,7 @@ class Snapshot:
             if self.mode == "mmap":
                 view = self._mapped_view(name, path, entry)
                 return view_array_column(view, entry, byteorder, name)
-            raw = self._verified_bytes(name, path, entry)
+            raw = self._verified(name, path, entry)
             return decode_array_column(raw, entry, byteorder, name)
         except ColumnError as error:
             raise SnapshotError(f"column {name!r}: {error}") from error
@@ -403,18 +406,7 @@ class Snapshot:
         decoding, so string columns keep eager verification.
         """
         path, entry = self._entry(name, ("str",))
-        if self.mode == "mmap":
-            view = self._mapped_view(name, path, entry)
-            actual = bytes_sha256(view)
-            if actual != entry["sha256"]:
-                raise SnapshotError(
-                    f"column {name!r} failed digest verification "
-                    f"({entry['file']}: expected {entry['sha256'][:12]}..., "
-                    f"found {actual[:12]}...)"
-                )
-            raw = bytes(view)
-        else:
-            raw = self._verified_bytes(name, path, entry)
+        raw = bytes(self._verified(name, path, entry))
         try:
             return decode_string_column(raw, entry, name)
         except ColumnError as error:

@@ -18,7 +18,7 @@ from repro.engine import ProcessExecutor, SerialExecutor
 from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession
 from repro.serve import ResolutionDaemon, parse_delta
-from repro.store import Snapshot
+from repro.store import Snapshot, verify_snapshot
 from repro.testing.failpoints import ENV_SPEC, ENV_STATE, reset_failpoints
 from concurrent.futures.process import BrokenProcessPool
 
@@ -170,6 +170,47 @@ class TestAtomicSnapshot:
             session.save(path)
         self.assert_intact(path, digests)
 
+    def test_failed_swap_puts_the_old_snapshot_back(
+        self, monkeypatch, tmp_path
+    ):
+        # The error lands after the old snapshot was renamed aside.
+        session, path, digests = self.seed(tmp_path)
+        arm(monkeypatch, "store.commit_swap=once:OSError")
+        with pytest.raises(OSError):
+            session.save(path)
+        self.assert_intact(path, digests)
+
+    def test_kill9_between_the_swap_renames_keeps_the_old_snapshot(
+        self, tmp_path
+    ):
+        """SIGKILL with the old snapshot at ``.old`` and the new one
+        still at ``.tmp``: nothing is at ``path``, and the next loader
+        (or writer) must find the old snapshot, not "not a snapshot"."""
+        _, path, digests = self.seed(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env[ENV_SPEC] = "store.commit_swap=crash"
+        child = subprocess.run(
+            [sys.executable, "-c", RESAVE_CHILD, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        assert "survived" not in child.stdout
+        aside = path.parent / (path.name + ".old")
+        staging = path.parent / (path.name + ".tmp")
+        assert not path.exists() and aside.is_dir() and staging.is_dir()
+
+        assert verify_snapshot(path) == digests  # the loader restores it
+        assert path.is_dir() and not aside.exists()
+        # ... and so does a writer that gets there first; its commit then
+        # clears the dead writer's staging debris as before.
+        os.rename(path, aside)
+        MatchSession.load(aside).save(path)
+        self.assert_intact(path, digests)
+
     def test_clean_resave_after_interruption(self, monkeypatch, tmp_path):
         session, path, digests = self.seed(tmp_path)
         arm(monkeypatch, "store.write_column=once:OSError")
@@ -181,6 +222,15 @@ class TestAtomicSnapshot:
         # and lands the same digests.
         session.save(path)
         self.assert_intact(path, digests)
+
+
+RESAVE_CHILD = """
+import sys
+from repro.pipeline import MatchSession
+
+MatchSession.load(sys.argv[1]).save(sys.argv[1])
+print("survived the save")  # unreachable when the failpoint fires
+"""
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,12 @@ SHA-256 digest of every stage artifact (``digests.json``).  Any change
 to blocking, purging, index accumulation or heuristic logic that moves
 even one float shows up here, with the first diverging stage named.
 
+The two similarity indices are pinned twice: under their artifact name
+by ``rows_digest`` — the JSON-row form every one of the twelve original
+entries was frozen in, byte-identical since, so a change of digest
+*format* can never hide a moved float — and under ``<name>.columns`` by
+the column digest ``artifact_digest`` / ``context_digests`` return.
+
 Legitimate behaviour changes re-freeze the fixture with::
 
     pytest tests/test_golden_regression.py --update-golden
@@ -24,7 +30,7 @@ from repro.engine import SerialExecutor
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import context_digests, default_graph
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.digest import DIGESTED_ARTIFACTS
+from repro.pipeline.digest import DIGESTED_ARTIFACTS, rows_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS_FILE = GOLDEN / "digests.json"
@@ -76,8 +82,18 @@ def test_matches_equal_golden(golden_context, update_golden):
     )
 
 
+def golden_digests(ctx: PipelineContext) -> dict[str, str]:
+    """``context_digests`` in the layout of ``digests.json`` (see the
+    module docstring): index rows under the name, columns beside it."""
+    digests = context_digests(ctx)
+    for name in ("value_index", "neighbor_index"):
+        digests[f"{name}.columns"] = digests[name]
+        digests[name] = rows_digest(ctx.get(name))
+    return digests
+
+
 def test_stage_digests_equal_golden(golden_context, update_golden):
-    digests = context_digests(golden_context)
+    digests = golden_digests(golden_context)
     if update_golden:
         DIGESTS_FILE.write_text(
             json.dumps(digests, indent=2, sort_keys=True) + "\n",
@@ -88,11 +104,12 @@ def test_stage_digests_equal_golden(golden_context, update_golden):
     # Report the first diverging artifact in pipeline order — everything
     # downstream of it diverges transitively.
     for key in DIGESTED_ARTIFACTS:
-        if key not in expected:
-            continue
-        assert digests.get(key) == expected[key], (
-            f"stage artifact {key!r} diverged first (pipeline order); "
-            "downstream digests follow from it.  If the change is "
-            "intended, re-freeze with --update-golden"
-        )
+        for pinned in (key, f"{key}.columns"):
+            if pinned not in expected:
+                continue
+            assert digests.get(pinned) == expected[pinned], (
+                f"stage artifact {pinned!r} diverged first (pipeline "
+                "order); downstream digests follow from it.  If the "
+                "change is intended, re-freeze with --update-golden"
+            )
     assert digests == expected  # no artifacts appeared or vanished

@@ -12,13 +12,18 @@ from them.  These suites pin that:
 - the two kernels that changed (``sequential_unique_sums``,
   ``ranked_csr``) equal the pure-Python fold / 3-key sort they replace,
   float for float;
-- the canonical digest rendering is byte-identical to the old
-  ``sorted(pairs().items())`` form;
+- the row digest (``rows_digest``, the oracle) renders byte-identically
+  to the old ``sorted(pairs().items())`` form, and the column digest
+  (``artifact_digest``) is a function of the pair map alone: equal
+  exactly when the row digests are, whatever interner, buffer type or
+  NumPy arm produced the columns;
 - no production path — match, save, load, resolve, deltas, digests —
   ever materialises the dict views, and the memory they cost stays gone.
 """
 
+import hashlib
 import json
+import random
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -38,8 +43,8 @@ from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.ids.arrays import numpy_enabled
 from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
-from repro.pipeline import MatchSession, context_digests
-from repro.pipeline.digest import canonical_value
+from repro.pipeline import MatchSession, artifact_digest, context_digests
+from repro.pipeline.digest import rows_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -360,19 +365,20 @@ def test_ranked_csr_equals_three_key_sort(id_pairs):
 
 
 # ----------------------------------------------------------------------
-# Digest: same bytes, straight off the columns
+# Digests: the row oracle keeps its bytes, the columns say the same thing
 # ----------------------------------------------------------------------
-def rendered(value) -> str:
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+def old_rows_digest(index) -> str:
+    """SHA-256 of the ``sorted(pairs().items())`` JSON rendering."""
+    rendered = json.dumps(
+        [
+            [uri1, uri2, sim]
+            for (uri1, uri2), sim in sorted(index.pairs().items())
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
     )
-
-
-def old_canonical_form(index) -> list:
-    return [
-        [uri1, uri2, sim]
-        for (uri1, uri2), sim in sorted(index.pairs().items())
-    ]
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
 @_RELAXED
@@ -390,15 +396,13 @@ def test_canonical_form_is_byte_identical(toggled_numpy, id_pairs, data):
         *columns_of(sims, interner1, interner2), interner1, interner2
     )
     sortable = interner1.is_sorted and interner2.is_sorted
-    assert rendered(canonical_value(index)) == rendered(
-        old_canonical_form(index)
-    )
+    assert rows_digest(index) == old_rows_digest(index)
     if sortable:
         # the column walk never needed the decoded view
         fresh = ValueSimilarityIndex.from_packed_columns(
             *index.packed_columns(), interner1, interner2
         )
-        canonical_value(fresh)
+        rows_digest(fresh)
         assert fresh._pairs_cache is None and fresh._packed_view is None
 
 
@@ -412,10 +416,156 @@ def test_canonical_form_on_golden_fixture(toggled_numpy):
     digests = context_digests(ctx)
     for name in ("value_index", "neighbor_index"):
         index = ctx.get(name)
-        assert rendered(canonical_value(index)) == rendered(
-            old_canonical_form(index)
+        assert rows_digest(index) == old_rows_digest(index) == expected[name]
+        assert digests[name] == expected[f"{name}.columns"]
+
+
+#: What a digest must tell apart although ``==`` cannot (``-0.0``), what
+#: a decimal rendering could blur (neighbouring doubles, subnormals) and
+#: what a careless byte layout could overflow or truncate (``1e300``).
+DIGEST_SIMS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+    1.0000000000000002, -1.0, 1e300, -1e300, 1.7976931348623157e308,
+]  # fmt: skip
+
+digest_pair_maps = st.dictionaries(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    st.one_of(
+        st.sampled_from(DIGEST_SIMS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=24,
+)
+
+
+def digest_uri(side: int, position: int) -> str:
+    """URIs whose order is not their position's (``e10`` < ``e2``), of
+    differing and non-ASCII lengths (``é`` is two UTF-8 bytes)."""
+    return f"urn:kb{side}:{'é' * (position % 3)}e{position}"
+
+
+def index_routes(sims: dict, rng: random.Random) -> list:
+    """One ``{(uri1, uri2): sim}`` map as every index a producer can
+    hand the digest: exactly-referenced sorted interners, sorted
+    interners carrying unreferenced URIs on both sides, interners in
+    shuffled (unsorted) id order, and ``array`` / ``memoryview`` /
+    NumPy columns."""
+    routes = [ValueSimilarityIndex.from_pair_sums(sims)]
+    used1 = sorted({uri1 for uri1, _ in sims})
+    used2 = sorted({uri2 for _, uri2 in sims})
+    padded1 = used1 + [f"urn:kb1:unreferenced{i}" for i in range(3)]
+    padded2 = ["urn:kb2:", *used2, "urn:kb2:zz-unreferenced"]
+    shuffled1, shuffled2 = padded1[:], padded2[:]
+    rng.shuffle(shuffled1)
+    rng.shuffle(shuffled2)
+    for interner1, interner2 in (
+        (EntityInterner(padded1), EntityInterner(padded2)),
+        (
+            EntityInterner.from_uri_list(shuffled1),
+            EntityInterner.from_uri_list(shuffled2),
+        ),
+    ):
+        keys, values = columns_of(sims, interner1, interner2)
+        columns = [
+            (keys, values),
+            (
+                memoryview(keys.tobytes()).cast("q"),
+                memoryview(values.tobytes()).cast("d"),
+            ),
+        ]
+        if numpy_enabled():
+            import numpy
+
+            columns.append(
+                (numpy.array(keys, numpy.int64), numpy.array(values, float))
+            )
+        routes.extend(
+            NeighborSimilarityIndex.from_packed_columns(
+                *pair, interner1, interner2
+            )
+            for pair in columns
         )
-        assert digests[name] == expected[name]
+    return routes
+
+
+def column_digests(index, monkeypatch) -> set[str]:
+    """``artifact_digest`` on the stdlib arm and, if there, the NumPy one."""
+    digests = {artifact_digest(index)}
+    with monkeypatch.context() as patched:
+        patched.setenv("REPRO_DISABLE_NUMPY", "1")
+        digests.add(artifact_digest(index))
+    return digests
+
+
+@_RELAXED
+@given(
+    id_pairs=digest_pair_maps,
+    other=st.one_of(st.none(), digest_pair_maps),
+    data=st.data(),
+)
+def test_column_digest_equal_iff_row_digest_equal(
+    monkeypatch, id_pairs, other, data
+):
+    """The column digest is a function of the pair map alone — every
+    route of one map gives one hex, on both arms — and it separates two
+    maps exactly when the row oracle does."""
+    if other is None:  # a near miss: the same pairs, at most one sim moved
+        other = dict(id_pairs)
+        if other:
+            moved = data.draw(st.sampled_from(sorted(other)))
+            other[moved] = data.draw(st.sampled_from(DIGEST_SIMS))
+    rng = data.draw(st.randoms(use_true_random=False))
+    digests = []
+    for id_map in (id_pairs, other):
+        sims = {
+            (digest_uri(1, id1), digest_uri(2, id2)): sim
+            for (id1, id2), sim in id_map.items()
+        }
+        routes = index_routes(sims, rng)
+        rows = {rows_digest(index) for index in routes}
+        columns = set().union(
+            *(column_digests(index, monkeypatch) for index in routes)
+        )
+        assert len(rows) == 1 and len(columns) == 1
+        assert not any(
+            index._pairs_cache or index._packed_view
+            for index in routes
+            if all(interner.is_sorted for interner in index.interners())
+        )
+        digests.append((rows.pop(), columns.pop()))
+    (rows_a, columns_a), (rows_b, columns_b) = digests
+    assert (rows_a == rows_b) == (columns_a == columns_b)
+    same_map = {k: repr(v) for k, v in id_pairs.items()} == {
+        k: repr(v) for k, v in other.items()
+    }
+    assert (columns_a == columns_b) == same_map
+
+
+def test_column_digest_length_prefixes_the_uris(toggled_numpy):
+    """``("a", "bc")`` and ``("ab", "c")`` concatenate alike; the
+    length prefixes (and the per-side counts) keep them apart."""
+    split = [
+        ValueSimilarityIndex.from_pair_sums({pair: 1.0})
+        for pair in (("a", "bc"), ("ab", "c"), ("abc", ""), ("", "abc"))
+    ]
+    assert len({artifact_digest(index) for index in split}) == len(split)
+    # ... and the two index types share one digest function of the map
+    sims = {("a", "b"): 0.5}
+    assert artifact_digest(
+        ValueSimilarityIndex.from_pair_sums(sims)
+    ) == artifact_digest(NeighborSimilarityIndex.from_pair_sums(sims))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_similarity_refuses_to_digest(toggled_numpy, bad):
+    """As ``allow_nan=False`` always made the row form refuse."""
+    index = ValueSimilarityIndex.from_pair_sums(
+        {("urn:a", "urn:b"): 1.0, ("urn:a", "urn:c"): bad}
+    )
+    with pytest.raises(ValueError):
+        artifact_digest(index)
+    with pytest.raises(ValueError):
+        rows_digest(index)
 
 
 # ----------------------------------------------------------------------
@@ -466,6 +616,31 @@ def test_production_paths_never_materialise_the_dict_views(
     # ... and the probe itself is live: a view call does flip it.
     cold_ctx.get("value_index").pairs()
     assert not views_untouched(cold_ctx)
+
+
+def test_digest_builds_no_per_pair_objects(toggled_numpy):
+    """``artifact_digest`` of an index allocates a few column-sized
+    temporaries (per-side ids, gathered ranks, re-packed keys: measured
+    1.5-2.8x the 16 B/pair of the columns), never an object per pair —
+    the row form it replaced peaks at 22-30x on the same indices."""
+    kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
+    kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
+    session = MatchSession(kb1, kb2)
+    session.match()
+    for name in ("value_index", "neighbor_index"):
+        index = session.run_context().get(name)
+        peaks = {}
+        for digest in (artifact_digest, rows_digest):
+            digest(index)  # warm caches, untraced
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                digest(index)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[digest] = (peak - before) / (16 * len(index))
+        assert peaks[artifact_digest] < 4.0 < 10.0 < peaks[rows_digest]
 
 
 # ----------------------------------------------------------------------

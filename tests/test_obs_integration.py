@@ -205,6 +205,30 @@ class TestSessionTelemetry:
         assert counters["session.cache_misses"] == misses  # all cached
         assert match_signature(first) == match_signature(second)
 
+    def test_store_spans_split_save_and_load(self, dataset, tmp_path):
+        """A trace says where a save and a load spent their time."""
+        telemetry = Telemetry.create()
+        with activate(telemetry):
+            session = MatchSession(dataset.kb1, dataset.kb2)
+            MatchSession.load(session.save(tmp_path / "snap"), mode="mmap")
+        records = telemetry.tracer.records()
+        names = {record.span_id: record.name for record in records}
+        children: dict[str, dict[str, float]] = {}
+        for record in records:
+            if record.category == "store" and record.parent_id in names:
+                children.setdefault(names[record.parent_id], {})[
+                    record.name
+                ] = record.seconds
+        assert set(children["store.save"]) == {"store.digest", "store.write"}
+        assert set(children["store.load"]) == {
+            "store.load.kb",
+            "store.load.placements",
+            "store.load.indices",
+        }
+        totals = telemetry.tracer.seconds_by_name()
+        for parent, parts in children.items():
+            assert 0.0 < sum(parts.values()) <= totals[parent]
+
     def test_incremental_counters_mirror_delta_accounting(self, dataset):
         telemetry = Telemetry.create()
         matcher = IncrementalMatcher(

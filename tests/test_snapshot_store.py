@@ -10,6 +10,7 @@ loudly at load, never warp artifacts silently.
 """
 
 import json
+import math
 from array import array
 from pathlib import Path
 
@@ -22,7 +23,11 @@ from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession, context_digests, default_graph
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.digest import DIGESTED_ARTIFACTS, artifact_digest
+from repro.pipeline.digest import (
+    DIGESTED_ARTIFACTS,
+    artifact_digest,
+    rows_digest,
+)
 from repro.store import (
     MANIFEST_NAME,
     Snapshot,
@@ -245,6 +250,43 @@ def _rewrite_array_column(snapshot_dir, name, values):
     entry = write_array_column(snapshot_dir / f"{name}.bin", values)
     manifest["columns"][name].update(entry)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _as_unmarked_manifest(snapshot_dir):
+    """Turn a fresh manifest into what builds before ``digest_schema``
+    wrote: the two indices under their row digests, and no marker."""
+    state = load_state(snapshot_dir)
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["json"].pop("digest_schema") == 2
+    for key in ("value_index", "neighbor_index"):
+        manifest["json"]["digests"][key] = rows_digest(state.artifacts[key])
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+@pytest.mark.parametrize("form", ["columns", "rows"])
+def test_verify_snapshot_under_either_index_digest_form(
+    saved_snapshot, mode, form
+):
+    """A marked manifest verifies against column digests, an unmarked
+    one (an old snapshot) against row digests — and under either form a
+    single moved similarity fails the artifact check, even with the
+    column file's own SHA-256 rewritten to match."""
+    if form == "rows":
+        _as_unmarked_manifest(saved_snapshot)
+    recomputed = verify_snapshot(saved_snapshot, mode=mode)
+    assert recomputed == Snapshot.load(saved_snapshot).json("digests")
+    golden = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
+    pinned = "{}.columns" if form == "columns" else "{}"
+    for key in ("value_index", "neighbor_index"):
+        assert recomputed[key] == golden[pinned.format(key)]
+    sims = load_state(saved_snapshot).artifacts["neighbor_index"]
+    sims = array("d", sims.packed_columns()[1])
+    sims[len(sims) // 2] = math.nextafter(sims[len(sims) // 2], math.inf)
+    _rewrite_array_column(saved_snapshot, "neighbor_sims", sims)
+    with pytest.raises(SnapshotError, match="'neighbor_index' does not"):
+        verify_snapshot(saved_snapshot, mode=mode)
 
 
 def _unsorted_keys(keys, sims):
