@@ -61,6 +61,15 @@ def names_from_attributes(
     return AttributeNameExtractor(tuple(attributes))
 
 
+def name_keys(
+    entity: EntityDescription, extractor: NameExtractor
+) -> frozenset[str]:
+    """The name-blocking keys of one entity: its non-empty normalized names."""
+    return frozenset(
+        key for key in map(normalize_name, extractor(entity)) if key
+    )
+
+
 def name_blocking(
     kb1: KnowledgeBase,
     kb2: KnowledgeBase,
@@ -76,10 +85,8 @@ def name_blocking(
     blocks = BlockCollection(name)
     for side, kb, extractor in ((1, kb1, extractor1), (2, kb2, extractor2)):
         for entity in kb:
-            for raw_name in extractor(entity):
-                key = normalize_name(raw_name)
-                if key:
-                    blocks.place(key, entity.uri, side)
+            for key in name_keys(entity, extractor):
+                blocks.place(key, entity.uri, side)
     return blocks.drop_empty()
 
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..blocking.base import BlockCollection
-from ..blocking.name_blocking import names_from_attributes, normalize_name
+from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
 from ..ids.arrays import (
     gathered_candidate_sums,
@@ -307,6 +307,7 @@ class OnlineResolver:
             top_relations2=ctx.get_or("top_relations2", ()),
             name_attributes1=ctx.get_or("name_attributes1"),
             name_attributes2=ctx.get_or("name_attributes2"),
+            top_neighbors2=ctx.get_or("top_neighbors2"),
             known1=known1,
         )
 
@@ -342,24 +343,19 @@ class OnlineResolver:
             self._name_attributes1 is not None
             and self._name_attributes2 is not None
         ):
-            names1 = frozenset(
-                self._name_keys_of(self._kb1, self._name_attributes1)
+            extractor1 = names_from_attributes(self._name_attributes1)
+            names1 = frozenset().union(
+                *(name_keys(entity, extractor1) for entity in self._kb1)
             )
             names2 = {}
             extractor2 = names_from_attributes(self._name_attributes2)
             for entity in self._kb2:
-                for raw in extractor2(entity):
-                    key = normalize_name(raw)
-                    if not key:
-                        continue
-                    holder = names2.get(key, _UNSEEN)
-                    if holder is _UNSEEN:
-                        names2[key] = entity.uri
-                    elif holder != entity.uri:
-                        names2[key] = None  # shared name: never an H1 block
+                for key in name_keys(entity, extractor2):
+                    # a name two entities share is never an H1 block
+                    names2[key] = None if key in names2 else entity.uri
 
         top_nbrs2 = self._top_neighbors2
-        if top_nbrs2 is None:
+        if top_nbrs2 is None:  # a custom neighbor stage published none
             top_nbrs2 = top_neighbors(
                 self._kb2,
                 list(self._top_relations2),
@@ -423,19 +419,6 @@ class OnlineResolver:
                 self._value_index, self._neighbor_index, 2
             ),
         )
-
-    @staticmethod
-    def _name_keys_of(
-        kb: "KnowledgeBase", attributes: tuple[str, ...]
-    ) -> set[str]:
-        extractor = names_from_attributes(attributes)
-        keys: set[str] = set()
-        for entity in kb:
-            for raw in extractor(entity):
-                key = normalize_name(raw)
-                if key:
-                    keys.add(key)
-        return keys
 
     # ------------------------------------------------------------------
     # Public API
@@ -895,13 +878,8 @@ class OnlineResolver:
         a record with several unique names resolves deterministically,
         mirroring the batch heuristic's sorted-block walk."""
         extractor = names_from_attributes(self._name_attributes1)
-        keys = {
-            key
-            for key in (normalize_name(raw) for raw in extractor(record))
-            if key
-        }
         names1, names2 = tables.names1, tables.names2
-        for key in sorted(keys):
+        for key in sorted(name_keys(record, extractor)):
             if key in names1:
                 continue
             sole = names2.get(key)

@@ -25,46 +25,106 @@ stop-word blocks are dropped *before* any Block object materializes.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from ..blocking.base import Block, BlockCollection
-from ..blocking.name_blocking import NameExtractor, normalize_name
+from ..blocking.name_blocking import (
+    NameExtractor,
+    name_keys,
+    names_from_attributes,
+)
 from ..blocking.packed import PackedBlockCollection
 from ..ids import EntityInterner
 from ..kb.entity import EntityDescription
 from ..kb.knowledge_base import KnowledgeBase
 from ..kb.tokenizer import Tokenizer
 from .executor import Executor, SerialExecutor
-from .partitioner import hash_partitions, partition_count, partition_entities
+from .partitioner import (
+    chunk_evenly,
+    hash_partitions,
+    partition_count,
+    partition_entities,
+)
 
 Placements = dict[str, set[str]]
+
+#: Placement rows of a run of entities: ``(uri, block keys)``.
+KeyRows = list[tuple[str, frozenset[str]]]
+
+#: Entity -> its block keys under one blocking scheme.
+KeysOf = Callable[[EntityDescription], frozenset[str]]
 
 #: One side's packed placements: token -> entity ids (KB-interner space).
 IdPlacements = dict[str, array]
 
 
-def _token_placements(
-    entities: list[EntityDescription], tokenizer: Tokenizer
-) -> Placements:
-    """token -> {entity uris} of one entity partition."""
-    placements: Placements = {}
-    for entity in entities:
-        for token in tokenizer.token_set(entity):
-            placements.setdefault(token, set()).add(entity.uri)
-    return placements
+def token_keys(entity: EntityDescription, tokenizer: Tokenizer) -> frozenset[str]:
+    """The token-blocking keys of one entity: its distinct tokens."""
+    return frozenset(tokenizer.token_set(entity))
 
 
-def _name_placements(
-    entities: list[EntityDescription], extractor: NameExtractor
-) -> Placements:
-    """normalized name -> {entity uris} of one entity partition."""
+def _key_rows(entities: Sequence[EntityDescription], keys_of: KeysOf) -> KeyRows:
+    """``(uri, keys)`` of one entity partition (engine worker)."""
+    return [(entity.uri, keys_of(entity)) for entity in entities]
+
+
+def entity_key_rows(
+    entities: Iterable[EntityDescription],
+    keys_of: KeysOf,
+    engine: Executor | None = None,
+) -> KeyRows:
+    """``(uri, block keys)`` of every entity, in the order given.
+
+    The one place an entity is turned into its blocking keys outside the
+    id-column hot path: ``keys_of`` is ``partial(token_keys, tokenizer=
+    ...)`` or ``partial(name_keys, extractor=...)`` (picklable, so the
+    process executor can ship it).  The snapshot store writes these rows
+    and the incremental matcher keeps them as its placement tables.
+    """
+    entities = list(entities)
+    chunks = chunk_evenly(entities, partition_count(len(entities)))
+    return (engine or SerialExecutor()).run(
+        partial(_key_rows, keys_of=keys_of), chunks, operator.iadd, []
+    )
+
+
+def placement_rows(
+    kbs: tuple[KnowledgeBase, KnowledgeBase],
+    tokenizer: Tokenizer,
+    name_attributes: tuple[Sequence[str], Sequence[str]] | None,
+    engine: Executor | None = None,
+) -> tuple[tuple[KeyRows, KeyRows], tuple[KeyRows, KeyRows] | None]:
+    """Both KBs' full placements, every entity keyed once.
+
+    Token rows per side, and name rows per side under each side's
+    discovered name attributes (``None`` for a token-only composition).
+    *Full* means purged and one-sided keys included — what maintaining
+    the blocks under deltas needs and what a snapshot persists.
+    """
+    tokens = partial(token_keys, tokenizer=tokenizer)
+    token_rows = tuple(entity_key_rows(kb, tokens, engine) for kb in kbs)
+    name_rows = None
+    if name_attributes is not None:
+        name_rows = tuple(
+            entity_key_rows(
+                kb,
+                partial(name_keys, extractor=names_from_attributes(attributes)),
+                engine,
+            )
+            for kb, attributes in zip(kbs, name_attributes)
+        )
+    return token_rows, name_rows
+
+
+def _placements(entities: list[EntityDescription], keys_of: KeysOf) -> Placements:
+    """key -> {entity uris} of one entity partition."""
     placements: Placements = {}
     for entity in entities:
-        for raw_name in extractor(entity):
-            key = normalize_name(raw_name)
-            if key:
-                placements.setdefault(key, set()).add(entity.uri)
+        for key in keys_of(entity):
+            placements.setdefault(key, set()).add(entity.uri)
     return placements
 
 
@@ -106,7 +166,7 @@ def token_blocking_engine(
     """Token blocks ``BT`` built via per-partition sub-collections."""
     tokenizer = tokenizer or Tokenizer()
     engine = engine or SerialExecutor()
-    worker = partial(_token_placements, tokenizer=tokenizer)
+    worker = partial(_placements, keys_of=partial(token_keys, tokenizer=tokenizer))
     return _assemble(
         _build_side(kb1, worker, engine), _build_side(kb2, worker, engine), name
     )
@@ -278,6 +338,9 @@ def name_blocking_engine(
     returns a picklable callable.
     """
     engine = engine or SerialExecutor()
-    side1 = _build_side(kb1, partial(_name_placements, extractor=extractor1), engine)
-    side2 = _build_side(kb2, partial(_name_placements, extractor=extractor2), engine)
-    return _assemble(side1, side2, name)
+
+    def side(kb: KnowledgeBase, extractor: NameExtractor) -> Placements:
+        keys_of = partial(name_keys, extractor=extractor)
+        return _build_side(kb, partial(_placements, keys_of=keys_of), engine)
+
+    return _assemble(side(kb1, extractor1), side(kb2, extractor2), name)

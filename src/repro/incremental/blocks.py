@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..blocking.base import Block, BlockCollection
+from ..engine.blocking import KeyRows
 
 
 class DeltaBlockIndex:
@@ -28,6 +29,16 @@ class DeltaBlockIndex:
         self._entity_keys: tuple[
             dict[str, frozenset[str]], dict[str, frozenset[str]]
         ] = ({}, {})
+
+    @classmethod
+    def from_rows(
+        cls, name: str, rows: tuple[KeyRows, KeyRows]
+    ) -> "DeltaBlockIndex":
+        """An index holding both sides' ``(uri, keys)`` placement rows."""
+        index = cls(name)
+        index.load_side(1, rows[0])
+        index.load_side(2, rows[1])
+        return index
 
     # ------------------------------------------------------------------
     # Delta application
@@ -89,6 +100,14 @@ class DeltaBlockIndex:
     def entity_keys(self, side: int, uri: str) -> frozenset[str]:
         """The block keys of ``uri`` on ``side`` (empty when absent)."""
         return self._entity_keys[side - 1].get(uri, frozenset())
+
+    def rows(self, uris: tuple[list[str], list[str]]) -> tuple[KeyRows, KeyRows]:
+        """Both sides' placement rows in the given URI orders (the
+        inverse of :meth:`from_rows`; what a snapshot persists)."""
+        return tuple(
+            [(uri, self.entity_keys(side, uri)) for uri in side_uris]
+            for side, side_uris in enumerate(uris, start=1)
+        )
 
     def shared_counts(self) -> dict[str, tuple[int, int]]:
         """Side sizes of every two-sided key (the keys that form blocks)."""

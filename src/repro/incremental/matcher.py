@@ -1,198 +1,184 @@
 """Incremental matching with batch-parity guarantees.
 
-An :class:`IncrementalMatcher` wraps a :class:`~repro.pipeline.session.
-MatchSession` and accepts entity deltas — ``add_entities`` /
-``remove_entities`` on either KB.  A delta keeps what is O(delta) and
-exact by construction *maintained*, and *rebuilds* the rest through the
-batch kernels:
+An :class:`IncrementalMatcher` is a :class:`~repro.pipeline.session.
+MatchSession` whose blocking artifacts are *maintained*.  It accepts
+entity deltas — ``add_entities`` / ``remove_entities`` on either KB —
+and owns exactly the state that is O(delta) and exact by construction:
 
-- **maintained** — tokenizing / name-keying only the added entities,
-  the per-side block placements (:class:`DeltaBlockIndex`), the purging
-  decision (taken from maintained side sizes), the name blocks, the
-  top-relation check and the top-neighbor sets of the entities a delta
-  touches.  All discrete (set/integer) state, so incremental upkeep
-  equals a cold computation.
-- **rebuilt** — the value and neighbor similarity indices, by the very
-  :func:`~repro.engine.similarity.build_value_index` /
-  :func:`~repro.engine.similarity.build_neighbor_index` calls a cold
-  run makes, over the maintained blocks and top-neighbor sets.  The
-  paper's ``valueSim`` weighs a shared token by its block's side sizes,
-  so one added or removed entity re-weights every pair of each of its
-  token blocks and ``neighborNSim`` fans that out again: on the
-  benchmark profiles a 2-entity delta moves 30–60 % of all pairs, and
-  replaying those one by one lost to the vectorized builders on every
-  delta measured (``docs/PERFORMANCE.md``).
+- the two :class:`DeltaBlockIndex` placement tables (token keys and
+  name keys of every entity, purged and one-sided keys included), so a
+  delta tokenizes / name-keys only the entities it adds;
+- the purging decision, taken from the tables' side sizes;
+- the check that the discovered name attributes still hold — when a
+  delta moves them, that side's name keys are re-extracted wholesale
+  and the name-blocking stage is left to run.
+
+Everything else belongs to the session's stage graph and runs through
+the one code path a cold run uses.  On a pending delta the matcher
+reassembles ``token_blocks`` / ``purging_report`` (and ``name_blocks``
+/ ``name_attributes1/2``) from its tables, calls
+``session.invalidate("kb1")``, seeds the blocking stages' cache entries
+with those artifacts and runs the session: the two similarity indices,
+the candidates, the decisions *and any custom stage of the graph*
+re-run because nothing cached survives a KB change — not because the
+matcher lists them.  (Why rebuild the indices rather than patch pairs:
+``valueSim`` weighs a token by its block's side sizes, so a 2-entity
+delta moves 30–60 % of all pairs on the benchmark profiles —
+``docs/PERFORMANCE.md``.)
 
 **The parity contract.**  After any sequence of deltas, ``match()``
 returns exactly what a cold batch ``match()`` on the final KB state
 returns — bit-identical matches, scores, block collections and index
-floats.  For the indices this holds by construction (same code path,
-same inputs); the matching heuristics are deterministic functions of
-the prepared artifacts and the KB iteration order, which the mutable
-:class:`~repro.kb.knowledge_base.KnowledgeBase` preserves under deltas
-(removals keep relative order, re-adds append).
+floats.  From the value index on this holds by construction (same
+stages, same inputs); the maintained state is discrete (sets and
+integers), so its upkeep equals a cold computation; and the mutable
+:class:`~repro.kb.knowledge_base.KnowledgeBase` preserves the iteration
+order the greedy heuristics depend on (removals keep relative order,
+re-adds append).
 
-A refresh never mutates a published artifact: every delta overlays
-*new* block collections and index objects, so whoever holds the
-previous ones (a serving generation, a saved context) keeps a frozen
-view.  Rebuilt stages count in :attr:`stage_recomputes`, maintained
-ones in :attr:`delta_updates`; when a delta moves the discovered name
-attributes that side's name keys are re-extracted wholesale (counted
-as a recompute).  Delta work dispatches through the same partitioned
-execution engine as the batch stages.
+A delta never mutates a published artifact — reassembled blocks and
+rebuilt indices are new objects, so a serving generation or a saved
+context keeps a frozen view — and the matcher keeps no superseded
+generation alive.  Stages the session ran count in
+:attr:`stage_recomputes` (``session.stage_runs``), blocking stages
+seeded from the tables in :attr:`delta_updates`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from ..blocking.name_blocking import names_from_attributes, normalize_name
+from ..blocking.name_blocking import names_from_attributes
 from ..blocking.packed import PackedBlockCollection
-from ..blocking.purging import PurgingReport, purge_decision_from_sizes
-from ..core.statistics import top_name_attributes, top_relations
-from ..core.neighbors import top_neighbors
+from ..blocking.purging import purge_decision_from_sizes
+from ..core.statistics import top_name_attributes
+from ..engine.blocking import (
+    entity_key_rows,
+    name_keys,
+    placement_rows,
+    token_keys,
+)
 from ..engine.executor import create_executor
-from ..engine.partitioner import hash_partitions, partition_count
-from ..engine.similarity import build_neighbor_index, build_value_index
-from ..kb.graph import inverse
 from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
-from ..pipeline.context import PipelineContext
-from ..pipeline.delta import DeltaContext
+from ..pipeline.stages import NameBlockingStage, TokenBlockingStage
 from .blocks import DeltaBlockIndex
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.pipeline import MatchResult
     from ..kb.entity import EntityDescription
+    from ..pipeline.context import PipelineContext
     from ..pipeline.session import MatchSession
+    from ..pipeline.stage import StageGraph
 
-#: Stages the incremental matcher maintains; the session's graph must be
-#: exactly these (name_blocking optional — token-only compositions work).
-REQUIRED_STAGES = (
-    "token_blocking",
-    "value_index",
-    "neighbor_index",
-    "candidates",
-    "matching",
-)
+#: Stages the session's graph must have for the matcher to maintain its
+#: blocking (``name_blocking`` is optional — token-only compositions
+#: work; every other stage is the graph's own business).
+REQUIRED_STAGES = ("token_blocking",)
 
 
-def _token_key_rows(
-    entities: list["EntityDescription"], tokenizer: Tokenizer
-) -> list[tuple[str, frozenset[str]]]:
-    """(uri, token keys) of one entity partition (engine worker)."""
-    return [(e.uri, frozenset(tokenizer.token_set(e))) for e in entities]
+def _maintains_names(graph: "StageGraph") -> bool:
+    """Whether ``graph`` has name blocking for the matcher to maintain.
 
-
-def _name_key_rows(
-    entities: list["EntityDescription"], extractor
-) -> list[tuple[str, frozenset[str]]]:
-    """(uri, normalized name keys) of one entity partition (engine worker)."""
-    rows = []
-    for entity in entities:
-        keys = frozenset(
-            key
-            for key in (normalize_name(raw) for raw in extractor(entity))
-            if key
+    Raises when the placement tables could not stand in for the graph's
+    blocking: ``token_blocks`` (and ``name_blocks``, when present) must
+    come from the built-in stage whose keys the tables reproduce.
+    """
+    producers = {key: stage for stage in graph for key in stage.provides}
+    problems = []
+    for key, builtin in (
+        ("token_blocks", TokenBlockingStage),
+        ("name_blocks", NameBlockingStage),
+    ):
+        stage = producers.get(key)
+        if stage is None:
+            if builtin.name in REQUIRED_STAGES:
+                problems.append(
+                    f"the graph lacks required stage {builtin.name!r}"
+                )
+        elif type(stage) is not builtin:
+            problems.append(
+                f"{key!r} is produced by stage {stage.name!r} "
+                f"({type(stage).__name__}), not by the built-in "
+                f"{builtin.name!r} stage"
+            )
+    if problems:
+        raise ValueError(
+            "IncrementalMatcher maintains the placements of the built-in "
+            "blocking stages only: " + "; ".join(problems) + ". Run other "
+            "blocking compositions through MatchSession.match() instead."
         )
-        rows.append((entity.uri, keys))
-    return rows
-
-
-def _merge_rows(rows: list, partial_rows: list) -> list:
-    rows.extend(partial_rows)
-    return rows
+    return "name_blocks" in producers
 
 
 class IncrementalMatcher:
-    """Delta-updatable matching over a completed :class:`MatchSession`."""
+    """Delta-updatable matching over a :class:`MatchSession`."""
 
     def __init__(
         self,
         session: "MatchSession",
         telemetry: "Telemetry | None" = None,
     ) -> None:
-        self._init_state(session)
-        self.telemetry = telemetry
-        with activate(self.telemetry):
-            self._bootstrap()
+        self._adopt(session, telemetry)
 
-    def _init_state(self, session: "MatchSession") -> None:
-        """Validate the session's graph and set up every maintained field
-        (shared by the cold :meth:`__init__` and the warm
-        :meth:`from_snapshot` paths; neither artifact bootstrap nor
-        restore happens here)."""
-        from ..pipeline.stage import declares_delta_hook
-
-        names = session.graph.names()
-        custom = set(names) - set(REQUIRED_STAGES) - {"name_blocking"}
-        # Custom stages overriding Stage.apply_delta opt in to the
-        # rerun-on-refresh fallback; the rest keep the strict check.
-        hooked = {
-            name
-            for name in custom
-            if declares_delta_hook(session.graph.stage(name))
-        }
-        unsupported = custom - hooked
-        missing = [name for name in REQUIRED_STAGES if name not in names]
-        if unsupported or missing:
-            problems = []
-            if unsupported:
-                problems.append(
-                    "it cannot maintain deltas for custom stage(s) "
-                    + ", ".join(repr(name) for name in sorted(unsupported))
-                )
-            if missing:
-                problems.append(
-                    "the graph lacks required stage(s) "
-                    + ", ".join(repr(name) for name in sorted(missing))
-                )
-            raise ValueError(
-                "IncrementalMatcher supports the default stage composition "
-                "only: " + "; ".join(problems) + ". A custom stage may "
-                "declare a delta hook (the escape hatch: override "
-                "Stage.apply_delta) to opt in to rerun-on-refresh; "
-                "otherwise run custom compositions through "
-                "MatchSession.match() instead."
-            )
-        #: Hook-declaring custom stages, in graph order — re-run by
-        #: every :meth:`match` alongside candidates/matching.
-        self._delta_hook_stages = tuple(
-            name for name in names if name in hooked
-        )
+    def _adopt(
+        self,
+        session: "MatchSession",
+        telemetry: "Telemetry | None",
+        tables: "tuple[DeltaBlockIndex, DeltaBlockIndex | None] | None" = None,
+    ) -> None:
+        """The one adoption path: validate the session's graph, run it,
+        and take the placement tables — the ``(tokens, names)`` a
+        snapshot restored, or every entity keyed once."""
+        has_names = _maintains_names(session.graph)
         self.session = session
         self.config = session.config
         self.graph = session.graph
         self.kbs = (session.kb1, session.kb2)
-        self._has_names = "name_blocking" in names
-        #: Full stage-equivalent recomputations (bootstrap counts as one
-        #: cold run); the parity harness asserts delta refreshes stay
-        #: strictly below a cold run's stage count.
-        self.stage_recomputes: dict[str, int] = {}
-        #: Artifacts brought up to date from maintained state, without
-        #: re-deriving any untouched entity's keys, by stage name.
+        #: Optional pinned telemetry (see :class:`MatchSession`): when
+        #: set, every run of this matcher records into it.
+        self.telemetry = telemetry
+        #: Blocking stages whose artifacts a delta reassembled from the
+        #: placement tables instead of re-keying any untouched entity.
         self.delta_updates: dict[str, int] = {}
         #: Applied deltas, oldest first: (op, kb side, uris).
         self.delta_log: list[tuple[str, int, tuple[str, ...]]] = []
-        self.last_context: PipelineContext | None = None
-
+        #: The artifact store of the last :meth:`match`.
+        self.last_context: "PipelineContext | None" = None
         self._tokenizer = Tokenizer(
             min_length=self.config.min_token_length,
             include_uri_localnames=self.config.include_uri_localnames,
         )
-        self._tokens = DeltaBlockIndex("BT")
-        self._names = DeltaBlockIndex("BN")
-        self._name_attrs: list[list[str]] = [[], []]
-        self._top_rels: list[list[str]] = [[], []]
-        self._top_nbrs: list[dict[str, set[str]]] = [{}, {}]
-        self._refs: list[dict[str, set[str]]] = [{}, {}]
-        self._tn_dirty: list[set[str]] = [set(), set()]
         self._pending = False
-        self._stage_seconds: dict[str, tuple[float, bool]] = {}
-        #: Optional pinned telemetry (see :class:`MatchSession`): when
-        #: set, every bootstrap/refresh/match runs under it.
-        self.telemetry: "Telemetry | None" = None
+        with activate(telemetry):
+            # The cold pass on a fresh session; a pure cache restore on
+            # one that already matched or was seeded from a snapshot.
+            ctx = self._run()
+            self._name_attrs: list[list[str]] | None = (
+                [ctx.get("name_attributes1"), ctx.get("name_attributes2")]
+                if has_names
+                else None
+            )
+            if tables is None:
+                with self._engine() as engine:
+                    token_rows, name_rows = placement_rows(
+                        self.kbs, self._tokenizer, self._name_attrs, engine
+                    )
+                tables = (
+                    DeltaBlockIndex.from_rows("BT", token_rows),
+                    DeltaBlockIndex.from_rows("BN", name_rows)
+                    if has_names
+                    else None,
+                )
+        self._tokens, self._names = tables
+
+    @property
+    def stage_recomputes(self) -> dict[str, int]:
+        """How often each stage actually computed: the session's own
+        ``stage_runs`` (so runs the session made before it was wrapped
+        count too; a warm-restarted session starts at zero)."""
+        return self.session.stage_runs
 
     # ------------------------------------------------------------------
     # Warm restart (snapshot store)
@@ -209,11 +195,12 @@ class IncrementalMatcher:
     ) -> "IncrementalMatcher":
         """A matcher warm-restarted from a ``repro-snapshot/1`` directory.
 
-        Loads the saved placements, indices and top-neighbor sets
-        instead of running :meth:`_bootstrap`'s cold pass, so no entity
-        is re-tokenized and no index is re-accumulated.  Deltas applied
-        afterwards behave exactly as they would on the matcher that was
-        saved — bit-identical to a cold batch run on the final KB state.
+        Adopts the loaded session (its stage cache seeded with every
+        saved artifact) and the saved placement tables, so no entity is
+        re-tokenized and no stage runs — not here, and not in the first
+        :meth:`match`.  Deltas applied afterwards behave
+        exactly as they would on the matcher that was saved —
+        bit-identical to a cold batch run on the final KB state.
         ``engine``/``workers`` override the stored execution-engine
         fields; ``mode="mmap"`` maps column files instead of copying
         them (see :meth:`repro.store.Snapshot.load`).
@@ -222,9 +209,7 @@ class IncrementalMatcher:
 
         state = load_state(path, engine=engine, workers=workers, mode=mode)
         matcher = cls.__new__(cls)
-        matcher._init_state(state.session)
-        matcher.telemetry = telemetry
-        matcher._restore(state)
+        matcher._adopt(state.session, telemetry, (state.tokens, state.names))
         return matcher
 
     def save(self, path):
@@ -240,175 +225,28 @@ class IncrementalMatcher:
         validate_snapshotable_graph(self.graph)
         if self.last_context is None or self._pending:
             self.match()
-        ctx = self.last_context
-        kb1, kb2 = self.kbs
-        token_rows = tuple(
-            [(uri, self._tokens.entity_keys(side, uri)) for uri in kb.uris()]
-            for side, kb in ((1, kb1), (2, kb2))
-        )
-        name_rows = None
-        if self._has_names:
-            name_rows = tuple(
-                [(uri, self._names.entity_keys(side, uri)) for uri in kb.uris()]
-                for side, kb in ((1, kb1), (2, kb2))
-            )
+        uris = (self.kbs[0].uris(), self.kbs[1].uris())
         return write_session_snapshot(
             path,
-            kb1=kb1,
-            kb2=kb2,
-            config=self.config,
-            graph_names=list(self.graph.names()),
-            ctx=ctx,
-            token_rows=token_rows,
-            name_rows=name_rows,
-            top_neighbors=(self._top_nbrs[0], self._top_nbrs[1]),
+            self.last_context,
+            list(self.graph.names()),
+            self._tokens.rows(uris),
+            None if self._names is None else self._names.rows(uris),
         )
-
-    def _restore(self, state) -> None:
-        """Adopt a :class:`~repro.store.RestoredState` in place of the
-        cold bootstrap (fields mirror :meth:`_bootstrap`'s, loaded
-        instead of computed; recompute counters stay at zero — nothing
-        was recomputed)."""
-        self._tokens = state.tokens
-        if self._has_names:
-            self._names = state.names
-            self._name_blocks = state.artifacts["name_blocks"]
-            self._name_attrs = [
-                list(state.artifacts["name_attributes1"]),
-                list(state.artifacts["name_attributes2"]),
-            ]
-        self._top_rels = [
-            list(state.artifacts["top_relations1"]),
-            list(state.artifacts["top_relations2"]),
-        ]
-        self._top_nbrs = [
-            dict(state.top_neighbors[0]),
-            dict(state.top_neighbors[1]),
-        ]
-        for side in (1, 2):
-            self._index_references(side)
-        self._purging_report = state.artifacts["purging_report"]
-        self._token_blocks = state.artifacts["token_blocks"]
-        self._value_index = state.artifacts["value_index"]
-        self._neighbor_index = state.artifacts["neighbor_index"]
-        base = PipelineContext(self.kbs[0], self.kbs[1], self.config)
-        self._publish_artifacts(base, producer="snapshot")
-        self._base_ctx = base
-
-    # ------------------------------------------------------------------
-    # Bootstrap (one cold pass over the current KB state)
-    # ------------------------------------------------------------------
-    def _engine(self):
-        return create_executor(self.config.engine, self.config.workers)
-
-    def _keys_via_engine(self, entities, worker, engine):
-        """Re-key ``entities`` through the partitioned engine."""
-        shards = hash_partitions(
-            list(entities),
-            partition_count(len(entities)),
-            key=lambda entity: entity.uri,
-        )
-        return engine.run(worker, shards, _merge_rows, [])
-
-    def _count(self, counters: dict[str, int], stage: str) -> None:
-        counters[stage] = counters.get(stage, 0) + 1
-        kind = (
-            "stage_recomputes"
-            if counters is self.stage_recomputes
-            else "delta_updates"
-        )
-        current_telemetry().metrics.counter(f"incremental.{kind}").inc()
-
-    def _bootstrap(self) -> None:
-        config = self.config
-        with current_telemetry().tracer.span(
-            "bootstrap", category="run", args={"kind": "incremental"}
-        ), self._engine() as engine:
-            token_worker = partial(_token_key_rows, tokenizer=self._tokenizer)
-            for side in (1, 2):
-                kb = self.kbs[side - 1]
-                self._tokens.load_side(
-                    side, self._keys_via_engine(kb, token_worker, engine)
-                )
-                if self._has_names:
-                    attrs = top_name_attributes(kb, config.name_attributes)
-                    self._name_attrs[side - 1] = attrs
-                    self._names.load_side(
-                        side,
-                        self._keys_via_engine(
-                            kb,
-                            partial(
-                                _name_key_rows,
-                                extractor=names_from_attributes(attrs),
-                            ),
-                            engine,
-                        ),
-                    )
-                self._top_rels[side - 1] = top_relations(
-                    kb, config.top_n_relations, config.include_incoming_edges
-                )
-                self._top_nbrs[side - 1] = top_neighbors(
-                    kb,
-                    self._top_rels[side - 1],
-                    config.include_incoming_edges,
-                )
-                self._index_references(side)
-
-            self._assemble_token_blocks()
-            self._value_index = build_value_index(self._token_blocks, engine)
-            self._neighbor_index = build_neighbor_index(
-                self._value_index,
-                self._top_nbrs[0],
-                self._top_nbrs[1],
-                engine,
-            )
-            if self._has_names:
-                self._name_blocks = self._names.assemble()
-                self._count(self.stage_recomputes, "name_blocking")
-            for stage in ("token_blocking", "value_index", "neighbor_index"):
-                self._count(self.stage_recomputes, stage)
-
-        base = PipelineContext(self.kbs[0], self.kbs[1], config)
-        self._publish_artifacts(base, producer="bootstrap")
-        self._base_ctx = base
-
-    def _index_references(self, side: int) -> None:
-        """(Re)build one side's ``target -> {subjects}`` reference index
-        (the incoming direction of per-entity top-neighbor upkeep)."""
-        refs: dict[str, set[str]] = {}
-        for entity in self.kbs[side - 1]:
-            for _, target in entity.relation_pairs():
-                refs.setdefault(target, set()).add(entity.uri)
-        self._refs[side - 1] = refs
-
-    def _assemble_token_blocks(self) -> None:
-        """Purge decision + the kept token blocks, from maintained sizes.
-
-        Assembled once, in the columnar form the cold token-blocking
-        stage produces: the value-index builder reads its CSR rows and
-        member interners directly, and the online resolver's tables
-        (built at every publish) need no re-encoding of a string view.
-        """
-        kept, self._purging_report = self._purge_decision()
-        self._token_blocks = PackedBlockCollection.from_collection(
-            self._tokens.assemble(keep=kept)
-        )
-
-    def _publish_artifacts(self, ctx: PipelineContext, producer: str) -> None:
-        if self._has_names:
-            ctx.put("name_blocks", self._name_blocks, producer=producer)
-            ctx.put("name_attributes1", list(self._name_attrs[0]), producer=producer)
-            ctx.put("name_attributes2", list(self._name_attrs[1]), producer=producer)
-        ctx.put("token_blocks", self._token_blocks, producer=producer)
-        ctx.put("purging_report", self._purging_report, producer=producer)
-        ctx.put("value_index", self._value_index, producer=producer)
-        ctx.put("neighbor_index", self._neighbor_index, producer=producer)
-        ctx.put("top_relations1", list(self._top_rels[0]), producer=producer)
-        ctx.put("top_relations2", list(self._top_rels[1]), producer=producer)
 
     # ------------------------------------------------------------------
     # Deltas
     # ------------------------------------------------------------------
+    def _engine(self):
+        return create_executor(self.config.engine, self.config.workers)
+
+    def _name_keys(self, side: int):
+        """The name keyer of ``side`` under its current name attributes."""
+        return partial(
+            name_keys,
+            extractor=names_from_attributes(self._name_attrs[side - 1]),
+        )
+
     def _side_of(self, kb_id) -> int:
         if kb_id in (1, 2):
             return kb_id
@@ -449,40 +287,20 @@ class IncrementalMatcher:
         if not batch:
             return 0
         with self._engine() as engine:
-            token_rows = self._keys_via_engine(
-                batch, partial(_token_key_rows, tokenizer=self._tokenizer), engine
+            token_rows = entity_key_rows(
+                batch, partial(token_keys, tokenizer=self._tokenizer), engine
             )
             name_rows = (
-                self._keys_via_engine(
-                    batch,
-                    partial(
-                        _name_key_rows,
-                        extractor=names_from_attributes(
-                            self._name_attrs[side - 1]
-                        ),
-                    ),
-                    engine,
-                )
-                if self._has_names
+                entity_key_rows(batch, self._name_keys(side), engine)
+                if self._names is not None
                 else []
             )
-        token_keys = dict(token_rows)
-        name_keys = dict(name_rows)
-        refs = self._refs[side - 1]
-        dirty = self._tn_dirty[side - 1]
         for entity in batch:
             kb.add(entity)
-        for entity in batch:
-            uri = entity.uri
-            self._tokens.add_entity(side, uri, token_keys[uri])
-            if self._has_names:
-                self._names.add_entity(side, uri, name_keys[uri])
-            for _, target in entity.relation_pairs():
-                refs.setdefault(target, set()).add(uri)
-                if target in kb:
-                    dirty.add(target)
-            dirty.add(uri)
-            dirty.update(s for s in refs.get(uri, ()) if s in kb)
+        for uri, keys in token_rows:
+            self._tokens.add_entity(side, uri, keys)
+        for uri, keys in name_rows:
+            self._names.add_entity(side, uri, keys)
         self.delta_log.append(("add", side, tuple(uris)))
         self._pending = True
         return len(batch)
@@ -503,186 +321,116 @@ class IncrementalMatcher:
             seen.add(uri)
         if rejected:
             # Validate the whole batch before mutating anything: a
-            # mid-loop failure would leave KB and indices half-updated
+            # mid-loop failure would leave KB and tables half-updated
             # with the delta unlogged — silent parity corruption.
             raise KeyError(
                 f"missing or duplicated for KB{side}: {sorted(set(rejected))}"
             )
-        refs = self._refs[side - 1]
-        dirty = self._tn_dirty[side - 1]
         for uri in batch:
-            entity = kb.remove(uri)
+            kb.remove(uri)
             self._tokens.remove_entity(side, uri)
-            if self._has_names:
+            if self._names is not None:
                 self._names.remove_entity(side, uri)
-            for _, target in entity.relation_pairs():
-                holders = refs.get(target)
-                if holders is not None:
-                    holders.discard(uri)
-                    if not holders:
-                        del refs[target]
-                if target in kb:
-                    dirty.add(target)
-            dirty.add(uri)
-            dirty.update(s for s in refs.get(uri, ()) if s in kb)
         self.delta_log.append(("remove", side, tuple(batch)))
         self._pending = True
         return len(batch)
 
     # ------------------------------------------------------------------
-    # Refresh: propagate pending deltas through the evidence
+    # Refresh: hand the reassembled blocking artifacts to the session
     # ------------------------------------------------------------------
-    def _purge_decision(self) -> tuple[set[str], PurgingReport | None]:
-        """The surviving token keys (and report) for the current state.
-
-        Exactly :func:`~repro.blocking.purging.purge_blocks` over the
-        assembled collection, computed from maintained side sizes.
-        """
+    def _token_artifacts(self) -> dict[str, Any]:
+        """The purge decision and the kept token blocks, from the
+        maintained side sizes — exactly
+        :func:`~repro.blocking.purging.purge_blocks` over the assembled
+        collection, in the columnar form the cold stage produces."""
         config = self.config
         shared = self._tokens.shared_counts()
-        if not config.purge_token_blocks:
-            return set(shared), None
-        return purge_decision_from_sizes(
-            shared,
-            gain_factor=config.purging_gain_factor,
-            max_cardinality=config.purging_max_cardinality,
+        if config.purge_token_blocks:
+            kept, report = purge_decision_from_sizes(
+                shared,
+                gain_factor=config.purging_gain_factor,
+                max_cardinality=config.purging_max_cardinality,
+            )
+        else:
+            kept, report = set(shared), None
+        blocks = PackedBlockCollection.from_collection(
+            self._tokens.assemble(keep=kept)
         )
+        return {"token_blocks": blocks, "purging_report": report}
 
-    @staticmethod
-    def _delta_span(stage: str):
-        return current_telemetry().tracer.span(
-            stage, category="stage", args={"delta": True}
-        )
+    def _name_artifacts(self, engine) -> dict[str, Any]:
+        """The name blocks and attributes — or nothing when a delta moved
+        a side's discovered name attributes: every name key of that side
+        is then suspect, so the side is re-keyed wholesale for later
+        deltas and the stage itself is left to run."""
+        moved = False
+        for side, kb in enumerate(self.kbs, start=1):
+            attributes = top_name_attributes(kb, self.config.name_attributes)
+            if attributes != self._name_attrs[side - 1]:
+                self._name_attrs[side - 1] = attributes
+                self._names.load_side(
+                    side, entity_key_rows(kb, self._name_keys(side), engine)
+                )
+                moved = True
+        if moved:
+            return {}
+        return {
+            "name_blocks": self._names.assemble(),
+            "name_attributes1": self._name_attrs[0],
+            "name_attributes2": self._name_attrs[1],
+        }
 
-    def _refreshed(self, stage: str, seconds: float, recomputed: bool) -> None:
-        """Book one refreshed stage: its counter (rebuilt vs maintained)
-        and the span-derived wall seconds :meth:`match` reports."""
-        self._count(
-            self.stage_recomputes if recomputed else self.delta_updates, stage
+    def _run(self) -> "PipelineContext":
+        """Run (or cache-restore) the session's graph, mirroring the
+        stages that computed into ``incremental.stage_recomputes``."""
+        ctx = self.session.run_context()
+        current_telemetry().metrics.counter("incremental.stage_recomputes").inc(
+            sum(ctx.stage_runs.values())
         )
-        self._stage_seconds[stage] = (seconds, recomputed)
+        return ctx
 
     def refresh(self, engine=None) -> bool:
-        """Propagate pending deltas through every maintained artifact.
+        """Propagate pending deltas: reassemble the blocking artifacts,
+        seed them into the invalidated session and run it.
 
-        Returns True when anything had to be refreshed.  Called
-        automatically by :meth:`match`, which shares one executor across
-        the refresh and the decision stages; standalone calls create
-        (and close) their own.
+        Returns True when anything was pending (:attr:`last_context` is
+        then current).  Called by :meth:`match`; ``engine`` serves a
+        wholesale name re-key and defaults to one built from the config.
         """
         if not self._pending:
             return False
-        self._stage_seconds = {}
         if engine is None:
             with self._engine() as owned:
                 return self.refresh(owned)
-        with activate(self.telemetry):
-            if self._has_names:
-                with self._delta_span("name_blocking") as span:
-                    rekeyed = self._refresh_names(engine)
-                self._refreshed("name_blocking", span.seconds, rekeyed)
-            with self._delta_span("token_blocking") as span:
-                self._assemble_token_blocks()
-            self._refreshed("token_blocking", span.seconds, False)
-            # Both indices go through the batch builders — the code path
-            # of a cold run, so parity needs no argument (module docstring).
-            with self._delta_span("value_index") as span:
-                self._value_index = build_value_index(self._token_blocks, engine)
-            self._refreshed("value_index", span.seconds, True)
-            with self._delta_span("neighbor_index") as span:
-                self._refresh_top_neighbors()
-                self._neighbor_index = build_neighbor_index(
-                    self._value_index,
-                    self._top_nbrs[0],
-                    self._top_nbrs[1],
-                    engine,
+        with activate(self.telemetry) as telemetry:
+            span = partial(
+                telemetry.tracer.span, category="stage", args={"delta": True}
+            )
+            seeds: dict[str, Any] = {}
+            seconds: dict[str, float] = {}
+            if self._names is not None:
+                with span("name_blocking") as timed:
+                    seeds.update(self._name_artifacts(engine))
+                seconds["name_blocking"] = timed.seconds
+            with span("token_blocking") as timed:
+                seeds.update(self._token_artifacts())
+            seconds["token_blocking"] = timed.seconds
+            self.session.invalidate("kb1")  # accepts the new KB versions
+            self.session.seed_cache(seeds)
+            self._pending = False
+            ctx = self._run()
+            for stage, elapsed in seconds.items():
+                # The blocking keys carry the assembly (beside the restore).
+                ctx.record_stage(
+                    stage, self.graph.stage(stage).timing_group, elapsed, ran=False
                 )
-            self._refreshed("neighbor_index", span.seconds, True)
-        self._pending = False
-        self._tn_dirty = [set(), set()]
+                if not ctx.stage_runs[stage]:
+                    self.delta_updates[stage] = (
+                        self.delta_updates.get(stage, 0) + 1
+                    )
+                    telemetry.metrics.counter("incremental.delta_updates").inc()
+        self.last_context = ctx
         return True
-
-    def _refresh_names(self, engine) -> bool:
-        """Reassemble the name blocks; returns whether a side had to be
-        re-keyed wholesale because its discovered name attributes moved."""
-        rekeyed = False
-        for side in (1, 2):
-            kb = self.kbs[side - 1]
-            attrs = top_name_attributes(kb, self.config.name_attributes)
-            if attrs == self._name_attrs[side - 1]:
-                continue
-            # The discovered name attributes moved: every name key of
-            # this side is suspect, so re-extract the whole side.
-            self._name_attrs[side - 1] = attrs
-            self._names.load_side(
-                side,
-                self._keys_via_engine(
-                    kb,
-                    partial(
-                        _name_key_rows,
-                        extractor=names_from_attributes(attrs),
-                    ),
-                    engine,
-                ),
-            )
-            rekeyed = True
-        self._name_blocks = self._names.assemble()
-        return rekeyed
-
-    def _refresh_top_neighbors(self) -> None:
-        """Bring both sides' top-neighbor sets up to date.
-
-        Only the entities a delta touched (``_tn_dirty``: the added or
-        removed entity, its relation targets and its referrers) are
-        re-derived — unless the relation importance ranking moved, in
-        which case every set of that side is suspect and the side is
-        recomputed wholesale.
-        """
-        config = self.config
-        for side in (1, 2):
-            kb = self.kbs[side - 1]
-            rels = top_relations(
-                kb, config.top_n_relations, config.include_incoming_edges
-            )
-            if rels != self._top_rels[side - 1]:
-                self._top_rels[side - 1] = rels
-                self._top_nbrs[side - 1] = top_neighbors(
-                    kb, rels, config.include_incoming_edges
-                )
-                continue
-            neighbors = self._top_nbrs[side - 1]
-            for uri in sorted(self._tn_dirty[side - 1]):
-                found = self._entity_top_neighbors(side, uri)
-                if found:
-                    neighbors[uri] = found
-                else:
-                    neighbors.pop(uri, None)
-
-    def _entity_top_neighbors(self, side: int, uri: str) -> set[str]:
-        """The top-neighbor set of one entity under the current rankings.
-
-        Mirrors :func:`~repro.core.neighbors.top_neighbors` for a single
-        entity, using the maintained reverse-reference index for the
-        incoming direction.
-        """
-        kb = self.kbs[side - 1]
-        entity = kb.get(uri)
-        if entity is None:
-            return set()
-        wanted = set(self._top_rels[side - 1])
-        found: set[str] = set()
-        for relation, target in entity.relation_pairs():
-            if relation in wanted and target in kb:
-                found.add(target)
-        if self.config.include_incoming_edges:
-            for subject in self._refs[side - 1].get(uri, ()):
-                if subject not in kb:
-                    continue
-                for relation, target in kb[subject].relation_pairs():
-                    if target == uri and inverse(relation) in wanted:
-                        found.add(subject)
-                        break
-        return found
 
     # ------------------------------------------------------------------
     # Matching
@@ -690,52 +438,20 @@ class IncrementalMatcher:
     def match(self) -> "MatchResult":
         """Matches for the current KB state (bit-identical to a cold run).
 
-        Refreshes pending deltas, overlays the refreshed artifacts on the
-        bootstrap context through a :class:`DeltaContext`, and re-runs
-        the decision stages (candidates + matching) — H1-H3 are
-        order-dependent greedy passes over the whole KB, so they have no
-        delta form.  Custom stages that declared the
-        delta hook (:meth:`~repro.pipeline.stage.Stage.apply_delta`)
-        are re-run too, in graph order — the fallback contract that
-        keeps their artifacts consistent without a patch strategy.
+        A pending delta re-runs every stage downstream of blocking
+        (H1–H3 are order-dependent greedy passes over the whole KB, so
+        they have no delta form); with nothing pending the whole graph
+        restores from the session's cache.
         """
         from ..core.pipeline import MatchResult
 
-        rerun = set(self._delta_hook_stages) | {"candidates", "matching"}
-        rerun_order = [
-            name for name in self.graph.names() if name in rerun
-        ]
         with activate(self.telemetry) as telemetry:
-            tracer = telemetry.tracer
-            with tracer.span(
+            with telemetry.tracer.span(
                 "run", category="run", args={"kind": "incremental"}
-            ) as run_span, self._engine() as engine:
-                self.refresh(engine)
-                refresh_sections = self._stage_seconds
-                self._stage_seconds = {}  # consumed: a no-delta match reports nothing
-                ctx = DeltaContext(self._base_ctx)
-                self._publish_artifacts(ctx, producer="delta")
-                for stage, (seconds, ran) in refresh_sections.items():
-                    ctx.record_stage(
-                        stage, self.graph.stage(stage).timing_group, seconds, ran=ran
-                    )
-                for name in rerun_order:
-                    stage = self.graph.stage(name)
-                    with tracer.span(
-                        name,
-                        category="stage",
-                        args={"group": stage.timing_group},
-                    ) as span:
-                        stage.run(ctx, engine)
-                    ctx.record_stage(
-                        name,
-                        stage.timing_group,
-                        span.seconds,
-                        ran=True,
-                    )
-                    self._count(self.stage_recomputes, name)
-        self.last_context = ctx
-        return MatchResult.from_context(ctx, run_span.seconds)
+            ) as run_span:
+                if not self.refresh():
+                    self.last_context = self._run()
+        return MatchResult.from_context(self.last_context, run_span.seconds)
 
     # ------------------------------------------------------------------
     # Introspection

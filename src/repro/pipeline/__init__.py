@@ -18,7 +18,6 @@ makes that composition a first-class, pluggable object:
 
 from .builder import PipelineBuilder, default_graph
 from .context import Artifact, MissingArtifactError, PipelineContext
-from .delta import DeltaContext
 from .digest import artifact_digest, context_digests
 from .registry import BLOCKING_SCHEMES, HEURISTICS, Registry, RegistryError
 from .session import MatchSession, StaleSessionError
@@ -43,7 +42,6 @@ __all__ = [
     "BLOCKING_SCHEMES",
     "CandidateStage",
     "DEFAULT_HEURISTIC_ORDER",
-    "DeltaContext",
     "StaleSessionError",
     "artifact_digest",
     "context_digests",

@@ -395,63 +395,24 @@ class MatchSession:
         decision artifacts and the run's ``context_digests``.  Only the
         default stage composition is snapshotable.
         """
-        from ..blocking.name_blocking import names_from_attributes, normalize_name
-        from ..core.neighbors import top_neighbors
+        from ..engine.blocking import placement_rows
         from ..kb.tokenizer import Tokenizer
         from ..store import validate_snapshotable_graph, write_session_snapshot
 
         has_names = validate_snapshotable_graph(self.graph)
         ctx = self.run_context()
-        config = self.config
-        tokenizer = Tokenizer(
-            min_length=config.min_token_length,
-            include_uri_localnames=config.include_uri_localnames,
-        )
-        token_rows = tuple(
-            [(e.uri, frozenset(tokenizer.token_set(e))) for e in kb]
-            for kb in (self.kb1, self.kb2)
-        )
-        name_rows = None
-        if has_names:
-            name_rows = []
-            for kb, side in ((self.kb1, 1), (self.kb2, 2)):
-                extractor = names_from_attributes(
-                    ctx.get(f"name_attributes{side}")
-                )
-                name_rows.append(
-                    [
-                        (
-                            e.uri,
-                            frozenset(
-                                key
-                                for key in (
-                                    normalize_name(raw) for raw in extractor(e)
-                                )
-                                if key
-                            ),
-                        )
-                        for e in kb
-                    ]
-                )
-            name_rows = tuple(name_rows)
-        top_nbrs = tuple(
-            top_neighbors(
-                kb,
-                ctx.get(f"top_relations{side}"),
-                config.include_incoming_edges,
-            )
-            for kb, side in ((self.kb1, 1), (self.kb2, 2))
+        token_rows, name_rows = placement_rows(
+            (self.kb1, self.kb2),
+            Tokenizer(
+                min_length=self.config.min_token_length,
+                include_uri_localnames=self.config.include_uri_localnames,
+            ),
+            (ctx.get("name_attributes1"), ctx.get("name_attributes2"))
+            if has_names
+            else None,
         )
         return write_session_snapshot(
-            path,
-            kb1=self.kb1,
-            kb2=self.kb2,
-            config=config,
-            graph_names=list(self.graph.names()),
-            ctx=ctx,
-            token_rows=token_rows,
-            name_rows=name_rows,
-            top_neighbors=top_nbrs,
+            path, ctx, list(self.graph.names()), token_rows, name_rows
         )
 
     @classmethod
@@ -479,12 +440,15 @@ class MatchSession:
         return load_session(path, engine=engine, workers=workers, mode=mode)
 
     def seed_cache(self, artifacts: dict[str, Any]) -> None:
-        """Pre-populate the stage cache from restored artifacts.
+        """Pre-populate the stage cache from artifacts computed elsewhere.
 
-        ``artifacts`` must cover every key the graph's stages provide;
-        each stage's cache entry lands under the same signature a cold
-        run would compute, so subsequent ``match()`` calls treat the
-        seeded values exactly like previously computed ones.
+        Every stage whose ``provides`` the dict covers is seeded under
+        the signature a cold run would compute, so subsequent
+        ``match()`` calls treat the values exactly like previously
+        computed ones; a stage the dict does not mention is left to run.
+        A snapshot load covers every stage, a delta of the incremental
+        matcher the blocking stages only.  Covering some of a stage's
+        keys and not others is an error.
         """
         producer_signatures: dict[str, tuple] = {}
         for stage in self.graph:
@@ -494,6 +458,8 @@ class MatchSession:
             for key in stage.provides:
                 producer_signatures[key] = signature
             missing = [key for key in stage.provides if key not in artifacts]
+            if len(missing) == len(stage.provides):
+                continue
             if missing:
                 raise KeyError(
                     f"cannot seed stage {stage.name!r}: missing artifacts "

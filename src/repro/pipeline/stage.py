@@ -52,30 +52,6 @@ class Stage(ABC):
         """Extra hashable state for session cache keys (e.g. plugin names)."""
         return ()
 
-    def apply_delta(self, ctx: PipelineContext, delta: object) -> None:
-        """Optional protocol hook: make this stage delta-capable.
-
-        The incremental subsystem
-        (:class:`repro.incremental.IncrementalMatcher`) only knows how
-        to patch the artifacts of the default stage composition.  A
-        custom stage may opt in to incremental runs by **overriding**
-        this method; ``delta`` is the
-        :class:`repro.incremental.matcher.Delta` batch being applied.
-        The current fallback contract is rerun-on-refresh: the matcher
-        re-executes the overriding stage's ``run`` against the patched
-        context whenever a delta lands, so an override that simply does
-        nothing (``pass``) already yields correct results — finer
-        in-place patching of the stage's own artifacts is the override's
-        opportunity, not its obligation.
-
-        The base implementation raises ``NotImplementedError``; the
-        matcher never calls it, it only checks for an override (see
-        :func:`declares_delta_hook`).
-        """
-        raise NotImplementedError(
-            f"stage {self.name!r} does not implement apply_delta"
-        )
-
     @property
     def timing_group(self) -> str:
         return self.group or self.name
@@ -92,16 +68,6 @@ class Stage(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def declares_delta_hook(stage: Stage) -> bool:
-    """True when ``stage`` overrides :meth:`Stage.apply_delta`.
-
-    The incremental subsystem's opt-in test: only overriding stages are
-    accepted in a delta-capable graph (and re-run on refresh); stages
-    inheriting the base stub keep the strict default-composition check.
-    """
-    return type(stage).apply_delta is not Stage.apply_delta
 
 
 class StageGraphError(ValueError):
@@ -235,7 +201,6 @@ __all__ = [
     "Stage",
     "StageGraph",
     "StageGraphError",
-    "declares_delta_hook",
     "render_stage_list",
     "INPUT_PRODUCER",
 ]

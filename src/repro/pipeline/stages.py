@@ -9,7 +9,8 @@ stage                 group      provides
 ``name_blocking``     blocking   ``name_blocks``, ``name_attributes1/2``
 ``token_blocking``    blocking   ``token_blocks``, ``purging_report``
 ``value_index``       indexing   ``value_index``
-``neighbor_index``    indexing   ``neighbor_index``, ``top_relations1/2``
+``neighbor_index``    indexing   ``neighbor_index``, ``top_relations1/2``,
+                                 ``top_neighbors1/2``
 ``candidates``        indexing   ``candidate_index``
 ``matching``          heuristics ``matches``, ``pre_h4_matches``,
                                  ``discarded_by_h4``
@@ -157,12 +158,23 @@ class ValueIndexStage(Stage):
 
 
 class NeighborIndexStage(Stage):
-    """Top relations per KB and the propagated ``neighborNSim`` index."""
+    """Top relations per KB and the propagated ``neighborNSim`` index.
+
+    The per-entity top-neighbor sets the index is propagated over are
+    published too (``top_neighbors1/2``): the online resolver and the
+    snapshot store read them instead of walking the KBs again.
+    """
 
     name = "neighbor_index"
     group = "indexing"
     requires = ("value_index",)
-    provides = ("neighbor_index", "top_relations1", "top_relations2")
+    provides = (
+        "neighbor_index",
+        "top_relations1",
+        "top_relations2",
+        "top_neighbors1",
+        "top_neighbors2",
+    )
     config_fields = ("top_n_relations", "include_incoming_edges")
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
@@ -173,15 +185,20 @@ class NeighborIndexStage(Stage):
         relations2 = top_relations(
             ctx.kb2, config.top_n_relations, config.include_incoming_edges
         )
+        neighbors1 = top_neighbors(
+            ctx.kb1, relations1, config.include_incoming_edges
+        )
+        neighbors2 = top_neighbors(
+            ctx.kb2, relations2, config.include_incoming_edges
+        )
         index = build_neighbor_index(
-            ctx.get("value_index"),
-            top_neighbors(ctx.kb1, relations1, config.include_incoming_edges),
-            top_neighbors(ctx.kb2, relations2, config.include_incoming_edges),
-            engine,
+            ctx.get("value_index"), neighbors1, neighbors2, engine
         )
         ctx.put("neighbor_index", index, producer=self.name)
         ctx.put("top_relations1", relations1, producer=self.name)
         ctx.put("top_relations2", relations2, producer=self.name)
+        ctx.put("top_neighbors1", neighbors1, producer=self.name)
+        ctx.put("top_neighbors2", neighbors2, producer=self.name)
 
 
 class CandidateStage(Stage):

@@ -41,6 +41,7 @@ from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
+from ..engine.blocking import KeyRows
 from ..ids import EntityInterner
 from ..ids.arrays import array_copy, packed_keys_valid
 from ..incremental.blocks import DeltaBlockIndex
@@ -71,9 +72,6 @@ SNAPSHOTTABLE_STAGES = frozenset(
         "matching",
     }
 )
-
-#: Placement rows of one KB side: ``(uri, key set)`` in KB order.
-KeyRows = list[tuple[str, frozenset]]
 
 
 # ----------------------------------------------------------------------
@@ -280,22 +278,20 @@ def validate_snapshotable_graph(graph) -> bool:
 
 def write_session_snapshot(
     path: str | Path,
-    *,
-    kb1: KnowledgeBase,
-    kb2: KnowledgeBase,
-    config: MinoanERConfig,
-    graph_names: list[str],
     ctx: PipelineContext,
+    graph_names: list[str],
     token_rows: tuple[KeyRows, KeyRows],
     name_rows: tuple[KeyRows, KeyRows] | None,
-    top_neighbors: tuple[dict[str, set[str]], dict[str, set[str]]],
 ) -> Path:
-    """Serialize one bootstrapped pipeline state (see module docstring).
+    """Serialize one finished run (see module docstring): the KBs, config
+    and artifacts of ``ctx`` — the top-neighbor sets included, as the
+    neighbor-index stage published them — plus the full placement rows.
 
     Crash-atomic: everything stages into a ``<path>.tmp`` sibling and an
     error at any point aborts the staging directory, leaving whatever
     snapshot already lived at ``path`` untouched and loadable.
     """
+    kb1, kb2, config = ctx.kb1, ctx.kb2, ctx.config
     tracer = current_telemetry().tracer
     with tracer.span("store.save", category="store"):
         with tracer.span("store.digest", category="store"):
@@ -317,12 +313,13 @@ def write_session_snapshot(
 
                 _pack_index(writer, "value", ctx.get("value_index"))
                 _pack_index(writer, "neighbor", ctx.get("neighbor_index"))
-                _pack_top_neighbors(
-                    writer, "topnbr_side1", top_neighbors[0], kb1.uris()
-                )
-                _pack_top_neighbors(
-                    writer, "topnbr_side2", top_neighbors[1], kb2.uris()
-                )
+                for side, kb in ((1, kb1), (2, kb2)):
+                    _pack_top_neighbors(
+                        writer,
+                        f"topnbr_side{side}",
+                        ctx.get(f"top_neighbors{side}"),
+                        kb.uris(),
+                    )
 
                 writer.add_json("config", asdict(config))
                 writer.add_json("graph_stages", list(graph_names))
@@ -362,11 +359,8 @@ class RestoredState:
     #: Delta-maintainable blocking placements (full, pre-purge).
     tokens: DeltaBlockIndex
     names: DeltaBlockIndex | None
-    #: Per-side top-neighbor sets.
-    top_neighbors: tuple[dict[str, set[str]], dict[str, set[str]]]
     #: The save-time ``context_digests`` (the bit-identity witness).
     digests: dict[str, str]
-    has_names: bool
 
 
 def load_state(
@@ -431,26 +425,18 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     uris_pair = (kb1.uris(), kb2.uris())
     with tracer.span("store.load.placements", category="store"):
         _, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
-        tokens = DeltaBlockIndex("BT")
-        tokens.load_side(1, token_rows[0])
-        tokens.load_side(2, token_rows[1])
+        tokens = DeltaBlockIndex.from_rows("BT", token_rows)
         token_keys = snapshot.strings("tokens_keys")
         kept_keys = {token_keys[i] for i in snapshot.array("tokens_kept")}
 
         names = None
         if has_names:
             _, name_rows = _unpack_placements(snapshot, "names", uris_pair)
-            names = DeltaBlockIndex("BN")
-            names.load_side(1, name_rows[0])
-            names.load_side(2, name_rows[1])
+            names = DeltaBlockIndex.from_rows("BN", name_rows)
 
     with tracer.span("store.load.indices", category="store"):
         value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
         neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
-    top_nbrs = (
-        _unpack_top_neighbors(snapshot, "topnbr_side1", uris_pair[0]),
-        _unpack_top_neighbors(snapshot, "topnbr_side2", uris_pair[1]),
-    )
 
     report_json = snapshot.json("purging_report")
     artifacts: dict[str, Any] = {
@@ -462,6 +448,12 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         "neighbor_index": neighbor_index,
         "top_relations1": snapshot.json("top_relations1"),
         "top_relations2": snapshot.json("top_relations2"),
+        "top_neighbors1": _unpack_top_neighbors(
+            snapshot, "topnbr_side1", uris_pair[0]
+        ),
+        "top_neighbors2": _unpack_top_neighbors(
+            snapshot, "topnbr_side2", uris_pair[1]
+        ),
         "candidate_index": CandidateIndex(
             value_index,
             neighbor_index,
@@ -486,9 +478,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         artifacts=artifacts,
         tokens=tokens,
         names=names,
-        top_neighbors=top_nbrs,
         digests=dict(snapshot.json("digests")),
-        has_names=has_names,
     )
 
 

@@ -2,10 +2,9 @@
 
 The end-to-end parity contract lives in ``test_incremental_parity.py``;
 here each piece is exercised in isolation: the delta block index, the
-shard-then-merge float order of the batch index builders, the
-DeltaContext overlay (snapshot/rollback/provenance), stale-session
-detection with the explicit ``invalidate`` API, and the matcher's delta
-validation and bookkeeping.
+shard-then-merge float order of the batch index builders,
+stale-session detection with the explicit ``invalidate`` API, and the
+matcher's graph validation, delta validation and bookkeeping.
 """
 
 import pytest
@@ -19,12 +18,8 @@ from repro.blocking.purging import (
     cardinality_threshold,
     cardinality_threshold_from_sizes,
 )
-from repro.pipeline import (
-    DeltaContext,
-    MatchSession,
-    StaleSessionError,
-)
-from repro.pipeline.context import PipelineContext
+from repro.pipeline import MatchSession, Stage, StaleSessionError
+from repro.pipeline.stages import TokenBlockingStage
 
 from oracles import (
     _value_partial,
@@ -148,51 +143,6 @@ class TestPurgingFromSizes:
 
 
 # ----------------------------------------------------------------------
-# DeltaContext overlay
-# ----------------------------------------------------------------------
-class TestDeltaContext:
-    def make_base(self):
-        kb1, kb2 = make_pair()
-        base = PipelineContext(kb1, kb2, MinoanERConfig())
-        base.put("thing", [1, 2], producer="stage_x")
-        return base
-
-    def test_reads_fall_through_writes_overlay(self):
-        base = self.make_base()
-        delta = DeltaContext(base)
-        assert delta.get("thing") == [1, 2]
-        delta.put("thing", [3], producer="delta:stage_x")
-        assert delta.get("thing") == [3]
-        assert base.get("thing") == [1, 2]  # base untouched
-        assert delta.provenance("thing").producer == "delta:stage_x"
-        assert delta.overlay_keys() == ["thing"]
-
-    def test_snapshot_rollback_restores_prior_overlay(self):
-        delta = DeltaContext(self.make_base())
-        delta.put("thing", [3], producer="delta:a")
-        marker = delta.snapshot()
-        delta.put("thing", [4], producer="delta:b")
-        delta.put("extra", "x", producer="delta:b")
-        assert delta.rollback(marker) == 2
-        assert delta.get("thing") == [3]
-        assert not delta.has("extra")
-        assert delta.rollback(0) == 1
-        assert delta.get("thing") == [1, 2]
-
-    def test_rollback_rejects_unknown_marker(self):
-        delta = DeltaContext(self.make_base())
-        with pytest.raises(ValueError, match="marker"):
-            delta.rollback(5)
-
-    def test_keys_merge_base_and_overlay(self):
-        delta = DeltaContext(self.make_base())
-        delta.put("extra", 1, producer="delta:x")
-        keys = delta.keys()
-        assert keys.index("kb1") < keys.index("extra")
-        assert {a.key for a in delta} >= {"kb1", "kb2", "thing", "extra"}
-
-
-# ----------------------------------------------------------------------
 # Stale sessions and explicit invalidation
 # ----------------------------------------------------------------------
 class TestStaleSession:
@@ -271,31 +221,39 @@ class TestIncrementalMatcherSurface:
         return IncrementalMatcher(MinoanER().session(kb1, kb2))
 
     def test_rejects_unsupported_graph_compositions(self):
+        """The placement tables reproduce the built-in blocking stages'
+        keys and nothing else: any other producer of ``token_blocks`` /
+        ``name_blocks`` is rejected by name, with the reason."""
         kb1, kb2 = make_pair()
-        from repro.pipeline import Stage
 
-        class Odd(Stage):
-            name = "odd"
-            provides = ("odd",)
+        class StemmedTokens(TokenBlockingStage):
+            pass
 
-            def run(self, ctx, engine):
-                ctx.put("odd", 1, producer=self.name)
+        class InitialsAsNames(Stage):
+            name = "initials"
+            provides = ("name_blocks", "name_attributes1", "name_attributes2")
 
-        builder = MinoanER.builder().with_stage(Odd())
-        with pytest.raises(ValueError) as excinfo:
-            IncrementalMatcher(builder.session(kb1, kb2))
-        message = str(excinfo.value)
-        # The error must name the offending stage(s) and point the user
-        # at both the opt-in escape hatch and the workaround of today.
-        assert "'odd'" in message
-        assert "delta hook" in message
-        assert "Stage.apply_delta" in message
-        assert "MatchSession.match()" in message
+            def run(self, ctx, engine):  # pragma: no cover - never run
+                raise AssertionError
+
+        for blocking, named in (
+            (("name", StemmedTokens()), ("'token_blocks'", "StemmedTokens")),
+            ((InitialsAsNames(), "token"), ("'name_blocks'", "'initials'")),
+        ):
+            builder = MinoanER.builder().with_blocking(*blocking)
+            with pytest.raises(ValueError) as excinfo:
+                IncrementalMatcher(builder.session(kb1, kb2))
+            message = str(excinfo.value)
+            for fragment in named:
+                assert fragment in message
+            assert "built-in" in message
+            assert "MatchSession.match()" in message
 
     def test_delta_hook_stage_accepted_and_rerun(self):
+        """A custom stage downstream of ``matches`` needs no hook: it is
+        accepted as it is, re-runs once per delta because its inputs
+        were rebuilt, and not at all on a no-delta ``match()``."""
         kb1, kb2 = make_pair()
-        from repro.pipeline import Stage
-
         runs = []
 
         class Hooked(Stage):
@@ -307,25 +265,41 @@ class TestIncrementalMatcherSurface:
                 runs.append(len(ctx.get("matches")))
                 ctx.put("hooked", len(ctx.get("matches")), producer=self.name)
 
-            def apply_delta(self, ctx, delta):  # pragma: no cover - stub
-                pass
-
         builder = MinoanER.builder().with_stage(Hooked())
         matcher = IncrementalMatcher(builder.session(kb1, kb2))
         result = matcher.match()
         assert matcher.last_context.get("hooked") == len(result.matches)
+        assert matcher.stage_recomputes["hooked"] == len(runs) == 1
         matcher.remove_entities(1, ["a0"])
         result = matcher.match()
-        # The hook-declaring stage re-ran against the patched context.
         assert matcher.last_context.get("hooked") == len(result.matches)
-        assert matcher.stage_recomputes["hooked"] == 2
-        assert len(runs) == 2
+        assert matcher.stage_recomputes["hooked"] == len(runs) == 2
+        matcher.match()
+        assert matcher.stage_recomputes["hooked"] == len(runs) == 2
 
     def test_missing_stage_rejected_by_name(self):
         kb1, kb2 = make_pair()
-        builder = MinoanER.builder().without_stage("matching")
-        with pytest.raises(ValueError, match="'matching'"):
+        builder = (
+            MinoanER.builder()
+            .with_blocking("name")
+            .without_stage("value_index")
+            .without_stage("neighbor_index")
+            .without_stage("candidates")
+            .with_heuristics("h1")
+        )
+        with pytest.raises(ValueError, match="lacks .*'token_blocking'"):
             IncrementalMatcher(builder.session(kb1, kb2))
+
+    def test_construction_runs_an_unmatched_session_once(self):
+        """Adopting a session is the cold pass and nothing more: every
+        stage once on an unmatched session, none on a matched one."""
+        kb1, kb2 = make_pair()
+        session = MinoanER().session(kb1, kb2)
+        IncrementalMatcher(session)
+        assert session.stage_runs == dict.fromkeys(session.graph.names(), 1)
+        matcher = IncrementalMatcher(session)
+        matcher.match()
+        assert session.stage_runs == dict.fromkeys(session.graph.names(), 1)
 
     def test_kb_selector_forms(self):
         matcher = self.make_matcher()
@@ -375,9 +349,19 @@ class TestIncrementalMatcherSurface:
     def test_no_delta_match_reports_no_refresh_stages(self):
         matcher = self.make_matcher()
         matcher.remove_entities(1, ["a2"])
-        matcher.match()  # consumes the refresh's stage sections
-        repeat = matcher.match()  # nothing pending: decisions only
-        assert set(repeat.stage_seconds) == {"candidates", "matching"}
+        after_delta = matcher.match()
+        assert matcher.last_context.stage_runs == {
+            "name_blocking": 0,  # seeded from the placement tables
+            "token_blocking": 0,
+            "value_index": 1,
+            "neighbor_index": 1,
+            "candidates": 1,
+            "matching": 1,
+        }
+        repeat = matcher.match()  # nothing pending: a pure cache restore
+        assert set(matcher.last_context.stage_runs.values()) == {0}
+        assert set(repeat.stage_seconds) == set(matcher.graph.names())
+        assert repeat.matches == after_delta.matches
 
     def test_wrapped_session_raises_after_deltas(self):
         kb1, kb2 = make_pair()

@@ -483,3 +483,46 @@ class TestResolverInternals:
         kb1.new_entity("a9").add_literal("name", "late arrival")
         result = resolver.resolve(EntityDescription("a9", kb1["a9"].pairs))
         assert result.known is False
+
+    def test_published_top_neighbors_spare_the_kb_walk(
+        self, toggled_numpy, monkeypatch
+    ):
+        """``from_context`` hands the resolver the ``top_neighbors2`` the
+        neighbor-index stage published, so building its tables walks no
+        KB; a context without the artifact (a custom neighbor stage)
+        falls back to the walk — and answers byte-identically."""
+        import json
+
+        from repro.core import resolve as resolve_module
+        from repro.pipeline.context import PipelineContext
+
+        kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
+        kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
+        held_out = [kb1.remove(uri) for uri in sorted(kb1.uris())[:20]]
+        records = held_out + [kb1[uri] for uri in sorted(kb1.uris())[:5]]
+        ctx = MatchSession(kb1, kb2).run_context()
+        bare = PipelineContext(kb1, kb2, ctx.config)
+        for artifact in ctx:
+            if artifact.key != "top_neighbors2":
+                bare.put(artifact.key, artifact.value, artifact.producer)
+
+        walks = []
+        walk = resolve_module.top_neighbors
+        monkeypatch.setattr(
+            resolve_module,
+            "top_neighbors",
+            lambda *args: walks.append(args) or walk(*args),
+        )
+
+        def payloads(context):
+            resolver = OnlineResolver.from_context(context, kb1, kb2)
+            resolver.warm()
+            single = [resolver.resolve(r, 5).as_dict() for r in records]
+            batch = [r.as_dict() for r in resolver.resolve_batch(records, 5)]
+            return json.dumps([single, batch]).encode("utf-8")
+
+        handed = payloads(ctx)
+        assert walks == []
+        assert payloads(bare) == handed
+        assert len(walks) == 1
+        assert b'"heuristic"' in handed  # the records did resolve

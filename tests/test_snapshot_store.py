@@ -158,9 +158,14 @@ def test_warm_restart_delta_matches_batch(tmp_path, engine_name, workers):
     matcher.add_entities(2, spare)  # re-add: appended at the end
     matcher.match()
     warm = context_digests(matcher.last_context)
-    # Nothing was recomputed at restore time (the whole point).
-    assert matcher.stage_recomputes.get("token_blocking", 0) == 0
-    assert matcher.stage_recomputes.get("value_index", 0) <= 1
+    # Blocking was never recomputed, and the one delta rebuilt each
+    # downstream stage once.
+    assert matcher.counters()["recomputed"] == {
+        "value_index": 1,
+        "neighbor_index": 1,
+        "candidates": 1,
+        "matching": 1,
+    }
 
     cold1, cold2 = golden_kbs()
     for uri in removed:
@@ -171,6 +176,43 @@ def test_warm_restart_delta_matches_batch(tmp_path, engine_name, workers):
     with create_executor(engine_name, workers) as executor:
         default_graph().execute(ctx, executor)
     assert warm == context_digests(ctx)
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+def test_warm_restart_match_recomputes_nothing(tmp_path, mode):
+    """``from_snapshot(...).match()`` is a cache restore: no stage runs,
+    and the result is the saved run's."""
+    kb1, kb2 = golden_kbs()
+    session = MatchSession(kb1, kb2)
+    saved = session.match()
+    session.save(tmp_path / "snap")
+    matcher = IncrementalMatcher.from_snapshot(tmp_path / "snap", mode=mode)
+    assert matcher.last_context is None
+    assert matcher.match().matches == saved.matches
+    assert matcher.counters() == {"recomputed": {}, "delta_updated": {}}
+    assert set(matcher.last_context.stage_runs.values()) == {0}
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+def test_boot_generation_is_released_by_the_first_delta(tmp_path, mode):
+    """Once a delta replaced them, nothing in the matcher keeps the
+    snapshot generation's indices (under ``mmap``: the mapped column
+    files of a directory that may since have been swapped) alive."""
+    import gc
+    import weakref
+
+    kb1, kb2 = golden_kbs()
+    MatchSession(kb1, kb2).save(tmp_path / "snap")
+    matcher = IncrementalMatcher.from_snapshot(tmp_path / "snap", mode=mode)
+    matcher.match()
+    boot = [
+        weakref.ref(matcher.last_context.get(key))
+        for key in ("value_index", "neighbor_index", "token_blocks")
+    ]
+    matcher.remove_entities(1, matcher.kbs[0].uris()[:1])
+    matcher.match()
+    gc.collect()
+    assert [ref() for ref in boot] == [None, None, None]
 
 
 def test_matcher_save_after_deltas_roundtrips(tmp_path):
