@@ -54,8 +54,8 @@ class NeighborSimilarityIndex(PackedSimilarityIndex):
         top_neighbors1: dict[str, set[str]],
         top_neighbors2: dict[str, set[str]],
     ) -> None:
-        # Mirrored by repro.engine.similarity._neighbor_shard_sums
-        # (per-chunk propagation); change the placement rule in both.
+        # Mirrored by repro.engine.similarity.build_neighbor_index (the
+        # row-owned kernel); change the placement rule in both.
         # Reverse indices: value-pair neighbor id -> parent entity ids.
         interner1 = EntityInterner(top_neighbors1)
         interner2 = EntityInterner(top_neighbors2)

@@ -401,9 +401,9 @@ class ValueSimilarityIndex(PackedSimilarityIndex):
     """Sparse valueSim over all pairs co-occurring in the token blocks."""
 
     def __init__(self, token_blocks: BlockCollection) -> None:
-        # Mirrored by repro.engine.similarity._value_shard_sums
-        # (per-shard accumulation); change the weighting or pair
-        # placement in both.
+        # Mirrored by repro.engine.similarity.build_value_index (the
+        # row-owned kernel); change the weighting or pair placement in
+        # both.
         interner1 = EntityInterner(
             uri for block in token_blocks for uri in block.entities1
         )

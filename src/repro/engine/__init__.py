@@ -36,7 +36,6 @@ from .partitioner import (
     PackedPairHasher,
     chunk_evenly,
     hash_partitions,
-    hash_partitions_packed,
     partition_blocks,
     partition_count,
     partition_entities,
@@ -67,7 +66,6 @@ __all__ = [
     "h2_value_matches_engine",
     "h3_rank_aggregation_matches_engine",
     "hash_partitions",
-    "hash_partitions_packed",
     "name_blocking_engine",
     "partition_blocks",
     "partition_count",

@@ -1,16 +1,16 @@
 """Deterministic partitioning of KBs and block collections.
 
-Two layouts cover every parallel stage:
-
 - **hash partitioning** assigns each item to a shard by a *stable* hash
-  of its key (CRC32, never Python's salted ``hash``) — used for entities
-  during blocking (hash-by-entity), for blocks during similarity
-  aggregation (hash-by-block-key) and for value pairs during neighbor
-  propagation (:class:`PackedPairHasher`: the CRC32 of the pair's
-  *string* key, combined from cached per-id CRCs);
+  of its key (CRC32, never Python's salted ``hash``) — the layout of
+  entities during blocking (hash-by-entity).  The similarity stages use
+  the same hash for no layout at all: a block's / a value pair's shard
+  (:class:`PackedPairHasher`: the CRC32 of the pair's *string* key,
+  combined from cached per-id CRCs) only names the slab its
+  contributions are folded in, i.e. it *defines the float fold*;
 - **even chunking** splits a sequence into contiguous runs, preserving
   order — used for entity scans whose results must be consumed in the
-  original iteration order (H2/H3).
+  original iteration order (H2/H3) and for the similarity stages'
+  ranges of output rows.
 
 The partition *count* is a function of the data size alone, never of the
 executor's worker count.  Every executor therefore sees the identical
@@ -85,9 +85,8 @@ class PackedPairHasher:
     Shard keys stay **string-stable**: the hash of a packed ``id1 << 32
     | id2`` key is, by construction, exactly
     ``stable_hash(uri1 + separator + uri2)`` — the key the string-keyed
-    path sharded value pairs by — so the packed hot path reproduces the
-    identical shard assignment (and with it the identical float
-    accumulation grouping) while never materializing a key string.
+    path sharded value pairs by — so a pair's shard (and with it the
+    grouping of the float fold) never depends on an id assignment.
 
     CRC32 streams: ``crc32(a + b) == crc32(b, crc32(a))``.  The hasher
     precomputes, per side-1 id, the CRC of ``uri1 + separator`` and, per
@@ -157,30 +156,6 @@ class PackedPairHasher:
         return crc32_combined(
             prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables
         )
-
-
-def hash_partitions_packed(
-    keys: Iterable[int],
-    values: Iterable[float],
-    n_partitions: int,
-    hasher: PackedPairHasher,
-) -> list[tuple[array, array]]:
-    """Shard parallel ``(packed key, value)`` columns by ``hasher(key)``.
-
-    The packed analogue of :func:`hash_partitions` for the similarity
-    stages: each shard is a pair of flat ``array('q')`` / ``array('d')``
-    columns (keys keep their relative input order within a shard), which
-    process executors serialize as raw buffers instead of pickling a
-    string-keyed dict per shard.
-    """
-    if n_partitions < 1:
-        raise ValueError("n_partitions must be >= 1")
-    shards = [(array("q"), array("d")) for _ in range(n_partitions)]
-    for key, value in zip(keys, values):
-        shard_keys, shard_values = shards[hasher(key) % n_partitions]
-        shard_keys.append(key)
-        shard_values.append(value)
-    return shards
 
 
 def chunk_evenly(items: Sequence[T], n_chunks: int) -> list[Sequence[T]]:

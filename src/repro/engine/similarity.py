@@ -1,42 +1,36 @@
-"""Partitioned construction of the value and neighbor similarity indices.
+"""Row-owned construction of the value and neighbor similarity indices.
 
-Both indices are sums over independent contributions — token-block weights
-for ``valueSim``, propagated value pairs for ``neighborNSim`` — so each
-shard accumulates a partial ``pair -> sum`` map and the driver merges the
-partials associatively, in partition order.
+Both indices are one sparse triple product ``A · V · Bᵀ``, computed
+row-wise (Gustavson): ``valueSim`` with ``A`` / ``B`` = entity × block
+membership and ``V`` = the diagonal of token weights; ``neighborNSim``
+with ``A`` / ``B`` = parent × top neighbor and ``V`` = the value index
+itself.  A task owns a contiguous range of side-1 output rows and
+produces those rows whole (:func:`_row_sums`), so results are born
+ascending and the driver concatenates them — nothing is sorted,
+deduplicated or merged.  Operands travel as plain columns through
+:meth:`Executor.map_columns <repro.engine.executor.Executor.map_columns>`;
+the NumPy arm expands a run of rows with ragged gathers, the stdlib arm
+with the nested loops they vectorize, in the same order.
 
-Determinism: blocks and value pairs are both sharded by a *stable hash*
-of their key (block key / value-pair key), scanned within a shard in
-sorted key order, and the partials merge left-to-right.  The resulting
-floating-point sums are therefore bit-identical across executors and
-worker counts, and a function of the *content* being indexed alone —
-which is what lets the incremental subsystem call these same builders
-on a post-delta state and land on the floats of a cold run.
-
-**One worker per index, over plain columns.**  A builder shards *row
-numbers*, not rows: a value shard is ``(token weights, block rows)`` into
-the block collection's own CSR columns, a neighbor shard is a run of the
-value index's ``(packed keys, sims)`` columns, and the CSR columns the
-rows point into — block members, reverse top-neighbor index — travel
-once, as shared columns of
-:meth:`Executor.map_columns <repro.engine.executor.Executor.map_columns>`.
-The worker (:func:`_value_shard_sums`, :func:`_neighbor_shard_sums`)
-receives buffers and nothing else; whether they were pickled, passed by
-reference or mapped from shared memory is the executor's business.
-Inside, the NumPy arm (ragged expansion, then
-:func:`~repro.ids.arrays.sequential_unique_sums`) and the stdlib arm (the
-nested loops it vectorizes) add the same floats in the same order.  The
-partials merge through :func:`~repro.ids.arrays.merged_run_sums`, and
-the merged ``(keys ascending, totals)`` columns *are* the finished index
-(``from_packed_columns`` adopts them).  Value pairs are sharded by
-:class:`~repro.engine.partitioner.PackedPairHasher`, which reproduces
-``stable_hash(uri1 + separator + uri2)`` bit-for-bit; the string-keyed
-scan that defines these orders lives in ``tests/oracles.py``.
+Determinism: every entry of ``V`` — a block, a value pair — carries the
+shard ``stable_hash(its string key) % partition_count(len(V))``, and a
+pair's similarity is the fold :func:`~repro.ids.arrays.shard_ordered_sums`
+commits to: per shard, its contributions added from ``0.0`` in scan
+order (block key / value pair ascending), the subtotals then added in
+ascending shard order (scalar form: ``tests/oracles.py::shard_merged_sum``).
+A row's floats are a function of that row's inputs alone — no task
+boundary, run length, executor or worker count can move one, and the
+incremental subsystem lands on the floats of a cold run by calling
+these builders on a post-delta state.  The shard axis stays *inside*
+the row fold because the harness pins ``Match.score`` digests taken at
+this order (docs/PERFORMANCE.md, "The determinism contract").
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 
 from ..blocking.base import BlockCollection
 from ..blocking.packed import PackedBlockCollection
@@ -44,17 +38,17 @@ from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex, block_token_weight
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import (
-    merged_run_sums,
     numpy_enabled,
     numpy_module,
-    ragged_cross_products,
-    sequential_unique_sums,
+    ragged_indices,
+    shard_ordered_sums,
+    uri_ranked_pair_columns,
 )
 from ..obs.runtime import current as _telemetry_current
 from .executor import Executor, SerialExecutor
 from .partitioner import (
     PackedPairHasher,
-    hash_partitions_packed,
+    chunk_evenly,
     partition_count,
     stable_hash,
 )
@@ -63,204 +57,248 @@ from .partitioner import (
 #: byte works: the key only feeds CRC32, never an ordering comparison.
 _PAIR_KEY_SEPARATOR = "\x1f"
 
+#: Bound on each part of one run's working set (a run is at least one
+#: row): its cells, its contributions, the slots of its slab.  Not a
+#: knob — build time is flat from 2¹⁷ to 2²⁰ on every benchmark scale,
+#: and the transient bytes, which this fixes whatever the KB, are not
+#: (docs/PERFORMANCE.md).
+_RUN_SIZE = 1 << 18
 
-def _value_shard_sums(weights, rows, starts1, ids1, starts2, ids2) -> tuple:
-    """valueSim contributions of one shard of block rows (engine worker).
 
-    ``rows`` index the CSR block columns ``(starts, member ids)`` of both
-    sides, ``weights`` are the rows' token weights.  Member ids ascend
-    within a row and id order is URI order, so walking a row's
-    ``ids1 × ids2`` reproduces the sorted-URI scan of the string-keyed
-    specification: same first-seen pair order, same per-pair addition
-    order.  The ragged expansion emits exactly that nested-loop order
-    and the unbuffered per-key summation adds in it, so both arms yield
-    the same subtotals.  Returns parallel ``(packed keys, subtotals)``
-    columns, keys unique.
+def _contributions(
+    lo, hi, width, origin, row_ids, row_starts, span_starts, members,
+    starts2, ids2, shards, weights,
+) -> tuple:
+    """Every contribution to the output rows ``lo .. hi``, in scan order:
+    ``(cells, shards, weights)``, cell ``(row - lo) * width + column``.
+
+    ``(row_starts, row_ids)`` is ``A`` as CSR: per output row the
+    ascending ids of its ``V`` rows — of ``row_ids`` the task's own
+    slice, which begins at offset ``origin``.  ``span_starts`` delimits
+    each ``V`` row's entries, which carry a ``B`` row (``members``), a
+    shard and a weight; ``(starts2, ids2)`` is ``B`` as CSR: per ``B``
+    row its ascending output columns.  Contributions come ``V`` row,
+    entry, column ascending — per pair the scan order of the
+    string-keyed specification.
     """
     if numpy_enabled():
         numpy = numpy_module()
-        weights, rows, starts1, ids1, starts2, ids2 = map(
-            numpy.asarray, (weights, rows, starts1, ids1, starts2, ids2)
+        ids = row_ids[row_starts[lo] - origin : row_starts[hi] - origin]
+        v_rows, entries = ragged_indices(
+            span_starts[ids], span_starts[ids + 1] - span_starts[ids]
         )
-        keys, values = ragged_cross_products(
-            ids1,
-            starts1[rows],
-            starts1[rows + 1] - starts1[rows],
-            ids2,
-            starts2[rows],
-            starts2[rows + 1] - starts2[rows],
-            weights,
+        b_rows = members[entries]
+        owners, columns = ragged_indices(
+            starts2[b_rows], starts2[b_rows + 1] - starts2[b_rows]
         )
-        return sequential_unique_sums(keys, values)
-    sums: dict[int, float] = {}
-    for weight, row in zip(weights, rows):
-        row_ids2 = ids2[starts2[row] : starts2[row + 1]]
-        for id1 in ids1[starts1[row] : starts1[row + 1]]:
-            base = id1 << PAIR_ID_BITS
-            for id2 in row_ids2:
-                key = base | id2
-                sums[key] = sums.get(key, 0.0) + weight
-    return array("q", sums), array("d", sums.values())
+        cells = numpy.repeat(
+            numpy.arange(hi - lo) * width, numpy.diff(row_starts[lo : hi + 1])
+        )[v_rows][owners]
+        cells += ids2[columns]
+        entries = entries[owners]
+        return cells, shards[entries], weights[entries]
+    cells, run_shards, run_weights = [], [], []
+    for row in range(lo, hi):
+        base = (row - lo) * width
+        at, stop = row_starts[row] - origin, row_starts[row + 1] - origin
+        for v_row in row_ids[at:stop]:
+            for entry in range(span_starts[v_row], span_starts[v_row + 1]):
+                b_row = members[entry]
+                columns = ids2[starts2[b_row] : starts2[b_row + 1]]
+                cells.extend(base + column for column in columns)
+                run_shards.extend((shards[entry],) * len(columns))
+                run_weights.extend((weights[entry],) * len(columns))
+    return cells, run_shards, run_weights
 
 
-def _block_row_shards(
-    blocks: PackedBlockCollection, n_partitions: int
-) -> list[tuple[array, array]]:
-    """Hash-by-block-key shards ``(token weights, block rows)``.
+def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
+    """Cut the rows ``lo .. hi`` into runs, at least one row each, of at
+    most :data:`_RUN_SIZE` cells, contributions and slab slots — a slab
+    holds ``n_shards`` slots per *touched* cell, and no more cells are
+    touched than there are cells or contributions (``work``: the
+    contributions before each row, cumulative)."""
+    runs = []
+    while lo < hi:
+        # per limit, the last row whose cells, whose contributions fit
+        whole, slab = (
+            (
+                lo + limit // max(width, 1),
+                bisect_right(work, work[lo] + limit, lo, hi + 1) - 1,
+            )
+            for limit in (_RUN_SIZE, _RUN_SIZE // n_shards)
+        )
+        runs.append((lo, max(lo + 1, min(*whole, max(slab)))))
+        lo = runs[-1][1]
+    return runs
 
-    The layout of :func:`~repro.engine.partitioner.partition_blocks` —
-    blocks in key order (the collection's row order), sharded by
-    ``stable_hash(block key)`` — naming each block by its row instead of
-    copying its members.
-    """
-    shards = [(array("d"), array("q")) for _ in range(n_partitions)]
-    for row, key in enumerate(blocks.block_keys):
-        weights, rows = shards[stable_hash(key) % n_partitions]
-        weights.append(block_token_weight(*blocks.row_sizes(row)))
-        rows.append(row)
-    return shards
+
+def _joined(parts) -> tuple:
+    """``(keys, sums)`` columns of consecutive row ranges, end to end."""
+    keys, sums = zip((array("q"), array("d")), *parts)
+    if numpy_enabled():
+        numpy = numpy_module()
+        return numpy.concatenate(keys), numpy.concatenate(sums)
+    return array("q", chain(*keys)), array("d", chain(*sums))
+
+
+def _row_sums(task, row_ids, work, row_starts, *shared) -> tuple:
+    """A task's output rows of ``A · V · Bᵀ``, whole (engine worker):
+    their ``(packed keys ascending, totals)`` columns, folded run after
+    run.  ``task`` is ``(first row, past-the-last row, width,
+    n_shards)``, ``row_ids`` the task's slice of ``A``'s ids, ``work``
+    is :func:`_row_work`; the rest as in :func:`_contributions`."""
+    lo, hi, width, n_shards = task
+    operands = (row_ids, row_starts, *shared)
+    if numpy_enabled():
+        operands = tuple(map(numpy_module().asarray, operands))
+    origin = row_starts[lo]
+    return _joined(
+        [
+            shard_ordered_sums(
+                *_contributions(start, stop, width, origin, *operands),
+                n_shards, start, stop - start, width,
+            )
+            for start, stop in _row_runs(work, lo, hi, width, n_shards)
+        ]
+    )
+
+
+def _row_work(row_starts, row_ids, span_starts, members, starts2):
+    """Contributions before each output row, cumulative (``n_rows + 1``):
+    prefix sums over ``B``'s row lengths by entry, then over the entries'
+    totals by ``V`` row, read at ``A``'s row offsets."""
+    if numpy_enabled():
+        numpy = numpy_module()
+        row_starts, row_ids, span_starts, members, starts2 = map(
+            numpy.asarray, (row_starts, row_ids, span_starts, members, starts2)
+        )
+        fans = numpy.cumsum(numpy.diff(starts2)[members])
+        fans = numpy.concatenate(([0], fans))
+        work = numpy.cumsum(numpy.diff(fans[span_starts])[row_ids])
+        return numpy.concatenate(([0], work))[row_starts]
+    fans = [0, *accumulate(starts2[b + 1] - starts2[b] for b in members)]
+    work = [
+        0,
+        *accumulate(
+            fans[span_starts[v + 1]] - fans[span_starts[v]] for v in row_ids
+        ),
+    ]
+    return array("q", (work[at] for at in row_starts))
+
+
+def _product_index(
+    index_type, counter: str, engine, interners, n_shards,
+    row_starts, row_ids, *shared,
+):
+    """The index ``A · V · Bᵀ`` over the operands of
+    :func:`_contributions`: one task per contiguous range of rows — as
+    many as :func:`partition_count` of the row count — each given its
+    range and its own ids of ``A``; the results, end to end, are the
+    pair columns."""
+    telemetry = _telemetry_current()
+    width, n_rows = len(interners[1]), len(row_starts) - 1
+    with telemetry.tracer.span("similarity.kernel", category="similarity"):
+        tasks = [
+            (
+                array("q", (rows.start, rows.stop, width, n_shards)),
+                row_ids[row_starts[rows.start] : row_starts[rows.stop]],
+            )
+            for rows in chunk_evenly(range(n_rows), partition_count(n_rows))
+        ]
+        work = _row_work(row_starts, row_ids, *shared[:3])
+        # the per-task parts die with this expression, before the
+        # ranked rows allocate (bytes are seconds, PERFORMANCE.md)
+        columns = _joined(
+            engine.map_columns(
+                _row_sums, tasks, "qi", (work, row_starts, *shared), "qqqiqiid"
+            )
+        )
+    with telemetry.tracer.span("similarity.ranked_rows", category="similarity"):
+        index = index_type.from_packed_columns(*columns, *interners)
+    telemetry.metrics.counter(counter).inc(len(index))
+    return index
+
+
+def _csr(rows: list[list[int]]) -> tuple[array, array]:
+    """``(starts, ids)`` CSR columns of a list of id lists."""
+    return (
+        array("q", accumulate(map(len, rows), initial=0)),
+        array("i", chain.from_iterable(rows)),
+    )
+
+
+def _transposed(starts, ids, n_targets: int) -> tuple:
+    """The transpose of a CSR ``(starts, ids)``: per target id, the
+    ascending rows listing it."""
+    if numpy_enabled():
+        numpy = numpy_module()
+        ids = numpy.asarray(ids)
+        rows = numpy.repeat(
+            numpy.arange(len(starts) - 1, dtype=numpy.int32),
+            numpy.diff(numpy.asarray(starts)),
+        )
+        t_starts = numpy.zeros(n_targets + 1, dtype=numpy.int64)
+        numpy.cumsum(numpy.bincount(ids, minlength=n_targets), out=t_starts[1:])
+        return t_starts, rows[numpy.argsort(ids, kind="stable")]
+    listed: list[list[int]] = [[] for _ in range(n_targets)]
+    for row in range(len(starts) - 1):
+        for target in ids[starts[row] : starts[row + 1]]:
+            listed[target].append(row)
+    return _csr(listed)
 
 
 def build_value_index(
     token_blocks: BlockCollection, engine: Executor | None = None
 ) -> ValueSimilarityIndex:
-    """The :class:`ValueSimilarityIndex` of ``token_blocks``, partitioned.
+    """The :class:`ValueSimilarityIndex` of ``token_blocks``, row-owned.
 
-    Shards the block rows by key (hash-by-block-key), accumulates
-    per-shard packed pair columns against the collection's CSR member
-    columns, merges them in shard order.
+    Transposes the side-1 membership once (member id → ascending block
+    rows, i.e. block-key order) and lets every row gather its blocks'
+    side-2 members, each block weighted by its token weight and sharded
+    by ``stable_hash(block key)``.
     """
     engine = engine or SerialExecutor()
     # Taken from the collection as handed in: the shard count fixes the
     # float fold, and packing drops one-sided blocks.
-    n_partitions = partition_count(len(token_blocks))
+    n_shards = partition_count(len(token_blocks))
     if not isinstance(token_blocks, PackedBlockCollection):
         token_blocks = PackedBlockCollection.from_collection(
             token_blocks.drop_empty()
         )
-    shards = _block_row_shards(token_blocks, n_partitions)
-    partials = engine.map_columns(
-        _value_shard_sums,
-        shards,
-        "dq",
-        (*token_blocks.csr(1), *token_blocks.csr(2)),
-        "qiqi",
+    keys = token_blocks.block_keys
+    interners = token_blocks.interners()  # the sorted member URIs per side
+    weights = (
+        block_token_weight(*token_blocks.row_sizes(row))
+        for row in range(len(keys))
     )
-    del shards
-    columns = merged_run_sums(partials)
-    del partials  # see build_neighbor_index
-    # The member interners are exactly the sorted member URIs per side.
-    index = ValueSimilarityIndex.from_packed_columns(
-        *columns, *token_blocks.interners()
+    return _product_index(
+        ValueSimilarityIndex,
+        "similarity.value_pairs_scored",
+        engine,
+        interners,
+        n_shards,
+        *_transposed(*token_blocks.csr(1), len(interners[0])),
+        array("q", range(len(keys) + 1)),  # V is diagonal: one entry per
+        array("i", range(len(keys))),  # block, naming its own row of B
+        *token_blocks.csr(2),
+        array("i", (stable_hash(key) % n_shards for key in keys)),
+        array("d", weights),
     )
-    _telemetry_current().metrics.counter(
-        "similarity.value_pairs_scored"
-    ).inc(len(index))
-    return index
 
 
-def _reverse_csr(
+def _top_neighbor_csr(
     top_neighbors: dict[str, set[str]],
     parents: EntityInterner,
     value_entities: EntityInterner,
 ) -> tuple[array, array]:
-    """CSR ``(starts, parent ids)``: per value id, the ascending ids of
-    the entities listing it as a top neighbor.
-
-    Neighbors absent from the value index can never receive a value-pair
-    contribution, so they are dropped here — exactly the pairs a
-    string-keyed reverse index would have missed on lookup.
-    """
-    ids = parents.ids_by_uri()
-    reverse: dict[int, list[int]] = {}
-    for uri, neighbor_set in top_neighbors.items():
-        parent = ids[uri]
-        for neighbor in neighbor_set:
-            value_id = value_entities.get(neighbor)
-            if value_id is not None:
-                reverse.setdefault(value_id, []).append(parent)
-    starts, flat = array("q", (0,)), array("i")
-    for value_id in range(len(value_entities)):
-        flat.extend(sorted(reverse.get(value_id, ())))
-        starts.append(len(flat))
-    return starts, flat
-
-
-def _neighbor_shard_sums(
-    value_keys, value_sims, starts1, parents1, starts2, parents2
-) -> tuple:
-    """neighborNSim contributions of one shard of value pairs (engine
-    worker).
-
-    ``value_keys`` / ``value_sims`` are the shard's packed pairs in scan
-    order; the two :func:`_reverse_csr` indices give, per value id, the
-    parents to propagate to.  Parent ids are pre-sorted (and sorted
-    parent-id order is sorted parent-URI order), so per output pair the
-    contribution order equals the string-keyed propagation's, and — as
-    in :func:`_value_shard_sums` — the ragged expansion plus unbuffered
-    summation matches the dict accumulation float for float.  Returns
-    parallel ``(packed keys, subtotals)`` columns, keys unique.
-    """
-    if numpy_enabled():
-        numpy = numpy_module()
-        value_keys, value_sims, starts1, parents1, starts2, parents2 = map(
-            numpy.asarray,
-            (value_keys, value_sims, starts1, parents1, starts2, parents2),
-        )
-        vids1 = value_keys >> PAIR_ID_BITS
-        vids2 = value_keys & PAIR_ID_MASK
-        fan1 = starts1[vids1 + 1] - starts1[vids1]
-        fan2 = starts2[vids2 + 1] - starts2[vids2]
-        keep = (fan1 > 0) & (fan2 > 0)
-        keys, values = ragged_cross_products(
-            parents1,
-            starts1[vids1[keep]],
-            fan1[keep],
-            parents2,
-            starts2[vids2[keep]],
-            fan2[keep],
-            value_sims[keep],
-        )
-        return sequential_unique_sums(keys, values)
-    sums: dict[int, float] = {}
-    shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
-    for key, sim in zip(value_keys, value_sims):
-        vid1, vid2 = key >> shift, key & mask
-        row2 = parents2[starts2[vid2] : starts2[vid2 + 1]]
-        if not len(row2):
-            continue
-        for entity1 in parents1[starts1[vid1] : starts1[vid1 + 1]]:
-            base = entity1 << shift
-            for entity2 in row2:
-                pair = base | entity2
-                sums[pair] = sums.get(pair, 0.0) + sim
-    return array("q", sums), array("d", sums.values())
-
-
-def _vectorized_value_shards(
-    keys, sims, n_partitions: int, hasher: PackedPairHasher
-) -> list[tuple]:
-    """The ascending value-pair columns grouped into shards.
-
-    Keys hash via the vectorized zlib-compatible CRC and group stably —
-    each shard keeps its keys in ascending (scan) order, exactly as
-    :func:`hash_partitions_packed` over the sorted sequence would.
-    """
-    numpy = numpy_module()
-    # int16 shard ids: NumPy's stable sort is a radix sort at that width
-    # (same permutation, a tenth of the time of the int64 merge sort).
-    shard_ids = (hasher.hash_many(keys) % n_partitions).astype(numpy.int16)
-    grouping = numpy.argsort(shard_ids, kind="stable")
-    keys = keys[grouping]
-    sims = sims[grouping]
-    bounds = numpy.zeros(n_partitions + 1, dtype=numpy.int64)
-    numpy.cumsum(
-        numpy.bincount(shard_ids, minlength=n_partitions), out=bounds[1:]
+    """CSR ``(starts, value ids)``: per parent id, the ascending value
+    ids of its top neighbors.  Neighbors absent from the value index can
+    never receive a value-pair contribution, so they are dropped here —
+    exactly the pairs a string-keyed reverse index would have missed."""
+    found = (
+        map(value_entities.get, top_neighbors[uri]) for uri in parents.uris()
     )
-    return [
-        (keys[bounds[i] : bounds[i + 1]], sims[bounds[i] : bounds[i + 1]])
-        for i in range(n_partitions)
-    ]
+    return _csr([sorted(v for v in row if v is not None) for row in found])
 
 
 def build_neighbor_index(
@@ -269,70 +307,60 @@ def build_neighbor_index(
     top_neighbors2: dict[str, set[str]],
     engine: Executor | None = None,
 ) -> NeighborSimilarityIndex:
-    """The :class:`NeighborSimilarityIndex`, propagated shard by shard.
+    """The :class:`NeighborSimilarityIndex`, propagated row by row.
 
-    The value index's pair columns are scanned in ascending packed-key
-    order (ascending ``(uri1, uri2)`` while the interners are
-    sort-stable) and sharded by the stable hash of each pair's *string*
-    key via :class:`~repro.engine.partitioner.PackedPairHasher` (not by
-    position, so a pair's shard is a function of the pair alone); every
-    shard propagates its pairs up to the entities listing them as top
-    neighbors, against the read-only reverse indices.
+    Every parent gathers, top neighbor by top neighbor, that neighbor's
+    row of the value index — the ascending key column read as a CSR by
+    its side-1 id — and hands each value pair on to the side-2 parents
+    listing its second entity.  A value pair's shard is the stable hash
+    of its *string* key (:class:`~repro.engine.partitioner.PackedPairHasher`),
+    a function of the pair alone.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()
+    keys, sims = value_index.packed_columns()
+    n_shards = partition_count(len(keys))
+    if not (value1.is_sorted and value2.is_sorted):
+        # ids an earlier build's snapshot appended out of URI order: scan
+        # by URI rank, the order the string-keyed path used
+        uris1, uris2, keys, sims = uri_ranked_pair_columns(
+            keys, sims, value1, value2
+        )
+        value1, value2 = EntityInterner(uris1), EntityInterner(uris2)
     parents1 = EntityInterner(top_neighbors1)
     parents2 = EntityInterner(top_neighbors2)
-    keys, sims = value_index.packed_columns()
-    n_partitions = partition_count(len(keys))
-    sort_stable = value1.is_sorted and value2.is_sorted
     # Hashes a packed key to ``stable_hash(uri1 + separator + uri2)`` —
     # the string-stable shard assignment, without building key strings.
     hasher = PackedPairHasher(value1, value2, _PAIR_KEY_SEPARATOR)
-    if numpy_enabled() and sort_stable:
+    if numpy_enabled():
         numpy = numpy_module()
-        shards = _vectorized_value_shards(
-            numpy.asarray(keys), numpy.asarray(sims), n_partitions, hasher
-        )
+        keys = numpy.asarray(keys)
+        shards = (hasher.hash_many(keys) % n_shards).astype(numpy.int32)
+        members = (keys & PAIR_ID_MASK).astype(numpy.int32)
     else:
-        # Plain ints/floats out of any column type, without a copy.
-        keys, sims = memoryview(keys), memoryview(sims)
-        if not sort_stable:
-            # ids appended by deltas broke the id-order == URI-order
-            # coincidence: scan by decoded URIs, the order the
-            # string-keyed path used.
-            uris1, uris2 = value1.uris(), value2.uris()
-            order = sorted(
-                range(len(keys)),
-                key=lambda i: (
-                    uris1[keys[i] >> PAIR_ID_BITS],
-                    uris2[keys[i] & PAIR_ID_MASK],
-                ),
-            )
-            keys = [keys[i] for i in order]
-            sims = [sims[i] for i in order]
-        shards = hash_partitions_packed(keys, sims, n_partitions, hasher)
-    partials = engine.map_columns(
-        _neighbor_shard_sums,
-        shards,
-        "qd",
+        keys = memoryview(keys)
+        shards = array("i", (hasher(key) % n_shards for key in keys))
+        members = array("i", (key & PAIR_ID_MASK for key in keys))
+    # The ascending key column, read as a CSR by its side-1 id.
+    span_starts = array(
+        "q",
         (
-            *_reverse_csr(top_neighbors1, parents1, value1),
-            *_reverse_csr(top_neighbors2, parents2, value2),
+            bisect_left(memoryview(keys), row << PAIR_ID_BITS)
+            for row in range(len(value1) + 1)
         ),
-        "qiqi",
     )
-    # Bytes are seconds (docs/PERFORMANCE.md): the partials and the
-    # value shards are ~20 B per pair of pages already touched; released
-    # before the ranked-row build, it reuses them instead of faulting in
-    # fresh ones.
-    del shards
-    columns = merged_run_sums(partials)
-    del partials
-    index = NeighborSimilarityIndex.from_packed_columns(
-        *columns, parents1, parents2
+    return _product_index(
+        NeighborSimilarityIndex,
+        "similarity.neighbor_pairs_scored",
+        engine,
+        (parents1, parents2),
+        n_shards,
+        *_top_neighbor_csr(top_neighbors1, parents1, value1),
+        span_starts,
+        members,
+        *_transposed(
+            *_top_neighbor_csr(top_neighbors2, parents2, value2), len(value2)
+        ),
+        shards,
+        sims,
     )
-    _telemetry_current().metrics.counter(
-        "similarity.neighbor_pairs_scored"
-    ).inc(len(index))
-    return index

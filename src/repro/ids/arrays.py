@@ -1,14 +1,15 @@
 """Bulk kernels over packed pair-key columns (NumPy-gated).
 
 The packed similarity core is pure stdlib; when NumPy is importable the
-hot bulk operations — ragged cross-product expansion, order-preserving
-duplicate-key summation, the sort-once merge of per-shard partials, the
-CSR ranked-row argsort, CRC32 by combination and the digest's canonical
-columns — run vectorized instead.  **Both paths are bit-identical**:
-every kernel here reproduces the floating-point accumulation order of its
-pure-Python counterpart (`np.bincount` adds weights one element at a
-time, front to back, which *is* the scan order),
-so golden digests do not depend on whether NumPy is present.
+hot bulk operations — the shard-ordered slab fold of the row-owned
+similarity kernels, ragged span expansion, order-preserving
+duplicate-key summation, the CSR ranked-row argsort, CRC32 by
+combination and the digest's canonical columns — run vectorized
+instead.  **Both paths are bit-identical**: every kernel here
+reproduces the floating-point accumulation order of its pure-Python
+counterpart (`np.bincount` adds weights one element at a time, front to
+back, which *is* the scan order), so golden digests do not depend on
+whether NumPy is present.
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the stdlib fallback (the parity
 tests run both paths and assert equality).
@@ -88,29 +89,24 @@ def _uri_ranks(ids, interner) -> tuple[list[str], array]:
     return [uris[entity_id] for entity_id in referenced], ranks
 
 
-def canonical_pair_columns(keys, sims, interner1, interner2):
+def uri_ranked_pair_columns(keys, sims, interner1, interner2):
     """An ascending packed pair column, re-expressed free of its interners.
 
     Returns ``(uris1, uris2, keys, sims)``: per side the URIs *occurring
-    in a pair*, ascending; the keys re-packed over each URI's rank in
-    its list, ascending, as little-endian ``int64``; the similarities
-    beside them as little-endian ``float64`` — a function of the
-    ``{(uri1, uri2): sim}`` map alone, with NumPy or without.  Raises
-    ``ValueError`` on a non-finite similarity.
+    in a pair*, ascending; the ``int64`` keys re-packed over each URI's
+    rank in its list, ascending; the ``float64`` similarities beside
+    them — a function of the ``{(uri1, uri2): sim}`` map alone, with
+    NumPy or without.
     """
     vectorized = numpy_enabled()
     if vectorized:
         keys = _np.asarray(keys, dtype=_np.int64)
         sims = _np.asarray(sims, dtype=_np.float64)
-        finite = _np.isfinite(sims).all()
         ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
     else:
         keys, sims = memoryview(keys), memoryview(sims)
-        finite = all(map(math.isfinite, sims))
         ids1 = array("q", (key >> 32 for key in keys))
         ids2 = array("q", (key & 0xFFFFFFFF for key in keys))
-    if not finite:
-        raise ValueError("similarity column holds a non-finite value")
     uris1, ranks1 = _uri_ranks(ids1, interner1)
     uris2, ranks2 = _uri_ranks(ids2, interner2)
     if vectorized:
@@ -124,6 +120,22 @@ def canonical_pair_columns(keys, sims, interner1, interner2):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = array("q", map(keys.__getitem__, order))
         sims = array("d", map(sims.__getitem__, order))
+    return uris1, uris2, keys, sims
+
+
+def canonical_pair_columns(keys, sims, interner1, interner2):
+    """:func:`uri_ranked_pair_columns` with both columns little-endian:
+    the bytes the digest hashes.  Raises ``ValueError`` on a non-finite
+    similarity."""
+    if numpy_enabled():
+        finite = _np.isfinite(_np.asarray(sims, dtype=_np.float64)).all()
+    else:
+        finite = all(map(math.isfinite, memoryview(sims)))
+    if not finite:
+        raise ValueError("similarity column holds a non-finite value")
+    uris1, uris2, keys, sims = uri_ranked_pair_columns(
+        keys, sims, interner1, interner2
+    )
     if sys.byteorder == "big":
         keys, sims = array_copy("q", keys), array_copy("d", sims)
         keys.byteswap()
@@ -147,69 +159,64 @@ def sequential_unique_sums(keys, weights):
     return unique, sums.astype(_np.float64, copy=False)
 
 
-def merged_run_sums(runs):
-    """Per-key totals over ``(keys, sums)`` runs whose keys are unique
-    *within* each run, folded in run order.
+def shard_ordered_sums(
+    cells, shards, weights, n_shards, first_row, n_rows, width
+):
+    """Per-cell totals of a contribution column, folded shard by shard.
 
-    Returns ``(unique keys ascending, totals)`` — float for float what
-    :func:`sequential_unique_sums` yields over the concatenated runs: a
-    key occurs at most once per run, so adding run after run into its
-    slot is the same left fold from ``0.0`` (``0.0 + x == x``).  With no
-    duplicate to locate *inside* a run, one value sort of the key
-    columns replaces the index sort, the inverse and the concatenated
-    sums.  Without NumPy the same fold runs through a dict and is sorted
-    once into ``array`` columns.
+    Contribution ``i`` adds ``weights[i]`` to cell ``cells[i]`` of a
+    row-major ``n_rows x width`` slab, inside shard ``shards[i]``.  Per
+    cell and shard the weights add up from ``0.0`` in element order; a
+    cell's total is its subtotals added in ascending shard order (per
+    pair: ``tests/oracles.py::shard_merged_sum``).  Returns ``(packed
+    keys ascending, totals)`` of the touched cells, ``(r, c)`` packed as
+    ``first_row + r << 32 | c``.
+
+    NumPy arm: a bitmap of the touched cells gives each a slot
+    (``cumsum``), **one** ``bincount`` over ``shard * support + slot``
+    fills ``n_shards`` slabs in element order, and the slabs add up in
+    shard order — a ``(cell, shard)`` nobody touched holds ``+0.0``, and
+    ``x + 0.0 == x``.  The stdlib arm is one dict per shard.
     """
     if not numpy_enabled():
+        slabs: list[dict[int, float]] = [{} for _ in range(n_shards)]
+        for cell, shard, weight in zip(cells, shards, weights):
+            slab = slabs[shard]
+            slab[cell] = slab.get(cell, 0.0) + weight
         totals: dict[int, float] = {}
-        for keys, sums in runs:
-            for key, value in zip(memoryview(keys), memoryview(sums)):
-                totals[key] = totals.get(key, 0.0) + value
-        unique = array("q", sorted(totals))
-        return unique, array("d", map(totals.__getitem__, unique))
-    runs = [
-        (_np.asarray(keys, _np.int64), _np.asarray(sums, _np.float64))
-        for keys, sums in runs
-    ]
-    merged = _np.concatenate([keys for keys, _ in runs])
-    merged.sort()
-    first = _np.ones(len(merged), dtype=bool)
-    _np.not_equal(merged[1:], merged[:-1], out=first[1:])
-    unique = merged[first]
-    totals = _np.zeros(len(unique), dtype=_np.float64)
-    for keys, sums in runs:
-        totals[_np.searchsorted(unique, keys)] += sums
-    return unique, totals
+        for slab in slabs:
+            for cell, subtotal in slab.items():
+                totals[cell] = totals.get(cell, 0.0) + subtotal
+        touched = sorted(totals)
+        keys = ((first_row + c // width << 32) | c % width for c in touched)
+        return array("q", keys), array("d", map(totals.__getitem__, touched))
+    touched = _np.zeros(n_rows * width, dtype=bool)
+    touched[cells] = True
+    slots = _np.cumsum(touched)
+    support = int(slots[-1]) if len(slots) else 0
+    index = slots[cells]
+    index += shards * support - 1
+    slabs = _np.bincount(index, weights, minlength=n_shards * support)
+    slabs = slabs.reshape(n_shards, support)
+    # bincount types the sums of an *empty* column int64
+    totals = slabs[0].astype(_np.float64)
+    for slab in slabs[1:]:
+        totals += slab
+    rows, columns = _np.divmod(_np.flatnonzero(touched), width)
+    return (rows + first_row << 32) | columns, totals
 
 
-def ragged_cross_products(
-    a_flat, a_starts, a_counts, b_flat, b_starts, b_counts, values
-):
-    """Packed keys and repeated values of row-wise cross products.
-
-    For each row ``i`` the kernel emits, in exactly the nested-loop
-    order ``for a in A_i: for b in B_i``, the packed key
-    ``a << 32 | b`` over ``A_i = a_flat[a_starts[i] : +a_counts[i]]``
-    and ``B_i`` likewise, paired with ``values[i]`` repeated
-    ``|A_i| * |B_i|`` times.  Rows are emitted in input order, so the
-    concatenated output preserves the scan order of the equivalent
-    Python loops.
-    """
-    reps = a_counts.astype(_np.int64) * b_counts
-    total = int(reps.sum())
-    if total == 0:
-        return (
-            _np.empty(0, dtype=_np.int64),
-            _np.empty(0, dtype=_np.float64),
-        )
-    row_offsets = _np.zeros(len(reps), dtype=_np.int64)
-    _np.cumsum(reps[:-1], out=row_offsets[1:])
-    within = _np.arange(total, dtype=_np.int64) - _np.repeat(row_offsets, reps)
-    b_width = _np.repeat(b_counts.astype(_np.int64), reps)
-    idx_a = _np.repeat(a_starts.astype(_np.int64), reps) + within // b_width
-    idx_b = _np.repeat(b_starts.astype(_np.int64), reps) + within % b_width
-    keys = (a_flat[idx_a].astype(_np.int64) << 32) | b_flat[idx_b]
-    return keys, _np.repeat(values, reps)
+def ragged_indices(starts, counts):
+    """The positions ``starts[i] .. starts[i] + counts[i]`` of every
+    span, concatenated in span order, beside the span ``i`` each
+    belongs to: ``(owners, positions)``.  Gathering a per-span column
+    by ``owners`` repeats it ``counts`` times, at a third of the price
+    of ``np.repeat``."""
+    ends = _np.cumsum(counts, dtype=_np.int64)
+    owners = _np.repeat(_np.arange(len(counts)), counts)
+    positions = (starts - (ends - counts))[owners]
+    positions += _np.arange(len(owners))
+    return owners, positions
 
 
 def ranked_csr(keys, sims, n_entities1, n_entities2):
@@ -272,21 +279,11 @@ def gathered_candidate_sums(
     single-record call), so batch scores equal sequential scores
     bit-for-bit.
     """
-    counts = span_stops.astype(_np.int64) - span_starts
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            _np.empty(0, dtype=_np.int64),
-            _np.empty(0, dtype=_np.float64),
-        )
-    offsets = _np.zeros(len(counts), dtype=_np.int64)
-    _np.cumsum(counts[:-1], out=offsets[1:])
-    within = _np.arange(total, dtype=_np.int64) - _np.repeat(offsets, counts)
-    idx = _np.repeat(span_starts.astype(_np.int64), counts) + within
-    keys = ids_flat[idx].astype(_np.int64)
+    owners, positions = ragged_indices(span_starts, span_stops - span_starts)
+    keys = ids_flat[positions].astype(_np.int64)
     if span_bases is not None:
-        keys |= _np.repeat(span_bases.astype(_np.int64), counts)
-    return sequential_unique_sums(keys, _np.repeat(span_values, counts))
+        keys |= span_bases[owners]
+    return sequential_unique_sums(keys, span_values[owners])
 
 
 # ----------------------------------------------------------------------

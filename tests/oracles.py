@@ -34,7 +34,8 @@ def _value_partial(blocks: list[Block]) -> PairSums:
     Entities are scanned in sorted order so the shard's output — dict
     order included — does not depend on the interpreter's set-hash seed.
     Kept as the executable specification of the per-shard scan order;
-    the live builder runs ``repro.engine.similarity._value_shard_sums``.
+    the live builder (``repro.engine.similarity.build_value_index``)
+    walks it row by row: per output pair, blocks ascending by key.
     """
     sums: PairSums = {}
     for block in blocks:
@@ -49,7 +50,7 @@ def _value_partial(blocks: list[Block]) -> PairSums:
 def shard_merged_sum(
     contributions: Iterable[tuple[str, float]], n_shards: int
 ) -> float:
-    """The batch builders' shard-then-merge accumulation, for one pair.
+    """The batch builders' shard-ordered fold, for one pair.
 
     ``contributions`` are ``(shard key, weight)`` terms **in the batch
     scan order** (sorted by the stage's sort domain: block key for
@@ -59,6 +60,9 @@ def shard_merged_sum(
     float order ``build_value_index`` / ``build_neighbor_index`` commit
     to — a function of keys alone, never of position, which is why a
     rebuild on a post-delta state lands on the floats of a cold run.
+    The row-owned kernels fold every pair of a run of output rows this
+    way at once (``repro.ids.arrays.shard_ordered_sums``); this is
+    their oracle (``tests/test_row_kernels.py``).
     """
     subtotals: dict[int, float] = {}
     for key, weight in contributions:

@@ -213,62 +213,62 @@ class TestVectorizedKernels:
         unique, sums = sequential_unique_sums(keys, weights)
         assert {int(k): float(v) for k, v in zip(unique, sums)} == reference
 
-    #: One shard's partial: keys unique within it, sums from subnormal
+    #: One contribution ``(shard, cell, weight)``: weights from subnormal
     #: to 1e300 (so an addition order that differed would show).
-    _run = st.dictionaries(
-        st.integers(0, 12),
+    _contribution = st.tuples(
+        st.integers(0, 15),
+        st.integers(0, 14),
         st.one_of(
-            st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e300]),
-            st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+            st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1, 1e300]),
+            st.floats(min_value=5e-324, max_value=1e300, allow_nan=False),
         ),
-        max_size=10,
     )
 
-    @given(st.lists(_run, min_size=1, max_size=16), st.booleans())
-    @example([{}], False)
-    @example([{}, {}, {}], True)
-    @example([{7: 0.1 * (shard + 1)} for shard in range(16)], False)
-    @example([{shard: 1e300} for shard in range(12)], True)
-    @example([{1: 1e300, 2: 5e-324}, {}, {2: 5e-324, 1: 0.1}, {1: 1e300}], True)
-    def test_merged_run_sums_equals_the_concatenated_fold(self, runs, as_arrays):
-        """The sort-once merge vs the index-sort fold it replaces, float
-        ``==``: empty shards, all-empty input (dtypes kept), a key in
-        every shard, keys in exactly one shard, and partials handed over
-        as ``array`` columns (what the process engine returns)."""
-        from array import array
-
+    @given(st.lists(_contribution, max_size=60))
+    @example([])
+    @example([(shard, 7, 0.1 * (shard + 1)) for shard in range(16)])
+    @example([(shard, shard % 15, 1e300) for shard in range(12)])
+    @example([(3, 1, 1e300), (3, 2, 5e-324), (9, 2, 5e-324), (0, 1, 0.1)] * 3)
+    def test_shard_ordered_sums_equals_the_per_shard_fold(self, contributions):
+        """The slab fold vs ``sequential_unique_sums`` per shard followed
+        by the shard-order fold, float ``==``, on both arms: no
+        contribution at all (dtypes kept), a cell in every shard, cells
+        in exactly one shard, repeats inside one ``(cell, shard)``."""
         import numpy
 
-        from repro.ids.arrays import merged_run_sums, sequential_unique_sums
+        from repro.ids.arrays import sequential_unique_sums, shard_ordered_sums
 
-        columns = [
-            (
-                numpy.array(list(run), dtype=numpy.int64),
-                numpy.array(list(run.values()), dtype=numpy.float64),
-            )
-            for run in runs
-        ]
-        expected_keys, expected_sums = sequential_unique_sums(
-            numpy.concatenate([keys for keys, _ in columns]),
-            numpy.concatenate([sums for _, sums in columns]),
-        )
-        if as_arrays:
-            columns = [
-                (array("q", keys.tolist()), array("d", sums.tolist()))
-                for keys, sums in columns
-            ]
-        keys, sums = merged_run_sums(columns)
-        assert keys.dtype == numpy.int64 and sums.dtype == numpy.float64
-        assert keys.tolist() == expected_keys.tolist()
-        assert sums.tolist() == expected_sums.tolist()  # float ==
         folded: dict[int, float] = {}
-        for run in runs:
-            for key, value in run.items():
-                folded[key] = folded.get(key, 0.0) + value
-        assert dict(zip(keys.tolist(), sums.tolist())) == folded
-        # the stdlib arm: same columns in, sorted ``array`` columns out
+        for shard in range(16):
+            mine = [(c, w) for s, c, w in contributions if s == shard]
+            cells, subtotals = sequential_unique_sums(
+                numpy.array([c for c, _ in mine], dtype=numpy.int64),
+                numpy.array([w for _, w in mine], dtype=numpy.float64),
+            )
+            for cell, subtotal in zip(cells.tolist(), subtotals.tolist()):
+                folded[cell] = folded.get(cell, 0.0) + subtotal
+        # a 3 x 5 slab whose first row is output row 7
+        expected = {
+            ((7 + cell // 5) << 32) | cell % 5: total
+            for cell, total in sorted(folded.items())
+        }
+        shards, cells, weights = (
+            [c[position] for c in contributions] for position in range(3)
+        )
+        keys, sums = shard_ordered_sums(
+            numpy.array(cells, dtype=numpy.int64),
+            numpy.array(shards, dtype=numpy.int32),
+            numpy.array(weights, dtype=numpy.float64),
+            16, 7, 3, 5,
+        )
+        assert keys.dtype == numpy.int64 and sums.dtype == numpy.float64
+        assert keys.tolist() == list(expected)
+        assert sums.tolist() == list(expected.values())  # float ==
+        # the stdlib arm: plain sequences in, sorted ``array`` columns out
         with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": "1"}):
-            stdlib_keys, stdlib_sums = merged_run_sums(columns)
+            stdlib_keys, stdlib_sums = shard_ordered_sums(
+                cells, shards, weights, 16, 7, 3, 5
+            )
         assert (stdlib_keys.typecode, stdlib_sums.typecode) == ("q", "d")
-        assert stdlib_keys.tolist() == expected_keys.tolist()
-        assert stdlib_sums.tolist() == expected_sums.tolist()  # float ==
+        assert stdlib_keys.tolist() == list(expected)
+        assert stdlib_sums.tolist() == list(expected.values())  # float ==

@@ -38,7 +38,7 @@ from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
 from repro.core.similarity import PackedSimilarityIndex, ValueSimilarityIndex
 from repro.core.statistics import top_relations
 from repro.datasets import generate_benchmark, query_stream
-from repro.engine import build_neighbor_index, build_value_index
+from repro.engine import build_neighbor_index, build_value_index, similarity
 from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.ids.arrays import numpy_enabled
 from repro.incremental import IncrementalMatcher
@@ -647,22 +647,33 @@ def test_digest_builds_no_per_pair_objects(toggled_numpy):
 # Memory guard
 # ----------------------------------------------------------------------
 @needs_numpy
-def test_neighbor_build_memory_stays_unboxed():
+def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     """``build_neighbor_index`` on ``rexa_dblp`` 0.2 (82 k value pairs ->
     104 k neighbor pairs), traced with ``tracemalloc``.
 
-    Retained: the dict-backed index (two commits back, NumPy 2.4) kept
-    **13.7 MB**, ~11 MB of it the boxed ``dict[int, float]`` (~110 B
-    per pair); on columns the index keeps 4.4 MB (two 0.8 MB pair
-    columns + the CSR rows), so the guard is 0.6x of 13.7 MB.
+    Retained: the dict-backed index (NumPy 2.4) kept **13.7 MB**, ~11 MB
+    of it the boxed ``dict[int, float]`` (~110 B per pair); on columns
+    the index keeps 4.4 MB (two 0.8 MB pair columns + the CSR rows), so
+    the guard is 0.6x of 13.7 MB.
 
-    Peak: **20.9 MB** at the parent commit, where the shard merge ran
-    ``np.unique(return_inverse)`` + ``bincount`` over the concatenated
-    partials (index sort, inverse, concatenated sums) — at this scale
-    the peak is those temporaries, not boxing.  The sort-once merge
-    (:func:`~repro.ids.arrays.merged_run_sums`) concatenates and sorts
-    the key columns only: 14.7 MB here (0.70x; at 0.7 scale 277.9 ->
-    190.9 MB), so the guard is 0.8x of 20.9 MB.
+    Whole build: **20.9 MB** while shards were merged through
+    ``np.unique(return_inverse)`` over the concatenated partials.  Since
+    the merge sorts key columns only, and now that rows are born whole,
+    the peak sits in the ranked-row build: 9.3 MB before the row-owned
+    kernels, 10.0 MB with them (the operand columns are still
+    referenced there), so the guard is 0.6x of 20.9 MB.
+
+    Before ``from_packed_columns``: the hash-sharded builders peaked at
+    8.4 MB here and 111.0 MB at 0.7 scale (partials of ~2.7 rows per
+    pair plus the merge's sort); the row-owned kernels at 4.8 MB and
+    55.0 MB — the finished columns twice (per task, then joined), the
+    operands, and one run's working set.  The guard is 0.75x of 8.4 MB.
+
+    One task (``_row_sums``) beyond the rows it returns: 3.1 MB here,
+    4.3 MB at 0.7 scale and 3.6 MB on ``yago_imdb`` 1.0 with 22x the
+    pairs — a run's cells, contributions and slab are each cut at
+    ``_RUN_SIZE``, so the guard is a multiple of that constant, not of
+    the KB: 32 B per unit (8.4 MB).
     """
     data = generate_benchmark("rexa_dblp", 0.2, 13)
     config = MinoanERConfig()
@@ -679,13 +690,45 @@ def test_neighbor_build_memory_stays_unboxed():
     ]
     value_index = build_value_index(blocks)
     build_neighbor_index(value_index, *neighbors)  # warm caches, untraced
+
+    # tracemalloc keeps one peak: each task resets it to read its own,
+    # after folding the peak so far into the build's.
+    peaks = {"build": 0, "kernel": 0, "task": 0}
+
+    def fold_peak() -> int:
+        current, peak = tracemalloc.get_traced_memory()
+        peaks["build"] = max(peaks["build"], peak)
+        return current
+
+    def traced_rows(*columns, real=similarity._row_sums):
+        start = fold_peak()
+        tracemalloc.reset_peak()
+        keys, sums = real(*columns)
+        _, peak = tracemalloc.get_traced_memory()
+        own = peak - start - keys.nbytes - sums.nbytes
+        peaks["task"] = max(peaks["task"], own)
+        return keys, sums
+
+    def traced_ranked_rows(
+        *columns, real=NeighborSimilarityIndex.from_packed_columns
+    ):
+        fold_peak()
+        peaks["kernel"] = peaks["build"]
+        return real(*columns)
+
+    monkeypatch.setattr(similarity, "_row_sums", traced_rows)
+    monkeypatch.setattr(
+        NeighborSimilarityIndex, "from_packed_columns", traced_ranked_rows
+    )
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         index = build_neighbor_index(value_index, *neighbors)
-        after, peak = tracemalloc.get_traced_memory()
+        after = fold_peak()
     finally:
         tracemalloc.stop()
     assert len(index) > 100_000
     assert after - before < 0.6 * 13.7e6
-    assert peak - before < 0.8 * 20.9e6
+    assert peaks["build"] - before < 0.6 * 20.9e6
+    assert 0 < peaks["kernel"] - before < 0.75 * 8.4e6
+    assert 0 < peaks["task"] < 32 * similarity._RUN_SIZE

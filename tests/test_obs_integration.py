@@ -229,6 +229,28 @@ class TestSessionTelemetry:
         for parent, parts in children.items():
             assert 0.0 < sum(parts.values()) <= totals[parent]
 
+    def test_similarity_spans_split_kernel_and_ranked_rows(self, dataset):
+        """A trace says how an index stage split between producing the
+        pair columns and ranking their rows — and the row tasks dispatch
+        under the kernel span, through the executor."""
+        result, telemetry = run_instrumented(dataset, "process", workers=2)
+        records = telemetry.tracer.records()
+        by_id = {record.span_id: record for record in records}
+        children: dict[str, dict[str, float]] = {}
+        for record in records:
+            if record.category == "similarity":
+                children.setdefault(by_id[record.parent_id].name, {})[
+                    record.name
+                ] = record.seconds
+        assert set(children) == {"value_index", "neighbor_index"}
+        for stage, parts in children.items():
+            assert set(parts) == {"similarity.kernel", "similarity.ranked_rows"}
+            assert 0.0 < sum(parts.values()) <= result.stage_seconds[stage]
+        dispatches = [r for r in records if r.name == "dispatch:_row_sums"]
+        assert len(dispatches) == 2
+        for dispatch in dispatches:
+            assert by_id[dispatch.parent_id].name == "similarity.kernel"
+
     def test_incremental_counters_mirror_delta_accounting(self, dataset):
         telemetry = Telemetry.create()
         matcher = IncrementalMatcher(

@@ -1,0 +1,218 @@
+"""The row-owned similarity kernels against the per-pair oracle.
+
+``build_value_index`` / ``build_neighbor_index`` hand contiguous ranges
+of output rows to tasks, which produce them whole, in runs cut by a
+module constant, folding each pair's contributions shard by shard.
+These properties hold them, on both arms and float ``==``, to
+``oracles.shard_merged_sum`` — the scalar statement of that fold over a
+pair's contributions in scan order — and show that no cut of the row
+range into tasks, and no run length, can move a byte of the ``(keys,
+sims)`` columns.
+"""
+
+from array import array
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from oracles import shard_merged_sum, value_pair_key
+
+from repro.blocking.base import Block, BlockCollection
+from repro.core.similarity import ValueSimilarityIndex, block_token_weight
+from repro.engine import similarity
+from repro.engine.partitioner import partition_count
+from repro.engine.similarity import build_neighbor_index, build_value_index
+from repro.ids import EntityInterner, PAIR_ID_BITS
+from repro.ids.arrays import numpy_enabled
+
+_RELAXED = settings(
+    suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def numpy_modes():
+    modes = [pytest.param(True, id="stdlib")]
+    if numpy_enabled():
+        modes.append(pytest.param(False, id="numpy"))
+    return modes
+
+
+@pytest.fixture(params=numpy_modes())
+def toggled_numpy(request, monkeypatch):
+    if request.param:
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+    return request.param
+
+
+def fine_partition_count(n_items: int) -> int:
+    """One shard per two items (sixteen at most), so that inputs small
+    enough to generate spread over every shard."""
+    return partition_count(n_items, min_partition_size=2)
+
+
+@pytest.fixture
+def fine_shards(monkeypatch):
+    monkeypatch.setattr(similarity, "partition_count", fine_partition_count)
+
+
+def uri(side: int, position: int) -> str:
+    return f"urn:kb{side}:e{position}"
+
+
+def column_bytes(index) -> tuple[bytes, bytes]:
+    keys, sims = index.packed_columns()
+    return bytes(memoryview(keys).cast("B")), bytes(memoryview(sims).cast("B"))
+
+
+def assert_no_cut_moves_a_byte(build) -> None:
+    """``build()`` with the row range handed out as one task, as one
+    task per row and under every single cut, and with the run-size
+    constant at one slot (one row per slab) and at 2**40 (a task's rows
+    in one slab), yields the columns of the plain build byte for byte."""
+    expected = column_bytes(build())
+    real_chunks = similarity.chunk_evenly
+    n_rows = []
+
+    def recorded(rows, n_chunks):
+        n_rows.append(len(rows))
+        return real_chunks(rows, n_chunks)
+
+    with mock.patch.object(similarity, "chunk_evenly", recorded):
+        build()
+    (n,) = n_rows
+    layouts = [[range(n)], [range(row, row + 1) for row in range(n)]]
+    layouts.extend([range(cut), range(cut, n)] for cut in range(1, n))
+    for layout in layouts:
+        with mock.patch.object(
+            similarity, "chunk_evenly", lambda rows, n_chunks: layout
+        ):
+            assert column_bytes(build()) == expected, layout
+            for run_size in (1, 1 << 40):
+                with mock.patch.object(similarity, "_RUN_SIZE", run_size):
+                    assert column_bytes(build()) == expected, (layout, run_size)
+
+
+def assert_column_types(index) -> None:
+    keys, sims = index.packed_columns()
+    if numpy_enabled():
+        assert (keys.dtype, sims.dtype) == ("int64", "float64")
+    else:
+        assert (keys.typecode, sims.typecode) == ("q", "d")
+
+
+# ----------------------------------------------------------------------
+# valueSim
+# ----------------------------------------------------------------------
+#: Blocks over six entities per side; an empty side makes a one-sided
+#: block, which counts towards the shard count and contributes nothing.
+raw_blocks = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, 5), max_size=4),
+        st.sets(st.integers(0, 5), max_size=4),
+    ),
+    max_size=40,
+)
+
+
+@_RELAXED
+@given(raw=raw_blocks)
+@example(raw=[])
+@example(raw=[({0, 1}, set()), (set(), {2}), (set(), set())])  # one-sided only
+def test_value_rows_equal_the_per_pair_oracle(toggled_numpy, fine_shards, raw):
+    blocks = BlockCollection("BT")
+    for position, (side1, side2) in enumerate(raw):
+        blocks.add(
+            Block(
+                f"t{position}",
+                {uri(1, i) for i in side1},
+                {uri(2, j) for j in side2},
+            )
+        )
+    n_shards = fine_partition_count(len(blocks))
+    contributions: dict = {}
+    for block in sorted(blocks.drop_empty(), key=lambda block: block.key):
+        weight = block_token_weight(len(block.entities1), len(block.entities2))
+        for uri1 in block.entities1:
+            for uri2 in block.entities2:
+                contributions.setdefault((uri1, uri2), []).append(
+                    (block.key, weight)
+                )
+    index = build_value_index(blocks)
+    assert index.pairs() == {
+        pair: shard_merged_sum(terms, n_shards)
+        for pair, terms in contributions.items()
+    }
+    assert_column_types(index)
+    assert_no_cut_moves_a_byte(lambda: build_value_index(blocks))
+
+
+# ----------------------------------------------------------------------
+# neighborNSim
+# ----------------------------------------------------------------------
+#: Value similarities from the smallest subnormal to 1e300, so that an
+#: addition order that differed would show.
+value_sims = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1, 0.5, 1.0, 1e300]),
+    st.floats(min_value=5e-324, max_value=1e300, allow_nan=False),
+)
+value_pairs = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)), value_sims, max_size=40
+)
+#: Up to five parents per side, each listing neighbors 0..9: 8 and 9
+#: never occur in the value index, so a parent may list absent
+#: neighbors only, and an empty draw leaves a side without parents.
+top_neighbor_maps = st.dictionaries(
+    st.integers(0, 4), st.sets(st.integers(0, 9), min_size=1, max_size=6)
+)
+
+
+@_RELAXED
+@given(pairs=value_pairs, tops1=top_neighbor_maps, tops2=top_neighbor_maps)
+@example(pairs={}, tops1={0: {1}}, tops2={0: {1}})  # an empty value index
+@example(  # parents 0 and 2 list absent neighbors only: rows without a cell
+    pairs={(0, 0): 5e-324, (1, 0): 1e300, (1, 1): 0.1},
+    tops1={0: {8, 9}, 1: {0, 1}, 2: {9}},
+    tops2={0: {0, 1, 8}, 1: {0}},
+)
+def test_neighbor_rows_equal_the_per_pair_oracle(
+    toggled_numpy, fine_shards, pairs, tops1, tops2
+):
+    sims = {(uri(1, a), uri(2, b)): sim for (a, b), sim in pairs.items()}
+    interner1 = EntityInterner(uri1 for uri1, _ in sims)
+    interner2 = EntityInterner(uri2 for _, uri2 in sims)
+    packed = sorted(
+        ((interner1.id_of(u1) << PAIR_ID_BITS) | interner2.id_of(u2), sim)
+        for (u1, u2), sim in sims.items()
+    )
+    value_index = ValueSimilarityIndex.from_packed_columns(
+        array("q", (key for key, _ in packed)),
+        array("d", (sim for _, sim in packed)),
+        interner1,
+        interner2,
+    )
+    neighbors1 = {
+        f"urn:p1:{p}": {uri(1, n) for n in listed} for p, listed in tops1.items()
+    }
+    neighbors2 = {
+        f"urn:p2:{p}": {uri(2, n) for n in listed} for p, listed in tops2.items()
+    }
+    n_shards = fine_partition_count(len(sims))
+    expected = {}
+    for parent1, listed1 in neighbors1.items():
+        for parent2, listed2 in neighbors2.items():
+            terms = [
+                (value_pair_key(pair), sim)
+                for pair, sim in sorted(sims.items())
+                if pair[0] in listed1 and pair[1] in listed2
+            ]
+            if terms:
+                expected[parent1, parent2] = shard_merged_sum(terms, n_shards)
+
+    def build():
+        return build_neighbor_index(value_index, neighbors1, neighbors2)
+
+    index = build()
+    assert index.pairs() == expected
+    assert_column_types(index)
+    assert_no_cut_moves_a_byte(build)
