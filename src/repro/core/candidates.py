@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from .neighbors import NeighborSimilarityIndex
 from .similarity import ValueSimilarityIndex
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .heuristics import Match
 
 
 class ProbeCache:
@@ -91,71 +88,6 @@ class ProbeCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """One entity's read-only resolution view (value/neighbor evidence
-    plus the standing decision).
-
-    The unit of the single-entity read path: produced by
-    :meth:`~repro.pipeline.session.MatchSession.probe` and by the
-    resolution daemon's ``GET /candidates`` endpoint, both of which
-    decode it straight from the packed CSR rows — no index mutation, no
-    candidate-cache population.
-    """
-
-    #: The probed E1 URI.
-    uri: str
-    #: Whether the URI exists in KB1 at all.
-    known: bool
-    #: Ranked (E2 uri, similarity) rows, best first, truncated to k.
-    value: tuple[tuple[str, float], ...]
-    neighbor: tuple[tuple[str, float], ...]
-    #: The value index's best counterpart (H2's vmax), unrestricted by k.
-    best: tuple[str, float] | None
-    #: The standing match decision for this entity, if any.
-    match: "Match | None"
-
-    def as_dict(self) -> dict[str, Any]:
-        """A JSON-ready rendering (what the daemon's endpoints emit)."""
-        return {
-            "uri": self.uri,
-            "known": self.known,
-            "value": [[uri2, sim] for uri2, sim in self.value],
-            "neighbor": [[uri2, sim] for uri2, sim in self.neighbor],
-            "best": list(self.best) if self.best is not None else None,
-            "match": None
-            if self.match is None
-            else {
-                "uri1": self.match.uri1,
-                "uri2": self.match.uri2,
-                "heuristic": self.match.heuristic,
-                "score": self.match.score,
-            },
-        }
-
-
-def probe_rows(
-    value_index: ValueSimilarityIndex,
-    neighbor_index: NeighborSimilarityIndex,
-    uri: str,
-    k: int | None,
-) -> tuple[
-    tuple[tuple[str, float], ...],
-    tuple[tuple[str, float], ...],
-    tuple[str, float] | None,
-]:
-    """The (value rows, neighbor rows, best) triple of one E1 entity.
-
-    A pure decode of the packed CSR rows — the shared core of every
-    probe path.  ``k`` of ``None`` returns the full rows.
-    """
-    return (
-        tuple(value_index.candidates_of_entity1(uri, k)),
-        tuple(neighbor_index.candidates_of_entity1(uri, k)),
-        value_index.best_candidate(uri),
-    )
 
 
 def counterpart_translation(

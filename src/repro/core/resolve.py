@@ -14,22 +14,26 @@ published state:
    sorted :meth:`~repro.blocking.packed.PackedBlockCollection.block_keys`
    column — no string-keyed dict walk — and selects one CSR row of
    side-2 candidate ids.
-3. **Score value similarity** for just this record: every selected
-   block contributes its :func:`~repro.core.similarity.block_token_weight`
-   to each id in its row.  The per-candidate sums run through the
-   vectorized :func:`~repro.ids.arrays.gathered_candidate_sums` kernel
-   when NumPy is enabled, with a bit-identical pure-Python fallback
-   (same element order, hence the same float accumulation).
+3. **Score value similarity**: every selected block contributes its
+   :func:`~repro.core.similarity.block_token_weight` to each id in its
+   row.  A single resolve is a batch of one: a batch's sums are one
+   :func:`~repro.ids.arrays.gathered_candidate_sums` call keyed by
+   record index and candidate id, ranked by one
+   :func:`~repro.ids.arrays.ranked_groups` call.  Both primitives hold
+   their vectorized and stdlib arms, which add in the same element
+   order, so every score is the same float on either arm and in any
+   batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :class:`~repro.core.neighbors.NeighborSimilarityIndex`'s
-   propagation.
+   propagation, gathered and ranked by the same two primitives over a
+   reverse top-neighbor CSR.
 5. **Apply H1–H4 online**, mirroring the batch heuristics for a record
    that is *queried*, not inserted (see below).
 
-Records whose URI already exists in KB1 delegate to the precomputed
-probe rows and the standing decision — byte-identical to
-:meth:`MatchSession.probe`/``GET /candidates``, which is what the
+Records whose URI already exists in KB1 answer with
+:meth:`OnlineResolver.probe` — the precomputed rows and the standing
+decision, byte-identical to ``GET /candidates``, which is what the
 golden parity tests pin.
 
 **Query semantics.**  A resolved record is a question, not a delta: it
@@ -63,6 +67,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -70,17 +75,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from ..blocking.base import BlockCollection
 from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
-from ..ids.arrays import (
-    gathered_candidate_sums,
-    numpy_enabled,
-    numpy_module,
-)
+from ..ids.arrays import gathered_candidate_sums, ranked_groups
 from ..kb.tokenizer import Tokenizer
-from .candidates import (
-    counterpart_translation,
-    kept_neighbor_offsets,
-    probe_rows,
-)
+from .candidates import counterpart_translation, kept_neighbor_offsets
 from .heuristics import Match
 from .neighbors import top_neighbors
 from .rank_aggregation import top_aggregate_candidate
@@ -90,6 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..kb.entity import EntityDescription
     from ..kb.knowledge_base import KnowledgeBase
     from ..pipeline.context import PipelineContext
+    from .candidates import ProbeCache
     from .config import MinoanERConfig
     from .neighbors import NeighborSimilarityIndex
     from .similarity import ValueSimilarityIndex
@@ -104,35 +102,34 @@ _BATCH_SHIFT = 32
 _NEIGHBOR_MEMO_LIMIT = 65536
 
 
-def _top_ranked(
-    k: int, items: Iterable[tuple[str, float]]
-) -> list[tuple[str, float]]:
-    """Top-k by (score descending, URI ascending), the shared ranking
-    order.  Decorated ``(-score, uri, score)`` triples compare at C
-    level (uri breaks every tie, so the third field never compares);
-    ``heapq.nsmallest`` is documented equivalent to ``sorted(...)[:k]``,
-    keeping selection identical to a full sort."""
-    decorated = [(-score, uri, score) for uri, score in items]
-    return [
-        (uri, score)
-        for _, uri, score in heapq.nsmallest(k, decorated)
-    ]
+def match_dict(match: Match | None) -> dict[str, Any] | None:
+    """A decision's wire rendering (``None`` stays ``None``)."""
+    if match is None:
+        return None
+    return {
+        "uri1": match.uri1,
+        "uri2": match.uri2,
+        "heuristic": match.heuristic,
+        "score": match.score,
+    }
 
 
 @dataclass(frozen=True)
 class ResolveResult:
-    """One record's online resolution: ranked evidence plus the decision.
+    """One entity's resolution: ranked evidence plus the decision.
 
-    Field-for-field the schema of
-    :class:`~repro.core.candidates.ProbeResult` — for a record whose URI
-    is already in KB1, :meth:`as_dict` is byte-identical to the probe
-    path's payload (the parity tests digest both).
+    The one result of the read path: :meth:`OnlineResolver.probe`
+    decodes it from a KB1 entity's precomputed rows, and
+    :meth:`OnlineResolver.resolve_batch` scores it for a never-seen
+    record — so a known record's resolve *is* its probe, and
+    :meth:`as_dict` is byte-identical on both (the parity tests digest
+    them).
     """
 
-    #: The resolved record's URI.
+    #: The resolved record's (or probed entity's) URI.
     uri: str
-    #: Whether the URI already exists in KB1 (then the precomputed
-    #: evidence answered, not the online scorer).
+    #: Whether the URI exists in KB1 (then the precomputed evidence
+    #: answered, not the online scorer).
     known: bool
     #: Ranked (E2 uri, value similarity) rows, best first, top-k.
     value: tuple[tuple[str, float], ...]
@@ -145,21 +142,15 @@ class ResolveResult:
     match: Match | None
 
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-ready rendering (what ``POST /resolve`` emits)."""
+        """A JSON-ready rendering (what ``POST /resolve`` and
+        ``GET /candidates`` emit)."""
         return {
             "uri": self.uri,
             "known": self.known,
             "value": [[uri2, sim] for uri2, sim in self.value],
             "neighbor": [[uri2, sim] for uri2, sim in self.neighbor],
             "best": list(self.best) if self.best is not None else None,
-            "match": None
-            if self.match is None
-            else {
-                "uri1": self.match.uri1,
-                "uri2": self.match.uri2,
-                "heuristic": self.match.heuristic,
-                "score": self.match.score,
-            },
+            "match": match_dict(self.match),
         }
 
 
@@ -184,32 +175,26 @@ class _ResolverTables:
     #: Side-2 CSR columns of the blocks.
     starts2: Sequence[int]
     ids2: Sequence[int]
-    #: ``ids2`` as an int32 ndarray (``None`` without NumPy).
-    ids2_np: Any
     #: Block-side-2 id -> candidate URI decode table.
     uris2: list[str]
-    #: id -> lexicographic rank of ``uris2[id]`` (``None`` without
-    #: NumPy); substitutes integer compares for URI-string tie-breaks
-    #: in the vectorized batch ranking.
-    uri_rank2: Any
+    #: id -> lexicographic rank of ``uris2[id]``: the URI tie-break of
+    #: the value ranking, as an integer.
+    uri_rank2: array
     #: Normalized name keys carried by at least one KB1 entity.
     names1: frozenset[str] | None
     #: Normalized name key -> sole KB2 carrier (``None`` = ambiguous).
     names2: dict[str, str | None] | None
     #: The record-side top relations (KB1's importance ranking).
     wanted1: frozenset[str]
-    #: Value-side-2 id -> KB2 parents listing it as a top neighbor.
-    reverse2: dict[int, tuple[str, ...]]
-    #: Sorted distinct parents of ``reverse2`` (id == lexicographic
-    #: rank, so integer order doubles as the URI tie-break).
+    #: Sorted KB2 entities listing some value-side-2 entity as a top
+    #: neighbor (id == lexicographic rank, so integer order doubles as
+    #: the URI tie-break).
     parent_uris: list[str]
-    #: ``reverse2`` as CSR over parent ids (``None`` without NumPy):
+    #: The reverse top-neighbor CSR over parent ids:
     #: ``rev_parents[rev_starts[vid]:rev_starts[vid + 1]]`` lists the
-    #: parents of value id ``vid``, in ``reverse2`` tuple order so the
-    #: vectorized fan-out accumulates in the same sequence as the
-    #: dict walk.
-    rev_starts: Any
-    rev_parents: Any
+    #: parents of value id ``vid``, ascending.
+    rev_starts: array
+    rev_parents: array
     #: Neighbor-index side-1 id -> value-index side-1 id (H4's
     #: co-occurrence test on a KB2 entity's rows).
     translation2: Sequence[int]
@@ -290,9 +275,8 @@ class OnlineResolver:
     ) -> "OnlineResolver":
         """A resolver over one finished run's artifact store.
 
-        The single construction path shared by
-        :meth:`MatchSession.resolve` and
-        :meth:`ServingState.from_matcher` — both hand over the same
+        The single construction path shared by :class:`MatchSession`
+        and :meth:`ServingState.from_matcher` — both hand over the same
         artifacts a snapshot would persist.
         """
         return cls(
@@ -333,10 +317,6 @@ class OnlineResolver:
         if not isinstance(blocks, PackedBlockCollection):
             blocks = PackedBlockCollection.from_collection(blocks.drop_empty())
         starts2, ids2 = blocks.csr(2)
-        ids2_np = None
-        if numpy_enabled():
-            numpy = numpy_module()
-            ids2_np = numpy.frombuffer(ids2, dtype=numpy.int32)
 
         names1 = names2 = None
         if (
@@ -371,47 +351,32 @@ class OnlineResolver:
                 neighbor_id = value2.get(neighbor)
                 if neighbor_id is not None:
                     reverse2.setdefault(neighbor_id, []).append(uri2)
-
         parent_uris = sorted(
             {parent for parents in reverse2.values() for parent in parents}
         )
-        rev_starts = rev_parents = None
-        if ids2_np is not None:
-            parent_rank = {uri: pid for pid, uri in enumerate(parent_uris)}
-            nvals = len(value2.uris())
-            rev_starts = numpy.zeros(nvals + 1, dtype=numpy.int64)
-            for vid, parents in reverse2.items():
-                rev_starts[vid + 1] = len(parents)
-            numpy.cumsum(rev_starts, out=rev_starts)
-            rev_parents = numpy.empty(int(rev_starts[-1]), dtype=numpy.int64)
-            for vid, parents in reverse2.items():
-                lo = int(rev_starts[vid])
-                for offset, parent in enumerate(parents):
-                    rev_parents[lo + offset] = parent_rank[parent]
+        parent_ids = {uri: pid for pid, uri in enumerate(parent_uris)}
+        rev_starts, rev_parents = array("q", (0,)), array("q")
+        for vid in range(len(value2)):
+            parents = reverse2.get(vid, ())
+            rev_parents.extend(map(parent_ids.__getitem__, parents))
+            rev_starts.append(len(rev_parents))
 
         uris2 = blocks.interners()[1].uris()
-        uri_rank2 = None
-        if ids2_np is not None:
-            by_uri = sorted(range(len(uris2)), key=uris2.__getitem__)
-            uri_rank2 = numpy.empty(len(uris2), dtype=numpy.int64)
-            uri_rank2[
-                numpy.fromiter(by_uri, numpy.int64, len(by_uri))
-            ] = numpy.arange(len(by_uri), dtype=numpy.int64)
+        uri_rank2 = array("q", bytes(8 * len(uris2)))
+        by_uri = sorted(range(len(uris2)), key=uris2.__getitem__)
+        for rank, entity_id in enumerate(by_uri):
+            uri_rank2[entity_id] = rank
 
         return _ResolverTables(
             block_keys=blocks.block_keys,
             blocks=blocks,
             starts2=starts2,
             ids2=ids2,
-            ids2_np=ids2_np,
             uris2=uris2,
             uri_rank2=uri_rank2,
             names1=names1,
             names2=names2,
             wanted1=frozenset(self._top_relations1),
-            reverse2={
-                vid: tuple(parents) for vid, parents in reverse2.items()
-            },
             parent_uris=parent_uris,
             rev_starts=rev_starts,
             rev_parents=rev_parents,
@@ -423,79 +388,98 @@ class OnlineResolver:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    def probe(self, uri: str, k: int | None = None) -> ResolveResult:
+        """One KB1 entity's precomputed evidence and standing decision.
+
+        A pure decode of the packed CSR rows — what ``GET /candidates``
+        serves, and the answer :meth:`resolve_batch` gives a record
+        whose URI is in KB1.  ``known`` says whether ``uri`` is.
+        """
+        k = self.validated_k(k)
+        return ResolveResult(
+            uri=uri,
+            known=uri in self._known1,
+            value=tuple(self._value_index.candidates_of_entity1(uri, k)),
+            neighbor=tuple(self._neighbor_index.candidates_of_entity1(uri, k)),
+            best=self._value_index.best_candidate(uri),
+            match=self._decisions1.get(uri),
+        )
+
     def resolve(
         self, record: "EntityDescription", k: int | None = None
     ) -> ResolveResult:
         """Rank this record's KB2 candidates and decide its match."""
-        k = self._validated_k(k)
-        if record.uri in self._known1:
-            return self._resolve_known(record.uri, k)
-        tables = self._ensure_tables()
-        spans = self._probe_spans(record, tables, {})
-        scores = self._score_spans_single(spans, tables)
-        return self._finish(record, k, scores, tables)
+        return self.resolve_batch((record,), k)[0]
 
     def resolve_batch(
         self, records: Sequence["EntityDescription"], k: int | None = None
     ) -> list[ResolveResult]:
         """Resolve many records, amortizing probes and candidate sums.
 
-        Tokenization results and token -> block-row lookups are shared
-        across the batch, and (on the NumPy path) every record's
-        candidate sums run in one composite-key kernel pass.  The
-        results equal per-record :meth:`resolve` calls in order and in
-        every score, bit for bit.
+        Records whose URI is in KB1 answer with :meth:`probe`.  The rest
+        share their token -> block-row lookups; all their candidate sums
+        run in one :func:`gathered_candidate_sums` call keyed
+        ``record index << 32 | candidate id`` and rank in one
+        :func:`ranked_groups` call.  A candidate's sum receives the same
+        additions in the same order whatever else is in the batch, so a
+        record resolves bit-identically alone or in any batch.
         """
-        k = self._validated_k(k)
-        results: list[ResolveResult | None] = [None] * len(records)
+        k = self.validated_k(k)
         tables = self._ensure_tables()
-        span_memo: dict[str, tuple[int, int, float] | None] = {}
+        results: list[ResolveResult | None] = [None] * len(records)
         pending: list[tuple[int, "EntityDescription"]] = []
-        pending_spans: list[list[tuple[int, int, float]]] = []
+        span_memo: dict[str, tuple[int, int, float] | None] = {}
+        starts: list[int] = []
+        stops: list[int] = []
+        weights: list[float] = []
+        bases: list[int] = []
         for position, record in enumerate(records):
             if record.uri in self._known1:
-                results[position] = self._resolve_known(record.uri, k)
-            else:
-                pending.append((position, record))
-                pending_spans.append(
-                    self._probe_spans(record, tables, span_memo)
-                )
-        if pending:
-            if tables.ids2_np is not None:
-                self._finish_batch(pending, pending_spans, k, tables, results)
-            else:
-                for (position, record), spans in zip(pending, pending_spans):
-                    results[position] = self._finish(
-                        record,
-                        k,
-                        self._score_spans_single(spans, tables),
-                        tables,
-                    )
+                results[position] = self.probe(record.uri, k)
+                continue
+            spans = self._probe_spans(record, tables, span_memo)
+            if spans:
+                # One C-level transpose per record, no per-span tuples
+                # (a batch carries tens of thousands of spans).
+                span_starts, span_stops, span_weights = zip(*spans)
+                starts.extend(span_starts)
+                stops.extend(span_stops)
+                weights.extend(span_weights)
+                bases.extend([len(pending) << _BATCH_SHIFT] * len(spans))
+            pending.append((position, record))
+        if not pending:
+            return results  # type: ignore[return-value]
+        keys, sums = gathered_candidate_sums(
+            tables.ids2, starts, stops, weights, bases
+        )
+        # The uri rank makes the tie-break the (-score, uri) order.
+        bounds, ids, sums, ranked = ranked_groups(
+            keys, sums, len(pending), k, tables.uri_rank2
+        )
+        uris2 = tables.uris2
+        for index, (position, record) in enumerate(pending):
+            lo, hi = bounds[index], bounds[index + 1]
+            value_scores = dict(
+                zip(map(uris2.__getitem__, ids[lo:hi]), sums[lo:hi])
+            )
+            value_top = [(uris2[ids[j]], sums[j]) for j in ranked[index]]
+            results[position] = self._decide(
+                record, k, value_scores, value_top, tables
+            )
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _validated_k(self, k: int | None) -> int:
+    def validated_k(self, k: int | None) -> int:
+        """``k``, defaulted to the config's ``top_k_candidates``; raises
+        ``ValueError`` below 1."""
         if k is None:
             k = self._config.top_k_candidates
         if k < 1:
             raise ValueError("k must be >= 1")
         return k
 
-    def _resolve_known(self, uri: str, k: int) -> ResolveResult:
-        value_rows, neighbor_rows, best = probe_rows(
-            self._value_index, self._neighbor_index, uri, k
-        )
-        return ResolveResult(
-            uri=uri,
-            known=True,
-            value=value_rows,
-            neighbor=neighbor_rows,
-            best=best,
-            match=self._decisions1.get(uri),
-        )
-
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     def _probe_spans(
         self,
         record: "EntityDescription",
@@ -504,9 +488,9 @@ class OnlineResolver:
     ) -> list[tuple[int, int, float]]:
         """The record's block rows as ``(start, stop, weight)`` spans.
 
-        Tokens probe in sorted order (a deterministic scan order shared
-        by both scoring paths); each distinct token resolves to at most
-        one block row via binary search over the sorted key column.
+        Tokens probe in sorted order (the scan order every candidate's
+        sum follows); each distinct token resolves to at most one block
+        row via binary search over the sorted key column.
         """
         keys = tables.block_keys
         n_keys = len(keys)
@@ -529,146 +513,6 @@ class OnlineResolver:
             if span is not None:
                 spans.append(span)
         return spans
-
-    def _score_spans_single(
-        self,
-        spans: list[tuple[int, int, float]],
-        tables: _ResolverTables,
-    ) -> list[tuple[int, float]]:
-        """Per-candidate value sums of one record, ``(id, sum)`` pairs.
-
-        NumPy path and stdlib path emit contributions in the identical
-        element order (span order, ascending id within a span), so the
-        per-candidate float sums are bit-identical; the returned pairs
-        are ordered by ascending candidate id on both paths.
-        """
-        if tables.ids2_np is not None and spans:
-            numpy = numpy_module()
-            lo = numpy.fromiter(
-                (span[0] for span in spans), numpy.int64, len(spans)
-            )
-            hi = numpy.fromiter(
-                (span[1] for span in spans), numpy.int64, len(spans)
-            )
-            weights = numpy.fromiter(
-                (span[2] for span in spans), numpy.float64, len(spans)
-            )
-            ids, sums = gathered_candidate_sums(
-                tables.ids2_np, lo, hi, weights
-            )
-            return list(zip(ids.tolist(), sums.tolist()))
-        acc: dict[int, float] = {}
-        ids2 = tables.ids2
-        for lo, hi, weight in spans:
-            for j in range(lo, hi):
-                candidate = ids2[j]
-                acc[candidate] = acc.get(candidate, 0.0) + weight
-        return sorted(acc.items())
-
-    def _finish_batch(
-        self,
-        pending: list[tuple[int, "EntityDescription"]],
-        pending_spans: list[list[tuple[int, int, float]]],
-        k: int,
-        tables: _ResolverTables,
-        results: list["ResolveResult | None"],
-    ) -> None:
-        """Score and rank every pending record in two vectorized passes.
-
-        One composite-key :func:`gathered_candidate_sums` call computes
-        all candidate sums, then one ``lexsort`` over ``(record, -sum,
-        uri rank)`` ranks them all at once.  ``uri_rank2`` substitutes
-        each candidate's lexicographic URI rank for its URI string, so
-        the tie-break equals the single-record ``(-score, uri)`` key
-        exactly — batch results stay bit-identical to per-record
-        :meth:`resolve` calls.
-        """
-        numpy = numpy_module()
-        # Struct-of-arrays flattening: per record, one C-level
-        # ``zip(*spans)`` transpose plus list extends — no per-span
-        # Python tuple traffic (a batch carries tens of thousands of
-        # spans).
-        lo_flat: list[int] = []
-        hi_flat: list[int] = []
-        weight_flat: list[float] = []
-        base_flat: list[int] = []
-        for index, spans in enumerate(pending_spans):
-            if not spans:
-                continue
-            base = index << _BATCH_SHIFT
-            span_lo, span_hi, span_weight = zip(*spans)
-            lo_flat.extend(span_lo)
-            hi_flat.extend(span_hi)
-            weight_flat.extend(span_weight)
-            base_flat.extend([base] * len(span_lo))
-        if not lo_flat:
-            for position, record in pending:
-                results[position] = self._decide(record, k, {}, [], tables)
-            return
-        lo = numpy.array(lo_flat, dtype=numpy.int64)
-        hi = numpy.array(hi_flat, dtype=numpy.int64)
-        weights = numpy.array(weight_flat, dtype=numpy.float64)
-        bases = numpy.array(base_flat, dtype=numpy.int64)
-        keys, sums = gathered_candidate_sums(
-            tables.ids2_np, lo, hi, weights, bases
-        )
-        # Ascending composite keys come out grouped by record index,
-        # ascending candidate id within each group, so one stable
-        # lexsort ranks every record's slice in place.
-        records_column = keys >> _BATCH_SHIFT
-        ids_column = keys & ((1 << _BATCH_SHIFT) - 1)
-        order = numpy.lexsort(
-            (tables.uri_rank2[ids_column], -sums, records_column)
-        )
-        bounds = numpy.concatenate(
-            (
-                numpy.zeros(1, dtype=numpy.int64),
-                numpy.cumsum(
-                    numpy.bincount(records_column, minlength=len(pending))
-                ),
-            )
-        ).tolist()
-        ids_list = ids_column.tolist()
-        sums_list = sums.tolist()
-        ranked = order.tolist()
-        uris2 = tables.uris2
-        for index, (position, record) in enumerate(pending):
-            start, stop = bounds[index], bounds[index + 1]
-            value_scores = dict(
-                zip(
-                    map(uris2.__getitem__, ids_list[start:stop]),
-                    sums_list[start:stop],
-                )
-            )
-            value_top = [
-                (uris2[ids_list[j]], sums_list[j])
-                for j in ranked[start : min(stop, start + k)]
-            ]
-            results[position] = self._decide(
-                record, k, value_scores, value_top, tables
-            )
-
-    def _finish(
-        self,
-        record: "EntityDescription",
-        k: int,
-        scores: list[tuple[int, float]],
-        tables: _ResolverTables,
-    ) -> ResolveResult:
-        """Rank the scored candidates and run the online H1–H4 ladder.
-
-        Ranking uses top-k selection (``heapq.nsmallest``, documented
-        equivalent to ``sorted(...)[:k]`` — same order, same
-        tie-breaks) instead of fully sorting every candidate: a record
-        touches hundreds of candidates but only ``k`` are ever
-        reported, so selection is the serving hot path's win.
-        """
-        uris2 = tables.uris2
-        value_items = [
-            (uris2[candidate], total) for candidate, total in scores
-        ]
-        value_top = _top_ranked(k, value_items)
-        return self._decide(record, k, dict(value_items), value_top, tables)
 
     def _decide(
         self,
@@ -748,7 +592,7 @@ class OnlineResolver:
         structures never re-propagate or re-rank.  Multi-target sums
         merge per-target rows in sorted-target order with rows walked
         in URI order, keeping float accumulation identical across
-        kernel paths and resolve entry points.  Callers must treat the
+        kernel arms and batch compositions.  Callers must treat the
         returned containers as read-only: they are shared memo
         entries.
         """
@@ -795,77 +639,33 @@ class OnlineResolver:
         """One target's fan-out row (KB2 parent -> summed value sims)
         and its ranking (parallel uri/score lists), memoized together.
 
-        With NumPy the fan-out runs as a CSR gather: the target's value
-        row repeats over per-value parent spans, ``bincount`` folds the
-        weights per parent (same addition sequence as the dict walk, so
-        sums are bit-identical), and ``lexsort`` on (-sum, parent id)
-        reproduces the (-score, URI) order because parent ids are
-        assigned in sorted-URI order.  Row dicts are keyed in ascending
-        URI order on both paths so downstream merges accumulate
-        identically.
+        Each ``(vid, sim)`` of the target's ranked value row adds
+        ``sim`` to the parents of ``vid`` in the reverse top-neighbor
+        CSR — a :func:`gathered_candidate_sums` over that CSR, in row
+        order — and :func:`ranked_groups` ranks the sums by (-sum,
+        parent id), which is (-score, URI) because parent ids are
+        assigned in sorted-URI order.  The row dict is keyed in
+        ascending URI order, the order multi-target merges walk.
         """
         memo = self._neighbor_memo
         entry = memo.get(target)
         if entry is None:
+            vids, sims = self._value_index.csr_row(1, target)
+            vids = vids.tolist()
+            rev_starts = tables.rev_starts
+            keys, sums = gathered_candidate_sums(
+                tables.rev_parents,
+                [rev_starts[vid] for vid in vids],
+                [rev_starts[vid + 1] for vid in vids],
+                sims,
+            )
+            _, parents, sums, (ranked,) = ranked_groups(keys, sums, 1)
             parent_uris = tables.parent_uris
-            if tables.rev_starts is not None:
-                numpy = numpy_module()
-                pairs = self._value_index.ranked_ids(1, target)
-                if pairs:
-                    vids = numpy.fromiter(
-                        (vid for vid, _ in pairs), numpy.int64, len(pairs)
-                    )
-                    sims = numpy.fromiter(
-                        (sim for _, sim in pairs), numpy.float64, len(pairs)
-                    )
-                    lo = tables.rev_starts[vids]
-                    counts = tables.rev_starts[vids + 1] - lo
-                    total = int(counts.sum())
-                else:
-                    total = 0
-                if total:
-                    ends = numpy.cumsum(counts)
-                    flat = numpy.arange(total, dtype=numpy.int64)
-                    flat += numpy.repeat(lo - (ends - counts), counts)
-                    pids = tables.rev_parents[flat]
-                    dense = numpy.bincount(
-                        pids,
-                        weights=numpy.repeat(sims, counts),
-                        minlength=len(parent_uris),
-                    )
-                    touched = numpy.unique(pids)
-                    sums = dense[touched]
-                    order = numpy.lexsort((touched, -sums))
-                    touched_list = touched.tolist()
-                    sums_list = sums.tolist()
-                    row = dict(
-                        zip(
-                            map(parent_uris.__getitem__, touched_list),
-                            sums_list,
-                        )
-                    )
-                    order_list = order.tolist()
-                    ranked_uris = [
-                        parent_uris[touched_list[j]] for j in order_list
-                    ]
-                    ranked_scores = [sums_list[j] for j in order_list]
-                else:
-                    row, ranked_uris, ranked_scores = {}, [], []
-            else:
-                unordered: dict[str, float] = {}
-                reverse2 = tables.reverse2
-                for value2_id, sim in self._value_index.ranked_ids(1, target):
-                    for parent in reverse2.get(value2_id, ()):
-                        unordered[parent] = unordered.get(parent, 0.0) + sim
-                # Re-key in URI order to match the NumPy path's row
-                # iteration order (merges accumulate identically).
-                row = dict(sorted(unordered.items()))
-                ranked = sorted(
-                    zip(map(operator.neg, row.values()), row, row.values())
-                )
-                ranked_uris = [uri for _, uri, _ in ranked]
-                ranked_scores = [score for _, _, score in ranked]
-            entry = (row, ranked_uris, ranked_scores)
+            entry = (
+                dict(zip(map(parent_uris.__getitem__, parents), sums)),
+                [parent_uris[parents[j]] for j in ranked],
+                [sums[j] for j in ranked],
+            )
             if len(memo) < _NEIGHBOR_MEMO_LIMIT:
                 memo[target] = entry
         return entry
@@ -952,6 +752,59 @@ class OnlineResolver:
             f"OnlineResolver({len(self._kb1)}+{len(self._kb2)} entities, "
             f"{built})"
         )
+
+
+class CachedResolver:
+    """An :class:`OnlineResolver` behind one owner's probe cache.
+
+    The read path of a :class:`~repro.pipeline.session.MatchSession`
+    and of a published :class:`~repro.serve.state.ServingState`, and
+    its only cache wrapper.  Keys carry the *validated* ``k``, so
+    ``resolve(r)`` and ``resolve(r, k=top_k_candidates)`` share one
+    entry: probes key on ``(uri, k)``, resolves on the record's full
+    content (:func:`resolve_cache_key`), and only a batch's misses reach
+    the resolver, in one call.  Nothing here refers back to the owner,
+    so a dropped session or retired generation is freed by refcount
+    alone.
+    """
+
+    __slots__ = ("resolver", "cache")
+
+    def __init__(self, resolver: OnlineResolver, cache: "ProbeCache") -> None:
+        self.resolver = resolver
+        self.cache = cache
+
+    def probe(self, uri: str, k: int | None = None) -> ResolveResult:
+        """:meth:`OnlineResolver.probe`, cached."""
+        k = self.resolver.validated_k(k)
+        result = self.cache.get((uri, k))
+        if result is None:
+            result = self.resolver.probe(uri, k)
+            self.cache.put((uri, k), result)
+        return result
+
+    def resolve(
+        self, record: "EntityDescription", k: int | None = None
+    ) -> ResolveResult:
+        """:meth:`OnlineResolver.resolve`, cached."""
+        return self.resolve_batch((record,), k)[0]
+
+    def resolve_batch(
+        self, records: Sequence["EntityDescription"], k: int | None = None
+    ) -> list[ResolveResult]:
+        """:meth:`OnlineResolver.resolve_batch`, cached per record."""
+        k = self.resolver.validated_k(k)
+        keys = [resolve_cache_key(record, k) for record in records]
+        results = [self.cache.get(key) for key in keys]
+        misses = [at for at, result in enumerate(results) if result is None]
+        if misses:
+            fresh = self.resolver.resolve_batch(
+                [records[at] for at in misses], k
+            )
+            for at, result in zip(misses, fresh):
+                results[at] = result
+                self.cache.put(keys[at], result)
+        return results
 
 
 #: Distinguishes "memoized as absent" from "never looked up".

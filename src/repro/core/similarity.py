@@ -284,15 +284,6 @@ class PackedSimilarityIndex:
             return self._cols1[start:stop], self._sims1[start:stop]
         return self._cols2[start:stop], self._sims2[start:stop]
 
-    def ranked_ids(self, side: int, uri: str) -> list[tuple[int, float]]:
-        """One row as ``(counterpart id, similarity)`` pairs, ranked.
-
-        The id-space twin of ``candidates_of_entity{side}``: identical
-        order (best first, counterpart URI breaking ties), no URI
-        decode.
-        """
-        return list(zip(*self.csr_row(side, uri)))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

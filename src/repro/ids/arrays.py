@@ -3,13 +3,13 @@
 The packed similarity core is pure stdlib; when NumPy is importable the
 hot bulk operations — the shard-ordered slab fold of the row-owned
 similarity kernels, ragged span expansion, order-preserving
-duplicate-key summation, the CSR ranked-row argsort, CRC32 by
-combination and the digest's canonical columns — run vectorized
-instead.  **Both paths are bit-identical**: every kernel here
-reproduces the floating-point accumulation order of its pure-Python
-counterpart (`np.bincount` adds weights one element at a time, front to
-back, which *is* the scan order), so golden digests do not depend on
-whether NumPy is present.
+duplicate-key summation, the CSR ranked-row argsort, the online
+resolver's span gather and per-group ranking, CRC32 by combination and
+the digest's canonical columns — run vectorized instead.  **Both paths
+are bit-identical**: every kernel here reproduces the floating-point
+accumulation order of its pure-Python counterpart (`np.bincount` adds
+weights one element at a time, front to back, which *is* the scan
+order), so golden digests do not depend on whether NumPy is present.
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the stdlib fallback (the parity
 tests run both paths and assert equality).
@@ -17,11 +17,15 @@ tests run both paths and assert equality).
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
+from itertools import repeat
+from operator import neg
 
 try:  # pragma: no cover - exercised implicitly by every test run
     import numpy as _np
@@ -258,32 +262,99 @@ def ranked_csr(keys, sims, n_entities1, n_entities2):
 def gathered_candidate_sums(
     ids_flat, span_starts, span_stops, span_values, span_bases=None
 ):
-    """Per-candidate totals over selected slices of a flat id column.
+    """Per-key totals over selected slices of a flat id column.
 
-    The online-resolution kernel: each span ``i`` selects the slice
-    ``ids_flat[span_starts[i] : span_stops[i]]`` (one probed block row)
-    and contributes ``span_values[i]`` (the block's token weight) to
-    every id in it.  Elements are emitted in exactly the nested-loop
-    order ``for span: for id in slice`` and summed per key by
-    :func:`sequential_unique_sums`, so the float accumulation order —
-    and with it every sum — is bit-identical to the pure-Python
-    ``for lo, hi, w in spans: for j in range(lo, hi): acc[ids[j]] += w``
-    fallback.  Returns ``(unique keys ascending, per-key sums)``.
+    The online resolver's gather: span ``i`` selects the CSR row
+    ``ids_flat[span_starts[i] : span_stops[i]]`` (a probed block row, or
+    the top-neighbor parents of one value candidate) and adds
+    ``span_values[i]`` to every id in it, OR-ed with ``span_bases[i]``
+    when given — multiples of ``2**32``: the batch resolver packs
+    ``record_index << 32`` there, so one call scores a whole batch and
+    the keys come out grouped by record.  Returns ``(keys ascending,
+    per-key sums)``.
 
-    With ``span_bases`` given, each gathered id is OR-ed with its
-    span's ``int64`` base before summing; the batch variant packs
-    ``record_index << 32`` there, so one call scores a whole batch of
-    records and the ascending unique keys come out grouped by record.
-    Per key the contribution order is unchanged (a key only receives
-    elements of its own record's spans, in the same relative order as a
-    single-record call), so batch scores equal sequential scores
-    bit-for-bit.
+    Per key the values add up from ``0.0`` in the nested-loop order
+    ``for span: for id in row`` on both arms (the NumPy arm gathers
+    exactly that element order and folds it with
+    :func:`sequential_unique_sums`), and a key only ever receives its
+    own record's spans — so every sum is bit-identical across arms and
+    whatever else shares the batch.
     """
-    owners, positions = ragged_indices(span_starts, span_stops - span_starts)
-    keys = ids_flat[positions].astype(_np.int64)
+    if not numpy_enabled():
+        # One dict per base, so the OR and the sort touch each distinct
+        # key once rather than every element.
+        per_base: dict[int, dict[int, float]] = {}
+        bases = span_bases if span_bases is not None else repeat(0)
+        for start, stop, value, base in zip(
+            span_starts, span_stops, span_values, bases
+        ):
+            totals = per_base.get(base)
+            if totals is None:
+                totals = per_base[base] = {}
+            for key in ids_flat[start:stop]:
+                totals[key] = totals.get(key, 0.0) + value
+        keys: list[int] = []
+        sums: list[float] = []
+        for base in sorted(per_base):
+            totals = per_base[base]
+            ordered = sorted(totals)
+            keys += map(base.__or__, ordered) if base else ordered
+            sums += map(totals.__getitem__, ordered)
+        return keys, sums
+    starts = _np.asarray(span_starts, dtype=_np.int64)
+    owners, positions = ragged_indices(
+        starts, _np.asarray(span_stops, dtype=_np.int64) - starts
+    )
+    keys = _np.asarray(ids_flat)[positions].astype(_np.int64)
     if span_bases is not None:
-        keys |= span_bases[owners]
-    return sequential_unique_sums(keys, span_values[owners])
+        keys |= _np.asarray(span_bases, dtype=_np.int64)[owners]
+    values = _np.asarray(span_values, dtype=_np.float64)
+    return sequential_unique_sums(keys, values[owners])
+
+
+def ranked_groups(keys, sums, n_groups, limit=None, rank_of=None):
+    """Rank gathered totals within their groups: ``(group, -sum, rank)``.
+
+    ``keys`` are ascending ``group << 32 | id`` with ``sums`` beside them
+    (what :func:`gathered_candidate_sums` returns), every group below
+    ``n_groups``.  Returns plain lists ``(bounds, ids, sums, ranked)``:
+    group ``g`` owns positions ``bounds[g] : bounds[g + 1]`` of ``ids`` /
+    ``sums`` (ascending id), and ``ranked[g]`` lists those positions by
+    sum descending, ties to the smaller rank — ``rank_of[id]``, or the
+    id itself without ``rank_of`` — cut to the first ``limit`` when
+    given.  NumPy arm: one ``lexsort`` for every group.  Stdlib arm: a
+    decorated sort per group (``heapq.nsmallest`` under a limit,
+    documented equal to ``sorted(...)[:limit]``).
+    """
+    if numpy_enabled():
+        keys = _np.asarray(keys, dtype=_np.int64)
+        sums = _np.asarray(sums, dtype=_np.float64)
+        groups, ids = keys >> 32, keys & 0xFFFFFFFF
+        ranks = ids if rank_of is None else _np.asarray(rank_of)[ids]
+        order = _np.lexsort((ranks, -sums, groups)).tolist()
+        sizes = _np.bincount(groups, minlength=n_groups)
+        bounds = [0, *_np.cumsum(sizes).tolist()]
+        ranked = [
+            order[lo : hi if limit is None else min(hi, lo + limit)]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return bounds, ids.tolist(), sums.tolist(), ranked
+    ids = [key & 0xFFFFFFFF for key in keys]
+    sums = list(sums)
+    bounds = [bisect_left(keys, group << 32) for group in range(n_groups + 1)]
+    ranked = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ranks = ids[lo:hi]
+        if rank_of is not None:
+            ranks = map(rank_of.__getitem__, ranks)
+        decorated = zip(map(neg, sums[lo:hi]), ranks, range(lo, hi))
+        chosen = (
+            sorted(decorated)
+            if limit is None
+            else heapq.nsmallest(limit, decorated)
+        )
+        ranked.append([position for _, _, position in chosen])
+    return bounds, ids, sums, ranked
 
 
 # ----------------------------------------------------------------------

@@ -40,12 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
     from ..core.config import MinoanERConfig
     from ..core.pipeline import MatchResult
+    from ..core.resolve import CachedResolver
     from ..kb.knowledge_base import KnowledgeBase
 
 #: Cache-key sentinel for the seeded inputs (fixed per session).
 _INPUT_SIGNATURE = ("input",)
 
-#: Bound of the per-session :meth:`MatchSession.probe` result cache.
+#: Bound of the per-session (and per-generation) probe/resolve cache.
 #: Large enough that a serving hot set stays resident, small enough
 #: that a crawl over millions of distinct URIs cannot grow the session
 #: without limit (an evicted probe recomputes identically).
@@ -107,9 +108,7 @@ class MatchSession:
         self._cache: dict[tuple, dict[str, Any]] = {}
         self._config_fields = {f.name for f in fields(config)}
         self._kb_versions = (kb1.version, kb2.version)
-        self._probe_ctx: PipelineContext | None = None
-        self._probe_decisions: dict[str, Any] = {}
-        self._resolver: Any = None
+        self._cached_reads: "CachedResolver | None" = None
         # An explicit bounded LRU rather than lru_cache over the bound
         # method: the wrapper would hold the method (and through it the
         # session), a cycle that defers freeing dropped sessions to the
@@ -255,132 +254,58 @@ class MatchSession:
         return ctx
 
     # ------------------------------------------------------------------
-    # Single-entity probes (the read-only hot path)
+    # Reads: probes of KB1 entities, resolves of never-seen records
     # ------------------------------------------------------------------
     def probe(self, uri: str, k: int | None = None):
         """Read-only resolution view of one E1 entity.
 
-        Returns a :class:`~repro.core.candidates.ProbeResult`: the
+        Returns a :class:`~repro.core.resolve.ResolveResult`: the
         entity's top-``k`` value and neighbor candidates decoded
         straight from the packed CSR rows, its best value counterpart,
         and its standing match decision under the session's own config.
-        Results come from a bounded LRU cache (:data:`PROBE_CACHE_SIZE`
-        distinct ``(uri, k)`` probes) — the resolution daemon's hot read
-        path, but equally useful for interactive lookups over a loaded
-        snapshot.  The first probe runs (or cache-restores) the
-        pipeline; every later one is a pure decode that mutates no
-        stage cache, so probes compose freely with ``match()`` calls.
-        ``k`` defaults to the config's ``top_k_candidates``.
+        The first read runs (or cache-restores) the pipeline; every
+        later one is a pure decode that mutates no stage cache, so reads
+        compose freely with ``match()`` calls.  ``k`` defaults to the
+        config's ``top_k_candidates``.
         """
-        if k is None:
-            k = self.config.top_k_candidates
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
-        self._ensure_probe_context()
-        result = self._probe_cache.get((uri, k))
-        if result is None:
-            result = self._probe_uncached(uri, k)
-            self._probe_cache.put((uri, k), result)
-        return result
+        return self._reads().probe(uri, k)
 
-    def _ensure_probe_context(self) -> None:
-        """Materialize (once) the finished context probes decode from."""
-        if self._probe_ctx is not None:
-            return
-        ctx = self.run_context()
-        decisions: dict[str, Any] = {}
-        for match in ctx.get_or("matches", []):
-            decisions.setdefault(match.uri1, match)
-        self._probe_ctx = ctx
-        self._probe_decisions = decisions
-
-    def _probe_uncached(self, uri: str, k: int | None):
-        from ..core.candidates import ProbeResult, probe_rows
-
-        ctx = self._probe_ctx
-        value_rows, neighbor_rows, best = probe_rows(
-            ctx.get("value_index"), ctx.get("neighbor_index"), uri, k
-        )
-        return ProbeResult(
-            uri=uri,
-            known=uri in self.kb1,
-            value=value_rows,
-            neighbor=neighbor_rows,
-            best=best,
-            match=self._probe_decisions.get(uri),
-        )
-
-    # ------------------------------------------------------------------
-    # Online resolution (never-seen records)
-    # ------------------------------------------------------------------
     def resolve(self, record, k: int | None = None):
         """Resolve one raw record against this session's indices.
 
         Returns a :class:`~repro.core.resolve.ResolveResult`: the
         record is tokenized, probed against the packed token blocks,
         scored (value + neighbor) and pushed through the online H1–H4
-        ladder — all read-only, so resolves compose freely with
-        :meth:`match` and :meth:`probe`.  A record whose URI already
-        exists in KB1 short-circuits to the precomputed probe rows and
-        its standing decision.  Results share the probe LRU cache,
-        keyed by the record's full content.
+        ladder — all read-only.  A record whose URI already exists in
+        KB1 answers with :meth:`probe`'s rows and standing decision.
         """
-        from ..core.resolve import resolve_cache_key
-
-        resolver = self._ensure_resolver()
-        key = resolve_cache_key(record, k)
-        result = self._probe_cache.get(key)
-        if result is None:
-            result = resolver.resolve(record, k)
-            self._probe_cache.put(key, result)
-        return result
+        return self._reads().resolve(record, k)
 
     def resolve_batch(self, records, k: int | None = None):
-        """Resolve many records at once (amortized probes and scoring).
+        """Resolve many records at once (amortized probes and scoring);
+        equal to ``[self.resolve(r, k) for r in records]``."""
+        return self._reads().resolve_batch(records, k)
 
-        Equal to ``[self.resolve(r, k) for r in records]`` in order and
-        in every score; cached results are reused, and only the cache
-        misses go through the batched scorer.
-        """
-        from ..core.resolve import resolve_cache_key
+    def _reads(self) -> "CachedResolver":
+        """The session's :class:`~repro.core.resolve.CachedResolver`,
+        built over the finished context on first use.  Results live in a
+        bounded LRU (:data:`PROBE_CACHE_SIZE` entries) that an
+        invalidation clears but never replaces, so its lifetime counters
+        survive."""
+        if self._cached_reads is None:
+            from ..core.resolve import CachedResolver, OnlineResolver
 
-        resolver = self._ensure_resolver()
-        results: list[Any] = [None] * len(records)
-        misses: list[int] = []
-        for position, record in enumerate(records):
-            cached = self._probe_cache.get(resolve_cache_key(record, k))
-            if cached is not None:
-                results[position] = cached
-            else:
-                misses.append(position)
-        if misses:
-            fresh = resolver.resolve_batch(
-                [records[position] for position in misses], k
+            self._cached_reads = CachedResolver(
+                OnlineResolver.from_context(
+                    self.run_context(), self.kb1, self.kb2
+                ),
+                self._probe_cache,
             )
-            for position, result in zip(misses, fresh):
-                results[position] = result
-                self._probe_cache.put(
-                    resolve_cache_key(records[position], k), result
-                )
-        return results
-
-    def _ensure_resolver(self):
-        """The lazily-built :class:`~repro.core.resolve.OnlineResolver`
-        over this session's finished context."""
-        if self._resolver is None:
-            from ..core.resolve import OnlineResolver
-
-            self._ensure_probe_context()
-            self._resolver = OnlineResolver.from_context(
-                self._probe_ctx, self.kb1, self.kb2
-            )
-        return self._resolver
+        return self._cached_reads
 
     def _drop_probe_state(self) -> None:
-        self._probe_ctx = None
-        self._probe_decisions = {}
         self._probe_cache.clear()
-        self._resolver = None
+        self._cached_reads = None
 
     # ------------------------------------------------------------------
     # Persistence (the columnar snapshot store)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from ..core.resolve import match_dict
+
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .state import ServingState
 
@@ -85,17 +87,6 @@ def parse_k(query: dict[str, list[str]]) -> int | None:
 # ----------------------------------------------------------------------
 # Read-endpoint payloads (one pinned state each)
 # ----------------------------------------------------------------------
-def _match_dict(match) -> dict[str, Any] | None:
-    if match is None:
-        return None
-    return {
-        "uri1": match.uri1,
-        "uri2": match.uri2,
-        "heuristic": match.heuristic,
-        "score": match.score,
-    }
-
-
 def handle_match(state: "ServingState", uri: str) -> dict[str, Any]:
     """``GET /match/<uri>``: membership + the standing decision.
 
@@ -108,7 +99,7 @@ def handle_match(state: "ServingState", uri: str) -> dict[str, Any]:
         "generation": state.generation,
         "known": uri in state.uris1 or uri in state.uris2,
         "matched": decision is not None,
-        "match": _match_dict(decision),
+        "match": match_dict(decision),
     }
 
 

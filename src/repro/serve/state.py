@@ -25,8 +25,8 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from ..core.candidates import ProbeCache, ProbeResult, probe_rows
-from ..core.resolve import OnlineResolver, ResolveResult, resolve_cache_key
+from ..core.candidates import ProbeCache
+from ..core.resolve import CachedResolver, OnlineResolver, ResolveResult
 from ..pipeline.digest import artifact_digest
 from ..pipeline.session import PROBE_CACHE_SIZE
 
@@ -61,8 +61,7 @@ class ServingState:
         "config",
         "delta_count",
         "matches_digest",
-        "_probe_cache",
-        "_resolver",
+        "_reads",
         "__weakref__",
     )
 
@@ -78,7 +77,7 @@ class ServingState:
         config: Any,
         delta_count: int,
         matches_digest: str,
-        resolver: Any = None,
+        resolver: OnlineResolver,
     ) -> None:
         self.generation = generation
         self.value_index = value_index
@@ -98,8 +97,7 @@ class ServingState:
         self.config = config
         self.delta_count = delta_count
         self.matches_digest = matches_digest
-        self._probe_cache = ProbeCache(PROBE_CACHE_SIZE)
-        self._resolver = resolver
+        self._reads = CachedResolver(resolver, ProbeCache(PROBE_CACHE_SIZE))
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,30 +148,10 @@ class ServingState:
     # ------------------------------------------------------------------
     # Reads (everything an endpoint needs, no mutation anywhere)
     # ------------------------------------------------------------------
-    def probe(self, uri: str, k: int | None = None) -> ProbeResult:
-        """This generation's :class:`ProbeResult` for one E1 entity."""
-        if k is None:
-            k = self.config.top_k_candidates
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
-        result = self._probe_cache.get((uri, k))
-        if result is None:
-            result = self._probe_uncached(uri, k)
-            self._probe_cache.put((uri, k), result)
-        return result
-
-    def _probe_uncached(self, uri: str, k: int | None) -> ProbeResult:
-        value_rows, neighbor_rows, best = probe_rows(
-            self.value_index, self.neighbor_index, uri, k
-        )
-        return ProbeResult(
-            uri=uri,
-            known=uri in self.uris1,
-            value=value_rows,
-            neighbor=neighbor_rows,
-            best=best,
-            match=self.decisions1.get(uri),
-        )
+    def probe(self, uri: str, k: int | None = None) -> ResolveResult:
+        """This generation's precomputed rows and standing decision for
+        one E1 entity (``GET /candidates``)."""
+        return self._reads.probe(uri, k)
 
     def resolve(self, record: Any, k: int | None = None) -> ResolveResult:
         """Online resolution of one raw record against this generation.
@@ -182,52 +160,17 @@ class ServingState:
         results land in this state's own probe cache (keyed by the
         record's full content), and nothing else is touched.
         """
-        if self._resolver is None:
-            raise RuntimeError("this state was published without a resolver")
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
-        key = resolve_cache_key(record, k)
-        result = self._probe_cache.get(key)
-        if result is None:
-            result = self._resolver.resolve(record, k)
-            self._probe_cache.put(key, result)
-        return result
+        return self._reads.resolve(record, k)
 
     def resolve_batch(
         self, records: list, k: int | None = None
     ) -> list[ResolveResult]:
-        """Batch resolution (equals per-record :meth:`resolve` exactly).
-
-        Cached records are served from the probe cache; only the misses
-        go through the resolver's amortized batch scorer.
-        """
-        if self._resolver is None:
-            raise RuntimeError("this state was published without a resolver")
-        if k is not None and k < 1:
-            raise ValueError("k must be >= 1")
-        results: list[ResolveResult | None] = [None] * len(records)
-        misses: list[int] = []
-        miss_keys: list[tuple] = []
-        for position, record in enumerate(records):
-            key = resolve_cache_key(record, k)
-            cached = self._probe_cache.get(key)
-            if cached is not None:
-                results[position] = cached
-            else:
-                misses.append(position)
-                miss_keys.append(key)
-        if misses:
-            fresh = self._resolver.resolve_batch(
-                [records[position] for position in misses], k
-            )
-            for position, key, result in zip(misses, miss_keys, fresh):
-                results[position] = result
-                self._probe_cache.put(key, result)
-        return results  # type: ignore[return-value]
+        """Batch resolution (equals per-record :meth:`resolve` exactly)."""
+        return self._reads.resolve_batch(records, k)
 
     def probe_cache_stats(self) -> dict[str, int]:
         """This generation's probe-cache counters (for ``/metrics``)."""
-        return self._probe_cache.stats()
+        return self._reads.cache.stats()
 
     def decision_of(self, uri: str) -> "Match | None":
         """The standing decision mentioning ``uri`` (either side)."""

@@ -109,6 +109,67 @@ def candidate_lists_by_uri(
     )
 
 
+def resolve_rows_by_uri(
+    record,
+    tokenizer,
+    token_blocks,
+    value_index,
+    top_neighbors2,
+    top_relations1,
+    k,
+):
+    """A never-seen record's ``(value, neighbor, best)`` rows, on URIs.
+
+    The online resolver's dict-loop scorer, kept as its reference.
+    Value: the record's tokens, sorted, each pick a block, which adds
+    ``block_token_weight(|b1|, |b2|)`` to every side-2 URI in it.
+    Neighbor: each top-relation target, sorted, walks its ranked value
+    row and adds each ``(uri2, sim)`` to the KB2 entities listing
+    ``uri2`` as a top neighbor; the per-target rows then merge, each
+    walked in URI order.  Rows rank by ``(-score, uri)``, cut to ``k``;
+    ``best`` is the top value row, uncut.
+    """
+    value: dict[str, float] = {}
+    for token in sorted(tokenizer.token_set(record)):
+        block = token_blocks.get(token)
+        if block is None or block.is_empty():
+            continue
+        weight = block_token_weight(len(block.entities1), len(block.entities2))
+        for uri2 in block.entities2:
+            value[uri2] = value.get(uri2, 0.0) + weight
+
+    parents: dict[str, list[str]] = {}
+    for parent in sorted(top_neighbors2):
+        for neighbor in top_neighbors2[parent]:
+            parents.setdefault(neighbor, []).append(parent)
+    wanted = set(top_relations1)
+    targets = sorted(
+        {
+            target
+            for relation, target in record.relation_pairs()
+            if relation in wanted
+        }
+    )
+    neighbor: dict[str, float] = {}
+    for target in targets:
+        row: dict[str, float] = {}
+        for uri2, sim in value_index.candidates_of_entity1(target):
+            for parent in parents.get(uri2, ()):
+                row[parent] = row.get(parent, 0.0) + sim
+        for parent in sorted(row):
+            neighbor[parent] = neighbor.get(parent, 0.0) + row[parent]
+
+    def ranked(rows: dict[str, float]) -> list[tuple[str, float]]:
+        return sorted(rows.items(), key=lambda item: (-item[1], item[0]))
+
+    value_rows = ranked(value)
+    return (
+        tuple(value_rows[:k]),
+        tuple(ranked(neighbor)[:k]),
+        value_rows[0] if value_rows else None,
+    )
+
+
 def h4_bars_by_uri(
     value_index, neighbor_index, uri2: str, k: int, restrict: bool
 ) -> tuple[float | None, float | None]:

@@ -287,7 +287,7 @@ def test_online_h4_bars_equal_decoded_rows(toggled_numpy, restrict):
         MinoanERConfig(restrict_h3_to_cooccurring=restrict),
     )
     session.match()
-    resolver = session._ensure_resolver()
+    resolver = session._reads().resolver
     value_index = session.run_context().get("value_index")
     neighbor_index = session.run_context().get("neighbor_index")
     bars = 0

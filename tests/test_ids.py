@@ -7,6 +7,7 @@ kernels' contracts (zlib-compatible CRC, order-preserving summation).
 
 import os
 import zlib
+from array import array
 from unittest import mock
 
 import pytest
@@ -272,3 +273,104 @@ class TestVectorizedKernels:
         assert (stdlib_keys.typecode, stdlib_sums.typecode) == ("q", "d")
         assert stdlib_keys.tolist() == list(expected)
         assert stdlib_sums.tolist() == list(expected.values())  # float ==
+
+
+def _both_arms(kernel, *args):
+    """``kernel(*args)`` on the NumPy arm and on the stdlib arm, each
+    output column as a plain list."""
+    vectorized = [list(column) for column in kernel(*args)]
+    with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": "1"}):
+        stdlib = [list(column) for column in kernel(*args)]
+    return vectorized, stdlib
+
+
+@pytest.mark.skipif(not numpy_enabled(), reason="NumPy unavailable/disabled")
+class TestResolverPrimitives:
+    """The online resolver's two primitives: both arms equal a dict-fold
+    / sort reference, float for float."""
+
+    #: weights from subnormal to 1e300, plus a few that tie
+    _value = st.one_of(
+        st.sampled_from([5e-324, 0.1, 0.5, 1.0, 1e300]),
+        st.floats(min_value=5e-324, max_value=1e300, allow_nan=False),
+    )
+
+    @given(
+        st.lists(st.integers(0, 20), max_size=30),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30), _value),
+            max_size=12,
+        ),
+        st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=12)),
+    )
+    @example([], [], None)
+    @example([3, 1, 3], [(0, 0, 0.1), (2, 2, 0.5), (3, 3, 1.0)], None)
+    @example(
+        [4, 4, 2], [(0, 3, 0.1), (1, 3, 1e300), (0, 2, 5e-324)], [0, 0, 1]
+    )
+    def test_gathered_candidate_sums(self, ids, raw_spans, groups):
+        """Empty and zero-length spans, repeated ids inside one span,
+        and ``span_bases`` (non-decreasing multiples of ``2**32``)."""
+        from repro.ids.arrays import gathered_candidate_sums
+
+        spans = [
+            (min(a, b, len(ids)), min(max(a, b), len(ids)), value)
+            for a, b, value in raw_spans
+        ]
+        bases = None
+        if groups is not None:
+            groups = sorted((groups + [0] * len(spans))[: len(spans)])
+            bases = [group << 32 for group in groups]
+        reference: dict[int, float] = {}
+        for at, (start, stop, value) in enumerate(spans):
+            for position in range(start, stop):
+                key = (bases[at] if bases else 0) | ids[position]
+                reference[key] = reference.get(key, 0.0) + value
+        starts, stops, values = ([s[i] for s in spans] for i in range(3))
+        vectorized, stdlib = _both_arms(
+            gathered_candidate_sums, array("i", ids), starts, stops, values,
+            bases,
+        )  # fmt: skip
+        keys = sorted(reference)
+        expected = [keys, [reference[key] for key in keys]]
+        assert vectorized == expected  # float ==
+        assert stdlib == expected
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 15)),
+            st.sampled_from([0.25, 0.5, 1.0, 2.0]),  # ties galore
+            max_size=40,
+        ),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.one_of(st.none(), st.permutations(range(16))),
+    )
+    @example({}, None, None)
+    @example({(0, 3): 1.0, (0, 1): 1.0, (2, 9): 0.5, (2, 0): 0.5}, 1, None)
+    def test_ranked_groups(self, cells, limit, rank_of):
+        """Tied sums break on the rank (the id itself without
+        ``rank_of``); empty groups, and the ``limit`` cut."""
+        from repro.ids.arrays import ranked_groups
+
+        keys = sorted((group << 32) | cid for group, cid in cells)
+        sums = [cells[(key >> 32, key & 0xFFFFFFFF)] for key in keys]
+        rank = (lambda i: i) if rank_of is None else rank_of.__getitem__
+        ranks = None if rank_of is None else array("q", rank_of)
+        bounds, ranked = [], []
+        for group in range(5):
+            bounds.append(sum(1 for key in keys if key >> 32 < group))
+            mine = [j for j, key in enumerate(keys) if key >> 32 == group]
+            mine.sort(key=lambda j: (-sums[j], rank(keys[j] & 0xFFFFFFFF)))
+            ranked.append(mine if limit is None else mine[:limit])
+        bounds.append(len(keys))
+        expected = [
+            bounds,
+            [key & 0xFFFFFFFF for key in keys],
+            sums,
+            ranked,
+        ]
+        vectorized, stdlib = _both_arms(
+            ranked_groups, array("q", keys), array("d", sums), 5, limit, ranks
+        )
+        assert vectorized == expected
+        assert stdlib == expected

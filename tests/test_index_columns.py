@@ -146,7 +146,7 @@ def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
         assert index.candidates_of_entity1(uri1) == ranked
         assert index.candidates_of_entity1(uri1, 2) == ranked[:2]
         assert [
-            (decode2[col], sim) for col, sim in index.ranked_ids(1, uri1)
+            (decode2[col], sim) for col, sim in zip(*index.csr_row(1, uri1))
         ] == ranked
         assert index.best_candidate(uri1) == ranked[0]
         runner_up = ranked[1] if len(ranked) > 1 else None
@@ -155,7 +155,7 @@ def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
     for uri2, ranked in rows2.items():
         assert index.candidates_of_entity2(uri2) == ranked
         assert [
-            (decode1[col], sim) for col, sim in index.ranked_ids(2, uri2)
+            (decode1[col], sim) for col, sim in zip(*index.csr_row(2, uri2))
         ] == ranked
     for (uri1, uri2), sim in sims.items():
         found = index.similarity(uri1, uri2)

@@ -3,10 +3,11 @@
 Covers the parity contract (a record byte-identical to an existing KB1
 entity resolves exactly like the precomputed probe path, across
 serial/thread/process engines and the NumPy/stdlib kernels), the
-batch-equals-sequential property, generation isolation of the serving
-path, the ``query_stream`` held-out record generator, the ProbeCache
-counters, the ServeClient failure taxonomy, and the ``POST /resolve``
-and ``POST /resolve_batch`` endpoints end to end.
+batch-equals-sequential property, resolved rows against the
+string-keyed reference in ``tests/oracles.py``, generation isolation of
+the serving path, the ``query_stream`` held-out record generator, the
+ProbeCache counters and keys, the ServeClient failure taxonomy, and the
+``POST /resolve`` and ``POST /resolve_batch`` endpoints end to end.
 """
 
 import socket
@@ -14,26 +15,35 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MinoanERConfig
 from repro.core.candidates import ProbeCache
 from repro.core.resolve import OnlineResolver, resolve_cache_key
-from repro.datasets import generate, load_profile, query_stream
+from repro.datasets import (
+    generate,
+    generate_benchmark,
+    load_profile,
+    query_stream,
+)
 from repro.ids.arrays import numpy_enabled
+from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription, UriRef
 from repro.kb.io_ntriples import read_ntriples
+from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import MatchSession
 from repro.pipeline.digest import artifact_digest
 from repro.serve import (
     ResolutionDaemon,
     ServeClient,
     ServeClientError,
+    ServingState,
     build_server,
 )
 from repro.serve.json_codec import entity_to_dict
 
+from oracles import resolve_rows_by_uri
 from test_pipeline import make_pair
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -172,7 +182,7 @@ def pair_resolver():
     kb1, kb2 = make_pair()
     session = MatchSession(kb1, kb2)
     session.match()
-    return session._ensure_resolver()
+    return session._reads().resolver
 
 
 class TestBatchEqualsSequential:
@@ -198,6 +208,91 @@ class TestBatchEqualsSequential:
 
     def test_empty_batch(self, pair_resolver):
         assert pair_resolver.resolve_batch([]) == []
+
+
+# ----------------------------------------------------------------------
+# Resolved rows == the string-keyed reference (differential oracle)
+# ----------------------------------------------------------------------
+#: Vocabulary of the oracle records: the heaviest token blocks first,
+#: then a spread of the others, then two tokens no block carries.
+_HEAVY, _SPREAD, _TARGETS = 8, 14, 11
+_VOCABULARY = _HEAVY + _SPREAD + 2
+#: A record spec: (token indices, (relation index, target index) links).
+_specs = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, _VOCABULARY - 1), max_size=6),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, _TARGETS)),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_kbs():
+    """Restaurant KBs (blocks of up to 6,720 comparisons, an
+    ``address`` top relation) and what the oracle records draw from."""
+    data = generate_benchmark("restaurant", 1.0, 5)
+    ctx = MatchSession(data.kb1, data.kb2).run_context()
+    blocks = sorted(
+        ctx.get("token_blocks"), key=lambda b: (-b.cardinality(), b.key)
+    )
+    rest = blocks[_HEAVY:]
+    vocabulary = [b.key for b in blocks[:_HEAVY]]
+    vocabulary += [b.key for b in rest[:: len(rest) // _SPREAD]][:_SPREAD]
+    vocabulary += ["qqzzv", "vvzzq"]
+    relations = ["address", "~address", "notes"]
+    assert set(ctx.get("top_relations1")) >= {"address", "~address"}
+    targets = sorted(
+        {
+            target
+            for entity in data.kb1
+            for relation, target in entity.relation_pairs()
+            if relation == "address"
+        }
+    )[:_TARGETS] + ["urn:none"]
+    assert len(vocabulary) == _VOCABULARY and len(targets) == _TARGETS + 1
+    return data, ctx, vocabulary, relations, targets
+
+
+class TestResolveOracle:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(specs=_specs, k=st.integers(1, 5))
+    @example(specs=[([], [])], k=1)  # no token, no link
+    @example(specs=[(list(range(_HEAVY)), [(0, 0)])], k=5)  # heavy tokens
+    # multi-target: links whose merge order shows in the top row
+    @example(specs=[([9], [(0, 0), (0, 3), (1, 10)]), ([], [(0, 6)])], k=1)
+    def test_rows_equal_the_oracle(self, oracle_kbs, toggled_numpy, specs, k):
+        """Every resolved ``value`` / ``neighbor`` / ``best`` row equals
+        ``tests/oracles.py::resolve_rows_by_uri`` float for float, on
+        both arms, for a fresh resolver (no memo carried over)."""
+        data, ctx, vocabulary, relations, targets = oracle_kbs
+        records = []
+        for index, (tokens, links) in enumerate(specs):
+            pairs = [("name", " ".join(vocabulary[t] for t in tokens))]
+            pairs += [(relations[r], UriRef(targets[t])) for r, t in links]
+            records.append(EntityDescription(f"urn:oracle:{index}", pairs))
+        resolver = OnlineResolver.from_context(ctx, data.kb1, data.kb2)
+        tokenizer = Tokenizer(
+            min_length=ctx.config.min_token_length,
+            include_uri_localnames=ctx.config.include_uri_localnames,
+        )
+        for record, result in zip(records, resolver.resolve_batch(records, k)):
+            assert result.known is False
+            assert (result.value, result.neighbor, result.best) == (
+                resolve_rows_by_uri(
+                    record,
+                    tokenizer,
+                    ctx.get("token_blocks"),
+                    ctx.get("value_index"),
+                    ctx.get("top_neighbors2"),
+                    ctx.get("top_relations1"),
+                    k,
+                )
+            )
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +428,33 @@ class TestProbeCacheCounters:
         assert stats["size"] == 0
         assert stats["hits"] == 1
         assert stats["misses"] == 1
+
+    @pytest.mark.parametrize("owner", ["session", "state"])
+    def test_default_k_and_explicit_k_share_an_entry(self, owner):
+        """``resolve(r)`` and ``resolve(r, k=top_k_candidates)`` are one
+        answer, cached once: the second call is a hit on both owners,
+        through ``resolve`` and ``resolve_batch`` alike."""
+        kb1, kb2 = make_pair()
+        session = MatchSession(kb1, kb2)
+        if owner == "session":
+            reader = session
+            stats = session._probe_cache.stats
+        else:
+            matcher = IncrementalMatcher(session)
+            matcher.match()
+            reader = ServingState.from_matcher(
+                matcher, generation=1, delta_count=0
+            )
+            stats = reader.probe_cache_stats
+        record = clone_record(kb1["a1"], "urn:q:k")
+        first = reader.resolve(record)
+        before = stats()
+        top_k = session.config.top_k_candidates
+        assert reader.resolve(record, k=top_k) is first
+        assert stats()["hits"] == before["hits"] + 1
+        assert reader.resolve_batch([record], k=top_k)[0] is first
+        assert stats()["hits"] == before["hits"] + 2
+        assert stats()["misses"] == before["misses"]
 
     def test_counters_reach_metrics_endpoint(self, served):
         _, client = served
@@ -475,9 +597,8 @@ class TestResolverInternals:
         kb1, kb2 = make_pair()
         session = MatchSession(kb1, kb2)
         session.match()
-        session._ensure_probe_context()
         resolver = OnlineResolver.from_context(
-            session._probe_ctx, kb1, kb2, known1=frozenset(kb1.uris())
+            session.run_context(), kb1, kb2, known1=frozenset(kb1.uris())
         )
         resolver.warm()
         kb1.new_entity("a9").add_literal("name", "late arrival")
