@@ -1,4 +1,5 @@
-"""Schema-agnostic blocking: token blocks, name blocks, purging, filtering.
+"""Schema-agnostic blocking: token blocks, name blocks, the placement
+tables both are assembled from, purging, filtering.
 
 Blocking bounds the quadratic comparison space of ER.  MinoanER derives all
 of its similarity evidence from two schema-agnostic block collections:
@@ -16,6 +17,7 @@ from .metablocking import (
 )
 from .metrics import BlockingQuality, blocking_quality, union_quality
 from .packed import PackedBlockCollection
+from .placements import PlacementTable
 from .name_blocking import (
     AttributeNameExtractor,
     NameExtractor,
@@ -45,6 +47,7 @@ __all__ = [
     "prune_edges",
     "NameExtractor",
     "PackedBlockCollection",
+    "PlacementTable",
     "PurgingReport",
     "blocking_quality",
     "cardinality_threshold",

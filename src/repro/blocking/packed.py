@@ -5,11 +5,14 @@ way the similarity core holds pair maps: block keys as one sorted string
 column, each side's membership as an :class:`~repro.ids.EntityInterner`
 over exactly the member URIs plus a CSR layout (``starts`` offsets into
 a flat, per-row-sorted ``array('i')`` id column).  The familiar
-string-keyed :class:`~repro.blocking.base.BlockCollection` surface is a
-*decode view* over those columns — the packed columns stay authoritative
-for the engine (shard encoding without re-interning), for process
-workers (raw buffers instead of string sets) and for the snapshot store
-(the columns dump to disk verbatim).
+string-keyed :class:`~repro.blocking.base.BlockCollection` surface is
+built beside the columns from the same member sets — the packed columns
+stay authoritative for the engine (shard encoding without re-interning),
+for process workers (raw buffers instead of string sets) and for the
+online resolver's block probes.  The blocking stages assemble one from
+their :class:`~repro.blocking.placements.PlacementTable`;
+:meth:`PackedBlockCollection.from_collection` encodes the plain
+collection a custom blocking stage produces.
 
 Because member interners assign ids in sorted-URI order and every CSR
 row is sorted ascending, scanning a row in id order reproduces exactly
@@ -20,10 +23,24 @@ PR 4's similarity indices rely on.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 from ..ids import EntityInterner
 from .base import Block, BlockCollection
+
+
+def _csr(
+    members: Sequence[Collection[str]],
+) -> tuple[EntityInterner, array, array]:
+    """One side's member interner and ``(starts, ids)`` rows; sorted-URI
+    ids make each row's ascending ids its ascending URIs."""
+    interner = EntityInterner(uri for row in members for uri in row)
+    ids_of = interner.ids_by_uri()
+    starts, ids = array("q", (0,)), array("i")
+    for row in members:
+        ids.extend(sorted(map(ids_of.__getitem__, row)))
+        starts.append(len(ids))
+    return interner, starts, ids
 
 
 class PackedBlockCollection(BlockCollection):
@@ -32,32 +49,26 @@ class PackedBlockCollection(BlockCollection):
     Parameters
     ----------
     name:
-        Collection label (``"BT"`` for token blocks).
+        Collection label (``"BT"`` for token blocks, ``"BN"`` for names).
     keys:
-        Block keys in **sorted** order; row ``i`` of both CSR layouts
-        belongs to ``keys[i]``.
-    interner1 / interner2:
-        Id maps over exactly the member URIs of each side.
-    starts1 / ids1, starts2 / ids2:
-        CSR columns per side: ``starts`` has ``len(keys) + 1`` offsets
-        into the flat ``ids`` column; each row's ids sort ascending.
+        Block keys in **strictly ascending** order.
+    members1 / members2:
+        Per key, in the same order, the URIs of that block on each side.
 
-    The constructor materializes the string-keyed ``Block`` view eagerly
-    (downstream purging/metrics/digest code keeps working unchanged);
-    the columns remain accessible via :meth:`packed_columns` and
-    :meth:`csr`.
+    Each side's members are interned over exactly the member URIs
+    (sorted-URI ids) and laid out as CSR: ``starts`` has ``len(keys) +
+    1`` offsets into a flat ``ids`` column whose rows sort ascending.
+    The string-keyed ``Block`` view is built eagerly from copies of the
+    member sets (downstream purging/metrics/digest code keeps working
+    unchanged); the columns stay accessible via :meth:`csr`.
     """
 
     def __init__(
         self,
         name: str,
         keys: Iterable[str],
-        interner1: EntityInterner,
-        interner2: EntityInterner,
-        starts1: array,
-        ids1: array,
-        starts2: array,
-        ids2: array,
+        members1: Sequence[Collection[str]],
+        members2: Sequence[Collection[str]],
     ) -> None:
         self._keys = tuple(keys)
         if any(
@@ -65,32 +76,20 @@ class PackedBlockCollection(BlockCollection):
             for earlier, later in zip(self._keys, self._keys[1:])
         ):
             raise ValueError("block keys must be strictly ascending")
-        for starts, ids in ((starts1, ids1), (starts2, ids2)):
-            if len(starts) != len(self._keys) + 1:
-                raise ValueError("starts column must have len(keys)+1 offsets")
-            if starts[0] != 0 or starts[-1] != len(ids):
-                raise ValueError("starts column does not span the id column")
-        self._interner1 = interner1
-        self._interner2 = interner2
-        self._starts1, self._ids1 = starts1, ids1
-        self._starts2, self._ids2 = starts2, ids2
-        uris1 = interner1.uris()
-        uris2 = interner2.uris()
+        if not len(members1) == len(members2) == len(self._keys):
+            raise ValueError("one member set per key and side is required")
+        self._interner1, self._starts1, self._ids1 = _csr(members1)
+        self._interner2, self._starts2, self._ids2 = _csr(members2)
         super().__init__(
             name,
             (
-                Block(
-                    key,
-                    {uris1[i] for i in ids1[starts1[row] : starts1[row + 1]]},
-                    {uris2[i] for i in ids2[starts2[row] : starts2[row + 1]]},
+                Block(key, set(entities1), set(entities2))
+                for key, entities1, entities2 in zip(
+                    self._keys, members1, members2
                 )
-                for row, key in enumerate(self._keys)
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Construction from the string-keyed form
-    # ------------------------------------------------------------------
     @classmethod
     def from_collection(
         cls, blocks: BlockCollection, name: str | None = None
@@ -109,30 +108,11 @@ class PackedBlockCollection(BlockCollection):
                     f"cannot pack one-sided block {block.key!r}; "
                     "drop_empty() first"
                 )
-        interner1 = EntityInterner(
-            uri for block in ordered for uri in block.entities1
-        )
-        interner2 = EntityInterner(
-            uri for block in ordered for uri in block.entities2
-        )
-        ids_by_uri1 = interner1.ids_by_uri()
-        ids_by_uri2 = interner2.ids_by_uri()
-        starts1, ids1 = array("q", (0,)), array("i")
-        starts2, ids2 = array("q", (0,)), array("i")
-        for block in ordered:
-            ids1.extend(sorted(ids_by_uri1[uri] for uri in block.entities1))
-            starts1.append(len(ids1))
-            ids2.extend(sorted(ids_by_uri2[uri] for uri in block.entities2))
-            starts2.append(len(ids2))
         return cls(
             name or blocks.name,
-            (block.key for block in ordered),
-            interner1,
-            interner2,
-            starts1,
-            ids1,
-            starts2,
-            ids2,
+            [block.key for block in ordered],
+            [block.entities1 for block in ordered],
+            [block.entities2 for block in ordered],
         )
 
     # ------------------------------------------------------------------

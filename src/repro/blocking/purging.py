@@ -100,10 +100,10 @@ def cardinality_threshold_from_sizes(
 ) -> int:
     """:func:`cardinality_threshold` over bare ``(|b1|, |b2|)`` size pairs.
 
-    The incremental block index maintains per-key side sizes without
-    materializing :class:`~repro.blocking.base.Block` objects; sharing the
-    threshold arithmetic here keeps its purging decisions exactly equal to
-    the batch path's.
+    A placement table holds per-key side sizes without materializing
+    :class:`~repro.blocking.base.Block` objects; sharing the threshold
+    arithmetic here keeps its purging decisions exactly equal to
+    :func:`purge_blocks` over the materialized collection.
     """
     if gain_factor < 1.0:
         raise ValueError("gain_factor must be >= 1.0")
@@ -155,7 +155,8 @@ def purge_decision_from_sizes(
 
     Returns the keys that survive and the same :class:`PurgingReport` a
     batch :func:`purge_blocks` over the materialized collection emits.
-    The incremental block index uses this so that the keep rule and the
+    The token-blocking stage decides from its placement table's sizes
+    with this (a cold run and a delta alike), so the keep rule and the
     report arithmetic live in exactly one place.
     """
     limit = (

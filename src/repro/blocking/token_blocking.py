@@ -26,8 +26,9 @@ def token_blocking(
     blocking key.  Blocks with entities from only one KB suggest no
     comparison in clean-clean ER and are dropped.
 
-    The pipeline's partitioned counterpart is
-    :func:`repro.engine.blocking.token_blocking_engine`.
+    The pipeline's ``token_blocking`` stage keys entities into a
+    :class:`~repro.blocking.placements.PlacementTable` instead and must
+    equal ``purge_blocks`` over this collection: this is its reference.
     """
     tokenizer = tokenizer or Tokenizer()
     blocks = BlockCollection(name)

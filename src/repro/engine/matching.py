@@ -1,4 +1,4 @@
-"""Partitioned H3 (and the engine's H2 entry point).
+"""Partitioned H3.
 
 H2 and H3 are sequential *decisions* — an entity matched early removes
 its partner from every later candidate scan — but H3's per-entity work
@@ -25,11 +25,6 @@ own id-level trim (:func:`~repro.core.candidates.kept_neighbor_offsets`);
 the driver decodes the surviving ids back to URIs and preloads the
 candidate cache.  Candidate lists are pure per-entity functions, so the
 split cannot change any list.
-
-H2 has no phase worth distributing — its per-entity "work" is a lookup
-into ranked lists the value index already holds — so the engine entry
-point delegates straight to the serial scan; shipping row slices to
-workers only to perform lookups would cost more than the scan itself.
 """
 
 from __future__ import annotations
@@ -46,30 +41,11 @@ from ..core.candidates import (
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
-    h2_value_matches,
     h3_rank_aggregation_matches,
 )
-from ..core.similarity import ValueSimilarityIndex
 from ..obs.runtime import current as _telemetry_current
 from .executor import Executor, SerialExecutor
 from .partitioner import chunk_evenly, partition_count
-
-
-def h2_value_matches_engine(
-    entity1_uris: Iterable[str],
-    value_index: ValueSimilarityIndex,
-    registry: MatchedRegistry,
-    engine: Executor | None = None,
-) -> list[Match]:
-    """H2 through the engine interface (uniform stage dispatch).
-
-    Delegates to the serial :func:`h2_value_matches`; see the module
-    docstring for why H2 gains nothing from parallel gathering.
-    ``engine`` is accepted so the pipeline dispatches every heuristic
-    the same way.
-    """
-    del engine  # H2 is a per-entity lookup; nothing to distribute
-    return h2_value_matches(entity1_uris, value_index, registry)
 
 
 def _candidate_id_rows(

@@ -1,16 +1,15 @@
-"""Deterministic partitioning of KBs and block collections.
+"""Deterministic partition layouts: stable shard hashes, even chunks.
 
-- **hash partitioning** assigns each item to a shard by a *stable* hash
-  of its key (CRC32, never Python's salted ``hash``) — the layout of
-  entities during blocking (hash-by-entity).  The similarity stages use
-  the same hash for no layout at all: a block's / a value pair's shard
-  (:class:`PackedPairHasher`: the CRC32 of the pair's *string* key,
-  combined from cached per-id CRCs) only names the slab its
-  contributions are folded in, i.e. it *defines the float fold*;
+- a **stable hash** of a string key (CRC32, never Python's salted
+  ``hash``) names the shard of a block / a value pair in the similarity
+  stages (:class:`PackedPairHasher`: the CRC32 of the pair's *string*
+  key, combined from cached per-id CRCs).  A shard is no layout: it only
+  names the slab its contributions are folded in, i.e. it *defines the
+  float fold*;
 - **even chunking** splits a sequence into contiguous runs, preserving
-  order — used for entity scans whose results must be consumed in the
-  original iteration order (H2/H3) and for the similarity stages'
-  ranges of output rows.
+  order — used for the blocking stages' entity keying, for entity scans
+  whose results must be consumed in the original iteration order (H3)
+  and for the similarity stages' ranges of output rows.
 
 The partition *count* is a function of the data size alone, never of the
 executor's worker count.  Every executor therefore sees the identical
@@ -24,12 +23,9 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from ..blocking.base import Block, BlockCollection
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..kb.entity import EntityDescription
-from ..kb.knowledge_base import KnowledgeBase
 
 T = TypeVar("T")
 
@@ -62,21 +58,6 @@ def partition_count(
     if n_items <= 0:
         return 1
     return max(1, min(max_partitions, n_items // min_partition_size))
-
-
-def hash_partitions(
-    items: Iterable[T], n_partitions: int, key: Callable[[T], str]
-) -> list[list[T]]:
-    """Assign each item to ``stable_hash(key(item)) % n_partitions``.
-
-    Items keep their relative input order within a shard.
-    """
-    if n_partitions < 1:
-        raise ValueError("n_partitions must be >= 1")
-    shards: list[list[T]] = [[] for _ in range(n_partitions)]
-    for item in items:
-        shards[stable_hash(key(item)) % n_partitions].append(item)
-    return shards
 
 
 class PackedPairHasher:
@@ -175,29 +156,3 @@ def chunk_evenly(items: Sequence[T], n_chunks: int) -> list[Sequence[T]]:
             chunks.append(items[start:stop])
         start = stop
     return chunks
-
-
-def partition_entities(
-    kb: KnowledgeBase, n_partitions: int | None = None
-) -> list[list[EntityDescription]]:
-    """Hash-by-entity shards of a KB's descriptions (blocking layout)."""
-    n_parts = (
-        n_partitions if n_partitions is not None else partition_count(len(kb))
-    )
-    return hash_partitions(kb, n_parts, key=lambda entity: entity.uri)
-
-
-def partition_blocks(
-    blocks: BlockCollection, n_partitions: int | None = None
-) -> list[list[Block]]:
-    """Hash-by-block-key shards of a collection (aggregation layout).
-
-    Blocks are sorted by key *before* sharding, so the per-shard scan
-    order — and with it every per-shard floating-point accumulation — is
-    independent of the collection's insertion order.
-    """
-    n_parts = (
-        n_partitions if n_partitions is not None else partition_count(len(blocks))
-    )
-    ordered = sorted(blocks, key=lambda block: block.key)
-    return hash_partitions(ordered, n_parts, key=lambda block: block.key)

@@ -9,7 +9,6 @@ state (see :mod:`.matcher` for what a delta maintains and what the
 graph rebuilds).
 """
 
-from .blocks import DeltaBlockIndex
 from .matcher import REQUIRED_STAGES, IncrementalMatcher
 
-__all__ = ["DeltaBlockIndex", "IncrementalMatcher", "REQUIRED_STAGES"]
+__all__ = ["IncrementalMatcher", "REQUIRED_STAGES"]

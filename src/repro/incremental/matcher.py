@@ -5,18 +5,20 @@ MatchSession` whose blocking artifacts are *maintained*.  It accepts
 entity deltas — ``add_entities`` / ``remove_entities`` on either KB —
 and owns exactly the state that is O(delta) and exact by construction:
 
-- the two :class:`DeltaBlockIndex` placement tables (token keys and
-  name keys of every entity, purged and one-sided keys included), so a
-  delta tokenizes / name-keys only the entities it adds;
+- the two :class:`~repro.blocking.placements.PlacementTable` s (token
+  keys and name keys of every entity, purged and one-sided keys
+  included) — the very tables the cold blocking stages published, so
+  no entity is keyed twice and a delta keys only the entities it adds;
 - the purging decision, taken from the tables' side sizes;
 - the check that the discovered name attributes still hold — when a
-  delta moves them, that side's name keys are re-extracted wholesale
-  and the name-blocking stage is left to run.
+  delta moves them, the name-blocking stage is left to run and the
+  matcher adopts the table it publishes.
 
 Everything else belongs to the session's stage graph and runs through
 the one code path a cold run uses.  On a pending delta the matcher
 reassembles ``token_blocks`` / ``purging_report`` (and ``name_blocks``
-/ ``name_attributes1/2``) from its tables, calls
+/ ``name_attributes1/2``) from its tables through the stages' own
+``artifacts`` — the assembly a cold run uses — calls
 ``session.invalidate("kb1")``, seeds the blocking stages' cache entries
 with those artifacts and runs the session: the two similarity indices,
 the candidates, the decisions *and any custom stage of the graph*
@@ -36,10 +38,10 @@ integers), so its upkeep equals a cold computation; and the mutable
 order the greedy heuristics depend on (removals keep relative order,
 re-adds append).
 
-A delta never mutates a published artifact — reassembled blocks and
-rebuilt indices are new objects, so a serving generation or a saved
-context keeps a frozen view — and the matcher keeps no superseded
-generation alive.  Stages the session ran count in
+A delta mutates no artifact but the two placement tables the matcher
+owns (see :class:`IncrementalMatcher`) — reassembled blocks and rebuilt
+indices are new objects, so a serving generation keeps a frozen view —
+and the matcher keeps no superseded generation alive.  Stages the session ran count in
 :attr:`stage_recomputes` (``session.stage_runs``), blocking stages
 seeded from the tables in :attr:`delta_updates`.
 """
@@ -49,21 +51,11 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..blocking.name_blocking import names_from_attributes
-from ..blocking.packed import PackedBlockCollection
-from ..blocking.purging import purge_decision_from_sizes
 from ..core.statistics import top_name_attributes
-from ..engine.blocking import (
-    entity_key_rows,
-    name_keys,
-    placement_rows,
-    token_keys,
-)
+from ..engine.blocking import entity_key_rows
 from ..engine.executor import create_executor
-from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
 from ..pipeline.stages import NameBlockingStage, TokenBlockingStage
-from .blocks import DeltaBlockIndex
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.pipeline import MatchResult
@@ -78,12 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 REQUIRED_STAGES = ("token_blocking",)
 
 
-def _maintains_names(graph: "StageGraph") -> bool:
-    """Whether ``graph`` has name blocking for the matcher to maintain.
-
-    Raises when the placement tables could not stand in for the graph's
-    blocking: ``token_blocks`` (and ``name_blocks``, when present) must
-    come from the built-in stage whose keys the tables reproduce.
+def _validate_blocking(graph: "StageGraph") -> None:
+    """Raise when the placement tables could not stand in for the
+    graph's blocking: ``token_blocks`` (and ``name_blocks``, when
+    present) must come from the built-in stage that publishes them.
     """
     producers = {key: stage for stage in graph for key in stage.provides}
     problems = []
@@ -109,29 +99,30 @@ def _maintains_names(graph: "StageGraph") -> bool:
             "blocking stages only: " + "; ".join(problems) + ". Run other "
             "blocking compositions through MatchSession.match() instead."
         )
-    return "name_blocks" in producers
 
 
 class IncrementalMatcher:
-    """Delta-updatable matching over a :class:`MatchSession`."""
+    """Delta-updatable matching over a :class:`MatchSession`.
+
+    **Table ownership.**  The matcher adopts the placement tables its
+    session's context published (``token_placements`` /
+    ``name_placements``) and from then on owns and mutates them: a delta
+    places and withdraws entities in them, and a refresh seeds them back
+    into the session beside the blocks assembled from them.  No published
+    generation reads a placement table — a
+    :class:`~repro.serve.ServingState` holds the assembled blocks and the
+    indices, which a delta never mutates — so the tables need no copy.
+    """
 
     def __init__(
         self,
         session: "MatchSession",
         telemetry: "Telemetry | None" = None,
     ) -> None:
-        self._adopt(session, telemetry)
-
-    def _adopt(
-        self,
-        session: "MatchSession",
-        telemetry: "Telemetry | None",
-        tables: "tuple[DeltaBlockIndex, DeltaBlockIndex | None] | None" = None,
-    ) -> None:
-        """The one adoption path: validate the session's graph, run it,
-        and take the placement tables — the ``(tokens, names)`` a
-        snapshot restored, or every entity keyed once."""
-        has_names = _maintains_names(session.graph)
+        """Validate the session's graph, run it (the cold pass on a fresh
+        session; a pure cache restore on one that matched or was seeded
+        from a snapshot) and adopt its placement tables."""
+        _validate_blocking(session.graph)
         self.session = session
         self.config = session.config
         self.graph = session.graph
@@ -146,32 +137,21 @@ class IncrementalMatcher:
         self.delta_log: list[tuple[str, int, tuple[str, ...]]] = []
         #: The artifact store of the last :meth:`match`.
         self.last_context: "PipelineContext | None" = None
-        self._tokenizer = Tokenizer(
-            min_length=self.config.min_token_length,
-            include_uri_localnames=self.config.include_uri_localnames,
-        )
+        self._token_keyer = TokenBlockingStage.keyer(self.config)
         self._pending = False
         with activate(telemetry):
-            # The cold pass on a fresh session; a pure cache restore on
-            # one that already matched or was seeded from a snapshot.
-            ctx = self._run()
-            self._name_attrs: list[list[str]] | None = (
-                [ctx.get("name_attributes1"), ctx.get("name_attributes2")]
-                if has_names
-                else None
-            )
-            if tables is None:
-                with self._engine() as engine:
-                    token_rows, name_rows = placement_rows(
-                        self.kbs, self._tokenizer, self._name_attrs, engine
-                    )
-                tables = (
-                    DeltaBlockIndex.from_rows("BT", token_rows),
-                    DeltaBlockIndex.from_rows("BN", name_rows)
-                    if has_names
-                    else None,
-                )
-        self._tokens, self._names = tables
+            self._adopt_tables(self._run())
+
+    def _adopt_tables(self, ctx: "PipelineContext") -> None:
+        """Take the placement tables (and the name attributes they were
+        keyed under) that ``ctx``'s blocking stages published; a
+        token-only graph publishes no name table."""
+        self._tokens = ctx.get("token_placements")
+        self._names = ctx.get_or("name_placements")
+        self._name_attrs = (
+            ctx.get_or("name_attributes1"),
+            ctx.get_or("name_attributes2"),
+        )
 
     @property
     def stage_recomputes(self) -> dict[str, int]:
@@ -205,12 +185,12 @@ class IncrementalMatcher:
         fields; ``mode="mmap"`` maps column files instead of copying
         them (see :meth:`repro.store.Snapshot.load`).
         """
-        from ..store import load_state
+        from ..store import load_session
 
-        state = load_state(path, engine=engine, workers=workers, mode=mode)
-        matcher = cls.__new__(cls)
-        matcher._adopt(state.session, telemetry, (state.tokens, state.names))
-        return matcher
+        return cls(
+            load_session(path, engine=engine, workers=workers, mode=mode),
+            telemetry,
+        )
 
     def save(self, path):
         """Snapshot the matcher's current (post-delta) state.
@@ -225,28 +205,13 @@ class IncrementalMatcher:
         validate_snapshotable_graph(self.graph)
         if self.last_context is None or self._pending:
             self.match()
-        uris = (self.kbs[0].uris(), self.kbs[1].uris())
         return write_session_snapshot(
-            path,
-            self.last_context,
-            list(self.graph.names()),
-            self._tokens.rows(uris),
-            None if self._names is None else self._names.rows(uris),
+            path, self.last_context, list(self.graph.names())
         )
 
     # ------------------------------------------------------------------
     # Deltas
     # ------------------------------------------------------------------
-    def _engine(self):
-        return create_executor(self.config.engine, self.config.workers)
-
-    def _name_keys(self, side: int):
-        """The name keyer of ``side`` under its current name attributes."""
-        return partial(
-            name_keys,
-            extractor=names_from_attributes(self._name_attrs[side - 1]),
-        )
-
     def _side_of(self, kb_id) -> int:
         if kb_id in (1, 2):
             return kb_id
@@ -286,12 +251,14 @@ class IncrementalMatcher:
             )
         if not batch:
             return 0
-        with self._engine() as engine:
-            token_rows = entity_key_rows(
-                batch, partial(token_keys, tokenizer=self._tokenizer), engine
-            )
+        with create_executor(self.config.engine, self.config.workers) as engine:
+            token_rows = entity_key_rows(batch, self._token_keyer, engine)
             name_rows = (
-                entity_key_rows(batch, self._name_keys(side), engine)
+                entity_key_rows(
+                    batch,
+                    NameBlockingStage.keyer(self._name_attrs[side - 1]),
+                    engine,
+                )
                 if self._names is not None
                 else []
             )
@@ -338,47 +305,18 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
     # Refresh: hand the reassembled blocking artifacts to the session
     # ------------------------------------------------------------------
-    def _token_artifacts(self) -> dict[str, Any]:
-        """The purge decision and the kept token blocks, from the
-        maintained side sizes — exactly
-        :func:`~repro.blocking.purging.purge_blocks` over the assembled
-        collection, in the columnar form the cold stage produces."""
-        config = self.config
-        shared = self._tokens.shared_counts()
-        if config.purge_token_blocks:
-            kept, report = purge_decision_from_sizes(
-                shared,
-                gain_factor=config.purging_gain_factor,
-                max_cardinality=config.purging_max_cardinality,
-            )
-        else:
-            kept, report = set(shared), None
-        blocks = PackedBlockCollection.from_collection(
-            self._tokens.assemble(keep=kept)
+    def _name_artifacts(self) -> dict[str, Any]:
+        """The name-blocking artifacts from the maintained table — or
+        nothing when a delta moved a side's discovered name attributes:
+        every name key of that side is then suspect, so the stage itself
+        is left to run and its fresh table is adopted afterwards."""
+        attributes = tuple(
+            top_name_attributes(kb, self.config.name_attributes)
+            for kb in self.kbs
         )
-        return {"token_blocks": blocks, "purging_report": report}
-
-    def _name_artifacts(self, engine) -> dict[str, Any]:
-        """The name blocks and attributes — or nothing when a delta moved
-        a side's discovered name attributes: every name key of that side
-        is then suspect, so the side is re-keyed wholesale for later
-        deltas and the stage itself is left to run."""
-        moved = False
-        for side, kb in enumerate(self.kbs, start=1):
-            attributes = top_name_attributes(kb, self.config.name_attributes)
-            if attributes != self._name_attrs[side - 1]:
-                self._name_attrs[side - 1] = attributes
-                self._names.load_side(
-                    side, entity_key_rows(kb, self._name_keys(side), engine)
-                )
-                moved = True
-        if moved:
+        if attributes != self._name_attrs:
             return {}
-        return {
-            "name_blocks": self._names.assemble(),
-            "name_attributes1": self._name_attrs[0],
-            "name_attributes2": self._name_attrs[1],
-        }
+        return NameBlockingStage.artifacts(self._names, *attributes)
 
     def _run(self) -> "PipelineContext":
         """Run (or cache-restore) the session's graph, mirroring the
@@ -389,19 +327,15 @@ class IncrementalMatcher:
         )
         return ctx
 
-    def refresh(self, engine=None) -> bool:
+    def refresh(self) -> bool:
         """Propagate pending deltas: reassemble the blocking artifacts,
         seed them into the invalidated session and run it.
 
         Returns True when anything was pending (:attr:`last_context` is
-        then current).  Called by :meth:`match`; ``engine`` serves a
-        wholesale name re-key and defaults to one built from the config.
+        then current).  Called by :meth:`match`.
         """
         if not self._pending:
             return False
-        if engine is None:
-            with self._engine() as owned:
-                return self.refresh(owned)
         with activate(self.telemetry) as telemetry:
             span = partial(
                 telemetry.tracer.span, category="stage", args={"delta": True}
@@ -410,15 +344,18 @@ class IncrementalMatcher:
             seconds: dict[str, float] = {}
             if self._names is not None:
                 with span("name_blocking") as timed:
-                    seeds.update(self._name_artifacts(engine))
+                    seeds.update(self._name_artifacts())
                 seconds["name_blocking"] = timed.seconds
             with span("token_blocking") as timed:
-                seeds.update(self._token_artifacts())
+                seeds.update(
+                    TokenBlockingStage.artifacts(self._tokens, self.config)
+                )
             seconds["token_blocking"] = timed.seconds
             self.session.invalidate("kb1")  # accepts the new KB versions
             self.session.seed_cache(seeds)
             self._pending = False
             ctx = self._run()
+            self._adopt_tables(ctx)
             for stage, elapsed in seconds.items():
                 # The blocking keys carry the assembly (beside the restore).
                 ctx.record_stage(

@@ -315,29 +315,17 @@ class MatchSession:
 
         Runs the pipeline under the session config first (free when the
         artifacts are already cached), then writes a ``repro-snapshot/1``
-        directory (see :mod:`repro.store`): KB columns, full blocking
-        placements, both packed similarity indices, top-neighbor sets,
-        decision artifacts and the run's ``context_digests``.  Only the
-        default stage composition is snapshotable.
+        directory (see :mod:`repro.store`): KB columns, the rows of the
+        blocking stages' placement tables (no entity is keyed again), both
+        packed similarity indices, top-neighbor sets, decision artifacts
+        and the run's ``context_digests``.  Only the default stage
+        composition is snapshotable.
         """
-        from ..engine.blocking import placement_rows
-        from ..kb.tokenizer import Tokenizer
         from ..store import validate_snapshotable_graph, write_session_snapshot
 
-        has_names = validate_snapshotable_graph(self.graph)
-        ctx = self.run_context()
-        token_rows, name_rows = placement_rows(
-            (self.kb1, self.kb2),
-            Tokenizer(
-                min_length=self.config.min_token_length,
-                include_uri_localnames=self.config.include_uri_localnames,
-            ),
-            (ctx.get("name_attributes1"), ctx.get("name_attributes2"))
-            if has_names
-            else None,
-        )
+        validate_snapshotable_graph(self.graph)
         return write_session_snapshot(
-            path, ctx, list(self.graph.names()), token_rows, name_rows
+            path, self.run_context(), list(self.graph.names())
         )
 
     @classmethod

@@ -6,8 +6,10 @@ pluggable stages over the artifact store:
 ====================  =========  ==============================================
 stage                 group      provides
 ====================  =========  ==============================================
-``name_blocking``     blocking   ``name_blocks``, ``name_attributes1/2``
-``token_blocking``    blocking   ``token_blocks``, ``purging_report``
+``name_blocking``     blocking   ``name_blocks``, ``name_attributes1/2``,
+                                 ``name_placements``
+``token_blocking``    blocking   ``token_blocks``, ``purging_report``,
+                                 ``token_placements``
 ``value_index``       indexing   ``value_index``
 ``neighbor_index``    indexing   ``neighbor_index``, ``top_relations1/2``,
                                  ``top_neighbors1/2``
@@ -26,29 +28,24 @@ inherits the engine's bit-identical-across-executors contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..blocking.name_blocking import names_from_attributes
+from ..blocking.name_blocking import name_keys, names_from_attributes
+from ..blocking.placements import PlacementTable
 from ..blocking.purging import purge_decision_from_sizes
 from ..core.candidates import CandidateIndex
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
     h1_name_matches,
+    h2_value_matches,
     h4_reciprocity_filter,
 )
 from ..core.neighbors import top_neighbors
 from ..core.statistics import top_name_attributes, top_relations
-from ..engine.blocking import (
-    assemble_packed_blocks,
-    name_blocking_engine,
-    packed_token_placements,
-    shared_side_sizes,
-)
-from ..engine.matching import (
-    h2_value_matches_engine,
-    h3_rank_aggregation_matches_engine,
-)
+from ..engine.blocking import KeysOf, entity_key_rows, token_keys
+from ..engine.matching import h3_rank_aggregation_matches_engine
 from ..engine.similarity import build_neighbor_index, build_value_index
 from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import current as current_telemetry
@@ -64,46 +61,75 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 # Blocking stages
 # ----------------------------------------------------------------------
 class NameBlockingStage(Stage):
-    """Discover name attributes per KB and build ``BN``."""
+    """Discover name attributes per KB and build ``BN``.
+
+    Keys every entity once (its normalized names under its side's name
+    attributes) into the ``name_placements`` table and assembles the
+    blocks from it.
+    """
 
     name = "name_blocking"
     group = "blocking"
-    provides = ("name_blocks", "name_attributes1", "name_attributes2")
+    provides = (
+        "name_blocks",
+        "name_attributes1",
+        "name_attributes2",
+        "name_placements",
+    )
     config_fields = ("name_attributes",)
+
+    @staticmethod
+    def keyer(attributes: Sequence[str]) -> KeysOf:
+        """An entity's name keys under one side's name attributes."""
+        return partial(name_keys, extractor=names_from_attributes(attributes))
+
+    @staticmethod
+    def artifacts(
+        table: PlacementTable,
+        attributes1: list[str],
+        attributes2: list[str],
+    ) -> dict[str, Any]:
+        """The stage's artifacts from a name table keyed under the given
+        attributes (a cold run's, or one a delta maintained)."""
+        return {
+            "name_blocks": table.assemble(),
+            "name_attributes1": attributes1,
+            "name_attributes2": attributes2,
+            "name_placements": table,
+        }
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
         k = ctx.config.name_attributes
-        names1 = top_name_attributes(ctx.kb1, k)
-        names2 = top_name_attributes(ctx.kb2, k)
-        blocks = name_blocking_engine(
-            ctx.kb1,
-            ctx.kb2,
-            names_from_attributes(names1),
-            names_from_attributes(names2),
-            engine,
+        names = (top_name_attributes(ctx.kb1, k), top_name_attributes(ctx.kb2, k))
+        table = PlacementTable(
+            "BN",
+            tuple(
+                entity_key_rows(kb, self.keyer(attributes), engine)
+                for kb, attributes in zip((ctx.kb1, ctx.kb2), names)
+            ),
         )
+        artifacts = self.artifacts(table, *names)
         current_telemetry().metrics.counter(
             "blocking.name_blocks_built"
-        ).inc(len(blocks))
-        ctx.put("name_blocks", blocks, producer=self.name)
-        ctx.put("name_attributes1", names1, producer=self.name)
-        ctx.put("name_attributes2", names2, producer=self.name)
+        ).inc(len(artifacts["name_blocks"]))
+        for key, value in artifacts.items():
+            ctx.put(key, value, producer=self.name)
 
 
 class TokenBlockingStage(Stage):
     """Build ``BT`` and apply Block Purging when configured.
 
-    Runs on the packed (id-column) blocking path: workers emit token ->
-    entity-id columns, the purging decision is taken from the side sizes
-    alone, and only the surviving blocks are sorted/grouped into a
-    :class:`~repro.blocking.packed.PackedBlockCollection` — whose
-    string-keyed view (and with it every downstream digest) equals the
-    previous string-set construction block-for-block.
+    Keys every entity once (its distinct tokens) into the
+    ``token_placements`` table, takes the purging decision from the
+    table's side sizes alone, and assembles only the surviving blocks
+    into a :class:`~repro.blocking.packed.PackedBlockCollection` — whose
+    string-keyed view equals ``purge_blocks(token_blocking(...))`` block
+    for block.
     """
 
     name = "token_blocking"
     group = "blocking"
-    provides = ("token_blocks", "purging_report")
+    provides = ("token_blocks", "purging_report", "token_placements")
     config_fields = (
         "min_token_length",
         "include_uri_localnames",
@@ -112,33 +138,51 @@ class TokenBlockingStage(Stage):
         "purging_max_cardinality",
     )
 
-    def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        config = ctx.config
-        tokenizer = Tokenizer(
-            min_length=config.min_token_length,
-            include_uri_localnames=config.include_uri_localnames,
+    @staticmethod
+    def keyer(config) -> KeysOf:
+        """An entity's token keys under the config's tokenizer."""
+        return partial(
+            token_keys,
+            tokenizer=Tokenizer(
+                min_length=config.min_token_length,
+                include_uri_localnames=config.include_uri_localnames,
+            ),
         )
-        side1, side2, interner1, interner2 = packed_token_placements(
-            ctx.kb1, ctx.kb2, tokenizer, engine
-        )
-        sizes = shared_side_sizes(side1, side2)
+
+    @staticmethod
+    def artifacts(table: PlacementTable, config) -> dict[str, Any]:
+        """The stage's artifacts from a token table: the purge decision
+        from its side sizes, then the kept blocks (a cold run's, or what
+        a delta reassembles from a maintained table)."""
+        kept = report = None
         if config.purge_token_blocks:
             kept, report = purge_decision_from_sizes(
-                sizes,
+                table.shared_counts(),
                 gain_factor=config.purging_gain_factor,
                 max_cardinality=config.purging_max_cardinality,
             )
-        else:
-            kept, report = set(sizes), None
-        blocks = assemble_packed_blocks(
-            side1, side2, interner1, interner2, keep=kept
+        return {
+            "token_blocks": table.assemble(keep=kept),
+            "purging_report": report,
+            "token_placements": table,
+        }
+
+    def run(self, ctx: PipelineContext, engine: "Executor") -> None:
+        keyer = self.keyer(ctx.config)
+        table = PlacementTable(
+            "BT",
+            tuple(entity_key_rows(kb, keyer, engine) for kb in (ctx.kb1, ctx.kb2)),
         )
+        artifacts = self.artifacts(table, ctx.config)
+        report = artifacts["purging_report"]
         metrics = current_telemetry().metrics
-        metrics.counter("blocking.token_blocks_built").inc(len(blocks))
+        metrics.counter("blocking.token_blocks_built").inc(
+            len(artifacts["token_blocks"])
+        )
         if report is not None:
             metrics.counter("blocking.purged_keys").inc(report.purged_blocks)
-        ctx.put("token_blocks", blocks, producer=self.name)
-        ctx.put("purging_report", report, producer=self.name)
+        for key, value in artifacts.items():
+            ctx.put(key, value, producer=self.name)
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +319,7 @@ class H2ValueHeuristic(Heuristic):
     requires = ("value_index",)
 
     def produce(self, ctx, registry, engine):
-        return h2_value_matches_engine(
-            ctx.kb1.uris(), ctx.get("value_index"), registry, engine
-        )
+        return h2_value_matches(ctx.kb1.uris(), ctx.get("value_index"), registry)
 
 
 @HEURISTICS.register("h3")

@@ -8,9 +8,10 @@ uses:
   part of the contract), deduplicated predicate/value string tables and
   flat per-entity pair columns;
 - full **blocking placements** per side (entity -> key ids as CSR over
-  one sorted key column) — *full* meaning purged and one-sided keys
-  included, which is what delta maintenance needs — plus the surviving
-  (kept) key ids and the purging report;
+  one sorted key column): the rows of the placement tables the blocking
+  stages published — *full* meaning purged and one-sided keys included,
+  which is what delta maintenance needs — plus the surviving (kept) key
+  ids and the purging report;
 - both **similarity indices** as interner URI columns plus their two
   in-memory pair columns as they are (``int64`` packed keys strictly
   ascending, ``float64`` similarities); a load wraps the restored
@@ -23,9 +24,13 @@ uses:
   round-trip exactly, and the digests make a warm start *provably*
   bit-identical to the cold run that wrote them.
 
-Loading reconstructs every artifact through the same constructors the
-batch pipeline uses (``from_packed_columns``, ``DeltaBlockIndex.assemble``),
-so a restored session's artifacts digest-equal the saved ones.
+Saving keys no entity: the placement rows are read off the tables in
+the context.  Loading rebuilds those tables and reconstructs every
+artifact through the same constructors the batch pipeline uses
+(``from_packed_columns``, ``PlacementTable.assemble``), so a restored
+session's artifacts — its packed token blocks included — digest-equal
+the saved ones, and the tables are seeded beside them for the
+incremental matcher to adopt.
 """
 
 from __future__ import annotations
@@ -35,16 +40,15 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from ..blocking.placements import KeyRows, PlacementTable
 from ..blocking.purging import PurgingReport
 from ..core.candidates import CandidateIndex
 from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
-from ..engine.blocking import KeyRows
 from ..ids import EntityInterner
 from ..ids.arrays import array_copy, packed_keys_valid
-from ..incremental.blocks import DeltaBlockIndex
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
 from ..obs.runtime import current as current_telemetry
@@ -56,6 +60,7 @@ from ..pipeline.digest import (
     context_digests,
     rows_digest,
 )
+from ..pipeline.stages import NameBlockingStage
 from .snapshot import Snapshot, SnapshotError, SnapshotWriter
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -253,12 +258,11 @@ def _matches_from_json(rows: list[list]) -> list[Match]:
 # ----------------------------------------------------------------------
 # Writing one bootstrapped state
 # ----------------------------------------------------------------------
-def validate_snapshotable_graph(graph) -> bool:
+def validate_snapshotable_graph(graph) -> None:
     """Check the composition can be described by ``repro-snapshot/1``.
 
-    Returns whether name blocking is part of the graph; raises
-    :class:`SnapshotError` for custom stages or an explicit heuristic
-    sequence (their artifacts have no schema slots).
+    Raises :class:`SnapshotError` for custom stages or an explicit
+    heuristic sequence (their artifacts have no schema slots).
     """
     names = set(graph.names())
     unsupported = sorted(names - SNAPSHOTTABLE_STAGES)
@@ -273,25 +277,23 @@ def validate_snapshotable_graph(graph) -> bool:
             "explicit heuristic sequences are not snapshotable; compose "
             "via the config's enable_h* flags instead"
         )
-    return "name_blocking" in names
 
 
 def write_session_snapshot(
-    path: str | Path,
-    ctx: PipelineContext,
-    graph_names: list[str],
-    token_rows: tuple[KeyRows, KeyRows],
-    name_rows: tuple[KeyRows, KeyRows] | None,
+    path: str | Path, ctx: PipelineContext, graph_names: list[str]
 ) -> Path:
     """Serialize one finished run (see module docstring): the KBs, config
     and artifacts of ``ctx`` — the top-neighbor sets included, as the
-    neighbor-index stage published them — plus the full placement rows.
+    neighbor-index stage published them — plus the rows of its placement
+    tables.
 
     Crash-atomic: everything stages into a ``<path>.tmp`` sibling and an
     error at any point aborts the staging directory, leaving whatever
     snapshot already lived at ``path`` untouched and loadable.
     """
     kb1, kb2, config = ctx.kb1, ctx.kb2, ctx.config
+    uris = (kb1.uris(), kb2.uris())
+    names = ctx.get_or("name_placements")
     tracer = current_telemetry().tracer
     with tracer.span("store.save", category="store"):
         with tracer.span("store.digest", category="store"):
@@ -302,14 +304,16 @@ def write_session_snapshot(
                 _pack_kb(writer, "kb1", kb1)
                 _pack_kb(writer, "kb2", kb2)
 
-                token_key_ids = _pack_placements(writer, "tokens", token_rows)
+                token_key_ids = _pack_placements(
+                    writer, "tokens", ctx.get("token_placements").rows(uris)
+                )
                 kept = ctx.get("token_blocks").keys()
                 writer.add_array(
                     "tokens_kept",
                     array("i", sorted(token_key_ids[key] for key in kept)),
                 )
-                if name_rows is not None:
-                    _pack_placements(writer, "names", name_rows)
+                if names is not None:
+                    _pack_placements(writer, "names", names.rows(uris))
 
                 _pack_index(writer, "value", ctx.get("value_index"))
                 _pack_index(writer, "neighbor", ctx.get("neighbor_index"))
@@ -323,7 +327,7 @@ def write_session_snapshot(
 
                 writer.add_json("config", asdict(config))
                 writer.add_json("graph_stages", list(graph_names))
-                writer.add_json("has_names", name_rows is not None)
+                writer.add_json("has_names", names is not None)
                 report = ctx.get_or("purging_report")
                 writer.add_json(
                     "purging_report", None if report is None else asdict(report)
@@ -354,11 +358,9 @@ class RestoredState:
     """Everything a warm restart rebuilds from one snapshot."""
 
     session: "MatchSession"
-    #: Full stage artifacts, keyed like the pipeline context.
+    #: Full stage artifacts, keyed like the pipeline context (the
+    #: placement tables included).
     artifacts: dict[str, Any]
-    #: Delta-maintainable blocking placements (full, pre-purge).
-    tokens: DeltaBlockIndex
-    names: DeltaBlockIndex | None
     #: The save-time ``context_digests`` (the bit-identity witness).
     digests: dict[str, str]
 
@@ -424,15 +426,12 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
 
     uris_pair = (kb1.uris(), kb2.uris())
     with tracer.span("store.load.placements", category="store"):
-        _, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
-        tokens = DeltaBlockIndex.from_rows("BT", token_rows)
-        token_keys = snapshot.strings("tokens_keys")
+        token_keys, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
+        tokens = PlacementTable("BT", token_rows)
         kept_keys = {token_keys[i] for i in snapshot.array("tokens_kept")}
-
-        names = None
         if has_names:
             _, name_rows = _unpack_placements(snapshot, "names", uris_pair)
-            names = DeltaBlockIndex.from_rows("BN", name_rows)
+            names = PlacementTable("BN", name_rows)
 
     with tracer.span("store.load.indices", category="store"):
         value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
@@ -441,6 +440,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     report_json = snapshot.json("purging_report")
     artifacts: dict[str, Any] = {
         "token_blocks": tokens.assemble(keep=kept_keys),
+        "token_placements": tokens,
         "purging_report": (
             None if report_json is None else PurgingReport(**report_json)
         ),
@@ -462,9 +462,13 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         ),
     }
     if has_names:
-        artifacts["name_blocks"] = names.assemble()
-        artifacts["name_attributes1"] = snapshot.json("name_attributes1")
-        artifacts["name_attributes2"] = snapshot.json("name_attributes2")
+        artifacts.update(
+            NameBlockingStage.artifacts(
+                names,
+                snapshot.json("name_attributes1"),
+                snapshot.json("name_attributes2"),
+            )
+        )
     for key in ("matches", "pre_h4_matches", "discarded_by_h4"):
         artifacts[key] = _matches_from_json(snapshot.json(key))
 
@@ -476,8 +480,6 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     return RestoredState(
         session=session,
         artifacts=artifacts,
-        tokens=tokens,
-        names=names,
         digests=dict(snapshot.json("digests")),
     )
 

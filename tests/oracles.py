@@ -5,7 +5,7 @@ of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
 """
 
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.blocking.base import Block
 from repro.core.candidates import CandidateLists
@@ -14,6 +14,30 @@ from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
 
 PairSums = dict[Pair, float]
+T = TypeVar("T")
+
+
+def hash_partitions(
+    items: Iterable[T], n_partitions: int, key: Callable[[T], str]
+) -> list[list[T]]:
+    """Assign each item to ``stable_hash(key(item)) % n_partitions``.
+
+    Items keep their relative input order within a shard: the shard
+    layout the string-keyed reference accumulations below fold over.
+    """
+    if n_partitions < 1:
+        raise ValueError("n_partitions must be >= 1")
+    shards: list[list[T]] = [[] for _ in range(n_partitions)]
+    for item in items:
+        shards[stable_hash(key(item)) % n_partitions].append(item)
+    return shards
+
+
+def block_shards(blocks: Iterable[Block], n_partitions: int) -> list[list[Block]]:
+    """Blocks sorted by key, then hash-sharded by key (the valueSim
+    reference layout)."""
+    ordered = sorted(blocks, key=lambda block: block.key)
+    return hash_partitions(ordered, n_partitions, key=lambda block: block.key)
 
 
 def value_pair_key(pair: Pair) -> str:

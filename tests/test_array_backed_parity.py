@@ -22,17 +22,17 @@ from repro.core import MinoanER, MinoanERConfig
 from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
 from repro.core.similarity import ValueSimilarityIndex, block_token_weight
 from repro.core.statistics import top_relations
-from repro.engine import (
-    build_neighbor_index,
-    build_value_index,
-    hash_partitions,
-    partition_blocks,
-    partition_count,
-)
+from repro.engine import build_neighbor_index, build_value_index, partition_count
 from repro.ids.arrays import numpy_enabled
 from repro.kb.io_ntriples import read_ntriples
 
-from oracles import _value_partial, merge_pair_sums, value_pair_key
+from oracles import (
+    _value_partial,
+    block_shards,
+    hash_partitions,
+    merge_pair_sums,
+    value_pair_key,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,7 +55,7 @@ def reference_value_scan(token_blocks):
 def reference_value_engine(token_blocks):
     """The pre-refactor engine build: sharded string-keyed partials."""
     merged = {}
-    for shard in partition_blocks(token_blocks):
+    for shard in block_shards(token_blocks, partition_count(len(token_blocks))):
         merged = merge_pair_sums(merged, _value_partial(shard))
     return merged
 

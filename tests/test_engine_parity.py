@@ -11,16 +11,14 @@ profiles plus hand-built KBs.
 import pytest
 
 from repro import MinoanER, MinoanERConfig
-from repro.blocking import names_from_attributes, token_blocking
-from repro.core import top_name_attributes
-from repro.datasets import PROFILE_ORDER, generate_benchmark
-from repro.engine import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    name_blocking_engine,
-    token_blocking_engine,
+from repro.blocking import (
+    name_blocking,
+    names_from_attributes,
+    purge_blocks,
+    token_blocking,
 )
+from repro.datasets import PROFILE_ORDER, generate_benchmark
+from repro.engine import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.kb import Tokenizer
 
 PARITY_SCALE = 0.08
@@ -82,12 +80,18 @@ class TestPipelineParity:
 
 
 class TestBlockCollectionParity:
+    """The blocking stages (entities keyed into a placement table, blocks
+    assembled from it) against the serial string-keyed builders."""
+
     def test_engine_blocking_matches_legacy_content(self, dataset):
-        legacy = token_blocking(dataset.kb1, dataset.kb2, Tokenizer())
+        legacy, legacy_report = purge_blocks(
+            token_blocking(dataset.kb1, dataset.kb2, Tokenizer())
+        )
         with ThreadExecutor(4) as executor:
-            parallel = token_blocking_engine(
-                dataset.kb1, dataset.kb2, Tokenizer(), executor
+            parallel, report = MinoanER().build_token_blocks(
+                dataset.kb1, dataset.kb2, executor
             )
+        assert report == legacy_report
         assert set(parallel.keys()) == set(legacy.keys())
         for block in legacy:
             other = parallel[block.key]
@@ -96,28 +100,33 @@ class TestBlockCollectionParity:
 
     def test_engine_block_keys_sorted(self, dataset):
         with SerialExecutor() as executor:
-            blocks = token_blocking_engine(
-                dataset.kb1, dataset.kb2, Tokenizer(), executor
+            blocks, _ = MinoanER().build_token_blocks(
+                dataset.kb1, dataset.kb2, executor
             )
         assert blocks.keys() == sorted(blocks.keys())
 
     def test_name_blocking_parity_across_executors(self, dataset):
-        extractor1 = names_from_attributes(top_name_attributes(dataset.kb1, 2))
-        extractor2 = names_from_attributes(top_name_attributes(dataset.kb2, 2))
         collections = []
         for executor in (SerialExecutor(), ThreadExecutor(4), ProcessExecutor(4)):
             with executor:
                 collections.append(
-                    name_blocking_engine(
-                        dataset.kb1, dataset.kb2, extractor1, extractor2, executor
+                    MinoanER().build_name_blocks(
+                        dataset.kb1, dataset.kb2, executor
                     )
                 )
-        reference = collections[0]
-        for other in collections[1:]:
-            assert other.keys() == reference.keys()
+        _, attributes1, attributes2 = collections[0]
+        reference = name_blocking(
+            dataset.kb1,
+            dataset.kb2,
+            names_from_attributes(attributes1),
+            names_from_attributes(attributes2),
+        )
+        for blocks, *attributes in collections:
+            assert attributes == [attributes1, attributes2]
+            assert blocks.keys() == sorted(reference.keys())
             for block in reference:
-                assert other[block.key].entities1 == block.entities1
-                assert other[block.key].entities2 == block.entities2
+                assert blocks[block.key].entities1 == block.entities1
+                assert blocks[block.key].entities2 == block.entities2
 
 
 class TestIndexParity:

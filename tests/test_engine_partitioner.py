@@ -1,24 +1,15 @@
-"""Unit tests for the deterministic partition layouts."""
+"""Unit tests for the deterministic partition layouts.
+
+``hash_partitions`` is the reference shard layout of the parity tests'
+string-keyed accumulations (``tests/oracles.py``); the engine itself
+only chunks and hashes keys.
+"""
 
 import pytest
 
-from repro.blocking import token_blocking
-from repro.engine import (
-    chunk_evenly,
-    hash_partitions,
-    partition_blocks,
-    partition_count,
-    partition_entities,
-    stable_hash,
-)
-from repro.kb import KnowledgeBase
+from repro.engine import chunk_evenly, partition_count, stable_hash
 
-
-def make_kb(n=10):
-    kb = KnowledgeBase("A")
-    for index in range(n):
-        kb.new_entity(f"e{index}").add_literal("name", f"entity number {index}")
-    return kb
+from oracles import hash_partitions
 
 
 class TestStableHash:
@@ -92,21 +83,3 @@ class TestChunkEvenly:
 
     def test_empty_sequence(self):
         assert chunk_evenly([], 3) == []
-
-
-class TestDataPartitioners:
-    def test_partition_entities_covers_kb(self):
-        kb = make_kb(20)
-        shards = partition_entities(kb, 4)
-        uris = sorted(e.uri for shard in shards for e in shard)
-        assert uris == sorted(kb.uris())
-
-    def test_partition_blocks_sorted_within_shards(self):
-        kb1, kb2 = make_kb(30), make_kb(30)
-        blocks = token_blocking(kb1, kb2)
-        shards = partition_blocks(blocks, 3)
-        for shard in shards:
-            keys = [block.key for block in shard]
-            assert keys == sorted(keys)
-        all_keys = sorted(b.key for shard in shards for b in shard)
-        assert all_keys == sorted(blocks.keys())

@@ -1,16 +1,18 @@
 """Unit tests for the incremental subsystem's building blocks.
 
 The end-to-end parity contract lives in ``test_incremental_parity.py``;
-here each piece is exercised in isolation: the delta block index, the
-shard-then-merge float order of the batch index builders,
-stale-session detection with the explicit ``invalidate`` API, and the
-matcher's graph validation, delta validation and bookkeeping.
+here each piece is exercised in isolation: the shard-then-merge float
+order of the batch index builders, stale-session detection with the
+explicit ``invalidate`` API, and the matcher's graph validation, delta
+validation and bookkeeping.  (The placement table the matcher maintains
+is tested beside the packed blocks it assembles, in
+``test_packed_blocking.py``.)
 """
 
 import pytest
 
 from repro.core import MinoanER, MinoanERConfig
-from repro.incremental import DeltaBlockIndex, IncrementalMatcher
+from repro.incremental import IncrementalMatcher
 from repro.kb import KnowledgeBase
 from repro.kb.entity import EntityDescription
 from repro.blocking.base import Block, BlockCollection
@@ -23,6 +25,7 @@ from repro.pipeline.stages import TokenBlockingStage
 
 from oracles import (
     _value_partial,
+    block_shards,
     merge_pair_sums,
     shard_merged_sum,
     value_pair_key,
@@ -64,42 +67,10 @@ class TestMutableKB:
 
 
 # ----------------------------------------------------------------------
-# DeltaBlockIndex
-# ----------------------------------------------------------------------
-class TestDeltaBlockIndex:
-    def test_add_remove_roundtrip_assembles_like_batch(self):
-        index = DeltaBlockIndex("BT")
-        index.load_side(1, [("a1", frozenset({"x", "y"}))])
-        index.load_side(2, [("b1", frozenset({"y", "z"}))])
-        index.add_entity(1, "a2", {"z", "y"})
-        blocks = index.assemble()
-        assert blocks.keys() == ["y", "z"]  # sorted, two-sided only
-        assert blocks["y"].entities1 == {"a1", "a2"}
-        index.remove_entity(1, "a2")
-        assert index.assemble().keys() == ["y"]
-
-    def test_re_adding_placed_entity_rejected(self):
-        index = DeltaBlockIndex("BT")
-        index.add_entity(1, "a1", {"x"})
-        with pytest.raises(ValueError, match="already placed"):
-            index.add_entity(1, "a1", {"y"})
-        assert index.entity_keys(1, "a1") == {"x"}  # untouched
-
-    def test_shared_counts_and_keep_filter(self):
-        index = DeltaBlockIndex("BT")
-        index.load_side(1, [("a1", frozenset({"x", "only1"}))])
-        index.load_side(2, [("b1", frozenset({"x"})), ("b2", frozenset({"x"}))])
-        assert index.shared_counts() == {"x": (1, 2)}
-        assert index.assemble(keep=set()).keys() == []
-
-
-# ----------------------------------------------------------------------
 # Shard-then-merge accumulation order of the batch builders
 # ----------------------------------------------------------------------
 class TestShardMergeOrder:
     def test_shard_merged_sum_replays_engine_accumulation(self):
-        from repro.engine.partitioner import partition_blocks
-
         blocks = BlockCollection("BT")
         # one shared pair across many singleton blocks, each contributing
         # arcs(1, 1) == 1.0 plus a varying tail via block "u"
@@ -108,7 +79,7 @@ class TestShardMergeOrder:
         blocks.add(Block("u", {"a1", "a2", "a3"}, {"b1", "b2"}))
         for n_shards in (1, 2, 3, 7):
             merged = {}
-            for shard in partition_blocks(blocks, n_shards):
+            for shard in block_shards(blocks, n_shards):
                 merged = merge_pair_sums(merged, _value_partial(shard))
             contributions = sorted(
                 (

@@ -21,16 +21,15 @@ import pytest
 from repro.core import MinoanER, MinoanERConfig
 from repro.core.statistics import top_relations
 from repro.datasets import generate_benchmark, query_stream
+from repro.blocking import PlacementTable
 from repro.blocking.purging import purge_decision_from_sizes
-from repro.engine import (
-    create_executor,
-    packed_token_placements,
-    shared_side_sizes,
-)
+from repro.engine import create_executor
+from repro.engine.blocking import entity_key_rows
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
 from repro.pipeline import context_digests, default_graph
 from repro.pipeline.context import PipelineContext
+from repro.pipeline.stages import TokenBlockingStage
 from repro.serve import ResolutionDaemon, ServingState, parse_delta
 from repro.serve import handlers
 from repro.serve.json_codec import entity_to_dict
@@ -102,8 +101,9 @@ class Replay:
         maintained = counter_gain(
             before["delta_updated"], after["delta_updated"]
         )
-        # Name keys are re-extracted wholesale only when the discovered
-        # name attributes moved; token placements never are.
+        # The name stage re-runs (keying both sides afresh) only when
+        # the discovered name attributes moved; token placements never
+        # are re-keyed.
         rekeyed = rebuilt.pop("name_blocking", 0)
         assert bool(rekeyed) == (self.name_attributes() != names_before)
         assert rebuilt == REBUILT
@@ -146,8 +146,10 @@ def holders_of_lowest_top_relation(kb, config):
 def flooding_batch(kb1, kb2, config):
     """The fewest crafted KB1 entities that push a kept block over the
     purge cut, found by replaying the purge arithmetic on grown sizes."""
-    side1, side2, _, _ = packed_token_placements(kb1, kb2)
-    sizes = shared_side_sizes(side1, side2)
+    keyer = TokenBlockingStage.keyer(config)
+    sizes = PlacementTable(
+        "BT", tuple(entity_key_rows(kb, keyer) for kb in (kb1, kb2))
+    ).shared_counts()
     kept, _ = purge_decision_from_sizes(sizes, config.purging_gain_factor)
     heaviest = sorted(
         kept, key=lambda key: (-sizes[key][0] * sizes[key][1], key)

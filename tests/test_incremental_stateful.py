@@ -10,7 +10,9 @@ drives that state with generated adds and removes on either side
 top-relation ranking, the discovered name attributes and the purge cut,
 and with ``save`` → ``from_snapshot`` swapping the matcher under test;
 after every ``match`` the artifact digests and the published
-top-neighbor sets must equal a cold run on the model KBs.
+top-neighbor sets must equal a cold run on the model KBs, and after every
+rule the matcher's placement tables must hold the rows the cold blocking
+stages key on the model KBs.
 
 ``HYPOTHESIS_PROFILE=dev`` widens the search (see ``docs/TESTING.md``).
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import MinoanER, MinoanERConfig
 from repro.core.neighbors import top_neighbors
@@ -34,11 +36,12 @@ from repro.core.statistics import (
     top_relations,
 )
 from repro.datasets import generate_benchmark
-from repro.engine import create_executor
+from repro.engine import SerialExecutor, create_executor
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
 from repro.pipeline import context_digests, default_graph
 from repro.pipeline.context import PipelineContext
+from repro.pipeline.stages import NameBlockingStage, TokenBlockingStage
 
 from test_incremental_refresh import (
     crafted,
@@ -182,6 +185,28 @@ class IncrementalMachine(RuleBasedStateMachine):
         self.matcher = IncrementalMatcher.from_snapshot(path, mode=mode)
         self.match()
         assert not self.matcher.counters()["recomputed"]  # a pure restore
+
+    @invariant()
+    def tables_equal_cold(self):
+        """Token placements follow every delta at once; name placements
+        too, unless a pending delta moved the discovered name attributes
+        (the refresh then re-runs the stage and adopts its table)."""
+        cold = PipelineContext(self.model[0], self.model[1], CONFIG)
+        with SerialExecutor() as engine:
+            TokenBlockingStage().run(cold, engine)
+            NameBlockingStage().run(cold, engine)
+        uris = tuple(kb.uris() for kb in self.model)
+        matcher = self.matcher
+        assert matcher._tokens.rows(uris) == cold.get("token_placements").rows(
+            uris
+        )
+        attributes = (cold.get("name_attributes1"), cold.get("name_attributes2"))
+        if matcher._name_attrs == attributes:
+            assert matcher._names.rows(uris) == cold.get(
+                "name_placements"
+            ).rows(uris)
+        else:
+            assert matcher._pending
 
     @rule()
     def match(self):

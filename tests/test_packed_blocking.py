@@ -1,35 +1,41 @@
-"""Packed (id-column) token blocking and the packed H3 candidate gather.
+"""Blocking through the placement table, and the packed H3 gather.
 
-Both refactors ride on the same guarantee as PR 4's similarity core:
-the packed construction must equal the string-keyed reference — which
-stays in the tree as the executable specification — element for element,
-so every golden digest and parity harness passes unchanged.
+The blocking stages key every entity once into a
+:class:`~repro.blocking.placements.PlacementTable` and assemble packed
+blocks from it; the serial string-keyed builders (``token_blocking`` /
+``name_blocking`` + ``purge_blocks``) stay in the tree as the executable
+specification the stages must equal element for element — under every
+executor — so every golden digest and parity harness passes unchanged.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.blocking import PackedBlockCollection, purge_blocks
+from repro.blocking import (
+    PackedBlockCollection,
+    PlacementTable,
+    name_blocking,
+    names_from_attributes,
+    purge_blocks,
+    token_blocking,
+)
 from repro.core import MinoanER, MinoanERConfig
 from repro.core.candidates import CandidateIndex
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import (
     SerialExecutor,
-    assemble_packed_blocks,
     build_neighbor_index,
     build_value_index,
     create_executor,
-    packed_token_placements,
-    shared_side_sizes,
-    token_blocking_engine,
-    token_blocking_packed_engine,
 )
+from repro.engine.blocking import entity_key_rows
 from repro.engine.matching import _preload_candidate_lists
 from repro.blocking.purging import purge_decision_from_sizes
 from repro.kb.io_ntriples import read_ntriples
 from repro.kb.tokenizer import Tokenizer
+from repro.pipeline.stages import TokenBlockingStage
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,52 +57,78 @@ def collection_signature(blocks):
     }
 
 
+def token_table(kb1, kb2, config=MinoanERConfig()):
+    keyer = TokenBlockingStage.keyer(config)
+    return PlacementTable(
+        "BT", tuple(entity_key_rows(kb, keyer) for kb in (kb1, kb2))
+    )
+
+
 # ----------------------------------------------------------------------
-# Packed token blocking == string-keyed reference
+# The blocking stages == the serial string-keyed reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_name,workers", EXECUTORS)
 def test_packed_equals_string_engine(kbs, engine_name, workers):
+    """Both stages' blocks and the purge report, under every executor."""
     kb1, kb2 = kbs
+    matcher = MinoanER()
     with create_executor(engine_name, workers) as engine:
-        packed = token_blocking_packed_engine(kb1, kb2, engine=engine)
-        reference = token_blocking_engine(kb1, kb2, engine=engine)
-    assert packed.keys() == reference.keys()  # sorted key order included
-    assert collection_signature(packed) == collection_signature(reference)
+        tokens, report = matcher.build_token_blocks(kb1, kb2, engine)
+        names, attributes1, attributes2 = matcher.build_name_blocks(
+            kb1, kb2, engine
+        )
+    reference, reference_report = purge_blocks(token_blocking(kb1, kb2))
+    assert isinstance(tokens, PackedBlockCollection)
+    assert tokens.keys() == sorted(reference.keys())  # sorted key order
+    assert collection_signature(tokens) == collection_signature(reference)
+    assert report == reference_report
+
+    reference = name_blocking(
+        kb1,
+        kb2,
+        names_from_attributes(attributes1),
+        names_from_attributes(attributes2),
+    )
+    assert isinstance(names, PackedBlockCollection)
+    assert names.keys() == sorted(reference.keys())
+    assert collection_signature(names) == collection_signature(reference)
 
 
 @pytest.mark.parametrize(
-    "tokenizer",
+    "overrides,tokenizer",
     [
-        Tokenizer(),
-        Tokenizer(min_length=3),
-        Tokenizer(include_uri_localnames=True),
+        ({}, Tokenizer()),
+        ({"min_token_length": 3}, Tokenizer(min_length=3)),
+        (
+            {"include_uri_localnames": True},
+            Tokenizer(include_uri_localnames=True),
+        ),
     ],
     ids=["default", "min3", "localnames"],
 )
-def test_packed_equals_string_engine_tokenizer_variants(kbs, tokenizer):
+def test_packed_equals_string_engine_tokenizer_variants(kbs, overrides, tokenizer):
     kb1, kb2 = kbs
-    packed = token_blocking_packed_engine(kb1, kb2, tokenizer)
-    reference = token_blocking_engine(kb1, kb2, tokenizer)
+    config = MinoanERConfig(purge_token_blocks=False, **overrides)
+    packed, report = MinoanER(config).build_token_blocks(kb1, kb2)
+    reference = token_blocking(kb1, kb2, tokenizer)
+    assert report is None
     assert collection_signature(packed) == collection_signature(reference)
 
 
 def test_purge_from_sizes_equals_materialized_purge(kbs):
     kb1, kb2 = kbs
-    side1, side2, interner1, interner2 = packed_token_placements(kb1, kb2)
-    sizes = shared_side_sizes(side1, side2)
-    kept, report = purge_decision_from_sizes(sizes)
-    packed = assemble_packed_blocks(
-        side1, side2, interner1, interner2, keep=kept
-    )
+    table = token_table(kb1, kb2)
+    kept, report = purge_decision_from_sizes(table.shared_counts())
+    packed = table.assemble(keep=kept)
 
-    reference, reference_report = purge_blocks(token_blocking_engine(kb1, kb2))
+    reference, reference_report = purge_blocks(token_blocking(kb1, kb2))
     assert report == reference_report
     assert collection_signature(packed) == collection_signature(reference)
 
 
 def test_packed_csr_invariants(kbs):
     kb1, kb2 = kbs
-    packed = token_blocking_packed_engine(kb1, kb2)
+    packed = token_table(kb1, kb2).assemble()
     assert list(packed.block_keys) == sorted(packed.block_keys)
     interner1, interner2 = packed.interners()
     for row, key in enumerate(packed.block_keys):
@@ -115,10 +147,89 @@ def test_packed_csr_invariants(kbs):
 
 def test_from_collection_roundtrip(kbs):
     kb1, kb2 = kbs
-    reference = token_blocking_engine(kb1, kb2)
+    reference = token_blocking(kb1, kb2)
     packed = PackedBlockCollection.from_collection(reference)
     assert collection_signature(packed) == collection_signature(reference)
-    assert packed.keys() == reference.keys()
+    assert packed.keys() == sorted(reference.keys())
+    assert collection_signature(
+        token_table(kb1, kb2).assemble()
+    ) == collection_signature(packed)
+
+
+# ----------------------------------------------------------------------
+# The placement table
+# ----------------------------------------------------------------------
+class TestPlacementTable:
+    def test_add_remove_roundtrip_assembles_like_batch(self):
+        table = PlacementTable(
+            "BT",
+            ([("a1", frozenset({"x", "y"}))], [("b1", frozenset({"y", "z"}))]),
+        )
+        table.add_entity(1, "a2", {"z", "y"})
+        blocks = table.assemble()
+        assert blocks.keys() == ["y", "z"]  # sorted, two-sided only
+        assert blocks["y"].entities1 == {"a1", "a2"}
+        table.remove_entity(1, "a2")
+        assert table.assemble().keys() == ["y"]
+
+    def test_re_adding_placed_entity_rejected(self):
+        table = PlacementTable("BT")
+        table.add_entity(1, "a1", {"x"})
+        with pytest.raises(ValueError, match="already placed"):
+            table.add_entity(1, "a1", {"y"})
+        assert table.entity_keys(1, "a1") == {"x"}  # untouched
+
+    def test_shared_counts_and_keep_filter(self):
+        table = PlacementTable(
+            "BT",
+            (
+                [("a1", frozenset({"x", "only1"}))],
+                [("b1", frozenset({"x"})), ("b2", frozenset({"x"}))],
+            ),
+        )
+        assert table.shared_counts() == {"x": (1, 2)}
+        assert table.assemble(keep=set()).keys() == []
+
+    def test_keep_restricts_two_sided_keys_only(self):
+        table = PlacementTable(
+            "BT",
+            (
+                [("a1", frozenset({"x", "y", "only1"}))],
+                [("b1", frozenset({"x", "y"})), ("b2", frozenset({"y"}))],
+            ),
+        )
+        blocks = table.assemble(keep={"y", "only1", "absent"})
+        assert blocks.keys() == ["y"]  # a kept one-sided key forms no block
+        assert blocks["y"].entities2 == {"b1", "b2"}
+        assert blocks.interners()[0].uris() == ["a1"]
+        assert list(blocks.csr(2)[0]) == [0, 2]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((), ()), ([("a1", frozenset({"x"}))], ()), ((), [("b1", frozenset({"x"}))])],
+        ids=["empty", "side2-empty", "side1-empty"],
+    )
+    def test_empty_side_assembles_no_blocks(self, rows):
+        blocks = PlacementTable("BN", rows).assemble()
+        assert len(blocks) == 0 and blocks.name == "BN"
+        assert [len(interner) for interner in blocks.interners()] == [0, 0]
+        for side in (1, 2):
+            assert [list(column) for column in blocks.csr(side)] == [[0], []]
+
+    def test_rows_round_trip_and_blocks_never_alias(self):
+        rows = (
+            [("a1", frozenset({"x"})), ("a2", frozenset())],
+            [("b1", frozenset({"x", "z"}))],
+        )
+        table = PlacementTable("BT", rows)
+        uris = (["a2", "a1", "ghost"], ["b1"])
+        assert table.rows(uris) == (
+            [("a2", frozenset()), ("a1", frozenset({"x"})), ("ghost", frozenset())],
+            [("b1", frozenset({"x", "z"}))],
+        )
+        blocks = table.assemble()
+        table.add_entity(1, "a3", {"x"})
+        assert blocks["x"].entities1 == {"a1"}  # a copy, not the table's set
 
 
 def test_value_index_from_packed_collection_is_bit_identical(kbs):

@@ -12,15 +12,18 @@ loudly at load, never warp artifacts silently.
 import json
 import math
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.blocking import AttributeNameExtractor, PackedBlockCollection
 from repro.core import MinoanER, MinoanERConfig
 from repro.engine import create_executor
 from repro.ids import EntityInterner
 from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
+from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import MatchSession, context_digests, default_graph
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.digest import (
@@ -114,6 +117,40 @@ def test_loaded_session_replays_without_recomputing(tmp_path):
     ablated = loaded.match(theta=0.4)
     assert loaded.stage_runs.keys() <= {"candidates", "matching"}
     assert ablated.token_blocks is not None
+    # A restore assembles the packed blocks a cold run hands downstream.
+    assert isinstance(replay.token_blocks, PackedBlockCollection)
+    assert isinstance(replay.name_blocks, PackedBlockCollection)
+
+
+def test_each_entity_is_keyed_once(tmp_path, monkeypatch):
+    """``match()`` + ``save()`` + ``IncrementalMatcher`` adoption
+    tokenize and name-key every entity exactly once: the save writes the
+    placement tables the blocking stages published, and the matcher
+    adopts those very tables."""
+    keyed = {"tokens": Counter(), "names": Counter()}
+    token_set = Tokenizer.token_set
+    extract = AttributeNameExtractor.__call__
+
+    def counting_token_set(self, entity):
+        keyed["tokens"][entity.uri] += 1
+        return token_set(self, entity)
+
+    def counting_extract(self, entity):
+        keyed["names"][entity.uri] += 1
+        return extract(self, entity)
+
+    monkeypatch.setattr(Tokenizer, "token_set", counting_token_set)
+    monkeypatch.setattr(AttributeNameExtractor, "__call__", counting_extract)
+    kb1, kb2 = golden_kbs()
+    session = MatchSession(kb1, kb2)
+    session.match()
+    session.save(tmp_path / "snap")
+    matcher = IncrementalMatcher(session)
+    once = Counter(kb1.uris() + kb2.uris())
+    assert keyed == {"tokens": once, "names": once}
+    ctx = session.run_context()
+    assert matcher._tokens is ctx.get("token_placements")
+    assert matcher._names is ctx.get("name_placements")
 
 
 def test_verify_snapshot_passes_on_intact_directory(tmp_path):
