@@ -99,8 +99,7 @@ def counterpart_translation(
 
     Rows of ``side`` hold ids of the *other* side, each index in its own
     interner space; ``-1`` marks a candidate the value index never saw
-    (no value row contains it).  Only membership is translated, so
-    unsorted interners need no special case.
+    (no value row contains it).
     """
     value_ids = value_index.interners()[2 - side].ids_by_uri()
     neighbor_uris = neighbor_index.interners()[2 - side].uris()

@@ -25,7 +25,7 @@ published state:
    batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
-   of :class:`~repro.core.neighbors.NeighborSimilarityIndex`'s
+   of :func:`~repro.engine.similarity.build_neighbor_index`'s
    propagation, gathered and ranked by the same two primitives over a
    reverse top-neighbor CSR.
 5. **Apply H1–H4 online**, mirroring the batch heuristics for a record
@@ -175,11 +175,9 @@ class _ResolverTables:
     #: Side-2 CSR columns of the blocks.
     starts2: Sequence[int]
     ids2: Sequence[int]
-    #: Block-side-2 id -> candidate URI decode table.
+    #: Block-side-2 id -> candidate URI decode table (ids are URI order,
+    #: so the id doubles as the URI tie-break of the value ranking).
     uris2: list[str]
-    #: id -> lexicographic rank of ``uris2[id]``: the URI tie-break of
-    #: the value ranking, as an integer.
-    uri_rank2: array
     #: Normalized name keys carried by at least one KB1 entity.
     names1: frozenset[str] | None
     #: Normalized name key -> sole KB2 carrier (``None`` = ambiguous).
@@ -361,19 +359,12 @@ class OnlineResolver:
             rev_parents.extend(map(parent_ids.__getitem__, parents))
             rev_starts.append(len(rev_parents))
 
-        uris2 = blocks.interners()[1].uris()
-        uri_rank2 = array("q", bytes(8 * len(uris2)))
-        by_uri = sorted(range(len(uris2)), key=uris2.__getitem__)
-        for rank, entity_id in enumerate(by_uri):
-            uri_rank2[entity_id] = rank
-
         return _ResolverTables(
             block_keys=blocks.block_keys,
             blocks=blocks,
             starts2=starts2,
             ids2=ids2,
-            uris2=uris2,
-            uri_rank2=uri_rank2,
+            uris2=blocks.interners()[1].uris(),
             names1=names1,
             names2=names2,
             wanted1=frozenset(self._top_relations1),
@@ -452,10 +443,7 @@ class OnlineResolver:
         keys, sums = gathered_candidate_sums(
             tables.ids2, starts, stops, weights, bases
         )
-        # The uri rank makes the tie-break the (-score, uri) order.
-        bounds, ids, sums, ranked = ranked_groups(
-            keys, sums, len(pending), k, tables.uri_rank2
-        )
+        bounds, ids, sums, ranked = ranked_groups(keys, sums, len(pending), k)
         uris2 = tables.uris2
         for index, (position, record) in enumerate(pending):
             lo, hi = bounds[index], bounds[index + 1]

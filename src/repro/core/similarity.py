@@ -7,25 +7,24 @@ the entities containing ``t`` into block ``t``, the two block side sizes
 *are* the entity frequencies — the similarity "can be computed using
 exclusively block statistics (e.g. block size)", as the paper puts it.
 
-:class:`ValueSimilarityIndex` walks the (purged) token blocks once, adding
-each block's token weight to every pair it suggests.  This yields the exact
+:func:`~repro.engine.similarity.build_value_index` adds each (purged)
+token block's weight to every pair it suggests.  This yields the exact
 valueSim restricted to tokens that survived purging, for precisely the
 pairs co-occurring in some block — all other pairs have similarity zero.
 
 **Representation.**  Both KBs' URIs are interned to dense ``int32`` ids
-(:class:`~repro.ids.EntityInterner`, sorted so id order equals URI
-order) and every pair lives under one packed ``int64`` key
-(``id1 << 32 | id2``).  The pair map is **two parallel columns** — keys
-strictly ascending, ``float64`` similarities — the very buffers the
-vectorized kernels emit, the snapshot store writes and maps back, and
-the shared-memory arena publishes; there is no ``dict`` behind them.
-Point lookups bisect the key column, the per-entity ranked candidate
-lists are CSR-style offset+column arrays built from the columns in one
-pass, and ``packed_items()`` / ``pairs()`` are lazily built dict *views*
-for the reference constructors and tests.  The floats never depend on
-the container: every sum's addition order is fixed where it is folded
-(:func:`~repro.ids.arrays.sequential_unique_sums` or the stdlib dict
-accumulation).  See ``docs/PERFORMANCE.md``.
+(:class:`~repro.ids.EntityInterner`, whose id order is URI order) and
+every pair lives under one packed ``int64`` key (``id1 << 32 | id2``).
+The pair map is **two parallel columns** — keys strictly ascending,
+``float64`` similarities — the very buffers the row-owned kernels emit,
+the snapshot store writes and maps back, and the shared-memory arena
+publishes; there is no ``dict`` behind them, and
+:meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
+make an index.  Point lookups bisect the key column and the per-entity
+ranked candidate lists are CSR-style offset+column arrays built from
+the columns in one pass.  The floats never depend on the container:
+every sum's addition order is fixed where it is folded (the engine's
+row kernels).  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -34,12 +33,10 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache
 
-from ..blocking.base import BlockCollection
-from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..ids.arrays import array_copy, numpy_enabled, numpy_module, ranked_csr
+from ..ids import EntityInterner, PAIR_ID_BITS
+from ..ids.arrays import ranked_csr
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
-Pair = tuple[str, str]
 
 @lru_cache(maxsize=WEIGHT_CACHE_SHAPES)
 def block_token_weight(n_entities1: int, n_entities2: int) -> float:
@@ -64,28 +61,22 @@ class PackedSimilarityIndex:
     - ``_keys`` / ``_values``: the sparse pair map as two parallel
       columns — packed ``int64`` keys strictly ascending, ``float64``
       similarities — the single source of truth.  They are whatever
-      buffer the producer emitted: the kernels' NumPy arrays, the
-      stdlib builders' ``array('q')`` / ``array('d')``, or the
-      ``memoryview`` s of an mmap-loaded snapshot;
-    - per side, a CSR layout of the ranked candidate lists:
-      ``_starts`` (one offset per entity id, length ``n+1``), ``_cols``
-      (counterpart ids) and ``_sims`` (their similarities), rows ordered
-      best-first with the counterpart URI breaking ties.
+      buffer the producer emitted: the kernels' NumPy arrays or
+      ``array`` s, or the ``memoryview`` s of an mmap-loaded snapshot;
+    - per side, a CSR layout of the ranked candidate lists
+      (:func:`~repro.ids.arrays.ranked_csr`): ``_starts`` (one offset
+      per entity id, length ``n+1``), ``_cols`` (counterpart ids) and
+      ``_sims`` (their similarities), rows ordered best-first with the
+      counterpart URI breaking ties.
 
-    Every constructor ends in :meth:`_adopt_columns`; an index is never
-    mutated afterwards — a delta builds a new one — so whoever holds a
-    reference (a published serving generation) has a frozen view.
-    :meth:`packed_items` and :meth:`pairs` are lazily built dict *views*
-    for the reference constructors and tests; no production path
-    materialises them.
+    An index is never mutated after :meth:`from_packed_columns` — a
+    delta builds a new one — so whoever holds a reference (a published
+    serving generation) has a frozen view.
     """
 
     _interner1: EntityInterner
     _interner2: EntityInterner
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_packed_columns(
         cls,
@@ -100,122 +91,14 @@ class PackedSimilarityIndex:
         both are adopted as they are (no copy, any buffer-protocol
         sequence) and only the ranked rows are built.
         """
-        index = cls.__new__(cls)
-        index._adopt_columns(keys, sims, interner1, interner2)
+        index = cls()
+        index._interner1, index._interner2 = interner1, interner2
+        index._keys, index._values = keys, sims
+        (
+            index._starts1, index._cols1, index._sims1,
+            index._starts2, index._cols2, index._sims2,
+        ) = ranked_csr(keys, sims, len(interner1), len(interner2))
         return index
-
-    @classmethod
-    def from_packed_sums(
-        cls,
-        packed: dict[int, float],
-        interner1: EntityInterner,
-        interner2: EntityInterner,
-    ) -> "PackedSimilarityIndex":
-        """An index over an externally accumulated ``packed key -> sum``
-        dict (the stdlib builders' form)."""
-        index = cls.__new__(cls)
-        index._adopt_sums(packed, interner1, interner2)
-        return index
-
-    @classmethod
-    def from_pair_sums(cls, sims: dict[Pair, float]) -> "PackedSimilarityIndex":
-        """An index over an externally accumulated URI-keyed pair map."""
-        interner1 = EntityInterner(uri1 for uri1, _ in sims)
-        interner2 = EntityInterner(uri2 for _, uri2 in sims)
-        ids1 = interner1.ids_by_uri()
-        ids2 = interner2.ids_by_uri()
-        return cls.from_packed_sums(
-            {
-                (ids1[uri1] << PAIR_ID_BITS) | ids2[uri2]: value
-                for (uri1, uri2), value in sims.items()
-            },
-            interner1,
-            interner2,
-        )
-
-    def _adopt_sums(
-        self,
-        packed: dict[int, float],
-        interner1: EntityInterner,
-        interner2: EntityInterner,
-    ) -> None:
-        """Sort a dict accumulation once into the canonical columns."""
-        keys = array("q", sorted(packed))
-        self._adopt_columns(
-            keys, array("d", map(packed.__getitem__, keys)), interner1, interner2
-        )
-
-    def _adopt_columns(
-        self, keys, sims, interner1: EntityInterner, interner2: EntityInterner
-    ) -> None:
-        """Take the pair columns as state and build both sides' rows.
-
-        Each side's rows sort by ``(entity id, -similarity, counterpart
-        id)``; with sorted interners the id tie-break IS the URI
-        tie-break, so the rows equal per-entity ``sort(key=(-sim, uri))``
-        lists.  Vectorized (:func:`~repro.ids.arrays.ranked_csr`) when
-        NumPy is available; unsorted interners (a snapshot written after
-        in-place deltas) fall back to decoded-URI sort keys.
-        """
-        self._interner1 = interner1
-        self._interner2 = interner2
-        self._keys = keys
-        self._values = sims
-        self._packed_view: dict[int, float] | None = None
-        self._pairs_cache: dict[Pair, float] | None = None
-        sortable = interner1.is_sorted and interner2.is_sorted
-        if sortable and len(keys) and numpy_enabled():
-            numpy = numpy_module()
-            rows = ranked_csr(
-                numpy.asarray(keys), numpy.asarray(sims),
-                len(interner1), len(interner2),
-            )
-            (
-                self._starts1, self._cols1, self._sims1,
-                self._starts2, self._cols2, self._sims2,
-            ) = map(array_copy, "qidqid", rows)
-            return
-        # Plain ints/floats out of any column type, without a copy.
-        keys, sims = memoryview(keys), memoryview(sims)
-        shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
-        # Counterpart tie-break: the id itself, or its URI where id
-        # order is not URI order.
-        tie1 = range(len(interner2)) if sortable else interner2.uris()
-        tie2 = range(len(interner1)) if sortable else interner1.uris()
-
-        def key1(i: int):
-            return (keys[i] >> shift, -sims[i], tie1[keys[i] & mask])
-
-        def key2(i: int):
-            return (keys[i] & mask, -sims[i], tie2[keys[i] >> shift])
-
-        self._starts1, self._cols1, self._sims1 = self._csr_side(
-            keys, sims, sorted(range(len(keys)), key=key1),
-            len(interner1), own_shift=shift, other_shift=0,
-        )
-        self._starts2, self._cols2, self._sims2 = self._csr_side(
-            keys, sims, sorted(range(len(keys)), key=key2),
-            len(interner2), own_shift=0, other_shift=shift,
-        )
-
-    @staticmethod
-    def _csr_side(
-        keys: array,
-        sims: array,
-        order: list[int],
-        n_entities: int,
-        own_shift: int,
-        other_shift: int,
-    ) -> tuple[array, array, array]:
-        mask = PAIR_ID_MASK
-        starts = array("q", bytes(8 * (n_entities + 1)))
-        for key in keys:
-            starts[((key >> own_shift) & mask) + 1] += 1
-        for position in range(1, n_entities + 1):
-            starts[position] += starts[position - 1]
-        cols = array("i", ((keys[i] >> other_shift) & mask for i in order))
-        row_sims = array("d", (sims[i] for i in order))
-        return starts, cols, row_sims
 
     # ------------------------------------------------------------------
     # Row decode (the URI-facing layer)
@@ -310,34 +193,6 @@ class PackedSimilarityIndex:
         """
         return self._keys, self._values
 
-    def packed_items(self) -> dict[int, float]:
-        """A ``packed key -> similarity`` dict view of the columns, in
-        ascending key order (built on first use, cached; do not mutate).
-        For the reference constructors and tests only."""
-        if self._packed_view is None:
-            self._packed_view = dict(
-                zip(self._keys.tolist(), self._values.tolist())
-            )
-        return self._packed_view
-
-    def pairs(self) -> dict[Pair, float]:
-        """The sparse URI-pair-to-similarity map (read-only by convention).
-
-        A decoded view of the columns, cached; consumers that only need
-        sizes should use ``len(index)`` instead of decoding.
-        """
-        if self._pairs_cache is None:
-            uris1 = self._interner1.uris()
-            uris2 = self._interner2.uris()
-            shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
-            self._pairs_cache = {
-                (uris1[key >> shift], uris2[key & mask]): value
-                for key, value in zip(
-                    self._keys.tolist(), self._values.tolist()
-                )
-            }
-        return self._pairs_cache
-
     def interners(self) -> tuple[EntityInterner, EntityInterner]:
         """The two id maps (side 1, side 2) pairs are packed with."""
         return self._interner1, self._interner2
@@ -389,31 +244,8 @@ class PackedSimilarityIndex:
 
 
 class ValueSimilarityIndex(PackedSimilarityIndex):
-    """Sparse valueSim over all pairs co-occurring in the token blocks."""
-
-    def __init__(self, token_blocks: BlockCollection) -> None:
-        # Mirrored by repro.engine.similarity.build_value_index (the
-        # row-owned kernel); change the weighting or pair placement in
-        # both.
-        interner1 = EntityInterner(
-            uri for block in token_blocks for uri in block.entities1
-        )
-        interner2 = EntityInterner(
-            uri for block in token_blocks for uri in block.entities2
-        )
-        sims: dict[int, float] = {}
-        ids1 = interner1.ids_by_uri()
-        ids2 = interner2.ids_by_uri()
-        for block in token_blocks:
-            weight = block_token_weight(
-                len(block.entities1), len(block.entities2)
-            )
-            for uri1 in block.entities1:
-                base = ids1[uri1] << PAIR_ID_BITS
-                for uri2 in block.entities2:
-                    key = base | ids2[uri2]
-                    sims[key] = sims.get(key, 0.0) + weight
-        self._adopt_sums(sims, interner1, interner2)
+    """Sparse valueSim over all pairs co-occurring in the token blocks
+    (built by :func:`~repro.engine.similarity.build_value_index`)."""
 
     def __repr__(self) -> str:
         return f"ValueSimilarityIndex({len(self)} co-occurring pairs)"

@@ -42,7 +42,6 @@ from ..ids.arrays import (
     numpy_module,
     ragged_indices,
     shard_ordered_sums,
-    uri_ranked_pair_columns,
 )
 from ..obs.runtime import current as _telemetry_current
 from .executor import Executor, SerialExecutor
@@ -320,13 +319,6 @@ def build_neighbor_index(
     value1, value2 = value_index.interners()
     keys, sims = value_index.packed_columns()
     n_shards = partition_count(len(keys))
-    if not (value1.is_sorted and value2.is_sorted):
-        # ids an earlier build's snapshot appended out of URI order: scan
-        # by URI rank, the order the string-keyed path used
-        uris1, uris2, keys, sims = uri_ranked_pair_columns(
-            keys, sims, value1, value2
-        )
-        value1, value2 = EntityInterner(uris1), EntityInterner(uris2)
     parents1 = EntityInterner(top_neighbors1)
     parents2 = EntityInterner(top_neighbors2)
     # Hashes a packed key to ``stable_hash(uri1 + separator + uri2)`` —

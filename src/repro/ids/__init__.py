@@ -6,8 +6,10 @@ package provides the two primitives the array-backed similarity core is
 built on:
 
 - :class:`~repro.ids.interner.EntityInterner` maps each KB's URIs to
-  dense ``int32`` ids, assigned in sorted-URI order so ids are
-  deterministic and id order coincides with URI order;
+  dense ``int32`` ids, assigned in sorted-URI order and never appended
+  to, so ids are deterministic and id order *is* URI order — integer
+  sorts and tie-breaks everywhere downstream are URI sorts and
+  tie-breaks;
 - :mod:`~repro.ids.packing` packs an ``(id1, id2)`` cross-KB pair into a
   single ``int64`` key (``id1 << 32 | id2``) — one machine word per
   pair instead of a tuple of two heap strings.

@@ -10,6 +10,8 @@ are bit-identical**: every kernel here reproduces the floating-point
 accumulation order of its pure-Python counterpart (`np.bincount` adds
 weights one element at a time, front to back, which *is* the scan
 order), so golden digests do not depend on whether NumPy is present.
+Every column's ids are interner ids, which are URI order, so an integer
+tie-break here is the URI tie-break.
 
 Set ``REPRO_DISABLE_NUMPY=1`` to force the stdlib fallback (the parity
 tests run both paths and assert equality).
@@ -24,7 +26,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import neg
 
 try:  # pragma: no cover - exercised implicitly by every test run
@@ -85,32 +87,36 @@ def _uri_ranks(ids, interner) -> tuple[list[str], array]:
         referenced = _np.flatnonzero(used).tolist()
     else:
         referenced = sorted(set(ids))
-    if not interner.is_sorted:
-        referenced.sort(key=uris.__getitem__)
     ranks = array("q", bytes(8 * len(uris)))
     for rank, entity_id in enumerate(referenced):
         ranks[entity_id] = rank
     return [uris[entity_id] for entity_id in referenced], ranks
 
 
-def uri_ranked_pair_columns(keys, sims, interner1, interner2):
-    """An ascending packed pair column, re-expressed free of its interners.
+def canonical_pair_columns(keys, sims, interner1, interner2):
+    """An ascending packed pair column, re-expressed free of its
+    interners: the bytes the digest hashes.
 
     Returns ``(uris1, uris2, keys, sims)``: per side the URIs *occurring
     in a pair*, ascending; the ``int64`` keys re-packed over each URI's
-    rank in its list, ascending; the ``float64`` similarities beside
-    them — a function of the ``{(uri1, uri2): sim}`` map alone, with
-    NumPy or without.
+    rank in its list, still ascending (ids are URI order); the
+    ``float64`` similarities beside them; both columns little-endian — a
+    function of the ``{(uri1, uri2): sim}`` map alone, with NumPy or
+    without.  Raises ``ValueError`` on a non-finite similarity.
     """
     vectorized = numpy_enabled()
     if vectorized:
         keys = _np.asarray(keys, dtype=_np.int64)
         sims = _np.asarray(sims, dtype=_np.float64)
+        finite = _np.isfinite(sims).all()
         ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
     else:
         keys, sims = memoryview(keys), memoryview(sims)
+        finite = all(map(math.isfinite, sims))
         ids1 = array("q", (key >> 32 for key in keys))
         ids2 = array("q", (key & 0xFFFFFFFF for key in keys))
+    if not finite:
+        raise ValueError("similarity column holds a non-finite value")
     uris1, ranks1 = _uri_ranks(ids1, interner1)
     uris2, ranks2 = _uri_ranks(ids2, interner2)
     if vectorized:
@@ -119,27 +125,6 @@ def uri_ranked_pair_columns(keys, sims, interner1, interner2):
         keys = array(
             "q", ((ranks1[a] << 32) | ranks2[b] for a, b in zip(ids1, ids2))
         )
-    if not (interner1.is_sorted and interner2.is_sorted):
-        # ids an earlier build's snapshot appended out of URI order
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = array("q", map(keys.__getitem__, order))
-        sims = array("d", map(sims.__getitem__, order))
-    return uris1, uris2, keys, sims
-
-
-def canonical_pair_columns(keys, sims, interner1, interner2):
-    """:func:`uri_ranked_pair_columns` with both columns little-endian:
-    the bytes the digest hashes.  Raises ``ValueError`` on a non-finite
-    similarity."""
-    if numpy_enabled():
-        finite = _np.isfinite(_np.asarray(sims, dtype=_np.float64)).all()
-    else:
-        finite = all(map(math.isfinite, memoryview(sims)))
-    if not finite:
-        raise ValueError("similarity column holds a non-finite value")
-    uris1, uris2, keys, sims = uri_ranked_pair_columns(
-        keys, sims, interner1, interner2
-    )
     if sys.byteorder == "big":
         keys, sims = array_copy("q", keys), array_copy("d", sims)
         keys.byteswap()
@@ -226,18 +211,49 @@ def ragged_indices(starts, counts):
 def ranked_csr(keys, sims, n_entities1, n_entities2):
     """Both sides' CSR ranked rows of an **ascending** packed pair column.
 
-    Returns ``(starts1, cols1, sims1, starts2, cols2, sims2)`` as NumPy
-    arrays, where side 1 rows sort by ``(id1, -sim, id2)`` and side 2
-    rows by ``(id2, -sim, id1)`` — identical to the per-entity
-    ``sort(key=(-sim, uri))`` of the dict-backed construction whenever
-    id order equals URI order (sorted interners).
+    Returns ``(starts1, cols1, sims1, starts2, cols2, sims2)`` as
+    ``array`` s (typecodes ``q``, ``i``, ``d``), where side 1 rows sort
+    by ``(id1, -sim, id2)`` and side 2 rows by ``(id2, -sim, id1)`` —
+    since ids are URI order, the per-entity ``sort(key=(-sim, uri))``
+    lists.
 
     The counterpart-id tie-break is never sorted on: in a column
     ascending by ``(id1, id2)`` two pairs sharing an entity on either
-    side already stand in counterpart-id order, so one *stable* sort by
-    ``-sim`` ranks every pair by ``(-sim, position)``, and each side is
-    then one integer sort of the unique keys ``id << 32 | rank``.
+    side already stand in counterpart-id order, so a *stable* sort by
+    ``-sim`` keeps it.  NumPy arm: one stable argsort ranks every pair by
+    ``(-sim, position)``, and each side is then one integer sort of the
+    unique keys ``id << 32 | rank``.  Stdlib arm: one stable sort per
+    side by ``(id, -sim)``.
     """
+    if numpy_enabled() and len(keys):
+        # the sort temporaries die with the call, before the copies
+        rows = _ranked_rows(
+            _np.asarray(keys), _np.asarray(sims), n_entities1, n_entities2
+        )
+        return tuple(map(array_copy, "qidqid", rows))
+    # Plain ints/floats out of any column type, without a copy.
+    keys, sims = memoryview(keys), memoryview(sims)
+    ids1 = [key >> 32 for key in keys]
+    ids2 = [key & 0xFFFFFFFF for key in keys]
+    rows = ()
+    for own, other, n_entities in (
+        (ids1, ids2, n_entities1),
+        (ids2, ids1, n_entities2),
+    ):
+        order = sorted(range(len(keys)), key=lambda i: (own[i], -sims[i]))
+        counts = [0] * n_entities
+        for entity in own:
+            counts[entity] += 1
+        rows += (
+            array("q", accumulate(counts, initial=0)),
+            array("i", map(other.__getitem__, order)),
+            array("d", map(sims.__getitem__, order)),
+        )
+    return rows
+
+
+def _ranked_rows(keys, sims, n_entities1, n_entities2):
+    """:func:`ranked_csr`'s NumPy arm, as NumPy columns."""
     id1 = keys >> 32
     id2 = keys & 0xFFFFFFFF
     by_sim = _np.argsort(-sims, kind="stable")
@@ -312,26 +328,25 @@ def gathered_candidate_sums(
     return sequential_unique_sums(keys, values[owners])
 
 
-def ranked_groups(keys, sums, n_groups, limit=None, rank_of=None):
-    """Rank gathered totals within their groups: ``(group, -sum, rank)``.
+def ranked_groups(keys, sums, n_groups, limit=None):
+    """Rank gathered totals within their groups: ``(group, -sum, id)``.
 
     ``keys`` are ascending ``group << 32 | id`` with ``sums`` beside them
     (what :func:`gathered_candidate_sums` returns), every group below
     ``n_groups``.  Returns plain lists ``(bounds, ids, sums, ranked)``:
     group ``g`` owns positions ``bounds[g] : bounds[g + 1]`` of ``ids`` /
     ``sums`` (ascending id), and ``ranked[g]`` lists those positions by
-    sum descending, ties to the smaller rank — ``rank_of[id]``, or the
-    id itself without ``rank_of`` — cut to the first ``limit`` when
-    given.  NumPy arm: one ``lexsort`` for every group.  Stdlib arm: a
-    decorated sort per group (``heapq.nsmallest`` under a limit,
-    documented equal to ``sorted(...)[:limit]``).
+    sum descending, ties to the smaller id (the smaller URI: ids are URI
+    order), cut to the first ``limit`` when given.  NumPy arm: one
+    ``lexsort`` for every group.  Stdlib arm: a decorated sort per group
+    (``heapq.nsmallest`` under a limit, documented equal to
+    ``sorted(...)[:limit]``).
     """
     if numpy_enabled():
         keys = _np.asarray(keys, dtype=_np.int64)
         sums = _np.asarray(sums, dtype=_np.float64)
         groups, ids = keys >> 32, keys & 0xFFFFFFFF
-        ranks = ids if rank_of is None else _np.asarray(rank_of)[ids]
-        order = _np.lexsort((ranks, -sums, groups)).tolist()
+        order = _np.lexsort((ids, -sums, groups)).tolist()
         sizes = _np.bincount(groups, minlength=n_groups)
         bounds = [0, *_np.cumsum(sizes).tolist()]
         ranked = [
@@ -344,10 +359,7 @@ def ranked_groups(keys, sums, n_groups, limit=None, rank_of=None):
     bounds = [bisect_left(keys, group << 32) for group in range(n_groups + 1)]
     ranked = []
     for lo, hi in zip(bounds, bounds[1:]):
-        ranks = ids[lo:hi]
-        if rank_of is not None:
-            ranks = map(rank_of.__getitem__, ranks)
-        decorated = zip(map(neg, sums[lo:hi]), ranks, range(lo, hi))
+        decorated = zip(map(neg, sums[lo:hi]), ids[lo:hi], range(lo, hi))
         chosen = (
             sorted(decorated)
             if limit is None

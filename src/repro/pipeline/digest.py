@@ -51,14 +51,9 @@ DIGESTED_ARTIFACTS = (
 def rows_digest(index) -> str:
     """SHA-256 of a similarity index's ``[uri1, uri2, sim]`` JSON rows in
     URI order: what a manifest without ``digest_schema`` holds, and the
-    tests' oracle that no float moved.  With sorted interners id order is
-    URI order and the rows decode straight off the ascending key column."""
-    interner1, interner2 = index.interners()
-    if not (interner1.is_sorted and interner2.is_sorted):
-        return _json_digest(
-            [[*pair, sim] for pair, sim in sorted(index.pairs().items())]
-        )
-    uris1, uris2 = interner1.uris(), interner2.uris()
+    tests' oracle that no float moved.  Id order is URI order, so the
+    rows decode straight off the ascending key column."""
+    uris1, uris2 = (interner.uris() for interner in index.interners())
     keys, sims = index.packed_columns()
     return _json_digest(
         [

@@ -36,6 +36,7 @@ from typing import Any
 
 from ..incremental import IncrementalMatcher
 from ..obs import Telemetry, prometheus_text
+from ..store import SnapshotError
 from ..testing.failpoints import failpoint
 from . import handlers
 from .json_codec import (
@@ -679,7 +680,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
             }
         if endpoint == "reload":
             body = self._read_json_body(optional=True) or {}
-            return 200, daemon.reload(body.get("path"))
+            try:
+                return 200, daemon.reload(body.get("path"))
+            except SnapshotError as error:  # the old generation serves on
+                raise handlers.RequestError(400, str(error)) from None
         raise handlers.RequestError(404, f"no such endpoint: {endpoint}")
 
     def _count_resolved(self, results) -> None:

@@ -12,11 +12,11 @@ uses:
   stages published — *full* meaning purged and one-sided keys included,
   which is what delta maintenance needs — plus the surviving (kept) key
   ids and the purging report;
-- both **similarity indices** as interner URI columns plus their two
-  in-memory pair columns as they are (``int64`` packed keys strictly
-  ascending, ``float64`` similarities); a load wraps the restored
-  columns — mapped pages under ``mode="mmap"`` — without boxing them,
-  and rebuilds the ranked CSR rows deterministically;
+- both **similarity indices** as interner URI columns (ascending) plus
+  their two in-memory pair columns as they are (``int64`` packed keys
+  strictly ascending, ``float64`` similarities); a load wraps the
+  restored columns — mapped pages under ``mode="mmap"`` — without
+  boxing them, and rebuilds the ranked CSR rows deterministically;
 - **top-neighbor sets** per side as CSR over the KB URI columns, the
   discovered name attributes and top relations;
 - the **decision artifacts** (matches, pre-H4 matches, H4 discards) and
@@ -30,11 +30,15 @@ artifact through the same constructors the batch pipeline uses
 (``from_packed_columns``, ``PlacementTable.assemble``), so a restored
 session's artifacts — its packed token blocks included — digest-equal
 the saved ones, and the tables are seeded beside them for the
-incremental matcher to adopt.
+incremental matcher to adopt.  Every id and offset column is checked
+against the table it indexes before it is decoded, so a consistently
+rewritten but malformed column fails the load with a
+:class:`SnapshotError` naming it.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -47,7 +51,7 @@ from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
-from ..ids import EntityInterner
+from ..ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
 from ..ids.arrays import array_copy, packed_keys_valid
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
@@ -107,16 +111,52 @@ def _pack_kb(writer: SnapshotWriter, tag: str, kb: KnowledgeBase) -> None:
     writer.add_array(f"{tag}_pair_values", pair_values)
 
 
+def _id_column(
+    snapshot: Snapshot, name: str, bound: int, ascending: bool = False
+) -> "array | memoryview":
+    """Array column ``name``, checked to hold ids in ``range(bound)``
+    only — strictly ascending ones when ``ascending``."""
+    column = snapshot.array(name)
+    if len(column) and not (0 <= min(column) and max(column) < bound):
+        raise SnapshotError(f"column {name!r}: ids outside 0..{bound - 1}")
+    if ascending and not all(map(operator.lt, column, column[1:])):
+        raise SnapshotError(f"column {name!r}: ids not strictly ascending")
+    return column
+
+
+def _offset_column(
+    snapshot: Snapshot, name: str, n_rows: int, n_ids: int
+) -> "array | memoryview":
+    """Array column ``name``, checked to be the CSR offsets of ``n_rows``
+    rows over ``n_ids`` ids: from 0, never decreasing, ending at
+    ``n_ids``."""
+    starts = snapshot.array(name)
+    if not (
+        len(starts) == n_rows + 1
+        and starts[0] == 0
+        and starts[-1] == n_ids
+        and all(map(operator.le, starts, starts[1:]))
+    ):
+        raise SnapshotError(
+            f"column {name!r}: not the offsets of {n_rows} rows over {n_ids} ids"
+        )
+    return starts
+
+
 def _unpack_kb(snapshot: Snapshot, tag: str) -> KnowledgeBase:
     uris = snapshot.strings(f"{tag}_uris")
     predicates = snapshot.strings(f"{tag}_predicates")
     values = snapshot.strings(f"{tag}_values")
-    starts = snapshot.array(f"{tag}_starts")
-    pair_predicates = snapshot.array(f"{tag}_pair_predicates")
-    pair_kinds = snapshot.array(f"{tag}_pair_kinds")
-    pair_values = snapshot.array(f"{tag}_pair_values")
-    if len(starts) != len(uris) + 1:
-        raise SnapshotError(f"{tag}: entity offsets do not match the URI column")
+    pair_predicates = _id_column(
+        snapshot, f"{tag}_pair_predicates", len(predicates)
+    )
+    pair_kinds = _id_column(snapshot, f"{tag}_pair_kinds", 2)
+    pair_values = _id_column(snapshot, f"{tag}_pair_values", len(values))
+    if not len(pair_predicates) == len(pair_kinds) == len(pair_values):
+        raise SnapshotError(f"{tag}: pair columns differ in length")
+    starts = _offset_column(
+        snapshot, f"{tag}_starts", len(uris), len(pair_predicates)
+    )
     kb = KnowledgeBase(snapshot.json(f"{tag}_name"))
     for row, uri in enumerate(uris):
         pairs = []
@@ -145,20 +185,49 @@ def _unpack_index(snapshot: Snapshot, tag: str, index_cls):
 
     Lookups bisect the key column, so a column a dict load would have
     tolerated (unsorted, ragged, ids beyond the URI tables) is refused.
+    URI columns out of URI order — written by builds that appended
+    interner ids in place — are re-keyed once (:func:`_uri_ordered`).
     """
-    interner1 = EntityInterner.from_uri_list(snapshot.strings(f"{tag}_uris1"))
-    interner2 = EntityInterner.from_uri_list(snapshot.strings(f"{tag}_uris2"))
+    uris1 = snapshot.strings(f"{tag}_uris1")
+    uris2 = snapshot.strings(f"{tag}_uris2")
     keys = snapshot.array(f"{tag}_keys")
     sims = snapshot.array(f"{tag}_sims")
     if len(sims) != len(keys):
         raise SnapshotError(
             f"{tag}: {len(keys)} pair keys but {len(sims)} similarities"
         )
-    if not packed_keys_valid(keys, len(interner1), len(interner2)):
+    if not packed_keys_valid(keys, len(uris1), len(uris2)):
         raise SnapshotError(
             f"{tag}: pair keys are not strictly ascending ids of the URI columns"
         )
+    if uris1 != sorted(uris1) or uris2 != sorted(uris2):
+        uris1, uris2, keys, sims = _uri_ordered(uris1, uris2, keys, sims)
+    try:
+        interner1, interner2 = map(EntityInterner.from_uri_list, (uris1, uris2))
+    except ValueError as error:  # a URI column with duplicates
+        raise SnapshotError(f"{tag}: {error}") from None
     return index_cls.from_packed_columns(keys, sims, interner1, interner2)
+
+
+def _uri_ordered(uris1, uris2, keys, sims) -> tuple:
+    """``(uris1, uris2, keys, sims)`` re-keyed over the sorted URI lists:
+    each id becomes its URI's rank, and the pairs re-sort by new key."""
+    ordered1, ordered2 = sorted(uris1), sorted(uris2)
+    rank1, rank2 = (
+        list(map({uri: rank for rank, uri in enumerate(ordered)}.get, uris))
+        for ordered, uris in ((ordered1, uris1), (ordered2, uris2))
+    )
+    shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
+    rekeyed = sorted(
+        ((rank1[key >> shift] << shift) | rank2[key & mask], sim)
+        for key, sim in zip(keys, sims)
+    )
+    return (
+        ordered1,
+        ordered2,
+        array("q", (key for key, _ in rekeyed)),
+        array("d", (sim for _, sim in rekeyed)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +258,10 @@ def _unpack_placements(
     keys = snapshot.strings(f"{tag}_keys")
     sides: list[KeyRows] = []
     for side, uris in ((1, uris_pair[0]), (2, uris_pair[1])):
-        starts = snapshot.array(f"{tag}_side{side}_starts")
-        ids = snapshot.array(f"{tag}_side{side}_key_ids")
-        if len(starts) != len(uris) + 1:
-            raise SnapshotError(
-                f"{tag} side {side}: offsets do not match the KB URI column"
-            )
+        ids = _id_column(snapshot, f"{tag}_side{side}_key_ids", len(keys))
+        starts = _offset_column(
+            snapshot, f"{tag}_side{side}_starts", len(uris), len(ids)
+        )
         sides.append(
             [
                 (
@@ -233,9 +300,11 @@ def _pack_top_neighbors(
 def _unpack_top_neighbors(
     snapshot: Snapshot, tag: str, uris: list[str]
 ) -> dict[str, set[str]]:
-    parents = snapshot.array(f"{tag}_parents")
-    starts = snapshot.array(f"{tag}_starts")
-    targets = snapshot.array(f"{tag}_targets")
+    parents = _id_column(snapshot, f"{tag}_parents", len(uris), ascending=True)
+    targets = _id_column(snapshot, f"{tag}_targets", len(uris))
+    starts = _offset_column(
+        snapshot, f"{tag}_starts", len(parents), len(targets)
+    )
     return {
         uris[parent]: {
             uris[t] for t in targets[starts[row] : starts[row + 1]]
@@ -385,9 +454,10 @@ def load_state(
     views of the mapped pages (which pin those maps for as long as the
     index lives); every other artifact is materialized before this
     returns and its map released.  Per-byte digest verification of
-    array columns is skipped — the structural checks of
-    :func:`_unpack_index` and the decode-level ``context_digests`` check
-    still guard a replay.
+    array columns is skipped — the structural checks every id and offset
+    column passes on load (:func:`_unpack_index`, :func:`_id_column`,
+    :func:`_offset_column`) and the decode-level ``context_digests``
+    check still guard a replay.
     """
     with current_telemetry().tracer.span("store.load", category="store"):
         return _restore(Snapshot.load(path, mode=mode), engine, workers)
@@ -428,7 +498,8 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     with tracer.span("store.load.placements", category="store"):
         token_keys, token_rows = _unpack_placements(snapshot, "tokens", uris_pair)
         tokens = PlacementTable("BT", token_rows)
-        kept_keys = {token_keys[i] for i in snapshot.array("tokens_kept")}
+        kept = _id_column(snapshot, "tokens_kept", len(token_keys), ascending=True)
+        kept_keys = {token_keys[i] for i in kept}
         if has_names:
             _, name_rows = _unpack_placements(snapshot, "names", uris_pair)
             names = PlacementTable("BN", name_rows)

@@ -5,14 +5,17 @@ of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
 """
 
+from array import array
 from typing import Callable, Iterable, TypeVar
 
 from repro.blocking.base import Block
 from repro.core.candidates import CandidateLists
-from repro.core.similarity import Pair, block_token_weight
+from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
+from repro.ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
 
+Pair = tuple[str, str]
 PairSums = dict[Pair, float]
 T = TypeVar("T")
 
@@ -96,6 +99,71 @@ def shard_merged_sum(
     for shard in sorted(subtotals):
         total += subtotals[shard]
     return total
+
+
+def value_sims_by_uri(blocks, n_shards: int) -> PairSums:
+    """Every co-occurring pair's valueSim, folded as ``build_value_index``
+    folds it: the pair's ``(block key, token weight)`` terms in block-key
+    order, through :func:`shard_merged_sum`."""
+    terms: dict[Pair, list] = {}
+    for block in sorted(blocks.drop_empty(), key=lambda block: block.key):
+        weight = block_token_weight(len(block.entities1), len(block.entities2))
+        for uri1 in block.entities1:
+            for uri2 in block.entities2:
+                terms.setdefault((uri1, uri2), []).append((block.key, weight))
+    return {pair: shard_merged_sum(row, n_shards) for pair, row in terms.items()}
+
+
+def neighbor_sims_by_uri(
+    value_sims: PairSums,
+    top_neighbors1: dict[str, set[str]],
+    top_neighbors2: dict[str, set[str]],
+    n_shards: int,
+) -> PairSums:
+    """Every parent pair's neighborNSim, folded as ``build_neighbor_index``
+    folds it: the ``(value pair key, valueSim)`` terms of the value pairs
+    its top neighbors form, in value-pair order, through
+    :func:`shard_merged_sum`."""
+    reverse: list[dict[str, list[str]]] = [{}, {}]
+    for parents, top_neighbors in zip(reverse, (top_neighbors1, top_neighbors2)):
+        for parent, neighbors in top_neighbors.items():
+            for neighbor in neighbors:
+                parents.setdefault(neighbor, []).append(parent)
+    terms: dict[Pair, list] = {}
+    for pair, sim in sorted(value_sims.items()):
+        for parent1 in reverse[0].get(pair[0], ()):
+            for parent2 in reverse[1].get(pair[1], ()):
+                terms.setdefault((parent1, parent2), []).append(
+                    (value_pair_key(pair), sim)
+                )
+    return {pair: shard_merged_sum(row, n_shards) for pair, row in terms.items()}
+
+
+def decoded_pairs(index) -> PairSums:
+    """The ``{(uri1, uri2): sim}`` map an index's columns encode."""
+    uris1, uris2 = (interner.uris() for interner in index.interners())
+    keys, sims = index.packed_columns()
+    return {
+        (uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK]): sim
+        for key, sim in zip(keys.tolist(), sims.tolist())
+    }
+
+
+def index_of_pairs(sims: PairSums, index_type):
+    """An ``index_type`` over a ``{(uri1, uri2): sim}`` map: the columns
+    over interners of exactly the URIs the pairs name."""
+    interner1 = EntityInterner(uri1 for uri1, _ in sims)
+    interner2 = EntityInterner(uri2 for _, uri2 in sims)
+    packed = sorted(
+        ((interner1.id_of(uri1) << PAIR_ID_BITS) | interner2.id_of(uri2), sim)
+        for (uri1, uri2), sim in sims.items()
+    )
+    return index_type.from_packed_columns(
+        array("q", (key for key, _ in packed)),
+        array("d", (sim for _, sim in packed)),
+        interner1,
+        interner2,
+    )
 
 
 def candidate_lists_by_uri(

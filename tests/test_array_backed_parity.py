@@ -1,17 +1,12 @@
 """Array-backed similarity core vs the pre-refactor dict construction.
 
-Rebuilds both similarity indices the way the repo built them before the
-integer-interned core — string-tuple pair dicts accumulated in the same
-scan order, per-entity candidate lists sorted by ``(-sim, uri)`` — on
-the committed golden fixture, and asserts the packed indices return
-**identical** (``==``, not approx) ``pairs()`` maps and ranked lists.
-
-Each packed construction is held against its own reference: the serial
-constructors against the plain-scan dict accumulation, the engine
-builders against the sharded string-keyed accumulation (the two
-legitimately group float additions differently, exactly as before the
-refactor).  The comparison runs for both the NumPy-vectorized path and
-the stdlib fallback (``REPRO_DISABLE_NUMPY=1``), so neither can drift.
+Rebuilds both similarity indices the way the engine built them before
+the integer-interned core — string-tuple pair dicts accumulated shard by
+shard, per-entity candidate lists sorted by ``(-sim, uri)`` — on the
+committed golden fixture, and asserts the packed indices return
+**identical** (``==``, not approx) pair maps and ranked lists.  The
+comparison runs for both the NumPy-vectorized path and the stdlib
+fallback (``REPRO_DISABLE_NUMPY=1``), so neither can drift.
 """
 
 from pathlib import Path
@@ -19,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import MinoanER, MinoanERConfig
-from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
-from repro.core.similarity import ValueSimilarityIndex, block_token_weight
+from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import build_neighbor_index, build_value_index, partition_count
 from repro.ids.arrays import numpy_enabled
@@ -29,6 +23,7 @@ from repro.kb.io_ntriples import read_ntriples
 from oracles import (
     _value_partial,
     block_shards,
+    decoded_pairs,
     hash_partitions,
     merge_pair_sums,
     value_pair_key,
@@ -40,18 +35,6 @@ GOLDEN = Path(__file__).parent / "golden"
 # ----------------------------------------------------------------------
 # Reference (pre-refactor) constructions, kept as plain dict code
 # ----------------------------------------------------------------------
-def reference_value_scan(token_blocks):
-    """The serial constructor's accumulation: one scan, string tuples."""
-    sims = {}
-    for block in token_blocks:
-        weight = block_token_weight(len(block.entities1), len(block.entities2))
-        for uri1 in block.entities1:
-            for uri2 in block.entities2:
-                pair = (uri1, uri2)
-                sims[pair] = sims.get(pair, 0.0) + weight
-    return sims
-
-
 def reference_value_engine(token_blocks):
     """The pre-refactor engine build: sharded string-keyed partials."""
     merged = {}
@@ -60,14 +43,13 @@ def reference_value_engine(token_blocks):
     return merged
 
 
-def _reference_reverse(top_neighbor_map, sort_parents):
+def _reference_reverse(top_neighbor_map):
     reverse = {}
     for uri, neighbor_set in top_neighbor_map.items():
         for neighbor in neighbor_set:
             reverse.setdefault(neighbor, []).append(uri)
-    if sort_parents:
-        for parents in reverse.values():
-            parents.sort()
+    for parents in reverse.values():
+        parents.sort()
     return reverse
 
 
@@ -86,20 +68,10 @@ def _propagate_into(sums, value_items, reverse1, reverse2):
     return sums
 
 
-def reference_neighbor_scan(value_sims, top_neighbors1, top_neighbors2):
-    """The serial constructor's propagation: one pass, insertion order."""
-    return _propagate_into(
-        {},
-        value_sims.items(),
-        _reference_reverse(top_neighbors1, sort_parents=False),
-        _reference_reverse(top_neighbors2, sort_parents=False),
-    )
-
-
 def reference_neighbor_engine(value_sims, top_neighbors1, top_neighbors2):
     """The pre-refactor engine build: sorted pairs, sharded by pair key."""
-    reverse1 = _reference_reverse(top_neighbors1, sort_parents=True)
-    reverse2 = _reference_reverse(top_neighbors2, sort_parents=True)
+    reverse1 = _reference_reverse(top_neighbors1)
+    reverse2 = _reference_reverse(top_neighbors2)
     items = sorted(value_sims.items())
     merged = {}
     for shard in hash_partitions(
@@ -143,7 +115,7 @@ def golden_evidence():
 
 
 def assert_index_equals_reference(index, sims):
-    assert index.pairs() == sims  # exact floats, not approx
+    assert decoded_pairs(index) == sims  # exact floats, not approx
     assert len(index) == len(sims)
     by_entity1, by_entity2 = reference_ranked_lists(sims)
     for uri1 in {uri1 for uri1, _ in sims}:
@@ -172,9 +144,6 @@ def toggled_numpy(request, monkeypatch):
 def test_value_indices_equal_references(golden_evidence, toggled_numpy):
     blocks, _, _ = golden_evidence
     assert_index_equals_reference(
-        ValueSimilarityIndex(blocks), reference_value_scan(blocks)
-    )
-    assert_index_equals_reference(
         build_value_index(blocks), reference_value_engine(blocks)
     )
 
@@ -182,29 +151,12 @@ def test_value_indices_equal_references(golden_evidence, toggled_numpy):
 def test_neighbor_indices_equal_references(golden_evidence, toggled_numpy):
     blocks, neighbors1, neighbors2 = golden_evidence
     value_index = build_value_index(blocks)
-    value_sims = value_index.pairs()
-    assert_index_equals_reference(
-        NeighborSimilarityIndex(value_index, neighbors1, neighbors2),
-        reference_neighbor_scan(value_sims, neighbors1, neighbors2),
-    )
     assert_index_equals_reference(
         build_neighbor_index(value_index, neighbors1, neighbors2),
-        reference_neighbor_engine(value_sims, neighbors1, neighbors2),
+        reference_neighbor_engine(
+            decoded_pairs(value_index), neighbors1, neighbors2
+        ),
     )
-
-
-def test_from_pair_sums_matches_block_construction(golden_evidence):
-    """The URI-keyed compatibility constructor equals the packed build."""
-    blocks, _, _ = golden_evidence
-    built = ValueSimilarityIndex(blocks)
-    adopted = ValueSimilarityIndex.from_pair_sums(built.pairs())
-    assert adopted.pairs() == built.pairs()
-    for uri1 in {uri1 for uri1, _ in built.pairs()}:
-        assert adopted.candidates_of_entity1(
-            uri1
-        ) == built.candidates_of_entity1(uri1)
-    some_pair = next(iter(built.pairs()))
-    assert adopted.similarity(*some_pair) == built.similarity(*some_pair)
 
 
 def test_best_candidate_accepts_frozenset_and_set(golden_evidence):
@@ -212,7 +164,7 @@ def test_best_candidate_accepts_frozenset_and_set(golden_evidence):
     value_index = build_value_index(blocks)
     neighbor_index = build_neighbor_index(value_index, neighbors1, neighbors2)
     for index in (value_index, neighbor_index):
-        some_uri1 = next(uri1 for uri1, _ in index.pairs())
+        some_uri1 = next(uri1 for uri1, _ in decoded_pairs(index))
         unrestricted = index.best_candidate(some_uri1)
         assert unrestricted is not None
         assert (

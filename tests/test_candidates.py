@@ -6,19 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import candidate_lists_by_uri, h4_bars_by_uri
+from oracles import candidate_lists_by_uri, h4_bars_by_uri, index_of_pairs
 from repro.blocking import token_blocking
-from repro.core import (
-    CandidateIndex,
-    CandidateLists,
-    NeighborSimilarityIndex,
-    ValueSimilarityIndex,
-)
+from repro.core import CandidateIndex, CandidateLists
 from repro.core import MinoanERConfig
+from repro.core.neighbors import NeighborSimilarityIndex
+from repro.core.similarity import ValueSimilarityIndex
 from repro.core.candidates import counterpart_translation, kept_neighbor_offsets
 from repro.datasets import generate_benchmark
+from repro.engine import build_neighbor_index, build_value_index
 from repro.engine.matching import _candidate_id_rows
-from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.ids.arrays import numpy_enabled
 from repro.kb import KnowledgeBase
 from repro.pipeline import MatchSession
@@ -31,24 +28,11 @@ def kb_from_texts(name, texts, prefix):
     return kb
 
 
-def build(texts1, texts2, k=3, restrict=True, neighbor_pairs=()):
+def build(texts1, texts2, k=3, restrict=True):
     kb1 = kb_from_texts("A", texts1, "a")
     kb2 = kb_from_texts("B", texts2, "b")
-    value_index = ValueSimilarityIndex(token_blocking(kb1, kb2))
-    # synthetic neighbor sims: dict-driven top-neighbor structure
-    tn1 = {}
-    tn2 = {}
-    for uri1, uri2 in neighbor_pairs:
-        tn1.setdefault(uri1, set()).add("shared1")
-        tn2.setdefault(uri2, set()).add("shared2")
-    neighbor_index = NeighborSimilarityIndex(
-        ValueSimilarityIndex(token_blocking(
-            kb_from_texts("NA", ["zz common"], "shared"),
-            kb_from_texts("NB", ["zz common"], "shared"),
-        )),
-        {},
-        {},
-    )
+    value_index = build_value_index(token_blocking(kb1, kb2))
+    neighbor_index = build_neighbor_index(value_index, {}, {})
     return CandidateIndex(value_index, neighbor_index, k=k, restrict_neighbors_to_cooccurring=restrict)
 
 
@@ -133,49 +117,33 @@ def _uri(side: int, position: int) -> str:
     return f"urn:kb{side}:e{position}"
 
 
-def _index_of(cls, id_pairs: dict, shuffle_with=None, mapped: bool = False):
-    """``cls`` over ``id_pairs``; optionally with ids out of URI order
-    (an old post-delta snapshot; ``shuffle_with`` is the hypothesis
-    ``data`` to draw the orders from) and/or as read-only views over
+def _index_of(cls, id_pairs: dict, mapped: bool = False):
+    """``cls`` over ``id_pairs``; optionally as read-only views over
     foreign bytes (what an mmap load adopts)."""
-    uris1 = sorted({_uri(1, id1) for id1, _ in id_pairs})
-    uris2 = sorted({_uri(2, id2) for _, id2 in id_pairs})
-    if shuffle_with is not None:
-        uris1 = shuffle_with.draw(st.permutations(uris1))
-        uris2 = shuffle_with.draw(st.permutations(uris2))
-    interner1 = EntityInterner.from_uri_list(uris1)
-    interner2 = EntityInterner.from_uri_list(uris2)
-    packed = {
-        (interner1.id_of(_uri(1, id1)) << PAIR_ID_BITS)
-        | interner2.id_of(_uri(2, id2)): sim
-        for (id1, id2), sim in id_pairs.items()
-    }
-    keys = array("q", sorted(packed))
-    sims = array("d", (packed[key] for key in keys))
-    if mapped:
-        keys = memoryview(keys.tobytes()).cast("q")
-        sims = memoryview(sims.tobytes()).cast("d")
-    return cls.from_packed_columns(keys, sims, interner1, interner2)
+    index = index_of_pairs(
+        {(_uri(1, id1), _uri(2, id2)): sim for (id1, id2), sim in id_pairs.items()},
+        cls,
+    )
+    if not mapped:
+        return index
+    keys, sims = (
+        memoryview(column.tobytes()).cast(column.typecode)
+        for column in index.packed_columns()
+    )
+    return cls.from_packed_columns(keys, sims, *index.interners())
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     value_pairs=_value_pairs,
     neighbor_pairs=_neighbor_pairs,
-    shuffle=st.booleans(),
     mapped=st.booleans(),
-    data=st.data(),
 )
 def test_id_level_lists_equal_uri_level_lists(
-    toggled_numpy, value_pairs, neighbor_pairs, shuffle, mapped, data
+    toggled_numpy, value_pairs, neighbor_pairs, mapped
 ):
-    shuffle_with = data if shuffle else None
-    value_index = _index_of(
-        ValueSimilarityIndex, value_pairs, shuffle_with, mapped
-    )
-    neighbor_index = _index_of(
-        NeighborSimilarityIndex, neighbor_pairs, shuffle_with, mapped
-    )
+    value_index = _index_of(ValueSimilarityIndex, value_pairs, mapped)
+    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, mapped)
     for restrict in (True, False):
         for k in (1, 2, 15):
             index = CandidateIndex(

@@ -9,6 +9,7 @@ profiles plus hand-built KBs.
 """
 
 import pytest
+from oracles import decoded_pairs, shard_merged_sum, value_sims_by_uri
 
 from repro import MinoanER, MinoanERConfig
 from repro.blocking import (
@@ -17,8 +18,17 @@ from repro.blocking import (
     purge_blocks,
     token_blocking,
 )
+from repro.core.neighbors import top_neighbors
+from repro.core.statistics import top_relations
 from repro.datasets import PROFILE_ORDER, generate_benchmark
-from repro.engine import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.engine import (
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+    build_neighbor_index,
+    build_value_index,
+    partition_count,
+)
 from repro.kb import Tokenizer
 
 PARITY_SCALE = 0.08
@@ -130,66 +140,47 @@ class TestBlockCollectionParity:
 
 
 class TestIndexParity:
-    """The engine's shard-accumulated indices must agree with the serial
-    constructors — guarding the two implementations of valueSim
-    accumulation / neighbor propagation against silent divergence.
-    (Comparison is approximate at 1e-12: shard merges legitimately add
-    the same weights in a different order.)
+    """The thread engine's indices equal the serial engine's, and the
+    value index equals the per-pair oracle (``oracles.value_sims_by_uri``
+    over ``shard_merged_sum``) — float ``==``: a row's floats depend on
+    that row's inputs alone, whatever executor folds it.
     """
 
     def test_value_index_matches_serial_constructor(self, dataset):
-        from repro.core import MinoanER as Matcher
-        from repro.core.similarity import ValueSimilarityIndex
-        from repro.engine import build_value_index
-
-        blocks, _ = Matcher().build_token_blocks(dataset.kb1, dataset.kb2)
-        serial = ValueSimilarityIndex(blocks)
+        blocks, _ = MinoanER().build_token_blocks(dataset.kb1, dataset.kb2)
+        serial = build_value_index(blocks, SerialExecutor())
         with ThreadExecutor(4) as executor:
             engine_built = build_value_index(blocks, executor)
-        assert set(engine_built.pairs()) == set(serial.pairs())
-        for pair, sim in serial.pairs().items():
-            assert engine_built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+        assert decoded_pairs(engine_built) == decoded_pairs(serial)
+        assert decoded_pairs(serial) == value_sims_by_uri(
+            blocks, partition_count(len(blocks))
+        )
 
     def test_neighbor_index_matches_serial_constructor(self, dataset):
-        from repro.core import MinoanER as Matcher
-        from repro.core.neighbors import (
-            NeighborSimilarityIndex,
-            top_neighbors,
-        )
-        from repro.core.similarity import ValueSimilarityIndex
-        from repro.core.statistics import top_relations
-        from repro.engine import build_neighbor_index
-
-        blocks, _ = Matcher().build_token_blocks(dataset.kb1, dataset.kb2)
-        value_index = ValueSimilarityIndex(blocks)
+        blocks, _ = MinoanER().build_token_blocks(dataset.kb1, dataset.kb2)
+        value_index = build_value_index(blocks)
         neighbors1 = top_neighbors(
             dataset.kb1, top_relations(dataset.kb1, 3, True), True
         )
         neighbors2 = top_neighbors(
             dataset.kb2, top_relations(dataset.kb2, 3, True), True
         )
-        serial = NeighborSimilarityIndex(value_index, neighbors1, neighbors2)
+        serial = build_neighbor_index(
+            value_index, neighbors1, neighbors2, SerialExecutor()
+        )
         with ThreadExecutor(4) as executor:
             engine_built = build_neighbor_index(
                 value_index, neighbors1, neighbors2, executor
             )
-        assert set(engine_built.pairs()) == set(serial.pairs())
-        for pair, sim in serial.pairs().items():
-            assert engine_built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
-
+        assert decoded_pairs(engine_built) == decoded_pairs(serial)
 
     def test_plain_collection_with_one_sided_blocks(self):
         """``build_value_index`` packs a plain collection itself and
         drops its one-sided blocks — but the shard count, which fixes
         the float fold, is the count of the collection *as handed in*."""
-        from oracles import shard_merged_sum
         from repro.blocking import PackedBlockCollection
         from repro.blocking.base import Block, BlockCollection
-        from repro.core.similarity import (
-            ValueSimilarityIndex,
-            block_token_weight,
-        )
-        from repro.engine import build_value_index, partition_count
+        from repro.core.similarity import block_token_weight
 
         def collection(n_one_sided):
             blocks = BlockCollection("BT")
@@ -219,12 +210,10 @@ class TestIndexParity:
         assert partition_count(len(blocks)) == partition_count(len(two_sided)) == 3
         built = build_value_index(blocks)
         packed = build_value_index(PackedBlockCollection.from_collection(two_sided))
-        assert built.pairs() == packed.pairs()
+        assert decoded_pairs(built) == decoded_pairs(packed)
         assert built.similarity("a0", "b0") == oracle(blocks, 3)
-        reference = ValueSimilarityIndex(two_sided)  # one scan, no shards
-        assert set(built.pairs()) == set(reference.pairs())
-        for pair, sim in reference.pairs().items():
-            assert built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+        reference = value_sims_by_uri(two_sided, 3)
+        assert decoded_pairs(built) == reference
 
         # 70 more move it to 4: the float follows the handed-in count
         blocks = collection(70)
@@ -232,7 +221,8 @@ class TestIndexParity:
         built = build_value_index(blocks)
         assert built.similarity("a0", "b0") == oracle(blocks, 4)
         assert oracle(blocks, 4) != oracle(blocks, 3)  # the fold is felt
-        assert set(built.pairs()) == set(reference.pairs())
+        assert decoded_pairs(built) == value_sims_by_uri(blocks, 4)
+        assert set(decoded_pairs(built)) == set(reference)
 
 
 class TestStageTimings:

@@ -11,13 +11,12 @@ from repro.core import (
     CandidateIndex,
     Match,
     MatchedRegistry,
-    NeighborSimilarityIndex,
-    ValueSimilarityIndex,
     h1_name_matches,
     h2_value_matches,
     h3_rank_aggregation_matches,
     h4_reciprocity_filter,
 )
+from repro.engine import build_neighbor_index, build_value_index
 from repro.kb import KnowledgeBase
 
 
@@ -79,7 +78,7 @@ class TestH2:
     def build(self, texts1, texts2):
         kb1 = kb_with("A", [("", t) for t in texts1], "a")
         kb2 = kb_with("B", [("", t) for t in texts2], "b")
-        return kb1, kb2, ValueSimilarityIndex(token_blocking(kb1, kb2))
+        return kb1, kb2, build_value_index(token_blocking(kb1, kb2))
 
     def test_unique_shared_token_fires(self):
         kb1, _, index = self.build(["zebra stripe"], ["zebra dot"])
@@ -116,8 +115,8 @@ class TestH3:
     def build_index(self, texts1, texts2, k=5):
         kb1 = kb_with("A", [("", t) for t in texts1], "a")
         kb2 = kb_with("B", [("", t) for t in texts2], "b")
-        value_index = ValueSimilarityIndex(token_blocking(kb1, kb2))
-        neighbor_index = NeighborSimilarityIndex(value_index, {}, {})
+        value_index = build_value_index(token_blocking(kb1, kb2))
+        neighbor_index = build_neighbor_index(value_index, {}, {})
         return kb1, CandidateIndex(value_index, neighbor_index, k=k)
 
     def test_top_value_candidate_matched(self):
@@ -152,9 +151,9 @@ class TestH4:
     def test_keeps_reciprocal(self):
         kb1 = kb_with("A", [("", "zebra x")], "a")
         kb2 = kb_with("B", [("", "zebra y")], "b")
-        value_index = ValueSimilarityIndex(token_blocking(kb1, kb2))
+        value_index = build_value_index(token_blocking(kb1, kb2))
         candidates = CandidateIndex(
-            value_index, NeighborSimilarityIndex(value_index, {}, {}), k=3
+            value_index, build_neighbor_index(value_index, {}, {}), k=3
         )
         kept, discarded = h4_reciprocity_filter(
             [Match("a0", "b0", "H2", 1.0)], candidates
@@ -164,9 +163,9 @@ class TestH4:
     def test_discards_non_reciprocal(self):
         kb1 = kb_with("A", [("", "zebra x")], "a")
         kb2 = kb_with("B", [("", "unrelated")], "b")
-        value_index = ValueSimilarityIndex(token_blocking(kb1, kb2))
+        value_index = build_value_index(token_blocking(kb1, kb2))
         candidates = CandidateIndex(
-            value_index, NeighborSimilarityIndex(value_index, {}, {}), k=3
+            value_index, build_neighbor_index(value_index, {}, {}), k=3
         )
         kept, discarded = h4_reciprocity_filter(
             [Match("a0", "b0", "H1", 1.0)], candidates

@@ -46,24 +46,14 @@ class TestEntityInterner:
     @given(uri_sets)
     def test_id_order_is_uri_order(self, uris):
         interner = EntityInterner(uris)
-        assert interner.is_sorted
         assert interner.uris() == sorted(uris)
+        assert EntityInterner.from_uri_list(sorted(uris)).uris() == sorted(uris)
 
     def test_unknown_uri(self):
         interner = EntityInterner(["a"])
         assert interner.get("missing") is None
         with pytest.raises(KeyError):
             interner.id_of("missing")
-
-    def test_intern_appends_and_tracks_sortedness(self):
-        interner = EntityInterner(["b", "d"])
-        assert interner.intern("b") == 0  # existing: id unchanged
-        assert interner.intern("e") == 2  # appended in order: still sorted
-        assert interner.is_sorted
-        assert interner.intern("a") == 3  # out of order
-        assert not interner.is_sorted
-        assert interner.uri_of(3) == "a"
-        assert interner.get("a") == 3
 
     def test_membership_and_iteration(self):
         interner = EntityInterner(["y", "x"])
@@ -93,17 +83,17 @@ class TestPackedPairKeys:
         assert PAIR_ID_MASK == (1 << PAIR_ID_BITS) - 1
         assert MAX_ENTITY_ID == (1 << (PAIR_ID_BITS - 1)) - 1
 
-    def test_interner_refuses_ids_beyond_packing_range(self):
-        class HugeLength(list):
-            """Pretends to already hold every representable id."""
+    def test_interner_refuses_ids_beyond_packing_range(self, monkeypatch):
+        """Either constructor refuses more URIs than a packed key can
+        address (the bound lowered to 3 ids per KB)."""
+        from repro.ids import interner as interner_module
 
-            def __len__(self):
-                return MAX_ENTITY_ID + 1
-
-        interner = EntityInterner(["a"])
-        interner._uris = HugeLength(["a"])
+        monkeypatch.setattr(interner_module, "MAX_ENTITY_ID", 2)
+        assert len(EntityInterner.from_uri_list(["a", "b", "c"])) == 3
         with pytest.raises(OverflowError):
-            interner.intern("one-too-many")
+            EntityInterner(["a", "b", "c", "d"])
+        with pytest.raises(OverflowError):
+            EntityInterner.from_uri_list(["a", "b", "c", "d"])
 
 
 @pytest.mark.skipif(not numpy_enabled(), reason="NumPy unavailable/disabled")
@@ -177,8 +167,9 @@ class TestVectorizedKernels:
         from repro.engine.partitioner import PackedPairHasher
 
         separator = "\x1f"
-        interner1 = EntityInterner.from_uri_list(uris1)
-        interner2 = EntityInterner.from_uri_list(uris2)
+        interner1 = EntityInterner(uris1)
+        interner2 = EntityInterner(uris2)
+        uris1, uris2 = interner1.uris(), interner2.uris()
         hasher = PackedPairHasher(interner1, interner2, separator)
         keys = [pack_pair(id1, id2) for id1, id2 in id_pairs]
         hashes = hasher.hash_many(numpy.array(keys, dtype=numpy.int64))
@@ -343,24 +334,21 @@ class TestResolverPrimitives:
             max_size=40,
         ),
         st.one_of(st.none(), st.integers(1, 5)),
-        st.one_of(st.none(), st.permutations(range(16))),
     )
-    @example({}, None, None)
-    @example({(0, 3): 1.0, (0, 1): 1.0, (2, 9): 0.5, (2, 0): 0.5}, 1, None)
-    def test_ranked_groups(self, cells, limit, rank_of):
-        """Tied sums break on the rank (the id itself without
-        ``rank_of``); empty groups, and the ``limit`` cut."""
+    @example({}, None)
+    @example({(0, 3): 1.0, (0, 1): 1.0, (2, 9): 0.5, (2, 0): 0.5}, 1)
+    def test_ranked_groups(self, cells, limit):
+        """Tied sums break on the id; empty groups, and the ``limit``
+        cut."""
         from repro.ids.arrays import ranked_groups
 
         keys = sorted((group << 32) | cid for group, cid in cells)
         sums = [cells[(key >> 32, key & 0xFFFFFFFF)] for key in keys]
-        rank = (lambda i: i) if rank_of is None else rank_of.__getitem__
-        ranks = None if rank_of is None else array("q", rank_of)
         bounds, ranked = [], []
         for group in range(5):
             bounds.append(sum(1 for key in keys if key >> 32 < group))
             mine = [j for j, key in enumerate(keys) if key >> 32 == group]
-            mine.sort(key=lambda j: (-sums[j], rank(keys[j] & 0xFFFFFFFF)))
+            mine.sort(key=lambda j: (-sums[j], keys[j]))
             ranked.append(mine if limit is None else mine[:limit])
         bounds.append(len(keys))
         expected = [
@@ -370,7 +358,7 @@ class TestResolverPrimitives:
             ranked,
         ]
         vectorized, stdlib = _both_arms(
-            ranked_groups, array("q", keys), array("d", sums), 5, limit, ranks
+            ranked_groups, array("q", keys), array("d", sums), 5, limit
         )
         assert vectorized == expected
         assert stdlib == expected

@@ -2,46 +2,53 @@
 
 ``PackedSimilarityIndex`` state is an ascending packed-key column plus a
 parallel similarity column — whichever buffers the producer emitted —
-and everything else (ranked CSR rows, ``similarity()``, the ``pairs()``
-/ ``packed_items()`` dict views, the canonical digest form) derives
-from them.  These suites pin that:
+and everything else (ranked CSR rows, ``similarity()``, the canonical
+digest form) derives from them.  These suites pin that:
 
-- every constructor lands on the same index, for arbitrary sparse pair
-  sets (ties, ``0.0``, subnormal and huge sums, empty sides), on NumPy
-  and under ``REPRO_DISABLE_NUMPY=1``;
-- the two kernels that changed (``sequential_unique_sums``,
-  ``ranked_csr``) equal the pure-Python fold / 3-key sort they replace,
-  float for float;
+- every column form (``array``, ``memoryview``, NumPy) lands on the same
+  index, for arbitrary sparse pair sets (ties, ``0.0``, subnormal and
+  huge sums, empty sides), on NumPy and under ``REPRO_DISABLE_NUMPY=1``;
+- the kernels (``sequential_unique_sums``, both arms of ``ranked_csr``)
+  equal the pure-Python fold / 3-key sort they replace, float for float;
 - the row digest (``rows_digest``, the oracle) renders byte-identically
-  to the old ``sorted(pairs().items())`` form, and the column digest
+  to the ``sorted(pairs)`` JSON form, and the column digest
   (``artifact_digest``) is a function of the pair map alone: equal
-  exactly when the row digests are, whatever interner, buffer type or
-  NumPy arm produced the columns;
-- no production path — match, save, load, resolve, deltas, digests —
-  ever materialises the dict views, and the memory they cost stays gone.
+  exactly when the row digests are, whatever interner padding, buffer
+  type or NumPy arm produced the columns.
 """
 
 import hashlib
 import json
-import random
+import os
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    decoded_pairs,
+    index_of_pairs,
+    neighbor_sims_by_uri,
+    value_sims_by_uri,
+)
 
 from repro.blocking.base import Block, BlockCollection
 from repro.core import MinoanER, MinoanERConfig
 from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
 from repro.core.similarity import PackedSimilarityIndex, ValueSimilarityIndex
 from repro.core.statistics import top_relations
-from repro.datasets import generate_benchmark, query_stream
-from repro.engine import build_neighbor_index, build_value_index, similarity
+from repro.datasets import generate_benchmark
+from repro.engine import (
+    build_neighbor_index,
+    build_value_index,
+    partition_count,
+    similarity,
+)
 from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.ids.arrays import numpy_enabled
-from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession, artifact_digest, context_digests
 from repro.pipeline.digest import rows_digest
@@ -140,7 +147,7 @@ def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
     """Every URI-facing query of ``index`` equals the plain-dict answer."""
     rows1, rows2 = ranked_rows(sims)
     assert len(index) == len(sims)
-    assert index.pairs() == sims  # float ==, not approx
+    assert decoded_pairs(index) == sims  # float ==, not approx
     decode1, decode2 = (interner.uris() for interner in index.interners())
     for uri1, ranked in rows1.items():
         assert index.candidates_of_entity1(uri1) == ranked
@@ -182,92 +189,38 @@ def csr_state(index: PackedSimilarityIndex) -> list:
 @_RELAXED
 @given(id_pairs=pair_maps)
 def test_adopting_constructors_agree(toggled_numpy, id_pairs):
+    """``from_packed_columns`` adopts ``array``, ``memoryview`` (the mmap
+    form) and NumPy columns as they are, and every form answers alike."""
     sims = as_uri_map(id_pairs)
     interner1 = EntityInterner(uri1 for uri1, _ in sims)
     interner2 = EntityInterner(uri2 for _, uri2 in sims)
     keys, values = columns_of(sims, interner1, interner2)
-    packed = dict(zip(keys, values))
-    built = [
-        PackedSimilarityIndex.from_packed_columns(
-            keys, values, interner1, interner2
-        ),
+    forms = [
+        (keys, values),
         # the mmap form: read-only typed views over foreign bytes
-        PackedSimilarityIndex.from_packed_columns(
+        (
             memoryview(keys.tobytes()).cast("q"),
             memoryview(values.tobytes()).cast("d"),
-            interner1,
-            interner2,
         ),
-        PackedSimilarityIndex.from_packed_sums(
-            dict(reversed(packed.items())), interner1, interner2
-        ),
-        PackedSimilarityIndex.from_pair_sums(sims),
     ]
     if numpy_enabled():
         import numpy
 
-        built.append(
-            PackedSimilarityIndex.from_packed_columns(
+        forms.append(
+            (
                 numpy.array(keys, dtype=numpy.int64),
                 numpy.array(values, dtype=numpy.float64),
-                interner1,
-                interner2,
             )
         )
-    for index in built:
+    built = [
+        PackedSimilarityIndex.from_packed_columns(*form, interner1, interner2)
+        for form in forms
+    ]
+    for form, index in zip(forms, built):
         assert_answers(index, sims)
-        assert index.packed_items() == packed
-        assert list(index.packed_items()) == list(keys)  # ascending view
         assert csr_state(index) == csr_state(built[0])
         stored_keys, stored_values = index.packed_columns()
-        assert list(stored_keys) == list(keys)
-        assert list(stored_values) == list(values)
-
-
-@_RELAXED
-@given(id_pairs=pair_maps, data=st.data())
-def test_unsorted_interners_rank_by_uri(toggled_numpy, id_pairs, data):
-    """Ids appended out of URI order (old post-delta snapshots): the
-    columns stay ascending *by key*, the rows still rank by URI."""
-    sims = as_uri_map(id_pairs)
-    uris1 = data.draw(st.permutations(sorted({u for u, _ in sims})))
-    uris2 = data.draw(st.permutations(sorted({u for _, u in sims})))
-    interner1 = EntityInterner.from_uri_list(uris1)
-    interner2 = EntityInterner.from_uri_list(uris2)
-    index = PackedSimilarityIndex.from_packed_columns(
-        *columns_of(sims, interner1, interner2), interner1, interner2
-    )
-    assert_answers(index, sims)
-
-
-@_RELAXED
-@given(id_pairs=pair_maps, data=st.data())
-def test_neighbor_build_scans_unsorted_interners_by_uri(
-    toggled_numpy, id_pairs, data
-):
-    """``build_neighbor_index`` over a value index whose ids are not in
-    URI order lands on the floats of the sorted-interner build."""
-    sims = as_uri_map(id_pairs)
-    uris1 = sorted({u for u, _ in sims})
-    uris2 = sorted({u for _, u in sims})
-    neighbors1 = {f"urn:p1:{i}": set(uris1[i::2]) for i in range(3)}
-    neighbors2 = {f"urn:p2:{j}": set(uris2[j::2]) for j in range(3)}
-    built = []
-    for order1, order2 in (
-        (uris1, uris2),
-        (
-            data.draw(st.permutations(uris1)),
-            data.draw(st.permutations(uris2)),
-        ),
-    ):
-        interner1 = EntityInterner.from_uri_list(order1)
-        interner2 = EntityInterner.from_uri_list(order2)
-        value_index = ValueSimilarityIndex.from_packed_columns(
-            *columns_of(sims, interner1, interner2), interner1, interner2
-        )
-        built.append(build_neighbor_index(value_index, neighbors1, neighbors2))
-    assert built[1].pairs() == built[0].pairs()
-    assert_answers(built[1], dict(built[0].pairs()))
+        assert stored_keys is form[0] and stored_values is form[1]
 
 
 blocks_strategy = st.lists(
@@ -282,10 +235,9 @@ blocks_strategy = st.lists(
 @_RELAXED
 @given(raw_blocks=blocks_strategy)
 def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
-    """``ValueSimilarityIndex(blocks)`` (dict accumulation, sorted once)
-    and the engine builder (kernel columns adopted as they are) answer
-    identically to an index adopted from the reference's own pair map —
-    the empty collection included."""
+    """The engine builders answer identically to an index adopted from
+    the per-pair oracles' own maps, float ``==`` — the empty collection
+    included."""
     blocks = BlockCollection("BT")
     for position, (side1, side2) in enumerate(raw_blocks):
         blocks.add(
@@ -295,20 +247,18 @@ def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
                 {uri(2, j) for j in side2},
             )
         )
-    reference = ValueSimilarityIndex(blocks)
-    sims = dict(reference.pairs())
-    assert_answers(reference, sims)
-    assert_answers(ValueSimilarityIndex.from_pair_sums(sims), sims)
-    # The engine shards its float additions differently from the plain
-    # scan (as before the column form), hence approx for this one pair.
-    engine_built = build_value_index(blocks)
-    assert set(engine_built.pairs()) == set(sims)
-    for pair, sim in sims.items():
-        assert engine_built.pairs()[pair] == pytest.approx(sim, rel=1e-12)
+    sims = value_sims_by_uri(blocks, partition_count(len(blocks)))
+    value_index = build_value_index(blocks)
+    assert_answers(value_index, sims)
+    assert_answers(index_of_pairs(sims, ValueSimilarityIndex), sims)
     neighbors = {uri(1, i): {uri(1, (i + 1) % 6)} for i in range(6)}
     neighbors2 = {uri(2, j): {uri(2, (j + 1) % 6)} for j in range(6)}
-    propagated = NeighborSimilarityIndex(reference, neighbors, neighbors2)
-    assert_answers(propagated, dict(propagated.pairs()))
+    assert_answers(
+        build_neighbor_index(value_index, neighbors, neighbors2),
+        neighbor_sims_by_uri(
+            sims, neighbors, neighbors2, partition_count(len(sims))
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -338,41 +288,45 @@ def test_sequential_unique_sums_equals_dict_fold(contributions):
     assert sums.tolist() == [reference[key] for key in sorted(reference)]
 
 
-@needs_numpy
 @given(id_pairs=pair_maps)
 def test_ranked_csr_equals_three_key_sort(id_pairs):
-    """The rank-by-stability build equals the explicit 3-key ``lexsort``
-    it replaces (and with it the per-entity ``(-sim, uri)`` sorts)."""
-    import numpy
-
+    """Both arms' stability-ranked build equals the explicit 3-key sort
+    it replaces (and with it the per-entity ``(-sim, uri)`` sorts), as
+    ``array`` columns."""
     from repro.ids.arrays import ranked_csr
 
-    packed = {
-        (id1 << PAIR_ID_BITS) | id2: sim for (id1, id2), sim in id_pairs.items()
-    }
-    keys = numpy.array(sorted(packed), dtype=numpy.int64)
-    sims = numpy.array([packed[key] for key in sorted(packed)], numpy.float64)
-    id1, id2, neg = keys >> 32, keys & 0xFFFFFFFF, -sims
-    order1 = numpy.lexsort((id2, neg, id1))
-    order2 = numpy.lexsort((id1, neg, id2))
-    starts1, cols1, sims1, starts2, cols2, sims2 = ranked_csr(keys, sims, 8, 8)
-    assert cols1.tolist() == id2[order1].tolist()
-    assert sims1.tolist() == sims[order1].tolist()
-    assert cols2.tolist() == id1[order2].tolist()
-    assert sims2.tolist() == sims[order2].tolist()
-    assert starts1.tolist() == [int((id1 < i).sum()) for i in range(9)]
-    assert starts2.tolist() == [int((id2 < i).sum()) for i in range(9)]
+    packed = sorted(
+        ((id1 << PAIR_ID_BITS) | id2, sim) for (id1, id2), sim in id_pairs.items()
+    )
+    triples = [(key >> 32, key & 0xFFFFFFFF, sim) for key, sim in packed]
+    by1 = sorted(triples, key=lambda t: (t[0], -t[2], t[1]))
+    by2 = sorted(triples, key=lambda t: (t[1], -t[2], t[0]))
+    expected = [
+        [sum(id1 < i for id1, _, _ in triples) for i in range(9)],
+        [id2 for _, id2, _ in by1],
+        [sim for _, _, sim in by1],
+        [sum(id2 < i for _, id2, _ in triples) for i in range(9)],
+        [id1 for id1, _, _ in by2],
+        [sim for _, _, sim in by2],
+    ]
+    keys = array("q", (key for key, _ in packed))
+    sims = array("d", (sim for _, sim in packed))
+    for disabled in ("1", "0"):
+        with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": disabled}):
+            rows = ranked_csr(keys, sims, 8, 8)
+        assert [column.typecode for column in rows] == list("qidqid")
+        assert list(map(list, rows)) == expected  # float ==
 
 
 # ----------------------------------------------------------------------
 # Digests: the row oracle keeps its bytes, the columns say the same thing
 # ----------------------------------------------------------------------
 def old_rows_digest(index) -> str:
-    """SHA-256 of the ``sorted(pairs().items())`` JSON rendering."""
+    """SHA-256 of the ``sorted`` pair-map JSON rendering."""
     rendered = json.dumps(
         [
             [uri1, uri2, sim]
-            for (uri1, uri2), sim in sorted(index.pairs().items())
+            for (uri1, uri2), sim in sorted(decoded_pairs(index).items())
         ],
         sort_keys=True,
         separators=(",", ":"),
@@ -382,28 +336,10 @@ def old_rows_digest(index) -> str:
 
 
 @_RELAXED
-@given(id_pairs=pair_maps, data=st.data())
-def test_canonical_form_is_byte_identical(toggled_numpy, id_pairs, data):
-    sims = as_uri_map(id_pairs)
-    uris1 = sorted({u for u, _ in sims})
-    uris2 = sorted({u for _, u in sims})
-    if data.draw(st.booleans()):  # unsorted interners take the fallback
-        uris1 = data.draw(st.permutations(uris1))
-        uris2 = data.draw(st.permutations(uris2))
-    interner1 = EntityInterner.from_uri_list(uris1)
-    interner2 = EntityInterner.from_uri_list(uris2)
-    index = ValueSimilarityIndex.from_packed_columns(
-        *columns_of(sims, interner1, interner2), interner1, interner2
-    )
-    sortable = interner1.is_sorted and interner2.is_sorted
+@given(id_pairs=pair_maps)
+def test_canonical_form_is_byte_identical(toggled_numpy, id_pairs):
+    index = index_of_pairs(as_uri_map(id_pairs), ValueSimilarityIndex)
     assert rows_digest(index) == old_rows_digest(index)
-    if sortable:
-        # the column walk never needed the decoded view
-        fresh = ValueSimilarityIndex.from_packed_columns(
-            *index.packed_columns(), interner1, interner2
-        )
-        rows_digest(fresh)
-        assert fresh._pairs_cache is None and fresh._packed_view is None
 
 
 def test_canonical_form_on_golden_fixture(toggled_numpy):
@@ -444,47 +380,35 @@ def digest_uri(side: int, position: int) -> str:
     return f"urn:kb{side}:{'é' * (position % 3)}e{position}"
 
 
-def index_routes(sims: dict, rng: random.Random) -> list:
+def index_routes(sims: dict) -> list:
     """One ``{(uri1, uri2): sim}`` map as every index a producer can
-    hand the digest: exactly-referenced sorted interners, sorted
-    interners carrying unreferenced URIs on both sides, interners in
-    shuffled (unsorted) id order, and ``array`` / ``memoryview`` /
+    hand the digest: exactly-referenced interners, interners carrying
+    unreferenced URIs on both sides, and ``array`` / ``memoryview`` /
     NumPy columns."""
-    routes = [ValueSimilarityIndex.from_pair_sums(sims)]
-    used1 = sorted({uri1 for uri1, _ in sims})
-    used2 = sorted({uri2 for _, uri2 in sims})
-    padded1 = used1 + [f"urn:kb1:unreferenced{i}" for i in range(3)]
-    padded2 = ["urn:kb2:", *used2, "urn:kb2:zz-unreferenced"]
-    shuffled1, shuffled2 = padded1[:], padded2[:]
-    rng.shuffle(shuffled1)
-    rng.shuffle(shuffled2)
-    for interner1, interner2 in (
-        (EntityInterner(padded1), EntityInterner(padded2)),
+    routes = [index_of_pairs(sims, ValueSimilarityIndex)]
+    padded1 = [uri1 for uri1, _ in sims] + [
+        f"urn:kb1:unreferenced{i}" for i in range(3)
+    ]
+    padded2 = ["urn:kb2:", *(uri2 for _, uri2 in sims), "urn:kb2:zz-unreferenced"]
+    interner1, interner2 = EntityInterner(padded1), EntityInterner(padded2)
+    keys, values = columns_of(sims, interner1, interner2)
+    columns = [
+        (keys, values),
         (
-            EntityInterner.from_uri_list(shuffled1),
-            EntityInterner.from_uri_list(shuffled2),
+            memoryview(keys.tobytes()).cast("q"),
+            memoryview(values.tobytes()).cast("d"),
         ),
-    ):
-        keys, values = columns_of(sims, interner1, interner2)
-        columns = [
-            (keys, values),
-            (
-                memoryview(keys.tobytes()).cast("q"),
-                memoryview(values.tobytes()).cast("d"),
-            ),
-        ]
-        if numpy_enabled():
-            import numpy
+    ]
+    if numpy_enabled():
+        import numpy
 
-            columns.append(
-                (numpy.array(keys, numpy.int64), numpy.array(values, float))
-            )
-        routes.extend(
-            NeighborSimilarityIndex.from_packed_columns(
-                *pair, interner1, interner2
-            )
-            for pair in columns
+        columns.append(
+            (numpy.array(keys, numpy.int64), numpy.array(values, float))
         )
+    routes.extend(
+        NeighborSimilarityIndex.from_packed_columns(*pair, interner1, interner2)
+        for pair in columns
+    )
     return routes
 
 
@@ -514,24 +438,18 @@ def test_column_digest_equal_iff_row_digest_equal(
         if other:
             moved = data.draw(st.sampled_from(sorted(other)))
             other[moved] = data.draw(st.sampled_from(DIGEST_SIMS))
-    rng = data.draw(st.randoms(use_true_random=False))
     digests = []
     for id_map in (id_pairs, other):
         sims = {
             (digest_uri(1, id1), digest_uri(2, id2)): sim
             for (id1, id2), sim in id_map.items()
         }
-        routes = index_routes(sims, rng)
+        routes = index_routes(sims)
         rows = {rows_digest(index) for index in routes}
         columns = set().union(
             *(column_digests(index, monkeypatch) for index in routes)
         )
         assert len(rows) == 1 and len(columns) == 1
-        assert not any(
-            index._pairs_cache or index._packed_view
-            for index in routes
-            if all(interner.is_sorted for interner in index.interners())
-        )
         digests.append((rows.pop(), columns.pop()))
     (rows_a, columns_a), (rows_b, columns_b) = digests
     assert (rows_a == rows_b) == (columns_a == columns_b)
@@ -545,77 +463,27 @@ def test_column_digest_length_prefixes_the_uris(toggled_numpy):
     """``("a", "bc")`` and ``("ab", "c")`` concatenate alike; the
     length prefixes (and the per-side counts) keep them apart."""
     split = [
-        ValueSimilarityIndex.from_pair_sums({pair: 1.0})
+        index_of_pairs({pair: 1.0}, ValueSimilarityIndex)
         for pair in (("a", "bc"), ("ab", "c"), ("abc", ""), ("", "abc"))
     ]
     assert len({artifact_digest(index) for index in split}) == len(split)
     # ... and the two index types share one digest function of the map
     sims = {("a", "b"): 0.5}
     assert artifact_digest(
-        ValueSimilarityIndex.from_pair_sums(sims)
-    ) == artifact_digest(NeighborSimilarityIndex.from_pair_sums(sims))
+        index_of_pairs(sims, ValueSimilarityIndex)
+    ) == artifact_digest(index_of_pairs(sims, NeighborSimilarityIndex))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_similarity_refuses_to_digest(toggled_numpy, bad):
     """As ``allow_nan=False`` always made the row form refuse."""
-    index = ValueSimilarityIndex.from_pair_sums(
-        {("urn:a", "urn:b"): 1.0, ("urn:a", "urn:c"): bad}
+    index = index_of_pairs(
+        {("urn:a", "urn:b"): 1.0, ("urn:a", "urn:c"): bad}, ValueSimilarityIndex
     )
     with pytest.raises(ValueError):
         artifact_digest(index)
     with pytest.raises(ValueError):
         rows_digest(index)
-
-
-# ----------------------------------------------------------------------
-# The dict is never built on a production path
-# ----------------------------------------------------------------------
-def views_untouched(*contexts) -> bool:
-    return all(
-        ctx.get(name)._packed_view is None and ctx.get(name)._pairs_cache is None
-        for ctx in contexts
-        for name in ("value_index", "neighbor_index")
-    )
-
-
-def test_production_paths_never_materialise_the_dict_views(
-    tmp_path, toggled_numpy
-):
-    data = generate_benchmark("restaurant", 1.0, 5)
-    session = MatchSession(data.kb1, data.kb2)
-    cold = session.match()
-    cold_ctx = session.run_context()
-    cold_digests = context_digests(cold_ctx)
-    snapshot_dir = session.save(tmp_path / "snap")
-    records = [q.record for q in query_stream(data, n=6, dirtiness=0.3, seed=2)]
-    known = data.kb1.get(sorted(data.kb1.uris())[0])
-    contexts = [cold_ctx]
-    for mode in ("copy", "mmap"):
-        loaded = MatchSession.load(snapshot_dir, mode=mode)
-        assert loaded.match().matches == cold.matches
-        singles = [loaded.resolve(record, 3) for record in records]
-        assert loaded.resolve_batch(records, 3) == singles
-        assert loaded.resolve(known, 3) is not None
-        loaded_ctx = loaded.run_context()
-        assert context_digests(loaded_ctx) == cold_digests
-        contexts.append(loaded_ctx)
-
-        matcher = IncrementalMatcher.from_snapshot(snapshot_dir, mode=mode)
-        victim = sorted(data.kb2.uris())[-1]
-        removed = matcher.kbs[1].get(victim)
-        matcher.remove_entities("kb2", [victim])
-        matcher.match()
-        contexts.append(matcher.last_context)
-        matcher.add_entities("kb2", [removed])
-        matcher.match()
-        contexts.append(matcher.last_context)
-        assert context_digests(matcher.last_context) == cold_digests
-        matcher.save(tmp_path / f"after-{mode}")
-    assert views_untouched(*contexts)
-    # ... and the probe itself is live: a view call does flip it.
-    cold_ctx.get("value_index").pairs()
-    assert not views_untouched(cold_ctx)
 
 
 def test_digest_builds_no_per_pair_objects(toggled_numpy):

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.blocking import token_blocking
-from repro.core import (
-    NeighborSimilarityIndex,
-    ValueSimilarityIndex,
-    top_neighbors,
-)
+from repro.core import top_neighbors
+from repro.engine import build_neighbor_index, build_value_index
 from repro.kb import KnowledgeBase
 
 
@@ -38,7 +35,7 @@ def make_pair():
 def build_indices():
     kb1, kb2 = make_pair()
     blocks = token_blocking(kb1, kb2)
-    value_index = ValueSimilarityIndex(blocks)
+    value_index = build_value_index(blocks)
     tn1 = top_neighbors(kb1, ["cast"])
     tn2 = top_neighbors(kb2, ["stars"])
     return value_index, tn1, tn2
@@ -68,25 +65,25 @@ class TestTopNeighbors:
 class TestNeighborSimilarityIndex:
     def test_propagates_neighbor_value_sim(self):
         value_index, tn1, tn2 = build_indices()
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         # persons share two unique tokens -> valueSim 2.0 -> propagated
         assert index.similarity("am1", "bm1") == pytest.approx(2.0)
         assert index.similarity("am2", "bm2") == pytest.approx(2.0)
 
     def test_cross_pairs_zero(self):
         value_index, tn1, tn2 = build_indices()
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         assert index.similarity("am1", "bm2") == 0.0
 
     def test_candidates_ranked(self):
         value_index, tn1, tn2 = build_indices()
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         ranked = index.candidates_of_entity1("am1")
         assert ranked[0][0] == "bm1"
 
     def test_candidates_of_entity2(self):
         value_index, tn1, tn2 = build_indices()
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         assert index.candidates_of_entity2("bm1")[0][0] == "am1"
 
     def test_shared_neighbor_accumulates(self):
@@ -96,10 +93,10 @@ class TestNeighborSimilarityIndex:
         tn1["am1"] = {"ap1", "ap2"}
         tn2 = dict(tn2)
         tn2["bm1"] = {"bp1", "bp2"}
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         assert index.similarity("am1", "bm1") == pytest.approx(4.0)
 
     def test_len_counts_pairs(self):
         value_index, tn1, tn2 = build_indices()
-        index = NeighborSimilarityIndex(value_index, tn1, tn2)
+        index = build_neighbor_index(value_index, tn1, tn2)
         assert len(index) == 2

@@ -4,26 +4,30 @@
 of output rows to tasks, which produce them whole, in runs cut by a
 module constant, folding each pair's contributions shard by shard.
 These properties hold them, on both arms and float ``==``, to
-``oracles.shard_merged_sum`` — the scalar statement of that fold over a
-pair's contributions in scan order — and show that no cut of the row
-range into tasks, and no run length, can move a byte of the ``(keys,
-sims)`` columns.
+``oracles.value_sims_by_uri`` / ``neighbor_sims_by_uri`` — the scalar
+statement of that fold (``shard_merged_sum``) over each pair's
+contributions in scan order — and show that no cut of the row range
+into tasks, and no run length, can move a byte of the ``(keys, sims)``
+columns.
 """
 
-from array import array
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import shard_merged_sum, value_pair_key
+from oracles import (
+    decoded_pairs,
+    index_of_pairs,
+    neighbor_sims_by_uri,
+    value_sims_by_uri,
+)
 
 from repro.blocking.base import Block, BlockCollection
-from repro.core.similarity import ValueSimilarityIndex, block_token_weight
+from repro.core.similarity import ValueSimilarityIndex
 from repro.engine import similarity
 from repro.engine.partitioner import partition_count
 from repro.engine.similarity import build_neighbor_index, build_value_index
-from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.ids.arrays import numpy_enabled
 
 _RELAXED = settings(
@@ -129,20 +133,10 @@ def test_value_rows_equal_the_per_pair_oracle(toggled_numpy, fine_shards, raw):
                 {uri(2, j) for j in side2},
             )
         )
-    n_shards = fine_partition_count(len(blocks))
-    contributions: dict = {}
-    for block in sorted(blocks.drop_empty(), key=lambda block: block.key):
-        weight = block_token_weight(len(block.entities1), len(block.entities2))
-        for uri1 in block.entities1:
-            for uri2 in block.entities2:
-                contributions.setdefault((uri1, uri2), []).append(
-                    (block.key, weight)
-                )
     index = build_value_index(blocks)
-    assert index.pairs() == {
-        pair: shard_merged_sum(terms, n_shards)
-        for pair, terms in contributions.items()
-    }
+    assert decoded_pairs(index) == value_sims_by_uri(
+        blocks, fine_partition_count(len(blocks))
+    )
     assert_column_types(index)
     assert_no_cut_moves_a_byte(lambda: build_value_index(blocks))
 
@@ -179,40 +173,21 @@ def test_neighbor_rows_equal_the_per_pair_oracle(
     toggled_numpy, fine_shards, pairs, tops1, tops2
 ):
     sims = {(uri(1, a), uri(2, b)): sim for (a, b), sim in pairs.items()}
-    interner1 = EntityInterner(uri1 for uri1, _ in sims)
-    interner2 = EntityInterner(uri2 for _, uri2 in sims)
-    packed = sorted(
-        ((interner1.id_of(u1) << PAIR_ID_BITS) | interner2.id_of(u2), sim)
-        for (u1, u2), sim in sims.items()
-    )
-    value_index = ValueSimilarityIndex.from_packed_columns(
-        array("q", (key for key, _ in packed)),
-        array("d", (sim for _, sim in packed)),
-        interner1,
-        interner2,
-    )
+    value_index = index_of_pairs(sims, ValueSimilarityIndex)
     neighbors1 = {
         f"urn:p1:{p}": {uri(1, n) for n in listed} for p, listed in tops1.items()
     }
     neighbors2 = {
         f"urn:p2:{p}": {uri(2, n) for n in listed} for p, listed in tops2.items()
     }
-    n_shards = fine_partition_count(len(sims))
-    expected = {}
-    for parent1, listed1 in neighbors1.items():
-        for parent2, listed2 in neighbors2.items():
-            terms = [
-                (value_pair_key(pair), sim)
-                for pair, sim in sorted(sims.items())
-                if pair[0] in listed1 and pair[1] in listed2
-            ]
-            if terms:
-                expected[parent1, parent2] = shard_merged_sum(terms, n_shards)
+    expected = neighbor_sims_by_uri(
+        sims, neighbors1, neighbors2, fine_partition_count(len(sims))
+    )
 
     def build():
         return build_neighbor_index(value_index, neighbors1, neighbors2)
 
     index = build()
-    assert index.pairs() == expected
+    assert decoded_pairs(index) == expected
     assert_column_types(index)
     assert_no_cut_moves_a_byte(build)

@@ -10,6 +10,7 @@ parity between the serve→delta→snapshot cycle and the CLI
 import http.client
 import json
 import os
+import shutil
 import signal
 import socket
 import statistics
@@ -43,6 +44,7 @@ from repro.serve.json_codec import (
 from repro.store import Snapshot
 
 from test_pipeline import make_pair
+from test_snapshot_store import _rewrite_column
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +334,31 @@ class TestEndpoints:
         assert reloaded["generation"] == 3
         assert reloaded["matches_digest"] == applied["matches_digest"]
         assert client.stats()["delta_count"] == 0
+
+    @pytest.mark.parametrize("broken", ["missing", "corrupt", "malformed"])
+    def test_reload_of_a_non_snapshot_is_400(
+        self, served, snapshot_dir, tmp_path, broken
+    ):
+        """A path that holds no loadable snapshot is the client's error:
+        400 with the reason, and the old generation keeps serving."""
+        daemon, client = served
+        target = tmp_path / "bad"
+        if broken != "missing":
+            shutil.copytree(snapshot_dir, target)
+        if broken == "corrupt":
+            column = target / "value_sims.bin"
+            column.write_bytes(b"\xff" + column.read_bytes()[1:])
+        if broken == "malformed":
+            with Snapshot.load(target) as snapshot:
+                kept = snapshot.array("tokens_kept")
+            kept[0] = -1
+            _rewrite_column(target, "tokens_kept", kept)
+        with pytest.raises(ServeClientError) as refused:
+            client.reload(str(target))
+        assert refused.value.status == 400
+        assert client.stats()["generation"] == 1
+        assert client.match("a1")["matched"] is True
+        assert daemon.telemetry.metrics.counters().get("serve.reloads", 0) == 0
 
     def test_error_responses_are_json_and_counted(self, served):
         daemon, client = served

@@ -11,6 +11,7 @@ loudly at load, never warp artifacts silently.
 
 import json
 import math
+import shutil
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -22,6 +23,7 @@ from repro.core import MinoanER, MinoanERConfig
 from repro.engine import create_executor
 from repro.ids import EntityInterner
 from repro.incremental import IncrementalMatcher
+from repro.kb.entity import EntityDescription
 from repro.kb.io_ntriples import read_ntriples
 from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import MatchSession, context_digests, default_graph
@@ -321,13 +323,14 @@ def test_tampered_manifest_count_rejected(saved_snapshot):
         load_state(saved_snapshot)
 
 
-def _rewrite_array_column(snapshot_dir, name, values):
-    """Replace one array column *consistently* (file, count, digest), so
-    only the structural load-time checks stand between it and an index."""
+def _rewrite_column(snapshot_dir, name, values):
+    """Replace one column *consistently* (file, count, digest), so only
+    the structural load-time checks stand between it and an artifact."""
     manifest_path = snapshot_dir / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    entry = write_array_column(snapshot_dir / f"{name}.bin", values)
-    manifest["columns"][name].update(entry)
+    column = manifest["columns"][name]
+    write = write_string_column if column["kind"] == "str" else write_array_column
+    column.update(write(snapshot_dir / column["file"], values))
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
@@ -363,7 +366,7 @@ def test_verify_snapshot_under_either_index_digest_form(
     sims = load_state(saved_snapshot).artifacts["neighbor_index"]
     sims = array("d", sims.packed_columns()[1])
     sims[len(sims) // 2] = math.nextafter(sims[len(sims) // 2], math.inf)
-    _rewrite_array_column(saved_snapshot, "neighbor_sims", sims)
+    _rewrite_column(saved_snapshot, "neighbor_sims", sims)
     with pytest.raises(SnapshotError, match="'neighbor_index' does not"):
         verify_snapshot(saved_snapshot, mode=mode)
 
@@ -420,9 +423,145 @@ def test_malformed_pair_columns_rejected(
         keys = snapshot.array("value_keys")
         sims = snapshot.array("value_sims")
     assert len(keys) > 2
-    _rewrite_array_column(saved_snapshot, *corrupt(keys, sims))
+    _rewrite_column(saved_snapshot, *corrupt(keys, sims))
     with pytest.raises(SnapshotError, match="value: "):
         load_state(saved_snapshot, mode=mode)
+
+
+def _set_first(value):
+    return lambda column: column.__setitem__(0, value)
+
+
+def _shorten_last(column):
+    column[-1] -= 1
+
+
+def _swap_first_rise(column):
+    """Swap the first two neighbours that differ: a column that never
+    decreased (offsets, parents, kept ids) now decreases once."""
+    at = next(i for i in range(len(column) - 1) if column[i] != column[i + 1])
+    column[at], column[at + 1] = column[at + 1], column[at]
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+@pytest.mark.parametrize(
+    "name,corrupt",
+    [
+        ("topnbr_side2_targets", _set_first(-1)),
+        ("topnbr_side2_targets", _set_first(10**6)),
+        ("tokens_kept", _set_first(-1)),
+        ("tokens_side1_key_ids", _set_first(-1)),
+        ("kb1_pair_values", _set_first(-1)),
+        ("tokens_side2_starts", _set_first(1)),
+        ("names_side1_starts", _swap_first_rise),
+        ("topnbr_side1_starts", _shorten_last),
+        ("topnbr_side1_parents", _swap_first_rise),
+        ("tokens_kept", _swap_first_rise),
+    ],
+    ids=[
+        "negative-target",
+        "target-past-table",
+        "negative-kept-key",
+        "negative-placement-key",
+        "negative-kb-value",
+        "offsets-not-from-zero",
+        "offsets-decrease",
+        "offsets-end-short",
+        "parents-unsorted",
+        "kept-unsorted",
+    ],
+)
+def test_malformed_id_columns_rejected(saved_snapshot, name, corrupt, mode):
+    """Every id and offset column outside the indices is checked against
+    the table it indexes: a consistently rewritten column with a
+    negative id (which Python indexing would silently read from the
+    end), an id past its table, offsets that do not run from 0 up to
+    the id column's length, or parents / kept ids out of order fail the
+    load naming the column."""
+    with Snapshot.load(saved_snapshot) as snapshot:
+        column = snapshot.array(name)
+    original = column.tolist()
+    corrupt(column)
+    assert column.tolist() != original
+    _rewrite_column(saved_snapshot, name, column)
+    with pytest.raises(SnapshotError, match=name):
+        load_state(saved_snapshot, mode=mode)
+
+
+def _as_appended_ids(snapshot_dir):
+    """Rewrite a fresh snapshot the way builds that appended interner ids
+    in place could write one: ``value_uris1`` and ``neighbor_uris2`` out
+    of URI order (the first URI moved last), their pair keys re-packed
+    over the moved ids and re-sorted."""
+    with Snapshot.load(snapshot_dir) as snapshot:
+        columns = {
+            (tag, side): (
+                snapshot.strings(f"{tag}_uris{side}"),
+                snapshot.array(f"{tag}_keys"),
+                snapshot.array(f"{tag}_sims"),
+            )
+            for tag, side in (("value", 1), ("neighbor", 2))
+        }
+    for (tag, side), (uris, keys, sims) in columns.items():
+        assert len(uris) > 2
+        shift = 32 if side == 1 else 0
+
+        def moved(key, n=len(uris), shift=shift):
+            old = (key >> shift) & 0xFFFFFFFF
+            return key + ((((old - 1) % n) - old) << shift)
+
+        pairs = sorted(zip(map(moved, keys), sims))
+        rewritten = {
+            f"{tag}_uris{side}": uris[1:] + uris[:1],
+            f"{tag}_keys": array("q", (key for key, _ in pairs)),
+            f"{tag}_sims": array("d", (sim for _, sim in pairs)),
+        }
+        for name, values in rewritten.items():
+            _rewrite_column(snapshot_dir, name, values)
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+def test_snapshot_with_appended_ids_loads_as_sorted(
+    saved_snapshot, tmp_path, mode
+):
+    """A snapshot whose index URI columns are out of URI order is re-keyed
+    once on load: it verifies under both digest forms, answers probes and
+    resolves exactly like the sorted original, and re-saves to the
+    sorted original's bytes."""
+    legacy = tmp_path / "legacy"
+    shutil.copytree(saved_snapshot, legacy)
+    _as_appended_ids(legacy)
+    moved = Snapshot.load(legacy).strings("value_uris1")
+    assert moved != sorted(moved)
+    verify_snapshot(legacy, mode=mode)
+    unmarked = tmp_path / "unmarked"
+    shutil.copytree(legacy, unmarked)
+    _as_unmarked_manifest(unmarked)
+    verify_snapshot(unmarked, mode=mode)
+
+    original = MatchSession.load(saved_snapshot)
+    restored = MatchSession.load(legacy, mode=mode)
+    kb1, kb2 = golden_kbs()
+    records = [
+        EntityDescription(f"urn:query:{position}", kb[uri].pairs)
+        for position, (kb, uri) in enumerate(
+            [(kb1, uri) for uri in kb1.uris()[:12]]
+            + [(kb2, uri) for uri in kb2.uris()[:12]]
+        )
+    ]
+    for session in (original, restored):
+        session.match()
+    for uri in kb1.uris():
+        assert restored.probe(uri).as_dict() == original.probe(uri).as_dict()
+    assert [r.as_dict() for r in restored.resolve_batch(records, 5)] == [
+        r.as_dict() for r in original.resolve_batch(records, 5)
+    ]
+    resaved = restored.save(tmp_path / "resaved")
+    assert sorted(p.name for p in resaved.iterdir()) == sorted(
+        p.name for p in saved_snapshot.iterdir()
+    )
+    for path in saved_snapshot.iterdir():
+        assert (resaved / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
@@ -526,13 +665,12 @@ def test_engine_and_workers_override_independently(tmp_path):
 
 
 def test_interner_from_uri_list_preserves_ids():
-    grown = EntityInterner(["b", "d"])
-    grown.intern("a")  # appended out of order
-    restored = EntityInterner.from_uri_list(grown.uris())
-    assert restored.uris() == grown.uris()
-    assert not restored.is_sorted
-    assert restored.id_of("a") == grown.id_of("a")
-    sorted_again = EntityInterner.from_uri_list(["a", "b"])
-    assert sorted_again.is_sorted
-    with pytest.raises(ValueError, match="duplicates"):
-        EntityInterner.from_uri_list(["a", "a"])
+    """A saved URI column decodes to the interner that wrote it; a list
+    out of URI order, or with a duplicate, is no interner at all."""
+    written = EntityInterner(["d", "b", "a", "b"])
+    restored = EntityInterner.from_uri_list(written.uris())
+    assert restored.uris() == written.uris() == ["a", "b", "d"]
+    assert restored.ids_by_uri() == written.ids_by_uri()
+    for uris in (["b", "a"], ["a", "a"], ["a", "c", "b"]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            EntityInterner.from_uri_list(uris)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decoded_pairs
 from repro.blocking import token_blocking
-from repro.core import ValueSimilarityIndex, block_token_weight
+from repro.core import block_token_weight
+from repro.engine import build_value_index
 from repro.kb import KnowledgeBase, Tokenizer
 from repro.textsim import arcs_similarity
 
@@ -22,7 +24,7 @@ def build_index(texts1, texts2):
     kb1 = kb_from_texts("A", texts1, "a")
     kb2 = kb_from_texts("B", texts2, "b")
     blocks = token_blocking(kb1, kb2)
-    return kb1, kb2, ValueSimilarityIndex(blocks)
+    return kb1, kb2, build_value_index(blocks)
 
 
 class TestBlockTokenWeight:
@@ -99,6 +101,5 @@ class TestValueSimilarityIndex:
     @settings(max_examples=20, deadline=None)
     def test_symmetry_across_sides(self, texts1, texts2):
         _, _, index = build_index(texts1, texts2)
-        for (u1, u2), sim in index.pairs().items():
-            ranked2 = dict(index.candidates_of_entity2(u2))
-            assert ranked2[u1] == pytest.approx(sim)
+        for (u1, u2), sim in decoded_pairs(index).items():
+            assert dict(index.candidates_of_entity2(u2))[u1] == sim
