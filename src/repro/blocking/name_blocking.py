@@ -41,8 +41,8 @@ def normalize_name(name: str) -> str:
 class AttributeNameExtractor:
     """Reads names from the literal values of a fixed attribute list.
 
-    A callable class rather than a closure so that it can be pickled and
-    shipped to worker processes by the parallel execution engine.
+    A callable class rather than a closure, so that two extractors over
+    the same attributes compare (and pickle) by that list.
     """
 
     attributes: tuple[str, ...]

@@ -3,10 +3,11 @@
 A :class:`PlacementTable` holds, per KB side, the ``key -> {uris}``
 placements of one blocking scheme — purged and one-sided keys included
 — plus the inverse ``uri -> keys`` view.  The blocking stages key every
-entity once into a table and publish it (``token_placements`` /
-``name_placements``); the snapshot store persists its :meth:`rows`; the
-incremental matcher adopts it and keeps both views consistent under
-entity insertions and removals, keying only the entities a delta adds.
+entity once (:func:`entity_key_rows`) into a table and publish it
+(``token_placements`` / ``name_placements``); the snapshot store
+persists its :meth:`rows`; the incremental matcher adopts it and keeps
+both views consistent under entity insertions and removals, keying only
+the entities a delta adds.
 
 Blocks are never built any other way: :meth:`assemble` turns the
 two-sided keys (optionally only the Block Purging survivors) into the
@@ -16,12 +17,28 @@ snapshot load and a delta all hand downstream.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
+from ..kb.entity import EntityDescription
 from .packed import PackedBlockCollection
 
 #: Placement rows of one side: ``(uri, block keys)`` per entity.
 KeyRows = list[tuple[str, frozenset[str]]]
+
+#: Entity -> its block keys under one blocking scheme.
+KeysOf = Callable[[EntityDescription], frozenset[str]]
+
+
+def entity_key_rows(
+    entities: Iterable[EntityDescription], keys_of: KeysOf
+) -> KeyRows:
+    """``(uri, block keys)`` of every entity, in the order given.
+
+    The one place an entity is turned into its blocking keys:
+    ``keys_of`` is ``partial(token_keys, tokenizer=...)`` or
+    ``partial(name_keys, extractor=...)``.
+    """
+    return [(entity.uri, keys_of(entity)) for entity in entities]
 
 
 class PlacementTable:

@@ -9,9 +9,15 @@ comparisons, which Block Purging later bounds.
 
 from __future__ import annotations
 
+from ..kb.entity import EntityDescription
 from ..kb.knowledge_base import KnowledgeBase
 from ..kb.tokenizer import Tokenizer
 from .base import BlockCollection
+
+
+def token_keys(entity: EntityDescription, tokenizer: Tokenizer) -> frozenset[str]:
+    """The token-blocking keys of one entity: its distinct tokens."""
+    return frozenset(tokenizer.token_set(entity))
 
 
 def token_blocking(

@@ -26,7 +26,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -194,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for parallel engines (default: one per CPU)",
     )
     match.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="with --engine process, fail the run instead of degrading "
-        "to inline execution after repeated worker crashes",
-    )
-    match.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -281,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the write-ahead delta log in DIR: every POST /delta "
         "is durably logged before it is applied, and unsnapshotted "
         "batches found there replay on boot (see docs/PERSISTENCE.md)",
-    )
-    serve.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="with a process engine, fail a dispatch instead of "
-        "degrading to inline execution after repeated worker crashes",
     )
 
     resolve = commands.add_parser(
@@ -539,8 +526,6 @@ def cmd_match(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.no_degrade:
-        os.environ["REPRO_ENGINE_NO_DEGRADE"] = "1"
     config = MinoanERConfig(
         theta=args.theta,
         top_k_candidates=args.top_k,
@@ -650,8 +635,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.wal import WalError
     from .store import SnapshotError
 
-    if args.no_degrade:
-        os.environ["REPRO_ENGINE_NO_DEGRADE"] = "1"
     try:
         daemon = ResolutionDaemon.from_snapshot(
             args.snapshot,

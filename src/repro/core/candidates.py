@@ -7,8 +7,7 @@ lists too).
 
 The lists are cut on **bare ids** (:func:`kept_neighbor_offsets` over
 the two undecoded CSR rows) and only the ≤ 2·``K`` survivors are decoded
-to URIs; the engine's H3 gather workers and the online resolver's H4
-bars call the same function.
+to URIs; the online resolver's H4 bars call the same function.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .neighbors import NeighborSimilarityIndex
 from .similarity import ValueSimilarityIndex
@@ -183,24 +182,6 @@ class CandidateIndex:
         self._translations: dict[int, array] = {}
 
     # ------------------------------------------------------------------
-    # Read-only structure (the engine's packed gather reads these)
-    # ------------------------------------------------------------------
-    @property
-    def value_index(self) -> ValueSimilarityIndex:
-        """The value-similarity evidence the lists are drawn from."""
-        return self._value_index
-
-    @property
-    def neighbor_index(self) -> NeighborSimilarityIndex:
-        """The neighbor-similarity evidence the lists are drawn from."""
-        return self._neighbor_index
-
-    @property
-    def restrict_neighbors(self) -> bool:
-        """Whether neighbor candidates must co-occur in the token blocks."""
-        return self._restrict
-
-    # ------------------------------------------------------------------
     # Lookup (lazy, cached)
     # ------------------------------------------------------------------
     def of_entity1(self, uri1: str) -> CandidateLists:
@@ -244,16 +225,6 @@ class CandidateIndex:
             value=tuple(value_decode[i] for i in value_ids[: self.k]),
             neighbor=tuple(neighbor_decode[neighbor_ids[j]] for j in kept),
         )
-
-    def preload_entity1(
-        self, built: Iterable[tuple[str, CandidateLists]]
-    ) -> None:
-        """Seed the E1 cache with lists built elsewhere (parallel engine).
-
-        The lists must be what :meth:`of_entity1` would have produced —
-        the engine's workers run the same :func:`kept_neighbor_offsets`.
-        """
-        self._cache1.update(built)
 
     # ------------------------------------------------------------------
     # Reciprocity helper

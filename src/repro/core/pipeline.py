@@ -16,12 +16,14 @@ extra heuristics, user stages) and ``MinoanER.session()`` /
 :class:`~repro.pipeline.session.MatchSession` reuses cached upstream
 artifacts across repeated runs.
 
-Every stage dispatches through a pluggable execution engine
-(:mod:`repro.engine`): the default :class:`SerialExecutor` runs the
-partitioned stages in the calling thread, while ``thread``/``process``
-executors (the :class:`MinoanERConfig` ``engine``/``workers`` knobs)
-spread them across workers — with identical results, since partition
-layout and merge order are independent of the executor.
+The two similarity-index stages dispatch their row kernel through a
+pluggable execution engine (:mod:`repro.engine`): the default
+:class:`SerialExecutor` runs its tasks in the calling thread, while
+``thread``/``process`` executors (the :class:`MinoanERConfig`
+``engine``/``workers`` fields) spread them across workers — with
+identical results, since partition layout and merge order are
+independent of the executor.  Every other stage runs in the calling
+process.
 """
 
 from __future__ import annotations

@@ -125,9 +125,9 @@ class PackedSimilarityIndex:
     def csr_row_ids(self, side: int, uri: str) -> array:
         """One row's full ranked counterpart-id column, undecoded.
 
-        The packed form of ``candidates_of_entity{side}(uri)`` for bulk
-        consumers (the H3 candidate gather ships these slices to workers
-        instead of the whole index): counterpart ids in ranked order, in
+        The packed form of ``candidates_of_entity{side}(uri)`` for
+        id-level consumers (the candidate lists' trim reads these rows
+        before decoding any URI): counterpart ids in ranked order, in
         the *other* side's interner space.  Empty for URIs the index
         never saw.
         """
@@ -135,13 +135,8 @@ class PackedSimilarityIndex:
         return self.csr_columns(side)[1][start:stop]
 
     def csr_columns(self, side: int) -> tuple[array, array]:
-        """One side's immutable CSR ``(starts, cols)`` columns.
-
-        The buffer-level counterpart of :meth:`csr_row_ids` for
-        publish-once consumers (the shared-memory H3 gather maps the
-        whole ``cols`` column into a segment and ships row *spans*
-        instead of row copies).
-        """
+        """One side's immutable CSR ``(starts, cols)`` columns: every
+        ranked row end to end, delimited by ``starts``."""
         if side == 1:
             return self._starts1, self._cols1
         return self._starts2, self._cols2

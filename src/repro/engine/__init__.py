@@ -2,10 +2,9 @@
 
 The laptop-scale analogue of the paper's Spark jobs: pluggable executors
 (:mod:`.executor`), data-determined partition layouts (:mod:`.partitioner`)
-and partitioned implementations of the pipeline's hot stages — keying
-entities into blocking placements (:mod:`.blocking`), similarity-index
-construction (:mod:`.similarity`) and the H3 candidate-list scan
-(:mod:`.matching`).
+and the one kernel they dispatch — the row sums behind both similarity
+indices (:mod:`.similarity`).  Blocking keys and H3's candidate lists
+are built in the calling process.
 
 All three executors compute bit-identical results; see the determinism
 contract in :mod:`.executor`.
@@ -20,7 +19,6 @@ from .executor import (
     auto_workers,
     create_executor,
 )
-from .matching import h3_rank_aggregation_matches_engine
 from .partitioner import (
     PackedPairHasher,
     chunk_evenly,
@@ -45,7 +43,6 @@ __all__ = [
     "build_value_index",
     "chunk_evenly",
     "create_executor",
-    "h3_rank_aggregation_matches_engine",
     "partition_count",
     "stable_hash",
 ]

@@ -1,9 +1,11 @@
 """Pluggable executors: the parallel substrate of the pipeline.
 
 The paper specifies every MinoanER stage as a Spark map/reduce job; this
-module provides the laptop-scale analogue.  An :class:`Executor` runs a
-function over a list of *partitions* (``map_partitions``) and folds the
-per-partition results back together in partition order (``reduce``).
+module provides the laptop-scale analogue for the one piece of work the
+pipeline dispatches: the row kernel behind both similarity indices
+(:mod:`repro.engine.similarity`).  An :class:`Executor` runs a function
+over a list of column *shards* (:meth:`Executor.map_columns`) and returns
+the per-shard results in shard order; the caller concatenates them.
 
 Three implementations share that interface:
 
@@ -14,12 +16,11 @@ Three implementations share that interface:
 - :class:`ProcessExecutor` — a process pool (true parallelism; partition
   functions and their arguments must be picklable).
 
-Determinism contract: ``map_partitions`` returns results in partition
-order and ``reduce`` folds them left-to-right in that order, for every
-executor.  Combined with a partition layout that depends only on the data
-(see :mod:`repro.engine.partitioner`), every stage computes bit-identical
-results — including floating-point accumulations — no matter which
-executor ran it or with how many workers.
+Determinism contract: ``map_columns`` returns results in shard order for
+every executor.  Combined with a shard layout that depends only on the
+data (see :mod:`repro.engine.partitioner`), the kernel computes
+bit-identical results — including floating-point accumulations — no
+matter which executor ran it or with how many workers.
 
 Telemetry: when a :class:`~repro.obs.runtime.Telemetry` bundle is active
 (see :mod:`repro.obs`), every dispatch opens an ``engine``-category span
@@ -33,9 +34,9 @@ so the merged telemetry of a run is exact and executor-independent.
 Subclasses implement :meth:`_map`; the base class owns the
 instrumentation, and disabled mode short-circuits straight to ``_map``.
 
-Transport: stages whose partitions are flat columns dispatch through
-:meth:`Executor.map_columns`, the one place that decides whether columns
-reach a kernel as they are or through :mod:`repro.engine.shm`.
+Transport: :meth:`Executor.map_columns` is also the one place that
+decides whether columns reach a kernel as they are or through
+:mod:`repro.engine.shm`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import os
 import pickle
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Any, Callable, Sequence, TypeVar
@@ -120,7 +121,7 @@ def _on_handles(shard: tuple, fn: Callable[..., R], shared: tuple) -> R:
 
 
 class Executor(ABC):
-    """Runs a function over partitions and merges the results in order."""
+    """Runs a function over column shards; results come in shard order."""
 
     name: str = "abstract"
 
@@ -136,17 +137,6 @@ class Executor(ABC):
     @abstractmethod
     def _map(self, fn: Callable[[P], R], partitions: Sequence[P]) -> list[R]:
         """Apply ``fn`` to every partition, results in partition order."""
-
-    def map_partitions(
-        self, fn: Callable[[P], R], partitions: Sequence[P]
-    ) -> list[R]:
-        """Apply ``fn`` to every partition; results come in partition order.
-
-        With ambient telemetry active, the dispatch is traced and every
-        partition's worker-local telemetry is merged back exactly (see
-        the module docstring); otherwise this is ``_map`` directly.
-        """
-        return self._dispatch(fn, partitions, _fn_label(fn))
 
     def map_columns(
         self,
@@ -166,6 +156,10 @@ class Executor(ABC):
         the task wrapper reopens as typed ``memoryview`` s; without one
         the buffers themselves are the task.  ``fn`` cannot tell the
         difference and must not return (or keep) a view of its inputs.
+
+        With ambient telemetry active, the dispatch is traced and every
+        task's worker-local telemetry is merged back exactly (see the
+        module docstring); otherwise this is ``_map`` directly.
         """
         shared = tuple(shared)
         label = _fn_label(fn)
@@ -234,28 +228,6 @@ class Executor(ABC):
             span.set(bytes_shipped=shipped, bytes_returned=returned)
         return results
 
-    def reduce(
-        self,
-        merge: Callable[[Any, R], Any],
-        results: Sequence[R],
-        initial: Any,
-    ) -> Any:
-        """Left fold of per-partition results, in partition order."""
-        accumulated = initial
-        for result in results:
-            accumulated = merge(accumulated, result)
-        return accumulated
-
-    def run(
-        self,
-        fn: Callable[[P], R],
-        partitions: Sequence[P],
-        merge: Callable[[Any, R], Any],
-        initial: Any,
-    ) -> Any:
-        """``map_partitions`` + ``reduce`` in one call."""
-        return self.reduce(merge, self.map_partitions(fn, partitions), initial)
-
     def close(self) -> None:
         """Release pooled workers (idempotent; a no-op for serial)."""
 
@@ -313,20 +285,6 @@ class ThreadExecutor(_PooledExecutor):
         return ThreadPoolExecutor(max_workers=self.workers)
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ[name])
-    except (KeyError, ValueError):
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
-        return default
-
-
 def _worker_entry(fn: Callable[[P], R], partition: P) -> R:
     """Pool-side task wrapper: the ``engine.worker`` failpoint site.
 
@@ -339,6 +297,8 @@ def _worker_entry(fn: Callable[[P], R], partition: P) -> R:
     return fn(partition)
 
 
+#: Failed rounds a dispatch retries before it degrades to inline.
+_MAX_RETRIES = 2
 #: Retry backoff: base doubles per consecutive failure, capped.
 _BACKOFF_BASE_SECONDS = 0.05
 _BACKOFF_CAP_SECONDS = 1.0
@@ -355,28 +315,17 @@ class ProcessExecutor(_PooledExecutor):
     still live.
 
     Dispatches are fault-tolerant.  A crashed worker (``SIGKILL``, OOM
-    kill — surfacing as :class:`BrokenProcessPool`) or a dispatch
-    deadline overrun discards the broken pool, rebuilds it, and — after
-    a capped exponential backoff — resubmits only the partitions that
-    never finished.  After ``max_retries`` consecutive failed rounds the
-    dispatch degrades to running the remaining partitions inline in the
-    driver (bit-identical by the executor parity contract) unless
-    degradation is disabled, in which case it raises.  Genuine worker
-    exceptions (a bug in the partition function) propagate immediately
-    and are never retried.  Shared-memory segments published for the
-    dispatch stay alive across pool rebuilds — retried and degraded
-    partitions re-attach to (or read in-process) the same segment, which
+    kill — surfacing as :class:`BrokenProcessPool`) discards the broken
+    pool, rebuilds it, and — after a capped exponential backoff —
+    resubmits only the partitions that never finished.  After
+    ``_MAX_RETRIES`` consecutive failed rounds the dispatch degrades to
+    running the remaining partitions inline in the calling process
+    (bit-identical by the executor parity contract).  Genuine worker exceptions (a bug
+    in the partition function) propagate immediately and are never
+    retried.  Shared-memory segments published for the dispatch stay
+    alive across pool rebuilds — retried and degraded partitions
+    re-attach to (or read in-process) the same segment, which
     ``map_columns`` unlinks when the dispatch ends, success or failure.
-
-    Knobs (constructor arguments override the environment):
-
-    - ``REPRO_DISPATCH_DEADLINE`` — seconds one submission round may
-      take before its stragglers are treated as crashed (0 = no
-      deadline, the default);
-    - ``REPRO_ENGINE_MAX_RETRIES`` — failed rounds tolerated before
-      degrading (default 2);
-    - ``REPRO_ENGINE_NO_DEGRADE=1`` — fail the dispatch instead of
-      degrading to inline execution (the CLI's ``--no-degrade``).
 
     Counters (ambient telemetry): ``engine.worker_retries`` (partition
     resubmissions), ``engine.pool_rebuilds``, and
@@ -386,34 +335,12 @@ class ProcessExecutor(_PooledExecutor):
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        dispatch_deadline: float | None = None,
-        max_retries: int | None = None,
-        degrade: bool | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers)
         self._arena = None
-        self.dispatch_deadline = (
-            dispatch_deadline
-            if dispatch_deadline is not None
-            else _env_float("REPRO_DISPATCH_DEADLINE", 0.0)
-        )
-        self.max_retries = (
-            max_retries
-            if max_retries is not None
-            else _env_int("REPRO_ENGINE_MAX_RETRIES", 2)
-        )
-        self.degrade = (
-            degrade
-            if degrade is not None
-            else os.environ.get("REPRO_ENGINE_NO_DEGRADE") != "1"
-        )
 
     def _discard_pool(self) -> None:
-        """Drop a broken/stalled pool without waiting on its corpses."""
+        """Drop a broken pool without waiting on its corpses."""
         pool, self._pool = self._pool, None
         if pool is not None:
             try:
@@ -430,9 +357,9 @@ class ProcessExecutor(_PooledExecutor):
         """Submit ``pending`` partition indices once.
 
         Returns ``(completed, unfinished)`` where ``unfinished`` holds
-        indices lost to a pool crash or still running at the deadline.
-        A non-crash exception from a task propagates — that is a bug in
-        the partition function, not a fault to retry.
+        the indices lost to a pool crash, ascending.  A non-crash
+        exception from a task propagates — that is a bug in the partition
+        function, not a fault to retry.
         """
         if self._pool is None:
             self._pool = self._make_pool()
@@ -445,13 +372,9 @@ class ProcessExecutor(_PooledExecutor):
             # The pool broke before (or while) accepting work; nothing
             # was completed this round.
             return {}, list(pending)
-        done, not_done = wait(
-            futures, timeout=self.dispatch_deadline or None
-        )
         completed: dict[int, R] = {}
-        unfinished = [futures[future] for future in not_done]
-        for future in done:
-            index = futures[future]
+        unfinished: list[int] = []
+        for future, index in futures.items():
             try:
                 completed[index] = future.result()
             except BrokenProcessPool:
@@ -476,14 +399,7 @@ class ProcessExecutor(_PooledExecutor):
             failed_rounds += 1
             metrics.counter("engine.pool_rebuilds").inc()
             self._discard_pool()
-            unfinished.sort()
-            if failed_rounds > self.max_retries:
-                if not self.degrade:
-                    raise BrokenProcessPool(
-                        f"dispatch failed {failed_rounds} round(s); "
-                        f"{len(unfinished)} partition(s) unfinished and "
-                        "degradation is disabled"
-                    )
+            if failed_rounds > _MAX_RETRIES:
                 # Last resort: the driver runs the stragglers itself.
                 # Inline execution calls ``fn`` directly (no failpoint
                 # wrapper) and is bit-identical by the parity contract.

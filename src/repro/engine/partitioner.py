@@ -7,9 +7,7 @@
   names the slab its contributions are folded in, i.e. it *defines the
   float fold*;
 - **even chunking** splits a sequence into contiguous runs, preserving
-  order — used for the blocking stages' entity keying, for entity scans
-  whose results must be consumed in the original iteration order (H3)
-  and for the similarity stages' ranges of output rows.
+  order — the similarity stages' ranges of output rows.
 
 The partition *count* is a function of the data size alone, never of the
 executor's worker count.  Every executor therefore sees the identical

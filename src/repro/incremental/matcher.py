@@ -51,9 +51,8 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..blocking.placements import entity_key_rows
 from ..core.statistics import top_name_attributes
-from ..engine.blocking import entity_key_rows
-from ..engine.executor import create_executor
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
 from ..pipeline.stages import NameBlockingStage, TokenBlockingStage
 
@@ -251,17 +250,14 @@ class IncrementalMatcher:
             )
         if not batch:
             return 0
-        with create_executor(self.config.engine, self.config.workers) as engine:
-            token_rows = entity_key_rows(batch, self._token_keyer, engine)
-            name_rows = (
-                entity_key_rows(
-                    batch,
-                    NameBlockingStage.keyer(self._name_attrs[side - 1]),
-                    engine,
-                )
-                if self._names is not None
-                else []
+        token_rows = entity_key_rows(batch, self._token_keyer)
+        name_rows = (
+            entity_key_rows(
+                batch, NameBlockingStage.keyer(self._name_attrs[side - 1])
             )
+            if self._names is not None
+            else []
+        )
         for entity in batch:
             kb.add(entity)
         for uri, keys in token_rows:

@@ -21,9 +21,10 @@ stage                 group      provides
 The two blocking stages register themselves in
 :data:`~repro.pipeline.registry.BLOCKING_SCHEMES` under ``name`` /
 ``token``; the heuristics H1-H4 in
-:data:`~repro.pipeline.registry.HEURISTICS` under ``h1``-``h4``.  Every
-stage dispatches through the execution engine, so the composed graph
-inherits the engine's bit-identical-across-executors contract.
+:data:`~repro.pipeline.registry.HEURISTICS` under ``h1``-``h4``.  The two
+index stages dispatch their kernel through the execution engine, which
+is bit-identical across executors; every other stage runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -32,20 +33,20 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..blocking.name_blocking import name_keys, names_from_attributes
-from ..blocking.placements import PlacementTable
+from ..blocking.placements import KeysOf, PlacementTable, entity_key_rows
 from ..blocking.purging import purge_decision_from_sizes
+from ..blocking.token_blocking import token_keys
 from ..core.candidates import CandidateIndex
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
     h1_name_matches,
     h2_value_matches,
+    h3_rank_aggregation_matches,
     h4_reciprocity_filter,
 )
 from ..core.neighbors import top_neighbors
 from ..core.statistics import top_name_attributes, top_relations
-from ..engine.blocking import KeysOf, entity_key_rows, token_keys
-from ..engine.matching import h3_rank_aggregation_matches_engine
 from ..engine.similarity import build_neighbor_index, build_value_index
 from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import current as current_telemetry
@@ -104,7 +105,7 @@ class NameBlockingStage(Stage):
         table = PlacementTable(
             "BN",
             tuple(
-                entity_key_rows(kb, self.keyer(attributes), engine)
+                entity_key_rows(kb, self.keyer(attributes))
                 for kb, attributes in zip((ctx.kb1, ctx.kb2), names)
             ),
         )
@@ -171,7 +172,7 @@ class TokenBlockingStage(Stage):
         keyer = self.keyer(ctx.config)
         table = PlacementTable(
             "BT",
-            tuple(entity_key_rows(kb, keyer, engine) for kb in (ctx.kb1, ctx.kb2)),
+            tuple(entity_key_rows(kb, keyer) for kb in (ctx.kb1, ctx.kb2)),
         )
         artifacts = self.artifacts(table, ctx.config)
         report = artifacts["purging_report"]
@@ -331,12 +332,12 @@ class H3RankAggregationHeuristic(Heuristic):
     config_fields = ("theta",)
 
     def produce(self, ctx, registry, engine):
-        return h3_rank_aggregation_matches_engine(
-            ctx.kb1.uris(),
-            ctx.get("candidate_index"),
-            ctx.config.theta,
-            registry,
-            engine,
+        uris = [uri for uri in ctx.kb1.uris() if uri not in registry.matched1]
+        current_telemetry().metrics.counter(
+            "matching.candidate_lists_built"
+        ).inc(len(uris))
+        return h3_rank_aggregation_matches(
+            uris, ctx.get("candidate_index"), ctx.config.theta, registry
         )
 
 

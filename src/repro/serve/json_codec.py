@@ -47,11 +47,21 @@ class DeltaOp:
         return len(self.entities) if self.op == "add" else len(self.uris)
 
 
+def _is_text(value: Any) -> bool:
+    return isinstance(value, str) and value != ""
+
+
 def entity_from_dict(record: Any) -> EntityDescription:
-    """Decode one :func:`repro.kb.io_json.kb_to_dict` entity record."""
-    if not isinstance(record, dict) or not isinstance(record.get("uri"), str):
+    """Decode one :func:`repro.kb.io_json.kb_to_dict` entity record.
+
+    The URI, every attribute and every boxed ``lit`` / ``ref`` must be a
+    non-empty string: anything else is refused here, before the record
+    can reach a write-ahead log, a tokenizer or a matcher.
+    """
+    if not isinstance(record, dict) or not _is_text(record.get("uri")):
         raise DeltaFormatError(
-            f"entity record must be an object with a string 'uri': {record!r}"
+            "entity record must be an object with a non-empty string "
+            f"'uri': {record!r}"
         )
     entity = EntityDescription(record["uri"])
     pairs = record.get("pairs", [])
@@ -63,7 +73,7 @@ def entity_from_dict(record: Any) -> EntityDescription:
         if not (
             isinstance(pair, (list, tuple))
             and len(pair) == 2
-            and isinstance(pair[0], str)
+            and _is_text(pair[0])
             and isinstance(pair[1], dict)
         ):
             raise DeltaFormatError(
@@ -72,13 +82,19 @@ def entity_from_dict(record: Any) -> EntityDescription:
             )
         attribute, boxed = pair
         if "ref" in boxed:
-            entity.add(attribute, UriRef(boxed["ref"]))
+            box, value = UriRef, boxed["ref"]
         elif "lit" in boxed:
-            entity.add(attribute, Literal(boxed["lit"]))
+            box, value = Literal, boxed["lit"]
         else:
             raise DeltaFormatError(
                 f"malformed value box for {record['uri']!r}: {boxed!r}"
             )
+        if not _is_text(value):
+            raise DeltaFormatError(
+                f"value box of {record['uri']!r} must hold a non-empty "
+                f"string: {boxed!r}"
+            )
+        entity.add(attribute, box(value))
     return entity
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
-from array import array
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,6 @@ from repro.core.similarity import ValueSimilarityIndex
 from repro.core.candidates import counterpart_translation, kept_neighbor_offsets
 from repro.datasets import generate_benchmark
 from repro.engine import build_neighbor_index, build_value_index
-from repro.engine.matching import _candidate_id_rows
 from repro.ids.arrays import numpy_enabled
 from repro.kb import KnowledgeBase
 from repro.pipeline import MatchSession
@@ -170,9 +167,9 @@ def test_id_level_lists_equal_uri_level_lists(
 def test_trim_reads_any_integer_column(
     toggled_numpy, value_pairs, neighbor_pairs, k, restrict
 ):
-    """The H3 worker's columns arrive as ``array`` s, shared-memory
-    ``memoryview`` s or NumPy arrays; every form keeps the same ids —
-    one row at a time and as whole CSR columns addressed by spans."""
+    """CSR rows come as ``array`` s, mmap ``memoryview`` s or NumPy
+    arrays; the trim keeps the same ids from every form, and
+    :meth:`CandidateIndex.of_entity1` decodes them to the same lists."""
     value_index = _index_of(ValueSimilarityIndex, value_pairs)
     neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs)
     translation = counterpart_translation(value_index, neighbor_index, 1)
@@ -185,14 +182,17 @@ def test_trim_reads_any_integer_column(
                 column, dtype={"i": numpy.int32, "q": numpy.int64}[column.typecode]
             )
         )
-    decode_value = value_index.interners()[1].uris()
     decode_neighbor = neighbor_index.interners()[1].uris()
-    uris = [_uri(1, position) for position in range(10)]
-    expected = [
-        candidate_lists_by_uri(value_index, neighbor_index, uri, 1, k, restrict)
-        for uri in uris
-    ]
-    for uri, lists in zip(uris, expected):
+    index = CandidateIndex(
+        value_index,
+        neighbor_index,
+        k=k,
+        restrict_neighbors_to_cooccurring=restrict,
+    )
+    for uri in (_uri(1, position) for position in range(10)):
+        lists = candidate_lists_by_uri(
+            value_index, neighbor_index, uri, 1, k, restrict
+        )
         value_ids = value_index.csr_row_ids(1, uri)
         neighbor_ids = neighbor_index.csr_row_ids(1, uri)
         for form in forms:
@@ -203,45 +203,7 @@ def test_trim_reads_any_integer_column(
                 tuple(decode_neighbor[neighbor_ids[j]] for j in kept)
                 == lists.neighbor
             )
-            # the row alone, as a one-entity chunk spanning its columns
-            [(value_kept, neighbor_kept)] = _candidate_id_rows(
-                form(array("q", [0])),
-                form(array("q", [len(value_ids)])),
-                form(array("q", [0])),
-                form(array("q", [len(neighbor_ids)])),
-                form(value_ids),
-                form(neighbor_ids),
-                form(translation),
-                k,
-                restrict,
-            )
-            assert tuple(decode_value[i] for i in value_kept) == lists.value
-            assert (
-                tuple(decode_neighbor[i] for i in neighbor_kept)
-                == lists.neighbor
-            )
-    # every entity at once, spans into the whole CSR id columns (what
-    # ``_preload_candidate_lists`` ships), absent URIs as empty spans
-    spans = [
-        (*value_index.csr_row_span(1, uri), *neighbor_index.csr_row_span(1, uri))
-        for uri in uris
-    ]
-    for form in forms:
-        rows = _candidate_id_rows(
-            *(form(array("q", column)) for column in zip(*spans)),
-            form(value_index.csr_columns(1)[1]),
-            form(neighbor_index.csr_columns(1)[1]),
-            form(translation),
-            k,
-            restrict,
-        )
-        assert [
-            (
-                tuple(decode_value[i] for i in value_kept),
-                tuple(decode_neighbor[i] for i in neighbor_kept),
-            )
-            for value_kept, neighbor_kept in rows
-        ] == [(lists.value, lists.neighbor) for lists in expected]
+        assert index.of_entity1(uri) == lists
 
 
 @pytest.mark.parametrize("restrict", [True, False])

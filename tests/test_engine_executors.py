@@ -1,5 +1,7 @@
 """Unit tests for the executor abstraction (serial/thread/process)."""
 
+from array import array
+
 import pytest
 
 from repro.engine import (
@@ -16,6 +18,11 @@ def _square(values):
     return [v * v for v in values]
 
 
+def _shards(*partitions):
+    """``map_columns`` shards of one ``int64`` column each."""
+    return [(array("q", partition),) for partition in partitions]
+
+
 ALL_EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
     pytest.param(lambda: ThreadExecutor(3), id="thread"),
@@ -24,11 +31,13 @@ ALL_EXECUTORS = [
 
 
 class TestMapPartitions:
+    """``map_columns``, the one dispatch, over one column per partition."""
+
     @pytest.mark.parametrize("make", ALL_EXECUTORS)
     def test_results_in_partition_order(self, make):
-        partitions = [[1, 2], [3], [4, 5, 6], []]
+        shards = _shards([1, 2], [3], [4, 5, 6], [])
         with make() as executor:
-            assert executor.map_partitions(_square, partitions) == [
+            assert executor.map_columns(_square, shards, "q") == [
                 [1, 4],
                 [9],
                 [16, 25, 36],
@@ -38,42 +47,26 @@ class TestMapPartitions:
     @pytest.mark.parametrize("make", ALL_EXECUTORS)
     def test_empty_partition_list(self, make):
         with make() as executor:
-            assert executor.map_partitions(_square, []) == []
-
-    @pytest.mark.parametrize("make", ALL_EXECUTORS)
-    def test_reduce_folds_in_order(self, make):
-        with make() as executor:
-            merged = executor.reduce(
-                lambda acc, part: acc + part, [[1], [2, 3], [4]], []
-            )
-        assert merged == [1, 2, 3, 4]
-
-    @pytest.mark.parametrize("make", ALL_EXECUTORS)
-    def test_run_combines_map_and_reduce(self, make):
-        with make() as executor:
-            total = executor.run(
-                sum, [[1, 2], [3, 4]], lambda acc, value: acc + value, 0
-            )
-        assert total == 10
+            assert executor.map_columns(_square, [], "q") == []
 
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
         executor = ThreadExecutor(2)
-        executor.map_partitions(_square, [[1], [2]])
+        executor.map_columns(_square, _shards([1], [2]), "q")
         executor.close()
         executor.close()
 
     def test_pool_reusable_across_calls(self):
         with ProcessExecutor(2) as executor:
-            first = executor.map_partitions(_square, [[1], [2]])
-            second = executor.map_partitions(_square, [[3], [4]])
+            first = executor.map_columns(_square, _shards([1], [2]), "q")
+            second = executor.map_columns(_square, _shards([3], [4]), "q")
         assert first == [[1], [4]]
         assert second == [[9], [16]]
 
     def test_single_partition_avoids_pool(self):
         executor = ThreadExecutor(4)
-        assert executor.map_partitions(_square, [[2]]) == [[4]]
+        assert executor.map_columns(_square, _shards([2]), "q") == [[4]]
         assert executor._pool is None  # not spun up for one partition
         executor.close()
 

@@ -12,15 +12,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+from array import array
+
 import pytest
 
+from repro.core import MinoanERConfig
+from repro.datasets import generate_benchmark
 from repro.engine import ProcessExecutor, SerialExecutor
 from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession
 from repro.serve import ResolutionDaemon, parse_delta
 from repro.store import Snapshot, verify_snapshot
 from repro.testing.failpoints import ENV_SPEC, ENV_STATE, reset_failpoints
-from concurrent.futures.process import BrokenProcessPool
 
 from test_pipeline import make_pair
 from test_serve import snapshot_dir  # noqa: F401  (fixture re-export)
@@ -46,15 +49,17 @@ def _square(values):
     return [v * v for v in values]
 
 
-PARTITIONS = [[1, 2], [3], [4, 5], [6], [7, 8], [9]]
+PARTITIONS = [
+    (array("q", values),) for values in ([1, 2], [3], [4, 5], [6], [7, 8], [9])
+]
 
 
 # ----------------------------------------------------------------------
-# Worker crashes: retry, degrade, --no-degrade
+# Worker crashes: retry, then degrade
 # ----------------------------------------------------------------------
 class TestWorkerCrashRecovery:
     def expected(self):
-        return SerialExecutor().map_partitions(_square, PARTITIONS)
+        return SerialExecutor().map_columns(_square, PARTITIONS, "q")
 
     def test_sigkilled_worker_is_retried_bit_identically(
         self, monkeypatch, tmp_path
@@ -65,7 +70,7 @@ class TestWorkerCrashRecovery:
         telemetry = Telemetry.create()
         with activate(telemetry):
             with ProcessExecutor(2) as executor:
-                results = executor.map_partitions(_square, PARTITIONS)
+                results = executor.map_columns(_square, PARTITIONS, "q")
         assert results == self.expected()
         counters = telemetry.metrics.counters()
         assert counters["engine.pool_rebuilds"] >= 1
@@ -73,32 +78,17 @@ class TestWorkerCrashRecovery:
         assert "engine.degraded_dispatches" not in counters
 
     def test_persistent_crashes_degrade_to_inline(self, monkeypatch):
-        # Every worker evaluation crashes; with zero retries the first
-        # failed round degrades the dispatch to the driver.
+        # Every worker evaluation crashes: the first round and both
+        # retries fail, then the dispatch runs inline.
         arm(monkeypatch, "engine.worker=crash")
         telemetry = Telemetry.create()
         with activate(telemetry):
-            with ProcessExecutor(2, max_retries=0) as executor:
-                results = executor.map_partitions(_square, PARTITIONS)
+            with ProcessExecutor(2) as executor:
+                results = executor.map_columns(_square, PARTITIONS, "q")
         assert results == self.expected()
         counters = telemetry.metrics.counters()
         assert counters["engine.degraded_dispatches"] == 1
-        assert counters["engine.pool_rebuilds"] == 1
-
-    def test_no_degrade_raises_after_retry_budget(self, monkeypatch):
-        arm(monkeypatch, "engine.worker=crash")
-        with ProcessExecutor(2, max_retries=0, degrade=False) as executor:
-            with pytest.raises(BrokenProcessPool, match="degradation"):
-                executor.map_partitions(_square, PARTITIONS)
-
-    def test_env_knobs_configure_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_DEADLINE", "2.5")
-        monkeypatch.setenv("REPRO_ENGINE_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_ENGINE_NO_DEGRADE", "1")
-        executor = ProcessExecutor(2)
-        assert executor.dispatch_deadline == 2.5
-        assert executor.max_retries == 5
-        assert executor.degrade is False
+        assert counters["engine.pool_rebuilds"] == 3
 
     def test_genuine_worker_exception_propagates_unretried(
         self, monkeypatch
@@ -110,27 +100,33 @@ class TestWorkerCrashRecovery:
         with activate(telemetry):
             with ProcessExecutor(2) as executor:
                 with pytest.raises(ValueError, match="engine.worker"):
-                    executor.map_partitions(_square, PARTITIONS)
+                    executor.map_columns(_square, PARTITIONS, "q")
         assert "engine.pool_rebuilds" not in telemetry.metrics.counters()
 
     def test_pipeline_digests_survive_worker_crash(
         self, monkeypatch, tmp_path
     ):
-        kb1, kb2 = make_pair()
-        clean = MatchSession(kb1, kb2)
+        # rexa_dblp 0.2 cuts each index into several row tasks, so the
+        # process engine really dispatches to its pool (a one-task
+        # dispatch runs inline, and the crash would never fire).
+        data = generate_benchmark("rexa_dblp", 0.2, 13)
+        clean = MatchSession(data.kb1.copy(), data.kb2.copy())
         clean.match()
         clean_path = clean.save(tmp_path / "clean")
 
-        from repro.core.config import MinoanERConfig
-
         arm(monkeypatch, "engine.worker=crash@2", state_dir=tmp_path / "fp")
         (tmp_path / "fp").mkdir()
+        telemetry = Telemetry.create()
         crashed = MatchSession(
-            *make_pair(), MinoanERConfig(engine="process", workers=2)
+            data.kb1,
+            data.kb2,
+            MinoanERConfig(engine="process", workers=2),
+            telemetry=telemetry,
         )
         crashed.match()
         crashed_path = crashed.save(tmp_path / "crashed")
 
+        assert telemetry.metrics.counters()["engine.pool_rebuilds"] >= 1
         assert (
             Snapshot.load(crashed_path).json("digests")
             == Snapshot.load(clean_path).json("digests")

@@ -22,9 +22,9 @@ from repro.core import MinoanER, MinoanERConfig
 from repro.core.statistics import top_relations
 from repro.datasets import generate_benchmark, query_stream
 from repro.blocking import PlacementTable
+from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
 from repro.engine import create_executor
-from repro.engine.blocking import entity_key_rows
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
 from repro.pipeline import context_digests, default_graph

@@ -5,13 +5,13 @@ Three contracts, checked end to end:
 1. **Exactness** — merged counters are identical across the serial,
    thread and process executors.  Worker-local registries merge in
    partition order, so cross-process telemetry is not sampled or
-   approximate.  (``engine.*`` dispatch accounting follows the worker
-   count — H3's candidate preload legitimately chunks by it — so full
-   equality is asserted at equal worker counts and everything outside
-   ``engine.*`` at differing ones.  ``engine.bytes_shipped`` is the one
-   deliberate exception: the process executor publishes hot-stage
-   columns into shared memory and ships only slice handles, so it must
-   ship *fewer* bytes than the pickling executors, never the same.)
+   approximate.  The engine dispatches only the similarity kernel, cut
+   by the data alone, so ``engine.dispatches`` and
+   ``engine.partition_tasks`` do not follow the worker count either.
+   ``engine.bytes_shipped`` is the one deliberate exception: the process
+   executor publishes the kernel's columns into shared memory and ships
+   only slice handles, so it must ship *fewer* bytes than the pickling
+   executors, never the same.
 2. **Invisibility** — telemetry never changes results: stage artifact
    digests are bit-identical with tracing on and off, and a disabled
    run leaves nothing behind in the null singletons.
@@ -111,6 +111,22 @@ class TestCounterParity:
         process_shipped, process_rest = shipped_and_rest(process_telemetry)
         assert thread_rest == process_rest
         assert process_shipped < thread_shipped
+
+    def test_dispatch_counters_independent_of_executor(self):
+        # yago_imdb 0.3 leaves H3 ~380 entities: enough for more than
+        # one task, so a cut that followed the worker count would show.
+        data = generate_benchmark("yago_imdb", scale=0.3, seed=11)
+        counts = {}
+        for name, workers in (("serial", None), ("thread", 3), ("process", 2)):
+            _, telemetry = run_instrumented(data, name, workers)
+            counters = telemetry.metrics.counters()
+            counts[name] = (
+                counters["engine.dispatches"],
+                counters["engine.partition_tasks"],
+            )
+        assert counts["serial"][0] == 2  # the value and neighbor kernels
+        assert counts["thread"] == counts["serial"]
+        assert counts["process"] == counts["serial"]
 
     def test_data_counters_independent_of_worker_count(self, dataset):
         _, one = run_instrumented(dataset, "thread", workers=1)

@@ -1,4 +1,4 @@
-"""Blocking through the placement table, and the packed H3 gather.
+"""Blocking through the placement table, and the id-level candidate lists.
 
 The blocking stages key every entity once into a
 :class:`~repro.blocking.placements.PlacementTable` and assemble packed
@@ -11,7 +11,7 @@ executor — so every golden digest and parity harness passes unchanged.
 from pathlib import Path
 
 import pytest
-from oracles import decoded_pairs
+from oracles import candidate_lists_by_uri, decoded_pairs
 
 from repro.blocking import (
     PackedBlockCollection,
@@ -25,14 +25,8 @@ from repro.core import MinoanER, MinoanERConfig
 from repro.core.candidates import CandidateIndex
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
-from repro.engine import (
-    SerialExecutor,
-    build_neighbor_index,
-    build_value_index,
-    create_executor,
-)
-from repro.engine.blocking import entity_key_rows
-from repro.engine.matching import _preload_candidate_lists
+from repro.engine import build_neighbor_index, build_value_index, create_executor
+from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
 from repro.kb.io_ntriples import read_ntriples
 from repro.kb.tokenizer import Tokenizer
@@ -247,7 +241,7 @@ def test_value_index_from_packed_collection_is_bit_identical(kbs):
 
 
 # ----------------------------------------------------------------------
-# Packed H3 gather == per-entity decoded build
+# Id-level candidate lists == per-entity decoded build
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def evidence(kbs):
@@ -272,17 +266,17 @@ def evidence(kbs):
 @pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "open"])
 @pytest.mark.parametrize("k", [2, 15])
 def test_gathered_lists_equal_decoded_build(kbs, evidence, restrict, k):
-    kb1, _ = kbs
+    """On the golden KBs, both sides' lists as H3 and H4 read them."""
     value_index, neighbor_index = evidence
     gathered = CandidateIndex(
         value_index, neighbor_index, k=k,
         restrict_neighbors_to_cooccurring=restrict,
     )
-    with SerialExecutor() as engine:
-        _preload_candidate_lists(kb1.uris(), gathered, engine)
-    fresh = CandidateIndex(
-        value_index, neighbor_index, k=k,
-        restrict_neighbors_to_cooccurring=restrict,
-    )
-    for uri in kb1.uris():
-        assert gathered.of_entity1(uri) == fresh.of_entity1(uri), uri
+    for side, kb, of_entity in (
+        (1, kbs[0], gathered.of_entity1),
+        (2, kbs[1], gathered.of_entity2),
+    ):
+        for uri in kb.uris():
+            assert of_entity(uri) == candidate_lists_by_uri(
+                value_index, neighbor_index, uri, side, k, restrict
+            ), uri

@@ -137,6 +137,16 @@ class TestDeltaCodec:
                     }
                 ]
             },
+            *(
+                {"ops": [{"op": "add", "kb": "kb1", "entities": [record]}]}
+                for record in (
+                    {"uri": ""},
+                    {"uri": "x", "pairs": [["a", {"lit": 5}]]},
+                    {"uri": "x", "pairs": [["a", {"lit": ""}]]},
+                    {"uri": "x", "pairs": [["a", {"ref": ["y"]}]]},
+                    {"uri": "x", "pairs": [["", {"lit": "y"}]]},
+                )
+            ),
         ],
     )
     def test_malformed_payloads_rejected(self, payload):
@@ -470,6 +480,71 @@ class TestRequestHardening:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"uri": "n2", "pairs": [["name", {"lit": 5}]]},
+            {"uri": "n2", "pairs": [["name", {"ref": None}]]},
+            {"uri": "n2", "pairs": [["name", {"lit": ""}]]},
+            {"uri": "n2", "pairs": [["", {"lit": "two"}]]},
+            {"uri": "", "pairs": [["name", {"lit": "two"}]]},
+        ],
+        ids=["int-lit", "null-ref", "empty-lit", "empty-attribute", "empty-uri"],
+    )
+    def test_non_string_record_is_400_and_leaves_no_trace(
+        self, snapshot_dir, tmp_path, bad
+    ):
+        """A record field that is not a non-empty string is refused
+        before the WAL logs the batch or the matcher sees its first op:
+        the generation, /stats and the log stay put, the next delta
+        publishes without it, and a reboot replays the log cleanly."""
+        from repro.serve import WAL_NAME
+
+        wal_dir = tmp_path / "wal"
+        daemon = ResolutionDaemon.from_snapshot(snapshot_dir, wal_dir=wal_dir)
+        server = build_server(daemon, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+        good = {"uri": "n1", "pairs": [["name", {"lit": "one"}]]}
+        try:
+            before = client.stats()
+            logged = (wal_dir / WAL_NAME).read_bytes()
+            with pytest.raises(ServeClientError) as refused:
+                client.apply_delta(
+                    {
+                        "ops": [
+                            {"op": "add", "kb": "kb1", "entities": [good]},
+                            {"op": "add", "kb": "kb1", "entities": [bad]},
+                        ]
+                    }
+                )
+            assert refused.value.status == 400
+            assert client.stats() == before
+            assert (wal_dir / WAL_NAME).read_bytes() == logged
+            with pytest.raises(ServeClientError) as unresolved:
+                client.resolve(bad)
+            assert unresolved.value.status == 400
+            applied = client.apply_delta(
+                {"ops": [{"op": "remove", "kb": "kb1", "uris": ["a0"]}]}
+            )
+            assert applied["generation"] == 2
+            assert "n1" not in daemon.state().uris1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            daemon.wal.close()
+        rebooted = ResolutionDaemon.from_snapshot(snapshot_dir, wal_dir=wal_dir)
+        try:
+            assert rebooted.state().generation == 2
+            assert (
+                rebooted.state().matches_digest
+                == daemon.state().matches_digest
+            )
+        finally:
+            rebooted.wal.close()
 
     def test_body_cap_env_override(self, snapshot_dir, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_BODY_BYTES", "128")
