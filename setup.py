@@ -14,6 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    # optional accelerator; the pure-stdlib fallback is bit-identical
-    extras_require={"numpy": ["numpy"]},
+    install_requires=["numpy"],
 )

@@ -19,10 +19,9 @@ published state:
    row.  A single resolve is a batch of one: a batch's sums are one
    :func:`~repro.ids.arrays.gathered_candidate_sums` call keyed by
    record index and candidate id, ranked by one
-   :func:`~repro.ids.arrays.ranked_groups` call.  Both primitives hold
-   their vectorized and stdlib arms, which add in the same element
-   order, so every score is the same float on either arm and in any
-   batch.
+   :func:`~repro.ids.arrays.ranked_groups` call.  A candidate's sum
+   adds its record's spans in the same element order whatever else
+   shares the batch, so every score is the same float in any batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :func:`~repro.engine.similarity.build_neighbor_index`'s
@@ -580,9 +579,8 @@ class OnlineResolver:
         structures never re-propagate or re-rank.  Multi-target sums
         merge per-target rows in sorted-target order with rows walked
         in URI order, keeping float accumulation identical across
-        kernel arms and batch compositions.  Callers must treat the
-        returned containers as read-only: they are shared memo
-        entries.
+        batch compositions.  Callers must treat the returned
+        containers as read-only: they are shared memo entries.
         """
         targets = sorted(
             {

@@ -20,7 +20,6 @@ from .executor import (
     create_executor,
 )
 from .partitioner import (
-    PackedPairHasher,
     chunk_evenly,
     partition_count,
     stable_hash,
@@ -34,7 +33,6 @@ __all__ = [
     "shm_available",
     "EXECUTOR_NAMES",
     "Executor",
-    "PackedPairHasher",
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",

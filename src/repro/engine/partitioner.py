@@ -2,8 +2,8 @@
 
 - a **stable hash** of a string key (CRC32, never Python's salted
   ``hash``) names the shard of a block / a value pair in the similarity
-  stages (:class:`PackedPairHasher`: the CRC32 of the pair's *string*
-  key, combined from cached per-id CRCs).  A shard is no layout: it only
+  stages (:func:`packed_pair_hashes`: the CRC32 of the pair's *string*
+  key, combined from per-id CRCs).  A shard is no layout: it only
   names the slab its contributions are folded in, i.e. it *defines the
   float fold*;
 - **even chunking** splits a sequence into contiguous runs, preserving
@@ -20,10 +20,12 @@ partitions are scheduled.
 from __future__ import annotations
 
 import zlib
-from array import array
 from typing import Sequence, TypeVar
 
+import numpy
+
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
+from ..ids.arrays import crc32_combined, crc32_shift_tables
 
 T = TypeVar("T")
 
@@ -58,8 +60,14 @@ def partition_count(
     return max(1, min(max_partitions, n_items // min_partition_size))
 
 
-class PackedPairHasher:
-    """:func:`stable_hash` of a *packed* pair key, without decoding.
+def packed_pair_hashes(
+    keys,
+    interner1: EntityInterner,
+    interner2: EntityInterner,
+    separator: str,
+):
+    """:func:`stable_hash` of every *packed* pair key in a column, as
+    ``uint32``, without decoding.
 
     Shard keys stay **string-stable**: the hash of a packed ``id1 << 32
     | id2`` key is, by construction, exactly
@@ -67,74 +75,25 @@ class PackedPairHasher:
     path sharded value pairs by — so a pair's shard (and with it the
     grouping of the float fold) never depends on an id assignment.
 
-    CRC32 streams: ``crc32(a + b) == crc32(b, crc32(a))``.  The hasher
-    precomputes, per side-1 id, the CRC of ``uri1 + separator`` and, per
-    side-2 id, the encoded URI bytes; hashing one pair is then a single
-    C-level ``crc32`` call over cached bytes.  A whole column
-    (:meth:`hash_many`) reads no bytes at all: it *combines* the cached
-    prefix CRC with the suffix's own CRC through the linear map that
-    appending ``len(suffix)`` bytes applies — the same function of the
-    same bytes, so no shard assignment can move.
+    No key bytes are read: per side-1 id the CRC of ``uri1 + separator``
+    and per side-2 id the CRC of ``uri2`` are computed once, and each
+    key *combines* the two through the linear map that appending
+    ``len(uri2)`` bytes applies (:func:`~repro.ids.arrays.crc32_combined`
+    is ``zlib.crc32`` of the concatenated bytes, by identity).
     """
-
-    __slots__ = ("_prefix_crcs", "_suffix_bytes", "_bulk_tables")
-
-    def __init__(
-        self,
-        interner1: EntityInterner,
-        interner2: EntityInterner,
-        separator: str,
-    ) -> None:
-        self._prefix_crcs = array(
-            "Q",
-            (
-                zlib.crc32((uri + separator).encode("utf-8"))
-                for uri in interner1.uris()
-            ),
-        )
-        self._suffix_bytes = [
-            uri.encode("utf-8") for uri in interner2.uris()
-        ]
-        self._bulk_tables = None
-
-    def __call__(self, key: int) -> int:
-        return zlib.crc32(
-            self._suffix_bytes[key & PAIR_ID_MASK],
-            self._prefix_crcs[key >> PAIR_ID_BITS],
-        )
-
-    def hash_many(self, keys):
-        """Hashes of a NumPy column of packed keys, as ``uint32``.
-
-        Equal to calling the hasher per key
-        (:func:`~repro.ids.arrays.crc32_combined` is ``zlib.crc32`` of
-        the concatenated bytes).  Caller must hold the NumPy gate
-        (:func:`~repro.ids.arrays.numpy_enabled`).
-        """
-        from ..ids.arrays import (
-            crc32_combined,
-            crc32_shift_tables,
-            numpy_module,
-        )
-
-        numpy = numpy_module()
-        if self._bulk_tables is None:
-            suffixes = self._suffix_bytes
-            tables, rows = crc32_shift_tables(list(map(len, suffixes)))
-            self._bulk_tables = (
-                numpy.array(self._prefix_crcs, dtype=numpy.uint32),
-                numpy.fromiter(
-                    map(zlib.crc32, suffixes), numpy.uint32, len(suffixes)
-                ),
-                rows,
-                tables,
-            )
-        prefix_crcs, suffix_crcs, rows, tables = self._bulk_tables
-        id1 = keys >> PAIR_ID_BITS
-        id2 = keys & PAIR_ID_MASK
-        return crc32_combined(
-            prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables
-        )
+    prefixes = [(uri + separator).encode("utf-8") for uri in interner1.uris()]
+    suffixes = [uri.encode("utf-8") for uri in interner2.uris()]
+    prefix_crcs = numpy.fromiter(
+        map(zlib.crc32, prefixes), numpy.uint32, len(prefixes)
+    )
+    suffix_crcs = numpy.fromiter(
+        map(zlib.crc32, suffixes), numpy.uint32, len(suffixes)
+    )
+    tables, rows = crc32_shift_tables(list(map(len, suffixes)))
+    keys = numpy.asarray(keys)
+    id1 = keys >> PAIR_ID_BITS
+    id2 = keys & PAIR_ID_MASK
+    return crc32_combined(prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables)
 
 
 def chunk_evenly(items: Sequence[T], n_chunks: int) -> list[Sequence[T]]:

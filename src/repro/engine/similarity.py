@@ -9,8 +9,8 @@ produces those rows whole (:func:`_row_sums`), so results are born
 ascending and the driver concatenates them — nothing is sorted,
 deduplicated or merged.  Operands travel as plain columns through
 :meth:`Executor.map_columns <repro.engine.executor.Executor.map_columns>`;
-the NumPy arm expands a run of rows with ragged gathers, the stdlib arm
-with the nested loops they vectorize, in the same order.
+a run of rows expands with ragged gathers, in the scan order of the
+nested loops they vectorize.
 
 Determinism: every entry of ``V`` — a block, a value pair — carries the
 shard ``stable_hash(its string key) % partition_count(len(V))``, and a
@@ -29,25 +29,22 @@ this order (docs/PERFORMANCE.md, "The determinism contract").
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, chain
+
+import numpy
 
 from ..blocking.base import BlockCollection
 from ..blocking.packed import PackedBlockCollection
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex, block_token_weight
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..ids.arrays import (
-    numpy_enabled,
-    numpy_module,
-    ragged_indices,
-    shard_ordered_sums,
-)
+from ..ids.arrays import ragged_indices, shard_ordered_sums
 from ..obs.runtime import current as _telemetry_current
 from .executor import Executor, SerialExecutor
 from .partitioner import (
-    PackedPairHasher,
     chunk_evenly,
+    packed_pair_hashes,
     partition_count,
     stable_hash,
 )
@@ -80,34 +77,20 @@ def _contributions(
     entry, column ascending — per pair the scan order of the
     string-keyed specification.
     """
-    if numpy_enabled():
-        numpy = numpy_module()
-        ids = row_ids[row_starts[lo] - origin : row_starts[hi] - origin]
-        v_rows, entries = ragged_indices(
-            span_starts[ids], span_starts[ids + 1] - span_starts[ids]
-        )
-        b_rows = members[entries]
-        owners, columns = ragged_indices(
-            starts2[b_rows], starts2[b_rows + 1] - starts2[b_rows]
-        )
-        cells = numpy.repeat(
-            numpy.arange(hi - lo) * width, numpy.diff(row_starts[lo : hi + 1])
-        )[v_rows][owners]
-        cells += ids2[columns]
-        entries = entries[owners]
-        return cells, shards[entries], weights[entries]
-    cells, run_shards, run_weights = [], [], []
-    for row in range(lo, hi):
-        base = (row - lo) * width
-        at, stop = row_starts[row] - origin, row_starts[row + 1] - origin
-        for v_row in row_ids[at:stop]:
-            for entry in range(span_starts[v_row], span_starts[v_row + 1]):
-                b_row = members[entry]
-                columns = ids2[starts2[b_row] : starts2[b_row + 1]]
-                cells.extend(base + column for column in columns)
-                run_shards.extend((shards[entry],) * len(columns))
-                run_weights.extend((weights[entry],) * len(columns))
-    return cells, run_shards, run_weights
+    ids = row_ids[row_starts[lo] - origin : row_starts[hi] - origin]
+    v_rows, entries = ragged_indices(
+        span_starts[ids], span_starts[ids + 1] - span_starts[ids]
+    )
+    b_rows = members[entries]
+    owners, columns = ragged_indices(
+        starts2[b_rows], starts2[b_rows + 1] - starts2[b_rows]
+    )
+    cells = numpy.repeat(
+        numpy.arange(hi - lo) * width, numpy.diff(row_starts[lo : hi + 1])
+    )[v_rows][owners]
+    cells += ids2[columns]
+    entries = entries[owners]
+    return cells, shards[entries], weights[entries]
 
 
 def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
@@ -134,10 +117,7 @@ def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
 def _joined(parts) -> tuple:
     """``(keys, sums)`` columns of consecutive row ranges, end to end."""
     keys, sums = zip((array("q"), array("d")), *parts)
-    if numpy_enabled():
-        numpy = numpy_module()
-        return numpy.concatenate(keys), numpy.concatenate(sums)
-    return array("q", chain(*keys)), array("d", chain(*sums))
+    return numpy.concatenate(keys), numpy.concatenate(sums)
 
 
 def _row_sums(task, row_ids, work, row_starts, *shared) -> tuple:
@@ -147,9 +127,7 @@ def _row_sums(task, row_ids, work, row_starts, *shared) -> tuple:
     n_shards)``, ``row_ids`` the task's slice of ``A``'s ids, ``work``
     is :func:`_row_work`; the rest as in :func:`_contributions`."""
     lo, hi, width, n_shards = task
-    operands = (row_ids, row_starts, *shared)
-    if numpy_enabled():
-        operands = tuple(map(numpy_module().asarray, operands))
+    operands = tuple(map(numpy.asarray, (row_ids, row_starts, *shared)))
     origin = row_starts[lo]
     return _joined(
         [
@@ -166,23 +144,13 @@ def _row_work(row_starts, row_ids, span_starts, members, starts2):
     """Contributions before each output row, cumulative (``n_rows + 1``):
     prefix sums over ``B``'s row lengths by entry, then over the entries'
     totals by ``V`` row, read at ``A``'s row offsets."""
-    if numpy_enabled():
-        numpy = numpy_module()
-        row_starts, row_ids, span_starts, members, starts2 = map(
-            numpy.asarray, (row_starts, row_ids, span_starts, members, starts2)
-        )
-        fans = numpy.cumsum(numpy.diff(starts2)[members])
-        fans = numpy.concatenate(([0], fans))
-        work = numpy.cumsum(numpy.diff(fans[span_starts])[row_ids])
-        return numpy.concatenate(([0], work))[row_starts]
-    fans = [0, *accumulate(starts2[b + 1] - starts2[b] for b in members)]
-    work = [
-        0,
-        *accumulate(
-            fans[span_starts[v + 1]] - fans[span_starts[v]] for v in row_ids
-        ),
-    ]
-    return array("q", (work[at] for at in row_starts))
+    row_starts, row_ids, span_starts, members, starts2 = map(
+        numpy.asarray, (row_starts, row_ids, span_starts, members, starts2)
+    )
+    fans = numpy.cumsum(numpy.diff(starts2)[members])
+    fans = numpy.concatenate(([0], fans))
+    work = numpy.cumsum(numpy.diff(fans[span_starts])[row_ids])
+    return numpy.concatenate(([0], work))[row_starts]
 
 
 def _product_index(
@@ -229,21 +197,14 @@ def _csr(rows: list[list[int]]) -> tuple[array, array]:
 def _transposed(starts, ids, n_targets: int) -> tuple:
     """The transpose of a CSR ``(starts, ids)``: per target id, the
     ascending rows listing it."""
-    if numpy_enabled():
-        numpy = numpy_module()
-        ids = numpy.asarray(ids)
-        rows = numpy.repeat(
-            numpy.arange(len(starts) - 1, dtype=numpy.int32),
-            numpy.diff(numpy.asarray(starts)),
-        )
-        t_starts = numpy.zeros(n_targets + 1, dtype=numpy.int64)
-        numpy.cumsum(numpy.bincount(ids, minlength=n_targets), out=t_starts[1:])
-        return t_starts, rows[numpy.argsort(ids, kind="stable")]
-    listed: list[list[int]] = [[] for _ in range(n_targets)]
-    for row in range(len(starts) - 1):
-        for target in ids[starts[row] : starts[row + 1]]:
-            listed[target].append(row)
-    return _csr(listed)
+    ids = numpy.asarray(ids)
+    rows = numpy.repeat(
+        numpy.arange(len(starts) - 1, dtype=numpy.int32),
+        numpy.diff(numpy.asarray(starts)),
+    )
+    t_starts = numpy.zeros(n_targets + 1, dtype=numpy.int64)
+    numpy.cumsum(numpy.bincount(ids, minlength=n_targets), out=t_starts[1:])
+    return t_starts, rows[numpy.argsort(ids, kind="stable")]
 
 
 def build_value_index(
@@ -312,34 +273,24 @@ def build_neighbor_index(
     row of the value index — the ascending key column read as a CSR by
     its side-1 id — and hands each value pair on to the side-2 parents
     listing its second entity.  A value pair's shard is the stable hash
-    of its *string* key (:class:`~repro.engine.partitioner.PackedPairHasher`),
+    of its *string* key (:func:`~repro.engine.partitioner.packed_pair_hashes`),
     a function of the pair alone.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()
     keys, sims = value_index.packed_columns()
+    keys = numpy.asarray(keys)
     n_shards = partition_count(len(keys))
     parents1 = EntityInterner(top_neighbors1)
     parents2 = EntityInterner(top_neighbors2)
-    # Hashes a packed key to ``stable_hash(uri1 + separator + uri2)`` —
-    # the string-stable shard assignment, without building key strings.
-    hasher = PackedPairHasher(value1, value2, _PAIR_KEY_SEPARATOR)
-    if numpy_enabled():
-        numpy = numpy_module()
-        keys = numpy.asarray(keys)
-        shards = (hasher.hash_many(keys) % n_shards).astype(numpy.int32)
-        members = (keys & PAIR_ID_MASK).astype(numpy.int32)
-    else:
-        keys = memoryview(keys)
-        shards = array("i", (hasher(key) % n_shards for key in keys))
-        members = array("i", (key & PAIR_ID_MASK for key in keys))
+    # ``stable_hash(uri1 + separator + uri2)`` per packed key — the
+    # string-stable shard assignment, without building key strings.
+    hashes = packed_pair_hashes(keys, value1, value2, _PAIR_KEY_SEPARATOR)
+    shards = (hashes % n_shards).astype(numpy.int32)
+    members = (keys & PAIR_ID_MASK).astype(numpy.int32)
     # The ascending key column, read as a CSR by its side-1 id.
-    span_starts = array(
-        "q",
-        (
-            bisect_left(memoryview(keys), row << PAIR_ID_BITS)
-            for row in range(len(value1) + 1)
-        ),
+    span_starts = numpy.searchsorted(
+        keys, numpy.arange(len(value1) + 1, dtype=numpy.int64) << PAIR_ID_BITS
     )
     return _product_index(
         NeighborSimilarityIndex,

@@ -1,49 +1,25 @@
-"""Bulk kernels over packed pair-key columns (NumPy-gated).
+"""Bulk kernels over packed pair-key columns (NumPy).
 
-The packed similarity core is pure stdlib; when NumPy is importable the
-hot bulk operations — the shard-ordered slab fold of the row-owned
-similarity kernels, ragged span expansion, order-preserving
-duplicate-key summation, the CSR ranked-row argsort, the online
-resolver's span gather and per-group ranking, CRC32 by combination and
-the digest's canonical columns — run vectorized instead.  **Both paths
-are bit-identical**: every kernel here reproduces the floating-point
-accumulation order of its pure-Python counterpart (`np.bincount` adds
-weights one element at a time, front to back, which *is* the scan
-order), so golden digests do not depend on whether NumPy is present.
-Every column's ids are interner ids, which are URI order, so an integer
-tie-break here is the URI tie-break.
-
-Set ``REPRO_DISABLE_NUMPY=1`` to force the stdlib fallback (the parity
-tests run both paths and assert equality).
+The hot bulk operations of the packed similarity core — the
+shard-ordered slab fold of the row-owned similarity kernels, ragged
+span expansion, order-preserving duplicate-key summation, the CSR
+ranked-row argsort, the online resolver's span gather and per-group
+ranking, CRC32 by combination and the digest's canonical columns — run
+vectorized, one implementation each.  Every fold here keeps the
+floating-point accumulation order of the string-keyed specification in
+``tests/oracles.py`` (``np.bincount`` adds weights one element at a
+time, front to back, which *is* the scan order), and the golden digests
+pin that order.  Every column's ids are interner ids, which are URI order,
+so an integer tie-break here is the URI tie-break.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-import os
 import sys
 import zlib
 from array import array
-from bisect import bisect_left
-from itertools import accumulate, repeat
-from operator import neg
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib-only environment
-    _np = None
-
-
-def numpy_enabled() -> bool:
-    """True when the vectorized kernels should run (NumPy importable
-    and not disabled via ``REPRO_DISABLE_NUMPY=1``)."""
-    return _np is not None and os.environ.get("REPRO_DISABLE_NUMPY") != "1"
-
-
-def numpy_module():
-    """The :mod:`numpy` module (caller must check :func:`numpy_enabled`)."""
-    return _np
+import numpy as _np
 
 
 def array_copy(typecode: str, column) -> array:
@@ -57,36 +33,25 @@ def array_copy(typecode: str, column) -> array:
 def packed_keys_valid(keys, n_entities1: int, n_entities2: int) -> bool:
     """Whether a packed pair-key column is strictly ascending with every
     id inside its interner — the invariant bisect lookups and the
-    ranked-row build rest on.  One vectorized pass (one Python pass
-    without NumPy)."""
+    ranked-row build rest on.  One vectorized pass."""
     if len(keys) == 0:
         return True
-    if numpy_enabled():
-        column = _np.asarray(keys)
-        return bool(
-            column[0] >= 0
-            and (column[-1] >> 32) < n_entities1
-            and (column[1:] > column[:-1]).all()
-            and ((column & 0xFFFFFFFF) < n_entities2).all()
-        )
-    previous = -1
-    for key in keys:
-        if key <= previous or (key & 0xFFFFFFFF) >= n_entities2:
-            return False
-        previous = key
-    return (previous >> 32) < n_entities1
+    column = _np.asarray(keys)
+    return bool(
+        column[0] >= 0
+        and (column[-1] >> 32) < n_entities1
+        and (column[1:] > column[:-1]).all()
+        and ((column & 0xFFFFFFFF) < n_entities2).all()
+    )
 
 
 def _uri_ranks(ids, interner) -> tuple[list[str], array]:
     """Of the entity ids occurring in ``ids``: their URIs ascending, and
     the ``id -> rank among them`` table (0 for an id that never occurs)."""
     uris = interner.uris()
-    if numpy_enabled():
-        used = _np.zeros(len(uris), dtype=bool)
-        used[ids] = True
-        referenced = _np.flatnonzero(used).tolist()
-    else:
-        referenced = sorted(set(ids))
+    used = _np.zeros(len(uris), dtype=bool)
+    used[ids] = True
+    referenced = _np.flatnonzero(used).tolist()
     ranks = array("q", bytes(8 * len(uris)))
     for rank, entity_id in enumerate(referenced):
         ranks[entity_id] = rank
@@ -101,30 +66,17 @@ def canonical_pair_columns(keys, sims, interner1, interner2):
     in a pair*, ascending; the ``int64`` keys re-packed over each URI's
     rank in its list, still ascending (ids are URI order); the
     ``float64`` similarities beside them; both columns little-endian — a
-    function of the ``{(uri1, uri2): sim}`` map alone, with NumPy or
-    without.  Raises ``ValueError`` on a non-finite similarity.
+    function of the ``{(uri1, uri2): sim}`` map alone.  Raises
+    ``ValueError`` on a non-finite similarity.
     """
-    vectorized = numpy_enabled()
-    if vectorized:
-        keys = _np.asarray(keys, dtype=_np.int64)
-        sims = _np.asarray(sims, dtype=_np.float64)
-        finite = _np.isfinite(sims).all()
-        ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
-    else:
-        keys, sims = memoryview(keys), memoryview(sims)
-        finite = all(map(math.isfinite, sims))
-        ids1 = array("q", (key >> 32 for key in keys))
-        ids2 = array("q", (key & 0xFFFFFFFF for key in keys))
-    if not finite:
+    keys = _np.asarray(keys, dtype=_np.int64)
+    sims = _np.asarray(sims, dtype=_np.float64)
+    if not _np.isfinite(sims).all():
         raise ValueError("similarity column holds a non-finite value")
+    ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
     uris1, ranks1 = _uri_ranks(ids1, interner1)
     uris2, ranks2 = _uri_ranks(ids2, interner2)
-    if vectorized:
-        keys = (_np.asarray(ranks1)[ids1] << 32) | _np.asarray(ranks2)[ids2]
-    else:
-        keys = array(
-            "q", ((ranks1[a] << 32) | ranks2[b] for a, b in zip(ids1, ids2))
-        )
+    keys = (_np.asarray(ranks1)[ids1] << 32) | _np.asarray(ranks2)[ids2]
     if sys.byteorder == "big":
         keys, sims = array_copy("q", keys), array_copy("d", sims)
         keys.byteswap()
@@ -161,24 +113,12 @@ def shard_ordered_sums(
     keys ascending, totals)`` of the touched cells, ``(r, c)`` packed as
     ``first_row + r << 32 | c``.
 
-    NumPy arm: a bitmap of the touched cells gives each a slot
-    (``cumsum``), **one** ``bincount`` over ``shard * support + slot``
-    fills ``n_shards`` slabs in element order, and the slabs add up in
-    shard order — a ``(cell, shard)`` nobody touched holds ``+0.0``, and
-    ``x + 0.0 == x``.  The stdlib arm is one dict per shard.
+    A bitmap of the touched cells gives each a slot (``cumsum``),
+    **one** ``bincount`` over ``shard * support + slot`` fills
+    ``n_shards`` slabs in element order, and the slabs add up in shard
+    order — a ``(cell, shard)`` nobody touched holds ``+0.0``, and
+    ``x + 0.0 == x``.
     """
-    if not numpy_enabled():
-        slabs: list[dict[int, float]] = [{} for _ in range(n_shards)]
-        for cell, shard, weight in zip(cells, shards, weights):
-            slab = slabs[shard]
-            slab[cell] = slab.get(cell, 0.0) + weight
-        totals: dict[int, float] = {}
-        for slab in slabs:
-            for cell, subtotal in slab.items():
-                totals[cell] = totals.get(cell, 0.0) + subtotal
-        touched = sorted(totals)
-        keys = ((first_row + c // width << 32) | c % width for c in touched)
-        return array("q", keys), array("d", map(totals.__getitem__, touched))
     touched = _np.zeros(n_rows * width, dtype=bool)
     touched[cells] = True
     slots = _np.cumsum(touched)
@@ -220,40 +160,22 @@ def ranked_csr(keys, sims, n_entities1, n_entities2):
     The counterpart-id tie-break is never sorted on: in a column
     ascending by ``(id1, id2)`` two pairs sharing an entity on either
     side already stand in counterpart-id order, so a *stable* sort by
-    ``-sim`` keeps it.  NumPy arm: one stable argsort ranks every pair by
-    ``(-sim, position)``, and each side is then one integer sort of the
-    unique keys ``id << 32 | rank``.  Stdlib arm: one stable sort per
-    side by ``(id, -sim)``.
+    ``-sim`` keeps it: one stable argsort ranks every pair by ``(-sim,
+    position)``, and each side is then one integer sort of the unique
+    keys ``id << 32 | rank``.
     """
-    if numpy_enabled() and len(keys):
-        # the sort temporaries die with the call, before the copies
-        rows = _ranked_rows(
-            _np.asarray(keys), _np.asarray(sims), n_entities1, n_entities2
-        )
-        return tuple(map(array_copy, "qidqid", rows))
-    # Plain ints/floats out of any column type, without a copy.
-    keys, sims = memoryview(keys), memoryview(sims)
-    ids1 = [key >> 32 for key in keys]
-    ids2 = [key & 0xFFFFFFFF for key in keys]
-    rows = ()
-    for own, other, n_entities in (
-        (ids1, ids2, n_entities1),
-        (ids2, ids1, n_entities2),
-    ):
-        order = sorted(range(len(keys)), key=lambda i: (own[i], -sims[i]))
-        counts = [0] * n_entities
-        for entity in own:
-            counts[entity] += 1
-        rows += (
-            array("q", accumulate(counts, initial=0)),
-            array("i", map(other.__getitem__, order)),
-            array("d", map(sims.__getitem__, order)),
-        )
-    return rows
+    # the sort temporaries die with the call, before the copies
+    rows = _ranked_rows(
+        _np.asarray(keys, dtype=_np.int64),
+        _np.asarray(sims, dtype=_np.float64),
+        n_entities1,
+        n_entities2,
+    )
+    return tuple(map(array_copy, "qidqid", rows))
 
 
 def _ranked_rows(keys, sims, n_entities1, n_entities2):
-    """:func:`ranked_csr`'s NumPy arm, as NumPy columns."""
+    """:func:`ranked_csr` as NumPy columns."""
     id1 = keys >> 32
     id2 = keys & 0xFFFFFFFF
     by_sim = _np.argsort(-sims, kind="stable")
@@ -290,33 +212,11 @@ def gathered_candidate_sums(
     per-key sums)``.
 
     Per key the values add up from ``0.0`` in the nested-loop order
-    ``for span: for id in row`` on both arms (the NumPy arm gathers
-    exactly that element order and folds it with
-    :func:`sequential_unique_sums`), and a key only ever receives its
-    own record's spans — so every sum is bit-identical across arms and
-    whatever else shares the batch.
+    ``for span: for id in row`` (the gather produces exactly that
+    element order and :func:`sequential_unique_sums` folds it), and a
+    key only ever receives its own record's spans — so every sum is
+    bit-identical whatever else shares the batch.
     """
-    if not numpy_enabled():
-        # One dict per base, so the OR and the sort touch each distinct
-        # key once rather than every element.
-        per_base: dict[int, dict[int, float]] = {}
-        bases = span_bases if span_bases is not None else repeat(0)
-        for start, stop, value, base in zip(
-            span_starts, span_stops, span_values, bases
-        ):
-            totals = per_base.get(base)
-            if totals is None:
-                totals = per_base[base] = {}
-            for key in ids_flat[start:stop]:
-                totals[key] = totals.get(key, 0.0) + value
-        keys: list[int] = []
-        sums: list[float] = []
-        for base in sorted(per_base):
-            totals = per_base[base]
-            ordered = sorted(totals)
-            keys += map(base.__or__, ordered) if base else ordered
-            sums += map(totals.__getitem__, ordered)
-        return keys, sums
     starts = _np.asarray(span_starts, dtype=_np.int64)
     owners, positions = ragged_indices(
         starts, _np.asarray(span_stops, dtype=_np.int64) - starts
@@ -337,36 +237,20 @@ def ranked_groups(keys, sums, n_groups, limit=None):
     group ``g`` owns positions ``bounds[g] : bounds[g + 1]`` of ``ids`` /
     ``sums`` (ascending id), and ``ranked[g]`` lists those positions by
     sum descending, ties to the smaller id (the smaller URI: ids are URI
-    order), cut to the first ``limit`` when given.  NumPy arm: one
-    ``lexsort`` for every group.  Stdlib arm: a decorated sort per group
-    (``heapq.nsmallest`` under a limit, documented equal to
-    ``sorted(...)[:limit]``).
+    order), cut to the first ``limit`` when given.  One ``lexsort`` for
+    every group.
     """
-    if numpy_enabled():
-        keys = _np.asarray(keys, dtype=_np.int64)
-        sums = _np.asarray(sums, dtype=_np.float64)
-        groups, ids = keys >> 32, keys & 0xFFFFFFFF
-        order = _np.lexsort((ids, -sums, groups)).tolist()
-        sizes = _np.bincount(groups, minlength=n_groups)
-        bounds = [0, *_np.cumsum(sizes).tolist()]
-        ranked = [
-            order[lo : hi if limit is None else min(hi, lo + limit)]
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        return bounds, ids.tolist(), sums.tolist(), ranked
-    ids = [key & 0xFFFFFFFF for key in keys]
-    sums = list(sums)
-    bounds = [bisect_left(keys, group << 32) for group in range(n_groups + 1)]
-    ranked = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        decorated = zip(map(neg, sums[lo:hi]), ids[lo:hi], range(lo, hi))
-        chosen = (
-            sorted(decorated)
-            if limit is None
-            else heapq.nsmallest(limit, decorated)
-        )
-        ranked.append([position for _, _, position in chosen])
-    return bounds, ids, sums, ranked
+    keys = _np.asarray(keys, dtype=_np.int64)
+    sums = _np.asarray(sums, dtype=_np.float64)
+    groups, ids = keys >> 32, keys & 0xFFFFFFFF
+    order = _np.lexsort((ids, -sums, groups)).tolist()
+    sizes = _np.bincount(groups, minlength=n_groups)
+    bounds = [0, *_np.cumsum(sizes).tolist()]
+    ranked = [
+        order[lo : hi if limit is None else min(hi, lo + limit)]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return bounds, ids.tolist(), sums.tolist(), ranked
 
 
 # ----------------------------------------------------------------------

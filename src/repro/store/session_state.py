@@ -114,9 +114,9 @@ def _pack_kb(writer: SnapshotWriter, tag: str, kb: KnowledgeBase) -> None:
 def _id_column(
     snapshot: Snapshot, name: str, bound: int, ascending: bool = False
 ) -> "array | memoryview":
-    """Array column ``name``, checked to hold ids in ``range(bound)``
+    """``i32`` column ``name``, checked to hold ids in ``range(bound)``
     only — strictly ascending ones when ``ascending``."""
-    column = snapshot.array(name)
+    column = snapshot.array(name, "i32")
     if len(column) and not (0 <= min(column) and max(column) < bound):
         raise SnapshotError(f"column {name!r}: ids outside 0..{bound - 1}")
     if ascending and not all(map(operator.lt, column, column[1:])):
@@ -127,10 +127,10 @@ def _id_column(
 def _offset_column(
     snapshot: Snapshot, name: str, n_rows: int, n_ids: int
 ) -> "array | memoryview":
-    """Array column ``name``, checked to be the CSR offsets of ``n_rows``
-    rows over ``n_ids`` ids: from 0, never decreasing, ending at
-    ``n_ids``."""
-    starts = snapshot.array(name)
+    """``i64`` column ``name``, checked to be the CSR offsets of
+    ``n_rows`` rows over ``n_ids`` ids: from 0, never decreasing, ending
+    at ``n_ids``."""
+    starts = snapshot.array(name, "i64")
     if not (
         len(starts) == n_rows + 1
         and starts[0] == 0
@@ -190,8 +190,8 @@ def _unpack_index(snapshot: Snapshot, tag: str, index_cls):
     """
     uris1 = snapshot.strings(f"{tag}_uris1")
     uris2 = snapshot.strings(f"{tag}_uris2")
-    keys = snapshot.array(f"{tag}_keys")
-    sims = snapshot.array(f"{tag}_sims")
+    keys = snapshot.array(f"{tag}_keys", "i64")
+    sims = snapshot.array(f"{tag}_sims", "f64")
     if len(sims) != len(keys):
         raise SnapshotError(
             f"{tag}: {len(keys)} pair keys but {len(sims)} similarities"

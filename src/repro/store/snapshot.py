@@ -337,21 +337,21 @@ class Snapshot:
         """
         total = 0
         for name, entry in self.manifest["columns"].items():
-            path, _ = self._entry(name, (entry.get("kind"),))
+            path, _ = self._entry(name, entry.get("kind"))
             total += len(self._verified(name, path, entry))
         return total
 
     # ------------------------------------------------------------------
     # Verified reads
     # ------------------------------------------------------------------
-    def _entry(self, name: str, kinds: tuple[str, ...]) -> tuple[Path, dict]:
+    def _entry(self, name: str, kind: str) -> tuple[Path, dict]:
         entry = self.manifest["columns"].get(name)
         if entry is None:
             raise SnapshotError(f"snapshot has no column {name!r}")
-        if entry.get("kind") not in kinds:
+        if entry.get("kind") != kind:
             raise SnapshotError(
-                f"column {name!r} is {entry.get('kind')!r}, expected "
-                f"one of {kinds}"
+                f"column {name!r} is declared {entry.get('kind')!r}, "
+                f"expected {kind!r}"
             )
         path = self.path / entry["file"]
         if not path.is_file():
@@ -379,15 +379,18 @@ class Snapshot:
             )
         return raw
 
-    def array(self, name: str) -> "array | memoryview":
-        """One array column.
+    def array(self, name: str, kind: str) -> "array | memoryview":
+        """One array column, which the manifest must declare ``kind``
+        (``i32``, ``i64`` or ``f64``): the per-column SHA-256 covers the
+        bytes, not the declared kind, and an ``i64`` column read as
+        ``f64`` (or the reverse) passes every byte-count check.
 
         ``copy`` mode returns a digest-verified :class:`array.array`.
         ``mmap`` mode returns a typed :class:`memoryview` over the
         mapped file (digest check deferred to :meth:`verify_columns`);
         a foreign-endian column falls back to a byteswapped copy.
         """
-        path, entry = self._entry(name, ("i32", "i64", "f64"))
+        path, entry = self._entry(name, kind)
         byteorder = self.manifest["byteorder"]
         try:
             if self.mode == "mmap":
@@ -405,7 +408,7 @@ class Snapshot:
         hashes the mapped buffer in place (no extra copy) before
         decoding, so string columns keep eager verification.
         """
-        path, entry = self._entry(name, ("str",))
+        path, entry = self._entry(name, "str")
         raw = bytes(self._verified(name, path, entry))
         try:
             return decode_string_column(raw, entry, name)

@@ -1,6 +1,6 @@
 """Shared test harness configuration.
 
-Two concerns live here:
+Three concerns live here:
 
 - **Hypothesis profiles** — property-based tests run under the ``ci``
   profile by default: ``derandomize=True`` pins example generation to
@@ -11,6 +11,9 @@ Two concerns live here:
   committed expectations under ``tests/golden/`` from current output
   instead of diffing against them (see ``docs/TESTING.md`` for when
   that is legitimate).
+- **The ``[numpy]`` cell** — the similarity kernels have one
+  arithmetic arm, NumPy; tests that ran it beside a pure-stdlib arm
+  request :func:`numpy_arm`, which keeps their ids unchanged.
 """
 
 import os
@@ -42,3 +45,8 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should rewrite golden fixtures, not assert them."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture(params=["numpy"])
+def numpy_arm():
+    """The one arithmetic arm (NumPy): a single ``[numpy]`` cell."""

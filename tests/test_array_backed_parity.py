@@ -4,9 +4,7 @@ Rebuilds both similarity indices the way the engine built them before
 the integer-interned core — string-tuple pair dicts accumulated shard by
 shard, per-entity candidate lists sorted by ``(-sim, uri)`` — on the
 committed golden fixture, and asserts the packed indices return
-**identical** (``==``, not approx) pair maps and ranked lists.  The
-comparison runs for both the NumPy-vectorized path and the stdlib
-fallback (``REPRO_DISABLE_NUMPY=1``), so neither can drift.
+**identical** (``==``, not approx) pair maps and ranked lists.
 """
 
 from pathlib import Path
@@ -17,7 +15,6 @@ from repro.core import MinoanER, MinoanERConfig
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import build_neighbor_index, build_value_index, partition_count
-from repro.ids.arrays import numpy_enabled
 from repro.kb.io_ntriples import read_ntriples
 
 from oracles import (
@@ -127,28 +124,14 @@ def assert_index_equals_reference(index, sims):
     assert index.candidates_of_entity2("urn:absent") == []
 
 
-def numpy_modes():
-    modes = [pytest.param(True, id="stdlib")]
-    if numpy_enabled():
-        modes.append(pytest.param(False, id="numpy"))
-    return modes
-
-
-@pytest.fixture(params=numpy_modes())
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
-
-
-def test_value_indices_equal_references(golden_evidence, toggled_numpy):
+def test_value_indices_equal_references(golden_evidence, numpy_arm):
     blocks, _, _ = golden_evidence
     assert_index_equals_reference(
         build_value_index(blocks), reference_value_engine(blocks)
     )
 
 
-def test_neighbor_indices_equal_references(golden_evidence, toggled_numpy):
+def test_neighbor_indices_equal_references(golden_evidence, numpy_arm):
     blocks, neighbors1, neighbors2 = golden_evidence
     value_index = build_value_index(blocks)
     assert_index_equals_reference(

@@ -1,5 +1,6 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from repro.core.similarity import ValueSimilarityIndex
 from repro.core.candidates import counterpart_translation, kept_neighbor_offsets
 from repro.datasets import generate_benchmark
 from repro.engine import build_neighbor_index, build_value_index
-from repro.ids.arrays import numpy_enabled
 from repro.kb import KnowledgeBase
 from repro.pipeline import MatchSession
 
@@ -87,16 +87,6 @@ class TestCandidateIndex:
 # ----------------------------------------------------------------------
 # The id-level trim against the URI-level implementation it replaced
 # ----------------------------------------------------------------------
-@pytest.fixture(
-    params=[pytest.param(True, id="stdlib")]
-    + ([pytest.param(False, id="numpy")] if numpy_enabled() else [])
-)
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
-
-
 #: Few distinct scores, so ranked rows are full of ties.
 _sims = st.sampled_from([0.25, 0.5, 0.5000000000000001, 1.0, 2.0])
 #: The value index sees entities 0..5 of each KB, the neighbor index
@@ -137,7 +127,7 @@ def _index_of(cls, id_pairs: dict, mapped: bool = False):
     mapped=st.booleans(),
 )
 def test_id_level_lists_equal_uri_level_lists(
-    toggled_numpy, value_pairs, neighbor_pairs, mapped
+    numpy_arm, value_pairs, neighbor_pairs, mapped
 ):
     value_index = _index_of(ValueSimilarityIndex, value_pairs, mapped)
     neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, mapped)
@@ -165,7 +155,7 @@ def test_id_level_lists_equal_uri_level_lists(
     restrict=st.booleans(),
 )
 def test_trim_reads_any_integer_column(
-    toggled_numpy, value_pairs, neighbor_pairs, k, restrict
+    numpy_arm, value_pairs, neighbor_pairs, k, restrict
 ):
     """CSR rows come as ``array`` s, mmap ``memoryview`` s or NumPy
     arrays; the trim keeps the same ids from every form, and
@@ -173,15 +163,13 @@ def test_trim_reads_any_integer_column(
     value_index = _index_of(ValueSimilarityIndex, value_pairs)
     neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs)
     translation = counterpart_translation(value_index, neighbor_index, 1)
-    forms = [lambda column: column, lambda column: memoryview(column)]
-    if numpy_enabled():
-        import numpy
-
-        forms.append(
-            lambda column: numpy.frombuffer(
-                column, dtype={"i": numpy.int32, "q": numpy.int64}[column.typecode]
-            )
-        )
+    forms = [
+        lambda column: column,
+        lambda column: memoryview(column),
+        lambda column: numpy.frombuffer(
+            column, dtype={"i": numpy.int32, "q": numpy.int64}[column.typecode]
+        ),
+    ]
     decode_neighbor = neighbor_index.interners()[1].uris()
     index = CandidateIndex(
         value_index,
@@ -207,7 +195,7 @@ def test_trim_reads_any_integer_column(
 
 
 @pytest.mark.parametrize("restrict", [True, False])
-def test_online_h4_bars_equal_decoded_rows(toggled_numpy, restrict):
+def test_online_h4_bars_equal_decoded_rows(numpy_arm, restrict):
     """``OnlineResolver._h4_bars`` reads the k-th similarities at the
     positions the trim keeps; float ``==`` to cutting decoded rows."""
     data = generate_benchmark("restaurant", 1.0, 5)

@@ -5,10 +5,8 @@ the packed-pair encode/decode, plus exact checks of the vectorized
 kernels' contracts (zlib-compatible CRC, order-preserving summation).
 """
 
-import os
 import zlib
 from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -22,7 +20,6 @@ from repro.ids import (
     pack_pair,
     unpack_pair,
 )
-from repro.ids.arrays import numpy_enabled
 
 uri_sets = st.sets(st.text(min_size=1, max_size=30), min_size=0, max_size=40)
 entity_ids = st.integers(min_value=0, max_value=MAX_ENTITY_ID)
@@ -96,7 +93,6 @@ class TestPackedPairKeys:
             EntityInterner.from_uri_list(["a", "b", "c", "d"])
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="NumPy unavailable/disabled")
 class TestVectorizedKernels:
     @given(
         st.lists(
@@ -132,7 +128,9 @@ class TestVectorizedKernels:
         st.lists(st.text(max_size=12), min_size=1, max_size=12, unique=True),
         st.data(),
     )
-    def test_hash_many_equals_the_scalar_hasher(self, uris1, uris2, data):
+    def test_packed_pair_hashes_equal_the_string_key_hash(
+        self, uris1, uris2, data
+    ):
         self.assert_hashes_agree(
             uris1,
             uris2,
@@ -147,7 +145,7 @@ class TestVectorizedKernels:
             ),
         )
 
-    def test_hash_many_over_many_lengths_and_encodings(self):
+    def test_packed_pair_hashes_over_many_lengths_and_encodings(self):
         """≥ 40 distinct suffix byte lengths in one column, the empty
         URI, embedded / trailing NULs and 2–4-byte UTF-8 sequences."""
         uris2 = ["", "\x00", "a\x00b", "tail\x00\x00", "é", "日本語", "🙂x"]
@@ -162,20 +160,23 @@ class TestVectorizedKernels:
 
     @staticmethod
     def assert_hashes_agree(uris1, uris2, id_pairs):
+        """The column hash of every packed key is, by definition, the
+        stable hash of the pair's string key."""
         import numpy
 
-        from repro.engine.partitioner import PackedPairHasher
+        from repro.engine.partitioner import packed_pair_hashes, stable_hash
 
         separator = "\x1f"
         interner1 = EntityInterner(uris1)
         interner2 = EntityInterner(uris2)
         uris1, uris2 = interner1.uris(), interner2.uris()
-        hasher = PackedPairHasher(interner1, interner2, separator)
-        keys = [pack_pair(id1, id2) for id1, id2 in id_pairs]
-        hashes = hasher.hash_many(numpy.array(keys, dtype=numpy.int64))
-        assert hashes.tolist() == [hasher(key) for key in keys]
+        keys = numpy.array(
+            [pack_pair(id1, id2) for id1, id2 in id_pairs], dtype=numpy.int64
+        )
+        hashes = packed_pair_hashes(keys, interner1, interner2, separator)
+        assert hashes.dtype == numpy.uint32
         assert hashes.tolist() == [
-            zlib.crc32((uris1[id1] + separator + uris2[id2]).encode())
+            stable_hash(uris1[id1] + separator + uris2[id2])
             for id1, id2 in id_pairs
         ]
 
@@ -223,9 +224,9 @@ class TestVectorizedKernels:
     @example([(3, 1, 1e300), (3, 2, 5e-324), (9, 2, 5e-324), (0, 1, 0.1)] * 3)
     def test_shard_ordered_sums_equals_the_per_shard_fold(self, contributions):
         """The slab fold vs ``sequential_unique_sums`` per shard followed
-        by the shard-order fold, float ``==``, on both arms: no
-        contribution at all (dtypes kept), a cell in every shard, cells
-        in exactly one shard, repeats inside one ``(cell, shard)``."""
+        by the shard-order fold, float ``==``: no contribution at all
+        (dtypes kept), a cell in every shard, cells in exactly one shard,
+        repeats inside one ``(cell, shard)``."""
         import numpy
 
         from repro.ids.arrays import sequential_unique_sums, shard_ordered_sums
@@ -256,29 +257,16 @@ class TestVectorizedKernels:
         assert keys.dtype == numpy.int64 and sums.dtype == numpy.float64
         assert keys.tolist() == list(expected)
         assert sums.tolist() == list(expected.values())  # float ==
-        # the stdlib arm: plain sequences in, sorted ``array`` columns out
-        with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": "1"}):
-            stdlib_keys, stdlib_sums = shard_ordered_sums(
-                cells, shards, weights, 16, 7, 3, 5
-            )
-        assert (stdlib_keys.typecode, stdlib_sums.typecode) == ("q", "d")
-        assert stdlib_keys.tolist() == list(expected)
-        assert stdlib_sums.tolist() == list(expected.values())  # float ==
 
 
-def _both_arms(kernel, *args):
-    """``kernel(*args)`` on the NumPy arm and on the stdlib arm, each
-    output column as a plain list."""
-    vectorized = [list(column) for column in kernel(*args)]
-    with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": "1"}):
-        stdlib = [list(column) for column in kernel(*args)]
-    return vectorized, stdlib
+def _as_lists(columns):
+    """Every output column of a kernel as a plain list."""
+    return [list(column) for column in columns]
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="NumPy unavailable/disabled")
 class TestResolverPrimitives:
-    """The online resolver's two primitives: both arms equal a dict-fold
-    / sort reference, float for float."""
+    """The online resolver's two primitives equal a dict-fold / sort
+    reference, float for float."""
 
     #: weights from subnormal to 1e300, plus a few that tie
     _value = st.one_of(
@@ -318,14 +306,11 @@ class TestResolverPrimitives:
                 key = (bases[at] if bases else 0) | ids[position]
                 reference[key] = reference.get(key, 0.0) + value
         starts, stops, values = ([s[i] for s in spans] for i in range(3))
-        vectorized, stdlib = _both_arms(
-            gathered_candidate_sums, array("i", ids), starts, stops, values,
-            bases,
-        )  # fmt: skip
+        gathered = gathered_candidate_sums(
+            array("i", ids), starts, stops, values, bases
+        )
         keys = sorted(reference)
-        expected = [keys, [reference[key] for key in keys]]
-        assert vectorized == expected  # float ==
-        assert stdlib == expected
+        assert _as_lists(gathered) == [keys, [reference[k] for k in keys]]
 
     @given(
         st.dictionaries(
@@ -357,8 +342,5 @@ class TestResolverPrimitives:
             sums,
             ranked,
         ]
-        vectorized, stdlib = _both_arms(
-            ranked_groups, array("q", keys), array("d", sums), 5, limit
-        )
-        assert vectorized == expected
-        assert stdlib == expected
+        ranked = ranked_groups(array("q", keys), array("d", sums), 5, limit)
+        assert _as_lists(ranked) == expected

@@ -169,12 +169,7 @@ def flooding_batch(kb1, kb2, config):
     raise AssertionError("no kept block crossed the cut; pick another dataset")
 
 
-@pytest.mark.parametrize("numpy_path", [True, False], ids=["numpy", "stdlib"])
-def test_generated_sequence_matches_cold_after_every_step(
-    dataset, numpy_path, monkeypatch
-):
-    if not numpy_path:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+def test_generated_sequence_matches_cold_after_every_step(dataset, numpy_arm):
     rng = random.Random(20240915)
     config = MinoanERConfig()
     kb1, kb2 = dataset.kb1.copy(), dataset.kb2.copy()

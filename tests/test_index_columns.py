@@ -7,24 +7,23 @@ digest form) derives from them.  These suites pin that:
 
 - every column form (``array``, ``memoryview``, NumPy) lands on the same
   index, for arbitrary sparse pair sets (ties, ``0.0``, subnormal and
-  huge sums, empty sides), on NumPy and under ``REPRO_DISABLE_NUMPY=1``;
-- the kernels (``sequential_unique_sums``, both arms of ``ranked_csr``)
-  equal the pure-Python fold / 3-key sort they replace, float for float;
+  huge sums, empty sides);
+- the kernels (``sequential_unique_sums``, ``ranked_csr``) equal the
+  pure-Python fold / 3-key sort they replace, float for float;
 - the row digest (``rows_digest``, the oracle) renders byte-identically
   to the ``sorted(pairs)`` JSON form, and the column digest
   (``artifact_digest``) is a function of the pair map alone: equal
-  exactly when the row digests are, whatever interner padding, buffer
-  type or NumPy arm produced the columns.
+  exactly when the row digests are, whatever interner padding or buffer
+  type produced the columns.
 """
 
 import hashlib
 import json
-import os
 import tracemalloc
 from array import array
 from pathlib import Path
-from unittest import mock
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -48,7 +47,6 @@ from repro.engine import (
     similarity,
 )
 from repro.ids import EntityInterner, PAIR_ID_BITS
-from repro.ids.arrays import numpy_enabled
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession, artifact_digest, context_digests
 from repro.pipeline.digest import rows_digest
@@ -58,25 +56,6 @@ GOLDEN = Path(__file__).parent / "golden"
 _RELAXED = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="exercises the NumPy kernels"
-)
-
-
-def numpy_modes():
-    modes = [pytest.param(True, id="stdlib")]
-    if numpy_enabled():
-        modes.append(pytest.param(False, id="numpy"))
-    return modes
-
-
-@pytest.fixture(params=numpy_modes())
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
-
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -188,7 +167,7 @@ def csr_state(index: PackedSimilarityIndex) -> list:
 # ----------------------------------------------------------------------
 @_RELAXED
 @given(id_pairs=pair_maps)
-def test_adopting_constructors_agree(toggled_numpy, id_pairs):
+def test_adopting_constructors_agree(numpy_arm, id_pairs):
     """``from_packed_columns`` adopts ``array``, ``memoryview`` (the mmap
     form) and NumPy columns as they are, and every form answers alike."""
     sims = as_uri_map(id_pairs)
@@ -202,16 +181,11 @@ def test_adopting_constructors_agree(toggled_numpy, id_pairs):
             memoryview(keys.tobytes()).cast("q"),
             memoryview(values.tobytes()).cast("d"),
         ),
+        (
+            numpy.array(keys, dtype=numpy.int64),
+            numpy.array(values, dtype=numpy.float64),
+        ),
     ]
-    if numpy_enabled():
-        import numpy
-
-        forms.append(
-            (
-                numpy.array(keys, dtype=numpy.int64),
-                numpy.array(values, dtype=numpy.float64),
-            )
-        )
     built = [
         PackedSimilarityIndex.from_packed_columns(*form, interner1, interner2)
         for form in forms
@@ -234,7 +208,7 @@ blocks_strategy = st.lists(
 
 @_RELAXED
 @given(raw_blocks=blocks_strategy)
-def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
+def test_reference_block_constructor_agrees(numpy_arm, raw_blocks):
     """The engine builders answer identically to an index adopted from
     the per-pair oracles' own maps, float ``==`` — the empty collection
     included."""
@@ -264,7 +238,6 @@ def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
 # ----------------------------------------------------------------------
 # The two kernels, against what they replace
 # ----------------------------------------------------------------------
-@needs_numpy
 @given(
     st.lists(
         st.tuples(st.integers(0, 12), sims_values),
@@ -272,8 +245,6 @@ def test_reference_block_constructor_agrees(toggled_numpy, raw_blocks):
     )
 )
 def test_sequential_unique_sums_equals_dict_fold(contributions):
-    import numpy
-
     from repro.ids.arrays import sequential_unique_sums
 
     reference: dict[int, float] = {}
@@ -290,7 +261,7 @@ def test_sequential_unique_sums_equals_dict_fold(contributions):
 
 @given(id_pairs=pair_maps)
 def test_ranked_csr_equals_three_key_sort(id_pairs):
-    """Both arms' stability-ranked build equals the explicit 3-key sort
+    """The stability-ranked build equals the explicit 3-key sort
     it replaces (and with it the per-entity ``(-sim, uri)`` sorts), as
     ``array`` columns."""
     from repro.ids.arrays import ranked_csr
@@ -311,11 +282,9 @@ def test_ranked_csr_equals_three_key_sort(id_pairs):
     ]
     keys = array("q", (key for key, _ in packed))
     sims = array("d", (sim for _, sim in packed))
-    for disabled in ("1", "0"):
-        with mock.patch.dict(os.environ, {"REPRO_DISABLE_NUMPY": disabled}):
-            rows = ranked_csr(keys, sims, 8, 8)
-        assert [column.typecode for column in rows] == list("qidqid")
-        assert list(map(list, rows)) == expected  # float ==
+    rows = ranked_csr(keys, sims, 8, 8)
+    assert [column.typecode for column in rows] == list("qidqid")
+    assert list(map(list, rows)) == expected  # float ==
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +306,12 @@ def old_rows_digest(index) -> str:
 
 @_RELAXED
 @given(id_pairs=pair_maps)
-def test_canonical_form_is_byte_identical(toggled_numpy, id_pairs):
+def test_canonical_form_is_byte_identical(numpy_arm, id_pairs):
     index = index_of_pairs(as_uri_map(id_pairs), ValueSimilarityIndex)
     assert rows_digest(index) == old_rows_digest(index)
 
 
-def test_canonical_form_on_golden_fixture(toggled_numpy):
+def test_canonical_form_on_golden_fixture(numpy_arm):
     kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
     kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
     session = MatchSession(kb1, kb2)
@@ -398,27 +367,13 @@ def index_routes(sims: dict) -> list:
             memoryview(keys.tobytes()).cast("q"),
             memoryview(values.tobytes()).cast("d"),
         ),
+        (numpy.array(keys, numpy.int64), numpy.array(values, float)),
     ]
-    if numpy_enabled():
-        import numpy
-
-        columns.append(
-            (numpy.array(keys, numpy.int64), numpy.array(values, float))
-        )
     routes.extend(
         NeighborSimilarityIndex.from_packed_columns(*pair, interner1, interner2)
         for pair in columns
     )
     return routes
-
-
-def column_digests(index, monkeypatch) -> set[str]:
-    """``artifact_digest`` on the stdlib arm and, if there, the NumPy one."""
-    digests = {artifact_digest(index)}
-    with monkeypatch.context() as patched:
-        patched.setenv("REPRO_DISABLE_NUMPY", "1")
-        digests.add(artifact_digest(index))
-    return digests
 
 
 @_RELAXED
@@ -427,11 +382,9 @@ def column_digests(index, monkeypatch) -> set[str]:
     other=st.one_of(st.none(), digest_pair_maps),
     data=st.data(),
 )
-def test_column_digest_equal_iff_row_digest_equal(
-    monkeypatch, id_pairs, other, data
-):
+def test_column_digest_equal_iff_row_digest_equal(id_pairs, other, data):
     """The column digest is a function of the pair map alone — every
-    route of one map gives one hex, on both arms — and it separates two
+    route of one map gives one hex — and it separates two
     maps exactly when the row oracle does."""
     if other is None:  # a near miss: the same pairs, at most one sim moved
         other = dict(id_pairs)
@@ -446,9 +399,7 @@ def test_column_digest_equal_iff_row_digest_equal(
         }
         routes = index_routes(sims)
         rows = {rows_digest(index) for index in routes}
-        columns = set().union(
-            *(column_digests(index, monkeypatch) for index in routes)
-        )
+        columns = {artifact_digest(index) for index in routes}
         assert len(rows) == 1 and len(columns) == 1
         digests.append((rows.pop(), columns.pop()))
     (rows_a, columns_a), (rows_b, columns_b) = digests
@@ -459,7 +410,7 @@ def test_column_digest_equal_iff_row_digest_equal(
     assert (columns_a == columns_b) == same_map
 
 
-def test_column_digest_length_prefixes_the_uris(toggled_numpy):
+def test_column_digest_length_prefixes_the_uris(numpy_arm):
     """``("a", "bc")`` and ``("ab", "c")`` concatenate alike; the
     length prefixes (and the per-side counts) keep them apart."""
     split = [
@@ -475,7 +426,7 @@ def test_column_digest_length_prefixes_the_uris(toggled_numpy):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_similarity_refuses_to_digest(toggled_numpy, bad):
+def test_non_finite_similarity_refuses_to_digest(numpy_arm, bad):
     """As ``allow_nan=False`` always made the row form refuse."""
     index = index_of_pairs(
         {("urn:a", "urn:b"): 1.0, ("urn:a", "urn:c"): bad}, ValueSimilarityIndex
@@ -486,7 +437,7 @@ def test_non_finite_similarity_refuses_to_digest(toggled_numpy, bad):
         rows_digest(index)
 
 
-def test_digest_builds_no_per_pair_objects(toggled_numpy):
+def test_digest_builds_no_per_pair_objects(numpy_arm):
     """``artifact_digest`` of an index allocates a few column-sized
     temporaries (per-side ids, gathered ranks, re-packed keys: measured
     1.5-2.8x the 16 B/pair of the columns), never an object per pair —
@@ -514,7 +465,6 @@ def test_digest_builds_no_per_pair_objects(toggled_numpy):
 # ----------------------------------------------------------------------
 # Memory guard
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     """``build_neighbor_index`` on ``rexa_dblp`` 0.2 (82 k value pairs ->
     104 k neighbor pairs), traced with ``tracemalloc``.

@@ -27,7 +27,6 @@ from repro.datasets import (
     load_profile,
     query_stream,
 )
-from repro.ids.arrays import numpy_enabled
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription, UriRef
 from repro.kb.io_ntriples import read_ntriples
@@ -47,20 +46,6 @@ from oracles import resolve_rows_by_uri
 from test_pipeline import make_pair
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def numpy_modes():
-    modes = [pytest.param(True, id="stdlib")]
-    if numpy_enabled():
-        modes.append(pytest.param(False, id="numpy"))
-    return modes
-
-
-@pytest.fixture(params=numpy_modes())
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
 
 
 @pytest.fixture()
@@ -96,7 +81,7 @@ def clone_record(entity, uri):
 class TestKnownRecordParity:
     @pytest.mark.parametrize("engine", ["serial", "thread", "process"])
     def test_known_uri_equals_probe_across_engines(
-        self, engine, toggled_numpy
+        self, engine, numpy_arm
     ):
         kb1, kb2 = make_pair()
         session = MatchSession(kb1, kb2, MinoanERConfig(engine=engine))
@@ -107,7 +92,7 @@ class TestKnownRecordParity:
             assert resolved.known is True
             assert resolved.as_dict() == probed.as_dict()
 
-    def test_golden_fixture_digest_parity(self, toggled_numpy):
+    def test_golden_fixture_digest_parity(self, numpy_arm):
         """Resolve on a golden KB1 record is digest-identical to probe."""
         kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
         kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
@@ -120,7 +105,7 @@ class TestKnownRecordParity:
                 probed.as_dict()
             )
 
-    def test_unknown_clone_matches_original_counterpart(self, toggled_numpy):
+    def test_unknown_clone_matches_original_counterpart(self, numpy_arm):
         """A never-seen copy of a KB1 entity finds the same KB2 match."""
         kb1, kb2 = make_pair()
         session = MatchSession(kb1, kb2)
@@ -265,10 +250,10 @@ class TestResolveOracle:
     @example(specs=[(list(range(_HEAVY)), [(0, 0)])], k=5)  # heavy tokens
     # multi-target: links whose merge order shows in the top row
     @example(specs=[([9], [(0, 0), (0, 3), (1, 10)]), ([], [(0, 6)])], k=1)
-    def test_rows_equal_the_oracle(self, oracle_kbs, toggled_numpy, specs, k):
+    def test_rows_equal_the_oracle(self, oracle_kbs, numpy_arm, specs, k):
         """Every resolved ``value`` / ``neighbor`` / ``best`` row equals
-        ``tests/oracles.py::resolve_rows_by_uri`` float for float, on
-        both arms, for a fresh resolver (no memo carried over)."""
+        ``tests/oracles.py::resolve_rows_by_uri`` float for float, for
+        a fresh resolver (no memo carried over)."""
         data, ctx, vocabulary, relations, targets = oracle_kbs
         records = []
         for index, (tokens, links) in enumerate(specs):
@@ -606,7 +591,7 @@ class TestResolverInternals:
         assert result.known is False
 
     def test_published_top_neighbors_spare_the_kb_walk(
-        self, toggled_numpy, monkeypatch
+        self, numpy_arm, monkeypatch
     ):
         """``from_context`` hands the resolver the ``top_neighbors2`` the
         neighbor-index stage published, so building its tables walks no

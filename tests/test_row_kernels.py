@@ -3,7 +3,7 @@
 ``build_value_index`` / ``build_neighbor_index`` hand contiguous ranges
 of output rows to tasks, which produce them whole, in runs cut by a
 module constant, folding each pair's contributions shard by shard.
-These properties hold them, on both arms and float ``==``, to
+These properties hold them, float ``==``, to
 ``oracles.value_sims_by_uri`` / ``neighbor_sims_by_uri`` — the scalar
 statement of that fold (``shard_merged_sum``) over each pair's
 contributions in scan order — and show that no cut of the row range
@@ -28,25 +28,10 @@ from repro.core.similarity import ValueSimilarityIndex
 from repro.engine import similarity
 from repro.engine.partitioner import partition_count
 from repro.engine.similarity import build_neighbor_index, build_value_index
-from repro.ids.arrays import numpy_enabled
 
 _RELAXED = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-
-
-def numpy_modes():
-    modes = [pytest.param(True, id="stdlib")]
-    if numpy_enabled():
-        modes.append(pytest.param(False, id="numpy"))
-    return modes
-
-
-@pytest.fixture(params=numpy_modes())
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
 
 
 def fine_partition_count(n_items: int) -> int:
@@ -99,10 +84,7 @@ def assert_no_cut_moves_a_byte(build) -> None:
 
 def assert_column_types(index) -> None:
     keys, sims = index.packed_columns()
-    if numpy_enabled():
-        assert (keys.dtype, sims.dtype) == ("int64", "float64")
-    else:
-        assert (keys.typecode, sims.typecode) == ("q", "d")
+    assert (keys.dtype, sims.dtype) == ("int64", "float64")
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +105,7 @@ raw_blocks = st.lists(
 @given(raw=raw_blocks)
 @example(raw=[])
 @example(raw=[({0, 1}, set()), (set(), {2}), (set(), set())])  # one-sided only
-def test_value_rows_equal_the_per_pair_oracle(toggled_numpy, fine_shards, raw):
+def test_value_rows_equal_the_per_pair_oracle(numpy_arm, fine_shards, raw):
     blocks = BlockCollection("BT")
     for position, (side1, side2) in enumerate(raw):
         blocks.add(
@@ -170,7 +152,7 @@ top_neighbor_maps = st.dictionaries(
     tops2={0: {0, 1, 8}, 1: {0}},
 )
 def test_neighbor_rows_equal_the_per_pair_oracle(
-    toggled_numpy, fine_shards, pairs, tops1, tops2
+    numpy_arm, fine_shards, pairs, tops1, tops2
 ):
     sims = {(uri(1, a), uri(2, b)): sim for (a, b), sim in pairs.items()}
     value_index = index_of_pairs(sims, ValueSimilarityIndex)

@@ -44,7 +44,7 @@ from repro.serve.json_codec import (
 from repro.store import Snapshot
 
 from test_pipeline import make_pair
-from test_snapshot_store import _rewrite_column
+from test_snapshot_store import _redeclared, _rewrite_column
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +345,9 @@ class TestEndpoints:
         assert reloaded["matches_digest"] == applied["matches_digest"]
         assert client.stats()["delta_count"] == 0
 
-    @pytest.mark.parametrize("broken", ["missing", "corrupt", "malformed"])
+    @pytest.mark.parametrize(
+        "broken", ["missing", "corrupt", "malformed", "misdeclared"]
+    )
     def test_reload_of_a_non_snapshot_is_400(
         self, served, snapshot_dir, tmp_path, broken
     ):
@@ -360,9 +362,11 @@ class TestEndpoints:
             column.write_bytes(b"\xff" + column.read_bytes()[1:])
         if broken == "malformed":
             with Snapshot.load(target) as snapshot:
-                kept = snapshot.array("tokens_kept")
+                kept = snapshot.array("tokens_kept", "i32")
             kept[0] = -1
             _rewrite_column(target, "tokens_kept", kept)
+        if broken == "misdeclared":
+            _redeclared(target, "value_keys", "f64")
         with pytest.raises(ServeClientError) as refused:
             client.reload(str(target))
         assert refused.value.status == 400

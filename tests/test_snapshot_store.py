@@ -59,22 +59,6 @@ def golden_kbs():
     )
 
 
-def numpy_modes():
-    from repro.ids.arrays import numpy_enabled
-
-    modes = [pytest.param(True, id="stdlib")]
-    if numpy_enabled():
-        modes.append(pytest.param(False, id="numpy"))
-    return modes
-
-
-@pytest.fixture(params=numpy_modes())
-def toggled_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    return request.param
-
-
 def restored_digests(path) -> dict[str, str]:
     state = load_state(path)
     return {
@@ -89,7 +73,7 @@ def restored_digests(path) -> dict[str, str]:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_name,workers", EXECUTORS)
 def test_roundtrip_digests_equal_cold_run(
-    tmp_path, engine_name, workers, toggled_numpy
+    tmp_path, engine_name, workers, numpy_arm
 ):
     kb1, kb2 = golden_kbs()
     config = MinoanERConfig(engine=engine_name, workers=workers)
@@ -400,6 +384,15 @@ def _negative_key(keys, sims):
     return "value_keys", keys
 
 
+def _redeclared(snapshot_dir, name, kind):
+    """Declare column ``name`` of ``kind`` in the manifest alone: the
+    file and its SHA-256 stay as written."""
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["columns"][name]["kind"] = kind
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
 @pytest.mark.parametrize(
     "corrupt",
@@ -410,21 +403,35 @@ def _negative_key(keys, sims):
         _id1_beyond_uri_table,
         _id2_beyond_uri_table,
         _negative_key,
+        ("value_keys", "f64"),
+        ("value_sims", "i64"),
+        ("neighbor_keys", "f64"),
+        ("neighbor_sims", "i64"),
     ],
+    ids=lambda corrupt: "-declared-".join(corrupt)
+    if isinstance(corrupt, tuple) else None,
 )
 def test_malformed_pair_columns_rejected(
-    saved_snapshot, toggled_numpy, corrupt, mode
+    saved_snapshot, numpy_arm, corrupt, mode
 ):
     """Index lookups bisect the key column: a snapshot whose pair
     columns are well-formed *bytes* (digests and counts agree) but not
     strictly ascending, ragged, or pointing outside the URI tables must
-    fail the load — never come back as an index that answers wrongly."""
-    with Snapshot.load(saved_snapshot) as snapshot:
-        keys = snapshot.array("value_keys")
-        sims = snapshot.array("value_sims")
-    assert len(keys) > 2
-    _rewrite_column(saved_snapshot, *corrupt(keys, sims))
-    with pytest.raises(SnapshotError, match="value: "):
+    fail the load — never come back as an index that answers wrongly.
+    Neither may a column the manifest declares the wrong 8-byte kind
+    (``(name, kind)``): the SHA-256 covers its bytes, not its kind."""
+    if isinstance(corrupt, tuple):
+        name, kind = corrupt
+        _redeclared(saved_snapshot, name, kind)
+        pattern = f"{name!r} is declared {kind!r}, expected"
+    else:
+        with Snapshot.load(saved_snapshot) as snapshot:
+            keys = snapshot.array("value_keys", "i64")
+            sims = snapshot.array("value_sims", "f64")
+        assert len(keys) > 2
+        _rewrite_column(saved_snapshot, *corrupt(keys, sims))
+        pattern = "value: "
+    with pytest.raises(SnapshotError, match=pattern):
         load_state(saved_snapshot, mode=mode)
 
 
@@ -478,8 +485,9 @@ def test_malformed_id_columns_rejected(saved_snapshot, name, corrupt, mode):
     end), an id past its table, offsets that do not run from 0 up to
     the id column's length, or parents / kept ids out of order fail the
     load naming the column."""
+    kind = "i64" if name.endswith("starts") else "i32"
     with Snapshot.load(saved_snapshot) as snapshot:
-        column = snapshot.array(name)
+        column = snapshot.array(name, kind)
     original = column.tolist()
     corrupt(column)
     assert column.tolist() != original
@@ -497,8 +505,8 @@ def _as_appended_ids(snapshot_dir):
         columns = {
             (tag, side): (
                 snapshot.strings(f"{tag}_uris{side}"),
-                snapshot.array(f"{tag}_keys"),
-                snapshot.array(f"{tag}_sims"),
+                snapshot.array(f"{tag}_keys", "i64"),
+                snapshot.array(f"{tag}_sims", "f64"),
             )
             for tag, side in (("value", 1), ("neighbor", 2))
         }

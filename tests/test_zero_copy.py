@@ -23,6 +23,7 @@ from array import array
 from functools import partial
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,7 +35,6 @@ from repro.engine.executor import (
     SerialExecutor,
     _pickled_size,
 )
-from repro.ids.arrays import numpy_enabled, numpy_module
 from repro.engine.shm import SharedArena, attach
 from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
@@ -98,17 +98,17 @@ def test_mmap_arrays_are_views_and_strings_verify(tmp_path):
     writer.commit()
 
     with Snapshot.load(tmp_path / "snap", mode="mmap") as snapshot:
-        ids = snapshot.array("ids")
+        ids = snapshot.array("ids", "i32")
         assert isinstance(ids, memoryview)
         assert ids.tolist() == [3, 1, 2]
-        assert snapshot.array("weights").tolist() == [0.5, -1.25]
-        assert snapshot.array("empty").tolist() == []
+        assert snapshot.array("weights", "f64").tolist() == [0.5, -1.25]
+        assert snapshot.array("empty", "i64").tolist() == []
         assert snapshot.strings("rows") == ["plain", "with\nnewline", ""]
         assert snapshot.strings("none") == []
         assert snapshot.verify_columns() > 0
         del ids
     with pytest.raises(SnapshotError, match="closed"):
-        snapshot.array("ids")
+        snapshot.array("ids", "i32")
     snapshot.close()  # idempotent
 
 
@@ -119,7 +119,7 @@ def test_mmap_defers_array_corruption_to_verify(saved_snapshot):
     target.write_bytes(bytes(raw))
     # The lazy path maps without hashing ...
     with Snapshot.load(saved_snapshot, mode="mmap") as snapshot:
-        assert isinstance(snapshot.array("value_sims"), memoryview)
+        assert isinstance(snapshot.array("value_sims", "f64"), memoryview)
         # ... and the deferred check still catches the corruption.
         with pytest.raises(SnapshotError, match="digest"):
             snapshot.verify_columns()
@@ -277,8 +277,7 @@ def _echo_columns(*columns, fail=False):
     if fail:
         # die holding views of every column, as a real kernel would
         held = [memoryview(c)[:] for c in columns]
-        if numpy_enabled():
-            held += [numpy_module().asarray(c) for c in columns]
+        held += [numpy.asarray(c) for c in columns]
         raise RuntimeError(f"kernel failed holding {len(held)} views")
     return seen
 
