@@ -17,7 +17,7 @@ Quickstart::
 """
 
 from .core.config import PAPER_DEFAULTS, MinoanERConfig
-from .core.pipeline import MatchResult, MinoanER, match_kbs
+from .core.pipeline import MatchResult, MinoanER
 from .engine import (
     ProcessExecutor,
     SerialExecutor,
@@ -78,7 +78,6 @@ __all__ = [
     "evaluate_matching",
     "generate_benchmark",
     "load_session",
-    "match_kbs",
     "verify_snapshot",
     "__version__",
 ]

@@ -461,7 +461,6 @@ def _matched_result(args: argparse.Namespace, builder):
     from .store import SnapshotError
 
     parsed = _parse_delta_specs(args.apply_delta) if args.apply_delta else None
-    saver = None
     mode = "mmap" if args.mmap else "copy"
     if args.load_session:
         if args.kb1 is not None or args.kb2 is not None:
@@ -503,12 +502,10 @@ def _matched_result(args: argparse.Namespace, builder):
             matcher = IncrementalMatcher(builder.session(kb1, kb2))
             result = _run_deltas(matcher, parsed, args.engine)
             saver = matcher.save
-        elif args.save_session:
+        else:
             session = builder.session(kb1, kb2)
             result = session.match()
             saver = session.save
-        else:
-            result = builder.build().match(kb1, kb2)
     if args.save_session:
         try:
             target = saver(args.save_session)

@@ -16,7 +16,7 @@ from .heuristics import (
     h4_reciprocity_filter,
 )
 from .neighbors import NeighborSimilarityIndex, top_neighbors
-from .pipeline import MatchResult, MinoanER, match_kbs
+from .pipeline import MatchResult, MinoanER
 from .rank_aggregation import (
     aggregate_scores,
     normalized_ranks,
@@ -50,7 +50,6 @@ __all__ = [
     "h2_value_matches",
     "h3_rank_aggregation_matches",
     "h4_reciprocity_filter",
-    "match_kbs",
     "normalized_ranks",
     "relation_importance",
     "top_aggregate_candidate",

@@ -7,14 +7,14 @@ and neighbor similarity indices from block statistics alone, and (iv) runs
 the non-iterative heuristics H1-H4.  No schema knowledge, no similarity
 threshold, no convergence loop.
 
-Since PR 2 the pipeline is an explicit **stage graph**
-(:mod:`repro.pipeline`): six pluggable stages over a typed artifact
-store, composed by default exactly as the paper describes.  ``match()``
-and :func:`match_kbs` are thin wrappers over that graph;
-``MinoanER.builder()`` composes custom graphs (swapped blocking schemes,
-extra heuristics, user stages) and ``MinoanER.session()`` /
-:class:`~repro.pipeline.session.MatchSession` reuses cached upstream
-artifacts across repeated runs.
+The pipeline is an explicit **stage graph** (:mod:`repro.pipeline`):
+six pluggable stages over a typed artifact store, composed by default
+exactly as the paper describes.  Every run of it is a
+:class:`~repro.pipeline.session.MatchSession` run: ``match()`` is a
+one-shot session, ``MinoanER.session()`` keeps one to reuse cached
+upstream artifacts across repeated runs, and ``MinoanER.builder()``
+composes custom graphs (swapped blocking schemes, extra heuristics, user
+stages).
 
 The two similarity-index stages dispatch their row kernel through a
 pluggable execution engine (:mod:`repro.engine`): the default
@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 
 from ..blocking.base import BlockCollection
 from ..blocking.purging import PurgingReport
-from ..engine.executor import Executor, SerialExecutor, create_executor
 from ..kb.knowledge_base import KnowledgeBase
 from ..kb.tokenizer import Tokenizer
 from ..pipeline.builder import PipelineBuilder, default_graph
 from ..pipeline.context import PipelineContext
 from ..pipeline.stage import StageGraph
-from ..pipeline.stages import NameBlockingStage, TokenBlockingStage
 from .config import MinoanERConfig
 from .heuristics import Match
 
@@ -173,7 +171,7 @@ class MinoanER:
         return MatchSession(kb1, kb2, self.config, graph=self.graph)
 
     # ------------------------------------------------------------------
-    # Pipeline substrate (public so examples/benches can introspect)
+    # Substrate (public: examples and benches tokenize as a run does)
     # ------------------------------------------------------------------
     def build_tokenizer(self) -> Tokenizer:
         """The tokenizer implied by the configuration."""
@@ -182,75 +180,14 @@ class MinoanER:
             include_uri_localnames=self.config.include_uri_localnames,
         )
 
-    def build_engine(self) -> Executor:
-        """The executor implied by the configuration (caller closes it)."""
-        return create_executor(self.config.engine, self.config.workers)
-
-    def _run_stage(
-        self,
-        stage,
-        kb1: KnowledgeBase,
-        kb2: KnowledgeBase,
-        engine: Executor | None,
-    ) -> PipelineContext:
-        """Run one stage against a throwaway context (introspection)."""
-        ctx = PipelineContext(kb1, kb2, self.config)
-        stage.run(ctx, engine or SerialExecutor())
-        return ctx
-
-    def build_name_blocks(
-        self,
-        kb1: KnowledgeBase,
-        kb2: KnowledgeBase,
-        engine: Executor | None = None,
-    ) -> tuple[BlockCollection, list[str], list[str]]:
-        """Discover name attributes and build ``BN`` (the pipeline's
-        ``name_blocking`` stage, runnable in isolation)."""
-        ctx = self._run_stage(NameBlockingStage(), kb1, kb2, engine)
-        return (
-            ctx.get("name_blocks"),
-            ctx.get("name_attributes1"),
-            ctx.get("name_attributes2"),
-        )
-
-    def build_token_blocks(
-        self,
-        kb1: KnowledgeBase,
-        kb2: KnowledgeBase,
-        engine: Executor | None = None,
-    ) -> tuple[BlockCollection, PurgingReport | None]:
-        """Build ``BT`` and purge oversized blocks (the pipeline's
-        ``token_blocking`` stage, runnable in isolation)."""
-        ctx = self._run_stage(TokenBlockingStage(), kb1, kb2, engine)
-        return ctx.get("token_blocks"), ctx.get("purging_report")
-
     # ------------------------------------------------------------------
     # End-to-end matching
     # ------------------------------------------------------------------
     def match(self, kb1: KnowledgeBase, kb2: KnowledgeBase) -> MatchResult:
         """Run the full non-iterative matching process on two KBs.
 
-        The run executes inside a ``run``-category span of the ambient
-        telemetry (see :mod:`repro.obs`); ``MatchResult.seconds`` is
-        that span's wall time.
+        A one-shot :meth:`session`: the run is a ``run`` span of kind
+        ``session`` in the ambient telemetry (see :mod:`repro.obs`), and
+        ``MatchResult.seconds`` is that span's wall time.
         """
-        from ..obs.runtime import current as current_telemetry
-
-        with current_telemetry().tracer.span(
-            "run",
-            category="run",
-            args={"engine": self.config.engine, "kind": "batch"},
-        ) as span:
-            ctx = PipelineContext(kb1, kb2, self.config)
-            with self.build_engine() as engine:
-                self.graph.execute(ctx, engine)
-        return MatchResult.from_context(ctx, span.seconds)
-
-
-def match_kbs(
-    kb1: KnowledgeBase,
-    kb2: KnowledgeBase,
-    config: MinoanERConfig | None = None,
-) -> MatchResult:
-    """Convenience one-liner: ``match_kbs(kb1, kb2).pairs()``."""
-    return MinoanER(config).match(kb1, kb2)
+        return self.session(kb1, kb2).match()

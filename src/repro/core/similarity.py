@@ -204,16 +204,6 @@ class PackedSimilarityIndex:
         """Counterpart E1 entities of ``uri2``, best first (top-k if given)."""
         return self._row(2, uri2, k)
 
-    def partners_of_entity1(self, uri1: str) -> set[str]:
-        """The counterpart URIs of ``uri1`` as a set (no scores decoded)."""
-        decode = self._interner2.uris()
-        return {decode[col] for col in self.csr_row_ids(1, uri1)}
-
-    def partners_of_entity2(self, uri2: str) -> set[str]:
-        """The counterpart URIs of ``uri2`` as a set (no scores decoded)."""
-        decode = self._interner1.uris()
-        return {decode[col] for col in self.csr_row_ids(2, uri2)}
-
     def best_candidate(
         self, uri1: str, exclude: frozenset[str] | set[str] = frozenset()
     ) -> tuple[str, float] | None:

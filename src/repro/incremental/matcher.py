@@ -15,7 +15,9 @@ and owns exactly the state that is O(delta) and exact by construction:
   matcher adopts the table it publishes.
 
 Everything else belongs to the session's stage graph and runs through
-the one code path a cold run uses.  On a pending delta the matcher
+the one code path a cold run uses — literally: a cold
+``MinoanER.match`` is a one-shot session, and every stage of every run
+executes in ``MatchSession.run_context``.  On a pending delta the matcher
 reassembles ``token_blocks`` / ``purging_report`` (and ``name_blocks``
 / ``name_attributes1/2``) from its tables through the stages' own
 ``artifacts`` — the assembly a cold run uses — calls

@@ -107,7 +107,7 @@ class PipelineContext:
         return iter(self._artifacts.values())
 
     # ------------------------------------------------------------------
-    # Run bookkeeping (written by StageGraph.execute / MatchSession)
+    # Run bookkeeping (written by MatchSession.run_context)
     # ------------------------------------------------------------------
     def record_stage(
         self, name: str, group: str, seconds: float, ran: bool

@@ -32,7 +32,7 @@ from ..engine.executor import create_executor
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
 from .builder import default_graph
 from .context import PipelineContext
-from .stage import Stage, StageGraph
+from .stage import Stage, StageGraph, StageGraphError
 from .stages import ENABLE_FLAGS
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -173,9 +173,13 @@ class MatchSession:
     ) -> PipelineContext:
         """:meth:`match`'s engine room, returning the full artifact store.
 
-        Runs (or cache-restores) every stage and returns the finished
-        :class:`PipelineContext` — what digesting and snapshotting need,
-        where :meth:`match` only keeps the result view.
+        The only code that runs a stage: every stage runs (or is restored
+        from the cache) inside a ``stage``-category span, whose seconds
+        ``ctx.record_stage`` receives, and a stage that leaves one of its
+        declared ``provides`` unset raises :class:`StageGraphError`.
+        Returns the finished :class:`PipelineContext` — what digesting
+        and snapshotting need, where :meth:`match` only keeps the result
+        view.
         """
         current = (self.kb1.version, self.kb2.version)
         if current != self._kb_versions:
@@ -234,6 +238,12 @@ class MatchSession:
                                     run_config.engine, run_config.workers
                                 )
                             stage.run(ctx, engine)
+                            for key in stage.provides:
+                                if not ctx.has(key):
+                                    raise StageGraphError(
+                                        f"stage {stage.name!r} declared "
+                                        f"{key!r} but did not produce it"
+                                    )
                             self._cache[signature] = {
                                 key: _isolated(ctx.get(key))
                                 for key in stage.provides

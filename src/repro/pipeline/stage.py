@@ -10,9 +10,9 @@ engine.
 
 A :class:`StageGraph` is an ordered, validated collection of stages:
 construction topologically sorts them by their artifact dependencies
-(stable with respect to the given order), rejects duplicate producers and
-unsatisfiable requirements, and ``execute`` runs them in order with
-per-stage timing.
+(stable with respect to the given order) and rejects duplicate producers
+and unsatisfiable requirements.  It runs nothing itself: every run of a
+graph is a :meth:`~repro.pipeline.session.MatchSession.run_context`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..obs.runtime import current as current_telemetry
 from .context import INPUT_PRODUCER, PipelineContext
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -153,40 +152,6 @@ class StageGraph:
 
     def __len__(self) -> int:
         return len(self._stages)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def execute(self, ctx: PipelineContext, engine: "Executor") -> PipelineContext:
-        """Run every stage in order, recording per-stage wall-clock.
-
-        Stage timing is span-derived: each stage runs inside a
-        ``stage``-category span of the ambient tracer (a no-op timer
-        when telemetry is off), and ``ctx.record_stage`` receives the
-        span's seconds — so ``MatchResult.stage_seconds`` and an
-        exported trace's per-stage totals reconcile exactly.
-        """
-        tracer = current_telemetry().tracer
-        for stage in self._stages:
-            with tracer.span(
-                stage.name,
-                category="stage",
-                args={"group": stage.timing_group},
-            ) as span:
-                stage.run(ctx, engine)
-            ctx.record_stage(
-                stage.name,
-                stage.timing_group,
-                span.seconds,
-                ran=True,
-            )
-            for key in stage.provides:
-                if not ctx.has(key):
-                    raise StageGraphError(
-                        f"stage {stage.name!r} declared {key!r} "
-                        "but did not produce it"
-                    )
-        return ctx
 
 
 def render_stage_list(graph: StageGraph) -> str:

@@ -42,7 +42,7 @@ import operator
 from array import array
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..blocking.placements import KeyRows, PlacementTable
 from ..blocking.purging import PurgingReport
@@ -69,6 +69,8 @@ from .snapshot import Snapshot, SnapshotError, SnapshotWriter
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..pipeline.session import MatchSession
+
+T = TypeVar("T")
 
 #: Stage names a snapshot can describe (the default composition).
 SNAPSHOTTABLE_STAGES = frozenset(
@@ -314,14 +316,39 @@ def _unpack_top_neighbors(
 
 
 # ----------------------------------------------------------------------
-# Matches / report (manifest JSON; JSON doubles round-trip exactly)
+# Manifest JSON values: matches, report, config, name lists (JSON
+# doubles round-trip exactly)
 # ----------------------------------------------------------------------
 def _matches_json(matches: list[Match]) -> list[list]:
     return [[m.uri1, m.uri2, m.heuristic, m.score] for m in matches]
 
 
-def _matches_from_json(rows: list[list]) -> list[Match]:
-    return [Match(uri1, uri2, heuristic, score) for uri1, uri2, heuristic, score in rows]
+def _matches_from_json(rows: Any) -> list[Match]:
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and [*map(type, row)] == [str, str, str, float]
+        for row in rows
+    ):
+        raise TypeError("expected [uri1, uri2, heuristic, score] rows")
+    return [Match(*row) for row in rows]
+
+
+def _decoded(snapshot: Snapshot, name: str, decode: Callable[[Any], T]) -> T:
+    """``decode`` of one manifest JSON value: a value of the wrong shape
+    is a :class:`SnapshotError` naming the entry, not a raw Python error."""
+    try:
+        return decode(snapshot.json(name))
+    except (TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"manifest value {name!r} is malformed: {error}"
+        ) from error
+
+
+def _strings(value: Any) -> list[str]:
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise TypeError("expected a list of strings")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +487,8 @@ def load_state(
     check still guard a replay.
     """
     with current_telemetry().tracer.span("store.load", category="store"):
-        return _restore(Snapshot.load(path, mode=mode), engine, workers)
+        with Snapshot.load(path, mode=mode) as snapshot:  # closed on error
+            return _restore(snapshot, engine, workers)
 
 
 def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
@@ -468,7 +496,9 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     from ..pipeline.builder import PipelineBuilder
 
     tracer = current_telemetry().tracer
-    config = MinoanERConfig(**snapshot.json("config"))
+    config = _decoded(
+        snapshot, "config", lambda fields: MinoanERConfig(**fields)
+    )
     if engine is not None or workers is not None:
         new_engine = engine if engine is not None else config.engine
         if workers is not None:
@@ -482,7 +512,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         kb1 = _unpack_kb(snapshot, "kb1")
         kb2 = _unpack_kb(snapshot, "kb2")
 
-    stored_stages = snapshot.json("graph_stages")
+    stored_stages = _decoded(snapshot, "graph_stages", _strings)
     has_names = bool(snapshot.json("has_names"))
     builder = PipelineBuilder(config)
     if not has_names:
@@ -508,17 +538,19 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
         neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
 
-    report_json = snapshot.json("purging_report")
+    report = _decoded(
+        snapshot,
+        "purging_report",
+        lambda value: None if value is None else PurgingReport(**value),
+    )
     artifacts: dict[str, Any] = {
         "token_blocks": tokens.assemble(keep=kept_keys),
         "token_placements": tokens,
-        "purging_report": (
-            None if report_json is None else PurgingReport(**report_json)
-        ),
+        "purging_report": report,
         "value_index": value_index,
         "neighbor_index": neighbor_index,
-        "top_relations1": snapshot.json("top_relations1"),
-        "top_relations2": snapshot.json("top_relations2"),
+        "top_relations1": _decoded(snapshot, "top_relations1", _strings),
+        "top_relations2": _decoded(snapshot, "top_relations2", _strings),
         "top_neighbors1": _unpack_top_neighbors(
             snapshot, "topnbr_side1", uris_pair[0]
         ),
@@ -536,12 +568,12 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         artifacts.update(
             NameBlockingStage.artifacts(
                 names,
-                snapshot.json("name_attributes1"),
-                snapshot.json("name_attributes2"),
+                _decoded(snapshot, "name_attributes1", _strings),
+                _decoded(snapshot, "name_attributes2", _strings),
             )
         )
     for key in ("matches", "pre_h4_matches", "discarded_by_h4"):
-        artifacts[key] = _matches_from_json(snapshot.json(key))
+        artifacts[key] = _decoded(snapshot, key, _matches_from_json)
 
     from ..pipeline.session import MatchSession
 
@@ -551,7 +583,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     return RestoredState(
         session=session,
         artifacts=artifacts,
-        digests=dict(snapshot.json("digests")),
+        digests=_decoded(snapshot, "digests", dict),
     )
 
 

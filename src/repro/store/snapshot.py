@@ -45,6 +45,11 @@ MANIFEST_NAME = "manifest.json"
 #: maps with deferred digest verification (see :meth:`Snapshot.load`).
 LOAD_MODES = ("copy", "mmap")
 
+#: What every manifest column entry declares, with its JSON type.
+_COLUMN_FIELDS = (
+    ("file", str), ("kind", str), ("count", int), ("sha256", str)
+)
+
 
 class SnapshotError(RuntimeError):
     """A snapshot directory cannot be written or faithfully loaded."""
@@ -255,6 +260,8 @@ class Snapshot:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as error:
             raise SnapshotError(f"unreadable manifest in {root}: {error}")
+        if not isinstance(manifest, dict):
+            raise SnapshotError(f"manifest in {root} is not a JSON object")
         schema = manifest.get("schema")
         if schema != SNAPSHOT_SCHEMA:
             raise SnapshotError(
@@ -263,6 +270,17 @@ class Snapshot:
             )
         if manifest.get("byteorder") not in ("little", "big"):
             raise SnapshotError("manifest does not declare a byte order")
+        for section in ("columns", "json"):
+            if not isinstance(manifest.get(section), dict):
+                raise SnapshotError(f"manifest {section!r} is not an object")
+        for name, entry in manifest["columns"].items():
+            if not isinstance(entry, dict) or not all(
+                type(entry.get(key)) is kind for key, kind in _COLUMN_FIELDS
+            ):
+                raise SnapshotError(
+                    f"manifest column {name!r} needs a str 'file', a str "
+                    "'kind', an int 'count' and a str 'sha256'"
+                )
         return cls(root, manifest, mode=mode)
 
     # ------------------------------------------------------------------
@@ -417,7 +435,7 @@ class Snapshot:
 
     def json(self, name: str) -> Any:
         """One manifest-embedded JSON value."""
-        values = self.manifest.get("json", {})
+        values = self.manifest["json"]
         if name not in values:
             raise SnapshotError(f"snapshot manifest has no value {name!r}")
         return values[name]

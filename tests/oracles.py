@@ -3,6 +3,9 @@
 Nothing here runs in production: these are the readable, scalar forms
 of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
+:func:`blocking_context` is the one exception: the blocking stages'
+artifacts, run the way every graph runs, for tests that build their
+indices by hand from them.
 """
 
 from array import array
@@ -14,10 +17,25 @@ from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
 from repro.ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
+from repro.pipeline import (
+    MatchSession,
+    NameBlockingStage,
+    PipelineContext,
+    StageGraph,
+    TokenBlockingStage,
+)
 
 Pair = tuple[str, str]
 PairSums = dict[Pair, float]
 T = TypeVar("T")
+
+
+def blocking_context(kb1, kb2, config=None) -> PipelineContext:
+    """``name_blocks`` / ``token_blocks`` and the rest of the two blocking
+    stages' artifacts: a session's ``run_context()`` over a graph of just
+    those stages."""
+    graph = StageGraph([NameBlockingStage(), TokenBlockingStage()])
+    return MatchSession(kb1, kb2, config, graph=graph).run_context()
 
 
 def hash_partitions(
@@ -183,11 +201,14 @@ def candidate_lists_by_uri(
         neighbor_ranked = neighbor_index.candidates_of_entity2(uri)
 
     if restrict:
-        cooccurring = (
-            value_index.partners_of_entity1(uri)
-            if side == 1
-            else value_index.partners_of_entity2(uri)
-        )
+        cooccurring = {
+            candidate
+            for candidate, _ in (
+                value_index.candidates_of_entity1(uri)
+                if side == 1
+                else value_index.candidates_of_entity2(uri)
+            )
+        }
         neighbor_ranked = [
             (candidate, sim)
             for candidate, sim in neighbor_ranked
@@ -276,7 +297,7 @@ def h4_bars_by_uri(
     value_bar = row[-1][1] if len(row) >= k else None
     nbr_row = neighbor_index.candidates_of_entity2(uri2)
     if restrict:
-        partners = value_index.partners_of_entity2(uri2)
+        partners = {u for u, _ in value_index.candidates_of_entity2(uri2)}
         nbr_row = [(uri1, sim) for uri1, sim in nbr_row if uri1 in partners]
     nbr_row = nbr_row[:k]
     neighbor_bar = nbr_row[-1][1] if len(nbr_row) >= k else None

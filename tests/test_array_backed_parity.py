@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MinoanER, MinoanERConfig
+from repro.core import MinoanERConfig
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import build_neighbor_index, build_value_index, partition_count
@@ -19,6 +19,7 @@ from repro.kb.io_ntriples import read_ntriples
 
 from oracles import (
     _value_partial,
+    blocking_context,
     block_shards,
     decoded_pairs,
     hash_partitions,
@@ -99,7 +100,7 @@ def golden_evidence():
     kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
     kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
     config = MinoanERConfig()
-    blocks, _ = MinoanER().build_token_blocks(kb1, kb2)
+    blocks = blocking_context(kb1, kb2).get("token_blocks")
     relations1 = top_relations(
         kb1, config.top_n_relations, config.include_incoming_edges
     )

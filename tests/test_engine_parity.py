@@ -9,7 +9,12 @@ profiles plus hand-built KBs.
 """
 
 import pytest
-from oracles import decoded_pairs, shard_merged_sum, value_sims_by_uri
+from oracles import (
+    blocking_context,
+    decoded_pairs,
+    shard_merged_sum,
+    value_sims_by_uri,
+)
 
 from repro import MinoanER, MinoanERConfig
 from repro.blocking import (
@@ -22,7 +27,6 @@ from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.datasets import PROFILE_ORDER, generate_benchmark
 from repro.engine import (
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     build_neighbor_index,
@@ -91,52 +95,39 @@ class TestPipelineParity:
 
 class TestBlockCollectionParity:
     """The blocking stages (entities keyed into a placement table, blocks
-    assembled from it) against the serial string-keyed builders."""
+    assembled from it, in the driver under any executor) against the
+    serial string-keyed builders."""
 
     def test_engine_blocking_matches_legacy_content(self, dataset):
         legacy, legacy_report = purge_blocks(
             token_blocking(dataset.kb1, dataset.kb2, Tokenizer())
         )
-        with ThreadExecutor(4) as executor:
-            parallel, report = MinoanER().build_token_blocks(
-                dataset.kb1, dataset.kb2, executor
-            )
-        assert report == legacy_report
-        assert set(parallel.keys()) == set(legacy.keys())
+        ctx = blocking_context(dataset.kb1, dataset.kb2)
+        blocks = ctx.get("token_blocks")
+        assert ctx.get("purging_report") == legacy_report
+        assert set(blocks.keys()) == set(legacy.keys())
         for block in legacy:
-            other = parallel[block.key]
+            other = blocks[block.key]
             assert other.entities1 == block.entities1
             assert other.entities2 == block.entities2
 
     def test_engine_block_keys_sorted(self, dataset):
-        with SerialExecutor() as executor:
-            blocks, _ = MinoanER().build_token_blocks(
-                dataset.kb1, dataset.kb2, executor
-            )
+        blocks = blocking_context(dataset.kb1, dataset.kb2).get("token_blocks")
         assert blocks.keys() == sorted(blocks.keys())
 
     def test_name_blocking_parity_across_executors(self, dataset):
-        collections = []
-        for executor in (SerialExecutor(), ThreadExecutor(4), ProcessExecutor(4)):
-            with executor:
-                collections.append(
-                    MinoanER().build_name_blocks(
-                        dataset.kb1, dataset.kb2, executor
-                    )
-                )
-        _, attributes1, attributes2 = collections[0]
+        ctx = blocking_context(dataset.kb1, dataset.kb2)
+        blocks = ctx.get("name_blocks")
         reference = name_blocking(
             dataset.kb1,
             dataset.kb2,
-            names_from_attributes(attributes1),
-            names_from_attributes(attributes2),
+            names_from_attributes(ctx.get("name_attributes1")),
+            names_from_attributes(ctx.get("name_attributes2")),
         )
-        for blocks, *attributes in collections:
-            assert attributes == [attributes1, attributes2]
-            assert blocks.keys() == sorted(reference.keys())
-            for block in reference:
-                assert blocks[block.key].entities1 == block.entities1
-                assert blocks[block.key].entities2 == block.entities2
+        assert blocks.keys() == sorted(reference.keys())
+        for block in reference:
+            assert blocks[block.key].entities1 == block.entities1
+            assert blocks[block.key].entities2 == block.entities2
 
 
 class TestIndexParity:
@@ -147,7 +138,7 @@ class TestIndexParity:
     """
 
     def test_value_index_matches_serial_constructor(self, dataset):
-        blocks, _ = MinoanER().build_token_blocks(dataset.kb1, dataset.kb2)
+        blocks = blocking_context(dataset.kb1, dataset.kb2).get("token_blocks")
         serial = build_value_index(blocks, SerialExecutor())
         with ThreadExecutor(4) as executor:
             engine_built = build_value_index(blocks, executor)
@@ -157,7 +148,7 @@ class TestIndexParity:
         )
 
     def test_neighbor_index_matches_serial_constructor(self, dataset):
-        blocks, _ = MinoanER().build_token_blocks(dataset.kb1, dataset.kb2)
+        blocks = blocking_context(dataset.kb1, dataset.kb2).get("token_blocks")
         value_index = build_value_index(blocks)
         neighbors1 = top_neighbors(
             dataset.kb1, top_relations(dataset.kb1, 3, True), True

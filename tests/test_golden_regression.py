@@ -26,9 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import MinoanERConfig
-from repro.engine import SerialExecutor
 from repro.kb.io_ntriples import read_ntriples
-from repro.pipeline import context_digests, default_graph
+from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.digest import DIGESTED_ARTIFACTS, rows_digest
 
@@ -41,10 +40,7 @@ def run_golden_pipeline() -> PipelineContext:
     """The paper-default pipeline over the committed KB pair."""
     kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
     kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
-    ctx = PipelineContext(kb1, kb2, MinoanERConfig())
-    with SerialExecutor() as engine:
-        default_graph().execute(ctx, engine)
-    return ctx
+    return MatchSession(kb1, kb2, MinoanERConfig()).run_context()
 
 
 def match_rows(ctx: PipelineContext) -> list[list[str]]:

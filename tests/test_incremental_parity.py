@@ -19,10 +19,8 @@ import pytest
 
 from repro.core import MinoanER, MinoanERConfig
 from repro.datasets import generate_benchmark
-from repro.engine import create_executor
 from repro.incremental import IncrementalMatcher
-from repro.pipeline import context_digests, default_graph
-from repro.pipeline.context import PipelineContext
+from repro.pipeline import MatchSession, context_digests
 
 EXECUTORS = [("serial", None), ("thread", 3), ("process", 2)]
 
@@ -147,9 +145,7 @@ def test_incremental_equals_cold_batch(dataset, scenario, engine_name, workers):
     assert incremental.purging_report == cold.purging_report
 
     # -- every stage artifact digest identical to the cold run's
-    ctx = PipelineContext(cold1.copy(), cold2.copy(), config)
-    with create_executor(engine_name, workers) as executor:
-        default_graph().execute(ctx, executor)
+    ctx = MatchSession(cold1.copy(), cold2.copy(), config).run_context()
     assert context_digests(matcher.last_context) == context_digests(ctx)
 
     # -- the incremental path recomputed strictly fewer stage artifacts

@@ -24,11 +24,9 @@ from repro.datasets import generate_benchmark, query_stream
 from repro.blocking import PlacementTable
 from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
-from repro.engine import create_executor
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
-from repro.pipeline import context_digests, default_graph
-from repro.pipeline.context import PipelineContext
+from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.stages import TokenBlockingStage
 from repro.serve import ResolutionDaemon, ServingState, parse_delta
 from repro.serve import handlers
@@ -110,11 +108,9 @@ class Replay:
         assert maintained == (
             {"token_blocking": 1} if rekeyed else MAINTAINED
         )
-        ctx = PipelineContext(
+        ctx = MatchSession(
             self.cold[0].copy(), self.cold[1].copy(), self.config
-        )
-        with create_executor(self.config.engine, self.config.workers) as engine:
-            default_graph().execute(ctx, engine)
+        ).run_context()
         self.steps += 1
         assert context_digests(self.matcher.last_context) == context_digests(
             ctx

@@ -27,6 +27,7 @@ from pathlib import Path
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from oracles import blocking_context
 
 from repro.core import MinoanER, MinoanERConfig
 from repro.core.neighbors import top_neighbors
@@ -36,12 +37,9 @@ from repro.core.statistics import (
     top_relations,
 )
 from repro.datasets import generate_benchmark
-from repro.engine import SerialExecutor, create_executor
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
-from repro.pipeline import context_digests, default_graph
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.stages import NameBlockingStage, TokenBlockingStage
+from repro.pipeline import MatchSession, context_digests
 
 from test_incremental_refresh import (
     crafted,
@@ -191,10 +189,7 @@ class IncrementalMachine(RuleBasedStateMachine):
         """Token placements follow every delta at once; name placements
         too, unless a pending delta moved the discovered name attributes
         (the refresh then re-runs the stage and adopts its table)."""
-        cold = PipelineContext(self.model[0], self.model[1], CONFIG)
-        with SerialExecutor() as engine:
-            TokenBlockingStage().run(cold, engine)
-            NameBlockingStage().run(cold, engine)
+        cold = blocking_context(self.model[0], self.model[1], CONFIG)
         uris = tuple(kb.uris() for kb in self.model)
         matcher = self.matcher
         assert matcher._tokens.rows(uris) == cold.get("token_placements").rows(
@@ -212,11 +207,9 @@ class IncrementalMachine(RuleBasedStateMachine):
     def match(self):
         self.matcher.match()
         ctx = self.matcher.last_context
-        cold = PipelineContext(
+        cold = MatchSession(
             self.model[0].copy(), self.model[1].copy(), CONFIG
-        )
-        with create_executor(CONFIG.engine, CONFIG.workers) as engine:
-            default_graph().execute(cold, engine)
+        ).run_context()
         assert context_digests(ctx) == context_digests(cold)
         incoming = CONFIG.include_incoming_edges
         for side, kb in enumerate(self.model, start=1):

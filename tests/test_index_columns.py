@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    blocking_context,
     decoded_pairs,
     index_of_pairs,
     neighbor_sims_by_uri,
@@ -35,7 +36,7 @@ from oracles import (
 )
 
 from repro.blocking.base import Block, BlockCollection
-from repro.core import MinoanER, MinoanERConfig
+from repro.core import MinoanERConfig
 from repro.core.neighbors import NeighborSimilarityIndex, top_neighbors
 from repro.core.similarity import PackedSimilarityIndex, ValueSimilarityIndex
 from repro.core.statistics import top_relations
@@ -137,7 +138,6 @@ def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
         assert index.best_candidate(uri1) == ranked[0]
         runner_up = ranked[1] if len(ranked) > 1 else None
         assert index.best_candidate(uri1, exclude={ranked[0][0]}) == runner_up
-        assert index.partners_of_entity1(uri1) == {u for u, _ in ranked}
     for uri2, ranked in rows2.items():
         assert index.candidates_of_entity2(uri2) == ranked
         assert [
@@ -495,7 +495,7 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     """
     data = generate_benchmark("rexa_dblp", 0.2, 13)
     config = MinoanERConfig()
-    blocks, _ = MinoanER().build_token_blocks(data.kb1, data.kb2)
+    blocks = blocking_context(data.kb1, data.kb2).get("token_blocks")
     neighbors = [
         top_neighbors(
             kb,

@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import MinoanER, MinoanERConfig
 from repro.datasets import generate_benchmark
-from repro.engine import SerialExecutor
 from repro.incremental import IncrementalMatcher
 from repro.obs import (
     NULL_METRICS,
@@ -34,8 +33,7 @@ from repro.obs import (
     chrome_trace,
     validate_chrome_trace,
 )
-from repro.pipeline import MatchSession, context_digests, default_graph
-from repro.pipeline.context import PipelineContext
+from repro.pipeline import MatchSession, context_digests
 
 SCALE = 0.08
 
@@ -155,10 +153,9 @@ class TestInvisibility:
         self, dataset
     ):
         def run(telemetry):
-            ctx = PipelineContext(dataset.kb1, dataset.kb2, MinoanERConfig())
-            with activate(telemetry), SerialExecutor() as engine:
-                default_graph().execute(ctx, engine)
-            return context_digests(ctx)
+            session = MatchSession(dataset.kb1, dataset.kb2, MinoanERConfig())
+            with activate(telemetry):
+                return context_digests(session.run_context())
 
         assert run(None) == run(Telemetry.create())
 
@@ -197,6 +194,7 @@ class TestReconciliation:
             r for r in telemetry.tracer.records() if r.category == "run"
         ]
         assert run_record.seconds == result.seconds
+        assert run_record.args["kind"] == "session"  # a one-shot session
 
     def test_exported_trace_validates(self, dataset):
         _, telemetry = run_instrumented(dataset, "process", workers=2)

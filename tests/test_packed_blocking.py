@@ -11,7 +11,7 @@ executor — so every golden digest and parity harness passes unchanged.
 from pathlib import Path
 
 import pytest
-from oracles import candidate_lists_by_uri, decoded_pairs
+from oracles import blocking_context, candidate_lists_by_uri, decoded_pairs
 
 from repro.blocking import (
     PackedBlockCollection,
@@ -21,11 +21,11 @@ from repro.blocking import (
     purge_blocks,
     token_blocking,
 )
-from repro.core import MinoanER, MinoanERConfig
+from repro.core import MinoanERConfig
 from repro.core.candidates import CandidateIndex
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
-from repro.engine import build_neighbor_index, build_value_index, create_executor
+from repro.engine import build_neighbor_index, build_value_index
 from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
 from repro.kb.io_ntriples import read_ntriples
@@ -66,12 +66,13 @@ def token_table(kb1, kb2, config=MinoanERConfig()):
 def test_packed_equals_string_engine(kbs, engine_name, workers):
     """Both stages' blocks and the purge report, under every executor."""
     kb1, kb2 = kbs
-    matcher = MinoanER()
-    with create_executor(engine_name, workers) as engine:
-        tokens, report = matcher.build_token_blocks(kb1, kb2, engine)
-        names, attributes1, attributes2 = matcher.build_name_blocks(
-            kb1, kb2, engine
-        )
+    ctx = blocking_context(
+        kb1, kb2, MinoanERConfig(engine=engine_name, workers=workers)
+    )
+    tokens, report = ctx.get("token_blocks"), ctx.get("purging_report")
+    names = ctx.get("name_blocks")
+    attributes1 = ctx.get("name_attributes1")
+    attributes2 = ctx.get("name_attributes2")
     reference, reference_report = purge_blocks(token_blocking(kb1, kb2))
     assert isinstance(tokens, PackedBlockCollection)
     assert tokens.keys() == sorted(reference.keys())  # sorted key order
@@ -104,7 +105,8 @@ def test_packed_equals_string_engine(kbs, engine_name, workers):
 def test_packed_equals_string_engine_tokenizer_variants(kbs, overrides, tokenizer):
     kb1, kb2 = kbs
     config = MinoanERConfig(purge_token_blocks=False, **overrides)
-    packed, report = MinoanER(config).build_token_blocks(kb1, kb2)
+    ctx = blocking_context(kb1, kb2, config)
+    packed, report = ctx.get("token_blocks"), ctx.get("purging_report")
     reference = token_blocking(kb1, kb2, tokenizer)
     assert report is None
     assert collection_signature(packed) == collection_signature(reference)
@@ -229,7 +231,7 @@ class TestPlacementTable:
 
 def test_value_index_from_packed_collection_is_bit_identical(kbs):
     kb1, kb2 = kbs
-    reference_blocks, _ = MinoanER().build_token_blocks(kb1, kb2)
+    reference_blocks = blocking_context(kb1, kb2).get("token_blocks")
     packed_blocks = PackedBlockCollection.from_collection(reference_blocks)
     via_packed = build_value_index(packed_blocks)
     via_reference = build_value_index(reference_blocks)
@@ -247,7 +249,7 @@ def test_value_index_from_packed_collection_is_bit_identical(kbs):
 def evidence(kbs):
     kb1, kb2 = kbs
     config = MinoanERConfig()
-    blocks, _ = MinoanER().build_token_blocks(kb1, kb2)
+    blocks = blocking_context(kb1, kb2).get("token_blocks")
     value_index = build_value_index(blocks)
     relations1 = top_relations(
         kb1, config.top_n_relations, config.include_incoming_edges

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MinoanER, MinoanERConfig, match_kbs
+from repro.core import MinoanER, MinoanERConfig
 from repro.kb import KnowledgeBase
 
 
@@ -62,12 +62,14 @@ class TestPipeline:
         counts = MinoanER().match(*make_pair()).by_heuristic()
         assert counts == {"H1": 1, "H2": 1, "H3": 1}
 
-    def test_match_kbs_convenience(self):
-        assert match_kbs(*make_pair()).pairs() == {
-            ("a0", "b0"),
-            ("a1", "b1"),
-            ("a2", "b2"),
-        }
+    def test_one_shot_match_is_a_session_match(self):
+        kb1, kb2 = make_pair()
+        one_shot = MinoanER().match(kb1, kb2)
+        session = MinoanER().session(kb1, kb2).match()
+        assert [
+            (m.uri1, m.uri2, m.heuristic, m.score) for m in one_shot.matches
+        ] == [(m.uri1, m.uri2, m.heuristic, m.score) for m in session.matches]
+        assert one_shot.pairs() == {("a0", "b0"), ("a1", "b1"), ("a2", "b2")}
 
     def test_seconds_recorded(self):
         assert MinoanER().match(*make_pair()).seconds > 0.0

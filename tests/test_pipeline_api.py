@@ -120,6 +120,9 @@ class TestStageGraph:
         ]
 
     def test_execute_checks_declared_provides(self):
+        """A stage that skips a declared artifact fails the run the same
+        way through the facade and through a session (one runner)."""
+
         class Liar(Stage):
             name = "liar"
             provides = ("promised",)
@@ -128,9 +131,11 @@ class TestStageGraph:
                 pass  # never puts "promised"
 
         kb1, kb2 = make_pair()
-        ctx = PipelineContext(kb1, kb2, MinoanERConfig())
+        graph = StageGraph([Liar()])
         with pytest.raises(StageGraphError, match="did not produce"):
-            StageGraph([Liar()]).execute(ctx, engine=None)
+            MinoanER(graph=graph).match(kb1, kb2)
+        with pytest.raises(StageGraphError, match="did not produce"):
+            MatchSession(kb1, kb2, graph=graph).match()
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.serve.json_codec import (
 from repro.store import Snapshot
 
 from test_pipeline import make_pair
-from test_snapshot_store import _redeclared, _rewrite_column
+from test_snapshot_store import _edited_manifest, _redeclared, _rewrite_column
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +346,8 @@ class TestEndpoints:
         assert client.stats()["delta_count"] == 0
 
     @pytest.mark.parametrize(
-        "broken", ["missing", "corrupt", "malformed", "misdeclared"]
+        "broken",
+        ["missing", "corrupt", "malformed", "misdeclared", "bad-manifest"],
     )
     def test_reload_of_a_non_snapshot_is_400(
         self, served, snapshot_dir, tmp_path, broken
@@ -367,6 +368,8 @@ class TestEndpoints:
             _rewrite_column(target, "tokens_kept", kept)
         if broken == "misdeclared":
             _redeclared(target, "value_keys", "f64")
+        if broken == "bad-manifest":
+            _edited_manifest(target, lambda m: m["json"].update(graph_stages=5))
         with pytest.raises(ServeClientError) as refused:
             client.reload(str(target))
         assert refused.value.status == 400

@@ -20,14 +20,12 @@ import pytest
 
 from repro.blocking import AttributeNameExtractor, PackedBlockCollection
 from repro.core import MinoanER, MinoanERConfig
-from repro.engine import create_executor
 from repro.ids import EntityInterner
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
 from repro.kb.io_ntriples import read_ntriples
 from repro.kb.tokenizer import Tokenizer
-from repro.pipeline import MatchSession, context_digests, default_graph
-from repro.pipeline.context import PipelineContext
+from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.digest import (
     DIGESTED_ARTIFACTS,
     artifact_digest,
@@ -195,9 +193,7 @@ def test_warm_restart_delta_matches_batch(tmp_path, engine_name, workers):
         cold1.remove(uri)
     readded = cold2.remove(spare[0].uri)
     cold2.add(readded)
-    ctx = PipelineContext(cold1, cold2, config)
-    with create_executor(engine_name, workers) as executor:
-        default_graph().execute(ctx, executor)
+    ctx = MatchSession(cold1, cold2, config).run_context()
     assert warm == context_digests(ctx)
 
 
@@ -307,6 +303,67 @@ def test_tampered_manifest_count_rejected(saved_snapshot):
         load_state(saved_snapshot)
 
 
+def _edited_manifest(snapshot_dir, edit):
+    """Apply ``edit`` to the parsed manifest and write it back."""
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+#: id -> (manifest edit, what the SnapshotError names)
+MALFORMED_MANIFESTS = {
+    "columns-a-list": (lambda m: m.update(columns=[]), "'columns'"),
+    "json-a-list": (lambda m: m.update(json=[]), "'json'"),
+    "column-a-string": (
+        lambda m: m["columns"].update(value_keys="value_keys.bin"),
+        "column 'value_keys'",
+    ),
+    "column-without-file": (
+        lambda m: m["columns"]["value_keys"].pop("file"),
+        "column 'value_keys'",
+    ),
+    "config-unknown-field": (
+        lambda m: m["json"]["config"].update(bogus=1),
+        "value 'config'",
+    ),
+    "config-k-a-string": (
+        lambda m: m["json"]["config"].update(top_k_candidates="x"),
+        "value 'config'",
+    ),
+    "graph-stages-an-int": (
+        lambda m: m["json"].update(graph_stages=5),
+        "value 'graph_stages'",
+    ),
+    "top-relations-an-int": (
+        lambda m: m["json"].update(top_relations1=7),
+        "value 'top_relations1'",
+    ),
+    "name-attributes-of-ints": (
+        lambda m: m["json"].update(name_attributes2=[1]),
+        "value 'name_attributes2'",
+    ),
+    "match-row-short": (
+        lambda m: m["json"].update(matches=[[1]]),
+        "value 'matches'",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+@pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
+def test_malformed_manifest_rejected(saved_snapshot, case, mode):
+    """A manifest of the wrong shape — a section or a column entry that
+    is not an object with typed fields, a JSON value that does not
+    decode to its artifact — fails the load with a SnapshotError naming
+    the entry: never a raw AttributeError / KeyError / TypeError /
+    ValueError, and never a silent load."""
+    edit, pattern = MALFORMED_MANIFESTS[case]
+    _edited_manifest(saved_snapshot, edit)
+    with pytest.raises(SnapshotError, match=pattern):
+        load_state(saved_snapshot, mode=mode)
+
+
 def _rewrite_column(snapshot_dir, name, values):
     """Replace one column *consistently* (file, count, digest), so only
     the structural load-time checks stand between it and an artifact."""
@@ -387,10 +444,9 @@ def _negative_key(keys, sims):
 def _redeclared(snapshot_dir, name, kind):
     """Declare column ``name`` of ``kind`` in the manifest alone: the
     file and its SHA-256 stay as written."""
-    manifest_path = snapshot_dir / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["columns"][name]["kind"] = kind
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    _edited_manifest(
+        snapshot_dir, lambda m: m["columns"][name].update(kind=kind)
+    )
 
 
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
