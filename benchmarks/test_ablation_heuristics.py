@@ -18,10 +18,10 @@ from repro.datasets import PROFILE_ORDER
 from repro.evaluation import evaluate_matching, render_records
 
 VARIANTS = (
-    ("H1", dict(h2=False, h3=False, h4=False)),
-    ("H1+H2", dict(h3=False, h4=False)),
-    ("H1+H2+H3", dict(h4=False)),
-    ("full (H1-H4)", dict()),
+    ("H1", ("h1",)),
+    ("H1+H2", ("h1", "h2")),
+    ("H1+H2+H3", ("h1", "h2", "h3")),
+    ("full (H1-H4)", ("h1", "h2", "h3", "h4")),
 )
 
 #: Stages the variant sweep must never re-run (evidence preparation).
@@ -38,8 +38,8 @@ def compute_ablation(datasets, sessions):
     rows = []
     for name in PROFILE_ORDER:
         data = datasets[name]
-        for label, toggles in VARIANTS:
-            config = MinoanERConfig().with_heuristics(**toggles)
+        for label, heuristics in VARIANTS:
+            config = MinoanERConfig(heuristics=heuristics)
             result = sessions[name].match(config)
             quality = evaluate_matching(result.pairs(), data.ground_truth)
             rows.append(
@@ -96,8 +96,8 @@ def test_session_skips_upstream_and_matches_one_shot(datasets):
     data = datasets["bbc_dbpedia"]
     session = MatchSession(data.kb1, data.kb2)
     results = {
-        label: session.match(MinoanERConfig().with_heuristics(**toggles))
-        for label, toggles in VARIANTS
+        label: session.match(MinoanERConfig(heuristics=heuristics))
+        for label, heuristics in VARIANTS
     }
     for stage in UPSTREAM_STAGES:
         assert session.runs(stage) == 1, (

@@ -92,12 +92,12 @@ def main() -> None:
     kb1, kb2 = build_kbs()
 
     # Translated titles share no tokens, so these tiny KBs carry no name
-    # evidence — the composed sequence drops H1 and lets the registered
-    # H5 claim matches on year evidence before the generic token
-    # heuristics (the with_heuristics order is the execution order).
+    # evidence — the config's heuristic list drops H1 and lets the
+    # registered H5 claim matches on year evidence before the generic
+    # token heuristics (the list order is the execution order).
     builder = (
         MinoanER.builder()
-        .with_heuristics("h5_year", "h2", "h3", "h4")
+        .with_config(heuristics=("h5_year", "h2", "h3", "h4"))
         .with_stage(SummaryStage())
     )
     session = builder.session(kb1, kb2)

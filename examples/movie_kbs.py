@@ -40,7 +40,7 @@ def main(scale: float = 0.25) -> None:
 
     # What happens without neighbor evidence?  Disable H3 and compare —
     # the session reuses every prepared index, so this is nearly free.
-    no_h3 = session.match(h3=False)
+    no_h3 = session.match(heuristics=("h1", "h2", "h4"))
     no_h3_quality = evaluate_matching(no_h3.pairs(), data.ground_truth)
     rows = [
         {

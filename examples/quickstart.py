@@ -10,7 +10,7 @@ matching needs no alignment), and prints the discovered matches with the
 heuristic that produced each.
 """
 
-from repro import EntityDescription, KnowledgeBase, MinoanER
+from repro import EntityDescription, KnowledgeBase, MinoanER, MinoanERConfig
 
 
 def build_left() -> KnowledgeBase:
@@ -75,9 +75,9 @@ def main() -> None:
     unmatched = set(kb1.uris()) - {m.uri1 for m in result.matches}
     print(f"Unmatched in {kb1.name}: {sorted(unmatched)}")
 
-    # The pipeline is a composable stage graph: the builder swaps
-    # heuristics (or whole stages) without touching the core.
-    names_only = MinoanER.builder().with_heuristics("h1").build()
+    # The config's heuristics field picks which heuristics run (and in
+    # what order) without touching the core.
+    names_only = MinoanER(MinoanERConfig(heuristics=("h1",)))
     print()
     print(f"H1-only matches: {sorted(names_only.match(kb1, kb2).pairs())}")
 

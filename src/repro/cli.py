@@ -33,7 +33,6 @@ from .core.config import MinoanERConfig
 from .core.pipeline import MinoanER
 from .engine.executor import EXECUTOR_NAMES
 from .pipeline import BLOCKING_SCHEMES, HEURISTICS, render_stage_list
-from .pipeline.stages import ENABLE_FLAGS
 from .datasets.io import read_ground_truth_csv, save_dataset
 from .datasets.profiles import PROFILE_ORDER, generate_benchmark
 from .evaluation.metrics import evaluate_matching
@@ -174,12 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--top-k", type=int, default=15)
     match.add_argument("--top-n-relations", type=int, default=3)
     match.add_argument("--name-attributes", type=int, default=2)
-    match.add_argument(
-        "--no-purging", action="store_true", help="disable Block Purging"
-    )
-    match.add_argument(
-        "--no-reciprocity", action="store_true", help="disable H4"
-    )
     match.add_argument(
         "--engine",
         choices=EXECUTOR_NAMES,
@@ -335,42 +328,32 @@ class _UsageError(Exception):
 
 
 def _apply_disabled(builder, disabled: list[str]) -> None:
-    """Translate ``--disable-stage`` names into an explicit composition.
+    """Translate ``--disable-stage`` names into config and graph edits.
 
-    Heuristic names shrink the heuristic sequence; ``name_blocking``
-    additionally drops H1, which needs the name blocks; ``purging`` is a
+    Heuristic names leave the config's ``heuristics``; ``name_blocking``
+    removes H1, which needs the name blocks; ``purging`` is a
     token-blocking config toggle.  When H1 ends up disabled by either
     route, the ``name_blocking`` stage is dropped too — nothing would
     consume its output.
     """
-    heuristics = [
-        name
-        for name, flag in ENABLE_FLAGS.items()
-        if getattr(builder.config, flag)
-    ]
-    recompose = False
+    heuristics = list(builder.config.heuristics)
     for name in disabled:
-        if name in ENABLE_FLAGS:
-            if name in heuristics:
-                heuristics.remove(name)
-            recompose = True
-        elif name == "purging":
+        if name == "purging":
             builder.with_config(purge_token_blocks=False)
-        elif name == "name_blocking":
-            if "h1" in heuristics:
-                heuristics.remove("h1")
-            recompose = True
+        elif name in DISABLABLE_STAGES:
+            target = "h1" if name == "name_blocking" else name
+            if target in heuristics:
+                heuristics.remove(target)
         else:
             raise _UsageError(
                 f"error: cannot disable stage {name!r}; "
                 f"disableable: {', '.join(DISABLABLE_STAGES)}"
             )
-    if recompose:
-        if not heuristics:
-            raise _UsageError("error: cannot disable every heuristic")
-        if "h1" not in heuristics:
-            builder.with_blocking("token")
-        builder.with_heuristics(*heuristics)
+    if not heuristics:
+        raise _UsageError("error: cannot disable every heuristic")
+    builder.with_config(heuristics=tuple(heuristics))
+    if "h1" not in heuristics:
+        builder.with_blocking("token")
 
 
 def _print_stage_list(builder) -> None:
@@ -528,8 +511,6 @@ def cmd_match(args: argparse.Namespace) -> int:
         top_k_candidates=args.top_k,
         top_n_relations=args.top_n_relations,
         name_attributes=args.name_attributes,
-        purge_token_blocks=not args.no_purging,
-        enable_h4_reciprocity=not args.no_reciprocity,
         engine=args.engine,
         workers=args.workers,
     )

@@ -6,12 +6,12 @@ The paper reports one configuration as robust across all datasets:
 attributes per KB serving as names) and ``θ=0.6`` (trade-off between
 value- and neighbor-based candidate ranks).  Those are the defaults here;
 the remaining knobs control substrate behaviour (tokenization, purging)
-and heuristic toggles for the ablation benches.
+and which heuristics run (the ablation benches drop single rungs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..blocking.purging import DEFAULT_GAIN_FACTOR
 from ..engine.executor import EXECUTOR_NAMES
@@ -63,14 +63,19 @@ class MinoanERConfig:
     workers: int | None = None
 
     # ------------------------------------------------------------------
-    # Heuristic toggles (ablation benches)
+    # Heuristics
     # ------------------------------------------------------------------
-    enable_h1_names: bool = True
-    enable_h2_values: bool = True
-    enable_h3_rank_aggregation: bool = True
-    enable_h4_reciprocity: bool = True
+    #: Registered heuristic names in execution order: the paper's ladder
+    #: ``(H1 ∨ H2 ∨ H3) ∧ H4`` by default.  Batch matching, online
+    #: resolution and snapshots all read this one list.
+    heuristics: tuple[str, ...] = ("h1", "h2", "h3", "h4")
 
     def __post_init__(self) -> None:
+        # A list (a config decoded from JSON) becomes a tuple, so every
+        # config stays hashable.
+        object.__setattr__(self, "heuristics", tuple(self.heuristics))
+        if len(set(self.heuristics)) != len(self.heuristics):
+            raise ValueError(f"duplicate heuristic in {self.heuristics}")
         if self.top_k_candidates < 1:
             raise ValueError("top_k_candidates must be >= 1")
         if self.top_n_relations < 0:
@@ -94,26 +99,6 @@ class MinoanERConfig:
                 "workers has no effect with the serial engine; "
                 "choose engine='thread' or 'process' (or leave workers unset)"
             )
-
-    def with_heuristics(
-        self,
-        h1: bool | None = None,
-        h2: bool | None = None,
-        h3: bool | None = None,
-        h4: bool | None = None,
-    ) -> "MinoanERConfig":
-        """A copy with some heuristics switched on/off (ablations)."""
-        return replace(
-            self,
-            enable_h1_names=self.enable_h1_names if h1 is None else h1,
-            enable_h2_values=self.enable_h2_values if h2 is None else h2,
-            enable_h3_rank_aggregation=(
-                self.enable_h3_rank_aggregation if h3 is None else h3
-            ),
-            enable_h4_reciprocity=(
-                self.enable_h4_reciprocity if h4 is None else h4
-            ),
-        )
 
 
 #: The configuration the paper evaluates everywhere.

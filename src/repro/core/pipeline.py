@@ -13,8 +13,9 @@ exactly as the paper describes.  Every run of it is a
 :class:`~repro.pipeline.session.MatchSession` run: ``match()`` is a
 one-shot session, ``MinoanER.session()`` keeps one to reuse cached
 upstream artifacts across repeated runs, and ``MinoanER.builder()``
-composes custom graphs (swapped blocking schemes, extra heuristics, user
-stages).
+composes custom graphs (swapped blocking schemes, user stages).  Which
+heuristics run, in what order, is one config field,
+``MinoanERConfig.heuristics``.
 
 The two similarity-index stages dispatch their row kernel through a
 pluggable execution engine (:mod:`repro.engine`): the default
@@ -34,7 +35,7 @@ from ..blocking.base import BlockCollection
 from ..blocking.purging import PurgingReport
 from ..kb.knowledge_base import KnowledgeBase
 from ..kb.tokenizer import Tokenizer
-from ..pipeline.builder import PipelineBuilder, default_graph
+from ..pipeline.builder import PipelineBuilder
 from ..pipeline.context import PipelineContext
 from ..pipeline.stage import StageGraph
 from .config import MinoanERConfig
@@ -141,8 +142,9 @@ class MinoanER:
         result = matcher.match(kb1, kb2)
         result.pairs()
 
-        # custom composition / repeated runs
-        matcher = MinoanER.builder().with_heuristics("h1", "h3").build()
+        # ablation / custom composition / repeated runs
+        matcher = MinoanER(MinoanERConfig(heuristics=("h1", "h3")))
+        matcher = MinoanER.builder().with_stage(MyStage()).build()
         session = MinoanER().session(kb1, kb2)
 
     ``kb1`` is treated as the smaller/primary KB: H2 and H3 iterate over
@@ -157,7 +159,7 @@ class MinoanER:
         graph: StageGraph | None = None,
     ) -> None:
         self.config = config or MinoanERConfig()
-        self.graph = graph or default_graph()
+        self.graph = graph or PipelineBuilder(self.config).build_graph()
 
     @classmethod
     def builder(cls, config: MinoanERConfig | None = None) -> PipelineBuilder:

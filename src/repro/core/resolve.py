@@ -39,8 +39,11 @@ golden parity tests pin.
 does not join the blocks (weights use the existing block sizes, so the
 record's scores are commensurable with the precomputed side-1 scores),
 and standing matches do not pre-empt it (a clean copy of an
-already-matched entity still resolves to its counterpart).  The H1–H4
-ladder is read accordingly:
+already-matched entity still resolves to its counterpart).  The ladder
+walks the config's ``heuristics``: the listed H1–H3 in their listed
+order (the first that fires decides), then H4 if listed.  Custom
+heuristic names have no online form and are skipped.  Each rung is read
+accordingly:
 
 - **H1** fires when a normalized name of the record is carried by *no*
   KB1 entity and *exactly one* KB2 entity — the block that would exist
@@ -251,6 +254,12 @@ class OnlineResolver:
             min_length=config.min_token_length,
             include_uri_localnames=config.include_uri_localnames,
         )
+        # The online ladder, once: the known producers in config order,
+        # and whether H4 filters their decision.
+        self._producers = tuple(
+            name for name in config.heuristics if name in ("h1", "h2", "h3")
+        )
+        self._reciprocal = "h4" in config.heuristics
         self._tables: _ResolverTables | None = None
         # target URI -> (contribution row, ranked triples).  The
         # evidence is immutable for this resolver's lifetime, so rows
@@ -532,19 +541,23 @@ class OnlineResolver:
         value_uris = [uri2 for uri2, _ in value_top]
 
         match: Match | None = None
-        if config.enable_h1_names and tables.names1 is not None:
-            match = self._h1_online(record, tables)
-        if match is None and config.enable_h2_values and value_top:
-            uri2, vmax = value_top[0]
-            if vmax >= 1.0:
-                match = Match(record.uri, uri2, "H2", vmax)
-        if match is None and config.enable_h3_rank_aggregation:
-            best = top_aggregate_candidate(
-                value_uris, neighbor_uris, config.theta
-            )
-            if best is not None:
-                match = Match(record.uri, best[0], "H3", best[1])
-        if match is not None and config.enable_h4_reciprocity:
+        for name in self._producers:
+            if name == "h1":
+                if tables.names1 is not None:
+                    match = self._h1_online(record, tables)
+            elif name == "h2":
+                if value_top and value_top[0][1] >= 1.0:
+                    uri2, vmax = value_top[0]
+                    match = Match(record.uri, uri2, "H2", vmax)
+            else:
+                best = top_aggregate_candidate(
+                    value_uris, neighbor_uris, config.theta
+                )
+                if best is not None:
+                    match = Match(record.uri, best[0], "H3", best[1])
+            if match is not None:
+                break
+        if match is not None and self._reciprocal:
             if not self._h4_reciprocal(
                 match.uri2,
                 value_uris,

@@ -203,7 +203,7 @@ class IncrementalMatcher:
         """
         from ..store import validate_snapshotable_graph, write_session_snapshot
 
-        validate_snapshotable_graph(self.graph)
+        validate_snapshotable_graph(self.graph, self.config)
         if self.last_context is None or self._pending:
             self.match()
         return write_session_snapshot(

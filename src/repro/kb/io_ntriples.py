@@ -30,13 +30,20 @@ _TRIPLE_PATTERN = re.compile(
     re.VERBOSE,
 )
 
-_ESCAPES = {
-    "\\n": "\n",
-    "\\r": "\r",
-    "\\t": "\t",
-    '\\"': '"',
-    "\\\\": "\\",
-}
+#: One escape sequence of a literal: a character escape, ``\u`` + 4 or
+#: ``\U`` + 8 hex digits, or a ``\u`` / ``\U`` that has neither (an
+#: error).  Any other backslash is kept as written.
+_ESCAPE = re.compile(
+    r"""\\(?:
+        (?P<char>[nrt"\\])
+      | u(?P<hex4>[0-9A-Fa-f]{4})
+      | U(?P<hex8>[0-9A-Fa-f]{8})
+      | [uU]
+    )""",
+    re.VERBOSE,
+)
+
+_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 
 
 class NTriplesError(ValueError):
@@ -48,23 +55,22 @@ class NTriplesError(ValueError):
         self.line = line
 
 
+def _unescaped(match: re.Match) -> str:
+    if match.group("char") is not None:
+        return _ESCAPES[match.group("char")]
+    digits = match.group("hex4") or match.group("hex8")
+    code = int(digits, 16) if digits else -1
+    if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise ValueError(f"invalid escape {match.group()!r}")
+    return chr(code)
+
+
 def _unescape(text: str) -> str:
+    """``text`` with its escapes decoded; ``ValueError`` on a ``\\u`` /
+    ``\\U`` escape that is truncated, not hex, or names a surrogate."""
     if "\\" not in text:
         return text
-    out: list[str] = []
-    index = 0
-    while index < len(text):
-        chunk = text[index : index + 2]
-        if chunk in _ESCAPES:
-            out.append(_ESCAPES[chunk])
-            index += 2
-        elif chunk[:1] == "\\" and text[index + 1 : index + 2] == "u":
-            out.append(chr(int(text[index + 2 : index + 6], 16)))
-            index += 6
-        else:
-            out.append(text[index])
-            index += 1
-    return "".join(out)
+    return _ESCAPE.sub(_unescaped, text)
 
 
 def _escape(text: str) -> str:
@@ -83,24 +89,35 @@ def parse_lines(
     """Yield (subject, predicate, object) triples from N-Triples lines.
 
     Blank lines and ``#`` comments are skipped.  Under ``strict`` parsing,
-    malformed lines raise :class:`NTriplesError`; otherwise they are
-    silently ignored (useful for noisy Web crawls).
+    malformed lines (a bad ``\\u`` / ``\\U`` escape included) raise
+    :class:`NTriplesError`; otherwise they are silently ignored (useful
+    for noisy Web crawls).
     """
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        match = _TRIPLE_PATTERN.match(line)
-        if match is None:
+        triple = _parse_line(line)
+        if triple is None:
             if strict:
                 raise NTriplesError(line_number, raw)
             continue
-        subject = match.group("subject")
-        predicate = match.group("predicate")
-        if match.group("object_uri") is not None:
-            yield subject, predicate, UriRef(match.group("object_uri"))
-        else:
-            yield subject, predicate, Literal(_unescape(match.group("object_literal")))
+        yield triple
+
+
+def _parse_line(line: str) -> tuple[str, str, Literal | UriRef] | None:
+    """The triple of one statement line, or None if it is malformed."""
+    match = _TRIPLE_PATTERN.match(line)
+    if match is None:
+        return None
+    if match.group("object_uri") is not None:
+        obj: Literal | UriRef = UriRef(match.group("object_uri"))
+    else:
+        try:
+            obj = Literal(_unescape(match.group("object_literal")))
+        except ValueError:  # a bad \u / \U escape
+            return None
+    return match.group("subject"), match.group("predicate"), obj
 
 
 def read_ntriples(

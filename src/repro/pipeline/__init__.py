@@ -10,13 +10,14 @@ makes that composition a first-class, pluggable object:
   built-ins (``name``/``token`` blocking, ``h1``-``h4``) register
   themselves into and user code extends;
 - :class:`PipelineBuilder` — fluent composition
-  (``MinoanER.builder().with_heuristics("h1", my_h5).build()``);
+  (``MinoanER.builder().with_config(heuristics=("h1", "h5")).build()``;
+  the config's ``heuristics`` field is the one heuristic switch);
 - :class:`MatchSession` — repeated matching of one KB pair with
   config-keyed artifact memoization (ablations and grid searches only
   re-run the stages whose declared config fields changed).
 """
 
-from .builder import PipelineBuilder, default_graph
+from .builder import PipelineBuilder
 from .context import Artifact, MissingArtifactError, PipelineContext
 from .digest import artifact_digest, context_digests
 from .registry import BLOCKING_SCHEMES, HEURISTICS, Registry, RegistryError
@@ -24,7 +25,6 @@ from .session import MatchSession, StaleSessionError
 from .stage import Stage, StageGraph, StageGraphError, render_stage_list
 from .stages import (
     CandidateStage,
-    DEFAULT_HEURISTIC_ORDER,
     H1NameHeuristic,
     H2ValueHeuristic,
     H3RankAggregationHeuristic,
@@ -41,7 +41,6 @@ __all__ = [
     "Artifact",
     "BLOCKING_SCHEMES",
     "CandidateStage",
-    "DEFAULT_HEURISTIC_ORDER",
     "StaleSessionError",
     "artifact_digest",
     "context_digests",
@@ -65,6 +64,5 @@ __all__ = [
     "StageGraphError",
     "TokenBlockingStage",
     "ValueIndexStage",
-    "default_graph",
     "render_stage_list",
 ]

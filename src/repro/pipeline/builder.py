@@ -1,14 +1,15 @@
 """Fluent construction of customized pipelines.
 
 The builder composes a :class:`~repro.pipeline.stage.StageGraph` from
-registered blocking schemes, index stages, a heuristic sequence, and any
-extra user stages::
+registered blocking schemes, index stages, the matching stage, and any
+extra user stages.  Which heuristics the matching stage runs, and in
+what order, is the config's ``heuristics`` field — registered names
+only::
 
     matcher = (
         MinoanER.builder()
-        .with_config(theta=0.5)
+        .with_config(theta=0.5, heuristics=("h1", "h2", "h5", "h4"))
         .with_blocking("name", "token")
-        .with_heuristics("h1", "h2", MyH5())
         .build()
     )
     result = matcher.match(kb1, kb2)
@@ -22,13 +23,12 @@ artifact-reusing repeated runs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .registry import BLOCKING_SCHEMES
 from .stage import Stage, StageGraph
 from .stages import (
     CandidateStage,
-    Heuristic,
     MatchingStage,
     NeighborIndexStage,
     ValueIndexStage,
@@ -50,7 +50,6 @@ class PipelineBuilder:
             config = MinoanERConfig()
         self._config = config
         self._blocking: tuple[Stage | str, ...] = ("name", "token")
-        self._heuristics: tuple[Heuristic | str, ...] | None = None
         self._extra_stages: list[Stage] = []
         self._removed: set[str] = set()
 
@@ -71,18 +70,6 @@ class PipelineBuilder:
         if not schemes:
             raise ValueError("with_blocking needs at least one scheme")
         self._blocking = schemes
-        return self
-
-    def with_heuristics(self, *heuristics: Heuristic | str) -> "PipelineBuilder":
-        """An explicit heuristic sequence (names or Heuristic instances).
-
-        Overrides the config's ``enable_h*`` toggles; order is the
-        execution order (producers first is conventional, filters apply
-        to the union of all produced matches).
-        """
-        if not heuristics:
-            raise ValueError("with_heuristics needs at least one heuristic")
-        self._heuristics = heuristics
         return self
 
     def with_stage(self, stage: Stage) -> "PipelineBuilder":
@@ -109,7 +96,7 @@ class PipelineBuilder:
         stages.extend(
             (ValueIndexStage(), NeighborIndexStage(), CandidateStage())
         )
-        stages.append(MatchingStage(self._heuristics, config=self._config))
+        stages.append(MatchingStage(self._config))
         stages.extend(self._extra_stages)
         kept = [stage for stage in stages if stage.name not in self._removed]
         return StageGraph(kept)
@@ -123,13 +110,3 @@ class PipelineBuilder:
         from .session import MatchSession
 
         return MatchSession(kb1, kb2, self._config, graph=self.build_graph())
-
-
-def default_graph(
-    heuristics: Iterable[Heuristic | str] | None = None,
-) -> StageGraph:
-    """The paper's six-stage graph (optionally with explicit heuristics)."""
-    builder = PipelineBuilder()
-    if heuristics is not None:
-        builder.with_heuristics(*heuristics)
-    return builder.build_graph()

@@ -12,7 +12,7 @@ units ``h1``-``h4``).  User code registers its own::
         name = "h5"
         ...
 
-    MinoanER.builder().with_heuristics("h1", "h2", "h5").build()
+    MinoanER.builder().with_config(heuristics=("h1", "h2", "h5")).build()
 
 Registration is by factory (class or zero-argument callable);
 ``create`` instantiates a fresh unit per pipeline.  Re-registering an

@@ -3,10 +3,10 @@
 A :class:`MatchSession` pins a KB pair and caches every stage's output
 artifacts across ``match()`` calls.  The cache key of a stage is the
 chain of (stage name, the values of the config fields the stage declares
-in ``config_fields``, its ``signature_extra``, and the cache keys of the
-stages that produced its required artifacts) — so changing one config
-field re-runs exactly the stages that declare it plus everything
-downstream, while upstream artifacts are restored from cache.  Ablation
+in ``config_fields``, and the cache keys of the stages that produced its
+required artifacts) — so changing one config field re-runs exactly the
+stages that declare it plus everything downstream, while upstream
+artifacts are restored from cache.  Ablation
 benches and grid searches over matching parameters therefore pay for
 blocking and indexing once.
 
@@ -18,7 +18,7 @@ Example::
 
     session = MatchSession(kb1, kb2)
     full = session.match()                          # runs all stages
-    no_h3 = session.match(h3=False)                 # reuses blocking+indices
+    no_h3 = session.match(heuristics=("h1", "h2", "h4"))  # matching only
     sweep = [session.match(theta=t) for t in thetas]  # matching stage only
     session.stage_runs["token_blocking"]            # -> 1
 """
@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING, Any
 
 from ..engine.executor import create_executor
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
-from .builder import default_graph
+from .builder import PipelineBuilder
 from .context import PipelineContext
 from .stage import Stage, StageGraph, StageGraphError
-from .stages import ENABLE_FLAGS
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from pathlib import Path
@@ -97,7 +96,7 @@ class MatchSession:
         self.kb1 = kb1
         self.kb2 = kb2
         self.config = config
-        self.graph = graph or default_graph()
+        self.graph = graph or PipelineBuilder(config).build_graph()
         #: Optional pinned telemetry: activated around every run of this
         #: session, so callers that cannot wrap ``match()`` in
         #: ``repro.obs.activate`` themselves (CLI, services) still get a
@@ -140,7 +139,6 @@ class MatchSession:
             tuple(
                 (name, getattr(config, name)) for name in stage.config_fields
             ),
-            stage.signature_extra(),
             tuple(
                 producer_signatures.get(key, _INPUT_SIGNATURE)
                 for key in stage.requires
@@ -155,9 +153,8 @@ class MatchSession:
     ) -> "MatchResult":
         """Run the graph under ``config`` (default: the session's).
 
-        Keyword overrides are config-field replacements; the shorthands
-        ``h1``-``h4`` map to the corresponding ``enable_*`` flags, so
-        ``session.match(h3=False, theta=0.4)`` reads like the ablations.
+        Keyword overrides are config-field replacements, e.g.
+        ``session.match(heuristics=("h1", "h2", "h4"), theta=0.4)``.
         """
         from ..core.pipeline import MatchResult
 
@@ -191,11 +188,7 @@ class MatchSession:
             )
         run_config = config if config is not None else self.config
         if overrides:
-            mapped = {
-                ENABLE_FLAGS.get(name, name): value
-                for name, value in overrides.items()
-            }
-            run_config = replace(run_config, **mapped)
+            run_config = replace(run_config, **overrides)
 
         with activate(self.telemetry) as telemetry:
             tracer = telemetry.tracer
@@ -329,11 +322,11 @@ class MatchSession:
         blocking stages' placement tables (no entity is keyed again), both
         packed similarity indices, top-neighbor sets, decision artifacts
         and the run's ``context_digests``.  Only the default stage
-        composition is snapshotable.
+        composition, running built-in heuristics, is snapshotable.
         """
         from ..store import validate_snapshotable_graph, write_session_snapshot
 
-        validate_snapshotable_graph(self.graph)
+        validate_snapshotable_graph(self.graph, self.config)
         return write_session_snapshot(
             path, self.run_context(), list(self.graph.names())
         )

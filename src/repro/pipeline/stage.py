@@ -47,10 +47,6 @@ class Stage(ABC):
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
         """Compute this stage's artifacts and ``ctx.put`` them."""
 
-    def signature_extra(self) -> tuple:
-        """Extra hashable state for session cache keys (e.g. plugin names)."""
-        return ()
-
     @property
     def timing_group(self) -> str:
         return self.group or self.name

@@ -30,7 +30,7 @@ calling process.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.placements import KeysOf, PlacementTable, entity_key_rows
@@ -55,6 +55,7 @@ from .registry import BLOCKING_SCHEMES, HEURISTICS
 from .stage import Stage
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..core.config import MinoanERConfig
     from ..engine.executor import Executor
 
 
@@ -353,102 +354,37 @@ class H4ReciprocityHeuristic(Heuristic):
         return h4_reciprocity_filter(matches, ctx.get("candidate_index"))
 
 
-#: Heuristic names the config's enable flags control, in pipeline order.
-DEFAULT_HEURISTIC_ORDER = ("h1", "h2", "h3", "h4")
-
-#: heuristic name -> the MinoanERConfig flag that toggles it.  The single
-#: source of truth: the CLI's ``--disable-stage`` and the session's
-#: ``match(h3=False)`` shorthand import this map.
-ENABLE_FLAGS = {
-    "h1": "enable_h1_names",
-    "h2": "enable_h2_values",
-    "h3": "enable_h3_rank_aggregation",
-    "h4": "enable_h4_reciprocity",
-}
-
-
 class MatchingStage(Stage):
-    """Runs the heuristic sequence over the prepared evidence.
+    """Runs the config's heuristic sequence over the prepared evidence.
 
-    With no explicit heuristics, the active set follows the config's
-    ``enable_h*`` flags (the paper's H1-H4) and those flags join the
-    stage's ``config_fields`` so sessions re-run it when a toggle
-    changes.  The declared ``requires`` then covers the heuristics
-    enabled in ``config`` (the builder's, when composed through it), so
-    e.g. ``enable_h1_names=False`` lets a graph without name blocking
-    validate; enabling a heuristic at match time that was disabled when
-    the graph was built works only if its artifacts happen to be present.
-    With an explicit sequence — names resolved against
-    :data:`~repro.pipeline.registry.HEURISTICS`, or heuristic instances —
-    the toggles are ignored and the sequence itself keys the cache.
+    ``config.heuristics`` names registered heuristics in execution
+    order; producers run first, in that order, then filters prune the
+    union of their matches.  The declared ``requires`` is the union of
+    the heuristics listed in the build-time ``config``, so e.g.
+    ``heuristics=("h2", "h3", "h4")`` lets a graph without name blocking
+    validate; listing a heuristic at match time that the build-time
+    config left out works only if its artifacts happen to be present.
     """
 
     name = "matching"
     group = "heuristics"
     provides = ("matches", "pre_h4_matches", "discarded_by_h4")
 
-    def __init__(
-        self,
-        heuristics: Iterable[Heuristic | str] | None = None,
-        config=None,
-    ) -> None:
-        if heuristics is None:
-            self._explicit: tuple[Heuristic, ...] | None = None
-            enabled = tuple(
-                HEURISTICS.create(name)
-                for name in DEFAULT_HEURISTIC_ORDER
-                if config is None or getattr(config, ENABLE_FLAGS[name])
-            )
-            requires: list[str] = []
-            for heuristic in enabled:
-                for key in heuristic.requires:
-                    if key not in requires:
-                        requires.append(key)
-            self.requires = tuple(requires)
-            self.config_fields = ("theta",) + tuple(
-                ENABLE_FLAGS[name] for name in DEFAULT_HEURISTIC_ORDER
-            )
-        else:
-            resolved = tuple(
-                HEURISTICS.create(h) if isinstance(h, str) else h
-                for h in heuristics
-            )
-            self._explicit = resolved
-            requires: list[str] = []
-            config_fields: list[str] = []
-            for heuristic in resolved:
-                for key in heuristic.requires:
-                    if key not in requires:
-                        requires.append(key)
-                for fld in heuristic.config_fields:
-                    if fld not in config_fields:
-                        config_fields.append(fld)
-            self.requires = tuple(requires)
-            self.config_fields = tuple(config_fields)
-
-    @property
-    def heuristics(self) -> tuple[Heuristic, ...] | None:
-        """The explicit heuristic sequence, or None (config-driven)."""
-        return self._explicit
-
-    def signature_extra(self) -> tuple:
-        if self._explicit is None:
-            return ()
-        return tuple(h.name for h in self._explicit)
-
-    def active_heuristics(self, ctx: PipelineContext) -> tuple[Heuristic, ...]:
-        if self._explicit is not None:
-            return self._explicit
-        return tuple(
-            HEURISTICS.create(name)
-            for name in DEFAULT_HEURISTIC_ORDER
-            if getattr(ctx.config, ENABLE_FLAGS[name])
-        )
+    def __init__(self, config: "MinoanERConfig") -> None:
+        requires: list[str] = []
+        config_fields: list[str] = ["theta", "heuristics"]
+        for heuristic in map(HEURISTICS.create, config.heuristics):
+            requires += [k for k in heuristic.requires if k not in requires]
+            config_fields += [
+                f for f in heuristic.config_fields if f not in config_fields
+            ]
+        self.requires = tuple(requires)
+        self.config_fields = tuple(config_fields)
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
         registry = MatchedRegistry()
         collected: list[Match] = []
-        active = self.active_heuristics(ctx)
+        active = tuple(map(HEURISTICS.create, ctx.config.heuristics))
         for heuristic in active:
             if heuristic.kind == "producer":
                 collected.extend(heuristic.produce(ctx, registry, engine))

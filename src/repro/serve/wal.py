@@ -47,9 +47,6 @@ Truncation (:meth:`WriteAheadLog.reset`) happens after a successful
 snapshot — the snapshot now owns the state, so the log restarts empty
 via an atomic header-file swap that also records which generation (and
 matches digest) the snapshot holds.
-
-``REPRO_NO_FSYNC=1`` (see :mod:`repro.store.snapshot`) downgrades the
-fsync barrier to a flush for benchmarking the fsync cost.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ import zlib
 from pathlib import Path
 from typing import Any
 
-from ..store.snapshot import fsync_enabled, fsync_dir
+from ..store.snapshot import fsync_dir
 from ..testing.failpoints import failpoint
 
 #: The one WAL schema this build writes and accepts.
@@ -180,8 +177,7 @@ class WriteAheadLog:
         failpoint("wal.append")
         self._handle.write(_encode_record(record))
         self._handle.flush()
-        if fsync_enabled():
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def log_delta(
         self, ops_payload: list[dict], expected_generation: int
@@ -221,8 +217,7 @@ class WriteAheadLog:
         with open(staging, "wb") as handle:
             handle.write(json.dumps(header).encode("utf-8") + b"\n")
             handle.flush()
-            if fsync_enabled():
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(staging, self.path)
         fsync_dir(self.path.parent)
 

@@ -84,6 +84,18 @@ SNAPSHOTTABLE_STAGES = frozenset(
     }
 )
 
+#: Heuristic names a snapshot can carry in its config.
+BUILTIN_HEURISTICS = ("h1", "h2", "h3", "h4")
+
+#: The config fields a snapshot written before the ``heuristics`` field
+#: stores instead of it, one boolean per heuristic.
+PARENT_HEURISTIC_FLAGS = {
+    "h1": "enable_h1_names",
+    "h2": "enable_h2_values",
+    "h3": "enable_h3_rank_aggregation",
+    "h4": "enable_h4_reciprocity",
+}
+
 
 # ----------------------------------------------------------------------
 # KBs
@@ -343,6 +355,25 @@ def _decoded(snapshot: Snapshot, name: str, decode: Callable[[Any], T]) -> T:
         ) from error
 
 
+def _config(fields: Any) -> MinoanERConfig:
+    """The manifest's config entry.  One written before the
+    ``heuristics`` field holds four booleans instead; they translate to
+    the list of the enabled heuristics, in ladder order."""
+    if not isinstance(fields, dict):
+        raise TypeError("expected an object of config fields")
+    fields = dict(fields)
+    flags = {
+        name: fields.pop(flag)
+        for name, flag in PARENT_HEURISTIC_FLAGS.items()
+        if flag in fields
+    }
+    if flags:
+        fields["heuristics"] = [
+            name for name in PARENT_HEURISTIC_FLAGS if flags.get(name, True)
+        ]
+    return MinoanERConfig(**fields)
+
+
 def _strings(value: Any) -> list[str]:
     if not isinstance(value, list) or not all(
         isinstance(item, str) for item in value
@@ -354,11 +385,13 @@ def _strings(value: Any) -> list[str]:
 # ----------------------------------------------------------------------
 # Writing one bootstrapped state
 # ----------------------------------------------------------------------
-def validate_snapshotable_graph(graph) -> None:
+def validate_snapshotable_graph(graph, config: MinoanERConfig) -> None:
     """Check the composition can be described by ``repro-snapshot/1``.
 
-    Raises :class:`SnapshotError` for custom stages or an explicit
-    heuristic sequence (their artifacts have no schema slots).
+    Raises :class:`SnapshotError` for custom stages or a custom
+    heuristic in ``config.heuristics`` (their artifacts have no schema
+    slots, and the resolver has no online form of them).  The built-in
+    heuristics are snapshotable in any order or subset.
     """
     names = set(graph.names())
     unsupported = sorted(names - SNAPSHOTTABLE_STAGES)
@@ -368,10 +401,13 @@ def validate_snapshotable_graph(graph) -> None:
             "only the default stage composition is snapshotable "
             f"(unsupported: {unsupported}, missing: {missing})"
         )
-    if graph.stage("matching").heuristics is not None:
+    custom = [
+        name for name in config.heuristics if name not in BUILTIN_HEURISTICS
+    ]
+    if custom:
         raise SnapshotError(
-            "explicit heuristic sequences are not snapshotable; compose "
-            "via the config's enable_h* flags instead"
+            f"custom heuristics {custom} are not snapshotable; only "
+            f"{', '.join(BUILTIN_HEURISTICS)} are"
         )
 
 
@@ -496,9 +532,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     from ..pipeline.builder import PipelineBuilder
 
     tracer = current_telemetry().tracer
-    config = _decoded(
-        snapshot, "config", lambda fields: MinoanERConfig(**fields)
-    )
+    config = _decoded(snapshot, "config", _config)
     if engine is not None or workers is not None:
         new_engine = engine if engine is not None else config.engine
         if workers is not None:

@@ -55,11 +55,6 @@ class SnapshotError(RuntimeError):
     """A snapshot directory cannot be written or faithfully loaded."""
 
 
-def fsync_enabled() -> bool:
-    """Durability barriers are on unless ``REPRO_NO_FSYNC=1`` (bench)."""
-    return os.environ.get("REPRO_NO_FSYNC") != "1"
-
-
 def _fsync_file(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -75,8 +70,6 @@ def fsync_dir(path: Path) -> None:
     weakens durability, never atomicity — the rename either happened or
     it didn't.
     """
-    if not fsync_enabled():
-        return
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform-specific
@@ -111,10 +104,6 @@ class SnapshotWriter:
     back if a crash fell between the two renames.  :meth:`abort` discards
     the staging directory; a crash before commit leaves only
     ``<path>.tmp`` debris, which the next writer to the same path clears.
-
-    Set ``REPRO_NO_FSYNC=1`` to skip the fsync barriers (atomicity is
-    kept; durability against power loss is not) — used by benchmarks to
-    measure the fsync cost.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -187,9 +176,8 @@ class SnapshotWriter:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        if fsync_enabled():
-            for child in self.staging.iterdir():
-                _fsync_file(child)
+        for child in self.staging.iterdir():
+            _fsync_file(child)
         fsync_dir(self.staging)
         if self.path.exists():
             # A directory rename cannot replace a non-empty directory,

@@ -80,8 +80,10 @@ class TestMatchAndEvaluate:
                 "0.5",
                 "--top-k",
                 "5",
-                "--no-purging",
-                "--no-reciprocity",
+                "--disable-stage",
+                "purging",
+                "--disable-stage",
+                "h4",
             ]
         )
         assert code == 0
@@ -360,22 +362,38 @@ class TestSessionSnapshots:
         assert code == 2
         assert "cannot load session" in capsys.readouterr().err
 
-    def test_save_session_with_disabled_stage_rejected(
+    def test_save_session_with_disabled_stage_replays(
         self, bundle, tmp_path, capsys
     ):
+        """``--disable-stage`` edits the config's heuristic list, so a
+        composed run is snapshotable and replays to the same links."""
+        cold, warm = tmp_path / "cold.nt", tmp_path / "warm.nt"
         code = main(
             [
                 "match",
                 str(bundle / "kb1.nt"),
                 str(bundle / "kb2.nt"),
                 "--disable-stage",
-                "h3",
+                "h4",
                 "--save-session",
                 str(tmp_path / "session"),
+                "--output",
+                str(cold),
             ]
         )
-        assert code == 2
-        assert "cannot save session" in capsys.readouterr().err
+        assert code == 0
+        code = main(
+            [
+                "match",
+                "--load-session",
+                str(tmp_path / "session"),
+                "--output",
+                str(warm),
+            ]
+        )
+        assert code == 0
+        assert warm.read_text() == cold.read_text()
+        assert "'H4'" not in capsys.readouterr().out
 
 
 class TestObservabilityFlags:

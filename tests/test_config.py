@@ -1,5 +1,7 @@
 """Unit tests for MinoanERConfig validation and toggles."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import PAPER_DEFAULTS, MinoanERConfig
@@ -13,10 +15,7 @@ class TestDefaults:
         assert PAPER_DEFAULTS.theta == pytest.approx(0.6)
 
     def test_all_heuristics_enabled(self):
-        assert PAPER_DEFAULTS.enable_h1_names
-        assert PAPER_DEFAULTS.enable_h2_values
-        assert PAPER_DEFAULTS.enable_h3_rank_aggregation
-        assert PAPER_DEFAULTS.enable_h4_reciprocity
+        assert PAPER_DEFAULTS.heuristics == ("h1", "h2", "h3", "h4")
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -52,20 +51,30 @@ class TestValidation:
 
 class TestWithHeuristics:
     def test_disable_single(self):
-        config = PAPER_DEFAULTS.with_heuristics(h4=False)
-        assert not config.enable_h4_reciprocity
-        assert config.enable_h1_names
+        config = replace(PAPER_DEFAULTS, heuristics=("h1", "h2", "h3"))
+        assert "h4" not in config.heuristics
+        assert "h1" in config.heuristics
 
     def test_unspecified_preserved(self):
-        base = MinoanERConfig(enable_h2_values=False)
-        config = base.with_heuristics(h3=False)
-        assert not config.enable_h2_values
-        assert not config.enable_h3_rank_aggregation
+        base = MinoanERConfig(heuristics=("h1", "h3", "h4"), theta=0.4)
+        config = replace(base, heuristics=("h1", "h4"))
+        assert config.heuristics == ("h1", "h4")
+        assert config.theta == 0.4
 
     def test_original_unchanged(self):
-        config = PAPER_DEFAULTS.with_heuristics(h1=False)
-        assert PAPER_DEFAULTS.enable_h1_names
-        assert not config.enable_h1_names
+        config = replace(PAPER_DEFAULTS, heuristics=("h2", "h3", "h4"))
+        assert PAPER_DEFAULTS.heuristics == ("h1", "h2", "h3", "h4")
+        assert config.heuristics == ("h2", "h3", "h4")
+
+    def test_list_coerced_to_hashable_tuple(self):
+        # a config decoded from JSON carries a list
+        config = MinoanERConfig(heuristics=["h4", "h1"])
+        assert config.heuristics == ("h4", "h1")
+        assert hash(config) == hash(MinoanERConfig(heuristics=("h4", "h1")))
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MinoanERConfig(heuristics=("h1", "h2", "h1"))
 
 
 class TestEngineKnobs:

@@ -256,7 +256,7 @@ class TestIncrementalMatcherSurface:
             .without_stage("value_index")
             .without_stage("neighbor_index")
             .without_stage("candidates")
-            .with_heuristics("h1")
+            .with_config(heuristics=("h1",))
         )
         with pytest.raises(ValueError, match="lacks .*'token_blocking'"):
             IncrementalMatcher(builder.session(kb1, kb2))

@@ -24,6 +24,10 @@ SAMPLE = """
 <http://e.org/2> <http://e.org/name> "Bletchley Park" .
 """
 
+#: ``\u`` / ``\U`` escapes that are not hex, truncated, or name a
+#: surrogate: each makes its line malformed.
+BAD_ESCAPES = ["\\uZZZZ", "\\u00", "\\uD800", "\\U0011FFFF"]
+
 
 class TestParsing:
     def test_parses_all_statements(self):
@@ -68,6 +72,11 @@ class TestParsing:
         (_, _, obj), = parse_lines([line])
         assert obj == Literal("café")
 
+    def test_long_unicode_escape(self):
+        line = '<u> <p> "x\\U0001F600" .'
+        (_, _, obj), = parse_lines([line])
+        assert obj == Literal("x\U0001F600")
+
     def test_malformed_strict_raises(self):
         with pytest.raises(NTriplesError) as excinfo:
             list(parse_lines(["not a triple"]))
@@ -75,6 +84,22 @@ class TestParsing:
 
     def test_malformed_lenient_skips(self):
         assert list(parse_lines(["not a triple"], strict=False)) == []
+
+    @pytest.mark.parametrize("escape", BAD_ESCAPES, ids=BAD_ESCAPES)
+    def test_bad_unicode_escape_strict_raises(self, escape):
+        lines = ['<u> <p> "ok" .', f'<u> <p> "x{escape}" .']
+        with pytest.raises(NTriplesError) as excinfo:
+            list(parse_lines(lines))
+        assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("escape", BAD_ESCAPES, ids=BAD_ESCAPES)
+    def test_bad_unicode_escape_lenient_skips(self, escape, tmp_path):
+        lines = [f'<u> <p> "x{escape}" .', '<u> <p> "ok" .']
+        assert list(parse_lines(lines, strict=False)) == [
+            ("u", "p", Literal("ok"))
+        ]
+        kb = read_ntriples(io.StringIO("\n".join(lines)), strict=False)
+        write_ntriples(kb, tmp_path / "out.nt")  # encodable as UTF-8
 
 
 class TestReadWrite:

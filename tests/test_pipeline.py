@@ -77,19 +77,19 @@ class TestPipeline:
 
 class TestHeuristicToggles:
     def test_h1_disabled(self):
-        config = MinoanERConfig().with_heuristics(h1=False)
+        config = MinoanERConfig(heuristics=("h2", "h3", "h4"))
         result = MinoanER(config).match(*make_pair())
         assert all(m.heuristic != "H1" for m in result.matches)
 
     def test_h3_only(self):
-        config = MinoanERConfig().with_heuristics(h1=False, h2=False)
+        config = MinoanERConfig(heuristics=("h3", "h4"))
         result = MinoanER(config).match(*make_pair())
         assert all(m.heuristic == "H3" for m in result.matches)
         # H3 alone still finds the name matches through token evidence
         assert ("a0", "b0") in result.pairs()
 
     def test_h4_disabled_keeps_pre_matches(self):
-        config = MinoanERConfig().with_heuristics(h4=False)
+        config = MinoanERConfig(heuristics=("h1", "h2", "h3"))
         result = MinoanER(config).match(*make_pair())
         assert result.discarded_by_h4 == []
         assert result.matches == result.pre_h4_matches

@@ -24,9 +24,7 @@ from repro.pipeline import (
     Stage,
     StageGraph,
     StageGraphError,
-    default_graph,
 )
-from repro.pipeline.stages import H1NameHeuristic
 
 from test_pipeline import make_pair
 
@@ -110,7 +108,7 @@ class TestStageGraph:
             )
 
     def test_default_graph_names(self):
-        assert default_graph().names() == [
+        assert MinoanER().graph.names() == [
             "name_blocking",
             "token_blocking",
             "value_index",
@@ -194,10 +192,9 @@ class TestBuilder:
         with pytest.raises(ValueError):
             MinoanER.builder().with_config(theta=1.5)
 
-    def test_explicit_heuristics_override_toggles(self):
+    def test_config_heuristics_select_the_sequence(self):
         kb1, kb2 = make_pair()
-        # config says everything on; the explicit sequence wins
-        matcher = MinoanER.builder().with_heuristics("h1").build()
+        matcher = MinoanER.builder().with_config(heuristics=("h1",)).build()
         result = matcher.match(kb1, kb2)
         assert {m.heuristic for m in result.matches} == {"H1"}
 
@@ -205,17 +202,17 @@ class TestBuilder:
         builder = MinoanER.builder().with_blocking("token")
         with pytest.raises(StageGraphError, match="name_blocks"):
             builder.build_graph()
-        builder.with_heuristics("h2", "h3", "h4")
+        builder.with_config(heuristics=("h2", "h3", "h4"))
         graph = builder.build_graph()
         assert "name_blocking" not in graph.names()
 
     def test_token_only_blocking_via_config_toggle(self):
-        # disabling H1 in the config shrinks the matching stage's
-        # declared requires, so no explicit heuristic list is needed
+        # leaving H1 out of the config shrinks the matching stage's
+        # declared requires, so the graph needs no name blocking
         kb1, kb2 = make_pair()
         matcher = (
             MinoanER.builder()
-            .with_config(enable_h1_names=False)
+            .with_config(heuristics=("h2", "h3", "h4"))
             .with_blocking("token")
             .build()
         )
@@ -228,7 +225,7 @@ class TestBuilder:
         matcher = (
             MinoanER.builder()
             .with_blocking("token")
-            .with_heuristics("h2", "h3", "h4")
+            .with_config(heuristics=("h2", "h3", "h4"))
             .build()
         )
         result = matcher.match(kb1, kb2)
@@ -239,7 +236,7 @@ class TestBuilder:
     def test_without_stage(self):
         graph = (
             MinoanER.builder()
-            .with_heuristics("h2", "h3", "h4")
+            .with_config(heuristics=("h2", "h3", "h4"))
             .without_stage("name_blocking")
             .build_graph()
         )
@@ -322,11 +319,20 @@ class TestMatchSession:
         # ... while the independent name blocking stayed cached
         assert session.runs("name_blocking") == 1
 
-    def test_heuristic_shorthand_overrides(self):
+    def test_match_heuristics_override(self):
         kb1, kb2 = make_pair()
         session = MatchSession(kb1, kb2)
-        result = session.match(h1=False, h3=False)
+        result = session.match(heuristics=("h2", "h4"))
+        assert result.matches
         assert all(m.heuristic == "H2" for m in result.matches)
+        # the override takes effect on a session built with any list
+        narrowed = MinoanER.builder().with_config(heuristics=("h1",))
+        session = narrowed.session(kb1, kb2)
+        assert session.match().by_heuristic() == {"H1": 1}
+        assert session.match(heuristics=("h1", "h2")).by_heuristic() == {
+            "H1": 1,
+            "H2": 1,
+        }
 
     def test_engine_choice_does_not_invalidate_cache(self):
         kb1, kb2 = make_pair()
@@ -417,18 +423,13 @@ class TestCustomHeuristic:
         return kb1, kb2
 
     def test_custom_heuristic_instance_in_builder(self):
-        kb1, kb2 = self.make_localname_pair()
-        matcher = (
-            MinoanER.builder()
-            .with_heuristics("h1", SameLocalnameHeuristic())
-            .build()
+        # a heuristic runs by registered name: the config can hash,
+        # store and hand a name to the resolver, not an instance
+        builder = MinoanER.builder().with_config(
+            heuristics=("h1", SameLocalnameHeuristic())
         )
-        result = matcher.match(kb1, kb2)
-        assert result.pairs() == {
-            ("http://a.org/x1", "http://b.org/x1"),
-            ("http://a.org/x2", "http://b.org/x2"),
-        }
-        assert {m.heuristic for m in result.matches} == {"H5"}
+        with pytest.raises(RegistryError, match="unknown heuristic"):
+            builder.build()
 
     def test_custom_heuristic_via_registry_name(self):
         HEURISTICS.register("h5_localname", SameLocalnameHeuristic)
@@ -436,29 +437,43 @@ class TestCustomHeuristic:
             kb1, kb2 = self.make_localname_pair()
             matcher = (
                 MinoanER.builder()
-                .with_heuristics("h1", "h2", "h5_localname")
+                .with_config(heuristics=("h1", "h2", "h5_localname"))
                 .build()
             )
             result = matcher.match(kb1, kb2)
-            assert len(result.matches) == 2
+            assert result.pairs() == {
+                ("http://a.org/x1", "http://b.org/x1"),
+                ("http://a.org/x2", "http://b.org/x2"),
+            }
+            assert {m.heuristic for m in result.matches} == {"H5"}
         finally:
             HEURISTICS.unregister("h5_localname")
 
     def test_custom_heuristic_in_session_keyed_by_sequence(self):
-        kb1, kb2 = self.make_localname_pair()
-        with_h5 = (
-            MinoanER.builder()
-            .with_heuristics("h1", SameLocalnameHeuristic())
-            .session(kb1, kb2)
-        )
-        result = with_h5.match()
-        assert len(result.matches) == 2
-        # the explicit sequence is part of the matching cache key
-        stage = with_h5.graph.stage("matching")
-        assert stage.signature_extra() == ("h1", "h5_localname")
+        HEURISTICS.register("h5_localname", SameLocalnameHeuristic)
+        try:
+            kb1, kb2 = self.make_localname_pair()
+            with_h5 = (
+                MinoanER.builder()
+                .with_config(heuristics=("h1", "h5_localname"))
+                .session(kb1, kb2)
+            )
+            assert len(with_h5.match().matches) == 2
+            # the list is part of the matching cache key: another order
+            # re-runs the matching stage only
+            with_h5.match(heuristics=("h5_localname", "h1"))
+            assert with_h5.runs("matching") == 2
+            assert with_h5.runs("candidates") == 1
+        finally:
+            HEURISTICS.unregister("h5_localname")
 
-    def test_matching_stage_heuristic_property(self):
-        stage = MatchingStage(["h1", "h2"])
-        assert [h.name for h in stage.heuristics] == ["h1", "h2"]
-        assert isinstance(stage.heuristics[0], H1NameHeuristic)
-        assert MatchingStage().heuristics is None
+    def test_matching_stage_reads_config_heuristics(self):
+        stage = MatchingStage(MinoanERConfig(heuristics=("h1", "h2")))
+        assert stage.requires == ("name_blocks", "value_index")
+        assert stage.config_fields == ("theta", "heuristics")
+        full = MatchingStage(MinoanERConfig())
+        assert full.requires == (
+            "name_blocks",
+            "value_index",
+            "candidate_index",
+        )

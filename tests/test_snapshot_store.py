@@ -647,10 +647,18 @@ def test_loaded_indices_wrap_the_snapshot_columns(saved_snapshot, mode):
 
 
 def test_custom_heuristic_sequence_not_snapshotable(tmp_path):
-    kb1, kb2 = golden_kbs()
-    session = MinoanER.builder().with_heuristics("h1", "h2").session(kb1, kb2)
-    with pytest.raises(SnapshotError, match="heuristic"):
-        session.save(tmp_path / "snap")
+    from repro.pipeline import HEURISTICS, H2ValueHeuristic
+
+    HEURISTICS.register("h2_copy", H2ValueHeuristic)
+    try:
+        kb1, kb2 = golden_kbs()
+        builder = MinoanER.builder().with_config(heuristics=("h1", "h2_copy"))
+        session = builder.session(kb1, kb2)
+        assert session.match().matches  # it runs in batch
+        with pytest.raises(SnapshotError, match="h2_copy"):
+            session.save(tmp_path / "snap")
+    finally:
+        HEURISTICS.unregister("h2_copy")
 
 
 def test_custom_stage_not_snapshotable(tmp_path):
