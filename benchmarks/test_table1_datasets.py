@@ -3,9 +3,10 @@
 Regenerates the paper's Table I for the four synthetic benchmark profiles:
 entities, triples, average tokens per description, and distinct
 attribute/relation/type counts per KB, plus the ground-truth match count.
-Absolute counts are scaled down (see DESIGN.md); the *relations between*
-them — E2 larger than E1, BBC's DBpedia side schema-exploded and verbose,
-YAGO/IMDb token-poor — are asserted.
+Absolute counts are scaled down (the profiles are synthetic, laptop-scale
+stand-ins for the paper's KB pairs; see ``repro.datasets.generator``); the
+*relations between* them — E2 larger than E1, BBC's DBpedia side
+schema-exploded and verbose, YAGO/IMDb token-poor — are asserted.
 """
 
 from repro.datasets import PROFILE_ORDER

@@ -73,7 +73,7 @@ def test_table2_block_statistics(benchmark, datasets, save_table):
         # token comparisons dominate name comparisons (paper: >= 1 order)
         assert row["||BT||"] > row["||BN||"]
         # union below the Cartesian product (the paper's two orders of
-        # magnitude need full-scale KBs; see EXPERIMENTS.md)
+        # magnitude need full-scale KBs; these profiles are scaled down)
         assert row["||BT||"] + row["||BN||"] < 0.7 * row["|E1|x|E2|"]
         # purging removes the bulk of the raw comparisons
         assert row["purged %"] > 50.0

@@ -7,16 +7,20 @@ matching evidence (e.g. stop-words).  The criterion implemented here is a
 
 Scan cardinality levels from the largest downwards.  A level is purged
 while its cost — comparisons contributed per entity-block assignment —
-is at least ``gain_factor`` times the average cost of all smaller blocks.
-Stop-word blocks contribute quadratic comparisons for linear assignments,
-so their cost is orders of magnitude above the body of the distribution;
-content blocks are not.  The scan stops at the first level that fails the
-test, so purging removes exactly the oversized tail.
+is at least :data:`DEFAULT_GAIN_FACTOR` times the average cost of all
+smaller blocks.  Stop-word blocks contribute quadratic comparisons for
+linear assignments, so their cost is orders of magnitude above the body
+of the distribution; content blocks are not.  The scan stops at the
+first level that fails the test, so purging removes exactly the
+oversized tail.
 
 This keeps the published behaviour the paper relies on (comparisons drop
 by orders of magnitude with no significant recall impact) with one
-interpretable knob instead of the reference implementation's smoothing
-constant; see DESIGN.md for the deviation note.
+interpretable constant where the reference implementation has a
+smoothing constant: a deviation in mechanism, not in outcome, which
+``benchmarks/test_table2_blocks.py`` and
+``benchmarks/test_ablation_purging.py`` measure.  The threshold is
+always automatic; no caller tunes it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterable
 
 from .base import BlockCollection
 
-#: Default cost multiple above which a cardinality level is purged.  The
+#: Cost multiple above which a cardinality level is purged.  The
 #: multiple is deliberately generous: stop-word blocks cost orders of
 #: magnitude more comparisons per assignment than content blocks, while
 #: merely popular keys (large namesake families) sit within a factor of
@@ -64,11 +68,7 @@ class PurgingReport:
 MAX_PURGED_ASSIGNMENTS = 0.5
 
 
-def cardinality_threshold(
-    blocks: BlockCollection,
-    gain_factor: float = DEFAULT_GAIN_FACTOR,
-    max_purged_assignments: float = MAX_PURGED_ASSIGNMENTS,
-) -> int:
+def cardinality_threshold(blocks: BlockCollection) -> int:
     """The maximum allowed block cardinality under the suffix-gain rule.
 
     Candidate cuts are cardinality boundaries; a cut's quality is the
@@ -78,25 +78,21 @@ def cardinality_threshold(
     the decision stable when several near-equal stop-word blocks top the
     distribution.  Because the ratio decreases monotonically in the cut
     point, the rule picks the **highest** cut still reaching
-    ``gain_factor`` — the most conservative purge that removes a tail
-    costing ``gain_factor`` times more per assignment than everything it
-    keeps.  No qualifying cut means nothing is stop-word-like.
+    :data:`DEFAULT_GAIN_FACTOR` — the most conservative purge that
+    removes a tail costing that many times more per assignment than
+    everything it keeps.  No qualifying cut means nothing is stop-word-like.
 
     Returns the largest distinct cardinality that should be kept; blocks
     strictly larger are stop-word-like.  With fewer than two levels there
     is nothing to purge.
     """
     return cardinality_threshold_from_sizes(
-        ((len(b.entities1), len(b.entities2)) for b in blocks),
-        gain_factor=gain_factor,
-        max_purged_assignments=max_purged_assignments,
+        (len(b.entities1), len(b.entities2)) for b in blocks
     )
 
 
 def cardinality_threshold_from_sizes(
     side_sizes: "Iterable[tuple[int, int]]",
-    gain_factor: float = DEFAULT_GAIN_FACTOR,
-    max_purged_assignments: float = MAX_PURGED_ASSIGNMENTS,
 ) -> int:
     """:func:`cardinality_threshold` over bare ``(|b1|, |b2|)`` size pairs.
 
@@ -105,9 +101,6 @@ def cardinality_threshold_from_sizes(
     arithmetic here keeps its purging decisions exactly equal to
     :func:`purge_blocks` over the materialized collection.
     """
-    if gain_factor < 1.0:
-        raise ValueError("gain_factor must be >= 1.0")
-
     # Aggregate comparisons/assignments per distinct cardinality level.
     per_level: dict[int, tuple[int, int]] = {}
     for n_entities1, n_entities2 in side_sizes:
@@ -137,19 +130,17 @@ def cardinality_threshold_from_sizes(
         suffix_assignments = total_assignments - prefix_assignments
         if suffix_assignments <= 0 or prefix_assignments <= 0:
             continue
-        if suffix_assignments > max_purged_assignments * total_assignments:
+        if suffix_assignments > MAX_PURGED_ASSIGNMENTS * total_assignments:
             continue  # would purge the body, not the stop-word tail
         prefix_cost = prefix_comparisons / prefix_assignments
         suffix_cost = suffix_comparisons / suffix_assignments
-        if suffix_cost >= gain_factor * prefix_cost:
+        if suffix_cost >= DEFAULT_GAIN_FACTOR * prefix_cost:
             threshold = level  # highest qualifying cut wins
     return threshold
 
 
 def purge_decision_from_sizes(
     side_sizes: "dict[str, tuple[int, int]]",
-    gain_factor: float = DEFAULT_GAIN_FACTOR,
-    max_cardinality: int | None = None,
 ) -> tuple[set[str], PurgingReport]:
     """:func:`purge_blocks` over ``key -> (|b1|, |b2|)`` maintained sizes.
 
@@ -159,11 +150,7 @@ def purge_decision_from_sizes(
     with this (a cold run and a delta alike), so the keep rule and the
     report arithmetic live in exactly one place.
     """
-    limit = (
-        max_cardinality
-        if max_cardinality is not None
-        else cardinality_threshold_from_sizes(side_sizes.values(), gain_factor)
-    )
+    limit = cardinality_threshold_from_sizes(side_sizes.values())
     kept = {
         key
         for key, (n_entities1, n_entities2) in side_sizes.items()
@@ -182,22 +169,13 @@ def purge_decision_from_sizes(
 
 
 def purge_blocks(
-    blocks: BlockCollection,
-    gain_factor: float = DEFAULT_GAIN_FACTOR,
-    max_cardinality: int | None = None,
-    name: str | None = None,
+    blocks: BlockCollection, name: str | None = None
 ) -> tuple[BlockCollection, PurgingReport]:
-    """Remove blocks larger than the (chosen or given) cardinality limit.
+    """Remove blocks larger than :func:`cardinality_threshold`.
 
-    Returns the purged collection and a :class:`PurgingReport`.  Passing
-    ``max_cardinality`` overrides the automatic threshold — useful for
-    tests and ablations.
+    Returns the purged collection and a :class:`PurgingReport`.
     """
-    limit = (
-        max_cardinality
-        if max_cardinality is not None
-        else cardinality_threshold(blocks, gain_factor)
-    )
+    limit = cardinality_threshold(blocks)
     kept = BlockCollection(name or blocks.name)
     for block in blocks:
         if block.cardinality() <= limit:

@@ -4,16 +4,36 @@ The paper reports one configuration as robust across all datasets:
 ``K=15`` (candidate matches per entity from values and from neighbors),
 ``N=3`` (most important relations per KB), ``k=2`` (most distinctive
 attributes per KB serving as names) and ``θ=0.6`` (trade-off between
-value- and neighbor-based candidate ranks).  Those are the defaults here;
-the remaining knobs control substrate behaviour (tokenization, purging)
-and which heuristics run (the ablation benches drop single rungs).
+value- and neighbor-based candidate ranks).  Those are the defaults here.
+
+Each of the nine fields has a caller that sets it:
+
+=============================  ==============================================
+field                          set by
+=============================  ==============================================
+``top_k_candidates`` (K)       CLI ``--top-k``, the parameter ablation bench
+``top_n_relations`` (N)        CLI ``--top-n-relations``, the same bench
+``name_attributes`` (k)        CLI ``--name-attributes``, the same bench
+``theta`` (θ)                  CLI ``--theta``, the same bench
+``purge_token_blocks``         CLI ``--disable-stage purging``, the purging
+                               ablation bench
+``restrict_h3_to_cooccurring`` the extensions ablation bench
+``engine``, ``workers``        CLI ``--engine`` / ``--workers``
+``heuristics``                 CLI ``--disable-stage h1``…``h4``, the
+                               heuristic ablation bench
+=============================  ==============================================
+
+Everything else is a constant of the method: tokens are the
+alphanumeric runs of literal values, of any length; relations are
+scored in both directions (inverse ones ``~``-tagged); and Block
+Purging picks its threshold automatically
+(:data:`~repro.blocking.purging.DEFAULT_GAIN_FACTOR`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..blocking.purging import DEFAULT_GAIN_FACTOR
 from ..engine.executor import EXECUTOR_NAMES
 
 
@@ -31,22 +51,10 @@ class MinoanERConfig:
     theta: float = 0.6
 
     # ------------------------------------------------------------------
-    # Substrate behaviour
+    # Ablation switches
     # ------------------------------------------------------------------
-    #: Minimum token length considered by the tokenizer.
-    min_token_length: int = 1
-    #: Tokenize URI local names too (token-poor KBs; see DESIGN.md).
-    include_uri_localnames: bool = False
-    #: Index incoming edges in addition to outgoing ones: entities that
-    #: only ever appear as objects (persons pointed at by movies) then get
-    #: neighbor evidence too, via inverse (~-tagged) relations.
-    include_incoming_edges: bool = True
     #: Apply Block Purging to the token blocks.
     purge_token_blocks: bool = True
-    #: Cost multiple above which a cardinality level is purged.
-    purging_gain_factor: float = DEFAULT_GAIN_FACTOR
-    #: Hard override for the purging cardinality threshold (None = auto).
-    purging_max_cardinality: int | None = None
     #: Restrict H3 candidates to pairs co-occurring in token blocks, as the
     #: conference paper describes (the journal version also admits
     #: neighbor-derived candidates that never share a token).
@@ -71,6 +79,12 @@ class MinoanERConfig:
     heuristics: tuple[str, ...] = ("h1", "h2", "h3", "h4")
 
     def __post_init__(self) -> None:
+        if isinstance(self.heuristics, str):
+            # tuple("h1") would silently become ("h", "1")
+            raise ValueError(
+                "heuristics must be a list of heuristic names, "
+                f"not the string {self.heuristics!r}"
+            )
         # A list (a config decoded from JSON) becomes a tuple, so every
         # config stays hashable.
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
@@ -84,10 +98,6 @@ class MinoanERConfig:
             raise ValueError("name_attributes must be >= 0")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie strictly between 0 and 1")
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
-        if self.purging_gain_factor < 1.0:
-            raise ValueError("purging_gain_factor must be >= 1.0")
         if self.engine not in EXECUTOR_NAMES:
             raise ValueError(
                 f"engine must be one of {EXECUTOR_NAMES}, got {self.engine!r}"

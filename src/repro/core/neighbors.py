@@ -21,13 +21,11 @@ from ..kb.knowledge_base import KnowledgeBase
 from .similarity import PackedSimilarityIndex
 
 
-def top_neighbors(
-    kb: KnowledgeBase,
-    relations: list[str],
-    include_incoming: bool = False,
-) -> dict[str, set[str]]:
-    """Per-entity set of neighbors reachable via the given relations."""
-    index = NeighborIndex(kb, include_incoming=include_incoming)
+def top_neighbors(kb: KnowledgeBase, relations: list[str]) -> dict[str, set[str]]:
+    """Per-entity set of neighbors reachable via the given relations
+    (inverse ones ``~``-tagged, as :func:`~repro.core.statistics.top_relations`
+    names them)."""
+    index = NeighborIndex(kb, include_incoming=True)
     wanted = set(relations)
     result: dict[str, set[str]] = {}
     for entity in kb:

@@ -176,11 +176,8 @@ class MinoanER:
     # Substrate (public: examples and benches tokenize as a run does)
     # ------------------------------------------------------------------
     def build_tokenizer(self) -> Tokenizer:
-        """The tokenizer implied by the configuration."""
-        return Tokenizer(
-            min_length=self.config.min_token_length,
-            include_uri_localnames=self.config.include_uri_localnames,
-        )
+        """The tokenizer a run uses."""
+        return Tokenizer()
 
     # ------------------------------------------------------------------
     # End-to-end matching

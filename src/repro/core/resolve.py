@@ -8,8 +8,7 @@ evidence, without touching the incremental matcher or mutating any
 published state:
 
 1. **Tokenize** the record with the pipeline's own
-   :class:`~repro.kb.tokenizer.Tokenizer` (same ``min_token_length`` /
-   ``include_uri_localnames`` settings).
+   :class:`~repro.kb.tokenizer.Tokenizer`.
 2. **Probe the packed token blocks**: each token binary-searches the
    sorted :meth:`~repro.blocking.packed.PackedBlockCollection.block_keys`
    column — no string-keyed dict walk — and selects one CSR row of
@@ -250,10 +249,7 @@ class OnlineResolver:
             tuple(name_attributes2) if name_attributes2 is not None else None
         )
         self._top_neighbors2 = top_neighbors2
-        self._tokenizer = Tokenizer(
-            min_length=config.min_token_length,
-            include_uri_localnames=config.include_uri_localnames,
-        )
+        self._tokenizer = Tokenizer()
         # The online ladder, once: the known producers in config order,
         # and whether H4 filters their decision.
         self._producers = tuple(
@@ -342,11 +338,7 @@ class OnlineResolver:
 
         top_nbrs2 = self._top_neighbors2
         if top_nbrs2 is None:  # a custom neighbor stage published none
-            top_nbrs2 = top_neighbors(
-                self._kb2,
-                list(self._top_relations2),
-                self._config.include_incoming_edges,
-            )
+            top_nbrs2 = top_neighbors(self._kb2, list(self._top_relations2))
         value2 = self._value_index.interners()[1]
         reverse2: dict[int, list[str]] = {}
         # Sorted iteration keeps the accumulation order a pure function

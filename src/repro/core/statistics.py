@@ -76,16 +76,14 @@ def attribute_importance(kb: KnowledgeBase) -> list[PredicateImportance]:
     return _importance_table(kb, want_literals=True)
 
 
-def relation_importance(
-    kb: KnowledgeBase, include_incoming: bool = False
-) -> list[PredicateImportance]:
+def relation_importance(kb: KnowledgeBase) -> list[PredicateImportance]:
     """Importance of every URI-valued relation, best first.
 
     Only edges pointing at entities of the same KB count — dangling URI
-    objects behave like opaque identifiers, not graph structure.  With
-    ``include_incoming``, every relation is also scored in its inverse
-    direction (named ``~relation``, as in :mod:`repro.kb.graph`): support
-    is then the fraction of entities *receiving* the relation and
+    objects behave like opaque identifiers, not graph structure.  Every
+    relation is also scored in its inverse direction (named
+    ``~relation``, as in :mod:`repro.kb.graph`), whose support is the
+    fraction of entities *receiving* the relation and
     discriminability the diversity of their in-neighbors.  Entities that
     are only ever objects (e.g. the persons movies point at) get their
     neighbor evidence through these inverse relations.
@@ -106,8 +104,7 @@ def relation_importance(
             if not isinstance(value, UriRef) or value.uri not in kb:
                 continue
             record(entity.uri, predicate, value.uri)
-            if include_incoming:
-                record(value.uri, inverse(predicate), entity.uri)
+            record(value.uri, inverse(predicate), entity.uri)
     for predicates in per_entity.values():
         for predicate in predicates:
             entities_with[predicate] = entities_with.get(predicate, 0) + 1
@@ -133,15 +130,12 @@ def top_name_attributes(kb: KnowledgeBase, k: int) -> list[str]:
     return [row.predicate for row in attribute_importance(kb)[:k]]
 
 
-def top_relations(
-    kb: KnowledgeBase, n: int, include_incoming: bool = False
-) -> list[str]:
+def top_relations(kb: KnowledgeBase, n: int) -> list[str]:
     """The n most important relations of the KB (neighbor evidence).
 
-    With ``include_incoming``, forward and inverse relations compete in
-    the same ranking (inverse names are ``~``-tagged).
+    Forward and inverse relations compete in the same ranking (inverse
+    names are ``~``-tagged).
     """
     if n <= 0:
         return []
-    table = relation_importance(kb, include_incoming=include_incoming)
-    return [row.predicate for row in table[:n]]
+    return [row.predicate for row in relation_importance(kb)[:n]]

@@ -1,8 +1,8 @@
 """Synthetic KB-pair generator with controlled heterogeneity.
 
-The paper evaluates on four RDF benchmark pairs that cannot be downloaded
-in this environment; this generator produces KB pairs that exercise the
-same code paths and regimes (see DESIGN.md, "Substitutions").
+The paper evaluates on four RDF benchmark pairs that this repository does
+not ship; this generator substitutes KB pairs that exercise the same code
+paths and regimes (one profile per pair, :mod:`repro.datasets.profiles`).
 
 The model is latent-entity based.  A *latent entity* is the real-world
 object both KBs may describe: it has a type, a unique name (a token

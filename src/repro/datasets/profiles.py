@@ -1,7 +1,7 @@
 """Profiles mimicking the paper's four benchmark dataset pairs.
 
-Each profile reproduces the *regime* of one benchmark at laptop scale
-(see DESIGN.md, "Substitutions"):
+Each profile reproduces the *regime* of one benchmark at laptop scale,
+standing in for the real RDF pair (see :mod:`repro.datasets.generator`):
 
 - **Restaurant** — tiny, low heterogeneity, strongly similar matches:
   every method should saturate near 100% F1.

@@ -72,7 +72,7 @@ def render_records(
 def paper_vs_measured(
     label: str, paper_value: float | None, measured: float
 ) -> dict[str, object]:
-    """One comparison row for EXPERIMENTS.md-style tables."""
+    """One row of a paper-vs-measured comparison table."""
     return {
         "metric": label,
         "paper": "-" if paper_value is None else paper_value,

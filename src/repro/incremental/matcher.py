@@ -138,7 +138,7 @@ class IncrementalMatcher:
         self.delta_log: list[tuple[str, int, tuple[str, ...]]] = []
         #: The artifact store of the last :meth:`match`.
         self.last_context: "PipelineContext | None" = None
-        self._token_keyer = TokenBlockingStage.keyer(self.config)
+        self._token_keyer = TokenBlockingStage.keyer()
         self._pending = False
         with activate(telemetry):
             self._adopt_tables(self._run())
@@ -222,11 +222,8 @@ class IncrementalMatcher:
                 return 1
             if lowered in ("2", "kb2"):
                 return 2
-            names = [kb.name for kb in self.kbs]
-            if kb_id in names and names.count(kb_id) == 1:
-                return names.index(kb_id) + 1
         raise ValueError(
-            f"unknown KB {kb_id!r}; use 1/2, 'kb1'/'kb2' or a unique KB name"
+            f"unknown KB {kb_id!r}; use 1, 2, '1', '2', 'kb1' or 'kb2'"
         )
 
     def add_entities(

@@ -10,54 +10,30 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable
 
-from .entity import EntityDescription, local_name
+from .entity import EntityDescription
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
 
-def tokenize_text(text: str, min_length: int = 1) -> list[str]:
+def tokenize_text(text: str) -> list[str]:
     """Split ``text`` into lower-cased alphanumeric tokens.
-
-    Tokens shorter than ``min_length`` characters are dropped.
 
     >>> tokenize_text("The Taj-Mahal, Agra (India)")
     ['the', 'taj', 'mahal', 'agra', 'india']
     """
-    tokens = _TOKEN_PATTERN.findall(text.lower())
-    if min_length > 1:
-        tokens = [t for t in tokens if len(t) >= min_length]
-    return tokens
+    return _TOKEN_PATTERN.findall(text.lower())
 
 
 class Tokenizer:
-    """Extracts the schema-agnostic token bag of an entity description.
-
-    Parameters
-    ----------
-    min_length:
-        Minimum token length (shorter tokens are discarded).
-    include_uri_localnames:
-        When true, the local names of URI-valued objects are tokenized as
-        well.  Useful for token-poor KBs (e.g. YAGO/IMDb-style data) where
-        much of the content lives in URIs rather than literals.
-    stop_words:
-        Optional tokens to drop entirely (the pipeline normally relies on
-        Block Purging instead of stop-word lists, as in the paper).
+    """Extracts the schema-agnostic token bag of an entity description:
+    the tokens of its literal values.  URI-valued objects contribute no
+    tokens (they are neighbor evidence), and no token is dropped — the
+    pipeline relies on Block Purging instead of stop-word lists or a
+    length floor, as in the paper.
     """
 
-    def __init__(
-        self,
-        min_length: int = 1,
-        include_uri_localnames: bool = False,
-        stop_words: Iterable[str] = (),
-    ) -> None:
-        if min_length < 1:
-            raise ValueError("min_length must be at least 1")
-        self.min_length = min_length
-        self.include_uri_localnames = include_uri_localnames
-        self.stop_words = frozenset(w.lower() for w in stop_words)
+    def __init__(self) -> None:
         # Per-entity token-bag memo keyed by object identity; the stored
         # entity reference both pins the id and detects stale reuse.
         self._token_cache: dict[
@@ -68,12 +44,7 @@ class Tokenizer:
         """The token bag of ``entity`` (duplicates preserved)."""
         collected: list[str] = []
         for _, text in entity.literal_pairs():
-            collected.extend(tokenize_text(text, self.min_length))
-        if self.include_uri_localnames:
-            for _, target in entity.relation_pairs():
-                collected.extend(tokenize_text(local_name(target), self.min_length))
-        if self.stop_words:
-            collected = [t for t in collected if t not in self.stop_words]
+            collected.extend(tokenize_text(text))
         return collected
 
     def token_set(self, entity: EntityDescription) -> set[str]:
@@ -114,8 +85,4 @@ class Tokenizer:
         return state
 
     def __repr__(self) -> str:
-        return (
-            f"Tokenizer(min_length={self.min_length}, "
-            f"include_uri_localnames={self.include_uri_localnames}, "
-            f"stop_words={len(self.stop_words)})"
-        )
+        return "Tokenizer()"

@@ -3,7 +3,7 @@
 BSL is the paper's own value-only baseline (same blocks as MinoanER, grid-
 searched representation and threshold).  SiGMa, PARIS, RiMOM-IM and LINDA
 are simplified reimplementations of the published systems' decision rules;
-see DESIGN.md for what each preserves.
+each module's docstring says what it preserves and what it simplifies.
 """
 
 from .bsl import (

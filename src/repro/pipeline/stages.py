@@ -132,24 +132,12 @@ class TokenBlockingStage(Stage):
     name = "token_blocking"
     group = "blocking"
     provides = ("token_blocks", "purging_report", "token_placements")
-    config_fields = (
-        "min_token_length",
-        "include_uri_localnames",
-        "purge_token_blocks",
-        "purging_gain_factor",
-        "purging_max_cardinality",
-    )
+    config_fields = ("purge_token_blocks",)
 
     @staticmethod
-    def keyer(config) -> KeysOf:
-        """An entity's token keys under the config's tokenizer."""
-        return partial(
-            token_keys,
-            tokenizer=Tokenizer(
-                min_length=config.min_token_length,
-                include_uri_localnames=config.include_uri_localnames,
-            ),
-        )
+    def keyer() -> KeysOf:
+        """An entity's token keys."""
+        return partial(token_keys, tokenizer=Tokenizer())
 
     @staticmethod
     def artifacts(table: PlacementTable, config) -> dict[str, Any]:
@@ -158,11 +146,7 @@ class TokenBlockingStage(Stage):
         a delta reassembles from a maintained table)."""
         kept = report = None
         if config.purge_token_blocks:
-            kept, report = purge_decision_from_sizes(
-                table.shared_counts(),
-                gain_factor=config.purging_gain_factor,
-                max_cardinality=config.purging_max_cardinality,
-            )
+            kept, report = purge_decision_from_sizes(table.shared_counts())
         return {
             "token_blocks": table.assemble(keep=kept),
             "purging_report": report,
@@ -170,7 +154,7 @@ class TokenBlockingStage(Stage):
         }
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        keyer = self.keyer(ctx.config)
+        keyer = self.keyer()
         table = PlacementTable(
             "BT",
             tuple(entity_key_rows(kb, keyer) for kb in (ctx.kb1, ctx.kb2)),
@@ -221,22 +205,14 @@ class NeighborIndexStage(Stage):
         "top_neighbors1",
         "top_neighbors2",
     )
-    config_fields = ("top_n_relations", "include_incoming_edges")
+    config_fields = ("top_n_relations",)
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        config = ctx.config
-        relations1 = top_relations(
-            ctx.kb1, config.top_n_relations, config.include_incoming_edges
-        )
-        relations2 = top_relations(
-            ctx.kb2, config.top_n_relations, config.include_incoming_edges
-        )
-        neighbors1 = top_neighbors(
-            ctx.kb1, relations1, config.include_incoming_edges
-        )
-        neighbors2 = top_neighbors(
-            ctx.kb2, relations2, config.include_incoming_edges
-        )
+        n = ctx.config.top_n_relations
+        relations1 = top_relations(ctx.kb1, n)
+        relations2 = top_relations(ctx.kb2, n)
+        neighbors1 = top_neighbors(ctx.kb1, relations1)
+        neighbors2 = top_neighbors(ctx.kb2, relations2)
         index = build_neighbor_index(
             ctx.get("value_index"), neighbors1, neighbors2, engine
         )

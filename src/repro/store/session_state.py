@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..blocking.placements import KeyRows, PlacementTable
-from ..blocking.purging import PurgingReport
+from ..blocking.purging import DEFAULT_GAIN_FACTOR, PurgingReport
 from ..core.candidates import CandidateIndex
 from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
@@ -87,13 +87,22 @@ SNAPSHOTTABLE_STAGES = frozenset(
 #: Heuristic names a snapshot can carry in its config.
 BUILTIN_HEURISTICS = ("h1", "h2", "h3", "h4")
 
-#: The config fields a snapshot written before the ``heuristics`` field
-#: stores instead of it, one boolean per heuristic.
-PARENT_HEURISTIC_FLAGS = {
-    "h1": "enable_h1_names",
-    "h2": "enable_h2_values",
-    "h3": "enable_h3_rank_aggregation",
-    "h4": "enable_h4_reciprocity",
+#: Config fields that manifests written by older builds hold and this
+#: build does not, with what each became.  A ``("switch", name)`` field
+#: is one of the four booleans written before the ``heuristics`` list:
+#: they translate to the list of the heuristics they enabled, in ladder
+#: order.  A ``("constant", value)`` field became that constant, which
+#: every run used; a manifest holding any other value does not load.
+RETIRED_CONFIG_FIELDS: dict[str, tuple[str, Any]] = {
+    "enable_h1_names": ("switch", "h1"),
+    "enable_h2_values": ("switch", "h2"),
+    "enable_h3_rank_aggregation": ("switch", "h3"),
+    "enable_h4_reciprocity": ("switch", "h4"),
+    "min_token_length": ("constant", 1),
+    "include_uri_localnames": ("constant", False),
+    "include_incoming_edges": ("constant", True),
+    "purging_gain_factor": ("constant", DEFAULT_GAIN_FACTOR),
+    "purging_max_cardinality": ("constant", None),
 }
 
 
@@ -356,21 +365,36 @@ def _decoded(snapshot: Snapshot, name: str, decode: Callable[[Any], T]) -> T:
 
 
 def _config(fields: Any) -> MinoanERConfig:
-    """The manifest's config entry.  One written before the
-    ``heuristics`` field holds four booleans instead; they translate to
-    the list of the enabled heuristics, in ladder order."""
+    """The manifest's config entry, its retired fields read as
+    :data:`RETIRED_CONFIG_FIELDS` says.  Its heuristics must be a list
+    of built-in names, the rule a save enforces."""
     if not isinstance(fields, dict):
         raise TypeError("expected an object of config fields")
     fields = dict(fields)
-    flags = {
-        name: fields.pop(flag)
-        for name, flag in PARENT_HEURISTIC_FLAGS.items()
-        if flag in fields
-    }
-    if flags:
+    switches = {}
+    for field, (kind, value) in RETIRED_CONFIG_FIELDS.items():
+        if field not in fields:
+            continue
+        stored = fields.pop(field)
+        if kind == "switch":
+            switches[value] = stored
+        elif type(stored) is not type(value) or stored != value:
+            raise ValueError(
+                f"retired field {field!r} holds {stored!r}; "
+                f"this build always uses {value!r}"
+            )
+    if switches:
         fields["heuristics"] = [
-            name for name in PARENT_HEURISTIC_FLAGS if flags.get(name, True)
+            name for name in BUILTIN_HEURISTICS if switches.get(name, True)
         ]
+    heuristics = fields.get("heuristics", [])
+    if not isinstance(heuristics, list) or not all(
+        name in BUILTIN_HEURISTICS for name in heuristics
+    ):
+        raise ValueError(
+            f"field 'heuristics' must be a list of "
+            f"{', '.join(BUILTIN_HEURISTICS)}, got {heuristics!r}"
+        )
     return MinoanERConfig(**fields)
 
 

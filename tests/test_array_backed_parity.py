@@ -101,14 +101,8 @@ def golden_evidence():
     kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
     config = MinoanERConfig()
     blocks = blocking_context(kb1, kb2).get("token_blocks")
-    relations1 = top_relations(
-        kb1, config.top_n_relations, config.include_incoming_edges
-    )
-    relations2 = top_relations(
-        kb2, config.top_n_relations, config.include_incoming_edges
-    )
-    neighbors1 = top_neighbors(kb1, relations1, config.include_incoming_edges)
-    neighbors2 = top_neighbors(kb2, relations2, config.include_incoming_edges)
+    neighbors1 = top_neighbors(kb1, top_relations(kb1, config.top_n_relations))
+    neighbors2 = top_neighbors(kb2, top_relations(kb2, config.top_n_relations))
     return blocks, neighbors1, neighbors2
 
 

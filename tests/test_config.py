@@ -1,10 +1,12 @@
 """Unit tests for MinoanERConfig validation and toggles."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.core import PAPER_DEFAULTS, MinoanERConfig
+from repro.kb import KnowledgeBase
+from repro.pipeline import MatchSession
 
 
 class TestDefaults:
@@ -40,13 +42,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             MinoanERConfig(theta=theta)
 
+    # Minimum token length and the purging gain are constants of the
+    # method, no longer fields: any value is refused.
     def test_invalid_min_token_length(self):
-        with pytest.raises(ValueError):
-            MinoanERConfig(min_token_length=0)
+        with pytest.raises(TypeError, match="min_token_length"):
+            MinoanERConfig(min_token_length=1)
 
     def test_invalid_gain_factor(self):
-        with pytest.raises(ValueError):
-            MinoanERConfig(purging_gain_factor=0.9)
+        with pytest.raises(TypeError, match="purging_gain_factor"):
+            MinoanERConfig(purging_gain_factor=8.0)
+
+    def test_nine_fields(self):
+        assert [field.name for field in fields(MinoanERConfig)] == [
+            "top_k_candidates",
+            "top_n_relations",
+            "name_attributes",
+            "theta",
+            "purge_token_blocks",
+            "restrict_h3_to_cooccurring",
+            "engine",
+            "workers",
+            "heuristics",
+        ]
 
 
 class TestWithHeuristics:
@@ -75,6 +92,15 @@ class TestWithHeuristics:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             MinoanERConfig(heuristics=("h1", "h2", "h1"))
+
+    def test_string_rejected(self):
+        # tuple("h1") would be ("h", "1"): an unknown heuristic "h" at
+        # graph build, far from the mistake
+        with pytest.raises(ValueError, match="heuristics"):
+            MinoanERConfig(heuristics="h1")
+        session = MatchSession(KnowledgeBase("A"), KnowledgeBase("B"))
+        with pytest.raises(ValueError, match="heuristics"):
+            session.match(heuristics="h2")
 
 
 class TestEngineKnobs:

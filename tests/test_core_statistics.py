@@ -71,10 +71,6 @@ class TestTopNameAttributes:
 
 
 class TestRelationImportance:
-    def test_outgoing_only_by_default(self):
-        table = {row.predicate: row for row in relation_importance(make_kb())}
-        assert set(table) == {"likes", "knows"}
-
     def test_knows_beats_likes(self):
         # likes: support 3/4, distinct objects 1 -> disc 1/3
         # knows: support 2/4, distinct objects 2 -> disc 1
@@ -82,12 +78,8 @@ class TestRelationImportance:
         assert table[0].predicate == "knows"
 
     def test_incoming_direction_included(self):
-        table = {
-            row.predicate
-            for row in relation_importance(make_kb(), include_incoming=True)
-        }
-        assert "~likes" in table
-        assert "~knows" in table
+        table = {row.predicate for row in relation_importance(make_kb())}
+        assert table == {"likes", "knows", "~likes", "~knows"}
 
     def test_dangling_edges_ignored(self):
         kb = KnowledgeBase()
@@ -102,5 +94,5 @@ class TestRelationImportance:
         assert top_relations(make_kb(), 0) == []
 
     def test_top_relations_incoming(self):
-        names = top_relations(make_kb(), 4, include_incoming=True)
+        names = top_relations(make_kb(), 4)
         assert any(name.startswith("~") for name in names)

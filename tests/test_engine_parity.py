@@ -150,12 +150,8 @@ class TestIndexParity:
     def test_neighbor_index_matches_serial_constructor(self, dataset):
         blocks = blocking_context(dataset.kb1, dataset.kb2).get("token_blocks")
         value_index = build_value_index(blocks)
-        neighbors1 = top_neighbors(
-            dataset.kb1, top_relations(dataset.kb1, 3, True), True
-        )
-        neighbors2 = top_neighbors(
-            dataset.kb2, top_relations(dataset.kb2, 3, True), True
-        )
+        neighbors1 = top_neighbors(dataset.kb1, top_relations(dataset.kb1, 3))
+        neighbors2 = top_neighbors(dataset.kb2, top_relations(dataset.kb2, 3))
         serial = build_neighbor_index(
             value_index, neighbors1, neighbors2, SerialExecutor()
         )

@@ -276,7 +276,7 @@ class TestIncrementalMatcherSurface:
         matcher = self.make_matcher()
         assert matcher._side_of(1) == 1
         assert matcher._side_of("kb2") == 2
-        assert matcher._side_of("A") == 1  # unique KB name
+        assert matcher._side_of("1") == 1
         with pytest.raises(ValueError, match="unknown KB"):
             matcher._side_of("nope")
 

@@ -120,9 +120,7 @@ class Replay:
 
 def holders_of_lowest_top_relation(kb, config):
     """Subjects to withdraw until ``kb``'s top-relation ranking moves."""
-    ranking = top_relations(
-        kb, config.top_n_relations, config.include_incoming_edges
-    )
+    ranking = top_relations(kb, config.top_n_relations)
     relation = ranking[-1].lstrip("~")
     trial = kb.copy()
     gone = []
@@ -131,9 +129,7 @@ def holders_of_lowest_top_relation(kb, config):
             continue
         trial.remove(uri)
         gone.append(uri)
-        moved = top_relations(
-            trial, config.top_n_relations, config.include_incoming_edges
-        )
+        moved = top_relations(trial, config.top_n_relations)
         if moved != ranking:
             return gone
     raise AssertionError("the ranking never moved; pick another dataset")
@@ -142,11 +138,11 @@ def holders_of_lowest_top_relation(kb, config):
 def flooding_batch(kb1, kb2, config):
     """The fewest crafted KB1 entities that push a kept block over the
     purge cut, found by replaying the purge arithmetic on grown sizes."""
-    keyer = TokenBlockingStage.keyer(config)
+    keyer = TokenBlockingStage.keyer()
     sizes = PlacementTable(
         "BT", tuple(entity_key_rows(kb, keyer) for kb in (kb1, kb2))
     ).shared_counts()
-    kept, _ = purge_decision_from_sizes(sizes, config.purging_gain_factor)
+    kept, _ = purge_decision_from_sizes(sizes)
     heaviest = sorted(
         kept, key=lambda key: (-sizes[key][0] * sizes[key][1], key)
     )[:6]
@@ -154,9 +150,7 @@ def flooding_batch(kb1, kb2, config):
         grown = dict(sizes)
         for key in heaviest:
             grown[key] = (sizes[key][0] + count, sizes[key][1])
-        still_kept, _ = purge_decision_from_sizes(
-            grown, config.purging_gain_factor
-        )
+        still_kept, _ = purge_decision_from_sizes(grown)
         if any(key not in still_kept for key in heaviest):
             return [
                 crafted(f"urn:test:flood{i}", " ".join(heaviest))

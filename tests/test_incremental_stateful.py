@@ -211,11 +211,10 @@ class IncrementalMachine(RuleBasedStateMachine):
             self.model[0].copy(), self.model[1].copy(), CONFIG
         ).run_context()
         assert context_digests(ctx) == context_digests(cold)
-        incoming = CONFIG.include_incoming_edges
         for side, kb in enumerate(self.model, start=1):
-            ranking = top_relations(kb, CONFIG.top_n_relations, incoming)
+            ranking = top_relations(kb, CONFIG.top_n_relations)
             assert ctx.get(f"top_neighbors{side}") == top_neighbors(
-                kb, ranking, incoming
+                kb, ranking
             )
 
 

@@ -497,13 +497,7 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     config = MinoanERConfig()
     blocks = blocking_context(data.kb1, data.kb2).get("token_blocks")
     neighbors = [
-        top_neighbors(
-            kb,
-            top_relations(
-                kb, config.top_n_relations, config.include_incoming_edges
-            ),
-            config.include_incoming_edges,
-        )
+        top_neighbors(kb, top_relations(kb, config.top_n_relations))
         for kb in (data.kb1, data.kb2)
     ]
     value_index = build_value_index(blocks)

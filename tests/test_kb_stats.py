@@ -58,9 +58,12 @@ class TestDatasetStatistics:
         assert stats.matches == 7
 
     def test_custom_tokenizer(self):
-        tokenizer = Tokenizer(min_length=6)
-        stats = kb_statistics(make_kb(), tokenizer)
-        # only "restaurant" and "address" survive min_length=6
+        class LongTokens(Tokenizer):
+            def tokens(self, entity):
+                return [t for t in super().tokens(entity) if len(t) >= 6]
+
+        stats = kb_statistics(make_kb(), LongTokens())
+        # only "restaurant" and "address" have six or more characters
         assert stats.average_tokens == pytest.approx(1.0)
 
     def test_empty_kb(self):

@@ -54,7 +54,7 @@ class TestTopNeighbors:
 
     def test_incoming_direction(self):
         kb1, _ = make_pair()
-        tn = top_neighbors(kb1, ["~cast"], include_incoming=True)
+        tn = top_neighbors(kb1, ["~cast"])
         assert tn["ap1"] == {"am1"}
 
     def test_unselected_relations_ignored(self):

@@ -29,7 +29,6 @@ from repro.engine import build_neighbor_index, build_value_index
 from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
 from repro.kb.io_ntriples import read_ntriples
-from repro.kb.tokenizer import Tokenizer
 from repro.pipeline.stages import TokenBlockingStage
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,8 +51,8 @@ def collection_signature(blocks):
     }
 
 
-def token_table(kb1, kb2, config=MinoanERConfig()):
-    keyer = TokenBlockingStage.keyer(config)
+def token_table(kb1, kb2):
+    keyer = TokenBlockingStage.keyer()
     return PlacementTable(
         "BT", tuple(entity_key_rows(kb, keyer) for kb in (kb1, kb2))
     )
@@ -90,24 +89,12 @@ def test_packed_equals_string_engine(kbs, engine_name, workers):
     assert collection_signature(names) == collection_signature(reference)
 
 
-@pytest.mark.parametrize(
-    "overrides,tokenizer",
-    [
-        ({}, Tokenizer()),
-        ({"min_token_length": 3}, Tokenizer(min_length=3)),
-        (
-            {"include_uri_localnames": True},
-            Tokenizer(include_uri_localnames=True),
-        ),
-    ],
-    ids=["default", "min3", "localnames"],
-)
-def test_packed_equals_string_engine_tokenizer_variants(kbs, overrides, tokenizer):
+def test_packed_equals_string_engine_unpurged(kbs):
     kb1, kb2 = kbs
-    config = MinoanERConfig(purge_token_blocks=False, **overrides)
+    config = MinoanERConfig(purge_token_blocks=False)
     ctx = blocking_context(kb1, kb2, config)
     packed, report = ctx.get("token_blocks"), ctx.get("purging_report")
-    reference = token_blocking(kb1, kb2, tokenizer)
+    reference = token_blocking(kb1, kb2)
     assert report is None
     assert collection_signature(packed) == collection_signature(reference)
 
@@ -251,16 +238,12 @@ def evidence(kbs):
     config = MinoanERConfig()
     blocks = blocking_context(kb1, kb2).get("token_blocks")
     value_index = build_value_index(blocks)
-    relations1 = top_relations(
-        kb1, config.top_n_relations, config.include_incoming_edges
-    )
-    relations2 = top_relations(
-        kb2, config.top_n_relations, config.include_incoming_edges
-    )
+    relations1 = top_relations(kb1, config.top_n_relations)
+    relations2 = top_relations(kb2, config.top_n_relations)
     neighbor_index = build_neighbor_index(
         value_index,
-        top_neighbors(kb1, relations1, config.include_incoming_edges),
-        top_neighbors(kb2, relations2, config.include_incoming_edges),
+        top_neighbors(kb1, relations1),
+        top_neighbors(kb2, relations2),
     )
     return value_index, neighbor_index
 

@@ -99,11 +99,6 @@ class TestHeuristicToggles:
         result = MinoanER(config).match(*make_pair())
         assert result.purging_report is None
 
-    def test_purging_override(self):
-        config = MinoanERConfig(purging_max_cardinality=1)
-        result = MinoanER(config).match(*make_pair())
-        assert result.purging_report.max_cardinality == 1
-
 
 class TestEdgeCases:
     def test_empty_kbs(self):

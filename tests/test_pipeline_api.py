@@ -311,7 +311,7 @@ class TestMatchSession:
         kb1, kb2 = make_pair()
         session = MatchSession(kb1, kb2)
         session.match()
-        session.match(min_token_length=2)
+        session.match(purge_token_blocks=False)
         # token blocking changed, so everything fed by it re-ran ...
         assert session.runs("token_blocking") == 2
         assert session.runs("value_index") == 2

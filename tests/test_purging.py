@@ -1,6 +1,5 @@
 """Unit and property tests for Block Purging."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,10 +48,6 @@ class TestThreshold:
         blocks = collection_with_sizes([(3, 3)] * 5)
         assert cardinality_threshold(blocks) == 9
 
-    def test_invalid_gain(self):
-        with pytest.raises(ValueError):
-            cardinality_threshold(BlockCollection(), gain_factor=0.5)
-
 
 class TestPurge:
     def test_removes_only_oversized(self):
@@ -68,12 +63,6 @@ class TestPurge:
         assert report.blocks_after == len(purged)
         assert report.comparisons_after == purged.total_comparisons()
         assert 0.0 < report.comparison_reduction < 1.0
-
-    def test_manual_override(self):
-        blocks = collection_with_sizes([(1, 1), (2, 2), (10, 10)])
-        purged, report = purge_blocks(blocks, max_cardinality=4)
-        assert len(purged) == 2
-        assert report.max_cardinality == 4
 
     def test_reduction_zero_when_nothing_purged(self):
         blocks = collection_with_sizes([(2, 2)] * 5)

@@ -261,10 +261,7 @@ class TestResolveOracle:
             pairs += [(relations[r], UriRef(targets[t])) for r, t in links]
             records.append(EntityDescription(f"urn:oracle:{index}", pairs))
         resolver = OnlineResolver.from_context(ctx, data.kb1, data.kb2)
-        tokenizer = Tokenizer(
-            min_length=ctx.config.min_token_length,
-            include_uri_localnames=ctx.config.include_uri_localnames,
-        )
+        tokenizer = Tokenizer()
         for record, result in zip(records, resolver.resolve_batch(records, k)):
             assert result.known is False
             assert (result.value, result.neighbor, result.best) == (

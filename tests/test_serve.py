@@ -347,7 +347,14 @@ class TestEndpoints:
 
     @pytest.mark.parametrize(
         "broken",
-        ["missing", "corrupt", "malformed", "misdeclared", "bad-manifest"],
+        [
+            "missing",
+            "corrupt",
+            "malformed",
+            "misdeclared",
+            "bad-manifest",
+            "unknown-heuristic",
+        ],
     )
     def test_reload_of_a_non_snapshot_is_400(
         self, served, snapshot_dir, tmp_path, broken
@@ -370,6 +377,10 @@ class TestEndpoints:
             _redeclared(target, "value_keys", "f64")
         if broken == "bad-manifest":
             _edited_manifest(target, lambda m: m["json"].update(graph_stages=5))
+        if broken == "unknown-heuristic":
+            _edited_manifest(
+                target, lambda m: m["json"]["config"].update(heuristics=["h9"])
+            )
         with pytest.raises(ServeClientError) as refused:
             client.reload(str(target))
         assert refused.value.status == 400

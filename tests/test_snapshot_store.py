@@ -331,6 +331,18 @@ MALFORMED_MANIFESTS = {
         lambda m: m["json"]["config"].update(top_k_candidates="x"),
         "value 'config'",
     ),
+    "config-heuristic-unregistered": (
+        lambda m: m["json"]["config"].update(heuristics=["h9"]),
+        "'heuristics'",
+    ),
+    "config-heuristics-a-string": (
+        lambda m: m["json"]["config"].update(heuristics="h1"),
+        "'heuristics'",
+    ),
+    "config-retired-field-off-constant": (
+        lambda m: m["json"]["config"].update(include_uri_localnames=True),
+        "'include_uri_localnames'",
+    ),
     "graph-stages-an-int": (
         lambda m: m["json"].update(graph_stages=5),
         "value 'graph_stages'",

@@ -17,6 +17,13 @@ def kb_from_texts(name, texts, prefix):
     return kb
 
 
+class LongTokens(Tokenizer):
+    """A caller's own tokenizer: only tokens of three or more characters."""
+
+    def tokens(self, entity):
+        return [token for token in super().tokens(entity) if len(token) >= 3]
+
+
 class TestTokenBlocking:
     def test_one_block_per_shared_token(self):
         kb1 = kb_from_texts("A", ["red car", "blue bike"], "a")
@@ -39,7 +46,7 @@ class TestTokenBlocking:
     def test_respects_tokenizer(self):
         kb1 = kb_from_texts("A", ["ab x"], "a")
         kb2 = kb_from_texts("B", ["ab y"], "b")
-        blocks = token_blocking(kb1, kb2, Tokenizer(min_length=3))
+        blocks = token_blocking(kb1, kb2, LongTokens())
         assert len(blocks) == 0
 
     texts = st.lists(

@@ -29,7 +29,8 @@ class TestTokenizeText:
         assert tokenize_text("!!! --- ???") == []
 
     def test_min_length_filters(self):
-        assert tokenize_text("a bb ccc", min_length=2) == ["bb", "ccc"]
+        # the minimum token length is 1: no token is too short
+        assert tokenize_text("a bb ccc") == ["a", "bb", "ccc"]
 
     @given(st.text(max_size=200))
     def test_tokens_are_lowercase_alnum(self, text):
@@ -74,30 +75,18 @@ class TestTokenizer:
         tokens = Tokenizer().token_set(make_entity())
         assert "newyorkcity" not in tokens
 
-    def test_uri_localnames_enabled(self):
-        tokens = Tokenizer(include_uri_localnames=True).token_set(make_entity())
-        assert "newyorkcity" in tokens
-
-    def test_stop_words_removed(self):
-        tokens = Tokenizer(stop_words=["new"]).tokens(make_entity())
-        assert "new" not in tokens
-        assert "york" in tokens
-
-    def test_stop_words_case_insensitive(self):
-        tokens = Tokenizer(stop_words=["NEW"]).tokens(make_entity())
-        assert "new" not in tokens
-
     def test_min_length(self):
         entity = EntityDescription("u")
         entity.add_literal("a", "a bb ccc")
-        assert Tokenizer(min_length=3).tokens(entity) == ["ccc"]
+        assert Tokenizer().tokens(entity) == ["a", "bb", "ccc"]
 
     def test_min_length_validation(self):
-        with pytest.raises(ValueError):
-            Tokenizer(min_length=0)
+        # the tokenizer has no settings: the length floor is a constant
+        with pytest.raises(TypeError):
+            Tokenizer(min_length=1)
 
     def test_repr(self):
-        assert "min_length=1" in repr(Tokenizer())
+        assert repr(Tokenizer()) == "Tokenizer()"
 
 
 class TestCachedTokens:
@@ -120,11 +109,10 @@ class TestCachedTokens:
     def test_pickle_drops_cache(self):
         import pickle
 
-        tokenizer = Tokenizer(min_length=2, stop_words=("the",))
+        tokenizer = Tokenizer()
         entity = EntityDescription("e1")
         entity.add_literal("name", "the alpha")
         tokenizer.cached_tokens(entity)
         clone = pickle.loads(pickle.dumps(tokenizer))
         assert clone._token_cache == {}
-        assert clone.min_length == 2
-        assert clone.stop_words == frozenset({"the"})
+        assert clone.cached_tokens(entity) == ("the", "alpha")
