@@ -5,9 +5,10 @@ neighbor-based candidates.  These lists feed H3 (rank aggregation over the
 two orders) and H4 (reciprocity: a match must appear in the other side's
 lists too).
 
-The lists are cut on **bare ids** (:func:`kept_neighbor_offsets` over
-the two undecoded CSR rows) and only the ≤ 2·``K`` survivors are decoded
-to URIs; the online resolver's H4 bars call the same function.
+Both lists are the first ``K`` ids of a ranked CSR row; only those
+≤ 2·``K`` ids are decoded to URIs.  Restricted to candidates that also
+share a token block (the conference H3), the neighbor list reads the
+:func:`cooccurring_neighbor_index`, as do the online H4 bars.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
+from ..ids import EntityInterner
+from ..ids.arrays import pairs_translated_into
 from .neighbors import NeighborSimilarityIndex
 from .similarity import ValueSimilarityIndex
 
@@ -89,48 +92,31 @@ class ProbeCache:
         return len(self._entries)
 
 
-def counterpart_translation(
+def _id_images(source: EntityInterner, target: EntityInterner) -> array:
+    """Per id of ``source``, the id of its URI in ``target`` (``-1``
+    where ``target`` lacks it).  Ascending where defined: both id orders
+    are URI order."""
+    ids = target.ids_by_uri()
+    return array("q", [ids.get(uri, -1) for uri in source.uris()])
+
+
+def cooccurring_neighbor_index(
     value_index: ValueSimilarityIndex,
     neighbor_index: NeighborSimilarityIndex,
-    side: int,
-) -> array:
-    """Neighbor-row counterpart id -> value-row counterpart id.
-
-    Rows of ``side`` hold ids of the *other* side, each index in its own
-    interner space; ``-1`` marks a candidate the value index never saw
-    (no value row contains it).
+) -> NeighborSimilarityIndex:
+    """The neighbor pairs whose two entities also form a value pair,
+    found in one vectorized pass over the neighbor keys.  Dropping
+    entries from a ranked row keeps its order, so each row here is the
+    full neighbor row filtered by value co-occurrence: its first ``K``
+    ids are the conference H3's neighbor list.
     """
-    value_ids = value_index.interners()[2 - side].ids_by_uri()
-    neighbor_uris = neighbor_index.interners()[2 - side].uris()
-    return array("i", (value_ids.get(uri, -1) for uri in neighbor_uris))
-
-
-def kept_neighbor_offsets(
-    value_ids: Sequence[int],
-    neighbor_ids: Sequence[int],
-    translation: Sequence[int],
-    k: int,
-    restrict: bool,
-) -> Sequence[int]:
-    """Offsets, into one ranked neighbor-id row, of its top-``k`` list.
-
-    ``value_ids`` / ``neighbor_ids`` are an entity's full CSR rows, best
-    first, in any integer-sequence form (``array``, ``ndarray``, mmap
-    ``memoryview``).  Restricted, a neighbor candidate counts only if
-    its :func:`counterpart_translation` is in the value row — the
-    co-occurrence test on bare ids — and the scan stops at the ``k``-th
-    keeper.  (The value list needs no function: ``value_ids[:k]``.)
-    """
-    if not restrict:
-        return range(min(k, len(neighbor_ids)))
-    cooccurring = set(value_ids)
-    kept: list[int] = []
-    for offset, neighbor_id in enumerate(neighbor_ids):
-        if translation[neighbor_id] in cooccurring:
-            kept.append(offset)
-            if len(kept) == k:
-                break
-    return kept
+    interners = neighbor_index.interners()
+    keys, sims = pairs_translated_into(
+        *neighbor_index.packed_columns(),
+        *map(_id_images, interners, value_index.interners()),
+        value_index.packed_columns()[0],
+    )
+    return NeighborSimilarityIndex.from_packed_columns(keys, sims, *interners)
 
 
 @dataclass(frozen=True)
@@ -176,10 +162,12 @@ class CandidateIndex:
         self.k = k
         self._value_index = value_index
         self._neighbor_index = neighbor_index
-        self._restrict = restrict_neighbors_to_cooccurring
+        # restricted: the co-occurring sub-index, built on first read
+        self._neighbor_rows = (
+            None if restrict_neighbors_to_cooccurring else neighbor_index
+        )
         self._cache1: dict[str, CandidateLists] = {}
         self._cache2: dict[str, CandidateLists] = {}
-        self._translations: dict[int, array] = {}
 
     # ------------------------------------------------------------------
     # Lookup (lazy, cached)
@@ -200,30 +188,25 @@ class CandidateIndex:
             self._cache2[uri2] = cached
         return cached
 
-    def translation(self, side: int) -> array:
-        """:func:`counterpart_translation` of ``side``'s rows, built once."""
-        column = self._translations.get(side)
-        if column is None:
-            column = self._translations[side] = counterpart_translation(
-                self._value_index, self._neighbor_index, side
+    def neighbor_rows(self) -> NeighborSimilarityIndex:
+        """The index whose ranked rows the neighbor lists are cut from:
+        restricted, the :func:`cooccurring_neighbor_index` (built once,
+        on first call — the same benign race as the ranked rows);
+        otherwise the full neighbor index."""
+        if self._neighbor_rows is None:
+            self._neighbor_rows = cooccurring_neighbor_index(
+                self._value_index, self._neighbor_index
             )
-        return column
+        return self._neighbor_rows
 
     def _build(self, uri: str, side: int) -> CandidateLists:
-        value_ids = self._value_index.csr_row_ids(side, uri)
-        neighbor_ids = self._neighbor_index.csr_row_ids(side, uri)
-        kept = kept_neighbor_offsets(
-            value_ids,
-            neighbor_ids,
-            self.translation(side),
-            self.k,
-            self._restrict,
-        )
+        value_ids, _ = self._value_index.csr_row(side, uri, self.k)
+        neighbor_ids, _ = self.neighbor_rows().csr_row(side, uri, self.k)
         value_decode = self._value_index.interners()[2 - side].uris()
         neighbor_decode = self._neighbor_index.interners()[2 - side].uris()
         return CandidateLists(
-            value=tuple(value_decode[i] for i in value_ids[: self.k]),
-            neighbor=tuple(neighbor_decode[neighbor_ids[j]] for j in kept),
+            value=tuple(map(value_decode.__getitem__, value_ids)),
+            neighbor=tuple(map(neighbor_decode.__getitem__, neighbor_ids)),
         )
 
     # ------------------------------------------------------------------

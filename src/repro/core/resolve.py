@@ -78,7 +78,6 @@ from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
 from ..ids.arrays import gathered_candidate_sums, ranked_groups
 from ..kb.tokenizer import Tokenizer
-from .candidates import counterpart_translation, kept_neighbor_offsets
 from .heuristics import Match
 from .neighbors import top_neighbors
 from .rank_aggregation import top_aggregate_candidate
@@ -88,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..kb.entity import EntityDescription
     from ..kb.knowledge_base import KnowledgeBase
     from ..pipeline.context import PipelineContext
-    from .candidates import ProbeCache
+    from .candidates import CandidateIndex, ProbeCache
     from .config import MinoanERConfig
     from .neighbors import NeighborSimilarityIndex
     from .similarity import ValueSimilarityIndex
@@ -194,9 +193,6 @@ class _ResolverTables:
     #: parents of value id ``vid``, ascending.
     rev_starts: array
     rev_parents: array
-    #: Neighbor-index side-1 id -> value-index side-1 id (H4's
-    #: co-occurrence test on a KB2 entity's rows).
-    translation2: Sequence[int]
 
 
 class OnlineResolver:
@@ -217,6 +213,7 @@ class OnlineResolver:
         token_blocks: BlockCollection,
         value_index: "ValueSimilarityIndex",
         neighbor_index: "NeighborSimilarityIndex",
+        candidate_index: "CandidateIndex",
         matches: Iterable[Match] = (),
         top_relations1: Sequence[str] = (),
         top_relations2: Sequence[str] = (),
@@ -236,6 +233,7 @@ class OnlineResolver:
         self._token_blocks = token_blocks
         self._value_index = value_index
         self._neighbor_index = neighbor_index
+        self._candidate_index = candidate_index
         decisions: dict[str, Match] = {}
         for match in matches:
             decisions.setdefault(match.uri1, match)
@@ -288,6 +286,7 @@ class OnlineResolver:
             token_blocks=ctx.get("token_blocks"),
             value_index=ctx.get("value_index"),
             neighbor_index=ctx.get("neighbor_index"),
+            candidate_index=ctx.get("candidate_index"),
             matches=ctx.get_or("matches", ()),
             top_relations1=ctx.get_or("top_relations1", ()),
             top_relations2=ctx.get_or("top_relations2", ()),
@@ -301,7 +300,15 @@ class OnlineResolver:
     # Lazy derived tables
     # ------------------------------------------------------------------
     def warm(self) -> None:
-        """Build the derived tables now (first resolve pays otherwise)."""
+        """Build now what the first request would: the ranked rows of
+        :meth:`probe` and the H4 bars (the largest first, while little
+        else is resident), then the derived tables."""
+        for index in (
+            self._neighbor_index,
+            self._value_index,
+            self._candidate_index.neighbor_rows(),
+        ):
+            index.csr_columns(1)
         self._ensure_tables()
 
     def _ensure_tables(self) -> _ResolverTables:
@@ -371,9 +378,6 @@ class OnlineResolver:
             parent_uris=parent_uris,
             rev_starts=rev_starts,
             rev_parents=rev_parents,
-            translation2=counterpart_translation(
-                self._value_index, self._neighbor_index, 2
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -713,26 +717,22 @@ class OnlineResolver:
     ) -> tuple[float | None, float | None]:
         """``uri2``'s entry bars for H4: the k-th value score and the
         k-th (co-occurrence-restricted) neighbor score, or ``None``
-        where the list is shorter than ``k`` (any score enters).
-        Evidence is immutable per resolver, so the bars memoize —
-        serving streams keep deciding against the same few matched
-        entities."""
+        where the list is shorter than ``k`` (any score enters) — read
+        off the rows the batch candidate lists are cut from.  Evidence
+        is immutable per resolver, so the bars memoize — serving
+        streams keep deciding against the same few matched entities."""
         key = (uri2, k)
         memo = self._h4_memo
         entry = memo.get(key)
         if entry is None:
-            value_ids, value_sims = self._value_index.csr_row(2, uri2)
-            neighbor_ids, neighbor_sims = self._neighbor_index.csr_row(2, uri2)
-            value_bar = value_sims[k - 1] if len(value_sims) >= k else None
-            kept = kept_neighbor_offsets(
-                value_ids,
-                neighbor_ids,
-                self._ensure_tables().translation2,
-                k,
-                self._config.restrict_h3_to_cooccurring,
+            _, value_sims = self._value_index.csr_row(2, uri2, k)
+            _, neighbor_sims = (
+                self._candidate_index.neighbor_rows().csr_row(2, uri2, k)
             )
-            neighbor_bar = neighbor_sims[kept[-1]] if len(kept) >= k else None
-            entry = (value_bar, neighbor_bar)
+            entry = (
+                value_sims[-1] if len(value_sims) == k else None,
+                neighbor_sims[-1] if len(neighbor_sims) == k else None,
+            )
             if len(memo) < _NEIGHBOR_MEMO_LIMIT:
                 memo[key] = entry
         return entry

@@ -22,7 +22,9 @@ publishes; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
 make an index.  Point lookups bisect the key column and the per-entity
 ranked candidate lists are CSR-style offset+column arrays built from
-the columns in one pass.  The floats never depend on the container:
+the columns in one pass, on the first read of any row — an index whose
+rows nobody reads (the full neighbor index of a restricted batch run)
+never ranks.  The floats never depend on the container:
 every sum's addition order is fixed where it is folded (the engine's
 row kernels).  See ``docs/PERFORMANCE.md``.
 """
@@ -35,6 +37,7 @@ from functools import lru_cache
 
 from ..ids import EntityInterner, PAIR_ID_BITS
 from ..ids.arrays import ranked_csr
+from ..obs.runtime import current as _telemetry_current
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
 
@@ -63,19 +66,22 @@ class PackedSimilarityIndex:
       similarities — the single source of truth.  They are whatever
       buffer the producer emitted: the kernels' NumPy arrays or
       ``array`` s, or the ``memoryview`` s of an mmap-loaded snapshot;
-    - per side, a CSR layout of the ranked candidate lists
-      (:func:`~repro.ids.arrays.ranked_csr`): ``_starts`` (one offset
-      per entity id, length ``n+1``), ``_cols`` (counterpart ids) and
-      ``_sims`` (their similarities), rows ordered best-first with the
-      counterpart URI breaking ties.
+    - ``_rows``: ``None`` until a row is first read, then both sides'
+      CSR layout of the ranked candidate lists
+      (:func:`~repro.ids.arrays.ranked_csr`) as one tuple: per side
+      ``starts`` (one offset per entity id, length ``n+1``), ``cols``
+      (counterpart ids) and ``sims`` (their similarities), rows ordered
+      best-first with the counterpart URI breaking ties.
 
     An index is never mutated after :meth:`from_packed_columns` — a
-    delta builds a new one — so whoever holds a reference (a published
-    serving generation) has a frozen view.
+    delta builds a new one; building the rows once is the only
+    assignment — so whoever holds a reference (a published serving
+    generation) has a frozen view.
     """
 
     _interner1: EntityInterner
     _interner2: EntityInterner
+    _rows: tuple | None
 
     @classmethod
     def from_packed_columns(
@@ -89,78 +95,64 @@ class PackedSimilarityIndex:
 
         ``keys`` must be strictly ascending and ``sims`` parallel to it;
         both are adopted as they are (no copy, any buffer-protocol
-        sequence) and only the ranked rows are built.
+        sequence).  Nothing is ranked here: the first row read builds
+        the ranked rows (:meth:`_side_rows`).
         """
         index = cls()
         index._interner1, index._interner2 = interner1, interner2
         index._keys, index._values = keys, sims
-        (
-            index._starts1, index._cols1, index._sims1,
-            index._starts2, index._cols2, index._sims2,
-        ) = ranked_csr(keys, sims, len(interner1), len(interner2))
+        index._rows = None
         return index
 
     # ------------------------------------------------------------------
     # Row decode (the URI-facing layer)
     # ------------------------------------------------------------------
+    def _side_rows(self, side: int) -> tuple[array, array, array]:
+        """``side``'s ranked ``(starts, cols, sims)``.  The first call
+        ranks both sides, in one ``similarity.ranked_rows`` span under
+        whichever stage or request reads first; concurrent first reads
+        may rank twice, a benign race (the rows are a pure function of
+        the frozen columns, so whichever assignment wins is equivalent)."""
+        if self._rows is None:
+            with _telemetry_current().tracer.span(
+                "similarity.ranked_rows", category="similarity"
+            ):
+                self._rows = ranked_csr(
+                    self._keys,
+                    self._values,
+                    len(self._interner1),
+                    len(self._interner2),
+                )
+        return self._rows[3 * side - 3 : 3 * side]
+
     def _row(
         self, side: int, uri: str, k: int | None
     ) -> list[tuple[str, float]]:
-        if side == 1:
-            interner = self._interner1
-            starts, cols, sims = self._starts1, self._cols1, self._sims1
-            decode = self._interner2.uris()
-        else:
-            interner = self._interner2
-            starts, cols, sims = self._starts2, self._cols2, self._sims2
-            decode = self._interner1.uris()
-        entity_id = interner.get(uri)
-        if entity_id is None:
-            return []
-        start, stop = starts[entity_id], starts[entity_id + 1]
-        if k is not None:
-            stop = min(stop, start + k)
-        return [(decode[cols[j]], sims[j]) for j in range(start, stop)]
-
-    def csr_row_ids(self, side: int, uri: str) -> array:
-        """One row's full ranked counterpart-id column, undecoded.
-
-        The packed form of ``candidates_of_entity{side}(uri)`` for
-        id-level consumers (the candidate lists' trim reads these rows
-        before decoding any URI): counterpart ids in ranked order, in
-        the *other* side's interner space.  Empty for URIs the index
-        never saw.
-        """
-        start, stop = self.csr_row_span(side, uri)
-        return self.csr_columns(side)[1][start:stop]
+        ids, sims = self.csr_row(side, uri, k)
+        decode = self.interners()[2 - side].uris()
+        return [(decode[i], sim) for i, sim in zip(ids, sims)]
 
     def csr_columns(self, side: int) -> tuple[array, array]:
         """One side's immutable CSR ``(starts, cols)`` columns: every
         ranked row end to end, delimited by ``starts``."""
-        if side == 1:
-            return self._starts1, self._cols1
-        return self._starts2, self._cols2
+        return self._side_rows(side)[:2]
 
-    def csr_row_span(self, side: int, uri: str) -> tuple[int, int]:
-        """One row's ``[start, stop)`` range inside ``csr_columns(side)``
-        (``(0, 0)``, an empty row, for URIs the index never saw)."""
-        if side == 1:
-            interner, starts = self._interner1, self._starts1
-        else:
-            interner, starts = self._interner2, self._starts2
-        entity_id = interner.get(uri)
-        if entity_id is None:
-            return (0, 0)
-        return starts[entity_id], starts[entity_id + 1]
-
-    def csr_row(self, side: int, uri: str) -> tuple[array, array]:
+    def csr_row(
+        self, side: int, uri: str, k: int | None = None
+    ) -> tuple[array, array]:
         """One row's ranked ``(counterpart ids, similarities)`` slices,
-        undecoded — for readers that want a similarity at a known rank
-        (the online H4 bars) without boxing the row."""
-        start, stop = self.csr_row_span(side, uri)
-        if side == 1:
-            return self._cols1[start:stop], self._sims1[start:stop]
-        return self._cols2[start:stop], self._sims2[start:stop]
+        undecoded and cut to the first ``k`` when given — for id-level
+        readers (the candidate lists, the online H4 bars) that decode
+        only what they keep.  Ids are in the *other* side's interner
+        space; the row is empty for URIs the index never saw."""
+        starts, cols, sims = self._side_rows(side)
+        entity_id = self.interners()[side - 1].get(uri)
+        if entity_id is None:
+            return cols[:0], sims[:0]
+        start, stop = starts[entity_id], starts[entity_id + 1]
+        if k is not None:
+            stop = min(stop, start + k)
+        return cols[start:stop], sims[start:stop]
 
     # ------------------------------------------------------------------
     # Queries
@@ -215,9 +207,8 @@ class PackedSimilarityIndex:
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
-        starts = self._starts1
+        starts, cols, sims = self._side_rows(1)
         decode = self._interner2.uris()
-        cols, sims = self._cols1, self._sims1
         for j in range(starts[id1], starts[id1 + 1]):
             uri2 = decode[cols[j]]
             if uri2 not in exclude:

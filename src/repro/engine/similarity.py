@@ -173,15 +173,12 @@ def _product_index(
             for rows in chunk_evenly(range(n_rows), partition_count(n_rows))
         ]
         work = _row_work(row_starts, row_ids, *shared[:3])
-        # the per-task parts die with this expression, before the
-        # ranked rows allocate (bytes are seconds, PERFORMANCE.md)
         columns = _joined(
             engine.map_columns(
                 _row_sums, tasks, "qi", (work, row_starts, *shared), "qqqiqiid"
             )
         )
-    with telemetry.tracer.span("similarity.ranked_rows", category="similarity"):
-        index = index_type.from_packed_columns(*columns, *interners)
+    index = index_type.from_packed_columns(*columns, *interners)
     telemetry.metrics.counter(counter).inc(len(index))
     return index
 

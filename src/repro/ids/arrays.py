@@ -3,9 +3,10 @@
 The hot bulk operations of the packed similarity core — the
 shard-ordered slab fold of the row-owned similarity kernels, ragged
 span expansion, order-preserving duplicate-key summation, the CSR
-ranked-row argsort, the online resolver's span gather and per-group
-ranking, CRC32 by combination and the digest's canonical columns — run
-vectorized, one implementation each.  Every fold here keeps the
+ranked-row argsort, the neighbor pairs' co-occurrence filter, the
+online resolver's span gather and per-group ranking, CRC32 by
+combination and the digest's canonical columns — run vectorized, one
+implementation each.  Every fold here keeps the
 floating-point accumulation order of the string-keyed specification in
 ``tests/oracles.py`` (``np.bincount`` adds weights one element at a
 time, front to back, which *is* the scan order), and the golden digests
@@ -195,6 +196,28 @@ def _ranked_rows(keys, sims, n_entities1, n_entities2):
         id1[order2].astype(_np.int32),
         sims[order2],
     )
+
+
+def pairs_translated_into(keys, sims, images1, images2, within):
+    """The ``(keys, sims)`` of an ascending packed column whose pairs,
+    ids mapped through ``images1`` / ``images2``, are keys of the
+    ascending packed column ``within``.  The image tables ascend (ids
+    are URI order on both sides), so the mapped keys do too, and each
+    key of ``within`` is searched among them.  An id without an image
+    maps to ``-1`` and packs a negative key: the running maximum keeps
+    the column ascending, and a left search finds a key before its copies.
+    """
+    keys = _np.asarray(keys, dtype=_np.int64)
+    mapped = _np.asarray(images1, dtype=_np.int64)[keys >> 32]
+    mapped <<= 32
+    mapped |= _np.asarray(images2, dtype=_np.int64)[keys & 0xFFFFFFFF]
+    _np.maximum.accumulate(mapped, out=mapped)
+    within = _np.asarray(within, dtype=_np.int64)
+    at = _np.searchsorted(mapped, within)
+    found = at < len(mapped)
+    found[found] = mapped[at[found]] == within[found]
+    kept = at[found]
+    return keys[kept], _np.asarray(sims, dtype=_np.float64)[kept]
 
 
 def gathered_candidate_sums(

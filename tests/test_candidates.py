@@ -1,21 +1,32 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
+from pathlib import Path
+
 import numpy
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import candidate_lists_by_uri, h4_bars_by_uri, index_of_pairs
 from repro.blocking import token_blocking
 from repro.core import CandidateIndex, CandidateLists
-from repro.core import MinoanERConfig
+from repro.core import MinoanER, MinoanERConfig
+from repro.core import candidates as candidates_module
+from repro.core import similarity as similarity_module
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.similarity import ValueSimilarityIndex
-from repro.core.candidates import counterpart_translation, kept_neighbor_offsets
+from repro.core.candidates import cooccurring_neighbor_index
 from repro.datasets import generate_benchmark
 from repro.engine import build_neighbor_index, build_value_index
+from repro.incremental import IncrementalMatcher
 from repro.kb import KnowledgeBase
+from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession
+from repro.serve import ServingState
+from repro.serve.handlers import handle_candidates, handle_resolve
+from repro.serve.json_codec import entity_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def kb_from_texts(name, texts, prefix):
@@ -104,33 +115,39 @@ def _uri(side: int, position: int) -> str:
     return f"urn:kb{side}:e{position}"
 
 
-def _index_of(cls, id_pairs: dict, mapped: bool = False):
-    """``cls`` over ``id_pairs``; optionally as read-only views over
-    foreign bytes (what an mmap load adopts)."""
+#: The column forms an index holds: a copy load's ``array`` s, an mmap
+#: load's read-only views over foreign bytes, a build's NumPy arrays.
+_FORMS = {
+    "array": lambda column: column,
+    "memoryview": lambda column: memoryview(column.tobytes()).cast(
+        column.typecode
+    ),
+    "ndarray": numpy.array,
+}
+
+
+def _index_of(cls, id_pairs: dict, form: str = "array"):
+    """``cls`` over ``id_pairs``, its columns in ``form``."""
     index = index_of_pairs(
         {(_uri(1, id1), _uri(2, id2)): sim for (id1, id2), sim in id_pairs.items()},
         cls,
     )
-    if not mapped:
-        return index
-    keys, sims = (
-        memoryview(column.tobytes()).cast(column.typecode)
-        for column in index.packed_columns()
+    return cls.from_packed_columns(
+        *map(_FORMS[form], index.packed_columns()), *index.interners()
     )
-    return cls.from_packed_columns(keys, sims, *index.interners())
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     value_pairs=_value_pairs,
     neighbor_pairs=_neighbor_pairs,
-    mapped=st.booleans(),
+    form=st.sampled_from(sorted(_FORMS)),
 )
 def test_id_level_lists_equal_uri_level_lists(
-    numpy_arm, value_pairs, neighbor_pairs, mapped
+    numpy_arm, value_pairs, neighbor_pairs, form
 ):
-    value_index = _index_of(ValueSimilarityIndex, value_pairs, mapped)
-    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, mapped)
+    value_index = _index_of(ValueSimilarityIndex, value_pairs, form)
+    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, form)
     for restrict in (True, False):
         for k in (1, 2, 15):
             index = CandidateIndex(
@@ -147,51 +164,103 @@ def test_id_level_lists_equal_uri_level_lists(
                     )
 
 
+def _ranked_row(index, side: int, uri: str, k: int | None = None):
+    if side == 1:
+        return index.candidates_of_entity1(uri, k)
+    return index.candidates_of_entity2(uri, k)
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     value_pairs=_value_pairs,
     neighbor_pairs=_neighbor_pairs,
-    k=st.sampled_from([1, 2, 15]),
-    restrict=st.booleans(),
+    form=st.sampled_from(sorted(_FORMS)),
 )
-def test_trim_reads_any_integer_column(
-    numpy_arm, value_pairs, neighbor_pairs, k, restrict
+@example(value_pairs={}, neighbor_pairs={(2, 3): 1.0, (4, 3): 0.5}, form="array")
+@example(value_pairs={}, neighbor_pairs={}, form="memoryview")
+def test_cooccurring_rows_are_filtered_full_rows(
+    numpy_arm, value_pairs, neighbor_pairs, form
 ):
-    """CSR rows come as ``array`` s, mmap ``memoryview`` s or NumPy
-    arrays; the trim keeps the same ids from every form, and
-    :meth:`CandidateIndex.of_entity1` decodes them to the same lists."""
-    value_index = _index_of(ValueSimilarityIndex, value_pairs)
-    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs)
-    translation = counterpart_translation(value_index, neighbor_index, 1)
-    forms = [
-        lambda column: column,
-        lambda column: memoryview(column),
-        lambda column: numpy.frombuffer(
-            column, dtype={"i": numpy.int32, "q": numpy.int64}[column.typecode]
-        ),
-    ]
-    decode_neighbor = neighbor_index.interners()[1].uris()
-    index = CandidateIndex(
-        value_index,
-        neighbor_index,
-        k=k,
-        restrict_neighbors_to_cooccurring=restrict,
+    """The co-occurring index's ranked rows are the full neighbor rows
+    with every candidate the entity shares no value pair with dropped,
+    order kept — from every column form, with neighbor entities the value
+    index never saw, and over an empty value index."""
+    value_index = _index_of(ValueSimilarityIndex, value_pairs, form)
+    neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, form)
+    cooccurring = cooccurring_neighbor_index(value_index, neighbor_index)
+    assert cooccurring.interners() == neighbor_index.interners()
+    for side in (1, 2):
+        for position in range(10):  # 9 is in neither index
+            uri = _uri(side, position)
+            partners = {c for c, _ in _ranked_row(value_index, side, uri)}
+            filtered = [
+                (candidate, sim)
+                for candidate, sim in _ranked_row(neighbor_index, side, uri)
+                if candidate in partners
+            ]
+            for k in (1, 2, 15):
+                assert _ranked_row(cooccurring, side, uri, k) == filtered[:k]
+
+
+# ----------------------------------------------------------------------
+# Rank only what is read
+# ----------------------------------------------------------------------
+def _golden_kbs():
+    return (
+        read_ntriples(GOLDEN / "kb1.nt", name="golden1"),
+        read_ntriples(GOLDEN / "kb2.nt", name="golden2"),
     )
-    for uri in (_uri(1, position) for position in range(10)):
-        lists = candidate_lists_by_uri(
-            value_index, neighbor_index, uri, 1, k, restrict
-        )
-        value_ids = value_index.csr_row_ids(1, uri)
-        neighbor_ids = neighbor_index.csr_row_ids(1, uri)
-        for form in forms:
-            kept = kept_neighbor_offsets(
-                form(value_ids), form(neighbor_ids), form(translation), k, restrict
-            )
-            assert (
-                tuple(decode_neighbor[neighbor_ids[j]] for j in kept)
-                == lists.neighbor
-            )
-        assert index.of_entity1(uri) == lists
+
+
+@pytest.mark.parametrize("restrict", [True, False])
+def test_restricted_match_never_ranks_the_full_neighbor_index(
+    monkeypatch, restrict
+):
+    """A default batch match reads its neighbor lists from the
+    co-occurring index, so the full neighbor index builds no ranked
+    rows; unrestricted, the lists are the full index's rows."""
+    made = []
+    real = NeighborSimilarityIndex.from_packed_columns.__func__
+
+    def recorded(cls, *columns):
+        made.append(real(cls, *columns))
+        return made[-1]
+
+    monkeypatch.setattr(
+        NeighborSimilarityIndex, "from_packed_columns", classmethod(recorded)
+    )
+    config = MinoanERConfig(restrict_h3_to_cooccurring=restrict)
+    assert MinoanER(config).match(*_golden_kbs()).matches
+    full = made[0]
+    assert (full._rows is None) == restrict
+    assert len(made) == (2 if restrict else 1)
+
+
+def test_published_state_answers_first_reads_without_building(
+    monkeypatch, tmp_path
+):
+    """``ServingState.from_matcher`` warms every row the read path
+    serves — over a loaded snapshot too, whose replay reads no row: the
+    first ``/candidates`` and ``/resolve`` calls rank no row and filter
+    no neighbor pair."""
+    kb1, kb2 = _golden_kbs()
+    saved = MatchSession(kb1, kb2).save(tmp_path / "snap")
+    matcher = IncrementalMatcher(MatchSession.load(saved))
+    matcher.match()
+    state = ServingState.from_matcher(matcher, generation=1, delta_count=0)
+
+    def built(*args):
+        raise AssertionError("a read built ranked rows")
+
+    monkeypatch.setattr(similarity_module, "ranked_csr", built)
+    monkeypatch.setattr(candidates_module, "pairs_translated_into", built)
+    matched = 0
+    for match in state.matches[:20]:
+        assert handle_candidates(state, match.uri1, None)["match"]
+        record = entity_to_dict(kb1.get(match.uri1))
+        record["uri"] = "urn:query:" + match.uri1
+        matched += handle_resolve(state, {"record": record})["match"] is not None
+    assert matched  # some resolves reached H4's bars
 
 
 @pytest.mark.parametrize("restrict", [True, False])

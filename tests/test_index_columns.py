@@ -479,7 +479,9 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     the merge sorts key columns only, and now that rows are born whole,
     the peak sits in the ranked-row build: 9.3 MB before the row-owned
     kernels, 10.0 MB with them (the operand columns are still
-    referenced there), so the guard is 0.6x of 20.9 MB.
+    referenced there), so the guard is 0.6x of 20.9 MB.  An index now
+    ranks its rows on first read, so a build retains only the pair
+    columns and peaks in the kernels; both guards hold with room.
 
     Before ``from_packed_columns``: the hash-sharded builders peaked at
     8.4 MB here and 111.0 MB at 0.7 scale (partials of ~2.7 rows per
