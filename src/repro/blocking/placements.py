@@ -17,7 +17,7 @@ snapshot load and a delta all hand downstream.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from ..kb.entity import EntityDescription
 from .packed import PackedBlockCollection
@@ -99,6 +99,12 @@ class PlacementTable:
     def entity_keys(self, side: int, uri: str) -> frozenset[str]:
         """The block keys of ``uri`` on ``side`` (empty when absent)."""
         return self._entity_keys[side - 1].get(uri, frozenset())
+
+    def key_members(self, side: int) -> Mapping[str, set[str]]:
+        """The live ``key -> {uris}`` placements of ``side``: read-only,
+        and changed by the next delta — a reader that outlives it copies
+        what it needs."""
+        return self._placements[side - 1]
 
     def rows(self, uris: tuple[list[str], list[str]]) -> tuple[KeyRows, KeyRows]:
         """Both sides' placement rows in the given URI orders (the

@@ -651,7 +651,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _read_records_file(path: str) -> list:
     """Parse ``--records``: a JSON array, or JSON Lines (one per line)."""
-    from .serve.json_codec import DeltaFormatError, entity_from_dict
+    from .kb.io_json import EntityFormatError, entity_from_dict
 
     if path == "-":
         raw = sys.stdin.read()
@@ -675,7 +675,7 @@ def _read_records_file(path: str) -> list:
         raise _UsageError(f"error: bad JSON in {path}: {error}")
     try:
         return [entity_from_dict(entry) for entry in entries]
-    except DeltaFormatError as error:
+    except EntityFormatError as error:
         raise _UsageError(f"error: bad record in {path}: {error}")
 
 

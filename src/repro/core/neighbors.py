@@ -16,6 +16,12 @@ is array-backed like the value index
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+
+import numpy
+
+from ..ids import EntityInterner
 from ..kb.graph import NeighborIndex
 from ..kb.knowledge_base import KnowledgeBase
 from .similarity import PackedSimilarityIndex
@@ -37,6 +43,38 @@ def top_neighbors(kb: KnowledgeBase, relations: list[str]) -> dict[str, set[str]
         if neighbor_uris:
             result[entity.uri] = neighbor_uris
     return result
+
+
+def top_neighbor_csr(
+    top_neighbors: dict[str, set[str]],
+    parents: EntityInterner,
+    value_entities: EntityInterner,
+) -> tuple[array, array]:
+    """CSR ``(starts, value ids)``: per parent id, the ascending value
+    ids of its top neighbors.  Neighbors absent from the value index can
+    never receive a value-pair contribution, so they are dropped here —
+    exactly the pairs a string-keyed reverse index would have missed."""
+    found = (
+        map(value_entities.get, top_neighbors[uri]) for uri in parents.uris()
+    )
+    rows = [sorted(v for v in row if v is not None) for row in found]
+    return (
+        array("q", accumulate(map(len, rows), initial=0)),
+        array("i", chain.from_iterable(rows)),
+    )
+
+
+def transposed_csr(starts, ids, n_targets: int) -> tuple:
+    """The transpose of a CSR ``(starts, ids)``: per target id, the
+    ascending rows listing it."""
+    ids = numpy.asarray(ids)
+    rows = numpy.repeat(
+        numpy.arange(len(starts) - 1, dtype=numpy.int32),
+        numpy.diff(numpy.asarray(starts)),
+    )
+    t_starts = numpy.zeros(n_targets + 1, dtype=numpy.int64)
+    numpy.cumsum(numpy.bincount(ids, minlength=n_targets), out=t_starts[1:])
+    return t_starts, rows[numpy.argsort(ids, kind="stable")]
 
 
 class NeighborSimilarityIndex(PackedSimilarityIndex):

@@ -58,9 +58,11 @@ accordingly:
   good enough to enter that entity's top-k value or (restricted)
   neighbor list.
 
-All derived tables (packed-block columns, name-key maps, the reverse
-top-neighbor index) build lazily on first use and are immutable
-afterwards; a racing double-build produces identical tables, so the
+The resolver reads the run's artifacts only: its derived tables (the
+packed-block columns, H1's name-key maps, the top-neighbor fan-out)
+build once, in the constructor, from the published name placements and
+top-neighbor sets — no KB entity is re-keyed or walked.  Afterwards a
+read writes nothing but two bounded memos of pure functions, so the
 resolver is safe to share across reader threads.
 """
 
@@ -68,24 +70,24 @@ from __future__ import annotations
 
 import heapq
 import operator
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..blocking.base import BlockCollection
 from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
+from ..ids import EntityInterner
 from ..ids.arrays import gathered_candidate_sums, ranked_groups
 from ..kb.tokenizer import Tokenizer
 from .heuristics import Match
-from .neighbors import top_neighbors
+from .neighbors import top_neighbor_csr, transposed_csr
 from .rank_aggregation import top_aggregate_candidate
 from .similarity import block_token_weight
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..blocking.placements import PlacementTable
     from ..kb.entity import EntityDescription
-    from ..kb.knowledge_base import KnowledgeBase
     from ..pipeline.context import PipelineContext
     from .candidates import CandidateIndex, ProbeCache
     from .config import MinoanERConfig
@@ -100,6 +102,15 @@ _BATCH_SHIFT = 32
 #: Bound of the per-resolver target-contribution memo (rows are small;
 #: the cap only matters for adversarial never-repeating target floods).
 _NEIGHBOR_MEMO_LIMIT = 65536
+
+
+def standing_decisions(matches: Iterable[Match], side: int) -> dict[str, Match]:
+    """Each entity's standing decision on ``side``: the first decision
+    emitted for it, mirroring the greedy matching order."""
+    decisions: dict[str, Match] = {}
+    for match in matches:
+        decisions.setdefault(match.uri1 if side == 1 else match.uri2, match)
+    return decisions
 
 
 def match_dict(match: Match | None) -> dict[str, Any] | None:
@@ -164,89 +175,40 @@ def resolve_cache_key(record: "EntityDescription", k: int | None) -> tuple:
     return ("resolve", record.uri, k, record.pairs)
 
 
-@dataclass(frozen=True)
-class _ResolverTables:
-    """The immutable derived state one resolver builds once (lazily)."""
-
-    #: Sorted block-key column (binary-search target).
-    block_keys: tuple[str, ...]
-    #: The packed collection the keys index (for ``row_sizes``).
-    blocks: PackedBlockCollection
-    #: Side-2 CSR columns of the blocks.
-    starts2: Sequence[int]
-    ids2: Sequence[int]
-    #: Block-side-2 id -> candidate URI decode table (ids are URI order,
-    #: so the id doubles as the URI tie-break of the value ranking).
-    uris2: list[str]
-    #: Normalized name keys carried by at least one KB1 entity.
-    names1: frozenset[str] | None
-    #: Normalized name key -> sole KB2 carrier (``None`` = ambiguous).
-    names2: dict[str, str | None] | None
-    #: The record-side top relations (KB1's importance ranking).
-    wanted1: frozenset[str]
-    #: Sorted KB2 entities listing some value-side-2 entity as a top
-    #: neighbor (id == lexicographic rank, so integer order doubles as
-    #: the URI tie-break).
-    parent_uris: list[str]
-    #: The reverse top-neighbor CSR over parent ids:
-    #: ``rev_parents[rev_starts[vid]:rev_starts[vid + 1]]`` lists the
-    #: parents of value id ``vid``, ascending.
-    rev_starts: array
-    rev_parents: array
-
-
 class OnlineResolver:
     """Scores one raw record against a loaded generation of evidence.
 
-    Construction is cheap (references only); the derived tables build
-    on first :meth:`resolve` (or an explicit :meth:`warm`).  The
-    resolver never mutates the indices, the blocks, or the KBs it
+    The constructor builds every derived table, copying what it needs
+    out of the name placements (a matcher mutates them on its next
+    delta).  The resolver never mutates the indices or the blocks it
     reads — it is safe to attach to an immutable published state.
     """
 
     def __init__(
         self,
         *,
-        kb1: "KnowledgeBase",
-        kb2: "KnowledgeBase",
         config: "MinoanERConfig",
+        known1: frozenset[str],
+        decisions1: Mapping[str, Match],
         token_blocks: BlockCollection,
         value_index: "ValueSimilarityIndex",
         neighbor_index: "NeighborSimilarityIndex",
         candidate_index: "CandidateIndex",
-        matches: Iterable[Match] = (),
+        top_neighbors2: dict[str, set[str]],
         top_relations1: Sequence[str] = (),
-        top_relations2: Sequence[str] = (),
         name_attributes1: Sequence[str] | None = None,
-        name_attributes2: Sequence[str] | None = None,
-        top_neighbors2: dict[str, set[str]] | None = None,
-        known1: frozenset[str] | None = None,
+        name_placements: "PlacementTable | None" = None,
     ) -> None:
-        self._kb1 = kb1
-        self._kb2 = kb2
-        # Known-URI checks consult this frozen membership set when given
-        # (serving states pass their publish-time snapshot, so a later
-        # delta to the live KB cannot leak into an older generation);
-        # session use falls back to the live KB.
-        self._known1 = known1 if known1 is not None else kb1
+        # KB1 membership and standing decisions as of the run (a serving
+        # state passes its publish-time ones, so a later delta to the
+        # live KB cannot leak into an older generation).
+        self._known1 = known1
+        self._decisions1 = decisions1
         self._config = config
-        self._token_blocks = token_blocks
         self._value_index = value_index
         self._neighbor_index = neighbor_index
         self._candidate_index = candidate_index
-        decisions: dict[str, Match] = {}
-        for match in matches:
-            decisions.setdefault(match.uri1, match)
-        self._decisions1 = decisions
-        self._top_relations1 = tuple(top_relations1)
-        self._top_relations2 = tuple(top_relations2)
-        self._name_attributes1 = (
-            tuple(name_attributes1) if name_attributes1 is not None else None
-        )
-        self._name_attributes2 = (
-            tuple(name_attributes2) if name_attributes2 is not None else None
-        )
-        self._top_neighbors2 = top_neighbors2
+        self._wanted1 = frozenset(top_relations1)
         self._tokenizer = Tokenizer()
         # The online ladder, once: the known producers in config order,
         # and whether H4 filters their decision.
@@ -254,7 +216,42 @@ class OnlineResolver:
             name for name in config.heuristics if name in ("h1", "h2", "h3")
         )
         self._reciprocal = "h4" in config.heuristics
-        self._tables: _ResolverTables | None = None
+
+        # Value evidence: the packed blocks' sorted key column (the
+        # binary-search target) and side-2 CSR; block ids are URI order,
+        # so an id doubles as the URI tie-break of the value ranking.
+        if not isinstance(token_blocks, PackedBlockCollection):
+            token_blocks = PackedBlockCollection.from_collection(
+                token_blocks.drop_empty()
+            )
+        self._blocks = token_blocks
+        self._starts2, self._ids2 = token_blocks.csr(2)
+        self._uris2 = token_blocks.interners()[1].uris()
+
+        # H1: the name keys some KB1 entity carries, and each KB2 key's
+        # sole carrier (``None`` = shared, never an H1 block).
+        self._names: tuple | None = None
+        if name_placements is not None:
+            self._names = (
+                names_from_attributes(name_attributes1),
+                frozenset(name_placements.key_members(1)),
+                {
+                    key: next(iter(uris)) if len(uris) == 1 else None
+                    for key, uris in name_placements.key_members(2).items()
+                },
+            )
+
+        # Neighbor evidence: per value-side-2 id, the ascending ids of
+        # the KB2 parents listing it as a top neighbor — the transposed
+        # fan-out the neighbor kernel propagates over (parent ids are
+        # URI order, so integer order doubles as the URI tie-break).
+        parents = EntityInterner(top_neighbors2)
+        value2 = value_index.interners()[1]
+        self._parent_uris = parents.uris()
+        self._parent_starts, self._parent_ids = transposed_csr(
+            *top_neighbor_csr(top_neighbors2, parents, value2), len(value2)
+        )
+
         # target URI -> (contribution row, ranked triples).  The
         # evidence is immutable for this resolver's lifetime, so rows
         # never go stale; the cap only bounds memory on adversarial
@@ -269,116 +266,47 @@ class OnlineResolver:
     def from_context(
         cls,
         ctx: "PipelineContext",
-        kb1: "KnowledgeBase",
-        kb2: "KnowledgeBase",
-        known1: frozenset[str] | None = None,
+        known1: frozenset[str],
+        decisions1: Mapping[str, Match] | None = None,
     ) -> "OnlineResolver":
         """A resolver over one finished run's artifact store.
 
         The single construction path shared by :class:`MatchSession`
         and :meth:`ServingState.from_matcher` — both hand over the same
-        artifacts a snapshot would persist.
+        artifacts a snapshot would persist.  ``decisions1`` defaults to
+        the standing decisions of the run's matches.  A context lacking
+        ``top_neighbors2``, or carrying name attributes without the
+        ``name_placements`` they keyed, raises
+        :class:`~repro.pipeline.context.MissingArtifactError`; one
+        without name blocking resolves without H1.
         """
+        if decisions1 is None:
+            decisions1 = standing_decisions(ctx.get_or("matches", ()), 1)
+        has_names = ctx.has("name_attributes1")
         return cls(
-            kb1=kb1,
-            kb2=kb2,
             config=ctx.config,
+            known1=known1,
+            decisions1=decisions1,
             token_blocks=ctx.get("token_blocks"),
             value_index=ctx.get("value_index"),
             neighbor_index=ctx.get("neighbor_index"),
             candidate_index=ctx.get("candidate_index"),
-            matches=ctx.get_or("matches", ()),
+            top_neighbors2=ctx.get("top_neighbors2"),
             top_relations1=ctx.get_or("top_relations1", ()),
-            top_relations2=ctx.get_or("top_relations2", ()),
             name_attributes1=ctx.get_or("name_attributes1"),
-            name_attributes2=ctx.get_or("name_attributes2"),
-            top_neighbors2=ctx.get_or("top_neighbors2"),
-            known1=known1,
+            name_placements=ctx.get("name_placements") if has_names else None,
         )
 
-    # ------------------------------------------------------------------
-    # Lazy derived tables
-    # ------------------------------------------------------------------
     def warm(self) -> None:
-        """Build now what the first request would: the ranked rows of
-        :meth:`probe` and the H4 bars (the largest first, while little
-        else is resident), then the derived tables."""
+        """Rank now the rows the first request would: those of
+        :meth:`probe` and the H4 bars, the largest first, while little
+        else is resident."""
         for index in (
             self._neighbor_index,
             self._value_index,
             self._candidate_index.neighbor_rows(),
         ):
             index.csr_columns(1)
-        self._ensure_tables()
-
-    def _ensure_tables(self) -> _ResolverTables:
-        tables = self._tables
-        if tables is None:
-            # A benign race: concurrent first resolves may build twice,
-            # but the tables are a pure function of immutable inputs,
-            # so whichever assignment wins is equivalent.
-            tables = self._build_tables()
-            self._tables = tables
-        return tables
-
-    def _build_tables(self) -> _ResolverTables:
-        blocks = self._token_blocks
-        if not isinstance(blocks, PackedBlockCollection):
-            blocks = PackedBlockCollection.from_collection(blocks.drop_empty())
-        starts2, ids2 = blocks.csr(2)
-
-        names1 = names2 = None
-        if (
-            self._name_attributes1 is not None
-            and self._name_attributes2 is not None
-        ):
-            extractor1 = names_from_attributes(self._name_attributes1)
-            names1 = frozenset().union(
-                *(name_keys(entity, extractor1) for entity in self._kb1)
-            )
-            names2 = {}
-            extractor2 = names_from_attributes(self._name_attributes2)
-            for entity in self._kb2:
-                for key in name_keys(entity, extractor2):
-                    # a name two entities share is never an H1 block
-                    names2[key] = None if key in names2 else entity.uri
-
-        top_nbrs2 = self._top_neighbors2
-        if top_nbrs2 is None:  # a custom neighbor stage published none
-            top_nbrs2 = top_neighbors(self._kb2, list(self._top_relations2))
-        value2 = self._value_index.interners()[1]
-        reverse2: dict[int, list[str]] = {}
-        # Sorted iteration keeps the accumulation order a pure function
-        # of the map's content, whatever produced it (live KB walk or a
-        # restored snapshot).
-        for uri2 in sorted(top_nbrs2):
-            for neighbor in top_nbrs2[uri2]:
-                neighbor_id = value2.get(neighbor)
-                if neighbor_id is not None:
-                    reverse2.setdefault(neighbor_id, []).append(uri2)
-        parent_uris = sorted(
-            {parent for parents in reverse2.values() for parent in parents}
-        )
-        parent_ids = {uri: pid for pid, uri in enumerate(parent_uris)}
-        rev_starts, rev_parents = array("q", (0,)), array("q")
-        for vid in range(len(value2)):
-            parents = reverse2.get(vid, ())
-            rev_parents.extend(map(parent_ids.__getitem__, parents))
-            rev_starts.append(len(rev_parents))
-
-        return _ResolverTables(
-            block_keys=blocks.block_keys,
-            blocks=blocks,
-            starts2=starts2,
-            ids2=ids2,
-            uris2=blocks.interners()[1].uris(),
-            names1=names1,
-            names2=names2,
-            wanted1=frozenset(self._top_relations1),
-            parent_uris=parent_uris,
-            rev_starts=rev_starts,
-            rev_parents=rev_parents,
-        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -420,7 +348,6 @@ class OnlineResolver:
         record resolves bit-identically alone or in any batch.
         """
         k = self.validated_k(k)
-        tables = self._ensure_tables()
         results: list[ResolveResult | None] = [None] * len(records)
         pending: list[tuple[int, "EntityDescription"]] = []
         span_memo: dict[str, tuple[int, int, float] | None] = {}
@@ -432,7 +359,7 @@ class OnlineResolver:
             if record.uri in self._known1:
                 results[position] = self.probe(record.uri, k)
                 continue
-            spans = self._probe_spans(record, tables, span_memo)
+            spans = self._probe_spans(record, span_memo)
             if spans:
                 # One C-level transpose per record, no per-span tuples
                 # (a batch carries tens of thousands of spans).
@@ -445,10 +372,10 @@ class OnlineResolver:
         if not pending:
             return results  # type: ignore[return-value]
         keys, sums = gathered_candidate_sums(
-            tables.ids2, starts, stops, weights, bases
+            self._ids2, starts, stops, weights, bases
         )
         bounds, ids, sums, ranked = ranked_groups(keys, sums, len(pending), k)
-        uris2 = tables.uris2
+        uris2 = self._uris2
         for index, (position, record) in enumerate(pending):
             lo, hi = bounds[index], bounds[index + 1]
             value_scores = dict(
@@ -456,7 +383,7 @@ class OnlineResolver:
             )
             value_top = [(uris2[ids[j]], sums[j]) for j in ranked[index]]
             results[position] = self._decide(
-                record, k, value_scores, value_top, tables
+                record, k, value_scores, value_top
             )
         return results  # type: ignore[return-value]
 
@@ -475,7 +402,6 @@ class OnlineResolver:
     def _probe_spans(
         self,
         record: "EntityDescription",
-        tables: _ResolverTables,
         memo: dict[str, tuple[int, int, float] | None],
     ) -> list[tuple[int, int, float]]:
         """The record's block rows as ``(start, stop, weight)`` spans.
@@ -484,9 +410,9 @@ class OnlineResolver:
         sum follows); each distinct token resolves to at most one block
         row via binary search over the sorted key column.
         """
-        keys = tables.block_keys
+        keys = self._blocks.block_keys
         n_keys = len(keys)
-        starts2 = tables.starts2
+        starts2 = self._starts2
         spans: list[tuple[int, int, float]] = []
         for token in sorted(self._tokenizer.token_set(record)):
             span = memo.get(token, _UNSEEN)
@@ -499,7 +425,7 @@ class OnlineResolver:
                         span = (
                             lo,
                             hi,
-                            block_token_weight(*tables.blocks.row_sizes(row)),
+                            block_token_weight(*self._blocks.row_sizes(row)),
                         )
                 memo[token] = span
             if span is not None:
@@ -512,12 +438,9 @@ class OnlineResolver:
         k: int,
         value_scores: dict[str, float],
         value_top: list[tuple[str, float]],
-        tables: _ResolverTables,
     ) -> ResolveResult:
         """The online H1–H4 ladder over ranked value evidence."""
-        neighbor_acc, nbr_uris, nbr_scores = self._neighbor_scores(
-            record, tables
-        )
+        neighbor_acc, nbr_uris, nbr_scores = self._neighbor_scores(record)
         config = self._config
         # The memoized row arrives fully ranked: top-k is a slice, and
         # the co-occurrence filter — "scan in rank order, keep
@@ -539,8 +462,8 @@ class OnlineResolver:
         match: Match | None = None
         for name in self._producers:
             if name == "h1":
-                if tables.names1 is not None:
-                    match = self._h1_online(record, tables)
+                if self._names is not None:
+                    match = self._h1_online(record)
             elif name == "h2":
                 if value_top and value_top[0][1] >= 1.0:
                     uri2, vmax = value_top[0]
@@ -574,7 +497,7 @@ class OnlineResolver:
         )
 
     def _neighbor_scores(
-        self, record: "EntityDescription", tables: _ResolverTables
+        self, record: "EntityDescription"
     ) -> tuple[dict[str, float], list[str], list[float]]:
         """The record's neighbor-similarity sums, plus a ranked view.
 
@@ -595,13 +518,13 @@ class OnlineResolver:
             {
                 target
                 for relation, target in record.relation_pairs()
-                if relation in tables.wanted1
+                if relation in self._wanted1
             }
         )
         if not targets:
             return {}, [], []
         if len(targets) == 1:
-            return self._target_contribution(targets[0], tables)
+            return self._target_contribution(targets[0])
         # Multi-target records memoize under the target tuple: a query
         # stream's variants of one source entity share their link set,
         # so the merge + sort happens once per distinct set.
@@ -611,9 +534,7 @@ class OnlineResolver:
         if entry is None:
             acc: dict[str, float] = {}
             for target in targets:
-                row, _uris, _scores = self._target_contribution(
-                    target, tables
-                )
+                row, _uris, _scores = self._target_contribution(target)
                 for parent, sim in row.items():
                     acc[parent] = acc.get(parent, 0.0) + sim
             ranked = sorted(
@@ -629,13 +550,13 @@ class OnlineResolver:
         return entry
 
     def _target_contribution(
-        self, target: str, tables: _ResolverTables
+        self, target: str
     ) -> tuple[dict[str, float], list[str], list[float]]:
         """One target's fan-out row (KB2 parent -> summed value sims)
         and its ranking (parallel uri/score lists), memoized together.
 
         Each ``(vid, sim)`` of the target's ranked value row adds
-        ``sim`` to the parents of ``vid`` in the reverse top-neighbor
+        ``sim`` to the parents of ``vid`` in the transposed top-neighbor
         CSR — a :func:`gathered_candidate_sums` over that CSR, in row
         order — and :func:`ranked_groups` ranks the sums by (-sum,
         parent id), which is (-score, URI) because parent ids are
@@ -646,16 +567,12 @@ class OnlineResolver:
         entry = memo.get(target)
         if entry is None:
             vids, sims = self._value_index.csr_row(1, target)
-            vids = vids.tolist()
-            rev_starts = tables.rev_starts
+            starts = self._parent_starts
             keys, sums = gathered_candidate_sums(
-                tables.rev_parents,
-                [rev_starts[vid] for vid in vids],
-                [rev_starts[vid + 1] for vid in vids],
-                sims,
+                self._parent_ids, starts[vids], starts[1:][vids], sims
             )
             _, parents, sums, (ranked,) = ranked_groups(keys, sums, 1)
-            parent_uris = tables.parent_uris
+            parent_uris = self._parent_uris
             entry = (
                 dict(zip(map(parent_uris.__getitem__, parents), sums)),
                 [parent_uris[parents[j]] for j in ranked],
@@ -665,15 +582,12 @@ class OnlineResolver:
                 memo[target] = entry
         return entry
 
-    def _h1_online(
-        self, record: "EntityDescription", tables: _ResolverTables
-    ) -> Match | None:
+    def _h1_online(self, record: "EntityDescription") -> Match | None:
         """H1 for a query record: a name nobody in KB1 carries, and
         exactly one KB2 entity does.  Name keys scan in sorted order so
         a record with several unique names resolves deterministically,
         mirroring the batch heuristic's sorted-block walk."""
-        extractor = names_from_attributes(self._name_attributes1)
-        names1, names2 = tables.names1, tables.names2
+        extractor, names1, names2 = self._names
         for key in sorted(name_keys(record, extractor)):
             if key in names1:
                 continue
@@ -738,10 +652,9 @@ class OnlineResolver:
         return entry
 
     def __repr__(self) -> str:
-        built = "warm" if self._tables is not None else "cold"
         return (
-            f"OnlineResolver({len(self._kb1)}+{len(self._kb2)} entities, "
-            f"{built})"
+            f"OnlineResolver({len(self._known1)} known, "
+            f"{len(self._uris2)} candidates)"
         )
 
 

@@ -30,13 +30,16 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain
 
 import numpy
 
 from ..blocking.base import BlockCollection
 from ..blocking.packed import PackedBlockCollection
-from ..core.neighbors import NeighborSimilarityIndex
+from ..core.neighbors import (
+    NeighborSimilarityIndex,
+    top_neighbor_csr,
+    transposed_csr,
+)
 from ..core.similarity import ValueSimilarityIndex, block_token_weight
 from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import ragged_indices, shard_ordered_sums
@@ -183,27 +186,6 @@ def _product_index(
     return index
 
 
-def _csr(rows: list[list[int]]) -> tuple[array, array]:
-    """``(starts, ids)`` CSR columns of a list of id lists."""
-    return (
-        array("q", accumulate(map(len, rows), initial=0)),
-        array("i", chain.from_iterable(rows)),
-    )
-
-
-def _transposed(starts, ids, n_targets: int) -> tuple:
-    """The transpose of a CSR ``(starts, ids)``: per target id, the
-    ascending rows listing it."""
-    ids = numpy.asarray(ids)
-    rows = numpy.repeat(
-        numpy.arange(len(starts) - 1, dtype=numpy.int32),
-        numpy.diff(numpy.asarray(starts)),
-    )
-    t_starts = numpy.zeros(n_targets + 1, dtype=numpy.int64)
-    numpy.cumsum(numpy.bincount(ids, minlength=n_targets), out=t_starts[1:])
-    return t_starts, rows[numpy.argsort(ids, kind="stable")]
-
-
 def build_value_index(
     token_blocks: BlockCollection, engine: Executor | None = None
 ) -> ValueSimilarityIndex:
@@ -234,28 +216,13 @@ def build_value_index(
         engine,
         interners,
         n_shards,
-        *_transposed(*token_blocks.csr(1), len(interners[0])),
+        *transposed_csr(*token_blocks.csr(1), len(interners[0])),
         array("q", range(len(keys) + 1)),  # V is diagonal: one entry per
         array("i", range(len(keys))),  # block, naming its own row of B
         *token_blocks.csr(2),
         array("i", (stable_hash(key) % n_shards for key in keys)),
         array("d", weights),
     )
-
-
-def _top_neighbor_csr(
-    top_neighbors: dict[str, set[str]],
-    parents: EntityInterner,
-    value_entities: EntityInterner,
-) -> tuple[array, array]:
-    """CSR ``(starts, value ids)``: per parent id, the ascending value
-    ids of its top neighbors.  Neighbors absent from the value index can
-    never receive a value-pair contribution, so they are dropped here —
-    exactly the pairs a string-keyed reverse index would have missed."""
-    found = (
-        map(value_entities.get, top_neighbors[uri]) for uri in parents.uris()
-    )
-    return _csr([sorted(v for v in row if v is not None) for row in found])
 
 
 def build_neighbor_index(
@@ -295,11 +262,11 @@ def build_neighbor_index(
         engine,
         (parents1, parents2),
         n_shards,
-        *_top_neighbor_csr(top_neighbors1, parents1, value1),
+        *top_neighbor_csr(top_neighbors1, parents1, value1),
         span_starts,
         members,
-        *_transposed(
-            *_top_neighbor_csr(top_neighbors2, parents2, value2), len(value2)
+        *transposed_csr(
+            *top_neighbor_csr(top_neighbors2, parents2, value2), len(value2)
         ),
         shards,
         sims,

@@ -109,10 +109,11 @@ class IncrementalMatcher:
     session's context published (``token_placements`` /
     ``name_placements``) and from then on owns and mutates them: a delta
     places and withdraws entities in them, and a refresh seeds them back
-    into the session beside the blocks assembled from them.  No published
-    generation reads a placement table — a
+    into the session beside the blocks assembled from them.  A
     :class:`~repro.serve.ServingState` holds the assembled blocks and the
-    indices, which a delta never mutates — so the tables need no copy.
+    indices, which a delta never mutates; its resolver reads the name
+    table once, at publish, and keeps a copy of the keys H1 needs — so
+    the tables themselves need no copy.
     """
 
     def __init__(
@@ -134,8 +135,9 @@ class IncrementalMatcher:
         #: Blocking stages whose artifacts a delta reassembled from the
         #: placement tables instead of re-keying any untouched entity.
         self.delta_updates: dict[str, int] = {}
-        #: Applied deltas, oldest first: (op, kb side, uris).
-        self.delta_log: list[tuple[str, int, tuple[str, ...]]] = []
+        #: How many delta batches were applied (a count: a long-lived
+        #: daemon must not keep every batch's URIs alive).
+        self.deltas_applied = 0
         #: The artifact store of the last :meth:`match`.
         self.last_context: "PipelineContext | None" = None
         self._token_keyer = TokenBlockingStage.keyer()
@@ -263,7 +265,7 @@ class IncrementalMatcher:
             self._tokens.add_entity(side, uri, keys)
         for uri, keys in name_rows:
             self._names.add_entity(side, uri, keys)
-        self.delta_log.append(("add", side, tuple(uris)))
+        self.deltas_applied += 1
         self._pending = True
         return len(batch)
 
@@ -293,7 +295,7 @@ class IncrementalMatcher:
             self._tokens.remove_entity(side, uri)
             if self._names is not None:
                 self._names.remove_entity(side, uri)
-        self.delta_log.append(("remove", side, tuple(batch)))
+        self.deltas_applied += 1
         self._pending = True
         return len(batch)
 
@@ -398,5 +400,5 @@ class IncrementalMatcher:
     def __repr__(self) -> str:
         return (
             f"IncrementalMatcher({self.kbs[0].name!r}, {self.kbs[1].name!r}, "
-            f"deltas={len(self.delta_log)})"
+            f"deltas={self.deltas_applied})"
         )

@@ -300,7 +300,7 @@ class MatchSession:
 
             self._cached_reads = CachedResolver(
                 OnlineResolver.from_context(
-                    self.run_context(), self.kb1, self.kb2
+                    self.run_context(), frozenset(self.kb1.uris())
                 ),
                 self._probe_cache,
             )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import signal
 import socket
 import threading
@@ -35,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from ..incremental import IncrementalMatcher
+from ..kb.io_json import EntityFormatError
 from ..obs import Telemetry, prometheus_text
 from ..store import SnapshotError
 from ..testing.failpoints import failpoint
@@ -55,6 +55,10 @@ log = logging.getLogger("repro.serve")
 #: recent traffic, bounded so an unbounded request stream cannot grow
 #: memory (see docs/OBSERVABILITY.md).
 MAX_SPAN_RECORDS = 4096
+
+#: Request body cap: a delta batch measured in tens of MiB is a bulk
+#: load, which belongs in the batch CLI, not an HTTP POST.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ResolutionDaemon:
@@ -554,9 +558,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     daemon: ResolutionDaemon  # set on the subclass build_server creates
-    #: Request body cap: a delta batch measured in tens of MiB is a
-    #: bulk load, which belongs in the batch CLI, not an HTTP POST.
-    max_body_bytes = 64 * 1024 * 1024
     #: ``TCP_NODELAY`` on every accepted socket (``setup`` reads this
     #: from the handler class, not the server): a reply is one segment
     #: and must never wait for the ACK of the one before it.
@@ -611,7 +612,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 span.set(status=error.status)
                 self._send_error(error.status, str(error))
                 return
-            except DeltaFormatError as error:
+            except (DeltaFormatError, EntityFormatError) as error:
                 span.set(status=400)
                 self._send_error(400, str(error))
                 return
@@ -724,9 +725,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if optional:
                 return None
             raise handlers.RequestError(400, "request body required")
-        if length > self.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise handlers.RequestError(
-                413, f"body exceeds {self.max_body_bytes} bytes"
+                413, f"body exceeds {MAX_BODY_BYTES} bytes"
             )
         raw = self.rfile.read(length)
         try:
@@ -774,25 +775,14 @@ def build_server(
     daemon: ResolutionDaemon,
     host: str = "127.0.0.1",
     port: int = 8750,
-    max_body_bytes: int | None = None,
 ) -> ServeHTTPServer:
     """An HTTP server bound to ``host:port`` and wired to ``daemon``.
 
     ``port=0`` binds an ephemeral port (tests); read the actual one
-    from ``server.server_address``.  The request-body cap defaults to
-    the handler's 64 MiB and can be overridden per server or via the
-    ``REPRO_MAX_BODY_BYTES`` environment variable.
+    from ``server.server_address``.
     """
-    if max_body_bytes is None:
-        max_body_bytes = int(
-            os.environ.get(
-                "REPRO_MAX_BODY_BYTES", _RequestHandler.max_body_bytes
-            )
-        )
     handler = type(
-        "BoundRequestHandler",
-        (_RequestHandler,),
-        {"daemon": daemon, "max_body_bytes": max_body_bytes},
+        "BoundRequestHandler", (_RequestHandler,), {"daemon": daemon}
     )
     return ServeHTTPServer((host, port), handler)
 

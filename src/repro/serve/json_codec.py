@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..kb.entity import EntityDescription, Literal, UriRef
+from ..kb.entity import EntityDescription
+from ..kb.io_json import EntityFormatError, entity_from_dict, entity_to_dict
 
 
 class DeltaFormatError(ValueError):
@@ -45,76 +46,6 @@ class DeltaOp:
     @property
     def count(self) -> int:
         return len(self.entities) if self.op == "add" else len(self.uris)
-
-
-def _is_text(value: Any) -> bool:
-    return isinstance(value, str) and value != ""
-
-
-def entity_from_dict(record: Any) -> EntityDescription:
-    """Decode one :func:`repro.kb.io_json.kb_to_dict` entity record.
-
-    The URI, every attribute and every boxed ``lit`` / ``ref`` must be a
-    non-empty string: anything else is refused here, before the record
-    can reach a write-ahead log, a tokenizer or a matcher.
-    """
-    if not isinstance(record, dict) or not _is_text(record.get("uri")):
-        raise DeltaFormatError(
-            "entity record must be an object with a non-empty string "
-            f"'uri': {record!r}"
-        )
-    entity = EntityDescription(record["uri"])
-    pairs = record.get("pairs", [])
-    if not isinstance(pairs, list):
-        raise DeltaFormatError(
-            f"'pairs' of {record['uri']!r} must be a list"
-        )
-    for pair in pairs:
-        if not (
-            isinstance(pair, (list, tuple))
-            and len(pair) == 2
-            and _is_text(pair[0])
-            and isinstance(pair[1], dict)
-        ):
-            raise DeltaFormatError(
-                f"malformed pair for {record['uri']!r}: {pair!r} "
-                "(expected [attribute, {'lit': ...} | {'ref': ...}])"
-            )
-        attribute, boxed = pair
-        if "ref" in boxed:
-            box, value = UriRef, boxed["ref"]
-        elif "lit" in boxed:
-            box, value = Literal, boxed["lit"]
-        else:
-            raise DeltaFormatError(
-                f"malformed value box for {record['uri']!r}: {boxed!r}"
-            )
-        if not _is_text(value):
-            raise DeltaFormatError(
-                f"value box of {record['uri']!r} must hold a non-empty "
-                f"string: {boxed!r}"
-            )
-        entity.add(attribute, box(value))
-    return entity
-
-
-def entity_to_dict(entity: EntityDescription) -> dict:
-    """Encode one entity back into the request grammar above.
-
-    The exact inverse of :func:`entity_from_dict` — the write-ahead log
-    stores operation batches in the wire format, so programmatic
-    ``apply_delta`` callers (no HTTP body to reuse) need this to produce
-    replayable records.
-    """
-    pairs = []
-    for attribute, value in entity:
-        box = (
-            {"ref": str(value)}
-            if isinstance(value, UriRef)
-            else {"lit": str(value)}
-        )
-        pairs.append([attribute, box])
-    return {"uri": entity.uri, "pairs": pairs}
 
 
 def delta_to_payload(ops: tuple[DeltaOp, ...]) -> list[dict]:
@@ -175,15 +106,11 @@ def parse_delta(payload: Any) -> tuple[DeltaOp, ...]:
                 raise DeltaFormatError(
                     f"ops[{index}] (add) needs a non-empty 'entities' list"
                 )
-            parsed.append(
-                DeltaOp(
-                    op="add",
-                    kb=kb,
-                    entities=tuple(
-                        entity_from_dict(record) for record in records
-                    ),
-                )
-            )
+            try:
+                entities = tuple(map(entity_from_dict, records))
+            except EntityFormatError as error:
+                raise DeltaFormatError(str(error)) from None
+            parsed.append(DeltaOp(op="add", kb=kb, entities=entities))
         else:
             uris = op.get("uris")
             if (

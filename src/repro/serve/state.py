@@ -26,7 +26,12 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from ..core.candidates import ProbeCache
-from ..core.resolve import CachedResolver, OnlineResolver, ResolveResult
+from ..core.resolve import (
+    CachedResolver,
+    OnlineResolver,
+    ResolveResult,
+    standing_decisions,
+)
 from ..pipeline.digest import artifact_digest
 from ..pipeline.session import PROBE_CACHE_SIZE
 
@@ -72,6 +77,7 @@ class ServingState:
         value_index: "ValueSimilarityIndex",
         neighbor_index: "NeighborSimilarityIndex",
         matches: tuple["Match", ...],
+        decisions1: dict[str, "Match"],
         uris1: frozenset[str],
         uris2: frozenset[str],
         config: Any,
@@ -83,15 +89,8 @@ class ServingState:
         self.value_index = value_index
         self.neighbor_index = neighbor_index
         self.matches = matches
-        # First-wins maps mirror the greedy matching order: the first
-        # decision emitted for an entity is its standing decision.
-        decisions1: dict[str, "Match"] = {}
-        decisions2: dict[str, "Match"] = {}
-        for match in matches:
-            decisions1.setdefault(match.uri1, match)
-            decisions2.setdefault(match.uri2, match)
         self.decisions1 = decisions1
-        self.decisions2 = decisions2
+        self.decisions2 = standing_decisions(matches, 2)
         self.uris1 = uris1
         self.uris2 = uris2
         self.config = config
@@ -126,17 +125,20 @@ class ServingState:
         matches = ctx.get("matches")
         kb1, kb2 = matcher.kbs
         uris1 = frozenset(kb1.uris())
-        # The resolver snapshots KB1 membership and builds its derived
-        # tables eagerly: once published, a state never reads the live
-        # KBs again, so later deltas cannot leak into this generation
-        # (and the first /resolve request is already warm).
-        resolver = OnlineResolver.from_context(ctx, kb1, kb2, known1=uris1)
+        decisions1 = standing_decisions(matches, 1)
+        # The state and its resolver share one KB1 membership set and
+        # one decisions map, taken now: once published, a state never
+        # reads the live KBs or the matcher's tables again, so later
+        # deltas cannot leak into this generation (and warming ranks the
+        # rows the first /resolve request would).
+        resolver = OnlineResolver.from_context(ctx, uris1, decisions1)
         resolver.warm()
         return cls(
             generation=generation,
             value_index=ctx.get("value_index"),
             neighbor_index=ctx.get("neighbor_index"),
             matches=tuple(matches),
+            decisions1=decisions1,
             uris1=uris1,
             uris2=frozenset(kb2.uris()),
             config=matcher.config,

@@ -12,7 +12,9 @@ from array import array
 from typing import Callable, Iterable, TypeVar
 
 from repro.blocking.base import Block
+from repro.blocking.name_blocking import name_keys, names_from_attributes
 from repro.core.candidates import CandidateLists
+from repro.core.heuristics import Match
 from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
@@ -281,6 +283,36 @@ def resolve_rows_by_uri(
         tuple(ranked(neighbor)[:k]),
         value_rows[0] if value_rows else None,
     )
+
+
+def h1_names_by_kb_walk(kb1, kb2, name_attributes1, name_attributes2):
+    """Online H1's tables, derived by re-keying every entity of both KBs:
+    the name keys some KB1 entity carries, and per KB2 name key its sole
+    carrier (``None`` when two or more KB2 entities share it).
+
+    The online resolver built these from the live KBs until it read them
+    off the published name placements instead; kept as their reference.
+    """
+    extractor1 = names_from_attributes(name_attributes1)
+    names1 = frozenset().union(*(name_keys(e, extractor1) for e in kb1))
+    names2: dict[str, str | None] = {}
+    extractor2 = names_from_attributes(name_attributes2)
+    for entity in kb2:
+        for key in name_keys(entity, extractor2):
+            names2[key] = None if key in names2 else entity.uri
+    return names1, names2
+
+
+def h1_match_by_kb_walk(record, names, name_attributes1):
+    """A never-seen record's online H1 decision over
+    :func:`h1_names_by_kb_walk`'s tables: its first name key, in sorted
+    order, that no KB1 entity carries and exactly one KB2 entity does."""
+    names1, names2 = names
+    extractor = names_from_attributes(name_attributes1)
+    for key in sorted(name_keys(record, extractor)):
+        if key not in names1 and names2.get(key) is not None:
+            return Match(record.uri, names2[key], "H1")
+    return None
 
 
 def h4_bars_by_uri(

@@ -307,10 +307,32 @@ class TestIncrementalMatcherSurface:
         matcher.match()
         matcher.remove_entities(1, ["a2"])
         matcher.match()
-        assert matcher.delta_log == [("remove", 1, ("a2",))]
+        assert matcher.deltas_applied == 1
         counters = matcher.counters()
         assert counters["delta_updated"]["token_blocking"] >= 1
         assert counters["recomputed"]["matching"] == 2
+
+    def test_applied_batches_leave_no_growing_container(self):
+        """A daemon applies deltas for its whole life: the matcher counts
+        batches instead of keeping them, so after 5 and after 50 batches
+        every container it holds has the same size."""
+        matcher = self.make_matcher()
+        matcher.match()
+        entity = matcher.kbs[0]["a2"]
+        sizes = {}
+        for batch in range(1, 51):
+            if batch % 2:
+                matcher.remove_entities(1, ["a2"])
+            else:
+                matcher.add_entities(1, [entity])
+            if batch in (5, 50):
+                sizes[batch] = {
+                    name: len(value)
+                    for name, value in vars(matcher).items()
+                    if isinstance(value, (list, tuple, dict, set))
+                }
+                assert repr(matcher).endswith(f"deltas={batch})")
+        assert sizes[5] == sizes[50]
 
     def test_empty_add_is_a_noop(self):
         matcher = self.make_matcher()

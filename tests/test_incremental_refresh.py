@@ -235,6 +235,16 @@ def test_state_held_across_two_deltas_answers_byte_identically(dataset):
         {"record": entity_to_dict(query.record), "k": 5}
         for query in query_stream(dataset, 12, 0.3, seed=5)
     ]
+    # Every literal of the KB2 entities the second delta removes, as a
+    # name of a never-seen record: H1 decides some of them before it and
+    # none after, so the freeze must cover H1's tables too.
+    gone = sorted(kb2.uris())[:2]
+    name = matcher.last_context.get("name_attributes1")[0]
+    texts = [text for uri in gone for _, text in kb2[uri].literal_pairs()]
+    bodies += [
+        {"record": {"uri": f"urn:h1:{at}", "pairs": [[name, {"lit": text}]]}}
+        for at, text in enumerate(texts)
+    ]
 
     def replies(state):
         out = [handlers.handle_candidates(state, uri, 5) for uri in uris]
@@ -243,6 +253,7 @@ def test_state_held_across_two_deltas_answers_byte_identically(dataset):
         return json.dumps(out, sort_keys=True).encode("utf-8")
 
     expected = replies(twin)
+    assert b'"heuristic": "H1"' in expected
     daemon.apply_delta(
         parse_delta(
             {
@@ -258,7 +269,7 @@ def test_state_held_across_two_deltas_answers_byte_identically(dataset):
     )
     daemon.apply_delta(
         parse_delta(
-            {"ops": [{"op": "remove", "kb": "kb2", "uris": sorted(kb2.uris())[:2]}]}
+            {"ops": [{"op": "remove", "kb": "kb2", "uris": gone}]}
         )
     )
     current = daemon.state()

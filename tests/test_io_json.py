@@ -1,6 +1,7 @@
 """Unit tests for the JSON KB serialization."""
 
 import io
+import json
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.kb import (
     read_json,
     write_json,
 )
+from repro.kb.io_json import EntityFormatError, entity_from_dict, entity_to_dict
 
 
 def make_kb():
@@ -48,6 +50,41 @@ class TestDictConversion:
 
     def test_missing_name_defaults(self):
         assert kb_from_dict({"entities": []}).name == "KB"
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"uri": "u", "pairs": [["p", {"lit": 5}]]}, "'u'"),
+            ({"uri": "u", "pairs": [["p", {"ref": ["v"]}]]}, "'u'"),
+            ({"uri": "u", "pairs": [["p", {"lit": ""}]]}, "'u'"),
+            ({"uri": "u", "pairs": [[3, {"lit": "x"}]]}, "'u'"),
+            ({"uri": "u", "pairs": "p"}, "'u'"),
+            ({"pairs": [["p", {"lit": "x"}]]}, "'pairs'"),
+            ({"uri": 7}, "'uri': 7"),
+        ],
+    )
+    def test_malformed_record_is_refused_by_name(self, record, named):
+        """A record the grammar does not allow raises a ValueError
+        subclass naming it — never a KeyError, and never later, in the
+        tokenizer."""
+        with pytest.raises(EntityFormatError) as refused:
+            kb_from_dict({"name": "X", "entities": [record]})
+        assert named in str(refused.value)
+
+    def test_malformed_file_is_refused(self, tmp_path):
+        path = tmp_path / "kb.json"
+        record = {"uri": "u", "pairs": [["p", {"lit": 5}]]}
+        path.write_text(json.dumps({"entities": [record]}))
+        with pytest.raises(ValueError, match="'u'"):
+            read_json(path)
+
+    def test_one_codec_for_kb_files_and_requests(self):
+        from repro.serve import json_codec
+
+        assert json_codec.entity_from_dict is entity_from_dict
+        assert json_codec.entity_to_dict is entity_to_dict
+        kb = make_kb()
+        assert kb_to_dict(kb)["entities"] == list(map(entity_to_dict, kb))
 
 
 class TestFileIo:

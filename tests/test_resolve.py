@@ -42,7 +42,11 @@ from repro.serve import (
 )
 from repro.serve.json_codec import entity_to_dict
 
-from oracles import resolve_rows_by_uri
+from oracles import (
+    h1_match_by_kb_walk,
+    h1_names_by_kb_walk,
+    resolve_rows_by_uri,
+)
 from test_pipeline import make_pair
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,7 +264,7 @@ class TestResolveOracle:
             pairs = [("name", " ".join(vocabulary[t] for t in tokens))]
             pairs += [(relations[r], UriRef(targets[t])) for r, t in links]
             records.append(EntityDescription(f"urn:oracle:{index}", pairs))
-        resolver = OnlineResolver.from_context(ctx, data.kb1, data.kb2)
+        resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
         tokenizer = Tokenizer()
         for record, result in zip(records, resolver.resolve_batch(records, k)):
             assert result.known is False
@@ -275,6 +279,88 @@ class TestResolveOracle:
                     k,
                 )
             )
+
+
+# ----------------------------------------------------------------------
+# Online H1 == re-keying both KBs (the reference derivation)
+# ----------------------------------------------------------------------
+def h1_records(tables, attributes):
+    """Records whose names are unique in KB2, shared in KB2, carried by
+    KB1 or absent — each name under each given attribute — plus one
+    carrying a KB1 name beside a unique one, from every table pair."""
+    picked = {"absent": ["qqzzv vvzzq"]}
+    for names1, names2 in tables:
+        for key, sole in sorted(names2.items()):
+            kind = "kb1" if key in names1 else "unique" if sole else "shared"
+            picked.setdefault(kind, []).append(key)
+        picked.setdefault("kb1", []).extend(sorted(names1)[:3])
+    assert set(picked) == {"absent", "kb1", "unique", "shared"}
+    keys = sorted({key for kind in picked.values() for key in kind[:4]})
+    pairs = [[(a, key)] for key in keys for a in attributes]
+    first = attributes[0]
+    pairs.append([(first, picked["kb1"][0]), (first, picked["unique"][0])])
+    return [
+        EntityDescription(f"urn:h1:{index}", row)
+        for index, row in enumerate(pairs)
+    ]
+
+
+class TestH1Oracle:
+    def test_session_and_every_delta_generation(self):
+        """Online H1 decisions equal :func:`h1_match_by_kb_walk` — on a
+        cold session, and on each published generation of a delta
+        sequence whose remove moves KB1's name attributes and whose
+        re-add moves them back (restaurant 0.15, seed 7: the first two
+        sorted KB1 URIs).  Every state answers after the whole sequence,
+        so each generation's tables must have been frozen at publish."""
+        data = generate_benchmark("restaurant", 0.15, 7)
+        kb1, kb2 = data.kb1.copy(), data.kb2.copy()
+        config = MinoanERConfig(heuristics=("h1",))
+        matcher = IncrementalMatcher(MatchSession(kb1, kb2, config))
+        removed = sorted(kb1.uris())[:2]
+        held = [kb1[uri] for uri in removed]
+        steps = [
+            lambda: None,
+            lambda: matcher.remove_entities("kb1", removed),
+            lambda: matcher.add_entities("kb1", held),
+        ]
+        generations = []
+        for generation, step in enumerate(steps, start=1):
+            step()
+            matcher.match()
+            ctx = matcher.last_context
+            attributes = (
+                ctx.get("name_attributes1"),
+                ctx.get("name_attributes2"),
+            )
+            generations.append(
+                (
+                    ServingState.from_matcher(
+                        matcher, generation=generation, delta_count=0
+                    ),
+                    attributes,
+                    h1_names_by_kb_walk(kb1, kb2, *attributes),
+                )
+            )
+        moved = {tuple(attrs[0]) for _, attrs, _ in generations}
+        assert len(moved) == 2  # the delta did move the name attributes
+        records = h1_records(
+            [names for _, _, names in generations],
+            sorted({a for attrs in moved for a in attrs}),
+        )
+        cold = MatchSession(data.kb1, data.kb2, config)
+        served = [(cold, *generations[0][1:])] + generations
+        decided = set()
+        for state, attributes, names in served:
+            results = state.resolve_batch(records)
+            expected = [
+                h1_match_by_kb_walk(record, names, attributes[0])
+                for record in records
+            ]
+            assert [r.match for r in results] == expected
+            decided.add(tuple(match is None for match in expected))
+        assert all(False in outcome and True in outcome for outcome in decided)
+        assert len(decided) > 1  # the generations decide differently
 
 
 # ----------------------------------------------------------------------
@@ -580,52 +666,79 @@ class TestResolverInternals:
         session = MatchSession(kb1, kb2)
         session.match()
         resolver = OnlineResolver.from_context(
-            session.run_context(), kb1, kb2, known1=frozenset(kb1.uris())
+            session.run_context(), frozenset(kb1.uris())
         )
         resolver.warm()
         kb1.new_entity("a9").add_literal("name", "late arrival")
         result = resolver.resolve(EntityDescription("a9", kb1["a9"].pairs))
         assert result.known is False
 
-    def test_published_top_neighbors_spare_the_kb_walk(
-        self, numpy_arm, monkeypatch
-    ):
-        """``from_context`` hands the resolver the ``top_neighbors2`` the
-        neighbor-index stage published, so building its tables walks no
-        KB; a context without the artifact (a custom neighbor stage)
-        falls back to the walk — and answers byte-identically."""
-        import json
+    def test_construction_reads_no_kb_entity(self, numpy_arm, monkeypatch):
+        """Building and warming a resolver keys and walks no KB entity:
+        H1's tables come from the published ``name_placements``, the
+        fan-out from the published ``top_neighbors2``; resolving keys
+        only the records.  A context lacking either artifact is refused
+        by name, and one without name blocking resolves without H1."""
+        from importlib import import_module
 
-        from repro.core import resolve as resolve_module
+        from repro.pipeline import MissingArtifactError
         from repro.pipeline.context import PipelineContext
 
         kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
         kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
         held_out = [kb1.remove(uri) for uri in sorted(kb1.uris())[:20]]
-        records = held_out + [kb1[uri] for uri in sorted(kb1.uris())[:5]]
         ctx = MatchSession(kb1, kb2).run_context()
-        bare = PipelineContext(kb1, kb2, ctx.config)
-        for artifact in ctx:
-            if artifact.key != "top_neighbors2":
-                bare.put(artifact.key, artifact.value, artifact.producer)
+        known1 = frozenset(kb1.uris())
 
-        walks = []
-        walk = resolve_module.top_neighbors
-        monkeypatch.setattr(
-            resolve_module,
-            "top_neighbors",
-            lambda *args: walks.append(args) or walk(*args),
+        name_blocking, neighbors, resolve_module = map(
+            import_module,
+            (
+                "repro.blocking.name_blocking",
+                "repro.core.neighbors",
+                "repro.core.resolve",
+            ),
         )
+        keyed, walked = [], []
+        real = name_blocking.name_keys
+        for module in (name_blocking, resolve_module):
+            monkeypatch.setattr(
+                module,
+                "name_keys",
+                lambda entity, extractor: keyed.append(entity)
+                or real(entity, extractor),
+                raising=False,
+            )
+        for module in (neighbors, resolve_module):
+            monkeypatch.setattr(
+                module,
+                "top_neighbors",
+                lambda *args: walked.append(args),
+                raising=False,
+            )
+        resolver = OnlineResolver.from_context(ctx, known1)
+        resolver.warm()
+        assert (keyed, walked) == ([], [])
+        results = resolver.resolve_batch(held_out, 5)
+        assert keyed and all(
+            any(entity is record for record in held_out) for entity in keyed
+        )
+        assert walked == []
+        assert any(r.match for r in results)  # the records did resolve
 
-        def payloads(context):
-            resolver = OnlineResolver.from_context(context, kb1, kb2)
-            resolver.warm()
-            single = [resolver.resolve(r, 5).as_dict() for r in records]
-            batch = [r.as_dict() for r in resolver.resolve_batch(records, 5)]
-            return json.dumps([single, batch]).encode("utf-8")
+        def without(*missing):
+            bare = PipelineContext(kb1, kb2, ctx.config)
+            for artifact in ctx:
+                if artifact.key not in missing:
+                    bare.put(artifact.key, artifact.value, artifact.producer)
+            return bare
 
-        handed = payloads(ctx)
-        assert walks == []
-        assert payloads(bare) == handed
-        assert len(walks) == 1
-        assert b'"heuristic"' in handed  # the records did resolve
+        for missing in ("top_neighbors2", "name_placements"):
+            with pytest.raises(MissingArtifactError) as refused:
+                OnlineResolver.from_context(without(missing), known1)
+            assert refused.value.key == missing
+        nameless = OnlineResolver.from_context(
+            without("name_placements", "name_attributes1", "name_attributes2"),
+            known1,
+        ).resolve_batch(held_out, 5)
+        assert [r.value for r in nameless] == [r.value for r in results]
+        assert not any(r.match and r.match.heuristic == "H1" for r in nameless)
