@@ -6,9 +6,10 @@ two orders) and H4 (reciprocity: a match must appear in the other side's
 lists too).
 
 Both lists are the first ``K`` ids of a ranked CSR row; only those
-≤ 2·``K`` ids are decoded to URIs.  Restricted to candidates that also
-share a token block (the conference H3), the neighbor list reads the
-:func:`cooccurring_neighbor_index`, as do the online H4 bars.
+≤ 2·``K`` ids are decoded to URIs.  Under the conference H3 the neighbor
+index they are cut from is already the :func:`cooccurring_neighbor_index`
+(the neighbor stage publishes only that), so the lists keep candidates
+that also share a token block with the entity.
 """
 
 from __future__ import annotations
@@ -141,13 +142,11 @@ class CandidateIndex:
     ----------
     value_index / neighbor_index:
         The sparse similarity maps computed from the token blocks.
+        The neighbor index is the one the run published: the
+        co-occurring pairs only under the conference H3, every pair under
+        the journal version.
     k:
         List length cap (the paper's K=15).
-    restrict_neighbors_to_cooccurring:
-        When true (the conference paper's reading), the neighbor list only
-        keeps candidates that also co-occur with the entity in the token
-        blocks; the journal version admits purely neighbor-derived
-        candidates.
     """
 
     def __init__(
@@ -155,17 +154,12 @@ class CandidateIndex:
         value_index: ValueSimilarityIndex,
         neighbor_index: NeighborSimilarityIndex,
         k: int,
-        restrict_neighbors_to_cooccurring: bool = True,
     ) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self._value_index = value_index
         self._neighbor_index = neighbor_index
-        # restricted: the co-occurring sub-index, built on first read
-        self._neighbor_rows = (
-            None if restrict_neighbors_to_cooccurring else neighbor_index
-        )
         self._cache1: dict[str, CandidateLists] = {}
         self._cache2: dict[str, CandidateLists] = {}
 
@@ -188,20 +182,9 @@ class CandidateIndex:
             self._cache2[uri2] = cached
         return cached
 
-    def neighbor_rows(self) -> NeighborSimilarityIndex:
-        """The index whose ranked rows the neighbor lists are cut from:
-        restricted, the :func:`cooccurring_neighbor_index` (built once,
-        on first call — the same benign race as the ranked rows);
-        otherwise the full neighbor index."""
-        if self._neighbor_rows is None:
-            self._neighbor_rows = cooccurring_neighbor_index(
-                self._value_index, self._neighbor_index
-            )
-        return self._neighbor_rows
-
     def _build(self, uri: str, side: int) -> CandidateLists:
         value_ids, _ = self._value_index.csr_row(side, uri, self.k)
-        neighbor_ids, _ = self.neighbor_rows().csr_row(side, uri, self.k)
+        neighbor_ids, _ = self._neighbor_index.csr_row(side, uri, self.k)
         value_decode = self._value_index.interners()[2 - side].uris()
         neighbor_decode = self._neighbor_index.interners()[2 - side].uris()
         return CandidateLists(

@@ -57,7 +57,10 @@ class MinoanERConfig:
     purge_token_blocks: bool = True
     #: Restrict H3 candidates to pairs co-occurring in token blocks, as the
     #: conference paper describes (the journal version also admits
-    #: neighbor-derived candidates that never share a token).
+    #: neighbor-derived candidates that never share a token).  Restricted,
+    #: the neighbor stage publishes only the neighbor pairs that are also
+    #: value pairs — all that H3, H4, the online H4 bars and a KB1
+    #: entity's served neighbor rows read — and keeps no full index.
     restrict_h3_to_cooccurring: bool = True
 
     # ------------------------------------------------------------------

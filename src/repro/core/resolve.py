@@ -89,7 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..blocking.placements import PlacementTable
     from ..kb.entity import EntityDescription
     from ..pipeline.context import PipelineContext
-    from .candidates import CandidateIndex, ProbeCache
+    from .candidates import ProbeCache
     from .config import MinoanERConfig
     from .neighbors import NeighborSimilarityIndex
     from .similarity import ValueSimilarityIndex
@@ -144,7 +144,10 @@ class ResolveResult:
     known: bool
     #: Ranked (E2 uri, value similarity) rows, best first, top-k.
     value: tuple[tuple[str, float], ...]
-    #: Ranked (E2 uri, neighbor similarity) rows, best first, top-k.
+    #: Ranked (E2 uri, neighbor similarity) rows, best first, top-k: a
+    #: known entity's rows of the published neighbor index (under the
+    #: conference H3 only candidates it shares a value pair with), a
+    #: never-seen record's every scored candidate.
     neighbor: tuple[tuple[str, float], ...]
     #: The best value counterpart (H2's vmax), unrestricted by k.
     best: tuple[str, float] | None
@@ -193,7 +196,6 @@ class OnlineResolver:
         token_blocks: BlockCollection,
         value_index: "ValueSimilarityIndex",
         neighbor_index: "NeighborSimilarityIndex",
-        candidate_index: "CandidateIndex",
         top_neighbors2: dict[str, set[str]],
         top_relations1: Sequence[str] = (),
         name_attributes1: Sequence[str] | None = None,
@@ -207,7 +209,6 @@ class OnlineResolver:
         self._config = config
         self._value_index = value_index
         self._neighbor_index = neighbor_index
-        self._candidate_index = candidate_index
         self._wanted1 = frozenset(top_relations1)
         self._tokenizer = Tokenizer()
         # The online ladder, once: the known producers in config order,
@@ -290,7 +291,6 @@ class OnlineResolver:
             token_blocks=ctx.get("token_blocks"),
             value_index=ctx.get("value_index"),
             neighbor_index=ctx.get("neighbor_index"),
-            candidate_index=ctx.get("candidate_index"),
             top_neighbors2=ctx.get("top_neighbors2"),
             top_relations1=ctx.get_or("top_relations1", ()),
             name_attributes1=ctx.get_or("name_attributes1"),
@@ -299,13 +299,8 @@ class OnlineResolver:
 
     def warm(self) -> None:
         """Rank now the rows the first request would: those of
-        :meth:`probe` and the H4 bars, the largest first, while little
-        else is resident."""
-        for index in (
-            self._neighbor_index,
-            self._value_index,
-            self._candidate_index.neighbor_rows(),
-        ):
+        :meth:`probe` and the H4 bars, the neighbor index first."""
+        for index in (self._neighbor_index, self._value_index):
             index.csr_columns(1)
 
     # ------------------------------------------------------------------
@@ -640,9 +635,7 @@ class OnlineResolver:
         entry = memo.get(key)
         if entry is None:
             _, value_sims = self._value_index.csr_row(2, uri2, k)
-            _, neighbor_sims = (
-                self._candidate_index.neighbor_rows().csr_row(2, uri2, k)
-            )
+            _, neighbor_sims = self._neighbor_index.csr_row(2, uri2, k)
             entry = (
                 value_sims[-1] if len(value_sims) == k else None,
                 neighbor_sims[-1] if len(neighbor_sims) == k else None,

@@ -25,8 +25,10 @@ from ..ids import PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import canonical_pair_columns
 from .context import PipelineContext
 
-#: ``digest_schema`` of a manifest whose index digests are column digests.
-DIGEST_SCHEMA = 2
+#: ``digest_schema`` a save writes: from 2 the index digests are column
+#: digests, from 3 the neighbor columns hold the index the run
+#: published (only the co-occurring pairs under the conference H3).
+DIGEST_SCHEMA = 3
 
 #: Context artifacts digests are computed for, in pipeline order.  The
 #: seeded KBs (inputs, not products) and the candidate index (a lazy
@@ -111,7 +113,7 @@ def artifact_digest(value: Any) -> str:
     uris1, uris2, keys, sims = canonical_pair_columns(
         *value.packed_columns(), *value.interners()
     )
-    hasher = hashlib.sha256(b"repro-digest/%d" % DIGEST_SCHEMA)
+    hasher = hashlib.sha256(b"repro-digest/2")
     for uris in (uris1, uris2):
         hasher.update(len(uris).to_bytes(8, "little"))
         for encoded in map(str.encode, uris):

@@ -36,7 +36,7 @@ from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.placements import KeysOf, PlacementTable, entity_key_rows
 from ..blocking.purging import purge_decision_from_sizes
 from ..blocking.token_blocking import token_keys
-from ..core.candidates import CandidateIndex
+from ..core.candidates import CandidateIndex, cooccurring_neighbor_index
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
@@ -190,9 +190,12 @@ class ValueIndexStage(Stage):
 class NeighborIndexStage(Stage):
     """Top relations per KB and the propagated ``neighborNSim`` index.
 
-    The per-entity top-neighbor sets the index is propagated over are
-    published too (``top_neighbors1/2``): the online resolver and the
-    snapshot store read them instead of walking the KBs again.
+    Under the conference H3 (``restrict_h3_to_cooccurring``) the stage
+    publishes only the neighbor pairs that are also value pairs — every
+    pair H3, H4 and the online H4 bars read — and drops the full product
+    here.  The per-entity top-neighbor sets the index is propagated over
+    are published too (``top_neighbors1/2``): the online resolver and
+    the snapshot store read them instead of walking the KBs again.
     """
 
     name = "neighbor_index"
@@ -205,17 +208,18 @@ class NeighborIndexStage(Stage):
         "top_neighbors1",
         "top_neighbors2",
     )
-    config_fields = ("top_n_relations",)
+    config_fields = ("top_n_relations", "restrict_h3_to_cooccurring")
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        n = ctx.config.top_n_relations
-        relations1 = top_relations(ctx.kb1, n)
-        relations2 = top_relations(ctx.kb2, n)
+        config = ctx.config
+        relations1 = top_relations(ctx.kb1, config.top_n_relations)
+        relations2 = top_relations(ctx.kb2, config.top_n_relations)
         neighbors1 = top_neighbors(ctx.kb1, relations1)
         neighbors2 = top_neighbors(ctx.kb2, relations2)
-        index = build_neighbor_index(
-            ctx.get("value_index"), neighbors1, neighbors2, engine
-        )
+        value_index = ctx.get("value_index")
+        index = build_neighbor_index(value_index, neighbors1, neighbors2, engine)
+        if config.restrict_h3_to_cooccurring:
+            index = cooccurring_neighbor_index(value_index, index)
         ctx.put("neighbor_index", index, producer=self.name)
         ctx.put("top_relations1", relations1, producer=self.name)
         ctx.put("top_relations2", relations2, producer=self.name)
@@ -230,15 +234,13 @@ class CandidateStage(Stage):
     group = "indexing"
     requires = ("value_index", "neighbor_index")
     provides = ("candidate_index",)
-    config_fields = ("top_k_candidates", "restrict_h3_to_cooccurring")
+    config_fields = ("top_k_candidates",)
 
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        config = ctx.config
         index = CandidateIndex(
             ctx.get("value_index"),
             ctx.get("neighbor_index"),
-            k=config.top_k_candidates,
-            restrict_neighbors_to_cooccurring=config.restrict_h3_to_cooccurring,
+            k=ctx.config.top_k_candidates,
         )
         ctx.put("candidate_index", index, producer=self.name)
 

@@ -37,7 +37,6 @@ from ..pipeline.session import PROBE_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.heuristics import Match
-    from ..core.neighbors import NeighborSimilarityIndex
     from ..core.similarity import ValueSimilarityIndex
     from ..incremental.matcher import IncrementalMatcher
 
@@ -57,7 +56,6 @@ class ServingState:
     __slots__ = (
         "generation",
         "value_index",
-        "neighbor_index",
         "matches",
         "decisions1",
         "decisions2",
@@ -75,7 +73,6 @@ class ServingState:
         *,
         generation: int,
         value_index: "ValueSimilarityIndex",
-        neighbor_index: "NeighborSimilarityIndex",
         matches: tuple["Match", ...],
         decisions1: dict[str, "Match"],
         uris1: frozenset[str],
@@ -87,7 +84,6 @@ class ServingState:
     ) -> None:
         self.generation = generation
         self.value_index = value_index
-        self.neighbor_index = neighbor_index
         self.matches = matches
         self.decisions1 = decisions1
         self.decisions2 = standing_decisions(matches, 2)
@@ -136,7 +132,6 @@ class ServingState:
         return cls(
             generation=generation,
             value_index=ctx.get("value_index"),
-            neighbor_index=ctx.get("neighbor_index"),
             matches=tuple(matches),
             decisions1=decisions1,
             uris1=uris1,

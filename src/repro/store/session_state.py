@@ -14,9 +14,11 @@ uses:
   ids and the purging report;
 - both **similarity indices** as interner URI columns (ascending) plus
   their two in-memory pair columns as they are (``int64`` packed keys
-  strictly ascending, ``float64`` similarities); a load wraps the
-  restored columns — mapped pages under ``mode="mmap"`` — without
-  boxing them, and rebuilds the ranked CSR rows deterministically;
+  strictly ascending, ``float64`` similarities) — the neighbor index as
+  the run published it, so only its co-occurring pairs under the
+  conference H3; a load wraps the restored columns — mapped pages under
+  ``mode="mmap"`` — without boxing them, and rebuilds the ranked CSR
+  rows deterministically;
 - **top-neighbor sets** per side as CSR over the KB URI columns, the
   discovered name attributes and top relations;
 - the **decision artifacts** (matches, pre-H4 matches, H4 discards) and
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..blocking.placements import KeyRows, PlacementTable
 from ..blocking.purging import DEFAULT_GAIN_FACTOR, PurgingReport
-from ..core.candidates import CandidateIndex
+from ..core.candidates import CandidateIndex, cooccurring_neighbor_index
 from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
@@ -551,6 +553,14 @@ def load_state(
             return _restore(snapshot, engine, workers)
 
 
+def _digest_schema(snapshot: Snapshot) -> int:
+    """The manifest's ``digest_schema``; 0 when written before the entry
+    existed."""
+    if "digest_schema" not in snapshot.manifest["json"]:
+        return 0
+    return _decoded(snapshot, "digest_schema", operator.index)
+
+
 def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     """:func:`load_state` of an open snapshot, which it closes."""
     from ..pipeline.builder import PipelineBuilder
@@ -595,6 +605,9 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     with tracer.span("store.load.indices", category="store"):
         value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
         neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
+        if config.restrict_h3_to_cooccurring and _digest_schema(snapshot) < 3:
+            # saved with the full neighbor index beside the one H3 reads
+            neighbor_index = cooccurring_neighbor_index(value_index, neighbor_index)
 
     report = _decoded(
         snapshot,
@@ -616,10 +629,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
             snapshot, "topnbr_side2", uris_pair[1]
         ),
         "candidate_index": CandidateIndex(
-            value_index,
-            neighbor_index,
-            k=config.top_k_candidates,
-            restrict_neighbors_to_cooccurring=config.restrict_h3_to_cooccurring,
+            value_index, neighbor_index, k=config.top_k_candidates
         ),
     }
     if has_names:
@@ -669,16 +679,20 @@ def verify_snapshot(path: str | Path, mode: str = "copy") -> dict[str, str]:
     with Snapshot.load(path, mode=mode) as snapshot:
         if mode == "mmap":
             snapshot.verify_columns()
+        # the manifest digests the neighbor columns as stored, which a
+        # load filters when they hold a full index H3 does not read
+        stored = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
         state = _restore(snapshot)
+    artifacts = {**state.artifacts, "neighbor_index": stored}
     recomputed = {
-        key: artifact_digest(state.artifacts[key])
+        key: artifact_digest(artifacts[key])
         for key in DIGESTED_ARTIFACTS
-        if key in state.artifacts
+        if key in artifacts
     }
-    if "digest_schema" not in snapshot.manifest["json"]:
-        # written before DIGEST_SCHEMA 2: the indices carry row digests
+    if _digest_schema(snapshot) < 2:
+        # the indices carry row digests
         for key in ("value_index", "neighbor_index"):
-            recomputed[key] = rows_digest(state.artifacts[key])
+            recomputed[key] = rows_digest(artifacts[key])
     for key, digest in recomputed.items():
         expected = state.digests.get(key)
         if expected != digest:

@@ -1,5 +1,6 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
+import weakref
 from pathlib import Path
 
 import numpy
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import candidate_lists_by_uri, h4_bars_by_uri, index_of_pairs
 from repro.blocking import token_blocking
 from repro.core import CandidateIndex, CandidateLists
-from repro.core import MinoanER, MinoanERConfig
+from repro.core import MinoanERConfig
 from repro.core import candidates as candidates_module
 from repro.core import similarity as similarity_module
 from repro.core.neighbors import NeighborSimilarityIndex
@@ -22,6 +23,7 @@ from repro.incremental import IncrementalMatcher
 from repro.kb import KnowledgeBase
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession
+from repro.pipeline.stages import NeighborIndexStage
 from repro.serve import ServingState
 from repro.serve.handlers import handle_candidates, handle_resolve
 from repro.serve.json_codec import entity_to_dict
@@ -36,12 +38,12 @@ def kb_from_texts(name, texts, prefix):
     return kb
 
 
-def build(texts1, texts2, k=3, restrict=True):
+def build(texts1, texts2, k=3):
     kb1 = kb_from_texts("A", texts1, "a")
     kb2 = kb_from_texts("B", texts2, "b")
     value_index = build_value_index(token_blocking(kb1, kb2))
     neighbor_index = build_neighbor_index(value_index, {}, {})
-    return CandidateIndex(value_index, neighbor_index, k=k, restrict_neighbors_to_cooccurring=restrict)
+    return CandidateIndex(value_index, neighbor_index, k=k)
 
 
 class TestCandidateLists:
@@ -149,13 +151,14 @@ def test_id_level_lists_equal_uri_level_lists(
     value_index = _index_of(ValueSimilarityIndex, value_pairs, form)
     neighbor_index = _index_of(NeighborSimilarityIndex, neighbor_pairs, form)
     for restrict in (True, False):
+        # what the neighbor stage publishes; the oracle reads the full product
+        published = (
+            cooccurring_neighbor_index(value_index, neighbor_index)
+            if restrict
+            else neighbor_index
+        )
         for k in (1, 2, 15):
-            index = CandidateIndex(
-                value_index,
-                neighbor_index,
-                k=k,
-                restrict_neighbors_to_cooccurring=restrict,
-            )
+            index = CandidateIndex(value_index, published, k=k)
             for side, of_entity in ((1, index.of_entity1), (2, index.of_entity2)):
                 for position in range(10):  # 9 is in neither index
                     uri = _uri(side, position)
@@ -217,23 +220,38 @@ def test_restricted_match_never_ranks_the_full_neighbor_index(
     monkeypatch, restrict
 ):
     """A default batch match reads its neighbor lists from the
-    co-occurring index, so the full neighbor index builds no ranked
-    rows; unrestricted, the lists are the full index's rows."""
+    co-occurring index the neighbor stage publishes: the full product
+    is dropped before the stage returns, so nothing in the finished
+    context references it and it never builds ranked rows.
+    Unrestricted, the published index is the full product and the lists
+    are its rows."""
     made = []
     real = NeighborSimilarityIndex.from_packed_columns.__func__
 
     def recorded(cls, *columns):
-        made.append(real(cls, *columns))
-        return made[-1]
+        index = real(cls, *columns)
+        made.append(weakref.ref(index))
+        return index
 
     monkeypatch.setattr(
         NeighborSimilarityIndex, "from_packed_columns", classmethod(recorded)
     )
+    stage_run = NeighborIndexStage.run
+    full_alive = []
+
+    def run(self, ctx, engine):
+        stage_run(self, ctx, engine)
+        full_alive.append(made[0]() is not None)
+
+    monkeypatch.setattr(NeighborIndexStage, "run", run)
     config = MinoanERConfig(restrict_h3_to_cooccurring=restrict)
-    assert MinoanER(config).match(*_golden_kbs()).matches
-    full = made[0]
-    assert (full._rows is None) == restrict
+    ctx = MatchSession(*_golden_kbs(), config).run_context()
+    assert ctx.get("matches")
+    assert full_alive == [not restrict]
     assert len(made) == (2 if restrict else 1)
+    published = ctx.get("neighbor_index")
+    assert made[-1]() is published
+    assert published._rows is not None  # the lists were cut from it
 
 
 def test_published_state_answers_first_reads_without_building(
@@ -275,8 +293,12 @@ def test_online_h4_bars_equal_decoded_rows(numpy_arm, restrict):
     )
     session.match()
     resolver = session._reads().resolver
-    value_index = session.run_context().get("value_index")
-    neighbor_index = session.run_context().get("neighbor_index")
+    ctx = session.run_context()
+    value_index = ctx.get("value_index")
+    # the oracle restricts the full product itself
+    neighbor_index = build_neighbor_index(
+        value_index, ctx.get("top_neighbors1"), ctx.get("top_neighbors2")
+    )
     bars = 0
     for uri2 in sorted(data.kb2.uris()) + ["urn:absent"]:
         for k in (1, 2, 15):

@@ -317,12 +317,22 @@ def test_canonical_form_on_golden_fixture(numpy_arm):
     session = MatchSession(kb1, kb2)
     session.match()
     ctx = session.run_context()
+    full = MatchSession(
+        kb1, kb2, MinoanERConfig(restrict_h3_to_cooccurring=False)
+    ).run_context()
     expected = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
     digests = context_digests(ctx)
-    for name in ("value_index", "neighbor_index"):
-        index = ctx.get(name)
-        assert rows_digest(index) == old_rows_digest(index) == expected[name]
-        assert digests[name] == expected[f"{name}.columns"]
+    for pinned, run, name in (
+        ("value_index", ctx, "value_index"),
+        ("neighbor_index", full, "neighbor_index"),
+        ("neighbor_index.cooccurring", ctx, "neighbor_index"),
+    ):
+        index = run.get(name)
+        assert rows_digest(index) == old_rows_digest(index) == expected[pinned]
+        assert artifact_digest(index) == expected[f"{pinned}.columns"]
+    assert digests["neighbor_index"] == expected[
+        "neighbor_index.cooccurring.columns"
+    ]
 
 
 #: What a digest must tell apart although ``==`` cannot (``-0.0``), what

@@ -22,7 +22,7 @@ from repro.blocking import (
     token_blocking,
 )
 from repro.core import MinoanERConfig
-from repro.core.candidates import CandidateIndex
+from repro.core.candidates import CandidateIndex, cooccurring_neighbor_index
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import build_neighbor_index, build_value_index
@@ -253,10 +253,12 @@ def evidence(kbs):
 def test_gathered_lists_equal_decoded_build(kbs, evidence, restrict, k):
     """On the golden KBs, both sides' lists as H3 and H4 read them."""
     value_index, neighbor_index = evidence
-    gathered = CandidateIndex(
-        value_index, neighbor_index, k=k,
-        restrict_neighbors_to_cooccurring=restrict,
+    published = (
+        cooccurring_neighbor_index(value_index, neighbor_index)
+        if restrict
+        else neighbor_index
     )
+    gathered = CandidateIndex(value_index, published, k=k)
     for side, kb, of_entity in (
         (1, kbs[0], gathered.of_entity1),
         (2, kbs[1], gathered.of_entity2),

@@ -20,6 +20,7 @@ import pytest
 
 from repro.blocking import AttributeNameExtractor, PackedBlockCollection
 from repro.core import MinoanER, MinoanERConfig
+from repro.engine import build_neighbor_index
 from repro.ids import EntityInterner
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription
@@ -27,10 +28,13 @@ from repro.kb.io_ntriples import read_ntriples
 from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.digest import (
+    DIGEST_SCHEMA,
     DIGESTED_ARTIFACTS,
     artifact_digest,
     rows_digest,
 )
+from repro.serve import ServingState, handlers
+from repro.serve.json_codec import entity_to_dict
 from repro.store import (
     MANIFEST_NAME,
     Snapshot,
@@ -393,7 +397,7 @@ def _as_unmarked_manifest(snapshot_dir):
     state = load_state(snapshot_dir)
     manifest_path = snapshot_dir / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    assert manifest["json"].pop("digest_schema") == 2
+    assert manifest["json"].pop("digest_schema") == DIGEST_SCHEMA
     for key in ("value_index", "neighbor_index"):
         manifest["json"]["digests"][key] = rows_digest(state.artifacts[key])
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -413,9 +417,12 @@ def test_verify_snapshot_under_either_index_digest_form(
     recomputed = verify_snapshot(saved_snapshot, mode=mode)
     assert recomputed == Snapshot.load(saved_snapshot).json("digests")
     golden = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
-    pinned = "{}.columns" if form == "columns" else "{}"
-    for key in ("value_index", "neighbor_index"):
-        assert recomputed[key] == golden[pinned.format(key)]
+    suffix = ".columns" if form == "columns" else ""
+    for key, pinned in (
+        ("value_index", "value_index"),
+        ("neighbor_index", "neighbor_index.cooccurring"),
+    ):
+        assert recomputed[key] == golden[pinned + suffix]
     sims = load_state(saved_snapshot).artifacts["neighbor_index"]
     sims = array("d", sims.packed_columns()[1])
     sims[len(sims) // 2] = math.nextafter(sims[len(sims) // 2], math.inf)
@@ -636,6 +643,77 @@ def test_snapshot_with_appended_ids_loads_as_sorted(
     assert sorted(p.name for p in resaved.iterdir()) == sorted(
         p.name for p in saved_snapshot.iterdir()
     )
+    for path in saved_snapshot.iterdir():
+        assert (resaved / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _as_full_neighbor_columns(snapshot_dir):
+    """Rewrite a fresh snapshot the way builds before ``DIGEST_SCHEMA`` 3
+    wrote one under the conference H3: the neighbor columns hold the full
+    neighbor product, digested as stored, under ``digest_schema`` 2."""
+    artifacts = load_state(snapshot_dir).artifacts
+    full = build_neighbor_index(
+        artifacts["value_index"],
+        artifacts["top_neighbors1"],
+        artifacts["top_neighbors2"],
+    )
+    keys, sims = full.packed_columns()
+    _rewrite_column(snapshot_dir, "neighbor_keys", array("q", keys))
+    _rewrite_column(snapshot_dir, "neighbor_sims", array("d", sims))
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["json"]["digest_schema"] = 2
+    manifest["json"]["digests"]["neighbor_index"] = artifact_digest(full)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return full
+
+
+def _served_replies(path, mode, uris, bodies) -> bytes:
+    """``/candidates`` and ``/resolve`` replies of a daemon state
+    published from the snapshot at ``path``."""
+    matcher = IncrementalMatcher(MatchSession.load(path, mode=mode))
+    matcher.match()
+    state = ServingState.from_matcher(matcher, generation=1, delta_count=0)
+    out = [handlers.handle_candidates(state, uri, 5) for uri in uris]
+    out += [handlers.handle_candidates(state, uri, None) for uri in uris]
+    out += [handlers.handle_resolve(state, body) for body in bodies]
+    return json.dumps(out, sort_keys=True).encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", ["copy", "mmap"])
+def test_snapshot_with_full_neighbor_columns_loads_filtered(
+    saved_snapshot, tmp_path, mode
+):
+    """A snapshot that stores the full neighbor product beside the
+    co-occurring pairs H3 reads verifies against its columns as stored,
+    loads them filtered once, answers ``/candidates`` and ``/resolve``
+    byte-identically to a fresh save, and re-saves to the fresh bytes;
+    a fresh snapshot's neighbor columns are adopted, not re-filtered."""
+    legacy = tmp_path / "legacy"
+    shutil.copytree(saved_snapshot, legacy)
+    full = _as_full_neighbor_columns(legacy)
+    fresh_state = load_state(saved_snapshot, mode=mode)
+    published = fresh_state.artifacts["neighbor_index"]
+    assert len(full) > len(published)
+    assert verify_snapshot(legacy, mode=mode)["neighbor_index"] == (
+        artifact_digest(full)
+    )
+    restored = load_state(legacy, mode=mode).artifacts["neighbor_index"]
+    assert artifact_digest(restored) == artifact_digest(published)
+    expected = array if mode == "copy" else memoryview
+    assert all(isinstance(c, expected) for c in published.packed_columns())
+
+    kb1, kb2 = golden_kbs()
+    uris = kb1.uris()
+    sources = [kb1[uri] for uri in uris[:12]] + [kb2[uri] for uri in kb2.uris()[:12]]
+    bodies = [
+        {"record": {**entity_to_dict(entity), "uri": f"urn:query:{n}"}}
+        for n, entity in enumerate(sources)
+    ] + [{"record": entity_to_dict(kb1[uri]), "k": 3} for uri in uris[:6]]
+    assert _served_replies(legacy, mode, uris, bodies) == _served_replies(
+        saved_snapshot, mode, uris, bodies
+    )
+    resaved = MatchSession.load(legacy, mode=mode).save(tmp_path / "resaved")
     for path in saved_snapshot.iterdir():
         assert (resaved / path.name).read_bytes() == path.read_bytes(), path.name
 
