@@ -7,14 +7,13 @@ lists too).
 
 Both lists are the first ``K`` ids of a ranked CSR row; only those
 ≤ 2·``K`` ids are decoded to URIs.  Under the conference H3 the neighbor
-index they are cut from is already the :func:`cooccurring_neighbor_index`
-(the neighbor stage publishes only that), so the lists keep candidates
-that also share a token block with the entity.
+index they are cut from holds only the co-occurring pairs (the neighbor
+stage builds only those), so the lists keep candidates that also share
+a token block with the entity.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -93,14 +92,6 @@ class ProbeCache:
         return len(self._entries)
 
 
-def _id_images(source: EntityInterner, target: EntityInterner) -> array:
-    """Per id of ``source``, the id of its URI in ``target`` (``-1``
-    where ``target`` lacks it).  Ascending where defined: both id orders
-    are URI order."""
-    ids = target.ids_by_uri()
-    return array("q", [ids.get(uri, -1) for uri in source.uris()])
-
-
 def cooccurring_neighbor_index(
     value_index: ValueSimilarityIndex,
     neighbor_index: NeighborSimilarityIndex,
@@ -109,12 +100,15 @@ def cooccurring_neighbor_index(
     found in one vectorized pass over the neighbor keys.  Dropping
     entries from a ranked row keeps its order, so each row here is the
     full neighbor row filtered by value co-occurrence: its first ``K``
-    ids are the conference H3's neighbor list.
+    ids are the conference H3's neighbor list.  The neighbor stage
+    builds this index directly (``build_neighbor_index(...,
+    cooccurring=True)``); this filter restricts the full index that
+    older snapshots store.
     """
     interners = neighbor_index.interners()
     keys, sims = pairs_translated_into(
         *neighbor_index.packed_columns(),
-        *map(_id_images, interners, value_index.interners()),
+        *map(EntityInterner.images_in, interners, value_index.interners()),
         value_index.packed_columns()[0],
     )
     return NeighborSimilarityIndex.from_packed_columns(keys, sims, *interners)

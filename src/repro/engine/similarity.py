@@ -24,6 +24,15 @@ incremental subsystem lands on the floats of a cold run by calling
 these builders on a post-delta state.  The shard axis stays *inside*
 the row fold because the harness pins ``Match.score`` digests taken at
 this order (docs/PERFORMANCE.md, "The determinism contract").
+
+Under the conference H3 the neighbor index holds only the parent pairs
+that are also value pairs, and the kernel drops the rest *before* the
+fold: each run marks its rows' value pairs in a bitmap
+(:func:`_value_pair_cells`) and keeps only the contributions to marked
+cells.  The expansion is the full product's, row for row; a cell keeps
+all of its contributions or none, and its float depends on those alone
+— their scan order and their shards — so every kept cell is the full
+product's float, bit for bit, and the full product is never folded.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ _RUN_SIZE = 1 << 18
 
 def _contributions(
     lo, hi, width, origin, row_ids, row_starts, span_starts, members,
-    starts2, ids2, shards, weights,
+    starts2, ids2, shards, weights, images1, images2, masked,
 ) -> tuple:
     """Every contribution to the output rows ``lo .. hi``, in scan order:
     ``(cells, shards, weights)``, cell ``(row - lo) * width + column``.
@@ -78,7 +87,9 @@ def _contributions(
     shard and a weight; ``(starts2, ids2)`` is ``B`` as CSR: per ``B``
     row its ascending output columns.  Contributions come ``V`` row,
     entry, column ascending — per pair the scan order of the
-    string-keyed specification.
+    string-keyed specification.  When ``masked``, the contributions to
+    cells :func:`_value_pair_cells` does not mark are dropped; a marked
+    cell keeps all of its own.
     """
     ids = row_ids[row_starts[lo] - origin : row_starts[hi] - origin]
     v_rows, entries = ragged_indices(
@@ -92,8 +103,31 @@ def _contributions(
         numpy.arange(hi - lo) * width, numpy.diff(row_starts[lo : hi + 1])
     )[v_rows][owners]
     cells += ids2[columns]
+    if masked:
+        kept = _value_pair_cells(
+            lo, hi, width, span_starts, members, images1, images2
+        )[cells]
+        cells, owners = cells[kept], owners[kept]
     entries = entries[owners]
     return cells, shards[entries], weights[entries]
+
+
+def _value_pair_cells(lo, hi, width, span_starts, members, images1, images2):
+    """The cells of the output rows ``lo .. hi`` whose two entities form
+    a ``V`` pair, as a ``(hi - lo) * width`` bitmap: each row's own ``V``
+    row (``images1``: output row -> ``V`` row), its entries' second
+    entities as output columns (``images2``); ``-1`` is no image."""
+    values = images1[lo:hi]
+    rows = numpy.flatnonzero(values >= 0)
+    values = values[rows]
+    owners, entries = ragged_indices(
+        span_starts[values], span_starts[values + 1] - span_starts[values]
+    )
+    columns = images2[members[entries]]
+    found = columns >= 0
+    mask = numpy.zeros((hi - lo) * width, dtype=bool)
+    mask[rows[owners[found]] * width + columns[found]] = True
+    return mask
 
 
 def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
@@ -127,15 +161,15 @@ def _row_sums(task, row_ids, work, row_starts, *shared) -> tuple:
     """A task's output rows of ``A · V · Bᵀ``, whole (engine worker):
     their ``(packed keys ascending, totals)`` columns, folded run after
     run.  ``task`` is ``(first row, past-the-last row, width,
-    n_shards)``, ``row_ids`` the task's slice of ``A``'s ids, ``work``
-    is :func:`_row_work`; the rest as in :func:`_contributions`."""
-    lo, hi, width, n_shards = task
+    n_shards, masked)``, ``row_ids`` the task's slice of ``A``'s ids,
+    ``work`` is :func:`_row_work`; the rest as in :func:`_contributions`."""
+    lo, hi, width, n_shards, masked = task
     operands = tuple(map(numpy.asarray, (row_ids, row_starts, *shared)))
     origin = row_starts[lo]
     return _joined(
         [
             shard_ordered_sums(
-                *_contributions(start, stop, width, origin, *operands),
+                *_contributions(start, stop, width, origin, *operands, masked),
                 n_shards, start, stop - start, width,
             )
             for start, stop in _row_runs(work, lo, hi, width, n_shards)
@@ -157,7 +191,7 @@ def _row_work(row_starts, row_ids, span_starts, members, starts2):
 
 
 def _product_index(
-    index_type, counter: str, engine, interners, n_shards,
+    index_type, counter: str, engine, interners, n_shards, masked,
     row_starts, row_ids, *shared,
 ):
     """The index ``A · V · Bᵀ`` over the operands of
@@ -170,7 +204,7 @@ def _product_index(
     with telemetry.tracer.span("similarity.kernel", category="similarity"):
         tasks = [
             (
-                array("q", (rows.start, rows.stop, width, n_shards)),
+                array("q", (rows.start, rows.stop, width, n_shards, masked)),
                 row_ids[row_starts[rows.start] : row_starts[rows.stop]],
             )
             for rows in chunk_evenly(range(n_rows), partition_count(n_rows))
@@ -178,7 +212,7 @@ def _product_index(
         work = _row_work(row_starts, row_ids, *shared[:3])
         columns = _joined(
             engine.map_columns(
-                _row_sums, tasks, "qi", (work, row_starts, *shared), "qqqiqiid"
+                _row_sums, tasks, "qi", (work, row_starts, *shared), "qqqiqiidqq"
             )
         )
     index = index_type.from_packed_columns(*columns, *interners)
@@ -216,12 +250,15 @@ def build_value_index(
         engine,
         interners,
         n_shards,
+        False,
         *transposed_csr(*token_blocks.csr(1), len(interners[0])),
         array("q", range(len(keys) + 1)),  # V is diagonal: one entry per
         array("i", range(len(keys))),  # block, naming its own row of B
         *token_blocks.csr(2),
         array("i", (stable_hash(key) % n_shards for key in keys)),
         array("d", weights),
+        array("q"),  # unmasked: no cell images
+        array("q"),
     )
 
 
@@ -230,6 +267,8 @@ def build_neighbor_index(
     top_neighbors1: dict[str, set[str]],
     top_neighbors2: dict[str, set[str]],
     engine: Executor | None = None,
+    *,
+    cooccurring: bool = False,
 ) -> NeighborSimilarityIndex:
     """The :class:`NeighborSimilarityIndex`, propagated row by row.
 
@@ -239,6 +278,11 @@ def build_neighbor_index(
     listing its second entity.  A value pair's shard is the stable hash
     of its *string* key (:func:`~repro.engine.partitioner.packed_pair_hashes`),
     a function of the pair alone.
+
+    ``cooccurring`` keeps only the parent pairs that are also value
+    pairs — the conference H3's index, byte for byte
+    :func:`~repro.core.candidates.cooccurring_neighbor_index` of the
+    full one — by folding only their contributions.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()
@@ -262,6 +306,7 @@ def build_neighbor_index(
         engine,
         (parents1, parents2),
         n_shards,
+        cooccurring,
         *top_neighbor_csr(top_neighbors1, parents1, value1),
         span_starts,
         members,
@@ -270,4 +315,6 @@ def build_neighbor_index(
         ),
         shards,
         sims,
+        parents1.images_in(value1) if cooccurring else array("q"),
+        value2.images_in(parents2) if cooccurring else array("q"),
     )

@@ -18,6 +18,7 @@ strictly ascend.  A delta builds new indices over fresh interners.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator
 
 from .packing import MAX_ENTITY_ID
@@ -80,6 +81,13 @@ class EntityInterner:
     def ids_by_uri(self) -> dict[str, int]:
         """The live ``uri -> id`` map, for bulk encoding (do not mutate)."""
         return self._ids
+
+    def images_in(self, target: "EntityInterner") -> array:
+        """Per id here, the id of its URI in ``target`` (``-1`` where
+        ``target`` lacks it).  Ascending where defined: both id orders
+        are URI order."""
+        ids = target._ids
+        return array("q", [ids.get(uri, -1) for uri in self._uris])
 
     # ------------------------------------------------------------------
     # Dunder plumbing

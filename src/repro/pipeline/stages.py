@@ -36,7 +36,7 @@ from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.placements import KeysOf, PlacementTable, entity_key_rows
 from ..blocking.purging import purge_decision_from_sizes
 from ..blocking.token_blocking import token_keys
-from ..core.candidates import CandidateIndex, cooccurring_neighbor_index
+from ..core.candidates import CandidateIndex
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
@@ -191,11 +191,12 @@ class NeighborIndexStage(Stage):
     """Top relations per KB and the propagated ``neighborNSim`` index.
 
     Under the conference H3 (``restrict_h3_to_cooccurring``) the stage
-    publishes only the neighbor pairs that are also value pairs — every
-    pair H3, H4 and the online H4 bars read — and drops the full product
-    here.  The per-entity top-neighbor sets the index is propagated over
-    are published too (``top_neighbors1/2``): the online resolver and
-    the snapshot store read them instead of walking the KBs again.
+    builds only the neighbor pairs that are also value pairs — every
+    pair H3, H4 and the online H4 bars read — so the full product is
+    never folded.  The per-entity top-neighbor sets the index is
+    propagated over are published too (``top_neighbors1/2``): the online
+    resolver and the snapshot store read them instead of walking the
+    KBs again.
     """
 
     name = "neighbor_index"
@@ -216,10 +217,13 @@ class NeighborIndexStage(Stage):
         relations2 = top_relations(ctx.kb2, config.top_n_relations)
         neighbors1 = top_neighbors(ctx.kb1, relations1)
         neighbors2 = top_neighbors(ctx.kb2, relations2)
-        value_index = ctx.get("value_index")
-        index = build_neighbor_index(value_index, neighbors1, neighbors2, engine)
-        if config.restrict_h3_to_cooccurring:
-            index = cooccurring_neighbor_index(value_index, index)
+        index = build_neighbor_index(
+            ctx.get("value_index"),
+            neighbors1,
+            neighbors2,
+            engine,
+            cooccurring=config.restrict_h3_to_cooccurring,
+        )
         ctx.put("neighbor_index", index, producer=self.name)
         ctx.put("top_relations1", relations1, producer=self.name)
         ctx.put("top_relations2", relations2, producer=self.name)

@@ -23,7 +23,6 @@ from repro.incremental import IncrementalMatcher
 from repro.kb import KnowledgeBase
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession
-from repro.pipeline.stages import NeighborIndexStage
 from repro.serve import ServingState
 from repro.serve.handlers import handle_candidates, handle_resolve
 from repro.serve.json_codec import entity_to_dict
@@ -216,15 +215,13 @@ def _golden_kbs():
 
 
 @pytest.mark.parametrize("restrict", [True, False])
-def test_restricted_match_never_ranks_the_full_neighbor_index(
+def test_restricted_match_never_builds_the_full_neighbor_index(
     monkeypatch, restrict
 ):
-    """A default batch match reads its neighbor lists from the
-    co-occurring index the neighbor stage publishes: the full product
-    is dropped before the stage returns, so nothing in the finished
-    context references it and it never builds ranked rows.
-    Unrestricted, the published index is the full product and the lists
-    are its rows."""
+    """A default batch match folds only the co-occurring neighbor pairs:
+    the run constructs exactly one neighbor index, the one the neighbor
+    stage publishes, and the lists are cut from its rows.  Unrestricted,
+    the published index is the full product and the lists are its rows."""
     made = []
     real = NeighborSimilarityIndex.from_packed_columns.__func__
 
@@ -236,21 +233,12 @@ def test_restricted_match_never_ranks_the_full_neighbor_index(
     monkeypatch.setattr(
         NeighborSimilarityIndex, "from_packed_columns", classmethod(recorded)
     )
-    stage_run = NeighborIndexStage.run
-    full_alive = []
-
-    def run(self, ctx, engine):
-        stage_run(self, ctx, engine)
-        full_alive.append(made[0]() is not None)
-
-    monkeypatch.setattr(NeighborIndexStage, "run", run)
     config = MinoanERConfig(restrict_h3_to_cooccurring=restrict)
     ctx = MatchSession(*_golden_kbs(), config).run_context()
     assert ctx.get("matches")
-    assert full_alive == [not restrict]
-    assert len(made) == (2 if restrict else 1)
+    assert len(made) == 1
     published = ctx.get("neighbor_index")
-    assert made[-1]() is published
+    assert made[0]() is published
     assert published._rows is not None  # the lists were cut from it
 
 

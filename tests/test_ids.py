@@ -57,6 +57,19 @@ class TestEntityInterner:
         assert "x" in interner and "z" not in interner
         assert list(interner) == ["x", "y"]
 
+    @given(uri_sets, uri_sets)
+    def test_images_in_map_ids_through_uris(self, uris, targets):
+        """Per id, the target's id of the same URI (``-1`` where the
+        target lacks it), ascending where defined."""
+        source, target = EntityInterner(uris), EntityInterner(targets)
+        images = source.images_in(target)
+        assert images.typecode == "q"
+        assert list(images) == [
+            target.id_of(uri) if uri in target else -1 for uri in source
+        ]
+        defined = [image for image in images if image >= 0]
+        assert defined == sorted(defined)
+
 
 class TestPackedPairKeys:
     @given(entity_ids, entity_ids)

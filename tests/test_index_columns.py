@@ -504,6 +504,11 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     pairs — a run's cells, contributions and slab are each cut at
     ``_RUN_SIZE``, so the guard is a multiple of that constant, not of
     the KB: 32 B per unit (8.4 MB).
+
+    The co-occurring build (42 k pairs) folds only the cells that are
+    value pairs: 2.0 MB per task against 3.1 MB, 4.4 MB whole against
+    5.1 MB.  Its task is held to the same guard, its whole build below
+    the full one's.
     """
     data = generate_benchmark("rexa_dblp", 0.2, 13)
     config = MinoanERConfig()
@@ -515,44 +520,61 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     value_index = build_value_index(blocks)
     build_neighbor_index(value_index, *neighbors)  # warm caches, untraced
 
-    # tracemalloc keeps one peak: each task resets it to read its own,
-    # after folding the peak so far into the build's.
-    peaks = {"build": 0, "kernel": 0, "task": 0}
+    def traced_build(**options) -> tuple:
+        """The index, what it retains and its build's peaks (``build``,
+        ``kernel``: before the index is made, ``task``), all above the
+        bytes traced before it."""
+        # tracemalloc keeps one peak: each task resets it to read its
+        # own, after folding the peak so far into the build's.
+        peaks = {"build": 0, "kernel": 0, "task": 0}
 
-    def fold_peak() -> int:
-        current, peak = tracemalloc.get_traced_memory()
-        peaks["build"] = max(peaks["build"], peak)
-        return current
+        def fold_peak() -> int:
+            current, peak = tracemalloc.get_traced_memory()
+            peaks["build"] = max(peaks["build"], peak)
+            return current
 
-    def traced_rows(*columns, real=similarity._row_sums):
-        start = fold_peak()
-        tracemalloc.reset_peak()
-        keys, sums = real(*columns)
-        _, peak = tracemalloc.get_traced_memory()
-        own = peak - start - keys.nbytes - sums.nbytes
-        peaks["task"] = max(peaks["task"], own)
-        return keys, sums
+        def traced_rows(*columns, real=similarity._row_sums):
+            start = fold_peak()
+            tracemalloc.reset_peak()
+            keys, sums = real(*columns)
+            _, peak = tracemalloc.get_traced_memory()
+            own = peak - start - keys.nbytes - sums.nbytes
+            peaks["task"] = max(peaks["task"], own)
+            return keys, sums
 
-    def traced_ranked_rows(
-        *columns, real=NeighborSimilarityIndex.from_packed_columns
-    ):
-        fold_peak()
-        peaks["kernel"] = peaks["build"]
-        return real(*columns)
+        def traced_ranked_rows(
+            *columns, real=NeighborSimilarityIndex.from_packed_columns
+        ):
+            fold_peak()
+            peaks["kernel"] = peaks["build"]
+            return real(*columns)
 
-    monkeypatch.setattr(similarity, "_row_sums", traced_rows)
-    monkeypatch.setattr(
-        NeighborSimilarityIndex, "from_packed_columns", traced_ranked_rows
-    )
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        index = build_neighbor_index(value_index, *neighbors)
-        after = fold_peak()
-    finally:
-        tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_row_sums", traced_rows)
+            patch.setattr(
+                NeighborSimilarityIndex, "from_packed_columns", traced_ranked_rows
+            )
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                index = build_neighbor_index(value_index, *neighbors, **options)
+                after = fold_peak()
+            finally:
+                tracemalloc.stop()
+        peaks["build"] -= before
+        peaks["kernel"] -= before
+        return index, after - before, peaks
+
+    index, retained, peaks = traced_build()
     assert len(index) > 100_000
-    assert after - before < 0.6 * 13.7e6
-    assert peaks["build"] - before < 0.6 * 20.9e6
-    assert 0 < peaks["kernel"] - before < 0.75 * 8.4e6
+    assert retained < 0.6 * 13.7e6
+    assert peaks["build"] < 0.6 * 20.9e6
+    assert 0 < peaks["kernel"] < 0.75 * 8.4e6
     assert 0 < peaks["task"] < 32 * similarity._RUN_SIZE
+
+    # Folding only the co-occurring cells: one run's working set stays
+    # cut at the same constant, and the build peaks below the full one.
+    restricted, _, restricted_peaks = traced_build(cooccurring=True)
+    assert 0 < len(restricted) < len(index)
+    assert 0 < restricted_peaks["task"] < 32 * similarity._RUN_SIZE
+    assert 0 < restricted_peaks["build"] < peaks["build"]

@@ -8,11 +8,14 @@ These properties hold them, float ``==``, to
 statement of that fold (``shard_merged_sum``) over each pair's
 contributions in scan order — and show that no cut of the row range
 into tasks, and no run length, can move a byte of the ``(keys, sims)``
-columns.
+columns — and that the co-occurring neighbor build, which folds only the
+cells that are value pairs, is the full build filtered, byte for byte.
 """
 
+import os
 from unittest import mock
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -24,8 +27,14 @@ from oracles import (
 )
 
 from repro.blocking.base import Block, BlockCollection
+from repro.core.candidates import cooccurring_neighbor_index
 from repro.core.similarity import ValueSimilarityIndex
-from repro.engine import similarity
+from repro.engine import (
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+    similarity,
+)
 from repro.engine.partitioner import partition_count
 from repro.engine.similarity import build_neighbor_index, build_value_index
 
@@ -173,3 +182,69 @@ def test_neighbor_rows_equal_the_per_pair_oracle(
     assert decoded_pairs(index) == expected
     assert_column_types(index)
     assert_no_cut_moves_a_byte(build)
+
+
+# ----------------------------------------------------------------------
+# neighborNSim of the co-occurring pairs only
+# ----------------------------------------------------------------------
+#: Parents are entities 0..9 of their own KB: 8 and 9 never occur in the
+#: value index (over 0..7), and a value entity no draw lists is one
+#: without a parent.
+parent_maps = st.dictionaries(
+    st.integers(0, 9), st.sets(st.integers(0, 9), min_size=1, max_size=6)
+)
+
+
+@pytest.fixture(params=[1, 1 << 40], ids=["run=1", "run=2**40"])
+def every_engine(request, monkeypatch):
+    """Serial, thread and process engines, with the run size at one slot
+    (one row per run) and at 2**40 (a task's rows in one run) — set
+    before the process pool forks, so that its workers cut at it too."""
+    monkeypatch.setattr(similarity, "_RUN_SIZE", request.param)
+    with ThreadExecutor(2) as thread, ProcessExecutor(2) as process:
+        yield {"serial": SerialExecutor(), "thread": thread, "process": process}
+
+
+@_RELAXED
+@given(pairs=value_pairs, tops1=parent_maps, tops2=parent_maps)
+@example(pairs={}, tops1={0: {1}}, tops2={0: {1}})  # an empty value index
+@example(  # parent 1's value row names no parent of KB2: no cell kept
+    pairs={(1, 0): 0.5, (0, 2): 1e300, (2, 2): 5e-324},
+    tops1={0: {2}, 1: {0, 2}, 8: {2, 9}},
+    tops2={2: {0, 2}, 9: {2}},
+)
+def test_cooccurring_build_is_the_filtered_full_build(
+    numpy_arm, fine_shards, every_engine, pairs, tops1, tops2
+):
+    """``build_neighbor_index(..., cooccurring=True)`` equals
+    ``cooccurring_neighbor_index`` of the full build: the same keys and
+    the same float bytes, on every engine and over pickled as well as
+    shared-memory columns."""
+    sims = {(uri(1, a), uri(2, b)): sim for (a, b), sim in pairs.items()}
+    value_index = index_of_pairs(sims, ValueSimilarityIndex)
+    neighbors1 = {
+        uri(1, p): {uri(1, n) for n in listed} for p, listed in tops1.items()
+    }
+    neighbors2 = {
+        uri(2, p): {uri(2, n) for n in listed} for p, listed in tops2.items()
+    }
+    expected = cooccurring_neighbor_index(
+        value_index, build_neighbor_index(value_index, neighbors1, neighbors2)
+    )
+    expected_keys, expected_sims = map(numpy.asarray, expected.packed_columns())
+
+    def build(engine):
+        return build_neighbor_index(
+            value_index, neighbors1, neighbors2, engine, cooccurring=True
+        )
+
+    built = {name: build(engine) for name, engine in every_engine.items()}
+    with mock.patch.dict(os.environ, {"REPRO_DISABLE_SHM": "1"}):
+        built["process, no shm"] = build(every_engine["process"])
+    for name, index in built.items():
+        keys, sims = index.packed_columns()
+        assert [i.uris() for i in index.interners()] == [
+            i.uris() for i in expected.interners()
+        ], name
+        assert keys.tolist() == expected_keys.tolist(), name
+        assert sims.tobytes() == expected_sims.tobytes(), name
