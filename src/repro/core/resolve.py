@@ -298,10 +298,15 @@ class OnlineResolver:
         )
 
     def warm(self) -> None:
-        """Rank now the rows the first request would: those of
-        :meth:`probe` and the H4 bars, the neighbor index first."""
-        for index in (self._neighbor_index, self._value_index):
-            index.csr_columns(1)
+        """Rank now, to the config's K, the rows the first request
+        reads: :meth:`probe`'s side-1 rows and the H4 bars' side-2
+        rows of both indices.  A side-1 row read whole (the neighbor
+        gather's) is ranked alone on first read; a side-2 read deeper
+        than K ranks that side whole, once."""
+        k = self._config.top_k_candidates
+        for index in (self._value_index, self._neighbor_index):
+            index.rank(1, k)
+            index.rank(2, k)
 
     # ------------------------------------------------------------------
     # Public API

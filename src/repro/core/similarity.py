@@ -34,9 +34,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..ids import EntityInterner, PAIR_ID_BITS
-from ..ids.arrays import ranked_csr
+from ..ids.arrays import pair_ids, ranked_side
 from ..obs.runtime import current as _telemetry_current
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
@@ -55,6 +56,20 @@ def block_token_weight(n_entities1: int, n_entities2: int) -> float:
     return arcs_token_weight(n_entities1, n_entities2)
 
 
+class _Ranked(NamedTuple):
+    """One side's ranked rows, cut at ``depth`` (``None``: whole)."""
+
+    depth: int | None
+    starts: array
+    cols: array
+    sims: array
+    lengths: array  # every row's true length, cut or not
+
+    def truncated(self, entity_id: int) -> bool:
+        """Whether the depth cut dropped part of this entity's row."""
+        return self.depth is not None and self.lengths[entity_id] > self.depth
+
+
 class PackedSimilarityIndex:
     """Shared array-backed core of the value and neighbor indices.
 
@@ -66,22 +81,23 @@ class PackedSimilarityIndex:
       similarities — the single source of truth.  They are whatever
       buffer the producer emitted: the kernels' NumPy arrays or
       ``array`` s, or the ``memoryview`` s of an mmap-loaded snapshot;
-    - ``_rows``: ``None`` until a row is first read, then both sides'
-      CSR layout of the ranked candidate lists
-      (:func:`~repro.ids.arrays.ranked_csr`) as one tuple: per side
-      ``starts`` (one offset per entity id, length ``n+1``), ``cols``
-      (counterpart ids) and ``sims`` (their similarities), rows ordered
-      best-first with the counterpart URI breaking ties.
+    - ``_ranked``: per side, ``None`` until a row of that side is first
+      read, then the side's CSR layout of the ranked candidate lists
+      (:func:`~repro.ids.arrays.ranked_side`): ``starts`` (one offset
+      per entity id, length ``n+1``), ``cols`` (counterpart ids) and
+      ``sims`` (their similarities), rows ordered best-first with the
+      counterpart URI breaking ties, cut at the depth the first reader
+      asked for, beside every row's true length.
 
     An index is never mutated after :meth:`from_packed_columns` — a
-    delta builds a new one; building the rows once is the only
-    assignment — so whoever holds a reference (a published serving
-    generation) has a frozen view.
+    delta builds a new one; building a side's rows is the only
+    assignment, each side's in one — so whoever holds a reference (a
+    published serving generation) has a frozen view.
     """
 
     _interner1: EntityInterner
     _interner2: EntityInterner
-    _rows: tuple | None
+    _ranked: list[_Ranked | None]
 
     @classmethod
     def from_packed_columns(
@@ -95,36 +111,85 @@ class PackedSimilarityIndex:
 
         ``keys`` must be strictly ascending and ``sims`` parallel to it;
         both are adopted as they are (no copy, any buffer-protocol
-        sequence).  Nothing is ranked here: the first row read builds
-        the ranked rows (:meth:`_side_rows`).
+        sequence).  Nothing is ranked here: the first row read of a side
+        ranks that side (:meth:`rank`).
         """
         index = cls()
         index._interner1, index._interner2 = interner1, interner2
         index._keys, index._values = keys, sims
-        index._rows = None
+        index._ranked = [None, None]
         return index
+
+    # ------------------------------------------------------------------
+    # Ranked rows
+    # ------------------------------------------------------------------
+    def rank(self, side: int, depth: int) -> None:
+        """Rank ``side``'s rows to ``depth`` now, unless they are ranked
+        at least that deep — what a serving state's warm-up asks for
+        the reads it expects."""
+        ranked = self._ranked[side - 1]
+        if ranked is None or (
+            ranked.depth is not None and depth > ranked.depth
+        ):
+            self._rank(side, depth)
+
+    def _rank(self, side: int, depth: int | None) -> _Ranked:
+        """Rank ``side`` to ``depth``, in one ``similarity.ranked_rows``
+        span under whichever stage or request reads first.  Concurrent
+        first reads may rank twice, a benign race: the rows are a pure
+        function of the frozen columns, and each side's rows are
+        published in one assignment, so a reader sees one whole
+        ranking or the other."""
+        telemetry = _telemetry_current()
+        with telemetry.tracer.span(
+            "similarity.ranked_rows",
+            category="similarity",
+            args={"side": side, "depth": depth},
+        ):
+            ids = pair_ids(self._keys)
+            *rows, kept = ranked_side(
+                ids[side - 1],
+                ids[2 - side],
+                self._values,
+                len(self.interners()[side - 1]),
+                depth,
+            )
+        telemetry.metrics.counter("similarity.ranked_pairs_kept").inc(kept)
+        ranked = self._ranked[side - 1] = _Ranked(depth, *rows)
+        return ranked
+
+    def _side_rows(self, side: int, depth: int | None) -> _Ranked:
+        """``side``'s ranked rows, ranked to ``depth`` if nobody read
+        the side before."""
+        ranked = self._ranked[side - 1]
+        return ranked if ranked is not None else self._rank(side, depth)
+
+    def _whole(self, side: int) -> _Ranked:
+        """``side``'s whole rows: a read its depth cut cannot answer
+        ranks the side once more, whole (a counted fallback)."""
+        ranked = self._side_rows(side, None)
+        if ranked.depth is not None:
+            _telemetry_current().metrics.counter(
+                "similarity.whole_side_fallbacks"
+            ).inc()
+            ranked = self._rank(side, None)
+        return ranked
+
+    def _whole_row1(self, id1: int) -> tuple[array, array]:
+        """``id1``'s whole side-1 row, ranked alone: its pairs are one
+        run of the key column, so a read past the cut of one side-1 row
+        never ranks the side."""
+        lo = bisect_left(self._keys, id1 << PAIR_ID_BITS)
+        hi = bisect_left(self._keys, (id1 + 1) << PAIR_ID_BITS, lo)
+        ids1, ids2 = pair_ids(self._keys[lo:hi])
+        _, cols, sims, _, _ = ranked_side(
+            ids1 - id1, ids2, self._values[lo:hi], 1
+        )
+        return cols, sims
 
     # ------------------------------------------------------------------
     # Row decode (the URI-facing layer)
     # ------------------------------------------------------------------
-    def _side_rows(self, side: int) -> tuple[array, array, array]:
-        """``side``'s ranked ``(starts, cols, sims)``.  The first call
-        ranks both sides, in one ``similarity.ranked_rows`` span under
-        whichever stage or request reads first; concurrent first reads
-        may rank twice, a benign race (the rows are a pure function of
-        the frozen columns, so whichever assignment wins is equivalent)."""
-        if self._rows is None:
-            with _telemetry_current().tracer.span(
-                "similarity.ranked_rows", category="similarity"
-            ):
-                self._rows = ranked_csr(
-                    self._keys,
-                    self._values,
-                    len(self._interner1),
-                    len(self._interner2),
-                )
-        return self._rows[3 * side - 3 : 3 * side]
-
     def _row(
         self, side: int, uri: str, k: int | None
     ) -> list[tuple[str, float]]:
@@ -134,8 +199,9 @@ class PackedSimilarityIndex:
 
     def csr_columns(self, side: int) -> tuple[array, array]:
         """One side's immutable CSR ``(starts, cols)`` columns: every
-        ranked row end to end, delimited by ``starts``."""
-        return self._side_rows(side)[:2]
+        whole ranked row end to end, delimited by ``starts``."""
+        ranked = self._whole(side)
+        return ranked.starts, ranked.cols
 
     def csr_row(
         self, side: int, uri: str, k: int | None = None
@@ -144,15 +210,25 @@ class PackedSimilarityIndex:
         undecoded and cut to the first ``k`` when given — for id-level
         readers (the candidate lists, the online H4 bars) that decode
         only what they keep.  Ids are in the *other* side's interner
-        space; the row is empty for URIs the index never saw."""
-        starts, cols, sims = self._side_rows(side)
+        space; the row is empty for URIs the index never saw.
+
+        The first read of a side ranks it to ``k``.  A later read deeper
+        than that, of a row the cut shortened, reads the whole row: a
+        side-1 row ranked alone, a side-2 row by ranking its side whole
+        (its pairs are spread over the key column)."""
+        ranked = self._side_rows(side, k)
         entity_id = self.interners()[side - 1].get(uri)
         if entity_id is None:
-            return cols[:0], sims[:0]
-        start, stop = starts[entity_id], starts[entity_id + 1]
+            return ranked.cols[:0], ranked.sims[:0]
+        if ranked.truncated(entity_id) and (k is None or k > ranked.depth):
+            if side == 1:
+                cols, sims = self._whole_row1(entity_id)
+                return cols[:k], sims[:k]
+            ranked = self._whole(side)
+        start, stop = ranked.starts[entity_id], ranked.starts[entity_id + 1]
         if k is not None:
             stop = min(stop, start + k)
-        return cols[start:stop], sims[start:stop]
+        return ranked.cols[start:stop], ranked.sims[start:stop]
 
     # ------------------------------------------------------------------
     # Queries
@@ -197,19 +273,39 @@ class PackedSimilarityIndex:
         return self._row(2, uri2, k)
 
     def best_candidate(
-        self, uri1: str, exclude: frozenset[str] | set[str] = frozenset()
+        self,
+        uri1: str,
+        exclude: frozenset[str] | set[str] = frozenset(),
+        depth: int | None = None,
     ) -> tuple[str, float] | None:
         """The counterpart E2 entity with maximum similarity (H2's vmax).
 
         ``exclude`` removes already-matched E2 entities from
-        consideration.
+        consideration.  ``depth`` is how deep a first read ranks side 1
+        (whole when ``None``).  A walk that exhausts a row the cut
+        shortened goes on over that row ranked whole, alone: a side-1
+        row is one run of the key column.
         """
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
-        starts, cols, sims = self._side_rows(1)
+        ranked = self._side_rows(1, depth)
+        start, stop = ranked.starts[id1], ranked.starts[id1 + 1]
+        best = self._first_free(ranked.cols, ranked.sims, start, stop, exclude)
+        if best is None and ranked.truncated(id1):
+            cols, sims = self._whole_row1(id1)
+            best = self._first_free(
+                cols, sims, ranked.depth, len(cols), exclude
+            )
+        return best
+
+    def _first_free(
+        self, cols, sims, start: int, stop: int, exclude
+    ) -> tuple[str, float] | None:
+        """The first ``(uri2, sim)`` of ranked positions ``start`` to
+        ``stop`` that ``exclude`` does not hold."""
         decode = self._interner2.uris()
-        for j in range(starts[id1], starts[id1 + 1]):
+        for j in range(start, stop):
             uri2 = decode[cols[j]]
             if uri2 not in exclude:
                 return uri2, sims[j]

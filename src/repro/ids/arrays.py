@@ -3,7 +3,7 @@
 The hot bulk operations of the packed similarity core — the
 shard-ordered slab fold of the row-owned similarity kernels, ragged
 span expansion, order-preserving duplicate-key summation, the CSR
-ranked-row argsort, the neighbor pairs' co-occurrence filter, the
+ranked rows cut at a depth, the neighbor pairs' co-occurrence filter, the
 online resolver's span gather and per-group ranking, CRC32 by
 combination and the digest's canonical columns — run vectorized, one
 implementation each.  Every fold here keeps the
@@ -74,7 +74,7 @@ def canonical_pair_columns(keys, sims, interner1, interner2):
     sims = _np.asarray(sims, dtype=_np.float64)
     if not _np.isfinite(sims).all():
         raise ValueError("similarity column holds a non-finite value")
-    ids1, ids2 = keys >> 32, keys & 0xFFFFFFFF
+    ids1, ids2 = pair_ids(keys)
     uris1, ranks1 = _uri_ranks(ids1, interner1)
     uris2, ranks2 = _uri_ranks(ids2, interner2)
     keys = (_np.asarray(ranks1)[ids1] << 32) | _np.asarray(ranks2)[ids2]
@@ -149,53 +149,99 @@ def ragged_indices(starts, counts):
     return owners, positions
 
 
-def ranked_csr(keys, sims, n_entities1, n_entities2):
-    """Both sides' CSR ranked rows of an **ascending** packed pair column.
+def pair_ids(keys):
+    """The ``(id1, id2)`` columns of a packed pair-key column."""
+    keys = _np.asarray(keys, dtype=_np.int64)
+    return keys >> 32, keys & 0xFFFFFFFF
 
-    Returns ``(starts1, cols1, sims1, starts2, cols2, sims2)`` as
-    ``array`` s (typecodes ``q``, ``i``, ``d``), where side 1 rows sort
-    by ``(id1, -sim, id2)`` and side 2 rows by ``(id2, -sim, id1)`` —
-    since ids are URI order, the per-entity ``sort(key=(-sim, uri))``
-    lists.
 
-    The counterpart-id tie-break is never sorted on: in a column
-    ascending by ``(id1, id2)`` two pairs sharing an entity on either
-    side already stand in counterpart-id order, so a *stable* sort by
-    ``-sim`` keeps it: one stable argsort ranks every pair by ``(-sim,
-    position)``, and each side is then one integer sort of the unique
-    keys ``id << 32 | rank``.
+def ranked_side(rows, other, sims, n, depth=None):
+    """One side's CSR ranked rows of a pair column, cut at ``depth``.
+
+    ``rows`` / ``other`` are each pair's id on this side and on the
+    other, ``sims`` its similarity, all in the ascending ``(id1, id2)``
+    order of a packed key column; ``n`` is this side's id count.
+    Returns ``(starts, cols, sims, lengths, kept)``: the rows as
+    ``array`` s (typecodes ``q``, ``i``, ``d``), each ordered by
+    ``(-sim, other)`` — since ids are URI order, the per-entity
+    ``sort(key=(-sim, uri))`` list — and cut to its first ``depth``
+    entries (whole when ``None``); every row's true length (``q``); and
+    how many pairs entered the exact rank.
+
+    **The exact rank.**  The counterpart-id tie-break is never sorted
+    on: within one row of the key column the pairs already stand in
+    ``other`` order, so a *stable* argsort by ``-sim`` keeps it, and
+    one integer sort of ``row << 32 | rank`` groups the rows.
+
+    **The depth cut** keeps the rank off whole rows.  A coarse key —
+    the top 31 bits of a descending, order-preserving integer image of
+    each float (``-0.0`` folded onto ``+0.0``, so equal floats share
+    it) — packs under the row as ``row << 31 | coarse``, and one integer
+    sort gives each row longer than ``depth`` its ``depth``-th packed
+    value as a bar.  Only pairs at or below their row's bar enter the
+    exact rank.  The coarse key never ranks a better pair after a worse
+    one, so a pair above the bar trails ``depth`` strictly better pairs
+    and is in no top ``depth``: the kept pairs hold every row's exact
+    top ``depth``, boundary ties included.
     """
-    # the sort temporaries die with the call, before the copies
-    rows = _ranked_rows(
-        _np.asarray(keys, dtype=_np.int64),
-        _np.asarray(sims, dtype=_np.float64),
-        n_entities1,
-        n_entities2,
-    )
-    return tuple(map(array_copy, "qidqid", rows))
-
-
-def _ranked_rows(keys, sims, n_entities1, n_entities2):
-    """:func:`ranked_csr` as NumPy columns."""
-    id1 = keys >> 32
-    id2 = keys & 0xFFFFFFFF
+    rows = _np.asarray(rows, dtype=_np.int64)
+    other = _np.asarray(other)
+    sims = _np.asarray(sims, dtype=_np.float64)
+    lengths = _np.bincount(rows, minlength=n)
+    if depth is not None and len(rows) and lengths.max() > depth:
+        kept = _top_depth_pairs(rows, sims, lengths, depth)
+        rows, other, sims = rows[kept], other[kept], sims[kept]
     by_sim = _np.argsort(-sims, kind="stable")
-    rank = _np.empty(len(keys), dtype=_np.int64)
-    rank[by_sim] = _np.arange(len(keys), dtype=_np.int64)
-    order1 = by_sim[_np.sort((id1 << 32) | rank) & 0xFFFFFFFF]
-    order2 = by_sim[_np.sort((id2 << 32) | rank) & 0xFFFFFFFF]
-    starts1 = _np.zeros(n_entities1 + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(id1, minlength=n_entities1), out=starts1[1:])
-    starts2 = _np.zeros(n_entities2 + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(id2, minlength=n_entities2), out=starts2[1:])
+    rank = _np.empty(len(sims), dtype=_np.int64)
+    rank[by_sim] = _np.arange(len(sims), dtype=_np.int64)
+    grouped = _np.sort((rows << 32) | rank)
+    order = by_sim[grouped & 0xFFFFFFFF]
+    counts = lengths
+    if depth is not None:
+        counts = _np.minimum(lengths, depth)
+        grouped >>= 32
+        kept_counts = _np.bincount(grouped, minlength=n)
+        firsts = _np.cumsum(kept_counts) - kept_counts
+        order = order[_np.arange(len(order)) - firsts[grouped] < depth]
+    starts = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=starts[1:])
     return (
-        starts1,
-        id2[order1].astype(_np.int32),
-        sims[order1],
-        starts2,
-        id1[order2].astype(_np.int32),
-        sims[order2],
+        array_copy("q", starts),
+        array_copy("i", other[order].astype(_np.int32)),
+        array_copy("d", sims[order]),
+        array_copy("q", lengths),
+        len(sims),
     )
+
+
+#: Which ``int32`` of a ``float64`` holds its sign, exponent and top
+#: mantissa bits.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
+
+
+def _top_depth_pairs(rows, sims, lengths, depth):
+    """The positions :func:`ranked_side`'s depth cut keeps: the pairs
+    whose ``row << 31 | coarse`` key is at or below their row's bar."""
+    # The top 31 bits of a double's order-preserving 64-bit image are
+    # those of its high word's 32-bit image: read the high words only.
+    high = (sims + 0.0).view(_np.int32)[_HIGH_WORD::2]  # -0.0 + 0.0 is +0.0
+    # flip a negative float's magnitude bits: the integer ascends with it
+    coarse = high >> 31
+    coarse &= 0x7FFFFFFF
+    coarse ^= high
+    # the top 31 bits of its descending image, shifted into [0, 2**31)
+    _np.invert(coarse, out=coarse)
+    coarse >>= 1
+    coarse += 1 << 30
+    packed = rows << 31
+    packed |= coarse
+    ordered = _np.sort(packed)
+    long_rows = _np.flatnonzero(lengths > depth)
+    bars = _np.full(len(lengths), _np.iinfo(_np.int64).max, dtype=_np.int64)
+    bars[long_rows] = ordered[
+        (_np.cumsum(lengths) - lengths)[long_rows] + depth - 1
+    ]
+    return _np.flatnonzero(packed <= bars[rows])
 
 
 def pairs_translated_into(keys, sims, images1, images2, within):

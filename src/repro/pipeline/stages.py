@@ -303,7 +303,15 @@ class H2ValueHeuristic(Heuristic):
     requires = ("value_index",)
 
     def produce(self, ctx, registry, engine):
-        return h2_value_matches(ctx.kb1.uris(), ctx.get("value_index"), registry)
+        # Rank the value rows as deep as H3 and H4 read them: the walk
+        # rarely passes a free candidate's first few, and the depth
+        # moves no match, so it is not among the stage's config fields.
+        return h2_value_matches(
+            ctx.kb1.uris(),
+            ctx.get("value_index"),
+            registry,
+            depth=ctx.config.top_k_candidates,
+        )
 
 
 @HEURISTICS.register("h3")

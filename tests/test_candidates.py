@@ -214,14 +214,30 @@ def _golden_kbs():
     )
 
 
+def _recorded_rankings(monkeypatch) -> list:
+    """Every side ranking from now on, as ``(index, side, depth)``."""
+    rankings = []
+    real = similarity_module.PackedSimilarityIndex._rank
+
+    def recorded(index, side, depth):
+        rankings.append((index, side, depth))
+        return real(index, side, depth)
+
+    monkeypatch.setattr(
+        similarity_module.PackedSimilarityIndex, "_rank", recorded
+    )
+    return rankings
+
+
 @pytest.mark.parametrize("restrict", [True, False])
 def test_restricted_match_never_builds_the_full_neighbor_index(
     monkeypatch, restrict
 ):
     """A default batch match folds only the co-occurring neighbor pairs:
     the run constructs exactly one neighbor index, the one the neighbor
-    stage publishes, and the lists are cut from its rows.  Unrestricted,
-    the published index is the full product and the lists are its rows."""
+    stage publishes, and the lists are cut from its rows at depth K.
+    Unrestricted, the published index is the full product and the lists
+    are its rows."""
     made = []
     real = NeighborSimilarityIndex.from_packed_columns.__func__
 
@@ -233,40 +249,86 @@ def test_restricted_match_never_builds_the_full_neighbor_index(
     monkeypatch.setattr(
         NeighborSimilarityIndex, "from_packed_columns", classmethod(recorded)
     )
+    rankings = _recorded_rankings(monkeypatch)
     config = MinoanERConfig(restrict_h3_to_cooccurring=restrict)
     ctx = MatchSession(*_golden_kbs(), config).run_context()
     assert ctx.get("matches")
     assert len(made) == 1
     published = ctx.get("neighbor_index")
     assert made[0]() is published
-    assert published._rows is not None  # the lists were cut from it
+    # the lists were cut from the published index at depth K: each side
+    # of both indices ranked once, to K, and no read went deeper
+    k = config.top_k_candidates
+    value_index = ctx.get("value_index")
+    assert sorted(
+        (id(index), side, depth) for index, side, depth in rankings
+    ) == sorted(
+        (id(index), side, k)
+        for index in (value_index, published)
+        for side in (1, 2)
+    )
+    lists = ctx.get("candidate_index")
+    for uri1 in ctx.kb1.uris():
+        assert lists.of_entity1(uri1).neighbor == tuple(
+            uri2 for uri2, _ in published.candidates_of_entity1(uri1, k)
+        )
 
 
 def test_published_state_answers_first_reads_without_building(
     monkeypatch, tmp_path
 ):
-    """``ServingState.from_matcher`` warms every row the read path
-    serves — over a loaded snapshot too, whose replay reads no row: the
-    first ``/candidates`` and ``/resolve`` calls rank no row and filter
-    no neighbor pair."""
+    """``ServingState.from_matcher`` ranks every side the read path
+    serves, to K — over a loaded snapshot too, whose replay reads no
+    row: the first ``/candidates`` and ``/resolve`` calls rank no side
+    and filter no neighbor pair (a side-1 row the neighbor gather reads
+    whole is ranked alone).  Across a delta's match and its publish,
+    each side of each index is ranked once, to K, and none whole: the
+    delta's matching ranks all four, so its publish ranks nothing."""
     kb1, kb2 = _golden_kbs()
     saved = MatchSession(kb1, kb2).save(tmp_path / "snap")
     matcher = IncrementalMatcher(MatchSession.load(saved))
-    matcher.match()
-    state = ServingState.from_matcher(matcher, generation=1, delta_count=0)
+    rankings = _recorded_rankings(monkeypatch)
+    states, indices = [], []
+    for delta in (False, True):
+        if delta:
+            matcher.remove_entities("kb1", sorted(kb1.uris())[:2])
+        matcher.match()
+        states.append(
+            ServingState.from_matcher(
+                matcher, generation=1 + delta, delta_count=int(delta)
+            )
+        )
+        ctx = matcher.last_context
+        indices.append((ctx.get("value_index"), ctx.get("neighbor_index")))
+    k = matcher.config.top_k_candidates
+
+    def ranked(index) -> list:
+        return sorted(
+            ((side, depth) for of, side, depth in rankings if of is index),
+            key=str,
+        )
+
+    # the replayed snapshot's publish ranks all four sides; the delta's
+    # matching ranks them first, so its publish ranks nothing
+    for value_index, neighbor_index in indices:
+        assert ranked(value_index) == [(1, k), (2, k)]
+        assert ranked(neighbor_index) == [(1, k), (2, k)]
+    assert len(rankings) == 8  # nothing else ranked
 
     def built(*args):
-        raise AssertionError("a read built ranked rows")
+        raise AssertionError("a read ranked a side or filtered pairs")
 
-    monkeypatch.setattr(similarity_module, "ranked_csr", built)
+    monkeypatch.setattr(similarity_module.PackedSimilarityIndex, "_rank", built)
     monkeypatch.setattr(candidates_module, "pairs_translated_into", built)
-    matched = 0
-    for match in state.matches[:20]:
-        assert handle_candidates(state, match.uri1, None)["match"]
-        record = entity_to_dict(kb1.get(match.uri1))
-        record["uri"] = "urn:query:" + match.uri1
-        matched += handle_resolve(state, {"record": record})["match"] is not None
-    assert matched  # some resolves reached H4's bars
+    for state in states:
+        matched = 0
+        for match in state.matches[:20]:
+            assert handle_candidates(state, match.uri1, None)["match"]
+            record = entity_to_dict(kb1.get(match.uri1))
+            record["uri"] = "urn:query:" + match.uri1
+            resolved = handle_resolve(state, {"record": record})
+            matched += resolved["match"] is not None
+        assert matched  # some resolves reached H4's bars
 
 
 @pytest.mark.parametrize("restrict", [True, False])

@@ -8,8 +8,9 @@ digest form) derives from them.  These suites pin that:
 - every column form (``array``, ``memoryview``, NumPy) lands on the same
   index, for arbitrary sparse pair sets (ties, ``0.0``, subnormal and
   huge sums, empty sides);
-- the kernels (``sequential_unique_sums``, ``ranked_csr``) equal the
-  pure-Python fold / 3-key sort they replace, float for float;
+- the kernels (``sequential_unique_sums``, ``ranked_side``) equal the
+  pure-Python fold / 3-key sort they replace, float for float, and a
+  side ranked to a depth is the whole rows' prefixes, bytes equal;
 - the row digest (``rows_digest``, the oracle) renders byte-identically
   to the ``sorted(pairs)`` JSON form, and the column digest
   (``artifact_digest``) is a function of the pair map alone: equal
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     blocking_context,
@@ -49,6 +50,7 @@ from repro.engine import (
 )
 from repro.ids import EntityInterner, PAIR_ID_BITS
 from repro.kb.io_ntriples import read_ntriples
+from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession, artifact_digest, context_digests
 from repro.pipeline.digest import rows_digest
 
@@ -259,32 +261,211 @@ def test_sequential_unique_sums_equals_dict_fold(contributions):
     assert sums.tolist() == [reference[key] for key in sorted(reference)]
 
 
-@given(id_pairs=pair_maps)
-def test_ranked_csr_equals_three_key_sort(id_pairs):
-    """The stability-ranked build equals the explicit 3-key sort
-    it replaces (and with it the per-entity ``(-sim, uri)`` sorts), as
-    ``array`` columns."""
-    from repro.ids.arrays import ranked_csr
-
+def side_columns(id_pairs: dict, side: int) -> tuple:
+    """``(rows, other, sims)`` of one side of an id-keyed pair map, in
+    ascending packed-key order (what ``ranked_side`` reads)."""
     packed = sorted(
         ((id1 << PAIR_ID_BITS) | id2, sim) for (id1, id2), sim in id_pairs.items()
     )
-    triples = [(key >> 32, key & 0xFFFFFFFF, sim) for key, sim in packed]
-    by1 = sorted(triples, key=lambda t: (t[0], -t[2], t[1]))
-    by2 = sorted(triples, key=lambda t: (t[1], -t[2], t[0]))
-    expected = [
-        [sum(id1 < i for id1, _, _ in triples) for i in range(9)],
-        [id2 for _, id2, _ in by1],
-        [sim for _, _, sim in by1],
-        [sum(id2 < i for _, id2, _ in triples) for i in range(9)],
-        [id1 for id1, _, _ in by2],
-        [sim for _, _, sim in by2],
-    ]
-    keys = array("q", (key for key, _ in packed))
+    keys = numpy.array([key for key, _ in packed], dtype=numpy.int64)
+    ids = (keys >> PAIR_ID_BITS, keys & 0xFFFFFFFF)
     sims = array("d", (sim for _, sim in packed))
-    rows = ranked_csr(keys, sims, 8, 8)
-    assert [column.typecode for column in rows] == list("qidqid")
-    assert list(map(list, rows)) == expected  # float ==
+    return ids[side - 1], ids[2 - side], sims
+
+
+@given(id_pairs=pair_maps)
+def test_ranked_side_equals_three_key_sort(id_pairs):
+    """The stability-ranked build of each side equals the explicit
+    3-key sort it replaces (and with it the per-entity ``(-sim, uri)``
+    sorts), as ``array`` columns."""
+    from repro.ids.arrays import ranked_side
+
+    triples = [(id1, id2, sim) for (id1, id2), sim in sorted(id_pairs.items())]
+    for side in (1, 2):
+        ranked = sorted(
+            triples, key=lambda t: (t[side - 1], -t[2], t[2 - side])
+        )
+        lengths = [
+            sum(t[side - 1] == i for t in triples) for i in range(8)
+        ]
+        starts, cols, sims, true_lengths, kept = ranked_side(
+            *side_columns(id_pairs, side), 8
+        )
+        assert [c.typecode for c in (starts, cols, sims)] == list("qid")
+        assert list(starts) == [sum(lengths[:i]) for i in range(9)]
+        assert list(cols) == [t[2 - side] for t in ranked]
+        assert list(sims) == [t[2] for t in ranked]  # float ==
+        assert list(true_lengths) == lengths
+        assert kept == len(triples)
+
+
+#: Similarities that stress the depth cut's coarse key: heavy ties,
+#: floats one ulp apart (their top 31 bits collide), ``-0.0`` beside
+#: ``+0.0``, negatives and the subnormal edges.
+DEPTH_SIMS = [
+    1.0,
+    1.0000000000000002,
+    1.0000000000000004,
+    0.9999999999999999,
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    -1.0,
+    -1.0000000000000002,
+    -2.5,
+    3.0,
+]
+
+#: Pair maps with rows shorter than, equal to and longer than small
+#: depths: side 1 has few ids, side 2 many, so rows of both lengths
+#: occur on both sides; ids that never occur leave empty rows.
+deep_pair_maps = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 15)),
+    st.one_of(
+        st.sampled_from(DEPTH_SIMS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=48,
+)
+
+
+@given(id_pairs=deep_pair_maps, depth=st.integers(1, 7))
+# -0.0 ties +0.0: the smaller counterpart id wins, whatever its sign
+@example(
+    id_pairs={
+        (0, 1): -0.0,
+        (0, 2): 0.0,
+        (0, 3): 0.0,
+        (1, 1): 0.0,
+        (2, 1): -0.0,
+    },
+    depth=1,
+)
+# one ulp apart: the coarse keys collide, the exact rank separates them
+@example(
+    id_pairs={
+        (0, 1): 1.0,
+        (0, 2): 1.0000000000000002,
+        (0, 3): 1.0000000000000004,
+        (0, 4): 0.9999999999999999,
+    },
+    depth=2,
+)
+@example(
+    id_pairs={
+        (0, 1): -1.0,
+        (0, 2): -1.0000000000000002,
+        (0, 3): -2.5,
+        (0, 4): -5e-324,
+    },
+    depth=2,
+)
+def test_depth_rows_are_whole_row_prefixes(id_pairs, depth):
+    """A side ranked to ``depth`` holds the first ``depth`` entries of
+    each whole ranked row — ids ``==``, similarity bytes ``==`` — and
+    every row's true length; it ranks no more pairs than the whole."""
+    from repro.ids.arrays import ranked_side
+
+    for side, n in ((1, 5), (2, 17)):
+        columns = side_columns(id_pairs, side)
+        whole_starts, whole_cols, whole_sims, lengths, _ = ranked_side(
+            *columns, n
+        )
+        starts, cols, sims, cut_lengths, kept = ranked_side(
+            *columns, n, depth
+        )
+        assert list(cut_lengths) == list(lengths)
+        assert kept <= len(id_pairs)
+        for row in range(n):
+            lo = whole_starts[row]
+            hi = min(whole_starts[row + 1], lo + depth)
+            assert list(cols[starts[row] : starts[row + 1]]) == list(
+                whole_cols[lo:hi]
+            )
+            assert (
+                sims[starts[row] : starts[row + 1]].tobytes()
+                == whole_sims[lo:hi].tobytes()
+            )
+            assert lengths[row] == whole_starts[row + 1] - lo
+
+
+def long_row_index() -> ValueSimilarityIndex:
+    """Side-1 row ``e0`` of 20 candidates, ``e1`` of 2, the others of
+    one; side-2 row ``e0`` of 10 candidates, the others of one or two.
+    Ties sit across the depth-3 cut of both long rows."""
+    sims = {(uri(1, 0), uri(2, j)): float(20 - j) for j in range(20)}
+    sims[(uri(1, 0), uri(2, 3))] = 18.0  # ties with e2 at the cut
+    sims.update({(uri(1, 1), uri(2, 0)): 0.5, (uri(1, 1), uri(2, 1)): 0.5})
+    sims.update({(uri(1, i), uri(2, 0)): float(i % 3) for i in range(2, 10)})
+    return index_of_pairs(sims, ValueSimilarityIndex)
+
+
+def fallbacks(telemetry) -> int:
+    counters = telemetry.metrics.counters()
+    return counters.get("similarity.whole_side_fallbacks", 0)
+
+
+def test_best_candidate_walks_past_an_exhausted_depth_cut():
+    """H2's walk on a row cut at depth 3 whose prefix is all excluded
+    goes on over that row ranked whole — the whole-row walk's answer —
+    and ranks no side again: the side stays cut."""
+    whole = long_row_index()
+    excludes = [{uri(2, j) for j in range(n)} for n in (3, 4, 19, 20)]
+    walks = [whole.best_candidate(uri(1, 0), exclude) for exclude in excludes]
+    assert walks[-1] is None
+    cut = long_row_index()
+    telemetry = Telemetry.create()
+    with activate(telemetry):
+        assert cut.best_candidate(uri(1, 1), depth=3) == (uri(2, 0), 0.5)
+        for exclude, walk in zip(excludes, walks):
+            assert cut.best_candidate(uri(1, 0), exclude, depth=3) == walk
+        first_three = {uri(2, 0), uri(2, 1), uri(2, 2)}
+        assert cut.best_candidate(uri(1, 0), first_three) == (uri(2, 3), 18.0)
+    assert [
+        record.args
+        for record in telemetry.tracer.records()
+        if record.name == "similarity.ranked_rows"
+    ] == [{"side": 1, "depth": 3}]
+    assert fallbacks(telemetry) == 0
+    assert type(cut.best_candidate(uri(1, 0), {uri(2, 0)})[1]) is float
+
+
+def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
+    """``csr_row`` with ``k`` above the depth a side was first read at
+    answers the whole row's prefix: a side-1 row is ranked alone (one
+    run of the key column), a side-2 row ranks its side whole once, a
+    counted fallback.  A row the cut did not shorten is served from the
+    cut rows."""
+    whole = long_row_index()
+    rows = {
+        (side, position, k): whole.csr_row(side, uri(side, position), k)
+        for side, position in ((1, 0), (1, 1), (2, 0), (2, 1))
+        for k in (1, 3, 4, 15, None)
+    }
+    cut = long_row_index()
+    telemetry = Telemetry.create()
+    with activate(telemetry):
+        assert cut.csr_row(1, uri(1, 0), 3) == rows[1, 0, 3]
+        assert cut.csr_row(1, uri(1, 1), 15) == rows[1, 1, 15]
+        assert cut.csr_row(2, uri(2, 0), 3) == rows[2, 0, 3]
+        assert cut.csr_row(2, uri(2, 1), None) == rows[2, 1, None]
+        for k in (4, 15, None):
+            assert cut.csr_row(1, uri(1, 0), k) == rows[1, 0, k]
+        assert fallbacks(telemetry) == 0
+        for k in (4, None, 1):
+            assert cut.csr_row(2, uri(2, 0), k) == rows[2, 0, k]
+        assert fallbacks(telemetry) == 1
+        assert cut.csr_row(1, uri(1, 0), 4) == rows[1, 0, 4]
+    assert [
+        record.args
+        for record in telemetry.tracer.records()
+        if record.name == "similarity.ranked_rows"
+    ] == [
+        {"side": 1, "depth": 3},
+        {"side": 2, "depth": 3},
+        {"side": 2, "depth": None},
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -247,9 +247,11 @@ class TestSessionTelemetry:
         """A trace says what an index stage spent producing the pair
         columns — the row tasks dispatch under the kernel span, through
         the executor — and where rows were ranked: each ranked-rows
-        build is one span under the stage that first read the rows.  A
-        default run ranks two indices, the value index and the
-        co-occurring neighbor index, both first read by matching."""
+        build is one span under the stage that first read the rows,
+        naming the side and the depth it ranked to.  A default run
+        ranks both sides of two indices, the value index and the
+        co-occurring neighbor index, all first read by matching, to the
+        config's K, and no read goes deeper."""
         result, telemetry = run_instrumented(dataset, "process", workers=2)
         records = telemetry.tracer.records()
         by_id = {record.span_id: record for record in records}
@@ -263,7 +265,20 @@ class TestSessionTelemetry:
             "neighbor_index",
             "value_index",
         ]
-        assert stages == {"similarity.ranked_rows": ["matching", "matching"]}
+        assert stages == {"similarity.ranked_rows": ["matching"] * 4}
+        k = MinoanERConfig().top_k_candidates
+        assert sorted(
+            (r.args["side"], r.args["depth"])
+            for r in records
+            if r.name == "similarity.ranked_rows"
+        ) == [(1, k), (1, k), (2, k), (2, k)]
+        counters = telemetry.metrics.counters()
+        assert "similarity.whole_side_fallbacks" not in counters
+        pairs = (
+            counters["similarity.value_pairs_scored"]
+            + counters["similarity.neighbor_pairs_scored"]
+        )
+        assert 0 < counters["similarity.ranked_pairs_kept"] <= 2 * pairs
         dispatches = [r for r in records if r.name == "dispatch:_row_sums"]
         assert len(dispatches) == 2
         for dispatch in dispatches:
