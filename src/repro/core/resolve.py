@@ -17,17 +17,23 @@ published state:
    :func:`~repro.core.similarity.block_token_weight` to each id in its
    row.  A single resolve is a batch of one: a batch's sums are one
    :func:`~repro.ids.arrays.gathered_candidate_sums` call keyed by
-   record index and candidate id, ranked by one
-   :func:`~repro.ids.arrays.ranked_groups` call.  A candidate's sum
-   adds its record's spans in the same element order whatever else
-   shares the batch, so every score is the same float in any batch.
+   record index and candidate id.  A candidate's sum adds its record's
+   spans in the same element order whatever else shares the batch, so
+   every score is the same float in any batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :func:`~repro.engine.similarity.build_neighbor_index`'s
-   propagation, gathered and ranked by the same two primitives over a
-   reverse top-neighbor CSR.
+   propagation, gathered by the same primitive over a reverse
+   top-neighbor CSR.
 5. **Apply H1–H4 online**, mirroring the batch heuristics for a record
    that is *queried*, not inserted (see below).
+
+Candidates stay id columns from gather to decision: each record's
+value and neighbor evidence is an ``(ids ascending, sums)`` pair, its
+top k comes from :func:`~repro.ids.arrays.top_ranked` (exact, ties to
+the smaller id = the smaller URI), co-occurrence and H4's scores are
+binary searches of those ids, and only the at most k rows returned are
+decoded to URIs.
 
 Records whose URI already exists in KB1 answer with
 :meth:`OnlineResolver.probe` — the precomputed rows and the standing
@@ -62,14 +68,13 @@ The resolver reads the run's artifacts only: its derived tables (the
 packed-block columns, H1's name-key maps, the top-neighbor fan-out)
 build once, in the constructor, from the published name placements and
 top-neighbor sets — no KB entity is re-keyed or walked.  Afterwards a
-read writes nothing but two bounded memos of pure functions, so the
+read writes nothing but two bounded memos of pure functions, whose
+entries are immutable (tuples of floats, read-only arrays), so the
 resolver is safe to share across reader threads.
 """
 
 from __future__ import annotations
 
-import heapq
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -78,7 +83,14 @@ from ..blocking.base import BlockCollection
 from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
 from ..ids import EntityInterner
-from ..ids.arrays import gathered_candidate_sums, ranked_groups
+from ..ids.arrays import (
+    gathered_candidate_sums,
+    group_bounds,
+    merged_sums,
+    pair_ids,
+    positions_within,
+    top_ranked,
+)
 from ..kb.tokenizer import Tokenizer
 from .heuristics import Match
 from .neighbors import top_neighbor_csr, transposed_csr
@@ -99,8 +111,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 _BATCH_SHIFT = 32
 
 
-#: Bound of the per-resolver target-contribution memo (rows are small;
-#: the cap only matters for adversarial never-repeating target floods).
+#: Bound of each per-resolver memo (rows are small; the cap only
+#: matters for adversarial never-repeating target or candidate floods).
 _NEIGHBOR_MEMO_LIMIT = 65536
 
 
@@ -227,7 +239,8 @@ class OnlineResolver:
             )
         self._blocks = token_blocks
         self._starts2, self._ids2 = token_blocks.csr(2)
-        self._uris2 = token_blocks.interners()[1].uris()
+        self._candidates2 = token_blocks.interners()[1]
+        self._uris2 = self._candidates2.uris()
 
         # H1: the name keys some KB1 entity carries, and each KB2 key's
         # sole carrier (``None`` = shared, never an H1 block).
@@ -245,22 +258,26 @@ class OnlineResolver:
         # Neighbor evidence: per value-side-2 id, the ascending ids of
         # the KB2 parents listing it as a top neighbor — the transposed
         # fan-out the neighbor kernel propagates over (parent ids are
-        # URI order, so integer order doubles as the URI tie-break).
+        # URI order, so integer order doubles as the URI tie-break) —
+        # and each parent's id among the value candidates (``-1`` for
+        # none), the map co-occurrence searches through.
         parents = EntityInterner(top_neighbors2)
         value2 = value_index.interners()[1]
+        self._parents = parents
         self._parent_uris = parents.uris()
         self._parent_starts, self._parent_ids = transposed_csr(
             *top_neighbor_csr(top_neighbors2, parents, value2), len(value2)
         )
+        self._parent_images = parents.images_in(self._candidates2)
+        self._no_neighbors = _published(
+            gathered_candidate_sums(self._parent_ids, (), (), ())
+        )
 
-        # target URI -> (contribution row, ranked triples).  The
-        # evidence is immutable for this resolver's lifetime, so rows
-        # never go stale; the cap only bounds memory on adversarial
-        # target sets.
-        self._neighbor_memo: dict[
-            str | tuple[str, ...],
-            tuple[dict[str, float], list[str], list[float]],
-        ] = {}
+        # target URI, or sorted target tuple -> read-only (parent ids
+        # ascending, sums) columns; (uri2, k) -> H4 bars.  The evidence
+        # is immutable for this resolver's lifetime, so entries never go
+        # stale; the cap only bounds memory on adversarial floods.
+        self._neighbor_memo: dict[str | tuple[str, ...], tuple] = {}
         self._h4_memo: dict[tuple[str, int], tuple[float | None, float | None]] = {}
 
     @classmethod
@@ -342,10 +359,10 @@ class OnlineResolver:
         Records whose URI is in KB1 answer with :meth:`probe`.  The rest
         share their token -> block-row lookups; all their candidate sums
         run in one :func:`gathered_candidate_sums` call keyed
-        ``record index << 32 | candidate id`` and rank in one
-        :func:`ranked_groups` call.  A candidate's sum receives the same
-        additions in the same order whatever else is in the batch, so a
-        record resolves bit-identically alone or in any batch.
+        ``record index << 32 | candidate id``, and each record decides
+        over its slice of those columns.  A candidate's sum receives the
+        same additions in the same order whatever else is in the batch,
+        so a record resolves bit-identically alone or in any batch.
         """
         k = self.validated_k(k)
         results: list[ResolveResult | None] = [None] * len(records)
@@ -374,17 +391,11 @@ class OnlineResolver:
         keys, sums = gathered_candidate_sums(
             self._ids2, starts, stops, weights, bases
         )
-        bounds, ids, sums, ranked = ranked_groups(keys, sums, len(pending), k)
-        uris2 = self._uris2
+        bounds = group_bounds(keys, len(pending))
+        _, ids = pair_ids(keys)
         for index, (position, record) in enumerate(pending):
             lo, hi = bounds[index], bounds[index + 1]
-            value_scores = dict(
-                zip(map(uris2.__getitem__, ids[lo:hi]), sums[lo:hi])
-            )
-            value_top = [(uris2[ids[j]], sums[j]) for j in ranked[index]]
-            results[position] = self._decide(
-                record, k, value_scores, value_top
-            )
+            results[position] = self._decide(record, k, ids[lo:hi], sums[lo:hi])
         return results  # type: ignore[return-value]
 
     def validated_k(self, k: int | None) -> int:
@@ -433,26 +444,26 @@ class OnlineResolver:
         return spans
 
     def _decide(
-        self,
-        record: "EntityDescription",
-        k: int,
-        value_scores: dict[str, float],
-        value_top: list[tuple[str, float]],
+        self, record: "EntityDescription", k: int, value_ids, value_sums
     ) -> ResolveResult:
-        """The online H1–H4 ladder over ranked value evidence."""
-        neighbor_acc, nbr_uris, nbr_scores = self._neighbor_scores(record)
+        """The online H1–H4 ladder over one record's value evidence: its
+        candidates' ascending ids and their sums."""
+        neighbor_ids, neighbor_sums = self._neighbor_scores(record)
         config = self._config
-        # The memoized row arrives fully ranked: top-k is a slice, and
-        # the co-occurrence filter — "scan in rank order, keep
-        # co-occurring, stop at k" — is the same as top-k over the
-        # value/neighbor intersection, since filtering a ranked list
-        # preserves its order.
-        neighbor_top = list(zip(nbr_uris[:k], nbr_scores[:k]))
+        value_top = _top_rows(self._uris2, value_ids, value_sums, k)
+        neighbor_top = _top_rows(self._parent_uris, neighbor_ids, neighbor_sums, k)
         if config.restrict_h3_to_cooccurring:
-            shared = value_scores.keys() & neighbor_acc.keys()
-            cooccurring = [(-neighbor_acc[uri2], uri2) for uri2 in shared]
+            shared = positions_within(
+                neighbor_ids, self._parent_images, value_ids
+            )
             neighbor_uris = [
-                uri2 for _, uri2 in heapq.nsmallest(k, cooccurring)
+                uri2
+                for uri2, _ in _top_rows(
+                    self._parent_uris,
+                    neighbor_ids[shared],
+                    neighbor_sums[shared],
+                    k,
+                )
             ]
         else:
             neighbor_uris = [uri2 for uri2, _ in neighbor_top]
@@ -477,12 +488,13 @@ class OnlineResolver:
             if match is not None:
                 break
         if match is not None and self._reciprocal:
+            uri2 = match.uri2
             if not self._h4_reciprocal(
-                match.uri2,
+                uri2,
                 value_uris,
                 neighbor_uris,
-                value_scores.get(match.uri2, 0.0),
-                neighbor_acc.get(match.uri2, 0.0),
+                _score_of(value_ids, value_sums, self._candidates2.get(uri2)),
+                _score_of(neighbor_ids, neighbor_sums, self._parents.get(uri2)),
                 k,
             ):
                 match = None
@@ -496,23 +508,21 @@ class OnlineResolver:
             match=match,
         )
 
-    def _neighbor_scores(
-        self, record: "EntityDescription"
-    ) -> tuple[dict[str, float], list[str], list[float]]:
-        """The record's neighbor-similarity sums, plus a ranked view.
+    def _neighbor_scores(self, record: "EntityDescription") -> tuple:
+        """The record's neighbor-similarity sums: read-only ``(parent
+        ids ascending, sums)`` columns.
 
         The one-row analogue of the batch propagation: each of the
         record's outgoing top-relation targets contributes its value
         row, fanned out to the KB2 entities listing the counterpart as
-        a top neighbor.  Rows are accumulated, ranked (parallel
-        ``uris``/``scores`` lists, best score first, URI breaking
-        ties) and memoized per target — and per target *set* for
-        multi-link records — so a serving stream's repeated link
-        structures never re-propagate or re-rank.  Multi-target sums
-        merge per-target rows in sorted-target order with rows walked
-        in URI order, keeping float accumulation identical across
-        batch compositions.  Callers must treat the returned
-        containers as read-only: they are shared memo entries.
+        a top neighbor.  Columns are memoized per target — and per
+        target *set* for multi-link records — so a serving stream's
+        repeated link structures never re-propagate.  Multi-target sums
+        merge the per-target columns in sorted-target order
+        (:func:`merged_sums`), each parent's per-target sums adding up
+        from ``0.0`` in that order, so the floats are the same in any
+        batch.  The columns are shared memo entries, published
+        read-only: writing to one raises.
         """
         targets = sorted(
             {
@@ -522,61 +532,41 @@ class OnlineResolver:
             }
         )
         if not targets:
-            return {}, [], []
+            return self._no_neighbors
         if len(targets) == 1:
             return self._target_contribution(targets[0])
         # Multi-target records memoize under the target tuple: a query
         # stream's variants of one source entity share their link set,
-        # so the merge + sort happens once per distinct set.
+        # so the merge happens once per distinct set.
         key = tuple(targets)
         memo = self._neighbor_memo
         entry = memo.get(key)
         if entry is None:
-            acc: dict[str, float] = {}
-            for target in targets:
-                row, _uris, _scores = self._target_contribution(target)
-                for parent, sim in row.items():
-                    acc[parent] = acc.get(parent, 0.0) + sim
-            ranked = sorted(
-                zip(map(operator.neg, acc.values()), acc, acc.values())
-            )
-            entry = (
-                acc,
-                [uri for _, uri, _ in ranked],
-                [score for _, _, score in ranked],
+            entry = _published(
+                merged_sums(map(self._target_contribution, targets))
             )
             if len(memo) < _NEIGHBOR_MEMO_LIMIT:
                 memo[key] = entry
         return entry
 
-    def _target_contribution(
-        self, target: str
-    ) -> tuple[dict[str, float], list[str], list[float]]:
-        """One target's fan-out row (KB2 parent -> summed value sims)
-        and its ranking (parallel uri/score lists), memoized together.
+    def _target_contribution(self, target: str) -> tuple:
+        """One target's fan-out: read-only ``(KB2 parent ids ascending,
+        summed value sims)`` columns, memoized.
 
         Each ``(vid, sim)`` of the target's ranked value row adds
         ``sim`` to the parents of ``vid`` in the transposed top-neighbor
         CSR — a :func:`gathered_candidate_sums` over that CSR, in row
-        order — and :func:`ranked_groups` ranks the sums by (-sum,
-        parent id), which is (-score, URI) because parent ids are
-        assigned in sorted-URI order.  The row dict is keyed in
-        ascending URI order, the order multi-target merges walk.
+        order.
         """
         memo = self._neighbor_memo
         entry = memo.get(target)
         if entry is None:
             vids, sims = self._value_index.csr_row(1, target)
             starts = self._parent_starts
-            keys, sums = gathered_candidate_sums(
-                self._parent_ids, starts[vids], starts[1:][vids], sims
-            )
-            _, parents, sums, (ranked,) = ranked_groups(keys, sums, 1)
-            parent_uris = self._parent_uris
-            entry = (
-                dict(zip(map(parent_uris.__getitem__, parents), sums)),
-                [parent_uris[parents[j]] for j in ranked],
-                [sums[j] for j in ranked],
+            entry = _published(
+                gathered_candidate_sums(
+                    self._parent_ids, starts[vids], starts[1:][vids], sims
+                )
             )
             if len(memo) < _NEIGHBOR_MEMO_LIMIT:
                 memo[target] = entry
@@ -711,3 +701,28 @@ class CachedResolver:
 
 #: Distinguishes "memoized as absent" from "never looked up".
 _UNSEEN = object()
+
+
+def _published(columns: tuple) -> tuple:
+    """``columns`` made read-only: a shared memo entry."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _top_rows(uris: list[str], ids, sums, k: int) -> list[tuple[str, float]]:
+    """The top ``k`` ``(uri, sum)`` rows of ``(ids, sums)`` columns by
+    ``(-sum, id)``; only those rows are decoded."""
+    top = top_ranked(ids, sums, k)
+    return list(zip(map(uris.__getitem__, ids[top].tolist()), sums[top].tolist()))
+
+
+def _score_of(ids, sums, entity_id: int | None) -> float:
+    """The sum beside ``entity_id`` in ascending ``ids`` (``0.0`` when
+    absent): one binary search."""
+    if entity_id is None:
+        return 0.0
+    at = bisect_left(ids, entity_id)
+    if at < len(ids) and ids[at] == entity_id:
+        return float(sums[at])
+    return 0.0

@@ -4,7 +4,7 @@ The hot bulk operations of the packed similarity core — the
 shard-ordered slab fold of the row-owned similarity kernels, ragged
 span expansion, order-preserving duplicate-key summation, the CSR
 ranked rows cut at a depth, the neighbor pairs' co-occurrence filter, the
-online resolver's span gather and per-group ranking, CRC32 by
+online resolver's span gather, exact top-k and co-occurrence, CRC32 by
 combination and the digest's canonical columns — run vectorized, one
 implementation each.  Every fold here keeps the
 floating-point accumulation order of the string-keyed specification in
@@ -99,6 +99,14 @@ def sequential_unique_sums(keys, weights):
     sums = _np.bincount(inverse, weights=weights)
     # bincount types the sums of an *empty* column int64
     return unique, sums.astype(_np.float64, copy=False)
+
+
+def merged_sums(columns):
+    """Per-key totals of several ``(keys, sums)`` column pairs, each
+    key's sums added in the order the pairs come in:
+    :func:`sequential_unique_sums` over their concatenation."""
+    keys, sums = zip(*columns)
+    return sequential_unique_sums(_np.concatenate(keys), _np.concatenate(sums))
 
 
 def shard_ordered_sums(
@@ -297,29 +305,44 @@ def gathered_candidate_sums(
     return sequential_unique_sums(keys, values[owners])
 
 
-def ranked_groups(keys, sums, n_groups, limit=None):
-    """Rank gathered totals within their groups: ``(group, -sum, id)``.
+def group_bounds(keys, n_groups):
+    """Where each group of an ascending ``group << 32 | id`` key column
+    starts (what :func:`gathered_candidate_sums` returns with
+    ``span_bases``): ``n_groups + 1`` offsets, group ``g`` owning
+    positions ``bounds[g] : bounds[g + 1]``, a plain list."""
+    firsts = _np.arange(n_groups + 1, dtype=_np.int64) << 32
+    return _np.searchsorted(_np.asarray(keys), firsts).tolist()
 
-    ``keys`` are ascending ``group << 32 | id`` with ``sums`` beside them
-    (what :func:`gathered_candidate_sums` returns), every group below
-    ``n_groups``.  Returns plain lists ``(bounds, ids, sums, ranked)``:
-    group ``g`` owns positions ``bounds[g] : bounds[g + 1]`` of ``ids`` /
-    ``sums`` (ascending id), and ``ranked[g]`` lists those positions by
-    sum descending, ties to the smaller id (the smaller URI: ids are URI
-    order), cut to the first ``limit`` when given.  One ``lexsort`` for
-    every group.
+
+def top_ranked(ids, sums, k):
+    """The positions of the ``k`` best entries by ``(-sum, id)``, best
+    first — since ids are URI order, the first ``k`` of
+    ``sorted(key=(-score, uri))``, exactly.
+
+    A partition finds the ``k``-th largest sum; every entry at or above
+    it (ties at the boundary included) enters one ``lexsort``, so the
+    boundary ties break on the id and nothing below the bar is sorted.
     """
-    keys = _np.asarray(keys, dtype=_np.int64)
+    ids = _np.asarray(ids)
     sums = _np.asarray(sums, dtype=_np.float64)
-    groups, ids = keys >> 32, keys & 0xFFFFFFFF
-    order = _np.lexsort((ids, -sums, groups)).tolist()
-    sizes = _np.bincount(groups, minlength=n_groups)
-    bounds = [0, *_np.cumsum(sizes).tolist()]
-    ranked = [
-        order[lo : hi if limit is None else min(hi, lo + limit)]
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return bounds, ids.tolist(), sums.tolist(), ranked
+    if len(sums) <= k:
+        return _np.lexsort((ids, -sums))
+    bar = -_np.partition(-sums, k - 1)[k - 1]
+    kept = _np.flatnonzero(sums >= bar)
+    return kept[_np.lexsort((ids[kept], -sums[kept]))[:k]]
+
+
+def positions_within(ids, images, within):
+    """The positions of ``ids`` whose image ``images[id]`` occurs in the
+    ascending column ``within`` (an image of ``-1`` occurs nowhere):
+    one binary search per id."""
+    mapped = _np.asarray(images)[_np.asarray(ids)]
+    within = _np.asarray(within)
+    if not len(within):
+        return _np.flatnonzero(mapped[:0])
+    at = _np.searchsorted(within, mapped)
+    _np.minimum(at, len(within) - 1, out=at)
+    return _np.flatnonzero(within[at] == mapped)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,12 @@ from repro.blocking.base import Block
 from repro.blocking.name_blocking import name_keys, names_from_attributes
 from repro.core.candidates import CandidateLists
 from repro.core.heuristics import Match
+from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
 from repro.ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
+from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import (
     MatchSession,
     NameBlockingStage,
@@ -224,16 +226,10 @@ def candidate_lists_by_uri(
     )
 
 
-def resolve_rows_by_uri(
-    record,
-    tokenizer,
-    token_blocks,
-    value_index,
-    top_neighbors2,
-    top_relations1,
-    k,
+def resolve_scores_by_uri(
+    record, tokenizer, token_blocks, value_index, top_neighbors2, top_relations1
 ):
-    """A never-seen record's ``(value, neighbor, best)`` rows, on URIs.
+    """A never-seen record's ``(value, neighbor)`` score dicts, on URIs.
 
     The online resolver's dict-loop scorer, kept as its reference.
     Value: the record's tokens, sorted, each pick a block, which adds
@@ -241,8 +237,7 @@ def resolve_rows_by_uri(
     Neighbor: each top-relation target, sorted, walks its ranked value
     row and adds each ``(uri2, sim)`` to the KB2 entities listing
     ``uri2`` as a top neighbor; the per-target rows then merge, each
-    walked in URI order.  Rows rank by ``(-score, uri)``, cut to ``k``;
-    ``best`` is the top value row, uncut.
+    walked in URI order.
     """
     value: dict[str, float] = {}
     for token in sorted(tokenizer.token_set(record)):
@@ -273,16 +268,103 @@ def resolve_rows_by_uri(
                 row[parent] = row.get(parent, 0.0) + sim
         for parent in sorted(row):
             neighbor[parent] = neighbor.get(parent, 0.0) + row[parent]
+    return value, neighbor
 
-    def ranked(rows: dict[str, float]) -> list[tuple[str, float]]:
-        return sorted(rows.items(), key=lambda item: (-item[1], item[0]))
 
-    value_rows = ranked(value)
+def ranked_by_uri(rows: dict[str, float]) -> list[tuple[str, float]]:
+    """``(uri, score)`` rows by ``(-score, uri)``."""
+    return sorted(rows.items(), key=lambda item: (-item[1], item[0]))
+
+
+def resolve_rows_by_uri(
+    record,
+    tokenizer,
+    token_blocks,
+    value_index,
+    top_neighbors2,
+    top_relations1,
+    k,
+):
+    """A never-seen record's ``(value, neighbor, best)`` rows, on URIs:
+    :func:`resolve_scores_by_uri`'s dicts ranked by ``(-score, uri)``,
+    cut to ``k``; ``best`` is the top value row, uncut."""
+    value, neighbor = resolve_scores_by_uri(
+        record, tokenizer, token_blocks, value_index, top_neighbors2, top_relations1
+    )
+    value_rows = ranked_by_uri(value)
     return (
         tuple(value_rows[:k]),
-        tuple(ranked(neighbor)[:k]),
+        tuple(ranked_by_uri(neighbor)[:k]),
         value_rows[0] if value_rows else None,
     )
+
+
+def resolve_decision_by_uri(record, ctx, k, h1_names=None):
+    """A never-seen record's online decision, on URIs: the resolver's
+    H1–H4 ladder as a dict loop over :func:`resolve_scores_by_uri`.
+
+    - the H3 lists: the top ``k`` value URIs by ``(-score, uri)``, and
+      the top ``k`` neighbor URIs — under the conference H3 only those
+      with a value score too;
+    - the ladder walks ``ctx.config.heuristics``: H1 (over ``h1_names``,
+      :func:`h1_names_by_kb_walk`'s tables; skipped when ``None``), H2
+      (the best value score is ``>= 1.0``), H3
+      (``top_aggregate_candidate``); the first that fires decides;
+    - H4, if listed, keeps it only when its KB2 entity is in one of the
+      record's lists and the record's value score, or its neighbor
+      score, would enter that entity's top ``k`` — the counterfactual
+      bar is the ``k``-th of ``csr_row(2, uri2, k)``, none when the row
+      is shorter.
+    """
+    config = ctx.config
+    restrict = config.restrict_h3_to_cooccurring
+    value, neighbor = resolve_scores_by_uri(
+        record,
+        Tokenizer(),
+        ctx.get("token_blocks"),
+        ctx.get("value_index"),
+        ctx.get("top_neighbors2"),
+        ctx.get_or("top_relations1", ()),
+    )
+    if restrict:
+        neighbor_rows = {uri: s for uri, s in neighbor.items() if uri in value}
+    else:
+        neighbor_rows = neighbor
+    value_uris = [uri for uri, _ in ranked_by_uri(value)[:k]]
+    neighbor_uris = [uri for uri, _ in ranked_by_uri(neighbor_rows)[:k]]
+
+    match = None
+    for name in config.heuristics:
+        if name == "h1" and h1_names is not None:
+            match = h1_match_by_kb_walk(
+                record, h1_names, ctx.get("name_attributes1")
+            )
+        elif name == "h2" and value_uris and value[value_uris[0]] >= 1.0:
+            match = Match(record.uri, value_uris[0], "H2", value[value_uris[0]])
+        elif name == "h3":
+            best = top_aggregate_candidate(value_uris, neighbor_uris, config.theta)
+            if best is not None:
+                match = Match(record.uri, best[0], "H3", best[1])
+        if match is not None:
+            break
+    if match is None or "h4" not in config.heuristics:
+        return match
+
+    uri2 = match.uri2
+    if uri2 not in value_uris and uri2 not in neighbor_uris:
+        return None
+    bars = []
+    for index in (ctx.get("value_index"), ctx.get("neighbor_index")):
+        _, sims = index.csr_row(2, uri2, k)
+        bars.append(sims[-1] if len(sims) == k else None)
+    value_score = value.get(uri2, 0.0)
+    neighbor_score = neighbor.get(uri2, 0.0)
+    if value_score > 0.0 and (bars[0] is None or value_score >= bars[0]):
+        return match
+    if neighbor_score > 0.0 and (value_score > 0.0 or not restrict):
+        if bars[1] is None or neighbor_score >= bars[1]:
+            return match
+    return None
 
 
 def h1_names_by_kb_walk(kb1, kb2, name_attributes1, name_attributes2):

@@ -278,7 +278,7 @@ def _as_lists(columns):
 
 
 class TestResolverPrimitives:
-    """The online resolver's two primitives equal a dict-fold / sort
+    """The online resolver's primitives equal a dict-fold / sort / set
     reference, float for float."""
 
     #: weights from subnormal to 1e300, plus a few that tie
@@ -327,33 +327,78 @@ class TestResolverPrimitives:
 
     @given(
         st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 15)),
+            st.integers(0, 40),
             st.sampled_from([0.25, 0.5, 1.0, 2.0]),  # ties galore
-            max_size=40,
+            max_size=30,
         ),
-        st.one_of(st.none(), st.integers(1, 5)),
+        st.integers(1, 8),
     )
-    @example({}, None)
-    @example({(0, 3): 1.0, (0, 1): 1.0, (2, 9): 0.5, (2, 0): 0.5}, 1)
-    def test_ranked_groups(self, cells, limit):
-        """Tied sums break on the id; empty groups, and the ``limit``
-        cut."""
-        from repro.ids.arrays import ranked_groups
+    @example({}, 1)  # empty input
+    @example({7: 0.5, 2: 1.0, 4: 0.25}, 3)  # k == n
+    @example({7: 0.5, 2: 1.0, 4: 0.25}, 8)  # k > n
+    @example({9: 0.5, 3: 2.0, 5: 2.0, 1: 0.25}, 1)  # k = 1, tied at top
+    @example({id_: 1.0 for id_ in (8, 3, 12, 0, 5)}, 2)  # all equal
+    # ties straddling the boundary: 4 entries at the k-th value, k = 3
+    @example({1: 2.0, 9: 0.5, 4: 0.5, 6: 0.5, 2: 0.5, 0: 0.25}, 3)
+    def test_top_ranked(self, cells, k):
+        """The positions of the first ``k`` of ``sorted(key=(-sum,
+        id))``, ids in any order: ties at the k-th value break on the
+        id, whatever the partition visited first."""
+        from repro.ids.arrays import top_ranked
 
-        keys = sorted((group << 32) | cid for group, cid in cells)
-        sums = [cells[(key >> 32, key & 0xFFFFFFFF)] for key in keys]
-        bounds, ranked = [], []
-        for group in range(5):
-            bounds.append(sum(1 for key in keys if key >> 32 < group))
-            mine = [j for j, key in enumerate(keys) if key >> 32 == group]
-            mine.sort(key=lambda j: (-sums[j], keys[j]))
-            ranked.append(mine if limit is None else mine[:limit])
-        bounds.append(len(keys))
-        expected = [
-            bounds,
-            [key & 0xFFFFFFFF for key in keys],
-            sums,
-            ranked,
+        ids, sums = list(cells), list(cells.values())
+        expected = sorted(range(len(ids)), key=lambda j: (-sums[j], ids[j]))
+        got = top_ranked(array("q", ids), array("d", sums), k)
+        assert list(got) == expected[:k]
+
+    @given(
+        st.sets(st.integers(0, 15), max_size=10),
+        st.lists(st.integers(-1, 15), min_size=12, max_size=12),
+        st.sets(st.integers(0, 15), max_size=10),
+    )
+    @example(set(), [-1] * 12, set())
+    @example({0, 3, 11}, [-1] * 12, {0, 3, 11})  # no id has an image
+    def test_positions_within(self, ids, images, within):
+        """The positions of the ids whose image is in ``within``."""
+        from repro.ids.arrays import positions_within
+
+        ids = sorted(i for i in ids if i < len(images))
+        expected = [j for j, i in enumerate(ids) if images[i] in within]
+        got = positions_within(
+            array("q", ids), array("q", images), array("q", sorted(within))
+        )
+        assert list(got) == expected
+
+    @given(st.lists(st.integers(0, 4), max_size=20), st.integers(5, 7))
+    def test_group_bounds(self, groups, n_groups):
+        from repro.ids.arrays import group_bounds
+
+        keys = sorted((group << 32) | at for at, group in enumerate(groups))
+        expected = [sum(1 for g in groups if g < b) for b in range(n_groups + 1)]
+        assert group_bounds(array("q", keys), n_groups) == expected
+
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(0, 9), _value, max_size=6),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_merged_sums(self, rows):
+        """Each key's sums add up from ``0.0`` in row order: the dict
+        merge ``acc[key] = acc.get(key, 0.0) + sum``."""
+        from repro.ids.arrays import merged_sums
+
+        reference: dict[int, float] = {}
+        for row in rows:
+            for key in sorted(row):
+                reference[key] = reference.get(key, 0.0) + row[key]
+        columns = [
+            (array("q", sorted(row)), array("d", [row[k] for k in sorted(row)]))
+            for row in rows
         ]
-        ranked = ranked_groups(array("q", keys), array("d", sums), 5, limit)
-        assert _as_lists(ranked) == expected
+        keys = sorted(reference)
+        assert _as_lists(merged_sums(columns)) == [
+            keys,
+            [reference[key] for key in keys],
+        ]

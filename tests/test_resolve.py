@@ -11,6 +11,7 @@ ProbeCache counters and keys, the ServeClient failure taxonomy, and the
 """
 
 import socket
+import sys
 import threading
 from pathlib import Path
 
@@ -45,7 +46,10 @@ from repro.serve.json_codec import entity_to_dict
 from oracles import (
     h1_match_by_kb_walk,
     h1_names_by_kb_walk,
+    ranked_by_uri,
+    resolve_decision_by_uri,
     resolve_rows_by_uri,
+    resolve_scores_by_uri,
 )
 from test_pipeline import make_pair
 
@@ -247,6 +251,43 @@ def oracle_kbs():
     return data, ctx, vocabulary, relations, targets
 
 
+@pytest.fixture(scope="module")
+def oracle_decisions(oracle_kbs):
+    """Per ``restrict_h3_to_cooccurring``, the oracle KBs' context, and
+    H1's tables re-keyed from both KBs."""
+    data, ctx, *_ = oracle_kbs
+    unrestricted = MinoanERConfig(restrict_h3_to_cooccurring=False)
+    contexts = {
+        True: ctx,
+        False: MatchSession(data.kb1, data.kb2, unrestricted).run_context(),
+    }
+    names = h1_names_by_kb_walk(
+        data.kb1,
+        data.kb2,
+        ctx.get("name_attributes1"),
+        ctx.get("name_attributes2"),
+    )
+    return contexts, names
+
+
+def oracle_records(oracle_kbs, specs):
+    """The never-seen records ``specs`` describe over the oracle KBs."""
+    _, _, vocabulary, relations, targets = oracle_kbs
+    records = []
+    for index, (tokens, links) in enumerate(specs):
+        pairs = [("name", " ".join(vocabulary[t] for t in tokens))]
+        pairs += [(relations[r], UriRef(targets[t])) for r, t in links]
+        records.append(EntityDescription(f"urn:oracle:{index}", pairs))
+    return records
+
+
+#: Decision-oracle examples (restaurant 1.0, seed 5, conference H3),
+#: each deciding H3 for a KB2 entity scored at the tied boundary.
+_VALUE_TIE = [([5], [(0, 4)])], 3  # tie at the k-th value row
+_NEIGHBOR_TIE = [([4, 11, 13], [(0, 2)])], 3  # ... co-occurring neighbor row
+_MULTI_TARGET = [([1, 7, 15, 23], [(1, 10), (0, 5), (1, 1)])], 4
+
+
 class TestResolveOracle:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(specs=_specs, k=st.integers(1, 5))
@@ -258,12 +299,8 @@ class TestResolveOracle:
         """Every resolved ``value`` / ``neighbor`` / ``best`` row equals
         ``tests/oracles.py::resolve_rows_by_uri`` float for float, for
         a fresh resolver (no memo carried over)."""
-        data, ctx, vocabulary, relations, targets = oracle_kbs
-        records = []
-        for index, (tokens, links) in enumerate(specs):
-            pairs = [("name", " ".join(vocabulary[t] for t in tokens))]
-            pairs += [(relations[r], UriRef(targets[t])) for r, t in links]
-            records.append(EntityDescription(f"urn:oracle:{index}", pairs))
+        data, ctx, *_ = oracle_kbs
+        records = oracle_records(oracle_kbs, specs)
         resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
         tokenizer = Tokenizer()
         for record, result in zip(records, resolver.resolve_batch(records, k)):
@@ -279,6 +316,146 @@ class TestResolveOracle:
                     k,
                 )
             )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(specs=_specs, k=st.integers(1, 5), restrict=st.booleans())
+    @example(specs=_VALUE_TIE[0], k=_VALUE_TIE[1], restrict=True)
+    @example(specs=_NEIGHBOR_TIE[0], k=_NEIGHBOR_TIE[1], restrict=True)
+    @example(specs=_MULTI_TARGET[0], k=_MULTI_TARGET[1], restrict=True)
+    @example(specs=_MULTI_TARGET[0], k=_MULTI_TARGET[1], restrict=False)
+    def test_decisions_equal_the_oracle(
+        self, oracle_kbs, oracle_decisions, specs, k, restrict
+    ):
+        """Every resolved ``match`` equals
+        ``tests/oracles.py::resolve_decision_by_uri`` — the whole online
+        ladder, H4 included — under both H3 variants."""
+        contexts, names = oracle_decisions
+        ctx = contexts[restrict]
+        records = oracle_records(oracle_kbs, specs)
+        resolver = OnlineResolver.from_context(
+            ctx, frozenset(oracle_kbs[0].kb1.uris())
+        )
+        results = resolver.resolve_batch(records, k)
+        assert [r.match for r in results] == [
+            resolve_decision_by_uri(record, ctx, k, names) for record in records
+        ]
+
+    def test_examples_hit_their_boundary_ties(self, oracle_kbs, oracle_decisions):
+        """The decision examples above still show what they are named
+        for: the decided KB2 entity scores exactly the k-th value (or
+        co-occurring neighbor) score, which the (k+1)-th ties; and the
+        multi-target record links three targets and decides H3."""
+        contexts, names = oracle_decisions
+        ctx = contexts[True]
+
+        def scored(example):
+            (record,), k = oracle_records(oracle_kbs, example[0]), example[1]
+            value, neighbor = resolve_scores_by_uri(
+                record,
+                Tokenizer(),
+                ctx.get("token_blocks"),
+                ctx.get("value_index"),
+                ctx.get("top_neighbors2"),
+                ctx.get("top_relations1"),
+            )
+            match = resolve_decision_by_uri(record, ctx, k, names)
+            assert match is not None and match.heuristic == "H3"
+            return record, k, value, neighbor, match
+
+        for example, row in ((_VALUE_TIE, 0), (_NEIGHBOR_TIE, 1)):
+            _, k, value, neighbor, match = scored(example)
+            scores = (value, {u: s for u, s in neighbor.items() if u in value})
+            ranked = [score for _, score in ranked_by_uri(scores[row])]
+            assert len(ranked) > k and ranked[k - 1] == ranked[k]
+            assert scores[row][match.uri2] == ranked[k - 1]
+        record, *_ = scored(_MULTI_TARGET)
+        assert len({target for _, target in record.relation_pairs()}) == 3
+
+
+# ----------------------------------------------------------------------
+# The resolver's memos: bounded, shared across threads, read-only
+# ----------------------------------------------------------------------
+#: Oracle-KB records with one link each, several links, and none, whose
+#: tokens make most of them decide (so H4's bars are memoized too).
+_MEMO_SPECS = (
+    [([t % _HEAVY, _HEAVY + t], [(0, t)]) for t in range(_TARGETS)]
+    + [([t, 20], [(0, t), (1, t + 1)]) for t in range(0, _TARGETS - 1, 2)]
+    + [([3, 12], [])]
+)
+
+
+class TestResolverMemos:
+    @pytest.fixture()
+    def fresh(self, oracle_kbs):
+        """A factory of resolvers with empty memos over the oracle KBs,
+        and the memo test records."""
+        data, ctx, *_ = oracle_kbs
+        known1 = frozenset(data.kb1.uris())
+        records = oracle_records(oracle_kbs, _MEMO_SPECS)
+        return lambda: OnlineResolver.from_context(ctx, known1), records
+
+    def test_memos_stop_growing_at_the_limit(self, fresh, monkeypatch):
+        """With the cap at 3, neither memo holds more than 3 entries —
+        though the records would fill them further — and every answer
+        equals an uncapped resolver's, first time and repeated."""
+        new_resolver, records = fresh
+        uncapped = new_resolver()
+        expected = [r.as_dict() for r in uncapped.resolve_batch(records)]
+        assert len(uncapped._neighbor_memo) > 3
+        assert len(uncapped._h4_memo) > 3
+
+        monkeypatch.setattr("repro.core.resolve._NEIGHBOR_MEMO_LIMIT", 3)
+        capped = new_resolver()
+        for _ in range(2):
+            got = [capped.resolve(record).as_dict() for record in records]
+            assert got == expected
+            assert len(capped._neighbor_memo) == 3
+            assert len(capped._h4_memo) == 3
+
+    def test_reader_threads_share_one_resolver(self, fresh):
+        """Four threads resolving the same records at once through one
+        fresh resolver (racing to fill its memos) each return the
+        sequential answers."""
+        new_resolver, records = fresh
+        expected = [r.as_dict() for r in new_resolver().resolve_batch(records)]
+        shared = new_resolver()
+        start = threading.Barrier(4)
+        answers: list = [None] * 4
+
+        def read(slot):
+            start.wait()
+            answers[slot] = [
+                shared.resolve(record).as_dict() for record in records
+            ]
+
+        threads = [threading.Thread(target=read, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid memo fill
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 4
+
+    def test_memo_entries_are_read_only(self, fresh):
+        """Every published neighbor column refuses writes, so a caller
+        holding a shared entry cannot corrupt later answers."""
+        new_resolver, records = fresh
+        resolver = new_resolver()
+        expected = [r.as_dict() for r in resolver.resolve_batch(records)]
+        entries = [*resolver._neighbor_memo.values(), resolver._no_neighbors]
+        assert any(isinstance(key, tuple) for key in resolver._neighbor_memo)
+        for columns in entries:
+            for column in columns:
+                assert not column.flags.writeable
+                if len(column):
+                    with pytest.raises(ValueError):
+                        column[0] = 0
+        assert [r.as_dict() for r in resolver.resolve_batch(records)] == expected
 
 
 # ----------------------------------------------------------------------
