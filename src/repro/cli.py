@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for parallel engines (default: one per CPU)",
+        help="worker count for parallel engines (default: one per usable CPU)",
     )
     match.add_argument(
         "--trace",

@@ -17,8 +17,8 @@ pairs co-occurring in some block — all other pairs have similarity zero.
 every pair lives under one packed ``int64`` key (``id1 << 32 | id2``).
 The pair map is **two parallel columns** — keys strictly ascending,
 ``float64`` similarities — the very buffers the row-owned kernels emit,
-the snapshot store writes and maps back, and the shared-memory arena
-publishes; there is no ``dict`` behind them, and
+the snapshot store writes and maps back, and the engine hands its
+workers; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
 make an index.  Point lookups bisect the key column and the per-entity
 ranked candidate lists are CSR-style offset+column arrays built from

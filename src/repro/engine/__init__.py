@@ -7,7 +7,9 @@ indices (:mod:`.similarity`).  Blocking keys and H3's candidate lists
 are built in the calling process.
 
 All three executors compute bit-identical results; see the determinism
-contract in :mod:`.executor`.
+contract in :mod:`.executor`.  A dispatch's shared columns reach each
+process worker once, when the dispatch's pool starts; a task ships only
+its own shard.
 """
 
 from .executor import (
@@ -24,13 +26,9 @@ from .partitioner import (
     partition_count,
     stable_hash,
 )
-from .shm import SharedArena, SharedSlice, shm_available
 from .similarity import build_neighbor_index, build_value_index
 
 __all__ = [
-    "SharedArena",
-    "SharedSlice",
-    "shm_available",
     "EXECUTOR_NAMES",
     "Executor",
     "ProcessExecutor",

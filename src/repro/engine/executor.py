@@ -34,13 +34,18 @@ so the merged telemetry of a run is exact and executor-independent.
 Subclasses implement :meth:`_map`; the base class owns the
 instrumentation, and disabled mode short-circuits straight to ``_map``.
 
-Transport: :meth:`Executor.map_columns` is also the one place that
-decides whether columns reach a kernel as they are or through
-:mod:`repro.engine.shm`.
+Transport: :meth:`Executor.map_columns` registers a dispatch's kernel
+and shared columns under a fresh token for the length of the dispatch,
+and every task carries only that token and its own shard.  A task finds
+the kernel and the shared columns by its token, in the calling process
+and in a pool worker alike: the process executor starts one pool per dispatch
+whose initializer installs them in each worker (inherited under
+``fork``, pickled once per worker otherwise).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import time
@@ -52,7 +57,6 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from ..obs.runtime import Telemetry, current, run_traced_partition
 from ..testing.failpoints import failpoint
-from .shm import SharedArena, ensure_resource_tracker, opened, shm_available
 
 P = TypeVar("P")
 R = TypeVar("R")
@@ -61,7 +65,9 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 def auto_workers() -> int:
-    """Worker count matching the machine (at least 1)."""
+    """Worker count matching the CPUs this process may run on (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -105,19 +111,22 @@ def _fn_label(fn: Callable) -> str:
     return getattr(target, "__name__", type(target).__name__)
 
 
-def _on_columns(shard: tuple, fn: Callable[..., R], shared: tuple) -> R:
-    """One ``map_columns`` task over the buffers themselves."""
+#: The kernel and shared columns of every dispatch in flight, by token.
+_DISPATCHES: dict[int, tuple[Callable, tuple]] = {}
+_TOKENS = itertools.count()
+
+
+def _install(token: int, fn: Callable, shared: tuple) -> None:
+    """Make a dispatch's kernel and shared columns findable by token
+    (the process pool's initializer, and the calling process's entry)."""
+    _DISPATCHES[token] = (fn, shared)
+
+
+def _on_columns(token: int, shard: tuple) -> Any:
+    """One ``map_columns`` task: the dispatch's kernel over its shard
+    and the shared columns."""
+    fn, shared = _DISPATCHES[token]
     return fn(*shard, *shared)
-
-
-def _on_handles(shard: tuple, fn: Callable[..., R], shared: tuple) -> R:
-    """One ``map_columns`` task over shared-memory handles.
-
-    ``fn`` runs as a callee so that every view it derives from the
-    columns is dead when the attachment closes.
-    """
-    with opened(shard + shared) as columns:
-        return fn(*columns)
 
 
 class Executor(ABC):
@@ -125,80 +134,54 @@ class Executor(ABC):
 
     name: str = "abstract"
 
-    #: The shared-memory arena ``map_columns`` publishes into (``None``:
-    #: columns travel as buffers).  Only the process executor has one.
-    shared_arena: SharedArena | None = None
-
     def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers if workers is not None else auto_workers()
 
     @abstractmethod
-    def _map(self, fn: Callable[[P], R], partitions: Sequence[P]) -> list[R]:
-        """Apply ``fn`` to every partition, results in partition order."""
+    def _map(
+        self, fn: Callable[[P], R], partitions: Sequence[P], token: int
+    ) -> list[R]:
+        """Apply ``fn`` to every partition, results in partition order;
+        ``token`` names the dispatch's entry in :data:`_DISPATCHES`."""
 
     def map_columns(
         self,
         fn: Callable[..., R],
         shards: Sequence[Sequence[Any]],
-        typecodes: str,
         shared: Sequence[Any] = (),
-        shared_typecodes: str = "",
     ) -> list[R]:
         """``fn(*shard columns, *shared columns)`` per shard, in order.
 
         Every shard is a tuple of flat columns (any buffer: ``array``,
-        NumPy array, ``memoryview``) with the element ``typecodes``
-        given; ``shared`` columns are read by every task.  With a
-        :attr:`shared_arena` all of them are published into one segment
-        for the length of the dispatch and tasks receive handles, which
-        the task wrapper reopens as typed ``memoryview`` s; without one
-        the buffers themselves are the task.  ``fn`` cannot tell the
-        difference and must not return (or keep) a view of its inputs.
+        NumPy array, ``memoryview``); ``shared`` columns are read by
+        every task, and reach each worker once, not once per task.
+        ``fn`` must be picklable by reference (a module-level function
+        or a ``partial`` of one) for the process executor.
 
         With ambient telemetry active, the dispatch is traced and every
         task's worker-local telemetry is merged back exactly (see the
         module docstring); otherwise this is ``_map`` directly.
         """
-        shared = tuple(shared)
-        label = _fn_label(fn)
-        arena = self.shared_arena
-        if arena is None:
-            task = partial(_on_columns, fn=fn, shared=shared)
-            return self._dispatch(task, shards, label)
-        columns = [
-            (typecode, column)
-            for shard in shards
-            for typecode, column in zip(typecodes, shard)
-        ]
-        columns.extend(zip(shared_typecodes, shared))
-        width = len(typecodes)
-        with arena.publish(columns) as segment:
-            handles = segment.slices
-            split = width * len(shards)
-            task = partial(_on_handles, fn=fn, shared=tuple(handles[split:]))
-            return self._dispatch(
-                task,
-                [
-                    tuple(handles[at : at + width])
-                    for at in range(0, split, width)
-                ],
-                label,
+        token = next(_TOKENS)
+        _install(token, fn, tuple(shared))
+        task = partial(_on_columns, token)
+        try:
+            telemetry = current()
+            if not telemetry.enabled:
+                return self._map(task, shards, token)
+            return self._map_instrumented(
+                task, shards, token, telemetry, _fn_label(fn)
             )
-
-    def _dispatch(
-        self, fn: Callable[[P], R], partitions: Sequence[P], label: str
-    ) -> list[R]:
-        telemetry = current()
-        if not telemetry.enabled:
-            return self._map(fn, partitions)
-        return self._map_instrumented(fn, partitions, telemetry, label)
+        finally:
+            del _DISPATCHES[token]
 
     def _map_instrumented(
         self,
         fn: Callable[[P], R],
         partitions: Sequence[P],
+        token: int,
         telemetry: Telemetry,
         label: str,
     ) -> list[R]:
@@ -216,7 +199,7 @@ class Executor(ABC):
             )
             metrics.counter("engine.bytes_shipped").inc(shipped)
             wrapped = partial(run_traced_partition, fn=fn, label=label)
-            outputs = self._map(wrapped, partitions)
+            outputs = self._map(wrapped, partitions, token)
             results: list[R] = []
             returned = 0
             for result, snapshot, records in outputs:
@@ -229,7 +212,8 @@ class Executor(ABC):
         return results
 
     def close(self) -> None:
-        """Release pooled workers (idempotent; a no-op for serial)."""
+        """Release pooled workers (idempotent; only the thread executor
+        keeps a pool between dispatches)."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -249,40 +233,35 @@ class SerialExecutor(Executor):
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(1)
 
-    def _map(self, fn: Callable[[P], R], partitions: Sequence[P]) -> list[R]:
+    def _map(
+        self, fn: Callable[[P], R], partitions: Sequence[P], token: int
+    ) -> list[R]:
         return [fn(partition) for partition in partitions]
 
 
-class _PooledExecutor(Executor):
-    """Shared lazily-created-pool behaviour of thread/process executors."""
+class ThreadExecutor(Executor):
+    """A lazily created thread pool; shares memory with the calling
+    process (no pickling)."""
 
-    def _make_pool(self):  # pragma: no cover - overridden
-        raise NotImplementedError
+    name = "thread"
 
     def __init__(self, workers: int | None = None) -> None:
         super().__init__(workers)
         self._pool = None
 
-    def _map(self, fn: Callable[[P], R], partitions: Sequence[P]) -> list[R]:
+    def _map(
+        self, fn: Callable[[P], R], partitions: Sequence[P], token: int
+    ) -> list[R]:
         if len(partitions) <= 1 or self.workers == 1:
             return [fn(partition) for partition in partitions]
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return list(self._pool.map(fn, partitions))
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-
-class ThreadExecutor(_PooledExecutor):
-    """A thread pool; shares memory with the driver (no pickling)."""
-
-    name = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
 
 
 def _worker_entry(fn: Callable[[P], R], partition: P) -> R:
@@ -304,28 +283,55 @@ _BACKOFF_BASE_SECONDS = 0.05
 _BACKOFF_CAP_SECONDS = 1.0
 
 
-class ProcessExecutor(_PooledExecutor):
-    """A process pool; partition functions and data must be picklable.
+def _run_batch(
+    pool: ProcessPoolExecutor,
+    task: Callable[[P], R],
+    partitions: Sequence[P],
+    pending: list[int],
+) -> tuple[dict[int, R], list[int]]:
+    """Submit ``pending`` partition indices once.
 
-    Owns a lazily created :class:`~repro.engine.shm.SharedArena`, so
-    :meth:`map_columns` publishes a dispatch's columns into shared
-    memory once and ships workers tiny
-    :class:`~repro.engine.shm.SharedSlice` handles instead of pickled
-    data (see :mod:`repro.engine.shm`).  ``close()`` unlinks any segment
-    still live.
+    Returns ``(completed, unfinished)`` where ``unfinished`` holds the
+    indices lost to a pool crash, ascending.  A non-crash exception from
+    a task propagates — that is a bug in the partition function, not a
+    fault to retry.
+    """
+    try:
+        futures = {
+            pool.submit(task, partitions[index]): index for index in pending
+        }
+    except (BrokenProcessPool, RuntimeError):
+        # The pool broke before (or while) accepting work; nothing was
+        # completed this round.
+        return {}, list(pending)
+    completed: dict[int, R] = {}
+    unfinished: list[int] = []
+    for future, index in futures.items():
+        try:
+            completed[index] = future.result()
+        except BrokenProcessPool:
+            unfinished.append(index)
+    return completed, unfinished
+
+
+class ProcessExecutor(Executor):
+    """A process pool per dispatch; kernels and columns must be picklable.
+
+    Every dispatch that has more than one task starts its own pool,
+    whose initializer installs the dispatch's kernel and shared columns
+    in each worker once; a task ships only its token and its shard.  The
+    pool is shut down, its workers joined, when the dispatch ends.
 
     Dispatches are fault-tolerant.  A crashed worker (``SIGKILL``, OOM
-    kill — surfacing as :class:`BrokenProcessPool`) discards the broken
-    pool, rebuilds it, and — after a capped exponential backoff —
-    resubmits only the partitions that never finished.  After
+    kill — surfacing as :class:`BrokenProcessPool`) ends the round: the
+    broken pool is shut down and — after a capped exponential backoff —
+    a new one runs only the partitions that never finished.  After
     ``_MAX_RETRIES`` consecutive failed rounds the dispatch degrades to
     running the remaining partitions inline in the calling process
-    (bit-identical by the executor parity contract).  Genuine worker exceptions (a bug
+    (bit-identical by the executor parity contract), where the token
+    finds the same kernel and columns.  Genuine worker exceptions (a bug
     in the partition function) propagate immediately and are never
-    retried.  Shared-memory segments published for the dispatch stay
-    alive across pool rebuilds — retried and degraded partitions
-    re-attach to (or read in-process) the same segment, which
-    ``map_columns`` unlinks when the dispatch ends, success or failure.
+    retried.
 
     Counters (ambient telemetry): ``engine.worker_retries`` (partition
     resubmissions), ``engine.pool_rebuilds``, and
@@ -335,53 +341,9 @@ class ProcessExecutor(_PooledExecutor):
 
     name = "process"
 
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        self._arena = None
-
-    def _discard_pool(self) -> None:
-        """Drop a broken pool without waiting on its corpses."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - shutdown races
-                pass
-
-    def _run_batch(
-        self,
-        task: Callable[[P], R],
-        partitions: Sequence[P],
-        pending: list[int],
-    ) -> tuple[dict[int, R], list[int]]:
-        """Submit ``pending`` partition indices once.
-
-        Returns ``(completed, unfinished)`` where ``unfinished`` holds
-        the indices lost to a pool crash, ascending.  A non-crash
-        exception from a task propagates — that is a bug in the partition
-        function, not a fault to retry.
-        """
-        if self._pool is None:
-            self._pool = self._make_pool()
-        try:
-            futures = {
-                self._pool.submit(task, partitions[index]): index
-                for index in pending
-            }
-        except (BrokenProcessPool, RuntimeError):
-            # The pool broke before (or while) accepting work; nothing
-            # was completed this round.
-            return {}, list(pending)
-        completed: dict[int, R] = {}
-        unfinished: list[int] = []
-        for future, index in futures.items():
-            try:
-                completed[index] = future.result()
-            except BrokenProcessPool:
-                unfinished.append(index)
-        return completed, unfinished
-
-    def _map(self, fn: Callable[[P], R], partitions: Sequence[P]) -> list[R]:
+    def _map(
+        self, fn: Callable[[P], R], partitions: Sequence[P], token: int
+    ) -> list[R]:
         if len(partitions) <= 1 or self.workers == 1:
             return [fn(partition) for partition in partitions]
         task = partial(_worker_entry, fn)
@@ -390,15 +352,22 @@ class ProcessExecutor(_PooledExecutor):
         pending = list(range(len(partitions)))
         failed_rounds = 0
         while pending:
-            completed, unfinished = self._run_batch(
-                task, partitions, pending
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_install,
+                initargs=(token, *_DISPATCHES[token]),
             )
+            try:
+                completed, unfinished = _run_batch(
+                    pool, task, partitions, pending
+                )
+            finally:
+                pool.shutdown(cancel_futures=True)
             results.update(completed)
             if not unfinished:
                 break
             failed_rounds += 1
             metrics.counter("engine.pool_rebuilds").inc()
-            self._discard_pool()
             if failed_rounds > _MAX_RETRIES:
                 # Last resort: the driver runs the stragglers itself.
                 # Inline execution calls ``fn`` directly (no failpoint
@@ -417,38 +386,12 @@ class ProcessExecutor(_PooledExecutor):
             pending = unfinished
         return [results[index] for index in range(len(partitions))]
 
-    def _make_pool(self):
-        # Start the stdlib resource tracker before the pool forks:
-        # workers then inherit the one tracker, so their shared-memory
-        # attach registrations land in the same registry the driver's
-        # unlink clears — a per-worker tracker would warn about (and
-        # try to re-unlink) segments the driver already removed.
-        ensure_resource_tracker()
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    @property
-    def shared_arena(self):
-        """The executor's shared-memory arena (``None`` if unavailable:
-        the platform lacks POSIX shared memory, or ``REPRO_DISABLE_SHM=1``
-        disables the layer)."""
-        if not shm_available():
-            return None
-        if self._arena is None:
-            self._arena = SharedArena()
-        return self._arena
-
-    def close(self) -> None:
-        super().close()
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-
 
 def create_executor(name: str = "serial", workers: int | None = None) -> Executor:
     """Instantiate an executor by name (``serial``/``thread``/``process``).
 
-    ``workers=None`` auto-detects the machine's CPU count (serial always
-    uses exactly one worker).
+    ``workers=None`` auto-detects the CPUs this process may run on
+    (serial always uses exactly one worker).
     """
     if name == "serial":
         return SerialExecutor()

@@ -211,9 +211,7 @@ def _product_index(
         ]
         work = _row_work(row_starts, row_ids, *shared[:3])
         columns = _joined(
-            engine.map_columns(
-                _row_sums, tasks, "qi", (work, row_starts, *shared), "qqqiqiidqq"
-            )
+            engine.map_columns(_row_sums, tasks, (work, row_starts, *shared))
         )
     index = index_type.from_packed_columns(*columns, *interners)
     telemetry.metrics.counter(counter).inc(len(index))

@@ -12,10 +12,9 @@ identical no matter how many workers (or processes) contributed.
 Instrument names are dot-namespaced by subsystem (``blocking.*``,
 ``similarity.*``, ``matching.*``, ``session.*``, ``incremental.*``,
 ``snapshot.*``, ``engine.*``); ``docs/OBSERVABILITY.md`` lists every
-name the pipeline emits.  Every counter but ``engine.bytes_*`` (the
-process executor ships shared-memory handles, not pickled columns) and
-the worker-crash counters is a pure function of the data and
-configuration, whatever the executor and its worker count.
+name the pipeline emits.  Every counter but the worker-crash counters
+is a pure function of the data and configuration, whatever the executor
+and its worker count.
 
 :data:`NULL_METRICS` is the disabled twin: every instrument accessor
 returns a shared do-nothing instrument, so instrumented code pays one

@@ -1,8 +1,9 @@
 """Deterministic failpoints for fault-injection tests.
 
-A *failpoint* is a named site in production code — ``store.write_column``,
-``wal.append``, ``engine.worker``, ``serve.apply_delta`` — that calls
-:func:`failpoint` on every evaluation.  The call is inert unless the
+A *failpoint* is a named site in production code that calls
+:func:`failpoint` on every evaluation.  There are six:
+``store.write_column``, ``store.commit_manifest``, ``store.commit_swap``,
+``wal.append``, ``serve.apply_delta`` and ``engine.worker``.  The call is inert unless the
 ``REPRO_FAILPOINTS`` environment variable arms the site, which keeps the
 hooks cheap enough to ship: one env lookup on the fast path, no locks,
 no imports beyond the stdlib.

@@ -59,7 +59,7 @@ PARTITIONS = [
 # ----------------------------------------------------------------------
 class TestWorkerCrashRecovery:
     def expected(self):
-        return SerialExecutor().map_columns(_square, PARTITIONS, "q")
+        return SerialExecutor().map_columns(_square, PARTITIONS)
 
     def test_sigkilled_worker_is_retried_bit_identically(
         self, monkeypatch, tmp_path
@@ -70,7 +70,7 @@ class TestWorkerCrashRecovery:
         telemetry = Telemetry.create()
         with activate(telemetry):
             with ProcessExecutor(2) as executor:
-                results = executor.map_columns(_square, PARTITIONS, "q")
+                results = executor.map_columns(_square, PARTITIONS)
         assert results == self.expected()
         counters = telemetry.metrics.counters()
         assert counters["engine.pool_rebuilds"] >= 1
@@ -84,7 +84,7 @@ class TestWorkerCrashRecovery:
         telemetry = Telemetry.create()
         with activate(telemetry):
             with ProcessExecutor(2) as executor:
-                results = executor.map_columns(_square, PARTITIONS, "q")
+                results = executor.map_columns(_square, PARTITIONS)
         assert results == self.expected()
         counters = telemetry.metrics.counters()
         assert counters["engine.degraded_dispatches"] == 1
@@ -100,7 +100,7 @@ class TestWorkerCrashRecovery:
         with activate(telemetry):
             with ProcessExecutor(2) as executor:
                 with pytest.raises(ValueError, match="engine.worker"):
-                    executor.map_columns(_square, PARTITIONS, "q")
+                    executor.map_columns(_square, PARTITIONS)
         assert "engine.pool_rebuilds" not in telemetry.metrics.counters()
 
     def test_pipeline_digests_survive_worker_crash(

@@ -7,11 +7,9 @@ Three contracts, checked end to end:
    partition order, so cross-process telemetry is not sampled or
    approximate.  The engine dispatches only the similarity kernel, cut
    by the data alone, so ``engine.dispatches`` and
-   ``engine.partition_tasks`` do not follow the worker count either.
-   ``engine.bytes_shipped`` is the one deliberate exception: the process
-   executor publishes the kernel's columns into shared memory and ships
-   only slice handles, so it must ship *fewer* bytes than the pickling
-   executors, never the same.
+   ``engine.partition_tasks`` do not follow the worker count either,
+   and every executor ships the same shards, so neither does
+   ``engine.bytes_shipped``.
 2. **Invisibility** — telemetry never changes results: stage artifact
    digests are bit-identical with tracing on and off, and a disabled
    run leaves nothing behind in the null singletons.
@@ -67,15 +65,6 @@ def non_engine_counters(telemetry):
     }
 
 
-def shipped_and_rest(telemetry):
-    """(bytes_shipped, every other counter) — shipped bytes are the one
-    executor-dependent counter: shared-memory process dispatch ships
-    slice handles where the other executors ship pickled columns."""
-    counters = dict(telemetry.metrics.counters())
-    shipped = counters.pop("engine.bytes_shipped", 0)
-    return shipped, counters
-
-
 # ----------------------------------------------------------------------
 # 1. Cross-executor exactness
 # ----------------------------------------------------------------------
@@ -86,16 +75,10 @@ class TestCounterParity:
             for name in ("serial", "thread", "process")
         }
         serial_result, serial_telemetry = runs["serial"]
-        serial_shipped, expected = shipped_and_rest(serial_telemetry)
-        assert expected  # the pipeline actually counted something
+        expected = serial_telemetry.metrics.counters()
+        assert expected["engine.bytes_shipped"]  # shards were counted
         for name, (result, telemetry) in runs.items():
-            shipped, counters = shipped_and_rest(telemetry)
-            assert counters == expected, name
-            # shm-backed process dispatch ships handles, not columns.
-            if name == "process":
-                assert shipped < serial_shipped
-            else:
-                assert shipped == serial_shipped, name
+            assert telemetry.metrics.counters() == expected, name
             assert match_signature(result) == match_signature(
                 serial_result
             ), name
@@ -105,10 +88,10 @@ class TestCounterParity:
         _, process_telemetry = run_instrumented(
             dataset, "process", workers=2
         )
-        thread_shipped, thread_rest = shipped_and_rest(thread_telemetry)
-        process_shipped, process_rest = shipped_and_rest(process_telemetry)
-        assert thread_rest == process_rest
-        assert process_shipped < thread_shipped
+        assert (
+            thread_telemetry.metrics.counters()
+            == process_telemetry.metrics.counters()
+        )
 
     def test_dispatch_counters_independent_of_executor(self):
         # yago_imdb 0.3 leaves H3 ~380 entities: enough for more than

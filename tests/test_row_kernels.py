@@ -12,7 +12,6 @@ columns — and that the co-occurring neighbor build, which folds only the
 cells that are value pairs, is the full build filtered, byte for byte.
 """
 
-import os
 from unittest import mock
 
 import numpy
@@ -218,8 +217,7 @@ def test_cooccurring_build_is_the_filtered_full_build(
 ):
     """``build_neighbor_index(..., cooccurring=True)`` equals
     ``cooccurring_neighbor_index`` of the full build: the same keys and
-    the same float bytes, on every engine and over pickled as well as
-    shared-memory columns."""
+    the same float bytes, on every engine."""
     sims = {(uri(1, a), uri(2, b)): sim for (a, b), sim in pairs.items()}
     value_index = index_of_pairs(sims, ValueSimilarityIndex)
     neighbors1 = {
@@ -239,8 +237,6 @@ def test_cooccurring_build_is_the_filtered_full_build(
         )
 
     built = {name: build(engine) for name, engine in every_engine.items()}
-    with mock.patch.dict(os.environ, {"REPRO_DISABLE_SHM": "1"}):
-        built["process, no shm"] = build(every_engine["process"])
     for name, index in built.items():
         keys, sims = index.packed_columns()
         assert [i.uris() for i in index.interners()] == [

@@ -1,4 +1,4 @@
-"""Zero-copy paths: mmap snapshot loads and shared-memory dispatch.
+"""Zero-copy paths: mmap snapshot loads and the column transport.
 
 The acceptance contract of the zero-copy layer is bit-identity with the
 copying paths it replaces:
@@ -8,36 +8,39 @@ copying paths it replaces:
   as typed memoryviews over the mapped files and corruption still
   detected (deferred to :meth:`Snapshot.verify_columns` for arrays,
   eager for strings);
-- shared-memory process dispatch computes the same artifact digests as
-  pickled dispatch and leaves no ``/dev/shm`` segment behind, crash or
-  not;
+- process dispatch computes the same artifact digests as the serial
+  engine, every executor hands a kernel the same columns, and no pool
+  worker outlives its dispatch, crash or not;
 - the probe caches hold no reference back to their owners, so retired
   serving generations and dropped sessions free by refcount alone.
 """
 
 import gc
-import os
+import multiprocessing
 import pickle
+import sys
+import threading
 import weakref
 from array import array
 from functools import partial
 from pathlib import Path
 
-import numpy
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import MinoanERConfig
-from repro.engine import shm_available
+from repro.datasets import generate_benchmark
+from repro.engine import executor as executor_module
 from repro.engine.executor import (
     ProcessExecutor,
     SerialExecutor,
+    ThreadExecutor,
     _pickled_size,
 )
-from repro.engine.shm import SharedArena, attach
 from repro.incremental import IncrementalMatcher
 from repro.kb.io_ntriples import read_ntriples
+from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.digest import DIGESTED_ARTIFACTS, artifact_digest
 from repro.serve import ResolutionDaemon, ServingState
@@ -62,13 +65,6 @@ def state_digests(state) -> dict[str, str]:
         for key in DIGESTED_ARTIFACTS
         if key in state.artifacts
     }
-
-
-def shm_segments() -> set[str]:
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {p.name for p in root.glob("psm_*")}
 
 
 # ----------------------------------------------------------------------
@@ -154,131 +150,33 @@ def test_mmap_loaded_matcher_replays_bit_identically(saved_snapshot):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory dispatch
+# Process dispatch: one pool per dispatch, columns installed at start
 # ----------------------------------------------------------------------
-# An escaped view of a shared segment surfaces when the segment's
-# ``SharedMemory.__del__`` fails to close it: make that an error.
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_shm_dispatch_digests_match_serial_and_pickled(monkeypatch):
-    before = shm_segments()
-    config = MinoanERConfig(engine="serial")
+def test_process_dispatch_digests_match_serial():
+    # rexa_dblp 0.2 cuts each index into several row tasks, so every
+    # worker count above one really runs a pool.
+    data = generate_benchmark("rexa_dblp", 0.2, 13)
 
-    kb1, kb2 = golden_kbs()
-    serial = context_digests(MatchSession(kb1, kb2, config).run_context())
+    def digests(config):
+        kbs = (data.kb1.copy(), data.kb2.copy())
+        return context_digests(MatchSession(*kbs, config).run_context())
 
-    kb1, kb2 = golden_kbs()
-    shm_config = MinoanERConfig(engine="process", workers=2)
-    with_shm = context_digests(
-        MatchSession(kb1, kb2, shm_config).run_context()
-    )
-
-    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-    kb1, kb2 = golden_kbs()
-    without_shm = context_digests(
-        MatchSession(kb1, kb2, shm_config).run_context()
-    )
-
-    assert with_shm == serial
-    assert without_shm == serial
-    assert shm_segments() <= before  # no segment outlives its dispatch
+    serial = digests(MinoanERConfig(engine="serial"))
+    for workers in (1, 2, 3):
+        telemetry = Telemetry.create()
+        with activate(telemetry):
+            process = digests(MinoanERConfig(engine="process", workers=workers))
+        assert process == serial, workers
+        counters = telemetry.metrics.counters()
+        assert counters["engine.partition_tasks"] > counters["engine.dispatches"]
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_arena_publish_attach_roundtrip():
-    with SharedArena() as arena:
-        columns = [
-            ("i", array("i", [1, 2, 3])),
-            ("q", array("q", [])),
-            ("d", array("d", [0.5, -2.0])),
-        ]
-        with arena.publish(columns) as segment:
-            assert arena.live_segments == 1
-            assert [sl.count for sl in segment.slices] == [3, 0, 2]
-            with attach(segment.name) as reader:
-                assert reader.view(segment.slices[0]).tolist() == [1, 2, 3]
-                assert reader.view(segment.slices[1]).tolist() == []
-                assert reader.view(segment.slices[2]).tolist() == [0.5, -2.0]
-        assert arena.live_segments == 0
-        with pytest.raises(FileNotFoundError):
-            attach(segment.name).__enter__()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_arena_close_unlinks_stranded_segments():
-    arena = SharedArena()
-    segment = arena.publish([("i", array("i", [7]))])
-    assert arena.live_segments == 1
-    arena.close()
-    assert arena.live_segments == 0
-    with pytest.raises(FileNotFoundError):
-        attach(segment.name).__enter__()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_segment_close_is_owner_only():
-    # Forked pool workers inherit the driver's handles; their exit must
-    # not unlink a segment the driver still serves.
-    with SharedArena() as arena:
-        segment = arena.publish([("q", array("q", [1, 2]))])
-        segment._owner_pid = os.getpid() + 1  # simulate the fork child
-        segment.close()
-        with attach(segment.name) as reader:  # still alive
-            assert reader.view(segment.slices[0]).tolist() == [1, 2]
-        segment._owner_pid = os.getpid()
-        segment.close()
-    with pytest.raises(FileNotFoundError):
-        attach(segment.name).__enter__()
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_failed_publish_leaks_no_segment(monkeypatch):
-    # A fault between segment creation and arena registration is the
-    # one window no registry covers: PublishedSegment itself must
-    # unlink on that path (see shm.publish in engine/shm.py).
-    from repro.testing.failpoints import ENV_SPEC, reset_failpoints
-
-    before = shm_segments()
-    monkeypatch.setenv(ENV_SPEC, "shm.publish=once:RuntimeError")
-    reset_failpoints()
-    try:
-        with SharedArena() as arena:
-            with pytest.raises(RuntimeError, match="shm.publish"):
-                arena.publish([("i", array("i", [1, 2, 3]))])
-            assert arena.live_segments == 0
-            assert shm_segments() <= before
-            # The arena itself is still usable after the fault.
-            with arena.publish([("i", array("i", [9]))]) as segment:
-                with attach(segment.name) as reader:
-                    assert reader.view(segment.slices[0]).tolist() == [9]
-    finally:
-        monkeypatch.delenv(ENV_SPEC)
-        reset_failpoints()
-    assert shm_segments() <= before
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_disable_flag_turns_arena_off(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-    assert not shm_available()
-    with pytest.raises(RuntimeError, match="shared memory"):
-        SharedArena()
-    executor = ProcessExecutor(2)
-    assert executor.shared_arena is None
-    executor.close()
-
-
-# ----------------------------------------------------------------------
-# Executor.map_columns: one kernel, whatever carried the columns
-# ----------------------------------------------------------------------
 def _echo_columns(*columns, fail=False):
     """A column kernel that reports exactly what it was handed."""
     seen = [(memoryview(c).format, memoryview(c).tolist()) for c in columns]
     if fail:
-        # die holding views of every column, as a real kernel would
-        held = [memoryview(c)[:] for c in columns]
-        held += [numpy.asarray(c) for c in columns]
-        raise RuntimeError(f"kernel failed holding {len(held)} views")
+        raise RuntimeError(f"kernel failed after reading {len(seen)} columns")
     return seen
 
 
@@ -297,62 +195,113 @@ def _column_dispatches(draw):
         )
 
     typecodes = draw(st.text("iqd", min_size=1, max_size=3))
-    shared_typecodes = draw(st.text("iqd", max_size=3))
     shards = [columns(typecodes) for _ in range(draw(st.integers(0, 4)))]
-    return typecodes, shards, shared_typecodes, columns(shared_typecodes)
+    return shards, columns(draw(st.text("iqd", max_size=3)))
 
 
 @pytest.fixture(scope="module")
-def process_engine():
-    with ProcessExecutor(2) as engine:
-        yield engine
+def every_executor():
+    with ThreadExecutor(2) as thread, ProcessExecutor(2) as process:
+        yield SerialExecutor(), thread, process
 
 
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
 @given(dispatch=_column_dispatches())
-def test_map_columns_handles_equal_buffers(process_engine, dispatch):
-    """Published-and-reopened columns reach the kernel exactly as the
-    buffers themselves do: same typecodes, same values, in shard order —
-    for empty shard lists, zero-length columns and no shared columns —
-    and no segment outlives the dispatch."""
-    typecodes, shards, shared_typecodes, shared = dispatch
-    before = shm_segments()
+@example(dispatch=([], (array("d", [0.5]),)))  # no shards
+@example(dispatch=([(array("i"), array("q", [1])), (array("i"), array("q"))], ()))
+def test_map_columns_handles_equal_buffers(every_executor, dispatch):
+    """Every executor hands the kernel each shard's columns, then the
+    shared ones, exactly as they are — same typecodes, same values, in
+    shard order — for empty shard lists, zero-length columns and no
+    shared columns."""
+    shards, shared = dispatch
     expected = [
-        [(t, c.tolist()) for t, c in zip(typecodes + shared_typecodes, s + shared)]
-        for s in shards
+        [(memoryview(c).format, c.tolist()) for c in shard + shared]
+        for shard in shards
     ]
-    for engine in (SerialExecutor(), process_engine):
-        assert (
-            engine.map_columns(
-                _echo_columns, shards, typecodes, shared, shared_typecodes
-            )
-            == expected
-        )
-    assert process_engine.shared_arena.live_segments == 0
-    assert shm_segments() <= before
+    for engine in every_executor:
+        assert engine.map_columns(_echo_columns, shards, shared) == expected
 
 
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
 @pytest.mark.parametrize("n_shards", [1, 3])  # inline in the driver | pooled
-def test_map_columns_kernel_failure_detaches_cleanly(process_engine, n_shards):
-    """A kernel that raises while holding views must not pin the
-    segment: the error propagates, the worker detaches without an
-    unraisable ``BufferError``, and the driver unlinks the segment."""
-    before = shm_segments()
+def test_map_columns_kernel_failure_detaches_cleanly(n_shards):
+    """A kernel that raises propagates its error, leaves no worker
+    behind and no dispatch registered, and the executor stays usable."""
     shards = [(array("q", [shard, 2]), array("d", [0.5])) for shard in range(n_shards)]
-    with pytest.raises(RuntimeError, match="kernel failed holding"):
-        process_engine.map_columns(
-            partial(_echo_columns, fail=True), shards, "qd", (array("i", [7]),), "i"
-        )
-    gc.collect()  # a pinned mapping would fail in SharedMemory.__del__ here
-    assert process_engine.shared_arena.live_segments == 0
-    assert shm_segments() <= before
-    # the engine (and its pool) is still usable after the failure
-    assert process_engine.map_columns(_echo_columns, shards, "qd") == [
-        [("q", [shard, 2]), ("d", [0.5])] for shard in range(n_shards)
-    ]
+    with ProcessExecutor(2) as engine:
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            engine.map_columns(
+                partial(_echo_columns, fail=True), shards, (array("i", [7]),)
+            )
+        assert multiprocessing.active_children() == []
+        assert executor_module._DISPATCHES == {}
+        assert engine.map_columns(_echo_columns, shards) == [
+            [("q", [shard, 2]), ("d", [0.5])] for shard in range(n_shards)
+        ]
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_process_dispatch_leaves_no_children(monkeypatch, degraded):
+    """Whether a pooled dispatch succeeds or falls back inline after
+    three crashed rounds, its pool's workers are gone when it returns
+    (a raising kernel: :func:`test_map_columns_kernel_failure_detaches_cleanly`)."""
+    from repro.testing.failpoints import ENV_SPEC, reset_failpoints
+
+    shards = [(array("q", [shard]),) for shard in range(4)]
+    shared = (array("d", [0.25]),)
+    if degraded:
+        monkeypatch.setenv(ENV_SPEC, "engine.worker=crash")
+    reset_failpoints()
+    try:
+        with ProcessExecutor(2) as engine:
+            assert engine.map_columns(_echo_columns, shards, shared) == [
+                [("q", [shard]), ("d", [0.25])] for shard in range(4)
+            ]
+            assert multiprocessing.active_children() == []
+    finally:
+        monkeypatch.delenv(ENV_SPEC, raising=False)
+        reset_failpoints()
+
+
+def test_concurrent_process_executors_see_their_own_columns():
+    """Two process executors dispatching from two threads at once each
+    read their own shared columns, never the other's — in their pools'
+    workers (three shards) and inline in the calling process (one shard)."""
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def dispatch(side):
+        shards = [(array("q", [side, shard]),) for shard in range(3)]
+        shared = (array("q", [side] * (side + 1)),)
+        seen = []
+        try:
+            with ProcessExecutor(2) as engine:
+                for _ in range(3):
+                    barrier.wait(timeout=60)
+                    seen.append(engine.map_columns(_echo_columns, shards, shared))
+                    seen.append(engine.map_columns(_echo_columns, shards[:1], shared))
+        except BaseException:
+            barrier.abort()  # the other thread must not wait for this one
+            raise
+        results[side] = seen
+
+    threads = [threading.Thread(target=dispatch, args=(side,)) for side in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for side in (1, 2):
+        expected = [
+            [("q", [side, shard]), ("q", [side] * (side + 1))]
+            for shard in range(3)
+        ]
+        assert results[side] == [expected, expected[:1]] * 3
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
