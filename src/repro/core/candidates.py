@@ -1,12 +1,16 @@
 """Per-entity candidate lists drawn from the two similarity indices.
 
 Each entity carries up to ``K`` value-based candidates and up to ``K``
-neighbor-based candidates.  These lists feed H3 (rank aggregation over the
-two orders) and H4 (reciprocity: a match must appear in the other side's
-lists too).
+neighbor-based candidates.  H3 aggregates the ranks of a KB1 entity's
+two lists; H4 (reciprocity: a match must appear in the other side's
+lists too) asks only whether each entity's lists hold the other, which
+:meth:`CandidateIndex.reciprocal` answers by counting, per pair, the
+row entries that beat it — no row is ranked for H4.
 
 Both lists are the first ``K`` ids of a ranked CSR row; only those
-≤ 2·``K`` ids are decoded to URIs.  Under the conference H3 the neighbor
+≤ 2·``K`` ids are decoded to URIs.  The matching stage ranks only the
+KB1 rows H3 reads (:meth:`CandidateIndex.rank`); a list of another KB1
+entity ranks its rows alone.  Under the conference H3 the neighbor
 index they are cut from holds only the co-occurring pairs (the neighbor
 stage builds only those), so the lists keep candidates that also share
 a token block with the entity.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from ..ids import EntityInterner
 from ..ids.arrays import pairs_translated_into
@@ -155,46 +159,45 @@ class CandidateIndex:
         self._value_index = value_index
         self._neighbor_index = neighbor_index
         self._cache1: dict[str, CandidateLists] = {}
-        self._cache2: dict[str, CandidateLists] = {}
 
     # ------------------------------------------------------------------
     # Lookup (lazy, cached)
     # ------------------------------------------------------------------
+    def rank(self, uris1: Iterable[str]) -> None:
+        """Rank, to ``K``, the rows of these E1 entities in both
+        indices: the lists H3 is about to read."""
+        for index in (self._value_index, self._neighbor_index):
+            index.rank(1, self.k, uris1)
+
     def of_entity1(self, uri1: str) -> CandidateLists:
         """Candidate lists of an E1 entity."""
         cached = self._cache1.get(uri1)
         if cached is None:
-            cached = self._build(uri1, side=1)
-            self._cache1[uri1] = cached
+            value_ids, _ = self._value_index.csr_row(1, uri1, self.k)
+            neighbor_ids, _ = self._neighbor_index.csr_row(1, uri1, self.k)
+            value_decode = self._value_index.interners()[1].uris()
+            neighbor_decode = self._neighbor_index.interners()[1].uris()
+            cached = self._cache1[uri1] = CandidateLists(
+                value=tuple(map(value_decode.__getitem__, value_ids)),
+                neighbor=tuple(map(neighbor_decode.__getitem__, neighbor_ids)),
+            )
         return cached
 
-    def of_entity2(self, uri2: str) -> CandidateLists:
-        """Candidate lists of an E2 entity."""
-        cached = self._cache2.get(uri2)
-        if cached is None:
-            cached = self._build(uri2, side=2)
-            self._cache2[uri2] = cached
-        return cached
-
-    def _build(self, uri: str, side: int) -> CandidateLists:
-        value_ids, _ = self._value_index.csr_row(side, uri, self.k)
-        neighbor_ids, _ = self._neighbor_index.csr_row(side, uri, self.k)
-        value_decode = self._value_index.interners()[2 - side].uris()
-        neighbor_decode = self._neighbor_index.interners()[2 - side].uris()
-        return CandidateLists(
-            value=tuple(map(value_decode.__getitem__, value_ids)),
-            neighbor=tuple(map(neighbor_decode.__getitem__, neighbor_ids)),
+    # ------------------------------------------------------------------
+    # Reciprocity (H4)
+    # ------------------------------------------------------------------
+    def reciprocal(
+        self, uris1: Sequence[str], uris2: Sequence[str]
+    ) -> list[bool]:
+        """Per pair ``(uris1[i], uris2[i])``: whether each entity lists
+        the other among its top-``K`` value or neighbor candidates —
+        H4's test, ``(value ∨ neighbor on side 1) ∧ (value ∨ neighbor on
+        side 2)``, each a rank count over one index side
+        (:meth:`~repro.core.similarity.PackedSimilarityIndex.listed`)."""
+        value, neighbor = self._value_index, self._neighbor_index
+        side1, side2 = (
+            value.listed(side, uris1, uris2, self.k)
+            | neighbor.listed(side, uris1, uris2, self.k)
+            for side in (1, 2)
         )
-
-    # ------------------------------------------------------------------
-    # Reciprocity helper
-    # ------------------------------------------------------------------
-    def mutually_listed(self, uri1: str, uri2: str) -> bool:
-        """True when each entity lists the other among its candidates.
-
-        This is exactly H4's test: a matched pair survives only if both
-        sides "agree" the other is a plausible candidate.
-        """
-        return self.of_entity1(uri1).contains(uri2) and self.of_entity2(
-            uri2
-        ).contains(uri1)
+        return (side1 & side2).tolist()

@@ -141,13 +141,13 @@ def h4_reciprocity_filter(
     Returns (kept, discarded).  The test uses the *unfiltered* top-K value
     and neighbor candidate lists of both entities — reciprocity is about
     what each entity would ever consider, not about what happens to remain
-    unmatched.
+    unmatched.  The lists are never built: per pair and index side, a
+    rank count says whether the other entity is in the first ``K``.
     """
-    kept: list[Match] = []
-    discarded: list[Match] = []
-    for match in matches:
-        if candidate_index.mutually_listed(match.uri1, match.uri2):
-            kept.append(match)
-        else:
-            discarded.append(match)
+    matches = list(matches)
+    reciprocal = candidate_index.reciprocal(
+        [match.uri1 for match in matches], [match.uri2 for match in matches]
+    )
+    kept = [match for match, ok in zip(matches, reciprocal) if ok]
+    discarded = [match for match, ok in zip(matches, reciprocal) if not ok]
     return kept, discarded

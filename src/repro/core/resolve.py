@@ -315,11 +315,13 @@ class OnlineResolver:
         )
 
     def warm(self) -> None:
-        """Rank now, to the config's K, the rows the first request
-        reads: :meth:`probe`'s side-1 rows and the H4 bars' side-2
-        rows of both indices.  A side-1 row read whole (the neighbor
-        gather's) is ranked alone on first read; a side-2 read deeper
-        than K ranks that side whole, once."""
+        """Rank now, to the config's K, every row the first request
+        may read: :meth:`probe`'s side-1 rows and the H4 bars' side-2
+        rows of both indices — four whole sides, also after a batch or
+        delta match (it ranks only the side-1 rows H2 and H3 read; its
+        H4 counts, ranking nothing).  A side-1 row read whole (the
+        neighbor gather's) is ranked alone on first read; a side-2 read
+        deeper than K ranks that side whole, once."""
         k = self._config.top_k_candidates
         for index in (self._value_index, self._neighbor_index):
             index.rank(1, k)

@@ -22,9 +22,11 @@ workers; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
 make an index.  Point lookups bisect the key column and the per-entity
 ranked candidate lists are CSR-style offset+column arrays built from
-the columns in one pass, on the first read of any row — an index whose
-rows nobody reads (the full neighbor index of a restricted batch run)
-never ranks.  The floats never depend on the container:
+the columns in one pass, on the first read of any row or for just the
+side-1 rows a reader names (:meth:`PackedSimilarityIndex.rank`) — an
+index whose rows nobody reads never ranks, and H4's membership test
+(:meth:`PackedSimilarityIndex.listed`) counts instead of ranking.  The
+floats never depend on the container:
 every sum's addition order is fixed where it is folded (the engine's
 row kernels).  See ``docs/PERFORMANCE.md``.
 """
@@ -34,10 +36,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import NamedTuple
+from threading import Lock
+from typing import Iterable, NamedTuple, Sequence
 
 from ..ids import EntityInterner, PAIR_ID_BITS
-from ..ids.arrays import pair_ids, ranked_side
+from ..ids.arrays import in_top_k, pair_ids, ranked_side, side_pairs
 from ..obs.runtime import current as _telemetry_current
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
@@ -63,11 +66,21 @@ class _Ranked(NamedTuple):
     starts: array
     cols: array
     sims: array
-    lengths: array  # every row's true length, cut or not
+    lengths: array  # every covered row's true length, cut or not
+    covered: frozenset[int] | None  # the ranked row ids; None: every row
+
+    def covers(self, entity_id: int) -> bool:
+        """Whether this ranking holds the entity's row."""
+        return self.covered is None or entity_id in self.covered
 
     def truncated(self, entity_id: int) -> bool:
         """Whether the depth cut dropped part of this entity's row."""
         return self.depth is not None and self.lengths[entity_id] > self.depth
+
+
+def _deeper(depth: int | None, than: int | None) -> bool:
+    """Whether ``depth`` reads past a cut at ``than`` (``None``: whole)."""
+    return than is not None and (depth is None or depth > than)
 
 
 class PackedSimilarityIndex:
@@ -82,17 +95,19 @@ class PackedSimilarityIndex:
       buffer the producer emitted: the kernels' NumPy arrays or
       ``array`` s, or the ``memoryview`` s of an mmap-loaded snapshot;
     - ``_ranked``: per side, ``None`` until a row of that side is first
-      read, then the side's CSR layout of the ranked candidate lists
-      (:func:`~repro.ids.arrays.ranked_side`): ``starts`` (one offset
-      per entity id, length ``n+1``), ``cols`` (counterpart ids) and
-      ``sims`` (their similarities), rows ordered best-first with the
-      counterpart URI breaking ties, cut at the depth the first reader
-      asked for, beside every row's true length.
+      read or ranked, then the side's CSR layout of the ranked candidate
+      lists (:func:`~repro.ids.arrays.ranked_side`): ``starts`` (one
+      offset per entity id, length ``n+1``), ``cols`` (counterpart ids)
+      and ``sims`` (their similarities), rows ordered best-first with
+      the counterpart URI breaking ties, cut at a depth, beside every
+      ranked row's true length and, when :meth:`rank` was given side-1
+      rows, which rows it covers.
 
     An index is never mutated after :meth:`from_packed_columns` — a
-    delta builds a new one; building a side's rows is the only
-    assignment, each side's in one — so whoever holds a reference (a
-    published serving generation) has a frozen view.
+    delta builds a new one; publishing a side's rows is the only
+    assignment, each in one, under the index's ranking lock, and a
+    ranking only ever widens — so whoever holds a reference (a published
+    serving generation) has a frozen view.
     """
 
     _interner1: EntityInterner
@@ -118,67 +133,108 @@ class PackedSimilarityIndex:
         index._interner1, index._interner2 = interner1, interner2
         index._keys, index._values = keys, sims
         index._ranked = [None, None]
+        index._ranking = Lock()
         return index
 
     # ------------------------------------------------------------------
     # Ranked rows
     # ------------------------------------------------------------------
-    def rank(self, side: int, depth: int) -> None:
+    def rank(
+        self, side: int, depth: int | None, rows: Iterable[str] | None = None
+    ) -> None:
         """Rank ``side``'s rows to ``depth`` now, unless they are ranked
-        at least that deep — what a serving state's warm-up asks for
-        the reads it expects."""
-        ranked = self._ranked[side - 1]
-        if ranked is None or (
-            ranked.depth is not None and depth > ranked.depth
-        ):
-            self._rank(side, depth)
+        at least that deep — what a reader asks for the rows it expects
+        to read: :meth:`~repro.core.resolve.OnlineResolver.warm` every
+        row of both sides, the matching stage the side-1 rows H2 walks
+        and H3 reads (``rows``, URIs; those the index lacks are skipped).
 
-    def _rank(self, side: int, depth: int | None) -> _Ranked:
-        """Rank ``side`` to ``depth``, in one ``similarity.ranked_rows``
-        span under whichever stage or request reads first.  Concurrent
-        first reads may rank twice, a benign race: the rows are a pure
-        function of the frozen columns, and each side's rows are
-        published in one assignment, so a reader sees one whole
-        ranking or the other."""
+        A ranking only widens: a call whose rows are already ranked deep
+        enough ranks nothing; any other ranks, in one pass, every row
+        ranked so far and every row asked for, at the deeper of the two
+        depths.  Only side 1 ranks a subset: its rows are runs of the
+        key column.
+        """
+        if rows is not None:
+            if side != 1:
+                raise ValueError("only side-1 rows are ranked by subset")
+            ids = self._interner1.ids_by_uri()
+            rows = frozenset(ids[uri] for uri in rows if uri in ids)
+        self._widen(side, depth, rows)
+
+    def _widen(
+        self, side: int, depth: int | None, rows: frozenset[int] | None
+    ) -> _Ranked:
+        """``side``'s ranking once it holds ``rows`` (``None``: every
+        row) to at least ``depth``.  A ranking that lacks some is
+        replaced by one of every row it held and every row asked for, at
+        the deeper depth — under the index's lock, so two racing calls
+        each keep what the other ranked."""
+        with self._ranking:
+            current = self._ranked[side - 1]
+            if current is not None:
+                covered = current.covered
+                if not _deeper(depth, current.depth):
+                    if covered is None or (
+                        rows is not None and rows <= covered
+                    ):
+                        return current
+                    depth = current.depth
+                if rows is not None and covered is not None:
+                    rows |= covered
+                else:
+                    rows = None
+            ranked = self._ranked[side - 1] = self._rank(side, depth, rows)
+            return ranked
+
+    def _rank(
+        self, side: int, depth: int | None, rows: frozenset[int] | None
+    ) -> _Ranked:
+        """``side``'s rows (only the side-1 ``rows`` when given) ranked
+        to ``depth``, in one ``similarity.ranked_rows`` span under
+        whichever stage or request asked; args ``side``, ``depth`` and
+        ``rows`` (how many rows, ``None`` for the whole side)."""
+        n = len(self.interners()[side - 1])
+        ordered = None if rows is None else sorted(rows)
         telemetry = _telemetry_current()
         with telemetry.tracer.span(
             "similarity.ranked_rows",
             category="similarity",
-            args={"side": side, "depth": depth},
+            args={
+                "side": side,
+                "depth": depth,
+                "rows": None if ordered is None else len(ordered),
+            },
         ):
-            ids = pair_ids(self._keys)
-            *rows, kept = ranked_side(
-                ids[side - 1],
-                ids[2 - side],
-                self._values,
-                len(self.interners()[side - 1]),
+            *columns, kept = ranked_side(
+                *side_pairs(self._keys, self._values, side, ordered),
+                n,
                 depth,
             )
         telemetry.metrics.counter("similarity.ranked_pairs_kept").inc(kept)
-        ranked = self._ranked[side - 1] = _Ranked(depth, *rows)
-        return ranked
+        return _Ranked(depth, *columns, rows)
 
     def _side_rows(self, side: int, depth: int | None) -> _Ranked:
         """``side``'s ranked rows, ranked to ``depth`` if nobody read
-        the side before."""
+        or ranked the side before."""
         ranked = self._ranked[side - 1]
-        return ranked if ranked is not None else self._rank(side, depth)
+        return ranked if ranked is not None else self._widen(side, depth, None)
 
     def _whole(self, side: int) -> _Ranked:
-        """``side``'s whole rows: a read its depth cut cannot answer
-        ranks the side once more, whole (a counted fallback)."""
+        """``side``'s whole rows: a read its depth cut or its row subset
+        cannot answer ranks the side once more, whole (a counted
+        fallback)."""
         ranked = self._side_rows(side, None)
-        if ranked.depth is not None:
+        if ranked.depth is not None or ranked.covered is not None:
             _telemetry_current().metrics.counter(
                 "similarity.whole_side_fallbacks"
             ).inc()
-            ranked = self._rank(side, None)
+            ranked = self._widen(side, None, None)
         return ranked
 
     def _whole_row1(self, id1: int) -> tuple[array, array]:
         """``id1``'s whole side-1 row, ranked alone: its pairs are one
-        run of the key column, so a read past the cut of one side-1 row
-        never ranks the side."""
+        run of the key column, so a read past the cut of one side-1 row,
+        or of a row the ranking does not cover, never ranks the side."""
         lo = bisect_left(self._keys, id1 << PAIR_ID_BITS)
         hi = bisect_left(self._keys, (id1 + 1) << PAIR_ID_BITS, lo)
         ids1, ids2 = pair_ids(self._keys[lo:hi])
@@ -186,6 +242,26 @@ class PackedSimilarityIndex:
             ids1 - id1, ids2, self._values[lo:hi], 1
         )
         return cols, sims
+
+    def listed(
+        self, side: int, uris1: Sequence[str], uris2: Sequence[str], k: int
+    ):
+        """Per pair ``(uris1[i], uris2[i])``: whether its ``side`` row
+        lists the other entity among its first ``k`` — H4's test of one
+        index side, a rank count over the columns
+        (:func:`~repro.ids.arrays.in_top_k`) that ranks no row.  The
+        URIs map through this index's own interners; a pair with a URI
+        they lack is listed nowhere.  A ``bool`` array."""
+        ids1 = self._interner1.ids_by_uri()
+        ids2 = self._interner2.ids_by_uri()
+        return in_top_k(
+            self._keys,
+            self._values,
+            side,
+            array("q", [ids1.get(uri, -1) for uri in uris1]),
+            array("q", [ids2.get(uri, -1) for uri in uris2]),
+            k,
+        )
 
     # ------------------------------------------------------------------
     # Row decode (the URI-facing layer)
@@ -212,15 +288,19 @@ class PackedSimilarityIndex:
         only what they keep.  Ids are in the *other* side's interner
         space; the row is empty for URIs the index never saw.
 
-        The first read of a side ranks it to ``k``.  A later read deeper
-        than that, of a row the cut shortened, reads the whole row: a
-        side-1 row ranked alone, a side-2 row by ranking its side whole
-        (its pairs are spread over the key column)."""
+        The first read of a side nobody ranked ranks it whole, to
+        ``k``.  A read the ranking cannot answer reads the whole row:
+        one deeper than the cut of a row the cut shortened, or of a
+        side-1 row :meth:`rank` did not cover.  A side-1 row is ranked
+        alone; a side-2 row by ranking its side whole (its pairs are
+        spread over the key column)."""
         ranked = self._side_rows(side, k)
         entity_id = self.interners()[side - 1].get(uri)
         if entity_id is None:
             return ranked.cols[:0], ranked.sims[:0]
-        if ranked.truncated(entity_id) and (k is None or k > ranked.depth):
+        if not ranked.covers(entity_id) or (
+            ranked.truncated(entity_id) and (k is None or k > ranked.depth)
+        ):
             if side == 1:
                 cols, sims = self._whole_row1(entity_id)
                 return cols[:k], sims[:k]
@@ -284,12 +364,16 @@ class PackedSimilarityIndex:
         consideration.  ``depth`` is how deep a first read ranks side 1
         (whole when ``None``).  A walk that exhausts a row the cut
         shortened goes on over that row ranked whole, alone: a side-1
-        row is one run of the key column.
+        row is one run of the key column.  A row :meth:`rank` did not
+        cover is walked ranked whole, alone, too.
         """
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
         ranked = self._side_rows(1, depth)
+        if not ranked.covers(id1):
+            cols, sims = self._whole_row1(id1)
+            return self._first_free(cols, sims, 0, len(cols), exclude)
         start, stop = ranked.starts[id1], ranked.starts[id1 + 1]
         best = self._first_free(ranked.cols, ranked.sims, start, stop, exclude)
         if best is None and ranked.truncated(id1):

@@ -3,7 +3,8 @@
 The hot bulk operations of the packed similarity core — the
 shard-ordered slab fold of the row-owned similarity kernels, ragged
 span expansion, order-preserving duplicate-key summation, the CSR
-ranked rows cut at a depth, the neighbor pairs' co-occurrence filter, the
+ranked rows cut at a depth, H4's rank count, the neighbor pairs'
+co-occurrence filter, the
 online resolver's span gather, exact top-k and co-occurrence, CRC32 by
 combination and the digest's canonical columns — run vectorized, one
 implementation each.  Every fold here keeps the
@@ -161,6 +162,74 @@ def pair_ids(keys):
     """The ``(id1, id2)`` columns of a packed pair-key column."""
     keys = _np.asarray(keys, dtype=_np.int64)
     return keys >> 32, keys & 0xFFFFFFFF
+
+
+def side_pairs(keys, sims, side, rows=None):
+    """``(this side's ids, the other side's ids, sims)`` of an ascending
+    packed pair column, in its order — what :func:`ranked_side` ranks.
+    Given ``rows`` (side 1 only: ascending, distinct ids), only the
+    pairs of those rows, gathered run by run: each side-1 row is one
+    run of the key column."""
+    keys = _np.asarray(keys, dtype=_np.int64)
+    sims = _np.asarray(sims, dtype=_np.float64)
+    if rows is not None:
+        rows = _np.asarray(rows, dtype=_np.int64)
+        starts = _np.searchsorted(keys, rows << 32)
+        stops = _np.searchsorted(keys, (rows + 1) << 32)
+        _, positions = ragged_indices(starts, stops - starts)
+        keys, sims = keys[positions], sims[positions]
+    ids = pair_ids(keys)
+    return ids[side - 1], ids[2 - side], sims
+
+
+def in_top_k(keys, sims, side, ids1, ids2, k):
+    """Per query pair ``(ids1[i], ids2[i])``: whether its ``side`` row
+    lists the other entity among its first ``k`` in ``(-sim, other
+    id)`` order — :func:`ranked_side`'s order — counted, not ranked.
+
+    A pair is listed when it is in the ascending packed column ``keys``
+    and fewer than ``k`` pairs of its row beat it: a greater similarity,
+    or an equal one (``-0.0 == +0.0``) with a smaller other id.  A
+    negative id (a URI the index's interner lacks) is in no row.  Every
+    pair of the column meets its row's query in one masked pass over
+    the key column: as many passes as the busiest row has queries (H4's
+    matches are one-to-one, so one).  Returns a ``bool`` array.
+    """
+    keys = _np.asarray(keys, dtype=_np.int64)
+    sims = _np.asarray(sims, dtype=_np.float64)
+    ids1 = _np.asarray(ids1, dtype=_np.int64)
+    ids2 = _np.asarray(ids2, dtype=_np.int64)
+    listed = _np.zeros(len(ids1), dtype=bool)
+    query = (ids1 << 32) | ids2
+    at = _np.searchsorted(keys, query)
+    found = (ids1 >= 0) & (ids2 >= 0) & (at < len(keys))
+    found[found] = keys[at[found]] == query[found]
+    pending = _np.flatnonzero(found)
+    if k < 1 or not len(pending):
+        return listed
+    rows, others = (ids1, ids2) if side == 1 else (ids2, ids1)
+    n = int(rows[pending].max()) + 1
+    pair_rows = keys >> 32 if side == 1 else keys & 0xFFFFFFFF
+    _np.minimum(pair_rows, n, out=pair_rows)  # row n: no query's
+    while len(pending):
+        _, firsts = _np.unique(rows[pending], return_index=True)
+        now = pending[firsts]
+        pending = _np.delete(pending, firsts)
+        # per row, the query's similarity and other id (row n: none)
+        bars = _np.full(n + 1, _np.inf)  # no finite similarity beats it
+        bars[rows[now]] = sims[at[now]]
+        bar_others = _np.zeros(n + 1, dtype=_np.int64)
+        bar_others[rows[now]] = others[now]
+        pair_bars = bars[pair_rows]
+        ahead = _np.bincount(pair_rows[sims > pair_bars], minlength=n + 1)
+        tied = _np.flatnonzero(sims == pair_bars)
+        tied_rows = pair_rows[tied]
+        tied_others = keys[tied] & 0xFFFFFFFF if side == 1 else keys[tied] >> 32
+        ahead += _np.bincount(
+            tied_rows[tied_others < bar_others[tied_rows]], minlength=n + 1
+        )
+        listed[now] = ahead[rows[now]] < k
+    return listed
 
 
 def ranked_side(rows, other, sims, n, depth=None):

@@ -303,15 +303,14 @@ class H2ValueHeuristic(Heuristic):
     requires = ("value_index",)
 
     def produce(self, ctx, registry, engine):
-        # Rank the value rows as deep as H3 and H4 read them: the walk
-        # rarely passes a free candidate's first few, and the depth
+        # Rank the rows the walk visits, as deep as H3 reads them: the
+        # walk rarely passes a free candidate's first few, and the depth
         # moves no match, so it is not among the stage's config fields.
-        return h2_value_matches(
-            ctx.kb1.uris(),
-            ctx.get("value_index"),
-            registry,
-            depth=ctx.config.top_k_candidates,
-        )
+        depth = ctx.config.top_k_candidates
+        walked = [uri for uri in ctx.kb1.uris() if uri not in registry.matched1]
+        value_index = ctx.get("value_index")
+        value_index.rank(1, depth, walked)
+        return h2_value_matches(walked, value_index, registry, depth=depth)
 
 
 @HEURISTICS.register("h3")
@@ -327,8 +326,10 @@ class H3RankAggregationHeuristic(Heuristic):
         current_telemetry().metrics.counter(
             "matching.candidate_lists_built"
         ).inc(len(uris))
+        candidate_index = ctx.get("candidate_index")
+        candidate_index.rank(uris)
         return h3_rank_aggregation_matches(
-            uris, ctx.get("candidate_index"), ctx.config.theta, registry
+            uris, candidate_index, ctx.config.theta, registry
         )
 
 

@@ -416,3 +416,56 @@ def h4_bars_by_uri(
     nbr_row = nbr_row[:k]
     neighbor_bar = nbr_row[-1][1] if len(nbr_row) >= k else None
     return value_bar, neighbor_bar
+
+
+def ranked_rows_by_uri(index, side: int) -> dict[str, list[str]]:
+    """Every ``side`` row of an index, its counterpart URIs sorted by
+    ``(-sim, uri)``: decoded pairs and one sort, no ranked CSR rows."""
+    rows: dict[str, list[tuple[float, str]]] = {}
+    for (uri1, uri2), sim in decoded_pairs(index).items():
+        own, other = (uri1, uri2) if side == 1 else (uri2, uri1)
+        rows.setdefault(own, []).append((-sim, other))
+    return {uri: [other for _, other in sorted(row)] for uri, row in rows.items()}
+
+
+def h4_filter_by_uri(
+    matches, value_index, neighbor_index, k: int
+) -> tuple[list[Match], list[Match]]:
+    """H4 on URI lists, as it stood before the rank count: a match is
+    kept when each entity's top-``k`` value or neighbor list holds the
+    other.  Each index lists only the URIs it interned."""
+    tops = {
+        side: [
+            {uri: row[:k] for uri, row in ranked_rows_by_uri(index, side).items()}
+            for index in (value_index, neighbor_index)
+        ]
+        for side in (1, 2)
+    }
+
+    def listed(side: int, uri: str, other: str) -> bool:
+        return any(other in top.get(uri, ()) for top in tops[side])
+
+    kept: list[Match] = []
+    discarded: list[Match] = []
+    for match in matches:
+        mutual = listed(1, match.uri1, match.uri2) and listed(
+            2, match.uri2, match.uri1
+        )
+        (kept if mutual else discarded).append(match)
+    return kept, discarded
+
+
+def csr_candidate_lists(
+    value_index, neighbor_index, uri: str, side: int, k: int
+) -> CandidateLists:
+    """One entity's lists as the id path cuts them: the first ``k`` ids
+    of its ranked ``csr_row`` in each index, decoded — what
+    ``CandidateIndex.of_entity1`` holds, on either side."""
+    value_ids, _ = value_index.csr_row(side, uri, k)
+    neighbor_ids, _ = neighbor_index.csr_row(side, uri, k)
+    value_decode = value_index.interners()[2 - side].uris()
+    neighbor_decode = neighbor_index.interners()[2 - side].uris()
+    return CandidateLists(
+        value=tuple(value_decode[i] for i in value_ids),
+        neighbor=tuple(neighbor_decode[i] for i in neighbor_ids),
+    )

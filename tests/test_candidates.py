@@ -8,7 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import candidate_lists_by_uri, h4_bars_by_uri, index_of_pairs
+from oracles import (
+    candidate_lists_by_uri,
+    csr_candidate_lists,
+    h4_bars_by_uri,
+    index_of_pairs,
+)
 from repro.blocking import token_blocking
 from repro.core import CandidateIndex, CandidateLists
 from repro.core import MinoanERConfig
@@ -37,12 +42,15 @@ def kb_from_texts(name, texts, prefix):
     return kb
 
 
-def build(texts1, texts2, k=3):
+def build_indices(texts1, texts2):
     kb1 = kb_from_texts("A", texts1, "a")
     kb2 = kb_from_texts("B", texts2, "b")
     value_index = build_value_index(token_blocking(kb1, kb2))
-    neighbor_index = build_neighbor_index(value_index, {}, {})
-    return CandidateIndex(value_index, neighbor_index, k=k)
+    return value_index, build_neighbor_index(value_index, {}, {})
+
+
+def build(texts1, texts2, k=3):
+    return CandidateIndex(*build_indices(texts1, texts2), k=k)
 
 
 class TestCandidateLists:
@@ -72,12 +80,13 @@ class TestCandidateIndex:
         assert index.of_entity1("a0").is_empty()
 
     def test_of_entity2_direction(self):
-        index = build(["red zebra"], ["red dot"])
-        assert "a0" in index.of_entity2("b0").value
+        indices = build_indices(["red zebra"], ["red dot"])
+        assert "a0" in csr_candidate_lists(*indices, "b0", 2, 3).value
 
     def test_mutually_listed_symmetric_requirement(self):
         index = build(["red zebra"], ["red dot"])
-        assert index.mutually_listed("a0", "b0")
+        assert index.reciprocal(["a0"], ["b0"]) == [True]
+        assert index.reciprocal([], []) == []
 
     def test_not_mutually_listed_when_out_of_top_k(self):
         # a0 shares only the frequent token with b5, but b5's list is
@@ -88,8 +97,7 @@ class TestCandidateIndex:
             k=1,
         )
         # b0's single slot goes to a1 (more shared tokens)
-        assert not index.mutually_listed("a0", "b0")
-        assert index.mutually_listed("a1", "b0")
+        assert index.reciprocal(["a0", "a1"], ["b0", "b0"]) == [False, True]
 
     def test_caching_returns_same_object(self):
         index = build(["red"], ["red"])
@@ -158,10 +166,17 @@ def test_id_level_lists_equal_uri_level_lists(
         )
         for k in (1, 2, 15):
             index = CandidateIndex(value_index, published, k=k)
-            for side, of_entity in ((1, index.of_entity1), (2, index.of_entity2)):
+            for side in (1, 2):
                 for position in range(10):  # 9 is in neither index
                     uri = _uri(side, position)
-                    assert of_entity(uri) == candidate_lists_by_uri(
+                    lists = (
+                        index.of_entity1(uri)
+                        if side == 1
+                        else csr_candidate_lists(
+                            value_index, published, uri, side, k
+                        )
+                    )
+                    assert lists == candidate_lists_by_uri(
                         value_index, neighbor_index, uri, side, k, restrict
                     )
 
@@ -215,13 +230,14 @@ def _golden_kbs():
 
 
 def _recorded_rankings(monkeypatch) -> list:
-    """Every side ranking from now on, as ``(index, side, depth)``."""
+    """Every ranking pass from now on, as ``(index, side, depth, rows)``:
+    ``rows`` the set of side-1 ids it ranked, ``None`` for a whole side."""
     rankings = []
     real = similarity_module.PackedSimilarityIndex._rank
 
-    def recorded(index, side, depth):
-        rankings.append((index, side, depth))
-        return real(index, side, depth)
+    def recorded(index, side, depth, rows=None):
+        rankings.append((index, side, depth, rows))
+        return real(index, side, depth, rows)
 
     monkeypatch.setattr(
         similarity_module.PackedSimilarityIndex, "_rank", recorded
@@ -237,7 +253,10 @@ def test_restricted_match_never_builds_the_full_neighbor_index(
     the run constructs exactly one neighbor index, the one the neighbor
     stage publishes, and the lists are cut from its rows at depth K.
     Unrestricted, the published index is the full product and the lists
-    are its rows."""
+    are its rows.  Either way the run ranks side 1 only, each index
+    once, to K, and only the rows read: the value rows H2 walks (KB1
+    minus H1's matches), the neighbor rows H3 reads (minus H2's too);
+    H4 ranks no row."""
     made = []
     real = NeighborSimilarityIndex.from_packed_columns.__func__
 
@@ -256,17 +275,24 @@ def test_restricted_match_never_builds_the_full_neighbor_index(
     assert len(made) == 1
     published = ctx.get("neighbor_index")
     assert made[0]() is published
-    # the lists were cut from the published index at depth K: each side
-    # of both indices ranked once, to K, and no read went deeper
+    # the lists were cut from the published index at depth K: side 1 of
+    # both indices ranked once, to K, over the rows read, and no read
+    # went deeper
     k = config.top_k_candidates
     value_index = ctx.get("value_index")
-    assert sorted(
-        (id(index), side, depth) for index, side, depth in rankings
-    ) == sorted(
-        (id(index), side, k)
-        for index in (value_index, published)
-        for side in (1, 2)
-    )
+    claimed = {"H1": set(), "H2": set(), "H3": set()}
+    for match in ctx.get("pre_h4_matches"):
+        claimed[match.heuristic].add(match.uri1)
+    assert claimed["H1"] and claimed["H2"] and claimed["H3"]
+
+    def row_ids(index, skipped):
+        ids = index.interners()[0].ids_by_uri()
+        return {ids[u] for u in ctx.kb1.uris() if u in ids and u not in skipped}
+
+    assert rankings == [
+        (value_index, 1, k, row_ids(value_index, claimed["H1"])),
+        (published, 1, k, row_ids(published, claimed["H1"] | claimed["H2"])),
+    ]
     lists = ctx.get("candidate_index")
     for uri1 in ctx.kb1.uris():
         assert lists.of_entity1(uri1).neighbor == tuple(
@@ -282,8 +308,9 @@ def test_published_state_answers_first_reads_without_building(
     row: the first ``/candidates`` and ``/resolve`` calls rank no side
     and filter no neighbor pair (a side-1 row the neighbor gather reads
     whole is ranked alone).  Across a delta's match and its publish,
-    each side of each index is ranked once, to K, and none whole: the
-    delta's matching ranks all four, so its publish ranks nothing."""
+    each index is ranked to K only: the delta's matching ranks the
+    side-1 rows H2 and H3 read, and its publish ranks side 2 and side 1
+    whole (every row the matching ranked, and the rest)."""
     kb1, kb2 = _golden_kbs()
     saved = MatchSession(kb1, kb2).save(tmp_path / "snap")
     matcher = IncrementalMatcher(MatchSession.load(saved))
@@ -303,17 +330,22 @@ def test_published_state_answers_first_reads_without_building(
     k = matcher.config.top_k_candidates
 
     def ranked(index) -> list:
-        return sorted(
-            ((side, depth) for of, side, depth in rankings if of is index),
-            key=str,
-        )
+        return [
+            (side, depth, rows)
+            for of, side, depth, rows in rankings
+            if of is index
+        ]
 
-    # the replayed snapshot's publish ranks all four sides; the delta's
-    # matching ranks them first, so its publish ranks nothing
-    for value_index, neighbor_index in indices:
-        assert ranked(value_index) == [(1, k), (2, k)]
-        assert ranked(neighbor_index) == [(1, k), (2, k)]
-    assert len(rankings) == 8  # nothing else ranked
+    # the replayed snapshot's publish ranks all four sides whole
+    for index in indices[0]:
+        assert ranked(index) == [(1, k, None), (2, k, None)]
+    # the delta's matching ranks some side-1 rows; its publish ranks
+    # both sides whole
+    for index in indices[1]:
+        (_, _, read), *published = ranked(index)
+        assert 0 < len(read) < len(index.interners()[0])
+        assert published == [(1, k, None), (2, k, None)]
+    assert len(rankings) == 10  # nothing else ranked
 
     def built(*args):
         raise AssertionError("a read ranked a side or filtered pairs")

@@ -402,3 +402,63 @@ class TestResolverPrimitives:
             keys,
             [reference[key] for key in keys],
         ]
+
+
+class TestRankCount:
+    """``in_top_k`` against a sort of each decoded row."""
+
+    #: Few distinct scores, both zeros: rows are full of ties.
+    _sims = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.5000000000000001, 1.0])
+    _pairs = st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), _sims, max_size=24
+    )
+    _queries = st.lists(
+        st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=12
+    )
+
+    @given(_pairs, _queries, st.integers(0, 7))
+    # a tie at the k-th similarity: the smaller other id is listed
+    @example(
+        {(0, 1): 1.0, (0, 2): 0.5, (0, 3): 0.5, (0, 4): 0.5, (1, 3): 0.5},
+        [(0, 2), (0, 3), (0, 4), (1, 3)],
+        2,
+    )
+    # -0.0 ties +0.0: the smaller other id wins, whatever its sign
+    @example(
+        {(0, 1): -0.0, (0, 2): 0.0, (1, 1): 0.0, (2, 1): -0.0},
+        [(0, 1), (0, 2), (1, 1), (2, 1)],
+        1,
+    )
+    # an absent pair and ids no interner holds are listed nowhere
+    @example({(0, 1): 1.0}, [(0, 2), (1, 1), (-1, 1), (0, -1), (6, 6)], 3)
+    # k at and above the row length
+    @example({(2, 0): 0.25, (2, 1): 0.5, (3, 1): 1.0}, [(2, 0), (2, 1)], 2)
+    @example({(2, 0): 0.25, (2, 1): 0.5, (3, 1): 1.0}, [(2, 0), (3, 1)], 7)
+    # a one-pair row, queried twice
+    @example({(4, 5): 0.5}, [(4, 5), (4, 5)], 1)
+    # empty columns
+    @example({}, [(0, 0), (-1, -1)], 1)
+    @example({}, [], 1)
+    def test_in_top_k_is_a_sorted_row_prefix(self, pairs, queries, k):
+        """Per query and side: ``pair in sorted(row, key=(-sim, other
+        id))[:k]`` — present, and fewer than ``k`` of its row beat it."""
+        from repro.ids.arrays import in_top_k
+
+        keys = sorted(pairs)
+        packed = array("q", [(id1 << 32) | id2 for id1, id2 in keys])
+        sims = array("d", [pairs[pair] for pair in keys])
+        ids1 = array("q", [id1 for id1, _ in queries])
+        ids2 = array("q", [id2 for _, id2 in queries])
+        for side in (1, 2):
+            rows: dict[int, list] = {}
+            for (id1, id2), sim in pairs.items():
+                own, other = (id1, id2) if side == 1 else (id2, id1)
+                rows.setdefault(own, []).append((-sim, other))
+            expected = []
+            for id1, id2 in queries:
+                own, other = (id1, id2) if side == 1 else (id2, id1)
+                top = [o for _, o in sorted(rows.get(own, []))[:k]]
+                expected.append((id1, id2) in pairs and other in top)
+            got = in_top_k(packed, sims, side, ids1, ids2, k)
+            assert got.dtype == bool
+            assert got.tolist() == expected, side

@@ -426,7 +426,7 @@ def test_best_candidate_walks_past_an_exhausted_depth_cut():
         record.args
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
-    ] == [{"side": 1, "depth": 3}]
+    ] == [{"side": 1, "depth": 3, "rows": None}]
     assert fallbacks(telemetry) == 0
     assert type(cut.best_candidate(uri(1, 0), {uri(2, 0)})[1]) is float
 
@@ -462,9 +462,9 @@ def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
     ] == [
-        {"side": 1, "depth": 3},
-        {"side": 2, "depth": 3},
-        {"side": 2, "depth": None},
+        {"side": 1, "depth": 3, "rows": None},
+        {"side": 2, "depth": 3, "rows": None},
+        {"side": 2, "depth": None, "rows": None},
     ]
 
 

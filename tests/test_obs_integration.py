@@ -231,10 +231,11 @@ class TestSessionTelemetry:
         columns — the row tasks dispatch under the kernel span, through
         the executor — and where rows were ranked: each ranked-rows
         build is one span under the stage that first read the rows,
-        naming the side and the depth it ranked to.  A default run
-        ranks both sides of two indices, the value index and the
-        co-occurring neighbor index, all first read by matching, to the
-        config's K, and no read goes deeper."""
+        naming the side, the depth it ranked to and how many rows.  A
+        default run ranks side 1 of two indices, the value index and the
+        co-occurring neighbor index, both first read by matching, to the
+        config's K, over only the rows H2 and H3 read; H4 ranks no
+        side-2 row, and no read goes deeper."""
         result, telemetry = run_instrumented(dataset, "process", workers=2)
         records = telemetry.tracer.records()
         by_id = {record.span_id: record for record in records}
@@ -248,13 +249,13 @@ class TestSessionTelemetry:
             "neighbor_index",
             "value_index",
         ]
-        assert stages == {"similarity.ranked_rows": ["matching"] * 4}
+        assert stages == {"similarity.ranked_rows": ["matching"] * 2}
         k = MinoanERConfig().top_k_candidates
-        assert sorted(
-            (r.args["side"], r.args["depth"])
-            for r in records
-            if r.name == "similarity.ranked_rows"
-        ) == [(1, k), (1, k), (2, k), (2, k)]
+        ranked = [r.args for r in records if r.name == "similarity.ranked_rows"]
+        assert [(args["side"], args["depth"]) for args in ranked] == [(1, k)] * 2
+        # of the 9 KB1 entities H1 matches 7: H2 walks the other 2 rows
+        # and matches both, so H3 reads none
+        assert [args["rows"] for args in ranked] == [2, 0]
         counters = telemetry.metrics.counters()
         assert "similarity.whole_side_fallbacks" not in counters
         pairs = (

@@ -11,7 +11,12 @@ executor — so every golden digest and parity harness passes unchanged.
 from pathlib import Path
 
 import pytest
-from oracles import blocking_context, candidate_lists_by_uri, decoded_pairs
+from oracles import (
+    blocking_context,
+    candidate_lists_by_uri,
+    csr_candidate_lists,
+    decoded_pairs,
+)
 
 from repro.blocking import (
     PackedBlockCollection,
@@ -259,11 +264,14 @@ def test_gathered_lists_equal_decoded_build(kbs, evidence, restrict, k):
         else neighbor_index
     )
     gathered = CandidateIndex(value_index, published, k=k)
-    for side, kb, of_entity in (
-        (1, kbs[0], gathered.of_entity1),
-        (2, kbs[1], gathered.of_entity2),
-    ):
+
+    def lists(side, uri):
+        if side == 1:
+            return gathered.of_entity1(uri)
+        return csr_candidate_lists(value_index, published, uri, side, k)
+
+    for side, kb in ((1, kbs[0]), (2, kbs[1])):
         for uri in kb.uris():
-            assert of_entity(uri) == candidate_lists_by_uri(
+            assert lists(side, uri) == candidate_lists_by_uri(
                 value_index, neighbor_index, uri, side, k, restrict
             ), uri
