@@ -40,7 +40,14 @@ from threading import Lock
 from typing import Iterable, NamedTuple, Sequence
 
 from ..ids import EntityInterner, PAIR_ID_BITS
-from ..ids.arrays import in_top_k, pair_ids, ranked_side, side_pairs
+from ..ids.arrays import (
+    in_top_k,
+    joined_rows,
+    pair_ids,
+    ranked_side,
+    row_groups,
+    side_pairs,
+)
 from ..obs.runtime import current as _telemetry_current
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
 
@@ -191,8 +198,16 @@ class PackedSimilarityIndex:
     ) -> _Ranked:
         """``side``'s rows (only the side-1 ``rows`` when given) ranked
         to ``depth``, in one ``similarity.ranked_rows`` span under
-        whichever stage or request asked; args ``side``, ``depth`` and
-        ``rows`` (how many rows, ``None`` for the whole side)."""
+        whichever stage or request asked; args ``side``, ``depth``,
+        ``rows`` (how many rows, ``None`` for the whole side) and
+        ``groups`` (how many :func:`~repro.ids.arrays.ranked_side`
+        passes it took).
+
+        Side-1 rows are runs of the key column: they are ranked in
+        groups of consecutive rows of bounded pair count
+        (:func:`~repro.ids.arrays.row_groups`), and the groups' cut
+        rows joined.  Side 2's rows are spread over the column, so that
+        side is ranked in one pass."""
         n = len(self.interners()[side - 1])
         ordered = None if rows is None else sorted(rows)
         telemetry = _telemetry_current()
@@ -204,12 +219,21 @@ class PackedSimilarityIndex:
                 "depth": depth,
                 "rows": None if ordered is None else len(ordered),
             },
-        ):
-            *columns, kept = ranked_side(
-                *side_pairs(self._keys, self._values, side, ordered),
-                n,
-                depth,
-            )
+        ) as span:
+            if side == 1:
+                groups = [
+                    (first, ranked_side(*pairs, count, depth))
+                    for first, count, pairs in row_groups(
+                        self._keys, self._values, n, ordered
+                    )
+                ]
+                *columns, kept = joined_rows(groups, n)
+                span.set(groups=len(groups))
+            else:
+                *columns, kept = ranked_side(
+                    *side_pairs(self._keys, self._values, side), n, depth
+                )
+                span.set(groups=1)
         telemetry.metrics.counter("similarity.ranked_pairs_kept").inc(kept)
         return _Ranked(depth, *columns, rows)
 

@@ -2,7 +2,7 @@
 
 - a **stable hash** of a string key (CRC32, never Python's salted
   ``hash``) names the shard of a block / a value pair in the similarity
-  stages (:func:`packed_pair_hashes`: the CRC32 of the pair's *string*
+  stages (:func:`packed_pair_shards`: the CRC32 of the pair's *string*
   key, combined from per-id CRCs).  A shard is no layout: it only
   names the slab its contributions are folded in, i.e. it *defines the
   float fold*;
@@ -24,8 +24,13 @@ from typing import Sequence, TypeVar
 
 import numpy
 
-from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..ids.arrays import crc32_combined, crc32_shift_tables
+from ..ids import EntityInterner
+from ..ids.arrays import (
+    crc32_combined,
+    crc32_shift_tables,
+    pair_ids,
+    pieces,
+)
 
 T = TypeVar("T")
 
@@ -60,14 +65,15 @@ def partition_count(
     return max(1, min(max_partitions, n_items // min_partition_size))
 
 
-def packed_pair_hashes(
+def packed_pair_shards(
     keys,
     interner1: EntityInterner,
     interner2: EntityInterner,
     separator: str,
+    n_shards: int,
 ):
-    """:func:`stable_hash` of every *packed* pair key in a column, as
-    ``uint32``, without decoding.
+    """The shard ``stable_hash(uri1 + separator + uri2) % n_shards`` of
+    every *packed* pair key in a column, as ``int32``, without decoding.
 
     Shard keys stay **string-stable**: the hash of a packed ``id1 << 32
     | id2`` key is, by construction, exactly
@@ -79,7 +85,12 @@ def packed_pair_hashes(
     and per side-2 id the CRC of ``uri2`` are computed once, and each
     key *combines* the two through the linear map that appending
     ``len(uri2)`` bytes applies (:func:`~repro.ids.arrays.crc32_combined`
-    is ``zlib.crc32`` of the concatenated bytes, by identity).
+    is ``zlib.crc32`` of the concatenated bytes, by identity).  The key
+    column is walked in :func:`~repro.ids.arrays.pieces` (a key's ids,
+    gathers and table lookups take about four times a unit pass's
+    bytes), each piece's shards written into the one output column:
+    beyond it and the per-entity tables, a piece's temporaries are all
+    the pass holds.
     """
     prefixes = [(uri + separator).encode("utf-8") for uri in interner1.uris()]
     suffixes = [uri.encode("utf-8") for uri in interner2.uris()]
@@ -91,9 +102,14 @@ def packed_pair_hashes(
     )
     tables, rows = crc32_shift_tables(list(map(len, suffixes)))
     keys = numpy.asarray(keys)
-    id1 = keys >> PAIR_ID_BITS
-    id2 = keys & PAIR_ID_MASK
-    return crc32_combined(prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables)
+    shards = numpy.empty(len(keys), dtype=numpy.int32)
+    for piece in pieces(len(keys), 4):
+        id1, id2 = pair_ids(keys[piece])
+        hashes = crc32_combined(
+            prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables
+        )
+        shards[piece] = hashes % n_shards
+    return shards
 
 
 def chunk_evenly(items: Sequence[T], n_chunks: int) -> list[Sequence[T]]:

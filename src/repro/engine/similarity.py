@@ -25,6 +25,15 @@ these builders on a post-delta state.  The shard axis stays *inside*
 the row fold because the harness pins ``Match.score`` digests taken at
 this order (docs/PERFORMANCE.md, "The determinism contract").
 
+Memory: one constant, :data:`~repro.ids.arrays.RUN_SIZE`, bounds every
+transient of a build.  A task folds its rows in runs of at most that
+many cells, contributions and slab slots (:func:`_row_runs`), and the
+column passes that prepare the operands — the value pairs' shard column
+(:func:`~repro.engine.partitioner.packed_pair_shards`) and the row work
+the runs are cut by (:func:`_row_work`) — walk their columns in pieces
+sized from it, so what a build holds beyond its operands and results is
+one run or one piece, not a multiple of the pair count.
+
 Under the conference H3 the neighbor index holds only the parent pairs
 that are also value pairs, and the kernel drops the rest *before* the
 fold: each run marks its rows' value pairs in a bitmap
@@ -50,13 +59,13 @@ from ..core.neighbors import (
     transposed_csr,
 )
 from ..core.similarity import ValueSimilarityIndex, block_token_weight
-from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK
-from ..ids.arrays import ragged_indices, shard_ordered_sums
+from ..ids import EntityInterner, PAIR_ID_BITS, PAIR_ID_MASK, arrays
+from ..ids.arrays import pieces, ragged_indices, shard_ordered_sums
 from ..obs.runtime import current as _telemetry_current
 from .executor import Executor, SerialExecutor
 from .partitioner import (
     chunk_evenly,
-    packed_pair_hashes,
+    packed_pair_shards,
     partition_count,
     stable_hash,
 )
@@ -64,13 +73,6 @@ from .partitioner import (
 #: Separator of the two URIs inside a value-pair shard key.  Any fixed
 #: byte works: the key only feeds CRC32, never an ordering comparison.
 _PAIR_KEY_SEPARATOR = "\x1f"
-
-#: Bound on each part of one run's working set (a run is at least one
-#: row): its cells, its contributions, the slots of its slab.  Not a
-#: knob — build time is flat from 2¹⁷ to 2²⁰ on every benchmark scale,
-#: and the transient bytes, which this fixes whatever the KB, are not
-#: (docs/PERFORMANCE.md).
-_RUN_SIZE = 1 << 18
 
 
 def _contributions(
@@ -132,10 +134,10 @@ def _value_pair_cells(lo, hi, width, span_starts, members, images1, images2):
 
 def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
     """Cut the rows ``lo .. hi`` into runs, at least one row each, of at
-    most :data:`_RUN_SIZE` cells, contributions and slab slots — a slab
-    holds ``n_shards`` slots per *touched* cell, and no more cells are
-    touched than there are cells or contributions (``work``: the
-    contributions before each row, cumulative)."""
+    most :data:`~repro.ids.arrays.RUN_SIZE` cells, contributions and
+    slab slots — a slab holds ``n_shards`` slots per *touched* cell,
+    and no more cells are touched than there are cells or contributions
+    (``work``: the contributions before each row, cumulative)."""
     runs = []
     while lo < hi:
         # per limit, the last row whose cells, whose contributions fit
@@ -144,7 +146,7 @@ def _row_runs(work, lo, hi, width, n_shards) -> list[tuple[int, int]]:
                 lo + limit // max(width, 1),
                 bisect_right(work, work[lo] + limit, lo, hi + 1) - 1,
             )
-            for limit in (_RUN_SIZE, _RUN_SIZE // n_shards)
+            for limit in (arrays.RUN_SIZE, arrays.RUN_SIZE // n_shards)
         )
         runs.append((lo, max(lo + 1, min(*whole, max(slab)))))
         lo = runs[-1][1]
@@ -179,15 +181,33 @@ def _row_sums(task, row_ids, work, row_starts, *shared) -> tuple:
 
 def _row_work(row_starts, row_ids, span_starts, members, starts2):
     """Contributions before each output row, cumulative (``n_rows + 1``):
-    prefix sums over ``B``'s row lengths by entry, then over the entries'
-    totals by ``V`` row, read at ``A``'s row offsets."""
+    prefix sums over ``B``'s row lengths by entry, read at the ``V``
+    rows' offsets, then over those rows' totals by ``A``'s entries, read
+    at ``A``'s row offsets."""
     row_starts, row_ids, span_starts, members, starts2 = map(
         numpy.asarray, (row_starts, row_ids, span_starts, members, starts2)
     )
-    fans = numpy.cumsum(numpy.diff(starts2)[members])
-    fans = numpy.concatenate(([0], fans))
-    work = numpy.cumsum(numpy.diff(fans[span_starts])[row_ids])
-    return numpy.concatenate(([0], work))[row_starts]
+    fans = _prefix_sums_at(numpy.diff(starts2), members, span_starts)
+    return _prefix_sums_at(numpy.diff(fans), row_ids, row_starts)
+
+
+def _prefix_sums_at(totals, column, offsets):
+    """``cumsum([0, *totals[column]])`` read at the ascending ``offsets``
+    into ``column``, without the whole-column sums: the column is summed
+    in :func:`~repro.ids.arrays.pieces`, each piece's prefix sums carried
+    on from the pieces before it and read at the offsets it reaches."""
+    read = numpy.zeros(len(offsets), dtype=numpy.int64)
+    carried = 0
+    for piece in pieces(len(column)):
+        sums = totals[column[piece]]
+        numpy.cumsum(sums, out=sums)
+        sums += carried
+        first, stop = numpy.searchsorted(
+            offsets, (piece.start, piece.stop), "right"
+        )
+        read[first:stop] = sums[offsets[first:stop] - piece.start - 1]
+        carried = int(sums[-1])
+    return read
 
 
 def _product_index(
@@ -274,8 +294,8 @@ def build_neighbor_index(
     row of the value index — the ascending key column read as a CSR by
     its side-1 id — and hands each value pair on to the side-2 parents
     listing its second entity.  A value pair's shard is the stable hash
-    of its *string* key (:func:`~repro.engine.partitioner.packed_pair_hashes`),
-    a function of the pair alone.
+    of its *string* key, a function of the pair alone
+    (:func:`~repro.engine.partitioner.packed_pair_shards`).
 
     ``cooccurring`` keeps only the parent pairs that are also value
     pairs — the conference H3's index, byte for byte
@@ -291,9 +311,12 @@ def build_neighbor_index(
     parents2 = EntityInterner(top_neighbors2)
     # ``stable_hash(uri1 + separator + uri2)`` per packed key — the
     # string-stable shard assignment, without building key strings.
-    hashes = packed_pair_hashes(keys, value1, value2, _PAIR_KEY_SEPARATOR)
-    shards = (hashes % n_shards).astype(numpy.int32)
-    members = (keys & PAIR_ID_MASK).astype(numpy.int32)
+    shards = packed_pair_shards(
+        keys, value1, value2, _PAIR_KEY_SEPARATOR, n_shards
+    )
+    # each key's side-2 id, cast as it is computed (a buffered ufunc)
+    members = numpy.empty(len(keys), dtype=numpy.int32)
+    numpy.bitwise_and(keys, PAIR_ID_MASK, out=members, casting="unsafe")
     # The ascending key column, read as a CSR by its side-1 id.
     span_starts = numpy.searchsorted(
         keys, numpy.arange(len(value1) + 1, dtype=numpy.int64) << PAIR_ID_BITS

@@ -23,6 +23,26 @@ from array import array
 
 import numpy as _np
 
+#: Bound on each part of a bulk pass's working set.  The similarity
+#: kernels cut a task's rows into runs of at most this many cells,
+#: contributions and slab slots (a run is at least one row); the passes
+#: around them — the value pairs' shards, the kernels' row work, H4's
+#: rank count and side-1 ranking — walk their columns in pieces sized
+#: from it (:func:`pieces`; a ranking group is at least one row).  Not a
+#: knob: build time is flat from 2¹⁷ to 2²⁰ on every benchmark scale,
+#: and the transient bytes, which this fixes whatever the KB, are not
+#: (docs/PERFORMANCE.md).
+RUN_SIZE = 1 << 18
+
+
+def pieces(length: int, share: int = 1) -> list[slice]:
+    """``range(length)`` cut into consecutive slices of ``RUN_SIZE //
+    share`` positions (at least one; the last may be shorter): the
+    pieces of a pass whose per-position transients take ``share`` times
+    a unit pass's bytes."""
+    size = max(1, RUN_SIZE // share)
+    return [slice(lo, min(lo + size, length)) for lo in range(0, length, size)]
+
 
 def array_copy(typecode: str, column) -> array:
     """An ``array`` copy of any buffer-protocol column (NumPy array,
@@ -164,22 +184,70 @@ def pair_ids(keys):
     return keys >> 32, keys & 0xFFFFFFFF
 
 
-def side_pairs(keys, sims, side, rows=None):
+def side_pairs(keys, sims, side):
     """``(this side's ids, the other side's ids, sims)`` of an ascending
-    packed pair column, in its order — what :func:`ranked_side` ranks.
-    Given ``rows`` (side 1 only: ascending, distinct ids), only the
-    pairs of those rows, gathered run by run: each side-1 row is one
-    run of the key column."""
+    packed pair column, in its order — what :func:`ranked_side` ranks."""
+    ids = pair_ids(keys)
+    return ids[side - 1], ids[2 - side], _np.asarray(sims, dtype=_np.float64)
+
+
+def row_groups(keys, sims, n, rows=None):
+    """Side 1's rows of an ascending packed pair column (only ``rows``
+    when given: ascending, distinct ids), cut into groups of consecutive
+    rows of at most ``RUN_SIZE // 4`` pairs (a pair's gather and rank
+    take about four times a unit pass's bytes), a group being at least
+    one row — each side-1 row is one run of the key column.
+
+    Yields, per group, ``(first id, id count, pairs)``: ``pairs`` is
+    what :func:`ranked_side` ranks over ``id count`` ids — the group's
+    pairs gathered run by run, their side-1 ids counted from the
+    group's first — and :func:`joined_rows` places the ranked groups.
+    """
     keys = _np.asarray(keys, dtype=_np.int64)
     sims = _np.asarray(sims, dtype=_np.float64)
-    if rows is not None:
-        rows = _np.asarray(rows, dtype=_np.int64)
-        starts = _np.searchsorted(keys, rows << 32)
-        stops = _np.searchsorted(keys, (rows + 1) << 32)
-        _, positions = ragged_indices(starts, stops - starts)
-        keys, sims = keys[positions], sims[positions]
-    ids = pair_ids(keys)
-    return ids[side - 1], ids[2 - side], sims
+    rows = _np.arange(n, dtype=_np.int64) if rows is None else rows
+    rows = _np.asarray(rows, dtype=_np.int64)
+    starts = _np.searchsorted(keys, rows << 32)
+    counts = _np.searchsorted(keys, (rows + 1) << 32) - starts
+    ends = _np.cumsum(counts)  # pairs through each row
+    size = max(1, RUN_SIZE // 4)
+    lo = 0
+    while lo < len(rows):
+        before = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(_np.searchsorted(ends, before + size, "right")))
+        stop = starts[hi - 1] + counts[hi - 1]
+        if stop - starts[lo] == ends[hi - 1] - before:  # one run: a view
+            positions = slice(starts[lo], stop)
+        else:
+            _, positions = ragged_indices(starts[lo:hi], counts[lo:hi])
+        first = int(rows[lo])
+        ids1, ids2 = pair_ids(keys[positions])
+        ids1 -= first
+        count = int(rows[hi - 1]) - first + 1
+        yield first, count, (ids1, ids2, sims[positions])
+        lo = hi
+
+
+def joined_rows(groups, n):
+    """One side's ranked rows over ``n`` ids from :func:`ranked_side`'s
+    results on :func:`row_groups`' groups, ``(first id, result)`` in
+    ascending id order: the groups' cut rows end to end, each row's
+    offset and true length in its place (a row no group holds is
+    empty).  Returns what :func:`ranked_side` returns."""
+    counts = _np.zeros(n, dtype=_np.int64)
+    lengths = _np.zeros(n, dtype=_np.int64)
+    cols, sims, kept = array("i"), array("d"), 0
+    for first, ranked in groups:
+        starts, group_cols, group_sims, group_lengths, group_kept = ranked
+        stop = first + len(group_lengths)
+        counts[first:stop] = _np.diff(_np.asarray(starts))
+        lengths[first:stop] = group_lengths
+        cols += group_cols
+        sims += group_sims
+        kept += group_kept
+    starts = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=starts[1:])
+    return array_copy("q", starts), cols, sims, array_copy("q", lengths), kept
 
 
 def in_top_k(keys, sims, side, ids1, ids2, k):
@@ -193,7 +261,9 @@ def in_top_k(keys, sims, side, ids1, ids2, k):
     negative id (a URI the index's interner lacks) is in no row.  Every
     pair of the column meets its row's query in one masked pass over
     the key column: as many passes as the busiest row has queries (H4's
-    matches are one-to-one, so one).  Returns a ``bool`` array.
+    matches are one-to-one, so one), each walking the column in
+    :func:`pieces` and adding up each row's count of pairs ahead.
+    Returns a ``bool`` array.
     """
     keys = _np.asarray(keys, dtype=_np.int64)
     sims = _np.asarray(sims, dtype=_np.float64)
@@ -209,8 +279,6 @@ def in_top_k(keys, sims, side, ids1, ids2, k):
         return listed
     rows, others = (ids1, ids2) if side == 1 else (ids2, ids1)
     n = int(rows[pending].max()) + 1
-    pair_rows = keys >> 32 if side == 1 else keys & 0xFFFFFFFF
-    _np.minimum(pair_rows, n, out=pair_rows)  # row n: no query's
     while len(pending):
         _, firsts = _np.unique(rows[pending], return_index=True)
         now = pending[firsts]
@@ -220,14 +288,25 @@ def in_top_k(keys, sims, side, ids1, ids2, k):
         bars[rows[now]] = sims[at[now]]
         bar_others = _np.zeros(n + 1, dtype=_np.int64)
         bar_others[rows[now]] = others[now]
-        pair_bars = bars[pair_rows]
-        ahead = _np.bincount(pair_rows[sims > pair_bars], minlength=n + 1)
-        tied = _np.flatnonzero(sims == pair_bars)
-        tied_rows = pair_rows[tied]
-        tied_others = keys[tied] & 0xFFFFFFFF if side == 1 else keys[tied] >> 32
-        ahead += _np.bincount(
-            tied_rows[tied_others < bar_others[tied_rows]], minlength=n + 1
-        )
+        ahead = _np.zeros(n + 1, dtype=_np.int64)
+        for piece in pieces(len(keys)):
+            piece_keys, piece_sims = keys[piece], sims[piece]
+            pair_rows = (
+                piece_keys >> 32 if side == 1 else piece_keys & 0xFFFFFFFF
+            )
+            _np.minimum(pair_rows, n, out=pair_rows)  # row n: no query's
+            pair_bars = bars[pair_rows]
+            ahead += _np.bincount(
+                pair_rows[piece_sims > pair_bars], minlength=n + 1
+            )
+            tied = _np.flatnonzero(piece_sims == pair_bars)
+            tied_rows, tied_keys = pair_rows[tied], piece_keys[tied]
+            tied_others = (
+                tied_keys & 0xFFFFFFFF if side == 1 else tied_keys >> 32
+            )
+            ahead += _np.bincount(
+                tied_rows[tied_others < bar_others[tied_rows]], minlength=n + 1
+            )
         listed[now] = ahead[rows[now]] < k
     return listed
 

@@ -3,13 +3,17 @@
 Nothing here runs in production: these are the readable, scalar forms
 of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
-:func:`blocking_context` is the one exception: the blocking stages'
+:func:`blocking_context` is one exception: the blocking stages'
 artifacts, run the way every graph runs, for tests that build their
-indices by hand from them.
+indices by hand from them.  The other is the last section: the
+whole-column NumPy forms of the passes the engine now walks in pieces.
 """
 
+import zlib
 from array import array
 from typing import Callable, Iterable, TypeVar
+
+import numpy
 
 from repro.blocking.base import Block
 from repro.blocking.name_blocking import name_keys, names_from_attributes
@@ -20,6 +24,13 @@ from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
 from repro.engine.similarity import _PAIR_KEY_SEPARATOR
 from repro.ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
+from repro.ids.arrays import (
+    crc32_combined,
+    crc32_shift_tables,
+    pair_ids,
+    ragged_indices,
+    ranked_side,
+)
 from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import (
     MatchSession,
@@ -469,3 +480,97 @@ def csr_candidate_lists(
         value=tuple(value_decode[i] for i in value_ids),
         neighbor=tuple(neighbor_decode[i] for i in neighbor_ids),
     )
+
+
+# ----------------------------------------------------------------------
+# Whole-column forms of the piecewise passes
+# ----------------------------------------------------------------------
+# Each pass below once ran over its whole column at once; the engine now
+# walks the column in pieces sized from ``repro.ids.arrays.RUN_SIZE``.
+# These are the whole-column forms, verbatim: the piecewise passes must
+# equal them, and the memory guard checks that they would exceed it.
+def packed_pair_shards_whole(keys, interner1, interner2, separator, n_shards):
+    """The value pairs' shard column, every temporary column-sized."""
+    prefixes = [(uri + separator).encode("utf-8") for uri in interner1.uris()]
+    suffixes = [uri.encode("utf-8") for uri in interner2.uris()]
+    prefix_crcs = numpy.fromiter(
+        map(zlib.crc32, prefixes), numpy.uint32, len(prefixes)
+    )
+    suffix_crcs = numpy.fromiter(
+        map(zlib.crc32, suffixes), numpy.uint32, len(suffixes)
+    )
+    tables, rows = crc32_shift_tables(list(map(len, suffixes)))
+    keys = numpy.asarray(keys)
+    id1 = keys >> PAIR_ID_BITS
+    id2 = keys & PAIR_ID_MASK
+    hashes = crc32_combined(
+        prefix_crcs[id1], suffix_crcs[id2], rows[id2], tables
+    )
+    return (hashes % n_shards).astype(numpy.int32)
+
+
+def row_work_whole(row_starts, row_ids, span_starts, members, starts2):
+    """The kernels' cumulative contributions before each output row,
+    by whole-column prefix sums."""
+    row_starts, row_ids, span_starts, members, starts2 = map(
+        numpy.asarray, (row_starts, row_ids, span_starts, members, starts2)
+    )
+    fans = numpy.cumsum(numpy.diff(starts2)[members])
+    fans = numpy.concatenate(([0], fans))
+    work = numpy.cumsum(numpy.diff(fans[span_starts])[row_ids])
+    return numpy.concatenate(([0], work))[row_starts]
+
+
+def in_top_k_whole(keys, sims, side, ids1, ids2, k):
+    """H4's rank count, each round one masked pass over the whole key
+    column."""
+    keys = numpy.asarray(keys, dtype=numpy.int64)
+    sims = numpy.asarray(sims, dtype=numpy.float64)
+    ids1 = numpy.asarray(ids1, dtype=numpy.int64)
+    ids2 = numpy.asarray(ids2, dtype=numpy.int64)
+    listed = numpy.zeros(len(ids1), dtype=bool)
+    query = (ids1 << 32) | ids2
+    at = numpy.searchsorted(keys, query)
+    found = (ids1 >= 0) & (ids2 >= 0) & (at < len(keys))
+    found[found] = keys[at[found]] == query[found]
+    pending = numpy.flatnonzero(found)
+    if k < 1 or not len(pending):
+        return listed
+    rows, others = (ids1, ids2) if side == 1 else (ids2, ids1)
+    n = int(rows[pending].max()) + 1
+    pair_rows = keys >> 32 if side == 1 else keys & 0xFFFFFFFF
+    numpy.minimum(pair_rows, n, out=pair_rows)  # row n: no query's
+    while len(pending):
+        _, firsts = numpy.unique(rows[pending], return_index=True)
+        now = pending[firsts]
+        pending = numpy.delete(pending, firsts)
+        bars = numpy.full(n + 1, numpy.inf)
+        bars[rows[now]] = sims[at[now]]
+        bar_others = numpy.zeros(n + 1, dtype=numpy.int64)
+        bar_others[rows[now]] = others[now]
+        pair_bars = bars[pair_rows]
+        ahead = numpy.bincount(pair_rows[sims > pair_bars], minlength=n + 1)
+        tied = numpy.flatnonzero(sims == pair_bars)
+        tied_rows = pair_rows[tied]
+        tied_others = keys[tied] & 0xFFFFFFFF if side == 1 else keys[tied] >> 32
+        ahead += numpy.bincount(
+            tied_rows[tied_others < bar_others[tied_rows]], minlength=n + 1
+        )
+        listed[now] = ahead[rows[now]] < k
+    return listed
+
+
+def ranked_side_whole(keys, sims, side, n, depth, rows=None):
+    """One side's ranked rows in one ``ranked_side`` pass over every
+    pair it ranks — the side-1 ``rows`` (ascending ids) gathered run by
+    run when given."""
+    keys = numpy.asarray(keys, dtype=numpy.int64)
+    sims = numpy.asarray(sims, dtype=numpy.float64)
+    if rows is not None:
+        rows = numpy.asarray(rows, dtype=numpy.int64)
+        starts = numpy.searchsorted(keys, rows << 32)
+        stops = numpy.searchsorted(keys, (rows + 1) << 32)
+        _, positions = ragged_indices(starts, stops - starts)
+        keys, sims = keys[positions], sims[positions]
+    ids = pair_ids(keys)
+    return ranked_side(ids[side - 1], ids[2 - side], sims, n, depth)

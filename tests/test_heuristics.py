@@ -350,7 +350,7 @@ def test_an_uncovered_read_ranks_that_row_alone():
         record.args
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
-    ] == [{"side": 1, "depth": 2, "rows": 1}]
+    ] == [{"side": 1, "depth": 2, "rows": 1, "groups": 1}]
     counters = telemetry.metrics.counters()
     assert "similarity.whole_side_fallbacks" not in counters
 

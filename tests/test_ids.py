@@ -7,6 +7,7 @@ kernels' contracts (zlib-compatible CRC, order-preserving summation).
 
 import zlib
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -20,6 +21,7 @@ from repro.ids import (
     pack_pair,
     unpack_pair,
 )
+from repro.ids import arrays
 
 uri_sets = st.sets(st.text(min_size=1, max_size=30), min_size=0, max_size=40)
 entity_ids = st.integers(min_value=0, max_value=MAX_ENTITY_ID)
@@ -141,10 +143,10 @@ class TestVectorizedKernels:
         st.lists(st.text(max_size=12), min_size=1, max_size=12, unique=True),
         st.data(),
     )
-    def test_packed_pair_hashes_equal_the_string_key_hash(
+    def test_packed_pair_shards_equal_the_string_key_shard(
         self, uris1, uris2, data
     ):
-        self.assert_hashes_agree(
+        self.assert_shards_agree(
             uris1,
             uris2,
             data.draw(
@@ -158,26 +160,29 @@ class TestVectorizedKernels:
             ),
         )
 
-    def test_packed_pair_hashes_over_many_lengths_and_encodings(self):
+    def test_packed_pair_shards_over_many_lengths_and_encodings(self):
         """≥ 40 distinct suffix byte lengths in one column, the empty
         URI, embedded / trailing NULs and 2–4-byte UTF-8 sequences."""
         uris2 = ["", "\x00", "a\x00b", "tail\x00\x00", "é", "日本語", "🙂x"]
         uris2 += ["http://kb2/é" + "x" * n for n in range(45)]
         uris1 = ["", "urn:\x00:1", "ü" * 9] + [f"http://kb1/e{n}" for n in range(5)]
         assert len({len(uri.encode()) for uri in uris2}) >= 40
-        self.assert_hashes_agree(
+        self.assert_shards_agree(
             uris1,
             uris2,
             [(i, j) for i in range(len(uris1)) for j in range(len(uris2))],
         )
 
     @staticmethod
-    def assert_hashes_agree(uris1, uris2, id_pairs):
-        """The column hash of every packed key is, by definition, the
-        stable hash of the pair's string key."""
+    def assert_shards_agree(uris1, uris2, id_pairs):
+        """The shard of every packed key is, by definition, the stable
+        hash of the pair's string key modulo the shard count — with the
+        key column walked one, three or every key at a time, and equal
+        to the whole-column form."""
         import numpy
+        from oracles import packed_pair_shards_whole
 
-        from repro.engine.partitioner import packed_pair_hashes, stable_hash
+        from repro.engine.partitioner import packed_pair_shards, stable_hash
 
         separator = "\x1f"
         interner1 = EntityInterner(uris1)
@@ -186,12 +191,24 @@ class TestVectorizedKernels:
         keys = numpy.array(
             [pack_pair(id1, id2) for id1, id2 in id_pairs], dtype=numpy.int64
         )
-        hashes = packed_pair_hashes(keys, interner1, interner2, separator)
-        assert hashes.dtype == numpy.uint32
-        assert hashes.tolist() == [
+        hashes = [
             stable_hash(uris1[id1] + separator + uris2[id2])
             for id1, id2 in id_pairs
         ]
+        for n_shards in (1, 7, 16, 2**31 - 1):
+            expected = [value % n_shards for value in hashes]
+            # pieces of RUN_SIZE // 4 keys: one, three, every key
+            for run_size in (1, 12, 1 << 40):
+                with mock.patch.object(arrays, "RUN_SIZE", run_size):
+                    shards = packed_pair_shards(
+                        keys, interner1, interner2, separator, n_shards
+                    )
+                assert shards.dtype == numpy.int32
+                assert shards.tolist() == expected, (n_shards, run_size)
+            whole = packed_pair_shards_whole(
+                keys, interner1, interner2, separator, n_shards
+            )
+            assert whole.tolist() == expected
 
     @given(
         st.lists(
@@ -436,12 +453,28 @@ class TestRankCount:
     @example({(2, 0): 0.25, (2, 1): 0.5, (3, 1): 1.0}, [(2, 0), (3, 1)], 7)
     # a one-pair row, queried twice
     @example({(4, 5): 0.5}, [(4, 5), (4, 5)], 1)
+    # with the key column walked three pairs at a time, row 0 straddles
+    # the piece edge and two pairs tying the query's bar sit before it
+    @example(
+        {(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25, (0, 3): 0.5, (1, 0): 0.5},
+        [(0, 3), (1, 0)],
+        2,
+    )
+    @example(
+        {(0, 0): 0.5, (0, 1): 0.5, (0, 2): 0.25, (0, 3): 0.5, (1, 0): 0.5},
+        [(0, 3), (1, 0)],
+        3,
+    )
     # empty columns
     @example({}, [(0, 0), (-1, -1)], 1)
     @example({}, [], 1)
     def test_in_top_k_is_a_sorted_row_prefix(self, pairs, queries, k):
         """Per query and side: ``pair in sorted(row, key=(-sim, other
-        id))[:k]`` — present, and fewer than ``k`` of its row beat it."""
+        id))[:k]`` — present, and fewer than ``k`` of its row beat it —
+        with the key column walked one, three or every pair at a time,
+        as the whole-column pass finds."""
+        from oracles import in_top_k_whole
+
         from repro.ids.arrays import in_top_k
 
         keys = sorted(pairs)
@@ -459,6 +492,10 @@ class TestRankCount:
                 own, other = (id1, id2) if side == 1 else (id2, id1)
                 top = [o for _, o in sorted(rows.get(own, []))[:k]]
                 expected.append((id1, id2) in pairs and other in top)
-            got = in_top_k(packed, sims, side, ids1, ids2, k)
-            assert got.dtype == bool
-            assert got.tolist() == expected, side
+            for run_size in (1, 3, 1 << 40):
+                with mock.patch.object(arrays, "RUN_SIZE", run_size):
+                    got = in_top_k(packed, sims, side, ids1, ids2, k)
+                assert got.dtype == bool
+                assert got.tolist() == expected, (side, run_size)
+            whole = in_top_k_whole(packed, sims, side, ids1, ids2, k)
+            assert whole.tolist() == expected, side

@@ -23,6 +23,7 @@ import json
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy
 import pytest
@@ -32,7 +33,11 @@ from oracles import (
     blocking_context,
     decoded_pairs,
     index_of_pairs,
+    in_top_k_whole,
     neighbor_sims_by_uri,
+    packed_pair_shards_whole,
+    ranked_side_whole,
+    row_work_whole,
     value_sims_by_uri,
 )
 
@@ -48,7 +53,7 @@ from repro.engine import (
     partition_count,
     similarity,
 )
-from repro.ids import EntityInterner, PAIR_ID_BITS
+from repro.ids import EntityInterner, PAIR_ID_BITS, arrays
 from repro.kb.io_ntriples import read_ntriples
 from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession, artifact_digest, context_digests
@@ -390,6 +395,68 @@ def test_depth_rows_are_whole_row_prefixes(id_pairs, depth):
             assert lengths[row] == whole_starts[row + 1] - lo
 
 
+@given(
+    id_pairs=deep_pair_maps,
+    depth=st.one_of(st.none(), st.integers(1, 7)),
+    subset=st.one_of(st.none(), st.sets(st.integers(0, 4))),
+)
+# row 0 is longer than a group of one or of three pairs
+@example(
+    id_pairs={(0, j): float(j % 3) for j in range(9)} | {(1, 0): 1.0},
+    depth=2,
+    subset=None,
+)
+@example(
+    id_pairs={(0, j): float(j % 3) for j in range(9)} | {(2, 3): 1.0},
+    depth=None,
+    subset={0, 2, 4},
+)
+def test_grouped_side1_ranking_equals_one_pass(id_pairs, depth, subset):
+    """Side 1 ranked in row groups — of one pair, three pairs or every
+    pair, a group being at least one row — holds exactly the rows one
+    ``ranked_side`` pass over every ranked pair holds: for the whole
+    side and for a subset of rows, whole and cut at a depth; ``csr_row``
+    reads them, ids ``==`` and similarity bytes ``==``, and
+    ``similarity.ranked_pairs_kept`` counts the same pairs."""
+    index = index_of_pairs(as_uri_map(id_pairs), ValueSimilarityIndex)
+    interner1 = index.interners()[0]
+    rows = None
+    if subset is not None:
+        rows = [uri(1, position) for position in subset]
+        present = [interner1.get(row) for row in rows]
+        subset = sorted(entity for entity in present if entity is not None)
+    expected = ranked_side_whole(
+        *index.packed_columns(), 1, len(interner1), depth, subset
+    )
+    # a group holds at most RUN_SIZE // 4 pairs, and at least one row
+    for run_size in (1, 12, 1 << 40):
+        ranked = index_of_pairs(as_uri_map(id_pairs), ValueSimilarityIndex)
+        telemetry = Telemetry.create()
+        with mock.patch.object(arrays, "RUN_SIZE", run_size), activate(
+            telemetry
+        ):
+            ranked.rank(1, depth, rows)
+        (span,) = [
+            record.args
+            for record in telemetry.tracer.records()
+            if record.name == "similarity.ranked_rows"
+        ]
+        if run_size == 1 << 40:
+            assert span["groups"] == (1 if len(interner1) and subset != [] else 0)
+        cut = ranked._ranked[0]
+        assert list(cut.starts) == list(expected[0]), run_size
+        assert list(cut.cols) == list(expected[1]), run_size
+        assert cut.sims.tobytes() == expected[2].tobytes(), run_size
+        assert list(cut.lengths) == list(expected[3]), run_size
+        counters = telemetry.metrics.counters()
+        assert counters["similarity.ranked_pairs_kept"] == expected[4]
+        for entity in subset if subset is not None else range(len(interner1)):
+            lo, hi = expected[0][entity], expected[0][entity + 1]
+            ids, sims = ranked.csr_row(1, interner1.uris()[entity], depth)
+            assert list(ids) == list(expected[1][lo:hi])
+            assert sims.tobytes() == expected[2][lo:hi].tobytes()
+
+
 def long_row_index() -> ValueSimilarityIndex:
     """Side-1 row ``e0`` of 20 candidates, ``e1`` of 2, the others of
     one; side-2 row ``e0`` of 10 candidates, the others of one or two.
@@ -426,7 +493,7 @@ def test_best_candidate_walks_past_an_exhausted_depth_cut():
         record.args
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
-    ] == [{"side": 1, "depth": 3, "rows": None}]
+    ] == [{"side": 1, "depth": 3, "rows": None, "groups": 1}]
     assert fallbacks(telemetry) == 0
     assert type(cut.best_candidate(uri(1, 0), {uri(2, 0)})[1]) is float
 
@@ -462,9 +529,9 @@ def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
     ] == [
-        {"side": 1, "depth": 3, "rows": None},
-        {"side": 2, "depth": 3, "rows": None},
-        {"side": 2, "depth": None, "rows": None},
+        {"side": 1, "depth": 3, "rows": None, "groups": 1},
+        {"side": 2, "depth": 3, "rows": None, "groups": 1},
+        {"side": 2, "depth": None, "rows": None, "groups": 1},
     ]
 
 
@@ -678,7 +745,11 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     8.4 MB here and 111.0 MB at 0.7 scale (partials of ~2.7 rows per
     pair plus the merge's sort); the row-owned kernels at 4.8 MB and
     55.0 MB — the finished columns twice (per task, then joined), the
-    operands, and one run's working set.  The guard is 0.75x of 8.4 MB.
+    operands, one run's working set, and the value pairs' whole-column
+    shard hashes.  Now that the shards are written piece by piece, the
+    build peaks where the task results are joined: 4.8 MB here and
+    51.9 MB at 0.7 scale (56.1 MB with the hash column).  The guard is
+    0.75x of 8.4 MB.
 
     One task (``_row_sums``) beyond the rows it returns: 3.1 MB here,
     4.3 MB at 0.7 scale and 3.6 MB on ``yago_imdb`` 1.0 with 22x the
@@ -687,9 +758,10 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     the KB: 32 B per unit (8.4 MB).
 
     The co-occurring build (42 k pairs) folds only the cells that are
-    value pairs: 2.0 MB per task against 3.1 MB, 4.4 MB whole against
-    5.1 MB.  Its task is held to the same guard, its whole build below
-    the full one's.
+    value pairs: 2.0 MB per task against 3.1 MB, 3.9 MB whole against
+    4.8 MB (28.0 against 51.9 MB at 0.7 scale, where the hash column
+    had set both at 55–56 MB).  Its task is held to the same guard, its
+    whole build below the full one's.
     """
     data = generate_benchmark("rexa_dblp", 0.2, 13)
     config = MinoanERConfig()
@@ -751,11 +823,128 @@ def test_neighbor_build_memory_stays_unboxed(monkeypatch):
     assert retained < 0.6 * 13.7e6
     assert peaks["build"] < 0.6 * 20.9e6
     assert 0 < peaks["kernel"] < 0.75 * 8.4e6
-    assert 0 < peaks["task"] < 32 * similarity._RUN_SIZE
+    assert 0 < peaks["task"] < 32 * arrays.RUN_SIZE
 
     # Folding only the co-occurring cells: one run's working set stays
     # cut at the same constant, and the build peaks below the full one.
     restricted, _, restricted_peaks = traced_build(cooccurring=True)
     assert 0 < len(restricted) < len(index)
-    assert 0 < restricted_peaks["task"] < 32 * similarity._RUN_SIZE
+    assert 0 < restricted_peaks["task"] < 32 * arrays.RUN_SIZE
     assert 0 < restricted_peaks["build"] < peaks["build"]
+
+
+def own_transient(call, returned) -> tuple:
+    """``call()``'s result and its own traced transient: its peak above
+    the bytes traced when it began, less the bytes ``returned(result)``
+    keeps (tracing must be on)."""
+    start, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    result = call()
+    _, peak = tracemalloc.get_traced_memory()
+    return result, peak - start - returned(result)
+
+
+def test_piecewise_passes_hold_one_piece(monkeypatch):
+    """A default match on ``rexa_dblp`` 0.2 — 82 k value pairs, over 20
+    pieces at the run size patched to 2¹² — then side 1 of its value
+    index ranked whole, traced with ``tracemalloc``.  The passes around
+    the kernels each hold one piece at a time, so each pass's own
+    transient stays below a multiple of the run size plus the
+    entity-sized terms it keeps: the shards' per-entity CRC tables and
+    encoded URIs, the row work's per-row sums, the rank count's
+    per-row bars and per-query columns, the ranking's per-row offsets
+    and its cut rows' growth.  The whole-column form of each pass, on
+    the same operands, exceeds its bound: the bound does not scale with
+    the pairs, the old passes did."""
+    from repro.core import similarity as core_similarity
+
+    monkeypatch.setattr(arrays, "RUN_SIZE", 1 << 12)
+    data = generate_benchmark("rexa_dblp", 0.2, 13)
+
+    def ranked_bytes(ranked) -> int:
+        return sum(
+            memoryview(column).nbytes
+            for column in ranked
+            if isinstance(column, array)
+        )
+
+    passes = {  # module, name, the bytes its result keeps, the whole form
+        "shards": (
+            similarity,
+            "packed_pair_shards",
+            lambda shards: shards.nbytes,
+            packed_pair_shards_whole,
+        ),
+        "row work": (
+            similarity,
+            "_row_work",
+            lambda work: work.nbytes,
+            row_work_whole,
+        ),
+        "rank count": (
+            core_similarity,
+            "in_top_k",
+            lambda listed: listed.nbytes,
+            in_top_k_whole,
+        ),
+        "ranking": (
+            core_similarity.PackedSimilarityIndex,
+            "_rank",
+            ranked_bytes,
+            lambda index, side, depth, rows: ranked_side_whole(
+                *index.packed_columns(),
+                side,
+                len(index.interners()[side - 1]),
+                depth,
+                None if rows is None else sorted(rows),
+            ),
+        ),
+    }
+    calls = {name: [] for name in passes}
+
+    def traced(name, real, returned):
+        def run(*args):
+            result, own = own_transient(lambda: real(*args), returned)
+            calls[name].append((own, args))
+            return result
+
+        return run
+
+    for name, (owner, attribute, returned, _) in passes.items():
+        real = getattr(owner, attribute)
+        monkeypatch.setattr(owner, attribute, traced(name, real, returned))
+    tracemalloc.start()
+    try:
+        ctx = MatchSession(data.kb1, data.kb2).run_context()
+        value_index = ctx.get("value_index")
+        whole_side = ValueSimilarityIndex.from_packed_columns(
+            *value_index.packed_columns(), *value_index.interners()
+        )
+        whole_side.rank(1, ctx.config.top_k_candidates)
+        n1, n2 = map(len, value_index.interners())
+        assert len(value_index) > 20 * arrays.RUN_SIZE
+        piece = 32 * arrays.RUN_SIZE
+        bounds = {
+            # a CRC, a shift-table offset and the encoded URI per entity
+            "shards": lambda keys, *_: piece + 256 * (n1 + n2),
+            # the per-row offsets read and their sums
+            "row work": lambda starts, ids, spans, members, starts2: piece
+            + 32 * (len(starts) + len(spans) + len(starts2)),
+            # the bars, counts and query columns
+            "rank count": lambda keys, sims, side, ids1, *_: piece
+            + 64 * (n1 + n2 + len(ids1)),
+            # per-row offsets, and the cut rows grown group by group
+            "ranking": lambda index, side, depth, rows: piece
+            + 64 * (n1 + n2 + depth * n1),
+        }
+        assert [len(calls[name]) for name in passes] == [1, 2, 4, 3]
+        for name, (_, _, returned, whole) in passes.items():
+            for own, args in calls[name]:
+                bound = bounds[name](*args)
+                assert 0 < own < bound, (name, own, bound)
+            # the largest call, in its whole-column form, breaks it
+            own, args = max(calls[name], key=lambda call: call[0])
+            _, whole_own = own_transient(lambda: whole(*args), returned)
+            assert whole_own > bounds[name](*args), (name, whole_own)
+    finally:
+        tracemalloc.stop()

@@ -256,6 +256,8 @@ class TestSessionTelemetry:
         # of the 9 KB1 entities H1 matches 7: H2 walks the other 2 rows
         # and matches both, so H3 reads none
         assert [args["rows"] for args in ranked] == [2, 0]
+        # two rows fit one group; no row, no group
+        assert [args["groups"] for args in ranked] == [1, 0]
         counters = telemetry.metrics.counters()
         assert "similarity.whole_side_fallbacks" not in counters
         pairs = (

@@ -22,6 +22,7 @@ from oracles import (
     decoded_pairs,
     index_of_pairs,
     neighbor_sims_by_uri,
+    row_work_whole,
     value_sims_by_uri,
 )
 
@@ -36,6 +37,7 @@ from repro.engine import (
 )
 from repro.engine.partitioner import partition_count
 from repro.engine.similarity import build_neighbor_index, build_value_index
+from repro.ids import arrays
 
 _RELAXED = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -86,7 +88,7 @@ def assert_no_cut_moves_a_byte(build) -> None:
         ):
             assert column_bytes(build()) == expected, layout
             for run_size in (1, 1 << 40):
-                with mock.patch.object(similarity, "_RUN_SIZE", run_size):
+                with mock.patch.object(arrays, "RUN_SIZE", run_size):
                     assert column_bytes(build()) == expected, (layout, run_size)
 
 
@@ -184,6 +186,54 @@ def test_neighbor_rows_equal_the_per_pair_oracle(
 
 
 # ----------------------------------------------------------------------
+# Row work: the run cuts' contribution counts
+# ----------------------------------------------------------------------
+def csr(rows) -> tuple[list[int], list[int]]:
+    """``(starts, flat)`` of a list of rows."""
+    starts = [0]
+    for row in rows:
+        starts.append(starts[-1] + len(row))
+    return starts, [item for row in rows for item in row]
+
+
+@given(st.data())
+@example(None)  # one V row of six entries, over two A rows
+def test_row_work_equals_the_whole_column_sums(data):
+    """``_row_work`` — prefix sums taken over pieces of each column,
+    carried from piece to piece — equals the whole-column prefix sums,
+    with the pieces one, three or every entry long: piece edges fall
+    inside a ``V`` row's entries and inside an ``A`` row."""
+    if data is None:
+        b_rows, v_rows = [[0], [0, 1, 2]], [[1, 0, 1, 1, 0, 1]]
+        a_rows = [[0], [0, 0]]
+    else:
+        b_rows = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=5
+            )
+        )
+        members = st.lists(st.integers(0, len(b_rows) - 1), max_size=6)
+        v_rows = data.draw(st.lists(members, min_size=1, max_size=5))
+        ids = st.lists(st.integers(0, len(v_rows) - 1), max_size=4)
+        a_rows = data.draw(st.lists(ids, max_size=5))
+    starts2, _ = csr(b_rows)
+    span_starts, members = csr(v_rows)
+    row_starts, row_ids = csr(a_rows)
+    operands = [
+        numpy.array(column, dtype=numpy.int64)
+        for column in (row_starts, row_ids, span_starts, members, starts2)
+    ]
+    expected = row_work_whole(*operands).tolist()
+    assert expected[-1] == sum(
+        len(b_rows[member]) for row in a_rows for v in row for member in v_rows[v]
+    )
+    for run_size in (1, 3, 1 << 40):
+        with mock.patch.object(arrays, "RUN_SIZE", run_size):
+            work = similarity._row_work(*operands)
+        assert work.tolist() == expected, run_size
+
+
+# ----------------------------------------------------------------------
 # neighborNSim of the co-occurring pairs only
 # ----------------------------------------------------------------------
 #: Parents are entities 0..9 of their own KB: 8 and 9 never occur in the
@@ -199,7 +249,7 @@ def every_engine(request, monkeypatch):
     """Serial, thread and process engines, with the run size at one slot
     (one row per run) and at 2**40 (a task's rows in one run) — set
     before the process pool forks, so that its workers cut at it too."""
-    monkeypatch.setattr(similarity, "_RUN_SIZE", request.param)
+    monkeypatch.setattr(arrays, "RUN_SIZE", request.param)
     with ThreadExecutor(2) as thread, ProcessExecutor(2) as process:
         yield {"serial": SerialExecutor(), "thread": thread, "process": process}
 
