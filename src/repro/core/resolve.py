@@ -16,10 +16,11 @@ published state:
 3. **Score value similarity**: every selected block contributes its
    :func:`~repro.core.similarity.block_token_weight` to each id in its
    row.  A single resolve is a batch of one: a batch's sums are one
-   :func:`~repro.ids.arrays.gathered_candidate_sums` call keyed by
-   record index and candidate id.  A candidate's sum adds its record's
-   spans in the same element order whatever else shares the batch, so
-   every score is the same float in any batch.
+   :func:`~repro.ids.arrays.gathered_candidate_sums` call per group of
+   records of bounded gather, keyed by record index and candidate id.
+   A candidate's sum adds its record's spans in the same element order
+   whatever else shares the batch, so every score is the same float in
+   any batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :func:`~repro.engine.similarity.build_neighbor_index`'s
@@ -68,21 +69,23 @@ The resolver reads the run's artifacts only: its derived tables (the
 packed-block columns, H1's name-key maps, the top-neighbor fan-out)
 build once, in the constructor, from the published name placements and
 top-neighbor sets — no KB entity is re-keyed or walked.  Afterwards a
-read writes nothing but two bounded memos of pure functions, whose
-entries are immutable (tuples of floats, read-only arrays), so the
-resolver is safe to share across reader threads.
+read writes nothing but two memos of pure functions, each bounded in
+bytes, whose entries are immutable (tuples of floats, read-only
+arrays), so the resolver is safe to share across reader threads.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from threading import Lock
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..blocking.base import BlockCollection
 from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.packed import PackedBlockCollection
-from ..ids import EntityInterner
+from ..ids import EntityInterner, arrays
 from ..ids.arrays import (
     gathered_candidate_sums,
     group_bounds,
@@ -111,9 +114,12 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 _BATCH_SHIFT = 32
 
 
-#: Bound of each per-resolver memo (rows are small; the cap only
-#: matters for adversarial never-repeating target or candidate floods).
-_NEIGHBOR_MEMO_LIMIT = 65536
+#: Byte budget of each per-resolver memo.  A target's fan-out columns
+#: run to tens of kilobytes, so a cap in entries would not bound them;
+#: a serving stream's link sets stay far under it (the benchmark's
+#: query pool fills 6.7 MB), and it matters only for adversarial floods
+#: of never-repeating targets or target sets.
+_MEMO_BYTES = 64 << 20
 
 
 def standing_decisions(matches: Iterable[Match], side: int) -> dict[str, Match]:
@@ -276,9 +282,9 @@ class OnlineResolver:
         # target URI, or sorted target tuple -> read-only (parent ids
         # ascending, sums) columns; (uri2, k) -> H4 bars.  The evidence
         # is immutable for this resolver's lifetime, so entries never go
-        # stale; the cap only bounds memory on adversarial floods.
-        self._neighbor_memo: dict[str | tuple[str, ...], tuple] = {}
-        self._h4_memo: dict[tuple[str, int], tuple[float | None, float | None]] = {}
+        # stale; the byte budget only bounds memory on adversarial floods.
+        self._neighbor_memo = _Memo()
+        self._h4_memo = _Memo()
 
     @classmethod
     def from_context(
@@ -319,9 +325,12 @@ class OnlineResolver:
         may read: :meth:`probe`'s side-1 rows and the H4 bars' side-2
         rows of both indices — four whole sides, also after a batch or
         delta match (it ranks only the side-1 rows H2 and H3 read; its
-        H4 counts, ranking nothing).  A side-1 row read whole (the
-        neighbor gather's) is ranked alone on first read; a side-2 read
-        deeper than K ranks that side whole, once."""
+        H4 counts, ranking nothing).  Each side is ranked in groups of
+        consecutive rows of bounded pair count, so what ranking a side
+        holds beyond its rows is one group's working set, not the
+        side's.  A side-1 row read whole (the neighbor gather's) is
+        ranked alone on first read; a side-2 read deeper than K ranks
+        that side whole, once."""
         k = self._config.top_k_candidates
         for index in (self._value_index, self._neighbor_index):
             index.rank(1, k)
@@ -359,26 +368,53 @@ class OnlineResolver:
         """Resolve many records, amortizing probes and candidate sums.
 
         Records whose URI is in KB1 answer with :meth:`probe`.  The rest
-        share their token -> block-row lookups; all their candidate sums
-        run in one :func:`gathered_candidate_sums` call keyed
-        ``record index << 32 | candidate id``, and each record decides
-        over its slice of those columns.  A candidate's sum receives the
-        same additions in the same order whatever else is in the batch,
-        so a record resolves bit-identically alone or in any batch.
+        share their token -> block-row lookups and are scored in
+        consecutive groups, a group being at least one record and its
+        spans selecting at most ``RUN_SIZE // 16`` ids (a gathered id's
+        positions, keys, sums and sort take about 70 bytes, so a group
+        holds some 4 B per unit of the run size): one
+        :func:`gathered_candidate_sums` call per group,
+        keyed ``record index << 32 | candidate id``, and each record
+        decides over its slice of those columns.  A candidate's sum
+        receives the same additions in the same order whatever else is
+        in the batch, so a record resolves bit-identically alone, in
+        any batch and in any group.
         """
         k = self.validated_k(k)
         results: list[ResolveResult | None] = [None] * len(records)
-        pending: list[tuple[int, "EntityDescription"]] = []
         span_memo: dict[str, tuple[int, int, float] | None] = {}
-        starts: list[int] = []
-        stops: list[int] = []
-        weights: list[float] = []
-        bases: list[int] = []
+        budget = max(1, arrays.RUN_SIZE // 16)
+        group: list[tuple[int, "EntityDescription", list]] = []
+        selected = 0
         for position, record in enumerate(records):
             if record.uri in self._known1:
                 results[position] = self.probe(record.uri, k)
                 continue
             spans = self._probe_spans(record, span_memo)
+            ids = sum(stop - start for start, stop, _ in spans)
+            if group and selected + ids > budget:
+                self._decide_group(group, k, results)
+                group, selected = [], 0
+            group.append((position, record, spans))
+            selected += ids
+        if group:
+            self._decide_group(group, k, results)
+        return results  # type: ignore[return-value]
+
+    def _decide_group(
+        self,
+        group: Sequence[tuple[int, "EntityDescription", list]],
+        k: int,
+        results: list,
+    ) -> None:
+        """Score a group of ``(position, record, spans)`` in one
+        :func:`gathered_candidate_sums` call and decide each record
+        into ``results[position]``."""
+        starts: list[int] = []
+        stops: list[int] = []
+        weights: list[float] = []
+        bases: list[int] = []
+        for index, (_, _, spans) in enumerate(group):
             if spans:
                 # One C-level transpose per record, no per-span tuples
                 # (a batch carries tens of thousands of spans).
@@ -386,19 +422,15 @@ class OnlineResolver:
                 starts.extend(span_starts)
                 stops.extend(span_stops)
                 weights.extend(span_weights)
-                bases.extend([len(pending) << _BATCH_SHIFT] * len(spans))
-            pending.append((position, record))
-        if not pending:
-            return results  # type: ignore[return-value]
+                bases.extend([index << _BATCH_SHIFT] * len(spans))
         keys, sums = gathered_candidate_sums(
             self._ids2, starts, stops, weights, bases
         )
-        bounds = group_bounds(keys, len(pending))
+        bounds = group_bounds(keys, len(group))
         _, ids = pair_ids(keys)
-        for index, (position, record) in enumerate(pending):
+        for index, (position, record, _) in enumerate(group):
             lo, hi = bounds[index], bounds[index + 1]
             results[position] = self._decide(record, k, ids[lo:hi], sums[lo:hi])
-        return results  # type: ignore[return-value]
 
     def validated_k(self, k: int | None) -> int:
         """``k``, defaulted to the config's ``top_k_candidates``; raises
@@ -547,8 +579,7 @@ class OnlineResolver:
             entry = _published(
                 merged_sums(map(self._target_contribution, targets))
             )
-            if len(memo) < _NEIGHBOR_MEMO_LIMIT:
-                memo[key] = entry
+            memo.keep(key, entry)
         return entry
 
     def _target_contribution(self, target: str) -> tuple:
@@ -570,8 +601,7 @@ class OnlineResolver:
                     self._parent_ids, starts[vids], starts[1:][vids], sims
                 )
             )
-            if len(memo) < _NEIGHBOR_MEMO_LIMIT:
-                memo[target] = entry
+            memo.keep(target, entry)
         return entry
 
     def _h1_online(self, record: "EntityDescription") -> Match | None:
@@ -637,8 +667,7 @@ class OnlineResolver:
                 value_sims[-1] if len(value_sims) == k else None,
                 neighbor_sims[-1] if len(neighbor_sims) == k else None,
             )
-            if len(memo) < _NEIGHBOR_MEMO_LIMIT:
-                memo[key] = entry
+            memo.keep(key, entry)
         return entry
 
     def __repr__(self) -> str:
@@ -703,6 +732,34 @@ class CachedResolver:
 
 #: Distinguishes "memoized as absent" from "never looked up".
 _UNSEEN = object()
+
+
+class _Memo(dict):
+    """A resolver memo of pure, immutable entries that stops taking
+    them once they hold :data:`_MEMO_BYTES`: each entry's key and value
+    counted as the objects they are made of (an array with its header,
+    so an empty entry counts too).  A refused entry is recomputed on
+    every read, to the same value."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bytes = 0
+        self._lock = Lock()
+
+    def keep(self, key, entry) -> None:
+        """Hold ``entry`` under ``key`` if the budget has room."""
+        size = _held_bytes(key) + _held_bytes(entry)
+        with self._lock:
+            if key not in self and self.bytes + size <= _MEMO_BYTES:
+                self[key] = entry
+                self.bytes += size
+
+
+def _held_bytes(value) -> int:
+    """``value``'s size, a tuple's items included (one level)."""
+    if isinstance(value, tuple):
+        return sys.getsizeof(value) + sum(map(sys.getsizeof, value))
+    return sys.getsizeof(value)
 
 
 def _published(columns: tuple) -> tuple:

@@ -22,9 +22,10 @@ workers; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
 make an index.  Point lookups bisect the key column and the per-entity
 ranked candidate lists are CSR-style offset+column arrays built from
-the columns in one pass, on the first read of any row or for just the
-side-1 rows a reader names (:meth:`PackedSimilarityIndex.rank`) — an
-index whose rows nobody reads never ranks, and H4's membership test
+the columns in groups of rows of bounded pair count, on the first read
+of any row or for just the side-1 rows a reader names
+(:meth:`PackedSimilarityIndex.rank`) — an index whose rows nobody reads
+never ranks, and H4's membership test
 (:meth:`PackedSimilarityIndex.listed`) counts instead of ranking.  The
 floats never depend on the container:
 every sum's addition order is fixed where it is folded (the engine's
@@ -46,7 +47,7 @@ from ..ids.arrays import (
     pair_ids,
     ranked_side,
     row_groups,
-    side_pairs,
+    side2_groups,
 )
 from ..obs.runtime import current as _telemetry_current
 from ..textsim.weighted import WEIGHT_CACHE_SHAPES, arcs_token_weight
@@ -156,7 +157,7 @@ class PackedSimilarityIndex:
         and H3 reads (``rows``, URIs; those the index lacks are skipped).
 
         A ranking only widens: a call whose rows are already ranked deep
-        enough ranks nothing; any other ranks, in one pass, every row
+        enough ranks nothing; any other ranks, in one ranking, every row
         ranked so far and every row asked for, at the deeper of the two
         depths.  Only side 1 ranks a subset: its rows are runs of the
         key column.
@@ -203,11 +204,13 @@ class PackedSimilarityIndex:
         ``groups`` (how many :func:`~repro.ids.arrays.ranked_side`
         passes it took).
 
-        Side-1 rows are runs of the key column: they are ranked in
-        groups of consecutive rows of bounded pair count
-        (:func:`~repro.ids.arrays.row_groups`), and the groups' cut
-        rows joined.  Side 2's rows are spread over the column, so that
-        side is ranked in one pass."""
+        Either side is ranked in groups of consecutive rows of bounded
+        pair count, one :func:`~repro.ids.arrays.ranked_side` pass each,
+        and the groups' cut rows joined
+        (:func:`~repro.ids.arrays.joined_rows`): side-1 rows are runs of
+        the key column (:func:`~repro.ids.arrays.row_groups`); a group
+        of side-2 rows is one run within each side-1 row
+        (:func:`~repro.ids.arrays.side2_groups`)."""
         n = len(self.interners()[side - 1])
         ordered = None if rows is None else sorted(rows)
         telemetry = _telemetry_current()
@@ -221,19 +224,15 @@ class PackedSimilarityIndex:
             },
         ) as span:
             if side == 1:
-                groups = [
-                    (first, ranked_side(*pairs, count, depth))
-                    for first, count, pairs in row_groups(
-                        self._keys, self._values, n, ordered
-                    )
-                ]
-                *columns, kept = joined_rows(groups, n)
-                span.set(groups=len(groups))
+                cut = row_groups(self._keys, self._values, n, ordered)
             else:
-                *columns, kept = ranked_side(
-                    *side_pairs(self._keys, self._values, side), n, depth
-                )
-                span.set(groups=1)
+                cut = side2_groups(self._keys, self._values, n)
+            groups = [
+                (first, ranked_side(*pairs, count, depth))
+                for first, count, pairs in cut
+            ]
+            *columns, kept = joined_rows(groups, n)
+            span.set(groups=len(groups))
         telemetry.metrics.counter("similarity.ranked_pairs_kept").inc(kept)
         return _Ranked(depth, *columns, rows)
 
@@ -317,7 +316,8 @@ class PackedSimilarityIndex:
         one deeper than the cut of a row the cut shortened, or of a
         side-1 row :meth:`rank` did not cover.  A side-1 row is ranked
         alone; a side-2 row by ranking its side whole (its pairs are
-        spread over the key column)."""
+        spread over the key column), in groups of bounded pair count
+        like any ranking of a side."""
         ranked = self._side_rows(side, k)
         entity_id = self.interners()[side - 1].get(uri)
         if entity_id is None:

@@ -184,19 +184,26 @@ def pair_ids(keys):
     return keys >> 32, keys & 0xFFFFFFFF
 
 
-def side_pairs(keys, sims, side):
-    """``(this side's ids, the other side's ids, sims)`` of an ascending
-    packed pair column, in its order — what :func:`ranked_side` ranks."""
-    ids = pair_ids(keys)
-    return ids[side - 1], ids[2 - side], _np.asarray(sims, dtype=_np.float64)
+def _cut_groups(counts):
+    """Consecutive rows with ``counts`` pairs each, cut into groups of
+    at most ``RUN_SIZE // 4`` pairs (a pair's gather and rank take about
+    four times a unit pass's bytes), a group being at least one row:
+    yields each group's ``(first row, stop row)``."""
+    ends = _np.cumsum(counts)  # pairs through each row
+    size = max(1, RUN_SIZE // 4)
+    lo = 0
+    while lo < len(counts):
+        before = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(_np.searchsorted(ends, before + size, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def row_groups(keys, sims, n, rows=None):
     """Side 1's rows of an ascending packed pair column (only ``rows``
     when given: ascending, distinct ids), cut into groups of consecutive
-    rows of at most ``RUN_SIZE // 4`` pairs (a pair's gather and rank
-    take about four times a unit pass's bytes), a group being at least
-    one row — each side-1 row is one run of the key column.
+    rows of bounded pair count (:func:`_cut_groups`) — each side-1 row
+    is one run of the key column.
 
     Yields, per group, ``(first id, id count, pairs)``: ``pairs`` is
     what :func:`ranked_side` ranks over ``id count`` ids — the group's
@@ -209,14 +216,9 @@ def row_groups(keys, sims, n, rows=None):
     rows = _np.asarray(rows, dtype=_np.int64)
     starts = _np.searchsorted(keys, rows << 32)
     counts = _np.searchsorted(keys, (rows + 1) << 32) - starts
-    ends = _np.cumsum(counts)  # pairs through each row
-    size = max(1, RUN_SIZE // 4)
-    lo = 0
-    while lo < len(rows):
-        before = ends[lo] - counts[lo]
-        hi = max(lo + 1, int(_np.searchsorted(ends, before + size, "right")))
+    for lo, hi in _cut_groups(counts):
         stop = starts[hi - 1] + counts[hi - 1]
-        if stop - starts[lo] == ends[hi - 1] - before:  # one run: a view
+        if stop - starts[lo] == counts[lo:hi].sum():  # one run: a view
             positions = slice(starts[lo], stop)
         else:
             _, positions = ragged_indices(starts[lo:hi], counts[lo:hi])
@@ -225,15 +227,59 @@ def row_groups(keys, sims, n, rows=None):
         ids1 -= first
         count = int(rows[hi - 1]) - first + 1
         yield first, count, (ids1, ids2, sims[positions])
-        lo = hi
+
+
+def side2_groups(keys, sims, n):
+    """Side 2's ``n`` rows of an ascending packed pair column, cut into
+    groups of consecutive ids of bounded pair count
+    (:func:`_cut_groups`).  A side-2 row is spread over the column, but
+    within each side-1 row — one run of it — a group's pairs are one
+    run too: the group's positions are marked run by run (one ``bool``
+    per pair, by one ``repeat``) and selected in column order, so each
+    side-2 row lists its side-1 ids ascending, as a pass over the whole
+    column would.  The rows' pair counts are taken in :func:`pieces` of
+    the column.
+
+    Yields what :func:`row_groups` yields, the sides swapped: per
+    group, ``(first id, id count, (side-2 ids counted from the group's
+    first, side-1 ids, sims))``.
+    """
+    keys = _np.asarray(keys, dtype=_np.int64)
+    sims = _np.asarray(sims, dtype=_np.float64)
+    if len(keys) <= max(1, RUN_SIZE // 4):  # one group: the whole column
+        if n:
+            ids1, ids2 = pair_ids(keys)
+            yield 0, n, (ids2, ids1, sims)
+        return
+    counts = _np.zeros(n, dtype=_np.int64)
+    for piece in pieces(len(keys)):
+        counts += _np.bincount(keys[piece] & 0xFFFFFFFF, minlength=n)
+    # each side-1 row's key prefix: a group's run in that row starts at
+    # the row's first key at or past ``prefix | first id``
+    prefixes = _np.arange((int(keys[-1]) >> 32) + 1, dtype=_np.int64) << 32
+    # the column as gaps and runs, alternating: the runs are the group's
+    edges = _np.empty(2 * len(prefixes) + 2, dtype=_np.int64)
+    edges[0], edges[-1] = 0, len(keys)
+    in_run = _np.arange(len(edges) - 1) % 2 == 1
+    edges[2:-1:2] = _np.searchsorted(keys, prefixes)
+    for lo, hi in _cut_groups(counts):
+        edges[1:-1:2] = edges[2:-1:2]
+        edges[2:-1:2] = _np.searchsorted(keys, prefixes | hi)
+        selected = _np.repeat(in_run, _np.diff(edges))
+        ids2 = keys[selected]
+        ids1 = ids2 >> 32
+        ids2 &= 0xFFFFFFFF
+        ids2 -= lo
+        yield lo, hi - lo, (ids2, ids1, sims[selected])
 
 
 def joined_rows(groups, n):
     """One side's ranked rows over ``n`` ids from :func:`ranked_side`'s
-    results on :func:`row_groups`' groups, ``(first id, result)`` in
-    ascending id order: the groups' cut rows end to end, each row's
-    offset and true length in its place (a row no group holds is
-    empty).  Returns what :func:`ranked_side` returns."""
+    results on :func:`row_groups`' or :func:`side2_groups`' groups,
+    ``(first id, result)`` in ascending id order: the groups' cut rows
+    end to end, each row's offset and true length in its place (a row
+    no group holds is empty).  Returns what :func:`ranked_side`
+    returns."""
     counts = _np.zeros(n, dtype=_np.int64)
     lengths = _np.zeros(n, dtype=_np.int64)
     cols, sims, kept = array("i"), array("d"), 0
@@ -326,8 +372,9 @@ def ranked_side(rows, other, sims, n, depth=None):
 
     **The exact rank.**  The counterpart-id tie-break is never sorted
     on: within one row of the key column the pairs already stand in
-    ``other`` order, so a *stable* argsort by ``-sim`` keeps it, and
-    one integer sort of ``row << 32 | rank`` groups the rows.
+    ``other`` order, so an order by ``row`` and ``-sim`` that keeps
+    ties in column order keeps it — one integer sort of unique keys
+    (:func:`_row_order`).
 
     **The depth cut** keeps the rank off whole rows.  A coarse key —
     the top 31 bits of a descending, order-preserving integer image of
@@ -347,15 +394,10 @@ def ranked_side(rows, other, sims, n, depth=None):
     if depth is not None and len(rows) and lengths.max() > depth:
         kept = _top_depth_pairs(rows, sims, lengths, depth)
         rows, other, sims = rows[kept], other[kept], sims[kept]
-    by_sim = _np.argsort(-sims, kind="stable")
-    rank = _np.empty(len(sims), dtype=_np.int64)
-    rank[by_sim] = _np.arange(len(sims), dtype=_np.int64)
-    grouped = _np.sort((rows << 32) | rank)
-    order = by_sim[grouped & 0xFFFFFFFF]
+    order, grouped = _row_order(rows, sims, n)
     counts = lengths
     if depth is not None:
         counts = _np.minimum(lengths, depth)
-        grouped >>= 32
         kept_counts = _np.bincount(grouped, minlength=n)
         firsts = _np.cumsum(kept_counts) - kept_counts
         order = order[_np.arange(len(order)) - firsts[grouped] < depth]
@@ -368,6 +410,31 @@ def ranked_side(rows, other, sims, n, depth=None):
         array_copy("q", lengths),
         len(sims),
     )
+
+
+def _row_order(rows, sims, n):
+    """The pairs' positions in ``(row, -sim, position)`` order, and the
+    row of each in that order: one unstable sort of unique ``int64``
+    keys — each pair's row, over its similarity's dense rank among the
+    distinct ones, descending (``-0.0`` and ``+0.0`` are one value),
+    over its position — so ties keep their column order, exactly as a
+    stable ``argsort`` by ``-sim`` grouped by row would.  The three
+    fields take at most 63 bits whenever a multi-row input holds at
+    most 2¹⁶ pairs (a ranking group, ``RUN_SIZE // 4``) or an input
+    holds one row."""
+    distinct, dense = _np.unique(sims, return_inverse=True)
+    position_bits = max(1, (len(sims) - 1).bit_length())
+    sim_bits = max(1, (len(distinct) - 1).bit_length())
+    if max(n - 1, 0).bit_length() + sim_bits + position_bits > 63:
+        raise ValueError("too many rows and pairs for one sort key")
+    keys = rows << sim_bits
+    keys += len(distinct) - 1 - dense
+    keys <<= position_bits
+    keys |= _np.arange(len(sims))
+    keys.sort()
+    order = keys & ((1 << position_bits) - 1)
+    keys >>= sim_bits + position_bits
+    return order, keys
 
 
 #: Which ``int32`` of a ``float64`` holds its sign, exponent and top

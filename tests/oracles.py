@@ -562,7 +562,8 @@ def in_top_k_whole(keys, sims, side, ids1, ids2, k):
 
 def ranked_side_whole(keys, sims, side, n, depth, rows=None):
     """One side's ranked rows in one ``ranked_side`` pass over every
-    pair it ranks — the side-1 ``rows`` (ascending ids) gathered run by
+    pair it ranks, in column order — the one-pass form of side-1 and of
+    side-2 ranking; the side-1 ``rows`` (ascending ids) gathered run by
     run when given."""
     keys = numpy.asarray(keys, dtype=numpy.int64)
     sims = numpy.asarray(sims, dtype=numpy.float64)

@@ -304,6 +304,22 @@ def test_ranked_side_equals_three_key_sort(id_pairs):
         assert kept == len(triples)
 
 
+def test_row_order_refuses_a_key_wider_than_63_bits():
+    """The exact rank's one sort key packs row, similarity rank and
+    position; an input whose three fields would need more than 63 bits
+    (2⁴⁰ rows beside 4,096 distinct similarities) raises instead of
+    wrapping into a wrong order.  A ranking group never needs that."""
+    from repro.ids.arrays import _row_order
+
+    sims = numpy.arange(4096, dtype=numpy.float64)
+    rows = numpy.zeros(4096, dtype=numpy.int64)
+    with pytest.raises(ValueError):
+        _row_order(rows, sims, 1 << 40)
+    order, ordered_rows = _row_order(rows, sims, 1 << 20)
+    assert list(order) == list(range(4095, -1, -1))
+    assert not ordered_rows.any()
+
+
 #: Similarities that stress the depth cut's coarse key: heavy ties,
 #: floats one ulp apart (their top 31 bits collide), ``-0.0`` beside
 #: ``+0.0``, negatives and the subnormal edges.
@@ -455,6 +471,106 @@ def test_grouped_side1_ranking_equals_one_pass(id_pairs, depth, subset):
             ids, sims = ranked.csr_row(1, interner1.uris()[entity], depth)
             assert list(ids) == list(expected[1][lo:hi])
             assert sims.tobytes() == expected[2][lo:hi].tobytes()
+
+
+#: The default top-k depth side 2 is ranked to by ``warm()``.
+K = MinoanERConfig().top_k_candidates
+
+#: Pair maps whose side-2 rows are long: side 1 has many ids, side 2
+#: few (see :func:`padded_index` for the ids no pair names).
+wide_pair_maps = st.dictionaries(
+    st.tuples(st.integers(0, 15), st.integers(0, 5)),
+    st.one_of(
+        st.sampled_from(DEPTH_SIMS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=48,
+)
+
+
+def padded_index(id_pairs: dict) -> ValueSimilarityIndex:
+    """``id_pairs`` as an index over interners of every URI in the
+    strategy's ranges, so the ids no pair names are empty rows."""
+    interner1 = EntityInterner(uri(1, i) for i in range(16))
+    interner2 = EntityInterner(uri(2, j) for j in range(6))
+    keys, sims = columns_of(as_uri_map(id_pairs), interner1, interner2)
+    return ValueSimilarityIndex.from_packed_columns(
+        keys, sims, interner1, interner2
+    )
+
+
+@given(id_pairs=wide_pair_maps, depth=st.sampled_from([K, 1, None]))
+# side-2 row e0 is longer than a group of one or of three pairs
+@example(
+    id_pairs={(i, 0): float(i % 3) for i in range(9)} | {(0, 1): 1.0},
+    depth=1,
+)
+# empty side-2 ids (e1 .. e4) between the groups of e0 and e5
+@example(
+    id_pairs={(i, j): float(i) for i in range(3) for j in (0, 5)},
+    depth=K,
+)
+# a tie at the 1st and the K-th sim: its side-1 ids come from several
+# runs of the key column, gathered into one group
+@example(
+    id_pairs={(i, 0): 1.0 for i in range(K + 1)}
+    | {(i, 1): -0.0 if i % 2 else 0.0 for i in (3, 1, 2)},
+    depth=K,
+)
+@example(
+    id_pairs={(i, 0): 1.0 for i in (5, 2, 7)} | {(4, 1): 2.0},
+    depth=1,
+)
+def test_grouped_side2_ranking_equals_one_pass(id_pairs, depth):
+    """Side 2 ranked in groups of consecutive ids — of one pair, three
+    pairs or every pair, a group being at least one id — holds exactly
+    the rows one ``ranked_side`` pass over every pair holds, whole and
+    cut at a depth: ``csr_row`` reads them, ids ``==`` and similarity
+    bytes ``==``, every row's true length is kept, and
+    ``similarity.ranked_pairs_kept`` counts the same pairs."""
+    index = padded_index(id_pairs)
+    keys, sims = index.packed_columns()
+    interner2 = index.interners()[1]
+    expected = ranked_side_whole(keys, sims, 2, len(interner2), depth)
+    for run_size in (1, 12, 1 << 40):
+        ranked = padded_index(id_pairs)
+        telemetry = Telemetry.create()
+        cut_groups = []
+
+        def side2_groups(*args, real=arrays.side2_groups):
+            for group in real(*args):
+                cut_groups.append((group[1], len(group[2][0])))
+                yield group
+
+        with mock.patch.object(arrays, "RUN_SIZE", run_size), mock.patch(
+            "repro.core.similarity.side2_groups", side2_groups
+        ), activate(telemetry):
+            ranked.rank(2, depth)
+        (span,) = [
+            record.args
+            for record in telemetry.tracer.records()
+            if record.name == "similarity.ranked_rows"
+        ]
+        # a group holds at most RUN_SIZE // 4 pairs, and at least one id
+        assert span["groups"] == len(cut_groups) >= 1
+        assert sum(count for count, _ in cut_groups) == len(interner2)
+        assert sum(pairs for _, pairs in cut_groups) == len(keys)
+        for count, pairs in cut_groups:
+            assert count == 1 or pairs <= max(1, run_size // 4)
+        if run_size == 1 << 40:
+            assert span["groups"] == 1
+        cut = ranked._ranked[1]
+        assert list(cut.starts) == list(expected[0]), run_size
+        assert list(cut.cols) == list(expected[1]), run_size
+        assert cut.sims.tobytes() == expected[2].tobytes(), run_size
+        assert list(cut.lengths) == list(expected[3]), run_size
+        counters = telemetry.metrics.counters()
+        assert counters["similarity.ranked_pairs_kept"] == expected[4]
+        for entity, row in enumerate(interner2.uris()):
+            lo, hi = expected[0][entity], expected[0][entity + 1]
+            ids, row_sims = ranked.csr_row(2, row, depth)
+            assert list(ids) == list(expected[1][lo:hi])
+            assert row_sims.tobytes() == expected[2][lo:hi].tobytes()
 
 
 def long_row_index() -> ValueSimilarityIndex:
@@ -946,5 +1062,94 @@ def test_piecewise_passes_hold_one_piece(monkeypatch):
             own, args = max(calls[name], key=lambda call: call[0])
             _, whole_own = own_transient(lambda: whole(*args), returned)
             assert whole_own > bounds[name](*args), (name, whole_own)
+    finally:
+        tracemalloc.stop()
+
+
+def test_serving_passes_hold_one_piece(monkeypatch):
+    """The serving path's passes on ``rexa_dblp`` 0.2, traced with
+    ``tracemalloc``: side 2 of both indices ranked to K (what ``warm()``
+    does at boot and at every publish), then a 64-record
+    ``resolve_batch``.  Each holds one group at a time, so its own
+    transient stays below a multiple of the run size plus the
+    entity-sized terms it keeps — the ranking's per-row offsets, counts
+    and run bounds and its cut rows' growth — and its one-pass form,
+    on the same operands, exceeds the bound.
+
+    Side 2 is ranked at a run size of 2¹²: 82 k value and 42 k neighbor
+    pairs, over 80 and 40 groups of 1,024 pairs.  The gather is traced
+    at 2¹⁵: a group of records is at least one record, and at that run
+    size the largest record's gather fits in one group of 2,048 ids, so
+    every group's bound is the run size's multiple alone."""
+    from repro.core.resolve import OnlineResolver
+    from repro.datasets import query_stream
+
+    data = generate_benchmark("rexa_dblp", 0.2, 13)
+    ctx = MatchSession(data.kb1, data.kb2).run_context()
+
+    def ranked_bytes(ranked) -> int:
+        return sum(
+            memoryview(column).nbytes
+            for column in ranked
+            if isinstance(column, array)
+        )
+
+    gathers = []
+
+    def traced_gather(*args, real=arrays.gathered_candidate_sums):
+        result, own = own_transient(
+            lambda: real(*args), lambda sums: sum(c.nbytes for c in sums)
+        )
+        if len(args) == 5:  # a batch's, keyed by record
+            gathers.append((own, sum(numpy.subtract(args[2], args[1]))))
+        return result
+
+    monkeypatch.setattr(
+        "repro.core.resolve.gathered_candidate_sums", traced_gather
+    )
+    tracemalloc.start()
+    try:
+        monkeypatch.setattr(arrays, "RUN_SIZE", 1 << 12)
+        for name in ("value_index", "neighbor_index"):
+            built = ctx.get(name)
+            index = type(built).from_packed_columns(
+                *built.packed_columns(), *built.interners()
+            )
+            n1, n2 = map(len, index.interners())
+            assert len(index) > 10 * arrays.RUN_SIZE
+            # per-row offsets, counts and run bounds, and the cut rows
+            # grown group by group
+            bound = 32 * arrays.RUN_SIZE + 64 * (n1 + n2 + K * n2)
+            _, own = own_transient(
+                lambda: index._rank(2, K, None), ranked_bytes
+            )
+            assert 0 < own < bound, (name, own, bound)
+            _, whole = own_transient(
+                lambda: ranked_side_whole(*index.packed_columns(), 2, n2, K),
+                ranked_bytes,
+            )
+            assert whole > bound, (name, whole, bound)
+
+        monkeypatch.setattr(arrays, "RUN_SIZE", 1 << 15)
+        bound = 8 * arrays.RUN_SIZE
+        records = [query.record for query in query_stream(data, 64, seed=13)]
+        for run_size in (arrays.RUN_SIZE, 1 << 40):  # grouped, one pass
+            monkeypatch.setattr(arrays, "RUN_SIZE", run_size)
+            resolver = OnlineResolver.from_context(
+                ctx, frozenset(data.kb1.uris())
+            )
+            resolver.warm()
+            for record in records:  # each alone: fills the memos
+                resolver.resolve(record)
+            gathers.clear()
+            resolver.resolve_batch(records)
+            if run_size == 1 << 40:
+                ((whole, _),) = gathers
+                assert whole > bound, whole
+                continue
+            assert max(ids for _, ids in gathers) <= arrays.RUN_SIZE // 16
+            assert len(gathers) > 10
+            for own, ids in gathers:
+                assert 0 < own < bound, (own, ids, bound)
     finally:
         tracemalloc.stop()

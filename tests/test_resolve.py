@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from repro.core import MinoanERConfig
 from repro.core.candidates import ProbeCache
-from repro.core.resolve import OnlineResolver, resolve_cache_key
+from repro.core.resolve import OnlineResolver, _held_bytes, resolve_cache_key
 from repro.datasets import (
     generate,
     generate_benchmark,
     load_profile,
     query_stream,
 )
+from repro.ids import arrays
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import EntityDescription, UriRef
 from repro.kb.io_ntriples import read_ntriples
@@ -373,6 +374,94 @@ class TestResolveOracle:
 
 
 # ----------------------------------------------------------------------
+# A batch gathers in groups of records: the same answers as one gather
+# ----------------------------------------------------------------------
+#: Oracle-KB records of small gathers, one of every heavy block's ids
+#: (alone above a group), and one with no token.
+_GROUP_SPECS = [
+    ([9, 15], [(0, 1)]),
+    ([20, 3], []),
+    (list(range(_HEAVY)), [(0, 0)]),
+    ([12], [(1, 3)]),
+    ([], []),
+    ([14, 16, 18], [(0, 2), (1, 4)]),
+    ([2], []),
+]
+
+
+def batch_gathers(oracle_kbs, monkeypatch, records, run_size, k):
+    """``records`` resolved in one batch by a fresh resolver at
+    ``run_size``: the answers, and per batch gather the ids it selected
+    and how many records' spans it held."""
+    data, ctx, *_ = oracle_kbs
+    monkeypatch.setattr(arrays, "RUN_SIZE", run_size)
+    gathers = []
+
+    def traced(*args, real=arrays.gathered_candidate_sums):
+        if len(args) == 5:  # a batch's, keyed by record
+            _, starts, stops, _, bases = args
+            ids = sum(stop - start for start, stop in zip(starts, stops))
+            gathers.append((ids, len(set(bases))))
+        return real(*args)
+
+    monkeypatch.setattr("repro.core.resolve.gathered_candidate_sums", traced)
+    resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
+    results = [r.as_dict() for r in resolver.resolve_batch(records, k)]
+    return results, gathers
+
+
+class TestBatchInRecordGroups:
+    def test_groups_equal_one_gather(self, oracle_kbs, monkeypatch):
+        """A group holds at most ``RUN_SIZE // 16`` ids, or one record
+        that selects more alone (every heavy block's ids); the grouped
+        batch answers exactly as one gather over the whole batch does,
+        and as each record resolved alone."""
+        data, ctx, *_ = oracle_kbs
+        records = oracle_records(oracle_kbs, _GROUP_SPECS)
+        resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
+
+        def probe(record):
+            return resolver._probe_spans(record, {})
+
+        selected = [
+            sum(stop - start for start, stop, _ in spans)
+            for spans in map(probe, records)
+        ]
+        budget = sorted(selected)[-2]  # every record's but the heavy one
+        assert selected[2] > 2 * budget
+        single = [resolver.resolve(record, 3).as_dict() for record in records]
+
+        whole, (one,) = batch_gathers(
+            oracle_kbs, monkeypatch, records, 1 << 40, 3
+        )
+        assert one == (sum(selected), 6)
+        grouped, gathers = batch_gathers(
+            oracle_kbs, monkeypatch, records, 16 * budget, 3
+        )
+        assert (selected[2], 1) in gathers
+        assert len(gathers) >= 4
+        assert all(ids <= budget or held == 1 for ids, held in gathers)
+        assert sum(ids for ids, _ in gathers) == sum(selected)
+        assert grouped == whole == single
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(specs=_specs, run_size=st.sampled_from([1, 16 * 64, 1 << 40]))
+    def test_any_grouping_equals_single_resolves(
+        self, oracle_kbs, monkeypatch, specs, run_size
+    ):
+        """Whatever the run size — a record per group, groups of 64
+        ids, one gather — every record of a batch resolves as it does
+        alone."""
+        data, ctx, *_ = oracle_kbs
+        records = oracle_records(oracle_kbs, specs)
+        resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
+        single = [resolver.resolve(record, 2).as_dict() for record in records]
+        with monkeypatch.context() as patch:
+            grouped, _ = batch_gathers(oracle_kbs, patch, records, run_size, 2)
+        assert grouped == single
+
+
+# ----------------------------------------------------------------------
 # The resolver's memos: bounded, shared across threads, read-only
 # ----------------------------------------------------------------------
 #: Oracle-KB records with one link each, several links, and none, whose
@@ -395,22 +484,36 @@ class TestResolverMemos:
         return lambda: OnlineResolver.from_context(ctx, known1), records
 
     def test_memos_stop_growing_at_the_limit(self, fresh, monkeypatch):
-        """With the cap at 3, neither memo holds more than 3 entries —
-        though the records would fill them further — and every answer
-        equals an uncapped resolver's, first time and repeated."""
+        """With the byte budget cut to half of what the smaller memo
+        fills unbounded, each memo stops taking entries at the budget —
+        holding some, not all, of what the records would fill it with,
+        its byte count the sum of its entries' — and every answer equals
+        an unbounded resolver's, first time and repeated."""
         new_resolver, records = fresh
-        uncapped = new_resolver()
-        expected = [r.as_dict() for r in uncapped.resolve_batch(records)]
-        assert len(uncapped._neighbor_memo) > 3
-        assert len(uncapped._h4_memo) > 3
+        unbounded = new_resolver()
+        expected = [r.as_dict() for r in unbounded.resolve_batch(records)]
+        memos = ("_neighbor_memo", "_h4_memo")
+        filled = {name: getattr(unbounded, name) for name in memos}
+        for memo in filled.values():
+            assert memo.bytes == sum(
+                _held_bytes(key) + _held_bytes(entry)
+                for key, entry in memo.items()
+            )
+        budget = min(memo.bytes for memo in filled.values()) // 2
 
-        monkeypatch.setattr("repro.core.resolve._NEIGHBOR_MEMO_LIMIT", 3)
+        monkeypatch.setattr("repro.core.resolve._MEMO_BYTES", budget)
         capped = new_resolver()
         for _ in range(2):
             got = [capped.resolve(record).as_dict() for record in records]
             assert got == expected
-            assert len(capped._neighbor_memo) == 3
-            assert len(capped._h4_memo) == 3
+            for name in memos:
+                memo = getattr(capped, name)
+                assert 0 < len(memo) < len(filled[name])
+                assert 0 < memo.bytes <= budget
+                assert memo.bytes == sum(
+                    _held_bytes(key) + _held_bytes(entry)
+                    for key, entry in memo.items()
+                )
 
     def test_reader_threads_share_one_resolver(self, fresh):
         """Four threads resolving the same records at once through one
