@@ -125,13 +125,6 @@ class CandidateLists:
     value: tuple[str, ...] = ()
     neighbor: tuple[str, ...] = ()
 
-    def contains(self, uri: str) -> bool:
-        """True when ``uri`` appears in either list (H4's test)."""
-        return uri in self.value or uri in self.neighbor
-
-    def is_empty(self) -> bool:
-        return not self.value and not self.neighbor
-
 
 class CandidateIndex:
     """Candidate lists for every entity of both KBs.

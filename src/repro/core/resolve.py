@@ -71,7 +71,9 @@ build once, in the constructor, from the published name placements and
 top-neighbor sets — no KB entity is re-keyed or walked.  Afterwards a
 read writes nothing but two memos of pure functions, each bounded in
 bytes, whose entries are immutable (tuples of floats, read-only
-arrays), so the resolver is safe to share across reader threads.
+arrays), and, once per generation, side 2's ranking into each index
+(under the index's ranking lock), so the resolver is safe to share
+across reader threads.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ class OnlineResolver:
 
     The constructor builds every derived table, copying what it needs
     out of the name placements (a matcher mutates them on its next
-    delta).  The resolver never mutates the indices or the blocks it
+    delta), and ranks nothing: a side-1 row no ranking covers is ranked
+    alone when read, and the first H4 bar read ranks side 2 of both
+    indices.  The resolver never mutates the indices or the blocks it
     reads — it is safe to attach to an immutable published state.
     """
 
@@ -319,22 +323,6 @@ class OnlineResolver:
             name_attributes1=ctx.get_or("name_attributes1"),
             name_placements=ctx.get("name_placements") if has_names else None,
         )
-
-    def warm(self) -> None:
-        """Rank now, to the config's K, every row the first request
-        may read: :meth:`probe`'s side-1 rows and the H4 bars' side-2
-        rows of both indices — four whole sides, also after a batch or
-        delta match (it ranks only the side-1 rows H2 and H3 read; its
-        H4 counts, ranking nothing).  Each side is ranked in groups of
-        consecutive rows of bounded pair count, so what ranking a side
-        holds beyond its rows is one group's working set, not the
-        side's.  A side-1 row read whole (the neighbor gather's) is
-        ranked alone on first read; a side-2 read deeper than K ranks
-        that side whole, once."""
-        k = self._config.top_k_candidates
-        for index in (self._value_index, self._neighbor_index):
-            index.rank(1, k)
-            index.rank(2, k)
 
     # ------------------------------------------------------------------
     # Public API
@@ -656,11 +644,15 @@ class OnlineResolver:
         where the list is shorter than ``k`` (any score enters) — read
         off the rows the batch candidate lists are cut from.  Evidence
         is immutable per resolver, so the bars memoize — serving
-        streams keep deciding against the same few matched entities."""
+        streams keep deciding against the same few matched entities.
+        The first miss ranks side 2 of both indices to the config's K,
+        once: the only read of side 2 a generation serves."""
         key = (uri2, k)
         memo = self._h4_memo
         entry = memo.get(key)
         if entry is None:
+            for index in (self._value_index, self._neighbor_index):
+                index.rank(2, self._config.top_k_candidates)
             _, value_sims = self._value_index.csr_row(2, uri2, k)
             _, neighbor_sims = self._neighbor_index.csr_row(2, uri2, k)
             entry = (

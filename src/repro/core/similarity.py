@@ -22,10 +22,11 @@ workers; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
 make an index.  Point lookups bisect the key column and the per-entity
 ranked candidate lists are CSR-style offset+column arrays built from
-the columns in groups of rows of bounded pair count, on the first read
-of any row or for just the side-1 rows a reader names
-(:meth:`PackedSimilarityIndex.rank`) — an index whose rows nobody reads
-never ranks, and H4's membership test
+the columns in groups of rows of bounded pair count, for just the
+side-1 rows a reader names (:meth:`PackedSimilarityIndex.rank`) or on
+the first read of a side-2 row; a side-1 row no ranking covers is
+ranked alone when read — an index whose rows nobody reads never ranks,
+and H4's membership test
 (:meth:`PackedSimilarityIndex.listed`) counts instead of ranking.  The
 floats never depend on the container:
 every sum's addition order is fixed where it is folded (the engine's
@@ -102,9 +103,10 @@ class PackedSimilarityIndex:
       similarities — the single source of truth.  They are whatever
       buffer the producer emitted: the kernels' NumPy arrays or
       ``array`` s, or the ``memoryview`` s of an mmap-loaded snapshot;
-    - ``_ranked``: per side, ``None`` until a row of that side is first
-      read or ranked, then the side's CSR layout of the ranked candidate
-      lists (:func:`~repro.ids.arrays.ranked_side`): ``starts`` (one
+    - ``_ranked``: per side, ``None`` until the side is ranked (a
+      side-1 row read alone ranks nothing), then the side's CSR layout
+      of the ranked candidate lists
+      (:func:`~repro.ids.arrays.ranked_side`): ``starts`` (one
       offset per entity id, length ``n+1``), ``cols`` (counterpart ids)
       and ``sims`` (their similarities), rows ordered best-first with
       the counterpart URI breaking ties, cut at a depth, beside every
@@ -152,9 +154,9 @@ class PackedSimilarityIndex:
     ) -> None:
         """Rank ``side``'s rows to ``depth`` now, unless they are ranked
         at least that deep — what a reader asks for the rows it expects
-        to read: :meth:`~repro.core.resolve.OnlineResolver.warm` every
-        row of both sides, the matching stage the side-1 rows H2 walks
-        and H3 reads (``rows``, URIs; those the index lacks are skipped).
+        to read: the matching stage the side-1 rows H2 walks and H3
+        reads (``rows``, URIs; those the index lacks are skipped), the
+        online H4 bars every row of side 2, on their first read.
 
         A ranking only widens: a call whose rows are already ranked deep
         enough ranks nothing; any other ranks, in one ranking, every row
@@ -311,24 +313,27 @@ class PackedSimilarityIndex:
         only what they keep.  Ids are in the *other* side's interner
         space; the row is empty for URIs the index never saw.
 
-        The first read of a side nobody ranked ranks it whole, to
-        ``k``.  A read the ranking cannot answer reads the whole row:
-        one deeper than the cut of a row the cut shortened, or of a
-        side-1 row :meth:`rank` did not cover.  A side-1 row is ranked
-        alone; a side-2 row by ranking its side whole (its pairs are
-        spread over the key column), in groups of bounded pair count
-        like any ranking of a side."""
-        ranked = self._side_rows(side, k)
+        A side-1 read never ranks the side: a row no ranking covers, or
+        one read deeper than the cut that shortened it, is ranked alone
+        (one run of the key column).  The first read of a side 2 nobody
+        ranked ranks it whole, to ``k``; a side-2 read deeper than the
+        cut of a row it shortened ranks the side whole once more (its
+        pairs are spread over the key column), in groups of bounded pair
+        count like any ranking of a side."""
         entity_id = self.interners()[side - 1].get(uri)
         if entity_id is None:
-            return ranked.cols[:0], ranked.sims[:0]
-        if not ranked.covers(entity_id) or (
-            ranked.truncated(entity_id) and (k is None or k > ranked.depth)
-        ):
-            if side == 1:
+            return array("i"), array("d")
+        if side == 1:
+            ranked = self._ranked[0]
+            if ranked is None or not ranked.covers(entity_id) or (
+                ranked.truncated(entity_id) and _deeper(k, ranked.depth)
+            ):
                 cols, sims = self._whole_row1(entity_id)
                 return cols[:k], sims[:k]
-            ranked = self._whole(side)
+        else:
+            ranked = self._side_rows(2, k)
+            if ranked.truncated(entity_id) and _deeper(k, ranked.depth):
+                ranked = self._whole(2)
         start, stop = ranked.starts[entity_id], ranked.starts[entity_id + 1]
         if k is not None:
             stop = min(stop, start + k)
@@ -385,17 +390,19 @@ class PackedSimilarityIndex:
         """The counterpart E2 entity with maximum similarity (H2's vmax).
 
         ``exclude`` removes already-matched E2 entities from
-        consideration.  ``depth`` is how deep a first read ranks side 1
-        (whole when ``None``).  A walk that exhausts a row the cut
-        shortened goes on over that row ranked whole, alone: a side-1
-        row is one run of the key column.  A row :meth:`rank` did not
-        cover is walked ranked whole, alone, too.
+        consideration.  ``depth``, when given, ranks side 1 to it if
+        nobody ranked the side before; a row no ranking covers is walked
+        ranked whole, alone (a side-1 row is one run of the key column).
+        A walk that exhausts a row the cut shortened goes on over that
+        row ranked whole, alone.
         """
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
-        ranked = self._side_rows(1, depth)
-        if not ranked.covers(id1):
+        ranked = self._ranked[0]
+        if depth is not None:
+            ranked = self._side_rows(1, depth)
+        if ranked is None or not ranked.covers(id1):
             cols, sims = self._whole_row1(id1)
             return self._first_free(cols, sims, 0, len(cols), exclude)
         start, stop = ranked.starts[id1], ranked.starts[id1 + 1]

@@ -147,14 +147,16 @@ class IncrementalMatcher:
 
     def _adopt_tables(self, ctx: "PipelineContext") -> None:
         """Take the placement tables (and the name attributes they were
-        keyed under) that ``ctx``'s blocking stages published; a
-        token-only graph publishes no name table."""
+        keyed under, with the KB versions they hold for) that ``ctx``'s
+        blocking stages published; a token-only graph publishes no name
+        table."""
         self._tokens = ctx.get("token_placements")
         self._names = ctx.get_or("name_placements")
         self._name_attrs = (
             ctx.get_or("name_attributes1"),
             ctx.get_or("name_attributes2"),
         )
+        self._name_versions = tuple(kb.version for kb in self.kbs)
 
     @property
     def stage_recomputes(self) -> dict[str, int]:
@@ -306,10 +308,15 @@ class IncrementalMatcher:
         """The name-blocking artifacts from the maintained table — or
         nothing when a delta moved a side's discovered name attributes:
         every name key of that side is then suspect, so the stage itself
-        is left to run and its fresh table is adopted afterwards."""
+        is left to run and its fresh table is adopted afterwards.  Only
+        a side whose KB version moved is re-derived."""
         attributes = tuple(
-            top_name_attributes(kb, self.config.name_attributes)
-            for kb in self.kbs
+            held
+            if kb.version == version
+            else top_name_attributes(kb, self.config.name_attributes)
+            for kb, version, held in zip(
+                self.kbs, self._name_versions, self._name_attrs
+            )
         )
         if attributes != self._name_attrs:
             return {}

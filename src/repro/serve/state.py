@@ -111,7 +111,8 @@ class ServingState:
         state is built from ``last_context``, the same artifact store a
         snapshot would persist, so a state's ``matches_digest`` equals
         the ``matches`` entry of the digests a concurrent
-        ``POST /snapshot`` writes.
+        ``POST /snapshot`` writes.  A publish ranks no index row: the
+        generation's reads rank what they read (docs/SERVING.md).
         """
         ctx = matcher.last_context
         if ctx is None:
@@ -125,10 +126,8 @@ class ServingState:
         # The state and its resolver share one KB1 membership set and
         # one decisions map, taken now: once published, a state never
         # reads the live KBs or the matcher's tables again, so later
-        # deltas cannot leak into this generation (and warming ranks the
-        # rows the first /resolve request would).
+        # deltas cannot leak into this generation.
         resolver = OnlineResolver.from_context(ctx, uris1, decisions1)
-        resolver.warm()
         return cls(
             generation=generation,
             value_index=ctx.get("value_index"),

@@ -1,5 +1,10 @@
 """Unit tests for the per-entity candidate lists (H3/H4 input)."""
 
+import hashlib
+import json
+import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -22,7 +27,8 @@ from repro.core import similarity as similarity_module
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.similarity import ValueSimilarityIndex
 from repro.core.candidates import cooccurring_neighbor_index
-from repro.datasets import generate_benchmark
+from repro.core.resolve import OnlineResolver
+from repro.datasets import generate_benchmark, query_stream
 from repro.engine import build_neighbor_index, build_value_index
 from repro.incremental import IncrementalMatcher
 from repro.kb import KnowledgeBase
@@ -53,18 +59,6 @@ def build(texts1, texts2, k=3):
     return CandidateIndex(*build_indices(texts1, texts2), k=k)
 
 
-class TestCandidateLists:
-    def test_contains_checks_both_lists(self):
-        lists = CandidateLists(value=("a",), neighbor=("b",))
-        assert lists.contains("a")
-        assert lists.contains("b")
-        assert not lists.contains("c")
-
-    def test_is_empty(self):
-        assert CandidateLists().is_empty()
-        assert not CandidateLists(value=("x",)).is_empty()
-
-
 class TestCandidateIndex:
     def test_value_candidates_top_k(self):
         index = build(["red zebra"], ["red a", "red b", "red c", "red d"], k=2)
@@ -77,7 +71,7 @@ class TestCandidateIndex:
 
     def test_entity_without_candidates(self):
         index = build(["unique1"], ["unique2"])
-        assert index.of_entity1("a0").is_empty()
+        assert index.of_entity1("a0") == CandidateLists()
 
     def test_of_entity2_direction(self):
         indices = build_indices(["red zebra"], ["red dot"])
@@ -303,14 +297,12 @@ def test_restricted_match_never_builds_the_full_neighbor_index(
 def test_published_state_answers_first_reads_without_building(
     monkeypatch, tmp_path
 ):
-    """``ServingState.from_matcher`` ranks every side the read path
-    serves, to K — over a loaded snapshot too, whose replay reads no
-    row: the first ``/candidates`` and ``/resolve`` calls rank no side
-    and filter no neighbor pair (a side-1 row the neighbor gather reads
-    whole is ranked alone).  Across a delta's match and its publish,
-    each index is ranked to K only: the delta's matching ranks the
-    side-1 rows H2 and H3 read, and its publish ranks side 2 and side 1
-    whole (every row the matching ranked, and the rest)."""
+    """A publish ranks nothing: not over a loaded snapshot, whose replay
+    reads no row, and not after a delta, whose matching ranks only the
+    side-1 rows H2 and H3 read.  A generation's first read of H4's bars
+    ranks side 2 of both indices to K, once; no other read ranks a side
+    (a side-1 row no ranking answers is ranked alone) or filters a
+    neighbor pair."""
     kb1, kb2 = _golden_kbs()
     saved = MatchSession(kb1, kb2).save(tmp_path / "snap")
     matcher = IncrementalMatcher(MatchSession.load(saved))
@@ -320,13 +312,15 @@ def test_published_state_answers_first_reads_without_building(
         if delta:
             matcher.remove_entities("kb1", sorted(kb1.uris())[:2])
         matcher.match()
+        ctx = matcher.last_context
+        indices.append((ctx.get("value_index"), ctx.get("neighbor_index")))
+        matched = len(rankings)
         states.append(
             ServingState.from_matcher(
                 matcher, generation=1 + delta, delta_count=int(delta)
             )
         )
-        ctx = matcher.last_context
-        indices.append((ctx.get("value_index"), ctx.get("neighbor_index")))
+        assert len(rankings) == matched  # the publish ranked nothing
     k = matcher.config.top_k_candidates
 
     def ranked(index) -> list:
@@ -336,31 +330,143 @@ def test_published_state_answers_first_reads_without_building(
             if of is index
         ]
 
-    # the replayed snapshot's publish ranks all four sides whole
+    # the replayed snapshot ranked nothing; the delta's matching ranked
+    # some side-1 rows of each index, to K
     for index in indices[0]:
-        assert ranked(index) == [(1, k, None), (2, k, None)]
-    # the delta's matching ranks some side-1 rows; its publish ranks
-    # both sides whole
+        assert ranked(index) == []
     for index in indices[1]:
-        (_, _, read), *published = ranked(index)
+        ((side, depth, read),) = ranked(index)
+        assert (side, depth) == (1, k)
         assert 0 < len(read) < len(index.interners()[0])
-        assert published == [(1, k, None), (2, k, None)]
-    assert len(rankings) == 10  # nothing else ranked
+    assert len(rankings) == 2
+    rankings.clear()
 
-    def built(*args):
-        raise AssertionError("a read ranked a side or filtered pairs")
+    def filtered(*args):
+        raise AssertionError("a read filtered neighbor pairs")
 
-    monkeypatch.setattr(similarity_module.PackedSimilarityIndex, "_rank", built)
-    monkeypatch.setattr(candidates_module, "pairs_translated_into", built)
-    for state in states:
-        matched = 0
+    monkeypatch.setattr(candidates_module, "pairs_translated_into", filtered)
+    for state, (value_index, neighbor_index) in zip(states, indices):
         for match in state.matches[:20]:
             assert handle_candidates(state, match.uri1, None)["match"]
             record = entity_to_dict(kb1.get(match.uri1))
             record["uri"] = "urn:query:" + match.uri1
-            resolved = handle_resolve(state, {"record": record})
-            matched += resolved["match"] is not None
-        assert matched  # some resolves reached H4's bars
+            handle_resolve(state, {"record": record})
+        # the first H4 bar read ranked side 2 of both indices; the
+        # probes, the other resolves and later bar reads ranked nothing
+        assert rankings == [
+            (value_index, 2, k, None),
+            (neighbor_index, 2, k, None),
+        ]
+        rankings.clear()
+
+
+def test_racing_first_h4_reads_rank_side_2_once(monkeypatch):
+    """Four threads reading a fresh generation's H4 bars at once, each
+    ranking slowed so that every thread misses the memo before any
+    ranks, under a 1 µs switch interval: side 2 of each index is ranked
+    once, to K, and every thread reads the bars of a resolver whose
+    sides were all ranked before its first read."""
+    kb1, kb2 = _golden_kbs()
+    known1 = frozenset(kb1.uris())
+    uris2 = sorted(kb2.uris())[:40]
+    eager = OnlineResolver.from_context(
+        MatchSession(kb1, kb2).run_context(), known1
+    )
+    k = eager._config.top_k_candidates
+    for index in (eager._value_index, eager._neighbor_index):
+        index.rank(1, k)
+        index.rank(2, k)
+    expected = [eager._h4_bars(uri2, k) for uri2 in uris2]
+    assert any(bar is not None for bars in expected for bar in bars)
+    real = similarity_module.ranked_side
+
+    def slow(*args, **kwargs):
+        time.sleep(0.01)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(similarity_module, "ranked_side", slow)
+    rankings = _recorded_rankings(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            ctx = MatchSession(kb1, kb2).run_context()
+            resolver = OnlineResolver.from_context(ctx, known1)
+            rankings.clear()  # the match's own side-1 rows
+            start = threading.Barrier(4)
+            answers: list = [None] * 4
+
+            def read(slot):
+                start.wait(timeout=10)
+                order = uris2[slot * 10 :] + uris2[: slot * 10]
+                bars = {uri2: resolver._h4_bars(uri2, k) for uri2 in order}
+                answers[slot] = [bars[uri2] for uri2 in uris2]
+
+            threads = [
+                threading.Thread(target=read, args=(slot,))
+                for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert sorted(
+                (type(index).__name__, side, depth, rows)
+                for index, side, depth, rows in rankings
+            ) == [
+                ("NeighborSimilarityIndex", 2, k, None),
+                ("ValueSimilarityIndex", 2, k, None),
+            ]
+            assert answers == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lazily_ranked_state_answers_as_an_eagerly_ranked_one(tmp_path):
+    """A generation booted from a snapshot, whose reads rank what they
+    read, answers 300 never-seen resolves and a probe of every KB1
+    entity, at k = 3 and 5, to the same digest as a generation whose
+    four index sides were all ranked to K before its first read."""
+    data = generate_benchmark("rexa_dblp", 0.2, 13)
+    session = MatchSession(data.kb1, data.kb2)
+    saved = session.save(tmp_path / "snap")
+    eager_matcher = IncrementalMatcher(session)
+    eager_matcher.match()
+    ctx = eager_matcher.last_context
+    k = ctx.config.top_k_candidates
+    for name in ("value_index", "neighbor_index"):
+        ctx.get(name).rank(1, k)
+        ctx.get(name).rank(2, k)
+    lazy_matcher = IncrementalMatcher.from_snapshot(saved)
+    lazy_matcher.match()
+    lazy_ctx = lazy_matcher.last_context
+    states = [
+        ServingState.from_matcher(matcher, generation=1, delta_count=0)
+        for matcher in (eager_matcher, lazy_matcher)
+    ]
+    for name in ("value_index", "neighbor_index"):
+        assert lazy_ctx.get(name)._ranked == [None, None]
+    records = [query.record for query in query_stream(data, 300, seed=13)]
+    uris1 = sorted(data.kb1.uris())
+
+    def digest(state) -> str:
+        answers = [
+            [state.resolve(record, k).as_dict() for record in records]
+            + [state.probe(uri1, k).as_dict() for uri1 in uris1]
+            for k in (3, 5)
+        ]
+        rendered = json.dumps(answers, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(rendered).hexdigest()
+
+    eager, lazy = map(digest, states)
+    assert lazy == eager
+    assert any(
+        states[1].resolve(record, 5).match is not None for record in records
+    )
+    for name in ("value_index", "neighbor_index"):
+        side1, side2 = lazy_ctx.get(name)._ranked
+        assert side1 is None and side2.depth == k
 
 
 @pytest.mark.parametrize("restrict", [True, False])

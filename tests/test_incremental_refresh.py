@@ -12,6 +12,7 @@ tests pin the two properties the rebuild design buys: a published
 and a delta costs about one cold run, not several.
 """
 
+import importlib
 import json
 import random
 import time
@@ -213,6 +214,35 @@ def test_generated_sequence_matches_cold_after_every_step(dataset, numpy_arm):
 
     while run.steps < 12:
         run.step(random_step())
+
+
+def test_a_delta_rederives_only_the_touched_kbs_name_attributes(
+    dataset, monkeypatch
+):
+    """A delta re-derives the discovered name attributes of the KBs it
+    touched only: an untouched KB's are kept with the version they were
+    derived at, and a match with nothing pending derives none."""
+    matcher_module = importlib.import_module("repro.incremental.matcher")
+    matcher = IncrementalMatcher(
+        MatchSession(dataset.kb1.copy(), dataset.kb2.copy())
+    )
+    matcher.match()
+    derived = []
+    real = matcher_module.top_name_attributes
+    monkeypatch.setattr(
+        matcher_module,
+        "top_name_attributes",
+        lambda kb, k: derived.append(kb) or real(kb, k),
+    )
+    for sides in ((1,), (2,), (1, 2)):
+        for side in sides:
+            kb = matcher.kbs[side - 1]
+            matcher.remove_entities(side, sorted(kb.uris())[:1])
+        matcher.match()
+        assert derived == [matcher.kbs[side - 1] for side in sides]
+        derived.clear()
+    matcher.match()
+    assert derived == []
 
 
 # ----------------------------------------------------------------------

@@ -473,7 +473,7 @@ def test_grouped_side1_ranking_equals_one_pass(id_pairs, depth, subset):
             assert sims.tobytes() == expected[2][lo:hi].tobytes()
 
 
-#: The default top-k depth side 2 is ranked to by ``warm()``.
+#: The default top-k depth side 2 is ranked to by the online H4 bars.
 K = MinoanERConfig().top_k_candidates
 
 #: Pair maps whose side-2 rows are long: side 1 has many ids, side 2
@@ -615,11 +615,12 @@ def test_best_candidate_walks_past_an_exhausted_depth_cut():
 
 
 def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
-    """``csr_row`` with ``k`` above the depth a side was first read at
+    """``csr_row`` with ``k`` above the depth a side was ranked to
     answers the whole row's prefix: a side-1 row is ranked alone (one
     run of the key column), a side-2 row ranks its side whole once, a
     counted fallback.  A row the cut did not shorten is served from the
-    cut rows."""
+    cut rows.  A side-1 read of a side nobody ranked ranks that row
+    alone and opens no span; only :meth:`rank` ranks side 1."""
     whole = long_row_index()
     rows = {
         (side, position, k): whole.csr_row(side, uri(side, position), k)
@@ -630,6 +631,8 @@ def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
     telemetry = Telemetry.create()
     with activate(telemetry):
         assert cut.csr_row(1, uri(1, 0), 3) == rows[1, 0, 3]
+        assert cut._ranked[0] is None
+        cut.rank(1, 3)
         assert cut.csr_row(1, uri(1, 1), 15) == rows[1, 1, 15]
         assert cut.csr_row(2, uri(2, 0), 3) == rows[2, 0, 3]
         assert cut.csr_row(2, uri(2, 1), None) == rows[2, 1, None]
@@ -640,6 +643,7 @@ def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
             assert cut.csr_row(2, uri(2, 0), k) == rows[2, 0, k]
         assert fallbacks(telemetry) == 1
         assert cut.csr_row(1, uri(1, 0), 4) == rows[1, 0, 4]
+        assert cut._ranked[0].depth == 3
     assert [
         record.args
         for record in telemetry.tracer.records()
@@ -648,6 +652,43 @@ def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
         {"side": 1, "depth": 3, "rows": None, "groups": 1},
         {"side": 2, "depth": 3, "rows": None, "groups": 1},
         {"side": 2, "depth": None, "rows": None, "groups": 1},
+    ]
+
+
+@given(id_pairs=deep_pair_maps)
+# a row longer than K, tied across the cut
+@example(id_pairs={(0, j): float(j % 3) for j in range(K + 1)})
+def test_side1_row_read_alone_is_the_whole_side_prefix(id_pairs):
+    """On an index nobody ranked, a side-1 row read — ``csr_row`` at
+    ``k`` = 1, K and whole, and H2's walk — ranks that row alone: it
+    opens no ``similarity.ranked_rows`` span and leaves side 1
+    unranked, and answers the row's prefix of the whole side ranked in
+    one pass, ids ``==`` and similarity bytes ``==``.  A URI the index
+    never saw reads an empty row."""
+    index = index_of_pairs(as_uri_map(id_pairs), ValueSimilarityIndex)
+    interner1, interner2 = index.interners()
+    starts, cols, sims, _, _ = ranked_side_whole(
+        *index.packed_columns(), 1, len(interner1), None
+    )
+    telemetry = Telemetry.create()
+    with activate(telemetry):
+        for entity, row in enumerate(interner1.uris()):
+            lo, stop = starts[entity], starts[entity + 1]
+            for k in (1, K, None):
+                hi = stop if k is None else min(stop, lo + k)
+                ids, row_sims = index.csr_row(1, row, k)
+                assert list(ids) == list(cols[lo:hi])
+                assert row_sims.tobytes() == sims[lo:hi].tobytes()
+            assert index.best_candidate(row) == (
+                (interner2.uris()[cols[lo]], sims[lo]) if stop > lo else None
+            )
+        ids, row_sims = index.csr_row(1, uri(1, 9), K)
+        assert len(ids) == len(row_sims) == 0
+    assert index._ranked == [None, None]
+    assert not [
+        record
+        for record in telemetry.tracer.records()
+        if record.name == "similarity.ranked_rows"
     ]
 
 
@@ -1068,8 +1109,8 @@ def test_piecewise_passes_hold_one_piece(monkeypatch):
 
 def test_serving_passes_hold_one_piece(monkeypatch):
     """The serving path's passes on ``rexa_dblp`` 0.2, traced with
-    ``tracemalloc``: side 2 of both indices ranked to K (what ``warm()``
-    does at boot and at every publish), then a 64-record
+    ``tracemalloc``: side 2 of both indices ranked to K (what a
+    generation's first read of the online H4 bars does), then a 64-record
     ``resolve_batch``.  Each holds one group at a time, so its own
     transient stays below a multiple of the run size plus the
     entity-sized terms it keeps — the ranking's per-row offsets, counts
@@ -1138,7 +1179,6 @@ def test_serving_passes_hold_one_piece(monkeypatch):
             resolver = OnlineResolver.from_context(
                 ctx, frozenset(data.kb1.uris())
             )
-            resolver.warm()
             for record in records:  # each alone: fills the memos
                 resolver.resolve(record)
             gathers.clear()

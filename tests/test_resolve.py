@@ -948,13 +948,12 @@ class TestResolverInternals:
         resolver = OnlineResolver.from_context(
             session.run_context(), frozenset(kb1.uris())
         )
-        resolver.warm()
         kb1.new_entity("a9").add_literal("name", "late arrival")
         result = resolver.resolve(EntityDescription("a9", kb1["a9"].pairs))
         assert result.known is False
 
     def test_construction_reads_no_kb_entity(self, numpy_arm, monkeypatch):
-        """Building and warming a resolver keys and walks no KB entity:
+        """Building a resolver keys and walks no KB entity:
         H1's tables come from the published ``name_placements``, the
         fan-out from the published ``top_neighbors2``; resolving keys
         only the records.  A context lacking either artifact is refused
@@ -996,7 +995,6 @@ class TestResolverInternals:
                 raising=False,
             )
         resolver = OnlineResolver.from_context(ctx, known1)
-        resolver.warm()
         assert (keyed, walked) == ([], [])
         results = resolver.resolve_batch(held_out, 5)
         assert keyed and all(
