@@ -76,7 +76,6 @@ def h2_value_matches(
     entity1_uris: Iterable[str],
     value_index: ValueSimilarityIndex,
     registry: MatchedRegistry,
-    depth: int | None = None,
 ) -> list[Match]:
     """H2: match an entity to its best co-occurring candidate if vmax >= 1.
 
@@ -84,15 +83,15 @@ def h2_value_matches(
     entities (either side) are skipped.  The threshold "1" is not a tuned
     parameter: one token unique in both KBs contributes exactly 1.0 to
     valueSim, so the rule reads "they share a token nobody else has, or
-    several reasonably infrequent ones".  ``depth`` is how deep the walk
-    ranks the value rows first (``best_candidate``); any depth gives the
+    several reasonably infrequent ones".  The walk reads the value rows
+    as ranked when it starts (``best_candidate``); any ranking gives the
     same matches.
     """
     matches: list[Match] = []
     for uri1 in entity1_uris:
         if uri1 in registry.matched1:
             continue
-        best = value_index.best_candidate(uri1, registry.matched2, depth)
+        best = value_index.best_candidate(uri1, registry.matched2)
         if best is None:
             continue
         uri2, vmax = best

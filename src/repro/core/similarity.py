@@ -385,23 +385,20 @@ class PackedSimilarityIndex:
         self,
         uri1: str,
         exclude: frozenset[str] | set[str] = frozenset(),
-        depth: int | None = None,
     ) -> tuple[str, float] | None:
         """The counterpart E2 entity with maximum similarity (H2's vmax).
 
         ``exclude`` removes already-matched E2 entities from
-        consideration.  ``depth``, when given, ranks side 1 to it if
-        nobody ranked the side before; a row no ranking covers is walked
-        ranked whole, alone (a side-1 row is one run of the key column).
-        A walk that exhausts a row the cut shortened goes on over that
-        row ranked whole, alone.
+        consideration.  The walk reads side 1 as a :meth:`rank` call
+        left it: a row no ranking covers is walked ranked whole, alone
+        (a side-1 row is one run of the key column), and a walk that
+        exhausts a row the cut shortened goes on over that row ranked
+        whole, alone.
         """
         id1 = self._interner1.get(uri1)
         if id1 is None:
             return None
         ranked = self._ranked[0]
-        if depth is not None:
-            ranked = self._side_rows(1, depth)
         if ranked is None or not ranked.covers(id1):
             cols, sims = self._whole_row1(id1)
             return self._first_free(cols, sims, 0, len(cols), exclude)

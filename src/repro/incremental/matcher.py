@@ -56,7 +56,11 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..blocking.placements import entity_key_rows
 from ..core.statistics import top_name_attributes
 from ..obs.runtime import Telemetry, activate, current as current_telemetry
-from ..pipeline.stages import NameBlockingStage, TokenBlockingStage
+from ..pipeline.stages import (
+    NameBlockingStage,
+    NeighborIndexStage,
+    TokenBlockingStage,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.pipeline import MatchResult
@@ -149,7 +153,8 @@ class IncrementalMatcher:
         """Take the placement tables (and the name attributes they were
         keyed under, with the KB versions they hold for) that ``ctx``'s
         blocking stages published; a token-only graph publishes no name
-        table."""
+        table.  The neighbor stage keeps ``ctx``'s top relations and
+        neighbors too, so a delta re-derives only the touched side's."""
         self._tokens = ctx.get("token_placements")
         self._names = ctx.get_or("name_placements")
         self._name_attrs = (
@@ -157,6 +162,9 @@ class IncrementalMatcher:
             ctx.get_or("name_attributes2"),
         )
         self._name_versions = tuple(kb.version for kb in self.kbs)
+        for stage in self.graph:
+            if isinstance(stage, NeighborIndexStage):
+                stage.hold(ctx)
 
     @property
     def stage_recomputes(self) -> dict[str, int]:

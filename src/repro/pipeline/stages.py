@@ -211,12 +211,19 @@ class NeighborIndexStage(Stage):
     )
     config_fields = ("top_n_relations", "restrict_h3_to_cooccurring")
 
+    def __init__(self) -> None:
+        #: Per side, ``(kb, kb.version, N, relations, neighbors)``: the
+        #: top relations and neighbors last derived, with the KB state
+        #: they hold for.  A re-run after a delta re-derives only a side
+        #: whose KB changed.  (A graph shared by several sessions, as
+        #: ``MinoanER.session`` shares one, holds the last pair's until
+        #: its next run.)
+        self._held: list[tuple | None] = [None, None]
+
     def run(self, ctx: PipelineContext, engine: "Executor") -> None:
         config = ctx.config
-        relations1 = top_relations(ctx.kb1, config.top_n_relations)
-        relations2 = top_relations(ctx.kb2, config.top_n_relations)
-        neighbors1 = top_neighbors(ctx.kb1, relations1)
-        neighbors2 = top_neighbors(ctx.kb2, relations2)
+        relations1, neighbors1 = self._top(0, ctx.kb1, config.top_n_relations)
+        relations2, neighbors2 = self._top(1, ctx.kb2, config.top_n_relations)
         index = build_neighbor_index(
             ctx.get("value_index"),
             neighbors1,
@@ -229,6 +236,28 @@ class NeighborIndexStage(Stage):
         ctx.put("top_relations2", relations2, producer=self.name)
         ctx.put("top_neighbors1", neighbors1, producer=self.name)
         ctx.put("top_neighbors2", neighbors2, producer=self.name)
+
+    def _top(self, side: int, kb, n: int) -> tuple[list[str], dict]:
+        held = self._held[side]
+        if held is None or held[0] is not kb or held[1:3] != (kb.version, n):
+            relations = top_relations(kb, n)
+            held = (kb, kb.version, n, relations, top_neighbors(kb, relations))
+            self._held[side] = held
+        return list(held[3]), held[4]
+
+    def hold(self, ctx: PipelineContext) -> None:
+        """Keep ``ctx``'s top relations and neighbors as derived from
+        its KBs' current state — what a run restored from the cache (a
+        snapshot load) publishes without running this stage."""
+        n = ctx.config.top_n_relations
+        for side, kb in enumerate((ctx.kb1, ctx.kb2), start=1):
+            self._held[side - 1] = (
+                kb,
+                kb.version,
+                n,
+                list(ctx.get(f"top_relations{side}")),
+                ctx.get(f"top_neighbors{side}"),
+            )
 
 
 class CandidateStage(Stage):
@@ -310,7 +339,7 @@ class H2ValueHeuristic(Heuristic):
         walked = [uri for uri in ctx.kb1.uris() if uri not in registry.matched1]
         value_index = ctx.get("value_index")
         value_index.rank(1, depth, walked)
-        return h2_value_matches(walked, value_index, registry, depth=depth)
+        return h2_value_matches(walked, value_index, registry)
 
 
 @HEURISTICS.register("h3")

@@ -23,12 +23,12 @@ model.
 from .app import (
     MAX_SPAN_RECORDS,
     ResolutionDaemon,
-    ServeHTTPServer,
     build_server,
     install_signal_handlers,
     run,
 )
 from .client import ServeClient, ServeClientError
+from .http import ServeHTTPServer
 from .json_codec import DeltaFormatError, DeltaOp, delta_to_payload, parse_delta
 from .state import ServingState, StateBox
 from .wal import WAL_NAME, WAL_SCHEMA, WalError, WriteAheadLog

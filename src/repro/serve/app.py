@@ -15,11 +15,12 @@ the published :class:`ServingState`.  The request flow:
   mid-request keep the old state; readers arriving after the swap see
   the new one; nobody sees a mix.
 
-The HTTP layer is ``http.server.ThreadingHTTPServer`` with non-daemon
-request threads: ``server_close()`` (the SIGTERM epilogue) hangs up the
-keep-alive connections parked between requests and joins the threads
-still answering one, so in-flight requests get their reply and an idle
-client cannot hold the daemon open.
+The routes below answer the requests that :mod:`repro.serve.http`
+frames.  Its server runs one non-daemon thread per connection:
+``server_close()`` (the SIGTERM epilogue) hangs up the keep-alive
+connections parked between requests and joins the threads still
+answering one, so in-flight requests get their reply and an idle client
+cannot hold the daemon open.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import signal
-import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -39,6 +38,7 @@ from ..obs import Telemetry, prometheus_text
 from ..store import SnapshotError
 from ..testing.failpoints import failpoint
 from . import handlers
+from .http import FramingError, Reply, Request, ServeHTTPServer
 from .json_codec import (
     DeltaFormatError,
     DeltaOp,
@@ -62,7 +62,7 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ResolutionDaemon:
-    """The serving core (HTTP-agnostic; the handler class drives it)."""
+    """The serving core (HTTP-agnostic; the routes drive it)."""
 
     def __init__(
         self,
@@ -448,190 +448,69 @@ class ResolutionDaemon:
 
 
 # ----------------------------------------------------------------------
-# HTTP layer
+# Routes (the framing is serve/http.py)
 # ----------------------------------------------------------------------
-class ServeHTTPServer(ThreadingHTTPServer):
-    """Threading server that drains request threads on close.
+class _Routes:
+    """Routes requests into the daemon; one instance per server, shared
+    by every connection thread."""
 
-    ``daemon_threads = False`` (unlike stock ``ThreadingHTTPServer``)
-    makes ``server_close()`` join every request thread — the "drain"
-    half of graceful shutdown.  A keep-alive connection's thread lives
-    as long as the connection, so the server tracks the connections
-    parked between requests and ``server_close()`` shuts down their
-    read side: those threads see EOF and exit, while a thread
-    mid-request finishes, replies, and then meets the same EOF.  (A
-    request is "mid" once its headers are parsed; one whose first line
-    lands in the instant before is still answered from the bytes that
-    had arrived.)
-    """
+    def __init__(self, daemon: ResolutionDaemon) -> None:
+        self.daemon = daemon
 
-    daemon_threads = False
-    allow_reuse_address = True
-    #: Accept backlog.  The ``socketserver`` default of 5 overflows under
-    #: a burst of connection-per-request clients (``curl``, the CLI),
-    #: and an overflowed SYN is only retried a second later.
-    request_queue_size = 128
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        # Set first: a failed bind makes the base __init__ call
-        # server_close().
-        self._idle_lock = threading.Lock()
-        #: Accepted sockets with no request being read or answered.
-        self._idle: set[socket.socket] = set()
-        self._draining = False
-        super().__init__(*args, **kwargs)
-
-    def park(self, connection: socket.socket) -> None:
-        """``connection`` waits for its next request (or, draining, EOF)."""
-        with self._idle_lock:
-            if self._draining:
-                _hang_up(connection)
-            else:
-                self._idle.add(connection)
-
-    def unpark(self, connection: socket.socket) -> None:
-        """A request arrived on ``connection``, or it is finished with."""
-        with self._idle_lock:
-            self._idle.discard(connection)
-
-    def finish_request(self, request: Any, client_address: Any) -> None:
-        # Runs on the connection's own thread, for the connection's life.
-        self.park(request)
-        try:
-            super().finish_request(request, client_address)
-        finally:
-            self.unpark(request)
-
-    def server_close(self) -> None:
-        with self._idle_lock:
-            self._draining = True
-            for connection in self._idle:
-                _hang_up(connection)
-            self._idle.clear()
-        super().server_close()
-
-
-def _hang_up(connection: socket.socket) -> None:
-    """End a connection's request stream; a reply in flight still leaves.
-
-    Shutting down the read side wakes the thread blocked reading the
-    next request line with EOF, which is how it learns to exit.
-    """
-    try:
-        connection.shutdown(socket.SHUT_RD)
-    except OSError:
-        pass  # the client closed it first
-
-
-class _ResponseWriter:
-    """The handler's ``wfile``: one ``sendall`` per response.
-
-    The stdlib writes a response in pieces (header block, then body);
-    sent as written, the second piece waits on the client's delayed ACK
-    of the first.  This holds the pieces and ``flush()`` — which
-    ``handle_one_request`` calls once per response — sends them as one
-    buffer.
-    """
-
-    def __init__(self, connection: socket.socket) -> None:
-        self._connection = connection
-        self._pieces: list[bytes] = []
-        self.closed = False
-
-    def write(self, data: bytes) -> int:
-        self._pieces.append(data)
-        return len(data)
-
-    def flush(self) -> None:
-        if self._pieces:
-            data = b"".join(self._pieces)
-            self._pieces.clear()
-            self._connection.sendall(data)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes requests into the daemon; one instance per connection."""
-
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-    daemon: ResolutionDaemon  # set on the subclass build_server creates
-    #: ``TCP_NODELAY`` on every accepted socket (``setup`` reads this
-    #: from the handler class, not the server): a reply is one segment
-    #: and must never wait for the ACK of the one before it.
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------
-    # Connection lifecycle
-    # ------------------------------------------------------------------
-    def setup(self) -> None:
-        super().setup()
-        self.wfile = _ResponseWriter(self.connection)
-
-    def handle_one_request(self) -> None:
-        super().handle_one_request()  # flushes the reply
-        self.server.park(self.connection)
-
-    def handle_expect_100(self) -> bool:
-        # The interim response is the one write that cannot wait for the
-        # final flush: the client holds its body back until it arrives.
-        proceed = super().handle_expect_100()
-        self.wfile.flush()
-        return proceed
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server convention)
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
-
-    def _handle(self, method: str) -> None:
-        self.server.unpark(self.connection)
+    def respond(self, request: Request) -> Reply:
         daemon = self.daemon
         metrics = daemon.telemetry.metrics
-        endpoint = "unrouted"
+        method = request.method
         try:
-            endpoint, uri, query = handlers.route(method, self.path)
+            endpoint, uri, query = handlers.route(method, request.target)
         except handlers.RequestError as error:
             metrics.counter("serve.requests").inc()
-            self._send_error(error.status, str(error))
-            return
+            return self.refuse(error.status, str(error))
         metrics.counter("serve.requests").inc()
         metrics.counter(f"serve.requests.{endpoint}").inc()
         with daemon._span(
             f"http:{endpoint}", args={"method": method}
         ) as span:
             try:
-                status, payload = self._dispatch(endpoint, uri, query)
-            except handlers.RequestError as error:
+                status, payload = self._dispatch(endpoint, uri, query, request)
+            except (handlers.RequestError, FramingError) as error:
                 span.set(status=error.status)
-                self._send_error(error.status, str(error))
-                return
+                return self.refuse(error.status, str(error))
             except (DeltaFormatError, EntityFormatError) as error:
                 span.set(status=400)
-                self._send_error(400, str(error))
-                return
+                return self.refuse(400, str(error))
             except Exception:  # noqa: BLE001 - the 500 boundary
-                log.exception("unhandled error on %s %s", method, self.path)
+                log.exception(
+                    "unhandled error on %s %s", method, request.target
+                )
                 span.set(status=500)
-                self._send_error(500, "internal error (see daemon log)")
-                return
+                return self.refuse(500, "internal error (see daemon log)")
             span.set(status=status)
         metrics.histogram(f"serve.latency_seconds.{endpoint}").observe(
             span.seconds
         )
         if endpoint == "metrics":
-            self._send_text(status, payload)
-        else:
-            self._send_json(status, payload)
+            return Reply(
+                status, payload.encode("utf-8"), "text/plain; version=0.0.4"
+            )
+        # Compact separators: batch resolve responses run to ~100KB,
+        # and the whitespace is pure encode/transfer/decode overhead.
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return Reply(status, body, "application/json")
+
+    def refuse(self, status: int, message: str) -> Reply:
+        """The JSON error reply, counted in ``serve.errors``.
+
+        An error can precede reading the request body (bad route, bad
+        or oversized Content-Length); left on a kept-alive connection
+        it would be parsed as the next request, so the reply closes it.
+        """
+        self.daemon.telemetry.metrics.counter("serve.errors").inc()
+        body = json.dumps({"error": message, "status": status}).encode("utf-8")
+        return Reply(status, body, "application/json", close=True)
 
     def _dispatch(
-        self, endpoint: str, uri: str | None, query: dict
+        self, endpoint: str, uri: str | None, query: dict, request: Request
     ) -> tuple[int, Any]:
         daemon = self.daemon
         # Read endpoints pin ONE state here and never look again.
@@ -651,27 +530,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if endpoint == "best":
             return 200, handlers.handle_best(daemon.state(), uri)
         if endpoint == "resolve":
-            body = self._read_json_body()
+            body = _read_json_body(request)
             if not isinstance(body, dict):
                 raise handlers.RequestError(400, "body must be a JSON object")
             payload = handlers.handle_resolve(daemon.state(), body)
             self._count_resolved((payload,))
             return 200, payload
         if endpoint == "resolve_batch":
-            body = self._read_json_body()
+            body = _read_json_body(request)
             if not isinstance(body, dict):
                 raise handlers.RequestError(400, "body must be a JSON object")
             payload = handlers.handle_resolve_batch(daemon.state(), body)
             self._count_resolved(payload["results"])
             return 200, payload
         if endpoint == "delta":
-            body = self._read_json_body()
+            body = _read_json_body(request)
             ops = parse_delta(body)
             # Hand the WAL the exact wire-format ops we just validated —
             # no re-encoding on the hot write path.
             return 200, daemon.apply_delta(ops, raw_ops=body["ops"])
         if endpoint == "snapshot":
-            body = self._read_json_body(optional=True) or {}
+            body = _read_json_body(request, optional=True) or {}
             path = daemon.save_snapshot(body.get("path"))
             state = daemon.state()
             return 200, {
@@ -680,7 +559,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 "matches_digest": state.matches_digest,
             }
         if endpoint == "reload":
-            body = self._read_json_body(optional=True) or {}
+            body = _read_json_body(request, optional=True) or {}
             try:
                 return 200, daemon.reload(body.get("path"))
             except SnapshotError as error:  # the old generation serves on
@@ -700,75 +579,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if matched:
             metrics.counter("serve.resolve_matched").inc(matched)
 
-    # ------------------------------------------------------------------
-    # Body / response plumbing
-    # ------------------------------------------------------------------
-    def _read_json_body(self, optional: bool = False) -> Any:
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            length = 0
-        else:
-            # A malformed header is the client's error (400), not an
-            # unhandled ValueError escalating to the 500 boundary; a
-            # negative length must never reach rfile.read().
-            try:
-                length = int(raw_length.strip())
-            except ValueError:
-                raise handlers.RequestError(
-                    400, f"invalid Content-Length: {raw_length!r}"
-                ) from None
-            if length < 0:
-                raise handlers.RequestError(
-                    400, f"invalid Content-Length: {raw_length!r}"
-                )
-        if length == 0:
-            if optional:
-                return None
-            raise handlers.RequestError(400, "request body required")
-        if length > MAX_BODY_BYTES:
-            raise handlers.RequestError(
-                413, f"body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise handlers.RequestError(400, f"invalid JSON body: {error}")
 
-    def _send_json(self, status: int, payload: Any) -> None:
-        # Compact separators: batch resolve responses run to ~100KB,
-        # and the whitespace is pure encode/transfer/decode overhead.
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        self._send_bytes(status, body, "application/json")
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(
-            status, text.encode("utf-8"), "text/plain; version=0.0.4"
-        )
-
-    def _send_error(self, status: int, message: str) -> None:
-        self.daemon.telemetry.metrics.counter("serve.errors").inc()
-        body = json.dumps({"error": message, "status": status}).encode("utf-8")
-        # An error can precede reading the request body (bad route, bad
-        # or oversized Content-Length); left on a kept-alive connection
-        # it would be parsed as the next request.
-        self._send_bytes(status, body, "application/json", close=True)
-
-    def _send_bytes(
-        self, status: int, body: bytes, content_type: str, close: bool = False
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            self.send_header("Connection", "close")  # also ends the loop
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        # Called for every request; formatting is only worth it if kept.
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s - %s", self.address_string(), format % args)
+def _read_json_body(request: Request, optional: bool = False) -> Any:
+    """The request's JSON body; the framing has checked that
+    ``Content-Length`` is a non-negative integer."""
+    length = request.content_length or 0
+    if length == 0:
+        if optional:
+            return None
+        raise handlers.RequestError(400, "request body required")
+    if length > MAX_BODY_BYTES:
+        raise handlers.RequestError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    raw = request.read_body()
+    try:
+        return json.loads(raw)
+    except ValueError as error:  # not JSON, or not UTF-8
+        raise handlers.RequestError(400, f"invalid JSON body: {error}")
 
 
 def build_server(
@@ -781,10 +607,7 @@ def build_server(
     ``port=0`` binds an ephemeral port (tests); read the actual one
     from ``server.server_address``.
     """
-    handler = type(
-        "BoundRequestHandler", (_RequestHandler,), {"daemon": daemon}
-    )
-    return ServeHTTPServer((host, port), handler)
+    return ServeHTTPServer((host, port), _Routes(daemon))
 
 
 def install_signal_handlers(server: ServeHTTPServer) -> None:

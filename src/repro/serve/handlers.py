@@ -48,9 +48,12 @@ def route(method: str, target: str) -> tuple[str, str | None, dict[str, list[str
     ``uri`` is the percent-decoded entity URI for the per-entity
     endpoints (clients quote it with ``urllib.parse.quote(uri,
     safe="")``), else ``None``.  Raises :class:`RequestError` (404/405)
-    for anything off the map.
+    for anything off the map, 400 for a target that does not parse.
     """
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as error:  # an absolute-form target, mangled
+        raise RequestError(400, f"bad request target: {error}") from None
     path, query = split.path, parse_qs(split.query)
     if method == "GET":
         if path in _FIXED_GET:

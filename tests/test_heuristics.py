@@ -339,7 +339,7 @@ def test_an_uncovered_read_ranks_that_row_alone():
             got = index.csr_row(1, row1, k)
             assert list(got[0]) == list(ids[:k])
             assert got[1].tobytes() == sims[:k].tobytes()
-        assert index.best_candidate(row1, {_uri(2, 0)}, 2) == (_uri(2, 1), 0.5)
+        assert index.best_candidate(row1, {_uri(2, 0)}) == (_uri(2, 1), 0.5)
         assert index.candidates_of_entity1(_uri(1, 0), 2) == [
             (_uri(2, 0), 1.0),
             (_uri(2, 1), 0.875),

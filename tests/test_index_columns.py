@@ -600,9 +600,10 @@ def test_best_candidate_walks_past_an_exhausted_depth_cut():
     cut = long_row_index()
     telemetry = Telemetry.create()
     with activate(telemetry):
-        assert cut.best_candidate(uri(1, 1), depth=3) == (uri(2, 0), 0.5)
+        cut.rank(1, 3)
+        assert cut.best_candidate(uri(1, 1)) == (uri(2, 0), 0.5)
         for exclude, walk in zip(excludes, walks):
-            assert cut.best_candidate(uri(1, 0), exclude, depth=3) == walk
+            assert cut.best_candidate(uri(1, 0), exclude) == walk
         first_three = {uri(2, 0), uri(2, 1), uri(2, 2)}
         assert cut.best_candidate(uri(1, 0), first_three) == (uri(2, 3), 18.0)
     assert [
