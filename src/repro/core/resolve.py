@@ -9,10 +9,10 @@ published state:
 
 1. **Tokenize** the record with the pipeline's own
    :class:`~repro.kb.tokenizer.Tokenizer`.
-2. **Probe the packed token blocks**: each token binary-searches the
-   sorted :meth:`~repro.blocking.packed.PackedBlockCollection.block_keys`
-   column — no string-keyed dict walk — and selects one CSR row of
-   side-2 candidate ids.
+2. **Probe the packed token blocks**: each token is one lookup in the
+   resolver's span table, built once per generation from the
+   :class:`~repro.blocking.packed.PackedBlockCollection` columns, and
+   selects one CSR row of side-2 candidate ids with its block's weight.
 3. **Score value similarity**: every selected block contributes its
    :func:`~repro.core.similarity.block_token_weight` to each id in its
    row.  A single resolve is a batch of one: a batch's sums are one
@@ -66,7 +66,7 @@ accordingly:
   neighbor list.
 
 The resolver reads the run's artifacts only: its derived tables (the
-packed-block columns, H1's name-key maps, the top-neighbor fan-out)
+token-span table, H1's name-key maps, the top-neighbor fan-out)
 build once, in the constructor, from the published name placements and
 top-neighbor sets — no KB entity is re-keyed or walked.  Afterwards a
 read writes nothing but two memos of pure functions, each bounded in
@@ -240,15 +240,27 @@ class OnlineResolver:
         )
         self._reciprocal = "h4" in config.heuristics
 
-        # Value evidence: the packed blocks' sorted key column (the
-        # binary-search target) and side-2 CSR; block ids are URI order,
-        # so an id doubles as the URI tie-break of the value ranking.
+        # Value evidence: the packed blocks' side-2 CSR, and per block
+        # key with side-2 members its row's span and token weight; block
+        # ids are URI order, so an id doubles as the URI tie-break of
+        # the value ranking.
         if not isinstance(token_blocks, PackedBlockCollection):
             token_blocks = PackedBlockCollection.from_collection(
                 token_blocks.drop_empty()
             )
-        self._blocks = token_blocks
-        self._starts2, self._ids2 = token_blocks.csr(2)
+        starts1, _ = token_blocks.csr(1)
+        starts2, self._ids2 = token_blocks.csr(2)
+        self._spans = {
+            key: (lo, hi, block_token_weight(stop1 - start1, hi - lo))
+            for key, start1, stop1, lo, hi in zip(
+                token_blocks.block_keys,
+                starts1,
+                starts1[1:],
+                starts2,
+                starts2[1:],
+            )
+            if hi > lo
+        }
         self._candidates2 = token_blocks.interners()[1]
         self._uris2 = self._candidates2.uris()
 
@@ -280,7 +292,9 @@ class OnlineResolver:
         )
         self._parent_images = parents.images_in(self._candidates2)
         self._no_neighbors = _published(
-            gathered_candidate_sums(self._parent_ids, (), (), ())
+            gathered_candidate_sums(
+                self._parent_ids, (), (), (), width=len(parents)
+            )
         )
 
         # target URI, or sorted target tuple -> read-only (parent ids
@@ -370,7 +384,6 @@ class OnlineResolver:
         """
         k = self.validated_k(k)
         results: list[ResolveResult | None] = [None] * len(records)
-        span_memo: dict[str, tuple[int, int, float] | None] = {}
         budget = max(1, arrays.RUN_SIZE // 16)
         group: list[tuple[int, "EntityDescription", list]] = []
         selected = 0
@@ -378,7 +391,7 @@ class OnlineResolver:
             if record.uri in self._known1:
                 results[position] = self.probe(record.uri, k)
                 continue
-            spans = self._probe_spans(record, span_memo)
+            spans = self._probe_spans(record)
             ids = sum(stop - start for start, stop, _ in spans)
             if group and selected + ids > budget:
                 self._decide_group(group, k, results)
@@ -412,7 +425,7 @@ class OnlineResolver:
                 weights.extend(span_weights)
                 bases.extend([index << _BATCH_SHIFT] * len(spans))
         keys, sums = gathered_candidate_sums(
-            self._ids2, starts, stops, weights, bases
+            self._ids2, starts, stops, weights, bases, width=len(self._uris2)
         )
         bounds = group_bounds(keys, len(group))
         _, ids = pair_ids(keys)
@@ -433,37 +446,16 @@ class OnlineResolver:
     # Internals
     # ------------------------------------------------------------------
     def _probe_spans(
-        self,
-        record: "EntityDescription",
-        memo: dict[str, tuple[int, int, float] | None],
+        self, record: "EntityDescription"
     ) -> list[tuple[int, int, float]]:
         """The record's block rows as ``(start, stop, weight)`` spans.
 
         Tokens probe in sorted order (the scan order every candidate's
-        sum follows); each distinct token resolves to at most one block
-        row via binary search over the sorted key column.
+        sum follows); each distinct token selects at most one block row,
+        by one lookup in the span table.
         """
-        keys = self._blocks.block_keys
-        n_keys = len(keys)
-        starts2 = self._starts2
-        spans: list[tuple[int, int, float]] = []
-        for token in sorted(self._tokenizer.token_set(record)):
-            span = memo.get(token, _UNSEEN)
-            if span is _UNSEEN:
-                span = None
-                row = bisect_left(keys, token)
-                if row < n_keys and keys[row] == token:
-                    lo, hi = starts2[row], starts2[row + 1]
-                    if hi > lo:
-                        span = (
-                            lo,
-                            hi,
-                            block_token_weight(*self._blocks.row_sizes(row)),
-                        )
-                memo[token] = span
-            if span is not None:
-                spans.append(span)
-        return spans
+        spans = map(self._spans.get, sorted(self._tokenizer.token_set(record)))
+        return [span for span in spans if span is not None]
 
     def _decide(
         self, record: "EntityDescription", k: int, value_ids, value_sums
@@ -586,7 +578,11 @@ class OnlineResolver:
             starts = self._parent_starts
             entry = _published(
                 gathered_candidate_sums(
-                    self._parent_ids, starts[vids], starts[1:][vids], sims
+                    self._parent_ids,
+                    starts[vids],
+                    starts[1:][vids],
+                    sims,
+                    width=len(self._parent_uris),
                 )
             )
             memo.keep(target, entry)
@@ -720,10 +716,6 @@ class CachedResolver:
                 results[at] = result
                 self.cache.put(keys[at], result)
         return results
-
-
-#: Distinguishes "memoized as absent" from "never looked up".
-_UNSEEN = object()
 
 
 class _Memo(dict):

@@ -490,7 +490,7 @@ def pairs_translated_into(keys, sims, images1, images2, within):
 
 
 def gathered_candidate_sums(
-    ids_flat, span_starts, span_stops, span_values, span_bases=None
+    ids_flat, span_starts, span_stops, span_values, span_bases=None, *, width
 ):
     """Per-key totals over selected slices of a flat id column.
 
@@ -500,24 +500,42 @@ def gathered_candidate_sums(
     ``span_values[i]`` to every id in it, OR-ed with ``span_bases[i]``
     when given — multiples of ``2**32``: the batch resolver packs
     ``record_index << 32`` there, so one call scores a whole batch and
-    the keys come out grouped by record.  Returns ``(keys ascending,
-    per-key sums)``.
+    the keys come out grouped by record.  Every id is below ``width``,
+    the id space's size.  Returns ``(keys ascending, per-key sums)``.
 
     Per key the values add up from ``0.0`` in the nested-loop order
     ``for span: for id in row`` (the gather produces exactly that
-    element order and :func:`sequential_unique_sums` folds it), and a
-    key only ever receives its own record's spans — so every sum is
-    bit-identical whatever else shares the batch.
+    element order), and a key only ever receives its own record's spans
+    — so every sum is bit-identical whatever else shares the batch.
+    Two folds keep that order.  When the dense slab of ``groups x
+    width`` slots is at most 16 slots per gathered id, one ``bincount``
+    folds into slot ``group * width + id`` and a bitmap of the touched
+    slots gives the keys, in order, with no sort; otherwise
+    :func:`sequential_unique_sums` sorts the gathered keys.
     """
     starts = _np.asarray(span_starts, dtype=_np.int64)
     owners, positions = ragged_indices(
         starts, _np.asarray(span_stops, dtype=_np.int64) - starts
     )
-    keys = _np.asarray(ids_flat)[positions].astype(_np.int64)
-    if span_bases is not None:
-        keys |= _np.asarray(span_bases, dtype=_np.int64)[owners]
-    values = _np.asarray(span_values, dtype=_np.float64)
-    return sequential_unique_sums(keys, values[owners])
+    ids = _np.asarray(ids_flat)[positions].astype(_np.int64)
+    values = _np.asarray(span_values, dtype=_np.float64)[owners]
+    bases = None if span_bases is None else _np.asarray(span_bases, _np.int64)
+    groups = int(bases.max() >> 32) + 1 if bases is not None and len(ids) else 1
+    if not 0 < groups * width <= 16 * len(ids):
+        if bases is not None:
+            ids |= bases[owners]
+        return sequential_unique_sums(ids, values)
+    if groups > 1:
+        ids += ((bases >> 32) * width)[owners]
+    sums = _np.bincount(ids, values, minlength=groups * width)
+    touched = _np.zeros(groups * width, dtype=bool)
+    touched[ids] = True
+    slots = _np.flatnonzero(touched)
+    sums = sums[slots]
+    if groups == 1:
+        return slots, sums
+    rows, ids = _np.divmod(slots, width)
+    return (rows << 32) | ids, sums
 
 
 def group_bounds(keys, n_groups):

@@ -456,6 +456,12 @@ class _Routes:
 
     def __init__(self, daemon: ResolutionDaemon) -> None:
         self.daemon = daemon
+        # Per endpoint, its ``serve.requests.<endpoint>`` counter and
+        # ``serve.latency_seconds.<endpoint>`` histogram, looked up in
+        # the daemon's registry once, when first used (so an endpoint
+        # nobody called, or that never answered, shows in no scrape).
+        self._requests: dict[str, Any] = {}
+        self._latencies: dict[str, Any] = {}
 
     def respond(self, request: Request) -> Reply:
         daemon = self.daemon
@@ -467,7 +473,12 @@ class _Routes:
             metrics.counter("serve.requests").inc()
             return self.refuse(error.status, str(error))
         metrics.counter("serve.requests").inc()
-        metrics.counter(f"serve.requests.{endpoint}").inc()
+        requests = self._requests.get(endpoint)
+        if requests is None:
+            requests = self._requests[endpoint] = metrics.counter(
+                f"serve.requests.{endpoint}"
+            )
+        requests.inc()
         with daemon._span(
             f"http:{endpoint}", args={"method": method}
         ) as span:
@@ -486,9 +497,12 @@ class _Routes:
                 span.set(status=500)
                 return self.refuse(500, "internal error (see daemon log)")
             span.set(status=status)
-        metrics.histogram(f"serve.latency_seconds.{endpoint}").observe(
-            span.seconds
-        )
+        latency = self._latencies.get(endpoint)
+        if latency is None:
+            latency = self._latencies[endpoint] = metrics.histogram(
+                f"serve.latency_seconds.{endpoint}"
+            )
+        latency.observe(span.seconds)
         if endpoint == "metrics":
             return Reply(
                 status, payload.encode("utf-8"), "text/plain; version=0.0.4"
@@ -569,13 +583,15 @@ class _Routes:
     def _count_resolved(self, results) -> None:
         """Per-record resolve counters (records, known/unknown split)."""
         metrics = self.daemon.telemetry.metrics
-        known = sum(1 for result in results if result["known"])
+        known = matched = 0
+        for result in results:
+            known += result["known"]
+            matched += result["match"] is not None
         metrics.counter("serve.resolve_records").inc(len(results))
         if known:
             metrics.counter("serve.resolve_known").inc(known)
         if len(results) - known:
             metrics.counter("serve.resolve_unknown").inc(len(results) - known)
-        matched = sum(1 for result in results if result["match"] is not None)
         if matched:
             metrics.counter("serve.resolve_matched").inc(matched)
 

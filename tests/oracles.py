@@ -11,6 +11,7 @@ whole-column NumPy forms of the passes the engine now walks in pieces.
 
 import zlib
 from array import array
+from bisect import bisect_left
 from typing import Callable, Iterable, TypeVar
 
 import numpy
@@ -280,6 +281,22 @@ def resolve_scores_by_uri(
         for parent in sorted(row):
             neighbor[parent] = neighbor.get(parent, 0.0) + row[parent]
     return value, neighbor
+
+
+def block_span_by_bisect(token_blocks, token):
+    """A token's side-2 block row in packed token blocks as ``(start,
+    stop, weight)``, or ``None`` when no block has the key or its side-2
+    row is empty: a binary search over the sorted key column, the lookup
+    the online resolver's span table answers with one dict read."""
+    keys = token_blocks.block_keys
+    row = bisect_left(keys, token)
+    if row == len(keys) or keys[row] != token:
+        return None
+    starts2, _ = token_blocks.csr(2)
+    start, stop = starts2[row], starts2[row + 1]
+    if stop == start:
+        return None
+    return start, stop, block_token_weight(*token_blocks.row_sizes(row))
 
 
 def ranked_by_uri(rows: dict[str, float]) -> list[tuple[str, float]]:

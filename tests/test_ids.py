@@ -311,15 +311,30 @@ class TestResolverPrimitives:
             max_size=12,
         ),
         st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=12)),
+        st.one_of(st.integers(0, 400), st.just(1 << 20)),
     )
-    @example([], [], None)
-    @example([3, 1, 3], [(0, 0, 0.1), (2, 2, 0.5), (3, 3, 1.0)], None)
+    @example([], [], None, 0)
+    @example([3, 1, 3], [(0, 0, 0.1), (2, 2, 0.5), (3, 3, 1.0)], None, 0)
+    # each arm, with and without bases: the dense slab holds 4 (10)
+    # slots for 6 (7) gathered ids, the sort arm's would hold 2**20
+    @example([3, 1, 3], [(0, 3, 0.1), (0, 3, 0.5)], None, 0)
+    @example([3, 1, 3], [(0, 3, 0.1), (0, 3, 0.5)], None, 1 << 20)
     @example(
-        [4, 4, 2], [(0, 3, 0.1), (1, 3, 1e300), (0, 2, 5e-324)], [0, 0, 1]
+        [4, 4, 2], [(0, 3, 0.1), (1, 3, 1e300), (0, 2, 5e-324)], [0, 0, 1], 0
     )
-    def test_gathered_candidate_sums(self, ids, raw_spans, groups):
+    @example(
+        [4, 4, 2],
+        [(0, 3, 0.1), (1, 3, 1e300), (0, 2, 5e-324)],
+        [0, 0, 1],
+        1 << 20,
+    )
+    def test_gathered_candidate_sums(self, ids, raw_spans, groups, spare):
         """Empty and zero-length spans, repeated ids inside one span,
-        and ``span_bases`` (non-decreasing multiples of ``2**32``)."""
+        ``span_bases`` (non-decreasing multiples of ``2**32``), and id
+        spaces ``spare`` wider than the largest id: the dense fold runs
+        exactly when its ``groups x width`` slab is at most 16 slots per
+        gathered id, and either arm gives the dict fold's keys and
+        float bytes."""
         from repro.ids.arrays import gathered_candidate_sums
 
         spans = [
@@ -336,11 +351,23 @@ class TestResolverPrimitives:
                 key = (bases[at] if bases else 0) | ids[position]
                 reference[key] = reference.get(key, 0.0) + value
         starts, stops, values = ([s[i] for s in spans] for i in range(3))
-        gathered = gathered_candidate_sums(
-            array("i", ids), starts, stops, values, bases
+        width = max(ids, default=-1) + 1 + spare
+        gathered_ids = sum(stop - start for start, stop, _ in spans)
+        slab = max(groups) + 1 if gathered_ids and groups else 1
+        dense = 0 < slab * width <= 16 * gathered_ids
+        sort = mock.patch.object(
+            arrays, "sequential_unique_sums", wraps=arrays.sequential_unique_sums
         )
+        with sort as sorted_arm:
+            got_keys, got_sums = gathered_candidate_sums(
+                array("i", ids), starts, stops, values, bases, width=width
+            )
+        assert sorted_arm.called is not dense
         keys = sorted(reference)
-        assert _as_lists(gathered) == [keys, [reference[k] for k in keys]]
+        assert list(got_keys) == keys
+        assert got_sums.tobytes() == array(
+            "d", [reference[k] for k in keys]
+        ).tobytes()
 
     @given(
         st.dictionaries(

@@ -1138,9 +1138,10 @@ def test_serving_passes_hold_one_piece(monkeypatch):
 
     gathers = []
 
-    def traced_gather(*args, real=arrays.gathered_candidate_sums):
+    def traced_gather(*args, real=arrays.gathered_candidate_sums, **kwargs):
         result, own = own_transient(
-            lambda: real(*args), lambda sums: sum(c.nbytes for c in sums)
+            lambda: real(*args, **kwargs),
+            lambda sums: sum(c.nbytes for c in sums),
         )
         if len(args) == 5:  # a batch's, keyed by record
             gathers.append((own, sum(numpy.subtract(args[2], args[1]))))

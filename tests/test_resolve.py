@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.blocking import PackedBlockCollection
 from repro.core import MinoanERConfig
 from repro.core.candidates import ProbeCache
 from repro.core.resolve import OnlineResolver, _held_bytes, resolve_cache_key
@@ -45,6 +46,7 @@ from repro.serve import (
 from repro.serve.json_codec import entity_to_dict
 
 from oracles import (
+    block_span_by_bisect,
     h1_match_by_kb_walk,
     h1_names_by_kb_walk,
     ranked_by_uri,
@@ -397,12 +399,12 @@ def batch_gathers(oracle_kbs, monkeypatch, records, run_size, k):
     monkeypatch.setattr(arrays, "RUN_SIZE", run_size)
     gathers = []
 
-    def traced(*args, real=arrays.gathered_candidate_sums):
+    def traced(*args, real=arrays.gathered_candidate_sums, **kwargs):
         if len(args) == 5:  # a batch's, keyed by record
             _, starts, stops, _, bases = args
             ids = sum(stop - start for start, stop in zip(starts, stops))
             gathers.append((ids, len(set(bases))))
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr("repro.core.resolve.gathered_candidate_sums", traced)
     resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
@@ -421,7 +423,7 @@ class TestBatchInRecordGroups:
         resolver = OnlineResolver.from_context(ctx, frozenset(data.kb1.uris()))
 
         def probe(record):
-            return resolver._probe_spans(record, {})
+            return resolver._probe_spans(record)
 
         selected = [
             sum(stop - start for start, stop, _ in spans)
@@ -1020,3 +1022,70 @@ class TestResolverInternals:
         ).resolve_batch(held_out, 5)
         assert [r.value for r in nameless] == [r.value for r in results]
         assert not any(r.match and r.match.heuristic == "H1" for r in nameless)
+
+    def test_span_table_equals_bisect_lookup(self, tmp_path):
+        """The span table answers every token as the binary search over
+        the sorted key column does (``oracles.block_span_by_bisect``):
+        each block key, a token no block has, and a key whose side-2 row
+        is empty — on a freshly matched generation, on snapshot-loaded
+        ones (copied and mapped), and on blocks holding an empty row.
+        A record's spans are the hits among its sorted tokens."""
+        kb1 = read_ntriples(GOLDEN / "kb1.nt", name="golden1")
+        kb2 = read_ntriples(GOLDEN / "kb2.nt", name="golden2")
+        session = MatchSession(kb1, kb2)
+        ctx = session.run_context()
+        known1 = frozenset(kb1.uris())
+        session.save(tmp_path / "seed")
+        generations = [
+            (OnlineResolver.from_context(ctx, known1), ctx.get("token_blocks"))
+        ]
+        for mode in ("copy", "mmap"):
+            daemon = ResolutionDaemon.from_snapshot(tmp_path / "seed", mode=mode)
+            generations.append(
+                (
+                    daemon.state()._reads.resolver,
+                    daemon._matcher.last_context.get("token_blocks"),
+                )
+            )
+
+        blocks = sorted(ctx.get("token_blocks"), key=lambda block: block.key)
+        hollow = blocks[-1].key + "~"  # sorts last: no side-2 member
+        with_hollow = PackedBlockCollection(
+            "BT",
+            [block.key for block in blocks] + [hollow],
+            [block.entities1 for block in blocks] + [{sorted(known1)[0]}],
+            [block.entities2 for block in blocks] + [set()],
+        )
+        generations.append(
+            (
+                OnlineResolver(
+                    config=ctx.config,
+                    known1=known1,
+                    decisions1={},
+                    token_blocks=with_hollow,
+                    value_index=ctx.get("value_index"),
+                    neighbor_index=ctx.get("neighbor_index"),
+                    top_neighbors2=ctx.get("top_neighbors2"),
+                ),
+                with_hollow,
+            )
+        )
+
+        absent = "\x00never a block key"
+        for resolver, token_blocks in generations:
+            keys = token_blocks.block_keys
+            assert len(keys) > 100
+            for token in (*keys, absent, hollow):
+                assert resolver._spans.get(token) == block_span_by_bisect(
+                    token_blocks, token
+                ), token
+            assert hollow not in resolver._spans
+            record = EntityDescription(
+                "urn:q:spans", [("name", " ".join([keys[7], keys[3], absent]))]
+            )
+            tokens = sorted(Tokenizer().token_set(record))
+            expected = [block_span_by_bisect(token_blocks, t) for t in tokens]
+            assert resolver._probe_spans(record) == [
+                span for span in expected if span is not None
+            ]
+            assert len(resolver._probe_spans(record)) >= 2

@@ -47,6 +47,73 @@ from test_pipeline import make_pair
 from test_snapshot_store import _edited_manifest, _redeclared, _rewrite_column
 
 
+#: ``/metrics`` after ``test_metrics_text_for_a_request_sequence``'s
+#: requests, latency sums masked.
+_SEQUENCE_METRICS = (
+    "# TYPE repro_incremental_stage_recomputes counter\n"
+    "repro_incremental_stage_recomputes 0\n"
+    "# TYPE repro_serve_errors counter\n"
+    "repro_serve_errors 3\n"
+    "# TYPE repro_serve_requests counter\n"
+    "repro_serve_requests 13\n"
+    "# TYPE repro_serve_requests_best counter\n"
+    "repro_serve_requests_best 1\n"
+    "# TYPE repro_serve_requests_candidates counter\n"
+    "repro_serve_requests_candidates 1\n"
+    "# TYPE repro_serve_requests_healthz counter\n"
+    "repro_serve_requests_healthz 2\n"
+    "# TYPE repro_serve_requests_match counter\n"
+    "repro_serve_requests_match 1\n"
+    "# TYPE repro_serve_requests_metrics counter\n"
+    "repro_serve_requests_metrics 1\n"
+    "# TYPE repro_serve_requests_resolve counter\n"
+    "repro_serve_requests_resolve 4\n"
+    "# TYPE repro_serve_requests_resolve_batch counter\n"
+    "repro_serve_requests_resolve_batch 1\n"
+    "# TYPE repro_serve_requests_stats counter\n"
+    "repro_serve_requests_stats 1\n"
+    "# TYPE repro_serve_resolve_known counter\n"
+    "repro_serve_resolve_known 2\n"
+    "# TYPE repro_serve_resolve_matched counter\n"
+    "repro_serve_resolve_matched 3\n"
+    "# TYPE repro_serve_resolve_records counter\n"
+    "repro_serve_resolve_records 4\n"
+    "# TYPE repro_serve_resolve_unknown counter\n"
+    "repro_serve_resolve_unknown 2\n"
+    "# TYPE repro_session_cache_hits counter\n"
+    "repro_session_cache_hits 6\n"
+    "# TYPE repro_serve_probe_cache_evictions gauge\n"
+    "repro_serve_probe_cache_evictions 0\n"
+    "# TYPE repro_serve_probe_cache_hits gauge\n"
+    "repro_serve_probe_cache_hits 0\n"
+    "# TYPE repro_serve_probe_cache_misses gauge\n"
+    "repro_serve_probe_cache_misses 5\n"
+    "# TYPE repro_serve_probe_cache_size gauge\n"
+    "repro_serve_probe_cache_size 5\n"
+    "# TYPE repro_serve_latency_seconds_best summary\n"
+    "repro_serve_latency_seconds_best_count 1\n"
+    "repro_serve_latency_seconds_best_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_candidates summary\n"
+    "repro_serve_latency_seconds_candidates_count 1\n"
+    "repro_serve_latency_seconds_candidates_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_healthz summary\n"
+    "repro_serve_latency_seconds_healthz_count 2\n"
+    "repro_serve_latency_seconds_healthz_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_match summary\n"
+    "repro_serve_latency_seconds_match_count 1\n"
+    "repro_serve_latency_seconds_match_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_resolve summary\n"
+    "repro_serve_latency_seconds_resolve_count 2\n"
+    "repro_serve_latency_seconds_resolve_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_resolve_batch summary\n"
+    "repro_serve_latency_seconds_resolve_batch_count 1\n"
+    "repro_serve_latency_seconds_resolve_batch_sum <s>\n"
+    "# TYPE repro_serve_latency_seconds_stats summary\n"
+    "repro_serve_latency_seconds_stats_count 1\n"
+    "repro_serve_latency_seconds_stats_sum <s>\n"
+)
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------
@@ -310,6 +377,38 @@ class TestEndpoints:
         assert "repro_serve_requests" in text
         assert "repro_serve_requests_healthz" in text
         assert "repro_serve_latency_seconds_healthz_count" in text
+
+    def test_metrics_text_for_a_request_sequence(self, served):
+        """A fixed request sequence scrapes to this exact text, latency
+        sums aside: a ``serve.requests.<endpoint>`` counter registers on
+        an endpoint's first request, its latency histogram on its first
+        answer (a refused ``/resolve`` counts, and times nothing), and
+        the resolve counters add up known, unknown and matched records.
+        """
+        import re
+
+        _, client = served
+        client.healthz()
+        client.healthz()
+        client.stats()
+        client.match("a0")
+        client.candidates("a1", k=1)
+        client.best("a1")
+        client.resolve(
+            {"uri": "new", "pairs": [["info", {"lit": "zanzibar festival"}]]}
+        )
+        client.resolve({"uri": "a0", "pairs": []})
+        client.resolve_batch(
+            [
+                {"uri": "n1", "pairs": [["name", {"lit": "x"}]]},
+                {"uri": "a1", "pairs": []},
+            ]
+        )
+        for path, body in (("/nope", None), ("/resolve", {}), ("/resolve", [1])):
+            with pytest.raises(ServeClientError):
+                client._json("GET" if body is None else "POST", path, body)
+        text = re.sub(r"_sum \S+", "_sum <s>", client.metrics())
+        assert text == _SEQUENCE_METRICS
 
     def test_delta_then_snapshot_then_reload(self, served, tmp_path):
         daemon, client = served
