@@ -22,8 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..ids import EntityInterner
-from ..ids.arrays import pairs_translated_into
 from .neighbors import NeighborSimilarityIndex
 from .similarity import ValueSimilarityIndex
 
@@ -94,28 +92,6 @@ class ProbeCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def cooccurring_neighbor_index(
-    value_index: ValueSimilarityIndex,
-    neighbor_index: NeighborSimilarityIndex,
-) -> NeighborSimilarityIndex:
-    """The neighbor pairs whose two entities also form a value pair,
-    found in one vectorized pass over the neighbor keys.  Dropping
-    entries from a ranked row keeps its order, so each row here is the
-    full neighbor row filtered by value co-occurrence: its first ``K``
-    ids are the conference H3's neighbor list.  The neighbor stage
-    builds this index directly (``build_neighbor_index(...,
-    cooccurring=True)``); this filter restricts the full index that
-    older snapshots store.
-    """
-    interners = neighbor_index.interners()
-    keys, sims = pairs_translated_into(
-        *neighbor_index.packed_columns(),
-        *map(EntityInterner.images_in, interners, value_index.interners()),
-        value_index.packed_columns()[0],
-    )
-    return NeighborSimilarityIndex.from_packed_columns(keys, sims, *interners)
 
 
 @dataclass(frozen=True)

@@ -298,9 +298,8 @@ def build_neighbor_index(
     (:func:`~repro.engine.partitioner.packed_pair_shards`).
 
     ``cooccurring`` keeps only the parent pairs that are also value
-    pairs — the conference H3's index, byte for byte
-    :func:`~repro.core.candidates.cooccurring_neighbor_index` of the
-    full one — by folding only their contributions.
+    pairs — the conference H3's index, byte for byte the full one
+    filtered to those pairs — by folding only their contributions.
     """
     engine = engine or SerialExecutor()
     value1, value2 = value_index.interners()

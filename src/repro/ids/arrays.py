@@ -467,28 +467,6 @@ def _top_depth_pairs(rows, sims, lengths, depth):
     return _np.flatnonzero(packed <= bars[rows])
 
 
-def pairs_translated_into(keys, sims, images1, images2, within):
-    """The ``(keys, sims)`` of an ascending packed column whose pairs,
-    ids mapped through ``images1`` / ``images2``, are keys of the
-    ascending packed column ``within``.  The image tables ascend (ids
-    are URI order on both sides), so the mapped keys do too, and each
-    key of ``within`` is searched among them.  An id without an image
-    maps to ``-1`` and packs a negative key: the running maximum keeps
-    the column ascending, and a left search finds a key before its copies.
-    """
-    keys = _np.asarray(keys, dtype=_np.int64)
-    mapped = _np.asarray(images1, dtype=_np.int64)[keys >> 32]
-    mapped <<= 32
-    mapped |= _np.asarray(images2, dtype=_np.int64)[keys & 0xFFFFFFFF]
-    _np.maximum.accumulate(mapped, out=mapped)
-    within = _np.asarray(within, dtype=_np.int64)
-    at = _np.searchsorted(mapped, within)
-    found = at < len(mapped)
-    found[found] = mapped[at[found]] == within[found]
-    kept = at[found]
-    return keys[kept], _np.asarray(sims, dtype=_np.float64)[kept]
-
-
 def gathered_candidate_sums(
     ids_flat, span_starts, span_stops, span_values, span_bases=None, *, width
 ):

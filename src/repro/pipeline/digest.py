@@ -21,13 +21,13 @@ from ..blocking.base import BlockCollection
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
-from ..ids import PAIR_ID_BITS, PAIR_ID_MASK
 from ..ids.arrays import canonical_pair_columns
 from .context import PipelineContext
 
-#: ``digest_schema`` a save writes: from 2 the index digests are column
-#: digests, from 3 the neighbor columns hold the index the run
-#: published (only the co-occurring pairs under the conference H3).
+#: ``digest_schema`` a save writes and the only one a load reads: the
+#: index digests are column digests, and the neighbor columns hold the
+#: index the run published (only the co-occurring pairs under the
+#: conference H3).  A change to either bumps it.
 DIGEST_SCHEMA = 3
 
 #: Context artifacts digests are computed for, in pipeline order.  The
@@ -48,21 +48,6 @@ DIGESTED_ARTIFACTS = (
     "discarded_by_h4",
     "matches",
 )
-
-
-def rows_digest(index) -> str:
-    """SHA-256 of a similarity index's ``[uri1, uri2, sim]`` JSON rows in
-    URI order: what a manifest without ``digest_schema`` holds, and the
-    tests' oracle that no float moved.  Id order is URI order, so the
-    rows decode straight off the ascending key column."""
-    uris1, uris2 = (interner.uris() for interner in index.interners())
-    keys, sims = index.packed_columns()
-    return _json_digest(
-        [
-            [uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK], sim]
-            for key, sim in zip(keys.tolist(), sims.tolist())
-        ]
-    )
 
 
 def canonical_value(value: Any) -> Any:

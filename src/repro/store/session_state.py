@@ -47,13 +47,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..blocking.placements import KeyRows, PlacementTable
-from ..blocking.purging import DEFAULT_GAIN_FACTOR, PurgingReport
-from ..core.candidates import CandidateIndex, cooccurring_neighbor_index
+from ..blocking.purging import PurgingReport
+from ..core.candidates import CandidateIndex
 from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
-from ..ids import PAIR_ID_BITS, PAIR_ID_MASK, EntityInterner
+from ..ids import EntityInterner
 from ..ids.arrays import array_copy, packed_keys_valid
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
@@ -64,7 +64,6 @@ from ..pipeline.digest import (
     DIGESTED_ARTIFACTS,
     artifact_digest,
     context_digests,
-    rows_digest,
 )
 from ..pipeline.stages import NameBlockingStage
 from .snapshot import Snapshot, SnapshotError, SnapshotWriter
@@ -88,24 +87,6 @@ SNAPSHOTTABLE_STAGES = frozenset(
 
 #: Heuristic names a snapshot can carry in its config.
 BUILTIN_HEURISTICS = ("h1", "h2", "h3", "h4")
-
-#: Config fields that manifests written by older builds hold and this
-#: build does not, with what each became.  A ``("switch", name)`` field
-#: is one of the four booleans written before the ``heuristics`` list:
-#: they translate to the list of the heuristics they enabled, in ladder
-#: order.  A ``("constant", value)`` field became that constant, which
-#: every run used; a manifest holding any other value does not load.
-RETIRED_CONFIG_FIELDS: dict[str, tuple[str, Any]] = {
-    "enable_h1_names": ("switch", "h1"),
-    "enable_h2_values": ("switch", "h2"),
-    "enable_h3_rank_aggregation": ("switch", "h3"),
-    "enable_h4_reciprocity": ("switch", "h4"),
-    "min_token_length": ("constant", 1),
-    "include_uri_localnames": ("constant", False),
-    "include_incoming_edges": ("constant", True),
-    "purging_gain_factor": ("constant", DEFAULT_GAIN_FACTOR),
-    "purging_max_cardinality": ("constant", None),
-}
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +190,8 @@ def _unpack_index(snapshot: Snapshot, tag: str, index_cls):
     """Wrap the snapshot's pair columns as an index, as they are.
 
     Lookups bisect the key column, so a column a dict load would have
-    tolerated (unsorted, ragged, ids beyond the URI tables) is refused.
-    URI columns out of URI order — written by builds that appended
-    interner ids in place — are re-keyed once (:func:`_uri_ordered`).
+    tolerated (unsorted, ragged, ids beyond the URI tables) is refused,
+    as is a URI column that does not strictly ascend (ids are URI order).
     """
     uris1 = snapshot.strings(f"{tag}_uris1")
     uris2 = snapshot.strings(f"{tag}_uris2")
@@ -225,34 +205,11 @@ def _unpack_index(snapshot: Snapshot, tag: str, index_cls):
         raise SnapshotError(
             f"{tag}: pair keys are not strictly ascending ids of the URI columns"
         )
-    if uris1 != sorted(uris1) or uris2 != sorted(uris2):
-        uris1, uris2, keys, sims = _uri_ordered(uris1, uris2, keys, sims)
     try:
         interner1, interner2 = map(EntityInterner.from_uri_list, (uris1, uris2))
-    except ValueError as error:  # a URI column with duplicates
+    except ValueError as error:  # a URI column out of order or duplicated
         raise SnapshotError(f"{tag}: {error}") from None
     return index_cls.from_packed_columns(keys, sims, interner1, interner2)
-
-
-def _uri_ordered(uris1, uris2, keys, sims) -> tuple:
-    """``(uris1, uris2, keys, sims)`` re-keyed over the sorted URI lists:
-    each id becomes its URI's rank, and the pairs re-sort by new key."""
-    ordered1, ordered2 = sorted(uris1), sorted(uris2)
-    rank1, rank2 = (
-        list(map({uri: rank for rank, uri in enumerate(ordered)}.get, uris))
-        for ordered, uris in ((ordered1, uris1), (ordered2, uris2))
-    )
-    shift, mask = PAIR_ID_BITS, PAIR_ID_MASK
-    rekeyed = sorted(
-        ((rank1[key >> shift] << shift) | rank2[key & mask], sim)
-        for key, sim in zip(keys, sims)
-    )
-    return (
-        ordered1,
-        ordered2,
-        array("q", (key for key, _ in rekeyed)),
-        array("d", (sim for _, sim in rekeyed)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -367,28 +324,10 @@ def _decoded(snapshot: Snapshot, name: str, decode: Callable[[Any], T]) -> T:
 
 
 def _config(fields: Any) -> MinoanERConfig:
-    """The manifest's config entry, its retired fields read as
-    :data:`RETIRED_CONFIG_FIELDS` says.  Its heuristics must be a list
-    of built-in names, the rule a save enforces."""
+    """The manifest's config entry.  Its heuristics must be a list of
+    built-in names, the rule a save enforces."""
     if not isinstance(fields, dict):
         raise TypeError("expected an object of config fields")
-    fields = dict(fields)
-    switches = {}
-    for field, (kind, value) in RETIRED_CONFIG_FIELDS.items():
-        if field not in fields:
-            continue
-        stored = fields.pop(field)
-        if kind == "switch":
-            switches[value] = stored
-        elif type(stored) is not type(value) or stored != value:
-            raise ValueError(
-                f"retired field {field!r} holds {stored!r}; "
-                f"this build always uses {value!r}"
-            )
-    if switches:
-        fields["heuristics"] = [
-            name for name in BUILTIN_HEURISTICS if switches.get(name, True)
-        ]
     heuristics = fields.get("heuristics", [])
     if not isinstance(heuristics, list) or not all(
         name in BUILTIN_HEURISTICS for name in heuristics
@@ -553,12 +492,17 @@ def load_state(
             return _restore(snapshot, engine, workers)
 
 
-def _digest_schema(snapshot: Snapshot) -> int:
-    """The manifest's ``digest_schema``; 0 when written before the entry
-    existed."""
-    if "digest_schema" not in snapshot.manifest["json"]:
-        return 0
-    return _decoded(snapshot, "digest_schema", operator.index)
+def _check_digest_schema(snapshot: Snapshot) -> None:
+    """Refuse any ``digest_schema`` but :data:`DIGEST_SCHEMA`: a snapshot
+    is a cache of one cold match, rebuilt rather than migrated."""
+    stored = snapshot.manifest["json"].get("digest_schema")
+    if type(stored) is not int or stored != DIGEST_SCHEMA:
+        held = "no digest_schema" if stored is None else f"digest_schema {stored!r}"
+        raise SnapshotError(
+            f"snapshot holds {held}; this build reads only digest_schema "
+            f"{DIGEST_SCHEMA}. Rebuild it with "
+            f"`repro-er match KB1 KB2 --save-session DIR`"
+        )
 
 
 def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
@@ -566,6 +510,7 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     from ..pipeline.builder import PipelineBuilder
 
     tracer = current_telemetry().tracer
+    _check_digest_schema(snapshot)
     config = _decoded(snapshot, "config", _config)
     if engine is not None or workers is not None:
         new_engine = engine if engine is not None else config.engine
@@ -605,9 +550,6 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     with tracer.span("store.load.indices", category="store"):
         value_index = _unpack_index(snapshot, "value", ValueSimilarityIndex)
         neighbor_index = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
-        if config.restrict_h3_to_cooccurring and _digest_schema(snapshot) < 3:
-            # saved with the full neighbor index beside the one H3 reads
-            neighbor_index = cooccurring_neighbor_index(value_index, neighbor_index)
 
     report = _decoded(
         snapshot,
@@ -679,20 +621,12 @@ def verify_snapshot(path: str | Path, mode: str = "copy") -> dict[str, str]:
     with Snapshot.load(path, mode=mode) as snapshot:
         if mode == "mmap":
             snapshot.verify_columns()
-        # the manifest digests the neighbor columns as stored, which a
-        # load filters when they hold a full index H3 does not read
-        stored = _unpack_index(snapshot, "neighbor", NeighborSimilarityIndex)
         state = _restore(snapshot)
-    artifacts = {**state.artifacts, "neighbor_index": stored}
     recomputed = {
-        key: artifact_digest(artifacts[key])
+        key: artifact_digest(state.artifacts[key])
         for key in DIGESTED_ARTIFACTS
-        if key in artifacts
+        if key in state.artifacts
     }
-    if _digest_schema(snapshot) < 2:
-        # the indices carry row digests
-        for key in ("value_index", "neighbor_index"):
-            recomputed[key] = rows_digest(artifacts[key])
     for key, digest in recomputed.items():
         expected = state.digests.get(key)
         if expected != digest:

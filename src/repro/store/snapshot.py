@@ -428,9 +428,6 @@ class Snapshot:
             raise SnapshotError(f"snapshot manifest has no value {name!r}")
         return values[name]
 
-    def has_column(self, name: str) -> bool:
-        return name in self.manifest["columns"]
-
     def __repr__(self) -> str:
         return (
             f"Snapshot({str(self.path)!r}, "

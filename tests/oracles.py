@@ -5,10 +5,14 @@ of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
 :func:`blocking_context` is one exception: the blocking stages'
 artifacts, run the way every graph runs, for tests that build their
-indices by hand from them.  The other is the last section: the
-whole-column NumPy forms of the passes the engine now walks in pieces.
+indices by hand from them.  The others are the last two sections: the
+row digest and the co-occurrence filter, which the golden fixtures and
+the neighbor stage are held to, and the whole-column NumPy forms of the
+passes the engine now walks in pieces.
 """
 
+import hashlib
+import json
 import zlib
 from array import array
 from bisect import bisect_left
@@ -20,6 +24,7 @@ from repro.blocking.base import Block
 from repro.blocking.name_blocking import name_keys, names_from_attributes
 from repro.core.candidates import CandidateLists
 from repro.core.heuristics import Match
+from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.similarity import block_token_weight
 from repro.engine.partitioner import stable_hash
@@ -341,8 +346,8 @@ def resolve_decision_by_uri(record, ctx, k, h1_names=None):
     - H4, if listed, keeps it only when its KB2 entity is in one of the
       record's lists and the record's value score, or its neighbor
       score, would enter that entity's top ``k`` — the counterfactual
-      bar is the ``k``-th of ``csr_row(2, uri2, k)``, none when the row
-      is shorter.
+      bar is :func:`side2_bar`, none when the row is shorter than ``k``
+      (which may exceed the config's K).
     """
     config = ctx.config
     restrict = config.restrict_h3_to_cooccurring
@@ -381,10 +386,10 @@ def resolve_decision_by_uri(record, ctx, k, h1_names=None):
     uri2 = match.uri2
     if uri2 not in value_uris and uri2 not in neighbor_uris:
         return None
-    bars = []
-    for index in (ctx.get("value_index"), ctx.get("neighbor_index")):
-        _, sims = index.csr_row(2, uri2, k)
-        bars.append(sims[-1] if len(sims) == k else None)
+    bars = [
+        side2_bar(ctx.get(name), uri2, k)
+        for name in ("value_index", "neighbor_index")
+    ]
     value_score = value.get(uri2, 0.0)
     neighbor_score = neighbor.get(uri2, 0.0)
     if value_score > 0.0 and (bars[0] is None or value_score >= bars[0]):
@@ -393,6 +398,22 @@ def resolve_decision_by_uri(record, ctx, k, h1_names=None):
         if bars[1] is None or neighbor_score >= bars[1]:
             return match
     return None
+
+
+def side2_bar(index, uri2: str, k: int) -> float | None:
+    """The ``k``-th similarity of ``uri2``'s whole side-2 row, every
+    pair of the side ranked in one :func:`ranked_side_whole` pass — no
+    cut at the config's K, no ranking the index holds; ``None`` when the
+    row is shorter than ``k``."""
+    interner2 = index.interners()[1]
+    id2 = interner2.get(uri2)
+    if id2 is None:
+        return None
+    starts, _, sims, _, _ = ranked_side_whole(
+        *index.packed_columns(), 2, len(interner2), None
+    )
+    row = sims[starts[id2] : starts[id2 + 1]]
+    return row[k - 1] if len(row) >= k else None
 
 
 def h1_names_by_kb_walk(kb1, kb2, name_attributes1, name_attributes2):
@@ -497,6 +518,69 @@ def csr_candidate_lists(
         value=tuple(value_decode[i] for i in value_ids),
         neighbor=tuple(neighbor_decode[i] for i in neighbor_ids),
     )
+
+
+# ----------------------------------------------------------------------
+# Index forms the engine no longer computes
+# ----------------------------------------------------------------------
+def rows_digest(index) -> str:
+    """SHA-256 of a similarity index's ``[uri1, uri2, sim]`` JSON rows in
+    URI order: the form the golden fixtures pin each index under, kept
+    as the oracle that no float moved.  Id order is URI order, so the
+    rows decode straight off the ascending key column."""
+    uris1, uris2 = (interner.uris() for interner in index.interners())
+    keys, sims = index.packed_columns()
+    rendered = json.dumps(
+        [
+            [uris1[key >> PAIR_ID_BITS], uris2[key & PAIR_ID_MASK], sim]
+            for key, sim in zip(keys.tolist(), sims.tolist())
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+        allow_nan=False,
+    )
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def pairs_translated_into(keys, sims, images1, images2, within):
+    """The ``(keys, sims)`` of an ascending packed column whose pairs,
+    ids mapped through ``images1`` / ``images2``, are keys of the
+    ascending packed column ``within``.  The image tables ascend (ids
+    are URI order on both sides), so the mapped keys do too, and each
+    key of ``within`` is searched among them.  An id without an image
+    maps to ``-1`` and packs a negative key: the running maximum keeps
+    the column ascending, and a left search finds a key before its copies.
+    """
+    keys = numpy.asarray(keys, dtype=numpy.int64)
+    mapped = numpy.asarray(images1, dtype=numpy.int64)[keys >> 32]
+    mapped <<= 32
+    mapped |= numpy.asarray(images2, dtype=numpy.int64)[keys & 0xFFFFFFFF]
+    numpy.maximum.accumulate(mapped, out=mapped)
+    within = numpy.asarray(within, dtype=numpy.int64)
+    at = numpy.searchsorted(mapped, within)
+    found = at < len(mapped)
+    found[found] = mapped[at[found]] == within[found]
+    kept = at[found]
+    return keys[kept], numpy.asarray(sims, dtype=numpy.float64)[kept]
+
+
+def cooccurring_neighbor_index(value_index, neighbor_index):
+    """The neighbor pairs whose two entities also form a value pair,
+    found in one vectorized pass over the neighbor keys.  Dropping
+    entries from a ranked row keeps its order, so each row here is the
+    full neighbor row filtered by value co-occurrence: its first ``K``
+    ids are the conference H3's neighbor list.  The neighbor stage
+    builds this index directly (``build_neighbor_index(...,
+    cooccurring=True)``) and is held to this filter of the full one.
+    """
+    interners = neighbor_index.interners()
+    keys, sims = pairs_translated_into(
+        *neighbor_index.packed_columns(),
+        *map(EntityInterner.images_in, interners, value_index.interners()),
+        value_index.packed_columns()[0],
+    )
+    return NeighborSimilarityIndex.from_packed_columns(keys, sims, *interners)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     candidate_lists_by_uri,
+    cooccurring_neighbor_index,
     csr_candidate_lists,
     h4_bars_by_uri,
     index_of_pairs,
@@ -22,11 +23,9 @@ from oracles import (
 from repro.blocking import token_blocking
 from repro.core import CandidateIndex, CandidateLists
 from repro.core import MinoanERConfig
-from repro.core import candidates as candidates_module
 from repro.core import similarity as similarity_module
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.similarity import ValueSimilarityIndex
-from repro.core.candidates import cooccurring_neighbor_index
 from repro.core.resolve import OnlineResolver
 from repro.datasets import generate_benchmark, query_stream
 from repro.engine import build_neighbor_index, build_value_index
@@ -301,8 +300,7 @@ def test_published_state_answers_first_reads_without_building(
     reads no row, and not after a delta, whose matching ranks only the
     side-1 rows H2 and H3 read.  A generation's first read of H4's bars
     ranks side 2 of both indices to K, once; no other read ranks a side
-    (a side-1 row no ranking answers is ranked alone) or filters a
-    neighbor pair."""
+    (a side-1 row no ranking answers is ranked alone)."""
     kb1, kb2 = _golden_kbs()
     saved = MatchSession(kb1, kb2).save(tmp_path / "snap")
     matcher = IncrementalMatcher(MatchSession.load(saved))
@@ -340,11 +338,6 @@ def test_published_state_answers_first_reads_without_building(
         assert 0 < len(read) < len(index.interners()[0])
     assert len(rankings) == 2
     rankings.clear()
-
-    def filtered(*args):
-        raise AssertionError("a read filtered neighbor pairs")
-
-    monkeypatch.setattr(candidates_module, "pairs_translated_into", filtered)
     for state, (value_index, neighbor_index) in zip(states, indices):
         for match in state.matches[:20]:
             assert handle_candidates(state, match.uri1, None)["match"]

@@ -362,6 +362,35 @@ class TestSessionSnapshots:
         assert code == 2
         assert "cannot load session" in capsys.readouterr().err
 
+    def test_load_of_an_older_snapshot_errors_with_the_rebuild(
+        self, bundle, tmp_path, capsys
+    ):
+        """A snapshot of another ``digest_schema`` is refused by name,
+        with the command that rebuilds it."""
+        import json
+
+        snapshot = tmp_path / "session"
+        code = main(
+            [
+                "match",
+                str(bundle / "kb1.nt"),
+                str(bundle / "kb2.nt"),
+                "--save-session",
+                str(snapshot),
+            ]
+        )
+        assert code == 0
+        manifest_path = snapshot / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["json"]["digest_schema"] = 2
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        capsys.readouterr()
+        code = main(["match", "--load-session", str(snapshot)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load session" in err
+        assert "holds digest_schema 2" in err and "--save-session" in err
+
     def test_save_session_with_disabled_stage_replays(
         self, bundle, tmp_path, capsys
     ):

@@ -34,11 +34,9 @@ from repro.core import MinoanERConfig
 from repro.kb.io_ntriples import read_ntriples
 from repro.pipeline import MatchSession, context_digests
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.digest import (
-    DIGESTED_ARTIFACTS,
-    artifact_digest,
-    rows_digest,
-)
+from repro.pipeline.digest import DIGESTED_ARTIFACTS, artifact_digest
+
+from oracles import rows_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS_FILE = GOLDEN / "digests.json"

@@ -38,6 +38,7 @@ from oracles import (
     packed_pair_shards_whole,
     ranked_side_whole,
     row_work_whole,
+    rows_digest,
     value_sims_by_uri,
 )
 
@@ -57,7 +58,6 @@ from repro.ids import EntityInterner, PAIR_ID_BITS, arrays
 from repro.kb.io_ntriples import read_ntriples
 from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession, artifact_digest, context_digests
-from repro.pipeline.digest import rows_digest
 
 GOLDEN = Path(__file__).parent / "golden"
 

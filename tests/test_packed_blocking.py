@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     blocking_context,
     candidate_lists_by_uri,
+    cooccurring_neighbor_index,
     csr_candidate_lists,
     decoded_pairs,
 )
@@ -27,7 +28,7 @@ from repro.blocking import (
     token_blocking,
 )
 from repro.core import MinoanERConfig
-from repro.core.candidates import CandidateIndex, cooccurring_neighbor_index
+from repro.core.candidates import CandidateIndex
 from repro.core.neighbors import top_neighbors
 from repro.core.statistics import top_relations
 from repro.engine import build_neighbor_index, build_value_index

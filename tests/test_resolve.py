@@ -289,6 +289,11 @@ def oracle_records(oracle_kbs, specs):
 _VALUE_TIE = [([5], [(0, 4)])], 3  # tie at the k-th value row
 _NEIGHBOR_TIE = [([4, 11, 13], [(0, 2)])], 3  # ... co-occurring neighbor row
 _MULTI_TARGET = [([1, 7, 15, 23], [(1, 10), (0, 5), (1, 1)])], 4
+#: The config's K: a request's ``k`` above it reads side 2 past the
+#: cut.  The first record's H3 candidate is refused by a bar past it;
+#: the second's is kept.
+_K = MinoanERConfig().top_k_candidates
+_PAST_THE_CUT = [([0], [])] + _MULTI_TARGET[0]
 
 
 class TestResolveOracle:
@@ -326,12 +331,17 @@ class TestResolveOracle:
     @example(specs=_NEIGHBOR_TIE[0], k=_NEIGHBOR_TIE[1], restrict=True)
     @example(specs=_MULTI_TARGET[0], k=_MULTI_TARGET[1], restrict=True)
     @example(specs=_MULTI_TARGET[0], k=_MULTI_TARGET[1], restrict=False)
+    @example(specs=_PAST_THE_CUT, k=_K + 1, restrict=True)
+    @example(specs=_PAST_THE_CUT, k=_K + 1, restrict=False)
+    @example(specs=_PAST_THE_CUT, k=50, restrict=True)
+    @example(specs=_PAST_THE_CUT, k=50, restrict=False)
     def test_decisions_equal_the_oracle(
         self, oracle_kbs, oracle_decisions, specs, k, restrict
     ):
         """Every resolved ``match`` equals
         ``tests/oracles.py::resolve_decision_by_uri`` — the whole online
-        ladder, H4 included — under both H3 variants."""
+        ladder, H4 included — under both H3 variants, and for a ``k``
+        above the config's K, whose H4 bars lie past the ranked cut."""
         contexts, names = oracle_decisions
         ctx = contexts[restrict]
         records = oracle_records(oracle_kbs, specs)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cooccurring_neighbor_index,
     decoded_pairs,
     index_of_pairs,
     neighbor_sims_by_uri,
@@ -27,7 +28,6 @@ from oracles import (
 )
 
 from repro.blocking.base import Block, BlockCollection
-from repro.core.candidates import cooccurring_neighbor_index
 from repro.core.similarity import ValueSimilarityIndex
 from repro.engine import (
     ProcessExecutor,

@@ -453,6 +453,7 @@ class TestEndpoints:
             "misdeclared",
             "bad-manifest",
             "unknown-heuristic",
+            "older-digest-schema",
         ],
     )
     def test_reload_of_a_non_snapshot_is_400(
@@ -480,6 +481,8 @@ class TestEndpoints:
             _edited_manifest(
                 target, lambda m: m["json"]["config"].update(heuristics=["h9"])
             )
+        if broken == "older-digest-schema":
+            _edited_manifest(target, lambda m: m["json"].update(digest_schema=2))
         with pytest.raises(ServeClientError) as refused:
             client.reload(str(target))
         assert refused.value.status == 400

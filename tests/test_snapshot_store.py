@@ -11,7 +11,6 @@ loudly at load, never warp artifacts silently.
 
 import json
 import math
-import shutil
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -31,10 +30,7 @@ from repro.pipeline.digest import (
     DIGEST_SCHEMA,
     DIGESTED_ARTIFACTS,
     artifact_digest,
-    rows_digest,
 )
-from repro.serve import ServingState, handlers
-from repro.serve.json_codec import entity_to_dict
 from repro.store import (
     MANIFEST_NAME,
     Snapshot,
@@ -343,10 +339,6 @@ MALFORMED_MANIFESTS = {
         lambda m: m["json"]["config"].update(heuristics="h1"),
         "'heuristics'",
     ),
-    "config-retired-field-off-constant": (
-        lambda m: m["json"]["config"].update(include_uri_localnames=True),
-        "'include_uri_localnames'",
-    ),
     "graph-stages-an-int": (
         lambda m: m["json"].update(graph_stages=5),
         "value 'graph_stages'",
@@ -391,38 +383,19 @@ def _rewrite_column(snapshot_dir, name, values):
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def _as_unmarked_manifest(snapshot_dir):
-    """Turn a fresh manifest into what builds before ``digest_schema``
-    wrote: the two indices under their row digests, and no marker."""
-    state = load_state(snapshot_dir)
-    manifest_path = snapshot_dir / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    assert manifest["json"].pop("digest_schema") == DIGEST_SCHEMA
-    for key in ("value_index", "neighbor_index"):
-        manifest["json"]["digests"][key] = rows_digest(state.artifacts[key])
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-
-
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
-@pytest.mark.parametrize("form", ["columns", "rows"])
-def test_verify_snapshot_under_either_index_digest_form(
-    saved_snapshot, mode, form
-):
-    """A marked manifest verifies against column digests, an unmarked
-    one (an old snapshot) against row digests — and under either form a
-    single moved similarity fails the artifact check, even with the
+def test_verify_snapshot_checks_column_digests(saved_snapshot, mode):
+    """A fresh manifest verifies against the golden column digests, and
+    a single moved similarity fails the artifact check, even with the
     column file's own SHA-256 rewritten to match."""
-    if form == "rows":
-        _as_unmarked_manifest(saved_snapshot)
     recomputed = verify_snapshot(saved_snapshot, mode=mode)
     assert recomputed == Snapshot.load(saved_snapshot).json("digests")
     golden = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
-    suffix = ".columns" if form == "columns" else ""
     for key, pinned in (
         ("value_index", "value_index"),
         ("neighbor_index", "neighbor_index.cooccurring"),
     ):
-        assert recomputed[key] == golden[pinned + suffix]
+        assert recomputed[key] == golden[pinned + ".columns"]
     sims = load_state(saved_snapshot).artifacts["neighbor_index"]
     sims = array("d", sims.packed_columns()[1])
     sims[len(sims) // 2] = math.nextafter(sims[len(sims) // 2], math.inf)
@@ -571,11 +544,65 @@ def test_malformed_id_columns_rejected(saved_snapshot, name, corrupt, mode):
         load_state(saved_snapshot, mode=mode)
 
 
-def _as_appended_ids(snapshot_dir):
-    """Rewrite a fresh snapshot the way builds that appended interner ids
-    in place could write one: ``value_uris1`` and ``neighbor_uris2`` out
-    of URI order (the first URI moved last), their pair keys re-packed
-    over the moved ids and re-sorted."""
+# ----------------------------------------------------------------------
+# Snapshots in the forms older builds wrote are refused, not migrated
+# ----------------------------------------------------------------------
+def _without_digest_schema(snapshot_dir):
+    """A manifest from before ``digest_schema`` existed."""
+    _edited_manifest(snapshot_dir, lambda m: m["json"].pop("digest_schema"))
+
+
+def _full_neighbor_columns(snapshot_dir):
+    """What builds before ``digest_schema`` 3 wrote under the conference
+    H3: the neighbor columns hold the full neighbor product, digested as
+    stored, under ``digest_schema`` 2."""
+    artifacts = load_state(snapshot_dir).artifacts
+    full = build_neighbor_index(
+        artifacts["value_index"],
+        artifacts["top_neighbors1"],
+        artifacts["top_neighbors2"],
+    )
+    assert len(full) > len(artifacts["neighbor_index"])
+    keys, sims = full.packed_columns()
+    _rewrite_column(snapshot_dir, "neighbor_keys", array("q", keys))
+    _rewrite_column(snapshot_dir, "neighbor_sims", array("d", sims))
+
+    def edit(manifest):
+        manifest["json"]["digest_schema"] = 2
+        manifest["json"]["digests"]["neighbor_index"] = artifact_digest(full)
+
+    _edited_manifest(snapshot_dir, edit)
+
+
+def _retired_config_fields(snapshot_dir):
+    """A config entry from before the ``heuristics`` list (one
+    ``enable_h*`` boolean per heuristic) and before five fields became
+    constants, under today's ``digest_schema``: the config check refuses
+    it on its own."""
+
+    def edit(manifest):
+        config = manifest["json"]["config"]
+        del config["heuristics"]
+        config.update(
+            enable_h1_names=True,
+            enable_h2_values=True,
+            enable_h3_rank_aggregation=True,
+            enable_h4_reciprocity=True,
+            min_token_length=1,
+            include_uri_localnames=False,
+            include_incoming_edges=True,
+            purging_gain_factor=8.0,
+            purging_max_cardinality=None,
+        )
+
+    _edited_manifest(snapshot_dir, edit)
+
+
+def _uris_out_of_order(snapshot_dir):
+    """What builds that appended interner ids in place could write:
+    ``value_uris1`` and ``neighbor_uris2`` out of URI order (the first
+    URI moved last), their pair keys re-packed over the moved ids and
+    re-sorted, every column's SHA-256 consistent."""
     with Snapshot.load(snapshot_dir) as snapshot:
         columns = {
             (tag, side): (
@@ -603,119 +630,43 @@ def _as_appended_ids(snapshot_dir):
             _rewrite_column(snapshot_dir, name, values)
 
 
-@pytest.mark.parametrize("mode", ["copy", "mmap"])
-def test_snapshot_with_appended_ids_loads_as_sorted(
-    saved_snapshot, tmp_path, mode
-):
-    """A snapshot whose index URI columns are out of URI order is re-keyed
-    once on load: it verifies under both digest forms, answers probes and
-    resolves exactly like the sorted original, and re-saves to the
-    sorted original's bytes."""
-    legacy = tmp_path / "legacy"
-    shutil.copytree(saved_snapshot, legacy)
-    _as_appended_ids(legacy)
-    moved = Snapshot.load(legacy).strings("value_uris1")
-    assert moved != sorted(moved)
-    verify_snapshot(legacy, mode=mode)
-    unmarked = tmp_path / "unmarked"
-    shutil.copytree(legacy, unmarked)
-    _as_unmarked_manifest(unmarked)
-    verify_snapshot(unmarked, mode=mode)
-
-    original = MatchSession.load(saved_snapshot)
-    restored = MatchSession.load(legacy, mode=mode)
-    kb1, kb2 = golden_kbs()
-    records = [
-        EntityDescription(f"urn:query:{position}", kb[uri].pairs)
-        for position, (kb, uri) in enumerate(
-            [(kb1, uri) for uri in kb1.uris()[:12]]
-            + [(kb2, uri) for uri in kb2.uris()[:12]]
-        )
-    ]
-    for session in (original, restored):
-        session.match()
-    for uri in kb1.uris():
-        assert restored.probe(uri).as_dict() == original.probe(uri).as_dict()
-    assert [r.as_dict() for r in restored.resolve_batch(records, 5)] == [
-        r.as_dict() for r in original.resolve_batch(records, 5)
-    ]
-    resaved = restored.save(tmp_path / "resaved")
-    assert sorted(p.name for p in resaved.iterdir()) == sorted(
-        p.name for p in saved_snapshot.iterdir()
-    )
-    for path in saved_snapshot.iterdir():
-        assert (resaved / path.name).read_bytes() == path.read_bytes(), path.name
-
-
-def _as_full_neighbor_columns(snapshot_dir):
-    """Rewrite a fresh snapshot the way builds before ``DIGEST_SCHEMA`` 3
-    wrote one under the conference H3: the neighbor columns hold the full
-    neighbor product, digested as stored, under ``digest_schema`` 2."""
-    artifacts = load_state(snapshot_dir).artifacts
-    full = build_neighbor_index(
-        artifacts["value_index"],
-        artifacts["top_neighbors1"],
-        artifacts["top_neighbors2"],
-    )
-    keys, sims = full.packed_columns()
-    _rewrite_column(snapshot_dir, "neighbor_keys", array("q", keys))
-    _rewrite_column(snapshot_dir, "neighbor_sims", array("d", sims))
-    manifest_path = snapshot_dir / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["json"]["digest_schema"] = 2
-    manifest["json"]["digests"]["neighbor_index"] = artifact_digest(full)
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    return full
-
-
-def _served_replies(path, mode, uris, bodies) -> bytes:
-    """``/candidates`` and ``/resolve`` replies of a daemon state
-    published from the snapshot at ``path``."""
-    matcher = IncrementalMatcher(MatchSession.load(path, mode=mode))
-    matcher.match()
-    state = ServingState.from_matcher(matcher, generation=1, delta_count=0)
-    out = [handlers.handle_candidates(state, uri, 5) for uri in uris]
-    out += [handlers.handle_candidates(state, uri, None) for uri in uris]
-    out += [handlers.handle_resolve(state, body) for body in bodies]
-    return json.dumps(out, sort_keys=True).encode("utf-8")
+#: id -> (rewrite of a fresh snapshot into an older build's form, what
+#: the SnapshotError says)
+OLDER_FORMS = {
+    "no-digest-schema": (
+        _without_digest_schema,
+        f"holds no digest_schema; this build reads only digest_schema "
+        f"{DIGEST_SCHEMA}. Rebuild it with `repro-er match KB1 KB2 "
+        f"--save-session DIR`",
+    ),
+    "digest-schema-2-full-neighbors": (
+        _full_neighbor_columns,
+        f"holds digest_schema 2; this build reads only digest_schema "
+        f"{DIGEST_SCHEMA}. Rebuild it",
+    ),
+    "config-retired-fields": (
+        _retired_config_fields,
+        "value 'config' is malformed: .*'enable_h1_names'",
+    ),
+    "uris-out-of-order": (
+        _uris_out_of_order,
+        "value: URI list is not strictly ascending",
+    ),
+}
 
 
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
-def test_snapshot_with_full_neighbor_columns_loads_filtered(
-    saved_snapshot, tmp_path, mode
-):
-    """A snapshot that stores the full neighbor product beside the
-    co-occurring pairs H3 reads verifies against its columns as stored,
-    loads them filtered once, answers ``/candidates`` and ``/resolve``
-    byte-identically to a fresh save, and re-saves to the fresh bytes;
-    a fresh snapshot's neighbor columns are adopted, not re-filtered."""
-    legacy = tmp_path / "legacy"
-    shutil.copytree(saved_snapshot, legacy)
-    full = _as_full_neighbor_columns(legacy)
-    fresh_state = load_state(saved_snapshot, mode=mode)
-    published = fresh_state.artifacts["neighbor_index"]
-    assert len(full) > len(published)
-    assert verify_snapshot(legacy, mode=mode)["neighbor_index"] == (
-        artifact_digest(full)
-    )
-    restored = load_state(legacy, mode=mode).artifacts["neighbor_index"]
-    assert artifact_digest(restored) == artifact_digest(published)
-    expected = array if mode == "copy" else memoryview
-    assert all(isinstance(c, expected) for c in published.packed_columns())
-
-    kb1, kb2 = golden_kbs()
-    uris = kb1.uris()
-    sources = [kb1[uri] for uri in uris[:12]] + [kb2[uri] for uri in kb2.uris()[:12]]
-    bodies = [
-        {"record": {**entity_to_dict(entity), "uri": f"urn:query:{n}"}}
-        for n, entity in enumerate(sources)
-    ] + [{"record": entity_to_dict(kb1[uri]), "k": 3} for uri in uris[:6]]
-    assert _served_replies(legacy, mode, uris, bodies) == _served_replies(
-        saved_snapshot, mode, uris, bodies
-    )
-    resaved = MatchSession.load(legacy, mode=mode).save(tmp_path / "resaved")
-    for path in saved_snapshot.iterdir():
-        assert (resaved / path.name).read_bytes() == path.read_bytes(), path.name
+@pytest.mark.parametrize("form", list(OLDER_FORMS))
+def test_older_snapshot_refused(saved_snapshot, form, mode):
+    """A snapshot is a cache: each form an older build wrote fails the
+    load and the verification with a SnapshotError that names what it
+    holds, and none comes back as a session."""
+    rewrite, pattern = OLDER_FORMS[form]
+    rewrite(saved_snapshot)
+    with pytest.raises(SnapshotError, match=pattern):
+        load_state(saved_snapshot, mode=mode)
+    with pytest.raises(SnapshotError, match=pattern):
+        verify_snapshot(saved_snapshot, mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["copy", "mmap"])
