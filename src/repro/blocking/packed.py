@@ -4,12 +4,12 @@ A :class:`PackedBlockCollection` holds a two-sided block collection the
 way the similarity core holds pair maps: block keys as one sorted string
 column, each side's membership as an :class:`~repro.ids.EntityInterner`
 over exactly the member URIs plus a CSR layout (``starts`` offsets into
-a flat, per-row-sorted ``array('i')`` id column).  The familiar
-string-keyed :class:`~repro.blocking.base.BlockCollection` surface is
-built beside the columns from the same member sets — the packed columns
-stay authoritative for the engine (shard encoding without re-interning),
-for process workers (raw buffers instead of string sets) and for the
-online resolver's block probes.  The blocking stages assemble one from
+a flat, per-row-sorted ``int32`` id column).  The columns are the
+collection: the engine, the online resolver's block probes and the
+digest read them.  The familiar string-keyed
+:class:`~repro.blocking.base.BlockCollection` surface is decoded from
+them on its first read (H1 walks the name blocks; nothing on a delta
+reads the token blocks' view).  The blocking stages assemble one from
 their :class:`~repro.blocking.placements.PlacementTable`;
 :meth:`PackedBlockCollection.from_collection` encodes the plain
 collection a custom blocking stage produces.
@@ -17,30 +17,17 @@ collection a custom blocking stage produces.
 Because member interners assign ids in sorted-URI order and every CSR
 row is sorted ascending, scanning a row in id order reproduces exactly
 the sorted-URI scans of the string-keyed builders — the same property
-PR 4's similarity indices rely on.
+the similarity indices rely on.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_left
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
-from ..ids import EntityInterner
+from ..ids import EntityInterner, arrays
 from .base import Block, BlockCollection
-
-
-def _csr(
-    members: Sequence[Collection[str]],
-) -> tuple[EntityInterner, array, array]:
-    """One side's member interner and ``(starts, ids)`` rows; sorted-URI
-    ids make each row's ascending ids its ascending URIs."""
-    interner = EntityInterner(uri for row in members for uri in row)
-    ids_of = interner.ids_by_uri()
-    starts, ids = array("q", (0,)), array("i")
-    for row in members:
-        ids.extend(sorted(map(ids_of.__getitem__, row)))
-        starts.append(len(ids))
-    return interner, starts, ids
 
 
 class PackedBlockCollection(BlockCollection):
@@ -57,10 +44,12 @@ class PackedBlockCollection(BlockCollection):
 
     Each side's members are interned over exactly the member URIs
     (sorted-URI ids) and laid out as CSR: ``starts`` has ``len(keys) +
-    1`` offsets into a flat ``ids`` column whose rows sort ascending.
-    The string-keyed ``Block`` view is built eagerly from copies of the
-    member sets (downstream purging/metrics/digest code keeps working
-    unchanged); the columns stay accessible via :meth:`csr`.
+    1`` offsets into a flat ``ids`` column whose rows sort ascending
+    (:meth:`csr`).  The member collections are read once, here: the
+    string-keyed ``Block`` view is decoded from the columns when first
+    read, so it shows these members even after the caller mutates its
+    sets (a placement table's are live).  ``len``, ``keys()``, ``in``
+    and :attr:`block_keys` answer from the key column.
     """
 
     def __init__(
@@ -70,6 +59,7 @@ class PackedBlockCollection(BlockCollection):
         members1: Sequence[Collection[str]],
         members2: Sequence[Collection[str]],
     ) -> None:
+        self.name = name
         self._keys = tuple(keys)
         if any(
             later <= earlier
@@ -78,17 +68,18 @@ class PackedBlockCollection(BlockCollection):
             raise ValueError("block keys must be strictly ascending")
         if not len(members1) == len(members2) == len(self._keys):
             raise ValueError("one member set per key and side is required")
-        self._interner1, self._starts1, self._ids1 = _csr(members1)
-        self._interner2, self._starts2, self._ids2 = _csr(members2)
-        super().__init__(
-            name,
-            (
-                Block(key, set(entities1), set(entities2))
-                for key, entities1, entities2 in zip(
-                    self._keys, members1, members2
-                )
-            ),
-        )
+        self._interner1, self._starts1, self._ids1 = arrays.member_csr(members1)
+        self._interner2, self._starts2, self._ids2 = arrays.member_csr(members2)
+
+    @cached_property
+    def _blocks(self) -> dict[str, Block]:
+        """The string-keyed view, decoded from the columns on first read."""
+        return {
+            key: Block(key, set(entities1), set(entities2))
+            for key, entities1, entities2 in zip(
+                self._keys, self.member_uris(1), self.member_uris(2)
+            )
+        }
 
     @classmethod
     def from_collection(
@@ -127,25 +118,32 @@ class PackedBlockCollection(BlockCollection):
         """The member-URI id maps (side 1, side 2) the CSR ids index."""
         return self._interner1, self._interner2
 
-    def csr(self, side: int) -> tuple[array, array]:
-        """One side's ``(starts, ids)`` CSR columns (do not mutate)."""
+    def csr(self, side: int) -> tuple:
+        """One side's ``(starts, ids)`` CSR columns, ``int64`` / ``int32``
+        NumPy arrays (do not mutate)."""
         if side == 1:
             return self._starts1, self._ids1
         if side == 2:
             return self._starts2, self._ids2
         raise ValueError("side must be 1 or 2")
 
-    def row_ids(self, row: int, side: int) -> array:
-        """The sorted member ids of one block row on one side."""
+    def member_uris(self, side: int) -> list[list[str]]:
+        """Per block row, one side's member URIs ascending."""
         starts, ids = self.csr(side)
-        return ids[starts[row] : starts[row + 1]]
+        uris = (self._interner1 if side == 1 else self._interner2).uris()
+        decoded = [uris[i] for i in ids.tolist()]
+        bounds = starts.tolist()
+        return [decoded[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def row_sizes(self, row: int) -> tuple[int, int]:
-        """``(|b1|, |b2|)`` of one block row, from the offsets alone."""
-        return (
-            self._starts1[row + 1] - self._starts1[row],
-            self._starts2[row + 1] - self._starts2[row],
-        )
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, key: str) -> bool:
+        position = bisect_left(self._keys, key)
+        return position < len(self._keys) and self._keys[position] == key
+
+    def keys(self) -> list[str]:
+        return list(self._keys)
 
     def __repr__(self) -> str:
         return (

@@ -130,9 +130,9 @@ class PlacementTable:
         """The blocks of every two-sided key, optionally only those in
         ``keep`` (the purging survivors), packed.
 
-        Keys ascend and the members are copied, so the collection equals
-        the serial builders' output block for block and never aliases
-        this table's mutable state.
+        Keys ascend and the members are read into columns here, so the
+        collection equals the serial builders' output block for block
+        and never aliases this table's mutable state.
         """
         side1, side2 = self._placements
         keys = side1.keys() & side2.keys()

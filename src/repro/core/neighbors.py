@@ -16,52 +16,50 @@ is array-backed like the value index
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain
-
 import numpy
 
-from ..ids import EntityInterner
+from ..ids import EntityInterner, arrays
 from ..kb.graph import NeighborIndex
 from ..kb.knowledge_base import KnowledgeBase
 from .similarity import PackedSimilarityIndex
+from .statistics import relation_table
 
 
 def top_neighbors(kb: KnowledgeBase, relations: list[str]) -> dict[str, set[str]]:
     """Per-entity set of neighbors reachable via the given relations
     (inverse ones ``~``-tagged, as :func:`~repro.core.statistics.top_relations`
     names them)."""
-    index = NeighborIndex(kb, include_incoming=True)
+    return _neighbors_via(NeighborIndex(kb, include_incoming=True), relations)
+
+
+def top_relations_and_neighbors(kb: KnowledgeBase, n: int) -> tuple[list, dict]:
+    """``top_relations(kb, n)`` and the :func:`top_neighbors` over them,
+    both read off one pass over the KB's graph."""
+    graph = NeighborIndex(kb, include_incoming=True)
+    relations = [row.predicate for row in relation_table(graph)[: max(n, 0)]]
+    return relations, _neighbors_via(graph, relations)
+
+
+def _neighbors_via(graph: NeighborIndex, relations: list[str]) -> dict:
     wanted = set(relations)
-    result: dict[str, set[str]] = {}
-    for entity in kb:
-        neighbor_uris = {
-            target
-            for relation, target in index.neighbors(entity.uri)
-            if relation in wanted
-        }
-        if neighbor_uris:
-            result[entity.uri] = neighbor_uris
-    return result
+    found = (
+        (entity.uri, {t for r, t in graph.neighbors(entity.uri) if r in wanted})
+        for entity in graph.kb
+    )
+    return {uri: targets for uri, targets in found if targets}
 
 
 def top_neighbor_csr(
     top_neighbors: dict[str, set[str]],
     parents: EntityInterner,
     value_entities: EntityInterner,
-) -> tuple[array, array]:
+) -> tuple:
     """CSR ``(starts, value ids)``: per parent id, the ascending value
     ids of its top neighbors.  Neighbors absent from the value index can
     never receive a value-pair contribution, so they are dropped here —
     exactly the pairs a string-keyed reverse index would have missed."""
-    found = (
-        map(value_entities.get, top_neighbors[uri]) for uri in parents.uris()
-    )
-    rows = [sorted(v for v in row if v is not None) for row in found]
-    return (
-        array("q", accumulate(map(len, rows), initial=0)),
-        array("i", chain.from_iterable(rows)),
-    )
+    rows = [top_neighbors[uri] for uri in parents.uris()]
+    return arrays.member_csr(rows, value_entities.ids_by_uri())[1:]
 
 
 def transposed_csr(starts, ids, n_targets: int) -> tuple:

@@ -248,8 +248,8 @@ class OnlineResolver:
             token_blocks = PackedBlockCollection.from_collection(
                 token_blocks.drop_empty()
             )
-        starts1, _ = token_blocks.csr(1)
-        starts2, self._ids2 = token_blocks.csr(2)
+        starts1, starts2 = (token_blocks.csr(side)[0].tolist() for side in (1, 2))
+        self._ids2 = token_blocks.csr(2)[1]
         self._spans = {
             key: (lo, hi, block_token_weight(stop1 - start1, hi - lo))
             for key, start1, stop1, lo, hi in zip(

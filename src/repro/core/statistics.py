@@ -15,10 +15,12 @@ attribute (or relation) is both widespread and nearly unique per entity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
-from ..kb.entity import Literal, UriRef
-from ..kb.graph import inverse
+from ..kb.entity import Literal
+from ..kb.graph import NeighborIndex
 from ..kb.knowledge_base import KnowledgeBase
 
 
@@ -39,41 +41,34 @@ class PredicateImportance:
         return 2.0 * self.support * self.discriminability / total
 
 
-def _importance_table(
-    kb: KnowledgeBase, want_literals: bool
+def _ranked(
+    n_entities: int, entities_with: Mapping[str, int], n_objects: Mapping[str, int]
 ) -> list[PredicateImportance]:
-    """Importance of every literal attribute (or relation) of ``kb``."""
-    n_entities = len(kb)
-    if n_entities == 0:
-        return []
-    entities_with: dict[str, int] = {}
-    distinct_objects: dict[str, set[str]] = {}
-    for entity in kb:
-        seen_here: set[str] = set()
-        for predicate, value in entity:
-            is_literal = isinstance(value, Literal)
-            if is_literal != want_literals:
-                continue
-            obj = value.value if isinstance(value, Literal) else value.uri
-            distinct_objects.setdefault(predicate, set()).add(obj)
-            seen_here.add(predicate)
-        for predicate in seen_here:
-            entities_with[predicate] = entities_with.get(predicate, 0) + 1
-
-    table = []
-    for predicate, count in entities_with.items():
-        support = count / n_entities
-        discriminability = len(distinct_objects[predicate]) / count
-        table.append(
-            PredicateImportance(predicate, support, discriminability)
-        )
+    """The importance rows of the predicates carried by
+    ``entities_with[p]`` entities with ``n_objects[p]`` distinct
+    objects, best first."""
+    table = [
+        PredicateImportance(p, count / n_entities, n_objects[p] / count)
+        for p, count in entities_with.items()
+    ]
     table.sort(key=lambda row: (-row.importance, row.predicate))
     return table
 
 
 def attribute_importance(kb: KnowledgeBase) -> list[PredicateImportance]:
     """Importance of every literal-valued attribute, best first."""
-    return _importance_table(kb, want_literals=True)
+    entities_with: dict[str, int] = {}
+    distinct_objects: dict[str, set[str]] = {}
+    for entity in kb:
+        seen_here: set[str] = set()
+        for predicate, value in entity:
+            if isinstance(value, Literal):
+                distinct_objects.setdefault(predicate, set()).add(value.value)
+                seen_here.add(predicate)
+        for predicate in seen_here:
+            entities_with[predicate] = entities_with.get(predicate, 0) + 1
+    n_objects = {p: len(objects) for p, objects in distinct_objects.items()}
+    return _ranked(len(kb), entities_with, n_objects)
 
 
 def relation_importance(kb: KnowledgeBase) -> list[PredicateImportance]:
@@ -88,34 +83,23 @@ def relation_importance(kb: KnowledgeBase) -> list[PredicateImportance]:
     are only ever objects (e.g. the persons movies point at) get their
     neighbor evidence through these inverse relations.
     """
-    n_entities = len(kb)
-    if n_entities == 0:
-        return []
-    entities_with: dict[str, int] = {}
-    distinct_objects: dict[str, set[str]] = {}
+    return relation_table(NeighborIndex(kb, include_incoming=True))
 
-    def record(subject_uri: str, predicate: str, object_uri: str) -> None:
-        distinct_objects.setdefault(predicate, set()).add(object_uri)
-        per_entity.setdefault(subject_uri, set()).add(predicate)
 
-    per_entity: dict[str, set[str]] = {}
-    for entity in kb:
-        for predicate, value in entity:
-            if not isinstance(value, UriRef) or value.uri not in kb:
-                continue
-            record(entity.uri, predicate, value.uri)
-            record(value.uri, inverse(predicate), entity.uri)
-    for predicates in per_entity.values():
-        for predicate in predicates:
-            entities_with[predicate] = entities_with.get(predicate, 0) + 1
-
-    table = []
-    for predicate, count in entities_with.items():
-        support = count / n_entities
-        discriminability = len(distinct_objects[predicate]) / count
-        table.append(PredicateImportance(predicate, support, discriminability))
-    table.sort(key=lambda row: (-row.importance, row.predicate))
-    return table
+def relation_table(graph: NeighborIndex) -> list[PredicateImportance]:
+    """:func:`relation_importance` of ``graph.kb``, read off its graph
+    (built with ``include_incoming``): its edges' distinct ``(entity,
+    relation)`` and ``(relation, target)`` pairs."""
+    edges = [
+        (entity.uri, relation, target)
+        for entity in graph.kb
+        for relation, target in graph.neighbors(entity.uri)
+    ]
+    return _ranked(
+        len(graph.kb),
+        Counter(relation for _, relation in {(u, r) for u, r, _ in edges}),
+        Counter(relation for relation, _ in {(r, t) for _, r, t in edges}),
+    )
 
 
 def top_name_attributes(kb: KnowledgeBase, k: int) -> list[str]:

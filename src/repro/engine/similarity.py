@@ -258,9 +258,9 @@ def build_value_index(
         )
     keys = token_blocks.block_keys
     interners = token_blocks.interners()  # the sorted member URIs per side
-    weights = (
-        block_token_weight(*token_blocks.row_sizes(row))
-        for row in range(len(keys))
+    weights = map(
+        block_token_weight,
+        *(numpy.diff(token_blocks.csr(side)[0]).tolist() for side in (1, 2)),
     )
     return _product_index(
         ValueSimilarityIndex,

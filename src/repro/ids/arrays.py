@@ -20,8 +20,11 @@ from __future__ import annotations
 import sys
 import zlib
 from array import array
+from itertools import chain, repeat
 
 import numpy as _np
+
+from .interner import EntityInterner
 
 #: Bound on each part of a bulk pass's working set.  The similarity
 #: kernels cut a task's rows into runs of at most this many cells,
@@ -176,6 +179,28 @@ def ragged_indices(starts, counts):
     positions = (starts - (ends - counts))[owners]
     positions += _np.arange(len(owners))
     return owners, positions
+
+
+def member_csr(rows, ids_of=None):
+    """Per-row URI collections as one CSR ``(interner, starts, ids)``
+    (``int64`` / ``int32``, each row's ids ascending) over the rows' own
+    URIs interned, or over a ``uri -> id`` map ``ids_of`` that drops the
+    URIs it lacks (``interner`` ``None``): ``row << 32 | id`` sorted."""
+    flat = list(chain.from_iterable(rows))
+    interner = None
+    if ids_of is None:
+        interner = EntityInterner(flat)
+        ids_of = interner.ids_by_uri()
+    ids = _np.fromiter(map(ids_of.get, flat, repeat(-1)), _np.int64, len(flat))
+    keys = _np.repeat(
+        _np.arange(len(rows), dtype=_np.int64) << 32,
+        _np.fromiter(map(len, rows), _np.int64, len(rows)),
+    )
+    keys |= ids
+    keys = keys[ids >= 0]
+    keys.sort()
+    starts = _np.searchsorted(keys, _np.arange(len(rows) + 1, dtype=_np.int64) << 32)
+    return interner, starts, (keys & 0xFFFFFFFF).astype(_np.int32)
 
 
 def pair_ids(keys):

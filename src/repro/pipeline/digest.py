@@ -18,6 +18,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Any
 
 from ..blocking.base import BlockCollection
+from ..blocking.packed import PackedBlockCollection
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
@@ -54,6 +55,9 @@ def canonical_value(value: Any) -> Any:
     """A JSON-serializable canonical form of one artifact value."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, PackedBlockCollection):  # the rows below, born sorted
+        rows = zip(value.block_keys, value.member_uris(1), value.member_uris(2))
+        return [list(row) for row in rows]
     if isinstance(value, BlockCollection):
         return [
             [block.key, sorted(block.entities1), sorted(block.entities2)]

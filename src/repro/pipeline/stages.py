@@ -45,8 +45,8 @@ from ..core.heuristics import (
     h3_rank_aggregation_matches,
     h4_reciprocity_filter,
 )
-from ..core.neighbors import top_neighbors
-from ..core.statistics import top_name_attributes, top_relations
+from ..core.neighbors import top_relations_and_neighbors
+from ..core.statistics import top_name_attributes
 from ..engine.similarity import build_neighbor_index, build_value_index
 from ..kb.tokenizer import Tokenizer
 from ..obs.runtime import current as current_telemetry
@@ -240,8 +240,7 @@ class NeighborIndexStage(Stage):
     def _top(self, side: int, kb, n: int) -> tuple[list[str], dict]:
         held = self._held[side]
         if held is None or held[0] is not kb or held[1:3] != (kb.version, n):
-            relations = top_relations(kb, n)
-            held = (kb, kb.version, n, relations, top_neighbors(kb, relations))
+            held = (kb, kb.version, n, *top_relations_and_neighbors(kb, n))
             self._held[side] = held
         return list(held[3]), held[4]
 

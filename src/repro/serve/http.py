@@ -18,12 +18,15 @@ everything outside the subset is refused:
   that differ: 400;
 - a version of 2.0 or above: 505;
 - a method other than ``GET`` / ``POST``, or any ``Transfer-Encoding``:
-  501.
+  501;
+- a head not whole :data:`HEAD_TIMEOUT` seconds after its first byte,
+  or a body that stalls for :data:`IDLE_TIMEOUT` seconds: 408.
 
 Each refusal is answered in the routes' error shape (``refuse``) with
 ``Connection: close``, and the connection closes: a request the framing
 cannot delimit leaves the rest of the stream unreadable.  A client that
-hangs up mid-head is closed without a reply.
+hangs up mid-head, or sends nothing for :data:`IDLE_TIMEOUT` seconds
+between requests, is closed without a reply.
 
 Keep-alive follows HTTP/1.1: a 1.1 request keeps the connection unless
 it sends ``Connection: close``; a 1.0 request closes it unless it sends
@@ -36,8 +39,10 @@ whose body the route never read closes the connection (with
 
 from __future__ import annotations
 
+import io
 import socket
 import socketserver
+import struct
 import sys
 import threading
 import time
@@ -48,6 +53,12 @@ from typing import Any, BinaryIO, NamedTuple, Protocol
 #: Longest request line or header line, in bytes (as Python's HTTP
 #: modules bound them).
 MAX_LINE = 65536
+#: Seconds a request head may take, from its first byte, before a 408.
+HEAD_TIMEOUT = 10.0
+#: Seconds a connection may wait for its next request's first byte, or
+#: its body's or reply's next one, before it closes: far above any
+#: pause a kept-alive client leaves.
+IDLE_TIMEOUT = 300.0
 #: Most header lines one request may carry.
 MAX_HEADERS = 100
 #: The methods the routes answer; any other is refused with 501.
@@ -226,6 +237,38 @@ def read_request(rfile: BinaryIO, connection: socket.socket) -> Request | None:
     )
 
 
+class _Timed(socket.SocketIO):
+    """A connection's bytes under a kernel receive timeout: each read
+    waits :data:`IDLE_TIMEOUT` seconds, or while ``deadline`` is set
+    (``time.monotonic()`` seconds) until then; past it, a 408.  The
+    common request arrives in one read, so it costs no extra call."""
+
+    deadline: float | None = None
+    _waits: bool = False  # the timeout is a deadline's, not the idle one
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is not None:
+            _receive_timeout(self._sock, self.deadline - time.monotonic())
+        elif self._waits:
+            _receive_timeout(self._sock, IDLE_TIMEOUT)
+        self._waits = self.deadline is not None
+        try:
+            return self._sock.recv_into(buffer)
+        except BlockingIOError:  # the timeout passed
+            what = "request" if self.deadline is None else "request head"
+            raise FramingError(408, f"{what} timed out") from None
+
+
+def _receive_timeout(connection: socket.socket, seconds: float) -> None:
+    """Set ``SO_RCVTIMEO`` (at least a microsecond: zero means never)."""
+    micros = max(1, round(seconds * 1e6))
+    connection.setsockopt(
+        socket.SOL_SOCKET,
+        socket.SO_RCVTIMEO,
+        struct.pack("ll", micros // 1_000_000, micros % 1_000_000),
+    )
+
+
 def _is_http11(version: bytes) -> bool:
     """Whether ``version`` is HTTP/1.1 or a later 1.x (which keeps its
     connection by default); refuses a malformed version (400) or 2.0
@@ -343,10 +386,15 @@ class ServeHTTPServer(socketserver.ThreadingTCPServer):
         # A reply is one segment and must never wait for the ACK of the
         # one before it.
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        rfile = connection.makefile("rb")
+        _receive_timeout(connection, IDLE_TIMEOUT)
+        timed = _Timed(connection, "rb")
+        rfile = io.BufferedReader(timed)
         routes = self.routes
         try:
             while True:
+                if not rfile.peek(1):
+                    return  # the client hung up between requests
+                timed.deadline = time.monotonic() + HEAD_TIMEOUT
                 try:
                     request = read_request(rfile, connection)
                 except FramingError as error:
@@ -354,6 +402,7 @@ class ServeHTTPServer(socketserver.ThreadingTCPServer):
                     reply = routes.refuse(error.status, str(error))
                     connection.sendall(reply_bytes(reply._replace(close=True)))
                     return
+                timed.deadline = None
                 if request is None:
                     return
                 self.unpark(connection)
@@ -364,8 +413,10 @@ class ServeHTTPServer(socketserver.ThreadingTCPServer):
                 if reply.close or not request.keep_alive:
                     return
                 self.park(connection)
-        except ConnectionError:
-            return  # the client hung up mid-exchange
+        except (ConnectionError, FramingError):
+            # The client hung up, or sent nothing for IDLE_TIMEOUT
+            # seconds between requests.
+            return
         finally:
             rfile.close()
 

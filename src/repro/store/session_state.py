@@ -53,7 +53,7 @@ from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
 from ..core.similarity import ValueSimilarityIndex
-from ..ids import EntityInterner
+from ..ids import EntityInterner, arrays
 from ..ids.arrays import array_copy, packed_keys_valid
 from ..kb.entity import EntityDescription, Literal, UriRef
 from ..kb.knowledge_base import KnowledgeBase
@@ -223,14 +223,10 @@ def _pack_placements(
     )
     writer.add_strings(f"{tag}_keys", keys)
     key_ids = {key: i for i, key in enumerate(keys)}
-    for side, rows in ((1, rows_pair[0]), (2, rows_pair[1])):
-        starts = array("q", (0,))
-        ids = array("i")
-        for _, key_set in rows:
-            ids.extend(key_ids[key] for key in sorted(key_set))
-            starts.append(len(ids))
-        writer.add_array(f"{tag}_side{side}_starts", starts)
-        writer.add_array(f"{tag}_side{side}_key_ids", ids)
+    for side, rows in enumerate(rows_pair, start=1):
+        _, starts, ids = arrays.member_csr([key_set for _, key_set in rows], key_ids)
+        writer.add_array(f"{tag}_side{side}_starts", array_copy("q", starts))
+        writer.add_array(f"{tag}_side{side}_key_ids", array_copy("i", ids))
     return key_ids
 
 
@@ -266,17 +262,12 @@ def _pack_top_neighbors(
     uris: list[str],
 ) -> None:
     ids_by_uri = {uri: i for i, uri in enumerate(uris)}
-    parents = array("i", sorted(ids_by_uri[uri] for uri in top_neighbors))
-    starts = array("q", (0,))
-    targets = array("i")
-    for parent in parents:
-        targets.extend(
-            sorted(ids_by_uri[t] for t in top_neighbors[uris[parent]])
-        )
-        starts.append(len(targets))
-    writer.add_array(f"{tag}_parents", parents)
-    writer.add_array(f"{tag}_starts", starts)
-    writer.add_array(f"{tag}_targets", targets)
+    parents = sorted(ids_by_uri[uri] for uri in top_neighbors)
+    rows = [top_neighbors[uris[parent]] for parent in parents]
+    _, starts, targets = arrays.member_csr(rows, ids_by_uri)
+    writer.add_array(f"{tag}_parents", array("i", parents))
+    writer.add_array(f"{tag}_starts", array_copy("q", starts))
+    writer.add_array(f"{tag}_targets", array_copy("i", targets))
 
 
 def _unpack_top_neighbors(

@@ -5,10 +5,11 @@ of arithmetic the engine performs in vectorized kernels, kept so a test
 can state *what* float a kernel must produce without calling the kernel.
 :func:`blocking_context` is one exception: the blocking stages'
 artifacts, run the way every graph runs, for tests that build their
-indices by hand from them.  The others are the last two sections: the
-row digest and the co-occurrence filter, which the golden fixtures and
-the neighbor stage are held to, and the whole-column NumPy forms of the
-passes the engine now walks in pieces.
+indices by hand from them.  The others are the last three sections:
+the row digest and the co-occurrence filter, which the golden fixtures
+and the neighbor stage are held to, the whole-column NumPy forms of the
+passes the engine now walks in pieces, and the per-row forms of the
+builders that now run in one pass.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import json
 import zlib
 from array import array
 from bisect import bisect_left
+from itertools import accumulate, chain
 from typing import Callable, Iterable, TypeVar
 
 import numpy
@@ -37,6 +39,9 @@ from repro.ids.arrays import (
     ragged_indices,
     ranked_side,
 )
+from repro.core.statistics import PredicateImportance
+from repro.kb.entity import UriRef
+from repro.kb.graph import inverse
 from repro.kb.tokenizer import Tokenizer
 from repro.pipeline import (
     MatchSession,
@@ -297,11 +302,12 @@ def block_span_by_bisect(token_blocks, token):
     row = bisect_left(keys, token)
     if row == len(keys) or keys[row] != token:
         return None
-    starts2, _ = token_blocks.csr(2)
-    start, stop = starts2[row], starts2[row + 1]
+    starts1, starts2 = (token_blocks.csr(side)[0] for side in (1, 2))
+    start, stop = int(starts2[row]), int(starts2[row + 1])
     if stop == start:
         return None
-    return start, stop, block_token_weight(*token_blocks.row_sizes(row))
+    size1 = int(starts1[row + 1] - starts1[row])
+    return start, stop, block_token_weight(size1, stop - start)
 
 
 def ranked_by_uri(rows: dict[str, float]) -> list[tuple[str, float]]:
@@ -676,3 +682,69 @@ def ranked_side_whole(keys, sims, side, n, depth, rows=None):
         keys, sims = keys[positions], sims[positions]
     ids = pair_ids(keys)
     return ranked_side(ids[side - 1], ids[2 - side], sims, n, depth)
+
+
+# ----------------------------------------------------------------------
+# Per-row forms of the one-pass builders
+# ----------------------------------------------------------------------
+# The block CSR and the top-neighbor CSR were once built row by row in
+# Python, and the relation-importance table by its own walk over the
+# KB's entities; ``repro.ids.arrays.member_csr`` and
+# ``repro.core.statistics.relation_table`` replaced them.  These are the
+# replaced forms, verbatim: the new builders must equal them exactly.
+def member_csr_by_row(members):
+    """One side's member interner and ``(starts, ids)`` rows; sorted-URI
+    ids make each row's ascending ids its ascending URIs."""
+    interner = EntityInterner(uri for row in members for uri in row)
+    ids_of = interner.ids_by_uri()
+    starts, ids = array("q", (0,)), array("i")
+    for row in members:
+        ids.extend(sorted(map(ids_of.__getitem__, row)))
+        starts.append(len(ids))
+    return interner, starts, ids
+
+
+def top_neighbor_csr_by_row(top_neighbors, parents, value_entities):
+    """CSR ``(starts, value ids)``: per parent id, the ascending value
+    ids of its top neighbors, those the value interner lacks dropped."""
+    found = (
+        map(value_entities.get, top_neighbors[uri]) for uri in parents.uris()
+    )
+    rows = [sorted(v for v in row if v is not None) for row in found]
+    return (
+        array("q", accumulate(map(len, rows), initial=0)),
+        array("i", chain.from_iterable(rows)),
+    )
+
+
+def relation_importance_by_entity_walk(kb) -> list[PredicateImportance]:
+    """Importance of every URI-valued relation (and its ``~`` inverse)
+    of ``kb``, best first, from one walk over its entities' pairs."""
+    n_entities = len(kb)
+    if n_entities == 0:
+        return []
+    entities_with: dict[str, int] = {}
+    distinct_objects: dict[str, set[str]] = {}
+
+    def record(subject_uri: str, predicate: str, object_uri: str) -> None:
+        distinct_objects.setdefault(predicate, set()).add(object_uri)
+        per_entity.setdefault(subject_uri, set()).add(predicate)
+
+    per_entity: dict[str, set[str]] = {}
+    for entity in kb:
+        for predicate, value in entity:
+            if not isinstance(value, UriRef) or value.uri not in kb:
+                continue
+            record(entity.uri, predicate, value.uri)
+            record(value.uri, inverse(predicate), entity.uri)
+    for predicates in per_entity.values():
+        for predicate in predicates:
+            entities_with[predicate] = entities_with.get(predicate, 0) + 1
+
+    table = []
+    for predicate, count in entities_with.items():
+        support = count / n_entities
+        discriminability = len(distinct_objects[predicate]) / count
+        table.append(PredicateImportance(predicate, support, discriminability))
+    table.sort(key=lambda row: (-row.importance, row.predicate))
+    return table

@@ -16,6 +16,7 @@ the daemon answers ``/healthz`` afterwards.
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.pipeline import MatchSession
 from repro.serve import ResolutionDaemon, build_server
+from repro.serve import http as serve_http
 from repro.serve.http import MAX_HEADERS, MAX_LINE, SERVER
 
 from test_pipeline import make_pair
@@ -411,3 +413,95 @@ def test_framing_refusals_are_counted_as_errors(server, daemon):
     assert counters()["serve.errors"] == before[0] + 2
     # A refused request was never routed.
     assert counters().get("serve.requests", 0) == before[1]
+
+
+# ----------------------------------------------------------------------
+# Read deadlines: a stalled client never holds a thread for long
+# ----------------------------------------------------------------------
+def read_to_end(sock, timeout: float = 5.0) -> bytes:
+    """Everything ``sock`` receives until the daemon closes it."""
+    sock.settimeout(timeout)
+    received = []
+    try:
+        while chunk := sock.recv(65536):
+            received.append(chunk)
+    except ConnectionResetError:
+        pass
+    except socket.timeout:
+        pytest.fail(f"no end of stream within {timeout} s: the daemon hung")
+    return b"".join(received)
+
+
+def threads_settle_at(count: int, timeout: float = 5.0) -> bool:
+    """Whether the process's thread count comes down to ``count``."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count() == count
+
+
+@pytest.mark.parametrize(
+    "deadline, stalled, words",
+    [
+        ("HEAD_TIMEOUT", b"GET /healthz HTTP/1.1\r\nHost: x\r\n", "head timed"),
+        (
+            "IDLE_TIMEOUT",
+            b"POST /resolve HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+            "request timed out",
+        ),
+    ],
+    ids=["head", "body"],
+)
+def test_a_stalled_request_gets_a_408_and_frees_its_thread(
+    server, daemon, canonical, monkeypatch, deadline, stalled, words
+):
+    """Two clients stall mid-request: each gets the JSON 408, counted in
+    ``serve.errors``, and a close once the deadline passes, while a
+    third connection is answered meanwhile; their threads end."""
+    monkeypatch.setattr(serve_http, deadline, 0.4)
+    counters = daemon.telemetry.metrics.counters
+    errors = counters().get("serve.errors", 0)
+    baseline = threading.active_count()
+    stalls = [
+        socket.create_connection(server.server_address, timeout=5)
+        for _ in range(2)
+    ]
+    try:
+        for sock in stalls:
+            sock.sendall(stalled)
+        status, _, body = only_reply(server, request_bytes("GET", "/healthz"))
+        assert status == 200 and body == canonical["/healthz"]
+        for sock in stalls:
+            (reply,) = parse_replies(read_to_end(sock))
+            assert_refused(reply, 408, words)
+    finally:
+        for sock in stalls:
+            sock.close()
+    assert counters()["serve.errors"] == errors + 2
+    assert threads_settle_at(baseline)
+
+
+def test_an_idle_keep_alive_connection_is_closed_without_a_reply(
+    server, canonical, monkeypatch
+):
+    """A kept-alive connection that sends nothing more is closed after
+    the idle timeout, with no reply beyond its request's, and its thread
+    ends."""
+    monkeypatch.setattr(serve_http, "IDLE_TIMEOUT", 0.4)
+    baseline = threading.active_count()
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(request_bytes("GET", "/healthz"))
+        started = time.monotonic()
+        ((status, headers, body),) = parse_replies(read_to_end(sock))
+        assert time.monotonic() - started >= 0.4
+    assert status == 200 and body == canonical["/healthz"]
+    assert "Connection" not in dict(headers)
+    assert threads_settle_at(baseline)
+
+
+def test_read_deadlines_leave_room_for_every_kept_alive_pause():
+    """The idle timeout is far above the pauses kept-alive clients leave
+    (a delta writer's 0.3 s, a load generator's 30 and 120 s
+    timeouts); a head is given seconds, not the idle time."""
+    assert serve_http.IDLE_TIMEOUT >= 2 * 120
+    assert 1 <= serve_http.HEAD_TIMEOUT < serve_http.IDLE_TIMEOUT

@@ -10,16 +10,24 @@ executor — so every golden digest and parity harness passes unchanged.
 
 from pathlib import Path
 
+import numpy
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import (
     blocking_context,
     candidate_lists_by_uri,
     cooccurring_neighbor_index,
     csr_candidate_lists,
     decoded_pairs,
+    member_csr_by_row,
+    relation_importance_by_entity_walk,
+    top_neighbor_csr_by_row,
 )
 
 from repro.blocking import (
+    Block,
+    BlockCollection,
     PackedBlockCollection,
     PlacementTable,
     name_blocking,
@@ -29,8 +37,18 @@ from repro.blocking import (
 )
 from repro.core import MinoanERConfig
 from repro.core.candidates import CandidateIndex
-from repro.core.neighbors import top_neighbors
-from repro.core.statistics import top_relations
+from repro.core.neighbors import (
+    top_neighbor_csr,
+    top_neighbors,
+    top_relations_and_neighbors,
+)
+from repro.core.statistics import relation_importance, top_relations
+from repro.datasets import generate_benchmark
+from repro.ids import EntityInterner
+from repro.ids.arrays import member_csr
+from repro.incremental import IncrementalMatcher
+from repro.pipeline import MatchSession
+from repro.pipeline.digest import artifact_digest
 from repro.engine import build_neighbor_index, build_value_index
 from repro.blocking.placements import entity_key_rows
 from repro.blocking.purging import purge_decision_from_sizes
@@ -123,16 +141,14 @@ def test_packed_csr_invariants(kbs):
     interner1, interner2 = packed.interners()
     for row, key in enumerate(packed.block_keys):
         for side, interner in ((1, interner1), (2, interner2)):
-            ids = packed.row_ids(row, side)
-            assert list(ids) == sorted(ids)  # sorted ids == sorted URIs
+            starts, ids = packed.csr(side)
+            ids = list(ids[starts[row] : starts[row + 1]])
+            assert ids == sorted(ids)  # sorted ids == sorted URIs
             members = (
                 packed[key].entities1 if side == 1 else packed[key].entities2
             )
             assert {interner.uri_of(i) for i in ids} == members
-        assert packed.row_sizes(row) == (
-            len(packed[key].entities1),
-            len(packed[key].entities2),
-        )
+            assert len(ids) == len(members)
 
 
 def test_from_collection_roundtrip(kbs):
@@ -144,6 +160,152 @@ def test_from_collection_roundtrip(kbs):
     assert collection_signature(
         token_table(kb1, kb2).assemble()
     ) == collection_signature(packed)
+
+
+# ----------------------------------------------------------------------
+# One-pass CSR builders == the per-row loops they replaced
+# ----------------------------------------------------------------------
+#: Member URIs: ASCII and not, prefixes of each other, and code points
+#: whose UTF-8 order is not their UTF-16 order.
+URIS = st.sampled_from(
+    ["a", "a1", "a10", "a2", "b", "é", "ü:x", "日本", "\U0001f600", "\uffff", "Z"]
+)
+
+
+def assert_same_csr(built, oracle):
+    """Interner, ``starts`` and ``ids`` equal, bytes and element type."""
+    (interner, starts, ids), (interner0, starts0, ids0) = built, oracle
+    assert interner.uris() == interner0.uris()
+    assert (starts.dtype, ids.dtype) == (numpy.int64, numpy.int32)
+    assert starts.tobytes() == starts0.tobytes()
+    assert ids.tobytes() == ids0.tobytes()
+
+
+@given(st.lists(st.sets(URIS, max_size=6), max_size=8))
+@example([])
+@example([set(), set()])
+@example([{"é"}, set(), {"a"}, {"日本", "a", "Z"}])
+def test_member_csr_equals_the_per_row_loop(rows):
+    assert_same_csr(member_csr(rows), member_csr_by_row(rows))
+
+
+@given(
+    st.dictionaries(URIS, st.sets(URIS, min_size=1, max_size=5), max_size=8),
+    st.sets(URIS),
+)
+@example({}, set())
+@example({"a": {"b"}}, set())  # no neighbor in the value interner
+@example({"a": {"é"}, "b": {"é", "Z", "日本"}}, {"é", "日本"})
+def test_top_neighbor_csr_equals_the_per_row_loop(neighbors, values):
+    """Neighbors the value interner lacks are dropped, rows stay."""
+    parents, value_entities = EntityInterner(neighbors), EntityInterner(values)
+    assert_same_csr(
+        (value_entities, *top_neighbor_csr(neighbors, parents, value_entities)),
+        (
+            value_entities,
+            *top_neighbor_csr_by_row(neighbors, parents, value_entities),
+        ),
+    )
+
+
+@pytest.mark.parametrize("profile", ["yago_imdb", "rexa_dblp"])
+def test_one_graph_pass_gives_the_relations_and_neighbors_of_two(profile):
+    """``relation_importance`` read off the graph equals the entity walk,
+    and one pass gives the top relations and neighbors two passes did."""
+    data = generate_benchmark(profile, 0.2, 13)
+    for kb in (data.kb1, data.kb2):
+        assert relation_importance(kb) == relation_importance_by_entity_walk(kb)
+        for n in (0, 1, 4):
+            relations = top_relations(kb, n)
+            assert top_relations_and_neighbors(kb, n) == (
+                relations,
+                top_neighbors(kb, relations),
+            )
+
+
+# ----------------------------------------------------------------------
+# The string-keyed view, built on first read
+# ----------------------------------------------------------------------
+def eager_view(name, keys, members1, members2):
+    """The collection the constructor once built beside its columns."""
+    return BlockCollection(
+        name,
+        (
+            Block(key, set(entities1), set(entities2))
+            for key, entities1, entities2 in zip(keys, members1, members2)
+        ),
+    )
+
+
+def assert_view_equals(packed, eager):
+    assert packed.keys() == eager.keys() and len(packed) == len(eager)
+    assert all(key in packed for key in eager.keys())
+    assert "\x00absent" not in packed
+    assert collection_signature(packed) == collection_signature(eager)
+    assert packed.total_comparisons() == eager.total_comparisons()
+    assert artifact_digest(packed) == artifact_digest(eager)
+
+
+def test_lazy_view_equals_the_eager_one(kbs):
+    for blocks in (
+        token_table(*kbs).assemble(),
+        blocking_context(*kbs).get("name_blocks"),
+    ):
+        keys = blocks.block_keys
+        members = [
+            [set(row) for row in blocks.member_uris(side)] for side in (1, 2)
+        ]
+        fresh = PackedBlockCollection(blocks.name, keys, *members)
+        digest = artifact_digest(fresh)  # from the columns: builds no view
+        assert "_blocks" not in vars(fresh)
+        assert digest == artifact_digest(eager_view(blocks.name, keys, *members))
+        assert_view_equals(fresh, eager_view(blocks.name, keys, *members))
+        assert "_blocks" in vars(fresh)
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.sets(URIS, min_size=1, max_size=4)] * 2), max_size=6
+    )
+)
+def test_lazy_view_equals_the_eager_one_on_any_blocks(rows):
+    keys = [f"k{row}" for row in range(len(rows))]
+    keys.sort()
+    members1, members2 = [list(side) for side in zip(*rows)] or ([], [])
+    packed = PackedBlockCollection("BT", keys, members1, members2)
+    assert "_blocks" not in vars(packed)
+    assert_view_equals(packed, eager_view("BT", keys, members1, members2))
+
+
+def test_view_read_after_a_later_delta_shows_its_own_generation(kbs):
+    """A view first read after the placement table moved on decodes the
+    columns of its own generation, not the table's live sets."""
+    table = token_table(*kbs)
+    blocks = table.assemble()
+    expected = collection_signature(token_blocking(*kbs))
+    moved = sorted(table.key_members(1)[blocks.block_keys[0]])[0]
+    table.remove_entity(1, moved)
+    table.add_entity(1, "urn:new", set(blocks.block_keys[:3]))
+    assert collection_signature(blocks) == expected
+    assert collection_signature(table.assemble()) != expected
+
+
+def test_matcher_generations_keep_their_own_token_blocks(kbs):
+    """The same through the incremental matcher: a generation's token
+    blocks, first read after two more deltas, are a cold run's."""
+    kb1, kb2 = kbs
+    matcher = IncrementalMatcher(MatchSession(kb1.copy(), kb2.copy()))
+    matcher.match()
+    held = matcher.last_context.get("token_blocks")
+    cold = MatchSession(kb1.copy(), kb2.copy()).run_context()
+    for uri in sorted(kb1.uris())[:2]:
+        matcher.remove_entities(1, [uri])
+        matcher.match()
+    assert "_blocks" not in vars(held)
+    assert collection_signature(held) == collection_signature(
+        cold.get("token_blocks")
+    )
+    assert artifact_digest(held) == artifact_digest(cold.get("token_blocks"))
 
 
 # ----------------------------------------------------------------------

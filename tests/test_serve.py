@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.blocking import PackedBlockCollection
 from repro.cli import main as cli_main
 from repro.incremental import IncrementalMatcher
 from repro.kb.entity import Literal
@@ -443,6 +444,32 @@ class TestEndpoints:
         assert reloaded["generation"] == 3
         assert reloaded["matches_digest"] == applied["matches_digest"]
         assert client.stats()["delta_count"] == 0
+
+    def test_delta_resolve_and_snapshot_never_build_the_token_view(
+        self, served, monkeypatch
+    ):
+        """A delta, its publish and a ``/resolve`` read the token blocks'
+        columns only; a snapshot digests every block collection from its
+        columns, so it decodes no view at all."""
+        daemon, client = served
+        read = []
+        decode = PackedBlockCollection.__dict__["_blocks"].func
+        monkeypatch.setattr(
+            PackedBlockCollection,
+            "_blocks",
+            property(lambda blocks: read.append(blocks.name) or decode(blocks)),
+        )
+        client.apply_delta(
+            {"ops": [{"op": "remove", "kb": "kb1", "uris": ["a0"]}]}
+        )
+        resolved = client.resolve(
+            {"uri": "q", "pairs": [["info", {"lit": "zanzibar shared"}]]}
+        )
+        assert resolved["value"]  # the record did probe the blocks
+        assert "BT" not in read
+        read.clear()
+        client.snapshot()
+        assert read == []
 
     @pytest.mark.parametrize(
         "broken",
