@@ -28,8 +28,8 @@ def compute_h3_variants(datasets, sessions):
     for name in ("bbc_dbpedia", "yago_imdb"):
         data = datasets[name]
         for label, restricted in (("conference", True), ("journal", False)):
-            # the toggle is a candidates-stage field: the session reuses
-            # blocking and both similarity indices across the variants
+            # the toggle is a neighbor-index field: the session reuses
+            # blocking and the value index across the variants
             config = MinoanERConfig(restrict_h3_to_cooccurring=restricted)
             result = sessions[name].match(config)
             quality = evaluate_matching(result.pairs(), data.ground_truth)
@@ -92,7 +92,7 @@ def test_ablation_h3_candidate_source(benchmark, datasets, sessions, save_table)
         assert by_key[(name, "journal")] >= by_key[(name, "conference")] - 2.0
         # both variants shared one blocking + value/neighbor index build
         assert sessions[name].runs("value_index") == 1
-        assert sessions[name].runs("candidates") == 2
+        assert sessions[name].runs("matching") == 2
 
 
 def test_ablation_metablocking(benchmark, datasets, save_table):

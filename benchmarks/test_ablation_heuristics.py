@@ -30,7 +30,6 @@ UPSTREAM_STAGES = (
     "token_blocking",
     "value_index",
     "neighbor_index",
-    "candidates",
 )
 
 

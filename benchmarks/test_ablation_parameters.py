@@ -7,7 +7,7 @@ F1 varies smoothly around the paper defaults.
 
 The sweep runs through a :class:`MatchSession`, so each point only
 re-runs the stages that declare the swept config field (θ touches the
-matching stage alone; K re-runs candidates+matching; blocking is built
+matching stage alone, and so does K; blocking is built
 exactly once for the θ/K/N sweeps).
 """
 

@@ -5,7 +5,6 @@ similarities, rank aggregation, the four heuristics H1-H4, and the
 non-iterative pipeline combining them.
 """
 
-from .candidates import CandidateIndex, CandidateLists
 from .config import PAPER_DEFAULTS, MinoanERConfig
 from .heuristics import (
     Match,
@@ -32,8 +31,6 @@ from .statistics import (
 )
 
 __all__ = [
-    "CandidateIndex",
-    "CandidateLists",
     "Match",
     "MatchResult",
     "MatchedRegistry",

@@ -49,8 +49,8 @@ class MatchResult:
     ``pre_h4_matches`` the union of H1/H2/H3 decisions, and
     ``discarded_by_h4`` what reciprocity pruned.  ``stage_seconds`` maps
     every executed stage (``name_blocking``, ``token_blocking``,
-    ``value_index``, ``neighbor_index``, ``candidates``, ``matching``,
-    plus any registered custom stages) to its wall-clock;
+    ``value_index``, ``neighbor_index``, ``matching``, plus any
+    registered custom stages) to its wall-clock;
     :meth:`seconds_by_group` folds that into the coarse
     blocking/indexing/heuristics view.
 

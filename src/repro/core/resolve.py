@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -97,16 +98,14 @@ from ..ids.arrays import (
     top_ranked,
 )
 from ..kb.tokenizer import Tokenizer
-from .heuristics import Match
+from .heuristics import Match, h2_candidate, h3_candidate, kb2_space
 from .neighbors import top_neighbor_csr, transposed_csr
-from .rank_aggregation import top_aggregate_candidate
 from .similarity import block_token_weight
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..blocking.placements import PlacementTable
     from ..kb.entity import EntityDescription
     from ..pipeline.context import PipelineContext
-    from .candidates import ProbeCache
     from .config import MinoanERConfig
     from .neighbors import NeighborSimilarityIndex
     from .similarity import ValueSimilarityIndex
@@ -280,9 +279,11 @@ class OnlineResolver:
         # Neighbor evidence: per value-side-2 id, the ascending ids of
         # the KB2 parents listing it as a top neighbor — the transposed
         # fan-out the neighbor kernel propagates over (parent ids are
-        # URI order, so integer order doubles as the URI tie-break) —
-        # and each parent's id among the value candidates (``-1`` for
-        # none), the map co-occurrence searches through.
+        # URI order, so integer order doubles as the URI tie-break).
+        # H3 decides in one KB2 id space over value candidates and
+        # parents: under the conference H3 the value candidates' own,
+        # and a parent's image there (``-1`` for none) is also the map
+        # co-occurrence searches through.
         parents = EntityInterner(top_neighbors2)
         value2 = value_index.interners()[1]
         self._parents = parents
@@ -290,7 +291,9 @@ class OnlineResolver:
         self._parent_starts, self._parent_ids = transposed_csr(
             *top_neighbor_csr(top_neighbors2, parents, value2), len(value2)
         )
-        self._parent_images = parents.images_in(self._candidates2)
+        self._space, self._value_images, self._parent_images = kb2_space(
+            self._candidates2, parents, config.restrict_h3_to_cooccurring
+        )
         self._no_neighbors = _published(
             gathered_candidate_sums(
                 self._parent_ids, (), (), (), width=len(parents)
@@ -349,12 +352,13 @@ class OnlineResolver:
         whose URI is in KB1.  ``known`` says whether ``uri`` is.
         """
         k = self.validated_k(k)
+        best = self._value_index.candidates_of_entity1(uri, 1)
         return ResolveResult(
             uri=uri,
             known=uri in self._known1,
             value=tuple(self._value_index.candidates_of_entity1(uri, k)),
             neighbor=tuple(self._neighbor_index.candidates_of_entity1(uri, k)),
-            best=self._value_index.best_candidate(uri),
+            best=best[0] if best else None,
             match=self._decisions1.get(uri),
         )
 
@@ -461,28 +465,27 @@ class OnlineResolver:
         self, record: "EntityDescription", k: int, value_ids, value_sums
     ) -> ResolveResult:
         """The online H1–H4 ladder over one record's value evidence: its
-        candidates' ascending ids and their sums."""
+        candidates' ascending ids and their sums.  H2 and H3 are the
+        batch rungs with nothing taken; only the returned rows and the
+        match are decoded."""
         neighbor_ids, neighbor_sums = self._neighbor_scores(record)
         config = self._config
-        value_top = _top_rows(self._uris2, value_ids, value_sums, k)
-        neighbor_top = _top_rows(self._parent_uris, neighbor_ids, neighbor_sums, k)
+        value_top = _top(value_ids, value_sums, k)
+        neighbor_top = _top(neighbor_ids, neighbor_sums, k)
+        # H3's lists in its KB2 id space: the top-k value ids, and the
+        # top-k neighbor ids — under the conference H3 only those with
+        # a value score too.
         if config.restrict_h3_to_cooccurring:
             shared = positions_within(
                 neighbor_ids, self._parent_images, value_ids
             )
-            neighbor_uris = [
-                uri2
-                for uri2, _ in _top_rows(
-                    self._parent_uris,
-                    neighbor_ids[shared],
-                    neighbor_sums[shared],
-                    k,
-                )
-            ]
+            h3_neighbors, _ = _top(
+                neighbor_ids[shared], neighbor_sums[shared], k
+            )
         else:
-            neighbor_uris = [uri2 for uri2, _ in neighbor_top]
-
-        value_uris = [uri2 for uri2, _ in value_top]
+            h3_neighbors = neighbor_top[0]
+        neighbor_space = [self._parent_images[i] for i in h3_neighbors]
+        value_space = [self._value_images[i] for i in value_top[0]]
 
         match: Match | None = None
         for name in self._producers:
@@ -490,35 +493,36 @@ class OnlineResolver:
                 if self._names is not None:
                     match = self._h1_online(record)
             elif name == "h2":
-                if value_top and value_top[0][1] >= 1.0:
-                    uri2, vmax = value_top[0]
-                    match = Match(record.uri, uri2, "H2", vmax)
-            else:
-                best = top_aggregate_candidate(
-                    value_uris, neighbor_uris, config.theta
-                )
+                best = h2_candidate(zip(*value_top))
                 if best is not None:
-                    match = Match(record.uri, best[0], "H3", best[1])
+                    uri2 = self._uris2[best[0]]
+                    match = Match(record.uri, uri2, "H2", best[1])
+            else:
+                best = h3_candidate(value_space, neighbor_space, config.theta)
+                if best is not None:
+                    uri2 = self._space.uri_of(best[0])
+                    match = Match(record.uri, uri2, "H3", best[1])
             if match is not None:
                 break
         if match is not None and self._reciprocal:
             uri2 = match.uri2
-            if not self._h4_reciprocal(
+            # the record's side of H4 is literal: uri2 is in its lists
+            listed = self._space.get(uri2) in value_space + neighbor_space
+            if not listed or not self._h4_reciprocal(
                 uri2,
-                value_uris,
-                neighbor_uris,
                 _score_of(value_ids, value_sums, self._candidates2.get(uri2)),
                 _score_of(neighbor_ids, neighbor_sums, self._parents.get(uri2)),
                 k,
             ):
                 match = None
 
+        value_rows = _decoded(self._uris2, *value_top)
         return ResolveResult(
             uri=record.uri,
             known=False,
-            value=tuple(value_top),
-            neighbor=tuple(neighbor_top),
-            best=value_top[0] if value_top else None,
+            value=value_rows,
+            neighbor=_decoded(self._parent_uris, *neighbor_top),
+            best=value_rows[0] if value_rows else None,
             match=match,
         )
 
@@ -603,23 +607,14 @@ class OnlineResolver:
         return None
 
     def _h4_reciprocal(
-        self,
-        uri2: str,
-        value_uris: list[str],
-        neighbor_uris: list[str],
-        value_score: float,
-        neighbor_score: float,
-        k: int,
+        self, uri2: str, value_score: float, neighbor_score: float, k: int
     ) -> bool:
-        """Would the pair survive H4 if the record were inserted?
-
-        The record's side is literal (is ``uri2`` in its lists); the
-        KB2 side is counterfactual: the record enters ``uri2``'s top-k
-        value list when its score ties or beats the current k-th row,
-        and its (co-occurrence-restricted) neighbor list likewise.
+        """Would the pair pass H4's KB2 side if the record were
+        inserted?  That side is counterfactual: the record enters
+        ``uri2``'s top-k value list when its score ties or beats the
+        current k-th row, and its (co-occurrence-restricted) neighbor
+        list likewise.
         """
-        if uri2 not in value_uris and uri2 not in neighbor_uris:
-            return False
         value_bar, neighbor_bar = self._h4_bars(uri2, k)
         if value_score > 0.0 and (
             value_bar is None or value_score >= value_bar
@@ -665,6 +660,74 @@ class OnlineResolver:
         )
 
 
+class ProbeCache:
+    """A bounded LRU map for probe results that holds no back-references.
+
+    ``functools.lru_cache`` over a bound method stores the method — and
+    through ``__self__`` the owner — inside a wrapper the owner itself
+    keeps, a reference cycle that parks every retired owner (a replaced
+    serving generation, a dropped session) in the garbage collector
+    instead of freeing it the moment its last reference dies.  This
+    explicit variant stores only keys and results, so owners are
+    reclaimed promptly by refcount alone.
+    """
+
+    __slots__ = (
+        "maxsize",
+        "hits",
+        "misses",
+        "evictions",
+        "_entries",
+        "__weakref__",
+    )
+
+    def __init__(self, maxsize: int) -> None:
+        if maxsize < 1:
+            raise ValueError("maxsize must be >= 1")
+        self.maxsize = maxsize
+        #: Lifetime counters (never reset by :meth:`clear`): operators
+        #: read them at ``/metrics`` to judge cache effectiveness.
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
+
+    def get(self, key: Any) -> Any:
+        """The cached value for ``key`` (``None`` on a miss)."""
+        entries = self._entries
+        value = entries.get(key)
+        if value is not None:
+            self.hits += 1
+            entries.move_to_end(key)
+        else:
+            self.misses += 1
+        return value
+
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value``, evicting the least recently used overflow."""
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        if len(entries) > self.maxsize:
+            entries.popitem(last=False)
+            self.evictions += 1
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def stats(self) -> dict[str, int]:
+        """The lifetime counters plus current size, JSON-ready."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "size": len(self._entries),
+        }
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class CachedResolver:
     """An :class:`OnlineResolver` behind one owner's probe cache.
 
@@ -681,7 +744,7 @@ class CachedResolver:
 
     __slots__ = ("resolver", "cache")
 
-    def __init__(self, resolver: OnlineResolver, cache: "ProbeCache") -> None:
+    def __init__(self, resolver: OnlineResolver, cache: ProbeCache) -> None:
         self.resolver = resolver
         self.cache = cache
 
@@ -753,11 +816,16 @@ def _published(columns: tuple) -> tuple:
     return columns
 
 
-def _top_rows(uris: list[str], ids, sums, k: int) -> list[tuple[str, float]]:
-    """The top ``k`` ``(uri, sum)`` rows of ``(ids, sums)`` columns by
-    ``(-sum, id)``; only those rows are decoded."""
+def _top(ids, sums, k: int) -> tuple[list[int], list[float]]:
+    """The top ``k`` ``(ids, sums)`` of ``(ids, sums)`` columns by
+    ``(-sum, id)``, as lists."""
     top = top_ranked(ids, sums, k)
-    return list(zip(map(uris.__getitem__, ids[top].tolist()), sums[top].tolist()))
+    return ids[top].tolist(), sums[top].tolist()
+
+
+def _decoded(uris: list[str], ids, sums) -> tuple[tuple[str, float], ...]:
+    """``(uri, sum)`` rows of ``ids`` and ``sums``."""
+    return tuple(zip(map(uris.__getitem__, ids), sums))
 
 
 def _score_of(ids, sums, entity_id: int | None) -> float:

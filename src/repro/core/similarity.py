@@ -20,7 +20,7 @@ The pair map is **two parallel columns** — keys strictly ascending,
 the snapshot store writes and maps back, and the engine hands its
 workers; there is no ``dict`` behind them, and
 :meth:`PackedSimilarityIndex.from_packed_columns` is the one way to
-make an index.  Point lookups bisect the key column and the per-entity
+make an index.  The per-entity
 ranked candidate lists are CSR-style offset+column arrays built from
 the columns in groups of rows of bounded pair count, for just the
 side-1 rows a reader names (:meth:`PackedSimilarityIndex.rank`) or on
@@ -288,29 +288,13 @@ class PackedSimilarityIndex:
             k,
         )
 
-    # ------------------------------------------------------------------
-    # Row decode (the URI-facing layer)
-    # ------------------------------------------------------------------
-    def _row(
-        self, side: int, uri: str, k: int | None
-    ) -> list[tuple[str, float]]:
-        ids, sims = self.csr_row(side, uri, k)
-        decode = self.interners()[2 - side].uris()
-        return [(decode[i], sim) for i, sim in zip(ids, sims)]
-
-    def csr_columns(self, side: int) -> tuple[array, array]:
-        """One side's immutable CSR ``(starts, cols)`` columns: every
-        whole ranked row end to end, delimited by ``starts``."""
-        ranked = self._whole(side)
-        return ranked.starts, ranked.cols
-
     def csr_row(
         self, side: int, uri: str, k: int | None = None
     ) -> tuple[array, array]:
         """One row's ranked ``(counterpart ids, similarities)`` slices,
         undecoded and cut to the first ``k`` when given — for id-level
-        readers (the candidate lists, the online H4 bars) that decode
-        only what they keep.  Ids are in the *other* side's interner
+        readers (H2, H3, the online H4 bars) that decode only what they
+        keep.  Ids are in the *other* side's interner
         space; the row is empty for URIs the index never saw.
 
         A side-1 read never ranks the side: a row no ranking covers, or
@@ -339,23 +323,6 @@ class PackedSimilarityIndex:
             stop = min(stop, start + k)
         return ranked.cols[start:stop], ranked.sims[start:stop]
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def similarity(self, uri1: str, uri2: str) -> float:
-        """Similarity of a pair (0.0 when it never co-occurred)."""
-        id1 = self._interner1.get(uri1)
-        if id1 is None:
-            return 0.0
-        id2 = self._interner2.get(uri2)
-        if id2 is None:
-            return 0.0
-        key = (id1 << PAIR_ID_BITS) | id2
-        at = bisect_left(self._keys, key)
-        if at == len(self._keys) or self._keys[at] != key:
-            return 0.0
-        return float(self._values[at])
-
     def packed_columns(self):
         """The live ``(packed keys ascending, similarities)`` columns.
 
@@ -373,55 +340,9 @@ class PackedSimilarityIndex:
         self, uri1: str, k: int | None = None
     ) -> list[tuple[str, float]]:
         """Counterpart E2 entities of ``uri1``, best first (top-k if given)."""
-        return self._row(1, uri1, k)
-
-    def candidates_of_entity2(
-        self, uri2: str, k: int | None = None
-    ) -> list[tuple[str, float]]:
-        """Counterpart E1 entities of ``uri2``, best first (top-k if given)."""
-        return self._row(2, uri2, k)
-
-    def best_candidate(
-        self,
-        uri1: str,
-        exclude: frozenset[str] | set[str] = frozenset(),
-    ) -> tuple[str, float] | None:
-        """The counterpart E2 entity with maximum similarity (H2's vmax).
-
-        ``exclude`` removes already-matched E2 entities from
-        consideration.  The walk reads side 1 as a :meth:`rank` call
-        left it: a row no ranking covers is walked ranked whole, alone
-        (a side-1 row is one run of the key column), and a walk that
-        exhausts a row the cut shortened goes on over that row ranked
-        whole, alone.
-        """
-        id1 = self._interner1.get(uri1)
-        if id1 is None:
-            return None
-        ranked = self._ranked[0]
-        if ranked is None or not ranked.covers(id1):
-            cols, sims = self._whole_row1(id1)
-            return self._first_free(cols, sims, 0, len(cols), exclude)
-        start, stop = ranked.starts[id1], ranked.starts[id1 + 1]
-        best = self._first_free(ranked.cols, ranked.sims, start, stop, exclude)
-        if best is None and ranked.truncated(id1):
-            cols, sims = self._whole_row1(id1)
-            best = self._first_free(
-                cols, sims, ranked.depth, len(cols), exclude
-            )
-        return best
-
-    def _first_free(
-        self, cols, sims, start: int, stop: int, exclude
-    ) -> tuple[str, float] | None:
-        """The first ``(uri2, sim)`` of ranked positions ``start`` to
-        ``stop`` that ``exclude`` does not hold."""
+        ids, sims = self.csr_row(1, uri1, k)
         decode = self._interner2.uris()
-        for j in range(start, stop):
-            uri2 = decode[cols[j]]
-            if uri2 not in exclude:
-                return uri2, sims[j]
-        return None
+        return [(decode[i], sim) for i, sim in zip(ids, sims)]
 
     def __len__(self) -> int:
         return len(self._keys)

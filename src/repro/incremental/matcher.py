@@ -23,9 +23,9 @@ reassembles ``token_blocks`` / ``purging_report`` (and ``name_blocks``
 ``artifacts`` — the assembly a cold run uses — calls
 ``session.invalidate("kb1")``, seeds the blocking stages' cache entries
 with those artifacts and runs the session: the two similarity indices,
-the candidates, the decisions *and any custom stage of the graph*
-re-run because nothing cached survives a KB change — not because the
-matcher lists them.  (Why rebuild the indices rather than patch pairs:
+the decisions *and any custom stage of the graph* re-run because
+nothing cached survives a KB change — not because the matcher lists
+them.  (Why rebuild the indices rather than patch pairs:
 ``valueSim`` weighs a token by its block's side sizes, so a 2-entity
 delta moves 30–60 % of all pairs on the benchmark profiles —
 ``docs/PERFORMANCE.md``.)

@@ -24,7 +24,6 @@ from .registry import BLOCKING_SCHEMES, HEURISTICS, Registry, RegistryError
 from .session import MatchSession, StaleSessionError
 from .stage import Stage, StageGraph, StageGraphError, render_stage_list
 from .stages import (
-    CandidateStage,
     H1NameHeuristic,
     H2ValueHeuristic,
     H3RankAggregationHeuristic,
@@ -40,7 +39,6 @@ from .stages import (
 __all__ = [
     "Artifact",
     "BLOCKING_SCHEMES",
-    "CandidateStage",
     "StaleSessionError",
     "artifact_digest",
     "context_digests",

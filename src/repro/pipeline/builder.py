@@ -27,12 +27,7 @@ from typing import TYPE_CHECKING
 
 from .registry import BLOCKING_SCHEMES
 from .stage import Stage, StageGraph
-from .stages import (
-    CandidateStage,
-    MatchingStage,
-    NeighborIndexStage,
-    ValueIndexStage,
-)
+from .stages import MatchingStage, NeighborIndexStage, ValueIndexStage
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.config import MinoanERConfig
@@ -93,9 +88,7 @@ class PipelineBuilder:
                 if isinstance(scheme, str)
                 else scheme
             )
-        stages.extend(
-            (ValueIndexStage(), NeighborIndexStage(), CandidateStage())
-        )
+        stages.extend((ValueIndexStage(), NeighborIndexStage()))
         stages.append(MatchingStage(self._config))
         stages.extend(self._extra_stages)
         kept = [stage for stage in stages if stage.name not in self._removed]

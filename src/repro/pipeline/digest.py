@@ -32,9 +32,7 @@ from .context import PipelineContext
 DIGEST_SCHEMA = 3
 
 #: Context artifacts digests are computed for, in pipeline order.  The
-#: seeded KBs (inputs, not products) and the candidate index (a lazy
-#: view over the two similarity indices, no state of its own) are
-#: deliberately absent.
+#: seeded KBs (inputs, not products) are deliberately absent.
 DIGESTED_ARTIFACTS = (
     "name_attributes1",
     "name_attributes2",

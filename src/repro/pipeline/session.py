@@ -112,7 +112,7 @@ class MatchSession:
         # method: the wrapper would hold the method (and through it the
         # session), a cycle that defers freeing dropped sessions to the
         # garbage collector.
-        from ..core.candidates import ProbeCache
+        from ..core.resolve import ProbeCache
 
         self._probe_cache = ProbeCache(PROBE_CACHE_SIZE)
 

@@ -1,6 +1,6 @@
 """The built-in stages and heuristics of the MinoanER pipeline.
 
-The default stage graph is the paper's composition, expressed as six
+The default stage graph is the paper's composition, expressed as five
 pluggable stages over the artifact store:
 
 ====================  =========  ==============================================
@@ -13,7 +13,6 @@ stage                 group      provides
 ``value_index``       indexing   ``value_index``
 ``neighbor_index``    indexing   ``neighbor_index``, ``top_relations1/2``,
                                  ``top_neighbors1/2``
-``candidates``        indexing   ``candidate_index``
 ``matching``          heuristics ``matches``, ``pre_h4_matches``,
                                  ``discarded_by_h4``
 ====================  =========  ==============================================
@@ -36,7 +35,6 @@ from ..blocking.name_blocking import name_keys, names_from_attributes
 from ..blocking.placements import KeysOf, PlacementTable, entity_key_rows
 from ..blocking.purging import purge_decision_from_sizes
 from ..blocking.token_blocking import token_keys
-from ..core.candidates import CandidateIndex
 from ..core.heuristics import (
     Match,
     MatchedRegistry,
@@ -259,24 +257,6 @@ class NeighborIndexStage(Stage):
             )
 
 
-class CandidateStage(Stage):
-    """Top-K value/neighbor candidate lists per entity."""
-
-    name = "candidates"
-    group = "indexing"
-    requires = ("value_index", "neighbor_index")
-    provides = ("candidate_index",)
-    config_fields = ("top_k_candidates",)
-
-    def run(self, ctx: PipelineContext, engine: "Executor") -> None:
-        index = CandidateIndex(
-            ctx.get("value_index"),
-            ctx.get("neighbor_index"),
-            k=ctx.config.top_k_candidates,
-        )
-        ctx.put("candidate_index", index, producer=self.name)
-
-
 # ----------------------------------------------------------------------
 # Heuristics (the units the matching stage composes)
 # ----------------------------------------------------------------------
@@ -338,7 +318,7 @@ class H2ValueHeuristic(Heuristic):
         walked = [uri for uri in ctx.kb1.uris() if uri not in registry.matched1]
         value_index = ctx.get("value_index")
         value_index.rank(1, depth, walked)
-        return h2_value_matches(walked, value_index, registry)
+        return h2_value_matches(walked, value_index, registry, depth)
 
 
 @HEURISTICS.register("h3")
@@ -346,18 +326,25 @@ class H3RankAggregationHeuristic(Heuristic):
     """H3: rank aggregation over value and neighbor candidate lists."""
 
     name = "h3"
-    requires = ("candidate_index",)
-    config_fields = ("theta",)
+    requires = ("value_index", "neighbor_index")
+    config_fields = ("theta", "top_k_candidates")
 
     def produce(self, ctx, registry, engine):
         uris = [uri for uri in ctx.kb1.uris() if uri not in registry.matched1]
         current_telemetry().metrics.counter(
             "matching.candidate_lists_built"
         ).inc(len(uris))
-        candidate_index = ctx.get("candidate_index")
-        candidate_index.rank(uris)
+        config = ctx.config
+        indices = ctx.get("value_index"), ctx.get("neighbor_index")
+        for index in indices:  # the rows about to be read
+            index.rank(1, config.top_k_candidates, uris)
         return h3_rank_aggregation_matches(
-            uris, candidate_index, ctx.config.theta, registry
+            uris,
+            *indices,
+            registry,
+            k=config.top_k_candidates,
+            theta=config.theta,
+            cooccurring=config.restrict_h3_to_cooccurring,
         )
 
 
@@ -367,10 +354,16 @@ class H4ReciprocityHeuristic(Heuristic):
 
     name = "h4"
     kind = "filter"
-    requires = ("candidate_index",)
+    requires = ("value_index", "neighbor_index")
+    config_fields = ("top_k_candidates",)
 
     def filter(self, ctx, matches):
-        return h4_reciprocity_filter(matches, ctx.get("candidate_index"))
+        return h4_reciprocity_filter(
+            matches,
+            ctx.get("value_index"),
+            ctx.get("neighbor_index"),
+            ctx.config.top_k_candidates,
+        )
 
 
 class MatchingStage(Stage):

@@ -122,12 +122,12 @@ def handle_candidates(
 
 def handle_best(state: "ServingState", uri: str) -> dict[str, Any]:
     """``GET /best/<uri>``: the value index's best counterpart (vmax)."""
-    best = state.value_index.best_candidate(uri)
+    best = state.value_index.candidates_of_entity1(uri, 1)
     return {
         "uri": uri,
         "generation": state.generation,
         "known": uri in state.uris1,
-        "best": list(best) if best is not None else None,
+        "best": list(best[0]) if best else None,
     }
 
 

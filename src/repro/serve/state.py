@@ -25,10 +25,10 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from ..core.candidates import ProbeCache
 from ..core.resolve import (
     CachedResolver,
     OnlineResolver,
+    ProbeCache,
     ResolveResult,
     standing_decisions,
 )
@@ -47,7 +47,7 @@ class ServingState:
     Constructed by the single writer, then only ever read.  Each state
     carries its own bounded probe cache: a new generation starts cold,
     so a stale cached row can never outlive the state it was decoded
-    from.  The cache is a :class:`~repro.core.candidates.ProbeCache`
+    from.  The cache is a :class:`~repro.core.resolve.ProbeCache`
     holding no reference back to the state — a retired generation is
     freed the instant its last reader returns, not at the next garbage
     collection pass.

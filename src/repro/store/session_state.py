@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..blocking.placements import KeyRows, PlacementTable
 from ..blocking.purging import PurgingReport
-from ..core.candidates import CandidateIndex
 from ..core.config import MinoanERConfig
 from ..core.heuristics import Match
 from ..core.neighbors import NeighborSimilarityIndex
@@ -80,7 +79,6 @@ SNAPSHOTTABLE_STAGES = frozenset(
         "token_blocking",
         "value_index",
         "neighbor_index",
-        "candidates",
         "matching",
     }
 )
@@ -525,7 +523,8 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
     if list(graph.names()) != list(stored_stages):
         raise SnapshotError(
             f"snapshot graph {stored_stages} does not match the "
-            f"reconstructed composition {list(graph.names())}"
+            f"reconstructed composition {list(graph.names())}. Rebuild it "
+            f"with `repro-er match KB1 KB2 --save-session DIR`"
         )
 
     uris_pair = (kb1.uris(), kb2.uris())
@@ -560,9 +559,6 @@ def _restore(snapshot: Snapshot, engine=None, workers=None) -> RestoredState:
         ),
         "top_neighbors2": _unpack_top_neighbors(
             snapshot, "topnbr_side2", uris_pair[1]
-        ),
-        "candidate_index": CandidateIndex(
-            value_index, neighbor_index, k=config.top_k_candidates
         ),
     }
     if has_names:

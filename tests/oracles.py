@@ -18,14 +18,13 @@ import zlib
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy
 
 from repro.blocking.base import Block
 from repro.blocking.name_blocking import name_keys, names_from_attributes
-from repro.core.candidates import CandidateLists
-from repro.core.heuristics import Match
+from repro.core.heuristics import Match, _value_row
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.rank_aggregation import top_aggregate_candidate
 from repro.core.similarity import block_token_weight
@@ -210,21 +209,71 @@ def index_of_pairs(sims: PairSums, index_type):
     )
 
 
+class CandidateLists(NamedTuple):
+    """Top-K value and neighbor candidates of one entity (URIs, best
+    first): the lists H3 aggregates and H4 tests."""
+
+    value: tuple[str, ...] = ()
+    neighbor: tuple[str, ...] = ()
+
+
+def pair_similarity(index, uri1: str, uri2: str) -> float:
+    """An index's similarity of a pair (0.0 when it never co-occurred):
+    one binary search of the key column."""
+    id1 = index.interners()[0].get(uri1)
+    id2 = index.interners()[1].get(uri2)
+    if id1 is None or id2 is None:
+        return 0.0
+    keys, sims = index.packed_columns()
+    key = (id1 << PAIR_ID_BITS) | id2
+    at = bisect_left(keys, key)
+    if at == len(keys) or keys[at] != key:
+        return 0.0
+    return float(sims[at])
+
+
+def candidates_of_entity2(index, uri2: str, k: int | None = None):
+    """Counterpart E1 entities of ``uri2``, best first (top-k if given):
+    its ranked side-2 row, decoded."""
+    ids, sims = index.csr_row(2, uri2, k)
+    decode = index.interners()[0].uris()
+    return [(decode[i], sim) for i, sim in zip(ids, sims)]
+
+
+def csr_columns(index, side: int):
+    """One side's CSR ``(starts, cols)`` columns: every whole ranked row
+    end to end, delimited by ``starts``."""
+    ranked = index._whole(side)
+    return ranked.starts, ranked.cols
+
+
+def h2_walk(index, uri1: str, taken: Iterable[str] = (), k: int | None = None):
+    """The first ``(uri2, sim)`` of ``uri1``'s ranked side-1 row whose
+    URI ``taken`` lacks, the row read as H2 reads it (to ``k``, then
+    whole; :func:`repro.core.heuristics._value_row`) — the candidate H2
+    holds to 1.0.  ``None`` when every candidate is taken."""
+    decode = index.interners()[1].uris()
+    for id2, sim in _value_row(index, uri1, k):
+        if decode[id2] not in taken:
+            return decode[id2], sim
+    return None
+
+
 def candidate_lists_by_uri(
     value_index, neighbor_index, uri: str, side: int, k: int, restrict: bool
 ) -> CandidateLists:
     """One entity's top-``k`` candidate lists, decided on decoded URIs.
 
-    ``CandidateIndex._build`` as it stood before the id-level trim: the
-    whole ranked neighbor row and the whole value partner set are
+    The candidate lists as they were built before the id-level trim:
+    the whole ranked neighbor row and the whole value partner set are
     decoded, filtered by URI membership, then cut to ``k``.
     """
     if side == 1:
         value_ranked = value_index.candidates_of_entity1(uri, k)
         neighbor_ranked = neighbor_index.candidates_of_entity1(uri)
     else:
-        value_ranked = value_index.candidates_of_entity2(uri, k)
-        neighbor_ranked = neighbor_index.candidates_of_entity2(uri)
+        value_ranked = candidates_of_entity2(value_index, uri, k)
+        neighbor_ranked = candidates_of_entity2(neighbor_index, uri)
 
     if restrict:
         cooccurring = {
@@ -232,7 +281,7 @@ def candidate_lists_by_uri(
             for candidate, _ in (
                 value_index.candidates_of_entity1(uri)
                 if side == 1
-                else value_index.candidates_of_entity2(uri)
+                else candidates_of_entity2(value_index, uri)
             )
         }
         neighbor_ranked = [
@@ -462,11 +511,11 @@ def h4_bars_by_uri(
     value score and the k-th (co-occurrence-restricted) neighbor score,
     ``None`` where the list is shorter than ``k``.
     """
-    row = value_index.candidates_of_entity2(uri2, k)
+    row = candidates_of_entity2(value_index, uri2, k)
     value_bar = row[-1][1] if len(row) >= k else None
-    nbr_row = neighbor_index.candidates_of_entity2(uri2)
+    nbr_row = candidates_of_entity2(neighbor_index, uri2)
     if restrict:
-        partners = {u for u, _ in value_index.candidates_of_entity2(uri2)}
+        partners = {u for u, _ in candidates_of_entity2(value_index, uri2)}
         nbr_row = [(uri1, sim) for uri1, sim in nbr_row if uri1 in partners]
     nbr_row = nbr_row[:k]
     neighbor_bar = nbr_row[-1][1] if len(nbr_row) >= k else None
@@ -510,12 +559,67 @@ def h4_filter_by_uri(
     return kept, discarded
 
 
+def h2_matches_by_uri(entity1_uris, value_index, registry) -> list[Match]:
+    """H2 on decoded URI rows, as it stood before the id rungs: each free
+    entity's whole value row, sorted by ``(-sim, uri)``, walked to its
+    first URI ``registry.matched2`` lacks, a match when that similarity
+    is >= 1.0.  Marks ``registry`` as the heuristic does."""
+    rows: dict[str, list[tuple[float, str]]] = {}
+    for (uri1, uri2), sim in decoded_pairs(value_index).items():
+        rows.setdefault(uri1, []).append((-sim, uri2))
+    matches: list[Match] = []
+    for uri1 in entity1_uris:
+        if uri1 in registry.matched1:
+            continue
+        free = [
+            (uri2, -negated)
+            for negated, uri2 in sorted(rows.get(uri1, ()))
+            if uri2 not in registry.matched2
+        ]
+        if free and free[0][1] >= 1.0:
+            uri2, vmax = free[0]
+            registry.mark(uri1, uri2)
+            matches.append(Match(uri1, uri2, "H2", vmax))
+    return matches
+
+
+def h3_matches_by_uri(
+    entity1_uris, value_index, neighbor_index, k, theta, registry, restrict
+) -> list[Match]:
+    """H3 on decoded URI lists, as it stood before the id rungs: each
+    free entity's value row and full-product neighbor row
+    (:func:`ranked_rows_by_uri`) — under the conference H3 only the
+    neighbors it shares a value pair with — cut to ``k``, the URIs
+    ``registry.matched2`` holds removed, and ``top_aggregate_candidate``
+    over the URIs themselves.  Marks ``registry`` as the heuristic
+    does."""
+    value_rows = ranked_rows_by_uri(value_index, 1)
+    neighbor_rows = ranked_rows_by_uri(neighbor_index, 1)
+    matches: list[Match] = []
+    for uri1 in entity1_uris:
+        if uri1 in registry.matched1:
+            continue
+        value = value_rows.get(uri1, [])
+        neighbor = neighbor_rows.get(uri1, [])
+        if restrict:
+            neighbor = [uri2 for uri2 in neighbor if uri2 in value]
+        best = top_aggregate_candidate(
+            [uri2 for uri2 in value[:k] if uri2 not in registry.matched2],
+            [uri2 for uri2 in neighbor[:k] if uri2 not in registry.matched2],
+            theta,
+        )
+        if best is not None:
+            registry.mark(uri1, best[0])
+            matches.append(Match(uri1, best[0], "H3", best[1]))
+    return matches
+
+
 def csr_candidate_lists(
     value_index, neighbor_index, uri: str, side: int, k: int
 ) -> CandidateLists:
     """One entity's lists as the id path cuts them: the first ``k`` ids
-    of its ranked ``csr_row`` in each index, decoded — what
-    ``CandidateIndex.of_entity1`` holds, on either side."""
+    of its ranked ``csr_row`` in each index, decoded — the rows H3
+    reads, on either side."""
     value_ids, _ = value_index.csr_row(side, uri, k)
     neighbor_ids, _ = neighbor_index.csr_row(side, uri, k)
     value_decode = value_index.interners()[2 - side].uris()

@@ -21,7 +21,9 @@ from oracles import (
     _value_partial,
     blocking_context,
     block_shards,
+    candidates_of_entity2,
     decoded_pairs,
+    h2_walk,
     hash_partitions,
     merge_pair_sums,
     value_pair_key,
@@ -114,9 +116,9 @@ def assert_index_equals_reference(index, sims):
         assert index.candidates_of_entity1(uri1) == by_entity1[uri1]
         assert index.candidates_of_entity1(uri1, 3) == by_entity1[uri1][:3]
     for uri2 in {uri2 for _, uri2 in sims}:
-        assert index.candidates_of_entity2(uri2) == by_entity2[uri2]
+        assert candidates_of_entity2(index, uri2) == by_entity2[uri2]
     assert index.candidates_of_entity1("urn:absent") == []
-    assert index.candidates_of_entity2("urn:absent") == []
+    assert candidates_of_entity2(index, "urn:absent") == []
 
 
 def test_value_indices_equal_references(golden_evidence, numpy_arm):
@@ -143,12 +145,9 @@ def test_best_candidate_accepts_frozenset_and_set(golden_evidence):
     neighbor_index = build_neighbor_index(value_index, neighbors1, neighbors2)
     for index in (value_index, neighbor_index):
         some_uri1 = next(uri1 for uri1, _ in decoded_pairs(index))
-        unrestricted = index.best_candidate(some_uri1)
+        unrestricted = h2_walk(index, some_uri1)
         assert unrestricted is not None
-        assert (
-            index.best_candidate(some_uri1, exclude=frozenset())
-            == unrestricted
-        )
+        assert h2_walk(index, some_uri1, taken=frozenset()) == unrestricted
         best_uri, _ = unrestricted
-        narrowed = index.best_candidate(some_uri1, exclude={best_uri})
+        narrowed = h2_walk(index, some_uri1, taken={best_uri})
         assert narrowed is None or narrowed[0] != best_uri

@@ -1,4 +1,5 @@
-"""Unit tests for the per-entity candidate lists (H3/H4 input)."""
+"""Unit tests for the per-entity candidate lists (H3/H4 input): the
+first ``K`` of each entity's ranked rows in the two similarity indices."""
 
 import hashlib
 import json
@@ -14,15 +15,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CandidateLists,
     candidate_lists_by_uri,
+    candidates_of_entity2,
     cooccurring_neighbor_index,
     csr_candidate_lists,
     h4_bars_by_uri,
     index_of_pairs,
 )
 from repro.blocking import token_blocking
-from repro.core import CandidateIndex, CandidateLists
-from repro.core import MinoanERConfig
+from repro.core import Match, MinoanERConfig, h4_reciprocity_filter
 from repro.core import similarity as similarity_module
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.similarity import ValueSimilarityIndex
@@ -54,47 +56,49 @@ def build_indices(texts1, texts2):
     return value_index, build_neighbor_index(value_index, {}, {})
 
 
-def build(texts1, texts2, k=3):
-    return CandidateIndex(*build_indices(texts1, texts2), k=k)
+def reciprocal(indices, pairs, k=3) -> list[bool]:
+    """Per ``(uri1, uri2)``: whether H4 keeps it."""
+    matches = [Match(uri1, uri2, "H2") for uri1, uri2 in pairs]
+    kept, _ = h4_reciprocity_filter(matches, *indices, k)
+    return [match in kept for match in matches]
 
 
 class TestCandidateIndex:
+    """The lists H3 reads (the first ``K`` of a ``csr_row``) and the
+    membership H4 tests, over the two indices."""
+
     def test_value_candidates_top_k(self):
-        index = build(["red zebra"], ["red a", "red b", "red c", "red d"], k=2)
-        lists = index.of_entity1("a0")
-        assert len(lists.value) == 2
+        indices = build_indices(
+            ["red zebra"], ["red a", "red b", "red c", "red d"]
+        )
+        assert len(csr_candidate_lists(*indices, "a0", 1, 2).value) == 2
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            build(["x"], ["x"], k=0)
+            MinoanERConfig(top_k_candidates=0)
 
     def test_entity_without_candidates(self):
-        index = build(["unique1"], ["unique2"])
-        assert index.of_entity1("a0") == CandidateLists()
+        indices = build_indices(["unique1"], ["unique2"])
+        assert csr_candidate_lists(*indices, "a0", 1, 3) == CandidateLists()
 
     def test_of_entity2_direction(self):
         indices = build_indices(["red zebra"], ["red dot"])
         assert "a0" in csr_candidate_lists(*indices, "b0", 2, 3).value
 
     def test_mutually_listed_symmetric_requirement(self):
-        index = build(["red zebra"], ["red dot"])
-        assert index.reciprocal(["a0"], ["b0"]) == [True]
-        assert index.reciprocal([], []) == []
+        indices = build_indices(["red zebra"], ["red dot"])
+        assert reciprocal(indices, [("a0", "b0")]) == [True]
+        assert reciprocal(indices, []) == []
 
     def test_not_mutually_listed_when_out_of_top_k(self):
         # a0 shares only the frequent token with b5, but b5's list is
         # dominated by better candidates... simulate via k=1
-        index = build(
-            ["red zebra", "red zebra stripes"],
-            ["red zebra stripes extra"],
-            k=1,
+        indices = build_indices(
+            ["red zebra", "red zebra stripes"], ["red zebra stripes extra"]
         )
         # b0's single slot goes to a1 (more shared tokens)
-        assert index.reciprocal(["a0", "a1"], ["b0", "b0"]) == [False, True]
-
-    def test_caching_returns_same_object(self):
-        index = build(["red"], ["red"])
-        assert index.of_entity1("a0") is index.of_entity1("a0")
+        pairs = [("a0", "b0"), ("a1", "b0")]
+        assert reciprocal(indices, pairs, k=1) == [False, True]
 
 
 # ----------------------------------------------------------------------
@@ -158,16 +162,11 @@ def test_id_level_lists_equal_uri_level_lists(
             else neighbor_index
         )
         for k in (1, 2, 15):
-            index = CandidateIndex(value_index, published, k=k)
             for side in (1, 2):
                 for position in range(10):  # 9 is in neither index
                     uri = _uri(side, position)
-                    lists = (
-                        index.of_entity1(uri)
-                        if side == 1
-                        else csr_candidate_lists(
-                            value_index, published, uri, side, k
-                        )
+                    lists = csr_candidate_lists(
+                        value_index, published, uri, side, k
                     )
                     assert lists == candidate_lists_by_uri(
                         value_index, neighbor_index, uri, side, k, restrict
@@ -177,7 +176,7 @@ def test_id_level_lists_equal_uri_level_lists(
 def _ranked_row(index, side: int, uri: str, k: int | None = None):
     if side == 1:
         return index.candidates_of_entity1(uri, k)
-    return index.candidates_of_entity2(uri, k)
+    return candidates_of_entity2(index, uri, k)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -286,9 +285,9 @@ def test_restricted_match_never_builds_the_full_neighbor_index(
         (value_index, 1, k, row_ids(value_index, claimed["H1"])),
         (published, 1, k, row_ids(published, claimed["H1"] | claimed["H2"])),
     ]
-    lists = ctx.get("candidate_index")
     for uri1 in ctx.kb1.uris():
-        assert lists.of_entity1(uri1).neighbor == tuple(
+        lists = csr_candidate_lists(value_index, published, uri1, 1, k)
+        assert lists.neighbor == tuple(
             uri2 for uri2, _ in published.candidates_of_entity1(uri1, k)
         )
 

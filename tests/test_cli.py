@@ -126,7 +126,6 @@ class TestStageIntrospection:
             "token_blocking",
             "value_index",
             "neighbor_index",
-            "candidates",
             "matching",
         ):
             assert stage in output
@@ -390,6 +389,35 @@ class TestSessionSnapshots:
         err = capsys.readouterr().err
         assert "cannot load session" in err
         assert "holds digest_schema 2" in err and "--save-session" in err
+
+    def test_load_of_an_older_stage_graph_errors_with_the_rebuild(
+        self, bundle, tmp_path, capsys
+    ):
+        """A snapshot whose stage graph lists the ``candidates`` stage
+        older builds ran is refused by name, with the command that
+        rebuilds it."""
+        from test_snapshot_store import _with_candidates_stage
+
+        snapshot = tmp_path / "session"
+        code = main(
+            [
+                "match",
+                str(bundle / "kb1.nt"),
+                str(bundle / "kb2.nt"),
+                "--save-session",
+                str(snapshot),
+            ]
+        )
+        assert code == 0
+        _with_candidates_stage(snapshot)
+        capsys.readouterr()
+        code = main(["match", "--load-session", str(snapshot)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load session" in err
+        assert "'candidates'" in err
+        rebuild = "`repro-er match KB1 KB2 --save-session DIR`"
+        assert f"Rebuild it with {rebuild}" in err
 
     def test_save_session_with_disabled_stage_replays(
         self, bundle, tmp_path, capsys

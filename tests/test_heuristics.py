@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import h4_filter_by_uri, index_of_pairs
+from oracles import (
+    cooccurring_neighbor_index,
+    h2_matches_by_uri,
+    h3_matches_by_uri,
+    h4_filter_by_uri,
+    index_of_pairs,
+)
 
 from repro.blocking import (
     name_blocking,
@@ -16,7 +22,6 @@ from repro.blocking import (
     token_blocking,
 )
 from repro.core import (
-    CandidateIndex,
     Match,
     MatchedRegistry,
     h1_name_matches,
@@ -25,6 +30,7 @@ from repro.core import (
     h4_reciprocity_filter,
 )
 from repro.core import similarity as similarity_module
+from repro.core.heuristics import _value_row
 from repro.core.neighbors import NeighborSimilarityIndex
 from repro.core.similarity import ValueSimilarityIndex
 from repro.datasets import generate_benchmark
@@ -97,7 +103,7 @@ class TestH2:
     def test_unique_shared_token_fires(self):
         kb1, _, index = self.build(["zebra stripe"], ["zebra dot"])
         registry = MatchedRegistry()
-        matches = h2_value_matches(kb1.uris(), index, registry)
+        matches = h2_value_matches(kb1.uris(), index, registry, 3)
         assert [m.pair() for m in matches] == [("a0", "b0")]
         assert matches[0].score >= 1.0
 
@@ -105,7 +111,7 @@ class TestH2:
         # token shared by many entities on each side -> low weight
         kb1, _, index = self.build(["common x1", "common x2", "common x3"],
                                    ["common y1", "common y2", "common y3"])
-        matches = h2_value_matches(["a0"], index, MatchedRegistry())
+        matches = h2_value_matches(["a0"], index, MatchedRegistry(), 3)
         assert matches == []
 
     def test_matched_e2_excluded(self):
@@ -113,7 +119,7 @@ class TestH2:
             ["zebra uniq1", "zebra uniq2"], ["zebra uniq1 uniq2"]
         )
         registry = MatchedRegistry()
-        first = h2_value_matches(kb1.uris(), index, registry)
+        first = h2_value_matches(kb1.uris(), index, registry, 3)
         # both a0 and a1 reach vmax >= 1 against b0 (a shared unique
         # token each), but only one of them can take it
         assert len(first) == 1
@@ -122,42 +128,39 @@ class TestH2:
         kb1, _, index = self.build(["zebra a"], ["zebra c"])
         registry = MatchedRegistry()
         registry.mark("a0", "bZ")
-        assert h2_value_matches(kb1.uris(), index, registry) == []
+        assert h2_value_matches(kb1.uris(), index, registry, 3) == []
 
 
 class TestH3:
-    def build_index(self, texts1, texts2, k=5):
+    def match(self, texts1, texts2, registry):
         kb1 = kb_with("A", [("", t) for t in texts1], "a")
         kb2 = kb_with("B", [("", t) for t in texts2], "b")
         value_index = build_value_index(token_blocking(kb1, kb2))
         neighbor_index = build_neighbor_index(value_index, {}, {})
-        return kb1, CandidateIndex(value_index, neighbor_index, k=k)
+        return h3_rank_aggregation_matches(
+            kb1.uris(),
+            value_index,
+            neighbor_index,
+            registry,
+            k=5,
+            theta=0.6,
+            cooccurring=False,
+        )
 
     def test_top_value_candidate_matched(self):
-        kb1, candidates = self.build_index(
-            ["red zebra"], ["red", "red zebra"]
-        )
-        registry = MatchedRegistry()
-        matches = h3_rank_aggregation_matches(
-            kb1.uris(), candidates, 0.6, registry
+        matches = self.match(
+            ["red zebra"], ["red", "red zebra"], MatchedRegistry()
         )
         assert [m.pair() for m in matches] == [("a0", "b1")]
         assert matches[0].heuristic == "H3"
 
     def test_no_candidates_no_match(self):
-        kb1, candidates = self.build_index(["solo"], ["other"])
-        assert (
-            h3_rank_aggregation_matches(kb1.uris(), candidates, 0.6, MatchedRegistry())
-            == []
-        )
+        assert self.match(["solo"], ["other"], MatchedRegistry()) == []
 
     def test_matched_candidates_filtered(self):
-        kb1, candidates = self.build_index(["red zebra"], ["red zebra", "red"])
         registry = MatchedRegistry()
         registry.mark("aX", "b0")  # best candidate already taken
-        matches = h3_rank_aggregation_matches(
-            kb1.uris(), candidates, 0.6, registry
-        )
+        matches = self.match(["red zebra"], ["red zebra", "red"], registry)
         assert [m.pair() for m in matches] == [("a0", "b1")]
 
 
@@ -166,11 +169,9 @@ class TestH4:
         kb1 = kb_with("A", [("", "zebra x")], "a")
         kb2 = kb_with("B", [("", "zebra y")], "b")
         value_index = build_value_index(token_blocking(kb1, kb2))
-        candidates = CandidateIndex(
-            value_index, build_neighbor_index(value_index, {}, {}), k=3
-        )
+        neighbor_index = build_neighbor_index(value_index, {}, {})
         kept, discarded = h4_reciprocity_filter(
-            [Match("a0", "b0", "H2", 1.0)], candidates
+            [Match("a0", "b0", "H2", 1.0)], value_index, neighbor_index, 3
         )
         assert len(kept) == 1 and discarded == []
 
@@ -178,11 +179,9 @@ class TestH4:
         kb1 = kb_with("A", [("", "zebra x")], "a")
         kb2 = kb_with("B", [("", "unrelated")], "b")
         value_index = build_value_index(token_blocking(kb1, kb2))
-        candidates = CandidateIndex(
-            value_index, build_neighbor_index(value_index, {}, {}), k=3
-        )
+        neighbor_index = build_neighbor_index(value_index, {}, {})
         kept, discarded = h4_reciprocity_filter(
-            [Match("a0", "b0", "H1", 1.0)], candidates
+            [Match("a0", "b0", "H1", 1.0)], value_index, neighbor_index, 3
         )
         assert kept == [] and len(discarded) == 1
 
@@ -237,10 +236,9 @@ def test_h4_equals_the_uri_list_oracle(value_pairs, neighbor_pairs, pairs, k):
     value_index = _index(ValueSimilarityIndex, value_pairs)
     neighbor_index = _index(NeighborSimilarityIndex, neighbor_pairs)
     matches = [Match(_uri(1, a), _uri(2, b), "H2", 1.0) for a, b in pairs]
-    candidates = CandidateIndex(value_index, neighbor_index, k=k)
-    assert h4_reciprocity_filter(matches, candidates) == h4_filter_by_uri(
+    assert h4_reciprocity_filter(
         matches, value_index, neighbor_index, k
-    )
+    ) == h4_filter_by_uri(matches, value_index, neighbor_index, k)
 
 
 def test_h4_of_a_batch_match_equals_the_uri_list_oracle():
@@ -258,6 +256,99 @@ def test_h4_of_a_batch_match_equals_the_uri_list_oracle():
     assert (ctx.get("matches"), ctx.get("discarded_by_h4")) == h4_filter_by_uri(
         matches, value_index, neighbor_index, ctx.config.top_k_candidates
     )
+
+
+# ----------------------------------------------------------------------
+# H2 and H3 decide on id rows: the URI rungs they replaced are the oracle
+# ----------------------------------------------------------------------
+_taken = st.sets(st.integers(0, 9), max_size=4)
+
+
+@settings(deadline=None)
+@given(
+    value_pairs=_value_pairs,
+    neighbor_pairs=_neighbor_pairs,
+    taken1=_taken,
+    taken2=_taken,
+    k=st.integers(1, 4),
+    theta=st.sampled_from([0.5, 0.6]),
+    restrict=st.booleans(),
+    h2_first=st.booleans(),
+)
+# θ = 0.5 over value list [e3, e4] and neighbor list [e4, e3]: both
+# aggregate to 0.75 and e3, the smaller URI, wins in either mode; under
+# the journal H3, the neighbor-only e6 ties the value-only e5 of e3 and
+# loses to it
+@example(
+    value_pairs={(2, 3): 0.5, (2, 4): 0.25, (3, 5): 0.5},
+    neighbor_pairs={(2, 4): 1.0, (2, 3): 0.25, (3, 6): 1.0},
+    taken1=set(),
+    taken2=set(),
+    k=2,
+    theta=0.5,
+    restrict=False,
+    h2_first=False,
+)
+@example(
+    value_pairs={(2, 3): 0.5, (2, 4): 0.25},
+    neighbor_pairs={(2, 4): 1.0, (2, 3): 0.25},
+    taken1=set(),
+    taken2=set(),
+    k=2,
+    theta=0.5,
+    restrict=True,
+    h2_first=False,
+)
+# H2 walks past a depth cut whose every candidate is taken
+@example(
+    value_pairs={(0, j): 1.0 + j for j in range(5)},
+    neighbor_pairs={},
+    taken1=set(),
+    taken2={4, 3},
+    k=2,
+    theta=0.6,
+    restrict=True,
+    h2_first=True,
+)
+def test_id_rungs_equal_the_uri_rungs(
+    value_pairs, neighbor_pairs, taken1, taken2, k, theta, restrict, h2_first
+):
+    """The batch H2 and H3 decide what the URI rungs decide — matches,
+    scores and the registry they leave — over rows ranked to ``k`` as
+    the matching stage ranks them, with KB1 and KB2 entities already
+    taken, aggregate ties across the value and neighbor lists, and, under
+    the journal H3, neighbor candidates no value row holds."""
+    value_index = _index(ValueSimilarityIndex, value_pairs)
+    full = _index(NeighborSimilarityIndex, neighbor_pairs)
+    published = (
+        cooccurring_neighbor_index(value_index, full) if restrict else full
+    )
+    uris1 = [_uri(1, position) for position in range(10)]
+    registries = [MatchedRegistry(), MatchedRegistry()]
+    for registry in registries:
+        registry.matched1 |= {_uri(1, p) for p in taken1}
+        registry.matched2 |= {_uri(2, p) for p in taken2}
+    got, expected = [], []
+    if h2_first:
+        value_index.rank(1, k, uris1)
+        got += h2_value_matches(uris1, value_index, registries[0], k)
+        expected += h2_matches_by_uri(uris1, value_index, registries[1])
+    for index in (value_index, published):
+        index.rank(1, k, uris1)
+    got += h3_rank_aggregation_matches(
+        uris1,
+        value_index,
+        published,
+        registries[0],
+        k=k,
+        theta=theta,
+        cooccurring=restrict,
+    )
+    expected += h3_matches_by_uri(
+        uris1, value_index, full, k, theta, registries[1], restrict
+    )
+    assert got == expected
+    assert vars(registries[0]) == vars(registries[1])
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +430,8 @@ def test_an_uncovered_read_ranks_that_row_alone():
             got = index.csr_row(1, row1, k)
             assert list(got[0]) == list(ids[:k])
             assert got[1].tobytes() == sims[:k].tobytes()
-        assert index.best_candidate(row1, {_uri(2, 0)}) == (_uri(2, 1), 0.5)
+        # H2's walk of the row, past a cut at 2 (read whole, alone)
+        assert list(_value_row(index, row1, 2)) == list(zip(ids, sims))
         assert index.candidates_of_entity1(_uri(1, 0), 2) == [
             (_uri(2, 0), 1.0),
             (_uri(2, 1), 0.875),

@@ -150,9 +150,9 @@ class TestStaleSession:
         session.match()
         cached_before = session.cached_artifacts()
         dropped = session.invalidate("token_blocks")
-        # token_blocking + value/neighbor/candidates/matching, not names
-        assert dropped == 5
-        assert session.cached_artifacts() == cached_before - 5
+        # token_blocking + value/neighbor/matching, not names
+        assert dropped == 4
+        assert session.cached_artifacts() == cached_before - 4
         session.match()
         assert session.runs("name_blocking") == 1  # reused from cache
         assert session.runs("token_blocking") == 2
@@ -255,7 +255,6 @@ class TestIncrementalMatcherSurface:
             .with_blocking("name")
             .without_stage("value_index")
             .without_stage("neighbor_index")
-            .without_stage("candidates")
             .with_config(heuristics=("h1",))
         )
         with pytest.raises(ValueError, match="lacks .*'token_blocking'"):
@@ -348,7 +347,6 @@ class TestIncrementalMatcherSurface:
             "token_blocking": 0,
             "value_index": 1,
             "neighbor_index": 1,
-            "candidates": 1,
             "matching": 1,
         }
         repeat = matcher.match()  # nothing pending: a pure cache restore

@@ -156,7 +156,6 @@ def test_incremental_equals_cold_batch(dataset, scenario, engine_name, workers):
         assert recomputed == 0
     else:
         # the decision stages re-run (greedy, order-dependent) ...
-        assert matcher.stage_recomputes["candidates"] - before["candidates"] == 1
         assert matcher.stage_recomputes["matching"] - before["matching"] == 1
         # ... and token blocking is structurally never recomputed after
         # the cold pass — placements patch in place, whatever else falls

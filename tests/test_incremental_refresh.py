@@ -34,7 +34,7 @@ from repro.serve import handlers
 from repro.serve.json_codec import entity_to_dict
 
 #: The four rebuilt stages of one delta, and the two maintained ones.
-REBUILT = {"value_index": 1, "neighbor_index": 1, "candidates": 1, "matching": 1}
+REBUILT = {"value_index": 1, "neighbor_index": 1, "matching": 1}
 MAINTAINED = {"name_blocking": 1, "token_blocking": 1}
 
 

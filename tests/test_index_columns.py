@@ -31,11 +31,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     blocking_context,
+    candidates_of_entity2,
+    csr_columns,
     decoded_pairs,
+    h2_walk,
     index_of_pairs,
     in_top_k_whole,
     neighbor_sims_by_uri,
     packed_pair_shards_whole,
+    pair_similarity,
     ranked_side_whole,
     row_work_whole,
     rows_digest,
@@ -142,30 +146,31 @@ def assert_answers(index: PackedSimilarityIndex, sims: dict) -> None:
         assert [
             (decode2[col], sim) for col, sim in zip(*index.csr_row(1, uri1))
         ] == ranked
-        assert index.best_candidate(uri1) == ranked[0]
+        assert h2_walk(index, uri1) == ranked[0]
         runner_up = ranked[1] if len(ranked) > 1 else None
-        assert index.best_candidate(uri1, exclude={ranked[0][0]}) == runner_up
+        assert h2_walk(index, uri1, taken={ranked[0][0]}) == runner_up
     for uri2, ranked in rows2.items():
-        assert index.candidates_of_entity2(uri2) == ranked
+        assert candidates_of_entity2(index, uri2) == ranked
         assert [
             (decode1[col], sim) for col, sim in zip(*index.csr_row(2, uri2))
         ] == ranked
     for (uri1, uri2), sim in sims.items():
-        found = index.similarity(uri1, uri2)
+        found = pair_similarity(index, uri1, uri2)
         assert type(found) is float and found == sim
     for uri1 in [uri(1, i) for i in range(9)]:
         for uri2 in [uri(2, j) for j in range(9)]:
             if (uri1, uri2) not in sims:
-                assert index.similarity(uri1, uri2) == 0.0
-    assert index.similarity("urn:absent", uri(2, 0)) == 0.0
-    assert index.similarity(uri(1, 0), "urn:absent") == 0.0
+                assert pair_similarity(index, uri1, uri2) == 0.0
+    assert pair_similarity(index, "urn:absent", uri(2, 0)) == 0.0
+    assert pair_similarity(index, uri(1, 0), "urn:absent") == 0.0
     assert index.candidates_of_entity1("urn:absent") == []
-    assert index.best_candidate("urn:absent") is None
+    assert h2_walk(index, "urn:absent") is None
 
 
 def csr_state(index: PackedSimilarityIndex) -> list:
     return [
-        [list(column) for column in index.csr_columns(side)] for side in (1, 2)
+        [list(column) for column in csr_columns(index, side)]
+        for side in (1, 2)
     ]
 
 
@@ -595,24 +600,24 @@ def test_best_candidate_walks_past_an_exhausted_depth_cut():
     and ranks no side again: the side stays cut."""
     whole = long_row_index()
     excludes = [{uri(2, j) for j in range(n)} for n in (3, 4, 19, 20)]
-    walks = [whole.best_candidate(uri(1, 0), exclude) for exclude in excludes]
+    walks = [h2_walk(whole, uri(1, 0), exclude) for exclude in excludes]
     assert walks[-1] is None
     cut = long_row_index()
     telemetry = Telemetry.create()
     with activate(telemetry):
         cut.rank(1, 3)
-        assert cut.best_candidate(uri(1, 1)) == (uri(2, 0), 0.5)
+        assert h2_walk(cut, uri(1, 1), k=3) == (uri(2, 0), 0.5)
         for exclude, walk in zip(excludes, walks):
-            assert cut.best_candidate(uri(1, 0), exclude) == walk
+            assert h2_walk(cut, uri(1, 0), exclude, k=3) == walk
         first_three = {uri(2, 0), uri(2, 1), uri(2, 2)}
-        assert cut.best_candidate(uri(1, 0), first_three) == (uri(2, 3), 18.0)
+        assert h2_walk(cut, uri(1, 0), first_three, k=3) == (uri(2, 3), 18.0)
     assert [
         record.args
         for record in telemetry.tracer.records()
         if record.name == "similarity.ranked_rows"
     ] == [{"side": 1, "depth": 3, "rows": None, "groups": 1}]
     assert fallbacks(telemetry) == 0
-    assert type(cut.best_candidate(uri(1, 0), {uri(2, 0)})[1]) is float
+    assert type(h2_walk(cut, uri(1, 0), {uri(2, 0)}, k=3)[1]) is float
 
 
 def test_csr_row_deeper_than_the_cut_reads_the_whole_row():
@@ -680,7 +685,7 @@ def test_side1_row_read_alone_is_the_whole_side_prefix(id_pairs):
                 ids, row_sims = index.csr_row(1, row, k)
                 assert list(ids) == list(cols[lo:hi])
                 assert row_sims.tobytes() == sims[lo:hi].tobytes()
-            assert index.best_candidate(row) == (
+            assert h2_walk(index, row, k=K) == (
                 (interner2.uris()[cols[lo]], sims[lo]) if stop > lo else None
             )
         ids, row_sims = index.csr_row(1, uri(1, 9), K)

@@ -36,7 +36,6 @@ from repro.blocking import (
     token_blocking,
 )
 from repro.core import MinoanERConfig
-from repro.core.candidates import CandidateIndex
 from repro.core.neighbors import (
     top_neighbor_csr,
     top_neighbors,
@@ -426,15 +425,9 @@ def test_gathered_lists_equal_decoded_build(kbs, evidence, restrict, k):
         if restrict
         else neighbor_index
     )
-    gathered = CandidateIndex(value_index, published, k=k)
-
-    def lists(side, uri):
-        if side == 1:
-            return gathered.of_entity1(uri)
-        return csr_candidate_lists(value_index, published, uri, side, k)
-
     for side, kb in ((1, kbs[0]), (2, kbs[1])):
         for uri in kb.uris():
-            assert lists(side, uri) == candidate_lists_by_uri(
+            lists = csr_candidate_lists(value_index, published, uri, side, k)
+            assert lists == candidate_lists_by_uri(
                 value_index, neighbor_index, uri, side, k, restrict
             ), uri

@@ -9,6 +9,8 @@ a custom user-defined heuristic end-to-end.
 import pytest
 
 from repro.core import MinoanER, MinoanERConfig
+from repro.core.heuristics import Match
+from repro.datasets import generate_benchmark
 from repro.kb import KnowledgeBase
 from repro.pipeline import (
     BLOCKING_SCHEMES,
@@ -113,7 +115,6 @@ class TestStageGraph:
             "token_blocking",
             "value_index",
             "neighbor_index",
-            "candidates",
             "matching",
         ]
 
@@ -293,7 +294,6 @@ class TestMatchSession:
             "token_blocking",
             "value_index",
             "neighbor_index",
-            "candidates",
         ):
             assert session.runs(stage) == 1
 
@@ -302,7 +302,6 @@ class TestMatchSession:
         session = MatchSession(kb1, kb2)
         session.match()
         session.match(top_k_candidates=5)
-        assert session.runs("candidates") == 2
         assert session.runs("matching") == 2
         assert session.runs("value_index") == 1
         assert session.runs("token_blocking") == 1
@@ -412,6 +411,23 @@ class SameLocalnameHeuristic(Heuristic):
         return matches
 
 
+class ClaimingHeuristic(Heuristic):
+    """A producer that marks fixed pairs and records the registry it
+    found (class attributes, set by the test that registers it)."""
+
+    name = "claim"
+    claims: list = []
+    found: list = []
+
+    def produce(self, ctx, registry, engine):
+        self.found.append((set(registry.matched1), set(registry.matched2)))
+        matches = []
+        for uri1, uri2 in self.claims:
+            registry.mark(uri1, uri2)
+            matches.append(Match(uri1, uri2, "C"))
+        return matches
+
+
 class TestCustomHeuristic:
     def make_localname_pair(self):
         kb1 = KnowledgeBase("A")
@@ -449,6 +465,48 @@ class TestCustomHeuristic:
         finally:
             HEURISTICS.unregister("h5_localname")
 
+    def test_producer_listed_before_h2_and_h3_keeps_its_entities(self):
+        """A custom producer listed before the built-in H2 and H3 — the
+        order ``examples/custom_heuristic.py`` uses — keeps every KB1 and
+        KB2 entity it marked away from them, entities they match without
+        it included; one listed after them finds their matches marked."""
+        data = generate_benchmark("restaurant", 1.0, 5)
+
+        def pre_h4(*heuristics):
+            config = MinoanERConfig(heuristics=heuristics)
+            ctx = MatchSession(data.kb1, data.kb2, config).run_context()
+            return ctx.get("pre_h4_matches")
+
+        plain = pre_h4("h2", "h3", "h4")
+        # each third match's KB1 entity beside the next one's KB2 entity:
+        # claimed on both sides, and no pair the built-ins would make
+        chosen = plain[::3]
+        claims = [(a.uri1, b.uri2) for a, b in zip(chosen, chosen[1:])]
+        claimed1 = {uri1 for uri1, _ in claims}
+        claimed2 = {uri2 for _, uri2 in claims}
+        for rung in ("H2", "H3"):
+            built = [m for m in plain if m.heuristic == rung]
+            assert claimed1 & {m.uri1 for m in built}, rung
+            assert claimed2 & {m.uri2 for m in built}, rung
+        HEURISTICS.register("claim", ClaimingHeuristic)
+        ClaimingHeuristic.claims = claims
+        ClaimingHeuristic.found = []
+        try:
+            before = pre_h4("claim", "h2", "h3", "h4")
+            assert ClaimingHeuristic.found == [(set(), set())]
+            assert [m.pair() for m in before[: len(claims)]] == claims
+            for match in before[len(claims) :]:
+                assert match.heuristic in ("H2", "H3")
+                assert match.uri1 not in claimed1, match
+                assert match.uri2 not in claimed2, match
+            ClaimingHeuristic.found = []
+            pre_h4("h2", "h3", "claim")
+            assert ClaimingHeuristic.found == [
+                ({m.uri1 for m in plain}, {m.uri2 for m in plain})
+            ]
+        finally:
+            HEURISTICS.unregister("claim")
+
     def test_custom_heuristic_in_session_keyed_by_sequence(self):
         HEURISTICS.register("h5_localname", SameLocalnameHeuristic)
         try:
@@ -463,7 +521,7 @@ class TestCustomHeuristic:
             # re-runs the matching stage only
             with_h5.match(heuristics=("h5_localname", "h1"))
             assert with_h5.runs("matching") == 2
-            assert with_h5.runs("candidates") == 1
+            assert with_h5.runs("neighbor_index") == 1
         finally:
             HEURISTICS.unregister("h5_localname")
 
@@ -475,5 +533,5 @@ class TestCustomHeuristic:
         assert full.requires == (
             "name_blocks",
             "value_index",
-            "candidate_index",
+            "neighbor_index",
         )

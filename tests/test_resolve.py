@@ -20,9 +20,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import PackedBlockCollection
-from repro.core import MinoanERConfig
-from repro.core.candidates import ProbeCache
-from repro.core.resolve import OnlineResolver, _held_bytes, resolve_cache_key
+from repro.core import MinoanERConfig, aggregate_scores
+from repro.core.resolve import (
+    OnlineResolver,
+    ProbeCache,
+    _held_bytes,
+    resolve_cache_key,
+)
 from repro.datasets import (
     generate,
     generate_benchmark,
@@ -294,6 +298,30 @@ _MULTI_TARGET = [([1, 7, 15, 23], [(1, 10), (0, 5), (1, 1)])], 4
 #: the second's is kept.
 _K = MinoanERConfig().top_k_candidates
 _PAST_THE_CUT = [([0], [])] + _MULTI_TARGET[0]
+#: Per H3 variant, a θ = 0.5 record whose top two H3 candidates tie, one
+#: in its value list alone and one in its neighbor list alone (under the
+#: journal H3 one with no value score at all); H3 decides the smaller URI.
+_CROSS_TIES = {True: ([([4, 12], [(0, 1)])], 3), False: ([([2], [(1, 0)])], 3)}
+
+
+@pytest.fixture(scope="module")
+def tied_contexts(oracle_kbs):
+    """Per ``restrict_h3_to_cooccurring``, the oracle KBs' context at
+    θ = 0.5 with H3 listed first: a candidate first in one list alone
+    ties one first in the other alone."""
+    data = oracle_kbs[0]
+    return {
+        restrict: MatchSession(
+            data.kb1,
+            data.kb2,
+            MinoanERConfig(
+                theta=0.5,
+                heuristics=("h3", "h2", "h4"),
+                restrict_h3_to_cooccurring=restrict,
+            ),
+        ).run_context()
+        for restrict in (True, False)
+    }
 
 
 class TestResolveOracle:
@@ -352,6 +380,68 @@ class TestResolveOracle:
         assert [r.match for r in results] == [
             resolve_decision_by_uri(record, ctx, k, names) for record in records
         ]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(specs=_specs, k=st.integers(1, 5), restrict=st.booleans())
+    @example(specs=_CROSS_TIES[True][0], k=_CROSS_TIES[True][1], restrict=True)
+    @example(
+        specs=_CROSS_TIES[False][0], k=_CROSS_TIES[False][1], restrict=False
+    )
+    def test_h3_first_decisions_equal_the_oracle(
+        self, oracle_kbs, tied_contexts, specs, k, restrict
+    ):
+        """With H3 listed first at θ = 0.5, where equal aggregate scores
+        across the value and neighbor lists are common, every resolved
+        ``match`` equals the URI rung's
+        (``tests/oracles.py::resolve_decision_by_uri``) under both H3
+        variants."""
+        ctx = tied_contexts[restrict]
+        records = oracle_records(oracle_kbs, specs)
+        resolver = OnlineResolver.from_context(
+            ctx, frozenset(oracle_kbs[0].kb1.uris())
+        )
+        assert [r.match for r in resolver.resolve_batch(records, k)] == [
+            resolve_decision_by_uri(record, ctx, k) for record in records
+        ]
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_cross_tie_examples_tie(self, oracle_kbs, tied_contexts, restrict):
+        """Each ``_CROSS_TIES`` record still ties what it is named for,
+        and resolves to H3's pick: the smaller of the two URIs."""
+        ctx = tied_contexts[restrict]
+        specs, k = _CROSS_TIES[restrict]
+        (record,) = oracle_records(oracle_kbs, specs)
+        value, neighbor = resolve_scores_by_uri(
+            record,
+            Tokenizer(),
+            ctx.get("token_blocks"),
+            ctx.get("value_index"),
+            ctx.get("top_neighbors2"),
+            ctx.get("top_relations1"),
+        )
+        if restrict:
+            neighbor = {u: s for u, s in neighbor.items() if u in value}
+        lists = [
+            [u for u, _ in ranked_by_uri(rows)[:k]] for rows in (value, neighbor)
+        ]
+        scores = aggregate_scores(*lists, 0.5)
+        (first, top), (second, runner_up) = sorted(
+            scores.items(), key=lambda item: (-item[1], item[0])
+        )[:2]
+        assert top == runner_up and first < second
+        # the one candidate each list holds alone
+        only = [
+            [u for u in (first, second) if u not in other]
+            for other in lists[::-1]
+        ]
+        assert len(only[0]) == len(only[1]) == 1
+        if not restrict:
+            assert only[1][0] not in value  # a neighbor-only candidate
+        resolver = OnlineResolver.from_context(
+            ctx, frozenset(oracle_kbs[0].kb1.uris())
+        )
+        match = resolver.resolve(record, k).match
+        assert (match.uri2, match.heuristic) == (first, "H3")
 
     def test_examples_hit_their_boundary_ties(self, oracle_kbs, oracle_decisions):
         """The decision examples above still show what they are named

@@ -45,7 +45,12 @@ from repro.serve.json_codec import (
 from repro.store import Snapshot
 
 from test_pipeline import make_pair
-from test_snapshot_store import _edited_manifest, _redeclared, _rewrite_column
+from test_snapshot_store import (
+    _edited_manifest,
+    _redeclared,
+    _rewrite_column,
+    _with_candidates_stage,
+)
 
 
 #: ``/metrics`` after ``test_metrics_text_for_a_request_sequence``'s
@@ -82,7 +87,7 @@ _SEQUENCE_METRICS = (
     "# TYPE repro_serve_resolve_unknown counter\n"
     "repro_serve_resolve_unknown 2\n"
     "# TYPE repro_session_cache_hits counter\n"
-    "repro_session_cache_hits 6\n"
+    "repro_session_cache_hits 5\n"
     "# TYPE repro_serve_probe_cache_evictions gauge\n"
     "repro_serve_probe_cache_evictions 0\n"
     "# TYPE repro_serve_probe_cache_hits gauge\n"
@@ -481,6 +486,7 @@ class TestEndpoints:
             "bad-manifest",
             "unknown-heuristic",
             "older-digest-schema",
+            "older-stage-graph",
         ],
     )
     def test_reload_of_a_non_snapshot_is_400(
@@ -510,9 +516,13 @@ class TestEndpoints:
             )
         if broken == "older-digest-schema":
             _edited_manifest(target, lambda m: m["json"].update(digest_schema=2))
+        if broken == "older-stage-graph":
+            _with_candidates_stage(target)
         with pytest.raises(ServeClientError) as refused:
             client.reload(str(target))
         assert refused.value.status == 400
+        if broken == "older-stage-graph":
+            assert "Rebuild it with" in str(refused.value)
         assert client.stats()["generation"] == 1
         assert client.match("a1")["matched"] is True
         assert daemon.telemetry.metrics.counters().get("serve.reloads", 0) == 0

@@ -99,7 +99,7 @@ def test_loaded_session_replays_without_recomputing(tmp_path):
     ]
     # Downstream-only recomputation still works on the seeded cache.
     ablated = loaded.match(theta=0.4)
-    assert loaded.stage_runs.keys() <= {"candidates", "matching"}
+    assert loaded.stage_runs.keys() <= {"matching"}
     assert ablated.token_blocks is not None
     # A restore assembles the packed blocks a cold run hands downstream.
     assert isinstance(replay.token_blocks, PackedBlockCollection)
@@ -184,7 +184,6 @@ def test_warm_restart_delta_matches_batch(tmp_path, engine_name, workers):
     assert matcher.counters()["recomputed"] == {
         "value_index": 1,
         "neighbor_index": 1,
-        "candidates": 1,
         "matching": 1,
     }
 
@@ -630,6 +629,25 @@ def _uris_out_of_order(snapshot_dir):
             _rewrite_column(snapshot_dir, name, values)
 
 
+def _with_candidates_stage(snapshot_dir):
+    """What builds before the matching stage read the indices' rows
+    itself listed: a ``candidates`` stage between ``neighbor_index`` and
+    ``matching``."""
+
+    def spliced(manifest):
+        stages = manifest["json"]["graph_stages"]
+        stages.insert(stages.index("matching"), "candidates")
+
+    _edited_manifest(snapshot_dir, spliced)
+
+
+#: What refusing a snapshot of another stage graph says.
+REBUILD_GRAPH = (
+    r"snapshot graph \[.*'neighbor_index', 'candidates', 'matching'\] does "
+    r"not match the reconstructed composition \[.*\]\. Rebuild it with "
+    r"`repro-er match KB1 KB2 --save-session DIR`"
+)
+
 #: id -> (rewrite of a fresh snapshot into an older build's form, what
 #: the SnapshotError says)
 OLDER_FORMS = {
@@ -652,6 +670,7 @@ OLDER_FORMS = {
         _uris_out_of_order,
         "value: URI list is not strictly ascending",
     ),
+    "graph-with-candidates-stage": (_with_candidates_stage, REBUILD_GRAPH),
 }
 
 

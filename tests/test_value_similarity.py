@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decoded_pairs
+from oracles import (
+    candidates_of_entity2,
+    decoded_pairs,
+    h2_walk,
+    pair_similarity,
+)
 from repro.blocking import token_blocking
 from repro.core import block_token_weight
 from repro.engine import build_value_index
@@ -36,11 +41,11 @@ class TestBlockTokenWeight:
 class TestValueSimilarityIndex:
     def test_unique_shared_token_scores_one(self):
         _, _, index = build_index(["zebra stripe"], ["zebra dot"])
-        assert index.similarity("a0", "b0") == pytest.approx(1.0)
+        assert pair_similarity(index, "a0", "b0") == pytest.approx(1.0)
 
     def test_no_shared_token_is_zero(self):
         _, _, index = build_index(["alpha"], ["beta"])
-        assert index.similarity("a0", "b0") == 0.0
+        assert pair_similarity(index, "a0", "b0") == 0.0
 
     def test_candidates_sorted_descending(self):
         _, _, index = build_index(
@@ -53,16 +58,16 @@ class TestValueSimilarityIndex:
 
     def test_best_candidate_excludes(self):
         _, _, index = build_index(["red zebra"], ["red cat", "red zebra"])
-        best = index.best_candidate("a0", exclude={"b1"})
+        best = h2_walk(index, "a0", taken={"b1"})
         assert best[0] == "b0"
 
     def test_best_candidate_none_when_all_excluded(self):
         _, _, index = build_index(["red"], ["red"])
-        assert index.best_candidate("a0", exclude={"b0"}) is None
+        assert h2_walk(index, "a0", taken={"b0"}) is None
 
     def test_candidates_of_entity2(self):
         _, _, index = build_index(["red a", "red b"], ["red c"])
-        ranked = index.candidates_of_entity2("b0")
+        ranked = candidates_of_entity2(index, "b0")
         assert {uri for uri, _ in ranked} == {"a0", "a1"}
 
     def test_top_k_limits(self):
@@ -93,7 +98,7 @@ class TestValueSimilarityIndex:
                 # the dropped one-sided blocks
                 shared = tokenizer.token_set(e1) & tokenizer.token_set(e2)
                 expected = arcs_similarity(shared, shared, ef1, ef2)
-                assert index.similarity(e1.uri, e2.uri) == pytest.approx(
+                assert pair_similarity(index, e1.uri, e2.uri) == pytest.approx(
                     expected
                 )
 
@@ -102,4 +107,4 @@ class TestValueSimilarityIndex:
     def test_symmetry_across_sides(self, texts1, texts2):
         _, _, index = build_index(texts1, texts2)
         for (u1, u2), sim in decoded_pairs(index).items():
-            assert dict(index.candidates_of_entity2(u2))[u1] == sim
+            assert dict(candidates_of_entity2(index, u2))[u1] == sim
