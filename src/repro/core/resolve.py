@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -168,7 +167,7 @@ class ResolveResult:
     #: conference H3 only candidates it shares a value pair with), a
     #: never-seen record's every scored candidate.
     neighbor: tuple[tuple[str, float], ...]
-    #: The best value counterpart (H2's vmax), unrestricted by k.
+    #: The best value counterpart (H2's vmax): the first value row.
     best: tuple[str, float] | None
     #: The resolution decision (a standing one for known URIs, an
     #: online H1–H4 one otherwise); ``None`` when nothing matched.
@@ -185,16 +184,6 @@ class ResolveResult:
             "best": list(self.best) if self.best is not None else None,
             "match": match_dict(self.match),
         }
-
-
-def resolve_cache_key(record: "EntityDescription", k: int | None) -> tuple:
-    """A hashable LRU key covering the record's full content.
-
-    Unlike probes, two resolve calls for the same URI may carry
-    different pairs, so the key includes them (``Literal``/``UriRef``
-    are frozen dataclasses, hence hashable).
-    """
-    return ("resolve", record.uri, k, record.pairs)
 
 
 class OnlineResolver:
@@ -352,13 +341,13 @@ class OnlineResolver:
         whose URI is in KB1.  ``known`` says whether ``uri`` is.
         """
         k = self.validated_k(k)
-        best = self._value_index.candidates_of_entity1(uri, 1)
+        value = tuple(self._value_index.candidates_of_entity1(uri, k))
         return ResolveResult(
             uri=uri,
             known=uri in self._known1,
-            value=tuple(self._value_index.candidates_of_entity1(uri, k)),
+            value=value,
             neighbor=tuple(self._neighbor_index.candidates_of_entity1(uri, k)),
-            best=best[0] if best else None,
+            best=value[0] if value else None,
             match=self._decisions1.get(uri),
         )
 
@@ -658,127 +647,6 @@ class OnlineResolver:
             f"OnlineResolver({len(self._known1)} known, "
             f"{len(self._uris2)} candidates)"
         )
-
-
-class ProbeCache:
-    """A bounded LRU map for probe results that holds no back-references.
-
-    ``functools.lru_cache`` over a bound method stores the method — and
-    through ``__self__`` the owner — inside a wrapper the owner itself
-    keeps, a reference cycle that parks every retired owner (a replaced
-    serving generation, a dropped session) in the garbage collector
-    instead of freeing it the moment its last reference dies.  This
-    explicit variant stores only keys and results, so owners are
-    reclaimed promptly by refcount alone.
-    """
-
-    __slots__ = (
-        "maxsize",
-        "hits",
-        "misses",
-        "evictions",
-        "_entries",
-        "__weakref__",
-    )
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        #: Lifetime counters (never reset by :meth:`clear`): operators
-        #: read them at ``/metrics`` to judge cache effectiveness.
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: OrderedDict[Any, Any] = OrderedDict()
-
-    def get(self, key: Any) -> Any:
-        """The cached value for ``key`` (``None`` on a miss)."""
-        entries = self._entries
-        value = entries.get(key)
-        if value is not None:
-            self.hits += 1
-            entries.move_to_end(key)
-        else:
-            self.misses += 1
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        """Store ``value``, evicting the least recently used overflow."""
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        if len(entries) > self.maxsize:
-            entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """The lifetime counters plus current size, JSON-ready."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._entries),
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class CachedResolver:
-    """An :class:`OnlineResolver` behind one owner's probe cache.
-
-    The read path of a :class:`~repro.pipeline.session.MatchSession`
-    and of a published :class:`~repro.serve.state.ServingState`, and
-    its only cache wrapper.  Keys carry the *validated* ``k``, so
-    ``resolve(r)`` and ``resolve(r, k=top_k_candidates)`` share one
-    entry: probes key on ``(uri, k)``, resolves on the record's full
-    content (:func:`resolve_cache_key`), and only a batch's misses reach
-    the resolver, in one call.  Nothing here refers back to the owner,
-    so a dropped session or retired generation is freed by refcount
-    alone.
-    """
-
-    __slots__ = ("resolver", "cache")
-
-    def __init__(self, resolver: OnlineResolver, cache: ProbeCache) -> None:
-        self.resolver = resolver
-        self.cache = cache
-
-    def probe(self, uri: str, k: int | None = None) -> ResolveResult:
-        """:meth:`OnlineResolver.probe`, cached."""
-        k = self.resolver.validated_k(k)
-        result = self.cache.get((uri, k))
-        if result is None:
-            result = self.resolver.probe(uri, k)
-            self.cache.put((uri, k), result)
-        return result
-
-    def resolve(
-        self, record: "EntityDescription", k: int | None = None
-    ) -> ResolveResult:
-        """:meth:`OnlineResolver.resolve`, cached."""
-        return self.resolve_batch((record,), k)[0]
-
-    def resolve_batch(
-        self, records: Sequence["EntityDescription"], k: int | None = None
-    ) -> list[ResolveResult]:
-        """:meth:`OnlineResolver.resolve_batch`, cached per record."""
-        k = self.resolver.validated_k(k)
-        keys = [resolve_cache_key(record, k) for record in records]
-        results = [self.cache.get(key) for key in keys]
-        misses = [at for at, result in enumerate(results) if result is None]
-        if misses:
-            fresh = self.resolver.resolve_batch(
-                [records[at] for at in misses], k
-            )
-            for at, result in zip(misses, fresh):
-                results[at] = result
-                self.cache.put(keys[at], result)
-        return results
 
 
 class _Memo(dict):

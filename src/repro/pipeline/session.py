@@ -39,17 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
     from ..core.config import MinoanERConfig
     from ..core.pipeline import MatchResult
-    from ..core.resolve import CachedResolver
+    from ..core.resolve import OnlineResolver
     from ..kb.knowledge_base import KnowledgeBase
 
 #: Cache-key sentinel for the seeded inputs (fixed per session).
 _INPUT_SIGNATURE = ("input",)
-
-#: Bound of the per-session (and per-generation) probe/resolve cache.
-#: Large enough that a serving hot set stays resident, small enough
-#: that a crawl over millions of distinct URIs cannot grow the session
-#: without limit (an evicted probe recomputes identically).
-PROBE_CACHE_SIZE = 1024
 
 
 class StaleSessionError(RuntimeError):
@@ -107,14 +101,7 @@ class MatchSession:
         self._cache: dict[tuple, dict[str, Any]] = {}
         self._config_fields = {f.name for f in fields(config)}
         self._kb_versions = (kb1.version, kb2.version)
-        self._cached_reads: "CachedResolver | None" = None
-        # An explicit bounded LRU rather than lru_cache over the bound
-        # method: the wrapper would hold the method (and through it the
-        # session), a cycle that defers freeing dropped sessions to the
-        # garbage collector.
-        from ..core.resolve import ProbeCache
-
-        self._probe_cache = ProbeCache(PROBE_CACHE_SIZE)
+        self._resolver: "OnlineResolver | None" = None
 
     # ------------------------------------------------------------------
     # Cache keys
@@ -289,26 +276,19 @@ class MatchSession:
         equal to ``[self.resolve(r, k) for r in records]``."""
         return self._reads().resolve_batch(records, k)
 
-    def _reads(self) -> "CachedResolver":
-        """The session's :class:`~repro.core.resolve.CachedResolver`,
-        built over the finished context on first use.  Results live in a
-        bounded LRU (:data:`PROBE_CACHE_SIZE` entries) that an
-        invalidation clears but never replaces, so its lifetime counters
-        survive."""
-        if self._cached_reads is None:
-            from ..core.resolve import CachedResolver, OnlineResolver
+    def _reads(self) -> "OnlineResolver":
+        """The session's :class:`~repro.core.resolve.OnlineResolver`,
+        built over the finished context on first use and dropped by
+        :meth:`clear` and :meth:`invalidate`.  A read writes only the
+        resolver's two byte-bounded memos and, once, side 2's ranking;
+        nothing the resolver holds refers back to the session."""
+        if self._resolver is None:
+            from ..core.resolve import OnlineResolver
 
-            self._cached_reads = CachedResolver(
-                OnlineResolver.from_context(
-                    self.run_context(), frozenset(self.kb1.uris())
-                ),
-                self._probe_cache,
+            self._resolver = OnlineResolver.from_context(
+                self.run_context(), frozenset(self.kb1.uris())
             )
-        return self._cached_reads
-
-    def _drop_probe_state(self) -> None:
-        self._probe_cache.clear()
-        self._cached_reads = None
+        return self._resolver
 
     # ------------------------------------------------------------------
     # Persistence (the columnar snapshot store)
@@ -399,7 +379,7 @@ class MatchSession:
     def clear(self) -> None:
         """Drop all cached artifacts (counters are kept)."""
         self._cache.clear()
-        self._drop_probe_state()
+        self._resolver = None
         self._kb_versions = (self.kb1.version, self.kb2.version)
 
     def invalidate(self, artifact: str) -> int:
@@ -442,7 +422,7 @@ class MatchSession:
         ]
         for signature in stale:
             del self._cache[signature]
-        self._drop_probe_state()
+        self._resolver = None
         if tainted >= set(self.graph.names()):
             # Only a full invalidation clears the staleness guard: a
             # narrow one leaves artifacts computed on the old KB state

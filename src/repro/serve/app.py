@@ -188,21 +188,7 @@ class ResolutionDaemon:
         return self._box.current()
 
     def metrics_text(self) -> str:
-        """The ``GET /metrics`` Prometheus exposition.
-
-        Probe-cache effectiveness gauges are sampled from the published
-        generation's cache at scrape time — counters live on the cache
-        (not the registry) so the hot read path never pays for a second
-        increment.
-        """
-        cache_stats = self.state().probe_cache_stats()
-        gauges = self.telemetry.metrics
-        gauges.gauge("serve.probe_cache_hits").set(cache_stats["hits"])
-        gauges.gauge("serve.probe_cache_misses").set(cache_stats["misses"])
-        gauges.gauge("serve.probe_cache_evictions").set(
-            cache_stats["evictions"]
-        )
-        gauges.gauge("serve.probe_cache_size").set(cache_stats["size"])
+        """The ``GET /metrics`` Prometheus exposition."""
         return prometheus_text(self.telemetry)
 
     # ------------------------------------------------------------------

@@ -25,15 +25,8 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from ..core.resolve import (
-    CachedResolver,
-    OnlineResolver,
-    ProbeCache,
-    ResolveResult,
-    standing_decisions,
-)
+from ..core.resolve import OnlineResolver, ResolveResult, standing_decisions
 from ..pipeline.digest import artifact_digest
-from ..pipeline.session import PROBE_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.heuristics import Match
@@ -44,13 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 class ServingState:
     """One published generation of read-only resolution evidence.
 
-    Constructed by the single writer, then only ever read.  Each state
-    carries its own bounded probe cache: a new generation starts cold,
-    so a stale cached row can never outlive the state it was decoded
-    from.  The cache is a :class:`~repro.core.resolve.ProbeCache`
-    holding no reference back to the state — a retired generation is
-    freed the instant its last reader returns, not at the next garbage
-    collection pass.
+    Constructed by the single writer, then only ever read.  Every read
+    is one call to the state's own
+    :class:`~repro.core.resolve.OnlineResolver`, which writes only its
+    two byte-bounded memos and, once per generation, side 2's ranking.
+    Nothing the state holds refers back to it, so a retired generation
+    is freed the instant its last reader returns, not at the next
+    garbage collection pass.
     """
 
     __slots__ = (
@@ -64,7 +57,7 @@ class ServingState:
         "config",
         "delta_count",
         "matches_digest",
-        "_reads",
+        "resolver",
         "__weakref__",
     )
 
@@ -92,7 +85,7 @@ class ServingState:
         self.config = config
         self.delta_count = delta_count
         self.matches_digest = matches_digest
-        self._reads = CachedResolver(resolver, ProbeCache(PROBE_CACHE_SIZE))
+        self.resolver = resolver
 
     # ------------------------------------------------------------------
     # Construction
@@ -147,26 +140,21 @@ class ServingState:
     def probe(self, uri: str, k: int | None = None) -> ResolveResult:
         """This generation's precomputed rows and standing decision for
         one E1 entity (``GET /candidates``)."""
-        return self._reads.probe(uri, k)
+        return self.resolver.probe(uri, k)
 
     def resolve(self, record: Any, k: int | None = None) -> ResolveResult:
         """Online resolution of one raw record against this generation.
 
         Read-only: the resolver's tables were frozen at publish time,
-        results land in this state's own probe cache (keyed by the
-        record's full content), and nothing else is touched.
+        and a read writes only the resolver's memos.
         """
-        return self._reads.resolve(record, k)
+        return self.resolver.resolve(record, k)
 
     def resolve_batch(
         self, records: list, k: int | None = None
     ) -> list[ResolveResult]:
         """Batch resolution (equals per-record :meth:`resolve` exactly)."""
-        return self._reads.resolve_batch(records, k)
-
-    def probe_cache_stats(self) -> dict[str, int]:
-        """This generation's probe-cache counters (for ``/metrics``)."""
-        return self._reads.cache.stats()
+        return self.resolver.resolve_batch(records, k)
 
     def decision_of(self, uri: str) -> "Match | None":
         """The standing decision mentioning ``uri`` (either side)."""

@@ -472,7 +472,7 @@ def test_online_h4_bars_equal_decoded_rows(numpy_arm, restrict):
         MinoanERConfig(restrict_h3_to_cooccurring=restrict),
     )
     session.match()
-    resolver = session._reads().resolver
+    resolver = session._reads()
     ctx = session.run_context()
     value_index = ctx.get("value_index")
     # the oracle restricts the full product itself

@@ -294,9 +294,10 @@ def test_state_held_across_two_deltas_answers_byte_identically(dataset):
     matcher = IncrementalMatcher(MinoanER().session(kb1, kb2))
     daemon = ResolutionDaemon(matcher)
     pinned = daemon.state()
-    # A second state over the SAME evidence objects answers first, into
-    # its own cache; ``pinned`` stays cold, so after the deltas it must
-    # recompute every reply from evidence the deltas may not have touched.
+    # A second state over the SAME evidence objects answers first,
+    # filling its own resolver's memos; ``pinned``'s stay empty, so after
+    # the deltas it must compute every reply from evidence the deltas may
+    # not have touched.
     twin = ServingState.from_matcher(
         matcher, generation=pinned.generation, delta_count=0
     )

@@ -5,8 +5,8 @@ entity resolves exactly like the precomputed probe path, across
 serial/thread/process engines and the NumPy/stdlib kernels), the
 batch-equals-sequential property, resolved rows against the
 string-keyed reference in ``tests/oracles.py``, generation isolation of
-the serving path, the ``query_stream`` held-out record generator, the
-ProbeCache counters and keys, the ServeClient failure taxonomy, and the
+the serving path, the ``query_stream`` held-out record generator,
+repeated reads answering equal, the ServeClient failure taxonomy, and the
 ``POST /resolve`` and ``POST /resolve_batch`` endpoints end to end.
 """
 
@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 
 from repro.blocking import PackedBlockCollection
 from repro.core import MinoanERConfig, aggregate_scores
-from repro.core.resolve import (
-    OnlineResolver,
-    ProbeCache,
-    _held_bytes,
-    resolve_cache_key,
-)
+from repro.core.resolve import OnlineResolver, _held_bytes
 from repro.datasets import (
     generate,
     generate_benchmark,
@@ -182,7 +177,7 @@ def pair_resolver():
     kb1, kb2 = make_pair()
     session = MatchSession(kb1, kb2)
     session.match()
-    return session._reads().resolver
+    return session._reads()
 
 
 class TestBatchEqualsSequential:
@@ -850,79 +845,64 @@ class TestQueryStream:
 
 
 # ----------------------------------------------------------------------
-# ProbeCache counters (satellite 1)
+# Repeated reads: no cache, the same answer
 # ----------------------------------------------------------------------
-class TestProbeCacheCounters:
-    def test_hit_miss_eviction_counts(self):
-        cache = ProbeCache(2)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a"
-        assert cache.get("a") is None
-        assert cache.stats() == {
-            "hits": 1,
-            "misses": 2,
-            "evictions": 1,
-            "size": 2,
-        }
+def _reader(owner: str):
+    """A session or a published generation over the make_pair KBs."""
+    kb1, kb2 = make_pair()
+    session = MatchSession(kb1, kb2)
+    if owner == "session":
+        return kb1, session
+    matcher = IncrementalMatcher(session)
+    matcher.match()
+    return kb1, ServingState.from_matcher(matcher, generation=1, delta_count=0)
 
-    def test_clear_keeps_lifetime_counters(self):
-        cache = ProbeCache(4)
-        cache.get("x")
-        cache.put("x", 1)
-        cache.get("x")
-        cache.clear()
-        stats = cache.stats()
-        assert stats["size"] == 0
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
 
-    @pytest.mark.parametrize("owner", ["session", "state"])
-    def test_default_k_and_explicit_k_share_an_entry(self, owner):
-        """``resolve(r)`` and ``resolve(r, k=top_k_candidates)`` are one
-        answer, cached once: the second call is a hit on both owners,
-        through ``resolve`` and ``resolve_batch`` alike."""
-        kb1, kb2 = make_pair()
-        session = MatchSession(kb1, kb2)
-        if owner == "session":
-            reader = session
-            stats = session._probe_cache.stats
-        else:
-            matcher = IncrementalMatcher(session)
-            matcher.match()
-            reader = ServingState.from_matcher(
-                matcher, generation=1, delta_count=0
-            )
-            stats = reader.probe_cache_stats
-        record = clone_record(kb1["a1"], "urn:q:k")
+@pytest.mark.parametrize("owner", ["session", "state"])
+class TestRepeatedReads:
+    def test_never_seen_record_resolves_equal_twice(self, owner):
+        kb1, reader = _reader(owner)
+        record = clone_record(kb1["a1"], "urn:q:twice")
         first = reader.resolve(record)
-        before = stats()
-        top_k = session.config.top_k_candidates
-        assert reader.resolve(record, k=top_k) is first
-        assert stats()["hits"] == before["hits"] + 1
-        assert reader.resolve_batch([record], k=top_k)[0] is first
-        assert stats()["hits"] == before["hits"] + 2
-        assert stats()["misses"] == before["misses"]
+        assert first.known is False and first.match is not None
+        assert reader.resolve(record) == first
+        assert reader.resolve_batch([record])[0] == first
 
-    def test_counters_reach_metrics_endpoint(self, served):
-        _, client = served
-        record = entity_to_dict(
-            EntityDescription("urn:q:m", [("name", "unique venue")])
-        )
-        client.resolve(record)
-        client.resolve(record)  # cache hit
-        text = client.metrics()
-        samples = {
-            line.split()[0]: float(line.split()[1])
-            for line in text.splitlines()
-            if line and not line.startswith("#")
-        }
-        assert samples["repro_serve_probe_cache_hits"] >= 1
-        assert samples["repro_serve_probe_cache_misses"] >= 1
-        assert "repro_serve_probe_cache_evictions" in samples
-        assert samples["repro_serve_resolve_records"] >= 2
+    def test_default_k_equals_explicit_k(self, owner):
+        kb1, reader = _reader(owner)
+        record = clone_record(kb1["a2"], "urn:q:k")
+        top_k = MinoanERConfig().top_k_candidates
+        assert reader.resolve(record) == reader.resolve(record, k=top_k)
+        assert reader.probe("a2") == reader.probe("a2", top_k)
+
+    def test_known_uri_probes_equal_twice(self, owner):
+        _, reader = _reader(owner)
+        first = reader.probe("a1", 2)
+        assert first.known is True
+        assert reader.probe("a1", 2) == first
+
+
+@pytest.fixture(scope="module")
+def oracle_probes(oracle_kbs):
+    """The oracle KBs' sorted KB1 URIs and a resolver over their run."""
+    data, ctx, *_ = oracle_kbs
+    uris1 = sorted(data.kb1.uris())
+    return uris1, OnlineResolver.from_context(ctx, frozenset(uris1))
+
+
+class TestProbeBest:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(at=st.integers(0, 10**6), k=st.integers(1, _K + 3))
+    @example(at=0, k=1)
+    @example(at=0, k=_K + 3)  # a whole row, past the config's K
+    def test_best_is_the_first_value_row(self, oracle_probes, at, k):
+        """A probe's ``best`` is its first value row, for every ``k``
+        (``None`` with no row, as for an unknown URI)."""
+        uris1, resolver = oracle_probes
+        uri = uris1[at % len(uris1)]
+        probe = resolver.probe(uri, k)
+        assert probe.best == (probe.value[0] if probe.value else None)
+        assert resolver.probe("urn:ghost", k).best is None
 
 
 # ----------------------------------------------------------------------
@@ -982,6 +962,13 @@ class TestResolveEndpoints:
         assert payload["k"] == 3
         assert payload["match"]["uri1"] == "urn:q:http"
         assert payload["match"]["uri2"] == "b1"
+        assert client.resolve(entity_to_dict(record), k=3) == payload
+        samples = {
+            line.split()[0]: float(line.split()[1])
+            for line in client.metrics().splitlines()
+            if line and not line.startswith("#")
+        }
+        assert samples["repro_serve_resolve_records"] >= 2
 
     def test_resolve_batch_equals_per_record(self, served):
         _, client = served
@@ -1032,16 +1019,6 @@ class TestResolveEndpoints:
 # Resolver construction details
 # ----------------------------------------------------------------------
 class TestResolverInternals:
-    def test_cache_key_is_hashable_and_pair_sensitive(self):
-        a = EntityDescription("urn:q", [("name", "x")])
-        b = EntityDescription("urn:q", [("name", "y")])
-        key_a = resolve_cache_key(a, None)
-        key_b = resolve_cache_key(b, None)
-        assert hash(key_a) != hash(key_b) or key_a != key_b
-        assert key_a == resolve_cache_key(
-            EntityDescription("urn:q", [("name", "x")]), None
-        )
-
     def test_from_context_pins_known_uris(self):
         """A resolver built with known1 never consults the live KB1."""
         kb1, kb2 = make_pair()
@@ -1143,7 +1120,7 @@ class TestResolverInternals:
             daemon = ResolutionDaemon.from_snapshot(tmp_path / "seed", mode=mode)
             generations.append(
                 (
-                    daemon.state()._reads.resolver,
+                    daemon.state().resolver,
                     daemon._matcher.last_context.get("token_blocks"),
                 )
             )

@@ -88,14 +88,6 @@ _SEQUENCE_METRICS = (
     "repro_serve_resolve_unknown 2\n"
     "# TYPE repro_session_cache_hits counter\n"
     "repro_session_cache_hits 5\n"
-    "# TYPE repro_serve_probe_cache_evictions gauge\n"
-    "repro_serve_probe_cache_evictions 0\n"
-    "# TYPE repro_serve_probe_cache_hits gauge\n"
-    "repro_serve_probe_cache_hits 0\n"
-    "# TYPE repro_serve_probe_cache_misses gauge\n"
-    "repro_serve_probe_cache_misses 5\n"
-    "# TYPE repro_serve_probe_cache_size gauge\n"
-    "repro_serve_probe_cache_size 5\n"
     "# TYPE repro_serve_latency_seconds_best summary\n"
     "repro_serve_latency_seconds_best_count 1\n"
     "repro_serve_latency_seconds_best_sum <s>\n"
@@ -313,7 +305,7 @@ class TestServingState:
     def test_probe_caches_per_state(self):
         state = self.make_state()
         probe = state.probe("a1", 2)
-        assert state.probe("a1", 2) is probe
+        assert state.probe("a1", 2) == probe
         assert probe.match is not None and probe.match.uri2 == "b1"
         assert state.probe("ghost").known is False
 
@@ -1198,7 +1190,9 @@ class TestSessionProbe:
         session.match()
         runs_before = dict(session.stage_runs)
         first = session.probe("a1")
-        assert session.probe("a1") is first
+        resolver = session._reads()
+        assert session.probe("a1") == first
+        assert session._reads() is resolver  # built once, then reused
         assert session.stage_runs == runs_before
 
     def test_probe_rejects_bad_k(self):

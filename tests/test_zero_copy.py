@@ -11,7 +11,7 @@ copying paths it replaces:
 - process dispatch computes the same artifact digests as the serial
   engine, every executor hands a kernel the same columns, and no pool
   worker outlives its dispatch, crash or not;
-- the probe caches hold no reference back to their owners, so retired
+- nothing a read leaves behind refers back to its owner, so retired
   serving generations and dropped sessions free by refcount alone.
 """
 
@@ -39,6 +39,7 @@ from repro.engine.executor import (
     _pickled_size,
 )
 from repro.incremental import IncrementalMatcher
+from repro.kb.entity import EntityDescription
 from repro.kb.io_ntriples import read_ntriples
 from repro.obs import Telemetry, activate
 from repro.pipeline import MatchSession, context_digests
@@ -325,36 +326,42 @@ def test_pickled_size_zero_only_for_pickling_failures():
 
 
 # ----------------------------------------------------------------------
-# Probe caches hold no back-references
+# Read owners hold no back-references
 # ----------------------------------------------------------------------
-def test_retired_serving_state_freed_without_gc():
-    kb1, kb2 = make_pair()
-    matcher = IncrementalMatcher(MatchSession(kb1, kb2))
-    matcher.match()
-    state = ServingState.from_matcher(matcher, generation=1, delta_count=0)
-    state.probe("a1", 2)  # populate the cache
-    ref = weakref.ref(state)
+def _freed_by_refcount(make_owner) -> bool:
+    """Whether dropping the last reference to a reader that has probed
+    and resolved frees it and its resolver with the collector off: no
+    cycle parks either for the next ``gc`` pass."""
+    kb1, _ = make_pair()
+    owner = make_owner()
+    owner.probe("a1", 2)
+    owner.resolve(EntityDescription("urn:q:freed", kb1["a1"].pairs))
+    resolver = (
+        owner.resolver if isinstance(owner, ServingState) else owner._reads()
+    )
+    refs = [weakref.ref(owner), weakref.ref(resolver)]
+    del resolver
+    gc.collect()
     gc.disable()
     try:
-        del state
-        # Refcount alone frees the generation: no cycle through the
-        # cache keeps it parked for the collector.
-        assert ref() is None
+        del owner
+        return all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
 
-def test_dropped_session_probe_cache_is_cycle_free():
+def test_retired_serving_state_freed_without_gc():
     kb1, kb2 = make_pair()
-    session = MatchSession(kb1, kb2)
-    probe = session.probe("a1")
-    assert session.probe("a1") is probe  # cached
-    cache_ref = weakref.ref(session._probe_cache)
-    session._drop_probe_state()
-    assert len(session._probe_cache) == 0
-    del session
-    gc.collect()
-    assert cache_ref() is None
+    matcher = IncrementalMatcher(MatchSession(kb1, kb2))
+    matcher.match()
+    assert _freed_by_refcount(
+        lambda: ServingState.from_matcher(matcher, generation=1, delta_count=0)
+    )
+
+
+def test_dropped_session_freed_without_gc():
+    kb1, kb2 = make_pair()
+    assert _freed_by_refcount(lambda: MatchSession(kb1, kb2))
 
 
 # ----------------------------------------------------------------------
