@@ -15,19 +15,23 @@ published state:
    selects one CSR row of side-2 candidate ids with its block's weight.
 3. **Score value similarity**: every selected block contributes its
    :func:`~repro.core.similarity.block_token_weight` to each id in its
-   row.  A single resolve is a batch of one: a batch's sums are one
-   :func:`~repro.ids.arrays.gathered_candidate_sums` call per group of
-   records of bounded gather, keyed by record index and candidate id.
-   A candidate's sum adds its record's spans in the same element order
-   whatever else shares the batch, so every score is the same float in
-   any batch.
+   row.  A single resolve gathers its rows alone
+   (:func:`~repro.ids.arrays.row_candidate_sums`); a batch's sums are
+   one :func:`~repro.ids.arrays.gathered_candidate_sums` call per group
+   of records of bounded gather, keyed by record index and candidate
+   id.  A candidate's sum adds its record's spans in the same element
+   order either way, so every score is the same float alone and in any
+   batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :func:`~repro.engine.similarity.build_neighbor_index`'s
    propagation, gathered by the same primitive over a reverse
    top-neighbor CSR.
 5. **Apply H1–H4 online**, mirroring the batch heuristics for a record
-   that is *queried*, not inserted (see below).
+   that is *queried*, not inserted (see below).  Both paths decide in
+   one :meth:`OnlineResolver._decide`, which builds H3's neighbor list
+   only when the H3 rung runs or H4 looks for a match outside the value
+   list.
 
 Candidates stay id columns from gather to decision: each record's
 value and neighbor evidence is an ``(ids ascending, sums)`` pair, its
@@ -94,6 +98,7 @@ from ..ids.arrays import (
     merged_sums,
     pair_ids,
     positions_within,
+    row_candidate_sums,
     top_ranked,
 )
 from ..kb.tokenizer import Tokenizer
@@ -354,8 +359,17 @@ class OnlineResolver:
     def resolve(
         self, record: "EntityDescription", k: int | None = None
     ) -> ResolveResult:
-        """Rank this record's KB2 candidates and decide its match."""
-        return self.resolve_batch((record,), k)[0]
+        """Rank this record's KB2 candidates and decide its match.
+
+        Its spans gather alone, with no record keys: a candidate's sum
+        receives the same additions in the same order as in any batch.
+        """
+        k = self.validated_k(k)
+        if record.uri in self._known1:
+            return self.probe(record.uri, k)
+        spans = self._probe_spans(record)
+        ids, sums = row_candidate_sums(self._ids2, spans, width=len(self._uris2))
+        return self._decide(record, k, ids, sums)
 
     def resolve_batch(
         self, records: Sequence["EntityDescription"], k: int | None = None
@@ -456,25 +470,15 @@ class OnlineResolver:
         """The online H1–H4 ladder over one record's value evidence: its
         candidates' ascending ids and their sums.  H2 and H3 are the
         batch rungs with nothing taken; only the returned rows and the
-        match are decoded."""
+        match are decoded.  H3's neighbor list is built only when read:
+        by the H3 rung, or by H4 for a match outside the value list."""
         neighbor_ids, neighbor_sums = self._neighbor_scores(record)
         config = self._config
         value_top = _top(value_ids, value_sums, k)
         neighbor_top = _top(neighbor_ids, neighbor_sums, k)
-        # H3's lists in its KB2 id space: the top-k value ids, and the
-        # top-k neighbor ids — under the conference H3 only those with
-        # a value score too.
-        if config.restrict_h3_to_cooccurring:
-            shared = positions_within(
-                neighbor_ids, self._parent_images, value_ids
-            )
-            h3_neighbors, _ = _top(
-                neighbor_ids[shared], neighbor_sums[shared], k
-            )
-        else:
-            h3_neighbors = neighbor_top[0]
-        neighbor_space = [self._parent_images[i] for i in h3_neighbors]
+        # H3's value list in its KB2 id space: the top-k value ids.
         value_space = [self._value_images[i] for i in value_top[0]]
+        neighbor_space = None
 
         match: Match | None = None
         for name in self._producers:
@@ -487,6 +491,9 @@ class OnlineResolver:
                     uri2 = self._uris2[best[0]]
                     match = Match(record.uri, uri2, "H2", best[1])
             else:
+                neighbor_space = self._h3_neighbors(
+                    value_ids, neighbor_ids, neighbor_sums, neighbor_top[0], k
+                )
                 best = h3_candidate(value_space, neighbor_space, config.theta)
                 if best is not None:
                     uri2 = self._space.uri_of(best[0])
@@ -496,7 +503,14 @@ class OnlineResolver:
         if match is not None and self._reciprocal:
             uri2 = match.uri2
             # the record's side of H4 is literal: uri2 is in its lists
-            listed = self._space.get(uri2) in value_space + neighbor_space
+            at = self._space.get(uri2)
+            listed = at in value_space
+            if not listed:
+                if neighbor_space is None:
+                    neighbor_space = self._h3_neighbors(
+                        value_ids, neighbor_ids, neighbor_sums, neighbor_top[0], k
+                    )
+                listed = at in neighbor_space
             if not listed or not self._h4_reciprocal(
                 uri2,
                 _score_of(value_ids, value_sums, self._candidates2.get(uri2)),
@@ -514,6 +528,17 @@ class OnlineResolver:
             best=value_rows[0] if value_rows else None,
             match=match,
         )
+
+    def _h3_neighbors(
+        self, value_ids, neighbor_ids, neighbor_sums, top_ids, k: int
+    ) -> list[int]:
+        """H3's neighbor list in its KB2 id space: the top-k neighbor
+        ids ``top_ids`` — under the conference H3 the top k of those
+        with a value score too."""
+        if self._config.restrict_h3_to_cooccurring:
+            shared = positions_within(neighbor_ids, self._parent_images, value_ids)
+            top_ids, _ = _top(neighbor_ids[shared], neighbor_sums[shared], k)
+        return [self._parent_images[i] for i in top_ids]
 
     def _neighbor_scores(self, record: "EntityDescription") -> tuple:
         """The record's neighbor-similarity sums: read-only ``(parent

@@ -510,11 +510,7 @@ def gathered_candidate_sums(
     ``for span: for id in row`` (the gather produces exactly that
     element order), and a key only ever receives its own record's spans
     — so every sum is bit-identical whatever else shares the batch.
-    Two folds keep that order.  When the dense slab of ``groups x
-    width`` slots is at most 16 slots per gathered id, one ``bincount``
-    folds into slot ``group * width + id`` and a bitmap of the touched
-    slots gives the keys, in order, with no sort; otherwise
-    :func:`sequential_unique_sums` sorts the gathered keys.
+    The fold is :func:`_slot_sums` over slot ``group * width + id``.
     """
     starts = _np.asarray(span_starts, dtype=_np.int64)
     owners, positions = ragged_indices(
@@ -522,23 +518,47 @@ def gathered_candidate_sums(
     )
     ids = _np.asarray(ids_flat)[positions].astype(_np.int64)
     values = _np.asarray(span_values, dtype=_np.float64)[owners]
-    bases = None if span_bases is None else _np.asarray(span_bases, _np.int64)
-    groups = int(bases.max() >> 32) + 1 if bases is not None and len(ids) else 1
-    if not 0 < groups * width <= 16 * len(ids):
-        if bases is not None:
-            ids |= bases[owners]
-        return sequential_unique_sums(ids, values)
-    if groups > 1:
-        ids += ((bases >> 32) * width)[owners]
-    sums = _np.bincount(ids, values, minlength=groups * width)
-    touched = _np.zeros(groups * width, dtype=bool)
-    touched[ids] = True
-    slots = _np.flatnonzero(touched)
-    sums = sums[slots]
-    if groups == 1:
-        return slots, sums
+    if span_bases is None or not len(ids):
+        return _slot_sums(ids, values, width)
+    groups = _np.asarray(span_bases, _np.int64) >> 32
+    ids += (groups * width)[owners]
+    slots, sums = _slot_sums(ids, values, (int(groups.max()) + 1) * width)
     rows, ids = _np.divmod(slots, width)
     return (rows << 32) | ids, sums
+
+
+def row_candidate_sums(ids_flat, spans, *, width):
+    """:func:`gathered_candidate_sums` of one record's ``(start, stop,
+    value)`` spans, without keys: ``(ids ascending, per-id sums)``.
+
+    Each span is a whole CSR row, so the rows are sliced and joined
+    rather than expanded position by position; the element order, and
+    so every sum's bits, are the same.
+    """
+    if not spans:
+        return _slot_sums(_np.zeros(0, _np.int64), _np.zeros(0), width)
+    ids = _np.concatenate([ids_flat[start:stop] for start, stop, _ in spans])
+    values = _np.repeat(
+        [value for _, _, value in spans],
+        [stop - start for start, stop, _ in spans],
+    )
+    return _slot_sums(ids, values, width)
+
+
+def _slot_sums(slots, values, size):
+    """Per-slot totals of ``values`` over slots below ``size``, each
+    adding up from ``0.0`` in element order: ``(slots ascending,
+    sums)``.  When the dense slab of ``size`` slots is at most 16 per
+    element, one ``bincount`` folds into it and a bitmap of the touched
+    slots lists them, in order, with no sort; otherwise
+    :func:`sequential_unique_sums` sorts the slots."""
+    if not 0 < size <= 16 * len(slots):
+        return sequential_unique_sums(slots.astype(_np.int64, copy=False), values)
+    sums = _np.bincount(slots, values, minlength=size)
+    touched = _np.zeros(size, dtype=bool)
+    touched[slots] = True
+    slots = _np.flatnonzero(touched)
+    return slots, sums[slots]
 
 
 def group_bounds(keys, n_groups):

@@ -60,6 +60,12 @@ MAX_SPAN_RECORDS = 4096
 #: load, which belongs in the batch CLI, not an HTTP POST.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: The one encoder of replies and refusals.  Compact separators: batch
+#: resolve responses run to ~100KB, and the whitespace is pure
+#: encode/transfer/decode overhead.  ``json.dumps`` with any argument
+#: builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class ResolutionDaemon:
     """The serving core (HTTP-agnostic; the routes drive it)."""
@@ -493,9 +499,7 @@ class _Routes:
             return Reply(
                 status, payload.encode("utf-8"), "text/plain; version=0.0.4"
             )
-        # Compact separators: batch resolve responses run to ~100KB,
-        # and the whitespace is pure encode/transfer/decode overhead.
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body = _ENCODER.encode(payload).encode("utf-8")
         return Reply(status, body, "application/json")
 
     def refuse(self, status: int, message: str) -> Reply:
@@ -506,7 +510,7 @@ class _Routes:
         it would be parsed as the next request, so the reply closes it.
         """
         self.daemon.telemetry.metrics.counter("serve.errors").inc()
-        body = json.dumps({"error": message, "status": status}).encode("utf-8")
+        body = _ENCODER.encode({"error": message, "status": status}).encode("utf-8")
         return Reply(status, body, "application/json", close=True)
 
     def _dispatch(

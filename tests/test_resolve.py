@@ -180,8 +180,32 @@ def pair_resolver():
     return session._reads()
 
 
+def _query(index, *pairs):
+    return EntityDescription(f"urn:h:{index}", list(pairs))
+
+
 class TestBatchEqualsSequential:
     @given(records=_records, k=st.one_of(st.none(), st.integers(1, 5)))
+    @example(records=[_query(0, ("linked", UriRef("a1")))], k=1)  # no token
+    @example(records=[_query(0, ("name", "qqq zzz"))], k=None)  # no span
+    # every word: each shared block row, the heaviest gather of the KBs
+    @example(records=[_query(0, ("name", " ".join(_WORDS)))], k=5)
+    # five tokenless records and a one-id one: the batch's 6 x 3 slab
+    # exceeds 16 slots per gathered id, so it takes the sort arm
+    @example(
+        records=[_query(i, ("notes", "zzz")) for i in range(5)]
+        + [_query(5, ("name", "unique"))],
+        k=2,
+    )
+    # a KB1 URI among never-seen records: probed, the rest gathered
+    @example(
+        records=[
+            _query(0, ("name", "zanzibar mild")),
+            EntityDescription("a1", [("name", "first label")]),
+            _query(1, ("info", "shared calm"), ("linked", UriRef("a0"))),
+        ],
+        k=3,
+    )
     def test_property(self, pair_resolver, records, k):
         batch = pair_resolver.resolve_batch(records, k)
         single = [pair_resolver.resolve(record, k) for record in records]
@@ -556,6 +580,108 @@ class TestBatchInRecordGroups:
         with monkeypatch.context() as patch:
             grouped, _ = batch_gathers(oracle_kbs, patch, records, run_size, 2)
         assert grouped == single
+
+
+# ----------------------------------------------------------------------
+# H3's neighbor list is built only when read
+# ----------------------------------------------------------------------
+#: Oracle-KB records (spec, k) by what decides them under both H3
+#: variants: H2; H3 for a candidate in the value list; H1 for a KB2
+#: entity outside the value list.
+_H2_DECIDED = ([18], []), 3
+_H3_IN_VALUES = ([22, 5, 7, 14], []), 1
+_H1_OUTSIDE = ([1], [(1, 6)]), 3
+
+
+@pytest.fixture(scope="module")
+def unfiltered_contexts(oracle_kbs):
+    """Per ``restrict_h3_to_cooccurring``, the oracle KBs' context with
+    H4 not listed."""
+    data = oracle_kbs[0]
+    return {
+        restrict: MatchSession(
+            data.kb1,
+            data.kb2,
+            MinoanERConfig(
+                heuristics=("h1", "h2", "h3"),
+                restrict_h3_to_cooccurring=restrict,
+            ),
+        ).run_context()
+        for restrict in (True, False)
+    }
+
+
+class TestLazyNeighborList:
+    @staticmethod
+    def builds(oracle_kbs, ctx, monkeypatch, example):
+        """Per read path (``resolve``, ``resolve_batch``), the decision
+        of ``example``'s record and how many H3 neighbor lists it
+        built, on a fresh resolver."""
+        (record,), k = oracle_records(oracle_kbs, [example[0]]), example[1]
+        resolver = OnlineResolver.from_context(
+            ctx, frozenset(oracle_kbs[0].kb1.uris())
+        )
+        calls = []
+
+        def spy(self, *args, real=OnlineResolver._h3_neighbors):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(OnlineResolver, "_h3_neighbors", spy)
+        seen = []
+        for read in (
+            lambda: resolver.resolve(record, k),
+            lambda: resolver.resolve_batch([record], k)[0],
+        ):
+            calls.clear()
+            result = read()
+            in_values = result.match is not None and result.match.uri2 in {
+                uri2 for uri2, _ in result.value
+            }
+            seen.append((result.match, in_values, len(calls)))
+        assert seen[0] == seen[1]
+        return seen[0]
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_h2_builds_none_h3_builds_one(
+        self, oracle_kbs, oracle_decisions, monkeypatch, restrict
+    ):
+        ctx = oracle_decisions[0][restrict]
+        match, in_values, built = self.builds(
+            oracle_kbs, ctx, monkeypatch, _H2_DECIDED
+        )
+        assert (match.heuristic, in_values, built) == ("H2", True, 0)
+        match, in_values, built = self.builds(
+            oracle_kbs, ctx, monkeypatch, _H3_IN_VALUES
+        )
+        assert (match.heuristic, in_values, built) == ("H3", True, 1)
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_h4_builds_one_for_a_match_outside_the_values(
+        self,
+        oracle_kbs,
+        oracle_decisions,
+        unfiltered_contexts,
+        tied_contexts,
+        monkeypatch,
+        restrict,
+    ):
+        """An H1 match outside the value list builds the list only for
+        H4 (without H4 it builds none); an H3 match outside it, which
+        H3 ranked from the neighbor list, builds it once."""
+        match, in_values, built = self.builds(
+            oracle_kbs, unfiltered_contexts[restrict], monkeypatch, _H1_OUTSIDE
+        )
+        assert (match.heuristic, in_values, built) == ("H1", False, 0)
+        _, _, built = self.builds(
+            oracle_kbs, oracle_decisions[0][restrict], monkeypatch, _H1_OUTSIDE
+        )
+        assert built == 1
+        (spec,), k = _CROSS_TIES[True]
+        match, in_values, built = self.builds(
+            oracle_kbs, tied_contexts[restrict], monkeypatch, (spec, k)
+        )
+        assert (match.heuristic, in_values, built) == ("H3", False, 1)
 
 
 # ----------------------------------------------------------------------
