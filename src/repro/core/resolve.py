@@ -15,13 +15,12 @@ published state:
    selects one CSR row of side-2 candidate ids with its block's weight.
 3. **Score value similarity**: every selected block contributes its
    :func:`~repro.core.similarity.block_token_weight` to each id in its
-   row.  A single resolve gathers its rows alone
-   (:func:`~repro.ids.arrays.row_candidate_sums`); a batch's sums are
-   one :func:`~repro.ids.arrays.gathered_candidate_sums` call per group
-   of records of bounded gather, keyed by record index and candidate
-   id.  A candidate's sum adds its record's spans in the same element
-   order either way, so every score is the same float alone and in any
-   batch.
+   row, by :func:`~repro.ids.arrays.gathered_candidate_sums`.  A single
+   resolve gathers its rows alone, with no record keys; a batch's sums
+   are one call per group of records of bounded gather, keyed by record
+   index and candidate id.  A candidate's sum adds its record's spans
+   in the same element order either way, so every score is the same
+   float alone and in any batch.
 4. **Score neighbor similarity** by propagating the record's outgoing
    top-relation links through the value index — the one-row analogue
    of :func:`~repro.engine.similarity.build_neighbor_index`'s
@@ -98,7 +97,6 @@ from ..ids.arrays import (
     merged_sums,
     pair_ids,
     positions_within,
-    row_candidate_sums,
     top_ranked,
 )
 from ..kb.tokenizer import Tokenizer
@@ -368,7 +366,10 @@ class OnlineResolver:
         if record.uri in self._known1:
             return self.probe(record.uri, k)
         spans = self._probe_spans(record)
-        ids, sums = row_candidate_sums(self._ids2, spans, width=len(self._uris2))
+        starts, stops, weights = zip(*spans) if spans else ((), (), ())
+        ids, sums = gathered_candidate_sums(
+            self._ids2, starts, stops, weights, width=len(self._uris2)
+        )
         return self._decide(record, k, ids, sums)
 
     def resolve_batch(
@@ -478,6 +479,9 @@ class OnlineResolver:
         neighbor_top = _top(neighbor_ids, neighbor_sums, k)
         # H3's value list in its KB2 id space: the top-k value ids.
         value_space = [self._value_images[i] for i in value_top[0]]
+        h3_list = lambda: self._h3_neighbors(  # noqa: E731
+            value_ids, neighbor_ids, neighbor_sums, neighbor_top[0], k
+        )
         neighbor_space = None
 
         match: Match | None = None
@@ -491,9 +495,7 @@ class OnlineResolver:
                     uri2 = self._uris2[best[0]]
                     match = Match(record.uri, uri2, "H2", best[1])
             else:
-                neighbor_space = self._h3_neighbors(
-                    value_ids, neighbor_ids, neighbor_sums, neighbor_top[0], k
-                )
+                neighbor_space = h3_list()
                 best = h3_candidate(value_space, neighbor_space, config.theta)
                 if best is not None:
                     uri2 = self._space.uri_of(best[0])
@@ -504,13 +506,9 @@ class OnlineResolver:
             uri2 = match.uri2
             # the record's side of H4 is literal: uri2 is in its lists
             at = self._space.get(uri2)
-            listed = at in value_space
-            if not listed:
-                if neighbor_space is None:
-                    neighbor_space = self._h3_neighbors(
-                        value_ids, neighbor_ids, neighbor_sums, neighbor_top[0], k
-                    )
-                listed = at in neighbor_space
+            listed = at in value_space or at in (
+                h3_list() if neighbor_space is None else neighbor_space
+            )
             if not listed or not self._h4_reciprocal(
                 uri2,
                 _score_of(value_ids, value_sums, self._candidates2.get(uri2)),

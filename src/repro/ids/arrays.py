@@ -527,24 +527,6 @@ def gathered_candidate_sums(
     return (rows << 32) | ids, sums
 
 
-def row_candidate_sums(ids_flat, spans, *, width):
-    """:func:`gathered_candidate_sums` of one record's ``(start, stop,
-    value)`` spans, without keys: ``(ids ascending, per-id sums)``.
-
-    Each span is a whole CSR row, so the rows are sliced and joined
-    rather than expanded position by position; the element order, and
-    so every sum's bits, are the same.
-    """
-    if not spans:
-        return _slot_sums(_np.zeros(0, _np.int64), _np.zeros(0), width)
-    ids = _np.concatenate([ids_flat[start:stop] for start, stop, _ in spans])
-    values = _np.repeat(
-        [value for _, _, value in spans],
-        [stop - start for start, stop, _ in spans],
-    )
-    return _slot_sums(ids, values, width)
-
-
 def _slot_sums(slots, values, size):
     """Per-slot totals of ``values`` over slots below ``size``, each
     adding up from ``0.0`` in element order: ``(slots ascending,
@@ -553,7 +535,7 @@ def _slot_sums(slots, values, size):
     slots lists them, in order, with no sort; otherwise
     :func:`sequential_unique_sums` sorts the slots."""
     if not 0 < size <= 16 * len(slots):
-        return sequential_unique_sums(slots.astype(_np.int64, copy=False), values)
+        return sequential_unique_sums(slots, values)
     sums = _np.bincount(slots, values, minlength=size)
     touched = _np.zeros(size, dtype=bool)
     touched[slots] = True

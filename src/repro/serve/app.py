@@ -60,10 +60,11 @@ MAX_SPAN_RECORDS = 4096
 #: load, which belongs in the batch CLI, not an HTTP POST.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: The one encoder of replies and refusals.  Compact separators: batch
-#: resolve responses run to ~100KB, and the whitespace is pure
-#: encode/transfer/decode overhead.  ``json.dumps`` with any argument
-#: builds a new encoder per call.
+#: The encoder of replies.  Compact separators: batch resolve responses
+#: run to ~100KB, and the whitespace is pure encode/transfer/decode
+#: overhead.  ``json.dumps`` with any argument builds a new encoder per
+#: call; refusals keep its default separators, and with no argument it
+#: reuses one encoder too.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -510,7 +511,7 @@ class _Routes:
         it would be parsed as the next request, so the reply closes it.
         """
         self.daemon.telemetry.metrics.counter("serve.errors").inc()
-        body = _ENCODER.encode({"error": message, "status": status}).encode("utf-8")
+        body = json.dumps({"error": message, "status": status}).encode("utf-8")
         return Reply(status, body, "application/json", close=True)
 
     def _dispatch(

@@ -334,11 +334,10 @@ class TestResolverPrimitives:
         spaces ``spare`` wider than the largest id: the dense fold runs
         exactly when its ``groups x width`` slab is at most 16 slots per
         gathered id, and either arm gives the dict fold's keys and
-        float bytes.  Without bases, :func:`row_candidate_sums` (one
-        record's rows sliced and joined) folds the same way."""
+        float bytes."""
         import numpy
 
-        from repro.ids.arrays import gathered_candidate_sums, row_candidate_sums
+        from repro.ids.arrays import gathered_candidate_sums
 
         spans = [
             (min(a, b, len(ids)), min(max(a, b), len(ids)), value)
@@ -361,27 +360,17 @@ class TestResolverPrimitives:
         sort = mock.patch.object(
             arrays, "sequential_unique_sums", wraps=arrays.sequential_unique_sums
         )
-        gathers = [
-            lambda: gathered_candidate_sums(
+        with sort as sorted_arm:
+            got_keys, got_sums = gathered_candidate_sums(
                 array("i", ids), starts, stops, values, bases, width=width
             )
-        ]
-        if bases is None:
-            gathers.append(
-                lambda: row_candidate_sums(
-                    numpy.array(ids, dtype=numpy.int32), spans, width=width
-                )
-            )
+        assert sorted_arm.called is not dense
+        assert got_keys.dtype == numpy.int64
         keys = sorted(reference)
-        for gather in gathers:
-            with sort as sorted_arm:
-                got_keys, got_sums = gather()
-            assert sorted_arm.called is not dense
-            assert got_keys.dtype == numpy.int64
-            assert list(got_keys) == keys
-            assert got_sums.tobytes() == array(
-                "d", [reference[k] for k in keys]
-            ).tobytes()
+        assert list(got_keys) == keys
+        assert got_sums.tobytes() == array(
+            "d", [reference[k] for k in keys]
+        ).tobytes()
 
     @given(
         st.dictionaries(

@@ -596,6 +596,28 @@ class TestRequestHardening:
         finally:
             conn.close()
 
+    def test_reply_and_refusal_bytes(self, served):
+        """Replies are compact JSON; a refusal keeps ``json.dumps``'s
+        default separators, byte for byte."""
+        _, client = served
+        host, _, port = client.base_url.rpartition(":")
+        conn = http.client.HTTPConnection(
+            host.split("//")[1], int(port), timeout=10
+        )
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.read() == b'{"status":"ok","generation":1}'
+            conn.request("GET", "/nowhere")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert response.read() == (
+                b'{"error": "no such endpoint: GET /nowhere", "status": 404}'
+            )
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("bogus", ["banana", "-5", "1e3", ""])
     def test_malformed_content_length_is_400_not_500(self, served, bogus):
         _, client = served
